@@ -56,9 +56,11 @@ func randomPlan(ctx *Context, rng *rand.Rand, id int) (*core.Plan, *core.Operato
 		case op == 4:
 			d = d.Sort(nil)
 		case op == 5:
-			d = d.ReduceBy("sum",
+			// The reducer returns one of its operands, so the reduced value
+			// keeps its key: the two-phase engines re-key map-side partials.
+			d = d.ReduceBy("max",
 				func(q any) any { return q.(int64) % 7 },
-				func(a, b any) any { return a.(int64) + b.(int64) })
+				func(a, b any) any { return max(a.(int64), b.(int64)) })
 		case op == 6 && len(heads) > 1:
 			other := heads[(pick+1)%len(heads)]
 			d = d.Union(other)

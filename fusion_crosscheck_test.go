@@ -1,9 +1,12 @@
 package rheem
 
-// Differential testing for pipeline fusion: executing with fused
-// narrow-operator kernels must produce exactly the same sink output as the
-// per-operator path (core.SetFusionDisabled / RHEEM_NO_FUSE=1), across
-// random plan shapes and across every engine.
+// Differential testing for the chain kernels. The compiled kernel is the
+// only way the narrow operators and the declarative reduce-by execute, so
+// the reference is not a second engine path but platformtest.Interpret, a
+// plain row-at-a-time evaluation of the same plan: every sink must collect
+// the reference's multiset and every operator must report the reference's
+// output cardinality — across random plan shapes, on the optimizer's free
+// choice and pinned to every engine.
 
 import (
 	"fmt"
@@ -11,47 +14,61 @@ import (
 	"testing"
 
 	"rheem/internal/core"
+	"rheem/internal/platform/platformtest"
 )
 
+// checkAgainstInterpreter builds the plan on a fresh context, pins it to
+// platform ("" leaves the choice to the optimizer), executes it and holds
+// the result to the reference interpreter.
+func checkAgainstInterpreter(t *testing.T, build func(*Context) (*core.Plan, *core.Operator), platform, tag string) {
+	t.Helper()
+	ctx := fastCtx(t)
+	plan, _ := build(ctx)
+	for _, op := range plan.Operators() {
+		op.TargetPlatform = platform
+	}
+	want, err := platformtest.Interpret(plan)
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	res, err := ctx.Execute(plan)
+	if err != nil {
+		t.Fatalf("%s on %q: %v\n%s", tag, platform, err, plan)
+	}
+	for _, sink := range plan.Sinks() {
+		got, err := res.CollectFrom(sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := platformtest.SameMultiset(got, want[sink]); err != nil {
+			t.Fatalf("%s on %v: sink %s: %v\n%s", tag, res.Platforms(), sink, err, plan)
+		}
+	}
+	cards := res.Monitor().ObservedCards()
+	for _, op := range plan.Operators() {
+		if n, ok := cards[op]; !ok || n != int64(len(want[op])) {
+			t.Fatalf("%s on %v: %s reported cardinality %d (reported=%v), reference %d\n%s",
+				tag, res.Platforms(), op, n, ok, len(want[op]), plan)
+		}
+	}
+}
+
 func TestCrossCheckFusedAgainstUnfused(t *testing.T) {
+	// Three plan families per seed: opaque-UDF DAGs (crosscheck_test.go),
+	// declarative chains the column loops run, and declarative chains ending
+	// in a grouped aggregation (columnar_crosscheck_test.go).
+	families := []struct {
+		name  string
+		build func(*Context, *rand.Rand, int) (*core.Plan, *core.Operator)
+	}{{"udf", randomPlan}, {"decl", randomDeclPlan}, {"agg", randomAggPlan}}
 	rng := rand.New(rand.NewSource(909))
 	for i := 0; i < 15; i++ {
-		fusedCtx := fastCtx(t)
-		unfusedCtx := fastCtx(t)
-
 		seed := rng.Int63()
-		planF, sinkF := randomPlan(fusedCtx, rand.New(rand.NewSource(seed)), i)
-		planU, sinkU := randomPlan(unfusedCtx, rand.New(rand.NewSource(seed)), i)
-
-		resF, err := fusedCtx.Execute(planF)
-		if err != nil {
-			t.Fatalf("plan %d fused: %v\n%s", i, err, planF)
-		}
-
-		prev := core.SetFusionDisabled(true)
-		resU, err := unfusedCtx.Execute(planU)
-		core.SetFusionDisabled(prev)
-		if err != nil {
-			t.Fatalf("plan %d unfused: %v", i, err)
-		}
-
-		outF, err := resF.CollectFrom(sinkF)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outU, err := resU.CollectFrom(sinkU)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cf, cu := canonical(t, outF), canonical(t, outU)
-		if len(cf) != len(cu) {
-			t.Fatalf("plan %d: fused produced %d quanta, unfused %d\n%s",
-				i, len(cf), len(cu), planF)
-		}
-		for j := range cf {
-			if cf[j] != cu[j] {
-				t.Fatalf("plan %d: result %d differs fused vs unfused: %q vs %q",
-					i, j, cf[j], cu[j])
+		for _, fam := range families {
+			for _, platform := range []string{"", "streams", "spark", "flink"} {
+				checkAgainstInterpreter(t, func(ctx *Context) (*core.Plan, *core.Operator) {
+					return fam.build(ctx, rand.New(rand.NewSource(seed)), i)
+				}, platform, fmt.Sprintf("%s plan %d", fam.name, i))
 			}
 		}
 	}
@@ -59,8 +76,8 @@ func TestCrossCheckFusedAgainstUnfused(t *testing.T) {
 
 // fig9Pipeline is the shape of the paper's Figure-9 single-platform tasks:
 // a long narrow prefix (flatmap/map/filter) into one aggregation.
-func fig9Pipeline(ctx *Context, platform string) (*core.Plan, *core.Operator) {
-	b := ctx.NewPlan("fig9-" + platform)
+func fig9Pipeline(ctx *Context) (*core.Plan, *core.Operator) {
+	b := ctx.NewPlan("fig9")
 	data := make([]any, 3000)
 	for i := range data {
 		data[i] = fmt.Sprintf("w%d w%d w%d", i%7, i%13, i%29)
@@ -90,13 +107,7 @@ func fig9Pipeline(ctx *Context, platform string) (*core.Plan, *core.Operator) {
 				return core.Record{ar[0], ar[1].(int64) + br[1].(int64)}
 			})
 	sink := counts.CollectSink()
-	p := b.Plan()
-	if platform != "" {
-		for _, op := range p.Operators() {
-			op.TargetPlatform = platform
-		}
-	}
-	return p, sink
+	return b.Plan(), sink
 }
 
 func TestFusedFig9TaskEquivalentOnEveryEngine(t *testing.T) {
@@ -106,39 +117,7 @@ func TestFusedFig9TaskEquivalentOnEveryEngine(t *testing.T) {
 			name = "optimizer-choice"
 		}
 		t.Run(name, func(t *testing.T) {
-			fusedCtx := fastCtx(t)
-			planF, sinkF := fig9Pipeline(fusedCtx, platform)
-			resF, err := fusedCtx.Execute(planF)
-			if err != nil {
-				t.Fatal(err)
-			}
-			outF, err := resF.CollectFrom(sinkF)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			unfusedCtx := fastCtx(t)
-			planU, sinkU := fig9Pipeline(unfusedCtx, platform)
-			prev := core.SetFusionDisabled(true)
-			resU, err := unfusedCtx.Execute(planU)
-			core.SetFusionDisabled(prev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			outU, err := resU.CollectFrom(sinkU)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			cf, cu := canonical(t, outF), canonical(t, outU)
-			if len(cf) != len(cu) {
-				t.Fatalf("fused %d rows, unfused %d rows", len(cf), len(cu))
-			}
-			for j := range cf {
-				if cf[j] != cu[j] {
-					t.Fatalf("row %d differs: fused %q vs unfused %q", j, cf[j], cu[j])
-				}
-			}
+			checkAgainstInterpreter(t, fig9Pipeline, platform, "fig9")
 		})
 	}
 }

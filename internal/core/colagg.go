@@ -686,14 +686,6 @@ func (st *AggState) Finalize(dst []any) []any {
 	return dst
 }
 
-// AggregateRows runs the whole expression over rows single-phase: absorb
-// everything, finalize. The single-node engines' reduce-by path.
-func AggregateRows(e *ReduceExpr, rows []any) []any {
-	st := NewAggState(e)
-	st.AbsorbRows(rows)
-	return st.Finalize(nil)
-}
-
 // colBoxed boxes one value out of a typed column (validity already checked
 // by the caller).
 func colBoxed(col *Column, i int) any {

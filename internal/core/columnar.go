@@ -1,7 +1,6 @@
 package core
 
 import (
-	"os"
 	"sync"
 	"sync/atomic"
 )
@@ -19,15 +18,13 @@ import (
 var columnarOff atomic.Bool
 
 func init() {
-	if os.Getenv("RHEEM_NO_COLUMNAR") == "1" {
-		columnarOff.Store(true)
-	}
+	columnarOff.Store(KillSwitchSet("RHEEM_NO_COLUMNAR"))
 }
 
 // ColumnarDisabled reports whether the columnar data plane is globally
 // disabled. It is toggled by the RHEEM_NO_COLUMNAR=1 environment variable or
-// SetColumnarDisabled, mirroring the fusion kill switch: kernels fall back
-// to the row path and the codec writes one frame per quantum.
+// SetColumnarDisabled: kernels fall back to the row path and the codec
+// writes one frame per quantum.
 func ColumnarDisabled() bool { return columnarOff.Load() }
 
 // SetColumnarDisabled toggles the columnar data plane at runtime and returns

@@ -228,7 +228,9 @@ func TestAggStatePartialMergeMatchesDirect(t *testing.T) {
 	}
 	rows := randAggRows(rng, 600)
 	// Direct: one state over all rows.
-	want := AggregateRows(expr, rows)
+	direct := NewAggState(expr)
+	direct.AbsorbRows(rows)
+	want := direct.Finalize(nil)
 	// Two-phase: partials per slice, merged in slice order.
 	var partials []any
 	for i := 0; i < len(rows); i += 150 {

@@ -1,17 +1,13 @@
 package core
 
-import (
-	"os"
-	"sync/atomic"
-)
+import "os"
 
-// Pipeline fusion: narrow, stateless, single-input operators (map, filter,
-// flatmap, project) that follow each other on the same platform are compiled
-// into one single-pass kernel by the engines (see
-// internal/platform/driverutil/fuse.go). This file holds the pieces both the
-// optimizer and the engines need: the kind eligibility predicate and the
-// global kill switch, so cost estimation and execution always agree on
-// whether a chain fuses.
+// Pipeline fusion: every run of narrow, stateless, single-input operators
+// (map, filter, flatmap, project) on one platform is compiled into one
+// single-pass kernel by the engines (see
+// internal/platform/driverutil/fuse.go) — it is the only way those kinds
+// execute. This file holds the kind predicate both the optimizer and the
+// engines use, so cost estimation and execution agree on what fuses.
 
 // FusibleKind reports whether k is a narrow, stateless, single-input
 // operator kind eligible for pipeline fusion. Distinct (stateful), MapPart
@@ -24,21 +20,6 @@ func FusibleKind(k Kind) bool {
 	return false
 }
 
-// fusionOff is the global fusion kill switch: 1 disables fusion everywhere
-// (engines fall back to per-operator execution and the optimizer stops
-// discounting chains). Seeded from RHEEM_NO_FUSE at startup.
-var fusionOff atomic.Bool
-
-func init() {
-	if os.Getenv("RHEEM_NO_FUSE") != "" {
-		fusionOff.Store(true)
-	}
-}
-
-// FusionDisabled reports whether pipeline fusion is globally disabled
-// (RHEEM_NO_FUSE, or SetFusionDisabled).
-func FusionDisabled() bool { return fusionOff.Load() }
-
-// SetFusionDisabled flips the global fusion kill switch; it exists for the
-// fused-vs-unfused crosscheck and benchmarks. Returns the previous value.
-func SetFusionDisabled(off bool) bool { return fusionOff.Swap(off) }
+// KillSwitchSet reports whether the named RHEEM_NO_* environment kill switch
+// is on. Every switch has the same meaning: set to exactly "1".
+func KillSwitchSet(name string) bool { return os.Getenv(name) == "1" }

@@ -28,7 +28,6 @@ package distexec
 
 import (
 	"net/http"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,14 +41,12 @@ import (
 )
 
 // distexecOff is the global kill switch: 1 keeps every stage local
-// (dispatch refuses and workers answer 503). Seeded from RHEEM_NO_DISTEXEC
-// at startup, mirroring the fusion kill switch.
+// (dispatch refuses and workers answer 503). Seeded from RHEEM_NO_DISTEXEC=1
+// at startup.
 var distexecOff atomic.Bool
 
 func init() {
-	if os.Getenv("RHEEM_NO_DISTEXEC") != "" {
-		distexecOff.Store(true)
-	}
+	distexecOff.Store(core.KillSwitchSet("RHEEM_NO_DISTEXEC"))
 }
 
 // Disabled reports whether distributed stage execution is globally disabled

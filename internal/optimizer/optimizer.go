@@ -408,7 +408,7 @@ func dpEnumerate(p *core.Plan, opts Options, inflated map[*core.Operator][]entry
 			fuseDisc := 0.0
 			fusible := core.FusibleKind(op.Kind) ||
 				(op.Kind == core.KindReduceBy && op.UDF.ReduceExpr != nil)
-			if !core.FusionDisabled() && fusible && core.InArityOf(op) == 1 {
+			if fusible && core.InArityOf(op) == 1 {
 				fuseDisc = opts.Costs.FusedStepOverheadMs(ent.alt) * opts.weight(ent.alt.Platform)
 			}
 			picks := map[*core.Operator]int{}

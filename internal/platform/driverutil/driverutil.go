@@ -86,13 +86,13 @@ func runStage(e Engine, stage *core.Stage, in *core.Inputs) (map[*core.Operator]
 	counters := make(map[*core.Operator]*int64, len(stage.Ops))
 	opTimes := make(map[*core.Operator]time.Duration, len(stage.Ops))
 
-	// Plan pipeline fusion: engines that implement ChainEngine run maximal
-	// narrow-operator chains as single-pass kernels instead of one Apply
-	// (and one intermediate materialization) per operator.
+	// Plan pipeline fusion: engines that implement ChainEngine run every
+	// narrow operator and declarative reduce-by inside a chain kernel; Apply
+	// sees the remaining kinds only.
 	var chains map[*core.Operator]*FusedChain
 	var covered map[*core.Operator]bool
 	ce, canFuse := e.(ChainEngine)
-	if canFuse && !core.FusionDisabled() {
+	if canFuse {
 		chains, covered = PlanFusion(stage)
 	}
 	var fusedChains [][]*core.Operator
@@ -112,9 +112,14 @@ func runStage(e Engine, stage *core.Stage, in *core.Inputs) (map[*core.Operator]
 				return nil, nil, err
 			}
 			attributeChainTime(chain, counters, elapsed, opTimes)
-			fusedChains = append(fusedChains, chain.AllOps())
+			// FusedChains (the fused-pipeline span and counter) reports chains
+			// that saved a dispatch: two or more operators in one kernel.
+			allOps := chain.AllOps()
+			if len(allOps) >= 2 {
+				fusedChains = append(fusedChains, allOps)
+			}
 			if kernel.VecLen() > 0 || kernel.Agg() != nil {
-				vecRuns = append(vecRuns, vecRun{ops: chain.AllOps(), kernel: kernel})
+				vecRuns = append(vecRuns, vecRun{ops: allOps, kernel: kernel})
 			}
 			continue
 		}
@@ -200,8 +205,7 @@ func runStage(e Engine, stage *core.Stage, in *core.Inputs) (map[*core.Operator]
 // runChain resolves the chain head's input, opens every chain operator's
 // UDF with its broadcast context, compiles the kernel, and hands the whole
 // chain to the engine. The tail's output lands in results; per-op counters
-// are registered for all chain operators so cardinality accounting matches
-// unfused execution.
+// are registered for all chain operators, so cardinalities stay per operator.
 func runChain(e Engine, ce ChainEngine, stage *core.Stage, chain *FusedChain, in *core.Inputs,
 	results map[*core.Operator]Data, counters map[*core.Operator]*int64) (*VectorKernel, time.Duration, error) {
 	ins, err := resolveInputs(e, stage, chain.Head(), in, results)
@@ -228,12 +232,12 @@ func runChain(e Engine, ce ChainEngine, stage *core.Stage, chain *FusedChain, in
 	}
 	kernel := CompileVector(chain.Ops, chain.Agg, rowKernel)
 	// Exploratory-mode sniffers observe inside the kernel, at each step's
-	// emission points. The unfused engines call sniffers from one goroutine
-	// at a time; a per-chain mutex preserves that contract when the kernel
-	// runs on parallel partitions.
+	// emission points (the absorbed aggregation's at Finalize). Sniffers are
+	// called from one goroutine at a time; a per-chain mutex keeps that
+	// contract when the kernel runs on parallel partitions.
 	if stage.Sniffers != nil {
 		var sniffMu sync.Mutex
-		for i, op := range chain.Ops {
+		for i, op := range allOps {
 			if s := stage.Sniffers[op]; s != nil {
 				s := s
 				kernel.SetSniff(i, func(q any) {
@@ -328,6 +332,18 @@ func resolveInputs(e Engine, stage *core.Stage, op *core.Operator, in *core.Inpu
 		}
 	}
 	return ins, nil
+}
+
+// StageConsumers counts op's consumers inside the stage. Lazy engines use it
+// to materialize an output once when several stage-local operators read it.
+func StageConsumers(stage *core.Stage, op *core.Operator) int {
+	n := 0
+	for _, consumer := range op.Outputs() {
+		if stage.Contains(consumer) {
+			n++
+		}
+	}
+	return n
 }
 
 func broadcastCtx(op *core.Operator, in *core.Inputs) (core.BroadcastCtx, error) {

@@ -6,20 +6,20 @@ import (
 	"rheem/internal/core"
 )
 
-// Pipeline fusion. A stage of k narrow operators naively costs k engine
-// dispatches and k-1 throwaway intermediate materializations. PlanFusion
-// detects maximal chains of narrow, stateless, single-input operators
-// (map / filter / flatmap / project) inside a stage and CompileChain turns
-// each into a single-pass kernel: one closure applies the whole chain per
-// quantum, with filter compaction happening in place in a single output
-// buffer sized from the input partition. Engines that can run such kernels
-// implement ChainEngine; runStage hands them whole chains instead of one
-// operator at a time.
+// Pipeline fusion. The compiled chain kernel is the only way the narrow,
+// stateless, single-input kinds (map / filter / flatmap / project) and the
+// declarative reduce-by execute: PlanFusion covers every such operator of a
+// stage with a maximal chain and CompileChain turns each chain into a
+// single-pass kernel — one closure applies the whole chain per quantum, with
+// filter compaction happening in place in a single output buffer sized from
+// the input partition. Engines run the kernels through ChainEngine; runStage
+// hands them whole chains and never a narrow operator on its own.
 
 // FusedChain is a maximal run of fusible operators inside one stage, in
 // dataflow order, optionally terminated by an absorbed declarative
 // aggregation (a reduce-by carrying a ReduceExpr) the engine executes as
-// part of the same pass.
+// part of the same pass. A declarative reduce-by no narrow run feeds is the
+// chain with zero narrow steps: Ops empty, Agg set.
 type FusedChain struct {
 	Ops []*core.Operator
 	// Agg, when set, is a KindReduceBy operator with UDF.ReduceExpr that
@@ -31,9 +31,14 @@ type FusedChain struct {
 
 // Head returns the chain's first operator (the one whose input feeds the
 // kernel).
-func (c *FusedChain) Head() *core.Operator { return c.Ops[0] }
+func (c *FusedChain) Head() *core.Operator {
+	if len(c.Ops) == 0 {
+		return c.Agg
+	}
+	return c.Ops[0]
+}
 
-// Tail returns the chain's last narrow operator.
+// Tail returns the chain's last narrow operator; the chain must have one.
 func (c *FusedChain) Tail() *core.Operator { return c.Ops[len(c.Ops)-1] }
 
 // Out returns the operator whose output the chain produces: the absorbed
@@ -81,27 +86,19 @@ type ChainEngine interface {
 	ApplyChain(chain *FusedChain, kernel *VectorKernel, in Data, counters []*int64) (Data, error)
 }
 
-// fusible reports whether op can participate in a fused chain of this
-// stage: a narrow stateless kind, exactly one input, and the UDF (or
-// declarative parameter) it needs actually present. Sniffed operators
-// (exploratory-mode checkpoints) stay fusible: the kernel invokes the
-// sniffer at the step's emission points (see SetSniff), so every quantum is
-// still observed.
-func fusible(stage *core.Stage, op *core.Operator) bool {
-	if !core.FusibleKind(op.Kind) || core.InArityOf(op) != 1 {
-		return false
-	}
-	switch op.Kind {
-	case core.KindMap:
-		return op.UDF.Map != nil
-	case core.KindFilter:
-		return op.UDF.Pred != nil || op.Params.Where != nil
-	case core.KindFlatMap:
-		return op.UDF.FlatMap != nil
-	case core.KindProject:
-		return true
-	}
-	return false
+// fusible reports whether op is a step of a fused chain: a narrow stateless
+// kind with exactly one input. A missing UDF is CompileChain's error to
+// report. Sniffed operators (exploratory-mode checkpoints) stay fusible: the
+// kernel invokes the sniffer at the step's emission points (see SetSniff), so
+// every quantum is still observed.
+func fusible(op *core.Operator) bool {
+	return core.FusibleKind(op.Kind) && core.InArityOf(op) == 1
+}
+
+// declarativeAgg reports whether op is a reduce-by the kernel aggregates
+// itself (two-phase, through core.AggState) rather than by an opaque UDF.
+func declarativeAgg(op *core.Operator) bool {
+	return op.Kind == core.KindReduceBy && op.UDF.ReduceExpr != nil && core.InArityOf(op) == 1
 }
 
 // isTerminal reports whether op's output must be materialized at stage end.
@@ -116,18 +113,26 @@ func isTerminal(stage *core.Stage, op *core.Operator) bool {
 
 // PlanFusion walks the stage's topo-ordered ops and returns the maximal
 // fusible chains, keyed by chain head, plus the set of non-head operators
-// each chain covers. A chain extends from cur to next while cur feeds
-// exactly next (single consumer, not a terminal output) and next is a
-// fusible operator consuming only cur. A declarative reduce-by directly
+// each chain covers. Every fusible operator lands in exactly one chain, a
+// lone one in a chain of length one. A chain extends from cur to next while
+// cur feeds exactly next (single consumer, not a terminal output) and next is
+// a fusible operator consuming only cur. A declarative reduce-by directly
 // downstream of the chain is absorbed as its Agg terminator, so engines
-// aggregate the kernel's survivors without materializing them; chains are
-// kept only when they fuse at least two narrow ops or end in an absorbed
-// aggregation.
+// aggregate the kernel's survivors without materializing them; one that no
+// chain can absorb (its producer is wide, terminal or shared) heads a chain
+// with zero narrow steps.
 func PlanFusion(stage *core.Stage) (chains map[*core.Operator]*FusedChain, covered map[*core.Operator]bool) {
 	chains = map[*core.Operator]*FusedChain{}
 	covered = map[*core.Operator]bool{}
 	for _, op := range stage.Ops {
-		if covered[op] || !fusible(stage, op) {
+		if covered[op] {
+			continue
+		}
+		if declarativeAgg(op) {
+			chains[op] = &FusedChain{Agg: op}
+			continue
+		}
+		if !fusible(op) {
 			continue
 		}
 		chain := []*core.Operator{op}
@@ -137,7 +142,7 @@ func PlanFusion(stage *core.Stage) (chains map[*core.Operator]*FusedChain, cover
 				break
 			}
 			next := cur.Outputs()[0]
-			if !stage.Contains(next) || !fusible(stage, next) {
+			if !stage.Contains(next) || !fusible(next) {
 				break
 			}
 			if len(next.Inputs()) != 1 || next.Inputs()[0] != cur {
@@ -147,9 +152,6 @@ func PlanFusion(stage *core.Stage) (chains map[*core.Operator]*FusedChain, cover
 			cur = next
 		}
 		agg := absorbableAgg(stage, cur)
-		if len(chain) < 2 && agg == nil {
-			continue
-		}
 		chains[op] = &FusedChain{Ops: chain, Agg: agg}
 		for _, c := range chain[1:] {
 			covered[c] = true
@@ -162,22 +164,13 @@ func PlanFusion(stage *core.Stage) (chains map[*core.Operator]*FusedChain, cover
 }
 
 // absorbableAgg returns the declarative reduce-by that can terminate a chain
-// ending at cur: cur's sole consumer, in-stage, single-input, carrying a
-// ReduceExpr, and unsniffed (a sniffer must observe the reduce-by's output
-// quanta one at a time, which only the unfused path provides — absorbed
-// aggregations finalize whole groups at once).
+// ending at cur: cur's sole consumer, in-stage, consuming only cur.
 func absorbableAgg(stage *core.Stage, cur *core.Operator) *core.Operator {
 	if isTerminal(stage, cur) || len(cur.Outputs()) != 1 {
 		return nil
 	}
 	next := cur.Outputs()[0]
-	if next.Kind != core.KindReduceBy || next.UDF.ReduceExpr == nil {
-		return nil
-	}
-	if !stage.Contains(next) || len(next.Inputs()) != 1 || next.Inputs()[0] != cur {
-		return nil
-	}
-	if stage.Sniffers[next] != nil {
+	if !declarativeAgg(next) || !stage.Contains(next) || len(next.Inputs()) != 1 || next.Inputs()[0] != cur {
 		return nil
 	}
 	return next
@@ -200,9 +193,10 @@ type FusedKernel struct {
 	steps []fusedStep
 }
 
-// CompileChain compiles the chain's operators into a single-pass kernel.
-// Ops must satisfy fusible(); the error paths guard against future kinds
-// slipping through PlanFusion without a compilation rule.
+// CompileChain compiles the chain's operators into a single-pass kernel. It
+// is where an operator lacking its UDF (or predicate) is reported; the
+// default arm guards against future kinds slipping through PlanFusion
+// without a compilation rule.
 func CompileChain(ops []*core.Operator) (*FusedKernel, error) {
 	k := &FusedKernel{steps: make([]fusedStep, 0, len(ops))}
 	for _, op := range ops {
@@ -238,23 +232,13 @@ func CompileChain(ops []*core.Operator) (*FusedKernel, error) {
 func (k *FusedKernel) Len() int { return len(k.steps) }
 
 // SetSniff attaches an observer to step i: it is invoked once per quantum
-// the step emits, mirroring the unfused engines' sniffer contract. Engines
-// may run the kernel from several goroutines, and the unfused paths call
-// sniffers from a single goroutine at a time — the caller must pass a
-// function that provides its own serialization (runChain wraps the stage
-// sniffer in a per-chain mutex). Set sniffs before handing the kernel to
-// ApplyChain; the kernel itself is read-only during Run.
+// the step emits, the engines' sniffer contract. Engines may run the kernel
+// from several goroutines, and Engine.Apply calls sniffers from a single
+// goroutine at a time — the caller must pass a function that provides its
+// own serialization (runChain wraps the stage sniffer in a per-chain mutex).
+// Set sniffs before handing the kernel to ApplyChain; the kernel itself is
+// read-only during Run.
 func (k *FusedKernel) SetSniff(i int, fn func(any)) { k.steps[i].sniff = fn }
-
-// Sniffed reports whether any step carries a sniffer.
-func (k *FusedKernel) Sniffed() bool {
-	for i := range k.steps {
-		if k.steps[i].sniff != nil {
-			return true
-		}
-	}
-	return false
-}
 
 // Tail returns a kernel sharing steps[from:], preserving attached sniffs.
 // relstore uses it to fuse the remainder of a chain after pushing the head
@@ -268,11 +252,10 @@ func (k *FusedKernel) StepSniff(i int) func(any) { return k.steps[i].sniff }
 
 // Run applies the whole chain to one partition in a single pass. counts, if
 // non-nil, must have Len() entries; counts[i] is incremented once per
-// quantum the i-th step emits, yielding the same per-operator output
-// cardinalities as unfused execution. buf, when non-nil, is reused as the
-// output buffer (appended-to from length 0 by the caller's convention:
-// pass buf[:0]); otherwise a fresh buffer with the input partition's
-// capacity is allocated. Filtered-out quanta are simply never appended, so
+// quantum the i-th step emits, yielding per-operator output cardinalities.
+// buf, when non-nil, is reused as the output buffer (appended-to from length
+// 0 by the caller's convention: pass buf[:0]); otherwise a fresh buffer with
+// the input partition's capacity is allocated. Filtered-out quanta are simply never appended, so
 // compaction is inherent — survivors land contiguously.
 func (k *FusedKernel) Run(part []any, counts []int64, buf []any) []any {
 	out := buf

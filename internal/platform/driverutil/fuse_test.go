@@ -43,15 +43,47 @@ func TestPlanFusionDetectsMaximalChain(t *testing.T) {
 	if covered[m1] || !covered[f1] || !covered[m2] {
 		t.Fatalf("coverage wrong: %v", covered)
 	}
-	// src (not fusible), rb (wide), m3 (chain of one) and sink must not root
-	// chains; m3 alone is below the minimum chain length.
-	for _, op := range []*core.Operator{src, rb, m3, ops[6]} {
+	// src (not fusible), rb (an opaque-UDF reduce-by) and sink must not root
+	// chains; m3 alone is a chain of length one.
+	for _, op := range []*core.Operator{src, rb, ops[6]} {
 		if chains[op] != nil {
 			t.Fatalf("unexpected chain rooted at %s", op)
 		}
 	}
+	if c := chains[m3]; c == nil || len(c.Ops) != 1 || c.Agg != nil || c.Out() != m3 {
+		t.Fatalf("lone map not a chain of one: %v", c)
+	}
 	if covered[m3] || covered[rb] {
 		t.Fatalf("rb/m3 wrongly covered: %v", covered)
+	}
+}
+
+func TestPlanFusionDeclarativeReduceBy(t *testing.T) {
+	// A declarative reduce-by always runs in a chain: absorbed behind the
+	// narrow run that feeds it — sniffed or not — and as a chain with zero
+	// narrow steps when its producer is not one.
+	ops := chainPlan()
+	m1, m2, rb, m3 := ops[1], ops[3], ops[4], ops[5]
+	rb.UDF.ReduceExpr = &core.ReduceExpr{GroupCols: []int{0}, Aggs: []core.AggSpec{{Op: core.AggCount, Col: core.WholeQuantum}}}
+	stage := &core.Stage{ID: 1, Platform: "test", Ops: ops, TerminalOuts: []*core.Operator{ops[6]},
+		Sniffers: map[*core.Operator]func(any){rb: func(any) {}}}
+	chains, covered := PlanFusion(stage)
+	if c := chains[m1]; c == nil || c.Agg != rb || c.Out() != rb || !covered[rb] {
+		t.Fatalf("reduce-by not absorbed behind m1..m2: %v", c)
+	}
+	if chains[rb] != nil || chains[m3] == nil {
+		t.Fatalf("chains after the absorbed reduce-by wrong: %v", chains)
+	}
+
+	// m2 terminal: the run ends there and rb heads its own zero-step chain.
+	stage.TerminalOuts = []*core.Operator{m2, ops[6]}
+	chains, covered = PlanFusion(stage)
+	c := chains[rb]
+	if c == nil || len(c.Ops) != 0 || c.Head() != rb || c.Out() != rb || covered[rb] {
+		t.Fatalf("stand-alone reduce-by chain = %v (covered %v)", c, covered[rb])
+	}
+	if !reflect.DeepEqual(c.AllOps(), []*core.Operator{rb}) {
+		t.Fatalf("AllOps = %v", c.AllOps())
 	}
 }
 
@@ -85,9 +117,9 @@ func TestPlanFusionStopsAtFanOut(t *testing.T) {
 	stage := &core.Stage{ID: 1, Platform: "test",
 		Ops:          []*core.Operator{src, m1, m2, s1, s2},
 		TerminalOuts: []*core.Operator{s1, s2}}
-	chains, _ := PlanFusion(stage)
-	if len(chains) != 0 {
-		t.Fatalf("fan-out must break fusion, got chains %v", chains)
+	chains, covered := PlanFusion(stage)
+	if len(chains) != 2 || len(chains[m1].Ops) != 1 || len(chains[m2].Ops) != 1 || len(covered) != 0 {
+		t.Fatalf("fan-out must break fusion into two chains of one, got %v", chains)
 	}
 }
 
@@ -120,9 +152,6 @@ func TestFusedKernelSniffObservesEveryEmission(t *testing.T) {
 	var mapSaw, filterSaw []any
 	k.SetSniff(0, func(q any) { mapSaw = append(mapSaw, q) })
 	k.SetSniff(1, func(q any) { filterSaw = append(filterSaw, q) })
-	if !k.Sniffed() {
-		t.Fatal("Sniffed() = false after SetSniff")
-	}
 	in := []any{int64(1), int64(2), int64(3), int64(4)}
 	k.Run(in, nil, nil)
 	// The map step emits every doubled quantum; the filter only survivors.

@@ -2,6 +2,7 @@ package driverutil
 
 import (
 	"fmt"
+	"math"
 
 	"rheem/internal/algo"
 	"rheem/internal/core"
@@ -72,15 +73,9 @@ func HashJoin(op *core.Operator, left, right []any) ([]any, error) {
 
 // ReduceByKey folds quanta sharing a key into one quantum per key. Output
 // order follows first occurrence of each key, keeping results deterministic.
-// Declarative reduce expressions dispatch to the grouped accumulator kernel;
-// this arm is only correct for engines that apply the operator exactly once
-// over the whole dataset (an aggregation is not idempotent the way a
-// re-applied combiner is, so two-phase engines branch on ReduceExpr before
-// calling here).
+// Declarative reduce-bys (UDF.ReduceExpr) never get here: they run inside a
+// chain kernel (see PlanFusion).
 func ReduceByKey(op *core.Operator, data []any) ([]any, error) {
-	if e := op.UDF.ReduceExpr; e != nil {
-		return core.AggregateRows(e, data), nil
-	}
 	if op.UDF.Key == nil || op.UDF.Reduce == nil {
 		return nil, fmt.Errorf("reduce-by %s lacks key or reduce UDF", op)
 	}
@@ -274,31 +269,62 @@ func IEJoinSlices(op *core.Operator, left, right []any) ([]any, error) {
 	return out, nil
 }
 
-// Project applies record projection by column indexes.
-func Project(op *core.Operator, data []any) ([]any, error) {
-	cols := op.Params.Columns
-	if cols == nil {
-		return data, nil
-	}
-	out := make([]any, len(data))
-	for i, q := range data {
-		rec, ok := q.(core.Record)
-		if !ok {
-			return nil, fmt.Errorf("project %s: quantum %T is not a Record", op, q)
-		}
-		proj := make(core.Record, len(cols))
-		for j, c := range cols {
-			proj[j] = rec[c]
-		}
-		out[i] = proj
-	}
-	return out, nil
-}
-
 // FormatOf returns op's text formatter, defaulting to fmt.Sprint.
 func FormatOf(op *core.Operator) func(any) string {
 	if op.UDF.Format != nil {
 		return op.UDF.Format
 	}
 	return func(q any) string { return fmt.Sprint(q) }
+}
+
+// AddCards sums two dataset cardinalities, either of which may be unknown
+// (negative).
+func AddCards(a, b int64) int64 {
+	if a < 0 || b < 0 {
+		return -1
+	}
+	return a + b
+}
+
+// HashKey is the 64-bit FNV-1a hash the partitioned engines' exchanges
+// bucket keys by. Callers normalize keys with core.GroupKey first, which
+// turns composite keys into strings; the typed arms hash scalars without
+// formatting them.
+func HashKey(k any) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	var h uint64 = offset64
+	mix := func(b byte) { h ^= uint64(b); h *= prime64 }
+	switch v := k.(type) {
+	case string:
+		for i := 0; i < len(v); i++ {
+			mix(v[i])
+		}
+	case int64:
+		for i := 0; i < 8; i++ {
+			mix(byte(v >> (8 * i)))
+		}
+	case int:
+		return HashKey(int64(v))
+	case int32:
+		return HashKey(int64(v))
+	case float64:
+		u := math.Float64bits(v)
+		for i := 0; i < 8; i++ {
+			mix(byte(u >> (8 * i)))
+		}
+	case bool:
+		if v {
+			mix(1)
+		} else {
+			mix(0)
+		}
+	case nil:
+		mix(0xff)
+	default:
+		return HashKey(fmt.Sprint(k))
+	}
+	return h
 }

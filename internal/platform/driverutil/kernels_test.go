@@ -225,10 +225,28 @@ func TestSampleMethods(t *testing.T) {
 	}
 }
 
-func TestProjectErrorsOnNonRecords(t *testing.T) {
-	op := &core.Operator{Kind: core.KindProject, Params: core.Params{Columns: []int{0}}}
-	if _, err := Project(op, []any{"not a record"}); err == nil {
-		t.Fatal("expected type error")
+func TestHashKeyStability(t *testing.T) {
+	if HashKey("abc") != HashKey("abc") {
+		t.Fatal("string hash unstable")
+	}
+	if HashKey(int64(5)) != HashKey(5) {
+		t.Fatal("int and int64 hash differently")
+	}
+	if HashKey("a") == HashKey("b") {
+		t.Fatal("suspicious collision")
+	}
+	// Composite keys reach HashKey as core.GroupKey strings; anything else
+	// hashes by its formatted form.
+	if HashKey(core.Record{int64(1), "a"}) != HashKey(core.GroupKey(core.Record{int64(1), "a"})) {
+		t.Fatal("record key and its normalized form hash differently")
+	}
+}
+
+// BenchmarkHashKey measures the exchange hash.
+func BenchmarkHashKey(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		HashKey(int64(i))
+		HashKey("some-moderately-long-word")
 	}
 }
 

@@ -53,6 +53,8 @@ type VectorKernel struct {
 	agg   *core.ReduceExpr // absorbed chain-terminating aggregation, if any
 	need  []int            // original columns the plan reads; nil = all
 	stats *vecStats
+
+	aggSniff func(any) // when set, observes every record Finalize emits
 }
 
 // CompileVector compiles the vectorizable prefix of a fused chain over the
@@ -192,17 +194,33 @@ func (k *VectorKernel) Len() int { return k.row.Len() }
 
 // Agg returns the absorbed chain-terminating aggregation (nil for pure
 // narrow chains). Engines that see a non-nil Agg must run the kernel through
-// RunAgg/RunSegmentsAgg and finalize the state themselves.
+// RunSegmentsAgg and emit the merged state through Finalize.
 func (k *VectorKernel) Agg() *core.ReduceExpr { return k.agg }
 
-// SetSniff attaches an observer to step i (see FusedKernel.SetSniff). A
-// sniffer on a vectorized step disables the column path for the whole
-// kernel — the sniffer contract is one call per emitted quantum, which only
-// the row kernel provides.
-func (k *VectorKernel) SetSniff(i int, fn func(any)) { k.row.SetSniff(i, fn) }
+// SetSniff attaches an observer to step i (see FusedKernel.SetSniff); i ==
+// Len() addresses the absorbed aggregation's output. A sniffer on a
+// vectorized step disables the column path for the whole kernel — the
+// sniffer contract is one call per emitted quantum, which only the row
+// kernel provides.
+func (k *VectorKernel) SetSniff(i int, fn func(any)) {
+	if i == k.row.Len() {
+		k.aggSniff = fn
+		return
+	}
+	k.row.SetSniff(i, fn)
+}
 
-// Sniffed reports whether any step carries a sniffer.
-func (k *VectorKernel) Sniffed() bool { return k.row.Sniffed() }
+// Finalize emits the absorbed aggregation's output records from the state
+// holding the merged groups, showing each to the aggregation's sniffer.
+func (k *VectorKernel) Finalize(st *core.AggState) []any {
+	out := st.Finalize(nil)
+	if k.aggSniff != nil {
+		for _, q := range out {
+			k.aggSniff(q)
+		}
+	}
+	return out
+}
 
 // StepSniff returns step i's observer (nil when unset).
 func (k *VectorKernel) StepSniff(i int) func(any) { return k.row.StepSniff(i) }
@@ -212,7 +230,7 @@ func (k *VectorKernel) StepSniff(i int) func(any) { return k.row.StepSniff(i) }
 // the head filter into an index scan. The need list is kept as-is: it can
 // only over-approximate for the shorter chain, which is safe.
 func (k *VectorKernel) Tail(from int) *VectorKernel {
-	t := &VectorKernel{row: k.row.Tail(from), agg: k.agg, need: k.need, stats: k.stats}
+	t := &VectorKernel{row: k.row.Tail(from), agg: k.agg, need: k.need, stats: k.stats, aggSniff: k.aggSniff}
 	if from <= len(k.vec) {
 		t.vec = k.vec[from:]
 	}
@@ -246,7 +264,7 @@ var rowBufPool = sync.Pool{New: func() any { return new([]any) }}
 
 func getSel(n int) *[]int {
 	sb := selPool.Get().(*[]int)
-	if cap(*sb) < n {
+	if *sb == nil || cap(*sb) < n { // never nil: a nil selection means "all rows"
 		*sb = make([]int, 0, n)
 	}
 	return sb
@@ -414,13 +432,20 @@ func (k *VectorKernel) runSteps(b *core.ColumnBatch, phys []int, counts []int64)
 	return sel, sb, live
 }
 
-// Run executes the kernel over one partition. The contract is identical to
-// FusedKernel.Run: counts[i] accumulates the i-th step's emitted quanta and
-// buf, when non-nil, is the reused output buffer. The column path engages
-// only when it can reproduce row execution exactly; every other partition
-// degrades to the row kernel.
+// columnPath reports whether the column loops may run at all: there is a
+// vectorized prefix, the kill switch is off, and no sniffer needs its steps'
+// quanta one at a time.
+func (k *VectorKernel) columnPath() bool {
+	return len(k.vec) > 0 && !core.ColumnarDisabled() && !k.prefixSniffed()
+}
+
+// Run executes the kernel over one row partition. The contract is identical
+// to FusedKernel.Run: counts[i] accumulates the i-th step's emitted quanta
+// and buf, when non-nil, is the reused output buffer. The column path
+// engages only when it can reproduce row execution exactly; every other
+// partition degrades to the row kernel.
 func (k *VectorKernel) Run(part []any, counts []int64, buf []any) []any {
-	if len(k.vec) == 0 || len(part) == 0 || core.ColumnarDisabled() || k.prefixSniffed() {
+	if len(part) == 0 || !k.columnPath() {
 		return k.row.Run(part, counts, buf)
 	}
 	b, ok := core.BatchFromRowsNeeding(part, k.need)
@@ -428,47 +453,17 @@ func (k *VectorKernel) Run(part []any, counts []int64, buf []any) []any {
 		atomic.AddInt64(&k.stats.fallbacks, 1)
 		return k.row.Run(part, counts, buf)
 	}
-	phys, final, ok := k.plan(b)
-	if !ok {
-		atomic.AddInt64(&k.stats.fallbacks, 1)
-		b.Recycle()
-		return k.row.Run(part, counts, buf)
-	}
-	atomic.AddInt64(&k.stats.batches, 1)
-	atomic.AddInt64(&k.stats.rows, int64(len(part)))
-
-	sel, sb, live := k.runSteps(b, phys, counts)
-	if len(k.vec) == k.row.Len() {
-		out := buf
-		if out == nil {
-			out = make([]any, 0, live)
-		}
-		out = b.EmitRows(out, sel, final)
-		putSel(sb)
-		b.Recycle()
-		return out
-	}
-	mb := getRowBuf(live)
-	mid := b.EmitRows((*mb)[:0], sel, final)
-	*mb = mid
-	putSel(sb)
-	b.Recycle()
-	tailCounts := counts
-	if counts != nil {
-		tailCounts = counts[len(k.vec):]
-	}
-	out := k.row.Tail(len(k.vec)).Run(mid, tailCounts, buf)
-	putRowBuf(mb)
-	return out
+	return k.runBatch(b, part, counts, buf)
 }
 
 // RunSegments executes the kernel over one partition carried as segments,
 // appending survivors to buf (allocated when nil). Row segments take the
 // Run path; column-batch segments execute natively, with the same fallback
-// ladder per batch. Decoded batches may be shared with other consumers
-// (cached partitions, re-read spill files), so map steps copy-on-write and
-// nothing mutates them in place.
+// ladder per batch.
 func (k *VectorKernel) RunSegments(segs []core.Segment, counts []int64, buf []any) []any {
+	if len(segs) == 1 && segs[0].Batch == nil {
+		return k.Run(segs[0].Rows, counts, buf) // a row partition: Run sizes the output itself
+	}
 	out := buf
 	if out == nil {
 		n := 0
@@ -478,68 +473,108 @@ func (k *VectorKernel) RunSegments(segs []core.Segment, counts []int64, buf []an
 		out = make([]any, 0, n)
 	}
 	for i := range segs {
-		if segs[i].Batch == nil {
+		switch b := segs[i].Batch; {
+		case b == nil:
 			out = k.Run(segs[i].Rows, counts, out)
-			continue
+		case b.Len() > 0:
+			out = k.runBatch(b, nil, counts, out)
 		}
-		out = k.runBatch(segs[i].Batch, counts, out)
 	}
 	return out
 }
 
-// runBatch executes the kernel over one shared decoded column batch,
-// appending survivors to out.
-func (k *VectorKernel) runBatch(b *core.ColumnBatch, counts []int64, out []any) []any {
-	if b.Len() == 0 {
-		return out
+// turnedAway returns the rows the row kernel runs for a batch admit refused,
+// and the pooled buffer (nil when there is none) the caller releases with
+// putRowBuf afterwards: the boxed originals of a batch the kernel built,
+// which is recycled here, else the batch's quanta boxed into a pooled buffer.
+func turnedAway(b *core.ColumnBatch, rows []any) ([]any, *[]any) {
+	if rows != nil {
+		b.Recycle()
+		return rows, nil
 	}
-	rowRun := func() []any {
-		rb := getRowBuf(b.Len())
-		rows := b.AppendRows((*rb)[:0])
-		*rb = rows
+	rb := getRowBuf(b.Len())
+	*rb = b.AppendRows((*rb)[:0])
+	return *rb, rb
+}
+
+// admit readies one non-empty column batch for the column loops. owned says
+// the kernel built b from a row partition, so it may rewrite and recycle it;
+// any other batch was decoded off the wire and may be shared with other
+// consumers (cached partitions, re-read spill files), so its map steps get a
+// copy-on-write clone and nothing mutates or recycles it. st, when non-nil,
+// is the aggregation state a fully vectorized chain absorbs into: it is
+// preflighted (AggState.PlanBatch) so a batch the accumulators would refuse
+// is turned away before any count ticks. ok=false sends the batch to the row
+// kernel wholesale — no column path, or a plan the batch fails.
+func (k *VectorKernel) admit(b *core.ColumnBatch, owned bool, st *core.AggState) (_ *core.ColumnBatch, phys, final []int, ok bool) {
+	if !k.columnPath() {
+		return b, nil, nil, false
+	}
+	phys, final, ok = k.plan(b)
+	if ok && st != nil && len(k.vec) == k.row.Len() {
+		ok = st.PlanBatch(b, final)
+	}
+	if !ok {
+		atomic.AddInt64(&k.stats.fallbacks, 1)
+		return b, nil, nil, false
+	}
+	if !owned {
+		if mt := k.mapTargets(phys); len(mt) > 0 {
+			b = b.CloneForWrite(mt)
+		}
+	}
+	atomic.AddInt64(&k.stats.batches, 1)
+	atomic.AddInt64(&k.stats.rows, int64(b.Len()))
+	return b, phys, final, true
+}
+
+// runBatch executes the kernel over one non-empty column batch, appending
+// survivors to out. rows, when non-nil, are the boxed originals the kernel
+// built b from (see admit).
+func (k *VectorKernel) runBatch(b *core.ColumnBatch, rows []any, counts []int64, out []any) []any {
+	owned := rows != nil
+	b, phys, final, ok := k.admit(b, owned, nil)
+	if !ok {
+		rows, rb := turnedAway(b, rows)
 		out = k.row.Run(rows, counts, out)
 		putRowBuf(rb)
 		return out
 	}
-	if len(k.vec) == 0 || core.ColumnarDisabled() || k.prefixSniffed() {
-		return rowRun()
-	}
-	phys, final, ok := k.plan(b)
-	if !ok {
-		atomic.AddInt64(&k.stats.fallbacks, 1)
-		return rowRun()
-	}
-	if mt := k.mapTargets(phys); len(mt) > 0 {
-		b = b.CloneForWrite(mt)
-	}
-	atomic.AddInt64(&k.stats.batches, 1)
-	atomic.AddInt64(&k.stats.rows, int64(b.Len()))
 	sel, sb, live := k.runSteps(b, phys, counts)
+	if out == nil {
+		out = make([]any, 0, live)
+	}
+	out = k.finish(b, sel, final, live, counts, out)
+	putSel(sb)
+	if owned {
+		b.Recycle()
+	}
+	return out
+}
+
+// finish emits the vector steps' survivors and pushes them through whatever
+// row steps follow the vectorized prefix, appending the result to out.
+func (k *VectorKernel) finish(b *core.ColumnBatch, sel, final []int, live int, counts []int64, out []any) []any {
 	if len(k.vec) == k.row.Len() {
-		out = b.EmitRows(out, sel, final)
-		putSel(sb)
-		return out
+		return b.EmitRows(out, sel, final)
 	}
 	mb := getRowBuf(live)
-	mid := b.EmitRows((*mb)[:0], sel, final)
-	*mb = mid
-	putSel(sb)
-	tailCounts := counts
+	*mb = b.EmitRows((*mb)[:0], sel, final)
 	if counts != nil {
-		tailCounts = counts[len(k.vec):]
+		counts = counts[len(k.vec):]
 	}
-	out = k.row.Tail(len(k.vec)).Run(mid, tailCounts, out)
+	out = k.row.Tail(len(k.vec)).Run(*mb, counts, out)
 	putRowBuf(mb)
 	return out
 }
 
-// RunAgg executes the kernel over one partition and feeds every survivor
+// RunAgg executes the kernel over one row partition and feeds every survivor
 // into the grouped accumulator state instead of materializing them. counts
 // covers the narrow steps only; the caller accounts the aggregation's own
 // output cardinality after Finalize. The caller must only use RunAgg when
 // Agg() is non-nil.
 func (k *VectorKernel) RunAgg(part []any, counts []int64, st *core.AggState) {
-	if len(k.vec) == 0 || len(part) == 0 || core.ColumnarDisabled() || k.prefixSniffed() {
+	if len(part) == 0 || !k.columnPath() {
 		k.rowAgg(part, counts, st)
 		return
 	}
@@ -549,109 +584,61 @@ func (k *VectorKernel) RunAgg(part []any, counts []int64, st *core.AggState) {
 		k.rowAgg(part, counts, st)
 		return
 	}
-	k.vecAgg(b, part, counts, st, false)
+	k.aggBatch(b, part, counts, st)
 }
 
 // RunSegmentsAgg is RunAgg over a segment-carried partition: column-batch
-// segments absorb natively (copy-on-write for map steps), row segments take
-// the RunAgg path.
+// segments absorb natively, row segments take the RunAgg path.
 func (k *VectorKernel) RunSegmentsAgg(segs []core.Segment, counts []int64, st *core.AggState) {
 	for i := range segs {
-		b := segs[i].Batch
-		if b == nil {
+		switch b := segs[i].Batch; {
+		case b == nil:
 			k.RunAgg(segs[i].Rows, counts, st)
-			continue
+		case b.Len() > 0:
+			k.aggBatch(b, nil, counts, st)
 		}
-		if b.Len() == 0 {
-			continue
-		}
-		if len(k.vec) == 0 || core.ColumnarDisabled() || k.prefixSniffed() {
-			rb := getRowBuf(b.Len())
-			rows := b.AppendRows((*rb)[:0])
-			*rb = rows
-			k.rowAgg(rows, counts, st)
-			putRowBuf(rb)
-			continue
-		}
-		k.vecAgg(b, nil, counts, st, true)
 	}
 }
 
 // rowAgg is the exact row path: the full narrow chain, then row-at-a-time
 // absorption.
 func (k *VectorKernel) rowAgg(part []any, counts []int64, st *core.AggState) {
+	if k.row.Len() == 0 {
+		st.AbsorbRows(part) // a stand-alone reduce-by: nothing to run first
+		return
+	}
 	rb := getRowBuf(len(part))
-	out := k.row.Run(part, counts, (*rb)[:0])
-	*rb = out
-	st.AbsorbRows(out)
+	*rb = k.row.Run(part, counts, (*rb)[:0])
+	st.AbsorbRows(*rb)
 	putRowBuf(rb)
 }
 
-// vecAgg runs the planned vectorized steps over b and absorbs the
-// survivors. rows, when non-nil, are the partition's boxed originals for
-// whole-batch fallback; shared marks b as potentially multi-consumer
-// (decoded wire batches), making map steps copy-on-write. The aggregation
-// state is preflighted (AggState.PlanBatch) before any step runs, so a
-// batch the accumulators would refuse falls back before counts tick.
-func (k *VectorKernel) vecAgg(b *core.ColumnBatch, rows []any, counts []int64, st *core.AggState, shared bool) {
-	fallback := func() {
-		atomic.AddInt64(&k.stats.fallbacks, 1)
-		if rows == nil {
-			rows = b.AppendRows(nil)
-		}
-		if !shared {
-			b.Recycle()
-		}
-		k.rowAgg(rows, counts, st)
-	}
-	phys, final, ok := k.plan(b)
+// aggBatch is runBatch for a chain ending in an aggregation: the survivors
+// of one non-empty column batch are absorbed into st, as columns when the
+// whole chain vectorized.
+func (k *VectorKernel) aggBatch(b *core.ColumnBatch, rows []any, counts []int64, st *core.AggState) {
+	owned := rows != nil
+	b, phys, final, ok := k.admit(b, owned, st)
 	if !ok {
-		fallback()
+		rows, rb := turnedAway(b, rows)
+		k.rowAgg(rows, counts, st)
+		putRowBuf(rb)
 		return
 	}
-	full := len(k.vec) == k.row.Len()
-	if full && !st.PlanBatch(b, final) {
-		fallback()
-		return
-	}
-	if shared {
-		if mt := k.mapTargets(phys); len(mt) > 0 {
-			b = b.CloneForWrite(mt)
-		}
-	}
-	atomic.AddInt64(&k.stats.batches, 1)
-	atomic.AddInt64(&k.stats.rows, int64(b.Len()))
 	sel, sb, live := k.runSteps(b, phys, counts)
-	if full && st.AbsorbBatch(b, sel, final) {
+	if len(k.vec) == k.row.Len() && st.AbsorbBatch(b, sel, final) {
 		atomic.AddInt64(&k.stats.aggBatches, 1)
 		atomic.AddInt64(&k.stats.aggRows, int64(live))
-		putSel(sb)
-		if !shared {
-			b.Recycle() // accumulators copy values out; nothing aliases the buffers
-		}
-		return
-	}
-	// Partial vectorized prefix — or, unreachably given the preflight, an
-	// absorb refusal: emit the survivors and finish row-wise.
-	mb := getRowBuf(live)
-	mid := b.EmitRows((*mb)[:0], sel, final)
-	*mb = mid
-	putSel(sb)
-	if !shared {
-		b.Recycle()
-	}
-	if !full {
-		tailCounts := counts
-		if counts != nil {
-			tailCounts = counts[len(k.vec):]
-		}
-		ob := getRowBuf(len(mid))
-		tout := k.row.Tail(len(k.vec)).Run(mid, tailCounts, (*ob)[:0])
-		*ob = tout
-		st.AbsorbRows(tout)
-		putRowBuf(ob)
 	} else {
-		st.AbsorbRows(mid)
+		// Partial vectorized prefix — or, unreachably given the preflight, an
+		// absorb refusal: emit the survivors and finish row-wise.
+		ob := getRowBuf(live)
+		*ob = k.finish(b, sel, final, live, counts, (*ob)[:0])
+		st.AbsorbRows(*ob)
+		putRowBuf(ob)
 	}
-	putRowBuf(mb)
+	putSel(sb)
+	if owned {
+		b.Recycle() // accumulators copy values out; nothing aliases the buffers
+	}
 }

@@ -289,6 +289,34 @@ func TestVectorKernelTailSharesStats(t *testing.T) {
 	}
 }
 
+func TestVectorKernelAggSniffAndZeroStepChain(t *testing.T) {
+	// A stand-alone declarative reduce-by is a kernel with zero narrow steps;
+	// SetSniff(Len()) addresses the aggregation's output, and Tail keeps it.
+	p := core.NewPlan("agg-sniff")
+	f := p.NewOperator(core.KindFilter, "where")
+	f.Params.Where = &PredGtZero
+	rb := p.NewOperator(core.KindReduceBy, "agg")
+	rb.UDF.ReduceExpr = &core.ReduceExpr{GroupCols: []int{1}, Aggs: []core.AggSpec{{Op: core.AggSum, Col: 0}}}
+	rows := []any{core.Record{int64(3), "a"}, core.Record{int64(4), "b"}, core.Record{int64(5), "a"}}
+	want := []any{core.Record{"a", int64(8)}, core.Record{"b", int64(4)}}
+
+	for _, ops := range [][]*core.Operator{nil, {f}} {
+		row, err := CompileChain(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := CompileVector(ops, rb, row)
+		var sniffed []any
+		k.SetSniff(k.Len(), func(q any) { sniffed = append(sniffed, q) })
+		k = k.Tail(len(ops)) // relstore's view after pushing the filter down
+		st := core.NewAggState(k.Agg())
+		k.RunSegmentsAgg([]core.Segment{{Rows: rows}}, make([]int64, k.Len()), st)
+		if got := k.Finalize(st); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(sniffed, want) {
+			t.Fatalf("%d-step chain: finalized %v, sniffed %v, want %v", len(ops), got, sniffed, want)
+		}
+	}
+}
+
 func TestVectorKernelBufferContract(t *testing.T) {
 	p := core.NewPlan("buf")
 	f := p.NewOperator(core.KindFilter, "f")

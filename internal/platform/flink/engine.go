@@ -7,7 +7,6 @@ import (
 
 	"rheem/internal/core"
 	"rheem/internal/platform/driverutil"
-	"rheem/internal/storage/dfs"
 )
 
 // flow is the engine's native data: a lazily evaluated parallel stream.
@@ -183,24 +182,15 @@ func (f *flow) narrow(card int64, transform func(in <-chan any, out chan<- any))
 func (f *flow) exchange(width int, key func(any) any) [][]any {
 	parts := f.materialize()
 	buckets := make([][][]any, len(parts))
-	// key is user code: trap panics so they fail the stage, not the process.
-	var trap driverutil.Trap
-	var wg sync.WaitGroup
-	for i := range parts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer trap.Guard()
-			local := make([][]any, width)
-			for _, q := range parts[i] {
-				h := int(hashOf(core.GroupKey(key(q))) % uint64(width))
-				local[h] = append(local[h], q)
-			}
-			buckets[i] = local
-		}(i)
-	}
-	wg.Wait()
-	trap.Rethrow()
+	fanOut(len(parts), func(i int) error {
+		local := make([][]any, width)
+		for _, q := range parts[i] {
+			h := int(driverutil.HashKey(core.GroupKey(key(q))) % uint64(width))
+			local[h] = append(local[h], q)
+		}
+		buckets[i] = local
+		return nil
+	})
 	out := make([][]any, width)
 	for j := 0; j < width; j++ {
 		for i := range buckets {
@@ -210,44 +200,42 @@ func (f *flow) exchange(width int, key func(any) any) [][]any {
 	return out
 }
 
-func hashOf(k any) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	var h uint64 = offset64
-	for _, b := range []byte(fmt.Sprint(k)) {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
-}
-
-// parallelParts applies fn per partition concurrently, collecting errors.
-func parallelParts(parts [][]any, fn func(part []any) ([]any, error)) ([][]any, error) {
-	out := make([][]any, len(parts))
+// fanOut runs fn(i) for i in [0, n) on one goroutine each and returns the
+// first error. fn runs user code: a panic in it is trapped and re-raised on
+// the caller, so it fails the stage, not the process.
+func fanOut(n int, fn func(i int) error) error {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
 	var trap driverutil.Trap
-	for i := range parts {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			defer trap.Guard()
-			res, err := fn(parts[i])
-			if err != nil {
+			if err := fn(i); err != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = err
 				}
 				mu.Unlock()
-				return
 			}
-			out[i] = res
 		}(i)
 	}
 	wg.Wait()
 	trap.Rethrow()
-	if firstErr != nil {
-		return nil, firstErr
+	return firstErr
+}
+
+// parallelParts applies fn per partition concurrently, collecting errors.
+func parallelParts(parts [][]any, fn func(part []any) ([]any, error)) ([][]any, error) {
+	out := make([][]any, len(parts))
+	err := fanOut(len(parts), func(i int) (err error) {
+		out[i], err = fn(parts[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -352,7 +340,7 @@ func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.Broadcas
 			o <- q
 		}
 	})
-	if stageConsumers(e.stage, op) > 1 {
+	if driverutil.StageConsumers(e.stage, op) > 1 {
 		parts := observed.materialize()
 		var n int64
 		for _, p := range parts {
@@ -374,42 +362,76 @@ var countMu sync.Mutex
 // per-batch row→column conversion amortizes over more rows.
 const fuseBatch = 256
 
-// ApplyChain implements driverutil.ChainEngine: the fused chain runs as a
-// single goroutine pipeline segment per instance. Quanta are batched into
-// vectors of fuseBatch and pushed through the compiled kernel in one pass;
-// per-step counts transfer to the shared counters when the segment drains,
-// bypassing the per-quantum countMu of the unfused path entirely.
+// ApplyChain implements driverutil.ChainEngine. A chain over a lazy flow
+// runs pipelined (streamChain). Data at rest — a batch-native source flow,
+// whose column batches then skip both the channel hop and the row→column
+// rebuild, or the drained input of a chain ending in a declarative
+// aggregation — goes to the kernel whole, one goroutine per instance. The
+// aggregation is per-instance vectorized pre-aggregation, one exchange of
+// the group partials on the partial key, then per-instance merge and
+// finalize, so group emission order is first occurrence per exchanged
+// instance.
 func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, in driverutil.Data, counters []*int64) (driverutil.Data, error) {
 	f, ok := in.(*flow)
 	if !ok {
 		return nil, fmt.Errorf("flink: fused chain input is %T, not a flow", in)
 	}
-	if agg := kernel.Agg(); agg != nil {
-		return e.applyChainAgg(kernel, f, counters, agg)
+	agg := kernel.Agg()
+	if agg == nil && f.segs == nil {
+		return e.streamChain(chain, kernel, f, counters)
 	}
-	// A batch-native source flow feeds the kernel its segments directly:
-	// whole column batches skip both the channel hop and the row→column
-	// rebuild.
-	if f.segs != nil {
-		out := make([][]any, len(f.segs))
-		var wg sync.WaitGroup
-		var trap driverutil.Trap
-		for i := range f.segs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer trap.Guard()
-				counts := make([]int64, kernel.Len())
-				out[i] = kernel.RunSegments(f.segs[i], counts, nil)
-				for s, c := range counts {
-					atomic.AddInt64(counters[s], c)
-				}
-			}(i)
+	segs := f.segs
+	if segs == nil {
+		parts := f.materialize()
+		if f.errBox != nil {
+			if err := f.errBox.get(); err != nil {
+				return nil, err
+			}
 		}
-		wg.Wait()
-		trap.Rethrow()
+		segs = make([][]core.Segment, len(parts))
+		for i, part := range parts {
+			segs[i] = []core.Segment{{Rows: part}}
+		}
+	}
+	out := make([][]any, len(segs))
+	fanOut(len(segs), func(i int) error {
+		counts := make([]int64, kernel.Len())
+		if agg == nil {
+			out[i] = kernel.RunSegments(segs[i], counts, nil)
+		} else {
+			st := core.NewAggState(agg)
+			kernel.RunSegmentsAgg(segs[i], counts, st)
+			out[i] = st.Partials(nil)
+		}
+		for s, c := range counts {
+			atomic.AddInt64(counters[s], c)
+		}
+		return nil
+	})
+	if agg == nil {
 		return sliceFlow(out), nil
 	}
+	e.exchangeBarrier()
+	shuffled := sliceFlow(out).exchange(e.width(), agg.PartialKeyFn())
+	out, err := parallelParts(shuffled, func(part []any) ([]any, error) {
+		st := core.NewAggState(agg)
+		st.AbsorbPartials(part)
+		return kernel.Finalize(st), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range out {
+		*counters[kernel.Len()] += int64(len(p))
+	}
+	return sliceFlow(out), nil
+}
+
+// streamChain runs a narrow chain as a single goroutine pipeline segment per
+// instance. Quanta are batched into vectors of fuseBatch and pushed through
+// the compiled kernel in one pass; per-step counts transfer to the shared
+// counters when the segment drains, without Apply's per-quantum countMu.
+func (e *engine) streamChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, f *flow, counters []*int64) (driverutil.Data, error) {
 	box := f.errBox
 	if box == nil {
 		box = &errBox{}
@@ -467,7 +489,7 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 			return outs
 		},
 	}
-	if stageConsumers(e.stage, chain.Tail()) > 1 {
+	if driverutil.StageConsumers(e.stage, chain.Tail()) > 1 {
 		parts := out.materialize()
 		if err := box.get(); err != nil {
 			return nil, err
@@ -475,89 +497,6 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 		return sliceFlow(parts), nil
 	}
 	return out, nil
-}
-
-// applyChainAgg runs a chain terminated by an absorbed declarative
-// aggregation: per-instance vectorized pre-aggregation, one exchange of the
-// group partials on the partial key, then per-instance merge and finalize.
-// Instance boundaries and per-instance absorb order match the unfused
-// declarative reduce-by exactly, so group emission order is identical
-// however the chain executes.
-func (e *engine) applyChainAgg(kernel *driverutil.VectorKernel, f *flow, counters []*int64, agg *core.ReduceExpr) (*flow, error) {
-	var partials [][]any
-	if segs := f.segs; segs != nil {
-		partials = make([][]any, len(segs))
-		var wg sync.WaitGroup
-		var trap driverutil.Trap
-		for i := range segs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer trap.Guard()
-				counts := make([]int64, kernel.Len())
-				st := core.NewAggState(agg)
-				kernel.RunSegmentsAgg(segs[i], counts, st)
-				partials[i] = st.Partials(nil)
-				for s, c := range counts {
-					atomic.AddInt64(counters[s], c)
-				}
-			}(i)
-		}
-		wg.Wait()
-		trap.Rethrow()
-	} else {
-		parts := f.materialize()
-		if f.errBox != nil {
-			if err := f.errBox.get(); err != nil {
-				return nil, err
-			}
-		}
-		partials = make([][]any, len(parts))
-		var wg sync.WaitGroup
-		var trap driverutil.Trap
-		for i := range parts {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer trap.Guard()
-				counts := make([]int64, kernel.Len())
-				st := core.NewAggState(agg)
-				kernel.RunAgg(parts[i], counts, st)
-				partials[i] = st.Partials(nil)
-				for s, c := range counts {
-					atomic.AddInt64(counters[s], c)
-				}
-			}(i)
-		}
-		wg.Wait()
-		trap.Rethrow()
-	}
-	e.exchangeBarrier()
-	shuffled := sliceFlow(partials).exchange(e.width(), agg.PartialKeyFn())
-	out, err := parallelParts(shuffled, func(part []any) ([]any, error) {
-		st := core.NewAggState(agg)
-		st.AbsorbPartials(part)
-		return st.Finalize(nil), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var groups int64
-	for _, p := range out {
-		groups += int64(len(p))
-	}
-	atomic.AddInt64(counters[kernel.Len()], groups)
-	return sliceFlow(out), nil
-}
-
-func stageConsumers(stage *core.Stage, op *core.Operator) int {
-	n := 0
-	for _, c := range op.Outputs() {
-		if stage.Contains(c) {
-			n++
-		}
-	}
-	return n
 }
 
 func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) {
@@ -570,48 +509,11 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 		return sliceFlow(partition(op.Params.Collection, w).Parts), nil
 
 	case core.KindTextFileSource:
-		data, err := e.readTextLines(op.Params.Path)
+		data, err := driverutil.ReadTextLines(e.driver.DFS, op.Params.Path)
 		if err != nil {
 			return nil, err
 		}
 		return sliceFlow(partition(data, w).Parts), nil
-
-	case core.KindMap:
-		if op.UDF.Map == nil {
-			return nil, fmt.Errorf("map %s lacks a UDF", op)
-		}
-		f := op.UDF.Map
-		return in[0].narrow(in[0].card, func(src <-chan any, out chan<- any) {
-			for q := range src {
-				out <- f(q)
-			}
-		}), nil
-
-	case core.KindFilter:
-		pred, err := driverutil.PredOf(op)
-		if err != nil {
-			return nil, err
-		}
-		return in[0].narrow(-1, func(src <-chan any, out chan<- any) {
-			for q := range src {
-				if pred(q) {
-					out <- q
-				}
-			}
-		}), nil
-
-	case core.KindFlatMap:
-		if op.UDF.FlatMap == nil {
-			return nil, fmt.Errorf("flatmap %s lacks a UDF", op)
-		}
-		f := op.UDF.FlatMap
-		return in[0].narrow(-1, func(src <-chan any, out chan<- any) {
-			for q := range src {
-				for _, r := range f(q) {
-					out <- r
-				}
-			}
-		}), nil
 
 	case core.KindMapPart:
 		if op.UDF.MapPart == nil {
@@ -707,30 +609,6 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 		return sliceFlow([][]any{out}), nil
 
 	case core.KindReduceBy:
-		// Declarative aggregation: per-instance grouped partials, one
-		// exchange on the partial key, merge and finalize — the same
-		// structure (and emission order) as the fused columnar path.
-		if ex := op.UDF.ReduceExpr; ex != nil {
-			partials, err := parallelParts(in[0].materialize(), func(part []any) ([]any, error) {
-				st := core.NewAggState(ex)
-				st.AbsorbRows(part)
-				return st.Partials(nil), nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			e.exchangeBarrier()
-			shuffled := sliceFlow(partials).exchange(w, ex.PartialKeyFn())
-			out, err := parallelParts(shuffled, func(part []any) ([]any, error) {
-				st := core.NewAggState(ex)
-				st.AbsorbPartials(part)
-				return st.Finalize(nil), nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			return sliceFlow(out), nil
-		}
 		if op.UDF.Key == nil || op.UDF.Reduce == nil {
 			return nil, fmt.Errorf("reduce-by %s lacks key or reduce UDF", op)
 		}
@@ -761,15 +639,6 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 	case core.KindCache:
 		return sliceFlow(in[0].materialize()), nil
 
-	case core.KindProject:
-		out, err := parallelParts(in[0].materialize(), func(part []any) ([]any, error) {
-			return driverutil.Project(op, part)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return sliceFlow(out), nil
-
 	case core.KindJoin:
 		if op.UDF.Key == nil {
 			return nil, fmt.Errorf("join %s lacks a key UDF", op)
@@ -778,31 +647,12 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 		ls := in[0].exchange(w, op.UDF.Key)
 		rs := in[1].exchange(w, driverutil.KeyRight(op))
 		out := make([][]any, w)
-		var trap driverutil.Trap
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var firstErr error
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer trap.Guard()
-				res, err := driverutil.HashJoin(op, ls[i], rs[i])
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				out[i] = res
-			}(i)
-		}
-		wg.Wait()
-		trap.Rethrow()
-		if firstErr != nil {
-			return nil, firstErr
+		err := fanOut(w, func(i int) (err error) {
+			out[i], err = driverutil.HashJoin(op, ls[i], rs[i])
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
 		return sliceFlow(out), nil
 
@@ -830,7 +680,7 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 
 	case core.KindUnion:
 		left, right := in[0], in[1]
-		return &flow{width: left.width + right.width, card: addCards(left.card, right.card), start: func() []chan any {
+		return &flow{width: left.width + right.width, card: driverutil.AddCards(left.card, right.card), start: func() []chan any {
 			return append(left.start(), right.start()...)
 		}}, nil
 
@@ -840,15 +690,10 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 		ls := in[0].exchange(w, id)
 		rs := in[1].exchange(w, id)
 		out := make([][]any, w)
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				out[i] = driverutil.Intersect(ls[i], rs[i])
-			}(i)
-		}
-		wg.Wait()
+		fanOut(w, func(i int) error {
+			out[i] = driverutil.Intersect(ls[i], rs[i])
+			return nil
+		})
 		return sliceFlow(out), nil
 
 	case core.KindCoGroup:
@@ -859,31 +704,12 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 		ls := in[0].exchange(w, op.UDF.Key)
 		rs := in[1].exchange(w, driverutil.KeyRight(op))
 		out := make([][]any, w)
-		var trap driverutil.Trap
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var firstErr error
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer trap.Guard()
-				res, err := driverutil.CoGroup(op, ls[i], rs[i])
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				out[i] = res
-			}(i)
-		}
-		wg.Wait()
-		trap.Rethrow()
-		if firstErr != nil {
-			return nil, firstErr
+		err := fanOut(w, func(i int) (err error) {
+			out[i], err = driverutil.CoGroup(op, ls[i], rs[i])
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
 		return sliceFlow(out), nil
 
@@ -899,7 +725,7 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 
 	case core.KindTextFileSink:
 		data := in[0].collect()
-		if err := e.writeTextLines(op, data); err != nil {
+		if err := driverutil.WriteTextLines(e.driver.DFS, op, data); err != nil {
 			return nil, err
 		}
 		return sliceFlow(partition(data, w).Parts), nil
@@ -928,47 +754,6 @@ func mergeRuns(runs [][]any, less func(a, b any) bool) []any {
 		out = append(out, runs[best][idx[best]])
 		idx[best]++
 	}
-}
-
-func addCards(a, b int64) int64 {
-	if a < 0 || b < 0 {
-		return -1
-	}
-	return a + b
-}
-
-func (e *engine) readTextLines(path string) ([]any, error) {
-	if dfs.IsPath(path) {
-		if e.driver.DFS == nil {
-			return nil, fmt.Errorf("flink: no DFS configured for %s", path)
-		}
-		lines, err := e.driver.DFS.ReadLines(dfs.TrimScheme(path))
-		if err != nil {
-			return nil, err
-		}
-		out := make([]any, len(lines))
-		for i, l := range lines {
-			out[i] = l
-		}
-		return out, nil
-	}
-	return core.ReadTextFile(path)
-}
-
-func (e *engine) writeTextLines(op *core.Operator, data []any) error {
-	format := driverutil.FormatOf(op)
-	path := op.Params.Path
-	if dfs.IsPath(path) {
-		if e.driver.DFS == nil {
-			return fmt.Errorf("flink: no DFS configured for %s", path)
-		}
-		lines := make([]string, len(data))
-		for i, q := range data {
-			lines[i] = format(q)
-		}
-		return e.driver.DFS.WriteLines(dfs.TrimScheme(path), lines)
-	}
-	return core.WriteTextFile(path, data, format)
 }
 
 // pageRank: pipelined engines run PageRank as repeated dataflow rounds; we

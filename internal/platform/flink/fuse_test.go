@@ -1,21 +1,17 @@
 package flink
 
 import (
-	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
 	"rheem/internal/core"
+	"rheem/internal/platform/platformtest"
 )
 
-func sortInt64s(data []any) {
-	sort.Slice(data, func(i, j int) bool { return data[i].(int64) < data[j].(int64) })
-}
-
-// narrowChainOps builds src -> 8 narrow ops (6 identity maps, 2 filters that
-// each keep most quanta) over n int64 quanta, wired into a plan.
-func narrowChainOps(n int) []*core.Operator {
+// narrowChain builds src -> 8 narrow ops (6 identity maps, 2 filters that
+// each keep most quanta) over n int64 quanta, wired into a plan, and returns
+// the plan and its operators in order.
+func narrowChain(n int) (*core.Plan, []*core.Operator) {
 	data := make([]any, n)
 	for i := range data {
 		data[i] = int64(i)
@@ -43,7 +39,7 @@ func narrowChainOps(n int) []*core.Operator {
 		p.Add(op)
 	}
 	p.Chain(ops...)
-	return ops
+	return p, ops
 }
 
 func chainStage(d *Driver, ops []*core.Operator) (*core.Stage, *core.Inputs) {
@@ -63,43 +59,13 @@ func TestConfigNoOverheadSentinel(t *testing.T) {
 }
 
 func TestFusedChainMatchesUnfused(t *testing.T) {
+	// The 8-op chain runs as one kernel; its output and every operator's
+	// observed cardinality must be the reference interpreter's.
 	d := NewWithConfig(nil, fastConf())
-	ops := narrowChainOps(10_000)
-	last := ops[len(ops)-1]
-
-	stage, in := chainStage(d, ops)
-	outs, stats, err := d.Execute(stage, in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, _ := narrowChain(10_000)
+	stats := platformtest.CheckPlan(t, d, p)
 	if len(stats.FusedChains) != 1 || len(stats.FusedChains[0]) != 8 {
 		t.Fatalf("expected one fused chain of 8 ops, got %v", stats.FusedChains)
-	}
-	fused := outs[last].Payload.(*DataSet).Collect()
-
-	prev := core.SetFusionDisabled(true)
-	defer core.SetFusionDisabled(prev)
-	stage2, in2 := chainStage(d, ops)
-	outs2, stats2, err := d.Execute(stage2, in2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats2.FusedChains) != 0 {
-		t.Fatalf("fusion ran while disabled: %v", stats2.FusedChains)
-	}
-	unfused := outs2[last].Payload.(*DataSet).Collect()
-
-	// Flink shards round-robin, so per-instance order is stable: compare as
-	// multisets after sorting.
-	sortInt64s(fused)
-	sortInt64s(unfused)
-	if !reflect.DeepEqual(fused, unfused) {
-		t.Fatalf("fused output (%d rows) differs from unfused (%d rows)", len(fused), len(unfused))
-	}
-	for _, op := range ops {
-		if stats.OutCards[op] != stats2.OutCards[op] {
-			t.Fatalf("op %s cardinality: fused %d, unfused %d", op, stats.OutCards[op], stats2.OutCards[op])
-		}
 	}
 }
 
@@ -107,7 +73,7 @@ func TestFusedChainUDFPanicFailsJob(t *testing.T) {
 	// A panic inside a fused segment must fail the job, not deadlock the
 	// pipeline: the segment goroutine drains its input after recovering.
 	d := NewWithConfig(nil, fastConf())
-	ops := narrowChainOps(10_000)
+	_, ops := narrowChain(10_000)
 	ops[4].UDF.Map = func(q any) any {
 		if q.(int64) == 4242 {
 			panic("boom at 4242")
@@ -124,32 +90,22 @@ func TestFusedChainUDFPanicFailsJob(t *testing.T) {
 	}
 }
 
-// BenchmarkFlinkNarrowChain measures an 8-op narrow chain over 1M quanta,
-// fused (vectors of fuseBatch quanta through one kernel per instance) vs.
-// unfused (one channel hop and goroutine per operator).
+// BenchmarkFlinkNarrowChain measures an 8-op narrow chain over 1M quanta:
+// vectors of fuseBatch quanta through one kernel per instance.
 func BenchmarkFlinkNarrowChain(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		off  bool
-	}{{"fused", false}, {"unfused", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			prev := core.SetFusionDisabled(mode.off)
-			defer core.SetFusionDisabled(prev)
-			d := NewWithConfig(nil, Config{
-				Parallelism:       8,
-				ContextStartupMs:  NoOverheadMs,
-				JobStartupMs:      NoOverheadMs,
-				ExchangeLatencyMs: NoOverheadMs,
-			})
-			ops := narrowChainOps(1_000_000)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				stage, in := chainStage(d, ops)
-				if _, _, err := d.Execute(stage, in); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	d := NewWithConfig(nil, Config{
+		Parallelism:       8,
+		ContextStartupMs:  NoOverheadMs,
+		JobStartupMs:      NoOverheadMs,
+		ExchangeLatencyMs: NoOverheadMs,
+	})
+	_, ops := narrowChain(1_000_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stage, in := chainStage(d, ops)
+		if _, _, err := d.Execute(stage, in); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -7,6 +7,7 @@ package platformtest
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"rheem/internal/core"
@@ -79,6 +80,87 @@ func RunChain(t *testing.T, d core.Driver, ops []*core.Operator, inputs ...*core
 	return data
 }
 
+// ExecPlan executes a loop-free plan as one stage on the driver, the way the
+// executor hands a driver a stage whose sources ran elsewhere: collection
+// sources are not executed, their collections arrive as input channels. It
+// returns the materialized output of every terminal operator (one no other
+// operator consumes) and the stage statistics.
+func ExecPlan(d core.Driver, p *core.Plan, sniffers map[*core.Operator]func(any)) (map[*core.Operator][]any, *core.StageStats, error) {
+	order, err := p.TopoOrder()
+	if err != nil {
+		return nil, nil, err
+	}
+	stage := &core.Stage{ID: 1, Platform: d.Name(), Sniffers: sniffers}
+	in := core.NewInputs()
+	for _, op := range order {
+		if op.Kind == core.KindCollectionSource {
+			continue
+		}
+		stage.Ops = append(stage.Ops, op)
+		if len(op.Outputs()) == 0 {
+			stage.TerminalOuts = append(stage.TerminalOuts, op)
+		}
+		for port, producer := range op.Inputs() {
+			if producer.Kind == core.KindCollectionSource {
+				in.SetMain(op, port, CollectionChannel(producer.Params.Collection...))
+			}
+		}
+	}
+	outs, stats, err := d.Execute(stage, in)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows := make(map[*core.Operator][]any, len(outs))
+	for op, ch := range outs {
+		if rows[op], err = channelData(ch); err != nil {
+			return nil, nil, err
+		}
+	}
+	return rows, stats, nil
+}
+
+// CheckPlan holds the driver to the reference interpreter on one plan: run
+// as a single stage (see ExecPlan), every terminal operator must produce the
+// reference's output as a multiset and every executed operator must report
+// the reference's output cardinality. It returns the stage statistics.
+func CheckPlan(t *testing.T, d core.Driver, p *core.Plan) *core.StageStats {
+	t.Helper()
+	want, err := Interpret(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, stats, err := ExecPlan(d, p, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", d.Name(), err)
+	}
+	for op, rows := range got {
+		if err := SameMultiset(rows, want[op]); err != nil {
+			t.Fatalf("%s: %s output: %v", d.Name(), op, err)
+		}
+	}
+	for _, op := range stats.Stage.Ops {
+		if n, ok := stats.OutCards[op]; !ok || n != int64(len(want[op])) {
+			t.Fatalf("%s: %s reported cardinality %d (reported=%v), reference %d", d.Name(), op, n, ok, len(want[op]))
+		}
+	}
+	return stats
+}
+
+// SameMultiset reports how got differs from want as a multiset of quanta,
+// distinguishing dynamic types (see stringOf); nil when equal.
+func SameMultiset(got, want []any) error {
+	g, w := SortedStrings(got), SortedStrings(want)
+	if len(g) != len(w) {
+		return fmt.Errorf("%d quanta, reference has %d", len(g), len(w))
+	}
+	for i := range g {
+		if g[i] != w[i] {
+			return fmt.Errorf("quantum %d of the sorted output is %q, reference has %q", i, g[i], w[i])
+		}
+	}
+	return nil
+}
+
 func channelData(ch *core.Channel) ([]any, error) {
 	switch p := ch.Payload.(type) {
 	case *core.SliceDataset:
@@ -130,9 +212,18 @@ func SortedStrings(data []any) []string {
 	return out
 }
 
+// stringOf formats a quantum with its dynamic type, fields of a Record
+// included, so int64(1) and float64(1) never compare equal.
 func stringOf(q any) string {
-	if s, ok := q.(string); ok {
-		return s
+	switch v := q.(type) {
+	case string:
+		return v
+	case core.Record:
+		fields := make([]string, len(v))
+		for i, f := range v {
+			fields[i] = stringOf(f)
+		}
+		return "[" + strings.Join(fields, " ") + "]"
 	}
 	return fmt.Sprintf("%T:%v", q, q)
 }

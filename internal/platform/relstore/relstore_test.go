@@ -263,11 +263,39 @@ func TestDeclarativeFilterUsesBaseTable(t *testing.T) {
 	}
 }
 
+func TestDeclarativeFilterWithUDFPredicate(t *testing.T) {
+	// A filter carrying both predicates follows the one rule there is: the
+	// UDF wins (driverutil.PredOf), so the Where is not pushed into the index.
+	d := testDriver(t)
+	store, _ := d.StoreByName("pg")
+	ch := core.NewChannel(RelationChannel, TableRef{Store: store, Table: "people"}, 4)
+	op := &core.Operator{Kind: core.KindFilter,
+		UDF:    core.UDFs{Pred: func(q any) bool { return q.(core.Record).String(1) == "dee" }},
+		Params: core.Params{Where: &core.Predicate{Col: 0, Op: core.PredEq, Value: int64(2)}},
+	}
+	got, _, err := platformtest.RunOpErr(d, op, ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].(core.Record).String(1) != "dee" {
+		t.Fatalf("got %v, want the UDF predicate's row", got)
+	}
+}
+
 func TestNonRelationalKindRejected(t *testing.T) {
 	d := testDriver(t)
 	op := &core.Operator{Kind: core.KindMap, UDF: core.UDFs{Map: func(q any) any { return q }}}
 	if _, _, err := platformtest.RunOpErr(d, op, platformtest.CollectionChannel(int64(1))); err == nil {
 		t.Fatal("relstore must reject arbitrary UDF operators")
+	}
+	// Nor may a non-relational kind ride into the store inside a longer chain.
+	p := core.NewPlan("map-map")
+	src := p.NewOperator(core.KindCollectionSource, "src")
+	src.Params.Collection = []any{int64(1)}
+	m1, m2 := *op, *op
+	p.Chain(src, p.Add(&m1), p.Add(&m2))
+	if _, _, err := platformtest.ExecPlan(d, p, nil); err == nil {
+		t.Fatal("relstore must reject a chain of arbitrary UDF operators")
 	}
 }
 

@@ -39,11 +39,3 @@ func BenchmarkRangeShuffle(b *testing.B) {
 		r.rangeShuffle(4, 8, less)
 	}
 }
-
-// BenchmarkHashKey measures the grouping hash.
-func BenchmarkHashKey(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		hashKey(int64(i))
-		hashKey("some-moderately-long-word")
-	}
-}

@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"rheem/internal/core"
+	"rheem/internal/platform/platformtest"
 )
 
-// narrowChainOps builds src -> 8 narrow ops (6 identity maps, 2 filters that
-// each keep 90%) over n int64 quanta, wired into a plan. The last op is the
-// stage's terminal output.
-func narrowChainOps(n int) []*core.Operator {
+// narrowChain builds src -> 8 narrow ops (6 identity maps, 2 filters that
+// each keep 90%) over n int64 quanta, wired into a plan, and returns the plan
+// and its operators in order. The last op is the stage's terminal output.
+func narrowChain(n int) (*core.Plan, []*core.Operator) {
 	data := make([]any, n)
 	for i := range data {
 		data[i] = int64(i)
@@ -39,7 +40,7 @@ func narrowChainOps(n int) []*core.Operator {
 		p.Add(op)
 	}
 	p.Chain(ops...)
-	return ops
+	return p, ops
 }
 
 func chainStage(d *Driver, ops []*core.Operator) (*core.Stage, *core.Inputs) {
@@ -85,40 +86,13 @@ func TestPartitionCopiesInput(t *testing.T) {
 }
 
 func TestFusedChainMatchesUnfused(t *testing.T) {
+	// The 8-op chain runs as one kernel; its output and every operator's
+	// observed cardinality must be the reference interpreter's.
 	d := NewWithConfig(nil, fastConf())
-	ops := narrowChainOps(10_000)
-
-	stage, in := chainStage(d, ops)
-	outs, stats, err := d.Execute(stage, in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, _ := narrowChain(10_000)
+	stats := platformtest.CheckPlan(t, d, p)
 	if len(stats.FusedChains) != 1 || len(stats.FusedChains[0]) != 8 {
 		t.Fatalf("expected one fused chain of 8 ops, got %v", stats.FusedChains)
-	}
-	fused := outs[ops[len(ops)-1]].Payload.(*RDD).Collect()
-
-	prev := core.SetFusionDisabled(true)
-	defer core.SetFusionDisabled(prev)
-	stage2, in2 := chainStage(d, ops)
-	outs2, stats2, err := d.Execute(stage2, in2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats2.FusedChains) != 0 {
-		t.Fatalf("fusion ran while disabled: %v", stats2.FusedChains)
-	}
-	unfused := outs2[ops[len(ops)-1]].Payload.(*RDD).Collect()
-
-	if !reflect.DeepEqual(fused, unfused) {
-		t.Fatalf("fused output (%d rows) differs from unfused (%d rows)", len(fused), len(unfused))
-	}
-	// Per-op observed cardinalities must also agree: the fused kernel counts
-	// each step's emissions exactly like per-op execution does.
-	for _, op := range ops {
-		if stats.OutCards[op] != stats2.OutCards[op] {
-			t.Fatalf("op %s cardinality: fused %d, unfused %d", op, stats.OutCards[op], stats2.OutCards[op])
-		}
 	}
 }
 
@@ -126,7 +100,7 @@ func TestFusedChainUDFPanicFailsJob(t *testing.T) {
 	// A panicking UDF in the middle of a fused kernel must surface as a
 	// failed stage — not a lost partition or a deadlocked pool feeder.
 	d := NewWithConfig(nil, fastConf())
-	ops := narrowChainOps(10_000)
+	_, ops := narrowChain(10_000)
 	ops[4].UDF.Map = func(q any) any {
 		if q.(int64) == 7777 {
 			panic("boom at 7777")
@@ -145,7 +119,7 @@ func TestFusedChainUDFPanicFailsJob(t *testing.T) {
 
 // declChainOps builds src -> 8 declarative narrow ops (6 numeric-expression
 // maps, 2 predicate filters that each keep ~90%) over n int64 quanta — the
-// same shape as narrowChainOps but in the forms the vectorized kernel
+// same shape as narrowChain but in the forms the vectorized kernel
 // compiles to column loops.
 func declChainOps(n int) []*core.Operator {
 	data := make([]any, n)
@@ -283,33 +257,23 @@ func BenchmarkColumnarAggChain(b *testing.B) {
 	}
 }
 
-// BenchmarkSparkNarrowChain measures an 8-op narrow chain over 1M quanta,
-// fused (one single-pass kernel per partition) vs. unfused (one
-// materialization per operator).
+// BenchmarkSparkNarrowChain measures an 8-op narrow chain over 1M quanta:
+// one single-pass kernel per partition.
 func BenchmarkSparkNarrowChain(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		off  bool
-	}{{"fused", false}, {"unfused", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			prev := core.SetFusionDisabled(mode.off)
-			defer core.SetFusionDisabled(prev)
-			d := NewWithConfig(nil, Config{
-				Parallelism:      8,
-				ContextStartupMs: NoOverheadMs,
-				JobStartupMs:     NoOverheadMs,
-				ShuffleLatencyMs: NoOverheadMs,
-			})
-			ops := narrowChainOps(1_000_000)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				stage, in := chainStage(d, ops)
-				if _, _, err := d.Execute(stage, in); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	d := NewWithConfig(nil, Config{
+		Parallelism:      8,
+		ContextStartupMs: NoOverheadMs,
+		JobStartupMs:     NoOverheadMs,
+		ShuffleLatencyMs: NoOverheadMs,
+	})
+	_, ops := narrowChain(1_000_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stage, in := chainStage(d, ops)
+		if _, _, err := d.Execute(stage, in); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

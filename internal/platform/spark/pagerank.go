@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rheem/internal/core"
+	"rheem/internal/platform/driverutil"
 )
 
 // pageRank runs the classic iterative PageRank over an edge RDD: ranks and
@@ -53,7 +54,7 @@ func (e *engine) pageRank(op *core.Operator, edges *RDD) (*RDD, error) {
 		return nil, badQuantum
 	}
 	// Destination-only vertices (sinks) also hold rank; find their owners.
-	owner := func(v int64) int { return int(hashKey(v) % uint64(p)) }
+	owner := func(v int64) int { return int(driverutil.HashKey(v) % uint64(p)) }
 	sinkSets := make([]map[int64]bool, p)
 	for i := range sinkSets {
 		sinkSets[i] = map[int64]bool{}

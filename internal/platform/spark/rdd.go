@@ -8,8 +8,6 @@
 package spark
 
 import (
-	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -55,18 +53,20 @@ func (r *RDD) materialize() *RDD {
 	return r
 }
 
-// segments returns the batch-native partitions, or nil when the RDD is (or
-// has been) materialized row-major.
+// segments returns every partition as a segment run, the one form the chain
+// kernel takes: the batch-native partitions while the RDD still carries them
+// unmaterialized, else each row partition as the one-segment run {Rows: part}.
 func (r *RDD) segments() [][]core.Segment {
-	if r.Segs == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.Parts != nil {
-		return nil
+	if r.Parts == nil && r.Segs != nil {
+		return r.Segs
 	}
-	return r.Segs
+	segs := make([][]core.Segment, len(r.Parts))
+	for i, part := range r.Parts {
+		segs[i] = []core.Segment{{Rows: part}}
+	}
+	return segs
 }
 
 // Partition splits data into n balanced partitions. The partitions get
@@ -102,18 +102,11 @@ func Partition(data []any, n int) *RDD {
 
 // Count returns the total number of quanta.
 func (r *RDD) Count() int64 {
-	if segs := r.segments(); segs != nil {
-		var n int64
-		for _, part := range segs {
-			for _, s := range part {
-				n += int64(s.Len())
-			}
-		}
-		return n
-	}
 	var n int64
-	for _, p := range r.Parts {
-		n += int64(len(p))
+	for _, part := range r.segments() {
+		for _, s := range part {
+			n += int64(s.Len())
+		}
 	}
 	return n
 }
@@ -173,6 +166,22 @@ func pool(n, width int, fn func(i int)) {
 	trap.Rethrow()
 }
 
+// poolErr is pool for work items that can fail; it returns the first error.
+func poolErr(n, width int, fn func(i int) error) error {
+	var mu sync.Mutex
+	var firstErr error
+	pool(n, width, func(i int) {
+		if err := fn(i); err != nil {
+			mu.Lock()
+			if firstErr == nil {
+				firstErr = err
+			}
+			mu.Unlock()
+		}
+	})
+	return firstErr
+}
+
 // mapPartitions applies fn to every partition in parallel.
 func (r *RDD) mapPartitions(width int, fn func(part []any) []any) *RDD {
 	r.materialize()
@@ -193,7 +202,7 @@ func (r *RDD) shuffleBy(width, p int, key func(any) any) *RDD {
 	pool(len(r.Parts), width, func(i int) {
 		local := make([][]any, p)
 		for _, q := range r.Parts[i] {
-			h := hashKey(core.GroupKey(key(q))) % uint64(p)
+			h := driverutil.HashKey(core.GroupKey(key(q))) % uint64(p)
 			local[h] = append(local[h], q)
 		}
 		buckets[i] = local
@@ -255,45 +264,4 @@ func (r *RDD) rangeShuffle(width, p int, less func(a, b any) bool) *RDD {
 		out[j] = part
 	})
 	return NewRDD(out)
-}
-
-func hashKey(k any) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	var h uint64 = offset64
-	mix := func(b byte) { h ^= uint64(b); h *= prime64 }
-	switch v := k.(type) {
-	case string:
-		for i := 0; i < len(v); i++ {
-			mix(v[i])
-		}
-	case int64:
-		for i := 0; i < 8; i++ {
-			mix(byte(v >> (8 * i)))
-		}
-	case int:
-		return hashKey(int64(v))
-	case int32:
-		return hashKey(int64(v))
-	case float64:
-		u := math.Float64bits(v)
-		for i := 0; i < 8; i++ {
-			mix(byte(u >> (8 * i)))
-		}
-	case bool:
-		if v {
-			mix(1)
-		} else {
-			mix(0)
-		}
-	case nil:
-		mix(0xff)
-	default:
-		// Composite keys are pre-normalized by core.GroupKey to strings;
-		// anything else hashes via its formatted form.
-		return hashKey(fmt.Sprint(k))
-	}
-	return h
 }

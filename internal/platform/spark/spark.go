@@ -317,7 +317,7 @@ func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.Broadcas
 		if !ok {
 			return nil, fmt.Errorf("spark: %s input %d is %T, not an RDD", op, i, d)
 		}
-		ins[i] = r.materialize() // unfused operators are row-oriented
+		ins[i] = r.materialize() // operators outside a chain kernel are row-oriented
 	}
 	out, err := e.apply(op, ins, round)
 	if err != nil {
@@ -334,81 +334,47 @@ func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.Broadcas
 	return out, nil
 }
 
-// ApplyChain implements driverutil.ChainEngine: the whole fused chain runs
-// as one pool dispatch — one mapPartitions over the chain instead of one
-// per operator — so a stage of k narrow ops pays one scheduling round and
-// zero intermediate RDD materializations.
+// ApplyChain implements driverutil.ChainEngine: the whole chain runs as one
+// pool dispatch — one mapPartitions over the chain instead of one per
+// operator — so a stage of k narrow ops pays one scheduling round and zero
+// intermediate RDD materializations. A chain ending in a declarative
+// aggregation becomes the spark map-side combine: per-partition partial
+// aggregation, a shuffle of the group partials on the partial key, then
+// per-partition merge and finalize, so group emission order is first
+// occurrence per shuffled partition.
 func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, in driverutil.Data, counters []*int64) (driverutil.Data, error) {
 	r, ok := in.(*RDD)
 	if !ok {
 		return nil, fmt.Errorf("spark: fused chain input is %T, not an RDD", in)
 	}
-	if agg := kernel.Agg(); agg != nil {
-		return e.applyChainAgg(kernel, r, counters, agg)
-	}
-	if segs := r.segments(); segs != nil {
-		out := make([][]any, len(segs))
-		pool(len(segs), e.width(), func(i int) {
-			counts := make([]int64, kernel.Len())
+	segs := r.segments()
+	agg := kernel.Agg()
+	out := make([][]any, len(segs))
+	pool(len(segs), e.width(), func(i int) {
+		counts := make([]int64, kernel.Len())
+		if agg == nil {
 			out[i] = kernel.RunSegments(segs[i], counts, nil)
-			for s, c := range counts {
-				atomic.AddInt64(counters[s], c)
-			}
-		})
+		} else {
+			st := core.NewAggState(agg)
+			kernel.RunSegmentsAgg(segs[i], counts, st)
+			out[i] = st.Partials(nil)
+		}
+		for s, c := range counts {
+			atomic.AddInt64(counters[s], c)
+		}
+	})
+	if agg == nil {
 		return NewRDD(out), nil
 	}
-	r.materialize()
-	out := make([][]any, len(r.Parts))
-	pool(len(r.Parts), e.width(), func(i int) {
-		counts := make([]int64, kernel.Len())
-		out[i] = kernel.Run(r.Parts[i], counts, nil)
-		for s, c := range counts {
-			atomic.AddInt64(counters[s], c)
-		}
-	})
-	return NewRDD(out), nil
-}
-
-// applyChainAgg runs a chain terminated by an absorbed declarative
-// aggregation: per-partition vectorized partial aggregation (the spark
-// map-side combine), a shuffle of the group partials on the partial key,
-// then per-partition merge and finalize. Partition boundaries and
-// per-partition absorb order match the unfused two-phase path exactly, so
-// group emission order — first occurrence per shuffled partition — is
-// identical however the chain executes.
-func (e *engine) applyChainAgg(kernel *driverutil.VectorKernel, r *RDD, counters []*int64, agg *core.ReduceExpr) (driverutil.Data, error) {
-	segs := r.segments()
-	nparts := len(segs)
-	if segs == nil {
-		r.materialize()
-		nparts = len(r.Parts)
-	}
-	partials := make([][]any, nparts)
-	pool(nparts, e.width(), func(i int) {
-		counts := make([]int64, kernel.Len())
-		st := core.NewAggState(agg)
-		if segs != nil {
-			kernel.RunSegmentsAgg(segs[i], counts, st)
-		} else {
-			kernel.RunAgg(r.Parts[i], counts, st)
-		}
-		partials[i] = st.Partials(nil)
-		for s, c := range counts {
-			atomic.AddInt64(counters[s], c)
-		}
-	})
 	e.shuffleBarrier()
-	shuffled := NewRDD(partials).shuffleBy(e.width(), nparts, agg.PartialKeyFn())
-	out := make([][]any, len(shuffled.Parts))
-	var groups int64
-	pool(len(shuffled.Parts), e.width(), func(i int) {
+	shuffled := NewRDD(out).shuffleBy(e.width(), len(segs), agg.PartialKeyFn())
+	merged := shuffled.mapPartitions(e.width(), func(part []any) []any {
 		st := core.NewAggState(agg)
-		st.AbsorbPartials(shuffled.Parts[i])
-		out[i] = st.Finalize(nil)
-		atomic.AddInt64(&groups, int64(len(out[i])))
+		st.AbsorbPartials(part)
+		return kernel.Finalize(st)
 	})
-	atomic.AddInt64(counters[kernel.Len()], groups)
-	return NewRDD(out), nil
+	atomic.AddInt64(counters[kernel.Len()], merged.Count())
+	return merged, nil
 }
 
 func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
@@ -423,57 +389,11 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 	case core.KindTextFileSource:
 		return e.readTextFile(op.Params.Path)
 
-	case core.KindMap:
-		if op.UDF.Map == nil {
-			return nil, fmt.Errorf("map %s lacks a UDF", op)
-		}
-		f := op.UDF.Map
-		return in[0].mapPartitions(w, func(part []any) []any {
-			out := make([]any, len(part))
-			for i, q := range part {
-				out[i] = f(q)
-			}
-			return out
-		}), nil
-
-	case core.KindFilter:
-		pred, err := driverutil.PredOf(op)
-		if err != nil {
-			return nil, err
-		}
-		return in[0].mapPartitions(w, func(part []any) []any {
-			var out []any
-			for _, q := range part {
-				if pred(q) {
-					out = append(out, q)
-				}
-			}
-			return out
-		}), nil
-
-	case core.KindFlatMap:
-		if op.UDF.FlatMap == nil {
-			return nil, fmt.Errorf("flatmap %s lacks a UDF", op)
-		}
-		f := op.UDF.FlatMap
-		return in[0].mapPartitions(w, func(part []any) []any {
-			var out []any
-			for _, q := range part {
-				out = append(out, f(q)...)
-			}
-			return out
-		}), nil
-
 	case core.KindMapPart:
 		if op.UDF.MapPart == nil {
 			return nil, fmt.Errorf("map-partitions %s lacks a UDF", op)
 		}
 		return in[0].mapPartitions(w, op.UDF.MapPart), nil
-
-	case core.KindProject:
-		return e.mapPartsErr(in[0], func(part []any) ([]any, error) {
-			return driverutil.Project(op, part)
-		})
 
 	case core.KindZipWithID:
 		// Deterministic global ids: offset by partition prefix counts.
@@ -526,27 +446,6 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 		return Partition(out, 1), nil
 
 	case core.KindReduceBy:
-		// Declarative aggregation: per-partition grouped partials, shuffle on
-		// the partial key, merge and finalize. An aggregation is not
-		// idempotent like a re-applied combiner, so this branches before the
-		// opaque-UDF two-phase arm rather than dispatching inside it.
-		if ex := op.UDF.ReduceExpr; ex != nil {
-			partials, err := e.mapPartsErr(in[0], func(part []any) ([]any, error) {
-				st := core.NewAggState(ex)
-				st.AbsorbRows(part)
-				return st.Partials(nil), nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			e.shuffleBarrier()
-			shuffled := partials.shuffleBy(w, len(in[0].Parts), ex.PartialKeyFn())
-			return e.mapPartsErr(shuffled, func(part []any) ([]any, error) {
-				st := core.NewAggState(ex)
-				st.AbsorbPartials(part)
-				return st.Finalize(nil), nil
-			})
-		}
 		if op.UDF.Key == nil || op.UDF.Reduce == nil {
 			return nil, fmt.Errorf("reduce-by %s lacks key or reduce UDF", op)
 		}
@@ -587,22 +486,12 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 		ls := in[0].shuffleBy(w, p, op.UDF.Key)
 		rs := in[1].shuffleBy(w, p, driverutil.KeyRight(op))
 		out := make([][]any, p)
-		var firstErr error
-		var mu sync.Mutex
-		pool(p, w, func(i int) {
-			res, err := driverutil.HashJoin(op, ls.Parts[i], rs.Parts[i])
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			out[i] = res
+		err := poolErr(p, w, func(i int) (err error) {
+			out[i], err = driverutil.HashJoin(op, ls.Parts[i], rs.Parts[i])
+			return err
 		})
-		if firstErr != nil {
-			return nil, firstErr
+		if err != nil {
+			return nil, err
 		}
 		return NewRDD(out), nil
 
@@ -655,22 +544,12 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 		ls := in[0].shuffleBy(w, p, op.UDF.Key)
 		rs := in[1].shuffleBy(w, p, driverutil.KeyRight(op))
 		out := make([][]any, p)
-		var firstErr error
-		var mu sync.Mutex
-		pool(p, w, func(i int) {
-			res, err := driverutil.CoGroup(op, ls.Parts[i], rs.Parts[i])
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			out[i] = res
+		err := poolErr(p, w, func(i int) (err error) {
+			out[i], err = driverutil.CoGroup(op, ls.Parts[i], rs.Parts[i])
+			return err
 		})
-		if firstErr != nil {
-			return nil, firstErr
+		if err != nil {
+			return nil, err
 		}
 		return NewRDD(out), nil
 
@@ -681,7 +560,7 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 		return in[0], nil
 
 	case core.KindTextFileSink:
-		if err := e.writeTextFile(op, in[0]); err != nil {
+		if err := driverutil.WriteTextLines(e.driver.DFS, op, in[0].Collect()); err != nil {
 			return nil, err
 		}
 		return in[0], nil
@@ -693,22 +572,12 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 
 func (e *engine) mapPartsErr(r *RDD, fn func(part []any) ([]any, error)) (*RDD, error) {
 	out := make([][]any, len(r.Parts))
-	var firstErr error
-	var mu sync.Mutex
-	pool(len(r.Parts), e.width(), func(i int) {
-		res, err := fn(r.Parts[i])
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
-		}
-		out[i] = res
+	err := poolErr(len(r.Parts), e.width(), func(i int) (err error) {
+		out[i], err = fn(r.Parts[i])
+		return err
 	})
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
 	return NewRDD(out), nil
 }
@@ -739,63 +608,35 @@ func (e *engine) sample(op *core.Operator, r *RDD, round int) (*RDD, error) {
 	return Partition(final, e.width()), nil
 }
 
+// readTextFile reads a DFS file one split per block, in parallel on the
+// worker pool; local files (and the no-DFS error) go through the shared
+// reader.
 func (e *engine) readTextFile(path string) (*RDD, error) {
-	if dfs.IsPath(path) {
-		if e.driver.DFS == nil {
-			return nil, fmt.Errorf("spark: no DFS configured for %s", path)
-		}
-		name := dfs.TrimScheme(path)
-		_, blocks, err := e.driver.DFS.Stat(name)
+	if !dfs.IsPath(path) || e.driver.DFS == nil {
+		lines, err := driverutil.ReadTextLines(e.driver.DFS, path)
 		if err != nil {
 			return nil, err
 		}
-		// One split per block, read in parallel by the worker pool.
-		parts := make([][]any, len(blocks))
-		var firstErr error
-		var mu sync.Mutex
-		pool(len(blocks), e.width(), func(i int) {
-			lines, err := e.driver.DFS.ReadBlockLines(name, i)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			part := make([]any, len(lines))
-			for j, l := range lines {
-				part[j] = l
-			}
-			parts[i] = part
-		})
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		return NewRDD(parts), nil
+		return Partition(lines, e.width()), nil
 	}
-	lines, err := core.ReadTextFile(path)
+	name := dfs.TrimScheme(path)
+	_, blocks, err := e.driver.DFS.Stat(name)
 	if err != nil {
 		return nil, err
 	}
-	return Partition(lines, e.width()), nil
-}
-
-func (e *engine) writeTextFile(op *core.Operator, r *RDD) error {
-	format := driverutil.FormatOf(op)
-	path := op.Params.Path
-	data := r.Collect()
-	if dfs.IsPath(path) {
-		if e.driver.DFS == nil {
-			return fmt.Errorf("spark: no DFS configured for %s", path)
+	parts := make([][]any, len(blocks))
+	err = poolErr(len(blocks), e.width(), func(i int) error {
+		lines, err := e.driver.DFS.ReadBlockLines(name, i)
+		parts[i] = make([]any, len(lines))
+		for j, l := range lines {
+			parts[i][j] = l
 		}
-		lines := make([]string, len(data))
-		for i, q := range data {
-			lines[i] = format(q)
-		}
-		return e.driver.DFS.WriteLines(dfs.TrimScheme(path), lines)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return core.WriteTextFile(path, data, format)
+	return NewRDD(parts), nil
 }
 
 func (d *Driver) loadDFSQuanta(path string) (*RDD, error) {
@@ -814,42 +655,22 @@ func (d *Driver) loadDFSQuanta(path string) (*RDD, error) {
 	// either way, so both paths see identical rows per partition.
 	if core.ColumnarDisabled() {
 		parts := make([][]any, len(blocks))
-		var firstErr error
-		var mu sync.Mutex
-		pool(len(blocks), d.Conf.Parallelism, func(i int) {
-			part, err := driverutil.ReadDFSQuantaBlock(d.DFS, name, i)
-			if err == nil {
-				parts[i] = part
-				return
-			}
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
+		err := poolErr(len(blocks), d.Conf.Parallelism, func(i int) (err error) {
+			parts[i], err = driverutil.ReadDFSQuantaBlock(d.DFS, name, i)
+			return err
 		})
-		if firstErr != nil {
-			return nil, firstErr
+		if err != nil {
+			return nil, err
 		}
 		return NewRDD(parts), nil
 	}
 	segs := make([][]core.Segment, len(blocks))
-	var firstErr error
-	var mu sync.Mutex
-	pool(len(blocks), d.Conf.Parallelism, func(i int) {
-		part, err := driverutil.ReadDFSQuantaBlockSegments(d.DFS, name, i)
-		if err == nil {
-			segs[i] = part
-			return
-		}
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
+	err = poolErr(len(blocks), d.Conf.Parallelism, func(i int) (err error) {
+		segs[i], err = driverutil.ReadDFSQuantaBlockSegments(d.DFS, name, i)
+		return err
 	})
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
 	return NewSegRDD(segs), nil
 }

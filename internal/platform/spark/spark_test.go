@@ -335,15 +335,3 @@ func TestPoolExecutesAll(t *testing.T) {
 		t.Fatalf("n = %d", n)
 	}
 }
-
-func TestHashKeyStability(t *testing.T) {
-	if hashKey("abc") != hashKey("abc") {
-		t.Fatal("string hash unstable")
-	}
-	if hashKey(int64(5)) != hashKey(5) {
-		t.Fatal("int and int64 hash differently")
-	}
-	if hashKey("a") == hashKey("b") {
-		t.Fatal("suspicious collision")
-	}
-}

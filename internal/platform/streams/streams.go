@@ -1,8 +1,9 @@
 // Package streams implements the JavaStreams-analog platform: a
-// single-threaded, pull-based iterator engine with zero startup cost.
-// Narrow operators (map, filter, flatMap, ...) chain lazily so a stage
-// executes as one fused pipeline; blocking operators (sort, group, join,
-// sample, ...) materialize their inputs. It is the "no overhead, no
+// single-threaded, pull-based iterator engine with zero startup cost. Every
+// run of narrow operators (map, filter, flatMap, project) executes as one
+// pass of the compiled chain kernel; the streaming operators (zip-with-id,
+// union, cartesian) chain lazily as iterators; blocking operators (sort,
+// group, join, sample, ...) materialize their inputs. It is the "no overhead, no
 // parallelism" corner of the platform space: unbeatable on small inputs,
 // bound by one core on large ones.
 package streams
@@ -203,15 +204,19 @@ type pipe struct {
 	open func() core.Iterator
 	card int64 // -1 unknown
 
-	// segs, set only on source pipes built from batch-native channels,
-	// carries the quanta as column batches interleaved with row runs. open
-	// expands them lazily, so row consumers see the identical stream; the
-	// batch-aware ApplyChain reads segs directly.
+	// segs, set on pipes over data at rest, carries the quanta the way the
+	// chain kernel takes them: one row run for a slice, column batches
+	// interleaved with row runs for a batch-native channel. open yields the
+	// identical stream; ApplyChain reads segs directly, copying nothing.
 	segs []core.Segment
 }
 
 func slicePipe(data []any) *pipe {
-	return &pipe{open: func() core.Iterator { return core.NewSliceDataset(data).Open() }, card: int64(len(data))}
+	return &pipe{
+		open: func() core.Iterator { return core.NewSliceDataset(data).Open() },
+		card: int64(len(data)),
+		segs: []core.Segment{{Rows: data}},
+	}
 }
 
 func segPipe(segs []core.Segment) *pipe {
@@ -287,8 +292,20 @@ func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.Broadcas
 	if err != nil {
 		return nil, err
 	}
-	// Observe outputs: count every quantum (and sniff, in exploratory mode)
-	// as it flows by.
+	// Data at rest is observed where it lies: its cardinality is known and a
+	// sniffer can walk it now, so it reaches a downstream chain kernel as
+	// segments, uncopied.
+	if out.segs != nil {
+		*counter = out.card
+		if sniff != nil {
+			for _, q := range out.materialize() {
+				sniff(q)
+			}
+		}
+		return out, nil
+	}
+	// A lazy pipeline is observed as it flows by: count every quantum (and
+	// sniff, in exploratory mode).
 	observed := &pipe{card: out.card, open: func() core.Iterator {
 		it := out.open()
 		return core.FuncIterator(func() (any, bool) {
@@ -304,7 +321,7 @@ func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.Broadcas
 	}}
 	// A lazily observed pipeline re-runs (and re-counts) per consumer; when
 	// the operator feeds several stage-local consumers, materialize once.
-	if countConsumersInStage(e.stage, op) > 1 {
+	if driverutil.StageConsumers(e.stage, op) > 1 {
 		data := observed.materialize()
 		*counter = int64(len(data))
 		return slicePipe(data), nil
@@ -312,54 +329,35 @@ func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.Broadcas
 	return observed, nil
 }
 
-// ApplyChain implements driverutil.ChainEngine: the whole narrow chain runs
-// as one eager single-threaded pass. The engine's iterators are already
-// fused in spirit (pull-based chaining), but the compiled kernel replaces k
-// FuncIterator virtual calls per quantum with one closure pass and counts
-// without the per-quantum observation wrapper.
+// ApplyChain implements driverutil.ChainEngine: the whole chain runs as one
+// eager single-threaded pass of the compiled kernel — one closure pass per
+// quantum, counted without Apply's per-quantum observation wrapper. A chain
+// ending in a declarative aggregation absorbs everything and finalizes; with
+// a single partition there is no partial exchange, and emission order is the
+// groups' first-occurrence order.
 func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, in driverutil.Data, counters []*int64) (driverutil.Data, error) {
 	p, ok := in.(*pipe)
 	if !ok {
 		return nil, fmt.Errorf("streams: fused chain input is %T, not a pipeline", in)
 	}
-	counts := make([]int64, kernel.Len())
-	if agg := kernel.Agg(); agg != nil {
-		// Single partition: absorb everything, then finalize — no partial
-		// exchange needed. Emission order is the groups' first-occurrence
-		// order, exactly what the unfused row path produces.
-		st := core.NewAggState(agg)
-		if p.segs != nil {
-			kernel.RunSegmentsAgg(p.segs, counts, st)
-		} else {
-			kernel.RunAgg(p.materialize(), counts, st)
-		}
-		out := st.Finalize(nil)
-		for s, c := range counts {
-			*counters[s] += c
-		}
-		*counters[kernel.Len()] += int64(len(out))
-		return slicePipe(out), nil
+	segs := p.segs
+	if segs == nil { // a lazy pipeline: drain it into one row run
+		segs = []core.Segment{{Rows: p.materialize()}}
 	}
+	counts := make([]int64, kernel.Len())
 	var out []any
-	if p.segs != nil {
-		out = kernel.RunSegments(p.segs, counts, nil)
+	if agg := kernel.Agg(); agg != nil {
+		st := core.NewAggState(agg)
+		kernel.RunSegmentsAgg(segs, counts, st)
+		out = kernel.Finalize(st)
+		*counters[kernel.Len()] += int64(len(out))
 	} else {
-		out = kernel.Run(p.materialize(), counts, nil)
+		out = kernel.RunSegments(segs, counts, nil)
 	}
 	for s, c := range counts {
 		*counters[s] += c
 	}
 	return slicePipe(out), nil
-}
-
-func countConsumersInStage(stage *core.Stage, op *core.Operator) int {
-	n := 0
-	for _, consumer := range op.Outputs() {
-		if stage.Contains(consumer) {
-			n++
-		}
-	}
-	return n
 }
 
 func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) {
@@ -371,66 +369,11 @@ func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) 
 		return slicePipe(op.Params.Collection), nil
 
 	case core.KindTextFileSource:
-		lines, err := e.readTextLines(op.Params.Path)
+		lines, err := driverutil.ReadTextLines(e.driver.DFS, op.Params.Path)
 		if err != nil {
 			return nil, err
 		}
 		return slicePipe(lines), nil
-
-	case core.KindMap:
-		if op.UDF.Map == nil {
-			return nil, fmt.Errorf("map %s lacks a UDF", op)
-		}
-		f := op.UDF.Map
-		return lazyUnary(in[0], func(it core.Iterator) core.Iterator {
-			return core.FuncIterator(func() (any, bool) {
-				q, ok := it.Next()
-				if !ok {
-					return nil, false
-				}
-				return f(q), true
-			})
-		}, in[0].card), nil
-
-	case core.KindFilter:
-		pred, err := driverutil.PredOf(op)
-		if err != nil {
-			return nil, err
-		}
-		return lazyUnary(in[0], func(it core.Iterator) core.Iterator {
-			return core.FuncIterator(func() (any, bool) {
-				for {
-					q, ok := it.Next()
-					if !ok {
-						return nil, false
-					}
-					if pred(q) {
-						return q, true
-					}
-				}
-			})
-		}, -1), nil
-
-	case core.KindFlatMap:
-		if op.UDF.FlatMap == nil {
-			return nil, fmt.Errorf("flatmap %s lacks a UDF", op)
-		}
-		f := op.UDF.FlatMap
-		return lazyUnary(in[0], func(it core.Iterator) core.Iterator {
-			var buf []any
-			return core.FuncIterator(func() (any, bool) {
-				for len(buf) == 0 {
-					q, ok := it.Next()
-					if !ok {
-						return nil, false
-					}
-					buf = f(q)
-				}
-				q := buf[0]
-				buf = buf[1:]
-				return q, true
-			})
-		}, -1), nil
 
 	case core.KindMapPart:
 		if op.UDF.MapPart == nil {
@@ -504,13 +447,6 @@ func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) 
 	case core.KindCache:
 		return slicePipe(in[0].materialize()), nil
 
-	case core.KindProject:
-		out, err := driverutil.Project(op, in[0].materialize())
-		if err != nil {
-			return nil, err
-		}
-		return slicePipe(out), nil
-
 	case core.KindJoin:
 		out, err := driverutil.HashJoin(op, in[0].materialize(), in[1].materialize())
 		if err != nil {
@@ -550,7 +486,7 @@ func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) 
 
 	case core.KindUnion:
 		left, right := in[0], in[1]
-		return &pipe{card: addCards(left.card, right.card), open: func() core.Iterator {
+		return &pipe{card: driverutil.AddCards(left.card, right.card), open: func() core.Iterator {
 			lit := left.open()
 			var rit core.Iterator
 			return core.FuncIterator(func() (any, bool) {
@@ -579,7 +515,7 @@ func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) 
 
 	case core.KindTextFileSink:
 		data := in[0].materialize()
-		if err := e.writeTextLines(op.Params.Path, data, driverutil.FormatOf(op)); err != nil {
+		if err := driverutil.WriteTextLines(e.driver.DFS, op, data); err != nil {
 			return nil, err
 		}
 		return slicePipe(data), nil
@@ -591,45 +527,6 @@ func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) 
 
 func lazyUnary(src *pipe, wrap func(core.Iterator) core.Iterator, card int64) *pipe {
 	return &pipe{card: card, open: func() core.Iterator { return wrap(src.open()) }}
-}
-
-func addCards(a, b int64) int64 {
-	if a < 0 || b < 0 {
-		return -1
-	}
-	return a + b
-}
-
-func (e *engine) readTextLines(path string) ([]any, error) {
-	if dfs.IsPath(path) {
-		if e.driver.DFS == nil {
-			return nil, fmt.Errorf("streams: no DFS configured for %s", path)
-		}
-		lines, err := e.driver.DFS.ReadLines(dfs.TrimScheme(path))
-		if err != nil {
-			return nil, err
-		}
-		out := make([]any, len(lines))
-		for i, l := range lines {
-			out[i] = l
-		}
-		return out, nil
-	}
-	return core.ReadTextFile(path)
-}
-
-func (e *engine) writeTextLines(path string, data []any, format func(any) string) error {
-	if dfs.IsPath(path) {
-		if e.driver.DFS == nil {
-			return fmt.Errorf("streams: no DFS configured for %s", path)
-		}
-		lines := make([]string, len(data))
-		for i, q := range data {
-			lines[i] = format(q)
-		}
-		return e.driver.DFS.WriteLines(dfs.TrimScheme(path), lines)
-	}
-	return core.WriteTextFile(path, data, format)
 }
 
 func tempFile(dir, pattern string) (string, error) {

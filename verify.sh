@@ -27,21 +27,23 @@ go test -race $short ./...
 # Benchmark smoke: one iteration of the codec benchmarks, so they compile
 # and run even when nobody records numbers.
 go test -run=NONE -bench=BenchmarkEncodeQuantum -benchtime=1x ./internal/core
-# Fusion smoke: one iteration of the narrow-chain benchmarks (fused and
-# unfused paths both execute) and of the columnar agg-chain benchmark (the
-# vectorized grouped-aggregation kernel and its row twin both execute),
-# plus the fused-vs-unfused differential
-# crosscheck with fusion force-disabled via the environment kill switch —
-# proving RHEEM_NO_FUSE=1 and the default path produce identical sink
-# output.
+# Chain-kernel smoke: one iteration of the narrow-chain benchmarks and of the
+# columnar agg-chain benchmark (the vectorized grouped-aggregation kernel and
+# its row twin both execute), plus the differential crosscheck of every
+# engine's chain kernels against the reference interpreter
+# (platformtest.Interpret). The compiled kernel is the only narrow path, so
+# the grep keeps the per-operator fork and its switch from coming back.
 go test -run=NONE -bench='NarrowChain|ColumnarAggChain' -benchtime=1x ./internal/platform/spark ./internal/platform/flink
-RHEEM_NO_FUSE=1 go test -run='TestCrossCheckFusedAgainstUnfused|TestFusedFig9' .
 go test -run='TestCrossCheckFusedAgainstUnfused|TestFusedFig9' .
+if grep -rn 'RHEEM_NO_FUSE\|FusionDisabled' --include='*.go' .; then
+	echo "the per-operator narrow path (or its switch) is back" >&2
+	exit 1
+fi
 # Columnar smoke: the columnar-vs-row differential crosschecks (random
 # declarative plans, every engine pinned, relstore pushdown) run twice —
 # default, and with the columnar data plane force-disabled via the
 # RHEEM_NO_COLUMNAR=1 kill switch — proving vectorized column kernels and
-# the fused row path produce identical sink output. The ColumnarNarrowChain
+# the row kernel produce identical sink output. The ColumnarNarrowChain
 # benchmark is covered by the NarrowChain smoke above.
 RHEEM_NO_COLUMNAR=1 go test -count=1 -run='TestCrossCheckColumnar' .
 go test -count=1 -run='TestCrossCheckColumnar' .
