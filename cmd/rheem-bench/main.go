@@ -55,9 +55,6 @@ var all = []experiment{
 	{"fig10b", "progressive optimization on/off", experiments.Fig10b},
 	{"fig10c", "exploratory mode on/off", experiments.Fig10c},
 	{"fig11", "Rheem vs Musketeer: CrocoPR", experiments.Fig11},
-	{"codec", "wire format: tagged JSON vs binary quantum codec", experiments.Codec},
-	{"columnar", "columnar data plane: vectorized column kernels vs fused row path", experiments.Columnar},
-	{"distexec", "distributed stage execution: local vs loopback-peer dispatch", experiments.Distexec},
 	{"abl-prune", "ablation: lossless pruning vs exhaustive enumeration", experiments.AblationPruning},
 	{"abl-move", "ablation: conversion tree vs naive per-path movement", experiments.AblationMovement},
 	{"abl-learn", "ablation: learned vs default cost model", experiments.AblationLearnedCosts},

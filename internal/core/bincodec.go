@@ -22,9 +22,8 @@ import (
 //
 // Streams of quanta (files, DFS objects) are length-prefixed frames — a
 // uvarint payload length before each encoded quantum — behind the
-// BinaryQuantaMagic header, replacing the line-delimited records of the
-// JSON codec. Readers auto-detect the header and fall back to JSON lines,
-// so data written before the binary codec existed still decodes.
+// BinaryQuantaMagic header. It is the only at-rest format: readers reject
+// input that does not begin with the header (ErrCorruptQuantum).
 
 // Type tags. A decoded stream must reproduce exactly the types the JSON
 // codec would: ints (any width) come back as int64, unknown types take the
@@ -47,9 +46,7 @@ const (
 	binDict   = 0x0e // dictionary string column (inside binBatch): dict + codes
 )
 
-// BinaryQuantaMagic heads every binary quanta stream. The JSON codec always
-// emits '{' as a record's first byte, so the first byte of a stream
-// unambiguously selects the decoder.
+// BinaryQuantaMagic heads every binary quanta stream.
 const BinaryQuantaMagic = "RQB1"
 
 // AppendQuantumBinary appends the binary encoding of one quantum to buf and
@@ -506,10 +503,10 @@ func decodeColumnBatch(data []byte) (any, []byte, error) {
 }
 
 // TryAppendBatch encodes chunk as a single column-wise batch value when the
-// chunk is batchable and columnar encoding is enabled; ok reports whether
-// the batch encoding was taken (false falls back to per-quantum frames).
+// chunk is batchable and at least minBatchRows long; ok reports whether the
+// batch encoding was taken (false falls back to per-quantum frames).
 func TryAppendBatch(buf []byte, chunk []any) (out []byte, ok bool, err error) {
-	if ColumnarDisabled() || len(chunk) < minBatchRows {
+	if len(chunk) < minBatchRows {
 		return buf, false, nil
 	}
 	b, okB := BatchFromRows(chunk)
@@ -573,9 +570,9 @@ func (e *QuantaEncoder) Encode(q any) error {
 
 // EncodeSlice appends a slice of quanta to the stream, packing runs of
 // batchable rows into column-wise batch frames of up to CodecBatchRows rows
-// each; non-batchable runs (and everything when columnar is disabled) fall
-// back to one frame per quantum. Readers expand batch frames transparently,
-// so the two layouts are interchangeable on the wire.
+// each; non-batchable runs fall back to one frame per quantum. Readers
+// expand batch frames transparently, so the two layouts are interchangeable
+// on the wire.
 func (e *QuantaEncoder) EncodeSlice(quanta []any) error {
 	for start := 0; start < len(quanta); start += CodecBatchRows {
 		end := min(start+CodecBatchRows, len(quanta))
@@ -618,8 +615,7 @@ func (e *QuantaEncoder) writeFrame(payload []byte) error {
 	return nil
 }
 
-// Flush completes the stream. An empty stream still gets its magic header,
-// so a zero-quanta file reads back as binary (not as empty JSON lines).
+// Flush completes the stream. An empty stream still gets its magic header.
 func (e *QuantaEncoder) Flush() error {
 	if !e.started {
 		e.started = true
@@ -640,50 +636,14 @@ func WriteQuantaStream(w io.Writer, quanta []any) error {
 	return enc.Flush()
 }
 
-// ReadQuantaStream decodes a quanta stream, auto-detecting the format: the
-// binary magic selects frame decoding, anything else is read as legacy
-// tagged-JSON lines (the format every quanta file used before the binary
-// codec), so old data keeps decoding.
+// ReadQuantaStream decodes a framed binary quanta stream to row-major
+// quanta (ReadQuantaStreamSegments, flattened); zero quanta come back nil.
 func ReadQuantaStream(r io.Reader) ([]any, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head, err := br.Peek(len(BinaryQuantaMagic))
-	if err != nil && !errors.Is(err, io.EOF) {
-		return nil, fmt.Errorf("core: read quanta stream: %w", err)
-	}
-	if string(head) == BinaryQuantaMagic {
-		br.Discard(len(BinaryQuantaMagic))
-		return readBinaryFrames(br)
-	}
-	// Legacy JSON lines (also the empty-file case).
-	var out []any
-	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		q, err := DecodeQuantum(sc.Bytes())
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, q)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("core: scan quanta stream: %w", err)
-	}
-	return out, nil
-}
-
-func readBinaryFrames(br *bufio.Reader) ([]any, error) {
-	segs, err := readBinarySegments(br)
+	segs, err := ReadQuantaStreamSegments(r)
 	if err != nil {
 		return nil, err
 	}
-	var out []any
-	for _, s := range segs {
-		out = s.AppendRows(out)
-	}
-	return out, nil
+	return SegmentRows(segs), nil
 }
 
 // readBinarySegments decodes the stream's frames, keeping batch frames
@@ -731,32 +691,23 @@ func readBinarySegments(br *bufio.Reader) ([]Segment, error) {
 	}
 }
 
-// ReadQuantaStreamSegments decodes a quanta stream like ReadQuantaStream but
-// keeps column-batch frames as native segments instead of expanding them to
-// rows, so batch-aware consumers move columns end to end. Legacy JSON-lines
-// streams come back as one row segment.
+// ReadQuantaStreamSegments decodes a framed binary quanta stream, the one
+// format quanta streams, files and DFS files are written in, keeping
+// column-batch frames as native segments so batch-aware consumers move
+// columns end to end. A zero-length stream is zero quanta; any other input
+// that does not begin with BinaryQuantaMagic is ErrCorruptQuantum.
 func ReadQuantaStreamSegments(r io.Reader) ([]Segment, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	head, err := br.Peek(len(BinaryQuantaMagic))
 	if err != nil && !errors.Is(err, io.EOF) {
 		return nil, fmt.Errorf("core: read quanta stream: %w", err)
 	}
-	if string(head) == BinaryQuantaMagic {
-		br.Discard(len(BinaryQuantaMagic))
-		return readBinarySegments(br)
-	}
-	rows, err := ReadQuantaStream(&peekedReader{br: br})
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
+	if len(head) == 0 {
 		return nil, nil
 	}
-	return []Segment{{Rows: rows}}, nil
+	if string(head) != BinaryQuantaMagic {
+		return nil, fmt.Errorf("%w: stream does not begin with %q", ErrCorruptQuantum, BinaryQuantaMagic)
+	}
+	br.Discard(len(BinaryQuantaMagic))
+	return readBinarySegments(br)
 }
-
-// peekedReader re-presents a buffered reader as a plain reader so the legacy
-// path of ReadQuantaStream can re-detect the format from the same bytes.
-type peekedReader struct{ br *bufio.Reader }
-
-func (p *peekedReader) Read(b []byte) (int, error) { return p.br.Read(b) }

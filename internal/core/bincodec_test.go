@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"os"
@@ -179,28 +180,47 @@ func TestReadQuantaStreamTruncatedFrame(t *testing.T) {
 	}
 }
 
-// TestReadQuantaFileLegacyJSON: files written by earlier builds (tagged
-// JSON, one document per line) must still decode via auto-detection.
+// TestReadQuantaFileLegacyJSON: RQB1 is the only at-rest format. Tagged
+// JSON lines (what quanta files held before the binary codec), or any other
+// non-empty input that does not begin with the magic, is rejected as corrupt
+// by the stream and file readers — never guessed at as JSON. A zero-length
+// stream stays zero quanta.
 func TestReadQuantaFileLegacyJSON(t *testing.T) {
-	in := []any{"a", Record{int64(1), "b"}, KV{Key: "k", Value: int64(2)}, nil, 1.5}
 	var lines []string
-	for _, q := range in {
+	for _, q := range []any{"a", Record{int64(1), "b"}, KV{Key: "k", Value: int64(2)}, nil, 1.5} {
 		line, err := EncodeQuantum(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		lines = append(lines, string(line))
 	}
-	path := filepath.Join(t.TempDir(), "legacy.jsonl")
-	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-		t.Fatal(err)
+	legacy := []byte(strings.Join(lines, "\n") + "\n")
+	for name, input := range map[string][]byte{
+		"json-lines":   legacy,
+		"short":        []byte("RQ"),
+		"wrong-magic":  []byte("RQB2\x01\x00"),
+		"blank-line":   []byte("\n"),
+		"magic-in-mid": append([]byte("x"), BinaryQuantaMagic...),
+	} {
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, input, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, errStream := ReadQuantaStream(bytes.NewReader(input))
+		_, errSegs := ReadQuantaStreamSegments(bytes.NewReader(input))
+		_, errFile := ReadQuantaFile(path)
+		_, errFileSegs := ReadQuantaFileSegments(path)
+		for reader, err := range map[string]error{
+			"ReadQuantaStream": errStream, "ReadQuantaStreamSegments": errSegs,
+			"ReadQuantaFile": errFile, "ReadQuantaFileSegments": errFileSegs,
+		} {
+			if !errors.Is(err, ErrCorruptQuantum) {
+				t.Errorf("%s: %s returned %v, want ErrCorruptQuantum", name, reader, err)
+			}
+		}
 	}
-	out, err := ReadQuantaFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out, in) {
-		t.Fatalf("legacy decode: got %#v, want %#v", out, in)
+	if got, err := ReadQuantaStream(bytes.NewReader(nil)); err != nil || got != nil {
+		t.Errorf("zero-length stream: %v, %v; want nil quanta, no error", got, err)
 	}
 }
 

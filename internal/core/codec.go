@@ -13,10 +13,9 @@ import (
 // of KVs of int64s, ...) round-trip faithfully — a UDF downstream of a
 // conversion must see exactly the types its producer emitted.
 //
-// This is the legacy wire format and the human-readable fallback (REST
-// responses, external-system emulations). The data-movement hot paths use
-// the binary codec in bincodec.go; readers of at-rest quanta auto-detect
-// which of the two formats they are looking at.
+// This is the human-readable wire format (REST responses, external-system
+// emulations). Data movement and quanta at rest use the binary codec in
+// bincodec.go, the only format the quanta readers accept.
 
 type taggedQuantum struct {
 	T string          `json:"t"`
@@ -220,19 +219,17 @@ func WriteQuantaFile(path string, quanta []any) error {
 	return nil
 }
 
-// ReadQuantaFile decodes a file written by WriteQuantaFile, auto-detecting
-// the format: framed binary (current) or tagged JSON lines (files written
-// before the binary codec existed).
+// ReadQuantaFile decodes a file written by WriteQuantaFile to row-major
+// quanta (ReadQuantaFileSegments, flattened).
 func ReadQuantaFile(path string) ([]any, error) {
-	f, err := os.Open(path)
+	segs, err := ReadQuantaFileSegments(path)
 	if err != nil {
-		return nil, fmt.Errorf("core: read quanta file: %w", err)
+		return nil, err
 	}
-	defer f.Close()
-	return ReadQuantaStream(f)
+	return SegmentRows(segs), nil
 }
 
-// ReadQuantaFileSegments decodes a quanta file like ReadQuantaFile but keeps
+// ReadQuantaFileSegments decodes a file written by WriteQuantaFile, keeping
 // column-batch frames as native segments (see ReadQuantaStreamSegments).
 func ReadQuantaFileSegments(path string) ([]Segment, error) {
 	f, err := os.Open(path)

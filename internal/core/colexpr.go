@@ -153,7 +153,7 @@ func (a AggSpec) String() string {
 // vectorized kernel absorbs ColumnBatches through typed per-column
 // accumulator loops, while every row-at-a-time path folds quanta through the
 // same AggState — both orders of evaluation are identical by construction,
-// so the columnar kill switch never changes sink output.
+// so a per-batch fallback to the row path never changes sink output.
 //
 // Output records are [group values..., one value per AggSpec] in
 // first-occurrence group order. Sum/min/max stay in the int64 domain until a

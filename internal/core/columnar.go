@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Columnar data plane. A ColumnBatch holds a batch of data quanta
 // column-major: one typed buffer per record field (or one buffer total for
@@ -14,23 +11,6 @@ import (
 // these buffers with a selection vector, and the binary codec ships batches
 // as single column-wise frames (see bincodec.go) so shuffles and DFS files
 // move contiguous columns instead of one boxed row at a time.
-
-var columnarOff atomic.Bool
-
-func init() {
-	columnarOff.Store(KillSwitchSet("RHEEM_NO_COLUMNAR"))
-}
-
-// ColumnarDisabled reports whether the columnar data plane is globally
-// disabled. It is toggled by the RHEEM_NO_COLUMNAR=1 environment variable or
-// SetColumnarDisabled: kernels fall back to the row path and the codec
-// writes one frame per quantum.
-func ColumnarDisabled() bool { return columnarOff.Load() }
-
-// SetColumnarDisabled toggles the columnar data plane at runtime and returns
-// the previous setting. Tests use it to cross-check columnar execution
-// against the row path.
-func SetColumnarDisabled(off bool) bool { return columnarOff.Swap(off) }
 
 // ColType identifies the physical representation of one column.
 type ColType uint8

@@ -255,23 +255,20 @@ func TestEncodeSliceBatchedRoundTrip(t *testing.T) {
 		t.Fatalf("stream round trip mismatch: %d vs %d quanta", len(got), len(quanta))
 	}
 
-	// The kill switch must force row framing and still round-trip.
-	prev := SetColumnarDisabled(true)
-	defer SetColumnarDisabled(prev)
+	// A chunk shorter than minBatchRows takes row framing — one frame per
+	// quantum, no batch frame — and still round-trips.
+	short := quanta[:minBatchRows-1]
 	var rowBuf bytes.Buffer
-	if err := WriteQuantaStream(&rowBuf, quanta); err != nil {
+	if err := WriteQuantaStream(&rowBuf, short); err != nil {
 		t.Fatal(err)
 	}
-	if rowBuf.Len() <= buf.Len() {
-		t.Fatalf("row framing (%d bytes) not larger than columnar (%d bytes)",
-			rowBuf.Len(), buf.Len())
-	}
-	got, err = ReadQuantaStream(bytes.NewReader(rowBuf.Bytes()))
+	segs, err := ReadQuantaStreamSegments(bytes.NewReader(rowBuf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, quanta) {
-		t.Fatal("row-framed round trip mismatch")
+	if len(segs) != 1 || segs[0].Batch != nil || !reflect.DeepEqual(segs[0].Rows, short) {
+		t.Fatalf("short chunk came back as %d segments (batch=%v), want one row run of %d",
+			len(segs), len(segs) > 0 && segs[0].Batch != nil, len(short))
 	}
 }
 

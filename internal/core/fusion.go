@@ -1,7 +1,5 @@
 package core
 
-import "os"
-
 // Pipeline fusion: every run of narrow, stateless, single-input operators
 // (map, filter, flatmap, project) on one platform is compiled into one
 // single-pass kernel by the engines (see
@@ -19,7 +17,3 @@ func FusibleKind(k Kind) bool {
 	}
 	return false
 }
-
-// KillSwitchSet reports whether the named RHEEM_NO_* environment kill switch
-// is on. Every switch has the same meaning: set to exactly "1".
-func KillSwitchSet(name string) bool { return os.Getenv(name) == "1" }

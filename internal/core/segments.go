@@ -32,6 +32,23 @@ func (s Segment) AppendRows(dst []any) []any {
 	return append(dst, s.Rows...)
 }
 
+// SegmentRows flattens a segment run to row-major quanta; nil when there are
+// none.
+func SegmentRows(segs []Segment) []any {
+	n := 0
+	for _, s := range segs {
+		n += s.Len()
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]any, 0, n)
+	for _, s := range segs {
+		out = s.AppendRows(out)
+	}
+	return out
+}
+
 // SegmentedDataset is a Dataset whose quanta live in row and column-batch
 // segments, in order.
 type SegmentedDataset struct {
@@ -53,15 +70,6 @@ func (d *SegmentedDataset) Card() int64 {
 		n += int64(s.Len())
 	}
 	return n
-}
-
-// Rows flattens the dataset to row-major quanta.
-func (d *SegmentedDataset) Rows() []any {
-	out := make([]any, 0, d.Card())
-	for _, s := range d.Segs {
-		out = s.AppendRows(out)
-	}
-	return out
 }
 
 // Open returns a row iterator; batch segments are expanded one segment at a

@@ -28,6 +28,7 @@ package distexec
 
 import (
 	"net/http"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,7 +47,7 @@ import (
 var distexecOff atomic.Bool
 
 func init() {
-	distexecOff.Store(core.KillSwitchSet("RHEEM_NO_DISTEXEC"))
+	distexecOff.Store(os.Getenv("RHEEM_NO_DISTEXEC") == "1")
 }
 
 // Disabled reports whether distributed stage execution is globally disabled

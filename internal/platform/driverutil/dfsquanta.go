@@ -1,6 +1,9 @@
 package driverutil
 
 import (
+	"errors"
+	"fmt"
+
 	"rheem/internal/core"
 	"rheem/internal/storage/dfs"
 )
@@ -10,9 +13,7 @@ import (
 // exchanges, streams spills). Files are written in the framed binary format
 // — the core.BinaryQuantaMagic header, then one length-prefixed binary
 // quantum per frame — with per-block frame offsets so parallel engines can
-// read block splits independently. Readers fall back to the legacy
-// one-JSON-document-per-line format for files written before the binary
-// codec existed.
+// read block splits independently. It is the only format the readers accept.
 
 // WriteDFSQuanta encodes quanta into a framed binary DFS file. The name may
 // carry the dfs:// scheme. A mid-write encode or replication error aborts
@@ -63,15 +64,14 @@ func WriteDFSQuanta(store *dfs.Store, name string, data []any) error {
 	return fw.Close()
 }
 
-// ReadDFSQuanta decodes a whole DFS quanta file, auto-detecting framed
-// binary vs legacy JSON lines. The path may carry the dfs:// scheme.
+// ReadDFSQuanta decodes a whole DFS quanta file to row-major quanta. The
+// path may carry the dfs:// scheme.
 func ReadDFSQuanta(store *dfs.Store, path string) ([]any, error) {
-	r, err := store.Open(dfs.TrimScheme(path))
+	segs, err := ReadDFSQuantaSegments(store, path)
 	if err != nil {
 		return nil, err
 	}
-	defer r.Close()
-	return core.ReadQuantaStream(r)
+	return core.SegmentRows(segs), nil
 }
 
 // ReadDFSQuantaSegments decodes a whole DFS quanta file keeping column-batch
@@ -85,22 +85,15 @@ func ReadDFSQuantaSegments(store *dfs.Store, path string) ([]core.Segment, error
 	return core.ReadQuantaStreamSegments(r)
 }
 
-// ReadDFSQuantaBlockSegments decodes one block split keeping column-batch
-// frames native. Expanding all blocks' segments in order yields exactly
-// ReadDFSQuantaBlock's concatenated rows.
+// ReadDFSQuantaBlockSegments decodes the quanta one block split owns, keeping
+// column-batch frames native. The blocks' segments, in order, are exactly the
+// file's quanta, each once. A file written without frame metadata is not a
+// quanta file: core.ErrCorruptQuantum.
 func ReadDFSQuantaBlockSegments(store *dfs.Store, name string, index int) ([]core.Segment, error) {
-	name = dfs.TrimScheme(name)
-	if !store.IsFramed(name) {
-		rows, err := ReadDFSQuantaBlock(store, name, index)
-		if err != nil {
-			return nil, err
-		}
-		if len(rows) == 0 {
-			return nil, nil
-		}
-		return []core.Segment{{Rows: rows}}, nil
+	frames, err := store.ReadBlockFrames(dfs.TrimScheme(name), index)
+	if errors.Is(err, dfs.ErrNotFramed) {
+		return nil, fmt.Errorf("%w: %v", core.ErrCorruptQuantum, err)
 	}
-	frames, err := store.ReadBlockFrames(name, index)
 	if err != nil {
 		return nil, err
 	}
@@ -125,41 +118,4 @@ func ReadDFSQuantaBlockSegments(store *dfs.Store, name string, index int) ([]cor
 		segs = append(segs, core.Segment{Rows: run})
 	}
 	return segs, nil
-}
-
-// ReadDFSQuantaBlock decodes the quanta one block split owns: binary frames
-// for framed files, JSON lines otherwise. Concatenating all blocks' results
-// yields exactly the file's quanta, each once.
-func ReadDFSQuantaBlock(store *dfs.Store, name string, index int) ([]any, error) {
-	name = dfs.TrimScheme(name)
-	if store.IsFramed(name) {
-		frames, err := store.ReadBlockFrames(name, index)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]any, 0, len(frames))
-		for _, f := range frames {
-			q, err := core.DecodeQuantumBinary(f)
-			if err != nil {
-				return nil, err
-			}
-			if cb, ok := q.(*core.ColumnBatch); ok {
-				out = cb.AppendRows(out)
-				continue
-			}
-			out = append(out, q)
-		}
-		return out, nil
-	}
-	lines, err := store.ReadBlockLines(name, index)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]any, len(lines))
-	for i, l := range lines {
-		if out[i], err = core.DecodeQuantum([]byte(l)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package driverutil
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -69,19 +70,20 @@ func TestDFSQuantaBlockReadsCoverFile(t *testing.T) {
 	}
 	var got []any
 	for i := range blocks {
-		part, err := ReadDFSQuantaBlock(s, "parts", i)
+		segs, err := ReadDFSQuantaBlockSegments(s, "parts", i)
 		if err != nil {
 			t.Fatalf("block %d: %v", i, err)
 		}
-		got = append(got, part...)
+		got = append(got, core.SegmentRows(segs)...)
 	}
 	if !reflect.DeepEqual(got, in) {
 		t.Fatalf("block reads: got %d quanta, want %d", len(got), len(in))
 	}
 }
 
-// TestDFSQuantaLegacyJSONLines: files written by earlier builds as tagged
-// JSON lines must still load, both whole-file and per-block.
+// TestDFSQuantaLegacyJSONLines: a DFS file of tagged JSON lines (the format
+// before the binary codec) is not a quanta file. The whole-file readers and
+// the per-block reader reject it as corrupt instead of parsing it as JSON.
 func TestDFSQuantaLegacyJSONLines(t *testing.T) {
 	s := quantaStore(t)
 	in := sampleQuanta(40)
@@ -96,27 +98,20 @@ func TestDFSQuantaLegacyJSONLines(t *testing.T) {
 	if err := s.WriteLines("legacy", lines); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadDFSQuanta(s, "legacy")
-	if err != nil {
-		t.Fatal(err)
+	if _, err := ReadDFSQuanta(s, "legacy"); !errors.Is(err, core.ErrCorruptQuantum) {
+		t.Errorf("ReadDFSQuanta: %v, want ErrCorruptQuantum", err)
 	}
-	if !reflect.DeepEqual(out, in) {
-		t.Fatalf("legacy whole read: got %d quanta, want %d", len(out), len(in))
+	if _, err := ReadDFSQuantaSegments(s, "legacy"); !errors.Is(err, core.ErrCorruptQuantum) {
+		t.Errorf("ReadDFSQuantaSegments: %v, want ErrCorruptQuantum", err)
 	}
 	_, blocks, err := s.Stat("legacy")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []any
 	for i := range blocks {
-		part, err := ReadDFSQuantaBlock(s, "legacy", i)
-		if err != nil {
-			t.Fatalf("legacy block %d: %v", i, err)
+		if _, err := ReadDFSQuantaBlockSegments(s, "legacy", i); !errors.Is(err, core.ErrCorruptQuantum) {
+			t.Errorf("block %d: %v, want ErrCorruptQuantum", i, err)
 		}
-		got = append(got, part...)
-	}
-	if !reflect.DeepEqual(got, in) {
-		t.Fatalf("legacy block reads: got %d quanta, want %d", len(got), len(in))
 	}
 }
 

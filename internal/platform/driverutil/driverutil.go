@@ -172,7 +172,7 @@ func runStage(e Engine, stage *core.Stage, in *core.Inputs) (map[*core.Operator]
 	}
 	// Vectorized-run counters are read after the terminal-out loop: lazy
 	// engines only run their kernels when ToChannel materializes the flow.
-	// Chains whose column path never engaged — kill switch on, or every
+	// Chains whose column path never engaged — a sniffed prefix, or every
 	// partition empty — are not reported: Vectorized describes what the
 	// columnar plane actually did, not what compiled.
 	for _, vr := range vecRuns {

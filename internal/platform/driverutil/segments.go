@@ -1,37 +1,49 @@
 package driverutil
 
-import "rheem/internal/core"
+import (
+	"fmt"
 
-// Batch-native channel movement. Quanta decoded from shuffle files, DFS
-// blocks, and spill channels arrive as core.Segments — runs of rows
-// interleaved with native column batches — and the helpers here carry them
-// to the engines' partitions without a row round-trip. The cardinal rule is
-// boundary identity: however a partition's quanta are carried, the set and
-// order of rows per partition must be byte-identical to the row path's, so
-// the RHEEM_NO_COLUMNAR kill switch (and any per-batch fallback) never
-// changes what downstream operators observe.
+	"rheem/internal/core"
+)
 
-// ChannelSegments extracts a collection- or file-typed channel's quanta as
-// segments when a batch-native representation is available: a
-// SegmentedDataset payload, or a quanta-file path whose batch frames decode
-// straight to column batches. ok=false — plain slice payloads, or the
-// columnar plane disabled (the kill switch must reproduce the exact legacy
-// path) — sends the caller to ChannelSlice.
-func ChannelSegments(ch *core.Channel) (segs []core.Segment, ok bool, err error) {
-	if core.ColumnarDisabled() {
-		return nil, false, nil
-	}
+// Partitions as segment runs. A partition at rest is a []core.Segment — runs
+// of rows interleaved with native column batches, as decoded off shuffle
+// files, DFS blocks and spill channels — and the helpers here carry channel
+// payloads to the engines' partitions in that one form, without a row
+// round-trip. The cardinal rule is boundary identity: however a partition's
+// quanta are carried, the set and order of rows per partition is that of the
+// flattened rows, so a per-batch fallback to the row kernel never changes
+// what downstream operators observe.
+
+// ChannelSegments extracts a collection- or file-typed channel's quanta as a
+// segment run: a slice payload is the one-segment run {Rows: data} (aliased,
+// not copied), a SegmentedDataset its segments, and a quanta-file path
+// decodes with batch frames kept as column batches.
+func ChannelSegments(ch *core.Channel) ([]core.Segment, error) {
 	switch p := ch.Payload.(type) {
+	case *core.SliceDataset:
+		return []core.Segment{{Rows: p.Data}}, nil
+	case []any:
+		return []core.Segment{{Rows: p}}, nil
 	case *core.SegmentedDataset:
-		return p.Segs, true, nil
+		return p.Segs, nil
 	case string:
-		segs, err := core.ReadQuantaFileSegments(p)
-		if err != nil {
-			return nil, false, err
-		}
-		return segs, true, nil
+		return core.ReadQuantaFileSegments(p)
+	default:
+		return nil, fmt.Errorf("driverutil: channel %s payload %T carries no quanta", ch.Desc.Name, ch.Payload)
 	}
-	return nil, false, nil
+}
+
+// RowSegments carries row partitions as segment runs: each partition is the
+// one-segment run {Rows: part}, aliased.
+func RowSegments(parts [][]any) [][]core.Segment {
+	segs := make([]core.Segment, len(parts))
+	out := make([][]core.Segment, len(parts))
+	for i, part := range parts {
+		segs[i].Rows = part
+		out[i] = segs[i : i+1 : i+1]
+	}
+	return out
 }
 
 // SplitSegments partitions a segment run into n contiguous parts with
@@ -82,26 +94,15 @@ func SplitSegments(segs []core.Segment, n int) [][]core.Segment {
 }
 
 // sliceSegment returns rows [lo:hi) of a segment; a whole batch stays
-// batch-native, a partial one expands to its boxed rows.
+// batch-native, a partial one expands to its boxed rows. Row runs are cut
+// with three-index slices, so appending to one partition can never write
+// into the next one's rows.
 func sliceSegment(s core.Segment, lo, hi int) core.Segment {
 	if s.Batch != nil {
 		if lo == 0 && hi == s.Batch.Len() {
 			return s
 		}
-		return core.Segment{Rows: s.Batch.AppendRows(nil)[lo:hi]}
+		return core.Segment{Rows: s.Batch.AppendRows(nil)[lo:hi:hi]}
 	}
-	return core.Segment{Rows: s.Rows[lo:hi]}
-}
-
-// SegmentRows flattens a partition's segments to row-major quanta.
-func SegmentRows(segs []core.Segment) []any {
-	n := 0
-	for _, s := range segs {
-		n += s.Len()
-	}
-	out := make([]any, 0, n)
-	for _, s := range segs {
-		out = s.AppendRows(out)
-	}
-	return out
+	return core.Segment{Rows: s.Rows[lo:hi:hi]}
 }

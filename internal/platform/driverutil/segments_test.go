@@ -53,7 +53,7 @@ func TestSplitSegmentsBoundaryIdentity(t *testing.T) {
 			if lo > hi {
 				lo = hi
 			}
-			got := SegmentRows(part)
+			got := core.SegmentRows(part)
 			want := flat[lo:hi]
 			if len(want) == 0 {
 				want = nil
@@ -81,7 +81,7 @@ func TestSplitSegmentsKeepsWholeBatchesNative(t *testing.T) {
 	parts = SplitSegments([]core.Segment{{Batch: b}, {Batch: b2}}, 3)
 	total := 0
 	for _, p := range parts {
-		total += len(SegmentRows(p))
+		total += len(core.SegmentRows(p))
 	}
 	if total != 100 {
 		t.Fatalf("split lost rows: %d", total)
@@ -111,7 +111,7 @@ func TestReadQuantaFileSegmentsNativeBatches(t *testing.T) {
 	if !sawBatch {
 		t.Fatal("no native batch segment decoded from a batch-framed file")
 	}
-	if got := SegmentRows(segs); !reflect.DeepEqual(got, quanta) {
+	if got := core.SegmentRows(segs); !reflect.DeepEqual(got, quanta) {
 		t.Fatalf("segment read mismatch: %d vs %d quanta", len(got), len(quanta))
 	}
 	// The row reader over the same file agrees.
@@ -121,5 +121,56 @@ func TestReadQuantaFileSegmentsNativeBatches(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rows, quanta) {
 		t.Fatal("row reader disagrees with writer")
+	}
+}
+
+// TestSplitSegmentsPartitionsDoNotBleed: partitions cut from one row run must
+// not share spare capacity — an append to one would otherwise overwrite the
+// first rows of the next (a caller-owned collection enters as one run).
+func TestSplitSegmentsPartitionsDoNotBleed(t *testing.T) {
+	src := []any{int64(1), int64(2), int64(3), int64(4)}
+	parts := SplitSegments([]core.Segment{{Rows: src}}, 2)
+	_ = append(parts[0][0].Rows, int64(42))
+	if got := parts[1][0].Rows[0]; got != int64(3) {
+		t.Fatalf("append to partition 0 wrote %v into partition 1", got)
+	}
+}
+
+// TestChannelSegmentsIsTotal: every payload a collection or file channel
+// carries comes back as a segment run over the same quanta; slices are
+// aliased (one row run), not copied.
+func TestChannelSegmentsIsTotal(t *testing.T) {
+	data := []any{int64(1), "two", core.Record{int64(3)}}
+	batch, ok := core.BatchFromRows([]any{core.Record{int64(7)}, core.Record{int64(8)}})
+	if !ok {
+		t.Fatal("BatchFromRows refused uniform records")
+	}
+	path := filepath.Join(t.TempDir(), "q.rqb")
+	if err := core.WriteQuantaFile(path, data); err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		payload any
+		want    []any
+	}{
+		"slice-dataset": {core.NewSliceDataset(data), data},
+		"bare-slice":    {data, data},
+		"segmented":     {core.NewSegmentedDataset([]core.Segment{{Rows: data}, {Batch: batch}}), append(append([]any{}, data...), batch.AppendRows(nil)...)},
+		"file":          {path, data},
+	} {
+		segs, err := ChannelSegments(core.NewChannel(core.CollectionChannel, tc.payload, -1))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := core.SegmentRows(segs); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: %v, want %v", name, got, tc.want)
+		}
+	}
+	segs, _ := ChannelSegments(core.NewChannel(core.CollectionChannel, core.NewSliceDataset(data), 3))
+	if len(segs) != 1 || &segs[0].Rows[0] != &data[0] {
+		t.Error("a slice payload was copied, not carried as one aliased row run")
+	}
+	if _, err := ChannelSegments(core.NewChannel(core.CollectionChannel, 42, -1)); err == nil {
+		t.Error("a payload that carries no quanta was accepted")
 	}
 }

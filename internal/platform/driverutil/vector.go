@@ -433,10 +433,9 @@ func (k *VectorKernel) runSteps(b *core.ColumnBatch, phys []int, counts []int64)
 }
 
 // columnPath reports whether the column loops may run at all: there is a
-// vectorized prefix, the kill switch is off, and no sniffer needs its steps'
-// quanta one at a time.
+// vectorized prefix and no sniffer needs its steps' quanta one at a time.
 func (k *VectorKernel) columnPath() bool {
-	return len(k.vec) > 0 && !core.ColumnarDisabled() && !k.prefixSniffed()
+	return len(k.vec) > 0 && !k.prefixSniffed()
 }
 
 // Run executes the kernel over one row partition. The contract is identical

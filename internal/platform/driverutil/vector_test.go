@@ -217,23 +217,9 @@ func TestVectorKernelFallbacks(t *testing.T) {
 		t.Fatalf("type-mismatch fallbacks = %d", fb)
 	}
 
-	// Kill switch: no column path, no fallback counted (it is not a
-	// degradation, the plane is off).
-	prev := core.SetColumnarDisabled(true)
-	k3, ref3 := compileBoth(t, []*core.Operator{f})
-	part := []any{core.Record{int64(1), "a"}, core.Record{int64(-1), "b"}}
-	got = k3.Run(part, nil, nil)
-	core.SetColumnarDisabled(prev)
-	want = ref3.Run(part, nil, nil)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("disabled: %v vs %v", got, want)
-	}
-	if batches, _, fb, _, _ := k3.Stats(); batches != 0 || fb != 0 {
-		t.Fatalf("disabled stats: batches=%d fallbacks=%d", batches, fb)
-	}
-
 	// A sniffer on a vectorized step forces the row path so the sniffer sees
 	// every emission.
+	part := []any{core.Record{int64(1), "a"}, core.Record{int64(-1), "b"}}
 	k4, _ := compileBoth(t, []*core.Operator{f})
 	var saw []any
 	k4.SetSniff(0, func(q any) { saw = append(saw, q) })

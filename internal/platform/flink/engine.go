@@ -21,10 +21,10 @@ type flow struct {
 	card   int64 // -1 unknown
 	errBox *errBox
 
-	// segs, set only on source flows built from batch-native channels, holds
-	// the per-instance quanta as column batches interleaved with row runs.
-	// start expands them, so row consumers see the identical stream; the
-	// batch-aware ApplyChain reads segs directly and skips the expansion.
+	// segs, set on flows over data at rest, holds the per-instance partitions
+	// as segment runs (row runs interleaved with column batches). start
+	// streams them row by row; ApplyChain hands them to the kernel whole,
+	// skipping the channel hop.
 	segs [][]core.Segment
 }
 
@@ -50,35 +50,8 @@ func (b *errBox) get() error {
 
 const chanBuf = 256
 
-func sliceFlow(parts [][]any) *flow {
-	var card int64
-	for _, p := range parts {
-		card += int64(len(p))
-	}
-	return &flow{
-		width: len(parts),
-		card:  card,
-		start: func() []chan any {
-			chans := make([]chan any, len(parts))
-			for i := range parts {
-				ch := make(chan any, chanBuf)
-				chans[i] = ch
-				go func(part []any, out chan any) {
-					for _, q := range part {
-						out <- q
-					}
-					close(out)
-				}(parts[i], ch)
-			}
-			return chans
-		},
-	}
-}
-
-// segFlow wraps batch-native per-instance partitions. Expanding each
-// instance's segments in order yields exactly the rows the row-carried flow
-// would stream, so every row consumer behaves identically.
-func segFlow(segs [][]core.Segment) *flow {
+// restFlow is the flow over data at rest: one segment run per instance.
+func restFlow(segs [][]core.Segment) *flow {
 	var card int64
 	for _, part := range segs {
 		for _, s := range part {
@@ -96,13 +69,11 @@ func segFlow(segs [][]core.Segment) *flow {
 				chans[i] = ch
 				go func(part []core.Segment, out chan any) {
 					for _, s := range part {
+						rows := s.Rows
 						if s.Batch != nil {
-							for _, q := range s.Batch.AppendRows(nil) {
-								out <- q
-							}
-							continue
+							rows = s.Batch.AppendRows(nil)
 						}
-						for _, q := range s.Rows {
+						for _, q := range rows {
 							out <- q
 						}
 					}
@@ -247,6 +218,11 @@ type engine struct {
 
 func (e *engine) width() int { return e.driver.Conf.Parallelism }
 
+// split cuts data into one balanced row run per parallel instance.
+func (e *engine) split(data []any) [][]core.Segment {
+	return driverutil.SplitSegments([]core.Segment{{Rows: data}}, e.width())
+}
+
 func (e *engine) exchangeBarrier() { sleepMs(e.driver.Conf.ExchangeLatencyMs) }
 
 // FromChannel implements driverutil.Engine.
@@ -257,37 +233,22 @@ func (e *engine) FromChannel(ch *core.Channel) (driverutil.Data, error) {
 		if !ok {
 			return nil, fmt.Errorf("flink: channel dataset payload %T", ch.Payload)
 		}
-		return sliceFlow(ds.Parts), nil
+		return restFlow(ds.Parts), nil
 	case "collection", "file":
-		// Batch-native inputs keep their column batches; SplitSegments
-		// reproduces partition's row boundaries exactly, so either carrier
-		// yields identical per-instance streams.
-		if segs, ok, err := driverutil.ChannelSegments(ch); err != nil {
-			return nil, err
-		} else if ok {
-			return segFlow(driverutil.SplitSegments(segs, e.width())), nil
-		}
-		data, err := driverutil.ChannelSlice(ch)
+		segs, err := driverutil.ChannelSegments(ch)
 		if err != nil {
 			return nil, err
 		}
-		return sliceFlow(partition(data, e.width()).Parts), nil
+		return restFlow(driverutil.SplitSegments(segs, e.width())), nil
 	case "dfs":
 		if e.driver.DFS == nil {
 			return nil, fmt.Errorf("flink: no DFS configured")
 		}
-		if !core.ColumnarDisabled() {
-			segs, err := driverutil.ReadDFSQuantaSegments(e.driver.DFS, ch.Payload.(string))
-			if err != nil {
-				return nil, err
-			}
-			return segFlow(driverutil.SplitSegments(segs, e.width())), nil
-		}
-		data, err := driverutil.ReadDFSQuanta(e.driver.DFS, ch.Payload.(string))
+		segs, err := driverutil.ReadDFSQuantaSegments(e.driver.DFS, ch.Payload.(string))
 		if err != nil {
 			return nil, err
 		}
-		return sliceFlow(partition(data, e.width()).Parts), nil
+		return restFlow(driverutil.SplitSegments(segs, e.width())), nil
 	default:
 		return nil, fmt.Errorf("flink: unsupported input channel %q", ch.Desc.Name)
 	}
@@ -305,7 +266,7 @@ func (e *engine) ToChannel(op *core.Operator, d driverutil.Data) (*core.Channel,
 			return nil, err
 		}
 	}
-	ds := &DataSet{Parts: parts}
+	ds := &DataSet{Parts: driverutil.RowSegments(parts)}
 	if op.Kind == core.KindCollectionSink {
 		data := ds.Collect()
 		return core.NewChannel(core.CollectionChannel, core.NewSliceDataset(data), int64(len(data))), nil
@@ -347,7 +308,7 @@ func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.Broadcas
 			n += int64(len(p))
 		}
 		*counter = n
-		return sliceFlow(parts), nil
+		return restFlow(driverutil.RowSegments(parts)), nil
 	}
 	return observed, nil
 }
@@ -363,10 +324,11 @@ var countMu sync.Mutex
 const fuseBatch = 256
 
 // ApplyChain implements driverutil.ChainEngine. A chain over a lazy flow
-// runs pipelined (streamChain). Data at rest — a batch-native source flow,
-// whose column batches then skip both the channel hop and the row→column
-// rebuild, or the drained input of a chain ending in a declarative
-// aggregation — goes to the kernel whole, one goroutine per instance. The
+// runs pipelined (streamChain). Data at rest — a flow built by restFlow,
+// whose segments then skip the channel hop (and its column batches the
+// row→column rebuild), or the drained input of a chain ending in a
+// declarative aggregation — goes to the kernel whole, one goroutine per
+// instance. The
 // aggregation is per-instance vectorized pre-aggregation, one exchange of
 // the group partials on the partial key, then per-instance merge and
 // finalize, so group emission order is first occurrence per exchanged
@@ -381,17 +343,14 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 		return e.streamChain(chain, kernel, f, counters)
 	}
 	segs := f.segs
-	if segs == nil {
+	if segs == nil { // a lazy flow feeding an aggregation: drain it
 		parts := f.materialize()
 		if f.errBox != nil {
 			if err := f.errBox.get(); err != nil {
 				return nil, err
 			}
 		}
-		segs = make([][]core.Segment, len(parts))
-		for i, part := range parts {
-			segs[i] = []core.Segment{{Rows: part}}
-		}
+		segs = driverutil.RowSegments(parts)
 	}
 	out := make([][]any, len(segs))
 	fanOut(len(segs), func(i int) error {
@@ -409,10 +368,10 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 		return nil
 	})
 	if agg == nil {
-		return sliceFlow(out), nil
+		return restFlow(driverutil.RowSegments(out)), nil
 	}
 	e.exchangeBarrier()
-	shuffled := sliceFlow(out).exchange(e.width(), agg.PartialKeyFn())
+	shuffled := restFlow(driverutil.RowSegments(out)).exchange(e.width(), agg.PartialKeyFn())
 	out, err := parallelParts(shuffled, func(part []any) ([]any, error) {
 		st := core.NewAggState(agg)
 		st.AbsorbPartials(part)
@@ -424,7 +383,7 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 	for _, p := range out {
 		*counters[kernel.Len()] += int64(len(p))
 	}
-	return sliceFlow(out), nil
+	return restFlow(driverutil.RowSegments(out)), nil
 }
 
 // streamChain runs a narrow chain as a single goroutine pipeline segment per
@@ -494,7 +453,7 @@ func (e *engine) streamChain(chain *driverutil.FusedChain, kernel *driverutil.Ve
 		if err := box.get(); err != nil {
 			return nil, err
 		}
-		return sliceFlow(parts), nil
+		return restFlow(driverutil.RowSegments(parts)), nil
 	}
 	return out, nil
 }
@@ -506,14 +465,14 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 		if len(in) > 0 {
 			return in[0], nil
 		}
-		return sliceFlow(partition(op.Params.Collection, w).Parts), nil
+		return restFlow(e.split(op.Params.Collection)), nil
 
 	case core.KindTextFileSource:
 		data, err := driverutil.ReadTextLines(e.driver.DFS, op.Params.Path)
 		if err != nil {
 			return nil, err
 		}
-		return sliceFlow(partition(data, w).Parts), nil
+		return restFlow(e.split(data)), nil
 
 	case core.KindMapPart:
 		if op.UDF.MapPart == nil {
@@ -557,7 +516,7 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 		if err != nil {
 			return nil, err
 		}
-		return sliceFlow(partition(data, w).Parts), nil
+		return restFlow(e.split(data)), nil
 
 	case core.KindDistinct:
 		e.exchangeBarrier()
@@ -568,7 +527,7 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 		if err != nil {
 			return nil, err
 		}
-		return sliceFlow(out), nil
+		return restFlow(driverutil.RowSegments(out)), nil
 
 	case core.KindSort:
 		// Flink sorts within instances and merges at the sink; a single
@@ -581,14 +540,14 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 		if err != nil {
 			return nil, err
 		}
-		return sliceFlow([][]any{mergeRuns(sorted, driverutil.LessOf(op))}), nil
+		return restFlow(driverutil.RowSegments([][]any{mergeRuns(sorted, driverutil.LessOf(op))})), nil
 
 	case core.KindCount:
 		var n int64
 		for _, part := range in[0].materialize() {
 			n += int64(len(part))
 		}
-		return sliceFlow([][]any{{n}}), nil
+		return restFlow(driverutil.RowSegments([][]any{{n}})), nil
 
 	case core.KindReduce:
 		parts := in[0].materialize()
@@ -606,7 +565,7 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 		if err != nil {
 			return nil, err
 		}
-		return sliceFlow([][]any{out}), nil
+		return restFlow(driverutil.RowSegments([][]any{out})), nil
 
 	case core.KindReduceBy:
 		if op.UDF.Key == nil || op.UDF.Reduce == nil {
@@ -620,7 +579,7 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 		if err != nil {
 			return nil, err
 		}
-		return sliceFlow(out), nil
+		return restFlow(driverutil.RowSegments(out)), nil
 
 	case core.KindGroupBy:
 		if op.UDF.Key == nil {
@@ -634,10 +593,10 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 		if err != nil {
 			return nil, err
 		}
-		return sliceFlow(out), nil
+		return restFlow(driverutil.RowSegments(out)), nil
 
 	case core.KindCache:
-		return sliceFlow(in[0].materialize()), nil
+		return restFlow(driverutil.RowSegments(in[0].materialize())), nil
 
 	case core.KindJoin:
 		if op.UDF.Key == nil {
@@ -654,7 +613,7 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 		if err != nil {
 			return nil, err
 		}
-		return sliceFlow(out), nil
+		return restFlow(driverutil.RowSegments(out)), nil
 
 	case core.KindIEJoin:
 		right := in[1].collect()
@@ -665,7 +624,7 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 		if err != nil {
 			return nil, err
 		}
-		return sliceFlow(out), nil
+		return restFlow(driverutil.RowSegments(out)), nil
 
 	case core.KindCartesian:
 		combine := driverutil.Combine(op)
@@ -694,7 +653,7 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 			out[i] = driverutil.Intersect(ls[i], rs[i])
 			return nil
 		})
-		return sliceFlow(out), nil
+		return restFlow(driverutil.RowSegments(out)), nil
 
 	case core.KindCoGroup:
 		if op.UDF.Key == nil {
@@ -711,24 +670,24 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 		if err != nil {
 			return nil, err
 		}
-		return sliceFlow(out), nil
+		return restFlow(driverutil.RowSegments(out)), nil
 
 	case core.KindPageRank:
 		out, err := e.pageRank(op, in[0].collect())
 		if err != nil {
 			return nil, err
 		}
-		return sliceFlow(partition(out, w).Parts), nil
+		return restFlow(e.split(out)), nil
 
 	case core.KindCollectionSink:
-		return sliceFlow(in[0].materialize()), nil
+		return restFlow(driverutil.RowSegments(in[0].materialize())), nil
 
 	case core.KindTextFileSink:
 		data := in[0].collect()
 		if err := driverutil.WriteTextLines(e.driver.DFS, op, data); err != nil {
 			return nil, err
 		}
-		return sliceFlow(partition(data, w).Parts), nil
+		return restFlow(e.split(data)), nil
 
 	default:
 		return nil, fmt.Errorf("flink: unsupported operator kind %s", op.Kind)

@@ -124,16 +124,19 @@ func (d *Driver) ChannelDescriptors() []core.ChannelDescriptor {
 	return out
 }
 
-// DataSet is the materialized form of a flow: parallel partitions.
+// DataSet is the materialized form of a flow: one segment run per parallel
+// instance.
 type DataSet struct {
-	Parts [][]any
+	Parts [][]core.Segment
 }
 
 // Count returns the total number of quanta.
 func (ds *DataSet) Count() int64 {
 	var n int64
-	for _, p := range ds.Parts {
-		n += int64(len(p))
+	for _, part := range ds.Parts {
+		for _, s := range part {
+			n += int64(s.Len())
+		}
 	}
 	return n
 }
@@ -141,8 +144,10 @@ func (ds *DataSet) Count() int64 {
 // Collect concatenates all partitions.
 func (ds *DataSet) Collect() []any {
 	out := make([]any, 0, ds.Count())
-	for _, p := range ds.Parts {
-		out = append(out, p...)
+	for _, part := range ds.Parts {
+		for _, s := range part {
+			out = s.AppendRows(out)
+		}
 	}
 	return out
 }
@@ -154,11 +159,12 @@ func (d *Driver) Conversions() []*core.Conversion {
 			Name: "flink.from-collection", From: "collection", To: "dataset",
 			FixedCostMs: 2, PerQuantumMs: 0.0008,
 			Convert: func(in *core.Channel) (*core.Channel, error) {
-				data, err := driverutil.ChannelSlice(in)
+				segs, err := driverutil.ChannelSegments(in)
 				if err != nil {
 					return nil, err
 				}
-				return core.NewChannel(DataSetChannel, partition(data, d.Conf.Parallelism), int64(len(data))), nil
+				ds := &DataSet{Parts: driverutil.SplitSegments(segs, d.Conf.Parallelism)}
+				return core.NewChannel(DataSetChannel, ds, ds.Count()), nil
 			},
 		},
 		{
@@ -179,11 +185,12 @@ func (d *Driver) Conversions() []*core.Conversion {
 			Name: "flink.dfs-load", From: "dfs", To: "dataset",
 			FixedCostMs: 7, PerQuantumMs: 0.002,
 			Convert: func(in *core.Channel) (*core.Channel, error) {
-				data, err := driverutil.ReadDFSQuanta(d.DFS, in.Payload.(string))
+				segs, err := driverutil.ReadDFSQuantaSegments(d.DFS, in.Payload.(string))
 				if err != nil {
 					return nil, err
 				}
-				return core.NewChannel(DataSetChannel, partition(data, d.Conf.Parallelism), int64(len(data))), nil
+				ds := &DataSet{Parts: driverutil.SplitSegments(segs, d.Conf.Parallelism)}
+				return core.NewChannel(DataSetChannel, ds, ds.Count()), nil
 			},
 		})
 	}
@@ -242,27 +249,4 @@ func sleepMs(ms float64) {
 	if ms > 0 {
 		time.Sleep(time.Duration(ms * float64(time.Millisecond)))
 	}
-}
-
-func partition(data []any, n int) *DataSet {
-	if n < 1 {
-		n = 1
-	}
-	parts := make([][]any, n)
-	if len(data) == 0 {
-		return &DataSet{Parts: parts}
-	}
-	chunk := (len(data) + n - 1) / n
-	for i := 0; i < n; i++ {
-		lo := i * chunk
-		if lo >= len(data) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(data) {
-			hi = len(data)
-		}
-		parts[i] = data[lo:hi]
-	}
-	return &DataSet{Parts: parts}
 }

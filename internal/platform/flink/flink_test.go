@@ -164,7 +164,8 @@ func TestConversionsRoundTrip(t *testing.T) {
 }
 
 func TestExchangeKeepsKeysTogether(t *testing.T) {
-	f := sliceFlow(partition(mkKVs(500, 13), 4).Parts)
+	e := &engine{driver: NewWithConfig(nil, fastConf())}
+	f := restFlow(e.split(mkKVs(500, 13)))
 	parts := f.exchange(4, func(q any) any { return q.(core.KV).Key })
 	where := map[int64]int{}
 	var total int

@@ -31,7 +31,7 @@ func engines() []core.Driver {
 // reference's output of op.
 func checkSniffed(t *testing.T, d core.Driver, p *core.Plan, op *core.Operator) {
 	t.Helper()
-	want, err := platformtest.Interpret(p)
+	want, err := platformtest.Interpret(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,12 @@ import (
 // partitions, no two-phase aggregation. The narrow kinds and the declarative
 // reduce-by, which the engines run only through compiled kernels, are
 // written out here independently of them; the wide kinds call the shared
-// driverutil slice kernels the engines use too. The result maps every
-// operator to its output: a sink's entry is the rows it collects, and the
-// length of any entry is that operator's output cardinality.
-func Interpret(p *core.Plan) (map[*core.Operator][]any, error) {
+// driverutil slice kernels the engines use too. tables supplies the rows of
+// the relational tables the plan scans (nil for a plan without table
+// sources). The result maps every operator to its output: a sink's entry is
+// the rows it collects, and the length of any entry is that operator's
+// output cardinality.
+func Interpret(p *core.Plan, tables TableRows) (map[*core.Operator][]any, error) {
 	order, err := p.TopoOrder()
 	if err != nil {
 		return nil, err
@@ -30,17 +32,50 @@ func Interpret(p *core.Plan) (map[*core.Operator][]any, error) {
 		for i, producer := range op.Inputs() {
 			in[i] = out[producer]
 		}
-		if out[op], err = interpretOp(op, in); err != nil {
+		if out[op], err = interpretOp(op, in, tables); err != nil {
 			return nil, fmt.Errorf("interpret: %s: %w", op, err)
 		}
 	}
 	return out, nil
 }
 
-func interpretOp(op *core.Operator, in [][]any) (out []any, err error) {
+// TableRows returns every row of a relational-store table, unfiltered and
+// unprojected.
+type TableRows func(store, table string) ([]any, error)
+
+// interpretTableSource is the table scan, row at a time: the rows the
+// source's pushed-down predicate keeps, projected onto its column list.
+func interpretTableSource(op *core.Operator, tables TableRows) (out []any, err error) {
+	if tables == nil {
+		return nil, fmt.Errorf("no table rows supplied")
+	}
+	rows, err := tables(op.Params.Store, op.Params.Table)
+	if err != nil {
+		return nil, err
+	}
+	for _, q := range rows {
+		rec := q.(core.Record)
+		if w := op.Params.Where; w != nil && !w.Eval(rec) {
+			continue
+		}
+		if op.Params.Columns != nil {
+			proj := core.Record{}
+			for _, c := range op.Params.Columns {
+				proj = append(proj, rec[c])
+			}
+			rec = proj
+		}
+		out = append(out, rec)
+	}
+	return out, nil
+}
+
+func interpretOp(op *core.Operator, in [][]any, tables TableRows) (out []any, err error) {
 	switch op.Kind {
 	case core.KindCollectionSource:
 		return op.Params.Collection, nil
+	case core.KindTableSource:
+		return interpretTableSource(op, tables)
 	case core.KindMap:
 		for _, q := range in[0] {
 			out = append(out, op.UDF.Map(q))

@@ -125,7 +125,7 @@ func ExecPlan(d core.Driver, p *core.Plan, sniffers map[*core.Operator]func(any)
 // the reference's output cardinality. It returns the stage statistics.
 func CheckPlan(t *testing.T, d core.Driver, p *core.Plan) *core.StageStats {
 	t.Helper()
-	want, err := Interpret(p)
+	want, err := Interpret(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

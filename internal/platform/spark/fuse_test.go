@@ -1,7 +1,6 @@
 package spark
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -73,16 +72,85 @@ func TestPartitionCopiesInput(t *testing.T) {
 	// Mutating the caller's slice after partitioning must not leak into the
 	// RDD (partitions used to alias the input's backing array).
 	src[0] = int64(99)
-	if got := r.Parts[0][0]; got != int64(1) {
+	parts := r.rows()
+	if got := parts[0][0]; got != int64(1) {
 		t.Fatalf("partition aliases caller slice: got %v", got)
 	}
 	// Appending to one partition must not clobber its neighbor: the
 	// partitions are sliced with capacity clamped to their own window.
-	p0 := append(r.Parts[0], int64(42))
-	if r.Parts[1][0] != int64(3) {
-		t.Fatalf("append to part 0 bled into part 1: %v", r.Parts[1])
+	p0 := append(parts[0], int64(42))
+	if parts[1][0] != int64(3) {
+		t.Fatalf("append to part 0 bled into part 1: %v", parts[1])
 	}
 	_ = p0
+}
+
+// TestCallerOwnedCollectionSurvivesMutatingUDF pins the copy at the places a
+// caller-owned slice enters spark: a MapPart UDF may overwrite the partition
+// it is handed, so the same plan-held collection — as an in-stage source, as
+// a collection channel, and through spark.parallelize — must give the same
+// result when executed a second time.
+func TestCallerOwnedCollectionSurvivesMutatingUDF(t *testing.T) {
+	d := NewWithConfig(nil, fastConf())
+	const n = 1000
+	held := make([]any, n)
+	for i := range held {
+		held[i] = int64(i)
+	}
+	doubleInPlace := func(part []any) []any {
+		for i, q := range part {
+			part[i] = q.(int64) * 2
+		}
+		return part
+	}
+	var parallelize *core.Conversion
+	for _, c := range d.Conversions() {
+		if c.Name == "spark.parallelize" {
+			parallelize = c
+		}
+	}
+	entries := map[string]func() (*core.Operator, *core.Channel){
+		"in-stage source": func() (*core.Operator, *core.Channel) {
+			return &core.Operator{Kind: core.KindCollectionSource, Label: "src", Params: core.Params{Collection: held}}, nil
+		},
+		"collection channel": func() (*core.Operator, *core.Channel) {
+			return nil, core.NewChannel(core.CollectionChannel, core.NewSliceDataset(held), n)
+		},
+		"spark.parallelize": func() (*core.Operator, *core.Channel) {
+			ch, err := parallelize.Convert(core.NewChannel(core.CollectionChannel, core.NewSliceDataset(held), n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return nil, ch
+		},
+	}
+	for name, entry := range entries {
+		for run := 1; run <= 2; run++ {
+			src, ch := entry()
+			mp := &core.Operator{Kind: core.KindMapPart, Label: "double", UDF: core.UDFs{MapPart: doubleInPlace}}
+			p := core.NewPlan("own")
+			p.Add(mp)
+			stage := &core.Stage{ID: run, Platform: d.Name(), Ops: []*core.Operator{mp}, TerminalOuts: []*core.Operator{mp}}
+			in := core.NewInputs()
+			if src != nil {
+				p.Add(src)
+				p.Chain(src, mp)
+				stage.Ops = []*core.Operator{src, mp}
+			} else {
+				in.Main[mp] = []*core.Channel{ch}
+			}
+			outs, _, err := d.Execute(stage, in)
+			if err != nil {
+				t.Fatalf("%s run %d: %v", name, run, err)
+			}
+			got := platformtest.SortedInts(t, outs[mp].Payload.(*RDD).Collect())
+			for i, v := range got {
+				if v != int64(2*i) {
+					t.Fatalf("%s run %d: quantum %d is %d, want %d (the held collection was overwritten)", name, run, i, v, 2*i)
+				}
+			}
+		}
+	}
 }
 
 func TestFusedChainMatchesUnfused(t *testing.T) {
@@ -121,7 +189,7 @@ func TestFusedChainUDFPanicFailsJob(t *testing.T) {
 // maps, 2 predicate filters that each keep ~90%) over n int64 quanta — the
 // same shape as narrowChain but in the forms the vectorized kernel
 // compiles to column loops.
-func declChainOps(n int) []*core.Operator {
+func declChainOps(n int) (*core.Plan, []*core.Operator) {
 	data := make([]any, n)
 	for i := range data {
 		data[i] = int64(i)
@@ -153,45 +221,21 @@ func declChainOps(n int) []*core.Operator {
 		p.Add(op)
 	}
 	p.Chain(ops...)
-	return ops
+	return p, ops
 }
 
 func TestColumnarChainMatchesRowChain(t *testing.T) {
+	// The 8-op declarative chain runs as column loops; its output and every
+	// operator's observed cardinality must be the reference interpreter's,
+	// and the column path must really have run.
 	d := NewWithConfig(nil, fastConf())
-	ops := declChainOps(50_000)
-
-	stage, in := chainStage(d, ops)
-	outs, stats, err := d.Execute(stage, in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, _ := declChainOps(50_000)
+	stats := platformtest.CheckPlan(t, d, p)
 	if len(stats.Vectorized) != 1 || stats.Vectorized[0].VecSteps != 8 {
 		t.Fatalf("expected one fully-vectorized chain, got %+v", stats.Vectorized)
 	}
 	if stats.Vectorized[0].Batches == 0 || stats.Vectorized[0].Rows == 0 {
 		t.Fatalf("column path never engaged: %+v", stats.Vectorized[0])
-	}
-	columnar := outs[ops[len(ops)-1]].Payload.(*RDD).Collect()
-
-	prev := core.SetColumnarDisabled(true)
-	stage2, in2 := chainStage(d, ops)
-	outs2, stats2, err := d.Execute(stage2, in2)
-	core.SetColumnarDisabled(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats2.Vectorized) != 0 {
-		t.Fatalf("columnar ran while disabled: %+v", stats2.Vectorized)
-	}
-	row := outs2[ops[len(ops)-1]].Payload.(*RDD).Collect()
-
-	if !reflect.DeepEqual(columnar, row) {
-		t.Fatalf("columnar output (%d rows) differs from row (%d rows)", len(columnar), len(row))
-	}
-	for _, op := range ops {
-		if stats.OutCards[op] != stats2.OutCards[op] {
-			t.Fatalf("op %s cardinality: columnar %d, row %d", op, stats.OutCards[op], stats2.OutCards[op])
-		}
 	}
 }
 
@@ -228,45 +272,20 @@ func aggChainOps(n int) []*core.Operator {
 
 // BenchmarkColumnarAggChain measures a declarative filter->map->reduce-by
 // chain over 1M records, with the trailing aggregation absorbed into the
-// fused kernel: vectorized (whole batches into the grouped-aggregation
-// kernel) vs. the fused row path (RHEEM_NO_COLUMNAR).
+// fused kernel: whole batches into the grouped-aggregation kernel.
 func BenchmarkColumnarAggChain(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		off  bool
-	}{{"vectorized", false}, {"row-fused", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			prev := core.SetColumnarDisabled(mode.off)
-			defer core.SetColumnarDisabled(prev)
-			d := NewWithConfig(nil, Config{
-				Parallelism:      8,
-				ContextStartupMs: NoOverheadMs,
-				JobStartupMs:     NoOverheadMs,
-				ShuffleLatencyMs: NoOverheadMs,
-			})
-			ops := aggChainOps(1_000_000)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				stage, in := chainStage(d, ops)
-				if _, _, err := d.Execute(stage, in); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	benchChain(b, aggChainOps(1_000_000))
 }
 
-// BenchmarkSparkNarrowChain measures an 8-op narrow chain over 1M quanta:
-// one single-pass kernel per partition.
-func BenchmarkSparkNarrowChain(b *testing.B) {
+// benchChain executes ops as one spark stage per iteration, simulated
+// overheads off.
+func benchChain(b *testing.B, ops []*core.Operator) {
 	d := NewWithConfig(nil, Config{
 		Parallelism:      8,
 		ContextStartupMs: NoOverheadMs,
 		JobStartupMs:     NoOverheadMs,
 		ShuffleLatencyMs: NoOverheadMs,
 	})
-	_, ops := narrowChain(1_000_000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -277,33 +296,16 @@ func BenchmarkSparkNarrowChain(b *testing.B) {
 	}
 }
 
+// BenchmarkSparkNarrowChain measures an 8-op narrow chain over 1M quanta:
+// one single-pass kernel per partition.
+func BenchmarkSparkNarrowChain(b *testing.B) {
+	_, ops := narrowChain(1_000_000)
+	benchChain(b, ops)
+}
+
 // BenchmarkColumnarNarrowChain measures an 8-op declarative chain over 1M
-// quanta, vectorized (column loops with a selection vector) vs. the fused
-// row kernel (RHEEM_NO_COLUMNAR path). Both modes fuse; the delta isolates
-// the columnar data plane.
+// quanta: column loops with a selection vector.
 func BenchmarkColumnarNarrowChain(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		off  bool
-	}{{"vectorized", false}, {"row-fused", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			prev := core.SetColumnarDisabled(mode.off)
-			defer core.SetColumnarDisabled(prev)
-			d := NewWithConfig(nil, Config{
-				Parallelism:      8,
-				ContextStartupMs: NoOverheadMs,
-				JobStartupMs:     NoOverheadMs,
-				ShuffleLatencyMs: NoOverheadMs,
-			})
-			ops := declChainOps(1_000_000)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				stage, in := chainStage(d, ops)
-				if _, _, err := d.Execute(stage, in); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	_, ops := declChainOps(1_000_000)
+	benchChain(b, ops)
 }

@@ -21,7 +21,7 @@ func (e *engine) pageRank(op *core.Operator, edges *RDD) (*RDD, error) {
 		damping = 0.85
 	}
 	w := e.width()
-	p := len(edges.Parts)
+	p := len(edges.parts())
 	if p < 1 {
 		p = 1
 	}
@@ -30,7 +30,7 @@ func (e *engine) pageRank(op *core.Operator, edges *RDD) (*RDD, error) {
 	// by source vertex hash so each vertex's edges live on one partition.
 	bySrc := edges.shuffleBy(w, p, func(q any) any {
 		return q.(core.Edge).Src
-	})
+	}).rows()
 	type adjPart struct {
 		adj      map[int64][]int64
 		vertices map[int64]bool
@@ -39,7 +39,7 @@ func (e *engine) pageRank(op *core.Operator, edges *RDD) (*RDD, error) {
 	var badQuantum error
 	pool(p, w, func(i int) {
 		ap := adjPart{adj: map[int64][]int64{}, vertices: map[int64]bool{}}
-		for _, q := range bySrc.Parts[i] {
+		for _, q := range bySrc[i] {
 			edge, ok := q.(core.Edge)
 			if !ok {
 				badQuantum = fmt.Errorf("spark.pagerank: quantum %T is not an Edge", q)

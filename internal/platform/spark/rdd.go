@@ -15,95 +15,69 @@ import (
 	"rheem/internal/platform/driverutil"
 )
 
-// RDD is a partitioned in-memory dataset. Partitions are either row-major
-// (Parts) or batch-native (Segs: column batches interleaved with row runs,
-// as decoded off quanta files and DFS blocks). Segment-backed partitions
-// have exactly the row boundaries Partition would produce, and materialize
-// lazily on first row-oriented access — batch-aware paths (ApplyChain) run
-// them without the row round-trip.
+// RDD is a partitioned in-memory dataset. A partition is a segment run: row
+// runs interleaved with column batches as decoded off quanta files and DFS
+// blocks, or the one-segment run {Rows: part} an operator produced. The
+// chain kernel takes partitions as they are; the row-oriented operators go
+// through rows, which flattens a batch-holding partition once.
 type RDD struct {
-	Parts  [][]any
+	Parts  [][]core.Segment
 	Cached bool
 
-	mu   sync.Mutex // guards lazy materialization of Segs into Parts
-	Segs [][]core.Segment
+	mu sync.Mutex // guards Parts: rows replaces it when it flattens
 }
 
-// NewRDD wraps existing partitions.
-func NewRDD(parts [][]any) *RDD { return &RDD{Parts: parts} }
+// NewRDD wraps row partitions, each as a one-segment run.
+func NewRDD(rows [][]any) *RDD { return &RDD{Parts: driverutil.RowSegments(rows)} }
 
-// NewSegRDD wraps batch-native partitions.
-func NewSegRDD(segs [][]core.Segment) *RDD { return &RDD{Segs: segs} }
-
-// materialize fills Parts from Segs on first row-oriented access. Safe for
-// concurrent callers (a reusable channel can feed parallel stages).
-func (r *RDD) materialize() *RDD {
-	if r.Segs == nil {
-		return r
-	}
+// parts returns the partitions as segment runs. The returned slice is never
+// written again (rows swaps in a new one), so callers read it unlocked. Safe
+// for concurrent callers: a reusable channel can feed parallel stages.
+func (r *RDD) parts() [][]core.Segment {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.Parts == nil {
-		parts := make([][]any, len(r.Segs))
-		for i, segs := range r.Segs {
-			parts[i] = driverutil.SegmentRows(segs)
+	return r.Parts
+}
+
+// rows returns every partition row-major, the form the row-oriented
+// operators take. Partitions that are not already one row run are flattened
+// and kept that way, so a batch-holding RDD pays the expansion once however
+// many operators read it.
+func (r *RDD) rows() [][]any {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([][]any, len(r.Parts))
+	flat := true
+	for i, segs := range r.Parts {
+		if len(segs) == 1 && segs[0].Batch == nil {
+			out[i] = segs[0].Rows
+		} else if len(segs) > 0 {
+			out[i] = core.SegmentRows(segs)
+			flat = false
 		}
-		r.Parts = parts
 	}
-	return r
-}
-
-// segments returns every partition as a segment run, the one form the chain
-// kernel takes: the batch-native partitions while the RDD still carries them
-// unmaterialized, else each row partition as the one-segment run {Rows: part}.
-func (r *RDD) segments() [][]core.Segment {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.Parts == nil && r.Segs != nil {
-		return r.Segs
+	if !flat {
+		r.Parts = driverutil.RowSegments(out)
 	}
-	segs := make([][]core.Segment, len(r.Parts))
-	for i, part := range r.Parts {
-		segs[i] = []core.Segment{{Rows: part}}
-	}
-	return segs
+	return out
 }
 
 // Partition splits data into n balanced partitions. The partitions get
 // their own backing array: callers hand in slices they still own (cached
-// plan collections, result-cache payloads), and partitions flow into
-// kernels that may compact in place — aliasing the input would corrupt it.
+// plan collections, result-cache payloads), and partitions flow into user
+// code that may write to them (a MapPart UDF) — aliasing the input would
+// corrupt it. SplitSegments cuts with three-index slices, so appending to
+// one partition can never bleed into the next one's data.
 func Partition(data []any, n int) *RDD {
-	if n < 1 {
-		n = 1
-	}
-	parts := make([][]any, n)
-	if len(data) == 0 {
-		return &RDD{Parts: parts}
-	}
 	owned := make([]any, len(data))
 	copy(owned, data)
-	chunk := (len(data) + n - 1) / n
-	for i := 0; i < n; i++ {
-		lo := i * chunk
-		if lo >= len(data) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(data) {
-			hi = len(data)
-		}
-		// Three-index slices so appending to one partition can never bleed
-		// into the next one's data.
-		parts[i] = owned[lo:hi:hi]
-	}
-	return &RDD{Parts: parts}
+	return &RDD{Parts: driverutil.SplitSegments([]core.Segment{{Rows: owned}}, n)}
 }
 
 // Count returns the total number of quanta.
 func (r *RDD) Count() int64 {
 	var n int64
-	for _, part := range r.segments() {
+	for _, part := range r.parts() {
 		for _, s := range part {
 			n += int64(s.Len())
 		}
@@ -113,10 +87,12 @@ func (r *RDD) Count() int64 {
 
 // Collect concatenates all partitions in order.
 func (r *RDD) Collect() []any {
-	r.materialize()
+	parts := r.parts()
 	out := make([]any, 0, r.Count())
-	for _, p := range r.Parts {
-		out = append(out, p...)
+	for _, part := range parts {
+		for _, s := range part {
+			out = s.AppendRows(out)
+		}
 	}
 	return out
 }
@@ -184,24 +160,24 @@ func poolErr(n, width int, fn func(i int) error) error {
 
 // mapPartitions applies fn to every partition in parallel.
 func (r *RDD) mapPartitions(width int, fn func(part []any) []any) *RDD {
-	r.materialize()
-	out := make([][]any, len(r.Parts))
-	pool(len(r.Parts), width, func(i int) { out[i] = fn(r.Parts[i]) })
+	parts := r.rows()
+	out := make([][]any, len(parts))
+	pool(len(parts), width, func(i int) { out[i] = fn(parts[i]) })
 	return NewRDD(out)
 }
 
 // shuffleBy hash-partitions all quanta by key into p output partitions
 // (a full shuffle: map-side bucketing in parallel, then bucket exchange).
 func (r *RDD) shuffleBy(width, p int, key func(any) any) *RDD {
-	r.materialize()
+	parts := r.rows()
 	if p < 1 {
 		p = 1
 	}
 	// Map side: each input partition scatters into p buckets.
-	buckets := make([][][]any, len(r.Parts))
-	pool(len(r.Parts), width, func(i int) {
+	buckets := make([][][]any, len(parts))
+	pool(len(parts), width, func(i int) {
 		local := make([][]any, p)
-		for _, q := range r.Parts[i] {
+		for _, q := range parts[i] {
 			h := driverutil.HashKey(core.GroupKey(key(q))) % uint64(p)
 			local[h] = append(local[h], q)
 		}
@@ -222,13 +198,13 @@ func (r *RDD) shuffleBy(width, p int, key func(any) any) *RDD {
 // rangeShuffle redistributes quanta into ordered ranges using sampled
 // splitters under less, the building block of the parallel sort.
 func (r *RDD) rangeShuffle(width, p int, less func(a, b any) bool) *RDD {
-	r.materialize()
+	parts := r.rows()
 	if p < 1 {
 		p = 1
 	}
 	// Sample up to 20 quanta per partition for splitter selection.
 	var sample []any
-	for _, part := range r.Parts {
+	for _, part := range parts {
 		step := len(part)/20 + 1
 		for i := 0; i < len(part); i += step {
 			sample = append(sample, part[i])
@@ -246,10 +222,10 @@ func (r *RDD) rangeShuffle(width, p int, less func(a, b any) bool) *RDD {
 		lo := sort.Search(len(splitters), func(i int) bool { return less(q, splitters[i]) })
 		return lo
 	}
-	buckets := make([][][]any, len(r.Parts))
-	pool(len(r.Parts), width, func(i int) {
+	buckets := make([][][]any, len(parts))
+	pool(len(parts), width, func(i int) {
 		local := make([][]any, p)
-		for _, q := range r.Parts[i] {
+		for _, q := range parts[i] {
 			j := place(q)
 			local[j] = append(local[j], q)
 		}

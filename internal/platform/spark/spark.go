@@ -3,6 +3,7 @@ package spark
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -181,8 +182,8 @@ func (d *Driver) Conversions() []*core.Conversion {
 					if !ok {
 						return nil, fmt.Errorf("spark.dfs-save: payload %T", in.Payload)
 					}
-					name := fmt.Sprintf("spill/spark-%p.jsonl", in)
-					if err := writeDFSQuanta(d.DFS, name, r.Collect()); err != nil {
+					name := fmt.Sprintf("spill/spark-%p.rqb", in)
+					if err := driverutil.WriteDFSQuanta(d.DFS, name, r.Collect()); err != nil {
 						return nil, err
 					}
 					return core.NewChannel(core.ChannelDescriptor{Name: "dfs", Reusable: true, AtRest: true}, dfs.Scheme+name, in.Card), nil
@@ -267,19 +268,17 @@ func (e *engine) FromChannel(ch *core.Channel) (driverutil.Data, error) {
 		}
 		return r, nil
 	case "collection", "file":
-		// Batch-native inputs (quanta files, segment-carrying datasets) keep
-		// their column batches; SplitSegments reproduces Partition's row
-		// boundaries exactly, so either carrier yields identical partitions.
-		if segs, ok, err := driverutil.ChannelSegments(ch); err != nil {
-			return nil, err
-		} else if ok {
-			return NewSegRDD(driverutil.SplitSegments(segs, e.width())), nil
+		if ds, ok := ch.Payload.(*core.SliceDataset); ok {
+			// A slice its producer still owns (a plan's collection, a
+			// result-cache payload): Partition copies. Decoded quanta below
+			// are the decoder's and enter as they are.
+			return Partition(ds.Data, e.width()), nil
 		}
-		data, err := driverutil.ChannelSlice(ch)
+		segs, err := driverutil.ChannelSegments(ch)
 		if err != nil {
 			return nil, err
 		}
-		return Partition(data, e.width()), nil
+		return &RDD{Parts: driverutil.SplitSegments(segs, e.width())}, nil
 	case "dfs":
 		return e.driver.loadDFSQuanta(ch.Payload.(string))
 	default:
@@ -317,7 +316,7 @@ func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.Broadcas
 		if !ok {
 			return nil, fmt.Errorf("spark: %s input %d is %T, not an RDD", op, i, d)
 		}
-		ins[i] = r.materialize() // operators outside a chain kernel are row-oriented
+		ins[i] = r
 	}
 	out, err := e.apply(op, ins, round)
 	if err != nil {
@@ -325,7 +324,7 @@ func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.Broadcas
 	}
 	*counter = out.Count()
 	if sniff != nil {
-		for _, part := range out.Parts {
+		for _, part := range out.rows() {
 			for _, q := range part {
 				sniff(q)
 			}
@@ -347,7 +346,7 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 	if !ok {
 		return nil, fmt.Errorf("spark: fused chain input is %T, not an RDD", in)
 	}
-	segs := r.segments()
+	segs := r.parts()
 	agg := kernel.Agg()
 	out := make([][]any, len(segs))
 	pool(len(segs), e.width(), func(i int) {
@@ -397,13 +396,14 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 
 	case core.KindZipWithID:
 		// Deterministic global ids: offset by partition prefix counts.
-		offsets := make([]int64, len(in[0].Parts)+1)
-		for i, p := range in[0].Parts {
+		parts := in[0].rows()
+		offsets := make([]int64, len(parts)+1)
+		for i, p := range parts {
 			offsets[i+1] = offsets[i] + int64(len(p))
 		}
-		out := make([][]any, len(in[0].Parts))
-		pool(len(in[0].Parts), w, func(i int) {
-			part := in[0].Parts[i]
+		out := make([][]any, len(parts))
+		pool(len(parts), w, func(i int) {
+			part := parts[i]
 			res := make([]any, len(part))
 			for j, q := range part {
 				res[j] = core.KV{Key: offsets[i] + int64(j), Value: q}
@@ -417,13 +417,13 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 
 	case core.KindDistinct:
 		e.shuffleBarrier()
-		return in[0].shuffleBy(w, len(in[0].Parts), func(q any) any { return q }).
+		return in[0].shuffleBy(w, len(in[0].parts()), func(q any) any { return q }).
 			mapPartitions(w, driverutil.Distinct), nil
 
 	case core.KindSort:
 		e.shuffleBarrier()
 		less := driverutil.LessOf(op)
-		ranged := in[0].rangeShuffle(w, len(in[0].Parts), less)
+		ranged := in[0].rangeShuffle(w, len(in[0].parts()), less)
 		return ranged.mapPartitions(w, func(part []any) []any {
 			return driverutil.Sort(op, part)
 		}), nil
@@ -457,7 +457,7 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 			return nil, err
 		}
 		e.shuffleBarrier()
-		shuffled := combined.shuffleBy(w, len(in[0].Parts), op.UDF.Key)
+		shuffled := combined.shuffleBy(w, len(in[0].parts()), op.UDF.Key)
 		return e.mapPartsErr(shuffled, func(part []any) ([]any, error) {
 			return driverutil.ReduceByKey(op, part)
 		})
@@ -467,27 +467,25 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 			return nil, fmt.Errorf("group-by %s lacks a key UDF", op)
 		}
 		e.shuffleBarrier()
-		shuffled := in[0].shuffleBy(w, len(in[0].Parts), op.UDF.Key)
+		shuffled := in[0].shuffleBy(w, len(in[0].parts()), op.UDF.Key)
 		return e.mapPartsErr(shuffled, func(part []any) ([]any, error) {
 			return driverutil.GroupByKey(op, part)
 		})
 
 	case core.KindCache:
-		out := NewRDD(in[0].Parts)
-		out.Cached = true
-		return out, nil
+		return &RDD{Parts: in[0].parts(), Cached: true}, nil
 
 	case core.KindJoin:
 		if op.UDF.Key == nil {
 			return nil, fmt.Errorf("join %s lacks a key UDF", op)
 		}
 		e.shuffleBarrier()
-		p := maxInt(len(in[0].Parts), len(in[1].Parts))
-		ls := in[0].shuffleBy(w, p, op.UDF.Key)
-		rs := in[1].shuffleBy(w, p, driverutil.KeyRight(op))
+		p := maxInt(len(in[0].parts()), len(in[1].parts()))
+		ls := in[0].shuffleBy(w, p, op.UDF.Key).rows()
+		rs := in[1].shuffleBy(w, p, driverutil.KeyRight(op)).rows()
 		out := make([][]any, p)
 		err := poolErr(p, w, func(i int) (err error) {
-			out[i], err = driverutil.HashJoin(op, ls.Parts[i], rs.Parts[i])
+			out[i], err = driverutil.HashJoin(op, ls[i], rs[i])
 			return err
 		})
 		if err != nil {
@@ -506,7 +504,7 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 
 	case core.KindCartesian:
 		combine := driverutil.Combine(op)
-		lp, rp := in[0].Parts, in[1].Parts
+		lp, rp := in[0].rows(), in[1].rows()
 		n := len(lp) * len(rp)
 		out := make([][]any, n)
 		pool(n, w, func(i int) {
@@ -522,17 +520,16 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 		return NewRDD(out), nil
 
 	case core.KindUnion:
-		parts := append(append([][]any{}, in[0].Parts...), in[1].Parts...)
-		return NewRDD(parts), nil
+		return &RDD{Parts: append(slices.Clone(in[0].parts()), in[1].parts()...)}, nil
 
 	case core.KindIntersect:
 		e.shuffleBarrier()
-		p := maxInt(len(in[0].Parts), len(in[1].Parts))
+		p := maxInt(len(in[0].parts()), len(in[1].parts()))
 		id := func(q any) any { return q }
-		ls := in[0].shuffleBy(w, p, id)
-		rs := in[1].shuffleBy(w, p, id)
+		ls := in[0].shuffleBy(w, p, id).rows()
+		rs := in[1].shuffleBy(w, p, id).rows()
 		out := make([][]any, p)
-		pool(p, w, func(i int) { out[i] = driverutil.Intersect(ls.Parts[i], rs.Parts[i]) })
+		pool(p, w, func(i int) { out[i] = driverutil.Intersect(ls[i], rs[i]) })
 		return NewRDD(out), nil
 
 	case core.KindCoGroup:
@@ -540,12 +537,12 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 			return nil, fmt.Errorf("co-group %s lacks a key UDF", op)
 		}
 		e.shuffleBarrier()
-		p := maxInt(len(in[0].Parts), len(in[1].Parts))
-		ls := in[0].shuffleBy(w, p, op.UDF.Key)
-		rs := in[1].shuffleBy(w, p, driverutil.KeyRight(op))
+		p := maxInt(len(in[0].parts()), len(in[1].parts()))
+		ls := in[0].shuffleBy(w, p, op.UDF.Key).rows()
+		rs := in[1].shuffleBy(w, p, driverutil.KeyRight(op)).rows()
 		out := make([][]any, p)
 		err := poolErr(p, w, func(i int) (err error) {
-			out[i], err = driverutil.CoGroup(op, ls.Parts[i], rs.Parts[i])
+			out[i], err = driverutil.CoGroup(op, ls[i], rs[i])
 			return err
 		})
 		if err != nil {
@@ -571,9 +568,10 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 }
 
 func (e *engine) mapPartsErr(r *RDD, fn func(part []any) ([]any, error)) (*RDD, error) {
-	out := make([][]any, len(r.Parts))
-	err := poolErr(len(r.Parts), e.width(), func(i int) (err error) {
-		out[i], err = fn(r.Parts[i])
+	parts := r.rows()
+	out := make([][]any, len(parts))
+	err := poolErr(len(parts), e.width(), func(i int) (err error) {
+		out[i], err = fn(parts[i])
 		return err
 	})
 	if err != nil {
@@ -648,22 +646,8 @@ func (d *Driver) loadDFSQuanta(path string) (*RDD, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Each block split is decoded by its own worker: binary frames for
-	// framed files, legacy JSON lines for files written before the binary
-	// codec existed. With the columnar plane on, column-batch frames stay
-	// batch-native per block; partition boundaries are the block splits
-	// either way, so both paths see identical rows per partition.
-	if core.ColumnarDisabled() {
-		parts := make([][]any, len(blocks))
-		err := poolErr(len(blocks), d.Conf.Parallelism, func(i int) (err error) {
-			parts[i], err = driverutil.ReadDFSQuantaBlock(d.DFS, name, i)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		return NewRDD(parts), nil
-	}
+	// Each block split is decoded by its own worker, column-batch frames
+	// kept batch-native; the partitions are the block splits.
 	segs := make([][]core.Segment, len(blocks))
 	err = poolErr(len(blocks), d.Conf.Parallelism, func(i int) (err error) {
 		segs[i], err = driverutil.ReadDFSQuantaBlockSegments(d.DFS, name, i)
@@ -672,11 +656,7 @@ func (d *Driver) loadDFSQuanta(path string) (*RDD, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewSegRDD(segs), nil
-}
-
-func writeDFSQuanta(store *dfs.Store, name string, data []any) error {
-	return driverutil.WriteDFSQuanta(store, name, data)
+	return &RDD{Parts: segs}, nil
 }
 
 func maxInt(a, b int) int {

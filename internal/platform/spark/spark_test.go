@@ -68,7 +68,7 @@ func TestShuffleByGroupsKeys(t *testing.T) {
 	}
 	// Every key must land in exactly one partition.
 	where := map[int64]int{}
-	for pi, part := range sh.Parts {
+	for pi, part := range sh.rows() {
 		for _, q := range part {
 			k := q.(core.KV).Key.(int64)
 			if prev, ok := where[k]; ok && prev != pi {
@@ -95,7 +95,7 @@ func TestRangeShuffleOrdersPartitions(t *testing.T) {
 	}
 	// Partition boundaries must be ordered: max(part i) <= min(part i+1).
 	var prevMax int64 = -1 << 62
-	for _, part := range ranged.Parts {
+	for _, part := range ranged.rows() {
 		if len(part) == 0 {
 			continue
 		}

@@ -77,19 +77,12 @@ func (d *Driver) Conversions() []*core.Conversion {
 				// Keep decoded batch frames column-major: SegmentedDataset
 				// iterates as the same rows, and batch-aware consumers skip
 				// the rebuild.
-				if !core.ColumnarDisabled() {
-					segs, err := core.ReadQuantaFileSegments(in.Payload.(string))
-					if err != nil {
-						return nil, err
-					}
-					ds := core.NewSegmentedDataset(segs)
-					return core.NewChannel(core.CollectionChannel, ds, ds.Card()), nil
-				}
-				data, err := core.ReadQuantaFile(in.Payload.(string))
+				segs, err := core.ReadQuantaFileSegments(in.Payload.(string))
 				if err != nil {
 					return nil, err
 				}
-				return core.NewChannel(core.CollectionChannel, core.NewSliceDataset(data), int64(len(data))), nil
+				ds := core.NewSegmentedDataset(segs)
+				return core.NewChannel(core.CollectionChannel, ds, ds.Card()), nil
 			},
 		},
 	}
@@ -104,7 +97,7 @@ func (d *Driver) Conversions() []*core.Conversion {
 						return nil, err
 					}
 					name := fmt.Sprintf("spill/%p.rqb", in)
-					if err := WriteDFSQuanta(d.DFS, name, data); err != nil {
+					if err := driverutil.WriteDFSQuanta(d.DFS, name, data); err != nil {
 						return nil, err
 					}
 					return core.NewChannel(DFSChannel, dfs.Scheme+name, int64(len(data))), nil
@@ -114,19 +107,12 @@ func (d *Driver) Conversions() []*core.Conversion {
 				Name: "streams.dfs-get", From: "dfs", To: "collection",
 				FixedCostMs: 4, PerQuantumMs: 0.005,
 				Convert: func(in *core.Channel) (*core.Channel, error) {
-					if !core.ColumnarDisabled() {
-						segs, err := driverutil.ReadDFSQuantaSegments(d.DFS, in.Payload.(string))
-						if err != nil {
-							return nil, err
-						}
-						ds := core.NewSegmentedDataset(segs)
-						return core.NewChannel(core.CollectionChannel, ds, ds.Card()), nil
-					}
-					data, err := ReadDFSQuanta(d.DFS, in.Payload.(string))
+					segs, err := driverutil.ReadDFSQuantaSegments(d.DFS, in.Payload.(string))
 					if err != nil {
 						return nil, err
 					}
-					return core.NewChannel(core.CollectionChannel, core.NewSliceDataset(data), int64(len(data))), nil
+					ds := core.NewSegmentedDataset(segs)
+					return core.NewChannel(core.CollectionChannel, ds, ds.Card()), nil
 				},
 			},
 		)
@@ -137,18 +123,6 @@ func (d *Driver) Conversions() []*core.Conversion {
 // DFSChannel is the descriptor of DFS-resident encoded-quanta files. It is
 // declared here (the first driver that can produce it) but platform-neutral.
 var DFSChannel = core.ChannelDescriptor{Name: "dfs", Reusable: true, AtRest: true}
-
-// ReadDFSQuanta decodes a DFS file of encoded quanta as written by the
-// dfs-put conversions: framed binary, or one JSON document per line for
-// files predating the binary codec. The path may carry the dfs:// scheme.
-func ReadDFSQuanta(store *dfs.Store, path string) ([]any, error) {
-	return driverutil.ReadDFSQuanta(store, path)
-}
-
-// WriteDFSQuanta encodes quanta into a framed binary DFS file.
-func WriteDFSQuanta(store *dfs.Store, name string, data []any) error {
-	return driverutil.WriteDFSQuanta(store, name, data)
-}
 
 // RegisterMappings implements core.Driver.
 func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
@@ -205,21 +179,15 @@ type pipe struct {
 	card int64 // -1 unknown
 
 	// segs, set on pipes over data at rest, carries the quanta the way the
-	// chain kernel takes them: one row run for a slice, column batches
-	// interleaved with row runs for a batch-native channel. open yields the
-	// identical stream; ApplyChain reads segs directly, copying nothing.
+	// chain kernel takes them: row runs interleaved with column batches. open
+	// yields the identical stream; ApplyChain reads segs directly, copying
+	// nothing.
 	segs []core.Segment
 }
 
-func slicePipe(data []any) *pipe {
-	return &pipe{
-		open: func() core.Iterator { return core.NewSliceDataset(data).Open() },
-		card: int64(len(data)),
-		segs: []core.Segment{{Rows: data}},
-	}
-}
-
-func segPipe(segs []core.Segment) *pipe {
+// restPipe is the pipe over data at rest: a segment run, most often the one
+// row run restPipe(core.Segment{Rows: data}).
+func restPipe(segs ...core.Segment) *pipe {
 	ds := core.NewSegmentedDataset(segs)
 	return &pipe{open: ds.Open, card: ds.Card(), segs: segs}
 }
@@ -235,34 +203,20 @@ type engine struct {
 func (e *engine) FromChannel(ch *core.Channel) (driverutil.Data, error) {
 	switch ch.Desc.Name {
 	case "collection", "file":
-		// Batch-native inputs keep their column batches; iteration order is
-		// identical to the row carrier either way.
-		if segs, ok, err := driverutil.ChannelSegments(ch); err != nil {
-			return nil, err
-		} else if ok {
-			return segPipe(segs), nil
-		}
-		data, err := driverutil.ChannelSlice(ch)
+		segs, err := driverutil.ChannelSegments(ch)
 		if err != nil {
 			return nil, err
 		}
-		return slicePipe(data), nil
+		return restPipe(segs...), nil
 	case "dfs":
 		if e.driver.DFS == nil {
 			return nil, fmt.Errorf("streams: no DFS configured")
 		}
-		if !core.ColumnarDisabled() {
-			segs, err := driverutil.ReadDFSQuantaSegments(e.driver.DFS, ch.Payload.(string))
-			if err != nil {
-				return nil, err
-			}
-			return segPipe(segs), nil
-		}
-		data, err := ReadDFSQuanta(e.driver.DFS, ch.Payload.(string))
+		segs, err := driverutil.ReadDFSQuantaSegments(e.driver.DFS, ch.Payload.(string))
 		if err != nil {
 			return nil, err
 		}
-		return slicePipe(data), nil
+		return restPipe(segs...), nil
 	default:
 		return nil, fmt.Errorf("streams: unsupported input channel %q", ch.Desc.Name)
 	}
@@ -324,7 +278,7 @@ func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.Broadcas
 	if driverutil.StageConsumers(e.stage, op) > 1 {
 		data := observed.materialize()
 		*counter = int64(len(data))
-		return slicePipe(data), nil
+		return restPipe(core.Segment{Rows: data}), nil
 	}
 	return observed, nil
 }
@@ -357,7 +311,7 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 	for s, c := range counts {
 		*counters[s] += c
 	}
-	return slicePipe(out), nil
+	return restPipe(core.Segment{Rows: out}), nil
 }
 
 func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) {
@@ -366,14 +320,14 @@ func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) 
 		if len(in) > 0 { // loop-input placeholder: carried value substituted
 			return in[0], nil
 		}
-		return slicePipe(op.Params.Collection), nil
+		return restPipe(core.Segment{Rows: op.Params.Collection}), nil
 
 	case core.KindTextFileSource:
 		lines, err := driverutil.ReadTextLines(e.driver.DFS, op.Params.Path)
 		if err != nil {
 			return nil, err
 		}
-		return slicePipe(lines), nil
+		return restPipe(core.Segment{Rows: lines}), nil
 
 	case core.KindMapPart:
 		if op.UDF.MapPart == nil {
@@ -404,13 +358,13 @@ func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) 
 		if err != nil {
 			return nil, err
 		}
-		return slicePipe(data), nil
+		return restPipe(core.Segment{Rows: data}), nil
 
 	case core.KindDistinct:
-		return slicePipe(driverutil.Distinct(in[0].materialize())), nil
+		return restPipe(core.Segment{Rows: driverutil.Distinct(in[0].materialize())}), nil
 
 	case core.KindSort:
-		return slicePipe(driverutil.Sort(op, in[0].materialize())), nil
+		return restPipe(core.Segment{Rows: driverutil.Sort(op, in[0].materialize())}), nil
 
 	case core.KindCount:
 		n := int64(0)
@@ -421,45 +375,45 @@ func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) 
 			}
 			n++
 		}
-		return slicePipe([]any{n}), nil
+		return restPipe(core.Segment{Rows: []any{n}}), nil
 
 	case core.KindReduce:
 		out, err := driverutil.Reduce(op, in[0].materialize())
 		if err != nil {
 			return nil, err
 		}
-		return slicePipe(out), nil
+		return restPipe(core.Segment{Rows: out}), nil
 
 	case core.KindReduceBy:
 		out, err := driverutil.ReduceByKey(op, in[0].materialize())
 		if err != nil {
 			return nil, err
 		}
-		return slicePipe(out), nil
+		return restPipe(core.Segment{Rows: out}), nil
 
 	case core.KindGroupBy:
 		out, err := driverutil.GroupByKey(op, in[0].materialize())
 		if err != nil {
 			return nil, err
 		}
-		return slicePipe(out), nil
+		return restPipe(core.Segment{Rows: out}), nil
 
 	case core.KindCache:
-		return slicePipe(in[0].materialize()), nil
+		return restPipe(core.Segment{Rows: in[0].materialize()}), nil
 
 	case core.KindJoin:
 		out, err := driverutil.HashJoin(op, in[0].materialize(), in[1].materialize())
 		if err != nil {
 			return nil, err
 		}
-		return slicePipe(out), nil
+		return restPipe(core.Segment{Rows: out}), nil
 
 	case core.KindIEJoin:
 		out, err := driverutil.IEJoinSlices(op, in[0].materialize(), in[1].materialize())
 		if err != nil {
 			return nil, err
 		}
-		return slicePipe(out), nil
+		return restPipe(core.Segment{Rows: out}), nil
 
 	case core.KindCartesian:
 		left, right := in[0], in[1]
@@ -501,24 +455,24 @@ func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) 
 		}}, nil
 
 	case core.KindIntersect:
-		return slicePipe(driverutil.Intersect(in[0].materialize(), in[1].materialize())), nil
+		return restPipe(core.Segment{Rows: driverutil.Intersect(in[0].materialize(), in[1].materialize())}), nil
 
 	case core.KindCoGroup:
 		out, err := driverutil.CoGroup(op, in[0].materialize(), in[1].materialize())
 		if err != nil {
 			return nil, err
 		}
-		return slicePipe(out), nil
+		return restPipe(core.Segment{Rows: out}), nil
 
 	case core.KindCollectionSink:
-		return slicePipe(in[0].materialize()), nil
+		return restPipe(core.Segment{Rows: in[0].materialize()}), nil
 
 	case core.KindTextFileSink:
 		data := in[0].materialize()
 		if err := driverutil.WriteTextLines(e.driver.DFS, op, data); err != nil {
 			return nil, err
 		}
-		return slicePipe(data), nil
+		return restPipe(core.Segment{Rows: data}), nil
 
 	default:
 		return nil, fmt.Errorf("streams: unsupported operator kind %s", op.Kind)
