@@ -26,6 +26,7 @@ import (
 	"rheem/internal/executor"
 	"rheem/internal/monitor"
 	"rheem/internal/optimizer"
+	"rheem/internal/platform/driverutil"
 	"rheem/internal/platform/flink"
 	"rheem/internal/platform/graphmem"
 	"rheem/internal/platform/pregel"
@@ -118,7 +119,7 @@ func NewContext(cfg Config) (*Context, error) {
 	if cfg.FastSimulation {
 		// The negative sentinel means "really zero" to each engine's
 		// withDefaults (a literal 0 would be replaced by the default).
-		const none float64 = spark.NoOverheadMs
+		const none float64 = driverutil.NoOverheadMs
 		cfg.SparkConfig.ContextStartupMs, cfg.SparkConfig.JobStartupMs, cfg.SparkConfig.ShuffleLatencyMs = none, none, none
 		cfg.FlinkConfig.ContextStartupMs, cfg.FlinkConfig.JobStartupMs, cfg.FlinkConfig.ExchangeLatencyMs = none, none, none
 		cfg.PregelConfig.ContextStartupMs, cfg.PregelConfig.SuperstepMs = none, none

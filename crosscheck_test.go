@@ -40,7 +40,7 @@ func randomPlan(ctx *Context, rng *rand.Rand, id int) (*core.Plan, *core.Operato
 	for i := 0; i < steps; i++ {
 		pick := rng.Intn(len(heads))
 		d := heads[pick]
-		switch op := rng.Intn(8); {
+		switch op := rng.Intn(14); {
 		case op == 0:
 			d = d.Map("inc", func(q any) any { return q.(int64) + 1 })
 		case op == 1:
@@ -74,6 +74,38 @@ func randomPlan(ctx *Context, rng *rand.Rand, id int) (*core.Plan, *core.Operato
 				func(l, r any) any { return l.(int64)*1000 + r.(int64) })
 			heads = []*DataQuanta{d}
 			pick = 0
+		// Group contents are partition-ordered, so the kinds that emit groups
+		// are followed by a map to an order-free int64 summary.
+		case op == 8:
+			d = d.GroupBy("by-mod7", func(q any) any { return q.(int64) % 7 }).
+				Map("group-summary", func(q any) any {
+					g := q.(core.Group)
+					return g.Key.(int64) + 31*int64(len(g.Values)) + 977*sumInts(g.Values)
+				})
+		case op == 9:
+			d = d.Count()
+		case op == 10:
+			d = d.Reduce("sum", func(a, b any) any { return a.(int64) + b.(int64) })
+		case op == 11 && len(heads) > 1:
+			d = d.Intersect(heads[(pick+1)%len(heads)])
+			heads = []*DataQuanta{d}
+			pick = 0
+		case op == 12 && len(heads) > 1:
+			mod5 := func(q any) any { return q.(int64) % 5 }
+			d = d.CoGroup(heads[(pick+1)%len(heads)], mod5, mod5).
+				Map("cogroup-summary", func(q any) any {
+					rec := q.(core.Record)
+					l, r := rec[1].([]any), rec[2].([]any)
+					return rec[0].(int64) + 31*int64(len(l)) + 53*int64(len(r)) + 977*sumInts(l) + 1009*sumInts(r)
+				})
+			heads = []*DataQuanta{d}
+			pick = 0
+		case op == 13 && len(heads) > 1:
+			nums := func(q any) (float64, float64) { return float64(q.(int64)), float64(q.(int64) % 5) }
+			d = d.IEJoin(heads[(pick+1)%len(heads)], nums, nums, core.Greater, core.Less,
+				func(l, r any) any { return l.(int64)*1000 + r.(int64) })
+			heads = []*DataQuanta{d}
+			pick = 0
 		default:
 			d = d.Map("noop", func(q any) any { return q })
 		}
@@ -86,6 +118,13 @@ func randomPlan(ctx *Context, rng *rand.Rand, id int) (*core.Plan, *core.Operato
 	}
 	sink := final.CollectSink()
 	return b.Plan(), sink
+}
+
+func sumInts(values []any) (sum int64) {
+	for _, v := range values {
+		sum += v.(int64)
+	}
+	return sum
 }
 
 func canonical(t *testing.T, data []any) []string {

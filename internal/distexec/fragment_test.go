@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rheem/internal/core"
+	"rheem/internal/platform/driverutil"
 	"rheem/internal/platform/streams"
 	"rheem/internal/storage/dfs"
 )
@@ -62,7 +63,7 @@ func execStage(t *testing.T, st *core.Stage) []any {
 	if ch == nil {
 		t.Fatal("no terminal output channel")
 	}
-	data, err := channelData(ch)
+	data, err := driverutil.ChannelQuanta(ch)
 	if err != nil {
 		t.Fatal(err)
 	}

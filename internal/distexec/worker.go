@@ -202,7 +202,7 @@ func wireIDOf(byWire map[int]*core.Operator, op *core.Operator) int {
 // shuffle file under the run's namespace otherwise.
 func (s *Scheduler) encodeOut(runID, fragID string, wireID int, ch *core.Channel) (outWire, error) {
 	ow := outWire{Op: wireID, Card: ch.Card}
-	data, err := channelData(ch)
+	data, err := driverutil.ChannelQuanta(ch)
 	if err != nil {
 		return ow, err
 	}
@@ -224,21 +224,6 @@ func (s *Scheduler) encodeOut(runID, fragID string, wireID int, ch *core.Channel
 	ow.Shuffle = name
 	ow.From = s.opts.Advertise
 	return ow, nil
-}
-
-// channelData materializes a platform output channel, mirroring the
-// executor's channel materialization ladder.
-func channelData(ch *core.Channel) ([]any, error) {
-	if data, err := driverutil.ChannelSlice(ch); err == nil {
-		return data, nil
-	}
-	if c, ok := ch.Payload.(interface{ Collect() []any }); ok {
-		return c.Collect(), nil
-	}
-	if r, ok := ch.Payload.(interface{ Rows() ([]any, error) }); ok {
-		return r.Rows()
-	}
-	return nil, fmt.Errorf("cannot materialize channel %s (%T)", ch.Desc.Name, ch.Payload)
 }
 
 // buildStatsWire folds the driver's stage stats and the worker's usage

@@ -99,7 +99,7 @@ func (r *Result) SinkData(op *core.Operator) ([]any, error) {
 	if ch == nil {
 		return nil, fmt.Errorf("executor: no output for %s", op)
 	}
-	return channelQuanta(ch)
+	return driverutil.ChannelQuanta(ch)
 }
 
 // FirstSinkData returns the data of the only sink, a convenience for
@@ -268,7 +268,7 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, lo
 						if err != nil {
 							return nil, 0, err
 						}
-						data, err := channelQuanta(ch)
+						data, err := driverutil.ChannelQuanta(ch)
 						if err != nil {
 							return nil, 0, err
 						}
@@ -491,7 +491,7 @@ func annotateStageSpan(stSp *trace.Span, s *core.Stage, stats *core.StageStats) 
 // span is opened before the store so cache-internal spans (spill demotions
 // making room for the new entry) nest under it.
 func (ex *Executor) storeCacheOut(ctx context.Context, sp *trace.Span, op *core.Operator, co *core.CacheOut, ch *core.Channel) {
-	quanta, err := channelQuanta(ch)
+	quanta, err := driverutil.ChannelQuanta(ch)
 	if err != nil {
 		return // platform-native payloads that cannot be materialized are not cacheable
 	}
@@ -635,7 +635,7 @@ func (ex *Executor) runLoopStage(ctx context.Context, ep *core.ExecPlan, s *core
 		if err != nil {
 			return nil, fmt.Errorf("executor: loop %s input: %w", loop, err)
 		}
-		loopVar, err = channelQuanta(ch)
+		loopVar, err = driverutil.ChannelQuanta(ch)
 		if err != nil {
 			return nil, err
 		}
@@ -696,7 +696,7 @@ func (ex *Executor) runLoopStage(ctx context.Context, ep *core.ExecPlan, s *core
 		if sub.LoopOut == nil {
 			return nil, fmt.Errorf("executor: loop %s body produced no output", loop)
 		}
-		loopVar, err = channelQuanta(sub.LoopOut)
+		loopVar, err = driverutil.ChannelQuanta(sub.LoopOut)
 		if err != nil {
 			return nil, err
 		}
@@ -727,19 +727,6 @@ func containsOp(ops []*core.Operator, op *core.Operator) bool {
 		}
 	}
 	return false
-}
-
-func channelQuanta(ch *core.Channel) ([]any, error) {
-	if data, err := driverutil.ChannelSlice(ch); err == nil {
-		return data, nil
-	}
-	if c, ok := ch.Payload.(interface{ Collect() []any }); ok {
-		return c.Collect(), nil
-	}
-	if r, ok := ch.Payload.(interface{ Rows() ([]any, error) }); ok {
-		return r.Rows()
-	}
-	return nil, fmt.Errorf("executor: cannot materialize channel %s (%T)", ch.Desc.Name, ch.Payload)
 }
 
 // channelStore tracks produced channels per operator, in all channel forms

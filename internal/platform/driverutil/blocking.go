@@ -1,0 +1,363 @@
+package driverutil
+
+import (
+	"fmt"
+	"sort"
+	"sync"
+	"sync/atomic"
+
+	"rheem/internal/core"
+)
+
+// Blocking operators. How a blocking operator decomposes into route →
+// per-partition kernel → wrap is decided here, once, for every engine:
+// ApplyBlocking is the table of the ten blocking kinds over row partitions
+// and RunChainParts the one runner of a compiled chain over partitions at
+// rest. An engine contributes only what its archetype owns — where
+// per-partition work runs and what an exchange costs (Scheduler) — and its
+// native wrapper around the row partitions that come back.
+//
+// Ownership of partitions: engine and kernel code never writes to a
+// partition it is handed (every slice kernel allocates its output, Sort
+// copies), so inputs are read where they lie; user code that may write — a
+// MapPart UDF — is always handed a slice the stage allocated; and what a
+// stage hands back through a collection channel never aliases a slice the
+// caller handed in.
+
+// Scheduler is what an engine's archetype contributes to a blocking
+// operator.
+type Scheduler interface {
+	// Each runs fn(i) for every i in [0, n) on the engine's workers and
+	// returns the first error. fn runs user code: a panic in it resurfaces
+	// on the caller's goroutine, under RunStage's recover.
+	Each(n int, fn func(i int) error) error
+	// Barrier charges one exchange's simulated latency.
+	Barrier()
+}
+
+// Serial is the Scheduler of the single-threaded engines: work items run in
+// order on the caller and an exchange costs nothing.
+type Serial struct{}
+
+// Each implements Scheduler.
+func (Serial) Each(n int, fn func(i int) error) error {
+	for i := 0; i < n; i++ {
+		if err := fn(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Barrier implements Scheduler.
+func (Serial) Barrier() {}
+
+// Parallel runs fn(i) for i in [0, n) on up to width workers fed from one
+// channel and returns the first error. Each work item is guarded: a
+// panicking UDF must fail the stage (re-raised on the caller once every
+// item ran), not kill the process — and the worker must keep draining the
+// feed so the feeding loop never deadlocks.
+func Parallel(n, width int, fn func(i int) error) error {
+	if width < 1 {
+		width = 1
+	}
+	if width > n {
+		width = n
+	}
+	if width <= 1 {
+		return Serial{}.Each(n, fn)
+	}
+	var trap Trap
+	var mu sync.Mutex
+	var firstErr error
+	call := func(i int) {
+		defer trap.Guard()
+		if err := fn(i); err != nil {
+			mu.Lock()
+			if firstErr == nil {
+				firstErr = err
+			}
+			mu.Unlock()
+		}
+	}
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < width; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				call(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	trap.Rethrow()
+	return firstErr
+}
+
+// Do is Each for work items that cannot fail.
+func Do(s Scheduler, n int, fn func(i int)) {
+	_ = s.Each(n, func(i int) error { // fn returns no error to report
+		fn(i)
+		return nil
+	})
+}
+
+// MapParts runs kernel over every partition on the scheduler's workers.
+func MapParts(s Scheduler, parts [][]any, kernel func(part []any) ([]any, error)) ([][]any, error) {
+	out := make([][]any, len(parts))
+	err := s.Each(len(parts), func(i int) (err error) {
+		out[i], err = kernel(parts[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Exchange moves every quantum to the partition route names: each input
+// partition scatters into p buckets, then output partition j gathers bucket
+// j of every input partition, in input order. One partition to one
+// partition is no move: the input comes back as it is.
+func Exchange(s Scheduler, parts [][]any, p int, route func(q any) int) [][]any {
+	p = max(p, 1)
+	if p == 1 && len(parts) == 1 {
+		return parts
+	}
+	buckets := make([][][]any, len(parts))
+	Do(s, len(parts), func(i int) {
+		local := make([][]any, p)
+		for _, q := range parts[i] {
+			j := route(q)
+			local[j] = append(local[j], q)
+		}
+		buckets[i] = local
+	})
+	out := make([][]any, p)
+	Do(s, p, func(j int) {
+		n := 0
+		for i := range buckets {
+			n += len(buckets[i][j])
+		}
+		part := make([]any, 0, n)
+		for i := range buckets {
+			part = append(part, buckets[i][j]...)
+		}
+		out[j] = part
+	})
+	return out
+}
+
+// HashRoute routes a quantum to the hash bucket of its key, so co-keyed
+// quanta of every input routed with the same p share a partition.
+func HashRoute(key func(any) any, p int) func(q any) int {
+	n := uint64(max(p, 1))
+	return func(q any) int { return int(HashKey(core.GroupKey(key(q))) % n) }
+}
+
+// RangeRoute routes a quantum to one of p ordered ranges under less, cut at
+// splitters drawn from a sample of up to 20 quanta per partition: every
+// quantum of range j orders at or before every quantum of range j+1.
+func RangeRoute(parts [][]any, p int, less func(a, b any) bool) func(q any) int {
+	var sample []any
+	for _, part := range parts {
+		step := len(part)/20 + 1
+		for i := 0; i < len(part); i += step {
+			sample = append(sample, part[i])
+		}
+	}
+	core.SortAny(sample, less)
+	splitters := make([]any, 0, max(p-1, 0))
+	for i := 1; i < p; i++ {
+		if idx := i * len(sample) / p; idx < len(sample) {
+			splitters = append(splitters, sample[idx])
+		}
+	}
+	return func(q any) int {
+		return sort.Search(len(splitters), func(i int) bool { return less(q, splitters[i]) })
+	}
+}
+
+// gather concatenates partitions in order; a lone partition is returned as
+// it is.
+func gather(parts [][]any) []any {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	n := 0
+	for _, part := range parts {
+		n += len(part)
+	}
+	out := make([]any, 0, n)
+	for _, part := range parts {
+		out = append(out, part...)
+	}
+	return out
+}
+
+// keyed is the co-partitioned shape: every input is exchanged on its key
+// into p = the largest input partition count partitions and kernel runs once
+// per partition over the co-located sides (right is nil for a unary
+// operator). It is where a missing key UDF is reported.
+func keyed(s Scheduler, op *core.Operator, in [][][]any, keys []func(any) any, kernel func(left, right []any) ([]any, error)) ([][]any, error) {
+	p := 1
+	for i, key := range keys {
+		if key == nil {
+			return nil, fmt.Errorf("%s lacks a key UDF", op)
+		}
+		p = max(p, len(in[i]))
+	}
+	s.Barrier()
+	sides := [2][][]any{nil, make([][]any, p)}
+	for i, key := range keys {
+		sides[i] = Exchange(s, in[i], p, HashRoute(key, p))
+	}
+	out := make([][]any, p)
+	err := s.Each(p, func(j int) (err error) {
+		out[j], err = kernel(sides[0][j], sides[1][j])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// folded is the fold shape: kernel over every partition, then once more over
+// the gathered partials; one output partition.
+func folded(s Scheduler, parts [][]any, kernel func(part []any) ([]any, error)) ([][]any, error) {
+	partials, err := MapParts(s, parts, kernel)
+	if err != nil {
+		return nil, err
+	}
+	out, err := kernel(gather(partials))
+	return [][]any{out}, err
+}
+
+func identity(q any) any { return q }
+
+// ApplyBlocking evaluates a blocking operator over its inputs' row
+// partitions; ok is false when op is not one of the ten blocking kinds. The
+// kinds take three shapes. Keyed (distinct, intersect, group-by, join,
+// co-group, UDF reduce-by, sort): co-partition the inputs, then one slice
+// kernel per partition — reduce-by also combines within each input partition
+// before the exchange, and sort exchanges through the range route so the
+// output partitions are globally ordered. Fold (count, reduce): a kernel per
+// partition, then once more over the gathered partials, giving one
+// partition. Broadcast (iejoin): gather the right side, then a kernel per
+// left partition. Single-partition inputs yield a single output partition.
+func ApplyBlocking(s Scheduler, op *core.Operator, in [][][]any) (out [][]any, ok bool, err error) {
+	switch op.Kind {
+	case core.KindDistinct:
+		out, err = keyed(s, op, in, []func(any) any{identity}, func(part, _ []any) ([]any, error) {
+			return Distinct(part), nil
+		})
+	case core.KindIntersect:
+		out, err = keyed(s, op, in, []func(any) any{identity, identity}, func(left, right []any) ([]any, error) {
+			return Intersect(left, right), nil
+		})
+	case core.KindGroupBy:
+		out, err = keyed(s, op, in, []func(any) any{op.UDF.Key}, func(part, _ []any) ([]any, error) {
+			return GroupByKey(op, part)
+		})
+	case core.KindJoin:
+		out, err = keyed(s, op, in, []func(any) any{op.UDF.Key, KeyRight(op)}, func(left, right []any) ([]any, error) {
+			return HashJoin(op, left, right)
+		})
+	case core.KindCoGroup:
+		out, err = keyed(s, op, in, []func(any) any{op.UDF.Key, KeyRight(op)}, func(left, right []any) ([]any, error) {
+			return CoGroup(op, left, right)
+		})
+	case core.KindReduceBy:
+		combine := func(part []any) ([]any, error) { return ReduceByKey(op, part) }
+		parts := in[0]
+		if len(parts) > 1 { // map-side combine; a lone partition has nothing to exchange
+			if parts, err = MapParts(s, parts, combine); err != nil {
+				return nil, true, err
+			}
+		}
+		out, err = keyed(s, op, [][][]any{parts}, []func(any) any{op.UDF.Key}, func(part, _ []any) ([]any, error) {
+			return combine(part)
+		})
+	case core.KindSort:
+		p := max(len(in[0]), 1)
+		s.Barrier()
+		ranged := Exchange(s, in[0], p, RangeRoute(in[0], p, LessOf(op)))
+		out, err = MapParts(s, ranged, func(part []any) ([]any, error) { return Sort(op, part), nil })
+	case core.KindCount:
+		var n int64
+		for _, part := range in[0] { // the per-partition kernel is len
+			n += int64(len(part))
+		}
+		out = [][]any{{n}}
+	case core.KindReduce:
+		out, err = folded(s, in[0], func(part []any) ([]any, error) { return Reduce(op, part) })
+	case core.KindIEJoin:
+		right := gather(in[1])
+		s.Barrier()
+		out, err = MapParts(s, in[0], func(part []any) ([]any, error) { return IEJoinSlices(op, part, right) })
+	default:
+		return nil, false, nil
+	}
+	return out, true, err
+}
+
+// RunChainParts runs a compiled chain over partitions at rest, one kernel
+// pass per partition on the scheduler's workers, adding each step's emitted
+// quanta to counters (aligned with the chain's operators, the absorbed
+// aggregation's last). A chain ending in a declarative aggregation runs two
+// phases — per-partition partial aggregation, one exchange of the group
+// partials on the partial key, then per-partition merge and finalize, so
+// groups emit in first-occurrence order per exchanged partition — and a
+// single partition finalizes in place, with no partials and no exchange.
+func RunChainParts(s Scheduler, kernel *VectorKernel, parts [][]core.Segment, counters []*int64) [][]any {
+	agg := kernel.Agg()
+	// run passes partition i through the narrow steps, into st when the chain
+	// aggregates, and flushes the partition's step counts.
+	run := func(i int, st *core.AggState) (out []any) {
+		counts := make([]int64, kernel.Len())
+		if st == nil {
+			out = kernel.RunSegments(parts[i], counts, nil)
+		} else {
+			kernel.RunSegmentsAgg(parts[i], counts, st)
+		}
+		for step, n := range counts {
+			atomic.AddInt64(counters[step], n)
+		}
+		return out
+	}
+	out := make([][]any, len(parts))
+	switch {
+	case agg == nil:
+		Do(s, len(parts), func(i int) { out[i] = run(i, nil) })
+		return out
+	case len(parts) == 1:
+		st := core.NewAggState(agg)
+		run(0, st)
+		out[0] = kernel.Finalize(st)
+	default:
+		partials := make([][]any, len(parts))
+		Do(s, len(parts), func(i int) {
+			st := core.NewAggState(agg)
+			run(i, st)
+			partials[i] = st.Partials(nil)
+		})
+		s.Barrier()
+		shuffled := Exchange(s, partials, len(parts), HashRoute(agg.PartialKeyFn(), len(parts)))
+		Do(s, len(parts), func(j int) {
+			st := core.NewAggState(agg)
+			st.AbsorbPartials(shuffled[j])
+			out[j] = kernel.Finalize(st)
+		})
+	}
+	for _, part := range out {
+		*counters[kernel.Len()] += int64(len(part))
+	}
+	return out
+}

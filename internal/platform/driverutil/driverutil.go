@@ -368,22 +368,27 @@ func broadcastCtx(op *core.Operator, in *core.Inputs) (core.BroadcastCtx, error)
 	return bc, nil
 }
 
-// ChannelSlice extracts the quanta of a collection- or file-typed channel
-// as a slice. Engines use it for broadcast inputs and for collection
-// channels generally.
-func ChannelSlice(ch *core.Channel) ([]any, error) {
-	switch p := ch.Payload.(type) {
-	case *core.SliceDataset:
-		return p.Data, nil
-	case []any:
-		return p, nil
-	case core.Dataset:
-		return core.Materialize(p), nil
-	case string:
-		// A file path: encoded quanta.
-		return core.ReadQuantaFile(p)
-	default:
-		return nil, fmt.Errorf("driverutil: channel %s payload %T is not sliceable", ch.Desc.Name, ch.Payload)
+// NoOverheadMs is the sentinel for "this overhead is really zero" in engine
+// Config fields whose zero value means "use the default".
+const NoOverheadMs = -1
+
+// OverheadMs resolves a simulated-overhead Config field: 0 selects the
+// default, a negative sentinel selects a true zero.
+func OverheadMs(v, def float64) float64 {
+	switch {
+	case v == 0:
+		return def
+	case v < 0:
+		return 0
+	}
+	return v
+}
+
+// SleepMs charges a simulated latency — an engine's start-up, a shuffle or
+// exchange barrier, a query round trip — by sleeping it.
+func SleepMs(ms float64) {
+	if ms > 0 {
+		time.Sleep(time.Duration(ms * float64(time.Millisecond)))
 	}
 }
 

@@ -46,6 +46,43 @@ func RowSegments(parts [][]any) [][]core.Segment {
 	return out
 }
 
+// RowParts is the row view of partitions at rest: a partition that is one
+// row run is aliased, any other is flattened.
+func RowParts(parts [][]core.Segment) [][]any {
+	out := make([][]any, len(parts))
+	for i, segs := range parts {
+		if len(segs) == 1 && segs[0].Batch == nil {
+			out[i] = segs[0].Rows
+		} else if len(segs) > 0 {
+			out[i] = core.SegmentRows(segs)
+		}
+	}
+	return out
+}
+
+// ChannelSlice is the row view of ChannelSegments: engines use it for
+// broadcast inputs and wherever a collection channel is wanted as one slice.
+func ChannelSlice(ch *core.Channel) ([]any, error) {
+	segs, err := ChannelSegments(ch)
+	if err != nil {
+		return nil, err
+	}
+	return RowParts([][]core.Segment{segs})[0], nil
+}
+
+// ChannelQuanta materializes the quanta of any channel a stage can produce:
+// engine-native partitions through their Collect (RDDs, datasets), a table
+// reference through its Rows, everything else as ChannelSlice.
+func ChannelQuanta(ch *core.Channel) ([]any, error) {
+	switch p := ch.Payload.(type) {
+	case interface{ Collect() []any }:
+		return p.Collect(), nil
+	case interface{ Rows() ([]any, error) }:
+		return p.Rows()
+	}
+	return ChannelSlice(ch)
+}
+
 // SplitSegments partitions a segment run into n contiguous parts with
 // exactly the boundaries the engines' ceil-chunk row partitioners produce
 // over the flattened rows (chunk = ceil(total/n); part i covers [i*chunk,

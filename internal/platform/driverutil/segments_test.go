@@ -158,12 +158,19 @@ func TestChannelSegmentsIsTotal(t *testing.T) {
 		"segmented":     {core.NewSegmentedDataset([]core.Segment{{Rows: data}, {Batch: batch}}), append(append([]any{}, data...), batch.AppendRows(nil)...)},
 		"file":          {path, data},
 	} {
-		segs, err := ChannelSegments(core.NewChannel(core.CollectionChannel, tc.payload, -1))
+		ch := core.NewChannel(core.CollectionChannel, tc.payload, -1)
+		segs, err := ChannelSegments(ch)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if got := core.SegmentRows(segs); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: %v, want %v", name, got, tc.want)
+		}
+		// ChannelSlice and ChannelQuanta are the row view of the same run.
+		for _, view := range []func(*core.Channel) ([]any, error){ChannelSlice, ChannelQuanta} {
+			if got, err := view(ch); err != nil || !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("%s: row view %v (err %v), want %v", name, got, err, tc.want)
+			}
 		}
 	}
 	segs, _ := ChannelSegments(core.NewChannel(core.CollectionChannel, core.NewSliceDataset(data), 3))

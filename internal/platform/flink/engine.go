@@ -14,21 +14,21 @@ import (
 // parallel instance; producers close their channels when exhausted. Narrow
 // operators chain onto flows without materialization — the whole narrow
 // pipeline runs as one pass of communicating goroutines. UDF panics inside
-// instance goroutines land in errBox and resurface at materialization.
+// instance goroutines land in the stage's errBox and resurface when the flow
+// is drained.
 type flow struct {
-	start  func() []chan any
-	width  int
-	card   int64 // -1 unknown
-	errBox *errBox
+	start func() []chan any
+	width int
+	card  int64 // -1 unknown
 
 	// segs, set on flows over data at rest, holds the per-instance partitions
 	// as segment runs (row runs interleaved with column batches). start
-	// streams them row by row; ApplyChain hands them to the kernel whole,
-	// skipping the channel hop.
+	// streams them row by row; blocking operators, ApplyChain and ToChannel
+	// read them where they lie, skipping the channel hop.
 	segs [][]core.Segment
 }
 
-// errBox collects the first panic observed by any flow goroutine.
+// errBox collects the first panic observed by any flow goroutine of a stage.
 type errBox struct {
 	mu  sync.Mutex
 	err error
@@ -85,8 +85,35 @@ func restFlow(segs [][]core.Segment) *flow {
 	}
 }
 
-// materialize drains the flow into per-instance partitions.
-func (f *flow) materialize() [][]any {
+// engine interprets one stage (it is built per Execute). It is also the
+// driverutil.Scheduler of flink's blocking operators: one goroutine per
+// parallel instance, and every exchange pays the network latency.
+type engine struct {
+	driver *Driver
+	stage  *core.Stage
+	errs   errBox // the first UDF panic of any of the stage's flow goroutines
+}
+
+func (e *engine) width() int { return e.driver.Conf.Parallelism }
+
+// Each implements driverutil.Scheduler.
+func (e *engine) Each(n int, fn func(i int) error) error { return driverutil.Parallel(n, n, fn) }
+
+// Barrier implements driverutil.Scheduler.
+func (e *engine) Barrier() { driverutil.SleepMs(e.driver.Conf.ExchangeLatencyMs) }
+
+// split cuts data into one balanced row run per parallel instance.
+func (e *engine) split(data []any) [][]core.Segment {
+	return driverutil.SplitSegments([]core.Segment{{Rows: data}}, e.width())
+}
+
+// materialize is the single read of a flow: per-instance row partitions, and
+// the stage's first UDF panic if any flow goroutine recorded one by the time
+// the drain ended. Data at rest is read where it lies.
+func (e *engine) materialize(f *flow) ([][]any, error) {
+	if f.segs != nil {
+		return driverutil.RowParts(f.segs), nil
+	}
 	chans := f.start()
 	parts := make([][]any, len(chans))
 	var wg sync.WaitGroup
@@ -102,128 +129,60 @@ func (f *flow) materialize() [][]any {
 		}(i, ch)
 	}
 	wg.Wait()
-	return parts
+	return parts, e.errs.get()
 }
 
-func (f *flow) collect() []any {
-	parts := f.materialize()
-	var out []any
-	for _, p := range parts {
-		out = append(out, p...)
+// rest returns the flow at rest: as it is when it already is, drained
+// otherwise.
+func (e *engine) rest(f *flow) (*flow, error) {
+	if f.segs != nil {
+		return f, nil
 	}
-	return out
+	parts, err := e.materialize(f)
+	if err != nil {
+		return nil, err
+	}
+	return restFlow(driverutil.RowSegments(parts)), nil
+}
+
+// collect gathers the flow's quanta into one slice of its own.
+func (e *engine) collect(f *flow) ([]any, error) {
+	r, err := e.rest(f)
+	if err != nil {
+		return nil, err
+	}
+	return (&DataSet{Parts: r.segs}).Collect(), nil
 }
 
 // narrow chains a per-instance transform onto the flow: each instance gets
 // its own goroutine reading its input channel and writing its output.
-func (f *flow) narrow(card int64, transform func(in <-chan any, out chan<- any)) *flow {
-	box := f.errBox
-	if box == nil {
-		box = &errBox{}
-	}
+func (e *engine) narrow(f *flow, card int64, transform func(inst int, in <-chan any, out chan<- any)) *flow {
 	return &flow{
-		width:  f.width,
-		card:   card,
-		errBox: box,
+		width: f.width,
+		card:  card,
 		start: func() []chan any {
 			ins := f.start()
 			outs := make([]chan any, len(ins))
 			for i := range ins {
 				out := make(chan any, chanBuf)
 				outs[i] = out
-				go func(in <-chan any, out chan<- any) {
+				go func(inst int, in <-chan any, out chan<- any) {
 					defer close(out)
 					defer func() {
 						if r := recover(); r != nil {
-							box.set(fmt.Errorf("flink: UDF panic: %v", r))
+							e.errs.set(fmt.Errorf("flink: UDF panic: %v", r))
 							// Drain the input so upstream producers unblock.
 							for range in {
 							}
 						}
 					}()
-					transform(in, out)
-				}(ins[i], out)
+					transform(inst, in, out)
+				}(i, ins[i], out)
 			}
 			return outs
 		},
 	}
 }
-
-// exchange hash-partitions the flow's quanta by key into width buckets.
-func (f *flow) exchange(width int, key func(any) any) [][]any {
-	parts := f.materialize()
-	buckets := make([][][]any, len(parts))
-	fanOut(len(parts), func(i int) error {
-		local := make([][]any, width)
-		for _, q := range parts[i] {
-			h := int(driverutil.HashKey(core.GroupKey(key(q))) % uint64(width))
-			local[h] = append(local[h], q)
-		}
-		buckets[i] = local
-		return nil
-	})
-	out := make([][]any, width)
-	for j := 0; j < width; j++ {
-		for i := range buckets {
-			out[j] = append(out[j], buckets[i][j]...)
-		}
-	}
-	return out
-}
-
-// fanOut runs fn(i) for i in [0, n) on one goroutine each and returns the
-// first error. fn runs user code: a panic in it is trapped and re-raised on
-// the caller, so it fails the stage, not the process.
-func fanOut(n int, fn func(i int) error) error {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	var trap driverutil.Trap
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer trap.Guard()
-			if err := fn(i); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(i)
-	}
-	wg.Wait()
-	trap.Rethrow()
-	return firstErr
-}
-
-// parallelParts applies fn per partition concurrently, collecting errors.
-func parallelParts(parts [][]any, fn func(part []any) ([]any, error)) ([][]any, error) {
-	out := make([][]any, len(parts))
-	err := fanOut(len(parts), func(i int) (err error) {
-		out[i], err = fn(parts[i])
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-type engine struct {
-	driver *Driver
-	stage  *core.Stage
-}
-
-func (e *engine) width() int { return e.driver.Conf.Parallelism }
-
-// split cuts data into one balanced row run per parallel instance.
-func (e *engine) split(data []any) [][]core.Segment {
-	return driverutil.SplitSegments([]core.Segment{{Rows: data}}, e.width())
-}
-
-func (e *engine) exchangeBarrier() { sleepMs(e.driver.Conf.ExchangeLatencyMs) }
 
 // FromChannel implements driverutil.Engine.
 func (e *engine) FromChannel(ch *core.Channel) (driverutil.Data, error) {
@@ -260,13 +219,11 @@ func (e *engine) ToChannel(op *core.Operator, d driverutil.Data) (*core.Channel,
 	if !ok {
 		return nil, fmt.Errorf("flink: %s produced %T, not a flow", op, d)
 	}
-	parts := f.materialize()
-	if f.errBox != nil {
-		if err := f.errBox.get(); err != nil {
-			return nil, err
-		}
+	r, err := e.rest(f)
+	if err != nil {
+		return nil, err
 	}
-	ds := &DataSet{Parts: driverutil.RowSegments(parts)}
+	ds := &DataSet{Parts: r.segs}
 	if op.Kind == core.KindCollectionSink {
 		data := ds.Collect()
 		return core.NewChannel(core.CollectionChannel, core.NewSliceDataset(data), int64(len(data))), nil
@@ -288,178 +245,117 @@ func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.Broadcas
 	if err != nil {
 		return nil, err
 	}
-	observed := out.narrow(out.card, func(in <-chan any, o chan<- any) {
-		for q := range in {
-			// Count atomically-enough: instances contend rarely and the
-			// harness reads the counter only after the stage completes.
-			countMu.Lock()
-			*counter++
-			if sniff != nil {
-				sniff(q)
+	// Data at rest is observed where it lies: its cardinality is known and a
+	// sniffer can walk it now.
+	if out.segs != nil {
+		*counter = out.card
+		if sniff != nil {
+			for _, part := range driverutil.RowParts(out.segs) {
+				for _, q := range part {
+					sniff(q)
+				}
 			}
-			countMu.Unlock()
+		}
+		return out, nil
+	}
+	// A lazy flow is observed as it streams by: counted per instance and added
+	// when the instance drains, sniffed one instance at a time.
+	var sniffMu sync.Mutex
+	observed := e.narrow(out, out.card, func(_ int, in <-chan any, o chan<- any) {
+		var n int64
+		defer func() { atomic.AddInt64(counter, n) }()
+		for q := range in {
+			n++
+			if sniff != nil {
+				sniffMu.Lock()
+				sniff(q)
+				sniffMu.Unlock()
+			}
 			o <- q
 		}
 	})
 	if driverutil.StageConsumers(e.stage, op) > 1 {
-		parts := observed.materialize()
-		var n int64
-		for _, p := range parts {
-			n += int64(len(p))
-		}
-		*counter = n
-		return restFlow(driverutil.RowSegments(parts)), nil
+		return e.rest(observed)
 	}
 	return observed, nil
 }
-
-var countMu sync.Mutex
 
 // fuseBatch is the vector size fused chains batch quanta in: the whole
 // chain runs over one vector per kernel invocation, amortizing channel
 // sends and reusing one output buffer instead of paying one send (and one
 // goroutine hop) per quantum per operator. Chains whose leading steps
-// compiled to column loops use the larger Config.VecChainBatch so the
-// per-batch row→column conversion amortizes over more rows.
-const fuseBatch = 256
+// compiled to column loops use the larger vecChainBatch so the per-batch
+// row→column conversion amortizes over more rows.
+const (
+	fuseBatch     = 256
+	vecChainBatch = 4096
+)
 
 // ApplyChain implements driverutil.ChainEngine. A chain over a lazy flow
-// runs pipelined (streamChain). Data at rest — a flow built by restFlow,
-// whose segments then skip the channel hop (and its column batches the
-// row→column rebuild), or the drained input of a chain ending in a
-// declarative aggregation — goes to the kernel whole, one goroutine per
-// instance. The
-// aggregation is per-instance vectorized pre-aggregation, one exchange of
-// the group partials on the partial key, then per-instance merge and
-// finalize, so group emission order is first occurrence per exchanged
-// instance.
+// runs pipelined (streamChain). Data at rest — a flow built by restFlow, or
+// the drained input of a chain ending in a declarative aggregation — goes to
+// the kernel whole, one goroutine per instance (driverutil.RunChainParts),
+// skipping the channel hop and, for column batches, the row→column rebuild.
 func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, in driverutil.Data, counters []*int64) (driverutil.Data, error) {
 	f, ok := in.(*flow)
 	if !ok {
 		return nil, fmt.Errorf("flink: fused chain input is %T, not a flow", in)
 	}
-	agg := kernel.Agg()
-	if agg == nil && f.segs == nil {
+	if kernel.Agg() == nil && f.segs == nil {
 		return e.streamChain(chain, kernel, f, counters)
 	}
-	segs := f.segs
-	if segs == nil { // a lazy flow feeding an aggregation: drain it
-		parts := f.materialize()
-		if f.errBox != nil {
-			if err := f.errBox.get(); err != nil {
-				return nil, err
-			}
-		}
-		segs = driverutil.RowSegments(parts)
-	}
-	out := make([][]any, len(segs))
-	fanOut(len(segs), func(i int) error {
-		counts := make([]int64, kernel.Len())
-		if agg == nil {
-			out[i] = kernel.RunSegments(segs[i], counts, nil)
-		} else {
-			st := core.NewAggState(agg)
-			kernel.RunSegmentsAgg(segs[i], counts, st)
-			out[i] = st.Partials(nil)
-		}
-		for s, c := range counts {
-			atomic.AddInt64(counters[s], c)
-		}
-		return nil
-	})
-	if agg == nil {
-		return restFlow(driverutil.RowSegments(out)), nil
-	}
-	e.exchangeBarrier()
-	shuffled := restFlow(driverutil.RowSegments(out)).exchange(e.width(), agg.PartialKeyFn())
-	out, err := parallelParts(shuffled, func(part []any) ([]any, error) {
-		st := core.NewAggState(agg)
-		st.AbsorbPartials(part)
-		return kernel.Finalize(st), nil
-	})
+	r, err := e.rest(f)
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range out {
-		*counters[kernel.Len()] += int64(len(p))
-	}
-	return restFlow(driverutil.RowSegments(out)), nil
+	return restFlow(driverutil.RowSegments(driverutil.RunChainParts(e, kernel, r.segs, counters))), nil
 }
 
 // streamChain runs a narrow chain as a single goroutine pipeline segment per
 // instance. Quanta are batched into vectors of fuseBatch and pushed through
 // the compiled kernel in one pass; per-step counts transfer to the shared
-// counters when the segment drains, without Apply's per-quantum countMu.
+// counters when the segment drains, without a per-quantum lock.
 func (e *engine) streamChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, f *flow, counters []*int64) (driverutil.Data, error) {
-	box := f.errBox
-	if box == nil {
-		box = &errBox{}
+	batch := fuseBatch
+	if kernel.VecLen() > 0 {
+		batch = vecChainBatch
 	}
-	out := &flow{
-		width:  f.width,
-		card:   -1,
-		errBox: box,
-		start: func() []chan any {
-			ins := f.start()
-			outs := make([]chan any, len(ins))
-			for i := range ins {
-				o := make(chan any, chanBuf)
-				outs[i] = o
-				go func(in <-chan any, out chan<- any) {
-					counts := make([]int64, kernel.Len())
-					defer close(out)
-					defer func() {
-						for s, c := range counts {
-							atomic.AddInt64(counters[s], c)
-						}
-					}()
-					defer func() {
-						if r := recover(); r != nil {
-							box.set(fmt.Errorf("flink: UDF panic: %v", r))
-							// Drain the input so upstream producers unblock.
-							for range in {
-							}
-						}
-					}()
-					batch := fuseBatch
-					if kernel.VecLen() > 0 {
-						batch = e.driver.Conf.VecChainBatch
-					}
-					vec := make([]any, 0, batch)
-					var buf []any
-					flush := func() {
-						buf = kernel.Run(vec, counts, buf[:0])
-						for _, q := range buf {
-							out <- q
-						}
-						vec = vec[:0]
-					}
-					for q := range in {
-						vec = append(vec, q)
-						if len(vec) == batch {
-							flush()
-						}
-					}
-					if len(vec) > 0 {
-						flush()
-					}
-				}(ins[i], o)
+	out := e.narrow(f, -1, func(_ int, in <-chan any, out chan<- any) {
+		counts := make([]int64, kernel.Len())
+		defer func() {
+			for s, c := range counts {
+				atomic.AddInt64(counters[s], c)
 			}
-			return outs
-		},
-	}
-	if driverutil.StageConsumers(e.stage, chain.Tail()) > 1 {
-		parts := out.materialize()
-		if err := box.get(); err != nil {
-			return nil, err
+		}()
+		vec := make([]any, 0, batch)
+		var buf []any
+		flush := func() {
+			buf = kernel.Run(vec, counts, buf[:0])
+			for _, q := range buf {
+				out <- q
+			}
+			vec = vec[:0]
 		}
-		return restFlow(driverutil.RowSegments(parts)), nil
+		for q := range in {
+			vec = append(vec, q)
+			if len(vec) == batch {
+				flush()
+			}
+		}
+		if len(vec) > 0 {
+			flush()
+		}
+	})
+	if driverutil.StageConsumers(e.stage, chain.Tail()) > 1 {
+		return e.rest(out)
 	}
 	return out, nil
 }
 
+// apply evaluates the kinds flink's archetype owns — the lazy ones above all;
+// every blocking kind is the default arm, decomposed by
+// driverutil.ApplyBlocking over the inputs' materialized partitions.
 func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) {
-	w := e.width()
 	switch op.Kind {
 	case core.KindCollectionSource:
 		if len(in) > 0 {
@@ -479,8 +375,8 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 			return nil, fmt.Errorf("map-partitions %s lacks a UDF", op)
 		}
 		f := op.UDF.MapPart
-		return in[0].narrow(-1, func(src <-chan any, out chan<- any) {
-			var part []any
+		return e.narrow(in[0], -1, func(_ int, src <-chan any, out chan<- any) {
+			var part []any // drained into a slice of the stage's: the UDF may write to it
 			for q := range src {
 				part = append(part, q)
 			}
@@ -492,144 +388,34 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 	case core.KindZipWithID:
 		// Instance i assigns ids i, i+w, i+2w, ... (dense and unique).
 		width := int64(in[0].width)
-		src := in[0]
-		return &flow{width: src.width, card: src.card, start: func() []chan any {
-			ins := src.start()
-			outs := make([]chan any, len(ins))
-			for i := range ins {
-				out := make(chan any, chanBuf)
-				outs[i] = out
-				go func(inst int64, in <-chan any, out chan<- any) {
-					id := inst
-					for q := range in {
-						out <- core.KV{Key: id, Value: q}
-						id += width
-					}
-					close(out)
-				}(int64(i), ins[i], out)
+		return e.narrow(in[0], in[0].card, func(inst int, src <-chan any, out chan<- any) {
+			id := int64(inst)
+			for q := range src {
+				out <- core.KV{Key: id, Value: q}
+				id += width
 			}
-			return outs
-		}}, nil
+		}), nil
 
 	case core.KindSample:
-		data, err := driverutil.Sample(op, in[0].collect(), round)
+		data, err := e.collect(in[0])
 		if err != nil {
+			return nil, err
+		}
+		if data, err = driverutil.Sample(op, data, round); err != nil {
 			return nil, err
 		}
 		return restFlow(e.split(data)), nil
 
-	case core.KindDistinct:
-		e.exchangeBarrier()
-		parts := in[0].exchange(w, func(q any) any { return q })
-		out, err := parallelParts(parts, func(part []any) ([]any, error) {
-			return driverutil.Distinct(part), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return restFlow(driverutil.RowSegments(out)), nil
-
-	case core.KindSort:
-		// Flink sorts within instances and merges at the sink; a single
-		// merged run keeps semantics identical across engines.
-		e.exchangeBarrier()
-		parts := in[0].materialize()
-		sorted, err := parallelParts(parts, func(part []any) ([]any, error) {
-			return driverutil.Sort(op, part), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return restFlow(driverutil.RowSegments([][]any{mergeRuns(sorted, driverutil.LessOf(op))})), nil
-
-	case core.KindCount:
-		var n int64
-		for _, part := range in[0].materialize() {
-			n += int64(len(part))
-		}
-		return restFlow(driverutil.RowSegments([][]any{{n}})), nil
-
-	case core.KindReduce:
-		parts := in[0].materialize()
-		partials, err := parallelParts(parts, func(part []any) ([]any, error) {
-			return driverutil.Reduce(op, part)
-		})
-		if err != nil {
-			return nil, err
-		}
-		var all []any
-		for _, p := range partials {
-			all = append(all, p...)
-		}
-		out, err := driverutil.Reduce(op, all)
-		if err != nil {
-			return nil, err
-		}
-		return restFlow(driverutil.RowSegments([][]any{out})), nil
-
-	case core.KindReduceBy:
-		if op.UDF.Key == nil || op.UDF.Reduce == nil {
-			return nil, fmt.Errorf("reduce-by %s lacks key or reduce UDF", op)
-		}
-		e.exchangeBarrier()
-		parts := in[0].exchange(w, op.UDF.Key)
-		out, err := parallelParts(parts, func(part []any) ([]any, error) {
-			return driverutil.ReduceByKey(op, part)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return restFlow(driverutil.RowSegments(out)), nil
-
-	case core.KindGroupBy:
-		if op.UDF.Key == nil {
-			return nil, fmt.Errorf("group-by %s lacks a key UDF", op)
-		}
-		e.exchangeBarrier()
-		parts := in[0].exchange(w, op.UDF.Key)
-		out, err := parallelParts(parts, func(part []any) ([]any, error) {
-			return driverutil.GroupByKey(op, part)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return restFlow(driverutil.RowSegments(out)), nil
-
-	case core.KindCache:
-		return restFlow(driverutil.RowSegments(in[0].materialize())), nil
-
-	case core.KindJoin:
-		if op.UDF.Key == nil {
-			return nil, fmt.Errorf("join %s lacks a key UDF", op)
-		}
-		e.exchangeBarrier()
-		ls := in[0].exchange(w, op.UDF.Key)
-		rs := in[1].exchange(w, driverutil.KeyRight(op))
-		out := make([][]any, w)
-		err := fanOut(w, func(i int) (err error) {
-			out[i], err = driverutil.HashJoin(op, ls[i], rs[i])
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		return restFlow(driverutil.RowSegments(out)), nil
-
-	case core.KindIEJoin:
-		right := in[1].collect()
-		e.exchangeBarrier()
-		out, err := parallelParts(in[0].materialize(), func(part []any) ([]any, error) {
-			return driverutil.IEJoinSlices(op, part, right)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return restFlow(driverutil.RowSegments(out)), nil
+	case core.KindCache, core.KindCollectionSink:
+		return e.rest(in[0])
 
 	case core.KindCartesian:
 		combine := driverutil.Combine(op)
-		right := in[1].collect()
-		return in[0].narrow(-1, func(src <-chan any, out chan<- any) {
+		right, err := e.collect(in[1])
+		if err != nil {
+			return nil, err
+		}
+		return e.narrow(in[0], -1, func(_ int, src <-chan any, out chan<- any) {
 			for l := range src {
 				for _, r := range right {
 					out <- combine(l, r)
@@ -643,75 +429,43 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 			return append(left.start(), right.start()...)
 		}}, nil
 
-	case core.KindIntersect:
-		e.exchangeBarrier()
-		id := func(q any) any { return q }
-		ls := in[0].exchange(w, id)
-		rs := in[1].exchange(w, id)
-		out := make([][]any, w)
-		fanOut(w, func(i int) error {
-			out[i] = driverutil.Intersect(ls[i], rs[i])
-			return nil
-		})
-		return restFlow(driverutil.RowSegments(out)), nil
-
-	case core.KindCoGroup:
-		if op.UDF.Key == nil {
-			return nil, fmt.Errorf("co-group %s lacks a key UDF", op)
-		}
-		e.exchangeBarrier()
-		ls := in[0].exchange(w, op.UDF.Key)
-		rs := in[1].exchange(w, driverutil.KeyRight(op))
-		out := make([][]any, w)
-		err := fanOut(w, func(i int) (err error) {
-			out[i], err = driverutil.CoGroup(op, ls[i], rs[i])
-			return err
-		})
+	case core.KindPageRank:
+		edges, err := e.collect(in[0])
 		if err != nil {
 			return nil, err
 		}
-		return restFlow(driverutil.RowSegments(out)), nil
-
-	case core.KindPageRank:
-		out, err := e.pageRank(op, in[0].collect())
+		out, err := e.pageRank(op, edges)
 		if err != nil {
 			return nil, err
 		}
 		return restFlow(e.split(out)), nil
 
-	case core.KindCollectionSink:
-		return restFlow(driverutil.RowSegments(in[0].materialize())), nil
-
 	case core.KindTextFileSink:
-		data := in[0].collect()
+		data, err := e.collect(in[0])
+		if err != nil {
+			return nil, err
+		}
 		if err := driverutil.WriteTextLines(e.driver.DFS, op, data); err != nil {
 			return nil, err
 		}
 		return restFlow(e.split(data)), nil
 
 	default:
-		return nil, fmt.Errorf("flink: unsupported operator kind %s", op.Kind)
-	}
-}
-
-func mergeRuns(runs [][]any, less func(a, b any) bool) []any {
-	var out []any
-	idx := make([]int, len(runs))
-	for {
-		best := -1
-		for i, run := range runs {
-			if idx[i] >= len(run) {
-				continue
-			}
-			if best < 0 || less(run[idx[i]], runs[best][idx[best]]) {
-				best = i
+		ins := make([][][]any, len(in))
+		for i, f := range in {
+			var err error
+			if ins[i], err = e.materialize(f); err != nil {
+				return nil, err
 			}
 		}
-		if best < 0 {
-			return out
+		out, ok, err := driverutil.ApplyBlocking(e, op, ins)
+		if !ok {
+			return nil, fmt.Errorf("flink: unsupported operator kind %s", op.Kind)
 		}
-		out = append(out, runs[best][idx[best]])
-		idx[best]++
+		if err != nil {
+			return nil, err
+		}
+		return restFlow(driverutil.RowSegments(out)), nil
 	}
 }
 
@@ -753,7 +507,7 @@ func (e *engine) pageRank(op *core.Operator, edgeQuanta []any) ([]any, error) {
 	}
 	w := e.width()
 	for it := 0; it < iters; it++ {
-		e.exchangeBarrier()
+		e.Barrier()
 		partials := make([]map[int64]float64, w)
 		var wg sync.WaitGroup
 		for i := 0; i < w; i++ {

@@ -2,19 +2,21 @@
 // dataflow engine. Datasets flow as P parallel Go channels driven by
 // producer goroutines; narrow operators (map, filter, flatMap, ...) chain
 // onto the channels without materialization, so a pipeline of narrow
-// operators is one pass regardless of its length. Wide operators exchange
-// quanta between instances by key hash. Compared to the spark engine it
-// pipelines instead of materializing per operator and has a lower job
-// startup latency, but its per-quantum channel sends cost more than spark's
-// slice scans — a genuinely different performance profile, so neither
-// engine dominates (Figure 9 of the paper).
+// operators is one pass regardless of its length. Blocking operators
+// materialize their inputs and decompose as on every engine
+// (driverutil.ApplyBlocking — the exchange is the same bucket scatter/gather
+// spark's shuffle is), on one goroutine per instance. What differs from the
+// spark engine is the execution model: it pipelines lazily instead of
+// materializing per operator and has lower start-up and exchange latency,
+// but its per-quantum channel sends cost more than spark's slice scans — a
+// genuinely different performance profile, so neither engine dominates
+// (Figure 9 of the paper).
 package flink
 
 import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"rheem/internal/core"
 	"rheem/internal/platform/driverutil"
@@ -39,16 +41,11 @@ type Config struct {
 	// ExchangeLatencyMs is paid per network exchange (wide dependency).
 	// Default 2; negative means none.
 	ExchangeLatencyMs float64
-	// VecChainBatch is the vector size fused chains with column-compiled
-	// steps batch quanta in. 0 selects the default (4096); any negative
-	// value disables the enlarged batching and such chains fall back to the
-	// ordinary fuse batch size.
-	VecChainBatch int
 }
 
 // NoOverheadMs is the sentinel for "this overhead is really zero" in Config
 // fields whose zero value means "use the default".
-const NoOverheadMs = -1
+const NoOverheadMs = driverutil.NoOverheadMs
 
 func (c Config) withDefaults() Config {
 	if c.Parallelism <= 0 {
@@ -57,28 +54,10 @@ func (c Config) withDefaults() Config {
 			c.Parallelism = 4 // partitions interleave when the host is smaller
 		}
 	}
-	c.ContextStartupMs = defaultMs(c.ContextStartupMs, 80)
-	c.JobStartupMs = defaultMs(c.JobStartupMs, 6)
-	c.ExchangeLatencyMs = defaultMs(c.ExchangeLatencyMs, 2)
-	switch {
-	case c.VecChainBatch == 0:
-		c.VecChainBatch = 4096
-	case c.VecChainBatch < 0:
-		c.VecChainBatch = fuseBatch
-	}
+	c.ContextStartupMs = driverutil.OverheadMs(c.ContextStartupMs, 80)
+	c.JobStartupMs = driverutil.OverheadMs(c.JobStartupMs, 6)
+	c.ExchangeLatencyMs = driverutil.OverheadMs(c.ExchangeLatencyMs, 2)
 	return c
-}
-
-// defaultMs resolves an overhead field: 0 selects the default, a negative
-// sentinel selects a true zero.
-func defaultMs(v, def float64) float64 {
-	switch {
-	case v == 0:
-		return def
-	case v < 0:
-		return 0
-	}
-	return v
 }
 
 // Driver is the flink platform driver.
@@ -239,14 +218,8 @@ func (d *Driver) Execute(stage *core.Stage, in *core.Inputs) (map[*core.Operator
 	d.booted = true
 	d.mu.Unlock()
 	if boot {
-		sleepMs(d.Conf.ContextStartupMs)
+		driverutil.SleepMs(d.Conf.ContextStartupMs)
 	}
-	sleepMs(d.Conf.JobStartupMs)
+	driverutil.SleepMs(d.Conf.JobStartupMs)
 	return driverutil.RunStage(&engine{driver: d, stage: stage}, stage, in)
-}
-
-func sleepMs(ms float64) {
-	if ms > 0 {
-		time.Sleep(time.Duration(ms * float64(time.Millisecond)))
-	}
 }

@@ -73,18 +73,6 @@ func TestSortMergedGlobally(t *testing.T) {
 	}
 }
 
-func TestMergeRuns(t *testing.T) {
-	runs := [][]any{{int64(1), int64(4)}, {int64(2)}, {}, {int64(0), int64(3), int64(5)}}
-	got := mergeRuns(runs, func(a, b any) bool { return a.(int64) < b.(int64) })
-	want := []any{int64(0), int64(1), int64(2), int64(3), int64(4), int64(5)}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("merge = %v", got)
-	}
-	if out := mergeRuns(nil, nil); len(out) != 0 {
-		t.Fatal("empty merge should be empty")
-	}
-}
-
 func TestZipWithIDUniqueDense(t *testing.T) {
 	d := testDriver(t)
 	op := &core.Operator{Kind: core.KindZipWithID}
@@ -163,39 +151,10 @@ func TestConversionsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestExchangeKeepsKeysTogether(t *testing.T) {
-	e := &engine{driver: NewWithConfig(nil, fastConf())}
-	f := restFlow(e.split(mkKVs(500, 13)))
-	parts := f.exchange(4, func(q any) any { return q.(core.KV).Key })
-	where := map[int64]int{}
-	var total int
-	for pi, part := range parts {
-		total += len(part)
-		for _, q := range part {
-			k := q.(core.KV).Key.(int64)
-			if prev, ok := where[k]; ok && prev != pi {
-				t.Fatalf("key %d split across partitions", k)
-			}
-			where[k] = pi
-		}
-	}
-	if total != 500 {
-		t.Fatalf("exchange lost quanta: %d", total)
-	}
-}
-
 func mkInts(n int) []any {
 	out := make([]any, n)
 	for i := range out {
 		out[i] = int64(i)
-	}
-	return out
-}
-
-func mkKVs(n int, mod int64) []any {
-	out := make([]any, n)
-	for i := range out {
-		out[i] = core.KV{Key: int64(i) % mod, Value: int64(i)}
 	}
 	return out
 }

@@ -7,6 +7,7 @@ package platformtest_test
 // no narrow run in front of it (a chain of zero narrow steps).
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -124,6 +125,211 @@ func TestStandAloneDeclarativeReduceBy(t *testing.T) {
 		t.Run(d.Name(), func(t *testing.T) {
 			platformtest.CheckPlan(t, d, p)
 			checkSniffed(t, d, p, agg)
+		})
+	}
+}
+
+// execPlan runs p as one stage on d and returns what sink collected. With
+// inStage the collection sources run inside the stage; otherwise their
+// collections arrive as input channels carrying the very same slices
+// (ExecPlan) — the only way in for relstore, which has no in-stage source.
+func execPlan(d core.Driver, p *core.Plan, sink *core.Operator, inStage bool) ([]any, error) {
+	if !inStage || d.Name() == relstore.Platform {
+		outs, _, err := platformtest.ExecPlan(d, p, nil)
+		return outs[sink], err
+	}
+	order, err := p.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	stage := &core.Stage{ID: 1, Platform: d.Name(), Ops: order, TerminalOuts: []*core.Operator{sink}}
+	outs, _, err := d.Execute(stage, core.NewInputs())
+	if err != nil {
+		return nil, err
+	}
+	return outs[sink].Payload.(*core.SliceDataset).Data, nil
+}
+
+func ints(n int) []any {
+	out := make([]any, n)
+	for i := range out {
+		out[i] = int64(i)
+	}
+	return out
+}
+
+// TestUDFPanicFailsStage: a UDF panic anywhere in a stage fails the job with
+// "UDF panic" — never a truncated result — whatever reads the panicking
+// operator's output, and whether that output is produced eagerly (straight
+// off a source) or by a lazy pipeline (behind map-partitions).
+func TestUDFPanicFailsStage(t *testing.T) {
+	mod := func(q any) any { return q.(int64) % 10 }
+	downstream := map[string]func(p *core.Plan, bad *core.Operator) *core.Operator{
+		"sink": func(p *core.Plan, bad *core.Operator) *core.Operator { return bad },
+		"zip-with-id": func(p *core.Plan, bad *core.Operator) *core.Operator {
+			return p.Chain(bad, p.NewOperator(core.KindZipWithID, "zip"))
+		},
+		"distinct": func(p *core.Plan, bad *core.Operator) *core.Operator {
+			return p.Chain(bad, p.NewOperator(core.KindDistinct, "distinct"))
+		},
+		"join-right": func(p *core.Plan, bad *core.Operator) *core.Operator {
+			left := p.NewOperator(core.KindCollectionSource, "left")
+			left.Params.Collection = ints(50)
+			join := p.NewOperator(core.KindJoin, "join")
+			join.UDF = core.UDFs{Key: mod, KeyRight: mod}
+			p.Connect(left, join, 0)
+			p.Connect(bad, join, 1)
+			return join
+		},
+		"union": func(p *core.Plan, bad *core.Operator) *core.Operator {
+			other := p.NewOperator(core.KindCollectionSource, "other")
+			other.Params.Collection = ints(50)
+			union := p.NewOperator(core.KindUnion, "union")
+			p.Connect(bad, union, 0)
+			p.Connect(other, union, 1)
+			return union
+		},
+	}
+	for _, d := range engines() {
+		relational := d.Name() == relstore.Platform
+		for name, build := range downstream {
+			if relational && (name == "zip-with-id" || name == "union") {
+				continue // not a relational kind
+			}
+			for _, lazy := range []bool{false, true} {
+				if relational && lazy {
+					continue // map-partitions is not a relational kind
+				}
+				t.Run(fmt.Sprintf("%s/%s/lazy=%v", d.Name(), name, lazy), func(t *testing.T) {
+					p := core.NewPlan("panic")
+					head := p.NewOperator(core.KindCollectionSource, "src")
+					head.Params.Collection = ints(5000)
+					if lazy {
+						mp := p.NewOperator(core.KindMapPart, "pass")
+						mp.UDF.MapPart = func(part []any) []any { return part }
+						head = p.Chain(head, mp)
+					}
+					boom := func(q any) { // the store runs filters, not maps
+						if q.(int64) == 4242 {
+							panic("boom at 4242")
+						}
+					}
+					bad := &core.Operator{Kind: core.KindMap, Label: "bad", UDF: core.UDFs{Map: func(q any) any { boom(q); return q }}}
+					if relational {
+						bad = &core.Operator{Kind: core.KindFilter, Label: "bad", UDF: core.UDFs{Pred: func(q any) bool { boom(q); return true }}}
+					}
+					sink := p.Chain(head, p.Add(bad))
+					sink = p.Chain(build(p, sink), p.NewOperator(core.KindCollectionSink, "sink"))
+					got, err := execPlan(d, p, sink, true)
+					if err == nil || !strings.Contains(err.Error(), "UDF panic") {
+						t.Fatalf("stage returned %d quanta and error %v, want a UDF panic error", len(got), err)
+					}
+				})
+			}
+		}
+	}
+}
+
+// partitioned lists the engines the partition-ownership rule names: the ones
+// that hand partitions to user code and results back without a table between.
+func partitioned() (out []core.Driver) {
+	for _, d := range engines() {
+		if d.Name() != relstore.Platform {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// checkHeld runs the plan build makes over one caller-held collection twice on
+// every partitioned engine, entering as an in-stage source and as a collection
+// channel, and holds each run's sink to want. after sees every result.
+func checkHeld(t *testing.T, n int, build func(p *core.Plan, src *core.Operator) *core.Operator, want func(i int) int64, after func(got []any)) {
+	for _, d := range partitioned() {
+		for _, inStage := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/in-stage-source=%v", d.Name(), inStage), func(t *testing.T) {
+				held := ints(n)
+				for run := 1; run <= 2; run++ {
+					p := core.NewPlan("held")
+					src := p.NewOperator(core.KindCollectionSource, "src")
+					src.Params.Collection = held
+					sink := p.Chain(build(p, src), p.NewOperator(core.KindCollectionSink, "sink"))
+					got, err := execPlan(d, p, sink, inStage)
+					if err != nil {
+						t.Fatalf("run %d: %v", run, err)
+					}
+					sorted := platformtest.SortedInts(t, got)
+					if len(sorted) != n {
+						t.Fatalf("run %d: sink returned %d quanta, want %d", run, len(sorted), n)
+					}
+					for i, v := range sorted {
+						if v != want(i) {
+							t.Fatalf("run %d: quantum %d is %d, want %d (the held collection was overwritten)", run, i, v, want(i))
+						}
+					}
+					after(got)
+					for i, q := range held {
+						if q != int64(i) {
+							t.Fatalf("run %d: the caller's slice was written at %d: %v", run, i, q)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestCallerOwnedInputSurvivesMutatingUDF pins the entry side of the
+// partition-ownership rule: a MapPart UDF may overwrite the partition it is
+// handed, so it must be handed a slice the stage allocated — straight off the
+// caller-held collection, and behind a blocking operator that read it in
+// place.
+func TestCallerOwnedInputSurvivesMutatingUDF(t *testing.T) {
+	double := func(p *core.Plan, in *core.Operator) *core.Operator {
+		mp := p.NewOperator(core.KindMapPart, "double")
+		mp.UDF.MapPart = func(part []any) []any {
+			for i, q := range part {
+				part[i] = q.(int64) * 2
+			}
+			return part
+		}
+		return p.Chain(in, mp)
+	}
+	doubled := func(i int) int64 { return int64(2 * i) }
+	t.Run("direct", func(t *testing.T) { checkHeld(t, 1000, double, doubled, func([]any) {}) })
+	t.Run("behind-distinct", func(t *testing.T) {
+		checkHeld(t, 1000, func(p *core.Plan, src *core.Operator) *core.Operator {
+			return double(p, p.Chain(src, p.NewOperator(core.KindDistinct, "distinct")))
+		}, doubled, func([]any) {})
+	})
+}
+
+// TestCollectionSinkOutputIsCallerOwned pins the exit side: what a collection
+// sink hands back never aliases a slice the stage was handed, so a caller
+// overwriting a result leaves the held collection — and a second run over it
+// — unchanged, however directly the sink reads the source.
+func TestCollectionSinkOutputIsCallerOwned(t *testing.T) {
+	shapes := map[string]func(p *core.Plan, src *core.Operator) *core.Operator{
+		"source-sink": func(p *core.Plan, src *core.Operator) *core.Operator { return src },
+		"source-cache-sink": func(p *core.Plan, src *core.Operator) *core.Operator {
+			return p.Chain(src, p.NewOperator(core.KindCache, "cache"))
+		},
+		"source-union-sink": func(p *core.Plan, src *core.Operator) *core.Operator {
+			empty := p.NewOperator(core.KindCollectionSource, "empty")
+			empty.Params.Collection = []any{}
+			union := p.NewOperator(core.KindUnion, "union")
+			p.Connect(src, union, 0)
+			p.Connect(empty, union, 1)
+			return union
+		},
+	}
+	for name, shape := range shapes {
+		t.Run(name, func(t *testing.T) {
+			checkHeld(t, 400, shape, func(i int) int64 { return int64(i) }, func(got []any) {
+				for i := range got {
+					got[i] = int64(-1) // the caller owns the result
+				}
+			})
 		})
 	}
 }

@@ -116,6 +116,18 @@ func interpretOp(op *core.Operator, in [][]any, tables TableRows) (out []any, er
 		return driverutil.Sort(op, in[0]), nil
 	case core.KindJoin:
 		return driverutil.HashJoin(op, in[0], in[1])
+	case core.KindIEJoin:
+		return driverutil.IEJoinSlices(op, in[0], in[1])
+	case core.KindGroupBy:
+		return driverutil.GroupByKey(op, in[0])
+	case core.KindCoGroup:
+		return driverutil.CoGroup(op, in[0], in[1])
+	case core.KindIntersect:
+		return driverutil.Intersect(in[0], in[1]), nil
+	case core.KindReduce:
+		return driverutil.Reduce(op, in[0])
+	case core.KindCount:
+		return []any{int64(len(in[0]))}, nil
 	case core.KindUnion:
 		return append(append(out, in[0]...), in[1]...), nil
 	case core.KindCollectionSink:

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"rheem/internal/core"
+	"rheem/internal/platform/driverutil"
 )
 
 // CollectionChannel wraps quanta in a collection channel.
@@ -49,7 +50,7 @@ func RunOpErr(d core.Driver, op *core.Operator, inputs ...*core.Channel) ([]any,
 	if ch == nil {
 		return nil, stats, nil
 	}
-	data, err := channelData(ch)
+	data, err := driverutil.ChannelQuanta(ch)
 	return data, stats, err
 }
 
@@ -73,7 +74,7 @@ func RunChain(t *testing.T, d core.Driver, ops []*core.Operator, inputs ...*core
 	if err != nil {
 		t.Fatalf("chain on %s: %v", d.Name(), err)
 	}
-	data, err := channelData(outs[last])
+	data, err := driverutil.ChannelQuanta(outs[last])
 	if err != nil {
 		t.Fatalf("chain output: %v", err)
 	}
@@ -112,7 +113,7 @@ func ExecPlan(d core.Driver, p *core.Plan, sniffers map[*core.Operator]func(any)
 	}
 	rows := make(map[*core.Operator][]any, len(outs))
 	for op, ch := range outs {
-		if rows[op], err = channelData(ch); err != nil {
+		if rows[op], err = driverutil.ChannelQuanta(ch); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -159,27 +160,6 @@ func SameMultiset(got, want []any) error {
 		}
 	}
 	return nil
-}
-
-func channelData(ch *core.Channel) ([]any, error) {
-	switch p := ch.Payload.(type) {
-	case *core.SliceDataset:
-		return p.Data, nil
-	case core.Dataset:
-		return core.Materialize(p), nil
-	case string:
-		return core.ReadQuantaFile(p)
-	default:
-		// Engine-native payloads expose Collect() (RDDs, datasets) or
-		// Rows() (table references).
-		if c, ok := p.(interface{ Collect() []any }); ok {
-			return c.Collect(), nil
-		}
-		if r, ok := p.(interface{ Rows() ([]any, error) }); ok {
-			return r.Rows()
-		}
-		return nil, nil
-	}
 }
 
 // SortedInts extracts and sorts int64 results for order-insensitive checks.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rheem/internal/core"
+	"rheem/internal/platform/driverutil"
 )
 
 // Options configure the conformance suite for a platform.
@@ -336,7 +337,7 @@ func Run(t *testing.T, d core.Driver, opts Options) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := channelData(outs[op])
+		data, err := driverutil.ChannelQuanta(outs[op])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,7 +366,7 @@ func Run(t *testing.T, d core.Driver, opts Options) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := channelData(outs[op])
+		data, err := driverutil.ChannelQuanta(outs[op])
 		if err != nil {
 			t.Fatal(err)
 		}

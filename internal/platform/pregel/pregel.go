@@ -38,7 +38,7 @@ type Config struct {
 
 // NoOverheadMs is the sentinel for "this overhead is really zero" in Config
 // fields whose zero value means "use the default".
-const NoOverheadMs = -1
+const NoOverheadMs = driverutil.NoOverheadMs
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -47,21 +47,9 @@ func (c Config) withDefaults() Config {
 			c.Workers = 4 // partitions interleave when the host is smaller
 		}
 	}
-	c.ContextStartupMs = defaultMs(c.ContextStartupMs, 60)
-	c.SuperstepMs = defaultMs(c.SuperstepMs, 1.5)
+	c.ContextStartupMs = driverutil.OverheadMs(c.ContextStartupMs, 60)
+	c.SuperstepMs = driverutil.OverheadMs(c.SuperstepMs, 1.5)
 	return c
-}
-
-// defaultMs resolves an overhead field: 0 selects the default, a negative
-// sentinel selects a true zero.
-func defaultMs(v, def float64) float64 {
-	switch {
-	case v == 0:
-		return def
-	case v < 0:
-		return 0
-	}
-	return v
 }
 
 // VertexContext is handed to a vertex program at every superstep.
@@ -333,8 +321,8 @@ func (d *Driver) Execute(stage *core.Stage, in *core.Inputs) (map[*core.Operator
 	boot := !d.booted
 	d.booted = true
 	d.mu.Unlock()
-	if boot && d.Conf.ContextStartupMs > 0 {
-		time.Sleep(time.Duration(d.Conf.ContextStartupMs * float64(time.Millisecond)))
+	if boot {
+		driverutil.SleepMs(d.Conf.ContextStartupMs)
 	}
 	return driverutil.RunStage(&engine{driver: d}, stage, in)
 }

@@ -3,7 +3,6 @@ package relstore
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"rheem/internal/core"
 	"rheem/internal/platform/driverutil"
@@ -61,12 +60,7 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 4
 	}
-	switch {
-	case c.QueryLatencyMs == 0:
-		c.QueryLatencyMs = 1.5
-	case c.QueryLatencyMs < 0:
-		c.QueryLatencyMs = 0
-	}
+	c.QueryLatencyMs = driverutil.OverheadMs(c.QueryLatencyMs, 1.5)
 	switch {
 	case c.SimSlowdown == 0:
 		c.SimSlowdown = 2
@@ -236,9 +230,7 @@ func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
 
 // Execute implements core.Driver.
 func (d *Driver) Execute(stage *core.Stage, in *core.Inputs) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
-	if d.Conf.QueryLatencyMs > 0 {
-		time.Sleep(time.Duration(d.Conf.QueryLatencyMs * float64(time.Millisecond)))
-	}
+	driverutil.SleepMs(d.Conf.QueryLatencyMs)
 	outs, stats, err := driverutil.RunStage(&engine{driver: d}, stage, in)
 	if err == nil {
 		driverutil.ApplySlowdown(stats, d.Conf.SimSlowdown)
@@ -427,22 +419,13 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 			return nil, err
 		}
 	}
-	counts := make([]int64, kernel.Len())
-	out := rows // a pushed-down lone filter leaves nothing to run
-	if agg := kernel.Agg(); agg != nil {
-		// Single worker set, no exchange: absorb the (possibly pushed-down)
-		// rows and finalize in first-occurrence order.
-		st := core.NewAggState(agg)
-		kernel.RunAgg(rows, counts, st)
-		out = kernel.Finalize(st)
-		*counters[kernel.Len()] += int64(len(out))
-	} else if kernel.Len() > 0 {
-		out = kernel.Run(rows, counts, nil)
+	if kernel.Len() == 0 && kernel.Agg() == nil {
+		return &rel{rows: rows}, nil // a pushed-down lone filter leaves nothing to run
 	}
-	for s, c := range counts {
-		*counters[s] += c
-	}
-	return &rel{rows: out}, nil
+	// Single worker set, one partition: an absorbed aggregation finalizes in
+	// place, in first-occurrence order.
+	out := driverutil.RunChainParts(driverutil.Serial{}, kernel, driverutil.RowSegments([][]any{rows}), counters)
+	return &rel{rows: out[0]}, nil
 }
 
 func (e *engine) apply(op *core.Operator, in []*rel) (*rel, error) {
@@ -469,57 +452,6 @@ func (e *engine) apply(op *core.Operator, in []*rel) (*rel, error) {
 		}
 		return &rel{rows: rows}, nil
 
-	case core.KindJoin:
-		l, err := e.rowsOf(in[0])
-		if err != nil {
-			return nil, err
-		}
-		r, err := e.rowsOf(in[1])
-		if err != nil {
-			return nil, err
-		}
-		out, err := driverutil.HashJoin(op, l, r)
-		if err != nil {
-			return nil, err
-		}
-		return &rel{rows: out}, nil
-
-	case core.KindReduceBy:
-		rows, err := e.rowsOf(in[0])
-		if err != nil {
-			return nil, err
-		}
-		out, err := driverutil.ReduceByKey(op, rows)
-		if err != nil {
-			return nil, err
-		}
-		return &rel{rows: out}, nil
-
-	case core.KindGroupBy:
-		rows, err := e.rowsOf(in[0])
-		if err != nil {
-			return nil, err
-		}
-		out, err := driverutil.GroupByKey(op, rows)
-		if err != nil {
-			return nil, err
-		}
-		return &rel{rows: out}, nil
-
-	case core.KindSort:
-		rows, err := e.rowsOf(in[0])
-		if err != nil {
-			return nil, err
-		}
-		return &rel{rows: driverutil.Sort(op, rows)}, nil
-
-	case core.KindDistinct:
-		rows, err := e.rowsOf(in[0])
-		if err != nil {
-			return nil, err
-		}
-		return &rel{rows: driverutil.Distinct(rows)}, nil
-
 	case core.KindCount:
 		if in[0].ref != nil {
 			// Counting a base table is a metadata lookup.
@@ -529,7 +461,24 @@ func (e *engine) apply(op *core.Operator, in []*rel) (*rel, error) {
 			}
 			return &rel{rows: []any{int64(t.RowCount())}}, nil
 		}
-		return &rel{rows: []any{int64(len(in[0].rows))}}, nil
+		fallthrough
+
+	// The blocking kinds the store has mappings for; driverutil.ApplyBlocking
+	// knows more, and the default arm keeps rejecting those.
+	case core.KindJoin, core.KindReduceBy, core.KindGroupBy, core.KindSort, core.KindDistinct:
+		ins := make([][][]any, len(in))
+		for i, r := range in {
+			rows, err := e.rowsOf(r)
+			if err != nil {
+				return nil, err
+			}
+			ins[i] = [][]any{rows}
+		}
+		out, _, err := driverutil.ApplyBlocking(driverutil.Serial{}, op, ins)
+		if err != nil {
+			return nil, err
+		}
+		return &rel{rows: out[0]}, nil
 
 	case core.KindCollectionSink:
 		rows, err := e.rowsOf(in[0])

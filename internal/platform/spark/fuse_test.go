@@ -85,11 +85,11 @@ func TestPartitionCopiesInput(t *testing.T) {
 	_ = p0
 }
 
-// TestCallerOwnedCollectionSurvivesMutatingUDF pins the copy at the places a
-// caller-owned slice enters spark: a MapPart UDF may overwrite the partition
-// it is handed, so the same plan-held collection — as an in-stage source, as
-// a collection channel, and through spark.parallelize — must give the same
-// result when executed a second time.
+// TestCallerOwnedCollectionSurvivesMutatingUDF pins the copy in
+// spark.parallelize: a MapPart UDF may overwrite the partition it is handed,
+// so a caller-held collection converted to an rdd channel must give the same
+// result when converted and executed a second time. (The entries every engine
+// shares are pinned in platformtest's TestCallerOwnedInputSurvivesMutatingUDF.)
 func TestCallerOwnedCollectionSurvivesMutatingUDF(t *testing.T) {
 	d := NewWithConfig(nil, fastConf())
 	const n = 1000
@@ -97,57 +97,27 @@ func TestCallerOwnedCollectionSurvivesMutatingUDF(t *testing.T) {
 	for i := range held {
 		held[i] = int64(i)
 	}
-	doubleInPlace := func(part []any) []any {
-		for i, q := range part {
-			part[i] = q.(int64) * 2
-		}
-		return part
-	}
 	var parallelize *core.Conversion
 	for _, c := range d.Conversions() {
 		if c.Name == "spark.parallelize" {
 			parallelize = c
 		}
 	}
-	entries := map[string]func() (*core.Operator, *core.Channel){
-		"in-stage source": func() (*core.Operator, *core.Channel) {
-			return &core.Operator{Kind: core.KindCollectionSource, Label: "src", Params: core.Params{Collection: held}}, nil
-		},
-		"collection channel": func() (*core.Operator, *core.Channel) {
-			return nil, core.NewChannel(core.CollectionChannel, core.NewSliceDataset(held), n)
-		},
-		"spark.parallelize": func() (*core.Operator, *core.Channel) {
-			ch, err := parallelize.Convert(core.NewChannel(core.CollectionChannel, core.NewSliceDataset(held), n))
-			if err != nil {
-				t.Fatal(err)
+	for run := 1; run <= 2; run++ {
+		ch, err := parallelize.Convert(core.NewChannel(core.CollectionChannel, core.NewSliceDataset(held), n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mp := &core.Operator{Kind: core.KindMapPart, Label: "double", UDF: core.UDFs{MapPart: func(part []any) []any {
+			for i, q := range part {
+				part[i] = q.(int64) * 2
 			}
-			return nil, ch
-		},
-	}
-	for name, entry := range entries {
-		for run := 1; run <= 2; run++ {
-			src, ch := entry()
-			mp := &core.Operator{Kind: core.KindMapPart, Label: "double", UDF: core.UDFs{MapPart: doubleInPlace}}
-			p := core.NewPlan("own")
-			p.Add(mp)
-			stage := &core.Stage{ID: run, Platform: d.Name(), Ops: []*core.Operator{mp}, TerminalOuts: []*core.Operator{mp}}
-			in := core.NewInputs()
-			if src != nil {
-				p.Add(src)
-				p.Chain(src, mp)
-				stage.Ops = []*core.Operator{src, mp}
-			} else {
-				in.Main[mp] = []*core.Channel{ch}
-			}
-			outs, _, err := d.Execute(stage, in)
-			if err != nil {
-				t.Fatalf("%s run %d: %v", name, run, err)
-			}
-			got := platformtest.SortedInts(t, outs[mp].Payload.(*RDD).Collect())
-			for i, v := range got {
-				if v != int64(2*i) {
-					t.Fatalf("%s run %d: quantum %d is %d, want %d (the held collection was overwritten)", name, run, i, v, 2*i)
-				}
+			return part
+		}}}
+		got := platformtest.SortedInts(t, platformtest.RunOp(t, d, mp, ch))
+		for i, v := range got {
+			if v != int64(2*i) {
+				t.Fatalf("run %d: quantum %d is %d, want %d (the held collection was overwritten)", run, i, v, 2*i)
 			}
 		}
 	}

@@ -20,38 +20,35 @@ func (e *engine) pageRank(op *core.Operator, edges *RDD) (*RDD, error) {
 	if damping <= 0 {
 		damping = 0.85
 	}
-	w := e.width()
-	p := len(edges.parts())
-	if p < 1 {
-		p = 1
-	}
+	p := max(len(edges.parts()), 1)
 
 	// Build per-partition adjacency: vertex -> out-neighbours, partitioned
-	// by source vertex hash so each vertex's edges live on one partition.
-	bySrc := edges.shuffleBy(w, p, func(q any) any {
-		return q.(core.Edge).Src
-	}).rows()
+	// by source vertex hash so each vertex's edges live on one partition. A
+	// quantum that is no Edge routes anywhere; the build below reports it.
+	bySrc := driverutil.Exchange(e, edges.rows(), p, driverutil.HashRoute(func(q any) any {
+		edge, _ := q.(core.Edge)
+		return edge.Src
+	}, p))
 	type adjPart struct {
 		adj      map[int64][]int64
 		vertices map[int64]bool
 	}
 	parts := make([]adjPart, p)
-	var badQuantum error
-	pool(p, w, func(i int) {
+	err := e.Each(p, func(i int) error {
 		ap := adjPart{adj: map[int64][]int64{}, vertices: map[int64]bool{}}
 		for _, q := range bySrc[i] {
 			edge, ok := q.(core.Edge)
 			if !ok {
-				badQuantum = fmt.Errorf("spark.pagerank: quantum %T is not an Edge", q)
-				return
+				return fmt.Errorf("spark.pagerank: quantum %T is not an Edge", q)
 			}
 			ap.adj[edge.Src] = append(ap.adj[edge.Src], edge.Dst)
 			ap.vertices[edge.Src] = true
 		}
 		parts[i] = ap
+		return nil
 	})
-	if badQuantum != nil {
-		return nil, badQuantum
+	if err != nil {
+		return nil, err
 	}
 	// Destination-only vertices (sinks) also hold rank; find their owners.
 	owner := func(v int64) int { return int(driverutil.HashKey(v) % uint64(p)) }
@@ -79,7 +76,7 @@ func (e *engine) pageRank(op *core.Operator, edges *RDD) (*RDD, error) {
 			ranks[i][v] = 0
 		}
 		// Vertices whose adjacency lives here but whose rank is owned
-		// elsewhere: move them. (shuffleBy placed edges by hash of Src via
+		// elsewhere: move them. (The exchange placed edges by hash of Src via
 		// GroupKey, which matches owner(), so this is a consistency check.)
 		nVertices += int64(len(ranks[i]))
 	}
@@ -94,10 +91,10 @@ func (e *engine) pageRank(op *core.Operator, edges *RDD) (*RDD, error) {
 	}
 
 	for it := 0; it < iters; it++ {
-		e.shuffleBarrier()
+		e.Barrier()
 		// Compute contributions per partition, bucketed by destination owner.
 		contribs := make([][]map[int64]float64, p)
-		pool(p, w, func(i int) {
+		driverutil.Do(e, p, func(i int) {
 			local := make([]map[int64]float64, p)
 			for j := range local {
 				local[j] = map[int64]float64{}
@@ -113,7 +110,7 @@ func (e *engine) pageRank(op *core.Operator, edges *RDD) (*RDD, error) {
 		})
 		// Aggregate per destination partition.
 		next := make([]map[int64]float64, p)
-		pool(p, w, func(j int) {
+		driverutil.Do(e, p, func(j int) {
 			nr := make(map[int64]float64, len(ranks[j]))
 			for v := range ranks[j] {
 				nr[v] = (1 - damping) / float64(nVertices)
@@ -129,7 +126,7 @@ func (e *engine) pageRank(op *core.Operator, edges *RDD) (*RDD, error) {
 	}
 
 	out := make([][]any, p)
-	pool(p, w, func(j int) {
+	driverutil.Do(e, p, func(j int) {
 		part := make([]any, 0, len(ranks[j]))
 		for v, r := range ranks[j] {
 			part = append(part, core.KV{Key: v, Value: r})

@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"rheem/internal/core"
 	"rheem/internal/platform/driverutil"
@@ -39,7 +37,7 @@ type Config struct {
 
 // NoOverheadMs is the sentinel for "this overhead is really zero" in Config
 // fields whose zero value means "use the default".
-const NoOverheadMs = -1
+const NoOverheadMs = driverutil.NoOverheadMs
 
 func (c Config) withDefaults() Config {
 	if c.Parallelism <= 0 {
@@ -48,22 +46,10 @@ func (c Config) withDefaults() Config {
 			c.Parallelism = 4 // partitions interleave when the host is smaller
 		}
 	}
-	c.ContextStartupMs = defaultMs(c.ContextStartupMs, 150)
-	c.JobStartupMs = defaultMs(c.JobStartupMs, 12)
-	c.ShuffleLatencyMs = defaultMs(c.ShuffleLatencyMs, 4)
+	c.ContextStartupMs = driverutil.OverheadMs(c.ContextStartupMs, 150)
+	c.JobStartupMs = driverutil.OverheadMs(c.JobStartupMs, 12)
+	c.ShuffleLatencyMs = driverutil.OverheadMs(c.ShuffleLatencyMs, 4)
 	return c
-}
-
-// defaultMs resolves an overhead field: 0 selects the default, a negative
-// sentinel selects a true zero.
-func defaultMs(v, def float64) float64 {
-	switch {
-	case v == 0:
-		return def
-	case v < 0:
-		return 0
-	}
-	return v
 }
 
 // Driver is the spark platform driver.
@@ -237,26 +223,27 @@ func (d *Driver) Execute(stage *core.Stage, in *core.Inputs) (map[*core.Operator
 	d.booted = true
 	d.mu.Unlock()
 	if boot {
-		sleepMs(d.Conf.ContextStartupMs)
+		driverutil.SleepMs(d.Conf.ContextStartupMs)
 	}
-	sleepMs(d.Conf.JobStartupMs)
+	driverutil.SleepMs(d.Conf.JobStartupMs)
 	return driverutil.RunStage(&engine{driver: d}, stage, in)
 }
 
-func sleepMs(ms float64) {
-	if ms > 0 {
-		time.Sleep(time.Duration(ms * float64(time.Millisecond)))
-	}
-}
-
+// engine is also the driverutil.Scheduler of spark's blocking operators: work
+// items run on the worker pool and every shuffle pays the scheduling latency.
 type engine struct {
 	driver *Driver
 }
 
 func (e *engine) width() int { return e.driver.Conf.Parallelism }
 
-// shuffleBarrier charges the per-shuffle scheduling latency.
-func (e *engine) shuffleBarrier() { sleepMs(e.driver.Conf.ShuffleLatencyMs) }
+// Each implements driverutil.Scheduler.
+func (e *engine) Each(n int, fn func(i int) error) error {
+	return driverutil.Parallel(n, e.width(), fn)
+}
+
+// Barrier implements driverutil.Scheduler.
+func (e *engine) Barrier() { driverutil.SleepMs(e.driver.Conf.ShuffleLatencyMs) }
 
 // FromChannel implements driverutil.Engine.
 func (e *engine) FromChannel(ch *core.Channel) (driverutil.Data, error) {
@@ -334,48 +321,21 @@ func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.Broadcas
 }
 
 // ApplyChain implements driverutil.ChainEngine: the whole chain runs as one
-// pool dispatch — one mapPartitions over the chain instead of one per
-// operator — so a stage of k narrow ops pays one scheduling round and zero
-// intermediate RDD materializations. A chain ending in a declarative
-// aggregation becomes the spark map-side combine: per-partition partial
-// aggregation, a shuffle of the group partials on the partial key, then
-// per-partition merge and finalize, so group emission order is first
-// occurrence per shuffled partition.
+// pool dispatch over the partitions as they lie — one scheduling round and
+// zero intermediate RDD materializations for a stage of k narrow ops — and a
+// chain ending in a declarative aggregation is the spark map-side combine
+// (see driverutil.RunChainParts).
 func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, in driverutil.Data, counters []*int64) (driverutil.Data, error) {
 	r, ok := in.(*RDD)
 	if !ok {
 		return nil, fmt.Errorf("spark: fused chain input is %T, not an RDD", in)
 	}
-	segs := r.parts()
-	agg := kernel.Agg()
-	out := make([][]any, len(segs))
-	pool(len(segs), e.width(), func(i int) {
-		counts := make([]int64, kernel.Len())
-		if agg == nil {
-			out[i] = kernel.RunSegments(segs[i], counts, nil)
-		} else {
-			st := core.NewAggState(agg)
-			kernel.RunSegmentsAgg(segs[i], counts, st)
-			out[i] = st.Partials(nil)
-		}
-		for s, c := range counts {
-			atomic.AddInt64(counters[s], c)
-		}
-	})
-	if agg == nil {
-		return NewRDD(out), nil
-	}
-	e.shuffleBarrier()
-	shuffled := NewRDD(out).shuffleBy(e.width(), len(segs), agg.PartialKeyFn())
-	merged := shuffled.mapPartitions(e.width(), func(part []any) []any {
-		st := core.NewAggState(agg)
-		st.AbsorbPartials(part)
-		return kernel.Finalize(st)
-	})
-	atomic.AddInt64(counters[kernel.Len()], merged.Count())
-	return merged, nil
+	return NewRDD(driverutil.RunChainParts(e, kernel, r.parts(), counters)), nil
 }
 
+// apply evaluates the kinds spark's archetype owns; every blocking kind is
+// the default arm, decomposed by driverutil.ApplyBlocking over the inputs'
+// row partitions.
 func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 	w := e.width()
 	switch op.Kind {
@@ -392,7 +352,7 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 		if op.UDF.MapPart == nil {
 			return nil, fmt.Errorf("map-partitions %s lacks a UDF", op)
 		}
-		return in[0].mapPartitions(w, op.UDF.MapPart), nil
+		return e.mapParts(in[0], func(part []any) ([]any, error) { return op.UDF.MapPart(part), nil })
 
 	case core.KindZipWithID:
 		// Deterministic global ids: offset by partition prefix counts.
@@ -402,7 +362,7 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 			offsets[i+1] = offsets[i] + int64(len(p))
 		}
 		out := make([][]any, len(parts))
-		pool(len(parts), w, func(i int) {
+		driverutil.Do(e, len(parts), func(i int) {
 			part := parts[i]
 			res := make([]any, len(part))
 			for j, q := range part {
@@ -415,99 +375,15 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 	case core.KindSample:
 		return e.sample(op, in[0], round)
 
-	case core.KindDistinct:
-		e.shuffleBarrier()
-		return in[0].shuffleBy(w, len(in[0].parts()), func(q any) any { return q }).
-			mapPartitions(w, driverutil.Distinct), nil
-
-	case core.KindSort:
-		e.shuffleBarrier()
-		less := driverutil.LessOf(op)
-		ranged := in[0].rangeShuffle(w, len(in[0].parts()), less)
-		return ranged.mapPartitions(w, func(part []any) []any {
-			return driverutil.Sort(op, part)
-		}), nil
-
-	case core.KindCount:
-		return Partition([]any{in[0].Count()}, 1), nil
-
-	case core.KindReduce:
-		// Per-partition fold, then a driver-side fold of the partials.
-		partials, err := e.mapPartsErr(in[0], func(part []any) ([]any, error) {
-			return driverutil.Reduce(op, part)
-		})
-		if err != nil {
-			return nil, err
-		}
-		out, err := driverutil.Reduce(op, partials.Collect())
-		if err != nil {
-			return nil, err
-		}
-		return Partition(out, 1), nil
-
-	case core.KindReduceBy:
-		if op.UDF.Key == nil || op.UDF.Reduce == nil {
-			return nil, fmt.Errorf("reduce-by %s lacks key or reduce UDF", op)
-		}
-		// Map-side combine, shuffle, reduce-side final combine.
-		combined, err := e.mapPartsErr(in[0], func(part []any) ([]any, error) {
-			return driverutil.ReduceByKey(op, part)
-		})
-		if err != nil {
-			return nil, err
-		}
-		e.shuffleBarrier()
-		shuffled := combined.shuffleBy(w, len(in[0].parts()), op.UDF.Key)
-		return e.mapPartsErr(shuffled, func(part []any) ([]any, error) {
-			return driverutil.ReduceByKey(op, part)
-		})
-
-	case core.KindGroupBy:
-		if op.UDF.Key == nil {
-			return nil, fmt.Errorf("group-by %s lacks a key UDF", op)
-		}
-		e.shuffleBarrier()
-		shuffled := in[0].shuffleBy(w, len(in[0].parts()), op.UDF.Key)
-		return e.mapPartsErr(shuffled, func(part []any) ([]any, error) {
-			return driverutil.GroupByKey(op, part)
-		})
-
 	case core.KindCache:
 		return &RDD{Parts: in[0].parts(), Cached: true}, nil
-
-	case core.KindJoin:
-		if op.UDF.Key == nil {
-			return nil, fmt.Errorf("join %s lacks a key UDF", op)
-		}
-		e.shuffleBarrier()
-		p := maxInt(len(in[0].parts()), len(in[1].parts()))
-		ls := in[0].shuffleBy(w, p, op.UDF.Key).rows()
-		rs := in[1].shuffleBy(w, p, driverutil.KeyRight(op)).rows()
-		out := make([][]any, p)
-		err := poolErr(p, w, func(i int) (err error) {
-			out[i], err = driverutil.HashJoin(op, ls[i], rs[i])
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		return NewRDD(out), nil
-
-	case core.KindIEJoin:
-		// Broadcast the right side to all left partitions; each worker runs
-		// the sort-based IEJoin kernel on its slice.
-		right := in[1].Collect()
-		e.shuffleBarrier()
-		return e.mapPartsErr(in[0], func(part []any) ([]any, error) {
-			return driverutil.IEJoinSlices(op, part, right)
-		})
 
 	case core.KindCartesian:
 		combine := driverutil.Combine(op)
 		lp, rp := in[0].rows(), in[1].rows()
 		n := len(lp) * len(rp)
 		out := make([][]any, n)
-		pool(n, w, func(i int) {
+		driverutil.Do(e, n, func(i int) {
 			l, r := lp[i/len(rp)], rp[i%len(rp)]
 			var res []any
 			for _, a := range l {
@@ -522,34 +398,6 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 	case core.KindUnion:
 		return &RDD{Parts: append(slices.Clone(in[0].parts()), in[1].parts()...)}, nil
 
-	case core.KindIntersect:
-		e.shuffleBarrier()
-		p := maxInt(len(in[0].parts()), len(in[1].parts()))
-		id := func(q any) any { return q }
-		ls := in[0].shuffleBy(w, p, id).rows()
-		rs := in[1].shuffleBy(w, p, id).rows()
-		out := make([][]any, p)
-		pool(p, w, func(i int) { out[i] = driverutil.Intersect(ls[i], rs[i]) })
-		return NewRDD(out), nil
-
-	case core.KindCoGroup:
-		if op.UDF.Key == nil {
-			return nil, fmt.Errorf("co-group %s lacks a key UDF", op)
-		}
-		e.shuffleBarrier()
-		p := maxInt(len(in[0].parts()), len(in[1].parts()))
-		ls := in[0].shuffleBy(w, p, op.UDF.Key).rows()
-		rs := in[1].shuffleBy(w, p, driverutil.KeyRight(op)).rows()
-		out := make([][]any, p)
-		err := poolErr(p, w, func(i int) (err error) {
-			out[i], err = driverutil.CoGroup(op, ls[i], rs[i])
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		return NewRDD(out), nil
-
 	case core.KindPageRank:
 		return e.pageRank(op, in[0])
 
@@ -563,17 +411,23 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 		return in[0], nil
 
 	default:
-		return nil, fmt.Errorf("spark: unsupported operator kind %s", op.Kind)
+		ins := make([][][]any, len(in))
+		for i, r := range in {
+			ins[i] = r.rows()
+		}
+		out, ok, err := driverutil.ApplyBlocking(e, op, ins)
+		if !ok {
+			return nil, fmt.Errorf("spark: unsupported operator kind %s", op.Kind)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return NewRDD(out), nil
 	}
 }
 
-func (e *engine) mapPartsErr(r *RDD, fn func(part []any) ([]any, error)) (*RDD, error) {
-	parts := r.rows()
-	out := make([][]any, len(parts))
-	err := poolErr(len(parts), e.width(), func(i int) (err error) {
-		out[i], err = fn(parts[i])
-		return err
-	})
+func (e *engine) mapParts(r *RDD, fn func(part []any) ([]any, error)) (*RDD, error) {
+	out, err := driverutil.MapParts(e, r.rows(), fn)
 	if err != nil {
 		return nil, err
 	}
@@ -583,15 +437,14 @@ func (e *engine) mapPartsErr(r *RDD, fn func(part []any) ([]any, error)) (*RDD, 
 func (e *engine) sample(op *core.Operator, r *RDD, round int) (*RDD, error) {
 	if op.Params.SampleSize == 0 && op.Params.SampleMethod != "shuffle-first" {
 		// Fraction-based bernoulli parallelizes perfectly.
-		out, err := e.mapPartsErr(r, func(part []any) ([]any, error) {
+		return e.mapParts(r, func(part []any) ([]any, error) {
 			return driverutil.Sample(op, part, round)
 		})
-		return out, err
 	}
 	// Exact-size (or shuffle-first) sampling: per-partition pre-sample of k,
 	// then a driver-side final draw over the <= k*P pre-sample.
 	k := op.Params.SampleSize
-	pre, err := e.mapPartsErr(r, func(part []any) ([]any, error) {
+	pre, err := e.mapParts(r, func(part []any) ([]any, error) {
 		sub := *op // copy with per-partition cap
 		sub.Params.SampleSize = k
 		return driverutil.Sample(&sub, part, round)
@@ -623,7 +476,7 @@ func (e *engine) readTextFile(path string) (*RDD, error) {
 		return nil, err
 	}
 	parts := make([][]any, len(blocks))
-	err = poolErr(len(blocks), e.width(), func(i int) error {
+	err = e.Each(len(blocks), func(i int) error {
 		lines, err := e.driver.DFS.ReadBlockLines(name, i)
 		parts[i] = make([]any, len(lines))
 		for j, l := range lines {
@@ -649,7 +502,7 @@ func (d *Driver) loadDFSQuanta(path string) (*RDD, error) {
 	// Each block split is decoded by its own worker, column-batch frames
 	// kept batch-native; the partitions are the block splits.
 	segs := make([][]core.Segment, len(blocks))
-	err = poolErr(len(blocks), d.Conf.Parallelism, func(i int) (err error) {
+	err = driverutil.Parallel(len(blocks), d.Conf.Parallelism, func(i int) (err error) {
 		segs[i], err = driverutil.ReadDFSQuantaBlockSegments(d.DFS, name, i)
 		return err
 	})
@@ -657,11 +510,4 @@ func (d *Driver) loadDFSQuanta(path string) (*RDD, error) {
 		return nil, err
 	}
 	return &RDD{Parts: segs}, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

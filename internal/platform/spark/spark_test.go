@@ -2,7 +2,6 @@ package spark
 
 import (
 	"reflect"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -53,66 +52,6 @@ func TestPartitioning(t *testing.T) {
 	}
 	if got := Partition(data, 0); len(got.Parts) != 1 {
 		t.Fatalf("n=0 partition: %+v", got)
-	}
-}
-
-func TestShuffleByGroupsKeys(t *testing.T) {
-	data := make([]any, 1000)
-	for i := range data {
-		data[i] = core.KV{Key: int64(i % 17), Value: int64(i)}
-	}
-	r := Partition(data, 8)
-	sh := r.shuffleBy(4, 8, func(q any) any { return q.(core.KV).Key })
-	if sh.Count() != 1000 {
-		t.Fatalf("shuffle lost quanta: %d", sh.Count())
-	}
-	// Every key must land in exactly one partition.
-	where := map[int64]int{}
-	for pi, part := range sh.rows() {
-		for _, q := range part {
-			k := q.(core.KV).Key.(int64)
-			if prev, ok := where[k]; ok && prev != pi {
-				t.Fatalf("key %d split across partitions %d and %d", k, prev, pi)
-			}
-			where[k] = pi
-		}
-	}
-	if len(where) != 17 {
-		t.Fatalf("keys seen = %d", len(where))
-	}
-}
-
-func TestRangeShuffleOrdersPartitions(t *testing.T) {
-	data := make([]any, 500)
-	for i := range data {
-		data[i] = int64((i * 7919) % 500)
-	}
-	r := Partition(data, 4)
-	less := func(a, b any) bool { return a.(int64) < b.(int64) }
-	ranged := r.rangeShuffle(4, 4, less)
-	if ranged.Count() != 500 {
-		t.Fatalf("range shuffle lost quanta: %d", ranged.Count())
-	}
-	// Partition boundaries must be ordered: max(part i) <= min(part i+1).
-	var prevMax int64 = -1 << 62
-	for _, part := range ranged.rows() {
-		if len(part) == 0 {
-			continue
-		}
-		mn, mx := part[0].(int64), part[0].(int64)
-		for _, q := range part {
-			v := q.(int64)
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		if mn < prevMax {
-			t.Fatalf("partition ranges overlap: min %d < previous max %d", mn, prevMax)
-		}
-		prevMax = mx
 	}
 }
 
@@ -320,18 +259,5 @@ func TestConversions(t *testing.T) {
 	got = platformtest.SortedInts(t, loaded.Payload.(*RDD).Collect())
 	if !reflect.DeepEqual(got, []int64{1, 2, 3}) {
 		t.Fatalf("dfs round trip = %v", got)
-	}
-}
-
-func TestPoolExecutesAll(t *testing.T) {
-	var n int64
-	pool(100, 7, func(i int) { atomic.AddInt64(&n, 1) })
-	if n != 100 {
-		t.Fatalf("pool ran %d of 100 tasks", n)
-	}
-	pool(0, 4, func(i int) { t.Fatal("ran on empty") })
-	pool(3, 0, func(i int) { atomic.AddInt64(&n, 1) }) // width clamps to 1
-	if n != 103 {
-		t.Fatalf("n = %d", n)
 	}
 }

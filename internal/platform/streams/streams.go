@@ -3,9 +3,10 @@
 // run of narrow operators (map, filter, flatMap, project) executes as one
 // pass of the compiled chain kernel; the streaming operators (zip-with-id,
 // union, cartesian) chain lazily as iterators; blocking operators (sort,
-// group, join, sample, ...) materialize their inputs. It is the "no overhead, no
-// parallelism" corner of the platform space: unbeatable on small inputs,
-// bound by one core on large ones.
+// group, join, ...) read data at rest where it lies, drain a lazy pipeline,
+// and run as driverutil.ApplyBlocking over a single partition — no exchange,
+// no barrier. It is the "no overhead, no parallelism" corner of the platform
+// space: unbeatable on small inputs, bound by one core on large ones.
 package streams
 
 import (
@@ -192,7 +193,24 @@ func restPipe(segs ...core.Segment) *pipe {
 	return &pipe{open: ds.Open, card: ds.Card(), segs: segs}
 }
 
-func (p *pipe) materialize() []any { return core.Collect(p.open()) }
+// rows is the pipe's row view: data at rest is read where it lies (one row
+// run aliased, anything else flattened), a lazy pipeline is drained. Callers
+// never write to what they get.
+func (p *pipe) rows() []any {
+	if p.segs != nil {
+		return driverutil.RowParts([][]core.Segment{p.segs})[0]
+	}
+	return core.Collect(p.open())
+}
+
+// rest returns the pipe at rest: as it is when it already is, drained
+// otherwise.
+func (p *pipe) rest() *pipe {
+	if p.segs != nil {
+		return p
+	}
+	return restPipe(core.Segment{Rows: p.rows()})
+}
 
 type engine struct {
 	driver *Driver
@@ -228,7 +246,9 @@ func (e *engine) ToChannel(op *core.Operator, d driverutil.Data) (*core.Channel,
 	if !ok {
 		return nil, fmt.Errorf("streams: %s produced no pipeline", op)
 	}
-	data := p.materialize()
+	// Always a copy through the iterator, never rows: the channel must not
+	// alias a slice the stage was handed.
+	data := core.Collect(p.open())
 	return core.NewChannel(core.CollectionChannel, core.NewSliceDataset(data), int64(len(data))), nil
 }
 
@@ -252,7 +272,7 @@ func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.Broadcas
 	if out.segs != nil {
 		*counter = out.card
 		if sniff != nil {
-			for _, q := range out.materialize() {
+			for _, q := range out.rows() {
 				sniff(q)
 			}
 		}
@@ -276,19 +296,16 @@ func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.Broadcas
 	// A lazily observed pipeline re-runs (and re-counts) per consumer; when
 	// the operator feeds several stage-local consumers, materialize once.
 	if driverutil.StageConsumers(e.stage, op) > 1 {
-		data := observed.materialize()
-		*counter = int64(len(data))
-		return restPipe(core.Segment{Rows: data}), nil
+		return restPipe(core.Segment{Rows: observed.rows()}), nil
 	}
 	return observed, nil
 }
 
 // ApplyChain implements driverutil.ChainEngine: the whole chain runs as one
-// eager single-threaded pass of the compiled kernel — one closure pass per
-// quantum, counted without Apply's per-quantum observation wrapper. A chain
-// ending in a declarative aggregation absorbs everything and finalizes; with
-// a single partition there is no partial exchange, and emission order is the
-// groups' first-occurrence order.
+// eager single-threaded pass of the compiled kernel over the pipe's single
+// partition (driverutil.RunChainParts), so an absorbed declarative
+// aggregation finalizes in place — no partial exchange, groups in
+// first-occurrence order.
 func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, in driverutil.Data, counters []*int64) (driverutil.Data, error) {
 	p, ok := in.(*pipe)
 	if !ok {
@@ -296,24 +313,15 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 	}
 	segs := p.segs
 	if segs == nil { // a lazy pipeline: drain it into one row run
-		segs = []core.Segment{{Rows: p.materialize()}}
+		segs = []core.Segment{{Rows: p.rows()}}
 	}
-	counts := make([]int64, kernel.Len())
-	var out []any
-	if agg := kernel.Agg(); agg != nil {
-		st := core.NewAggState(agg)
-		kernel.RunSegmentsAgg(segs, counts, st)
-		out = kernel.Finalize(st)
-		*counters[kernel.Len()] += int64(len(out))
-	} else {
-		out = kernel.RunSegments(segs, counts, nil)
-	}
-	for s, c := range counts {
-		*counters[s] += c
-	}
-	return restPipe(core.Segment{Rows: out}), nil
+	out := driverutil.RunChainParts(driverutil.Serial{}, kernel, [][]core.Segment{segs}, counters)
+	return restPipe(core.Segment{Rows: out[0]}), nil
 }
 
+// apply evaluates the kinds streams' archetype owns — the lazy iterator
+// pipelines above all; every blocking kind is the default arm,
+// driverutil.ApplyBlocking over each input's rows as one partition.
 func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) {
 	switch op.Kind {
 	case core.KindCollectionSource:
@@ -336,7 +344,9 @@ func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) 
 		f := op.UDF.MapPart
 		src := in[0]
 		return &pipe{card: -1, open: func() core.Iterator {
-			return core.NewSliceDataset(f(src.materialize())).Open()
+			// Drained into a slice of the stage's, never rows: the UDF may
+			// write to it.
+			return core.NewSliceDataset(f(core.Collect(src.open()))).Open()
 		}}, nil
 
 	case core.KindZipWithID:
@@ -354,72 +364,20 @@ func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) 
 		}, in[0].card), nil
 
 	case core.KindSample:
-		data, err := driverutil.Sample(op, in[0].materialize(), round)
+		data, err := driverutil.Sample(op, in[0].rows(), round)
 		if err != nil {
 			return nil, err
 		}
 		return restPipe(core.Segment{Rows: data}), nil
 
-	case core.KindDistinct:
-		return restPipe(core.Segment{Rows: driverutil.Distinct(in[0].materialize())}), nil
-
-	case core.KindSort:
-		return restPipe(core.Segment{Rows: driverutil.Sort(op, in[0].materialize())}), nil
-
-	case core.KindCount:
-		n := int64(0)
-		it := in[0].open()
-		for {
-			if _, ok := it.Next(); !ok {
-				break
-			}
-			n++
-		}
-		return restPipe(core.Segment{Rows: []any{n}}), nil
-
-	case core.KindReduce:
-		out, err := driverutil.Reduce(op, in[0].materialize())
-		if err != nil {
-			return nil, err
-		}
-		return restPipe(core.Segment{Rows: out}), nil
-
-	case core.KindReduceBy:
-		out, err := driverutil.ReduceByKey(op, in[0].materialize())
-		if err != nil {
-			return nil, err
-		}
-		return restPipe(core.Segment{Rows: out}), nil
-
-	case core.KindGroupBy:
-		out, err := driverutil.GroupByKey(op, in[0].materialize())
-		if err != nil {
-			return nil, err
-		}
-		return restPipe(core.Segment{Rows: out}), nil
-
-	case core.KindCache:
-		return restPipe(core.Segment{Rows: in[0].materialize()}), nil
-
-	case core.KindJoin:
-		out, err := driverutil.HashJoin(op, in[0].materialize(), in[1].materialize())
-		if err != nil {
-			return nil, err
-		}
-		return restPipe(core.Segment{Rows: out}), nil
-
-	case core.KindIEJoin:
-		out, err := driverutil.IEJoinSlices(op, in[0].materialize(), in[1].materialize())
-		if err != nil {
-			return nil, err
-		}
-		return restPipe(core.Segment{Rows: out}), nil
+	case core.KindCache, core.KindCollectionSink:
+		return in[0].rest(), nil
 
 	case core.KindCartesian:
 		left, right := in[0], in[1]
 		combine := driverutil.Combine(op)
 		return &pipe{card: -1, open: func() core.Iterator {
-			rs := right.materialize()
+			rs := right.rows()
 			lit := left.open()
 			var cur any
 			idx := len(rs) // force first advance
@@ -454,28 +412,26 @@ func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) 
 			})
 		}}, nil
 
-	case core.KindIntersect:
-		return restPipe(core.Segment{Rows: driverutil.Intersect(in[0].materialize(), in[1].materialize())}), nil
+	case core.KindTextFileSink:
+		r := in[0].rest()
+		if err := driverutil.WriteTextLines(e.driver.DFS, op, r.rows()); err != nil {
+			return nil, err
+		}
+		return r, nil
 
-	case core.KindCoGroup:
-		out, err := driverutil.CoGroup(op, in[0].materialize(), in[1].materialize())
+	default:
+		ins := make([][][]any, len(in))
+		for i, p := range in {
+			ins[i] = [][]any{p.rows()}
+		}
+		out, ok, err := driverutil.ApplyBlocking(driverutil.Serial{}, op, ins)
+		if !ok {
+			return nil, fmt.Errorf("streams: unsupported operator kind %s", op.Kind)
+		}
 		if err != nil {
 			return nil, err
 		}
-		return restPipe(core.Segment{Rows: out}), nil
-
-	case core.KindCollectionSink:
-		return restPipe(core.Segment{Rows: in[0].materialize()}), nil
-
-	case core.KindTextFileSink:
-		data := in[0].materialize()
-		if err := driverutil.WriteTextLines(e.driver.DFS, op, data); err != nil {
-			return nil, err
-		}
-		return restPipe(core.Segment{Rows: data}), nil
-
-	default:
-		return nil, fmt.Errorf("streams: unsupported operator kind %s", op.Kind)
+		return restPipe(core.Segment{Rows: out[0]}), nil
 	}
 }
 

@@ -31,16 +31,21 @@ go test -run=NONE -bench=BenchmarkEncodeQuantum -benchtime=1x ./internal/core
 # columnar agg-chain benchmark (the vectorized grouped-aggregation kernel),
 # plus the differential crosscheck of every engine's chain kernels against
 # the reference interpreter (platformtest.Interpret). The compiled kernel is
-# the only narrow path and a segment run the only partition carrier, so the
-# grep keeps the per-operator fork, the row twin and their switches from
-# coming back. The gate covers verify.sh too; the [x] brackets keep its own
-# line from matching.
+# the only narrow path, a segment run the only partition carrier and
+# driverutil/blocking.go the only exchange, worker dispatch and
+# blocking-operator table, so the grep keeps the per-operator fork, the row
+# twin, the per-engine shuffles and their switches from coming back. The gate
+# covers verify.sh too; the [x] brackets keep its own line from matching.
 go test -run=NONE -bench='NarrowChain|ColumnarAggChain' -benchtime=1x ./internal/platform/spark ./internal/platform/flink
+go test -run=NONE -bench='BenchmarkShuffle|BenchmarkRangeShuffle' -benchtime=1x ./internal/platform/driverutil
 go test -run='TestCrossCheckFusedAgainstUnfused|TestFusedFig9' .
-if grep -rn 'RHEEM_NO_FUS[E]\|FusionDisable[d]\|RHEEM_NO_COLUMNA[R]\|ColumnarDisable[d]\|NewSegRD[D]' --include='*.go' --include='verify.sh' .; then
-	echo "a deleted fork (per-operator narrow path, row-carried partitions) or its switch is back" >&2
+if grep -rn 'RHEEM_NO_FUS[E]\|FusionDisable[d]\|RHEEM_NO_COLUMNA[R]\|ColumnarDisable[d]\|NewSegRD[D]\|shuffleB[y]\|rangeShuffl[e]\|parallelPart[s]\|fanOu[t](\|mergeRun[s]\|poolEr[r]' --include='*.go' --include='verify.sh' .; then
+	echo "a deleted fork (per-operator narrow path, row-carried partitions, a per-engine shuffle or dispatch) or its switch is back" >&2
 	exit 1
 fi
+# The UDF-panic and partition-ownership properties hold under the race
+# detector by name, so -short keeps them.
+go test -race -count=1 -run='TestUDFPanicFailsStage|TestCallerOwnedInputSurvivesMutatingUDF|TestCollectionSinkOutputIsCallerOwned' ./internal/platform/platformtest
 # Columnar smoke: the fixed declarative pipelines (narrow chain and grouped
 # aggregation, free choice and pinned to streams/spark/flink, plus the two
 # relstore pushdown plans) must match the reference interpreter — sink
