@@ -10,10 +10,12 @@ package rheem
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"rheem/internal/core"
 	"rheem/internal/optimizer"
+	"rheem/internal/platform/driverutil"
 )
 
 // toyVec is the toy platform's native data structure: a sorted int64
@@ -24,9 +26,11 @@ type toyVec struct {
 
 var toyChannel = core.ChannelDescriptor{Name: "toyvec", Platform: "toydb", Reusable: true, AtRest: true}
 
-// toyDriver implements core.Driver for the toy platform. It executes only
-// Filter and Sort — over pre-sorted vectors both are trivially cheap,
-// which is the niche the optimizer can exploit.
+// toyDriver is the whole platform: a core.Driver that declares its channel,
+// conversions and mappings through the shared frame (driverutil/platform.go)
+// and a driverutil.Engine[*toyVec] whose stages the shared harness runs. It
+// executes only Filter and Sort — over pre-sorted vectors both are trivially
+// cheap, which is the niche the optimizer can exploit.
 type toyDriver struct{}
 
 func (toyDriver) Name() string { return "toydb" }
@@ -36,92 +40,73 @@ func (toyDriver) ChannelDescriptors() []core.ChannelDescriptor {
 }
 
 // Conversions: exactly one each way, to the neutral collection channel.
-func (toyDriver) Conversions() []*core.Conversion {
+func (d toyDriver) Conversions() []*core.Conversion {
 	return []*core.Conversion{
-		{
-			Name: "toydb.load", From: "collection", To: "toyvec",
-			FixedCostMs: 0.5, PerQuantumMs: 0.0001,
-			Convert: func(in *core.Channel) (*core.Channel, error) {
-				data := in.Payload.(*core.SliceDataset).Data
-				v := &toyVec{vals: make([]int64, 0, len(data))}
-				for _, q := range data {
-					n, ok := q.(int64)
-					if !ok {
-						return nil, fmt.Errorf("toydb: only int64 quanta, got %T", q)
-					}
-					v.vals = append(v.vals, n)
+		driverutil.Conv("toydb.load", "collection", "toyvec", 0.5, 0.0001, func(ds *core.SliceDataset, _ *core.Channel) (*core.Channel, error) {
+			v := &toyVec{vals: make([]int64, 0, len(ds.Data))}
+			for _, q := range ds.Data {
+				n, ok := q.(int64)
+				if !ok {
+					return nil, fmt.Errorf("toydb: only int64 quanta, got %T", q)
 				}
-				sort.Slice(v.vals, func(i, j int) bool { return v.vals[i] < v.vals[j] })
-				return core.NewChannel(toyChannel, v, int64(len(v.vals))), nil
-			},
-		},
-		{
-			Name: "toydb.dump", From: "toyvec", To: "collection",
-			FixedCostMs: 0.5, PerQuantumMs: 0.0001,
-			Convert: func(in *core.Channel) (*core.Channel, error) {
-				v := in.Payload.(*toyVec)
-				out := make([]any, len(v.vals))
-				for i, n := range v.vals {
-					out[i] = n
-				}
-				return core.NewChannel(core.CollectionChannel, core.NewSliceDataset(out), int64(len(out))), nil
-			},
-		},
+				v.vals = append(v.vals, n)
+			}
+			sort.Slice(v.vals, func(i, j int) bool { return v.vals[i] < v.vals[j] })
+			return d.ToChannel(nil, v)
+		}),
+		driverutil.Conv("toydb.dump", "toyvec", "collection", 0.5, 0.0001, func(v *toyVec, _ *core.Channel) (*core.Channel, error) {
+			out := make([]any, len(v.vals))
+			for i, n := range v.vals {
+				out[i] = n
+			}
+			return driverutil.CollectionOf(out), nil
+		}),
 	}
 }
 
 func (toyDriver) RegisterMappings(r *core.MappingRegistry) {
-	for kind, name := range map[core.Kind]string{
-		core.KindFilter: "toydb.filter",
-		core.KindSort:   "toydb.sort",
-	} {
-		r.Register(kind, core.Alternative{Platform: "toydb", Steps: []core.ExecOpTemplate{{
-			Name: name, Platform: "toydb", Kind: kind,
-			In: []string{"toyvec"}, Out: "toyvec",
-		}}})
-	}
+	driverutil.RegisterOps(r, "toydb", []string{"toyvec"}, "toyvec", []driverutil.Op{
+		{Kind: core.KindFilter, Suffix: "filter"}, {Kind: core.KindSort, Suffix: "sort"},
+	})
 }
 
-func (toyDriver) Execute(stage *core.Stage, in *core.Inputs) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
-	results := map[*core.Operator]*toyVec{}
-	for _, op := range stage.Ops {
-		var input *toyVec
-		if producer := op.Inputs()[0]; stage.Contains(producer) {
-			input = results[producer]
-		} else {
-			ch := in.Main[op][0]
-			if err := ch.Consume(); err != nil {
-				return nil, nil, err
+func (d toyDriver) Execute(stage *core.Stage, in *core.Inputs) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
+	return driverutil.RunStage(d, stage, in)
+}
+
+func (toyDriver) FromChannel(ch *core.Channel) (*toyVec, error) {
+	v, ok := ch.Payload.(*toyVec)
+	if !ok {
+		return nil, fmt.Errorf("toydb: expected toyvec input, got %T", ch.Payload)
+	}
+	return v, nil
+}
+
+func (toyDriver) Apply(op *core.Operator, in []*toyVec, round int, counter *int64, sniff func(any)) (*toyVec, error) {
+	out := in[0] // Sort: already sorted, toydb's superpower
+	switch op.Kind {
+	case core.KindSort:
+	case core.KindFilter:
+		out = &toyVec{}
+		for _, n := range in[0].vals {
+			if op.UDF.Pred(n) {
+				out.vals = append(out.vals, n)
 			}
-			v, ok := ch.Payload.(*toyVec)
-			if !ok {
-				return nil, nil, fmt.Errorf("toydb: expected toyvec input, got %T", ch.Payload)
-			}
-			input = v
 		}
-		switch op.Kind {
-		case core.KindFilter:
-			out := &toyVec{}
-			for _, n := range input.vals {
-				if op.UDF.Pred(n) {
-					out.vals = append(out.vals, n)
-				}
-			}
-			results[op] = out
-		case core.KindSort:
-			results[op] = input // already sorted: toydb's superpower
-		default:
-			return nil, nil, fmt.Errorf("toydb: unsupported kind %s", op.Kind)
+	default:
+		return nil, fmt.Errorf("toydb: unsupported kind %s", op.Kind)
+	}
+	for _, n := range out.vals {
+		*counter++
+		if sniff != nil {
+			sniff(n)
 		}
 	}
-	outs := map[*core.Operator]*core.Channel{}
-	stats := &core.StageStats{Stage: stage, OutCards: map[*core.Operator]int64{}, Ops: map[*core.Operator]core.OpStats{}}
-	for _, op := range stage.TerminalOuts {
-		v := results[op]
-		outs[op] = core.NewChannel(toyChannel, v, int64(len(v.vals)))
-		stats.OutCards[op] = int64(len(v.vals))
-	}
-	return outs, stats, nil
+	return out, nil
+}
+
+func (toyDriver) ToChannel(_ *core.Operator, v *toyVec) (*core.Channel, error) {
+	return core.NewChannel(toyChannel, v, int64(len(v.vals))), nil
 }
 
 func TestPluggingANewPlatform(t *testing.T) {
@@ -180,6 +165,16 @@ func TestPluggingANewPlatform(t *testing.T) {
 			t.Fatalf("output not sorted: %v after %v", v, prev)
 		}
 		prev = v
+	}
+
+	// The shared harness came with the platform: a panicking predicate pinned
+	// to toydb fails the job, not the process.
+	b = ctx.NewPlan("toydb-panic")
+	b.LoadCollection("nums", data).
+		Filter("boom", func(any) bool { panic("boom") }).WithTargetPlatform("toydb").
+		CollectSink()
+	if _, err := ctx.Execute(b.Plan()); err == nil || !strings.Contains(err.Error(), "UDF panic") {
+		t.Fatalf("panicking toydb predicate: error %v, want a UDF panic error", err)
 	}
 }
 

@@ -330,7 +330,8 @@ type Driver interface {
 }
 
 // StartupCoster is optionally implemented by drivers whose platform incurs
-// a fixed per-job startup cost the optimizer must account for.
+// a fixed per-job startup cost the optimizer must account for. It is the only
+// start-up quote there is: the cost table carries none.
 type StartupCoster interface {
 	StartupCostMs() float64
 }

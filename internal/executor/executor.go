@@ -571,7 +571,7 @@ func (ex *Executor) runDriverStage(ep *core.ExecPlan, s *core.Stage, chans *chan
 	// The loop-carried value binds exclusively to the designated LoopInput
 	// placeholder, never to other collection sources.
 	if loopVar != nil && ep.Plan.LoopInput != nil && s.Contains(ep.Plan.LoopInput) {
-		ch := core.NewChannel(core.CollectionChannel, core.NewSliceDataset(loopVar), int64(len(loopVar)))
+		ch := driverutil.CollectionOf(loopVar)
 		countIn(ch)
 		in.SetMain(ep.Plan.LoopInput, 0, ch)
 	}
@@ -701,7 +701,7 @@ func (ex *Executor) runLoopStage(ctx context.Context, ep *core.ExecPlan, s *core
 			return nil, err
 		}
 	}
-	out := core.NewChannel(core.CollectionChannel, core.NewSliceDataset(loopVar), int64(len(loopVar)))
+	out := driverutil.CollectionOf(loopVar)
 	return map[*core.Operator]*core.Channel{loop: out}, nil
 }
 

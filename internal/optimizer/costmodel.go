@@ -39,9 +39,6 @@ type PlatformUnitCosts struct {
 	MsPerIOUnit  float64 `json:"ms_per_io_unit"`
 	MsPerNetUnit float64 `json:"ms_per_net_unit"`
 	MsPerFixed   float64 `json:"ms_per_fixed"`
-	// StartupMs is the platform's fixed per-job startup charge used when the
-	// driver does not expose a live one.
-	StartupMs float64 `json:"startup_ms"`
 	// UsdPerHour is the platform's monetary rate, used when optimizing for
 	// monetary cost instead of runtime ("the cost can be any user-specified
 	// cost, e.g., runtime or monetary cost").
@@ -174,19 +171,19 @@ func DefaultCostTable(platforms []string) *CostTable {
 		case "streams":
 			// Single-threaded: highest per-quantum CPU, zero startup, runs on
 			// the (already-paid) driver machine.
-			ct.Platforms[p] = PlatformUnitCosts{MsPerCPUUnit: 1, MsPerIOUnit: 1, MsPerNetUnit: 1, MsPerFixed: 1, StartupMs: 0, UsdPerHour: 0.5}
+			ct.Platforms[p] = PlatformUnitCosts{MsPerCPUUnit: 1, MsPerIOUnit: 1, MsPerNetUnit: 1, MsPerFixed: 1, UsdPerHour: 0.5}
 		case "spark":
 			// Parallel scans: low per-quantum cost, big startup.
-			ct.Platforms[p] = PlatformUnitCosts{MsPerCPUUnit: 0.22, MsPerIOUnit: 0.35, MsPerNetUnit: 1.2, MsPerFixed: 6, StartupMs: 162, UsdPerHour: 12}
+			ct.Platforms[p] = PlatformUnitCosts{MsPerCPUUnit: 0.22, MsPerIOUnit: 0.35, MsPerNetUnit: 1.2, MsPerFixed: 6, UsdPerHour: 12}
 		case "flink":
-			ct.Platforms[p] = PlatformUnitCosts{MsPerCPUUnit: 0.38, MsPerIOUnit: 0.35, MsPerNetUnit: 1.1, MsPerFixed: 3, StartupMs: 86, UsdPerHour: 10}
+			ct.Platforms[p] = PlatformUnitCosts{MsPerCPUUnit: 0.38, MsPerIOUnit: 0.35, MsPerNetUnit: 1.1, MsPerFixed: 3, UsdPerHour: 10}
 		case "relstore":
 			// Single node with limited workers; indexes make filters cheap.
-			ct.Platforms[p] = PlatformUnitCosts{MsPerCPUUnit: 0.5, MsPerIOUnit: 0.6, MsPerNetUnit: 1.5, MsPerFixed: 1, StartupMs: 1.5, UsdPerHour: 2}
+			ct.Platforms[p] = PlatformUnitCosts{MsPerCPUUnit: 0.5, MsPerIOUnit: 0.6, MsPerNetUnit: 1.5, MsPerFixed: 1, UsdPerHour: 2}
 		case "pregel":
-			ct.Platforms[p] = PlatformUnitCosts{MsPerCPUUnit: 0.3, MsPerIOUnit: 0.4, MsPerNetUnit: 1.0, MsPerFixed: 3, StartupMs: 60, UsdPerHour: 8}
+			ct.Platforms[p] = PlatformUnitCosts{MsPerCPUUnit: 0.3, MsPerIOUnit: 0.4, MsPerNetUnit: 1.0, MsPerFixed: 3, UsdPerHour: 8}
 		case "graphmem":
-			ct.Platforms[p] = PlatformUnitCosts{MsPerCPUUnit: 0.8, MsPerIOUnit: 1, MsPerNetUnit: 1, MsPerFixed: 1, StartupMs: 0, UsdPerHour: 0.5}
+			ct.Platforms[p] = PlatformUnitCosts{MsPerCPUUnit: 0.8, MsPerIOUnit: 1, MsPerNetUnit: 1, MsPerFixed: 1, UsdPerHour: 0.5}
 		default:
 			ct.Platforms[p] = PlatformUnitCosts{MsPerCPUUnit: 1, MsPerIOUnit: 1, MsPerNetUnit: 1, MsPerFixed: 1}
 		}

@@ -2,6 +2,8 @@ package optimizer
 
 import (
 	"math"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -346,6 +348,27 @@ func TestCostTableRoundTrip(t *testing.T) {
 	clone.Ops["spark.map"] = OpCostParams{CPUPerQuantum: 9}
 	if back.Ops["spark.map"].CPUPerQuantum == 9 {
 		t.Fatal("Clone aliases the original")
+	}
+	// A table saved when platforms still carried "startup_ms" loads (the
+	// field is ignored: drivers quote start-up, the table never did) and
+	// prices identically.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := strings.Replace(string(raw), `"ms_per_fixed": 6,`, `"ms_per_fixed": 6, "startup_ms": 162,`, 1)
+	if legacy == string(raw) {
+		t.Fatal("no platform entry to add startup_ms to")
+	}
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, err := LoadCostTable(path)
+	if err != nil {
+		t.Fatalf("table with startup_ms: %v", err)
+	}
+	if !reflect.DeepEqual(old, back) || old.OpTimeMs("spark.map", "spark", 1000) != back.OpTimeMs("spark.map", "spark", 1000) {
+		t.Fatalf("table with startup_ms prices differently: %+v vs %+v", old.Platforms["spark"], back.Platforms["spark"])
 	}
 }
 

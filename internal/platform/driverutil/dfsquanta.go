@@ -76,7 +76,11 @@ func ReadDFSQuanta(store *dfs.Store, path string) ([]any, error) {
 
 // ReadDFSQuantaSegments decodes a whole DFS quanta file keeping column-batch
 // frames as native segments, so batch-aware engines skip the row round-trip.
+// A driver without a store reports so here.
 func ReadDFSQuantaSegments(store *dfs.Store, path string) ([]core.Segment, error) {
+	if store == nil {
+		return nil, fmt.Errorf("driverutil: no DFS configured for %s", path)
+	}
 	r, err := store.Open(dfs.TrimScheme(path))
 	if err != nil {
 		return nil, err

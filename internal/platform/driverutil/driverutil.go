@@ -4,7 +4,9 @@
 // evaluated over that representation — and RunStage does the bookkeeping:
 // resolving stage-internal vs. external inputs, opening UDF broadcast
 // contexts, counting cardinalities, timing operators, and materializing
-// terminal outputs into channels for the executor.
+// terminal outputs into channels for the executor. The rest of what is
+// standard about a platform — mapping registration, start-up, typed
+// conversions — is in platform.go; the blocking operators in blocking.go.
 package driverutil
 
 import (
@@ -14,10 +16,6 @@ import (
 
 	"rheem/internal/core"
 )
-
-// Data is an engine's native representation of a dataset (an iterator
-// pipeline, a partitioned RDD, a table reference, ...).
-type Data any
 
 // Trap collects the first panic observed by an engine's worker goroutines
 // so the caller can re-raise it on its own goroutine, under RunStage's
@@ -53,24 +51,28 @@ func (t *Trap) Rethrow() {
 	}
 }
 
-// Engine is the platform-specific part of stage execution.
-type Engine interface {
+// Engine is the platform-specific part of stage execution. T is the engine's
+// native representation of a dataset (an iterator pipeline, a partitioned RDD,
+// a table reference, ...): the harness hands an engine nothing but what that
+// engine produced, and the type says so.
+type Engine[T any] interface {
 	// FromChannel converts an external input channel into native data.
-	FromChannel(ch *core.Channel) (Data, error)
-	// Apply evaluates one operator over its native inputs. round is the
+	FromChannel(ch *core.Channel) (T, error)
+	// Apply evaluates one operator over its native inputs; UDFs that take a
+	// broadcast context were opened with it beforehand. round is the
 	// surrounding loop iteration (0 outside loops). counter, when
 	// incremented per output quantum, yields the operator's true output
 	// cardinality (lazy engines increment it as quanta stream by). sniff,
 	// when non-nil, must observe every output quantum (exploratory mode).
-	Apply(op *core.Operator, in []Data, bc core.BroadcastCtx, round int, counter *int64, sniff func(any)) (Data, error)
+	Apply(op *core.Operator, in []T, round int, counter *int64, sniff func(any)) (T, error)
 	// ToChannel materializes native data into the channel the stage's
 	// consumer expects. It is called for terminal operators only.
-	ToChannel(op *core.Operator, d Data) (*core.Channel, error)
+	ToChannel(op *core.Operator, d T) (*core.Channel, error)
 }
 
 // RunStage interprets a stage over an engine. UDF panics are recovered and
 // surfaced as stage errors: a broken UDF fails the job, not the process.
-func RunStage(e Engine, stage *core.Stage, in *core.Inputs) (outs map[*core.Operator]*core.Channel, stats *core.StageStats, err error) {
+func RunStage[T any](e Engine[T], stage *core.Stage, in *core.Inputs) (outs map[*core.Operator]*core.Channel, stats *core.StageStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			outs, stats = nil, nil
@@ -80,9 +82,9 @@ func RunStage(e Engine, stage *core.Stage, in *core.Inputs) (outs map[*core.Oper
 	return runStage(e, stage, in)
 }
 
-func runStage(e Engine, stage *core.Stage, in *core.Inputs) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
+func runStage[T any](e Engine[T], stage *core.Stage, in *core.Inputs) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
 	start := time.Now()
-	results := make(map[*core.Operator]Data, len(stage.Ops))
+	results := make(map[*core.Operator]T, len(stage.Ops))
 	counters := make(map[*core.Operator]*int64, len(stage.Ops))
 	opTimes := make(map[*core.Operator]time.Duration, len(stage.Ops))
 
@@ -91,7 +93,7 @@ func runStage(e Engine, stage *core.Stage, in *core.Inputs) (map[*core.Operator]
 	// sees the remaining kinds only.
 	var chains map[*core.Operator]*FusedChain
 	var covered map[*core.Operator]bool
-	ce, canFuse := e.(ChainEngine)
+	ce, canFuse := e.(ChainEngine[T])
 	if canFuse {
 		chains, covered = PlanFusion(stage)
 	}
@@ -141,7 +143,7 @@ func runStage(e Engine, stage *core.Stage, in *core.Inputs) (map[*core.Operator]
 			sniff = stage.Sniffers[op]
 		}
 		opStart := time.Now()
-		d, err := e.Apply(op, ins, bc, in.Round, &counter, sniff)
+		d, err := e.Apply(op, ins, in.Round, &counter, sniff)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %s: %w", stage, op, err)
 		}
@@ -206,8 +208,8 @@ func runStage(e Engine, stage *core.Stage, in *core.Inputs) (map[*core.Operator]
 // UDF with its broadcast context, compiles the kernel, and hands the whole
 // chain to the engine. The tail's output lands in results; per-op counters
 // are registered for all chain operators, so cardinalities stay per operator.
-func runChain(e Engine, ce ChainEngine, stage *core.Stage, chain *FusedChain, in *core.Inputs,
-	results map[*core.Operator]Data, counters map[*core.Operator]*int64) (*VectorKernel, time.Duration, error) {
+func runChain[T any](e Engine[T], ce ChainEngine[T], stage *core.Stage, chain *FusedChain, in *core.Inputs,
+	results map[*core.Operator]T, counters map[*core.Operator]*int64) (*VectorKernel, time.Duration, error) {
 	ins, err := resolveInputs(e, stage, chain.Head(), in, results)
 	if err != nil {
 		return nil, 0, err
@@ -276,9 +278,9 @@ func attributeChainTime(chain *FusedChain, counters map[*core.Operator]*int64, e
 	}
 }
 
-func resolveInputs(e Engine, stage *core.Stage, op *core.Operator, in *core.Inputs, results map[*core.Operator]Data) ([]Data, error) {
+func resolveInputs[T any](e Engine[T], stage *core.Stage, op *core.Operator, in *core.Inputs, results map[*core.Operator]T) ([]T, error) {
 	arity := core.InArityOf(op)
-	ins := make([]Data, arity)
+	ins := make([]T, arity)
 	for port := 0; port < arity; port++ {
 		var producer *core.Operator
 		if port < len(op.Inputs()) {
@@ -324,7 +326,7 @@ func resolveInputs(e Engine, stage *core.Stage, op *core.Operator, in *core.Inpu
 			}
 			ins = append(ins, d)
 		} else if in.LoopVar != nil {
-			d, err := e.FromChannel(core.NewChannel(core.CollectionChannel, core.NewSliceDataset(in.LoopVar), int64(len(in.LoopVar))))
+			d, err := e.FromChannel(CollectionOf(in.LoopVar))
 			if err != nil {
 				return nil, err
 			}

@@ -73,7 +73,7 @@ func (c *FusedChain) String() string {
 // chain natively. in is the head operator's (single) resolved input;
 // counters are per-chain-op output-cardinality counters aligned with
 // chain.AllOps() — one extra trailing counter for the absorbed aggregation
-// when chain.Agg is set. The returned Data stands for chain.Out()'s output.
+// when chain.Agg is set. The returned data stands for chain.Out()'s output.
 // The kernel is a VectorKernel: for pure narrow chains engines just call
 // Run (or RunSegments for batch-native partitions), which takes the
 // columnar path when the chain's leading steps vectorized and the partition
@@ -82,8 +82,8 @@ func (c *FusedChain) String() string {
 // accumulators, exchange partials on Agg's PartialKeyFn if it is
 // distributed, finalize, and count the finalized groups into the trailing
 // counter.
-type ChainEngine interface {
-	ApplyChain(chain *FusedChain, kernel *VectorKernel, in Data, counters []*int64) (Data, error)
+type ChainEngine[T any] interface {
+	ApplyChain(chain *FusedChain, kernel *VectorKernel, in T, counters []*int64) (T, error)
 }
 
 // fusible reports whether op is a step of a fused chain: a narrow stateless

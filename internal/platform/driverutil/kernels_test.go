@@ -287,11 +287,11 @@ func TestCoGroupCoversBothSides(t *testing.T) {
 // panicEngine triggers a UDF panic inside Apply.
 type panicEngine struct{}
 
-func (panicEngine) FromChannel(ch *core.Channel) (Data, error) { return nil, nil }
-func (panicEngine) Apply(op *core.Operator, in []Data, bc core.BroadcastCtx, round int, counter *int64, sniff func(any)) (Data, error) {
+func (panicEngine) FromChannel(ch *core.Channel) (any, error) { return nil, nil }
+func (panicEngine) Apply(op *core.Operator, in []any, round int, counter *int64, sniff func(any)) (any, error) {
 	panic(fmt.Sprintf("boom in %s", op))
 }
-func (panicEngine) ToChannel(op *core.Operator, d Data) (*core.Channel, error) { return nil, nil }
+func (panicEngine) ToChannel(op *core.Operator, d any) (*core.Channel, error) { return nil, nil }
 
 func TestRunStageRecoversUDFPanic(t *testing.T) {
 	op := &core.Operator{Kind: core.KindCollectionSource, Params: core.Params{Collection: []any{1}}}

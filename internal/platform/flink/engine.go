@@ -52,15 +52,9 @@ const chanBuf = 256
 
 // restFlow is the flow over data at rest: one segment run per instance.
 func restFlow(segs [][]core.Segment) *flow {
-	var card int64
-	for _, part := range segs {
-		for _, s := range part {
-			card += int64(s.Len())
-		}
-	}
 	return &flow{
 		width: len(segs),
-		card:  card,
+		card:  driverutil.Parts(segs).Count(),
 		segs:  segs,
 		start: func() []chan any {
 			chans := make([]chan any, len(segs))
@@ -94,17 +88,16 @@ type engine struct {
 	errs   errBox // the first UDF panic of any of the stage's flow goroutines
 }
 
-func (e *engine) width() int { return e.driver.Conf.Parallelism }
-
 // Each implements driverutil.Scheduler.
 func (e *engine) Each(n int, fn func(i int) error) error { return driverutil.Parallel(n, n, fn) }
 
 // Barrier implements driverutil.Scheduler.
 func (e *engine) Barrier() { driverutil.SleepMs(e.driver.Conf.ExchangeLatencyMs) }
 
-// split cuts data into one balanced row run per parallel instance.
-func (e *engine) split(data []any) [][]core.Segment {
-	return driverutil.SplitSegments([]core.Segment{{Rows: data}}, e.width())
+// split is the flow over data at rest, cut into one balanced row run per
+// parallel instance.
+func (e *engine) split(data []any) *flow {
+	return restFlow(e.driver.dataset([]core.Segment{{Rows: data}}).Parts)
 }
 
 // materialize is the single read of a flow: per-instance row partitions, and
@@ -151,7 +144,7 @@ func (e *engine) collect(f *flow) ([]any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return (&DataSet{Parts: r.segs}).Collect(), nil
+	return driverutil.Parts(r.segs).Collect(), nil
 }
 
 // narrow chains a per-instance transform onto the flow: each instance gets
@@ -185,76 +178,47 @@ func (e *engine) narrow(f *flow, card int64, transform func(inst int, in <-chan 
 }
 
 // FromChannel implements driverutil.Engine.
-func (e *engine) FromChannel(ch *core.Channel) (driverutil.Data, error) {
-	switch ch.Desc.Name {
-	case "dataset":
+func (e *engine) FromChannel(ch *core.Channel) (*flow, error) {
+	if ch.Desc.Name == "dataset" {
 		ds, ok := ch.Payload.(*DataSet)
 		if !ok {
 			return nil, fmt.Errorf("flink: channel dataset payload %T", ch.Payload)
 		}
 		return restFlow(ds.Parts), nil
-	case "collection", "file":
-		segs, err := driverutil.ChannelSegments(ch)
-		if err != nil {
-			return nil, err
-		}
-		return restFlow(driverutil.SplitSegments(segs, e.width())), nil
-	case "dfs":
-		if e.driver.DFS == nil {
-			return nil, fmt.Errorf("flink: no DFS configured")
-		}
-		segs, err := driverutil.ReadDFSQuantaSegments(e.driver.DFS, ch.Payload.(string))
-		if err != nil {
-			return nil, err
-		}
-		return restFlow(driverutil.SplitSegments(segs, e.width())), nil
-	default:
-		return nil, fmt.Errorf("flink: unsupported input channel %q", ch.Desc.Name)
 	}
+	segs, err := driverutil.NeutralSegments(e.driver.DFS, ch)
+	if err != nil {
+		return nil, fmt.Errorf("flink: %w", err)
+	}
+	return restFlow(e.driver.dataset(segs).Parts), nil
 }
 
 // ToChannel implements driverutil.Engine.
-func (e *engine) ToChannel(op *core.Operator, d driverutil.Data) (*core.Channel, error) {
-	f, ok := d.(*flow)
-	if !ok {
-		return nil, fmt.Errorf("flink: %s produced %T, not a flow", op, d)
-	}
+func (e *engine) ToChannel(op *core.Operator, f *flow) (*core.Channel, error) {
 	r, err := e.rest(f)
 	if err != nil {
 		return nil, err
 	}
-	ds := &DataSet{Parts: r.segs}
+	ds := &DataSet{r.segs}
 	if op.Kind == core.KindCollectionSink {
-		data := ds.Collect()
-		return core.NewChannel(core.CollectionChannel, core.NewSliceDataset(data), int64(len(data))), nil
+		return driverutil.CollectionOf(ds.Collect()), nil
 	}
-	return core.NewChannel(DataSetChannel, ds, ds.Count()), nil
+	return ds.channel(), nil
 }
 
 // Apply implements driverutil.Engine.
-func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.BroadcastCtx, round int, counter *int64, sniff func(any)) (driverutil.Data, error) {
-	ins := make([]*flow, len(in))
-	for i, d := range in {
-		f, ok := d.(*flow)
-		if !ok {
-			return nil, fmt.Errorf("flink: %s input %d is %T, not a flow", op, i, d)
-		}
-		ins[i] = f
-	}
-	out, err := e.apply(op, ins, round)
+func (e *engine) Apply(op *core.Operator, in []*flow, round int, counter *int64, sniff func(any)) (*flow, error) {
+	out, err := e.apply(op, in, round)
 	if err != nil {
 		return nil, err
 	}
 	// Data at rest is observed where it lies: its cardinality is known and a
 	// sniffer can walk it now.
 	if out.segs != nil {
-		*counter = out.card
-		if sniff != nil {
-			for _, part := range driverutil.RowParts(out.segs) {
-				for _, q := range part {
-					sniff(q)
-				}
-			}
+		if sniff == nil {
+			*counter = out.card
+		} else {
+			driverutil.Observe(driverutil.RowParts(out.segs), counter, sniff)
 		}
 		return out, nil
 	}
@@ -296,11 +260,7 @@ const (
 // the drained input of a chain ending in a declarative aggregation — goes to
 // the kernel whole, one goroutine per instance (driverutil.RunChainParts),
 // skipping the channel hop and, for column batches, the row→column rebuild.
-func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, in driverutil.Data, counters []*int64) (driverutil.Data, error) {
-	f, ok := in.(*flow)
-	if !ok {
-		return nil, fmt.Errorf("flink: fused chain input is %T, not a flow", in)
-	}
+func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, f *flow, counters []*int64) (*flow, error) {
 	if kernel.Agg() == nil && f.segs == nil {
 		return e.streamChain(chain, kernel, f, counters)
 	}
@@ -315,7 +275,7 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 // instance. Quanta are batched into vectors of fuseBatch and pushed through
 // the compiled kernel in one pass; per-step counts transfer to the shared
 // counters when the segment drains, without a per-quantum lock.
-func (e *engine) streamChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, f *flow, counters []*int64) (driverutil.Data, error) {
+func (e *engine) streamChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, f *flow, counters []*int64) (*flow, error) {
 	batch := fuseBatch
 	if kernel.VecLen() > 0 {
 		batch = vecChainBatch
@@ -361,14 +321,14 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 		if len(in) > 0 {
 			return in[0], nil
 		}
-		return restFlow(e.split(op.Params.Collection)), nil
+		return e.split(op.Params.Collection), nil
 
 	case core.KindTextFileSource:
 		data, err := driverutil.ReadTextLines(e.driver.DFS, op.Params.Path)
 		if err != nil {
 			return nil, err
 		}
-		return restFlow(e.split(data)), nil
+		return e.split(data), nil
 
 	case core.KindMapPart:
 		if op.UDF.MapPart == nil {
@@ -404,7 +364,7 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 		if data, err = driverutil.Sample(op, data, round); err != nil {
 			return nil, err
 		}
-		return restFlow(e.split(data)), nil
+		return e.split(data), nil
 
 	case core.KindCache, core.KindCollectionSink:
 		return e.rest(in[0])
@@ -438,7 +398,7 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 		if err != nil {
 			return nil, err
 		}
-		return restFlow(e.split(out)), nil
+		return e.split(out), nil
 
 	case core.KindTextFileSink:
 		data, err := e.collect(in[0])
@@ -448,7 +408,7 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 		if err := driverutil.WriteTextLines(e.driver.DFS, op, data); err != nil {
 			return nil, err
 		}
-		return restFlow(e.split(data)), nil
+		return e.split(data), nil
 
 	default:
 		ins := make([][][]any, len(in))
@@ -473,14 +433,7 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 // keep adjacency thread-local per instance and exchange rank contributions
 // between rounds.
 func (e *engine) pageRank(op *core.Operator, edgeQuanta []any) ([]any, error) {
-	iters := op.Params.Iterations
-	if iters <= 0 {
-		iters = 10
-	}
-	damping := op.Params.DampingFactor
-	if damping <= 0 {
-		damping = 0.85
-	}
+	iters, damping := driverutil.PageRankParams(op)
 	adj := map[int64][]int64{}
 	vertices := map[int64]bool{}
 	for _, q := range edgeQuanta {
@@ -505,7 +458,7 @@ func (e *engine) pageRank(op *core.Operator, edgeQuanta []any) ([]any, error) {
 	for v := range adj {
 		srcs = append(srcs, v)
 	}
-	w := e.width()
+	w := e.driver.Conf.Parallelism
 	for it := 0; it < iters; it++ {
 		e.Barrier()
 		partials := make([]map[int64]float64, w)

@@ -25,9 +25,7 @@ func testDriver(t *testing.T) *Driver {
 }
 
 func TestConformance(t *testing.T) {
-	platformtest.Run(t, testDriver(t), platformtest.Options{
-		Skip: []core.Kind{core.KindTableSource},
-	})
+	platformtest.Run(t, testDriver(t))
 }
 
 func TestPipelineIsSinglePass(t *testing.T) {

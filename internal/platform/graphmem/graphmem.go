@@ -4,7 +4,9 @@
 // graph algorithms run as tight single-threaded array loops. It has zero
 // startup cost and excellent constants, so it dominates on small graphs and
 // fades on large ones — the Figure 9(c)/(f) profile of the paper, where
-// RHEEM surprisingly pairs it with a big-data engine for CrocoPR.
+// RHEEM surprisingly pairs it with a big-data engine for CrocoPR. The package
+// is the CSR library and one Apply on the shared platform frame
+// (driverutil/platform.go).
 package graphmem
 
 import (
@@ -131,10 +133,7 @@ func (d *Driver) Conversions() []*core.Conversion { return nil }
 
 // RegisterMappings implements core.Driver: graph algorithms only.
 func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
-	r.Register(core.KindPageRank, core.Alternative{Platform: Platform, Steps: []core.ExecOpTemplate{{
-		Name: "graphmem.pagerank", Platform: Platform, Kind: core.KindPageRank,
-		In: []string{"collection"}, Out: "collection",
-	}}})
+	driverutil.RegisterOps(r, Platform, []string{"collection"}, "collection", []driverutil.Op{{Kind: core.KindPageRank, Suffix: "pagerank"}})
 }
 
 // Execute implements core.Driver.
@@ -146,48 +145,23 @@ func (d *Driver) Execute(stage *core.Stage, in *core.Inputs) (map[*core.Operator
 	return outs, stats, err
 }
 
-type engine struct{}
-
-// FromChannel implements driverutil.Engine.
-func (engine) FromChannel(ch *core.Channel) (driverutil.Data, error) {
-	data, err := driverutil.ChannelSlice(ch)
-	if err != nil {
-		return nil, fmt.Errorf("graphmem: %w", err)
-	}
-	return data, nil
-}
-
-// ToChannel implements driverutil.Engine.
-func (engine) ToChannel(op *core.Operator, d driverutil.Data) (*core.Channel, error) {
-	data, ok := d.([]any)
-	if !ok {
-		return nil, fmt.Errorf("graphmem: %s produced %T", op, d)
-	}
-	return core.NewChannel(core.CollectionChannel, core.NewSliceDataset(data), int64(len(data))), nil
-}
+// engine speaks collections in and out (driverutil.Slices).
+type engine struct{ driverutil.Slices }
 
 // Apply implements driverutil.Engine.
-func (engine) Apply(op *core.Operator, in []driverutil.Data, bc core.BroadcastCtx, round int, counter *int64, sniff func(any)) (driverutil.Data, error) {
+func (engine) Apply(op *core.Operator, in [][]any, round int, counter *int64, sniff func(any)) ([]any, error) {
 	if op.Kind != core.KindPageRank {
 		return nil, fmt.Errorf("graphmem: unsupported operator kind %s (graph platform)", op.Kind)
 	}
-	edges, ok := in[0].([]any)
-	if !ok {
-		return nil, fmt.Errorf("graphmem: input is %T", in[0])
-	}
-	g, err := BuildGraph(edges)
+	g, err := BuildGraph(in[0])
 	if err != nil {
 		return nil, err
 	}
 	ranks := g.PageRank(op.Params.Iterations, op.Params.DampingFactor)
 	out := make([]any, len(ranks))
 	for i, r := range ranks {
-		kv := core.KV{Key: g.ids[i], Value: r}
-		out[i] = kv
-		*counter++
-		if sniff != nil {
-			sniff(kv)
-		}
+		out[i] = core.KV{Key: g.ids[i], Value: r}
 	}
+	driverutil.Observe([][]any{out}, counter, sniff)
 	return out, nil
 }

@@ -17,6 +17,7 @@ import (
 	"rheem/internal/platform/relstore"
 	"rheem/internal/platform/spark"
 	"rheem/internal/platform/streams"
+	"rheem/internal/storage/dfs"
 )
 
 func engines() []core.Driver {
@@ -331,5 +332,39 @@ func TestCollectionSinkOutputIsCallerOwned(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestForeignPayloadIsAnError: a channel whose payload is not what its
+// descriptor promises — an executor bug, a driver written elsewhere — is an
+// error from every conversion and every engine's FromChannel, never a panic
+// (a conversion runs on the executor's goroutine, outside RunStage's recover).
+func TestForeignPayloadIsAnError(t *testing.T) {
+	type foreign struct{}
+	store, err := dfs.New(t.TempDir(), dfs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withDFS := []core.Driver{streams.New(store), spark.New(store), flink.New(store), relstore.New(relstore.Config{}, relstore.NewStore("pg"))}
+	conversions := 0
+	for _, d := range withDFS {
+		for _, cv := range d.Conversions() {
+			conversions++
+			if out, err := cv.Convert(core.NewChannel(core.ChannelDescriptor{Name: cv.From}, foreign{}, 1)); err == nil {
+				t.Errorf("%s converted a foreign payload to %v", cv.Name, out.Payload)
+			}
+		}
+	}
+	if conversions != 15 {
+		t.Errorf("checked %d conversions, the bundled engines declare 15", conversions)
+	}
+	for _, d := range engines() {
+		for _, name := range []string{"collection", "file", "dfs", "rdd", "rdd-cached", "dataset", "relation"} {
+			op := &core.Operator{Kind: core.KindFilter, UDF: core.UDFs{Pred: func(any) bool { return true }}}
+			_, _, err := platformtest.RunOpErr(d, op, core.NewChannel(core.ChannelDescriptor{Name: name, Reusable: true}, foreign{}, 1))
+			if err == nil || strings.Contains(err.Error(), "panic") {
+				t.Errorf("%s reading a foreign %s channel: error %v, want a checked error", d.Name(), name, err)
+			}
+		}
 	}
 }

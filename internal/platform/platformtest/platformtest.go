@@ -1,7 +1,7 @@
 // Package platformtest provides a conformance suite for platform drivers:
 // every engine must implement the RHEEM operator semantics identically, so
 // the same battery of operator tests runs against each driver. Engine tests
-// call Run with their driver plus the set of kinds the platform supports.
+// call Run with their driver; the battery covers the kinds the driver maps.
 package platformtest
 
 import (
@@ -16,7 +16,7 @@ import (
 
 // CollectionChannel wraps quanta in a collection channel.
 func CollectionChannel(data ...any) *core.Channel {
-	return core.NewChannel(core.CollectionChannel, core.NewSliceDataset(data), int64(len(data)))
+	return driverutil.CollectionOf(data)
 }
 
 // RunOp executes a single operator on the driver with the given main-input

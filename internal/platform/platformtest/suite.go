@@ -8,29 +8,18 @@ import (
 	"rheem/internal/platform/driverutil"
 )
 
-// Options configure the conformance suite for a platform.
-type Options struct {
-	// Skip lists kinds the platform does not implement.
-	Skip []core.Kind
-}
-
-func (o Options) skips(k core.Kind) bool {
-	for _, s := range o.Skip {
-		if s == k {
-			return true
-		}
-	}
-	return false
-}
-
 // Run exercises the full operator semantics battery against the driver.
 // Each engine must produce the same logical results; only execution
 // strategy and output order may differ (order-insensitive comparisons are
-// used where engines legitimately reorder).
-func Run(t *testing.T, d core.Driver, opts Options) {
+// used where engines legitimately reorder). A kind's cases run iff the driver
+// registers a mapping for it: what a platform offers the optimizer is what it
+// is held to.
+func Run(t *testing.T, d core.Driver) {
 	t.Helper()
+	mappings := core.NewMappingRegistry()
+	d.RegisterMappings(mappings)
 	run := func(k core.Kind, name string, fn func(t *testing.T)) {
-		if opts.skips(k) {
+		if len(mappings.DirectAlternatives(&core.Operator{Kind: k})) == 0 {
 			return
 		}
 		t.Run(name, fn)

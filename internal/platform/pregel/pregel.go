@@ -6,14 +6,13 @@
 // parallel workers uses combiners to pre-aggregate. The engine pays a
 // per-superstep synchronization overhead (scaled down from cluster
 // reality), which is why it wins on big graphs and loses small ones to the
-// in-memory graph library.
+// in-memory graph library. The package is the BSP runtime, two vertex programs
+// and one Apply on the shared platform frame (driverutil/platform.go).
 package pregel
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"time"
 
 	"rheem/internal/core"
 	"rheem/internal/platform/driverutil"
@@ -41,12 +40,7 @@ type Config struct {
 const NoOverheadMs = driverutil.NoOverheadMs
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.NumCPU()
-		if c.Workers < 4 {
-			c.Workers = 4 // partitions interleave when the host is smaller
-		}
-	}
+	c.Workers = driverutil.DefaultWorkers(c.Workers)
 	c.ContextStartupMs = driverutil.OverheadMs(c.ContextStartupMs, 60)
 	c.SuperstepMs = driverutil.OverheadMs(c.SuperstepMs, 1.5)
 	return c
@@ -97,8 +91,9 @@ type Program interface {
 }
 
 // Run executes a vertex program over edge quanta and returns the final
-// vertex values. The graph is partitioned by vertex hash across workers.
-func Run(prog Program, edges []core.Edge, workers int, superstepPause time.Duration) (map[int64]float64, int, error) {
+// vertex values. The graph is partitioned by vertex hash across workers; every
+// superstep is charged superstepMs of simulated synchronization latency.
+func Run(prog Program, edges []core.Edge, workers int, superstepMs float64) (map[int64]float64, int, error) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -137,9 +132,7 @@ func Run(prog Program, edges []core.Edge, workers int, superstepPause time.Durat
 
 	superstep := 0
 	for ; superstep < prog.MaxSupersteps(); superstep++ {
-		if superstepPause > 0 {
-			time.Sleep(superstepPause)
-		}
+		driverutil.SleepMs(superstepMs)
 		// Check for termination: all halted and no pending messages.
 		pending := false
 		for i := 0; i < workers; i++ {
@@ -274,31 +267,32 @@ func (p PageRankProgram) Combinable() bool { return true }
 // MaxSupersteps implements Program.
 func (p PageRankProgram) MaxSupersteps() int { return p.Iterations + 1 }
 
-// Driver is the pregel platform driver.
+// Driver is the pregel platform driver. The embedded Boot is its start-up
+// charge: the context boot once, nothing per job.
 type Driver struct {
 	Conf Config
-
-	mu     sync.Mutex
-	booted bool
+	driverutil.Boot
 }
 
 // New creates a pregel driver with defaults.
 func New() *Driver { return NewWithConfig(Config{}) }
 
 // NewWithConfig creates a pregel driver with an explicit configuration.
-func NewWithConfig(conf Config) *Driver { return &Driver{Conf: conf.withDefaults()} }
+func NewWithConfig(conf Config) *Driver {
+	conf = conf.withDefaults()
+	return &Driver{Conf: conf, Boot: driverutil.Boot{ContextMs: conf.ContextStartupMs}}
+}
 
 // Name implements core.Driver.
 func (d *Driver) Name() string { return Platform }
 
-// StartupCostMs implements core.StartupCoster.
+// StartupCostMs implements core.StartupCoster: the context boot before first
+// use, one superstep's synchronization afterwards.
 func (d *Driver) StartupCostMs() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.booted {
-		return d.Conf.ContextStartupMs
+	if d.Booted() {
+		return d.Conf.SuperstepMs
 	}
-	return d.Conf.SuperstepMs
+	return d.ContextMs
 }
 
 // ChannelDescriptors implements core.Driver.
@@ -309,85 +303,44 @@ func (d *Driver) Conversions() []*core.Conversion { return nil }
 
 // RegisterMappings implements core.Driver.
 func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
-	r.Register(core.KindPageRank, core.Alternative{Platform: Platform, Steps: []core.ExecOpTemplate{{
-		Name: "pregel.pagerank", Platform: Platform, Kind: core.KindPageRank,
-		In: []string{"collection"}, Out: "collection",
-	}}})
+	driverutil.RegisterOps(r, Platform, []string{"collection"}, "collection", []driverutil.Op{{Kind: core.KindPageRank, Suffix: "pagerank"}})
 }
 
 // Execute implements core.Driver.
 func (d *Driver) Execute(stage *core.Stage, in *core.Inputs) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
-	d.mu.Lock()
-	boot := !d.booted
-	d.booted = true
-	d.mu.Unlock()
-	if boot {
-		driverutil.SleepMs(d.Conf.ContextStartupMs)
-	}
+	d.Charge()
 	return driverutil.RunStage(&engine{driver: d}, stage, in)
 }
 
+// engine speaks collections in and out (driverutil.Slices).
 type engine struct {
+	driverutil.Slices
 	driver *Driver
 }
 
-// FromChannel implements driverutil.Engine.
-func (e *engine) FromChannel(ch *core.Channel) (driverutil.Data, error) {
-	data, err := driverutil.ChannelSlice(ch)
-	if err != nil {
-		return nil, fmt.Errorf("pregel: %w", err)
-	}
-	return data, nil
-}
-
-// ToChannel implements driverutil.Engine.
-func (e *engine) ToChannel(op *core.Operator, d driverutil.Data) (*core.Channel, error) {
-	data, ok := d.([]any)
-	if !ok {
-		return nil, fmt.Errorf("pregel: %s produced %T", op, d)
-	}
-	return core.NewChannel(core.CollectionChannel, core.NewSliceDataset(data), int64(len(data))), nil
-}
-
 // Apply implements driverutil.Engine.
-func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.BroadcastCtx, round int, counter *int64, sniff func(any)) (driverutil.Data, error) {
+func (e *engine) Apply(op *core.Operator, in [][]any, round int, counter *int64, sniff func(any)) ([]any, error) {
 	if op.Kind != core.KindPageRank {
 		return nil, fmt.Errorf("pregel: unsupported operator kind %s (graph platform)", op.Kind)
 	}
-	quanta, ok := in[0].([]any)
-	if !ok {
-		return nil, fmt.Errorf("pregel: input is %T", in[0])
-	}
-	edges := make([]core.Edge, 0, len(quanta))
-	for _, q := range quanta {
+	edges := make([]core.Edge, 0, len(in[0]))
+	for _, q := range in[0] {
 		edge, ok := q.(core.Edge)
 		if !ok {
 			return nil, fmt.Errorf("pregel: quantum %T is not an Edge", q)
 		}
 		edges = append(edges, edge)
 	}
-	iters := op.Params.Iterations
-	if iters <= 0 {
-		iters = 10
-	}
-	damping := op.Params.DampingFactor
-	if damping <= 0 {
-		damping = 0.85
-	}
-	pause := time.Duration(e.driver.Conf.SuperstepMs * float64(time.Millisecond))
-	ranks, _, err := Run(PageRankProgram{Iterations: iters, Damping: damping}, edges, e.driver.Conf.Workers, pause)
+	iters, damping := driverutil.PageRankParams(op)
+	ranks, _, err := Run(PageRankProgram{Iterations: iters, Damping: damping}, edges, e.driver.Conf.Workers, e.driver.Conf.SuperstepMs)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]any, 0, len(ranks))
 	for v, r := range ranks {
-		kv := core.KV{Key: v, Value: r}
-		out = append(out, kv)
-		*counter++
-		if sniff != nil {
-			sniff(kv)
-		}
+		out = append(out, core.KV{Key: v, Value: r})
 	}
+	driverutil.Observe([][]any{out}, counter, sniff)
 	return out, nil
 }
 

@@ -20,12 +20,16 @@ type TableRef struct {
 // Rows materializes the referenced table's rows as quanta. It also serves
 // generic consumers (tests, the executor's collectors) that only know the
 // interface { Rows() ([]any, error) }.
-func (ref TableRef) Rows() ([]any, error) {
+func (ref TableRef) Rows() ([]any, error) { return ref.scan(nil, nil, 1) }
+
+// scan reads the referenced table as quanta, projection and predicate pushed
+// into the scan.
+func (ref TableRef) scan(cols []int, where *core.Predicate, workers int) ([]any, error) {
 	t, err := ref.Store.Table(ref.Table)
 	if err != nil {
 		return nil, err
 	}
-	recs, err := t.Scan(nil, nil, 1)
+	recs, err := t.Scan(cols, where, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -123,29 +127,13 @@ func (d *Driver) ChannelDescriptors() []core.ChannelDescriptor {
 // into a temporary table (a bulk load).
 func (d *Driver) Conversions() []*core.Conversion {
 	return []*core.Conversion{
-		{
-			Name: "relstore.export", From: "relation", To: "collection",
-			FixedCostMs: 2, PerQuantumMs: 0.003,
-			Convert: func(in *core.Channel) (*core.Channel, error) {
-				ref, ok := in.Payload.(TableRef)
-				if !ok {
-					return nil, fmt.Errorf("relstore.export: payload %T", in.Payload)
-				}
-				t, err := ref.Store.Table(ref.Table)
-				if err != nil {
-					return nil, err
-				}
-				rows, err := t.Scan(nil, nil, d.Conf.Workers)
-				if err != nil {
-					return nil, err
-				}
-				data := make([]any, len(rows))
-				for i, r := range rows {
-					data[i] = r
-				}
-				return core.NewChannel(core.CollectionChannel, core.NewSliceDataset(data), int64(len(data))), nil
-			},
-		},
+		driverutil.Conv("relstore.export", "relation", "collection", 2, 0.003, func(ref TableRef, _ *core.Channel) (*core.Channel, error) {
+			data, err := ref.scan(nil, nil, d.Conf.Workers)
+			if err != nil {
+				return nil, err
+			}
+			return driverutil.CollectionOf(data), nil
+		}),
 		{
 			Name: "relstore.load", From: "collection", To: "relation",
 			FixedCostMs: 5, PerQuantumMs: 0.012, // bulk loads are expensive (the polystore lesson)
@@ -154,18 +142,24 @@ func (d *Driver) Conversions() []*core.Conversion {
 				if err != nil {
 					return nil, err
 				}
-				store, err := d.StoreByName("")
-				if err != nil {
-					return nil, err
-				}
-				name := fmt.Sprintf("tmp_load_%d", d.tmpSeq.Add(1))
-				if err := LoadRecords(store, name, data); err != nil {
-					return nil, err
-				}
-				return core.NewChannel(RelationChannel, TableRef{Store: store, Table: name}, int64(len(data))), nil
+				return d.load("tmp_load", data)
 			},
 		},
 	}
+}
+
+// load bulk-loads record quanta into a fresh temporary table of the sole
+// attached store and returns the relation channel over it.
+func (d *Driver) load(prefix string, data []any) (*core.Channel, error) {
+	store, err := d.StoreByName("")
+	if err != nil {
+		return nil, err
+	}
+	name := fmt.Sprintf("%s_%d", prefix, d.tmpSeq.Add(1))
+	if err := LoadRecords(store, name, data); err != nil {
+		return nil, err
+	}
+	return core.NewChannel(RelationChannel, TableRef{Store: store, Table: name}, int64(len(data))), nil
 }
 
 // LoadRecords bulk-loads record quanta into a new table, inferring the
@@ -210,22 +204,18 @@ func typeOf(v any) ColType {
 
 // RegisterMappings implements core.Driver: only relational kinds.
 func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
-	one := func(k core.Kind, name string) {
-		r.Register(k, core.Alternative{Platform: Platform, Steps: []core.ExecOpTemplate{{
-			Name: name, Platform: Platform, Kind: k,
-			In: []string{"relation"}, Out: "relation",
-		}}})
-	}
-	one(core.KindTableSource, "relstore.table-scan")
-	one(core.KindFilter, "relstore.filter")
-	one(core.KindProject, "relstore.project")
-	one(core.KindJoin, "relstore.hash-join")
-	one(core.KindReduceBy, "relstore.hash-agg")
-	one(core.KindGroupBy, "relstore.group")
-	one(core.KindSort, "relstore.sort")
-	one(core.KindDistinct, "relstore.distinct")
-	one(core.KindCount, "relstore.count")
-	one(core.KindCollectionSink, "relstore.fetch")
+	driverutil.RegisterOps(r, Platform, []string{"relation"}, "relation", []driverutil.Op{
+		{Kind: core.KindTableSource, Suffix: "table-scan"},
+		{Kind: core.KindFilter, Suffix: "filter"},
+		{Kind: core.KindProject, Suffix: "project"},
+		{Kind: core.KindJoin, Suffix: "hash-join"},
+		{Kind: core.KindReduceBy, Suffix: "hash-agg"},
+		{Kind: core.KindGroupBy, Suffix: "group"},
+		{Kind: core.KindSort, Suffix: "sort"},
+		{Kind: core.KindDistinct, Suffix: "distinct"},
+		{Kind: core.KindCount, Suffix: "count"},
+		{Kind: core.KindCollectionSink, Suffix: "fetch"},
+	})
 }
 
 // Execute implements core.Driver.
@@ -238,8 +228,9 @@ func (d *Driver) Execute(stage *core.Stage, in *core.Inputs) (map[*core.Operator
 	return outs, stats, err
 }
 
-// rel is the engine's native data: either a table reference (still in the
-// store, scannable with push-down) or an intermediate row set.
+// rel is the engine's native data: a table reference still in the store
+// (scannable with push-down) — only ever a stage input — or a row set, which
+// is what every operator produces.
 type rel struct {
 	ref  *TableRef
 	rows []any // Records
@@ -250,7 +241,7 @@ type engine struct {
 }
 
 // FromChannel implements driverutil.Engine.
-func (e *engine) FromChannel(ch *core.Channel) (driverutil.Data, error) {
+func (e *engine) FromChannel(ch *core.Channel) (*rel, error) {
 	switch ch.Desc.Name {
 	case "relation":
 		ref, ok := ch.Payload.(TableRef)
@@ -269,43 +260,16 @@ func (e *engine) FromChannel(ch *core.Channel) (driverutil.Data, error) {
 	}
 }
 
-// ToChannel implements driverutil.Engine.
-func (e *engine) ToChannel(op *core.Operator, d driverutil.Data) (*core.Channel, error) {
-	r, ok := d.(*rel)
-	if !ok {
-		return nil, fmt.Errorf("relstore: %s produced %T", op, d)
+// ToChannel implements driverutil.Engine. Results stay a (temporary) relation
+// so downstream relational stages or conversions can consume them; non-record
+// intermediates (counts, keyed aggregates) cannot live in a table and are
+// handed over as a driver collection instead — the executor's data-movement
+// planner treats the actual channel type as authoritative.
+func (e *engine) ToChannel(op *core.Operator, r *rel) (*core.Channel, error) {
+	if op.Kind == core.KindCollectionSink || !allRecords(r.rows) {
+		return driverutil.CollectionOf(r.rows), nil
 	}
-	if op.Kind == core.KindCollectionSink {
-		rows, err := e.rowsOf(r)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewChannel(core.CollectionChannel, core.NewSliceDataset(rows), int64(len(rows))), nil
-	}
-	// Leave results as a (temporary) relation so downstream relational
-	// stages or conversions can consume them.
-	if r.ref != nil {
-		t, err := r.ref.Store.Table(r.ref.Table)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewChannel(RelationChannel, *r.ref, int64(t.RowCount())), nil
-	}
-	// Non-record intermediates (counts, keyed aggregates) cannot live in a
-	// table; hand them over as a driver collection instead. The executor's
-	// data-movement planner treats the actual channel type as authoritative.
-	if !allRecords(r.rows) {
-		return core.NewChannel(core.CollectionChannel, core.NewSliceDataset(r.rows), int64(len(r.rows))), nil
-	}
-	store, err := e.driver.StoreByName("")
-	if err != nil {
-		return nil, err
-	}
-	name := fmt.Sprintf("tmp_res_%d", e.driver.tmpSeq.Add(1))
-	if err := LoadRecords(store, name, r.rows); err != nil {
-		return nil, err
-	}
-	return core.NewChannel(RelationChannel, TableRef{Store: store, Table: name}, int64(len(r.rows))), nil
+	return e.driver.load("tmp_res", r.rows)
 }
 
 func allRecords(rows []any) bool {
@@ -317,56 +281,22 @@ func allRecords(rows []any) bool {
 	return true
 }
 
+// rowsOf reads an input's rows: a row set as it is, a table by a full scan.
 func (e *engine) rowsOf(r *rel) ([]any, error) {
 	if r.ref == nil {
 		return r.rows, nil
 	}
-	t, err := r.ref.Store.Table(r.ref.Table)
-	if err != nil {
-		return nil, err
-	}
-	recs, err := t.Scan(nil, nil, e.driver.Conf.Workers)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]any, len(recs))
-	for i, rec := range recs {
-		rows[i] = rec
-	}
-	return rows, nil
+	return r.ref.scan(nil, nil, e.driver.Conf.Workers)
 }
 
-// Apply implements driverutil.Engine.
-func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.BroadcastCtx, round int, counter *int64, sniff func(any)) (driverutil.Data, error) {
-	ins := make([]*rel, len(in))
-	for i, d := range in {
-		r, ok := d.(*rel)
-		if !ok {
-			return nil, fmt.Errorf("relstore: %s input %d is %T", op, i, d)
-		}
-		ins[i] = r
-	}
-	out, err := e.apply(op, ins)
+// Apply implements driverutil.Engine. The store is an eager engine: every
+// operator's output is a row set, counted and sniffed where it lies.
+func (e *engine) Apply(op *core.Operator, in []*rel, round int, counter *int64, sniff func(any)) (*rel, error) {
+	out, err := e.apply(op, in)
 	if err != nil {
 		return nil, err
 	}
-	// Count + sniff on materialized outputs (the store is an eager engine).
-	if out.ref == nil {
-		*counter = int64(len(out.rows))
-		if sniff != nil {
-			for _, q := range out.rows {
-				sniff(q)
-			}
-		}
-	} else if t, err := out.ref.Store.Table(out.ref.Table); err == nil {
-		*counter = int64(t.RowCount())
-		if sniff != nil {
-			rows, _ := e.rowsOf(out)
-			for _, q := range rows {
-				sniff(q)
-			}
-		}
-	}
+	driverutil.Observe([][]any{out.rows}, counter, sniff)
 	return out, nil
 }
 
@@ -377,11 +307,7 @@ func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.Broadcas
 // any row reaches the kernel); the remaining steps run over the scan result
 // in one pass. A filter carrying a UDF predicate is never pushed down: the
 // UDF wins over Params.Where (see driverutil.PredOf).
-func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, in driverutil.Data, counters []*int64) (driverutil.Data, error) {
-	r, ok := in.(*rel)
-	if !ok {
-		return nil, fmt.Errorf("relstore: fused chain input is %T", in)
-	}
+func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, r *rel, counters []*int64) (*rel, error) {
 	for _, op := range chain.Ops {
 		if op.Kind != core.KindFilter && op.Kind != core.KindProject {
 			return nil, fmt.Errorf("relstore: unsupported operator kind %s (relational platform)", op.Kind)
@@ -389,35 +315,18 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 	}
 	head := chain.Head()
 	var rows []any
+	var err error
 	if head.Kind == core.KindFilter && head.Params.Where != nil && head.UDF.Pred == nil && r.ref != nil {
-		t, err := r.ref.Store.Table(r.ref.Table)
-		if err != nil {
+		if rows, err = r.ref.scan(nil, head.Params.Where, e.driver.Conf.Workers); err != nil {
 			return nil, err
 		}
-		recs, err := t.Scan(nil, head.Params.Where, e.driver.Conf.Workers)
-		if err != nil {
-			return nil, err
-		}
-		rows = make([]any, len(recs))
-		for i, rec := range recs {
-			rows[i] = rec
-		}
-		*counters[0] += int64(len(rows))
-		if sniff := kernel.StepSniff(0); sniff != nil {
-			for _, q := range rows {
-				sniff(q)
-			}
-		}
+		driverutil.Observe([][]any{rows}, counters[0], kernel.StepSniff(0))
 		// Fuse the rest of the chain over the scan result, keeping any
 		// attached sniffers.
 		kernel = kernel.Tail(1)
 		counters = counters[1:]
-	} else {
-		var err error
-		rows, err = e.rowsOf(r)
-		if err != nil {
-			return nil, err
-		}
+	} else if rows, err = e.rowsOf(r); err != nil {
+		return nil, err
 	}
 	if kernel.Len() == 0 && kernel.Agg() == nil {
 		return &rel{rows: rows}, nil // a pushed-down lone filter leaves nothing to run
@@ -429,26 +338,17 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 }
 
 func (e *engine) apply(op *core.Operator, in []*rel) (*rel, error) {
-	w := e.driver.Conf.Workers
 	switch op.Kind {
 	case core.KindTableSource:
 		store, err := e.driver.StoreByName(op.Params.Store)
 		if err != nil {
 			return nil, err
 		}
-		t, err := store.Table(op.Params.Table)
-		if err != nil {
-			return nil, err
-		}
 		// Projection (and, when present, the declarative predicate) pushes
 		// into the scan.
-		recs, err := t.Scan(op.Params.Columns, op.Params.Where, w)
+		rows, err := TableRef{Store: store, Table: op.Params.Table}.scan(op.Params.Columns, op.Params.Where, e.driver.Conf.Workers)
 		if err != nil {
 			return nil, err
-		}
-		rows := make([]any, len(recs))
-		for i, r := range recs {
-			rows[i] = r
 		}
 		return &rel{rows: rows}, nil
 

@@ -38,15 +38,8 @@ func testDriver(t *testing.T) *Driver {
 }
 
 func TestConformanceRelationalSubset(t *testing.T) {
-	// relstore implements only the relational kinds; skip the rest.
-	platformtest.Run(t, testDriver(t), platformtest.Options{
-		Skip: []core.Kind{
-			core.KindCollectionSource, core.KindTextFileSource, core.KindMap,
-			core.KindFlatMap, core.KindMapPart, core.KindSample, core.KindZipWithID,
-			core.KindCache, core.KindIEJoin, core.KindCartesian, core.KindUnion,
-			core.KindIntersect, core.KindCoGroup, core.KindReduce, core.KindPageRank,
-		},
-	})
+	// relstore maps only the relational kinds; the battery runs those.
+	platformtest.Run(t, testDriver(t))
 }
 
 func TestTableBasics(t *testing.T) {

@@ -5,7 +5,9 @@
 // general-purpose engines it only accepts relational operators — arbitrary
 // UDF transformations (Map, FlatMap, ML loops) are not executable here,
 // which is precisely what forces the optimizer into mandatory
-// cross-platform plans (Section 2.3 of the paper).
+// cross-platform plans (Section 2.3 of the paper). Beside the store, the
+// package holds its driver on the shared platform frame
+// (driverutil/platform.go): TableRef, filter push-down, the temp-table load.
 package relstore
 
 import (

@@ -12,14 +12,7 @@ import (
 // contributions in parallel, shuffles them by destination, and aggregates.
 // Input quanta are core.Edge; output quanta are core.KV{vertex, rank}.
 func (e *engine) pageRank(op *core.Operator, edges *RDD) (*RDD, error) {
-	iters := op.Params.Iterations
-	if iters <= 0 {
-		iters = 10
-	}
-	damping := op.Params.DampingFactor
-	if damping <= 0 {
-		damping = 0.85
-	}
+	iters, damping := driverutil.PageRankParams(op)
 	p := max(len(edges.parts()), 1)
 
 	// Build per-partition adjacency: vertex -> out-neighbours, partitioned

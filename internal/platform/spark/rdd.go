@@ -7,7 +7,9 @@
 // (driverutil.ApplyBlocking); spark contributes the pool it runs on and the
 // latency every shuffle barrier pays. It wins on large inputs through
 // parallel scans and shuffles and loses on small inputs to its startup
-// latency, exactly the trade-off the paper exploits.
+// latency, exactly the trade-off the paper exploits. On the shared platform
+// frame (driverutil/platform.go) the package keeps what the archetype owns:
+// Config, the RDD, the pool scheduler, per-block readers and the apply arms.
 package spark
 
 import (
@@ -23,7 +25,7 @@ import (
 // chain kernel takes partitions as they are; the row-oriented operators go
 // through rows, which flattens a batch-holding partition once.
 type RDD struct {
-	Parts  [][]core.Segment
+	Parts  driverutil.Parts
 	Cached bool
 
 	mu   sync.Mutex // guards Parts and flat: rows replaces Parts when it flattens
@@ -36,7 +38,7 @@ func NewRDD(rows [][]any) *RDD { return &RDD{Parts: driverutil.RowSegments(rows)
 // parts returns the partitions as segment runs. The returned slice is never
 // written again (rows swaps in a new one), so callers read it unlocked. Safe
 // for concurrent callers: a reusable channel can feed parallel stages.
-func (r *RDD) parts() [][]core.Segment {
+func (r *RDD) parts() driverutil.Parts {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.Parts
@@ -70,24 +72,17 @@ func Partition(data []any, n int) *RDD {
 }
 
 // Count returns the total number of quanta.
-func (r *RDD) Count() int64 {
-	var n int64
-	for _, part := range r.parts() {
-		for _, s := range part {
-			n += int64(s.Len())
-		}
-	}
-	return n
-}
+func (r *RDD) Count() int64 { return r.parts().Count() }
 
 // Collect concatenates all partitions in order.
-func (r *RDD) Collect() []any {
-	parts := r.parts()
-	out := make([]any, 0, r.Count())
-	for _, part := range parts {
-		for _, s := range part {
-			out = s.AppendRows(out)
-		}
+func (r *RDD) Collect() []any { return r.parts().Collect() }
+
+// channel wraps the RDD in spark's native channel, the cached one once it is
+// cached.
+func (r *RDD) channel() *core.Channel {
+	desc := RDDChannel
+	if r.Cached {
+		desc = CachedRDDChannel
 	}
-	return out
+	return core.NewChannel(desc, r, r.Count())
 }

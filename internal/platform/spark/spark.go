@@ -2,9 +2,7 @@ package spark
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 
 	"rheem/internal/core"
 	"rheem/internal/platform/driverutil"
@@ -40,25 +38,19 @@ type Config struct {
 const NoOverheadMs = driverutil.NoOverheadMs
 
 func (c Config) withDefaults() Config {
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.NumCPU()
-		if c.Parallelism < 4 {
-			c.Parallelism = 4 // partitions interleave when the host is smaller
-		}
-	}
+	c.Parallelism = driverutil.DefaultWorkers(c.Parallelism)
 	c.ContextStartupMs = driverutil.OverheadMs(c.ContextStartupMs, 150)
 	c.JobStartupMs = driverutil.OverheadMs(c.JobStartupMs, 12)
 	c.ShuffleLatencyMs = driverutil.OverheadMs(c.ShuffleLatencyMs, 4)
 	return c
 }
 
-// Driver is the spark platform driver.
+// Driver is the spark platform driver. The embedded Boot is its start-up
+// charge and its core.StartupCoster.
 type Driver struct {
 	Conf Config
 	DFS  *dfs.Store
-
-	mu     sync.Mutex
-	booted bool
+	driverutil.Boot
 }
 
 // New creates a spark driver with the given DFS (optional) and defaults.
@@ -66,22 +58,12 @@ func New(store *dfs.Store) *Driver { return NewWithConfig(store, Config{}) }
 
 // NewWithConfig creates a spark driver with an explicit configuration.
 func NewWithConfig(store *dfs.Store, conf Config) *Driver {
-	return &Driver{Conf: conf.withDefaults(), DFS: store}
+	conf = conf.withDefaults()
+	return &Driver{Conf: conf, DFS: store, Boot: driverutil.Boot{ContextMs: conf.ContextStartupMs, JobMs: conf.JobStartupMs}}
 }
 
 // Name implements core.Driver.
 func (d *Driver) Name() string { return Platform }
-
-// StartupCostMs implements core.StartupCoster: the optimizer charges the
-// context boot before first use and the per-job latency afterwards.
-func (d *Driver) StartupCostMs() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.booted {
-		return d.Conf.ContextStartupMs + d.Conf.JobStartupMs
-	}
-	return d.Conf.JobStartupMs
-}
 
 // RDDChannel is Spark's native channel: materialized in-memory partitions.
 var RDDChannel = core.ChannelDescriptor{Name: "rdd", Platform: Platform, Reusable: true}
@@ -94,7 +76,7 @@ var CachedRDDChannel = core.ChannelDescriptor{Name: "rdd-cached", Platform: Plat
 func (d *Driver) ChannelDescriptors() []core.ChannelDescriptor {
 	out := []core.ChannelDescriptor{RDDChannel, CachedRDDChannel}
 	if d.DFS != nil {
-		out = append(out, core.ChannelDescriptor{Name: "dfs", Reusable: true, AtRest: true})
+		out = append(out, driverutil.DFSChannel)
 	}
 	return out
 }
@@ -107,125 +89,67 @@ func (d *Driver) Conversions() []*core.Conversion {
 			Name: "spark.parallelize", From: "collection", To: "rdd",
 			FixedCostMs: 3, PerQuantumMs: 0.0008,
 			Convert: func(in *core.Channel) (*core.Channel, error) {
-				data, err := driverutil.ChannelSlice(in)
+				r, err := d.parallelize(in)
 				if err != nil {
 					return nil, err
 				}
-				r := Partition(data, d.Conf.Parallelism)
-				return core.NewChannel(RDDChannel, r, int64(len(data))), nil
+				return r.channel(), nil
 			},
 		},
-		{
-			Name: "spark.collect", From: "rdd", To: "collection",
-			FixedCostMs: 2, PerQuantumMs: 0.0008,
-			Convert: func(in *core.Channel) (*core.Channel, error) {
-				r, ok := in.Payload.(*RDD)
-				if !ok {
-					return nil, fmt.Errorf("spark.collect: payload %T", in.Payload)
-				}
-				data := r.Collect()
-				return core.NewChannel(core.CollectionChannel, core.NewSliceDataset(data), int64(len(data))), nil
-			},
-		},
-		{
-			Name: "spark.cache", From: "rdd", To: "rdd-cached",
-			FixedCostMs: 1, PerQuantumMs: 0.0002,
-			Convert: func(in *core.Channel) (*core.Channel, error) {
-				r, ok := in.Payload.(*RDD)
-				if !ok {
-					return nil, fmt.Errorf("spark.cache: payload %T", in.Payload)
-				}
-				r.Cached = true
-				return core.NewChannel(CachedRDDChannel, r, in.Card), nil
-			},
-		},
-		{
-			Name: "spark.uncache", From: "rdd-cached", To: "rdd",
-			FixedCostMs: 0.1, PerQuantumMs: 0,
-			Convert: func(in *core.Channel) (*core.Channel, error) {
-				return core.NewChannel(RDDChannel, in.Payload, in.Card), nil
-			},
-		},
+		driverutil.Conv("spark.collect", "rdd", "collection", 2, 0.0008, func(r *RDD, _ *core.Channel) (*core.Channel, error) {
+			return driverutil.CollectionOf(r.Collect()), nil
+		}),
+		driverutil.Conv("spark.cache", "rdd", "rdd-cached", 1, 0.0002, func(r *RDD, _ *core.Channel) (*core.Channel, error) {
+			r.Cached = true
+			return r.channel(), nil
+		}),
+		driverutil.Conv("spark.uncache", "rdd-cached", "rdd", 0.1, 0, func(r *RDD, in *core.Channel) (*core.Channel, error) {
+			return core.NewChannel(RDDChannel, r, in.Card), nil
+		}),
 	}
 	if d.DFS != nil {
 		convs = append(convs,
-			&core.Conversion{
-				Name: "spark.dfs-load", From: "dfs", To: "rdd",
-				FixedCostMs: 6, PerQuantumMs: 0.002,
-				Convert: func(in *core.Channel) (*core.Channel, error) {
-					r, err := d.loadDFSQuanta(in.Payload.(string))
-					if err != nil {
-						return nil, err
-					}
-					return core.NewChannel(RDDChannel, r, r.Count()), nil
-				},
-			},
-			&core.Conversion{
-				Name: "spark.dfs-save", From: "rdd", To: "dfs",
-				FixedCostMs: 8, PerQuantumMs: 0.003,
-				Convert: func(in *core.Channel) (*core.Channel, error) {
-					r, ok := in.Payload.(*RDD)
-					if !ok {
-						return nil, fmt.Errorf("spark.dfs-save: payload %T", in.Payload)
-					}
-					name := fmt.Sprintf("spill/spark-%p.rqb", in)
-					if err := driverutil.WriteDFSQuanta(d.DFS, name, r.Collect()); err != nil {
-						return nil, err
-					}
-					return core.NewChannel(core.ChannelDescriptor{Name: "dfs", Reusable: true, AtRest: true}, dfs.Scheme+name, in.Card), nil
-				},
-			},
+			driverutil.Conv("spark.dfs-load", "dfs", "rdd", 6, 0.002, func(path string, _ *core.Channel) (*core.Channel, error) {
+				r, err := d.loadDFSQuanta(path)
+				if err != nil {
+					return nil, err
+				}
+				return r.channel(), nil
+			}),
+			driverutil.Conv("spark.dfs-save", "rdd", "dfs", 8, 0.003, func(r *RDD, in *core.Channel) (*core.Channel, error) {
+				return driverutil.SaveDFS(d.DFS, "spark-", in, r.Collect())
+			}),
 		)
 	}
 	return convs
 }
 
-// RegisterMappings implements core.Driver.
-func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
-	one := func(k core.Kind, name string) {
-		r.Register(k, core.Alternative{Platform: Platform, Steps: []core.ExecOpTemplate{{
-			Name: name, Platform: Platform, Kind: k,
-			In: []string{"rdd", "rdd-cached"}, Out: "rdd",
-		}}})
+// parallelize carries a collection-typed channel to partitions. A slice its
+// producer still owns (a plan's collection, a result-cache payload) is copied
+// by Partition; decoded quanta are the decoder's and are split as they lie,
+// column batches kept.
+func (d *Driver) parallelize(ch *core.Channel) (*RDD, error) {
+	if ds, ok := ch.Payload.(*core.SliceDataset); ok {
+		return Partition(ds.Data, d.Conf.Parallelism), nil
 	}
-	one(core.KindCollectionSource, "spark.collection-source")
-	one(core.KindTextFileSource, "spark.textfile-source")
-	one(core.KindMap, "spark.map")
-	one(core.KindFlatMap, "spark.flatmap")
-	one(core.KindFilter, "spark.filter")
-	one(core.KindMapPart, "spark.map-partitions")
-	one(core.KindSample, "spark.sample")
-	one(core.KindDistinct, "spark.distinct")
-	one(core.KindSort, "spark.sort")
-	one(core.KindCount, "spark.count")
-	one(core.KindReduce, "spark.reduce")
-	one(core.KindReduceBy, "spark.reduce-by")
-	one(core.KindGroupBy, "spark.group-by")
-	one(core.KindZipWithID, "spark.zip-with-id")
-	one(core.KindCache, "spark.cache-op")
-	one(core.KindProject, "spark.project")
-	one(core.KindJoin, "spark.join")
-	one(core.KindIEJoin, "spark.iejoin")
-	one(core.KindCartesian, "spark.cartesian")
-	one(core.KindUnion, "spark.union")
-	one(core.KindIntersect, "spark.intersect")
-	one(core.KindCoGroup, "spark.co-group")
-	one(core.KindPageRank, "spark.pagerank")
-	one(core.KindCollectionSink, "spark.collection-sink")
-	one(core.KindTextFileSink, "spark.textfile-sink")
+	segs, err := driverutil.ChannelSegments(ch)
+	if err != nil {
+		return nil, err
+	}
+	return &RDD{Parts: driverutil.SplitSegments(segs, d.Conf.Parallelism)}, nil
+}
+
+// RegisterMappings implements core.Driver: the general kinds, the cache
+// operator under the name that keeps it apart from the spark.cache conversion.
+func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
+	ops := append(driverutil.Without(driverutil.GeneralOps, core.KindCache), driverutil.Op{Kind: core.KindCache, Suffix: "cache-op"})
+	driverutil.RegisterOps(r, Platform, []string{"rdd", "rdd-cached"}, "rdd", ops)
 }
 
 // Execute implements core.Driver. It charges the simulated scheduling
 // overheads and interprets the stage over the RDD engine.
 func (d *Driver) Execute(stage *core.Stage, in *core.Inputs) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
-	d.mu.Lock()
-	boot := !d.booted
-	d.booted = true
-	d.mu.Unlock()
-	if boot {
-		driverutil.SleepMs(d.Conf.ContextStartupMs)
-	}
-	driverutil.SleepMs(d.Conf.JobStartupMs)
+	d.Charge()
 	return driverutil.RunStage(&engine{driver: d}, stage, in)
 }
 
@@ -246,7 +170,7 @@ func (e *engine) Each(n int, fn func(i int) error) error {
 func (e *engine) Barrier() { driverutil.SleepMs(e.driver.Conf.ShuffleLatencyMs) }
 
 // FromChannel implements driverutil.Engine.
-func (e *engine) FromChannel(ch *core.Channel) (driverutil.Data, error) {
+func (e *engine) FromChannel(ch *core.Channel) (*RDD, error) {
 	switch ch.Desc.Name {
 	case "rdd", "rdd-cached":
 		r, ok := ch.Payload.(*RDD)
@@ -255,67 +179,40 @@ func (e *engine) FromChannel(ch *core.Channel) (driverutil.Data, error) {
 		}
 		return r, nil
 	case "collection", "file":
-		if ds, ok := ch.Payload.(*core.SliceDataset); ok {
-			// A slice its producer still owns (a plan's collection, a
-			// result-cache payload): Partition copies. Decoded quanta below
-			// are the decoder's and enter as they are.
-			return Partition(ds.Data, e.width()), nil
-		}
-		segs, err := driverutil.ChannelSegments(ch)
-		if err != nil {
-			return nil, err
-		}
-		return &RDD{Parts: driverutil.SplitSegments(segs, e.width())}, nil
+		return e.driver.parallelize(ch)
 	case "dfs":
-		return e.driver.loadDFSQuanta(ch.Payload.(string))
+		path, ok := ch.Payload.(string)
+		if !ok {
+			return nil, fmt.Errorf("spark: channel dfs payload %T", ch.Payload)
+		}
+		return e.driver.loadDFSQuanta(path)
 	default:
 		return nil, fmt.Errorf("spark: unsupported input channel %q", ch.Desc.Name)
 	}
 }
 
 // ToChannel implements driverutil.Engine.
-func (e *engine) ToChannel(op *core.Operator, d driverutil.Data) (*core.Channel, error) {
-	r, ok := d.(*RDD)
-	if !ok {
-		return nil, fmt.Errorf("spark: %s produced %T, not an RDD", op, d)
-	}
+func (e *engine) ToChannel(op *core.Operator, r *RDD) (*core.Channel, error) {
 	switch op.Kind {
 	case core.KindCollectionSink:
-		data := r.Collect()
-		return core.NewChannel(core.CollectionChannel, core.NewSliceDataset(data), int64(len(data))), nil
+		return driverutil.CollectionOf(r.Collect()), nil
 	case core.KindCache:
 		r.Cached = true
-		return core.NewChannel(CachedRDDChannel, r, r.Count()), nil
-	default:
-		desc := RDDChannel
-		if r.Cached {
-			desc = CachedRDDChannel
-		}
-		return core.NewChannel(desc, r, r.Count()), nil
 	}
+	return r.channel(), nil
 }
 
-// Apply implements driverutil.Engine.
-func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.BroadcastCtx, round int, counter *int64, sniff func(any)) (driverutil.Data, error) {
-	ins := make([]*RDD, len(in))
-	for i, d := range in {
-		r, ok := d.(*RDD)
-		if !ok {
-			return nil, fmt.Errorf("spark: %s input %d is %T, not an RDD", op, i, d)
-		}
-		ins[i] = r
-	}
-	out, err := e.apply(op, ins, round)
+// Apply implements driverutil.Engine. Without a sniffer the output is counted
+// as it lies; nothing is flattened just to be counted.
+func (e *engine) Apply(op *core.Operator, in []*RDD, round int, counter *int64, sniff func(any)) (*RDD, error) {
+	out, err := e.apply(op, in, round)
 	if err != nil {
 		return nil, err
 	}
-	*counter = out.Count()
-	if sniff != nil {
-		for _, part := range out.rows() {
-			for _, q := range part {
-				sniff(q)
-			}
-		}
+	if sniff == nil {
+		*counter = out.Count()
+	} else {
+		driverutil.Observe(out.rows(), counter, sniff)
 	}
 	return out, nil
 }
@@ -325,12 +222,8 @@ func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.Broadcas
 // zero intermediate RDD materializations for a stage of k narrow ops — and a
 // chain ending in a declarative aggregation is the spark map-side combine
 // (see driverutil.RunChainParts).
-func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, in driverutil.Data, counters []*int64) (driverutil.Data, error) {
-	r, ok := in.(*RDD)
-	if !ok {
-		return nil, fmt.Errorf("spark: fused chain input is %T, not an RDD", in)
-	}
-	return NewRDD(driverutil.RunChainParts(e, kernel, r.parts(), counters)), nil
+func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, in *RDD, counters []*int64) (*RDD, error) {
+	return NewRDD(driverutil.RunChainParts(e, kernel, in.parts(), counters)), nil
 }
 
 // apply evaluates the kinds spark's archetype owns; every blocking kind is

@@ -6,7 +6,9 @@
 // group, join, ...) read data at rest where it lies, drain a lazy pipeline,
 // and run as driverutil.ApplyBlocking over a single partition — no exchange,
 // no barrier. It is the "no overhead, no parallelism" corner of the platform
-// space: unbeatable on small inputs, bound by one core on large ones.
+// space: unbeatable on small inputs, bound by one core on large ones. On the
+// shared platform frame (driverutil/platform.go) the package keeps the pipe,
+// its lazy apply arms and the four neutral collection/file/DFS conversions.
 package streams
 
 import (
@@ -46,11 +48,12 @@ func (d *Driver) ChannelDescriptors() []core.ChannelDescriptor {
 	if d.DFS == nil {
 		return nil
 	}
-	return []core.ChannelDescriptor{DFSChannel}
+	return []core.ChannelDescriptor{driverutil.DFSChannel}
 }
 
 // Conversions implements core.Driver: streams contributes the neutral
-// collection <-> file conversions (it is the driver-side engine).
+// collection <-> file conversions (it is the driver-side engine). The reads
+// keep decoded batch frames column-major (driverutil.SegmentsOf).
 func (d *Driver) Conversions() []*core.Conversion {
 	convs := []*core.Conversion{
 		{
@@ -71,21 +74,13 @@ func (d *Driver) Conversions() []*core.Conversion {
 				return core.NewChannel(core.FileChannel, path, int64(len(data))), nil
 			},
 		},
-		{
-			Name: "streams.fetch", From: "file", To: "collection",
-			FixedCostMs: 1, PerQuantumMs: 0.003,
-			Convert: func(in *core.Channel) (*core.Channel, error) {
-				// Keep decoded batch frames column-major: SegmentedDataset
-				// iterates as the same rows, and batch-aware consumers skip
-				// the rebuild.
-				segs, err := core.ReadQuantaFileSegments(in.Payload.(string))
-				if err != nil {
-					return nil, err
-				}
-				ds := core.NewSegmentedDataset(segs)
-				return core.NewChannel(core.CollectionChannel, ds, ds.Card()), nil
-			},
-		},
+		driverutil.Conv("streams.fetch", "file", "collection", 1, 0.003, func(path string, _ *core.Channel) (*core.Channel, error) {
+			segs, err := core.ReadQuantaFileSegments(path)
+			if err != nil {
+				return nil, err
+			}
+			return driverutil.SegmentsOf(segs), nil
+		}),
 	}
 	if d.DFS != nil {
 		convs = append(convs,
@@ -97,70 +92,30 @@ func (d *Driver) Conversions() []*core.Conversion {
 					if err != nil {
 						return nil, err
 					}
-					name := fmt.Sprintf("spill/%p.rqb", in)
-					if err := driverutil.WriteDFSQuanta(d.DFS, name, data); err != nil {
-						return nil, err
-					}
-					return core.NewChannel(DFSChannel, dfs.Scheme+name, int64(len(data))), nil
+					return driverutil.SaveDFS(d.DFS, "", in, data)
 				},
 			},
-			&core.Conversion{
-				Name: "streams.dfs-get", From: "dfs", To: "collection",
-				FixedCostMs: 4, PerQuantumMs: 0.005,
-				Convert: func(in *core.Channel) (*core.Channel, error) {
-					segs, err := driverutil.ReadDFSQuantaSegments(d.DFS, in.Payload.(string))
-					if err != nil {
-						return nil, err
-					}
-					ds := core.NewSegmentedDataset(segs)
-					return core.NewChannel(core.CollectionChannel, ds, ds.Card()), nil
-				},
-			},
+			driverutil.Conv("streams.dfs-get", "dfs", "collection", 4, 0.005, func(path string, _ *core.Channel) (*core.Channel, error) {
+				segs, err := driverutil.ReadDFSQuantaSegments(d.DFS, path)
+				if err != nil {
+					return nil, err
+				}
+				return driverutil.SegmentsOf(segs), nil
+			}),
 		)
 	}
 	return convs
 }
 
-// DFSChannel is the descriptor of DFS-resident encoded-quanta files. It is
-// declared here (the first driver that can produce it) but platform-neutral.
-var DFSChannel = core.ChannelDescriptor{Name: "dfs", Reusable: true, AtRest: true}
-
-// RegisterMappings implements core.Driver.
+// RegisterMappings implements core.Driver: the general kinds minus PageRank,
+// and the global Reduce as a 1-to-n mapping (Figure 4 of the paper) — it has
+// no single streams primitive and maps to a group-all + fold pipeline.
 func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
-	one := func(k core.Kind, name string) {
-		r.Register(k, core.Alternative{Platform: Platform, Steps: []core.ExecOpTemplate{{
-			Name: name, Platform: Platform, Kind: k,
-			In: []string{"collection"}, Out: "collection",
-		}}})
-	}
-	one(core.KindCollectionSource, "streams.collection-source")
-	one(core.KindTextFileSource, "streams.textfile-source")
-	one(core.KindMap, "streams.map")
-	one(core.KindFlatMap, "streams.flatmap")
-	one(core.KindFilter, "streams.filter")
-	one(core.KindMapPart, "streams.map-partitions")
-	one(core.KindSample, "streams.sample")
-	one(core.KindDistinct, "streams.distinct")
-	one(core.KindSort, "streams.sort")
-	one(core.KindCount, "streams.count")
-	one(core.KindReduceBy, "streams.reduce-by")
-	one(core.KindGroupBy, "streams.group-by")
-	one(core.KindZipWithID, "streams.zip-with-id")
-	one(core.KindCache, "streams.cache")
-	one(core.KindProject, "streams.project")
-	one(core.KindJoin, "streams.join")
-	one(core.KindIEJoin, "streams.iejoin")
-	one(core.KindCartesian, "streams.cartesian")
-	one(core.KindUnion, "streams.union")
-	one(core.KindIntersect, "streams.intersect")
-	one(core.KindCoGroup, "streams.co-group")
-	one(core.KindCollectionSink, "streams.collection-sink")
-	one(core.KindTextFileSink, "streams.textfile-sink")
-	// 1-to-n mapping, Figure 4 of the paper: the global Reduce has no single
-	// streams primitive; it maps to a group-all + fold pipeline.
+	in, out := []string{"collection"}, "collection"
+	driverutil.RegisterOps(r, Platform, in, out, driverutil.Without(driverutil.GeneralOps, core.KindReduce, core.KindPageRank))
 	r.Register(core.KindReduce, core.Alternative{Platform: Platform, Steps: []core.ExecOpTemplate{
-		{Name: "streams.group-all", Platform: Platform, Kind: core.KindReduce, In: []string{"collection"}, Out: "collection"},
-		{Name: "streams.fold", Platform: Platform, Kind: core.KindReduce, In: []string{"collection"}, Out: "collection"},
+		{Name: "streams.group-all", Platform: Platform, Kind: core.KindReduce, In: in, Out: out},
+		{Name: "streams.fold", Platform: Platform, Kind: core.KindReduce, In: in, Out: out},
 	}})
 }
 
@@ -218,51 +173,23 @@ type engine struct {
 }
 
 // FromChannel implements driverutil.Engine.
-func (e *engine) FromChannel(ch *core.Channel) (driverutil.Data, error) {
-	switch ch.Desc.Name {
-	case "collection", "file":
-		segs, err := driverutil.ChannelSegments(ch)
-		if err != nil {
-			return nil, err
-		}
-		return restPipe(segs...), nil
-	case "dfs":
-		if e.driver.DFS == nil {
-			return nil, fmt.Errorf("streams: no DFS configured")
-		}
-		segs, err := driverutil.ReadDFSQuantaSegments(e.driver.DFS, ch.Payload.(string))
-		if err != nil {
-			return nil, err
-		}
-		return restPipe(segs...), nil
-	default:
-		return nil, fmt.Errorf("streams: unsupported input channel %q", ch.Desc.Name)
+func (e *engine) FromChannel(ch *core.Channel) (*pipe, error) {
+	segs, err := driverutil.NeutralSegments(e.driver.DFS, ch)
+	if err != nil {
+		return nil, fmt.Errorf("streams: %w", err)
 	}
+	return restPipe(segs...), nil
 }
 
-// ToChannel implements driverutil.Engine.
-func (e *engine) ToChannel(op *core.Operator, d driverutil.Data) (*core.Channel, error) {
-	p, ok := d.(*pipe)
-	if !ok {
-		return nil, fmt.Errorf("streams: %s produced no pipeline", op)
-	}
-	// Always a copy through the iterator, never rows: the channel must not
-	// alias a slice the stage was handed.
-	data := core.Collect(p.open())
-	return core.NewChannel(core.CollectionChannel, core.NewSliceDataset(data), int64(len(data))), nil
+// ToChannel implements driverutil.Engine. Always a copy through the iterator,
+// never rows: the channel must not alias a slice the stage was handed.
+func (e *engine) ToChannel(op *core.Operator, p *pipe) (*core.Channel, error) {
+	return driverutil.CollectionOf(core.Collect(p.open())), nil
 }
 
 // Apply implements driverutil.Engine.
-func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.BroadcastCtx, round int, counter *int64, sniff func(any)) (driverutil.Data, error) {
-	ins := make([]*pipe, len(in))
-	for i, d := range in {
-		p, ok := d.(*pipe)
-		if !ok {
-			return nil, fmt.Errorf("streams: %s input %d is %T, not a pipeline", op, i, d)
-		}
-		ins[i] = p
-	}
-	out, err := e.apply(op, ins, round)
+func (e *engine) Apply(op *core.Operator, in []*pipe, round int, counter *int64, sniff func(any)) (*pipe, error) {
+	out, err := e.apply(op, in, round)
 	if err != nil {
 		return nil, err
 	}
@@ -270,11 +197,10 @@ func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.Broadcas
 	// sniffer can walk it now, so it reaches a downstream chain kernel as
 	// segments, uncopied.
 	if out.segs != nil {
-		*counter = out.card
-		if sniff != nil {
-			for _, q := range out.rows() {
-				sniff(q)
-			}
+		if sniff == nil {
+			*counter = out.card
+		} else {
+			driverutil.Observe([][]any{out.rows()}, counter, sniff)
 		}
 		return out, nil
 	}
@@ -306,11 +232,7 @@ func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.Broadcas
 // partition (driverutil.RunChainParts), so an absorbed declarative
 // aggregation finalizes in place — no partial exchange, groups in
 // first-occurrence order.
-func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, in driverutil.Data, counters []*int64) (driverutil.Data, error) {
-	p, ok := in.(*pipe)
-	if !ok {
-		return nil, fmt.Errorf("streams: fused chain input is %T, not a pipeline", in)
-	}
+func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, p *pipe, counters []*int64) (*pipe, error) {
 	segs := p.segs
 	if segs == nil { // a lazy pipeline: drain it into one row run
 		segs = []core.Segment{{Rows: p.rows()}}

@@ -22,9 +22,7 @@ func testDriver(t *testing.T) *Driver {
 }
 
 func TestConformance(t *testing.T) {
-	platformtest.Run(t, testDriver(t), platformtest.Options{
-		Skip: []core.Kind{core.KindPageRank, core.KindTableSource},
-	})
+	platformtest.Run(t, testDriver(t))
 }
 
 func TestTextFileSourceLocal(t *testing.T) {

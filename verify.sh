@@ -31,21 +31,32 @@ go test -run=NONE -bench=BenchmarkEncodeQuantum -benchtime=1x ./internal/core
 # columnar agg-chain benchmark (the vectorized grouped-aggregation kernel),
 # plus the differential crosscheck of every engine's chain kernels against
 # the reference interpreter (platformtest.Interpret). The compiled kernel is
-# the only narrow path, a segment run the only partition carrier and
+# the only narrow path, a segment run the only partition carrier,
 # driverutil/blocking.go the only exchange, worker dispatch and
-# blocking-operator table, so the grep keeps the per-operator fork, the row
-# twin, the per-engine shuffles and their switches from coming back. The gate
-# covers verify.sh too; the [x] brackets keep its own line from matching.
+# blocking-operator table and driverutil/platform.go the only platform frame
+# (typed Engine[T], RegisterOps, one DFS channel descriptor), so the grep keeps
+# the per-operator fork, the row twin, the per-engine shuffles, the untyped
+# harness, the hand-written mapping closures and their switches from coming
+# back. The gate covers verify.sh too; the [x] brackets keep its own line from
+# matching.
 go test -run=NONE -bench='NarrowChain|ColumnarAggChain' -benchtime=1x ./internal/platform/spark ./internal/platform/flink
 go test -run=NONE -bench='BenchmarkShuffle|BenchmarkRangeShuffle' -benchtime=1x ./internal/platform/driverutil
 go test -run='TestCrossCheckFusedAgainstUnfused|TestFusedFig9' .
-if grep -rn 'RHEEM_NO_FUS[E]\|FusionDisable[d]\|RHEEM_NO_COLUMNA[R]\|ColumnarDisable[d]\|NewSegRD[D]\|shuffleB[y]\|rangeShuffl[e]\|parallelPart[s]\|fanOu[t](\|mergeRun[s]\|poolEr[r]' --include='*.go' --include='verify.sh' .; then
-	echo "a deleted fork (per-operator narrow path, row-carried partitions, a per-engine shuffle or dispatch) or its switch is back" >&2
+if grep -rn 'RHEEM_NO_FUS[E]\|FusionDisable[d]\|RHEEM_NO_COLUMNA[R]\|ColumnarDisable[d]\|NewSegRD[D]\|shuffleB[y]\|rangeShuffl[e]\|parallelPart[s]\|fanOu[t](\|mergeRun[s]\|poolEr[r]\|driverutil\.Dat[a]\b\|one := func(k core\.Kin[d]\|bc core\.BroadcastCt[x], round' --include='*.go' --include='verify.sh' .; then
+	echo "a deleted fork (per-operator narrow path, row-carried partitions, a per-engine shuffle or dispatch, the untyped stage harness, a hand-written mapping closure) or its switch is back" >&2
+	exit 1
+fi
+if [ "$(grep -rn 'Name: "df[s]"' --include='*.go' . | grep -vc '_test\.go:')" -gt 1 ]; then
+	echo "the dfs channel descriptor is spelled out more than once (use driverutil.DFSChannel)" >&2
 	exit 1
 fi
 # The UDF-panic and partition-ownership properties hold under the race
 # detector by name, so -short keeps them.
 go test -race -count=1 -run='TestUDFPanicFailsStage|TestCallerOwnedInputSurvivesMutatingUDF|TestCollectionSinkOutputIsCallerOwned' ./internal/platform/platformtest
+# The platform frame likewise: the registry pinned byte for byte, the toy
+# platform built on the shared frame, and two first jobs paying one boot.
+go test -race -count=1 -run='TestRegistryGolden|TestPluggingANewPlatform|TestNewPlatformChosenOnMerit' .
+go test -race -count=1 -run='TestBootConcurrentFirstJobs' ./internal/platform/driverutil
 # Columnar smoke: the fixed declarative pipelines (narrow chain and grouped
 # aggregation, free choice and pinned to streams/spark/flink, plus the two
 # relstore pushdown plans) must match the reference interpreter — sink
