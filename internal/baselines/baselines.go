@@ -129,10 +129,8 @@ func musketeerRun(ctx *rheem.Context, p *core.Plan, cfg MusketeerConfig, loopVar
 			}
 			for it := 0; it < iters; it++ {
 				outerData := map[*core.Operator][]any{}
-				for _, bodyOp := range op.Body.Operators() {
-					if bodyOp.OuterRef != nil {
-						outerData[bodyOp.OuterRef] = results[bodyOp.OuterRef]
-					}
+				for _, ref := range op.OuterRefs() {
+					outerData[ref.OuterRef] = results[ref.OuterRef]
 				}
 				cur, err = musketeerRun(ctx, op.Body, cfg, cur, outerData)
 				if err != nil {

@@ -122,6 +122,113 @@ func (ep *ExecPlan) PlatformOf(op *Operator) string {
 	return a.Alt.Platform
 }
 
+// InChannels returns the channels op reads its inputs in, in preference
+// order: those of the alternative it was placed on (the chain's, when it is
+// fused into one), a driver collection when it declares none. Planner,
+// validator and executor all ask this.
+func (ep *ExecPlan) InChannels(op *Operator) []string {
+	if a := ep.Assignments[op]; a != nil {
+		if a.CoveredBy != nil {
+			return ep.InChannels(a.CoveredBy)
+		}
+		if in := a.Alt.InChannels(); len(in) > 0 {
+			return in
+		}
+	}
+	return []string{"collection"}
+}
+
+// OutChannel returns the channel op's output is declared to be produced in:
+// its alternative's out-channel, a driver collection for a loop (the
+// executor evaluates it), "" for an operator fused into a chain.
+func (ep *ExecPlan) OutChannel(op *Operator) string {
+	if op.Kind.IsLoop() {
+		return "collection"
+	}
+	if a := ep.Assignments[op]; a != nil {
+		return a.Alt.OutChannel()
+	}
+	return ""
+}
+
+// Reads calls visit for every read of an operator's output the plan makes,
+// with the channels the reader accepts: a consumer's input port, a broadcast
+// and a loop's input (driver collections both), an outer reference of a loop
+// body (what the body placed its placeholder to read) and, in a body plan,
+// the loop output (the collection the executor carries into the next round).
+// The movement planner serves exactly these readers and Validate checks them.
+// Every loop must have its body plan attached.
+func (ep *ExecPlan) Reads(visit func(producer *Operator, accepts []string, reader string) error) error {
+	collection := []string{"collection"}
+	for _, e := range ep.Plan.Edges() {
+		if a := ep.Assignments[e.From]; a != nil && a.CoveredBy != nil {
+			continue // an edge inside a fused chain moves nothing
+		}
+		accepts := collection
+		if !e.Broadcast && !e.To.Kind.IsLoop() {
+			accepts = ep.InChannels(e.To)
+		}
+		if err := visit(e.From, accepts, e.To.String()); err != nil {
+			return err
+		}
+	}
+	for _, op := range ep.Plan.Operators() {
+		for _, ref := range op.OuterRefs() {
+			if err := visit(ref.OuterRef, ep.LoopBodies[op].InChannels(ref), fmt.Sprintf("%s of loop %s", ref, op)); err != nil {
+				return err
+			}
+		}
+	}
+	if out := ep.Plan.LoopOutput; out != nil {
+		return visit(out, collection, "the loop output")
+	}
+	return nil
+}
+
+// Validate checks that the plan can run as written, so the executor never has
+// to plan: every operator is placed on a registered platform, every movement
+// tree is rooted at its producer's declared out-channel with its edges ordered
+// parents-first, and every reader (see Reads) accepts a form its producer's
+// tree makes; loop bodies recursively.
+func (ep *ExecPlan) Validate(reg *Registry) error {
+	for _, op := range ep.Plan.Operators() {
+		if op.Kind.IsLoop() {
+			body := ep.LoopBodies[op]
+			if body == nil {
+				return fmt.Errorf("core: loop %s has no optimized body", op)
+			}
+			if err := body.Validate(reg); err != nil {
+				return fmt.Errorf("core: loop %s: %w", op, err)
+			}
+		} else if _, err := reg.Driver(ep.PlatformOf(op)); err != nil {
+			return fmt.Errorf("core: %s: %w", op, err)
+		}
+	}
+	made := map[*Operator]map[string]bool{} // producer -> the forms its output takes
+	for producer, mv := range ep.Movements {
+		if root := ep.OutChannel(producer); mv.Tree.Root != root {
+			return fmt.Errorf("core: movement of %s is rooted at %q but the operator produces %q", producer, mv.Tree.Root, root)
+		}
+		forms := map[string]bool{mv.Tree.Root: true}
+		for _, e := range mv.Tree.Edges {
+			if !forms[e.From] {
+				return fmt.Errorf("core: movement of %s runs %s before anything makes %q", producer, e.Name, e.From)
+			}
+			forms[e.To] = true
+		}
+		made[producer] = forms
+	}
+	return ep.Reads(func(producer *Operator, accepts []string, reader string) error {
+		from := ep.OutChannel(producer)
+		for _, ch := range accepts {
+			if ch == from || made[producer][ch] {
+				return nil
+			}
+		}
+		return fmt.Errorf("core: %s reads %s in %v, but it is produced as %q and no movement is planned to any of them", reader, producer, accepts, from)
+	})
+}
+
 // Platforms returns the distinct platforms used by the plan, sorted.
 func (ep *ExecPlan) Platforms() []string {
 	set := map[string]bool{}
@@ -274,9 +381,6 @@ type StageStats struct {
 type Inputs struct {
 	Main      map[*Operator][]*Channel // per consumer, per port
 	Broadcast map[*Operator]map[*Operator]*Channel
-	// LoopVar optionally carries the loop-carried collection for the body's
-	// LoopInput placeholder.
-	LoopVar []any
 	// Round is the surrounding loop's current iteration (0 outside loops);
 	// per-iteration operators such as Sample vary their behaviour with it.
 	Round int

@@ -244,6 +244,22 @@ func (o *Operator) Outputs() []*Operator { return o.outputs }
 // Broadcasts returns the operators broadcast into this operator.
 func (o *Operator) Broadcasts() []*Operator { return o.broadcasts }
 
+// OuterRefs returns a loop's outer references: the placeholders of its body
+// that read an operator of the surrounding plan (each one's OuterRef). It is
+// nil for operators without a body.
+func (o *Operator) OuterRefs() []*Operator {
+	if o.Body == nil {
+		return nil
+	}
+	var refs []*Operator
+	for _, bo := range o.Body.ops {
+		if bo.OuterRef != nil {
+			refs = append(refs, bo)
+		}
+	}
+	return refs
+}
+
 func (o *Operator) String() string {
 	if o.Label != "" {
 		return fmt.Sprintf("%s(%s)#%d", o.Kind, o.Label, o.ID)

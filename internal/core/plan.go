@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -116,12 +117,8 @@ func (p *Plan) RemoveUnreachable() []*Operator {
 			mark(bc)
 		}
 		// A loop body may reference outer-plan operators; they must survive.
-		if o.Body != nil {
-			for _, bo := range o.Body.ops {
-				if bo.OuterRef != nil {
-					mark(bo.OuterRef)
-				}
-			}
+		for _, ref := range o.OuterRefs() {
+			mark(ref.OuterRef)
 		}
 	}
 	for _, o := range p.ops {
@@ -246,6 +243,9 @@ func (p *Plan) Validate() error {
 	hasSink := false
 	for _, o := range p.ops {
 		in := p.inArity(o)
+		if o.OuterRef != nil {
+			in = 0 // reads an operator of the enclosing plan, not a port
+		}
 		if len(o.inputs) < in {
 			return fmt.Errorf("core: %s has %d of %d inputs connected", o, len(o.inputs), in)
 		}
@@ -270,6 +270,11 @@ func (p *Plan) Validate() error {
 			if err := o.Body.validateAsLoopBody(); err != nil {
 				return fmt.Errorf("core: loop %s: %w", o, err)
 			}
+			for _, ref := range o.OuterRefs() {
+				if !slices.Contains(p.ops, ref.OuterRef) {
+					return fmt.Errorf("core: loop %s: %s reads %s, which is not an operator of the enclosing plan %q (a body reads the plan around it; a reference cannot skip a nesting level)", o, ref, ref.OuterRef, p.Name)
+				}
+			}
 		}
 	}
 	if !hasSink && p.LoopOutput == nil {
@@ -281,28 +286,17 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// validateAsLoopBody validates a loop body, which may use its LoopOutput as
-// the (sole) sink.
+// validateAsLoopBody validates a loop body: a plan in its own right (its
+// loops included) whose designated endpoints are operators of it and which
+// may use its LoopOutput as the (sole) sink.
 func (p *Plan) validateAsLoopBody() error {
-	if _, err := p.TopoOrder(); err != nil {
+	if err := p.Validate(); err != nil {
 		return err
 	}
-	found := false
-	for _, o := range p.ops {
-		if o == p.LoopOutput {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(p.ops, p.LoopOutput) {
 		return fmt.Errorf("loop output %s not part of body", p.LoopOutput)
 	}
-	found = false
-	for _, o := range p.ops {
-		if o == p.LoopInput {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(p.ops, p.LoopInput) {
 		return fmt.Errorf("loop input %s not part of body", p.LoopInput)
 	}
 	return nil

@@ -5,7 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -22,7 +22,9 @@ import (
 // CheckpointFn is the progressive optimizer's hook. After each execution
 // wave the executor pauses at the optimization checkpoint and calls it with
 // the observed cardinalities and the already-executed operators; a non-nil
-// returned plan replaces the assignments of all not-yet-executed operators.
+// returned plan is the whole plan from then on. It must keep every executed
+// operator as it ran (optimizer.Options.Resume); the executor stages and
+// runs only what has not run yet.
 // ctx carries the current trace span, so a re-optimization annotates the
 // executing job's span tree with its replan span.
 type CheckpointFn func(ctx context.Context, observed map[*core.Operator]int64, executed map[*core.Operator]bool) (*core.ExecPlan, error)
@@ -164,19 +166,20 @@ func (ex *Executor) registerMetricsHelp() {
 	ex.Metrics.Help("rheem_columnar_dict_columns_total", "Dictionary-encoded string columns built by the columnar plane (process-wide).")
 }
 
-// run executes ep; loopVar/outerChans are set for loop-body executions.
-// runID names the surrounding top-level run (the distributed shuffle
-// namespace); loop-body executions inherit it.
-func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, loopVar []any, outerChans map[*core.Operator]*core.Channel, round int) (*Result, error) {
-	stages, err := BuildStages(ep)
+// run executes ep; loopVar/refs are set for loop-body executions, refs holding
+// the channel each outer-reference placeholder of the body reads. runID names
+// the surrounding top-level run (the distributed shuffle namespace);
+// loop-body executions inherit it.
+func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, loopVar []any, refs map[*core.Operator]*core.Channel, round int) (*Result, error) {
+	executedOps := map[*core.Operator]bool{}
+	stages, err := BuildStages(ep, executedOps)
 	if err != nil {
 		return nil, err
 	}
 	deps := stageDeps(ep, stages)
 
 	res := &Result{Sinks: map[*core.Operator]*core.Channel{}}
-	chans := newChannelStore(ex.Registry)
-	executedOps := map[*core.Operator]bool{}
+	chans := newChannelStore()
 	done := map[*core.Stage]bool{}
 
 	// parent is the trace span this execution annotates (nil when tracing
@@ -246,7 +249,7 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, lo
 					}
 				}()
 				if s.Platform == "" {
-					outs, err := ex.runLoopStage(trace.NewContext(ctx, stSp), ep, s, chans, runID, loopVar, outerChans)
+					outs, err := ex.runLoopStage(trace.NewContext(ctx, stSp), ep, s, chans, runID)
 					outcomes[i] = outcome{stage: s, outs: outs, err: err}
 					return
 				}
@@ -259,12 +262,14 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, lo
 				// decline or remote failure falls through to the local
 				// retry loop below.
 				ran := false
-				if ex.Remote != nil && loopVar == nil && outerChans == nil {
+				if ex.Remote != nil && loopVar == nil && refs == nil {
 					if ex.Sniffers != nil {
 						s.Sniffers = ex.Sniffers // let the scheduler see (and refuse) sniffed ops
 					}
+					// A remote stage is shipped quanta, not a priced conversion:
+					// whatever channel the producer left is read out as it is.
 					fetch := func(producer *core.Operator) ([]any, int64, error) {
-						ch, err := chans.fetch(producer, []string{"collection"}, stSp)
+						ch, err := chans.fetch(ep, producer, []string{ep.OutChannel(producer)}, stSp)
 						if err != nil {
 							return nil, 0, err
 						}
@@ -287,7 +292,7 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, lo
 					if stSp != nil && attempt > 0 {
 						retrySp = stSp.Start(trace.KindRetry, "retry-"+strconv.Itoa(attempt))
 					}
-					outs, stats, err = ex.runDriverStage(ep, s, chans, loopVar, outerChans, round, stSp)
+					outs, stats, err = ex.runDriverStage(ep, s, chans, loopVar, refs, round, stSp)
 					if err != nil {
 						retrySp.SetAttr("error", err.Error())
 					}
@@ -392,32 +397,20 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, lo
 				return nil, fmt.Errorf("executor: progressive re-optimization: %w", err)
 			}
 			if newEP != nil {
-				ep = mergePlans(ep, newEP, executedOps)
-				stages, err = BuildStages(ep)
-				if err != nil {
+				// The replan is the plan: it kept what ran as it ran, so only
+				// the remainder is staged, reading executed producers from the
+				// channel store.
+				ep = newEP
+				if stages, err = BuildStages(ep, executedOps); err != nil {
 					return nil, err
 				}
-				deps = stageDeps(ep, stages)
-				// Re-derive completion: a stage is done when all its ops ran.
-				done = map[*core.Stage]bool{}
-				for _, s := range stages {
-					allDone := true
-					for _, op := range s.Ops {
-						if !executedOps[op] {
-							allDone = false
-							break
-						}
-					}
-					if allDone {
-						done[s] = true
-					}
-				}
+				deps, done = stageDeps(ep, stages), map[*core.Stage]bool{}
 				res.Replans++
 			}
 		}
 	}
 	if ep.Plan.LoopOutput != nil {
-		ch, err := chans.fetch(ep.Plan.LoopOutput, []string{"collection"}, parent)
+		ch, err := chans.fetch(ep, ep.Plan.LoopOutput, []string{"collection"}, parent)
 		if err != nil {
 			return nil, fmt.Errorf("executor: loop output: %w", err)
 		}
@@ -515,45 +508,10 @@ func shortFingerprint(fp string) string {
 	return fp
 }
 
-// mergePlans keeps the old assignments for executed operators and adopts
-// the new plan's choices for everything else.
-func mergePlans(old, new *core.ExecPlan, executed map[*core.Operator]bool) *core.ExecPlan {
-	merged := &core.ExecPlan{
-		Plan:        old.Plan,
-		Assignments: map[*core.Operator]*core.Assignment{},
-		Movements:   map[*core.Operator]*core.MovementPlan{},
-		LoopBodies:  map[*core.Operator]*core.ExecPlan{},
-		Cost:        new.Cost,
-		// Cache markings survive replans: they were computed against the
-		// same plan structure, and replanned execution plans carry none.
-		CacheOuts: old.CacheOuts,
-	}
-	for op, a := range new.Assignments {
-		merged.Assignments[op] = a
-	}
-	for op, a := range old.Assignments {
-		if executed[op] {
-			merged.Assignments[op] = a
-		}
-	}
-	for op, mv := range new.Movements {
-		merged.Movements[op] = mv
-	}
-	for op, b := range new.LoopBodies {
-		merged.LoopBodies[op] = b
-	}
-	for op, b := range old.LoopBodies {
-		if executed[op] {
-			merged.LoopBodies[op] = b
-		}
-	}
-	return merged
-}
-
 // runDriverStage prepares a stage's inputs (converting channels as needed,
 // emitting channel-conversion spans under sp) and hands it to its platform
 // driver.
-func (ex *Executor) runDriverStage(ep *core.ExecPlan, s *core.Stage, chans *channelStore, loopVar []any, outerChans map[*core.Operator]*core.Channel, round int, sp *trace.Span) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
+func (ex *Executor) runDriverStage(ep *core.ExecPlan, s *core.Stage, chans *channelStore, loopVar []any, refs map[*core.Operator]*core.Channel, round int, sp *trace.Span) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
 	driver, err := ex.Registry.Driver(s.Platform)
 	if err != nil {
 		return nil, nil, err
@@ -577,11 +535,10 @@ func (ex *Executor) runDriverStage(ep *core.ExecPlan, s *core.Stage, chans *chan
 	}
 	for op, producers := range s.ExternalIn {
 		for port, producer := range op.Inputs() {
-			if !containsOp(producers, producer) {
+			if !slices.Contains(producers, producer) {
 				continue
 			}
-			acceptable := acceptableChannels(ep, op)
-			ch, err := chans.fetch(producer, acceptable, sp)
+			ch, err := chans.fetch(ep, producer, ep.InChannels(op), sp)
 			if err != nil {
 				return nil, nil, fmt.Errorf("executor: feeding %s: %w", op, err)
 			}
@@ -591,7 +548,7 @@ func (ex *Executor) runDriverStage(ep *core.ExecPlan, s *core.Stage, chans *chan
 	}
 	for op, producers := range s.ExternalBroadcast {
 		for _, producer := range producers {
-			ch, err := chans.fetch(producer, []string{"collection"}, sp)
+			ch, err := chans.fetch(ep, producer, []string{"collection"}, sp)
 			if err != nil {
 				return nil, nil, fmt.Errorf("executor: broadcast to %s: %w", op, err)
 			}
@@ -601,8 +558,8 @@ func (ex *Executor) runDriverStage(ep *core.ExecPlan, s *core.Stage, chans *chan
 	}
 	// Loop-body placeholders referencing outer operators.
 	for _, op := range s.Ops {
-		if op.OuterRef != nil && outerChans != nil {
-			ch := outerChans[op.OuterRef]
+		if op.OuterRef != nil {
+			ch := refs[op]
 			if ch == nil {
 				return nil, nil, fmt.Errorf("executor: %s references %s, which was not materialized", op, op.OuterRef)
 			}
@@ -621,7 +578,7 @@ func (ex *Executor) runDriverStage(ep *core.ExecPlan, s *core.Stage, chans *chan
 
 // runLoopStage evaluates a loop operator: materialize the loop input,
 // iterate the optimized body plan, and publish the final value.
-func (ex *Executor) runLoopStage(ctx context.Context, ep *core.ExecPlan, s *core.Stage, chans *channelStore, runID string, outerLoopVar []any, outerChans map[*core.Operator]*core.Channel) (map[*core.Operator]*core.Channel, error) {
+func (ex *Executor) runLoopStage(ctx context.Context, ep *core.ExecPlan, s *core.Stage, chans *channelStore, runID string) (map[*core.Operator]*core.Channel, error) {
 	loop := s.Ops[0]
 	body := ep.LoopBodies[loop]
 	if body == nil {
@@ -631,7 +588,7 @@ func (ex *Executor) runLoopStage(ctx context.Context, ep *core.ExecPlan, s *core
 	// Loop-carried value from the loop's input port.
 	var loopVar []any
 	if len(loop.Inputs()) > 0 {
-		ch, err := chans.fetch(loop.Inputs()[0], []string{"collection"}, sp)
+		ch, err := chans.fetch(ep, loop.Inputs()[0], []string{"collection"}, sp)
 		if err != nil {
 			return nil, fmt.Errorf("executor: loop %s input: %w", loop, err)
 		}
@@ -640,22 +597,16 @@ func (ex *Executor) runLoopStage(ctx context.Context, ep *core.ExecPlan, s *core
 			return nil, err
 		}
 	}
-	// Outer references: materialize each referenced operator's output once,
-	// before the first iteration ("data at rest" per Figure 7's Cache).
+	// Outer references: each placeholder of the body gets the referenced
+	// operator's output in the form it was placed to read, moved once, before
+	// the first iteration ("data at rest" per Figure 7's Cache).
 	refs := map[*core.Operator]*core.Channel{}
-	for _, bodyOp := range body.Plan.Operators() {
-		if bodyOp.OuterRef == nil {
-			continue
-		}
-		if outerChans != nil && outerChans[bodyOp.OuterRef] != nil {
-			refs[bodyOp.OuterRef] = outerChans[bodyOp.OuterRef]
-			continue
-		}
-		ch, err := chans.fetchAny(bodyOp.OuterRef)
+	for _, ref := range loop.OuterRefs() {
+		ch, err := chans.fetch(ep, ref.OuterRef, body.InChannels(ref), sp)
 		if err != nil {
-			return nil, fmt.Errorf("executor: loop %s outer ref %s: %w", loop, bodyOp.OuterRef, err)
+			return nil, fmt.Errorf("executor: loop %s outer ref %s: %w", loop, ref.OuterRef, err)
 		}
-		refs[bodyOp.OuterRef] = ch
+		refs[ref] = ch
 	}
 
 	iters := loop.Params.Iterations
@@ -705,40 +656,16 @@ func (ex *Executor) runLoopStage(ctx context.Context, ep *core.ExecPlan, s *core
 	return map[*core.Operator]*core.Channel{loop: out}, nil
 }
 
-func acceptableChannels(ep *core.ExecPlan, op *core.Operator) []string {
-	a := ep.Assignments[op]
-	if a == nil {
-		return []string{"collection"}
-	}
-	if a.CoveredBy != nil {
-		return acceptableChannels(ep, a.CoveredBy)
-	}
-	in := a.Alt.InChannels()
-	if len(in) == 0 {
-		return []string{"collection"}
-	}
-	return in
-}
-
-func containsOp(ops []*core.Operator, op *core.Operator) bool {
-	for _, o := range ops {
-		if o == op {
-			return true
-		}
-	}
-	return false
-}
-
 // channelStore tracks produced channels per operator, in all channel forms
-// derived so far, and converts on demand using the conversion graph.
+// made so far. It plans nothing: a form that is not there yet is made by
+// running the producer's movement tree as the optimizer planned it.
 type channelStore struct {
-	mu       sync.Mutex
-	registry *core.Registry
-	byOp     map[*core.Operator]map[string]*core.Channel
+	mu   sync.Mutex
+	byOp map[*core.Operator]map[string]*core.Channel
 }
 
-func newChannelStore(reg *core.Registry) *channelStore {
-	return &channelStore{registry: reg, byOp: map[*core.Operator]map[string]*core.Channel{}}
+func newChannelStore() *channelStore {
+	return &channelStore{byOp: map[*core.Operator]map[string]*core.Channel{}}
 }
 
 func (cs *channelStore) put(op *core.Operator, ch *core.Channel) {
@@ -752,46 +679,31 @@ func (cs *channelStore) put(op *core.Operator, ch *core.Channel) {
 	m[ch.Desc.Name] = ch
 }
 
-// fetch returns op's output as one of the acceptable channel types,
-// converting via the cheapest conversion path when necessary. Converted
-// forms are cached so several consumers share one conversion (the shared
-// prefixes of the minimal conversion tree). Each conversion step is
-// recorded as a channel-conversion span under sp.
-func (cs *channelStore) fetch(op *core.Operator, acceptable []string, sp *trace.Span) (*core.Channel, error) {
+// fetch returns producer's output as one of the acceptable channel types. A
+// form not made yet comes from ep's movement tree for the producer: its edges
+// run in plan order, each at most once however many readers share it, up to
+// the first acceptable form, each as a channel-conversion span under sp. A
+// tree that does not start at a channel the producer's stage actually left,
+// or makes no acceptable form, is a broken plan: reported, never searched
+// around.
+func (cs *channelStore) fetch(ep *core.ExecPlan, producer *core.Operator, acceptable []string, sp *trace.Span) (*core.Channel, error) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	m := cs.byOp[op]
-	if len(m) == 0 {
-		return nil, fmt.Errorf("no channel produced by %s", op)
-	}
+	m := cs.byOp[producer]
 	for _, want := range acceptable {
 		if ch, ok := m[want]; ok {
 			return ch, nil
 		}
 	}
-	// Convert: pick the cheapest path from any available form.
-	var bestPath *core.ConversionPath
-	var bestSrc *core.Channel
-	for _, src := range m {
-		card := float64(src.Card)
-		if card < 0 {
-			card = 1000
-		}
-		for _, want := range acceptable {
-			path, err := cs.registry.Graph.FindPath(src.Desc.Name, want, card)
-			if err != nil {
-				continue
-			}
-			if bestPath == nil || path.CostMs < bestPath.CostMs {
-				bestPath, bestSrc = path, src
-			}
-		}
+	var edges []*core.Conversion
+	if mv := ep.Movements[producer]; mv != nil && m[mv.Tree.Root] != nil {
+		edges = mv.Tree.Edges
 	}
-	if bestPath == nil {
-		return nil, fmt.Errorf("no conversion path from %s's channels %v to %v", op, keys(m), acceptable)
-	}
-	cur := bestSrc
-	for _, step := range bestPath.Steps {
+	for _, step := range edges {
+		cur := m[step.From]
+		if cur == nil || m[step.To] != nil {
+			continue
+		}
 		var convSp *trace.Span
 		if sp != nil {
 			convSp = sp.Start(trace.KindConversion, step.Name)
@@ -812,32 +724,13 @@ func (cs *channelStore) fetch(op *core.Operator, acceptable []string, sp *trace.
 			convSp.End()
 		}
 		m[next.Desc.Name] = next
-		cur = next
+		if slices.Contains(acceptable, next.Desc.Name) {
+			return next, nil
+		}
 	}
-	return cur, nil
-}
-
-// fetchAny returns op's output in whatever form exists, preferring
-// at-rest/collection forms.
-func (cs *channelStore) fetchAny(op *core.Operator) (*core.Channel, error) {
-	cs.mu.Lock()
-	m := cs.byOp[op]
-	cs.mu.Unlock()
-	if len(m) == 0 {
-		return nil, fmt.Errorf("no channel produced by %s", op)
+	var have []string
+	for name := range m {
+		have = append(have, name)
 	}
-	if ch, ok := m["collection"]; ok {
-		return ch, nil
-	}
-	names := keys(m)
-	sort.Strings(names)
-	return m[names[0]], nil
-}
-
-func keys(m map[string]*core.Channel) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
+	return nil, fmt.Errorf("%s was produced as %v and is wanted as %v, which the plan's movement for it does not provide", producer, have, acceptable)
 }

@@ -424,7 +424,7 @@ func TestStageExtraction(t *testing.T) {
 	p.Chain(src, m1, m2, sink)
 
 	ep := e.optimize(t, p)
-	stages, err := BuildStages(ep)
+	stages, err := BuildStages(ep, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +470,7 @@ func TestBroadcastCrossesStages(t *testing.T) {
 		t.Fatalf("got %v", got)
 	}
 	// The broadcast producer must not share a stage with its consumer.
-	stages, _ := BuildStages(e.optimize(t, p))
+	stages, _ := BuildStages(e.optimize(t, p), nil)
 	for _, s := range stages {
 		if s.Contains(small) && s.Contains(m) {
 			t.Fatal("broadcast producer and consumer share a stage")
@@ -496,8 +496,8 @@ func TestCheckpointReplans(t *testing.T) {
 	e.ex.Checkpoint = func(_ context.Context, observed map[*core.Operator]int64, executed map[*core.Operator]bool) (*core.ExecPlan, error) {
 		calls++
 		if calls == 1 {
-			// Re-optimize with the observed cardinalities pinned.
-			return optimizer.Optimize(p, optimizer.Options{Registry: e.reg, KnownCards: observed})
+			// Re-optimize with the progress so far pinned.
+			return optimizer.Optimize(p, optimizer.Options{Registry: e.reg, Resume: &optimizer.Progress{Plan: ep, Executed: executed, Observed: observed}})
 		}
 		return nil, nil
 	}
@@ -584,7 +584,7 @@ func TestDiamondStageDAG(t *testing.T) {
 	p.Connect(union, sink, 0)
 
 	ep := e.optimize(t, p)
-	stages, err := BuildStages(ep)
+	stages, err := BuildStages(ep, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -653,5 +653,39 @@ func TestDiamondStageDAG(t *testing.T) {
 	}
 	if len(res.Stats) != 4 {
 		t.Errorf("stage stats = %d, want 4", len(res.Stats))
+	}
+}
+
+// TestMissingMovementIsAnErrorNotASearch: the executor moves data the way the
+// plan says and in no other way. A cross-platform plan whose movement entry is
+// taken out by hand is rejected by Validate, and run anyway it fails at the
+// fetch, naming the producer, the channel it was produced in and the channels
+// wanted — the conversion graph is never consulted for a way around.
+func TestMissingMovementIsAnErrorNotASearch(t *testing.T) {
+	e := newEnv(t)
+	p := core.NewPlan("no-movement")
+	src := p.NewOperator(core.KindCollectionSource, "src")
+	src.Params.Collection = ints(5)
+	src.TargetPlatform = "spark"
+	sink := p.NewOperator(core.KindCollectionSink, "out")
+	sink.TargetPlatform = "flink"
+	p.Chain(src, sink)
+
+	ep := e.optimize(t, p)
+	if ep.Movements[src] == nil {
+		t.Fatalf("no movement planned from spark to flink:\n%s", ep)
+	}
+	delete(ep.Movements, src)
+	if err := ep.Validate(e.reg); err == nil || !strings.Contains(err.Error(), "no movement is planned") {
+		t.Fatalf("Validate accepted a plan without the movement: %v", err)
+	}
+	_, err := e.ex.Run(ep)
+	if err == nil {
+		t.Fatal("the executor found its own way from rdd to dataset")
+	}
+	for _, want := range []string{src.String(), "[rdd]", "[dataset]"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
 	}
 }

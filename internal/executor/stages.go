@@ -14,12 +14,14 @@ import (
 	"rheem/internal/core"
 )
 
-// BuildStages divides an execution plan into stages. Ops join a producer's
-// stage when they run on the same platform; loop operators always form
-// their own singleton pseudo-stage (the executor must hold control to
-// evaluate the loop, Figure 7), and broadcast edges always cross stage
-// boundaries so broadcast data is materialized.
-func BuildStages(ep *core.ExecPlan) ([]*core.Stage, error) {
+// BuildStages divides what is still to run of an execution plan into stages.
+// Ops join a producer's stage when they run on the same platform; loop
+// operators always form their own singleton pseudo-stage (the executor must
+// hold control to evaluate the loop, Figure 7), and broadcast edges always
+// cross stage boundaries so broadcast data is materialized. Executed
+// operators are in no stage: their outputs are at rest in the channel store,
+// so a stage reading one has it as a boundary input and nothing runs twice.
+func BuildStages(ep *core.ExecPlan, executed map[*core.Operator]bool) ([]*core.Stage, error) {
 	order, err := ep.Plan.TopoOrder()
 	if err != nil {
 		return nil, err
@@ -42,6 +44,9 @@ func BuildStages(ep *core.ExecPlan) ([]*core.Stage, error) {
 	}
 
 	for _, op := range order {
+		if executed[op] {
+			continue
+		}
 		if op.Kind.IsLoop() {
 			s := newStage("") // executor-run pseudo-stage
 			s.Ops = []*core.Operator{op}
@@ -76,6 +81,9 @@ func BuildStages(ep *core.ExecPlan) ([]*core.Stage, error) {
 	// Boundary bookkeeping: external inputs, broadcasts, terminal outputs.
 	for _, op := range ep.Plan.Operators() {
 		s := stageOf[op]
+		if s == nil {
+			continue
+		}
 		for _, producer := range op.Inputs() {
 			if stageOf[producer] != s {
 				s.ExternalIn[op] = append(s.ExternalIn[op], producer)
@@ -96,12 +104,8 @@ func BuildStages(ep *core.ExecPlan) ([]*core.Stage, error) {
 			terminal[op] = true
 		}
 		// Operators referenced by loop bodies must be materialized too.
-		if op.Kind.IsLoop() && op.Body != nil {
-			for _, bodyOp := range op.Body.Operators() {
-				if bodyOp.OuterRef != nil {
-					terminal[bodyOp.OuterRef] = true
-				}
-			}
+		for _, ref := range op.OuterRefs() {
+			terminal[ref.OuterRef] = true
 		}
 	}
 	if ep.Plan.LoopOutput != nil {
@@ -159,13 +163,9 @@ func stageDeps(ep *core.ExecPlan, stages []*core.Stage) map[*core.Stage]map[*cor
 	// Loops depend on the stages producing their outer references.
 	for _, s := range stages {
 		for _, op := range s.Ops {
-			if op.Kind.IsLoop() && op.Body != nil {
-				for _, bodyOp := range op.Body.Operators() {
-					if bodyOp.OuterRef != nil {
-						if ps := stageOf[bodyOp.OuterRef]; ps != nil && ps != s {
-							deps[s][ps] = true
-						}
-					}
+			for _, ref := range op.OuterRefs() {
+				if ps := stageOf[ref.OuterRef]; ps != nil && ps != s {
+					deps[s][ps] = true
 				}
 			}
 		}

@@ -91,13 +91,11 @@ func planCost(p *core.Plan, opts Options, inflated map[*core.Operator][]entry, c
 		if !ok {
 			continue
 		}
-		from := inflated[e.From][pi].alt.OutChannel()
-		var mv float64
+		accepts := inflated[e.To][ci].alt.InChannels()
 		if e.Broadcast {
-			mv = moveCost(opts, from, []string{"collection"}, cards[e.From])
-		} else {
-			mv = moveCost(opts, from, inflated[e.To][ci].alt.InChannels(), cards[e.From])
+			accepts = []string{"collection"}
 		}
+		_, mv := reach(opts, inflated[e.From][pi].alt.OutChannel(), accepts, cards[e.From])
 		if mv >= inf {
 			return 0, false
 		}

@@ -3,6 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -16,8 +17,10 @@ type Options struct {
 	Registry *core.Registry
 	Costs    *CostTable
 	Resolve  SourceResolver
-	// KnownCards pins observed cardinalities (progressive re-optimization).
-	KnownCards map[*core.Operator]int64
+	// Resume, when set, makes this run a replan of a partially executed plan
+	// (progressive re-optimization): what ran stays as it ran and the observed
+	// cardinalities replace the estimates.
+	Resume *Progress
 	// Exhaustive disables the lossless pruning and enumerates every
 	// combination of alternatives (ablation; exponential, small plans only).
 	Exhaustive bool
@@ -34,6 +37,28 @@ type Options struct {
 	// an "optimize" span (phases and per-alternative costs as children and
 	// attributes); nil disables tracing.
 	Trace *trace.Span
+}
+
+// Progress is how far the execution of a plan has come.
+type Progress struct {
+	// Plan is the execution plan that has been running.
+	Plan *core.ExecPlan
+	// Executed marks the operators whose stage has completed; their outputs
+	// are at rest in the channels Plan's alternatives declare.
+	Executed map[*core.Operator]bool
+	// Observed holds the output cardinalities the monitor has seen.
+	Observed map[*core.Operator]int64
+}
+
+// allows reports whether a replan may consider entry ent for op: an executed
+// operator only the alternative it ran under, an operator still to run only
+// alternatives that fuse no executed operator into its chain.
+func (r *Progress) allows(op *core.Operator, ent entry) bool {
+	if r.Executed[op] {
+		a := r.Plan.Assignments[op]
+		return a != nil && a.CoveredBy == nil && a.Alt.Covers == ent.alt.Covers && a.Alt.String() == ent.alt.String()
+	}
+	return !slices.ContainsFunc(ent.chain, func(c *core.Operator) bool { return r.Executed[c] })
 }
 
 // Objective is the optimization goal.
@@ -70,7 +95,8 @@ func (o Options) withDefaults() Options {
 // plan through the operator mappings, estimates cardinalities and costs,
 // plans data movement over the channel conversion graph, and enumerates
 // alternatives with lossless pruning, minimizing the estimated cost
-// including platform start-up and movement costs.
+// including platform start-up and movement costs. Every plan it returns has
+// passed core.ExecPlan.Validate: it runs as written.
 func Optimize(p *core.Plan, opts Options) (*core.ExecPlan, error) {
 	opts = opts.withDefaults()
 	if opts.Registry == nil {
@@ -92,6 +118,13 @@ func Optimize(p *core.Plan, opts Options) (*core.ExecPlan, error) {
 	opts.Trace = sp // loop bodies and phase spans nest under this run
 	ep, err := optimize(p, opts, nil, nil)
 	if err == nil {
+		err = ep.Validate(opts.Registry)
+	}
+	if err == nil {
+		if opts.Resume != nil {
+			// Cache markings were computed against the same plan structure.
+			ep.CacheOuts = opts.Resume.Plan.CacheOuts
+		}
 		opts.Metrics.Counter("rheem_optimizer_optimizations_total").Inc()
 		opts.Metrics.Histogram("rheem_optimizer_enumeration_seconds", nil).Observe(time.Since(start).Seconds())
 		sp.SetFloat("cost_low_ms", ep.Cost.LowMs)
@@ -124,7 +157,11 @@ func optimize(p *core.Plan, opts Options, loopSeed *core.CardEstimate, outerCard
 		return core.CardEstimate{}, false
 	}
 	cardSp := opts.Trace.Start("estimate-cards", "estimate-cards")
-	cards, err := EstimateCards(p, resolve, opts.KnownCards)
+	var known map[*core.Operator]int64
+	if opts.Resume != nil {
+		known = opts.Resume.Observed
+	}
+	cards, err := EstimateCards(p, resolve, known)
 	cardSp.SetInt("operators", int64(len(cards)))
 	cardSp.End()
 	if err != nil {
@@ -193,11 +230,20 @@ func optimize(p *core.Plan, opts Options, loopSeed *core.CardEstimate, outerCard
 		if !op.Kind.IsLoop() {
 			continue
 		}
+		if r := opts.Resume; r != nil && r.Executed[op] {
+			// An executed loop keeps the body plan it ran.
+			a := *r.Plan.Assignments[op]
+			a.OutCard = cards[op]
+			ep.LoopBodies[op], ep.Assignments[op] = r.Plan.LoopBodies[op], &a
+			total = total.Add(a.CostEst)
+			continue
+		}
 		seed := core.ExactCard(0)
 		if len(op.Inputs()) > 0 {
 			seed = cards[op.Inputs()[0]]
 		}
 		bodyOpts := opts
+		bodyOpts.Resume = nil // progress is the top-level plan's
 		var bodySp *trace.Span
 		if opts.Trace != nil {
 			bodySp = opts.Trace.Start(trace.KindOptimize, "optimize-body:"+op.String())
@@ -225,10 +271,10 @@ func optimize(p *core.Plan, opts Options, loopSeed *core.CardEstimate, outerCard
 		total = total.Add(bodyCost)
 	}
 
-	// Movement planning: one conversion tree per producer whose consumers
-	// need channels other than the produced one.
+	// Movement planning: one conversion tree per producer whose readers need
+	// channels other than the produced one.
 	mvSp := opts.Trace.Start("plan-movement", "plan-movement")
-	if err := planMovement(p, opts, ep, cards, covered); err != nil {
+	if err := planMovement(p, opts, ep, cards); err != nil {
 		mvSp.End()
 		return nil, err
 	}
@@ -257,7 +303,8 @@ func (e entry) head(op *core.Operator) *core.Operator {
 }
 
 // inflate computes the enumeration entries per operator: all direct
-// alternatives plus fused chain alternatives registered at the chain tail.
+// alternatives plus fused chain alternatives registered at the chain tail,
+// restricted in a replan to what the progress so far allows.
 func inflate(p *core.Plan, opts Options, cards map[*core.Operator]core.CardEstimate) (map[*core.Operator][]entry, error) {
 	out := map[*core.Operator][]entry{}
 	for _, op := range p.Operators() {
@@ -280,6 +327,11 @@ func inflate(p *core.Plan, opts Options, cards map[*core.Operator]core.CardEstim
 	for _, op := range p.Operators() {
 		if !op.Kind.IsLoop() && len(out[op]) == 0 {
 			return nil, fmt.Errorf("optimizer: no implementation for %s", op)
+		}
+	}
+	if r := opts.Resume; r != nil {
+		for op, entries := range out {
+			out[op] = slices.DeleteFunc(entries, func(ent entry) bool { return !r.allows(op, ent) })
 		}
 	}
 	return out, nil
@@ -425,7 +477,7 @@ func dpEnumerate(p *core.Plan, opts Options, inflated map[*core.Operator][]entry
 				if producer.Kind.IsLoop() {
 					// Loop outputs surface as driver collections; their cost
 					// is accounted separately via the optimized body.
-					mv := moveCost(opts, "collection", ent.alt.InChannels(), cards[producer])
+					_, mv := reach(opts, "collection", ent.alt.InChannels(), cards[producer])
 					if mv >= inf {
 						total = inf
 						break
@@ -442,12 +494,11 @@ func dpEnumerate(p *core.Plan, opts Options, inflated map[*core.Operator][]entry
 					if pc == nil || pc[pi] >= inf {
 						continue
 					}
-					var mv float64
+					accepts := ent.alt.InChannels()
 					if isBroadcast {
-						mv = moveCost(opts, pe.alt.OutChannel(), []string{"collection"}, cards[producer])
-					} else {
-						mv = moveCost(opts, pe.alt.OutChannel(), ent.alt.InChannels(), cards[producer])
+						accepts = []string{"collection"}
 					}
+					_, mv := reach(opts, pe.alt.OutChannel(), accepts, cards[producer])
 					if mv >= inf {
 						continue
 					}
@@ -544,16 +595,14 @@ func rootsToRealize(p *core.Plan) []*core.Operator {
 			roots = append(roots, op.Broadcasts()...)
 			// Outer operators the loop body references must be realized
 			// before the loop starts.
-			if op.Body != nil {
-				for _, bodyOp := range op.Body.Operators() {
-					if bodyOp.OuterRef != nil {
-						roots = append(roots, bodyOp.OuterRef)
-					}
-				}
+			for _, ref := range op.OuterRefs() {
+				roots = append(roots, ref.OuterRef)
 			}
 		}
 	}
-	if p.LoopOutput != nil {
+	// A body that ends in a loop is realized through that loop's roots: a
+	// loop has no enumeration entry of its own.
+	if p.LoopOutput != nil && !p.LoopOutput.Kind.IsLoop() {
 		roots = append(roots, p.LoopOutput)
 	}
 	// Broadcast producers of any operator must be realized as well (they
@@ -562,83 +611,58 @@ func rootsToRealize(p *core.Plan) []*core.Operator {
 	return roots
 }
 
-// moveCost is the cheapest conversion path cost from a produced channel to
-// any acceptable input channel.
-func moveCost(opts Options, from string, acceptable []string, card core.CardEstimate) float64 {
-	if from == "" {
-		return 0
-	}
-	best := math.MaxFloat64 / 4
+// reach returns the acceptable channel that is cheapest to reach from a
+// produced one and the cost of the conversion path to it: the channel itself
+// at no cost when it is acceptable, "" at an infeasible cost when nothing
+// acceptable is reachable.
+func reach(opts Options, from string, acceptable []string, card core.CardEstimate) (string, float64) {
+	best, bestCost := "", math.MaxFloat64/4
 	for _, to := range acceptable {
-		if from == to {
-			return 0
+		if to == from {
+			return to, 0
 		}
-		if path, err := opts.Registry.Graph.FindPath(from, to, card.Geomean()); err == nil && path.CostMs < best {
-			best = path.CostMs
+		if path, err := opts.Registry.Graph.FindPath(from, to, card.Geomean()); err == nil && path.CostMs < bestCost {
+			best, bestCost = to, path.CostMs
 		}
 	}
-	return best
+	return best, bestCost
 }
 
-// planMovement computes, per producer whose consumers need other channels,
-// the minimal conversion tree serving all consumer channel needs at once.
-func planMovement(p *core.Plan, opts Options, ep *core.ExecPlan, cards map[*core.Operator]core.CardEstimate, covered map[*core.Operator]*core.Operator) error {
+// planMovement computes, per producer, the minimal conversion tree that turns
+// its declared out-channel into the form each of its readers takes (see
+// core.ExecPlan.Reads), all readers served by the one tree. A reader nothing
+// can reach fails the optimization.
+func planMovement(p *core.Plan, opts Options, ep *core.ExecPlan, cards map[*core.Operator]core.CardEstimate) error {
+	targets := map[*core.Operator][]string{}
+	err := ep.Reads(func(producer *core.Operator, accepts []string, reader string) error {
+		from := ep.OutChannel(producer)
+		to, _ := reach(opts, from, accepts, cards[producer])
+		if to == "" {
+			return fmt.Errorf("optimizer: %s cannot read %s: no conversion from %q to any of %v", reader, producer, from, accepts)
+		}
+		if to != from {
+			targets[producer] = append(targets[producer], to)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
 	for _, producer := range p.Operators() {
-		a := ep.Assignments[producer]
-		if a == nil || a.CoveredBy != nil {
+		ts := targets[producer]
+		if len(ts) == 0 {
 			continue
-		}
-		from := a.Alt.OutChannel()
-		if from == "" && !producer.Kind.IsLoop() {
-			continue
-		}
-		if producer.Kind.IsLoop() {
-			from = "collection" // loop outputs surface as driver collections
-		}
-		targets := map[string]bool{}
-		for _, e := range p.Edges() {
-			if e.From != producer {
-				continue
-			}
-			consumer := e.To
-			if holder, ok := covered[consumer]; ok {
-				consumer = holder
-			}
-			if e.Broadcast {
-				targets["collection"] = true
-				continue
-			}
-			ca := ep.Assignments[consumer]
-			if consumer.Kind.IsLoop() {
-				targets["collection"] = true
-				continue
-			}
-			if ca == nil || ca.CoveredBy != nil {
-				continue
-			}
-			need := pickChannel(opts, from, ca.Alt.InChannels(), cards[producer])
-			if need != "" && need != from {
-				targets[need] = true
-			}
-		}
-		if len(targets) == 0 {
-			continue
-		}
-		var ts []string
-		for t := range targets {
-			ts = append(ts, t)
 		}
 		sort.Strings(ts)
-		tree, err := opts.Registry.Graph.FindTree(from, ts, cards[producer].Geomean())
+		from, card := ep.OutChannel(producer), cards[producer]
+		tree, err := opts.Registry.Graph.FindTree(from, ts, card.Geomean())
 		if err != nil {
 			return fmt.Errorf("optimizer: movement from %s (%s): %w", producer, from, err)
 		}
-		lo := treeCost(tree, float64(cards[producer].Low))
-		hi := treeCost(tree, float64(cards[producer].High))
 		ep.Movements[producer] = &core.MovementPlan{
 			Producer: producer,
 			Tree:     tree,
-			CostEst:  core.CostInterval{LowMs: lo, HighMs: hi, Confidence: cards[producer].Confidence},
+			CostEst:  core.CostInterval{LowMs: treeCost(tree, float64(card.Low)), HighMs: treeCost(tree, float64(card.High)), Confidence: card.Confidence},
 		}
 	}
 	return nil
@@ -650,25 +674,6 @@ func treeCost(tree *core.ConversionTree, card float64) float64 {
 		total += e.CostMs(card)
 	}
 	return total
-}
-
-// pickChannel selects the acceptable consumer channel the producer can
-// reach most cheaply.
-func pickChannel(opts Options, from string, acceptable []string, card core.CardEstimate) string {
-	best, bestCost := "", math.MaxFloat64
-	for _, to := range acceptable {
-		if to == from {
-			return to
-		}
-		path, err := opts.Registry.Graph.FindPath(from, to, card.Geomean())
-		if err != nil {
-			continue
-		}
-		if path.CostMs < bestCost {
-			best, bestCost = to, path.CostMs
-		}
-	}
-	return best
 }
 
 func max(a, b int) int {

@@ -235,19 +235,44 @@ func TestOptimizeLoopBody(t *testing.T) {
 	}
 }
 
-func TestOptimizeKnownCardsPinning(t *testing.T) {
+// TestOptimizeResumePinsWhatRan: a replan is a whole plan in which every
+// executed operator keeps the alternative it ran under — whatever the new
+// cardinalities would make the optimizer prefer — observed cardinalities
+// replace the estimates, and movement starts at the channel that exists.
+func TestOptimizeResumePinsWhatRan(t *testing.T) {
 	env := newTestEnv(t)
 	p := smallPipeline(10)
-	filter := p.Operators()[2]
+	src, m, filter, sink := p.Operators()[0], p.Operators()[1], p.Operators()[2], p.Operators()[3]
+	src.TargetPlatform, m.TargetPlatform = "spark", "spark"
+	first, err := Optimize(p, env.opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The pins come off the prefix: only the progress keeps it where it ran.
+	src.TargetPlatform, m.TargetPlatform, filter.TargetPlatform = "", "", "streams"
 	opts := env.opts()
-	opts.KnownCards = map[*core.Operator]int64{filter: 7}
+	opts.Resume = &Progress{
+		Plan:     first,
+		Executed: map[*core.Operator]bool{src: true, m: true},
+		Observed: map[*core.Operator]int64{m: 7},
+	}
 	ep, err := Optimize(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := ep.Assignments[filter]
-	if a.OutCard.Low != 7 || a.OutCard.High != 7 {
-		t.Fatalf("known card not pinned: %v", a.OutCard)
+	if a := ep.Assignments[m]; a.OutCard.Low != 7 || a.OutCard.High != 7 {
+		t.Fatalf("observed card not pinned: %v", a.OutCard)
+	}
+	for _, op := range []*core.Operator{src, m} {
+		if got, want := ep.Assignments[op].Alt.String(), first.Assignments[op].Alt.String(); got != want {
+			t.Fatalf("%s ran under %s, replanned to %s", op, want, got)
+		}
+	}
+	if ep.PlatformOf(filter) != "streams" || ep.PlatformOf(sink) != "streams" {
+		t.Fatalf("the remainder should finish on streams:\n%s", ep)
+	}
+	if mv := ep.Movements[m]; mv == nil || mv.Tree.Root != "rdd" || len(mv.Tree.Edges) == 0 {
+		t.Fatalf("movement away from the executed prefix is not planned from its rdd:\n%s", ep)
 	}
 }
 

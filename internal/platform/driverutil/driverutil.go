@@ -309,11 +309,10 @@ func resolveInputs[T any](e Engine[T], stage *core.Stage, op *core.Operator, in 
 		}
 		ins[port] = d
 	}
-	// Loop-body placeholders: an OuterRef source receives the channel the
-	// executor staged for it in Main; the designated LoopInput (a
-	// CollectionSource with nil Params.Collection) receives the carried
-	// loop value. Both surface as a pseudo-input that engines' Apply
-	// recognizes.
+	// Loop-body placeholders (a CollectionSource with nil Params.Collection):
+	// an OuterRef source and the designated LoopInput both receive the channel
+	// the executor staged for them in Main, which surfaces as a pseudo-input
+	// that engines' Apply recognizes.
 	if arity == 0 && op.Kind == core.KindCollectionSource && op.Params.Collection == nil {
 		if chans := in.Main[op]; len(chans) > 0 && chans[0] != nil {
 			ch := chans[0]
@@ -321,12 +320,6 @@ func resolveInputs[T any](e Engine[T], stage *core.Stage, op *core.Operator, in 
 				return nil, err
 			}
 			d, err := e.FromChannel(ch)
-			if err != nil {
-				return nil, err
-			}
-			ins = append(ins, d)
-		} else if in.LoopVar != nil {
-			d, err := e.FromChannel(CollectionOf(in.LoopVar))
 			if err != nil {
 				return nil, err
 			}

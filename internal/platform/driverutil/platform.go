@@ -1,6 +1,7 @@
 package driverutil
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -17,42 +18,44 @@ import (
 // and constants, implements Engine[T] over its native type and calls the
 // helpers here directly; nothing below knows which engine is calling.
 
-// Op is one 1-to-1 operator mapping: a logical kind and the suffix of the
-// execution operator's name ("reduce-by" is "spark.reduce-by" on spark).
+// Op is one 1-to-1 operator mapping: a logical kind, the suffix of the
+// execution operator's name ("reduce-by" is "spark.reduce-by" on spark) and,
+// where the operator emits another channel than the engine's own, that channel.
 type Op struct {
 	Kind   core.Kind
 	Suffix string
+	Out    string
 }
 
 // GeneralOps is what a general-purpose dataflow engine maps (spark, flink,
 // streams). An engine that differs takes the list Without the kinds it maps
 // otherwise and adds its own.
 var GeneralOps = []Op{
-	{core.KindCollectionSource, "collection-source"},
-	{core.KindTextFileSource, "textfile-source"},
-	{core.KindMap, "map"},
-	{core.KindFlatMap, "flatmap"},
-	{core.KindFilter, "filter"},
-	{core.KindMapPart, "map-partitions"},
-	{core.KindSample, "sample"},
-	{core.KindDistinct, "distinct"},
-	{core.KindSort, "sort"},
-	{core.KindCount, "count"},
-	{core.KindReduce, "reduce"},
-	{core.KindReduceBy, "reduce-by"},
-	{core.KindGroupBy, "group-by"},
-	{core.KindZipWithID, "zip-with-id"},
-	{core.KindCache, "cache"},
-	{core.KindProject, "project"},
-	{core.KindJoin, "join"},
-	{core.KindIEJoin, "iejoin"},
-	{core.KindCartesian, "cartesian"},
-	{core.KindUnion, "union"},
-	{core.KindIntersect, "intersect"},
-	{core.KindCoGroup, "co-group"},
-	{core.KindPageRank, "pagerank"},
-	{core.KindCollectionSink, "collection-sink"},
-	{core.KindTextFileSink, "textfile-sink"},
+	{Kind: core.KindCollectionSource, Suffix: "collection-source"},
+	{Kind: core.KindTextFileSource, Suffix: "textfile-source"},
+	{Kind: core.KindMap, Suffix: "map"},
+	{Kind: core.KindFlatMap, Suffix: "flatmap"},
+	{Kind: core.KindFilter, Suffix: "filter"},
+	{Kind: core.KindMapPart, Suffix: "map-partitions"},
+	{Kind: core.KindSample, Suffix: "sample"},
+	{Kind: core.KindDistinct, Suffix: "distinct"},
+	{Kind: core.KindSort, Suffix: "sort"},
+	{Kind: core.KindCount, Suffix: "count"},
+	{Kind: core.KindReduce, Suffix: "reduce"},
+	{Kind: core.KindReduceBy, Suffix: "reduce-by"},
+	{Kind: core.KindGroupBy, Suffix: "group-by"},
+	{Kind: core.KindZipWithID, Suffix: "zip-with-id"},
+	{Kind: core.KindCache, Suffix: "cache"},
+	{Kind: core.KindProject, Suffix: "project"},
+	{Kind: core.KindJoin, Suffix: "join"},
+	{Kind: core.KindIEJoin, Suffix: "iejoin"},
+	{Kind: core.KindCartesian, Suffix: "cartesian"},
+	{Kind: core.KindUnion, Suffix: "union"},
+	{Kind: core.KindIntersect, Suffix: "intersect"},
+	{Kind: core.KindCoGroup, Suffix: "co-group"},
+	{Kind: core.KindPageRank, Suffix: "pagerank"},
+	{Kind: core.KindCollectionSink, Suffix: "collection-sink", Out: "collection"},
+	{Kind: core.KindTextFileSink, Suffix: "textfile-sink"},
 }
 
 // Without returns ops minus the mappings of the given kinds, in order.
@@ -62,11 +65,11 @@ func Without(ops []Op, kinds ...core.Kind) []Op {
 
 // RegisterOps registers one single-step alternative per op: the execution
 // operator platform.suffix, accepting the in channels in preference order and
-// producing out.
+// producing out, or the channel the op declares.
 func RegisterOps(r *core.MappingRegistry, platform string, in []string, out string, ops []Op) {
 	for _, op := range ops {
 		r.Register(op.Kind, core.Alternative{Platform: platform, Steps: []core.ExecOpTemplate{{
-			Name: platform + "." + op.Suffix, Platform: platform, Kind: op.Kind, In: in, Out: out,
+			Name: platform + "." + op.Suffix, Platform: platform, Kind: op.Kind, In: in, Out: cmp.Or(op.Out, out),
 		}}})
 	}
 }

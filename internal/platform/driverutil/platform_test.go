@@ -1,6 +1,7 @@
 package driverutil
 
 import (
+	"cmp"
 	"reflect"
 	"strings"
 	"sync"
@@ -160,8 +161,13 @@ func TestRegisterOpsAndWithout(t *testing.T) {
 			}
 			continue
 		}
+		// The engine's own channel, unless the op declares what it emits: of
+		// the general ops only the collection sink does.
+		if wantOut := map[core.Kind]string{core.KindCollectionSink: "collection"}[op.Kind]; op.Out != wantOut {
+			t.Fatalf("%s declares out-channel %q, want %q", op.Kind, op.Out, wantOut)
+		}
 		want := core.Alternative{Platform: "toy", Covers: 1, Steps: []core.ExecOpTemplate{{
-			Name: "toy." + op.Suffix, Platform: "toy", Kind: op.Kind, In: []string{"b", "a"}, Out: "a",
+			Name: "toy." + op.Suffix, Platform: "toy", Kind: op.Kind, In: []string{"b", "a"}, Out: cmp.Or(op.Out, "a"),
 		}}}
 		if len(alts) != 1 || !reflect.DeepEqual(alts[0], want) {
 			t.Fatalf("%s: registered %+v, want %+v", op.Kind, alts, want)

@@ -31,6 +31,9 @@ func RunOp(t *testing.T, d core.Driver, op *core.Operator, inputs ...*core.Chann
 }
 
 // RunOpErr is RunOp returning errors and stats instead of failing the test.
+// The channel the operator's output arrives in must be the one the driver's
+// mapping for the kind declares: the optimizer plans movement from the
+// declared channel, so an engine that emits another one breaks the plan.
 func RunOpErr(d core.Driver, op *core.Operator, inputs ...*core.Channel) ([]any, *core.StageStats, error) {
 	stage := &core.Stage{
 		ID:           1,
@@ -49,6 +52,13 @@ func RunOpErr(d core.Driver, op *core.Operator, inputs ...*core.Channel) ([]any,
 	ch := outs[op]
 	if ch == nil {
 		return nil, stats, nil
+	}
+	mappings := core.NewMappingRegistry()
+	d.RegisterMappings(mappings)
+	for _, alt := range mappings.DirectAlternatives(op) {
+		if declared := alt.OutChannel(); ch.Desc.Name != declared {
+			return nil, stats, fmt.Errorf("%s on %s arrived in channel %q, registered out-channel is %q", op, d.Name(), ch.Desc.Name, declared)
+		}
 	}
 	data, err := driverutil.ChannelQuanta(ch)
 	return data, stats, err

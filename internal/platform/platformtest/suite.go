@@ -350,7 +350,7 @@ func Run(t *testing.T, d core.Driver) {
 		op := &core.Operator{Kind: core.KindCollectionSource} // nil collection: loop placeholder
 		stage := &core.Stage{ID: 1, Platform: d.Name(), Ops: []*core.Operator{op}, TerminalOuts: []*core.Operator{op}}
 		in := core.NewInputs()
-		in.LoopVar = []any{int64(42)}
+		in.SetMain(op, 0, CollectionChannel(int64(42))) // the way the executor binds the loop value
 		outs, _, err := d.Execute(stage, in)
 		if err != nil {
 			t.Fatal(err)

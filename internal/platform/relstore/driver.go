@@ -11,10 +11,16 @@ import (
 // Platform is the platform name this driver registers under.
 const Platform = "relstore"
 
-// TableRef is the payload of relation channels: a table within a store.
+// TableRef is the payload of relation channels: a table within a store, or —
+// for a result whose quanta are not records (a count, keyed aggregates) and so
+// cannot live in a table — the result set itself, held by the driver. Either
+// way the channel is a relation: which channel an operator emits is declared
+// by its mapping, never decided by the data.
 type TableRef struct {
 	Store *Store
 	Table string
+
+	result []any // the rows, when Store is nil
 }
 
 // Rows materializes the referenced table's rows as quanta. It also serves
@@ -25,6 +31,9 @@ func (ref TableRef) Rows() ([]any, error) { return ref.scan(nil, nil, 1) }
 // scan reads the referenced table as quanta, projection and predicate pushed
 // into the scan.
 func (ref TableRef) scan(cols []int, where *core.Predicate, workers int) ([]any, error) {
+	if ref.Store == nil {
+		return ref.result, nil // never pushed into: FromChannel hands it on as a row set
+	}
 	t, err := ref.Store.Table(ref.Table)
 	if err != nil {
 		return nil, err
@@ -214,7 +223,7 @@ func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
 		{Kind: core.KindSort, Suffix: "sort"},
 		{Kind: core.KindDistinct, Suffix: "distinct"},
 		{Kind: core.KindCount, Suffix: "count"},
-		{Kind: core.KindCollectionSink, Suffix: "fetch"},
+		{Kind: core.KindCollectionSink, Suffix: "fetch", Out: "collection"},
 	})
 }
 
@@ -248,6 +257,9 @@ func (e *engine) FromChannel(ch *core.Channel) (*rel, error) {
 		if !ok {
 			return nil, fmt.Errorf("relstore: relation payload %T", ch.Payload)
 		}
+		if ref.Store == nil {
+			return &rel{rows: ref.result}, nil
+		}
 		return &rel{ref: &ref}, nil
 	case "collection", "file":
 		data, err := driverutil.ChannelSlice(ch)
@@ -260,14 +272,15 @@ func (e *engine) FromChannel(ch *core.Channel) (*rel, error) {
 	}
 }
 
-// ToChannel implements driverutil.Engine. Results stay a (temporary) relation
-// so downstream relational stages or conversions can consume them; non-record
-// intermediates (counts, keyed aggregates) cannot live in a table and are
-// handed over as a driver collection instead — the executor's data-movement
-// planner treats the actual channel type as authoritative.
+// ToChannel implements driverutil.Engine. Results stay a relation so
+// downstream relational stages or conversions can consume them: a temporary
+// table, or the result set itself when its quanta are not records.
 func (e *engine) ToChannel(op *core.Operator, r *rel) (*core.Channel, error) {
-	if op.Kind == core.KindCollectionSink || !allRecords(r.rows) {
+	switch {
+	case op.Kind == core.KindCollectionSink:
 		return driverutil.CollectionOf(r.rows), nil
+	case !allRecords(r.rows):
+		return core.NewChannel(RelationChannel, TableRef{result: r.rows}, int64(len(r.rows))), nil
 	}
 	return e.driver.load("tmp_res", r.rows)
 }

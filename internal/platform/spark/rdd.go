@@ -25,8 +25,7 @@ import (
 // chain kernel takes partitions as they are; the row-oriented operators go
 // through rows, which flattens a batch-holding partition once.
 type RDD struct {
-	Parts  driverutil.Parts
-	Cached bool
+	Parts driverutil.Parts
 
 	mu   sync.Mutex // guards Parts and flat: rows replaces Parts when it flattens
 	flat [][]any    // the row view, once rows has taken it
@@ -77,12 +76,9 @@ func (r *RDD) Count() int64 { return r.parts().Count() }
 // Collect concatenates all partitions in order.
 func (r *RDD) Collect() []any { return r.parts().Collect() }
 
-// channel wraps the RDD in spark's native channel, the cached one once it is
-// cached.
-func (r *RDD) channel() *core.Channel {
-	desc := RDDChannel
-	if r.Cached {
-		desc = CachedRDDChannel
-	}
+// channel wraps the RDD in one of spark's native channels. Which one is the
+// plan's decision (the producing operator's or conversion's declared
+// out-channel), never a property the data carries along.
+func (r *RDD) channel(desc core.ChannelDescriptor) *core.Channel {
 	return core.NewChannel(desc, r, r.Count())
 }

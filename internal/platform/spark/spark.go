@@ -93,15 +93,14 @@ func (d *Driver) Conversions() []*core.Conversion {
 				if err != nil {
 					return nil, err
 				}
-				return r.channel(), nil
+				return r.channel(RDDChannel), nil
 			},
 		},
 		driverutil.Conv("spark.collect", "rdd", "collection", 2, 0.0008, func(r *RDD, _ *core.Channel) (*core.Channel, error) {
 			return driverutil.CollectionOf(r.Collect()), nil
 		}),
 		driverutil.Conv("spark.cache", "rdd", "rdd-cached", 1, 0.0002, func(r *RDD, _ *core.Channel) (*core.Channel, error) {
-			r.Cached = true
-			return r.channel(), nil
+			return r.channel(CachedRDDChannel), nil
 		}),
 		driverutil.Conv("spark.uncache", "rdd-cached", "rdd", 0.1, 0, func(r *RDD, in *core.Channel) (*core.Channel, error) {
 			return core.NewChannel(RDDChannel, r, in.Card), nil
@@ -114,7 +113,7 @@ func (d *Driver) Conversions() []*core.Conversion {
 				if err != nil {
 					return nil, err
 				}
-				return r.channel(), nil
+				return r.channel(RDDChannel), nil
 			}),
 			driverutil.Conv("spark.dfs-save", "rdd", "dfs", 8, 0.003, func(r *RDD, in *core.Channel) (*core.Channel, error) {
 				return driverutil.SaveDFS(d.DFS, "spark-", in, r.Collect())
@@ -142,7 +141,7 @@ func (d *Driver) parallelize(ch *core.Channel) (*RDD, error) {
 // RegisterMappings implements core.Driver: the general kinds, the cache
 // operator under the name that keeps it apart from the spark.cache conversion.
 func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
-	ops := append(driverutil.Without(driverutil.GeneralOps, core.KindCache), driverutil.Op{Kind: core.KindCache, Suffix: "cache-op"})
+	ops := append(driverutil.Without(driverutil.GeneralOps, core.KindCache), driverutil.Op{Kind: core.KindCache, Suffix: "cache-op", Out: "rdd-cached"})
 	driverutil.RegisterOps(r, Platform, []string{"rdd", "rdd-cached"}, "rdd", ops)
 }
 
@@ -197,9 +196,9 @@ func (e *engine) ToChannel(op *core.Operator, r *RDD) (*core.Channel, error) {
 	case core.KindCollectionSink:
 		return driverutil.CollectionOf(r.Collect()), nil
 	case core.KindCache:
-		r.Cached = true
+		return r.channel(CachedRDDChannel), nil
 	}
-	return r.channel(), nil
+	return r.channel(RDDChannel), nil
 }
 
 // Apply implements driverutil.Engine. Without a sniffer the output is counted
@@ -269,7 +268,7 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 		return e.sample(op, in[0], round)
 
 	case core.KindCache:
-		return &RDD{Parts: in[0].parts(), Cached: true}, nil
+		return &RDD{Parts: in[0].parts()}, nil
 
 	case core.KindCartesian:
 		combine := driverutil.Combine(op)

@@ -234,7 +234,7 @@ func TestConversions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cached.Desc.AtRest || !cached.Payload.(*RDD).Cached {
+	if cached.Desc.Name != "rdd-cached" || !cached.Desc.AtRest || cached.Payload != rdd.Payload || rdd.Desc.Name != "rdd" {
 		t.Fatalf("cache = %+v", cached)
 	}
 	back, err := convs["spark.collect"].Convert(rdd)

@@ -1,9 +1,11 @@
 // Package progressive implements RHEEM's progressive query optimization
 // (Section 4.4): whenever the cardinalities observed by the monitor
 // mismatch the optimizer's estimates beyond a threshold, the execution is
-// paused at an optimization checkpoint, the remainder of the plan is
-// re-optimized with the true cardinalities pinned, and execution resumes
-// with the new plan — already-produced results are kept.
+// paused at an optimization checkpoint and the plan is optimized again as a
+// whole with the progress so far handed to the optimizer: what ran is pinned
+// to the alternative it ran under, the true cardinalities replace the
+// estimates, and execution resumes with the new plan — already-produced
+// results are kept and nothing runs twice.
 package progressive
 
 import (
@@ -77,7 +79,7 @@ func (r *Reoptimizer) Checkpoint(ctx context.Context, observed map[*core.Operato
 		return nil, nil
 	}
 	opts := r.Opts
-	opts.KnownCards = observed
+	opts.Resume = &optimizer.Progress{Plan: r.current, Executed: executed, Observed: observed}
 	if sp := trace.FromContext(ctx); sp != nil {
 		rsp := sp.Start(trace.KindReplan, "replan-"+strconv.Itoa(r.replans+1))
 		rsp.SetAttr("mismatch", renderMismatches(mismatches))

@@ -157,13 +157,8 @@ func (s *Session) unsubstitutable() map[*core.Operator]bool {
 		}
 	}
 	for _, op := range s.plan.Operators() {
-		if op.Body == nil {
-			continue
-		}
-		for _, bodyOp := range op.Body.Operators() {
-			if bodyOp.OuterRef != nil {
-				out[bodyOp.OuterRef] = true
-			}
+		for _, ref := range op.OuterRefs() {
+			out[ref.OuterRef] = true
 		}
 	}
 	return out

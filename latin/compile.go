@@ -179,7 +179,7 @@ func (s *scope) resolve(plan *core.Plan, name string) (*core.Operator, bool) {
 	if s.outer == nil {
 		return nil, false
 	}
-	outerOp, ok := s.outer.resolve(outerPlanOf(s), name)
+	outerOp, ok := s.outer.resolve(s.outer.plan, name)
 	if !ok {
 		return nil, false
 	}
@@ -190,12 +190,6 @@ func (s *scope) resolve(plan *core.Plan, name string) (*core.Operator, bool) {
 	ref.OuterRef = outerOp
 	s.refs[outerOp] = ref
 	return ref, true
-}
-
-func outerPlanOf(s *scope) *core.Plan {
-	// The outer scope's plan: for one-level nesting this is the top plan;
-	// resolution above only needs the operator identity, so nil is safe.
-	return nil
 }
 
 func (c *compiler) compileExpr(plan *core.Plan, env *scope, e *Expr) (*core.Operator, error) {

@@ -333,3 +333,32 @@ func TestDoWhileUnknownCond(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestCompileAndRunNestedRepeat: a repeat inside a repeat that reads a dataset
+// two scopes up. Each scope imports the name from the one around it, so the
+// middle body gets a placeholder of the top-level operator and the inner body
+// a placeholder of that placeholder — no reference skips a level.
+func TestCompileAndRunNestedRepeat(t *testing.T) {
+	reg, store := newExecEnv(t)
+	udfs := NewRegistry()
+	nine := make([]any, 9)
+	for i := range nine {
+		nine[i] = int64(i + 1)
+	}
+	udfs.RegisterCollection("nine", nine)
+	udfs.RegisterCollection("one", []any{int64(1)})
+	out := runScript(t, reg, store, `
+		base = load collection nine;
+		w = load collection one;
+		w = repeat 2 over w {
+			w = repeat 2 over w {
+				grown = union w, base;
+				w = distinct grown;
+			};
+		};
+		collect w;
+	`, udfs)
+	if len(out["w"]) != 9 {
+		t.Fatalf("w = %v, want the 9 distinct values", out["w"])
+	}
+}

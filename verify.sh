@@ -37,13 +37,20 @@ go test -run=NONE -bench=BenchmarkEncodeQuantum -benchtime=1x ./internal/core
 # (typed Engine[T], RegisterOps, one DFS channel descriptor), so the grep keeps
 # the per-operator fork, the row twin, the per-engine shuffles, the untyped
 # harness, the hand-written mapping closures and their switches from coming
-# back. The gate covers verify.sh too; the [x] brackets keep its own line from
-# matching.
+# back. The optimizer is the only planner: the executor's own path search, its
+# any-form fallback, its plan merge and the optimizer option they leaned on are
+# in the same grep, and no non-test file of internal/executor may search the
+# conversion graph. The gate covers verify.sh too; the [x] brackets keep its
+# own line from matching.
 go test -run=NONE -bench='NarrowChain|ColumnarAggChain' -benchtime=1x ./internal/platform/spark ./internal/platform/flink
 go test -run=NONE -bench='BenchmarkShuffle|BenchmarkRangeShuffle' -benchtime=1x ./internal/platform/driverutil
 go test -run='TestCrossCheckFusedAgainstUnfused|TestFusedFig9' .
-if grep -rn 'RHEEM_NO_FUS[E]\|FusionDisable[d]\|RHEEM_NO_COLUMNA[R]\|ColumnarDisable[d]\|NewSegRD[D]\|shuffleB[y]\|rangeShuffl[e]\|parallelPart[s]\|fanOu[t](\|mergeRun[s]\|poolEr[r]\|driverutil\.Dat[a]\b\|one := func(k core\.Kin[d]\|bc core\.BroadcastCt[x], round' --include='*.go' --include='verify.sh' .; then
-	echo "a deleted fork (per-operator narrow path, row-carried partitions, a per-engine shuffle or dispatch, the untyped stage harness, a hand-written mapping closure) or its switch is back" >&2
+if grep -rn 'RHEEM_NO_FUS[E]\|FusionDisable[d]\|RHEEM_NO_COLUMNA[R]\|ColumnarDisable[d]\|NewSegRD[D]\|shuffleB[y]\|rangeShuffl[e]\|parallelPart[s]\|fanOu[t](\|mergeRun[s]\|poolEr[r]\|driverutil\.Dat[a]\b\|one := func(k core\.Kin[d]\|bc core\.BroadcastCt[x], round\|fetchAn[y]\|mergePlan[s]\|acceptableChannel[s]\|KnownCard[s]\|outerPlanO[f]' --include='*.go' --include='verify.sh' .; then
+	echo "a deleted fork (per-operator narrow path, row-carried partitions, a per-engine shuffle or dispatch, the untyped stage harness, a hand-written mapping closure, the executor's second planner) or its switch is back" >&2
+	exit 1
+fi
+if grep -rn 'FindPat[h]\|FindTre[e]' --include='*.go' internal/executor | grep -v '_test\.go:'; then
+	echo "internal/executor searches the conversion graph: movement is planned by the optimizer and only run here" >&2
 	exit 1
 fi
 if [ "$(grep -rn 'Name: "df[s]"' --include='*.go' . | grep -vc '_test\.go:')" -gt 1 ]; then
@@ -56,6 +63,10 @@ go test -race -count=1 -run='TestUDFPanicFailsStage|TestCallerOwnedInputSurvives
 # The platform frame likewise: the registry pinned byte for byte, the toy
 # platform built on the shared frame, and two first jobs paying one boot.
 go test -race -count=1 -run='TestRegistryGolden|TestPluggingANewPlatform|TestNewPlatformChosenOnMerit' .
+# And "the plan the optimizer priced is the plan the executor runs": random
+# pinned plans and loop plans all run, SGD runs under fast simulation, a replan
+# reruns nothing, and the conversions of a run are the planned ones.
+go test -race -count=1 -run='TestEveryOptimizedPlanRuns|TestReplanRunsNothingTwice|TestFastSimulationSGD|TestConversionsAreThePlannedOnes' .
 go test -race -count=1 -run='TestBootConcurrentFirstJobs' ./internal/platform/driverutil
 # Columnar smoke: the fixed declarative pipelines (narrow chain and grouped
 # aggregation, free choice and pinned to streams/spark/flink, plus the two
