@@ -104,7 +104,7 @@ func randomDeclPlan(ctx *Context, rng *rand.Rand, id int) (*core.Plan, *core.Ope
 // records (the source of the columnar-batch span attrs and of
 // rheem_columnar_batches_total).
 func columnBatches(res *Result) (n int64) {
-	for _, st := range res.inner.Stats {
+	for _, st := range res.inner.Entries {
 		for _, v := range st.Vectorized {
 			n += v.Batches
 		}
@@ -247,6 +247,34 @@ func TestCrossCheckColumnarAggEveryEngine(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			checkColumnPathEngaged(t, aggPipeline, platform, "decl-agg")
 		})
+	}
+}
+
+// TestDictColumnsCountedOnce: rheem_columnar_dict_columns_total follows the
+// process-wide count of built dictionary columns job after job. Every job gets
+// a fresh executor, so a watermark kept there re-counted all earlier jobs'
+// columns: four one-column jobs read 1, 3, 6, 10.
+func TestDictColumnsCountedOnce(t *testing.T) {
+	ctx := fastCtx(t)
+	run := func() {
+		t.Helper()
+		plan, _ := aggPipeline(ctx)
+		if _, err := ctx.Execute(plan, WithResultCache(false)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // takes whatever earlier tests of this process left uncounted
+	counter := ctx.Metrics.Counter("rheem_columnar_dict_columns_total")
+	counted, built := counter.Value(), core.DictColumnsBuilt()
+	for job := 1; job <= 4; job++ {
+		run()
+		gotCounted, gotBuilt := counter.Value()-counted, core.DictColumnsBuilt()-built
+		if gotBuilt < int64(job) {
+			t.Fatalf("job %d: %d dictionary columns built so far; the pipeline should build one per job", job, gotBuilt)
+		}
+		if gotCounted != float64(gotBuilt) {
+			t.Fatalf("job %d: the counter moved by %v, the process built %d dictionary columns", job, gotCounted, gotBuilt)
+		}
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"rheem/internal/core"
 	"rheem/internal/costlearn"
 	"rheem/internal/executor"
-	"rheem/internal/monitor"
 	"rheem/internal/optimizer"
 	"rheem/internal/platform/driverutil"
 	"rheem/internal/platform/flink"
@@ -285,8 +284,6 @@ func WithLogCollection(logs *[]StageLog) ExecOption {
 // Result is the outcome of an executed plan.
 type Result struct {
 	inner *executor.Result
-	ep    *core.ExecPlan
-	mon   *monitor.Monitor
 }
 
 // Collect returns the quanta of the plan's only sink.
@@ -299,13 +296,18 @@ func (r *Result) CollectFrom(sink *core.Operator) ([]any, error) { return r.inne
 func (r *Result) Replans() int { return r.inner.Replans }
 
 // Platforms reports the platforms the executed plan used.
-func (r *Result) Platforms() []string { return r.ep.Platforms() }
+func (r *Result) Platforms() []string { return r.inner.Plan.Platforms() }
 
 // Plan returns the executed plan (possibly re-optimized).
-func (r *Result) Plan() *core.ExecPlan { return r.ep }
+func (r *Result) Plan() *core.ExecPlan { return r.inner.Plan }
 
-// Monitor exposes the run's collected statistics.
-func (r *Result) Monitor() *monitor.Monitor { return r.mon }
+// Record is the run record: the plan as finally run and one entry per stage
+// execution, loop bodies included round by round. It holds no result data,
+// so it can outlive the Result; internal/monitor reads its entries.
+type Record = executor.Record
+
+// Record returns the run's record.
+func (r *Result) Record() Record { return r.inner.Record }
 
 // Profile is the EXPLAIN ANALYZE-style resource report of an executed job:
 // per-stage observed wall/CPU/alloc/bytes paired with the optimizer's cost
@@ -313,7 +315,7 @@ func (r *Result) Monitor() *monitor.Monitor { return r.mon }
 type Profile = executor.Profile
 
 // Profile builds the run's resource profile.
-func (r *Result) Profile() *Profile { return executor.BuildProfile(r.ep, r.inner) }
+func (r *Result) Profile() *Profile { return r.inner.Profile() }
 
 // Optimize compiles a plan without executing it (the --explain path).
 func (c *Context) Optimize(p *core.Plan, options ...ExecOption) (*core.ExecPlan, error) {
@@ -387,14 +389,12 @@ func (c *Context) ExecutePlanned(p *core.Plan, ep *core.ExecPlan, options ...Exe
 }
 
 func (c *Context) execute(ctx context.Context, p *core.Plan, ep *core.ExecPlan, opts optimizer.Options, ec *execConfig) (*Result, error) {
-	mon := monitor.New()
-	ex := &executor.Executor{Registry: c.Registry, Monitor: mon, Sniffers: ec.sniffers, Metrics: c.Metrics, Remote: c.remoteRunner}
+	ex := &executor.Executor{Registry: c.Registry, Sniffers: ec.sniffers, Metrics: c.Metrics, Remote: c.remoteRunner}
 	if ec.resultCache && c.Cache != nil {
 		ex.Cache = c.Cache
 	}
-	var re *progressive.Reoptimizer
 	if ec.progressive {
-		re = progressive.New(p, ep, opts)
+		re := progressive.New(p, ep, opts)
 		re.MismatchFactor = ec.mismatchFactor
 		ex.Checkpoint = re.Checkpoint
 	}
@@ -402,17 +402,10 @@ func (c *Context) execute(ctx context.Context, p *core.Plan, ep *core.ExecPlan, 
 	if err != nil {
 		return nil, err
 	}
-	finalEP := ep
-	if re != nil {
-		finalEP = re.Current()
-	}
 	if ec.collectLogs != nil {
-		*ec.collectLogs = append(*ec.collectLogs, costlearn.LogsFromStats(finalEP, res.Stats)...)
-		for _, body := range finalEP.LoopBodies {
-			*ec.collectLogs = append(*ec.collectLogs, costlearn.LogsFromStats(body, res.Stats)...)
-		}
+		*ec.collectLogs = append(*ec.collectLogs, costlearn.LogsFromStats(res.Entries)...)
 	}
-	return &Result{inner: res, ep: finalEP, mon: mon}, nil
+	return &Result{inner: res}, nil
 }
 
 // Explain renders the plan and its chosen execution plan.

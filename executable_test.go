@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"rheem/internal/core"
+	"rheem/internal/monitor"
 	"rheem/internal/trace"
 )
 
@@ -133,7 +134,7 @@ func TestReplanRunsNothingTwice(t *testing.T) {
 			t.Errorf("n=%d: %d distinct values, want %d", n, len(out), (n+1)/2)
 		}
 		ran := map[*core.Operator]bool{}
-		for _, st := range res.inner.Stats {
+		for _, st := range res.inner.Entries {
 			for _, op := range st.Stage.Ops {
 				if ran[op] {
 					t.Errorf("n=%d: %s ran in two stages", n, op)
@@ -228,5 +229,169 @@ func TestNestedLoops(t *testing.T) {
 	_, err := nestedLoopPlan(fastCtx(t), false, true).Collect()
 	if err == nil || !strings.Contains(err.Error(), "cannot skip a nesting level") {
 		t.Fatalf("a reference two plans up: %v; want core.Plan.Validate to say it skips a level", err)
+	}
+}
+
+// stagesCounted sums rheem_executor_stages_total over its platforms.
+func stagesCounted(ctx *Context) (n float64) {
+	for _, fam := range ctx.Metrics.Snapshot().Families {
+		if fam.Name == "rheem_executor_stages_total" {
+			for _, series := range fam.Series {
+				n += series.Value
+			}
+		}
+	}
+	return n
+}
+
+// executions adds to want how often a run of ep executes each of its
+// operators: once at the top level, once per round in a Repeat's body, nested
+// bodies included. A loop operator itself runs in the executor, on no driver.
+func executions(ep *core.ExecPlan, times int, want map[*core.Operator]int) {
+	for _, op := range ep.Plan.Operators() {
+		if body := ep.LoopBodies[op]; body != nil {
+			executions(body, times*op.Params.Iterations, want)
+		} else {
+			want[op] = times
+		}
+	}
+}
+
+// TestRunRecordIsComplete: every stage execution of a run — top-level, loop
+// body, nested body, before and after a replan — is one entry of the run
+// record, and the stage spans, the stage counter, the profile and the monitor
+// summary are the same list read five ways.
+func TestRunRecordIsComplete(t *testing.T) {
+	ctx := fastCtx(t)
+	check := func(name string, plan *core.Plan, wantReplans int, options ...ExecOption) {
+		t.Helper()
+		tr := trace.New(trace.KindJob, name)
+		counted := stagesCounted(ctx)
+		res, err := ctx.ExecuteCtx(trace.NewContext(context.Background(), tr.Root()), plan, options...)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", name, err, plan)
+		}
+		tr.Root().End()
+		if res.Replans() != wantReplans {
+			t.Fatalf("%s: %d replans, want %d", name, res.Replans(), wantReplans)
+		}
+		record, prof, snap := res.Record().Entries, res.Profile(), monitor.Summarize(res.Record().Entries)
+
+		spans := 0
+		for _, sp := range tr.Snapshot().FindAll(trace.KindStage) {
+			if _, ok := sp.Attr("platform"); ok { // a loop's pseudo-stage has none
+				spans++
+			}
+		}
+		delta := int(stagesCounted(ctx) - counted)
+		if n := len(record); n == 0 || spans != n || delta != n || len(prof.Stages) != n || len(snap.Stages) != n {
+			t.Fatalf("%s: %d record entries, %d stage spans with a platform, stage counter +%d, %d profile stages, %d summary stages\n%s",
+				name, n, spans, delta, len(prof.Stages), len(snap.Stages), res.Plan())
+		}
+
+		want, got := map[*core.Operator]int{}, map[*core.Operator]int{}
+		executions(res.Plan(), 1, want)
+		var quantaOut int64
+		for i, st := range record {
+			var cards, summarized int64
+			for op, os := range st.Ops {
+				got[op]++
+				cards += os.OutCard
+			}
+			for _, o := range snap.Stages[i].Ops {
+				summarized += o.OutCard
+			}
+			if len(snap.Stages[i].Ops) != len(st.Ops) || summarized != cards {
+				t.Errorf("%s: %s: the summary holds %d operators and %d quanta, the record %d and %d", name, st.Stage, len(snap.Stages[i].Ops), summarized, len(st.Ops), cards)
+			}
+			if (st.Loop != nil) != (st.Stage.ExecPlan != res.Plan()) && wantReplans == 0 {
+				t.Errorf("%s: %s ran under loop %v, which its plan contradicts", name, st.Stage, st.Loop)
+			}
+			for _, op := range st.Stage.TerminalOuts {
+				quantaOut += st.Ops[op].OutCard
+			}
+		}
+		for op, n := range want {
+			if got[op] != n {
+				t.Errorf("%s: %s was observed %d times over %d executions", name, op, got[op], n)
+			}
+		}
+		if len(got) != len(want) {
+			t.Errorf("%s: %d operators observed, the executed plans hold %d", name, len(got), len(want))
+		}
+		if prof.QuantaOut != quantaOut {
+			t.Errorf("%s: the profile reports %d quanta out, the record %d", name, prof.QuantaOut, quantaOut)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(26))
+	for i := 0; i < 40; i++ {
+		seed := rng.Int63()
+		build, shape := randomPlan, "random"
+		if i%2 == 1 {
+			build, shape = randomLoopPlan, "loop"
+		}
+		plan, _ := build(ctx, rand.New(rand.NewSource(seed)), i)
+		pinRandomly(plan, rand.New(rand.NewSource(seed)))
+		check(fmt.Sprintf("%s-%d", shape, i), plan, 0, WithProgressive(false))
+	}
+
+	// A Repeat of five rounds over a one-stage body: source, loop and sink
+	// stages are two entries (the loop's is none) and the body's five.
+	b := ctx.NewPlan("five-rounds")
+	b.LoadCollection("seed", []any{int64(1)}).Repeat(5, func(l *LoopBody) {
+		l.Yield(l.Var("x").Map("double", func(q any) any { return q.(int64) * 2 }))
+	}).CollectSink()
+	pinAll(b.Plan(), "streams")
+	res, err := ctx.Execute(b.Plan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res.Record().Entries); n != 7 || len(res.Profile().Stages) != 7 {
+		t.Errorf("five rounds of a one-stage body: %d record entries, %d profile stages, want 7", n, len(res.Profile().Stages))
+	}
+	check("five-rounds", b.Plan(), 0, WithResultCache(false))
+
+	for _, trailingMap := range []bool{false, true} {
+		nested := nestedLoopPlan(ctx, trailingMap, false)
+		nested.CollectSink()
+		check(fmt.Sprintf("nested-%v", trailingMap), nested.b.Plan(), 0)
+	}
+
+	// A lying selectivity forces one replan: the executed prefix is in the
+	// record once, under the plan it ran.
+	data := make([]any, 20_000)
+	for i := range data {
+		data[i] = int64(i)
+	}
+	b = ctx.NewPlan("replanned")
+	b.LoadCollection("src", data).Filter("keep", func(any) bool { return true }).WithSelectivity(0.0001).
+		Map("half", func(q any) any { return q.(int64) / 2 }).Distinct().CollectSink()
+	check("replanned", b.Plan(), 1)
+}
+
+// TestLogCollectionIncludesLoopBodies: WithLogCollection hands the cost learner
+// a loop body's stages once per round, not only the stages around the loop.
+func TestLogCollectionIncludesLoopBodies(t *testing.T) {
+	ctx := fastCtx(t)
+	b := ctx.NewPlan("logged-loop")
+	b.LoadCollection("seed", []any{int64(1), int64(2)}).Repeat(3, func(l *LoopBody) {
+		l.Yield(l.Var("x").Map("double", func(q any) any { return q.(int64) * 2 }))
+	}).CollectSink()
+	pinAll(b.Plan(), "streams")
+	var logs []StageLog
+	if _, err := ctx.Execute(b.Plan(), WithLogCollection(&logs)); err != nil {
+		t.Fatal(err)
+	}
+	rounds := 0
+	for _, l := range logs {
+		for _, op := range l.Ops {
+			if op.CostKey == "streams.map" && op.InCard == 2 && op.OutCard == 2 {
+				rounds++
+			}
+		}
+	}
+	if rounds != 3 {
+		t.Fatalf("the body's map was logged %d times over 3 rounds: %+v", rounds, logs)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"rheem/internal/core"
+	"rheem/internal/monitor"
 	"rheem/internal/platform/platformtest"
 )
 
@@ -57,7 +58,7 @@ func checkAgainstInterpreter(t *testing.T, build func(*Context) (*core.Plan, *co
 			t.Fatalf("%s on %v: sink %s: %v\n%s", tag, res.Platforms(), sink, err, plan)
 		}
 	}
-	cards := res.Monitor().ObservedCards()
+	cards := monitor.ObservedCards(res.Record().Entries)
 	for _, op := range plan.Operators() {
 		if n, ok := cards[op]; !ok || n != int64(len(want[op])) {
 			t.Fatalf("%s on %v: %s reported cardinality %d (reported=%v), reference %d\n%s",

@@ -25,4 +25,15 @@ var dictColumnsBuilt atomic.Int64
 // process has materialized since start.
 func DictColumnsBuilt() int64 { return dictColumnsBuilt.Load() }
 
-func addDictColumn() { dictColumnsBuilt.Add(1) }
+// dictColumnsUntaken are the built columns TakeDictColumns has not handed out.
+var dictColumnsUntaken atomic.Int64
+
+// TakeDictColumns returns the dictionary columns built since its last call.
+// Whoever exports the total as a counter adds what it takes, so every column
+// is counted once however many jobs, executors and goroutines ask.
+func TakeDictColumns() int64 { return dictColumnsUntaken.Swap(0) }
+
+func addDictColumn() {
+	dictColumnsBuilt.Add(1)
+	dictColumnsUntaken.Add(1)
+}

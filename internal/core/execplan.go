@@ -71,6 +71,16 @@ type Assignment struct {
 	CoveredBy *Operator
 }
 
+// OwnCost is the cost estimate the operator carries itself. An operator the
+// plan never placed (nil) has none, and neither has one fused into an earlier
+// operator's alternative: the chain head's estimate prices the whole kernel.
+func (a *Assignment) OwnCost() (CostInterval, bool) {
+	if a == nil || a.CoveredBy != nil {
+		return CostInterval{}, false
+	}
+	return a.CostEst, true
+}
+
 // MovementPlan records how the output of a producer operator reaches its
 // consumers on other platforms: a conversion tree rooted at the producer's
 // output channel.
@@ -325,8 +335,32 @@ func (s *Stage) String() string {
 
 // OpStats are the monitor's per-operator observations within a stage run.
 type OpStats struct {
-	OutCard int64
+	OutCard int64         // true output cardinality
 	Runtime time.Duration // attributed share of the stage runtime
+}
+
+// Observation pairs what the optimizer assigned one operator, under the plan
+// its stage ran (nil when that plan does not place it), with what the stage
+// observed of it.
+type Observation struct {
+	Op       *Operator
+	Assigned *Assignment
+	OpStats
+	Observed bool
+}
+
+// Observations calls fn for each operator of the stage, in stage order. It is
+// the one join of estimate and observation: profiles, spans, the monitor's
+// snapshot and the cost learner's logs are all renderings of it.
+func (st *StageStats) Observations(fn func(Observation)) {
+	for _, op := range st.Stage.Ops {
+		o := Observation{Op: op}
+		if ep := st.Stage.ExecPlan; ep != nil {
+			o.Assigned = ep.Assignments[op]
+		}
+		o.OpStats, o.Observed = st.Ops[op]
+		fn(o)
+	}
 }
 
 // VectorChainStats describes the columnar execution of one fused chain: how
@@ -343,12 +377,16 @@ type VectorChainStats struct {
 	AggRows    int64       // surviving rows the aggregation kernel absorbed
 }
 
-// StageStats are the monitor's observations of one stage execution.
+// StageStats are the monitor's observations of one stage execution: one entry
+// of the run record. The plan the stage ran under is Stage.ExecPlan.
 type StageStats struct {
-	Stage    *Stage
-	Runtime  time.Duration
-	OutCards map[*Operator]int64 // true output cardinalities
-	Ops      map[*Operator]OpStats
+	Stage   *Stage
+	Runtime time.Duration
+	Ops     map[*Operator]OpStats
+	// Loop and Round place a loop-body stage: the loop whose body it belongs
+	// to and the iteration it ran in. Loop is nil for a top-level stage.
+	Loop  *Operator
+	Round int
 	// FusedChains lists the narrow-operator chains the engine executed as
 	// single-pass fused kernels (each entry is the chain's ops, head first).
 	FusedChains [][]*Operator

@@ -8,7 +8,6 @@ import (
 
 	"rheem/internal/core"
 	"rheem/internal/executor"
-	"rheem/internal/monitor"
 	"rheem/internal/optimizer"
 	"rheem/internal/platform/spark"
 	"rheem/internal/platform/streams"
@@ -145,12 +144,40 @@ func TestGenerateLogsProducesAllTopologies(t *testing.T) {
 	if !platforms["streams"] || !platforms["spark"] {
 		t.Fatalf("platforms = %v", platforms)
 	}
-	// Logs must cover joins (merge), loops bodies (iterative) and
-	// aggregation (pipeline).
+	// Logs must cover joins (merge), aggregation and narrow operators
+	// (pipeline). spark.map says nothing about loops — the pipeline has a
+	// map too; TestIterativeTopologyLogsItsBody holds the loop bodies.
 	for _, want := range []string{"streams.join", "streams.reduce-by", "spark.map"} {
 		if !keys[want] {
 			t.Errorf("cost key %s missing from generated logs (have %v)", want, keys)
 		}
+	}
+}
+
+// TestIterativeTopologyLogsItsBody: the iterative topology alone trains the
+// learner on its loop body — one log per round, with the cardinalities the
+// body's map saw — besides the source and sink around the loop.
+func TestIterativeTopologyLogsItsBody(t *testing.T) {
+	plan := buildTopology("iterative", 200, false)
+	pin(plan, "streams")
+	logs, err := runPlanForLogs(newLogEnv(t), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var steps []OpLog
+	for _, l := range logs {
+		for _, op := range l.Ops {
+			if op.CostKey == "streams.map" {
+				steps = append(steps, op)
+				if l.Platform != "streams" || l.RuntimeMs <= 0 {
+					t.Errorf("body stage log = %+v", l)
+				}
+			}
+		}
+	}
+	want := OpLog{CostKey: "streams.map", InCard: 200, OutCard: 200}
+	if !reflect.DeepEqual(steps, []OpLog{want, want, want}) {
+		t.Fatalf("3 rounds over 200 quanta logged the body's map as %+v\nall logs: %+v", steps, logs)
 	}
 }
 
@@ -185,9 +212,8 @@ func TestEndToEndLearnedModelIsUsable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := monitor.New()
 	re := progressive.New(p, ep, opts)
-	ex := &executor.Executor{Registry: reg, Monitor: mon, Checkpoint: re.Checkpoint}
+	ex := &executor.Executor{Registry: reg, Checkpoint: re.Checkpoint}
 	res, err := ex.Run(ep)
 	if err != nil {
 		t.Fatal(err)

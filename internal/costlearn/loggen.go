@@ -9,42 +9,38 @@ import (
 	"rheem/internal/optimizer"
 )
 
-// LogsFromStats converts executed-stage statistics into training logs,
-// resolving each operator's cost key from the execution plan's assignment
-// and its input cardinality from its producers' observed output counts.
-func LogsFromStats(ep *core.ExecPlan, stats []*core.StageStats) []StageLog {
+// LogsFromStats converts a run record into training logs, one per stage
+// execution — a loop body's stages once per round — resolving each operator's
+// cost key from its assignment under the plan its stage ran and its input
+// cardinality from its producers' observed output counts.
+func LogsFromStats(record []*core.StageStats) []StageLog {
 	var out []StageLog
-	for _, st := range stats {
-		if st.Stage == nil || st.Stage.Platform == "" {
-			continue
-		}
+	for _, st := range record {
 		l := StageLog{
 			Platform:  st.Stage.Platform,
 			RuntimeMs: float64(st.Runtime) / float64(time.Millisecond),
 		}
-		for _, op := range st.Stage.Ops {
-			a := ep.Assignments[op]
-			if a == nil || a.CoveredBy != nil || len(a.Alt.Steps) == 0 {
-				continue
+		st.Observations(func(o core.Observation) {
+			if _, priced := o.Assigned.OwnCost(); !priced || len(o.Assigned.Alt.Steps) == 0 {
+				return
 			}
 			var inCard int64
-			if len(op.Inputs()) == 0 {
-				inCard = st.OutCards[op]
-			} else {
-				for _, producer := range op.Inputs() {
-					if n, ok := st.OutCards[producer]; ok {
-						inCard += n
-					} else if pa := ep.Assignments[producer]; pa != nil {
-						inCard += int64(pa.OutCard.Geomean())
-					}
+			for _, producer := range o.Op.Inputs() {
+				if ps, ok := st.Ops[producer]; ok {
+					inCard += ps.OutCard
+				} else if pa := st.Stage.ExecPlan.Assignments[producer]; pa != nil {
+					inCard += int64(pa.OutCard.Geomean())
 				}
 			}
+			if len(o.Op.Inputs()) == 0 {
+				inCard = o.OutCard // a source reads what it emits
+			}
 			l.Ops = append(l.Ops, OpLog{
-				CostKey: a.Alt.Steps[0].CostKeyOrName(),
+				CostKey: o.Assigned.Alt.Steps[0].CostKeyOrName(),
 				InCard:  inCard,
-				OutCard: st.OutCards[op],
+				OutCard: o.OutCard,
 			})
-		}
+		})
 		if len(l.Ops) > 0 {
 			out = append(out, l)
 		}
@@ -128,14 +124,7 @@ func runPlanForLogs(reg *core.Registry, plan *core.Plan) ([]StageLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	logs := LogsFromStats(ep, res.Stats)
-	for loop, body := range ep.LoopBodies {
-		_ = loop
-		// Loop-body stages recorded their stats through the same run; the
-		// assignments live in the body plan.
-		logs = append(logs, LogsFromStats(body, res.Stats)...)
-	}
-	return logs, nil
+	return LogsFromStats(res.Entries), nil
 }
 
 // buildTopology constructs a synthetic plan of the given topology and size.

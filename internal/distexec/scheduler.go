@@ -138,8 +138,8 @@ func (s *Scheduler) RunStage(ctx context.Context, runID string, st *core.Stage, 
 func stageCostMs(st *core.Stage) float64 {
 	var total float64
 	for _, op := range st.Ops {
-		if a := st.ExecPlan.Assignments[op]; a != nil && a.CoveredBy == nil {
-			total += a.CostEst.Geomean()
+		if cost, ok := st.ExecPlan.Assignments[op].OwnCost(); ok {
+			total += cost.Geomean()
 		}
 	}
 	return total
@@ -293,7 +293,6 @@ func decodeStats(st *core.Stage, byWire map[int]*core.Operator, w statsWire, pee
 	stats := &core.StageStats{
 		Stage:      st,
 		Runtime:    time.Duration(w.RuntimeNs),
-		OutCards:   map[*core.Operator]int64{},
 		Ops:        map[*core.Operator]core.OpStats{},
 		CPUTime:    time.Duration(w.CPUNs),
 		AllocBytes: w.AllocBytes,
@@ -301,25 +300,33 @@ func decodeStats(st *core.Stage, byWire map[int]*core.Operator, w statsWire, pee
 		InQuanta:   w.InQuanta,
 		Remote:     peer,
 	}
-	for id, card := range w.OutCards {
-		if op := byWire[id]; op != nil {
-			stats.OutCards[op] = card
-		}
-	}
 	for id, os := range w.Ops {
 		if op := byWire[id]; op != nil {
 			stats.Ops[op] = core.OpStats{OutCard: os.OutCard, Runtime: time.Duration(os.RuntimeNs)}
 		}
 	}
-	for _, chain := range w.FusedChains {
+	// originChain translates a chain back, nil when an id is unknown here.
+	originChain := func(chain []int) []*core.Operator {
 		ops := make([]*core.Operator, 0, len(chain))
 		for _, id := range chain {
 			if op := byWire[id]; op != nil {
 				ops = append(ops, op)
 			}
 		}
-		if len(ops) == len(chain) {
+		if len(ops) != len(chain) {
+			return nil
+		}
+		return ops
+	}
+	for _, chain := range w.FusedChains {
+		if ops := originChain(chain); ops != nil {
 			stats.FusedChains = append(stats.FusedChains, ops)
+		}
+	}
+	for _, v := range w.Vectorized {
+		if ops := originChain(v.Ops); ops != nil {
+			stats.Vectorized = append(stats.Vectorized, core.VectorChainStats{Ops: ops, VecSteps: v.VecSteps, Batches: v.Batches, Rows: v.Rows,
+				Fallbacks: v.Fallbacks, AggBatches: v.AggBatches, AggRows: v.AggRows})
 		}
 	}
 	return stats

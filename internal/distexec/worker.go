@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime/metrics"
 	"strings"
 	"time"
 
 	"rheem/internal/core"
+	"rheem/internal/executor"
 	"rheem/internal/platform/driverutil"
 	"rheem/internal/storage/dfs"
 	"rheem/internal/telemetry"
@@ -51,9 +51,20 @@ type statsWire struct {
 	AllocBytes  int64               `json:"alloc_bytes"`
 	BytesMoved  int64               `json:"bytes_moved"`
 	InQuanta    int64               `json:"in_quanta"`
-	OutCards    map[int]int64       `json:"out_cards,omitempty"`
 	Ops         map[int]opStatsWire `json:"ops,omitempty"`
 	FusedChains [][]int             `json:"fused_chains,omitempty"`
+	Vectorized  []vecChainWire      `json:"vectorized,omitempty"`
+}
+
+// vecChainWire is core.VectorChainStats with the chain as wire ids.
+type vecChainWire struct {
+	Ops        []int `json:"ops"`
+	VecSteps   int   `json:"vec_steps"`
+	Batches    int64 `json:"batches"`
+	Rows       int64 `json:"rows"`
+	Fallbacks  int64 `json:"fallbacks"`
+	AggBatches int64 `json:"agg_batches,omitempty"`
+	AggRows    int64 `json:"agg_rows,omitempty"`
 }
 
 type opStatsWire struct {
@@ -101,7 +112,7 @@ func (s *Scheduler) HandleExecStage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	before := sampleWorkerUsage()
+	before := executor.SampleUsage()
 	in := core.NewInputs()
 	in.Round = frag.Round
 	var inQuanta int64
@@ -135,7 +146,7 @@ func (s *Scheduler) HandleExecStage(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	outs, stats, err := safeExecute(driver, stage, in)
 	elapsed := time.Since(start)
-	after := sampleWorkerUsage()
+	after := executor.SampleUsage()
 	if err != nil {
 		execSp.SetAttr("error", err.Error())
 		execSp.End()
@@ -228,17 +239,9 @@ func (s *Scheduler) encodeOut(runID, fragID string, wireID int, ch *core.Channel
 
 // buildStatsWire folds the driver's stage stats and the worker's usage
 // deltas into the wire report.
-func buildStatsWire(stats *core.StageStats, byWire map[int]*core.Operator, before, after workerUsage, elapsed time.Duration, inQuanta int64) statsWire {
-	w := statsWire{RuntimeNs: int64(elapsed), InQuanta: inQuanta}
-	if before.cpuOK && after.cpuOK && after.cpuSeconds > before.cpuSeconds {
-		w.CPUNs = int64((after.cpuSeconds - before.cpuSeconds) * float64(time.Second))
-	}
-	if before.allocOK && after.allocOK && after.allocBytes > before.allocBytes {
-		w.AllocBytes = int64(after.allocBytes - before.allocBytes)
-	}
-	if after.codecBytes > before.codecBytes {
-		w.BytesMoved = after.codecBytes - before.codecBytes
-	}
+func buildStatsWire(stats *core.StageStats, byWire map[int]*core.Operator, before, after executor.Usage, elapsed time.Duration, inQuanta int64) statsWire {
+	cpu, alloc, codec := after.Since(before)
+	w := statsWire{RuntimeNs: int64(elapsed), CPUNs: int64(cpu), AllocBytes: alloc, BytesMoved: codec, InQuanta: inQuanta}
 	if stats == nil {
 		return w
 	}
@@ -249,13 +252,18 @@ func buildStatsWire(stats *core.StageStats, byWire map[int]*core.Operator, befor
 	for id, op := range byWire {
 		rev[op] = id
 	}
-	for op, card := range stats.OutCards {
-		if id, ok := rev[op]; ok {
-			if w.OutCards == nil {
-				w.OutCards = map[int]int64{}
+	// wireChain translates a chain to wire ids, nil when an operator has none.
+	wireChain := func(chain []*core.Operator) []int {
+		ids := make([]int, 0, len(chain))
+		for _, op := range chain {
+			if id, ok := rev[op]; ok {
+				ids = append(ids, id)
 			}
-			w.OutCards[id] = card
 		}
+		if len(ids) != len(chain) {
+			return nil
+		}
+		return ids
 	}
 	for op, os := range stats.Ops {
 		if id, ok := rev[op]; ok {
@@ -266,43 +274,17 @@ func buildStatsWire(stats *core.StageStats, byWire map[int]*core.Operator, befor
 		}
 	}
 	for _, chain := range stats.FusedChains {
-		ids := make([]int, 0, len(chain))
-		for _, op := range chain {
-			if id, ok := rev[op]; ok {
-				ids = append(ids, id)
-			}
-		}
-		if len(ids) == len(chain) {
+		if ids := wireChain(chain); ids != nil {
 			w.FusedChains = append(w.FusedChains, ids)
 		}
 	}
+	for _, v := range stats.Vectorized {
+		if ids := wireChain(v.Ops); ids != nil {
+			w.Vectorized = append(w.Vectorized, vecChainWire{Ops: ids, VecSteps: v.VecSteps, Batches: v.Batches, Rows: v.Rows,
+				Fallbacks: v.Fallbacks, AggBatches: v.AggBatches, AggRows: v.AggRows})
+		}
+	}
 	return w
-}
-
-// workerUsage mirrors the executor's process-level resource sample (see
-// internal/executor/resources.go) for worker-side stage measurement.
-type workerUsage struct {
-	cpuSeconds float64
-	cpuOK      bool
-	allocBytes uint64
-	allocOK    bool
-	codecBytes int64
-}
-
-func sampleWorkerUsage() workerUsage {
-	samples := []metrics.Sample{
-		{Name: "/cpu/classes/user:cpu-seconds"},
-		{Name: "/gc/heap/allocs:bytes"},
-	}
-	metrics.Read(samples)
-	out := workerUsage{codecBytes: core.CodecBytesMoved()}
-	if samples[0].Value.Kind() == metrics.KindFloat64 {
-		out.cpuSeconds, out.cpuOK = samples[0].Value.Float64(), true
-	}
-	if samples[1].Value.Kind() == metrics.KindUint64 {
-		out.allocBytes, out.allocOK = samples[1].Value.Uint64(), true
-	}
-	return out
 }
 
 // HandleExecShuffle streams one shuffle file's raw bytes. On-disk DFS

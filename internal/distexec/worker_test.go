@@ -2,12 +2,16 @@ package distexec
 
 import (
 	"context"
+	"encoding/json"
 	"net"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"rheem/internal/core"
+	"rheem/internal/executor"
 	"rheem/internal/platform/streams"
 	"rheem/internal/storage/dfs"
 	"rheem/internal/telemetry"
@@ -307,5 +311,36 @@ func TestShufflePathValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("missing shuffle file answered %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestStatsWireRoundTrip: a remotely executed stage's record entry has what a
+// local one has — per-operator observations once each, its fused chains and
+// what its vectorized chains did — after the trip over the wire.
+func TestStatsWireRoundTrip(t *testing.T) {
+	_, byWire, st := stubbedFragment(t, newTestPeer(t, 1<<20), "run-stats", []any{int64(1)})
+	m, f, sink := st.Ops[0], st.Ops[1], st.Ops[2]
+	local := &core.StageStats{
+		Stage:   st,
+		Runtime: 3 * time.Millisecond,
+		Ops: map[*core.Operator]core.OpStats{
+			m: {OutCard: 5, Runtime: time.Millisecond}, f: {OutCard: 4, Runtime: time.Millisecond}, sink: {OutCard: 4},
+		},
+		FusedChains: [][]*core.Operator{{m, f}},
+		Vectorized:  []core.VectorChainStats{{Ops: []*core.Operator{m, f}, VecSteps: 2, Batches: 3, Rows: 5, Fallbacks: 1, AggBatches: 2, AggRows: 4}},
+	}
+	usage := executor.SampleUsage()
+	raw, err := json.Marshal(buildStatsWire(local, byWire, usage, usage, time.Millisecond, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w statsWire
+	if err := json.Unmarshal(raw, &w); err != nil {
+		t.Fatal(err)
+	}
+	got := decodeStats(st, byWire, w, "peer:1")
+	local.InQuanta, local.Remote = 5, "peer:1"
+	if !reflect.DeepEqual(got, local) {
+		t.Fatalf("entry after the wire:\n got %+v\nwant %+v\nwire %s", got, local, raw)
 	}
 }

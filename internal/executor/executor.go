@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"rheem/internal/core"
-	"rheem/internal/monitor"
 	"rheem/internal/platform/driverutil"
 	"rheem/internal/telemetry"
 	"rheem/internal/trace"
@@ -21,18 +20,17 @@ import (
 
 // CheckpointFn is the progressive optimizer's hook. After each execution
 // wave the executor pauses at the optimization checkpoint and calls it with
-// the observed cardinalities and the already-executed operators; a non-nil
+// the run record so far and the already-executed operators; a non-nil
 // returned plan is the whole plan from then on. It must keep every executed
 // operator as it ran (optimizer.Options.Resume); the executor stages and
 // runs only what has not run yet.
 // ctx carries the current trace span, so a re-optimization annotates the
 // executing job's span tree with its replan span.
-type CheckpointFn func(ctx context.Context, observed map[*core.Operator]int64, executed map[*core.Operator]bool) (*core.ExecPlan, error)
+type CheckpointFn func(ctx context.Context, record []*core.StageStats, executed map[*core.Operator]bool) (*core.ExecPlan, error)
 
 // Executor runs execution plans over the registered platform drivers.
 type Executor struct {
 	Registry *core.Registry
-	Monitor  *monitor.Monitor
 	// Checkpoint, when set, is invoked at every optimization checkpoint.
 	Checkpoint CheckpointFn
 	// Sniffers attach exploratory-mode observers to operator outputs.
@@ -52,10 +50,6 @@ type Executor struct {
 	// offer falls back to the local path below — remote execution is an
 	// optimization, never a correctness dependency.
 	Remote RemoteStageRunner
-
-	// dictCols is the last core.DictColumnsBuilt() value folded into the
-	// dictionary-column metric (delta tracking of a process-wide counter).
-	dictCols int64
 }
 
 // RemoteFetchFn materializes the output of an operator produced outside
@@ -82,14 +76,26 @@ type ResultCache interface {
 	StoreResult(ctx context.Context, co *core.CacheOut, quanta []any) (int64, bool)
 }
 
-// Result is the outcome of a plan execution.
-type Result struct {
-	// Sinks holds one channel per sink operator.
-	Sinks map[*core.Operator]*core.Channel
-	// Stats are the per-stage statistics, in completion order.
-	Stats []*core.StageStats
+// Record is the run record: what one run did, stage by stage. run is its only
+// writer; the checkpoint's health check, the job status's monitor summary,
+// the profile, the stage and operator spans, the stage counters and the cost
+// learner's logs are all readings of it.
+type Record struct {
+	// Plan is the execution plan as finally run (after any replan).
+	Plan *core.ExecPlan
+	// Entries holds one entry per stage execution, in completion order:
+	// top-level, loop-body (once per round, Loop and Round set) and remote
+	// alike. A loop operator's own pseudo-stage runs no driver and has none.
+	Entries []*core.StageStats
 	// Replans counts progressive re-optimizations that occurred.
 	Replans int
+}
+
+// Result is the outcome of a plan execution.
+type Result struct {
+	Record
+	// Sinks holds one channel per sink operator.
+	Sinks map[*core.Operator]*core.Channel
 	// LoopOut carries the loop-output channel when the executed plan was a
 	// loop body.
 	LoopOut *core.Channel
@@ -134,7 +140,7 @@ func (ex *Executor) RunCtx(ctx context.Context, ep *core.ExecPlan) (*Result, err
 		// cancellation all release the run's distributed shuffle files.
 		defer ex.Remote.EndRun(runID)
 	}
-	return ex.run(ctx, ep, runID, nil, nil, 0)
+	return ex.run(ctx, ep, runID, bodyRun{})
 }
 
 // runSeq de-dupes run ids when crypto/rand is unavailable.
@@ -166,11 +172,23 @@ func (ex *Executor) registerMetricsHelp() {
 	ex.Metrics.Help("rheem_columnar_dict_columns_total", "Dictionary-encoded string columns built by the columnar plane (process-wide).")
 }
 
-// run executes ep; loopVar/refs are set for loop-body executions, refs holding
-// the channel each outer-reference placeholder of the body reads. runID names
-// the surrounding top-level run (the distributed shuffle namespace);
-// loop-body executions inherit it.
-func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, loopVar []any, refs map[*core.Operator]*core.Channel, round int) (*Result, error) {
+// bodyRun is what one round of a loop body runs with, besides the body's
+// plan; the zero value is a top-level run.
+type bodyRun struct {
+	loop    *core.Operator
+	round   int
+	loopVar []any
+	// refs holds the channel each outer-reference placeholder of the body reads.
+	refs map[*core.Operator]*core.Channel
+	// earlier are the record entries of the loop's earlier rounds; this round's
+	// record continues them, so a loop hands all its rounds upward as one list.
+	earlier []*core.StageStats
+}
+
+// run executes ep and writes the run record: every entry is appended here and
+// nowhere else. runID names the surrounding top-level run (the distributed
+// shuffle namespace); loop-body executions inherit it.
+func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, body bodyRun) (*Result, error) {
 	executedOps := map[*core.Operator]bool{}
 	stages, err := BuildStages(ep, executedOps)
 	if err != nil {
@@ -178,7 +196,7 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, lo
 	}
 	deps := stageDeps(ep, stages)
 
-	res := &Result{Sinks: map[*core.Operator]*core.Channel{}}
+	res := &Result{Sinks: map[*core.Operator]*core.Channel{}, Record: Record{Entries: body.earlier}}
 	chans := newChannelStore()
 	done := map[*core.Stage]bool{}
 
@@ -223,13 +241,14 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, lo
 		}
 		waveNo++
 		type outcome struct {
-			stage *core.Stage
-			outs  map[*core.Operator]*core.Channel
-			stats *core.StageStats
-			err   error
+			stage  *core.Stage
+			outs   map[*core.Operator]*core.Channel
+			stats  *core.StageStats   // a driver stage's entry
+			rounds []*core.StageStats // a loop's: its body's entries, every round
+			err    error
 		}
 		outcomes := make([]outcome, len(wave))
-		usageBefore := sampleUsage()
+		usageBefore := SampleUsage()
 		var wg sync.WaitGroup
 		for i, s := range wave {
 			wg.Add(1)
@@ -238,7 +257,9 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, lo
 				var stSp *trace.Span
 				if waveSp != nil {
 					stSp = waveSp.Start(trace.KindStage, s.String())
-					stSp.SetAttr("platform", s.Platform)
+					if s.Platform != "" { // a loop's pseudo-stage runs on none
+						stSp.SetAttr("platform", s.Platform)
+					}
 				}
 				defer stSp.End()
 				// Last-resort guard: a panic escaping a driver (e.g. a UDF
@@ -249,8 +270,8 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, lo
 					}
 				}()
 				if s.Platform == "" {
-					outs, err := ex.runLoopStage(trace.NewContext(ctx, stSp), ep, s, chans, runID)
-					outcomes[i] = outcome{stage: s, outs: outs, err: err}
+					outs, rounds, err := ex.runLoopStage(trace.NewContext(ctx, stSp), ep, s, chans, runID)
+					outcomes[i] = outcome{stage: s, outs: outs, rounds: rounds, err: err}
 					return
 				}
 				var outs map[*core.Operator]*core.Channel
@@ -262,7 +283,7 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, lo
 				// decline or remote failure falls through to the local
 				// retry loop below.
 				ran := false
-				if ex.Remote != nil && loopVar == nil && refs == nil {
+				if ex.Remote != nil && body.loop == nil {
 					if ex.Sniffers != nil {
 						s.Sniffers = ex.Sniffers // let the scheduler see (and refuse) sniffed ops
 					}
@@ -279,7 +300,7 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, lo
 						}
 						return data, ch.Card, nil
 					}
-					if rOuts, rStats, ok, rErr := ex.Remote.RunStage(ctx, runID, s, fetch, round, stSp); ok && rErr == nil {
+					if rOuts, rStats, ok, rErr := ex.Remote.RunStage(ctx, runID, s, fetch, body.round, stSp); ok && rErr == nil {
 						outs, stats, ran = rOuts, rStats, true
 					}
 				}
@@ -292,7 +313,7 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, lo
 					if stSp != nil && attempt > 0 {
 						retrySp = stSp.Start(trace.KindRetry, "retry-"+strconv.Itoa(attempt))
 					}
-					outs, stats, err = ex.runDriverStage(ep, s, chans, loopVar, refs, round, stSp)
+					outs, stats, err = ex.runDriverStage(ep, s, chans, body, stSp)
 					if err != nil {
 						retrySp.SetAttr("error", err.Error())
 					}
@@ -301,8 +322,11 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, lo
 						break
 					}
 				}
-				if stSp != nil && stats != nil {
-					annotateStageSpan(stSp, s, stats)
+				if stats != nil {
+					stats.Loop, stats.Round = body.loop, body.round
+					if stSp != nil {
+						annotateStageSpan(stSp, stats)
+					}
 				}
 				if err != nil {
 					stSp.SetAttr("error", err.Error())
@@ -324,7 +348,7 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, lo
 				waveStats = append(waveStats, oc.stats)
 			}
 		}
-		attributeUsage(usageBefore, sampleUsage(), waveStats)
+		attributeUsage(usageBefore, SampleUsage(), waveStats)
 
 		for _, oc := range outcomes {
 			if oc.err != nil {
@@ -346,53 +370,19 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, lo
 				}
 			}
 			if oc.stats != nil {
-				res.Stats = append(res.Stats, oc.stats)
-				if ex.Monitor != nil {
-					ex.Monitor.Record(oc.stats)
-				}
-				ex.Metrics.Counter("rheem_executor_stages_total", telemetry.L("platform", oc.stage.Platform)).Inc()
-				ex.Metrics.Counter("rheem_executor_stage_seconds_total", telemetry.L("platform", oc.stage.Platform)).Add(oc.stats.Runtime.Seconds())
-				if n := len(oc.stats.FusedChains); n > 0 {
-					ex.Metrics.Counter("rheem_fused_chains_total", telemetry.L("platform", oc.stage.Platform)).Add(float64(n))
-				}
-				if n := len(oc.stats.Vectorized); n > 0 {
-					pl := telemetry.L("platform", oc.stage.Platform)
-					ex.Metrics.Counter("rheem_columnar_chains_total", pl).Add(float64(n))
-					var batches, rows, fallbacks, aggBatches, aggRows int64
-					for _, v := range oc.stats.Vectorized {
-						batches += v.Batches
-						rows += v.Rows
-						fallbacks += v.Fallbacks
-						aggBatches += v.AggBatches
-						aggRows += v.AggRows
-					}
-					ex.Metrics.Counter("rheem_columnar_batches_total", pl).Add(float64(batches))
-					ex.Metrics.Counter("rheem_columnar_rows_total", pl).Add(float64(rows))
-					ex.Metrics.Counter("rheem_columnar_fallbacks_total", pl).Add(float64(fallbacks))
-					if aggBatches > 0 || aggRows > 0 {
-						ex.Metrics.Counter("rheem_columnar_agg_batches_total", pl).Add(float64(aggBatches))
-						ex.Metrics.Counter("rheem_columnar_agg_rows_total", pl).Add(float64(aggRows))
-					}
-				}
-				// Dictionary columns are built by a process-wide codec path
-				// (decode and batch construction), so the counter tracks the
-				// process total rather than a per-stage attribution.
-				if built := core.DictColumnsBuilt(); built > ex.dictCols {
-					ex.Metrics.Counter("rheem_columnar_dict_columns_total").Add(float64(built - ex.dictCols))
-					ex.dictCols = built
-				}
+				ex.countStage(oc.stats)
+				res.Entries = append(res.Entries, oc.stats)
 			}
+			res.Entries = append(res.Entries, oc.rounds...)
 		}
 
 		// Optimization checkpoint: the data produced so far is at rest
 		// (stage terminals are materialized); give the progressive
-		// optimizer a chance to re-plan the remainder.
-		if ex.Checkpoint != nil && len(done) < len(stages) {
-			observed := map[*core.Operator]int64{}
-			if ex.Monitor != nil {
-				observed = ex.Monitor.ObservedCards()
-			}
-			newEP, err := ex.Checkpoint(ctx, observed, executedOps)
+		// optimizer a chance to re-plan the remainder. A loop body's rounds
+		// have none: the hook re-plans the top-level plan, which holds none of
+		// a body's operators.
+		if ex.Checkpoint != nil && body.loop == nil && len(done) < len(stages) {
+			newEP, err := ex.Checkpoint(ctx, res.Entries, executedOps)
 			if err != nil {
 				return nil, fmt.Errorf("executor: progressive re-optimization: %w", err)
 			}
@@ -416,29 +406,67 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, lo
 		}
 		res.LoopOut = ch
 	}
+	res.Plan = ep
 	return res, nil
 }
 
-// annotateStageSpan enriches a completed stage's span: the measured stage
-// runtime, plus one attributed child span per operator carrying the
-// estimated vs. observed cardinality and their mismatch factor. Operator
-// runtimes are the monitor's attributed shares, laid out sequentially
-// ending at the stage's completion instant (attribution, not measurement).
-func annotateStageSpan(stSp *trace.Span, s *core.Stage, stats *core.StageStats) {
-	stSp.SetFloat("runtime_ms", float64(stats.Runtime)/float64(time.Millisecond))
+// countStage adds one record entry to the stage, fused-chain and columnar
+// counter families.
+func (ex *Executor) countStage(st *core.StageStats) {
+	pl := telemetry.L("platform", st.Stage.Platform)
+	ex.Metrics.Counter("rheem_executor_stages_total", pl).Inc()
+	ex.Metrics.Counter("rheem_executor_stage_seconds_total", pl).Add(st.Runtime.Seconds())
+	if n := len(st.FusedChains); n > 0 {
+		ex.Metrics.Counter("rheem_fused_chains_total", pl).Add(float64(n))
+	}
+	if n := len(st.Vectorized); n > 0 {
+		ex.Metrics.Counter("rheem_columnar_chains_total", pl).Add(float64(n))
+		var batches, rows, fallbacks, aggBatches, aggRows int64
+		for _, v := range st.Vectorized {
+			batches += v.Batches
+			rows += v.Rows
+			fallbacks += v.Fallbacks
+			aggBatches += v.AggBatches
+			aggRows += v.AggRows
+		}
+		ex.Metrics.Counter("rheem_columnar_batches_total", pl).Add(float64(batches))
+		ex.Metrics.Counter("rheem_columnar_rows_total", pl).Add(float64(rows))
+		ex.Metrics.Counter("rheem_columnar_fallbacks_total", pl).Add(float64(fallbacks))
+		if aggBatches > 0 || aggRows > 0 {
+			ex.Metrics.Counter("rheem_columnar_agg_batches_total", pl).Add(float64(aggBatches))
+			ex.Metrics.Counter("rheem_columnar_agg_rows_total", pl).Add(float64(aggRows))
+		}
+	}
+	// Dictionary columns are built by a process-wide codec path (decode and
+	// batch construction) and belong to no stage: the family takes whatever
+	// the process built since it was last fed.
+	if built := core.TakeDictColumns(); built > 0 {
+		ex.Metrics.Counter("rheem_columnar_dict_columns_total").Add(float64(built))
+	}
+}
+
+// annotateStageSpan renders one record entry onto its stage's span: the
+// measured stage runtime, one span per fused chain, and one attributed child
+// span per operator carrying the estimated vs. observed cardinality and their
+// mismatch factor. Operator runtimes are attributed shares, laid out
+// sequentially ending at the stage's completion instant (attribution, not
+// measurement).
+func annotateStageSpan(stSp *trace.Span, st *core.StageStats) {
+	platform := st.Stage.Platform
+	stSp.SetFloat("runtime_ms", float64(st.Runtime)/float64(time.Millisecond))
 	// One span per fused chain, carrying the single-pass kernel's op list
 	// and, when the chain's leading steps vectorized, the columnar-batch
 	// execution counters.
-	for _, chain := range stats.FusedChains {
+	for _, chain := range st.FusedChains {
 		names := make([]string, len(chain))
 		for i, op := range chain {
 			names[i] = op.String()
 		}
 		fuSp := stSp.Start(trace.KindFusedPipeline, "fused:"+strconv.Itoa(len(chain))+"-ops")
-		fuSp.SetAttr("platform", s.Platform)
+		fuSp.SetAttr("platform", platform)
 		fuSp.SetAttr("ops", strings.Join(names, " → "))
 		fuSp.SetInt("chain_len", int64(len(chain)))
-		for _, v := range stats.Vectorized {
+		for _, v := range st.Vectorized {
 			if len(chain) == 0 || len(v.Ops) == 0 || v.Ops[0] != chain[0] {
 				continue
 			}
@@ -456,27 +484,26 @@ func annotateStageSpan(stSp *trace.Span, s *core.Stage, stats *core.StageStats) 
 		fuSp.End()
 	}
 	var total time.Duration
-	for _, os := range stats.Ops {
+	for _, os := range st.Ops {
 		total += os.Runtime
 	}
 	cur := time.Now().Add(-total)
-	for _, op := range s.Ops {
-		os, ok := stats.Ops[op]
-		if !ok {
-			continue
+	st.Observations(func(o core.Observation) {
+		if !o.Observed {
+			return
 		}
-		opSp := stSp.AddTimed(trace.KindOperator, op.String(), cur, cur.Add(os.Runtime))
-		cur = cur.Add(os.Runtime)
-		opSp.SetAttr("platform", s.Platform)
-		opSp.SetInt("observed_card", os.OutCard)
-		if a := s.ExecPlan.Assignments[op]; a != nil {
-			opSp.SetAttr("estimated_card", a.OutCard.String())
-			opSp.SetFloat("mismatch_factor", a.OutCard.MismatchFactor(os.OutCard))
-			if a.CoveredBy == nil {
-				opSp.SetAttr("cost_est", a.CostEst.String())
-			}
+		opSp := stSp.AddTimed(trace.KindOperator, o.Op.String(), cur, cur.Add(o.Runtime))
+		cur = cur.Add(o.Runtime)
+		opSp.SetAttr("platform", platform)
+		opSp.SetInt("observed_card", o.OutCard)
+		if o.Assigned != nil {
+			opSp.SetAttr("estimated_card", o.Assigned.OutCard.String())
+			opSp.SetFloat("mismatch_factor", o.Assigned.OutCard.MismatchFactor(o.OutCard))
 		}
-	}
+		if cost, ok := o.Assigned.OwnCost(); ok {
+			opSp.SetAttr("cost_est", cost.String())
+		}
+	})
 }
 
 // storeCacheOut publishes one marked, already-materialized stage output to
@@ -511,13 +538,13 @@ func shortFingerprint(fp string) string {
 // runDriverStage prepares a stage's inputs (converting channels as needed,
 // emitting channel-conversion spans under sp) and hands it to its platform
 // driver.
-func (ex *Executor) runDriverStage(ep *core.ExecPlan, s *core.Stage, chans *channelStore, loopVar []any, refs map[*core.Operator]*core.Channel, round int, sp *trace.Span) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
+func (ex *Executor) runDriverStage(ep *core.ExecPlan, s *core.Stage, chans *channelStore, body bodyRun, sp *trace.Span) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
 	driver, err := ex.Registry.Driver(s.Platform)
 	if err != nil {
 		return nil, nil, err
 	}
 	in := core.NewInputs()
-	in.Round = round
+	in.Round = body.round
 	// inQuanta totals the quanta read from the stage's input channels (for
 	// resource profiles); channels of unknown cardinality contribute 0.
 	var inQuanta int64
@@ -528,8 +555,8 @@ func (ex *Executor) runDriverStage(ep *core.ExecPlan, s *core.Stage, chans *chan
 	}
 	// The loop-carried value binds exclusively to the designated LoopInput
 	// placeholder, never to other collection sources.
-	if loopVar != nil && ep.Plan.LoopInput != nil && s.Contains(ep.Plan.LoopInput) {
-		ch := driverutil.CollectionOf(loopVar)
+	if body.loopVar != nil && ep.Plan.LoopInput != nil && s.Contains(ep.Plan.LoopInput) {
+		ch := driverutil.CollectionOf(body.loopVar)
 		countIn(ch)
 		in.SetMain(ep.Plan.LoopInput, 0, ch)
 	}
@@ -559,7 +586,7 @@ func (ex *Executor) runDriverStage(ep *core.ExecPlan, s *core.Stage, chans *chan
 	// Loop-body placeholders referencing outer operators.
 	for _, op := range s.Ops {
 		if op.OuterRef != nil {
-			ch := refs[op]
+			ch := body.refs[op]
 			if ch == nil {
 				return nil, nil, fmt.Errorf("executor: %s references %s, which was not materialized", op, op.OuterRef)
 			}
@@ -577,12 +604,13 @@ func (ex *Executor) runDriverStage(ep *core.ExecPlan, s *core.Stage, chans *chan
 }
 
 // runLoopStage evaluates a loop operator: materialize the loop input,
-// iterate the optimized body plan, and publish the final value.
-func (ex *Executor) runLoopStage(ctx context.Context, ep *core.ExecPlan, s *core.Stage, chans *channelStore, runID string) (map[*core.Operator]*core.Channel, error) {
+// iterate the optimized body plan, and publish the final value together with
+// the record entries of every round's body stages.
+func (ex *Executor) runLoopStage(ctx context.Context, ep *core.ExecPlan, s *core.Stage, chans *channelStore, runID string) (map[*core.Operator]*core.Channel, []*core.StageStats, error) {
 	loop := s.Ops[0]
 	body := ep.LoopBodies[loop]
 	if body == nil {
-		return nil, fmt.Errorf("executor: loop %s has no optimized body", loop)
+		return nil, nil, fmt.Errorf("executor: loop %s has no optimized body", loop)
 	}
 	sp := trace.FromContext(ctx)
 	// Loop-carried value from the loop's input port.
@@ -590,11 +618,11 @@ func (ex *Executor) runLoopStage(ctx context.Context, ep *core.ExecPlan, s *core
 	if len(loop.Inputs()) > 0 {
 		ch, err := chans.fetch(ep, loop.Inputs()[0], []string{"collection"}, sp)
 		if err != nil {
-			return nil, fmt.Errorf("executor: loop %s input: %w", loop, err)
+			return nil, nil, fmt.Errorf("executor: loop %s input: %w", loop, err)
 		}
 		loopVar, err = driverutil.ChannelQuanta(ch)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	// Outer references: each placeholder of the body gets the referenced
@@ -604,7 +632,7 @@ func (ex *Executor) runLoopStage(ctx context.Context, ep *core.ExecPlan, s *core
 	for _, ref := range loop.OuterRefs() {
 		ch, err := chans.fetch(ep, ref.OuterRef, body.InChannels(ref), sp)
 		if err != nil {
-			return nil, fmt.Errorf("executor: loop %s outer ref %s: %w", loop, ref.OuterRef, err)
+			return nil, nil, fmt.Errorf("executor: loop %s outer ref %s: %w", loop, ref.OuterRef, err)
 		}
 		refs[ref] = ch
 	}
@@ -617,9 +645,10 @@ func (ex *Executor) runLoopStage(ctx context.Context, ep *core.ExecPlan, s *core
 			maxIters = 1 << 20
 		}
 	}
+	var rounds []*core.StageStats
 	for roundNo := 0; ; roundNo++ {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("executor: loop %s aborted at round %d: %w", loop, roundNo, err)
+			return nil, nil, fmt.Errorf("executor: loop %s aborted at round %d: %w", loop, roundNo, err)
 		}
 		if loop.Kind == core.KindRepeat && roundNo >= iters {
 			break
@@ -637,23 +666,24 @@ func (ex *Executor) runLoopStage(ctx context.Context, ep *core.ExecPlan, s *core
 			roundSp.SetInt("loop_var_card", int64(len(loopVar)))
 			roundCtx = trace.NewContext(ctx, roundSp)
 		}
-		sub, err := ex.run(roundCtx, body, runID, loopVar, refs, roundNo)
+		sub, err := ex.run(roundCtx, body, runID, bodyRun{loop: loop, round: roundNo, loopVar: loopVar, refs: refs, earlier: rounds})
 		if err != nil {
 			roundSp.SetAttr("error", err.Error())
 			roundSp.End()
-			return nil, fmt.Errorf("executor: loop %s round %d: %w", loop, roundNo, err)
+			return nil, nil, fmt.Errorf("executor: loop %s round %d: %w", loop, roundNo, err)
 		}
 		roundSp.End()
+		rounds = sub.Entries
 		if sub.LoopOut == nil {
-			return nil, fmt.Errorf("executor: loop %s body produced no output", loop)
+			return nil, nil, fmt.Errorf("executor: loop %s body produced no output", loop)
 		}
 		loopVar, err = driverutil.ChannelQuanta(sub.LoopOut)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	out := driverutil.CollectionOf(loopVar)
-	return map[*core.Operator]*core.Channel{loop: out}, nil
+	return map[*core.Operator]*core.Channel{loop: out}, rounds, nil
 }
 
 // channelStore tracks produced channels per operator, in all channel forms

@@ -25,7 +25,6 @@ type env struct {
 	dfs   *dfs.Store
 	store *relstore.Store
 	ex    *Executor
-	mon   *monitor.Monitor
 }
 
 func newEnv(t *testing.T) *env {
@@ -49,8 +48,7 @@ func newEnv(t *testing.T) *env {
 			t.Fatal(err)
 		}
 	}
-	mon := monitor.New()
-	return &env{reg: reg, dfs: store, store: rs, mon: mon, ex: &Executor{Registry: reg, Monitor: mon}}
+	return &env{reg: reg, dfs: store, store: rs, ex: &Executor{Registry: reg}}
 }
 
 func (e *env) optimize(t *testing.T, p *core.Plan) *core.ExecPlan {
@@ -125,11 +123,11 @@ func TestRunSimplePipeline(t *testing.T) {
 	if got := sortedInts(t, data); !reflect.DeepEqual(got, []int64{10, 12, 14, 16, 18}) {
 		t.Fatalf("got %v", got)
 	}
-	if len(res.Stats) == 0 {
+	if len(res.Entries) == 0 {
 		t.Fatal("no stage stats recorded")
 	}
-	if e.mon.ObservedCards()[f] != 5 {
-		t.Fatalf("monitor cards = %v", e.mon.ObservedCards())
+	if cards := monitor.ObservedCards(res.Entries); cards[f] != 5 {
+		t.Fatalf("monitor cards = %v", cards)
 	}
 }
 
@@ -493,11 +491,11 @@ func TestCheckpointReplans(t *testing.T) {
 
 	calls := 0
 	ep := e.optimize(t, p)
-	e.ex.Checkpoint = func(_ context.Context, observed map[*core.Operator]int64, executed map[*core.Operator]bool) (*core.ExecPlan, error) {
+	e.ex.Checkpoint = func(_ context.Context, record []*core.StageStats, executed map[*core.Operator]bool) (*core.ExecPlan, error) {
 		calls++
 		if calls == 1 {
 			// Re-optimize with the progress so far pinned.
-			return optimizer.Optimize(p, optimizer.Options{Registry: e.reg, Resume: &optimizer.Progress{Plan: ep, Executed: executed, Observed: observed}})
+			return optimizer.Optimize(p, optimizer.Options{Registry: e.reg, Resume: &optimizer.Progress{Plan: ep, Executed: executed, Observed: monitor.ObservedCards(record)}})
 		}
 		return nil, nil
 	}
@@ -651,8 +649,8 @@ func TestDiamondStageDAG(t *testing.T) {
 	if got := sortedInts(t, data); !reflect.DeepEqual(got, want) {
 		t.Fatalf("diamond result = %v, want %v", got, want)
 	}
-	if len(res.Stats) != 4 {
-		t.Errorf("stage stats = %d, want 4", len(res.Stats))
+	if len(res.Entries) != 4 {
+		t.Errorf("stage stats = %d, want 4", len(res.Entries))
 	}
 }
 

@@ -6,12 +6,12 @@ import (
 	"rheem/internal/core"
 )
 
-// EXPLAIN ANALYZE for jobs: BuildProfile folds a finished execution's stage
-// stats and the plan's cost estimates into one report pairing what the
-// optimizer predicted with what actually happened. The mismatch factors are
-// the feedstock for the learned-optimizer roadmap item — a stage whose
-// observed cost is 10x its estimate is exactly the training signal the
-// workload-aware cost model needs.
+// EXPLAIN ANALYZE for jobs: Record.Profile folds a finished run's record and
+// the plan's cost estimates into one report pairing what the optimizer
+// predicted with what actually happened. The mismatch factors are the
+// feedstock for the learned-optimizer roadmap item — a stage whose observed
+// cost is 10x its estimate is exactly the training signal the workload-aware
+// cost model needs.
 
 // Profile is the resource report of one executed job.
 type Profile struct {
@@ -33,10 +33,13 @@ type Profile struct {
 	Stages         []StageProfile `json:"stages"`
 }
 
-// StageProfile pairs one stage's observed resources with its estimate.
+// StageProfile pairs one stage's observed resources with its estimate. Loop
+// and Round are set on loop-body stages, which appear once per iteration.
 type StageProfile struct {
 	Stage    string `json:"stage"`
 	Platform string `json:"platform"`
+	Loop     string `json:"loop,omitempty"`
+	Round    int    `json:"round,omitempty"`
 	// Peer is the advertise address of the fleet peer that executed the
 	// stage remotely (distributed execution); empty for local stages. The
 	// resource figures below are then the peer's own measurements.
@@ -81,23 +84,20 @@ func mismatch(observed, estimated float64) float64 {
 	return estimated / observed
 }
 
-// BuildProfile assembles the profile of a finished execution. Stage order
-// follows execution (res.Stats is appended wave by wave). Loop-body stages
-// execute through nested plans whose stats feed the monitor, not the
-// top-level result, so they are not itemized here; their resources still
-// appear in the enclosing wave's attribution.
-func BuildProfile(ep *core.ExecPlan, res *Result) *Profile {
-	if res == nil {
-		return nil
+// Profile renders the record as a profile, stages in execution order. A
+// loop's body stages are itemized once per round, so the plan's estimate,
+// which prices every round of a body, is compared with wall time that holds
+// every round too.
+func (r *Record) Profile() *Profile {
+	p := &Profile{Replans: r.Replans}
+	if r.Plan != nil {
+		p.PlanCostMs = r.Plan.Cost.Geomean()
 	}
-	p := &Profile{Replans: res.Replans}
-	if ep != nil {
-		p.PlanCostMs = ep.Cost.Geomean()
-	}
-	for _, st := range res.Stats {
+	for _, st := range r.Entries {
 		sp := StageProfile{
 			Stage:      st.Stage.String(),
 			Platform:   st.Stage.Platform,
+			Round:      st.Round,
 			Peer:       st.Remote,
 			WallMs:     float64(st.Runtime) / float64(time.Millisecond),
 			CPUMs:      float64(st.CPUTime) / float64(time.Millisecond),
@@ -105,35 +105,36 @@ func BuildProfile(ep *core.ExecPlan, res *Result) *Profile {
 			BytesMoved: st.BytesMoved,
 			QuantaIn:   st.InQuanta,
 		}
+		if st.Loop != nil {
+			sp.Loop = st.Loop.String()
+		}
 		for _, op := range st.Stage.TerminalOuts {
-			sp.QuantaOut += st.OutCards[op]
+			sp.QuantaOut += st.Ops[op].OutCard
 		}
 		var est core.CostInterval
 		haveEst := false
-		for _, op := range st.Stage.Ops {
-			a := st.Stage.ExecPlan.Assignments[op]
-			os, observed := st.Ops[op]
-			if a == nil && !observed {
-				continue
+		st.Observations(func(o core.Observation) {
+			if o.Assigned == nil && !o.Observed {
+				return
 			}
-			opp := OpProfile{Operator: op.String()}
-			if observed {
-				opp.WallMs = float64(os.Runtime) / float64(time.Millisecond)
-				opp.ObservedCard = os.OutCard
+			opp := OpProfile{
+				Operator:     o.Op.String(),
+				WallMs:       float64(o.Runtime) / float64(time.Millisecond),
+				ObservedCard: o.OutCard,
 			}
-			if a != nil {
-				opp.EstimatedCard = a.OutCard.String()
-				if observed {
-					opp.CardMismatch = a.OutCard.MismatchFactor(os.OutCard)
+			if o.Assigned != nil {
+				opp.EstimatedCard = o.Assigned.OutCard.String()
+				if o.Observed {
+					opp.CardMismatch = o.Assigned.OutCard.MismatchFactor(o.OutCard)
 				}
-				if a.CoveredBy == nil {
-					opp.EstCostMs = a.CostEst.Geomean()
-					est = est.Add(a.CostEst)
-					haveEst = true
-				}
+			}
+			if cost, ok := o.Assigned.OwnCost(); ok {
+				opp.EstCostMs = cost.Geomean()
+				est = est.Add(cost)
+				haveEst = true
 			}
 			sp.Operators = append(sp.Operators, opp)
-		}
+		})
 		if haveEst {
 			sp.EstCostMs = est.Geomean()
 		}

@@ -21,7 +21,8 @@ const (
 	allocMetric = "/gc/heap/allocs:bytes"
 )
 
-type usageSample struct {
+// Usage is one reading of the process-level resource counters.
+type Usage struct {
 	cpuSeconds float64
 	cpuOK      bool
 	allocBytes uint64
@@ -29,13 +30,14 @@ type usageSample struct {
 	codecBytes int64
 }
 
-// sampleUsage reads the process-level resource counters. The sample slice
+// SampleUsage reads the process-level resource counters. The sample slice
 // is allocated per call: concurrent jobs (and nested loop-body executions)
-// sample independently.
-func sampleUsage() usageSample {
+// sample independently. A fleet worker brackets the one stage it runs with
+// the same two readings.
+func SampleUsage() Usage {
 	samples := []metrics.Sample{{Name: cpuMetric}, {Name: allocMetric}}
 	metrics.Read(samples)
-	out := usageSample{codecBytes: core.CodecBytesMoved()}
+	out := Usage{codecBytes: core.CodecBytesMoved()}
 	if samples[0].Value.Kind() == metrics.KindFloat64 {
 		out.cpuSeconds, out.cpuOK = samples[0].Value.Float64(), true
 	}
@@ -45,24 +47,28 @@ func sampleUsage() usageSample {
 	return out
 }
 
-// attributeUsage distributes the counter deltas between before and after
-// across the wave's stage stats, proportional to each stage's wall time.
-func attributeUsage(before, after usageSample, stats []*core.StageStats) {
-	if len(stats) == 0 {
-		return
-	}
-	var cpu time.Duration
+// Since returns how far the counters moved between before and after: CPU
+// time, allocated bytes and codec bytes (0 where a counter is unavailable).
+func (after Usage) Since(before Usage) (cpu time.Duration, alloc, codec int64) {
 	if before.cpuOK && after.cpuOK && after.cpuSeconds > before.cpuSeconds {
 		cpu = time.Duration((after.cpuSeconds - before.cpuSeconds) * float64(time.Second))
 	}
-	var alloc int64
 	if before.allocOK && after.allocOK && after.allocBytes > before.allocBytes {
 		alloc = int64(after.allocBytes - before.allocBytes)
 	}
-	var codec int64
 	if after.codecBytes > before.codecBytes {
 		codec = after.codecBytes - before.codecBytes
 	}
+	return cpu, alloc, codec
+}
+
+// attributeUsage distributes the counter deltas between before and after
+// across the wave's stage stats, proportional to each stage's wall time.
+func attributeUsage(before, after Usage, stats []*core.StageStats) {
+	if len(stats) == 0 {
+		return
+	}
+	cpu, alloc, codec := after.Since(before)
 	var wall time.Duration
 	for _, st := range stats {
 		wall += st.Runtime

@@ -1,86 +1,30 @@
-// Package monitor implements RHEEM's execution monitor (Section 4.3): it
-// collects light-weight statistics from every executed stage — true output
-// cardinalities and operator runtimes, with lazy-execution-aware
-// attribution done by the drivers — and checks execution health by
-// comparing observations against the optimizer's estimates. Large
-// mismatches hand control to the progressive optimizer.
+// Package monitor implements RHEEM's execution monitor (Section 4.3) as
+// functions of the run record. The executor collects each executed stage's
+// light-weight statistics once — true output cardinalities and operator
+// runtimes, with lazy-execution-aware attribution done by the drivers — in
+// one ordered list; this package reads that list: the cardinalities seen so
+// far, the health check comparing them against the optimizer's estimates
+// (large mismatches hand control to the progressive optimizer), and the
+// summary a job's status reports.
 package monitor
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"rheem/internal/core"
 )
 
-// Monitor accumulates observations across the stages of one plan execution.
-type Monitor struct {
-	mu       sync.Mutex
-	stages   []*core.StageStats
-	outCards map[*core.Operator]int64
-	opTimes  map[*core.Operator]time.Duration
-}
-
-// New creates an empty monitor.
-func New() *Monitor {
-	return &Monitor{
-		outCards: map[*core.Operator]int64{},
-		opTimes:  map[*core.Operator]time.Duration{},
-	}
-}
-
-// Record ingests one stage's statistics.
-func (m *Monitor) Record(stats *core.StageStats) {
-	if stats == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stages = append(m.stages, stats)
-	for op, n := range stats.OutCards {
-		m.outCards[op] = n
-	}
-	for op, os := range stats.Ops {
-		m.opTimes[op] += os.Runtime
-	}
-}
-
-// Stages returns the recorded stage statistics in completion order.
-func (m *Monitor) Stages() []*core.StageStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]*core.StageStats(nil), m.stages...)
-}
-
-// ObservedCards returns a copy of the true output cardinalities seen so far.
-func (m *Monitor) ObservedCards() map[*core.Operator]int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[*core.Operator]int64, len(m.outCards))
-	for op, n := range m.outCards {
-		out[op] = n
+// ObservedCards returns the true output cardinalities the record holds. An
+// operator that ran more than once (a loop body's) reports its last run.
+func ObservedCards(record []*core.StageStats) map[*core.Operator]int64 {
+	out := map[*core.Operator]int64{}
+	for _, st := range record {
+		for op, os := range st.Ops {
+			out[op] = os.OutCard
+		}
 	}
 	return out
-}
-
-// OpRuntime returns the accumulated runtime attributed to an operator.
-func (m *Monitor) OpRuntime(op *core.Operator) time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.opTimes[op]
-}
-
-// TotalRuntime sums the recorded stage runtimes (not wall clock: parallel
-// stages overlap).
-func (m *Monitor) TotalRuntime() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var total time.Duration
-	for _, s := range m.stages {
-		total += s.Runtime
-	}
-	return total
 }
 
 // OpSnapshot is one operator's observations, rendered with plain types so
@@ -91,41 +35,47 @@ type OpSnapshot struct {
 	RuntimeMs float64 `json:"runtime_ms"`
 }
 
-// StageSnapshot is one executed stage's observations.
+// StageSnapshot is one executed stage's observations. Loop and Round are
+// set on loop-body stages, which appear once per iteration.
 type StageSnapshot struct {
 	Stage     string       `json:"stage"`
 	Platform  string       `json:"platform"`
+	Loop      string       `json:"loop,omitempty"`
+	Round     int          `json:"round,omitempty"`
 	RuntimeMs float64      `json:"runtime_ms"`
 	Ops       []OpSnapshot `json:"ops,omitempty"`
 }
 
-// Snapshot is a serializable summary of everything the monitor observed;
-// the job manager attaches it to each finished job's status payload so
-// per-job stage timings are queryable over REST.
+// Snapshot is a serializable summary of a run record; a finished job's
+// status payload carries it so per-job stage timings are queryable over REST.
 type Snapshot struct {
 	Stages         []StageSnapshot `json:"stages"`
 	TotalRuntimeMs float64         `json:"total_runtime_ms"`
 }
 
-// Snapshot renders the monitor's observations with stages in completion
-// order and each stage's operators sorted by name.
-func (m *Monitor) Snapshot() Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// Summarize renders the record with stages in completion order and each
+// stage's operators sorted by name.
+func Summarize(record []*core.StageStats) Snapshot {
 	snap := Snapshot{}
-	for _, s := range m.stages {
-		ss := StageSnapshot{RuntimeMs: float64(s.Runtime) / float64(time.Millisecond)}
-		if s.Stage != nil {
-			ss.Stage = s.Stage.String()
-			ss.Platform = s.Stage.Platform
+	for _, st := range record {
+		ss := StageSnapshot{
+			Stage:     st.Stage.String(),
+			Platform:  st.Stage.Platform,
+			Round:     st.Round,
+			RuntimeMs: float64(st.Runtime) / float64(time.Millisecond),
 		}
-		for op, os := range s.Ops {
-			ss.Ops = append(ss.Ops, OpSnapshot{
-				Op:        op.String(),
-				OutCard:   os.OutCard,
-				RuntimeMs: float64(os.Runtime) / float64(time.Millisecond),
-			})
+		if st.Loop != nil {
+			ss.Loop = st.Loop.String()
 		}
+		st.Observations(func(o core.Observation) {
+			if o.Observed {
+				ss.Ops = append(ss.Ops, OpSnapshot{
+					Op:        o.Op.String(),
+					OutCard:   o.OutCard,
+					RuntimeMs: float64(o.Runtime) / float64(time.Millisecond),
+				})
+			}
+		})
 		sort.Slice(ss.Ops, func(i, j int) bool { return ss.Ops[i].Op < ss.Ops[j].Op })
 		snap.Stages = append(snap.Stages, ss)
 		snap.TotalRuntimeMs += ss.RuntimeMs
@@ -142,26 +92,26 @@ type Mismatch struct {
 	Factor   float64
 }
 
-// HealthCheck compares the observations against the execution plan's
-// estimates and returns the mismatches exceeding factor, worst first.
-func (m *Monitor) HealthCheck(ep *core.ExecPlan, factor float64) []Mismatch {
-	if factor <= 1 {
-		factor = 2
-	}
-	observed := m.ObservedCards()
+// HealthCheck compares the record's observations against ep's estimates and
+// returns the mismatches of at least factor, worst first. ep is the plan in
+// force now, not the one an entry ran under: a replan adopts what was
+// observed, so what triggered it does not trigger the next one. Operators ep
+// does not place (loop bodies', which its body plans hold) are ignored.
+func HealthCheck(record []*core.StageStats, ep *core.ExecPlan, factor float64) []Mismatch {
 	var out []Mismatch
-	for op, n := range observed {
-		a := ep.Assignments[op]
-		if a == nil {
-			continue
-		}
-		f := a.OutCard.MismatchFactor(n)
-		if f >= factor {
-			out = append(out, Mismatch{Op: op, Estimate: a.OutCard, Observed: n, Factor: f})
+	for _, st := range record {
+		for op, os := range st.Ops {
+			a := ep.Assignments[op]
+			if a == nil {
+				continue
+			}
+			if f := a.OutCard.MismatchFactor(os.OutCard); f >= factor {
+				out = append(out, Mismatch{Op: op, Estimate: a.OutCard, Observed: os.OutCard, Factor: f})
+			}
 		}
 	}
-	// Worst first; equal factors order by operator name so the ranking is
-	// deterministic across runs (map iteration above is not).
+	// Equal factors order by operator name so the ranking is deterministic
+	// across runs (map iteration above is not).
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Factor != out[j].Factor {
 			return out[i].Factor > out[j].Factor

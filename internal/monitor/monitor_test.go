@@ -7,55 +7,46 @@ import (
 	"rheem/internal/core"
 )
 
+// stats is one record entry: a stage of the given operators, each observed
+// with its cardinality and an equal share of the runtime.
 func stats(platform string, runtime time.Duration, cards map[*core.Operator]int64) *core.StageStats {
+	stage := &core.Stage{ID: 1, Platform: platform}
 	ops := map[*core.Operator]core.OpStats{}
 	for op, n := range cards {
+		stage.Ops = append(stage.Ops, op)
 		ops[op] = core.OpStats{OutCard: n, Runtime: runtime / time.Duration(len(cards))}
 	}
-	return &core.StageStats{
-		Stage:    &core.Stage{ID: 1, Platform: platform},
-		Runtime:  runtime,
-		OutCards: cards,
-		Ops:      ops,
-	}
+	return &core.StageStats{Stage: stage, Runtime: runtime, Ops: ops}
 }
 
-func TestMonitorAccumulates(t *testing.T) {
-	m := New()
+func TestObservedCardsKeepTheLastRun(t *testing.T) {
 	opA := &core.Operator{Kind: core.KindMap, Label: "a"}
 	opB := &core.Operator{Kind: core.KindFilter, Label: "b"}
-	m.Record(stats("spark", 10*time.Millisecond, map[*core.Operator]int64{opA: 100}))
-	m.Record(stats("streams", 4*time.Millisecond, map[*core.Operator]int64{opB: 7}))
-	m.Record(nil) // ignored
-
-	if len(m.Stages()) != 2 {
-		t.Fatalf("stages = %d", len(m.Stages()))
+	record := []*core.StageStats{
+		stats("spark", 10*time.Millisecond, map[*core.Operator]int64{opA: 100}),
+		stats("streams", 4*time.Millisecond, map[*core.Operator]int64{opB: 7}),
+		stats("streams", 4*time.Millisecond, map[*core.Operator]int64{opB: 9}), // a later round
 	}
-	cards := m.ObservedCards()
-	if cards[opA] != 100 || cards[opB] != 7 {
+	cards := ObservedCards(record)
+	if cards[opA] != 100 || cards[opB] != 9 {
 		t.Fatalf("cards = %v", cards)
 	}
-	if m.TotalRuntime() != 14*time.Millisecond {
-		t.Fatalf("total = %v", m.TotalRuntime())
-	}
-	if m.OpRuntime(opA) != 10*time.Millisecond {
-		t.Fatalf("opA runtime = %v", m.OpRuntime(opA))
-	}
-	// ObservedCards returns a copy.
+	// ObservedCards is a reading: changing it leaves the record alone.
 	cards[opA] = 999
-	if m.ObservedCards()[opA] != 100 {
-		t.Fatal("ObservedCards leaked internal state")
+	if ObservedCards(record)[opA] != 100 {
+		t.Fatal("ObservedCards wrote through to the record")
 	}
 }
 
-func TestSnapshot(t *testing.T) {
-	m := New()
+func TestSummarize(t *testing.T) {
 	opA := &core.Operator{Kind: core.KindMap, Label: "a"}
 	opB := &core.Operator{Kind: core.KindFilter, Label: "b"}
-	m.Record(stats("spark", 10*time.Millisecond, map[*core.Operator]int64{opA: 100, opB: 7}))
-	m.Record(stats("streams", 4*time.Millisecond, map[*core.Operator]int64{opB: 7}))
+	loop := &core.Operator{Kind: core.KindRepeat, Label: "l"}
+	body := stats("streams", 4*time.Millisecond, map[*core.Operator]int64{opB: 7})
+	body.Loop, body.Round = loop, 3
+	record := []*core.StageStats{stats("spark", 10*time.Millisecond, map[*core.Operator]int64{opA: 100, opB: 7}), body}
 
-	snap := m.Snapshot()
+	snap := Summarize(record)
 	if len(snap.Stages) != 2 {
 		t.Fatalf("stages = %d", len(snap.Stages))
 	}
@@ -77,19 +68,25 @@ func TestSnapshot(t *testing.T) {
 	if cards["Map(a)"] != 100 && cards[first.Ops[0].Op]+cards[first.Ops[1].Op] != 107 {
 		t.Fatalf("cards = %v", cards)
 	}
+	if first.Ops[0].RuntimeMs != 5 {
+		t.Fatalf("operator runtime = %v ms, want its 5 ms share", first.Ops[0].RuntimeMs)
+	}
+	// Only a loop-body stage names its loop and round.
+	if first.Loop != "" || snap.Stages[1].Loop != loop.String() || snap.Stages[1].Round != 3 {
+		t.Fatalf("loop placement = %+v", snap.Stages)
+	}
 }
 
 func TestHealthCheckOrdersByFactor(t *testing.T) {
-	m := New()
 	opA := &core.Operator{Kind: core.KindFilter, Label: "mild"}
 	opB := &core.Operator{Kind: core.KindFilter, Label: "wild"}
-	m.Record(stats("spark", time.Millisecond, map[*core.Operator]int64{opA: 50, opB: 10000}))
+	record := []*core.StageStats{stats("spark", time.Millisecond, map[*core.Operator]int64{opA: 50, opB: 10000})}
 
 	ep := &core.ExecPlan{Assignments: map[*core.Operator]*core.Assignment{
 		opA: {OutCard: core.CardEstimate{Low: 10, High: 10, Confidence: 1}}, // factor 5
 		opB: {OutCard: core.CardEstimate{Low: 10, High: 10, Confidence: 1}}, // factor 1000
 	}}
-	found := m.HealthCheck(ep, 4)
+	found := HealthCheck(record, ep, 4)
 	if len(found) != 2 {
 		t.Fatalf("mismatches = %v", found)
 	}
@@ -97,12 +94,12 @@ func TestHealthCheckOrdersByFactor(t *testing.T) {
 		t.Fatalf("not ordered worst-first: %v", found)
 	}
 	// Threshold filters.
-	if got := m.HealthCheck(ep, 100); len(got) != 1 || got[0].Op != opB {
+	if got := HealthCheck(record, ep, 100); len(got) != 1 || got[0].Op != opB {
 		t.Fatalf("threshold filter = %v", got)
 	}
 	// Unknown operators are ignored.
-	m.Record(stats("spark", time.Millisecond, map[*core.Operator]int64{{}: 5}))
-	if got := m.HealthCheck(ep, 4); len(got) != 2 {
+	record = append(record, stats("spark", time.Millisecond, map[*core.Operator]int64{{}: 5}))
+	if got := HealthCheck(record, ep, 4); len(got) != 2 {
 		t.Fatalf("unknown op not ignored: %v", got)
 	}
 }
@@ -110,7 +107,6 @@ func TestHealthCheckOrdersByFactor(t *testing.T) {
 // TestHealthCheckDeterministicTieBreak feeds many equal-factor mismatches
 // through repeated checks: map iteration order varies, the ranking must not.
 func TestHealthCheckDeterministicTieBreak(t *testing.T) {
-	m := New()
 	cards := map[*core.Operator]int64{}
 	assignments := map[*core.Operator]*core.Assignment{}
 	for _, label := range []string{"e", "b", "d", "a", "c", "f", "h", "g"} {
@@ -118,10 +114,10 @@ func TestHealthCheckDeterministicTieBreak(t *testing.T) {
 		cards[op] = 100 // every operator mismatches by the same factor 10
 		assignments[op] = &core.Assignment{OutCard: core.CardEstimate{Low: 10, High: 10, Confidence: 1}}
 	}
-	m.Record(stats("spark", time.Millisecond, cards))
+	record := []*core.StageStats{stats("spark", time.Millisecond, cards)}
 	ep := &core.ExecPlan{Assignments: assignments}
 
-	first := m.HealthCheck(ep, 4)
+	first := HealthCheck(record, ep, 4)
 	if len(first) != len(cards) {
 		t.Fatalf("mismatches = %d, want %d", len(first), len(cards))
 	}
@@ -131,7 +127,7 @@ func TestHealthCheckDeterministicTieBreak(t *testing.T) {
 		}
 	}
 	for round := 0; round < 20; round++ {
-		again := m.HealthCheck(ep, 4)
+		again := HealthCheck(record, ep, 4)
 		for i := range first {
 			if again[i].Op != first[i].Op {
 				t.Fatalf("round %d: rank %d flapped from %v to %v", round, i, first[i].Op, again[i].Op)

@@ -168,7 +168,6 @@ func runStage[T any](e Engine[T], stage *core.Stage, in *core.Inputs) (map[*core
 	stats := &core.StageStats{
 		Stage:       stage,
 		Runtime:     time.Since(start),
-		OutCards:    map[*core.Operator]int64{},
 		Ops:         map[*core.Operator]core.OpStats{},
 		FusedChains: fusedChains,
 	}
@@ -193,7 +192,6 @@ func runStage[T any](e Engine[T], stage *core.Stage, in *core.Inputs) (map[*core
 		})
 	}
 	for op, c := range counters {
-		stats.OutCards[op] = *c
 		stats.Ops[op] = core.OpStats{OutCard: *c, Runtime: opTimes[op]}
 	}
 	// Lazy engines accrue all work at materialization; reattribute the stage
@@ -393,14 +391,16 @@ func SleepMs(ms float64) {
 // platform archetypes use it so that, on a laptop-scale substrate, the
 // parallel engines keep the cluster-vs-single-node capacity ratio of the
 // paper's testbed (the host machine plays the whole cluster; one node is a
-// fraction of it).
+// fraction of it). The stage is charged the time the sleep took, not the time
+// asked for: a sleep of microseconds takes about a millisecond, and a stage
+// runtime without it leaves most of a loop of small stages in no stage at all.
 func ApplySlowdown(stats *core.StageStats, factor float64) {
 	if stats == nil || factor <= 1 {
 		return
 	}
-	extra := time.Duration(float64(stats.Runtime) * (factor - 1))
-	time.Sleep(extra)
-	stats.Runtime += extra
+	asleep := time.Now()
+	time.Sleep(time.Duration(float64(stats.Runtime) * (factor - 1)))
+	stats.Runtime += time.Since(asleep)
 	for op, os := range stats.Ops {
 		os.Runtime = time.Duration(float64(os.Runtime) * factor)
 		stats.Ops[op] = os

@@ -150,8 +150,8 @@ func CheckPlan(t *testing.T, d core.Driver, p *core.Plan) *core.StageStats {
 		}
 	}
 	for _, op := range stats.Stage.Ops {
-		if n, ok := stats.OutCards[op]; !ok || n != int64(len(want[op])) {
-			t.Fatalf("%s: %s reported cardinality %d (reported=%v), reference %d", d.Name(), op, n, ok, len(want[op]))
+		if os, ok := stats.Ops[op]; !ok || os.OutCard != int64(len(want[op])) {
+			t.Fatalf("%s: %s reported cardinality %d (reported=%v), reference %d", d.Name(), op, os.OutCard, ok, len(want[op]))
 		}
 	}
 	return stats

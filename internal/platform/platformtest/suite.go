@@ -370,7 +370,7 @@ func Run(t *testing.T, d core.Driver) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats == nil || stats.OutCards[op] != 2 {
+		if stats == nil || stats.Ops[op].OutCard != 2 {
 			t.Fatalf("stats = %+v", stats)
 		}
 		if stats.Runtime <= 0 {

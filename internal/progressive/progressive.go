@@ -11,7 +11,6 @@ package progressive
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -43,18 +42,15 @@ func New(plan *core.Plan, ep *core.ExecPlan, opts optimizer.Options) *Reoptimize
 	return &Reoptimizer{Opts: opts, MismatchFactor: 4, MaxReplans: 3, plan: plan, current: ep}
 }
 
-// Current returns the latest execution plan (after any re-optimization).
-func (r *Reoptimizer) Current() *core.ExecPlan { return r.current }
-
 // Replans returns how many re-optimizations occurred.
 func (r *Reoptimizer) Replans() int { return r.replans }
 
-// Checkpoint implements the executor's CheckpointFn: it compares observed
-// cardinalities of executed operators against the current plan's estimates
-// and re-optimizes the remainder when the mismatch is gross. The replan is
-// traced as a replan-N span under the span carried by ctx, annotated with
-// the triggering mismatches.
-func (r *Reoptimizer) Checkpoint(ctx context.Context, observed map[*core.Operator]int64, executed map[*core.Operator]bool) (*core.ExecPlan, error) {
+// Checkpoint implements the executor's CheckpointFn: it runs the monitor's
+// health check of the run record against the current plan's estimates and
+// re-optimizes the remainder when a mismatch is gross. The replan is traced as
+// a replan-N span under the span carried by ctx, annotated with the triggering
+// mismatches.
+func (r *Reoptimizer) Checkpoint(ctx context.Context, record []*core.StageStats, executed map[*core.Operator]bool) (*core.ExecPlan, error) {
 	if r.replans >= r.MaxReplans {
 		return nil, nil
 	}
@@ -62,24 +58,12 @@ func (r *Reoptimizer) Checkpoint(ctx context.Context, observed map[*core.Operato
 	if threshold <= 1 {
 		threshold = 4
 	}
-	var mismatches []monitor.Mismatch
-	for op, n := range observed {
-		if !executed[op] {
-			continue
-		}
-		a := r.current.Assignments[op]
-		if a == nil {
-			continue
-		}
-		if f := a.OutCard.MismatchFactor(n); f >= threshold {
-			mismatches = append(mismatches, monitor.Mismatch{Op: op, Estimate: a.OutCard, Observed: n, Factor: f})
-		}
-	}
+	mismatches := monitor.HealthCheck(record, r.current, threshold)
 	if len(mismatches) == 0 {
 		return nil, nil
 	}
 	opts := r.Opts
-	opts.Resume = &optimizer.Progress{Plan: r.current, Executed: executed, Observed: observed}
+	opts.Resume = &optimizer.Progress{Plan: r.current, Executed: executed, Observed: monitor.ObservedCards(record)}
 	if sp := trace.FromContext(ctx); sp != nil {
 		rsp := sp.Start(trace.KindReplan, "replan-"+strconv.Itoa(r.replans+1))
 		rsp.SetAttr("mismatch", renderMismatches(mismatches))
@@ -96,18 +80,11 @@ func (r *Reoptimizer) Checkpoint(ctx context.Context, observed map[*core.Operato
 	return newEP, nil
 }
 
-// renderMismatches flattens the triggering mismatches into one span
-// attribute, worst first.
+// renderMismatches flattens the triggering mismatches, which the health check
+// ranked worst first, into one span attribute.
 func renderMismatches(ms []monitor.Mismatch) string {
-	sorted := append([]monitor.Mismatch(nil), ms...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Factor != sorted[j].Factor {
-			return sorted[i].Factor > sorted[j].Factor
-		}
-		return sorted[i].Op.String() < sorted[j].Op.String()
-	})
-	parts := make([]string, len(sorted))
-	for i, m := range sorted {
+	parts := make([]string, len(ms))
+	for i, m := range ms {
 		parts[i] = fmt.Sprintf("op=%s observed=%d est=%s factor=%.1f", m.Op, m.Observed, m.Estimate, m.Factor)
 	}
 	return strings.Join(parts, "; ")

@@ -70,8 +70,7 @@ func TestReoptimizerTriggersOnMismatch(t *testing.T) {
 		t.Fatalf("hint not honoured: %v", est)
 	}
 	re := New(p, ep, opts)
-	mon := monitor.New()
-	ex := &executor.Executor{Registry: reg, Monitor: mon, Checkpoint: re.Checkpoint}
+	ex := &executor.Executor{Registry: reg, Checkpoint: re.Checkpoint}
 	res, err := ex.Run(ep)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +79,7 @@ func TestReoptimizerTriggersOnMismatch(t *testing.T) {
 		t.Fatal("mismatched cardinalities did not trigger re-optimization")
 	}
 	// The re-optimized plan pinned the true cardinality.
-	if est := re.Current().Assignments[f].OutCard; est.Low != 20000 {
+	if est := res.Plan.Assignments[f].OutCard; est.Low != 20000 {
 		t.Fatalf("replanned estimate = %v, want exact 20000", est)
 	}
 	data, err := res.FirstSinkData()
@@ -111,8 +110,7 @@ func TestReoptimizerQuietWhenEstimatesGood(t *testing.T) {
 		t.Fatal(err)
 	}
 	re := New(p, ep, opts)
-	mon := monitor.New()
-	ex := &executor.Executor{Registry: reg, Monitor: mon, Checkpoint: re.Checkpoint}
+	ex := &executor.Executor{Registry: reg, Checkpoint: re.Checkpoint}
 	if _, err := ex.Run(ep); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +126,7 @@ func TestReoptimizerRespectsMaxReplans(t *testing.T) {
 	ep, _ := optimizer.Optimize(p, opts)
 	re := New(p, ep, opts)
 	re.MaxReplans = 0
-	newEP, err := re.Checkpoint(context.Background(), map[*core.Operator]int64{}, map[*core.Operator]bool{})
+	newEP, err := re.Checkpoint(context.Background(), nil, map[*core.Operator]bool{})
 	if err != nil || newEP != nil {
 		t.Fatalf("MaxReplans=0 must disable replanning: %v, %v", newEP, err)
 	}
@@ -141,28 +139,24 @@ func TestMonitorHealthCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := monitor.New()
-	mon.Record(&core.StageStats{
-		Stage:    &core.Stage{ID: 1, Platform: "spark"},
-		Runtime:  5 * time.Millisecond,
-		OutCards: map[*core.Operator]int64{f: 5000},
-		Ops:      map[*core.Operator]core.OpStats{f: {OutCard: 5000, Runtime: time.Millisecond}},
-	})
-	mismatches := mon.HealthCheck(ep, 4)
+	record := []*core.StageStats{{
+		Stage:   &core.Stage{ID: 1, Platform: "spark", Ops: []*core.Operator{f}, ExecPlan: ep},
+		Runtime: 5 * time.Millisecond,
+		Ops:     map[*core.Operator]core.OpStats{f: {OutCard: 5000, Runtime: time.Millisecond}},
+	}}
+	mismatches := monitor.HealthCheck(record, ep, 4)
 	if len(mismatches) != 1 || mismatches[0].Op != f {
 		t.Fatalf("health check = %+v", mismatches)
 	}
 	if mismatches[0].Factor < 100 {
 		t.Fatalf("factor = %f", mismatches[0].Factor)
 	}
-	if mon.OpRuntime(f) != time.Millisecond {
-		t.Fatalf("op runtime = %v", mon.OpRuntime(f))
+	snap := monitor.Summarize(record)
+	if len(snap.Stages) != 1 || snap.TotalRuntimeMs != 5 {
+		t.Fatalf("summary = %+v", snap)
 	}
-	if mon.TotalRuntime() != 5*time.Millisecond {
-		t.Fatalf("total runtime = %v", mon.TotalRuntime())
-	}
-	if len(mon.Stages()) != 1 {
-		t.Fatal("stage not recorded")
+	if ops := snap.Stages[0].Ops; len(ops) != 1 || ops[0].RuntimeMs != 1 || ops[0].OutCard != 5000 {
+		t.Fatalf("op summary = %+v", ops)
 	}
 }
 
@@ -177,7 +171,7 @@ func TestReplanSpanInTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	re := New(p, ep, opts)
-	ex := &executor.Executor{Registry: reg, Monitor: monitor.New(), Checkpoint: re.Checkpoint}
+	ex := &executor.Executor{Registry: reg, Checkpoint: re.Checkpoint}
 
 	tr := trace.New(trace.KindJob, "job:misled")
 	ctx := trace.NewContext(context.Background(), tr.Root())

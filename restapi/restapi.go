@@ -308,11 +308,12 @@ type JobStatusResponse struct {
 	Monitor     *monitor.Snapshot `json:"monitor,omitempty"`
 }
 
-// jobOutcome is the value a job's runner stores in the result store.
+// jobOutcome is the value a job's runner stores in the result store: the
+// rendered response and the run record, from which the status's monitor
+// summary and the profile are rendered when asked for.
 type jobOutcome struct {
-	resp    RunResponse
-	snap    monitor.Snapshot
-	profile *rheem.Profile
+	resp   RunResponse
+	record rheem.Record
 }
 
 // compile decodes and compiles a script request, returning the raw body
@@ -353,7 +354,7 @@ func (s *Server) compile(w http.ResponseWriter, r *http.Request) (*latin.Compile
 }
 
 // runner builds the job body: execute the precompiled plan under the job's
-// context and render the response payload plus the monitor snapshot.
+// context and render the response payload.
 func (s *Server) runner(compiled *latin.Compiled) jobs.Runner {
 	return func(ctx context.Context) (any, error) {
 		res, err := s.Ctx.ExecuteCtx(ctx, compiled.Plan)
@@ -364,7 +365,7 @@ func (s *Server) runner(compiled *latin.Compiled) jobs.Runner {
 		if err != nil {
 			return nil, err
 		}
-		return &jobOutcome{resp: resp, snap: res.Monitor().Snapshot(), profile: res.Profile()}, nil
+		return &jobOutcome{resp: resp, record: res.Record()}, nil
 	}
 }
 
@@ -530,7 +531,7 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	if st.State == jobs.StateSucceeded {
 		if outcome, err := s.Jobs.Result(id); err == nil {
-			snap := outcome.(*jobOutcome).snap
+			snap := monitor.Summarize(outcome.(*jobOutcome).record.Entries)
 			resp.Monitor = &snap
 		}
 	}
@@ -624,12 +625,7 @@ func (s *Server) handleJobProfile(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "job %s failed: %v", id, err)
 		return
 	}
-	profile := outcome.(*jobOutcome).profile
-	if profile == nil {
-		httpError(w, http.StatusNotFound, "no profile for job %s", id)
-		return
-	}
-	writeJSON(w, profile)
+	writeJSON(w, outcome.(*jobOutcome).record.Profile())
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {

@@ -217,8 +217,8 @@ func TestResultMetadata(t *testing.T) {
 	if len(res.Platforms()) == 0 {
 		t.Fatal("no platforms reported")
 	}
-	if res.Plan() == nil || res.Monitor() == nil {
-		t.Fatal("missing plan/monitor")
+	if res.Plan() == nil || len(res.Record().Entries) == 0 {
+		t.Fatal("missing plan/record")
 	}
 	if res.Replans() != 0 {
 		t.Fatalf("unexpected replans: %d", res.Replans())

@@ -40,13 +40,33 @@ go test -run=NONE -bench=BenchmarkEncodeQuantum -benchtime=1x ./internal/core
 # back. The optimizer is the only planner: the executor's own path search, its
 # any-form fallback, its plan merge and the optimizer option they leaned on are
 # in the same grep, and no non-test file of internal/executor may search the
-# conversion graph. The gate covers verify.sh too; the [x] brackets keep its
-# own line from matching.
+# conversion graph. The executor's run record is the only store of what a
+# stage did: the monitor's own accumulation, the executor's per-job dictionary
+# watermark, the second copy of each cardinality, the fleet worker's copy of
+# the usage sampler and the profile builder that took a plan beside a result
+# are in the grep as well. The gate covers verify.sh too; the [x] brackets
+# keep its own line from matching.
 go test -run=NONE -bench='NarrowChain|ColumnarAggChain' -benchtime=1x ./internal/platform/spark ./internal/platform/flink
 go test -run=NONE -bench='BenchmarkShuffle|BenchmarkRangeShuffle' -benchtime=1x ./internal/platform/driverutil
 go test -run='TestCrossCheckFusedAgainstUnfused|TestFusedFig9' .
-if grep -rn 'RHEEM_NO_FUS[E]\|FusionDisable[d]\|RHEEM_NO_COLUMNA[R]\|ColumnarDisable[d]\|NewSegRD[D]\|shuffleB[y]\|rangeShuffl[e]\|parallelPart[s]\|fanOu[t](\|mergeRun[s]\|poolEr[r]\|driverutil\.Dat[a]\b\|one := func(k core\.Kin[d]\|bc core\.BroadcastCt[x], round\|fetchAn[y]\|mergePlan[s]\|acceptableChannel[s]\|KnownCard[s]\|outerPlanO[f]' --include='*.go' --include='verify.sh' .; then
-	echo "a deleted fork (per-operator narrow path, row-carried partitions, a per-engine shuffle or dispatch, the untyped stage harness, a hand-written mapping closure, the executor's second planner) or its switch is back" >&2
+if grep -rn 'RHEEM_NO_FUS[E]\|FusionDisable[d]\|RHEEM_NO_COLUMNA[R]\|ColumnarDisable[d]\|NewSegRD[D]\|shuffleB[y]\|rangeShuffl[e]\|parallelPart[s]\|fanOu[t](\|mergeRun[s]\|poolEr[r]\|driverutil\.Dat[a]\b\|one := func(k core\.Kin[d]\|bc core\.BroadcastCt[x], round\|fetchAn[y]\|mergePlan[s]\|acceptableChannel[s]\|KnownCard[s]\|outerPlanO[f]\|dictCol[s]\|[wW]orkerUsag[e]\|OutCard[s]\|monitor\.Ne[w](\|Monitor\.Recor[d](\|BuildProfil[e]' --include='*.go' --include='verify.sh' .; then
+	echo "a deleted fork (per-operator narrow path, row-carried partitions, a per-engine shuffle or dispatch, the untyped stage harness, a hand-written mapping closure, the executor's second planner, a second store of stage statistics) or its switch is back" >&2
+	exit 1
+fi
+if grep -n 'opTime[s]\|sync\.Mute[x]\|func (m \*Monito[r])' internal/monitor/monitor.go; then
+	echo "internal/monitor accumulates again: it reads the executor's run record and keeps nothing of its own" >&2
+	exit 1
+fi
+# One store, one writer: outside tests and bench/, record entries are appended
+# in one function, Executor.run, and the health check is the monitor's.
+writers=$(grep -rn 'Entries = append(' --include='*.go' . | grep -v '_test\.go:\|^\./bench/' | cut -d: -f1 | sort -u)
+writerFuncs=$(awk '/^func /{fn=$0} /Entries = append\(/{print fn}' internal/executor/executor.go | sort -u)
+if [ "$writers" != "./internal/executor/executor.go" ] || [ "$writerFuncs" != "$(grep '^func (ex \*Executor) run(' internal/executor/executor.go)" ]; then
+	echo "the run record has more than one writer: $writers" >&2
+	exit 1
+fi
+if grep -n 'MismatchFactor(' internal/progressive/progressive.go; then
+	echo "internal/progressive compares cardinalities itself: the health check is monitor.HealthCheck" >&2
 	exit 1
 fi
 if grep -rn 'FindPat[h]\|FindTre[e]' --include='*.go' internal/executor | grep -v '_test\.go:'; then
@@ -67,6 +87,12 @@ go test -race -count=1 -run='TestRegistryGolden|TestPluggingANewPlatform|TestNew
 # pinned plans and loop plans all run, SGD runs under fast simulation, a replan
 # reruns nothing, and the conversions of a run are the planned ones.
 go test -race -count=1 -run='TestEveryOptimizedPlanRuns|TestReplanRunsNothingTwice|TestFastSimulationSGD|TestConversionsAreThePlannedOnes' .
+# And "one run record": every stage execution, loop rounds and replans
+# included, is one entry that the spans, the stage counter, the profile and the
+# monitor summary all agree on; the dictionary-column counter follows the
+# process total job after job; the cost learner is fed loop bodies.
+go test -race -count=1 -run='TestRunRecordIsComplete|TestDictColumnsCountedOnce|TestLogCollectionIncludesLoopBodies' .
+go test -race -count=1 -run='TestIterativeTopologyLogsItsBody' ./internal/costlearn
 go test -race -count=1 -run='TestBootConcurrentFirstJobs' ./internal/platform/driverutil
 # Columnar smoke: the fixed declarative pipelines (narrow chain and grouped
 # aggregation, free choice and pinned to streams/spark/flink, plus the two
