@@ -71,20 +71,34 @@ func (cv *Conversion) CostMs(card float64) float64 {
 type ConversionGraph struct {
 	channels    map[string]ChannelDescriptor
 	conversions []*Conversion
-	out         map[string][]*Conversion
+
+	// The path search's view, kept by AddChannel and AddConversion: vertex
+	// numbers in registration order and, per vertex, its outgoing edges in
+	// registration order.
+	index map[string]int
+	out   [][]convEdge
+}
+
+type convEdge struct {
+	cv *Conversion
+	to int // vertex number of cv.To
 }
 
 // NewConversionGraph creates an empty conversion graph.
 func NewConversionGraph() *ConversionGraph {
 	return &ConversionGraph{
 		channels: map[string]ChannelDescriptor{},
-		out:      map[string][]*Conversion{},
+		index:    map[string]int{},
 	}
 }
 
 // AddChannel registers a channel descriptor. Re-registration with the same
 // name is idempotent.
 func (g *ConversionGraph) AddChannel(d ChannelDescriptor) {
+	if _, ok := g.channels[d.Name]; !ok {
+		g.index[d.Name] = len(g.out)
+		g.out = append(g.out, nil)
+	}
 	g.channels[d.Name] = d
 }
 
@@ -114,7 +128,8 @@ func (g *ConversionGraph) AddConversion(cv *Conversion) error {
 		return fmt.Errorf("core: conversion %s: unknown target channel %q", cv.Name, cv.To)
 	}
 	g.conversions = append(g.conversions, cv)
-	g.out[cv.From] = append(g.out[cv.From], cv)
+	from := g.index[cv.From]
+	g.out[from] = append(g.out[from], convEdge{cv: cv, to: g.index[cv.To]})
 	return nil
 }
 
@@ -128,44 +143,65 @@ type ConversionPath struct {
 // FindPath returns the cheapest conversion path from one channel to another
 // for the given cardinality (Dijkstra over the conversion graph). A nil
 // Steps slice with zero cost is returned when from == to. It returns an
-// error when the target is unreachable.
+// error when the target is unreachable. Among equally cheap choices the
+// channel, and then the conversion, registered first wins. The search
+// allocates nothing but the path it returns.
 func (g *ConversionGraph) FindPath(from, to string, card float64) (*ConversionPath, error) {
 	if from == to {
 		return &ConversionPath{}, nil
 	}
-	dist := map[string]float64{from: 0}
-	prev := map[string]*Conversion{}
-	visited := map[string]bool{}
+	src, okFrom := g.index[from]
+	dst, okTo := g.index[to]
+	if !okFrom || !okTo {
+		return nil, fmt.Errorf("core: no conversion path from %q to %q", from, to)
+	}
+	// Per-vertex state lives on the stack for graphs of the usual size.
+	const onStack = 16
+	var distBuf [onStack]float64
+	var prevBuf [onStack]*Conversion
+	var doneBuf [onStack]bool
+	n := len(g.out)
+	dist, prev, done := distBuf[:], prevBuf[:], doneBuf[:]
+	if n > onStack {
+		dist, prev, done = make([]float64, n), make([]*Conversion, n), make([]bool, n)
+	}
+	dist = dist[:n]
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[src] = 0
 	for {
 		// Extract the unvisited vertex with minimal distance.
-		cur, best := "", math.Inf(1)
-		for name, d := range dist {
-			if !visited[name] && d < best {
-				cur, best = name, d
+		cur, best := -1, math.Inf(1)
+		for v, d := range dist {
+			if !done[v] && d < best {
+				cur, best = v, d
 			}
 		}
-		if cur == "" {
+		if cur < 0 {
 			return nil, fmt.Errorf("core: no conversion path from %q to %q", from, to)
 		}
-		if cur == to {
+		if cur == dst {
 			break
 		}
-		visited[cur] = true
-		for _, cv := range g.out[cur] {
-			nd := best + cv.CostMs(card)
-			if d, ok := dist[cv.To]; !ok || nd < d {
-				dist[cv.To] = nd
-				prev[cv.To] = cv
+		done[cur] = true
+		for _, e := range g.out[cur] {
+			if nd := best + e.cv.CostMs(card); nd < dist[e.to] {
+				dist[e.to] = nd
+				prev[e.to] = e.cv
 			}
 		}
 	}
-	var steps []*Conversion
-	for at := to; at != from; {
-		cv := prev[at]
-		steps = append([]*Conversion{cv}, steps...)
-		at = cv.From
+	hops := 0
+	for at := dst; at != src; at = g.index[prev[at].From] {
+		hops++
 	}
-	return &ConversionPath{Steps: steps, CostMs: dist[to]}, nil
+	steps := make([]*Conversion, hops)
+	for at := dst; at != src; at = g.index[prev[at].From] {
+		hops--
+		steps[hops] = prev[at]
+	}
+	return &ConversionPath{Steps: steps, CostMs: dist[dst]}, nil
 }
 
 // ConversionTree is a minimal conversion tree: the cheapest set of

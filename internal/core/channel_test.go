@@ -74,6 +74,47 @@ func TestFindPathIdentityAndUnreachable(t *testing.T) {
 	}
 }
 
+// TestFindPathTiesAndAllocations: between two equally cheap routes the one
+// through the channel registered first wins, on every call, and a search
+// allocates only the path it returns.
+func TestFindPathTiesAndAllocations(t *testing.T) {
+	g := NewConversionGraph()
+	for _, name := range []string{"src", "left", "right", "dst"} {
+		g.AddChannel(ChannelDescriptor{Name: name})
+	}
+	for _, cv := range []*Conversion{
+		{Name: "src-right", From: "src", To: "right", FixedCostMs: 1},
+		{Name: "src-left", From: "src", To: "left", FixedCostMs: 1},
+		{Name: "right-dst", From: "right", To: "dst", FixedCostMs: 1},
+		{Name: "left-dst", From: "left", To: "dst", FixedCostMs: 1},
+	} {
+		if err := g.AddConversion(cv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		p, err := g.FindPath("src", "dst", 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Steps) != 2 || p.Steps[0].Name != "src-left" || p.Steps[1].Name != "left-dst" || p.CostMs != 2 {
+			t.Fatalf("call %d: path %v cost %g, want src-left, left-dst at 2", i, p.Steps, p.CostMs)
+		}
+	}
+	if _, err := g.FindPath("src", "nowhere", 100); err == nil {
+		t.Error("a path to an unregistered channel")
+	}
+	big := buildTestGraph()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := big.FindPath("relation", "rdd", 1000); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("FindPath allocates %v times per call, want the path struct and its steps only", allocs)
+	}
+}
+
 func TestFindPathPicksCheaper(t *testing.T) {
 	g := buildTestGraph()
 	// For large cardinality, file->rdd direct load beats file->collection->rdd

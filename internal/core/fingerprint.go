@@ -19,19 +19,26 @@ import (
 // these fingerprints.
 //
 // Canonicalization rules (also documented in DESIGN.md):
+//   - Every operator hash begins with the scheme tag fingerprintScheme, so a
+//     hash computed under other rules (an older spill file, a peer running
+//     an older binary) can only miss, never collide.
 //   - The hash of an operator covers its kind, label, every kind-relevant
 //     scalar parameter, the identity of each attached UDF, and the
 //     fingerprints of its dataflow inputs in port order plus its broadcast
 //     inputs in sorted order.
-//   - UDF identity is the function's symbol name (runtime.FuncForPC), which
-//     is stable across restarts of the same binary. Closures share a symbol
-//     per code site, so the operator label participates in the hash to keep
-//     differently-registered UDFs apart.
+//   - UDF identity is the name each UDF was registered under, where a
+//     frontend recorded one (UDFs.Names), plus the function's symbol name
+//     (runtime.FuncForPC), which is stable across restarts of the same
+//     binary. Closures share a symbol per code site, so the registered names
+//     and the operator label keep differently-registered UDFs apart.
 //   - Named sources (files, tables) hash their dataset name plus a version
 //     supplied by the SourceVersion hook; bumping the version (explicit
 //     invalidation) changes every fingerprint downstream of the dataset.
-//   - Collection sources hash their full content via the binary quantum
-//     codec, so identical literal inputs collide and different ones do not.
+//   - Collection sources hash CollectionDigest of their content, so equal
+//     inputs collide and different ones do not. The digest is computed when
+//     the collection is registered (latin.Registry.RegisterCollection stamps
+//     it on the sources it compiles) or, for a source that carries none, by
+//     the fingerprinting pass — once per FingerprintOptions.Digests memo.
 //   - Subtrees containing loops, loop placeholders (LoopInput/OuterRef), or
 //     values the codec cannot encode are not fingerprintable: they are
 //     omitted from the result, as is everything downstream of them.
@@ -65,7 +72,17 @@ type FingerprintOptions struct {
 	// substituted by a previous rewrite, which must not be re-cached under a
 	// new identity). Everything downstream of a skipped operator is omitted.
 	Skip map[*Operator]bool
+	// Digests, when non-nil, remembers across passes the content digest of
+	// every collection source that carries none, by operator, so a caller
+	// that fingerprints one plan several times (a cache session) hashes each
+	// such collection once; an un-encodable collection is remembered as "".
+	// Nil hashes on every pass.
+	Digests map[*Operator]string
 }
+
+// fingerprintScheme names the canonicalization rules and is hashed first.
+// Change it whenever the rules change.
+const fingerprintScheme = "fp2"
 
 // FingerprintPlan computes the subtree fingerprint of every fingerprintable
 // operator in the plan. Operators whose subtree contains a loop, a loop
@@ -145,9 +162,9 @@ func fingerprintOp(op *Operator, ins, bcs []*FPInfo, opts FingerprintOptions) (*
 			h.Write([]byte(s))
 		}
 	}
-	w("op", string(op.Kind), op.Label, op.TargetPlatform)
+	w(fingerprintScheme, "op", string(op.Kind), op.Label, op.TargetPlatform)
 	w(fmt.Sprintf("sel=%g", op.Selectivity))
-	if err := hashParams(w, op); err != nil {
+	if err := hashParams(w, op, opts.Digests); err != nil {
 		return nil, err
 	}
 	w(udfIdentity(op.UDF))
@@ -213,10 +230,10 @@ func sourceDataset(op *Operator) string {
 	return ""
 }
 
-// hashParams writes every kind-relevant scalar parameter. Collection
-// payloads are content-hashed through the quantum codec; an un-encodable
-// element makes the subtree unfingerprintable.
-func hashParams(w func(...string), op *Operator) error {
+// hashParams writes every kind-relevant scalar parameter. A collection
+// source contributes the digest of its content; an un-encodable element
+// makes the subtree unfingerprintable.
+func hashParams(w func(...string), op *Operator, digests map[*Operator]string) error {
 	p := op.Params
 	w("path", p.Path, "table", p.Table, "store", p.Store)
 	for _, c := range p.Columns {
@@ -228,27 +245,67 @@ func hashParams(w func(...string), op *Operator) error {
 		w("where", p.Where.String())
 	}
 	if op.Kind == KindCollectionSource {
-		w(fmt.Sprintf("coll=%d", len(p.Collection)))
-		var buf []byte
-		for _, q := range p.Collection {
-			raw, err := AppendQuantumBinary(buf[:0], q)
-			if err != nil {
-				return fmt.Errorf("core: fingerprint collection: %w", err)
-			}
-			buf = raw
-			w(string(raw))
+		digest := sourceDigest(op, digests)
+		if digest == "" {
+			return fmt.Errorf("core: fingerprint collection %q: un-encodable content", op.Label)
 		}
+		w("coll", digest)
 	}
 	return nil
 }
 
+// sourceDigest returns the content digest of a collection source: the one
+// stamped on it, else the one memo remembers, else CollectionDigest computed
+// now (and remembered, when there is a memo). "" means un-encodable content.
+func sourceDigest(op *Operator, memo map[*Operator]string) string {
+	if d := op.Params.CollectionDigest; d != "" {
+		return d
+	}
+	if d, known := memo[op]; known {
+		return d
+	}
+	d, _ := CollectionDigest(op.Params.Collection) // an error leaves d empty
+	if memo != nil {
+		memo[op] = d
+	}
+	return d
+}
+
+// CollectionDigest is the content hash of a collection: SHA-256, hex, over
+// the quantum count and the binary codec's encoding of every quantum in
+// order (the encoding is self-delimiting, so the concatenation is
+// unambiguous). Equal content gives equal digests in any process; a quantum
+// the codec cannot encode is an error. It is the only routine that hashes
+// collection content: registries call it once when a collection is
+// registered, fingerprinting calls it for sources that carry no digest.
+func CollectionDigest(data []any) (string, error) {
+	// Quanta are encoded into one buffer that is handed to the hash in
+	// blocks, not quantum by quantum.
+	const block = 32 << 10
+	h := sha256.New()
+	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, 2*block), uint64(len(data)))
+	for _, q := range data {
+		var err error
+		if buf, err = AppendQuantumBinary(buf, q); err != nil {
+			return "", fmt.Errorf("core: collection digest: %w", err)
+		}
+		if len(buf) >= block {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+	}
+	h.Write(buf)
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
 // udfIdentity derives a stable identity string for the operator's UDFs: the
+// names they were registered under (when a frontend recorded them), then the
 // symbol name of each non-nil function, tagged by role. Symbol names are
 // stable across restarts of the same binary; two distinct closures created
-// at the same code site share a symbol, which is why the operator label is
-// hashed alongside.
+// at the same code site share a symbol, which is why the registered names
+// and the operator label are hashed alongside.
 func udfIdentity(u UDFs) string {
-	var s string
+	s := fmt.Sprintf("names=%d:%s;", len(u.Names), u.Names)
 	add := func(role string, fn any) {
 		v := reflect.ValueOf(fn)
 		if !v.IsValid() || v.IsNil() {

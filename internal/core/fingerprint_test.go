@@ -74,16 +74,9 @@ func TestFingerprintParamSensitivity(t *testing.T) {
 }
 
 func TestFingerprintCollectionContent(t *testing.T) {
-	mk := func(data []any) (*Plan, *Operator) {
-		p := NewPlan("coll")
-		src := p.Add(&Operator{Kind: KindCollectionSource, Label: "data", Params: Params{Collection: data}})
-		sink := p.Add(&Operator{Kind: KindCollectionSink, Label: "out"})
-		p.Chain(src, sink)
-		return p, sink
-	}
-	pa, sa := mk([]any{int64(1), int64(2)})
-	pb, sb := mk([]any{int64(1), int64(2)})
-	pc, sc := mk([]any{int64(1), int64(3)})
+	pa, sa := collPlan([]any{int64(1), int64(2)}, "")
+	pb, sb := collPlan([]any{int64(1), int64(2)}, "")
+	pc, sc := collPlan([]any{int64(1), int64(3)}, "")
 	ha := FingerprintPlan(pa, FingerprintOptions{})[sa].Hash
 	hb := FingerprintPlan(pb, FingerprintOptions{})[sb].Hash
 	hc := FingerprintPlan(pc, FingerprintOptions{})[sc].Hash
@@ -92,6 +85,96 @@ func TestFingerprintCollectionContent(t *testing.T) {
 	}
 	if ha == hc {
 		t.Error("different collection content produced identical fingerprints")
+	}
+}
+
+// collPlan is source -> sink over data; digest, when non-empty, is stamped on
+// the source the way a registry does.
+func collPlan(data []any, digest string) (*Plan, *Operator) {
+	p := NewPlan("coll")
+	src := p.Add(&Operator{Kind: KindCollectionSource, Label: "data",
+		Params: Params{Collection: data, CollectionDigest: digest}})
+	sink := p.Add(&Operator{Kind: KindCollectionSink, Label: "out"})
+	p.Chain(src, sink)
+	return p, sink
+}
+
+// TestFingerprintStampedDigestEqualsHashedContent: a source that carries the
+// digest of its content (the registry path) and one that carries none (the
+// fluent path) are the same source to the cache.
+func TestFingerprintStampedDigestEqualsHashedContent(t *testing.T) {
+	data := []any{Record{int64(1), "a"}, Record{int64(2), "b"}, KV{Key: "k", Value: 1.5}}
+	digest, err := CollectionDigest(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamped, sinkS := collPlan(data, digest)
+	fluent, sinkF := collPlan(append([]any(nil), data...), "")
+	hs := FingerprintPlan(stamped, FingerprintOptions{})[sinkS].Hash
+	hf := FingerprintPlan(fluent, FingerprintOptions{})[sinkF].Hash
+	if hs != hf {
+		t.Errorf("stamped and hashed sources over equal content differ:\n%s\n%s", hs, hf)
+	}
+	other, err := CollectionDigest(append(data[:2:2], KV{Key: "k", Value: 2.5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed, sinkC := collPlan(data, other)
+	if FingerprintPlan(changed, FingerprintOptions{})[sinkC].Hash == hs {
+		t.Error("a different digest produced an identical fingerprint")
+	}
+}
+
+// TestCollectionDigest: the digest depends on content and order only, across
+// the block boundary of its buffered hashing too.
+func TestCollectionDigest(t *testing.T) {
+	mk := func(n int) []any {
+		out := make([]any, n)
+		for i := range out {
+			out[i] = Record{int64(i), float64(i) / 3, "a fairly long string field to fill hash blocks"}
+		}
+		return out
+	}
+	a, err := CollectionDigest(mk(5000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := CollectionDigest(mk(5000)); a != b {
+		t.Error("equal content, different digests")
+	}
+	swapped := mk(5000)
+	swapped[10], swapped[4000] = swapped[4000], swapped[10]
+	if b, _ := CollectionDigest(swapped); a == b {
+		t.Error("reordered content, equal digests")
+	}
+	if b, _ := CollectionDigest(mk(4999)); a == b {
+		t.Error("a shorter collection, equal digests")
+	}
+	// The count is hashed, so moving a boundary between quanta shows.
+	one, _ := CollectionDigest([]any{[]any{int64(1), int64(2)}})
+	two, _ := CollectionDigest([]any{[]any{int64(1)}, []any{int64(2)}})
+	if one == two {
+		t.Error("differently nested content, equal digests")
+	}
+	if _, err := CollectionDigest([]any{int64(1), make(chan int)}); err == nil {
+		t.Error("an un-encodable quantum produced a digest")
+	}
+}
+
+// TestFingerprintUnencodableCollection: a collection the codec cannot encode
+// leaves its whole subtree out of the result, and with a memo the attempt is
+// made once.
+func TestFingerprintUnencodableCollection(t *testing.T) {
+	p, sink := collPlan([]any{int64(1), make(chan int)}, "")
+	memo := map[*Operator]string{}
+	for pass := 0; pass < 2; pass++ {
+		fps := FingerprintPlan(p, FingerprintOptions{Digests: memo})
+		if len(fps) != 0 {
+			t.Errorf("pass %d: %d operators fingerprinted over un-encodable content (sink: %v)", pass, len(fps), fps[sink])
+		}
+	}
+	if d, known := memo[p.Operators()[0]]; !known || d != "" {
+		t.Errorf("memo = %q, %v; want the failure remembered as \"\"", d, known)
 	}
 }
 
@@ -148,9 +231,10 @@ func TestFingerprintGolden(t *testing.T) {
 	if info == nil {
 		t.Fatal("golden plan sink not fingerprinted")
 	}
-	// Re-pinned when collection content-hashing moved from the tagged-JSON
-	// codec to the binary codec (same canonicalization rules, new encoding).
-	const golden = "235ead22fd71400c1363b4ca46dcbcd181089f61d4d217dfaa5590c3afb95c2b"
+	// Re-pinned for scheme "fp2": the scheme tag is hashed first, a
+	// collection source contributes CollectionDigest of its content, and the
+	// UDF identity begins with the registered names.
+	const golden = "7ba5949e5aa554ea9931c13b03c17ce0ada03cfa48844a8ce74675fafe6e4a6c"
 	if info.Hash != golden {
 		t.Errorf("golden fingerprint drifted:\n got %s\nwant %s", info.Hash, golden)
 	}

@@ -138,6 +138,12 @@ type UDFs struct {
 	// Open, when set, is invoked by the executing platform before the first
 	// quantum is processed, handing the UDF its broadcast side inputs.
 	Open func(bc BroadcastCtx)
+
+	// Names lists, as "role=name;" in slot order, the name each filled slot
+	// was registered under by a frontend that has named UDFs (latin). It is
+	// part of the UDF identity in plan fingerprints: closures made by one
+	// factory share a code symbol, and only their names tell them apart.
+	Names string
 }
 
 // Params carries kind-specific scalar parameters.
@@ -161,6 +167,12 @@ type Params struct {
 	// Where is an optional declarative filter predicate (instead of an
 	// opaque UDF); relational platforms push it into scans and indexes.
 	Where *Predicate
+
+	// CollectionDigest is CollectionDigest(Collection), stamped by whoever
+	// computed it when the collection was registered; "" means not known, and
+	// fingerprinting hashes the content itself. Set it only together with
+	// Collection, from a slice that is not written to afterwards.
+	CollectionDigest string
 }
 
 // Operator is a vertex of a RheemPlan: a platform-agnostic data

@@ -62,6 +62,29 @@ func BenchmarkOptimizePruned(b *testing.B) {
 	}
 }
 
+// BenchmarkOptimizeCacheHitPlan measures optimizing what a result-cache hit
+// leaves of a job: a cache-scan collection source feeding the sink. On the
+// serving path this is every hit job's optimization, so its allocations are
+// reported.
+func BenchmarkOptimizeCacheHitPlan(b *testing.B) {
+	reg := benchRegistry(b)
+	rows := make([]any, 7)
+	for i := range rows {
+		rows[i] = core.Record{int64(i), float64(i), "g"}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := core.NewPlan("hit")
+		scan := p.NewOperator(core.KindCollectionSource, "cache-scan:0123456789ab")
+		scan.Params.Collection = rows
+		p.Connect(scan, p.NewOperator(core.KindCollectionSink, "agg"), 0)
+		if _, err := Optimize(p, Options{Registry: reg}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkOptimizeExhaustive is the unpruned baseline (small plans only).
 func BenchmarkOptimizeExhaustive(b *testing.B) {
 	reg := benchRegistry(b)

@@ -9,6 +9,8 @@ import (
 
 	"rheem/internal/core"
 	"rheem/internal/telemetry"
+	"rheem/internal/trace"
+	"rheem/latin"
 )
 
 func testCache(t *testing.T, opts Options) *Cache {
@@ -396,5 +398,95 @@ func TestSessionNilSafety(t *testing.T) {
 	sess.Close()
 	if sess.Hits() != 0 || sess.Fingerprints() != nil {
 		t.Error("nil session not inert")
+	}
+}
+
+// --- content hashing per session ------------------------------------------
+
+func hashedKey(q any) any      { return q.(core.Record)[0] }
+func hashedFirst(a, b any) any { return a }
+
+// probeCounts opens a session for plan under a fresh tracer, lets fn use it,
+// and returns the cache-probe span's fingerprint_passes and
+// collections_hashed attributes.
+func probeCounts(t *testing.T, c *Cache, plan *core.Plan, fn func(*Session)) (passes, hashed string) {
+	t.Helper()
+	tr := trace.New(trace.KindJob, "job")
+	sess := c.Begin(trace.NewContext(context.Background(), tr.Root()), plan)
+	fn(sess)
+	sess.Close()
+	probe := tr.Snapshot().Find(trace.KindCacheProbe)
+	if probe == nil {
+		t.Fatal("no cache-probe span")
+	}
+	passes, _ = probe.Attr("fingerprint_passes")
+	hashed, _ = probe.Attr("collections_hashed")
+	return passes, hashed
+}
+
+// TestRegisteredCollectionHashedOnce: a registered collection is hashed when
+// it is registered and never by a job — a miss fingerprints once, a hit
+// twice, neither touches the content — while a plan whose source carries no
+// digest (the fluent path) hashes it exactly once per session, hit or miss.
+func TestRegisteredCollectionHashedOnce(t *testing.T) {
+	data := make([]any, 2000)
+	for i := range data {
+		data[i] = core.Record{int64(i % 11), float64(i)}
+	}
+	reg := latin.NewRegistry()
+	reg.RegisterKey("hashedKey", hashedKey)
+	reg.RegisterReduce("hashedFirst", hashedFirst)
+	reg.RegisterCollection("recs", data)
+	registered := func() (*core.Plan, *core.Operator) {
+		compiled, err := latin.Compile(`recs = load collection recs;
+agg = reduceby recs key hashedKey using hashedFirst;
+collect agg;`, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return compiled.Plan, compiled.Sinks["agg"]
+	}
+	fluent := func() (*core.Plan, *core.Operator) {
+		p := core.NewPlan("fluent")
+		src := p.Add(&core.Operator{Kind: core.KindCollectionSource, Label: "recs",
+			Params: core.Params{Collection: append([]any(nil), data...)}})
+		rb := p.Add(&core.Operator{Kind: core.KindReduceBy, Label: "hashedFirst",
+			UDF: core.UDFs{Key: hashedKey, Reduce: hashedFirst, Names: "key=hashedKey;reduce=hashedFirst;"}})
+		sink := p.Add(&core.Operator{Kind: core.KindCollectionSink, Label: "agg"})
+		p.Chain(src, rb, sink)
+		return p, sink
+	}
+	for _, tc := range []struct {
+		name       string
+		build      func() (*core.Plan, *core.Operator)
+		wantHashed string
+	}{
+		{"registered", registered, "0"},
+		{"fluent", fluent, "1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := testCache(t, Options{})
+			for job := 0; job < 5; job++ {
+				plan, sink := tc.build()
+				wantPasses, wantHits := "1", 0
+				if job > 0 {
+					wantPasses, wantHits = "2", 1
+				}
+				passes, hashed := probeCounts(t, c, plan, func(sess *Session) {
+					if sess.Hits() != wantHits {
+						t.Fatalf("job %d: %d hits, want %d", job, sess.Hits(), wantHits)
+					}
+					if job == 0 {
+						// The miss publishes its result; every later job hits it.
+						info := sess.Fingerprints()[sink]
+						c.Put(info.Hash, []any{"cached"}, 100, 16, info.Sources)
+					}
+				})
+				if passes != wantPasses || hashed != tc.wantHashed {
+					t.Errorf("job %d: fingerprint_passes=%s collections_hashed=%s, want %s and %s",
+						job, passes, hashed, wantPasses, tc.wantHashed)
+				}
+			}
+		})
 	}
 }

@@ -26,6 +26,11 @@ type Session struct {
 	plan  *core.Plan
 	ctx   context.Context // the job's context, bounding remote-tier fetches
 	fps   map[*core.Operator]*core.FPInfo
+	// digests holds the content digest of every collection source of the
+	// plan that carries none, so each is hashed once however many passes the
+	// session makes; passes counts those fingerprinting passes.
+	digests map[*core.Operator]string
+	passes  int
 
 	claimed    []string
 	claimedSet map[string]bool
@@ -45,12 +50,15 @@ func (c *Cache) Begin(ctx context.Context, plan *core.Plan) *Session {
 	if c == nil {
 		return nil
 	}
-	s := &Session{cache: c, plan: plan, ctx: ctx, claimedSet: map[string]bool{}}
+	s := &Session{cache: c, plan: plan, ctx: ctx, claimedSet: map[string]bool{},
+		digests: map[*core.Operator]string{}}
 	probe := trace.FromContext(ctx).Start(trace.KindCacheProbe, "cache-probe")
 	s.substitute(probe)
 	s.flight(ctx, probe)
 	probe.SetInt("probed", int64(s.probed))
 	probe.SetInt("hits", int64(s.hits))
+	probe.SetInt("fingerprint_passes", int64(s.passes))
+	probe.SetInt("collections_hashed", int64(len(s.digests)))
 	probe.End()
 	return s
 }
@@ -86,22 +94,30 @@ func (s *Session) Close() {
 	s.claimed = nil
 }
 
+// fingerprint runs one fingerprinting pass over the plan as it now stands.
+func (s *Session) fingerprint() map[*core.Operator]*core.FPInfo {
+	s.passes++
+	return core.FingerprintPlan(s.plan, core.FingerprintOptions{
+		SourceVersion: s.cache.SourceVersion,
+		Skip:          s.skipSet(),
+		Digests:       s.digests,
+	})
+}
+
 // substitute runs one probe pass: fingerprint the plan, probe every
 // candidate subtree deepest-first, and substitute cache-scan sources on
 // hits. Substituting at an operator prunes its entire upstream subtree, so
 // hashes of surviving operators (computed before any mutation) stay valid
-// for the remainder of the pass. It finishes by re-fingerprinting, giving
-// the post-substitution map used for cache marking.
+// for the remainder of the pass. A pass that substituted something finishes
+// by fingerprinting again, giving the post-substitution map used for cache
+// marking; one that did not already has it.
 func (s *Session) substitute(probe *trace.Span) {
-	fps := core.FingerprintPlan(s.plan, core.FingerprintOptions{
-		SourceVersion: s.cache.SourceVersion,
-		Skip:          s.skipSet(),
-	})
+	s.fps = s.fingerprint()
 	order, err := s.plan.TopoOrder()
 	if err != nil {
-		s.fps = fps
 		return
 	}
+	before := s.hits
 	noSub := s.unsubstitutable()
 	removed := map[*core.Operator]bool{}
 	for i := len(order) - 1; i >= 0; i-- {
@@ -109,7 +125,7 @@ func (s *Session) substitute(probe *trace.Span) {
 		if removed[op] || noSub[op] {
 			continue
 		}
-		info := fps[op]
+		info := s.fps[op]
 		if info == nil || op.Kind == core.KindCollectionSource {
 			continue
 		}
@@ -126,10 +142,9 @@ func (s *Session) substitute(probe *trace.Span) {
 			removed[gone] = true
 		}
 	}
-	s.fps = core.FingerprintPlan(s.plan, core.FingerprintOptions{
-		SourceVersion: s.cache.SourceVersion,
-		Skip:          s.skipSet(),
-	})
+	if s.hits > before {
+		s.fps = s.fingerprint()
+	}
 }
 
 // skipSet collects the plan's existing cache-scan sources: their content

@@ -17,7 +17,14 @@ type Registry struct {
 	reduces  map[string]func(a, b any) any
 	keys     map[string]func(any) any
 	conds    map[string]func(round int, current []any) bool
-	colls    map[string][]any
+	colls    map[string]collEntry
+}
+
+// collEntry is a registered collection with the digest of its content, kept
+// as one value so a reader never sees one without the other.
+type collEntry struct {
+	data   []any
+	digest string // core.CollectionDigest(data); "" when data holds an un-encodable quantum
 }
 
 type mapEntry struct {
@@ -34,7 +41,7 @@ func NewRegistry() *Registry {
 		reduces:  map[string]func(a, b any) any{},
 		keys:     map[string]func(any) any{},
 		conds:    map[string]func(round int, current []any) bool{},
-		colls:    map[string][]any{},
+		colls:    map[string]collEntry{},
 	}
 }
 
@@ -80,8 +87,21 @@ func (r *Registry) RegisterKey(name string, fn func(any) any) {
 	r.keys[name] = fn
 }
 
-// RegisterCollection registers a named input collection.
-func (r *Registry) RegisterCollection(name string, data []any) { r.colls[name] = data }
+// RegisterCollection registers a named input collection. To the result cache
+// a registered collection is a named source like a file or a table, except
+// that its identity is its content: the content is hashed here, once, and
+// every plan compiled from the name carries that digest in its fingerprints.
+// The slice is therefore immutable from this call on — a write to it would
+// leave the digest, and every cached result keyed on it, describing data that
+// no longer exists. To replace the data, register the name again: the new
+// content gets a new digest and jobs compiled afterwards miss the old
+// results. A collection holding a quantum the codec cannot encode is
+// registered without a digest and its plans are not cached.
+func (r *Registry) RegisterCollection(name string, data []any) {
+	// An error means "no digest": the collection stays usable, uncached.
+	digest, _ := core.CollectionDigest(data)
+	r.colls[name] = collEntry{data: data, digest: digest}
+}
 
 // RegisterCond registers a do-while continuation condition: invoked before
 // each round with the round number and the current loop value; returning
@@ -219,12 +239,13 @@ func (c *compiler) compileExpr(plan *core.Plan, env *scope, e *Expr) (*core.Oper
 		op.Params.Path = e.Path
 
 	case "load-collection":
-		data, ok := c.reg.colls[e.Collection]
+		coll, ok := c.reg.colls[e.Collection]
 		if !ok {
 			return nil, errf(e.Line, "unknown collection %q", e.Collection)
 		}
 		op = plan.NewOperator(core.KindCollectionSource, e.Collection)
-		op.Params.Collection = data
+		op.Params.Collection = coll.data
+		op.Params.CollectionDigest = coll.digest
 
 	case "load-table":
 		op = plan.NewOperator(core.KindTableSource, e.Path)
@@ -245,6 +266,7 @@ func (c *compiler) compileExpr(plan *core.Plan, env *scope, e *Expr) (*core.Oper
 		}
 		op.UDF.Map = me.fn
 		op.UDF.Open = me.open
+		op.UDF.Names = udfNames("map", e.UDF)
 
 	case "flatmap":
 		fn, ok := c.reg.flatMaps[e.UDF]
@@ -255,6 +277,7 @@ func (c *compiler) compileExpr(plan *core.Plan, env *scope, e *Expr) (*core.Oper
 			return nil, err
 		}
 		op.UDF.FlatMap = fn
+		op.UDF.Names = udfNames("flatmap", e.UDF)
 
 	case "filter":
 		if err := connect(core.KindFilter, e.UDF, 1); err != nil {
@@ -268,6 +291,7 @@ func (c *compiler) compileExpr(plan *core.Plan, env *scope, e *Expr) (*core.Oper
 				return nil, errf(e.Line, "unknown predicate UDF %q", e.UDF)
 			}
 			op.UDF.Pred = fn
+			op.UDF.Names = udfNames("pred", e.UDF)
 		}
 
 	case "reduce":
@@ -279,6 +303,7 @@ func (c *compiler) compileExpr(plan *core.Plan, env *scope, e *Expr) (*core.Oper
 			return nil, err
 		}
 		op.UDF.Reduce = fn
+		op.UDF.Names = udfNames("reduce", e.UDF)
 
 	case "reduceby":
 		key, ok := c.reg.keys[e.KeyUDF]
@@ -294,6 +319,7 @@ func (c *compiler) compileExpr(plan *core.Plan, env *scope, e *Expr) (*core.Oper
 		}
 		op.UDF.Key = key
 		op.UDF.Reduce = fn
+		op.UDF.Names = udfNames("key", e.KeyUDF, "reduce", e.UDF)
 
 	case "groupby":
 		key, ok := c.reg.keys[e.KeyUDF]
@@ -304,6 +330,7 @@ func (c *compiler) compileExpr(plan *core.Plan, env *scope, e *Expr) (*core.Oper
 			return nil, err
 		}
 		op.UDF.Key = key
+		op.UDF.Names = udfNames("key", e.KeyUDF)
 
 	case "join":
 		key, ok := c.reg.keys[e.KeyUDF]
@@ -319,6 +346,7 @@ func (c *compiler) compileExpr(plan *core.Plan, env *scope, e *Expr) (*core.Oper
 		}
 		op.UDF.Key = key
 		op.UDF.KeyRight = keyR
+		op.UDF.Names = udfNames("key", e.KeyUDF, "keyright", e.KeyRightUDF)
 
 	case "union":
 		if err := connect(core.KindUnion, "union", 2); err != nil {
@@ -404,6 +432,7 @@ func (c *compiler) compileLoop(plan *core.Plan, env *scope, e *Expr) (*core.Oper
 		loop = plan.NewOperator(core.KindDoWhile, "dowhile")
 		loop.Params.MaxIterations = int(e.Number)
 		loop.UDF.Cond = cond
+		loop.UDF.Names = udfNames("cond", e.UDF)
 	} else {
 		loop = plan.NewOperator(core.KindRepeat, "repeat")
 		loop.Params.Iterations = int(e.Number)
@@ -436,6 +465,17 @@ func (c *compiler) compileLoop(plan *core.Plan, env *scope, e *Expr) (*core.Oper
 	body.LoopOutput = out
 	loop.Body = body
 	return loop, nil
+}
+
+// udfNames renders role, name pairs as core.UDFs.Names: the registered name
+// of every UDF slot an operator was given, which the plan fingerprint needs
+// because the operator label carries at most one of them.
+func udfNames(pairs ...string) string {
+	var s string
+	for i := 0; i+1 < len(pairs); i += 2 {
+		s += pairs[i] + "=" + pairs[i+1] + ";"
+	}
+	return s
 }
 
 func predOf(p *PredAST) *core.Predicate {

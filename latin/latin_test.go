@@ -362,3 +362,129 @@ func TestCompileAndRunNestedRepeat(t *testing.T) {
 		t.Fatalf("w = %v, want the 9 distinct values", out["w"])
 	}
 }
+
+// --- the digest contract of registered collections ---------------------------
+
+func dcKey(q any) any      { return q.(core.Record)[0] }
+func dcFirst(a, b any) any { return a }
+
+const digestScript = `recs = load collection recs;
+agg = reduceby recs key dcKey using dcFirst;
+collect agg;`
+
+func digestRegistry(data []any) *Registry {
+	reg := NewRegistry()
+	reg.RegisterKey("dcKey", dcKey)
+	reg.RegisterReduce("dcFirst", dcFirst)
+	reg.RegisterCollection("recs", data)
+	return reg
+}
+
+// compiledHashes compiles digestScript and returns the fingerprint of every
+// operator by label (nil entries absent).
+func compiledHashes(t *testing.T, reg *Registry) map[string]string {
+	t.Helper()
+	compiled, err := Compile(digestScript, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for op, info := range core.FingerprintPlan(compiled.Plan, core.FingerprintOptions{}) {
+		out[op.Label] = info.Hash
+	}
+	return out
+}
+
+func digestData(n int) []any {
+	data := make([]any, n)
+	for i := range data {
+		data[i] = core.Record{int64(i % 7), float64(i)}
+	}
+	return data
+}
+
+// TestRegisteredAndFluentCollectionsCollide: a plan compiled from a
+// registered collection and a hand-built plan (what the fluent
+// LoadCollection produces: no digest on the source) with the same labels,
+// UDF names and equal content have equal fingerprints, so either path is
+// served the other's cached results.
+func TestRegisteredAndFluentCollectionsCollide(t *testing.T) {
+	compiled, err := Compile(digestScript, digestRegistry(digestData(300)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compiled.Plan.Sources()[0].Params.CollectionDigest == "" {
+		t.Fatal("Compile did not stamp the registered collection's digest on its source")
+	}
+	want := core.FingerprintPlan(compiled.Plan, core.FingerprintOptions{})[compiled.Sinks["agg"]]
+
+	p := core.NewPlan("fluent")
+	src := p.Add(&core.Operator{Kind: core.KindCollectionSource, Label: "recs",
+		Params: core.Params{Collection: digestData(300)}})
+	rb := p.Add(&core.Operator{Kind: core.KindReduceBy, Label: "dcFirst",
+		UDF: core.UDFs{Key: dcKey, Reduce: dcFirst, Names: "key=dcKey;reduce=dcFirst;"}})
+	sink := p.Add(&core.Operator{Kind: core.KindCollectionSink, Label: "agg"})
+	p.Chain(src, rb, sink)
+	got := core.FingerprintPlan(p, core.FingerprintOptions{})[sink]
+	if want == nil || got == nil || want.Hash != got.Hash {
+		t.Errorf("registry-built and hand-built plans over equal content differ:\n%v\n%v", want, got)
+	}
+}
+
+// TestReRegisteringChangesEveryFingerprint: the name is not the identity —
+// registering different content under the same name changes the fingerprint
+// of the source and of everything downstream of it.
+func TestReRegisteringChangesEveryFingerprint(t *testing.T) {
+	reg := digestRegistry(digestData(300))
+	before := compiledHashes(t, reg)
+	if len(before) != 3 {
+		t.Fatalf("fingerprinted %d operators, want 3", len(before))
+	}
+	if again := compiledHashes(t, reg); !reflect.DeepEqual(before, again) {
+		t.Error("two compilations over one registration differ")
+	}
+	changed := digestData(300)
+	changed[299] = core.Record{int64(5), -1.0}
+	reg.RegisterCollection("recs", changed)
+	after := compiledHashes(t, reg)
+	for label, h := range before {
+		if after[label] == h {
+			t.Errorf("%s kept fingerprint %s across a re-registration with different content", label, h)
+		}
+	}
+}
+
+// TestUnencodableRegisteredCollection: a registered collection holding a
+// quantum the codec cannot encode compiles and stays out of the fingerprints,
+// with everything downstream of it.
+func TestUnencodableRegisteredCollection(t *testing.T) {
+	reg := digestRegistry([]any{core.Record{int64(1), 1.0}, make(chan int)})
+	if got := compiledHashes(t, reg); len(got) != 0 {
+		t.Errorf("fingerprinted %v over an un-encodable collection", got)
+	}
+}
+
+// TestUDFNamesRecorded: every UDF slot Compile fills is named on the
+// operator, the roles the label does not carry included.
+func TestUDFNamesRecorded(t *testing.T) {
+	reg := digestRegistry(digestData(10))
+	reg.RegisterKey("other", dcKey)
+	compiled, err := Compile(`a = load collection recs;
+b = load collection recs;
+j = join a, b on dcKey, other;
+g = groupby j key other;
+collect g;`, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[core.Kind]string{}
+	for _, op := range compiled.Plan.Operators() {
+		names[op.Kind] = op.UDF.Names
+	}
+	if got, want := names[core.KindJoin], "key=dcKey;keyright=other;"; got != want {
+		t.Errorf("join names = %q, want %q", got, want)
+	}
+	if got, want := names[core.KindGroupBy], "key=other;"; got != want {
+		t.Errorf("groupby names = %q, want %q", got, want)
+	}
+}

@@ -98,8 +98,16 @@ func TestSameJobTwiceHitsCache(t *testing.T) {
 	if tr2.Find(trace.KindCacheHit) == nil {
 		t.Fatal("second (warm) run has no cache-hit span")
 	}
-	if tr2.Find(trace.KindCacheProbe) == nil {
-		t.Error("second run has no cache-probe span")
+	probe := tr2.Find(trace.KindCacheProbe)
+	if probe == nil {
+		t.Fatal("second run has no cache-probe span")
+	}
+	// The probe says what it cost: a hit fingerprints twice (before and
+	// after substitution) and a file-backed script hashes no collection.
+	for attr, want := range map[string]string{"fingerprint_passes": "2", "collections_hashed": "0"} {
+		if got, _ := probe.Attr(attr); got != want {
+			t.Errorf("cache-probe %s = %q, want %q", attr, got, want)
+		}
 	}
 	// The upstream scan/flatmap/reduce must not re-execute: no operator
 	// span besides the cache-scan source and the sink may appear.

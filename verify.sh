@@ -27,6 +27,13 @@ go test -race $short ./...
 # Benchmark smoke: one iteration of the codec benchmarks, so they compile
 # and run even when nobody records numbers.
 go test -run=NONE -bench=BenchmarkEncodeQuantum -benchtime=1x ./internal/core
+# Serving-path smoke: one iteration of what every job on a caching server pays
+# before its stages — a fingerprinting pass over a plan compiled from 20 k
+# registered records (the content was hashed at registration; tens of
+# microseconds, not milliseconds) and the optimization of the two-operator
+# plan a cache hit leaves.
+go test -run=NONE -bench=BenchmarkFingerprintRegistered20k -benchtime=1x ./latin
+go test -run=NONE -bench=BenchmarkOptimizeCacheHitPlan -benchtime=1x ./internal/optimizer
 # Chain-kernel smoke: one iteration of the narrow-chain benchmarks and of the
 # columnar agg-chain benchmark (the vectorized grouped-aggregation kernel),
 # plus the differential crosscheck of every engine's chain kernels against
@@ -93,6 +100,12 @@ go test -race -count=1 -run='TestEveryOptimizedPlanRuns|TestReplanRunsNothingTwi
 # process total job after job; the cost learner is fed loop bodies.
 go test -race -count=1 -run='TestRunRecordIsComplete|TestDictColumnsCountedOnce|TestLogCollectionIncludesLoopBodies' .
 go test -race -count=1 -run='TestIterativeTopologyLogsItsBody' ./internal/costlearn
+# And the result cache's identity rules: closures from one UDF factory
+# registered under different names never share a fingerprint (the second job
+# used to be served the first's groups), and a registered collection is hashed
+# at registration, never by a job's cache probe.
+go test -race -count=1 -run='TestFactoryClosuresDoNotShareFingerprint' .
+go test -race -count=1 -run='TestRegisteredCollectionHashedOnce' ./internal/rescache
 go test -race -count=1 -run='TestBootConcurrentFirstJobs' ./internal/platform/driverutil
 # Columnar smoke: the fixed declarative pipelines (narrow chain and grouped
 # aggregation, free choice and pinned to streams/spark/flink, plus the two
