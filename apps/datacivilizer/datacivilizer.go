@@ -10,7 +10,6 @@ package datacivilizer
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"rheem"
@@ -202,17 +201,4 @@ func RunQ5(ctx *rheem.Context, lay *Layout, region string, dateLo int64, options
 
 // parseTSV parses a tab-separated line into a Record, inferring numeric
 // fields.
-func parseTSV(q any) any {
-	fields := strings.Split(q.(string), "\t")
-	rec := make(core.Record, len(fields))
-	for i, f := range fields {
-		if n, err := strconv.ParseInt(f, 10, 64); err == nil {
-			rec[i] = n
-		} else if x, err := strconv.ParseFloat(f, 64); err == nil {
-			rec[i] = x
-		} else {
-			rec[i] = f
-		}
-	}
-	return rec
-}
+func parseTSV(q any) any { return datagen.ParseRecordLine(q.(string)) }

@@ -2,6 +2,7 @@ package datacivilizer
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"rheem"
@@ -123,6 +124,28 @@ func TestQ5UsesMultiplePlatforms(t *testing.T) {
 	}
 	if !seen["relstore"] {
 		t.Fatalf("table scans should stay in the store: %v", platforms)
+	}
+}
+
+// Job after job, the store holds the tables LoadPolystore put there and no
+// more: a relational stage's result is not left behind as a table, so a
+// process running Q5 repeatedly keeps a flat heap.
+func TestQ5LeavesStoreAsLoaded(t *testing.T) {
+	ctx := fastCtx(t)
+	db := datagen.GenTPCH(0.2, 5)
+	lay, err := LoadPolystore(ctx, db, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := ctx.RelStore(lay.Store)
+	loaded := store.Tables()
+	for i := 0; i < 3; i++ {
+		if _, err := RunQ5(ctx, lay, "ASIA", 100); err != nil {
+			t.Fatal(err)
+		}
+		if got := store.Tables(); !slices.Equal(got, loaded) {
+			t.Fatalf("after job %d the store holds %v, want %v", i+1, got, loaded)
+		}
 	}
 }
 

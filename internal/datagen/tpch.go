@@ -3,6 +3,8 @@ package datagen
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"rheem/internal/core"
 )
@@ -122,6 +124,56 @@ func RecordLines(records []core.Record) []string {
 		out[i] = line
 	}
 	return out
+}
+
+// ParseRecordLine parses a tab-separated line, such as one of RecordLines,
+// into a Record: a field strconv.ParseInt reads (base 10) is an int64, else
+// one strconv.ParseFloat reads is a float64, else it stays a string. Each
+// parser is called only on a field whose leading characters it could
+// accept, so strconv still decides every value but a string field costs no
+// failed parse and no error allocation.
+func ParseRecordLine(line string) core.Record {
+	rec := make(core.Record, strings.Count(line, "\t")+1)
+	for i := range rec {
+		f := line
+		if tab := strings.IndexByte(line, '\t'); tab >= 0 {
+			f, line = line[:tab], line[tab+1:]
+		}
+		rec[i] = parseField(f)
+	}
+	return rec
+}
+
+func parseField(f string) any {
+	body := f
+	if body != "" && (body[0] == '+' || body[0] == '-') {
+		body = body[1:]
+	}
+	if body == "" {
+		return f
+	}
+	if isDigits(body) {
+		if n, err := strconv.ParseInt(f, 10, 64); err == nil {
+			return n
+		}
+		// Out of int64's range: ParseFloat reads it below.
+	}
+	switch c := body[0]; {
+	case '0' <= c && c <= '9', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+		if x, err := strconv.ParseFloat(f, 64); err == nil {
+			return x
+		}
+	}
+	return f
+}
+
+func isDigits(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // AnySlice widens a record slice to quanta.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"os"
-	"strconv"
 	"time"
 
 	"rheem"
@@ -111,7 +110,9 @@ func q5PinnedPlan(ctx *rheem.Context, platform string) (*rheem.PlanBuilder, *cor
 func q5SparkPlan(ctx *rheem.Context) (*rheem.PlanBuilder, *core.Operator) {
 	b := ctx.NewPlan("q5-spark")
 	read := func(name string) *rheem.DataQuanta {
-		return b.ReadTextFile("dfs://all/"+name+".tbl").Map("parse-"+name, parseTSVLine)
+		return b.ReadTextFile("dfs://all/"+name+".tbl").Map("parse-"+name, func(q any) any {
+			return datagen.ParseRecordLine(q.(string))
+		})
 	}
 	regions := read("region").Filter("asia", func(q any) bool {
 		return q.(core.Record).String(datagen.RegionName) == "ASIA"
@@ -180,27 +181,4 @@ func assembleQ5(b *rheem.PlanBuilder, regions, nations, suppliers, customers, or
 		}).
 		Sort(func(a, c any) bool { return a.(core.Record).Float(1) > c.(core.Record).Float(1) }).
 		CollectSink()
-}
-
-func parseTSVLine(q any) any {
-	line := q.(string)
-	var rec core.Record
-	start := 0
-	for i := 0; i <= len(line); i++ {
-		if i == len(line) || line[i] == '\t' {
-			rec = append(rec, parseField(line[start:i]))
-			start = i + 1
-		}
-	}
-	return rec
-}
-
-func parseField(f string) any {
-	if iv, err := strconv.ParseInt(f, 10, 64); err == nil {
-		return iv
-	}
-	if fv, err := strconv.ParseFloat(f, 64); err == nil {
-		return fv
-	}
-	return f
 }

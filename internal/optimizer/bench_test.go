@@ -85,6 +85,40 @@ func BenchmarkOptimizeCacheHitPlan(b *testing.B) {
 	}
 }
 
+// BenchmarkOptimizeDFSSource measures optimizing a plan over a 2 MB DFS text
+// file, its cardinality resolved by sampling. The file is sampled once per
+// version, so this is the steady-state cost every job over it pays; its
+// allocations are reported.
+func BenchmarkOptimizeDFSSource(b *testing.B) {
+	store, err := dfs.New(b.TempDir(), dfs.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lines := make([]string, 200000)
+	for i := range lines {
+		lines[i] = "line-" + itoa(i)
+	}
+	if err := store.WriteLines("in.txt", lines); err != nil {
+		b.Fatal(err)
+	}
+	reg := benchRegistry(b)
+	opts := Options{Registry: reg, Resolve: DFSSourceResolver(store)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := core.NewPlan("dfs")
+		src := p.NewOperator(core.KindTextFileSource, "src")
+		src.Params.Path = "dfs://in.txt"
+		m := p.NewOperator(core.KindMap, "m")
+		m.UDF.Map = func(q any) any { return q }
+		p.Connect(src, m, 0)
+		p.Connect(m, p.NewOperator(core.KindCollectionSink, "out"), 0)
+		if _, err := Optimize(p, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkOptimizeExhaustive is the unpruned baseline (small plans only).
 func BenchmarkOptimizeExhaustive(b *testing.B) {
 	reg := benchRegistry(b)

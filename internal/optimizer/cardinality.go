@@ -1,6 +1,10 @@
 package optimizer
 
 import (
+	"bytes"
+	"io"
+	"os"
+
 	"rheem/internal/core"
 	"rheem/internal/storage/dfs"
 )
@@ -28,39 +32,33 @@ func ChainResolvers(rs ...SourceResolver) SourceResolver {
 // DFSSourceResolver estimates text-file source cardinalities by sampling
 // the first block: lines ~= fileSize / avgLineLength (Section 4.1: "it
 // first computes the output cardinalities of the source operators via
-// sampling").
+// sampling"). The store samples a file once per version, so after the
+// first estimate this costs a lookup whatever the file's size.
 func DFSSourceResolver(store *dfs.Store) SourceResolver {
 	return func(op *core.Operator) (core.CardEstimate, bool) {
 		if op.Kind != core.KindTextFileSource || store == nil || !dfs.IsPath(op.Params.Path) {
 			return core.CardEstimate{}, false
 		}
-		name := dfs.TrimScheme(op.Params.Path)
-		size, blocks, err := store.Stat(name)
+		smp, err := store.LineSample(dfs.TrimScheme(op.Params.Path))
 		if err != nil {
 			return core.CardEstimate{}, false
 		}
-		if size == 0 {
+		if smp.Size == 0 {
 			return core.ExactCard(0), true
 		}
-		sample, err := store.ReadBlockLines(name, 0)
-		if err != nil || len(sample) == 0 {
+		if smp.Lines == 0 {
 			return core.CardEstimate{}, false
 		}
-		var sampleBytes int64
-		for _, l := range sample {
-			sampleBytes += int64(len(l)) + 1
-		}
-		avg := float64(sampleBytes) / float64(len(sample))
-		est := float64(size) / avg
-		conf := 0.9
-		if len(blocks) == 1 {
+		if smp.Blocks == 1 {
 			// The sample covered the whole file: the count is exact.
-			return core.ExactCard(int64(len(sample))), true
+			return core.ExactCard(smp.Lines), true
 		}
+		avg := float64(smp.Bytes) / float64(smp.Lines)
+		est := float64(smp.Size) / avg
 		return core.CardEstimate{
 			Low:        int64(est * 0.8),
 			High:       int64(est*1.2) + 1,
-			Confidence: conf,
+			Confidence: 0.9,
 		}, true
 	}
 }
@@ -85,19 +83,50 @@ func TableStatsResolver(lookup func(store, table string) (int64, bool)) SourceRe
 	}
 }
 
-// LocalFileResolver estimates local text-file sources by line counting a
-// prefix (cheap because experiment inputs are modest).
+// LocalFileResolver counts the lines of local text-file sources exactly. A
+// local file has no version the system controls, so nothing is cached: the
+// file is counted on every call, streamed through a fixed buffer.
 func LocalFileResolver() SourceResolver {
 	return func(op *core.Operator) (core.CardEstimate, bool) {
 		if op.Kind != core.KindTextFileSource || dfs.IsPath(op.Params.Path) {
 			return core.CardEstimate{}, false
 		}
-		lines, err := core.ReadTextFile(op.Params.Path)
+		n, err := countLines(op.Params.Path)
 		if err != nil {
 			return core.CardEstimate{}, false
 		}
-		return core.ExactCard(int64(len(lines))), true
+		return core.ExactCard(n), true
 	}
+}
+
+// countLines counts a file's lines as core.ReadTextFile splits them: every
+// newline ends one, and a final line without a newline counts too.
+func countLines(path string) (int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	buf := make([]byte, 32<<10)
+	var n int64
+	last := byte('\n')
+	for {
+		m, err := f.Read(buf)
+		if m > 0 {
+			n += int64(bytes.Count(buf[:m], []byte{'\n'}))
+			last = buf[m-1]
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+	if last != '\n' {
+		n++
+	}
+	return n, nil
 }
 
 // EstimateCards walks the plan in topological order deriving the output

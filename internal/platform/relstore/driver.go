@@ -2,7 +2,6 @@ package relstore
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"rheem/internal/core"
 	"rheem/internal/platform/driverutil"
@@ -11,11 +10,12 @@ import (
 // Platform is the platform name this driver registers under.
 const Platform = "relstore"
 
-// TableRef is the payload of relation channels: a table within a store, or —
-// for a result whose quanta are not records (a count, keyed aggregates) and so
-// cannot live in a table — the result set itself, held by the driver. Either
-// way the channel is a relation: which channel an operator emits is declared
-// by its mapping, never decided by the data.
+// TableRef is the payload of relation channels: a base table within a store,
+// or a result set — a stage's result or a loaded collection — held by the
+// channel itself. Either way the channel is a relation: which channel an
+// operator emits is declared by its mapping, never decided by the data. A
+// result set is never written into the store as a table: nothing would drop
+// it, and every job would leave its intermediate rows on the heap for good.
 type TableRef struct {
 	Store *Store
 	Table string
@@ -49,8 +49,8 @@ func (ref TableRef) scan(cols []int, where *core.Predicate, workers int) ([]any,
 	return rows, nil
 }
 
-// RelationChannel is the store's native channel: a (possibly temporary)
-// table. Data is at rest and reusable.
+// RelationChannel is the store's native channel: a base table or a result
+// set. Data is at rest and reusable.
 var RelationChannel = core.ChannelDescriptor{Name: "relation", Platform: Platform, Reusable: true, AtRest: true}
 
 // Config tunes the engine. The latency/slowdown fields treat 0 as "use the
@@ -89,7 +89,6 @@ func (c Config) withDefaults() Config {
 type Driver struct {
 	Conf   Config
 	stores map[string]*Store
-	tmpSeq atomic.Int64
 }
 
 // New creates a driver hosting the given stores (nil is allowed; stores can
@@ -133,7 +132,7 @@ func (d *Driver) ChannelDescriptors() []core.ChannelDescriptor {
 
 // Conversions implements core.Driver: exporting a relation to a driver
 // collection (a full result fetch over the wire) and importing a collection
-// into a temporary table (a bulk load).
+// of records as a relation (a bulk load).
 func (d *Driver) Conversions() []*core.Conversion {
 	return []*core.Conversion{
 		driverutil.Conv("relstore.export", "relation", "collection", 2, 0.003, func(ref TableRef, _ *core.Channel) (*core.Channel, error) {
@@ -151,64 +150,20 @@ func (d *Driver) Conversions() []*core.Conversion {
 				if err != nil {
 					return nil, err
 				}
-				return d.load("tmp_load", data)
+				for _, q := range data {
+					if _, ok := q.(core.Record); !ok {
+						return nil, fmt.Errorf("relstore: cannot load %T quanta into a relation", q)
+					}
+				}
+				return resultSet(data), nil
 			},
 		},
 	}
 }
 
-// load bulk-loads record quanta into a fresh temporary table of the sole
-// attached store and returns the relation channel over it.
-func (d *Driver) load(prefix string, data []any) (*core.Channel, error) {
-	store, err := d.StoreByName("")
-	if err != nil {
-		return nil, err
-	}
-	name := fmt.Sprintf("%s_%d", prefix, d.tmpSeq.Add(1))
-	if err := LoadRecords(store, name, data); err != nil {
-		return nil, err
-	}
-	return core.NewChannel(RelationChannel, TableRef{Store: store, Table: name}, int64(len(data))), nil
-}
-
-// LoadRecords bulk-loads record quanta into a new table, inferring the
-// schema from the first record.
-func LoadRecords(store *Store, table string, data []any) error {
-	var cols []Column
-	if len(data) > 0 {
-		first, ok := data[0].(core.Record)
-		if !ok {
-			return fmt.Errorf("relstore: cannot load %T quanta into a table", data[0])
-		}
-		cols = make([]Column, len(first))
-		for i, v := range first {
-			cols[i] = Column{Name: fmt.Sprintf("c%d", i), Type: typeOf(v)}
-		}
-	}
-	t, err := store.CreateTable(table, cols)
-	if err != nil {
-		return err
-	}
-	rows := make([]core.Record, len(data))
-	for i, q := range data {
-		r, ok := q.(core.Record)
-		if !ok {
-			return fmt.Errorf("relstore: quantum %T is not a Record", q)
-		}
-		rows[i] = r
-	}
-	return t.Insert(rows...)
-}
-
-func typeOf(v any) ColType {
-	switch v.(type) {
-	case string:
-		return TString
-	case float64, float32:
-		return TFloat
-	default:
-		return TInt
-	}
+// resultSet is the relation channel over rows held by the channel.
+func resultSet(rows []any) *core.Channel {
+	return core.NewChannel(RelationChannel, TableRef{result: rows}, int64(len(rows)))
 }
 
 // RegisterMappings implements core.Driver: only relational kinds.
@@ -272,26 +227,14 @@ func (e *engine) FromChannel(ch *core.Channel) (*rel, error) {
 	}
 }
 
-// ToChannel implements driverutil.Engine. Results stay a relation so
-// downstream relational stages or conversions can consume them: a temporary
-// table, or the result set itself when its quanta are not records.
+// ToChannel implements driverutil.Engine. Results stay a relation, the result
+// set itself, so downstream relational stages or conversions can consume
+// them.
 func (e *engine) ToChannel(op *core.Operator, r *rel) (*core.Channel, error) {
-	switch {
-	case op.Kind == core.KindCollectionSink:
+	if op.Kind == core.KindCollectionSink {
 		return driverutil.CollectionOf(r.rows), nil
-	case !allRecords(r.rows):
-		return core.NewChannel(RelationChannel, TableRef{result: r.rows}, int64(len(r.rows))), nil
 	}
-	return e.driver.load("tmp_res", r.rows)
-}
-
-func allRecords(rows []any) bool {
-	for _, q := range rows {
-		if _, ok := q.(core.Record); !ok {
-			return false
-		}
-	}
-	return true
+	return resultSet(r.rows), nil
 }
 
 // rowsOf reads an input's rows: a row set as it is, a table by a full scan.

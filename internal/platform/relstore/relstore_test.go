@@ -312,13 +312,39 @@ func TestConversionsExportAndLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := back.Payload.(TableRef)
-	tab, err := ref.Store.Table(ref.Table)
+	rows, err := back.Payload.(TableRef).Rows()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.RowCount() != 4 {
-		t.Fatalf("loaded rows = %d", tab.RowCount())
+	if !reflect.DeepEqual(rows, data) || back.Card != 4 {
+		t.Fatalf("loaded rows = %v (card %d)", rows, back.Card)
+	}
+	if _, err := convs["relstore.load"].Convert(platformtest.CollectionChannel(int64(1))); err == nil {
+		t.Fatal("loading non-record quanta must fail")
+	}
+}
+
+// Neither a stage's result nor a load is written into the store as a table:
+// nothing would drop it, so a process running job after job would keep every
+// job's intermediate rows.
+func TestResultsLeaveNoTablesBehind(t *testing.T) {
+	d := testDriver(t)
+	store, _ := d.StoreByName("pg")
+	scan := &core.Operator{Kind: core.KindTableSource, Params: core.Params{Table: "people", Store: "pg"}}
+	for i := 0; i < 3; i++ {
+		if got := platformtest.RunOp(t, d, scan); len(got) != 4 {
+			t.Fatalf("scan = %v", got)
+		}
+	}
+	for _, cv := range d.Conversions() {
+		if cv.Name == "relstore.load" {
+			if _, err := cv.Convert(platformtest.CollectionChannel(core.Record{int64(5), "eve", 1.0})); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := store.Tables(); !reflect.DeepEqual(got, []string{"people"}) {
+		t.Fatalf("store tables after three stages and a load = %v, want only the base table", got)
 	}
 }
 

@@ -7,7 +7,7 @@
 // which is precisely what forces the optimizer into mandatory
 // cross-platform plans (Section 2.3 of the paper). Beside the store, the
 // package holds its driver on the shared platform frame
-// (driverutil/platform.go): TableRef, filter push-down, the temp-table load.
+// (driverutil/platform.go): TableRef, filter push-down, the bulk load.
 package relstore
 
 import (

@@ -94,6 +94,10 @@ type fileMeta struct {
 	// Absent from metadata written before framing existed, so old files
 	// keep reading as line files.
 	Framed bool `json:"framed,omitempty"`
+	// sample memoizes LineSample for this version of the file (guarded by
+	// Store.mu, never persisted). Create and Delete replace or drop the
+	// meta, so the memo dies with its version and is never invalidated.
+	sample *Sample
 }
 
 // New creates (or reopens) a store rooted at dir.
@@ -358,7 +362,7 @@ func (r *fileReader) Close() error {
 	return nil
 }
 
-// OpenBlock opens one block of a file, picking any live replica. Parallel
+// OpenBlock opens one block of a file, picking any whole replica. Parallel
 // engines hand distinct blocks to distinct workers.
 func (s *Store) OpenBlock(name string, index int) (io.ReadCloser, error) {
 	_, blocks, err := s.Stat(name)
@@ -368,15 +372,73 @@ func (s *Store) OpenBlock(name string, index int) (io.ReadCloser, error) {
 	if index < 0 || index >= len(blocks) {
 		return nil, fmt.Errorf("dfs: %q has no block %d", name, index)
 	}
+	return s.openReplica(name, blocks[index])
+}
+
+// openReplica opens the first whole replica of block b: one that opens and
+// holds the block's recorded size. A short replica (a torn copy) is skipped
+// for the next one; when none is whole the error names the file and block.
+func (s *Store) openReplica(name string, b BlockInfo) (*os.File, error) {
 	var lastErr error
-	for _, node := range blocks[index].Nodes {
-		f, err := os.Open(s.blockPath(name, node, index))
-		if err == nil {
-			return f, nil
+	for _, node := range b.Nodes {
+		f, err := os.Open(s.blockPath(name, node, b.Index))
+		if err != nil {
+			lastErr = err
+			continue
 		}
-		lastErr = err
+		fi, err := f.Stat()
+		if err == nil && fi.Size() < b.Size {
+			err = fmt.Errorf("replica on node %d holds %d of %d bytes", node, fi.Size(), b.Size)
+		}
+		if err != nil {
+			f.Close()
+			lastErr = err
+			continue
+		}
+		return f, nil
 	}
-	return nil, fmt.Errorf("dfs: all replicas of %q block %d unreadable: %w", name, index, lastErr)
+	return nil, fmt.Errorf("dfs: no whole replica of %q block %d: %w", name, b.Index, lastErr)
+}
+
+// readBlock reads block b whole into one buffer of its recorded size.
+func (s *Store) readBlock(name string, b BlockInfo) ([]byte, error) {
+	f, err := s.openReplica(name, b)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	data := make([]byte, b.Size)
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, fmt.Errorf("dfs: read %q block %d: %w", name, b.Index, err)
+	}
+	return data, nil
+}
+
+// lineChunk is the read size used to finish a line that straddles into a
+// block: the reader needs the block only up to its first newline.
+const lineChunk = 512
+
+// appendLineEnd appends to frag the bytes of block b before its first
+// newline, reading b in lineChunk pieces and stopping at the newline. found
+// reports whether b holds a newline; if not, frag has all of b appended.
+func (s *Store) appendLineEnd(name string, b BlockInfo, frag []byte) (_ []byte, found bool, _ error) {
+	f, err := s.openReplica(name, b)
+	if err != nil {
+		return nil, false, err
+	}
+	defer f.Close()
+	buf := make([]byte, min(b.Size, lineChunk))
+	for off := int64(0); off < b.Size; off += int64(len(buf)) {
+		chunk := buf[:min(int64(len(buf)), b.Size-off)]
+		if _, err := io.ReadFull(f, chunk); err != nil {
+			return nil, false, fmt.Errorf("dfs: read %q block %d: %w", name, b.Index, err)
+		}
+		if nl := bytes.IndexByte(chunk, '\n'); nl >= 0 {
+			return append(frag, chunk[:nl]...), true, nil
+		}
+		frag = append(frag, chunk...)
+	}
+	return frag, false, nil
 }
 
 func (s *Store) throttle(n int) {
@@ -429,67 +491,115 @@ func (s *Store) ReadLines(name string) ([]string, error) {
 // line that *starts* strictly inside it (the first line of the file belongs
 // to block 0), and the reader continues into the next block to finish a
 // line that straddles the boundary.
+//
+// A replica shorter than its block's recorded size is skipped for the next
+// one; with no whole replica the read fails rather than return fewer lines.
 func (s *Store) ReadBlockLines(name string, index int) ([]string, error) {
 	_, blocks, err := s.Stat(name)
 	if err != nil {
 		return nil, err
 	}
+	var out []string
+	// Each line is its own string, so a line kept downstream does not pin
+	// the block it came from.
+	if err := s.eachLine(name, blocks, index, func(line []byte) { out = append(out, string(line)) }); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// eachLine calls visit with every line the split of block index owns, in
+// order, under ReadBlockLines' convention; blocks is the file's layout. The
+// slice passed to visit is only valid during the call.
+func (s *Store) eachLine(name string, blocks []BlockInfo, index int, visit func(line []byte)) error {
 	if index < 0 || index >= len(blocks) {
-		return nil, fmt.Errorf("dfs: %q has no block %d", name, index)
+		return fmt.Errorf("dfs: %q has no block %d", name, index)
 	}
-	blk, err := s.OpenBlock(name, index)
+	data, err := s.readBlock(name, blocks[index])
 	if err != nil {
-		return nil, err
+		return err
 	}
-	data, err := io.ReadAll(blk)
-	blk.Close()
-	if err != nil {
-		return nil, err
-	}
-	start := 0
+	pos := 0
 	if index > 0 && !blocks[index-1].EndsNL {
 		// The first (partial) line of this block is owned by the previous
 		// split; skip past it.
 		nl := bytes.IndexByte(data, '\n')
 		if nl < 0 {
 			// The whole block is the middle of one line owned earlier.
-			return nil, nil
+			return nil
 		}
-		start = nl + 1
+		pos = nl + 1
 	}
-	var out []string
-	pos := start
-	for pos < len(data) {
+	for {
 		nl := bytes.IndexByte(data[pos:], '\n')
 		if nl < 0 {
 			break
 		}
-		out = append(out, string(data[pos:pos+nl]))
+		visit(data[pos : pos+nl])
 		pos += nl + 1
 	}
-	// A trailing fragment continues into subsequent blocks (or is the file's
-	// last, newline-less line).
-	if pos < len(data) {
-		frag := append([]byte(nil), data[pos:]...)
-		for next := index + 1; next < len(blocks); next++ {
-			nb, err := s.OpenBlock(name, next)
-			if err != nil {
-				return nil, err
-			}
-			nd, err := io.ReadAll(nb)
-			nb.Close()
-			if err != nil {
-				return nil, err
-			}
-			nl := bytes.IndexByte(nd, '\n')
-			if nl >= 0 {
-				frag = append(frag, nd[:nl]...)
-				out = append(out, string(frag))
-				return out, nil
-			}
-			frag = append(frag, nd...)
-		}
-		out = append(out, string(frag))
+	if pos == len(data) {
+		return nil
 	}
-	return out, nil
+	// A trailing fragment continues into subsequent blocks (or is the file's
+	// last, newline-less line). Its capacity ends at the block's, so the
+	// appends below copy it out instead of writing into data.
+	frag := data[pos:len(data):len(data)]
+	for next := index + 1; next < len(blocks); next++ {
+		var found bool
+		if frag, found, err = s.appendLineEnd(name, blocks[next], frag); err != nil {
+			return err
+		}
+		if found {
+			break
+		}
+	}
+	visit(frag)
+	return nil
+}
+
+// Sample is what block 0 of a line file says about the whole file — the
+// input of a sampling cardinality estimate.
+type Sample struct {
+	Size   int64 // file size in bytes
+	Blocks int   // number of blocks
+	Lines  int64 // lines block 0 owns: len(ReadBlockLines(name, 0))
+	Bytes  int64 // their bytes, one newline per line included
+}
+
+// LineSample returns the file's Sample, reading block 0 once per version of
+// the file: the result is kept on that version's metadata and is stored
+// only if the file was not replaced while it was read. A rewrite, delete or
+// re-create is a new version and is sampled afresh.
+func (s *Store) LineSample(name string) (Sample, error) {
+	s.mu.Lock()
+	m, ok := s.metas[name]
+	if ok && m.sample != nil {
+		smp := *m.sample
+		s.mu.Unlock()
+		return smp, nil
+	}
+	var smp Sample
+	var blocks []BlockInfo
+	if ok {
+		blocks = append(blocks, m.Blocks...)
+		smp = Sample{Size: m.Size, Blocks: len(blocks)}
+	}
+	s.mu.Unlock()
+	if !ok {
+		return Sample{}, fmt.Errorf("dfs: no such file %q", name)
+	}
+	err := s.eachLine(name, blocks, 0, func(line []byte) {
+		smp.Lines++
+		smp.Bytes += int64(len(line)) + 1
+	})
+	if err != nil {
+		return Sample{}, err
+	}
+	s.mu.Lock()
+	if s.metas[name] == m {
+		m.sample = &smp
+	}
+	s.mu.Unlock()
+	return smp, nil
 }

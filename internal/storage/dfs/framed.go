@@ -184,12 +184,7 @@ func (s *Store) ReadBlockFrames(name string, index int) ([][]byte, error) {
 	if start < 0 {
 		return nil, nil // block is the interior of one frame owned earlier
 	}
-	blk, err := s.OpenBlock(name, index)
-	if err != nil {
-		return nil, err
-	}
-	data, err := io.ReadAll(blk)
-	blk.Close()
+	data, err := s.readBlock(name, blocks[index])
 	if err != nil {
 		return nil, err
 	}
@@ -201,12 +196,7 @@ func (s *Store) ReadBlockFrames(name string, index int) ([][]byte, error) {
 	// boundary.
 	ensure := func(n int64) error {
 		for int64(len(data))-pos < n && next < len(blocks) {
-			nb, err := s.OpenBlock(name, next)
-			if err != nil {
-				return err
-			}
-			nd, err := io.ReadAll(nb)
-			nb.Close()
+			nd, err := s.readBlock(name, blocks[next])
 			if err != nil {
 				return err
 			}
