@@ -11,11 +11,12 @@ import (
 
 // Blocking operators. How a blocking operator decomposes into route →
 // per-partition kernel → wrap is decided here, once, for every engine:
-// ApplyBlocking is the table of the ten blocking kinds over row partitions
+// ApplyBlocking is the table of the nine blocking kinds over row partitions
 // and RunChainParts the one runner of a compiled chain over partitions at
-// rest. An engine contributes only what its archetype owns — where
-// per-partition work runs and what an exchange costs (Scheduler) — and its
-// native wrapper around the row partitions that come back.
+// rest, a chain ending in a reduce-by included. An engine contributes only
+// what its archetype owns — where per-partition work runs and what an
+// exchange costs (Scheduler) — and its native wrapper around the row
+// partitions that come back.
 //
 // Ownership of partitions: engine and kernel code never writes to a
 // partition it is handed (every slice kernel allocates its output, Sort
@@ -243,15 +244,16 @@ func folded(s Scheduler, parts [][]any, kernel func(part []any) ([]any, error)) 
 func identity(q any) any { return q }
 
 // ApplyBlocking evaluates a blocking operator over its inputs' row
-// partitions; ok is false when op is not one of the ten blocking kinds. The
+// partitions; ok is false when op is not one of the nine blocking kinds. The
 // kinds take three shapes. Keyed (distinct, intersect, group-by, join,
-// co-group, UDF reduce-by, sort): co-partition the inputs, then one slice
-// kernel per partition — reduce-by also combines within each input partition
-// before the exchange, and sort exchanges through the range route so the
-// output partitions are globally ordered. Fold (count, reduce): a kernel per
+// co-group, sort): co-partition the inputs, then one slice kernel per
+// partition — sort exchanges through the range route so the output
+// partitions are globally ordered. Fold (count, reduce): a kernel per
 // partition, then once more over the gathered partials, giving one
 // partition. Broadcast (iejoin): gather the right side, then a kernel per
 // left partition. Single-partition inputs yield a single output partition.
+// A reduce-by is not here: it is always a chain's terminator, run by
+// RunChainParts.
 func ApplyBlocking(s Scheduler, op *core.Operator, in [][][]any) (out [][]any, ok bool, err error) {
 	switch op.Kind {
 	case core.KindDistinct:
@@ -273,17 +275,6 @@ func ApplyBlocking(s Scheduler, op *core.Operator, in [][][]any) (out [][]any, o
 	case core.KindCoGroup:
 		out, err = keyed(s, op, in, []func(any) any{op.UDF.Key, KeyRight(op)}, func(left, right []any) ([]any, error) {
 			return CoGroup(op, left, right)
-		})
-	case core.KindReduceBy:
-		combine := func(part []any) ([]any, error) { return ReduceByKey(op, part) }
-		parts := in[0]
-		if len(parts) > 1 { // map-side combine; a lone partition has nothing to exchange
-			if parts, err = MapParts(s, parts, combine); err != nil {
-				return nil, true, err
-			}
-		}
-		out, err = keyed(s, op, [][][]any{parts}, []func(any) any{op.UDF.Key}, func(part, _ []any) ([]any, error) {
-			return combine(part)
 		})
 	case core.KindSort:
 		p := max(len(in[0]), 1)
@@ -311,21 +302,27 @@ func ApplyBlocking(s Scheduler, op *core.Operator, in [][][]any) (out [][]any, o
 // RunChainParts runs a compiled chain over partitions at rest, one kernel
 // pass per partition on the scheduler's workers, adding each step's emitted
 // quanta to counters (aligned with the chain's operators, the absorbed
-// aggregation's last). A chain ending in a declarative aggregation runs two
-// phases — per-partition partial aggregation, one exchange of the group
-// partials on the partial key, then per-partition merge and finalize, so
-// groups emit in first-occurrence order per exchanged partition — and a
-// single partition finalizes in place, with no partials and no exchange.
+// reduce-by's last). A chain ending in a reduce-by combines map-side: each
+// partition's survivors go straight into a partial aggregate, the partials
+// are exchanged on the reduce-by's key, and each exchanged partition is
+// merged and emitted, its keys in first-occurrence order. A declarative
+// reduce-by merges core.AggState partials, and a single partition finalizes
+// in place with no partials, no exchange and no barrier. A UDF reduce-by
+// folds its Reduce UDF over keyed slots, and pays one barrier even on a
+// single partition, which has nothing to exchange and comes back as one
+// partition even when there are none.
 func RunChainParts(s Scheduler, kernel *VectorKernel, parts [][]core.Segment, counters []*int64) [][]any {
-	agg := kernel.Agg()
-	// run passes partition i through the narrow steps, into st when the chain
-	// aggregates, and flushes the partition's step counts.
-	run := func(i int, st *core.AggState) (out []any) {
+	// run passes partition i through the narrow steps — into st or f when the
+	// chain reduces — and flushes the partition's step counts.
+	run := func(i int, st *core.AggState, f *keyFold) (out []any) {
 		counts := make([]int64, kernel.Len())
-		if st == nil {
-			out = kernel.RunSegments(parts[i], counts, nil)
-		} else {
+		switch {
+		case st != nil:
 			kernel.RunSegmentsAgg(parts[i], counts, st)
+		case f != nil:
+			kernel.runFold(parts[i], counts, f)
+		default:
+			out = kernel.RunSegments(parts[i], counts, nil)
 		}
 		for step, n := range counts {
 			atomic.AddInt64(counters[step], n)
@@ -333,19 +330,40 @@ func RunChainParts(s Scheduler, kernel *VectorKernel, parts [][]core.Segment, co
 		return out
 	}
 	out := make([][]any, len(parts))
-	switch {
-	case agg == nil:
-		Do(s, len(parts), func(i int) { out[i] = run(i, nil) })
+	switch agg, fold := kernel.Agg(), kernel.fold(); {
+	case agg == nil && fold == nil:
+		Do(s, len(parts), func(i int) { out[i] = run(i, nil, nil) })
 		return out
+	case fold != nil && len(parts) <= 1:
+		f := newKeyFold(fold)
+		if len(parts) == 1 {
+			run(0, nil, f)
+		}
+		s.Barrier()
+		out = [][]any{kernel.emit(f.vals)}
+	case fold != nil:
+		partials := make([][]any, len(parts))
+		Do(s, len(parts), func(i int) {
+			f := newKeyFold(fold)
+			run(i, nil, f)
+			partials[i] = f.vals
+		})
+		s.Barrier()
+		shuffled := Exchange(s, partials, len(parts), HashRoute(fold.UDF.Key, len(parts)))
+		Do(s, len(parts), func(j int) {
+			f := newKeyFold(fold)
+			f.add(shuffled[j])
+			out[j] = kernel.emit(f.vals)
+		})
 	case len(parts) == 1:
 		st := core.NewAggState(agg)
-		run(0, st)
+		run(0, st, nil)
 		out[0] = kernel.Finalize(st)
 	default:
 		partials := make([][]any, len(parts))
 		Do(s, len(parts), func(i int) {
 			st := core.NewAggState(agg)
-			run(i, st)
+			run(i, st, nil)
 			partials[i] = st.Partials(nil)
 		})
 		s.Barrier()

@@ -179,8 +179,6 @@ func TestApplyBlockingMatchesSliceKernels(t *testing.T) {
 			func(op *core.Operator) ([]any, error) { return HashJoin(op, left, right) }, 5, 1},
 		{core.Operator{Kind: core.KindCoGroup, UDF: core.UDFs{Key: kvKey}}, [][]any{left, right},
 			func(op *core.Operator) ([]any, error) { return CoGroup(op, left, right) }, 5, 1},
-		{core.Operator{Kind: core.KindReduceBy, UDF: core.UDFs{Key: kvKey, Reduce: sum}}, [][]any{left},
-			func(op *core.Operator) ([]any, error) { return ReduceByKey(op, left) }, 5, 1},
 		{core.Operator{Kind: core.KindSort, UDF: core.UDFs{Less: func(a, b any) bool {
 			return a.(core.KV).Value.(int64) > b.(core.KV).Value.(int64)
 		}}}, [][]any{left},
@@ -230,10 +228,14 @@ func TestApplyBlockingMatchesSliceKernels(t *testing.T) {
 			t.Fatalf("%s on one partition: %d partitions, err %v", op.Kind, len(out), err)
 		}
 	}
-	if _, ok, _ := ApplyBlocking(Serial{}, &core.Operator{Kind: core.KindUnion}, nil); ok {
-		t.Fatal("union is not a blocking kind")
+	// Union is not blocking, and a reduce-by is its chain's terminator
+	// (RunChainParts), never an operator of the table.
+	for _, kind := range []core.Kind{core.KindUnion, core.KindReduceBy} {
+		if _, ok, _ := ApplyBlocking(Serial{}, &core.Operator{Kind: kind, UDF: core.UDFs{Key: kvKey, Reduce: sum}}, [][][]any{{left}}); ok {
+			t.Fatalf("%s is not in the blocking table", kind)
+		}
 	}
-	for _, kind := range []core.Kind{core.KindGroupBy, core.KindJoin, core.KindCoGroup, core.KindReduceBy} {
+	for _, kind := range []core.Kind{core.KindGroupBy, core.KindJoin, core.KindCoGroup} {
 		op := &core.Operator{Kind: kind, UDF: core.UDFs{Reduce: sum}}
 		_, _, err := ApplyBlocking(&pooled{width: 2}, op, [][][]any{rowsOf(left, 2), rowsOf(right, 2)})
 		if err == nil || !strings.Contains(err.Error(), "lacks") {

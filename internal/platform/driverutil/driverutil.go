@@ -89,8 +89,8 @@ func runStage[T any](e Engine[T], stage *core.Stage, in *core.Inputs) (map[*core
 	opTimes := make(map[*core.Operator]time.Duration, len(stage.Ops))
 
 	// Plan pipeline fusion: engines that implement ChainEngine run every
-	// narrow operator and declarative reduce-by inside a chain kernel; Apply
-	// sees the remaining kinds only.
+	// narrow operator and reduce-by inside a chain kernel; Apply sees the
+	// remaining kinds only.
 	var chains map[*core.Operator]*FusedChain
 	var covered map[*core.Operator]bool
 	ce, canFuse := e.(ChainEngine[T])
@@ -226,13 +226,12 @@ func runChain[T any](e Engine[T], ce ChainEngine[T], stage *core.Stage, chain *F
 		counters[op] = &counter
 		ctrs[i] = &counter
 	}
-	rowKernel, err := CompileChain(chain.Ops)
+	kernel, err := chain.Compile()
 	if err != nil {
 		return nil, 0, fmt.Errorf("%s: %s: %w", stage, chain, err)
 	}
-	kernel := CompileVector(chain.Ops, chain.Agg, rowKernel)
 	// Exploratory-mode sniffers observe inside the kernel, at each step's
-	// emission points (the absorbed aggregation's at Finalize). Sniffers are
+	// emission points (the absorbed reduce-by's as it emits). Sniffers are
 	// called from one goroutine at a time; a per-chain mutex keeps that
 	// contract when the kernel runs on parallel partitions.
 	if stage.Sniffers != nil {

@@ -8,24 +8,25 @@ import (
 
 // Pipeline fusion. The compiled chain kernel is the only way the narrow,
 // stateless, single-input kinds (map / filter / flatmap / project) and the
-// declarative reduce-by execute: PlanFusion covers every such operator of a
-// stage with a maximal chain and CompileChain turns each chain into a
-// single-pass kernel — one closure applies the whole chain per quantum, with
-// filter compaction happening in place in a single output buffer sized from
-// the input partition. Engines run the kernels through ChainEngine; runStage
-// hands them whole chains and never a narrow operator on its own.
+// reduce-by execute: PlanFusion covers every such operator of a stage with a
+// maximal chain and FusedChain.Compile turns each chain into a single-pass
+// kernel — one closure applies the whole chain per quantum, with filter
+// compaction happening in place in a single output buffer sized from the
+// input partition. Engines run the kernels through ChainEngine; runStage
+// hands them whole chains and never a narrow operator or a reduce-by on its
+// own.
 
 // FusedChain is a maximal run of fusible operators inside one stage, in
-// dataflow order, optionally terminated by an absorbed declarative
-// aggregation (a reduce-by carrying a ReduceExpr) the engine executes as
-// part of the same pass. A declarative reduce-by no narrow run feeds is the
+// dataflow order, optionally terminated by an absorbed reduce-by the engine
+// executes as part of the same pass. A reduce-by no narrow run feeds is the
 // chain with zero narrow steps: Ops empty, Agg set.
 type FusedChain struct {
 	Ops []*core.Operator
-	// Agg, when set, is a KindReduceBy operator with UDF.ReduceExpr that
-	// consumes the tail's output inside the chain: the engine feeds the
-	// kernel's survivors straight into grouped accumulators instead of
-	// materializing them. Nil for pure narrow chains.
+	// Agg, when set, is a KindReduceBy operator that consumes the tail's
+	// output inside the chain: the engine feeds the kernel's survivors
+	// straight into grouped accumulators (a declarative UDF.ReduceExpr) or a
+	// keyed fold (the Key and Reduce UDFs) instead of materializing them. Nil
+	// for pure narrow chains.
 	Agg *core.Operator
 }
 
@@ -72,16 +73,14 @@ func (c *FusedChain) String() string {
 // ChainEngine is optionally implemented by engines that can execute a fused
 // chain natively. in is the head operator's (single) resolved input;
 // counters are per-chain-op output-cardinality counters aligned with
-// chain.AllOps() — one extra trailing counter for the absorbed aggregation
+// chain.AllOps() — one extra trailing counter for the absorbed reduce-by
 // when chain.Agg is set. The returned data stands for chain.Out()'s output.
 // The kernel is a VectorKernel: for pure narrow chains engines just call
 // Run (or RunSegments for batch-native partitions), which takes the
 // columnar path when the chain's leading steps vectorized and the partition
-// allows it, and the row path otherwise. When kernel.Agg() is non-nil the
-// engine must instead drive RunAgg/RunSegmentsAgg into core.AggState
-// accumulators, exchange partials on Agg's PartialKeyFn if it is
-// distributed, finalize, and count the finalized groups into the trailing
-// counter.
+// allows it, and the row path otherwise. A kernel that Reduces runs over its
+// partitions at rest through RunChainParts, which owns the per-partition
+// fold, the exchange of partials and the counting of the output.
 type ChainEngine[T any] interface {
 	ApplyChain(chain *FusedChain, kernel *VectorKernel, in T, counters []*int64) (T, error)
 }
@@ -95,10 +94,10 @@ func fusible(op *core.Operator) bool {
 	return core.FusibleKind(op.Kind) && core.InArityOf(op) == 1
 }
 
-// declarativeAgg reports whether op is a reduce-by the kernel aggregates
-// itself (two-phase, through core.AggState) rather than by an opaque UDF.
-func declarativeAgg(op *core.Operator) bool {
-	return op.Kind == core.KindReduceBy && op.UDF.ReduceExpr != nil && core.InArityOf(op) == 1
+// reduceBy reports whether op is a reduce-by a chain absorbs as its
+// terminator: every single-input one, declarative or UDF.
+func reduceBy(op *core.Operator) bool {
+	return op.Kind == core.KindReduceBy && core.InArityOf(op) == 1
 }
 
 // isTerminal reports whether op's output must be materialized at stage end.
@@ -116,11 +115,11 @@ func isTerminal(stage *core.Stage, op *core.Operator) bool {
 // each chain covers. Every fusible operator lands in exactly one chain, a
 // lone one in a chain of length one. A chain extends from cur to next while
 // cur feeds exactly next (single consumer, not a terminal output) and next is
-// a fusible operator consuming only cur. A declarative reduce-by directly
-// downstream of the chain is absorbed as its Agg terminator, so engines
-// aggregate the kernel's survivors without materializing them; one that no
-// chain can absorb (its producer is wide, terminal or shared) heads a chain
-// with zero narrow steps.
+// a fusible operator consuming only cur. A reduce-by directly downstream of
+// the chain is absorbed as its Agg terminator, so engines aggregate the
+// kernel's survivors without materializing them; one that no chain can
+// absorb (its producer is wide, terminal or shared) heads a chain with zero
+// narrow steps.
 func PlanFusion(stage *core.Stage) (chains map[*core.Operator]*FusedChain, covered map[*core.Operator]bool) {
 	chains = map[*core.Operator]*FusedChain{}
 	covered = map[*core.Operator]bool{}
@@ -128,7 +127,7 @@ func PlanFusion(stage *core.Stage) (chains map[*core.Operator]*FusedChain, cover
 		if covered[op] {
 			continue
 		}
-		if declarativeAgg(op) {
+		if reduceBy(op) {
 			chains[op] = &FusedChain{Agg: op}
 			continue
 		}
@@ -163,14 +162,14 @@ func PlanFusion(stage *core.Stage) (chains map[*core.Operator]*FusedChain, cover
 	return chains, covered
 }
 
-// absorbableAgg returns the declarative reduce-by that can terminate a chain
-// ending at cur: cur's sole consumer, in-stage, consuming only cur.
+// absorbableAgg returns the reduce-by that can terminate a chain ending at
+// cur: cur's sole consumer, in-stage, consuming only cur.
 func absorbableAgg(stage *core.Stage, cur *core.Operator) *core.Operator {
 	if isTerminal(stage, cur) || len(cur.Outputs()) != 1 {
 		return nil
 	}
 	next := cur.Outputs()[0]
-	if !declarativeAgg(next) || !stage.Contains(next) || len(next.Inputs()) != 1 || next.Inputs()[0] != cur {
+	if !reduceBy(next) || !stage.Contains(next) || len(next.Inputs()) != 1 || next.Inputs()[0] != cur {
 		return nil
 	}
 	return next
@@ -193,10 +192,26 @@ type FusedKernel struct {
 	steps []fusedStep
 }
 
-// CompileChain compiles the chain's operators into a single-pass kernel. It
-// is where an operator lacking its UDF (or predicate) is reported; the
-// default arm guards against future kinds slipping through PlanFusion
-// without a compilation rule.
+// Compile compiles the chain into the kernel engines run: the narrow steps
+// (CompileChain), their vectorized prefix and the absorbed reduce-by. It is
+// where a chain operator lacking its UDF (or predicate) is reported.
+func (c *FusedChain) Compile() (*VectorKernel, error) {
+	row, err := CompileChain(c.Ops)
+	if err != nil {
+		return nil, err
+	}
+	if c.Agg != nil && c.Agg.UDF.ReduceExpr == nil {
+		if err := checkFold(c.Agg); err != nil {
+			return nil, err
+		}
+	}
+	return CompileVector(c.Ops, c.Agg, row), nil
+}
+
+// CompileChain compiles the chain's narrow operators into a single-pass
+// kernel. It is where an operator lacking its UDF (or predicate) is
+// reported; the default arm guards against future kinds slipping through
+// PlanFusion without a compilation rule.
 func CompileChain(ops []*core.Operator) (*FusedKernel, error) {
 	k := &FusedKernel{steps: make([]fusedStep, 0, len(ops))}
 	for _, op := range ops {

@@ -37,14 +37,15 @@ func TestPlanFusionDetectsMaximalChain(t *testing.T) {
 	if chain == nil {
 		t.Fatalf("no chain rooted at m1; chains=%v covered=%v", chains, covered)
 	}
-	if want := []*core.Operator{m1, f1, m2}; !reflect.DeepEqual(chain.Ops, want) {
-		t.Fatalf("chain = %s, want m1 → f1 → m2", chain)
+	// rb, an opaque-UDF reduce-by, terminates the run that feeds it.
+	if want := []*core.Operator{m1, f1, m2}; !reflect.DeepEqual(chain.Ops, want) || chain.Agg != rb || chain.Out() != rb {
+		t.Fatalf("chain = %s, want m1 → f1 → m2 → rb", chain)
 	}
-	if covered[m1] || !covered[f1] || !covered[m2] {
+	if covered[m1] || !covered[f1] || !covered[m2] || !covered[rb] {
 		t.Fatalf("coverage wrong: %v", covered)
 	}
-	// src (not fusible), rb (an opaque-UDF reduce-by) and sink must not root
-	// chains; m3 alone is a chain of length one.
+	// src (not fusible) and sink must not root chains; m3 alone is a chain of
+	// length one.
 	for _, op := range []*core.Operator{src, rb, ops[6]} {
 		if chains[op] != nil {
 			t.Fatalf("unexpected chain rooted at %s", op)
@@ -53,8 +54,15 @@ func TestPlanFusionDetectsMaximalChain(t *testing.T) {
 	if c := chains[m3]; c == nil || len(c.Ops) != 1 || c.Agg != nil || c.Out() != m3 {
 		t.Fatalf("lone map not a chain of one: %v", c)
 	}
-	if covered[m3] || covered[rb] {
-		t.Fatalf("rb/m3 wrongly covered: %v", covered)
+	if covered[m3] {
+		t.Fatalf("m3 wrongly covered: %v", covered)
+	}
+
+	// m2 terminal: the run ends there and rb heads its own zero-step chain.
+	stage.TerminalOuts = []*core.Operator{m2, ops[6]}
+	chains, covered = PlanFusion(stage)
+	if c := chains[rb]; c == nil || len(c.Ops) != 0 || c.Agg != rb || covered[rb] {
+		t.Fatalf("stand-alone UDF reduce-by chain = %v (covered %v)", c, covered[rb])
 	}
 }
 

@@ -71,30 +71,53 @@ func HashJoin(op *core.Operator, left, right []any) ([]any, error) {
 	return out, nil
 }
 
-// ReduceByKey folds quanta sharing a key into one quantum per key. Output
-// order follows first occurrence of each key, keeping results deterministic.
-// Declarative reduce-bys (UDF.ReduceExpr) never get here: they run inside a
-// chain kernel (see PlanFusion).
-func ReduceByKey(op *core.Operator, data []any) ([]any, error) {
+// keyFold is the UDF reduce-by's accumulator: one slot per key in
+// first-occurrence order, so its output is deterministic, and one map lookup
+// per quantum of a key it has seen.
+type keyFold struct {
+	key    func(any) any
+	reduce func(a, b any) any
+	pos    map[any]int // GroupKey identity -> slot in vals
+	vals   []any
+}
+
+// newKeyFold returns an empty fold under op's Key and Reduce UDFs.
+func newKeyFold(op *core.Operator) *keyFold {
+	return &keyFold{key: op.UDF.Key, reduce: op.UDF.Reduce, pos: map[any]int{}}
+}
+
+// checkFold reports a UDF reduce-by that lacks a UDF its fold calls.
+func checkFold(op *core.Operator) error {
 	if op.UDF.Key == nil || op.UDF.Reduce == nil {
-		return nil, fmt.Errorf("reduce-by %s lacks key or reduce UDF", op)
+		return fmt.Errorf("reduce-by %s lacks key or reduce UDF", op)
 	}
-	agg := map[any]any{}
-	var order []any
+	return nil
+}
+
+// add folds every quantum of data into its key's slot.
+func (f *keyFold) add(data []any) {
 	for _, q := range data {
-		k := core.GroupKey(op.UDF.Key(q))
-		if cur, ok := agg[k]; ok {
-			agg[k] = op.UDF.Reduce(cur, q)
-		} else {
-			agg[k] = q
-			order = append(order, k)
+		k := core.GroupKey(f.key(q))
+		if i, ok := f.pos[k]; ok {
+			f.vals[i] = f.reduce(f.vals[i], q)
+			continue
 		}
+		f.pos[k] = len(f.vals)
+		f.vals = append(f.vals, q)
 	}
-	out := make([]any, len(order))
-	for i, k := range order {
-		out[i] = agg[k]
+}
+
+// ReduceByKey folds quanta sharing a key into one quantum per key, over one
+// slice: the fold a chain ending in a UDF reduce-by runs per partition
+// (RunChainParts). Output order follows first occurrence of each key,
+// keeping results deterministic.
+func ReduceByKey(op *core.Operator, data []any) ([]any, error) {
+	if err := checkFold(op); err != nil {
+		return nil, err
 	}
-	return out, nil
+	f := newKeyFold(op)
+	f.add(data)
+	return f.vals, nil
 }
 
 // GroupByKey materializes one Group per key, in first-occurrence order.

@@ -12,17 +12,18 @@ import (
 // are declarative — Params.Where filters, UDF.MapExpr numeric maps, and
 // projections — compiles to per-column tight loops driven by a selection
 // vector, and everything after the first opaque UDF runs through the row
-// kernel's tail. A chain terminated by an absorbed declarative aggregation
-// (FusedChain.Agg) additionally feeds its survivors straight into grouped
-// accumulators (core.AggState) without materializing them. At run time each
-// partition is converted to a core.ColumnBatch — building only the columns
-// the compiled plan reads — and partitions that cannot batch (mixed quantum
-// shapes) or whose columns don't satisfy a step's type/validity requirements
-// fall back to the row kernel wholesale, so vectorized execution is always
-// observationally identical to row execution — same outputs, same
-// per-operator cardinalities, same panics. Batch-native inputs (column
-// batches decoded off the wire) enter through RunSegments/RunSegmentsAgg,
-// which execute them without a row round-trip under the same ladder.
+// kernel's tail. A chain terminated by an absorbed reduce-by (FusedChain.Agg)
+// additionally feeds its survivors straight into grouped accumulators
+// (core.AggState) or, for a UDF reduce-by, a keyed fold, without
+// materializing them. At run time each partition is converted to a
+// core.ColumnBatch — building only the columns the compiled plan reads — and
+// partitions that cannot batch (mixed quantum shapes) or whose columns don't
+// satisfy a step's type/validity requirements fall back to the row kernel
+// wholesale, so vectorized execution is always observationally identical to
+// row execution — same outputs, same per-operator cardinalities, same
+// panics. Batch-native inputs (column batches decoded off the wire) enter
+// through RunSegments/RunSegmentsAgg, which execute them without a row
+// round-trip under the same ladder.
 
 // vecStep is one vectorizable chain operator.
 type vecStep struct {
@@ -50,24 +51,22 @@ type vecStats struct {
 type VectorKernel struct {
 	row   *FusedKernel
 	vec   []vecStep
-	agg   *core.ReduceExpr // absorbed chain-terminating aggregation, if any
-	need  []int            // original columns the plan reads; nil = all
+	rb    *core.Operator // absorbed chain-terminating reduce-by, if any
+	need  []int          // original columns the plan reads; nil = all
 	stats *vecStats
 
-	aggSniff func(any) // when set, observes every record Finalize emits
+	aggSniff func(any) // when set, observes every record the reduce-by emits
 }
 
 // CompileVector compiles the vectorizable prefix of a fused chain over the
 // already-compiled row kernel. agg, when non-nil, is the chain's absorbed
-// reduce-by (FusedChain.Agg); its ReduceExpr terminates the kernel's
-// survivors in grouped accumulators. CompileVector always succeeds; a chain
-// with no recognizable declarative steps simply has an empty prefix and runs
-// on the row kernel unchanged.
+// reduce-by (FusedChain.Agg): its ReduceExpr, when it has one, terminates the
+// kernel's survivors in grouped accumulators, and its Key and Reduce UDFs in
+// a keyed fold otherwise. CompileVector always succeeds; a chain with no
+// recognizable declarative steps simply has an empty prefix and runs on the
+// row kernel unchanged.
 func CompileVector(ops []*core.Operator, agg *core.Operator, row *FusedKernel) *VectorKernel {
-	k := &VectorKernel{row: row, stats: &vecStats{}}
-	if agg != nil {
-		k.agg = agg.UDF.ReduceExpr
-	}
+	k := &VectorKernel{row: row, rb: agg, stats: &vecStats{}}
 	for _, op := range ops {
 		st, ok := vecStepOf(op)
 		if !ok {
@@ -75,7 +74,7 @@ func CompileVector(ops []*core.Operator, agg *core.Operator, row *FusedKernel) *
 		}
 		k.vec = append(k.vec, st)
 	}
-	k.need = vecNeed(k.vec, len(ops), k.agg)
+	k.need = vecNeed(k.vec, len(ops), k.Agg())
 	return k
 }
 
@@ -192,13 +191,33 @@ func (k *VectorKernel) VecLen() int { return len(k.vec) }
 // Len returns the number of steps (narrow chain operators) in the kernel.
 func (k *VectorKernel) Len() int { return k.row.Len() }
 
-// Agg returns the absorbed chain-terminating aggregation (nil for pure
-// narrow chains). Engines that see a non-nil Agg must run the kernel through
-// RunSegmentsAgg and emit the merged state through Finalize.
-func (k *VectorKernel) Agg() *core.ReduceExpr { return k.agg }
+// Agg returns the absorbed declarative reduce-by's expression (nil for pure
+// narrow chains and for a UDF reduce-by). Code that sees a non-nil Agg runs
+// the kernel through RunAgg/RunSegmentsAgg and emits the merged state through
+// Finalize.
+func (k *VectorKernel) Agg() *core.ReduceExpr {
+	if k.rb == nil {
+		return nil
+	}
+	return k.rb.UDF.ReduceExpr
+}
+
+// fold returns the absorbed UDF reduce-by (nil for pure narrow chains and
+// for a declarative reduce-by), which RunChainParts runs as a keyed fold.
+func (k *VectorKernel) fold() *core.Operator {
+	if k.rb == nil || k.rb.UDF.ReduceExpr != nil {
+		return nil
+	}
+	return k.rb
+}
+
+// Reduces reports whether the chain ends in an absorbed reduce-by,
+// declarative or UDF: its output exists only once every partition ran, so
+// engines run it over data at rest (RunChainParts).
+func (k *VectorKernel) Reduces() bool { return k.rb != nil }
 
 // SetSniff attaches an observer to step i (see FusedKernel.SetSniff); i ==
-// Len() addresses the absorbed aggregation's output. A sniffer on a
+// Len() addresses the absorbed reduce-by's output. A sniffer on a
 // vectorized step disables the column path for the whole kernel — the
 // sniffer contract is one call per emitted quantum, which only the row
 // kernel provides.
@@ -212,8 +231,11 @@ func (k *VectorKernel) SetSniff(i int, fn func(any)) {
 
 // Finalize emits the absorbed aggregation's output records from the state
 // holding the merged groups, showing each to the aggregation's sniffer.
-func (k *VectorKernel) Finalize(st *core.AggState) []any {
-	out := st.Finalize(nil)
+func (k *VectorKernel) Finalize(st *core.AggState) []any { return k.emit(st.Finalize(nil)) }
+
+// emit hands out the absorbed reduce-by's output records, showing each to
+// its sniffer.
+func (k *VectorKernel) emit(out []any) []any {
 	if k.aggSniff != nil {
 		for _, q := range out {
 			k.aggSniff(q)
@@ -226,11 +248,11 @@ func (k *VectorKernel) Finalize(st *core.AggState) []any {
 func (k *VectorKernel) StepSniff(i int) func(any) { return k.row.StepSniff(i) }
 
 // Tail returns a kernel for steps[from:], preserving sniffs, the absorbed
-// aggregation, and sharing run-time stats. relstore uses it after pushing
+// reduce-by, and sharing run-time stats. relstore uses it after pushing
 // the head filter into an index scan. The need list is kept as-is: it can
 // only over-approximate for the shorter chain, which is safe.
 func (k *VectorKernel) Tail(from int) *VectorKernel {
-	t := &VectorKernel{row: k.row.Tail(from), agg: k.agg, need: k.need, stats: k.stats, aggSniff: k.aggSniff}
+	t := &VectorKernel{row: k.row.Tail(from), rb: k.rb, need: k.need, stats: k.stats, aggSniff: k.aggSniff}
 	if from <= len(k.vec) {
 		t.vec = k.vec[from:]
 	}
@@ -640,4 +662,47 @@ func (k *VectorKernel) aggBatch(b *core.ColumnBatch, rows []any, counts []int64,
 	if owned {
 		b.Recycle() // accumulators copy values out; nothing aliases the buffers
 	}
+}
+
+// foldChunk is how many input rows the kernel runs at a time ahead of a
+// keyed fold: the survivors of one chunk, at most a chunk times a flatmap's
+// fan-out, are all a chain ending in a UDF reduce-by ever holds. A chain
+// with a vectorized prefix runs foldVecChunk rows at a time, so the
+// row→column conversion amortizes.
+const (
+	foldChunk    = 256
+	foldVecChunk = 4096
+)
+
+// runFold feeds the survivors of one partition into f, chunk after chunk
+// through one pooled buffer, so no slice of the chain's whole output is
+// built. Row runs go through Run a chunk at a time, column batches through
+// runBatch whole; either takes the column path when it can.
+func (k *VectorKernel) runFold(segs []core.Segment, counts []int64, f *keyFold) {
+	chunk := foldChunk
+	if len(k.vec) > 0 {
+		chunk = foldVecChunk
+	}
+	var rb *[]any // taken when a segment first runs through the kernel
+	for i := range segs {
+		rows, b := segs[i].Rows, segs[i].Batch
+		if b == nil && k.row.Len() == 0 {
+			f.add(rows) // a stand-alone reduce-by: nothing to run first
+			continue
+		}
+		if rb == nil {
+			rb = getRowBuf(chunk)
+		}
+		switch {
+		case b == nil:
+			for lo := 0; lo < len(rows); lo += chunk {
+				*rb = k.Run(rows[lo:min(lo+chunk, len(rows))], counts, (*rb)[:0])
+				f.add(*rb)
+			}
+		case b.Len() > 0:
+			*rb = k.runBatch(b, nil, counts, (*rb)[:0])
+			f.add(*rb)
+		}
+	}
+	putRowBuf(rb)
 }

@@ -257,11 +257,11 @@ const (
 
 // ApplyChain implements driverutil.ChainEngine. A chain over a lazy flow
 // runs pipelined (streamChain). Data at rest — a flow built by restFlow, or
-// the drained input of a chain ending in a declarative aggregation — goes to
-// the kernel whole, one goroutine per instance (driverutil.RunChainParts),
-// skipping the channel hop and, for column batches, the row→column rebuild.
+// the drained input of a chain ending in a reduce-by — goes to the kernel
+// whole, one goroutine per instance (driverutil.RunChainParts), skipping the
+// channel hop and, for column batches, the row→column rebuild.
 func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, f *flow, counters []*int64) (*flow, error) {
-	if kernel.Agg() == nil && f.segs == nil {
+	if !kernel.Reduces() && f.segs == nil {
 		return e.streamChain(chain, kernel, f, counters)
 	}
 	r, err := e.rest(f)

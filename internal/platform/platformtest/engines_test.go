@@ -130,6 +130,36 @@ func TestStandAloneDeclarativeReduceBy(t *testing.T) {
 	}
 }
 
+// TestReduceByLackingUDFFailsAtCompile: every reduce-by runs as its chain's
+// terminator, so one without its key or reduce UDF is reported when the
+// chain compiles, by name — on every engine, behind a narrow step or alone,
+// and never as a UDF panic of the fold that would call it.
+func TestReduceByLackingUDFFailsAtCompile(t *testing.T) {
+	key := func(q any) any { return q.(core.Record)[0] }
+	first := func(a, _ any) any { return a }
+	for _, d := range engines() {
+		for name, udf := range map[string]core.UDFs{"no-key": {Reduce: first}, "no-reduce": {Key: key}} {
+			for _, behindFilter := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/behind-filter=%v", d.Name(), name, behindFilter), func(t *testing.T) {
+					p := core.NewPlan("reduce-by-lacks")
+					head := p.NewOperator(core.KindCollectionSource, "src")
+					head.Params.Collection = []any{core.Record{int64(1), "a"}, core.Record{int64(1), "b"}}
+					if behindFilter {
+						f := p.NewOperator(core.KindFilter, "all")
+						f.UDF.Pred = func(any) bool { return true }
+						head = p.Chain(head, f)
+					}
+					rb := p.Chain(head, p.Add(&core.Operator{Kind: core.KindReduceBy, Label: "rb", UDF: udf}))
+					_, _, err := platformtest.ExecPlan(d, p, nil)
+					if want := fmt.Sprintf("reduce-by %s lacks key or reduce UDF", rb); err == nil || !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "panic") {
+						t.Fatalf("stage error = %v, want one naming %q", err, want)
+					}
+				})
+			}
+		}
+	}
+}
+
 // execPlan runs p as one stage on d and returns what sink collected. With
 // inStage the collection sources run inside the stage; otherwise their
 // collections arrive as input channels carrying the very same slices

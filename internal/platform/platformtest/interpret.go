@@ -10,10 +10,10 @@ import (
 // Interpret is the reference the engines are differentially tested against:
 // it evaluates a loop-free plan one operator at a time, one quantum at a
 // time, over plain []any — no chain kernels, no column batches, no
-// partitions, no two-phase aggregation. The narrow kinds and the declarative
-// reduce-by, which the engines run only through compiled kernels, are
-// written out here independently of them; the wide kinds call the shared
-// driverutil slice kernels the engines use too. tables supplies the rows of
+// partitions, no two-phase aggregation. The narrow kinds and the reduce-by,
+// which the engines run only through compiled kernels, are written out here
+// independently of them; the wide kinds call the shared driverutil slice
+// kernels the engines use too. tables supplies the rows of
 // the relational tables the plan scans (nil for a plan without table
 // sources). The result maps every operator to its output: a sink's entry is
 // the rows it collects, and the length of any entry is that operator's
@@ -109,7 +109,7 @@ func interpretOp(op *core.Operator, in [][]any, tables TableRows) (out []any, er
 		if op.UDF.ReduceExpr != nil {
 			return interpretReduceExpr(op.UDF.ReduceExpr, in[0]), nil
 		}
-		return driverutil.ReduceByKey(op, in[0])
+		return interpretReduceBy(op, in[0])
 	case core.KindDistinct:
 		return driverutil.Distinct(in[0]), nil
 	case core.KindSort:
@@ -134,6 +134,31 @@ func interpretOp(op *core.Operator, in [][]any, tables TableRows) (out []any, er
 		return in[0], nil
 	default:
 		return nil, fmt.Errorf("kind %s is outside the reference interpreter", op.Kind)
+	}
+	return out, nil
+}
+
+// interpretReduceBy is the UDF reduce-by, row at a time: the first quantum
+// of each key, folded with every later one, one output per key in
+// first-occurrence order.
+func interpretReduceBy(op *core.Operator, rows []any) ([]any, error) {
+	if op.UDF.Key == nil || op.UDF.Reduce == nil {
+		return nil, fmt.Errorf("reduce-by %s lacks key or reduce UDF", op)
+	}
+	acc := map[any]any{}
+	var order []any
+	for _, q := range rows {
+		k := core.GroupKey(op.UDF.Key(q))
+		if cur, ok := acc[k]; ok {
+			acc[k] = op.UDF.Reduce(cur, q)
+		} else {
+			acc[k] = q
+			order = append(order, k)
+		}
+	}
+	out := make([]any, len(order))
+	for i, k := range order {
+		out[i] = acc[k]
 	}
 	return out, nil
 }

@@ -257,11 +257,11 @@ func (e *engine) Apply(op *core.Operator, in []*rel, round int, counter *int64, 
 }
 
 // ApplyChain implements driverutil.ChainEngine for the narrow kinds the
-// store has mappings for: filter and project (plus an absorbed declarative
-// reduce-by). A chain whose head is a declarative filter over a base table
-// pushes it down into an indexed scan (the index narrows the scan before
-// any row reaches the kernel); the remaining steps run over the scan result
-// in one pass. A filter carrying a UDF predicate is never pushed down: the
+// store has mappings for: filter and project (plus an absorbed reduce-by,
+// its hash aggregation). A chain whose head is a declarative filter over a
+// base table pushes it down into an indexed scan (the index narrows the scan
+// before any row reaches the kernel); the remaining steps run over the scan
+// result in one pass. A filter carrying a UDF predicate is never pushed down: the
 // UDF wins over Params.Where (see driverutil.PredOf).
 func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, r *rel, counters []*int64) (*rel, error) {
 	for _, op := range chain.Ops {
@@ -284,10 +284,10 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 	} else if rows, err = e.rowsOf(r); err != nil {
 		return nil, err
 	}
-	if kernel.Len() == 0 && kernel.Agg() == nil {
+	if kernel.Len() == 0 && !kernel.Reduces() {
 		return &rel{rows: rows}, nil // a pushed-down lone filter leaves nothing to run
 	}
-	// Single worker set, one partition: an absorbed aggregation finalizes in
+	// Single worker set, one partition: an absorbed reduce-by aggregates in
 	// place, in first-occurrence order.
 	out := driverutil.RunChainParts(driverutil.Serial{}, kernel, driverutil.RowSegments([][]any{rows}), counters)
 	return &rel{rows: out[0]}, nil
@@ -320,8 +320,9 @@ func (e *engine) apply(op *core.Operator, in []*rel) (*rel, error) {
 		fallthrough
 
 	// The blocking kinds the store has mappings for; driverutil.ApplyBlocking
-	// knows more, and the default arm keeps rejecting those.
-	case core.KindJoin, core.KindReduceBy, core.KindGroupBy, core.KindSort, core.KindDistinct:
+	// knows more, and the default arm keeps rejecting those. A reduce-by is
+	// its chain's terminator (ApplyChain).
+	case core.KindJoin, core.KindGroupBy, core.KindSort, core.KindDistinct:
 		ins := make([][][]any, len(in))
 		for i, r := range in {
 			rows, err := e.rowsOf(r)

@@ -219,8 +219,8 @@ func (e *engine) Apply(op *core.Operator, in []*RDD, round int, counter *int64, 
 // ApplyChain implements driverutil.ChainEngine: the whole chain runs as one
 // pool dispatch over the partitions as they lie — one scheduling round and
 // zero intermediate RDD materializations for a stage of k narrow ops — and a
-// chain ending in a declarative aggregation is the spark map-side combine
-// (see driverutil.RunChainParts).
+// chain ending in a reduce-by is the spark map-side combine (see
+// driverutil.RunChainParts).
 func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, in *RDD, counters []*int64) (*RDD, error) {
 	return NewRDD(driverutil.RunChainParts(e, kernel, in.parts(), counters)), nil
 }

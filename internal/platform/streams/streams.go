@@ -229,9 +229,8 @@ func (e *engine) Apply(op *core.Operator, in []*pipe, round int, counter *int64,
 
 // ApplyChain implements driverutil.ChainEngine: the whole chain runs as one
 // eager single-threaded pass of the compiled kernel over the pipe's single
-// partition (driverutil.RunChainParts), so an absorbed declarative
-// aggregation finalizes in place — no partial exchange, groups in
-// first-occurrence order.
+// partition (driverutil.RunChainParts), so an absorbed reduce-by aggregates
+// in place — no partial exchange, groups in first-occurrence order.
 func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, p *pipe, counters []*int64) (*pipe, error) {
 	segs := p.segs
 	if segs == nil { // a lazy pipeline: drain it into one row run

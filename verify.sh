@@ -58,7 +58,7 @@ go test -run=NONE -bench=BenchmarkParseRecordLine -benchtime=1x ./internal/datag
 # are in the grep as well. The gate covers verify.sh too; the [x] brackets
 # keep its own line from matching.
 go test -run=NONE -bench='NarrowChain|ColumnarAggChain' -benchtime=1x ./internal/platform/spark ./internal/platform/flink
-go test -run=NONE -bench='BenchmarkShuffle|BenchmarkRangeShuffle' -benchtime=1x ./internal/platform/driverutil
+go test -run=NONE -bench='BenchmarkShuffle|BenchmarkRangeShuffle|BenchmarkUDFReduceByChain' -benchtime=1x ./internal/platform/driverutil
 go test -run='TestCrossCheckFusedAgainstUnfused|TestFusedFig9' .
 if grep -rn 'RHEEM_NO_FUS[E]\|FusionDisable[d]\|RHEEM_NO_COLUMNA[R]\|ColumnarDisable[d]\|NewSegRD[D]\|shuffleB[y]\|rangeShuffl[e]\|parallelPart[s]\|fanOu[t](\|mergeRun[s]\|poolEr[r]\|driverutil\.Dat[a]\b\|one := func(k core\.Kin[d]\|bc core\.BroadcastCt[x], round\|fetchAn[y]\|mergePlan[s]\|acceptableChannel[s]\|KnownCard[s]\|outerPlanO[f]\|dictCol[s]\|[wW]orkerUsag[e]\|OutCard[s]\|monitor\.Ne[w](\|Monitor\.Recor[d](\|BuildProfil[e]' --include='*.go' --include='verify.sh' .; then
 	echo "a deleted fork (per-operator narrow path, row-carried partitions, a per-engine shuffle or dispatch, the untyped stage harness, a hand-written mapping closure, the executor's second planner, a second store of stage statistics) or its switch is back" >&2
@@ -74,6 +74,10 @@ writers=$(grep -rn 'Entries = append(' --include='*.go' . | grep -v '_test\.go:\
 writerFuncs=$(awk '/^func /{fn=$0} /Entries = append\(/{print fn}' internal/executor/executor.go | sort -u)
 if [ "$writers" != "./internal/executor/executor.go" ] || [ "$writerFuncs" != "$(grep '^func (ex \*Executor) run(' internal/executor/executor.go)" ]; then
 	echo "the run record has more than one writer: $writers" >&2
+	exit 1
+fi
+if grep -n 'KindReduceB[y]' internal/platform/driverutil/blocking.go; then
+	echo "the blocking table runs a reduce-by again: every reduce-by is its chain's terminator (RunChainParts)" >&2
 	exit 1
 fi
 if grep -n 'MismatchFactor(' internal/progressive/progressive.go; then
@@ -119,6 +123,13 @@ go test -race -count=1 -run='TestIterativeTopologyLogsItsBody' ./internal/costle
 go test -race -count=1 -run='TestFactoryClosuresDoNotShareFingerprint' .
 go test -race -count=1 -run='TestRegisteredCollectionHashedOnce' ./internal/rescache
 go test -race -count=1 -run='TestBootConcurrentFirstJobs' ./internal/platform/driverutil
+# And every reduce-by is its chain's terminator: a UDF reduce-by folded inside
+# its chain gives the partitions, counts and barriers of the materialize →
+# combine → exchange path it replaced, a run of the word-count chain allocates
+# under twice its words' own KV boxes (no slice of the chain's whole output),
+# and a reduce-by lacking a UDF fails at compile on every engine.
+go test -race -count=1 -run='TestUDFReduceByAbsorbedMatchesKeyedPath|TestUDFReduceByChainAllocations' ./internal/platform/driverutil
+go test -race -count=1 -run='TestReduceByLackingUDFFailsAtCompile' ./internal/platform/platformtest
 # And a DFS text source costs its bytes once per job: the store samples a file
 # once per version (samplers racing a rewriter never keep a stale sample),
 # estimating a plan over a sampled file costs the same at 2 k and 200 k lines,
