@@ -240,6 +240,68 @@ func TestFingerprintGolden(t *testing.T) {
 	}
 }
 
+// Package-level UDFs for the all-roles golden: one per function role, so
+// every role's symbol is hashed.
+func fpMap(q any) any                       { return q }
+func fpPred(any) bool                       { return true }
+func fpMapPart(part []any) []any            { return part }
+func fpKeyRight(q any) any                  { return q }
+func fpCombine(l, _ any) any                { return l }
+func fpLess(a, b any) bool                  { return false }
+func fpFormat(any) string                   { return "" }
+func fpLeftNums(any) (float64, float64)     { return 0, 0 }
+func fpRightNums(any) (float64, float64)    { return 1, 1 }
+func fpCond(rounds int, current []any) bool { return false }
+func fpOpen(BroadcastCtx)                   {}
+func fpCombineJoin(l, r any) any            { return Record{l, r} }
+func fpReduceBoth(a, b any) any             { return b }
+func fpFlat(q any) []any                    { return []any{q, q} }
+func fpKeyBoth(q any) any                   { return Record{q} }
+
+// TestFingerprintGoldenAllRoles pins the hash of a plan whose operators fill
+// all fourteen function roles plus MapExpr, ReduceExpr and Names, so a
+// reordered or renamed role walk shows as drift. Update the constant only
+// when the canonicalization rules deliberately change.
+func TestFingerprintGoldenAllRoles(t *testing.T) {
+	p := NewPlan("golden-roles")
+	left := p.Add(&Operator{Kind: KindCollectionSource, Label: "left",
+		Params: Params{Collection: []any{Record{int64(1), 2.5}, Record{int64(2), 3.5}}}})
+	right := p.Add(&Operator{Kind: KindCollectionSource, Label: "right",
+		Params: Params{Collection: []any{Record{int64(1), "x"}}}})
+	expr := &MapExpr{Col: 1, Op: NumMul, Operand: 2.0}
+	m := p.Add(&Operator{Kind: KindMap, Label: "scale",
+		UDF: UDFs{Map: fpMap, MapExpr: expr, Open: fpOpen, Names: "map=scale;"}})
+	fm := p.Add(&Operator{Kind: KindFlatMap, Label: "dup", UDF: UDFs{FlatMap: fpFlat}})
+	f := p.Add(&Operator{Kind: KindFilter, Label: "all", UDF: UDFs{Pred: fpPred}})
+	mp := p.Add(&Operator{Kind: KindMapPart, Label: "part", UDF: UDFs{MapPart: fpMapPart}})
+	p.Chain(left, m, fm, f, mp)
+	join := p.Add(&Operator{Kind: KindJoin, Label: "join",
+		UDF: UDFs{Key: fpKeyBoth, KeyRight: fpKeyRight, Combine: fpCombineJoin, Names: "key=k;keyright=kr;"}})
+	p.Connect(mp, join, 0)
+	p.Connect(right, join, 1)
+	ie := p.Add(&Operator{Kind: KindIEJoin, Label: "ie",
+		UDF:    UDFs{LeftNums: fpLeftNums, RightNums: fpRightNums, Combine: fpCombine},
+		Params: Params{IEOp1: Less, IEOp2: GreaterEq}})
+	p.Connect(join, ie, 0)
+	p.Connect(right, ie, 1)
+	agg := &ReduceExpr{GroupCols: []int{0}, Aggs: []AggSpec{{Op: AggSum, Col: 1}, {Op: AggCount, Col: WholeQuantum}}}
+	rb := p.Add(&Operator{Kind: KindReduceBy, Label: "agg",
+		UDF: UDFs{Key: fpKey, Reduce: fpReduceBoth, ReduceExpr: agg, Names: "key=key;reduce=sum;"}})
+	srt := p.Add(&Operator{Kind: KindSort, Label: "order", UDF: UDFs{Less: fpLess, Cond: fpCond}})
+	sink := p.Add(&Operator{Kind: KindTextFileSink, Label: "out",
+		UDF: UDFs{Format: fpFormat}, Params: Params{Path: "dfs://out.txt"}})
+	p.Chain(ie, rb, srt, sink)
+
+	info := FingerprintPlan(p, FingerprintOptions{})[sink]
+	if info == nil {
+		t.Fatal("all-roles plan sink not fingerprinted")
+	}
+	const golden = "ef2ffab92441df52bea1f55f9bb02f052317e0f6401acd1982d8954b0e60da4f"
+	if info.Hash != golden {
+		t.Errorf("all-roles golden fingerprint drifted:\n got %s\nwant %s", info.Hash, golden)
+	}
+}
+
 func TestFingerprintSinkRewireChangesHash(t *testing.T) {
 	// Rewiring a sink onto a different subtree must change its fingerprint
 	// (the substitution pass relies on this).
