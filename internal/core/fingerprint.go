@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"reflect"
-	"runtime"
 	"sort"
 )
 
@@ -167,7 +165,7 @@ func fingerprintOp(op *Operator, ins, bcs []*FPInfo, opts FingerprintOptions) (*
 	if err := hashParams(w, op, opts.Digests); err != nil {
 		return nil, err
 	}
-	w(udfIdentity(op.UDF))
+	w(udfIdentity(&op.UDF))
 
 	info := &FPInfo{Ops: []*Operator{op}}
 	seenOps := map[*Operator]bool{op: true}
@@ -300,37 +298,23 @@ func CollectionDigest(data []any) (string, error) {
 
 // udfIdentity derives a stable identity string for the operator's UDFs: the
 // names they were registered under (when a frontend recorded them), then the
-// symbol name of each non-nil function, tagged by role. Symbol names are
-// stable across restarts of the same binary; two distinct closures created
-// at the same code site share a symbol, which is why the registered names
-// and the operator label are hashed alongside.
-func udfIdentity(u UDFs) string {
+// symbol name of each non-nil function, tagged by role in UDFRoles order.
+// Symbol names are stable across restarts of the same binary; two distinct
+// closures created at the same code site share a symbol, which is why the
+// registered names and the operator label are hashed alongside.
+func udfIdentity(u *UDFs) string {
 	s := fmt.Sprintf("names=%d:%s;", len(u.Names), u.Names)
-	add := func(role string, fn any) {
-		v := reflect.ValueOf(fn)
-		if !v.IsValid() || v.IsNil() {
-			return
+	for _, r := range UDFRoles {
+		fn := r.Get(u)
+		if fn == nil {
+			continue
 		}
-		name := "?"
-		if f := runtime.FuncForPC(v.Pointer()); f != nil {
-			name = f.Name()
+		name := FuncSymbol(fn)
+		if name == "" {
+			name = "?"
 		}
-		s += role + "=" + name + ";"
+		s += r.Name + "=" + name + ";"
 	}
-	add("map", u.Map)
-	add("flatmap", u.FlatMap)
-	add("pred", u.Pred)
-	add("mappart", u.MapPart)
-	add("key", u.Key)
-	add("keyright", u.KeyRight)
-	add("reduce", u.Reduce)
-	add("combine", u.Combine)
-	add("less", u.Less)
-	add("format", u.Format)
-	add("leftnums", u.LeftNums)
-	add("rightnums", u.RightNums)
-	add("cond", u.Cond)
-	add("open", u.Open)
 	// Declarative forms: the expression text is the identity (the paired
 	// opaque closures, when present, hash to one shared symbol anyway).
 	if u.MapExpr != nil {

@@ -216,37 +216,6 @@ type Operator struct {
 	outputs []*Operator
 }
 
-// InArity returns how many dataflow inputs the operator kind consumes.
-func (k Kind) InArity() int {
-	switch k {
-	case KindTextFileSource, KindCollectionSource, KindTableSource:
-		return 0
-	case KindJoin, KindIEJoin, KindCartesian, KindUnion, KindIntersect, KindCoGroup:
-		return 2
-	default:
-		return 1
-	}
-}
-
-// OutArity returns how many dataflow outputs the operator kind produces.
-func (k Kind) OutArity() int {
-	switch k {
-	case KindCollectionSink, KindTextFileSink:
-		return 0
-	default:
-		return 1
-	}
-}
-
-// IsSource reports whether the kind has no dataflow inputs.
-func (k Kind) IsSource() bool { return k.InArity() == 0 }
-
-// IsSink reports whether the kind has no dataflow outputs.
-func (k Kind) IsSink() bool { return k.OutArity() == 0 }
-
-// IsLoop reports whether the kind nests a loop body.
-func (k Kind) IsLoop() bool { return k == KindRepeat || k == KindDoWhile }
-
 // Inputs returns the operators feeding this operator, in port order.
 func (o *Operator) Inputs() []*Operator { return o.inputs }
 
@@ -277,137 +246,4 @@ func (o *Operator) String() string {
 		return fmt.Sprintf("%s(%s)#%d", o.Kind, o.Label, o.ID)
 	}
 	return fmt.Sprintf("%s#%d", o.Kind, o.ID)
-}
-
-// DefaultSelectivity returns the selectivity assumed for an operator when
-// the application provides no hint, per kind. RHEEM "comes with default
-// selectivity values in case they are not provided".
-func (o *Operator) DefaultSelectivity() float64 {
-	if o.Selectivity > 0 {
-		return o.Selectivity
-	}
-	switch o.Kind {
-	case KindFilter:
-		return 0.5
-	case KindFlatMap:
-		return 3.0
-	case KindDistinct:
-		return 0.7
-	case KindReduceBy, KindGroupBy, KindCoGroup:
-		return 0.1
-	default:
-		return 1.0
-	}
-}
-
-// EstimateOutCard derives an output cardinality interval from the input
-// cardinality intervals, per kind. It is the per-operator "cardinality
-// estimator function" of the paper.
-func (o *Operator) EstimateOutCard(in []CardEstimate) CardEstimate {
-	sel := o.DefaultSelectivity()
-	switch o.Kind {
-	case KindCollectionSource:
-		n := int64(len(o.Params.Collection))
-		return ExactCard(n)
-	case KindTextFileSource, KindTableSource:
-		// Resolved by source sampling / table statistics in the optimizer;
-		// here only a wide prior (bounded for readable cost displays).
-		return CardEstimate{Low: 0, High: 1e9, Confidence: 0.05}
-	case KindMap, KindMapPart, KindSort, KindCache, KindZipWithID, KindProject:
-		return in[0]
-	case KindFilter, KindFlatMap:
-		return in[0].Scale(sel)
-	case KindDistinct, KindGroupBy, KindReduceBy:
-		return in[0].Scale(sel)
-	case KindCount, KindReduce:
-		return ExactCard(1)
-	case KindSample:
-		if o.Params.SampleSize > 0 {
-			return ExactCard(int64(o.Params.SampleSize))
-		}
-		return in[0].Scale(o.Params.SampleFraction)
-	case KindUnion:
-		return in[0].Add(in[1])
-	case KindIntersect:
-		lo := in[0]
-		if in[1].High < lo.High {
-			lo = in[1]
-		}
-		return lo.Scale(0.5)
-	case KindJoin:
-		// Classic |L|*|R|/max(distinct) heuristic collapsed into a sel factor.
-		prod := in[0].Mul(in[1])
-		if o.Selectivity > 0 {
-			return prod.Scale(o.Selectivity)
-		}
-		return prod.Scale(1e-3).Widen(0.3)
-	case KindCartesian:
-		return in[0].Mul(in[1])
-	case KindIEJoin:
-		prod := in[0].Mul(in[1])
-		if o.Selectivity > 0 {
-			return prod.Scale(o.Selectivity)
-		}
-		return prod.Scale(0.25).Widen(0.2)
-	case KindCoGroup:
-		return in[0].Add(in[1]).Scale(sel)
-	case KindRepeat, KindDoWhile:
-		// The loop's output cardinality is its body output's; approximated by
-		// the loop input when the body is not yet analyzed.
-		return in[0].Widen(0.5)
-	case KindPageRank:
-		// One (vertex, rank) pair per distinct vertex; edges/10 heuristic.
-		return in[0].Scale(0.1).Widen(0.5)
-	case KindCollectionSink, KindTextFileSink:
-		return in[0]
-	}
-	return in[0]
-}
-
-// kindRegistry supports application-defined operator kinds (extensibility,
-// Section 3 of the paper).
-type kindInfo struct {
-	InArity, OutArity int
-	Estimator         func(o *Operator, in []CardEstimate) CardEstimate
-}
-
-var kindRegistry = map[Kind]kindInfo{}
-
-// RegisterKind registers a custom operator kind with its arities and an
-// optional cardinality estimator.
-func RegisterKind(k Kind, inArity, outArity int, est func(o *Operator, in []CardEstimate) CardEstimate) {
-	kindRegistry[k] = kindInfo{InArity: inArity, OutArity: outArity, Estimator: est}
-}
-
-// InArityOf returns the input arity of an operator, consulting the
-// custom-kind registry for application-defined kinds.
-func InArityOf(op *Operator) int {
-	if ki, ok := registeredKind(op.Kind); ok {
-		return ki.InArity
-	}
-	return op.Kind.InArity()
-}
-
-// OutArityOf returns the output arity of an operator, consulting the
-// custom-kind registry.
-func OutArityOf(op *Operator) int {
-	if ki, ok := registeredKind(op.Kind); ok {
-		return ki.OutArity
-	}
-	return op.Kind.OutArity()
-}
-
-// EstimateCardOf estimates an operator's output cardinality, dispatching to
-// a registered custom estimator when one exists.
-func EstimateCardOf(op *Operator, in []CardEstimate) CardEstimate {
-	if ki, ok := registeredKind(op.Kind); ok && ki.Estimator != nil {
-		return ki.Estimator(op, in)
-	}
-	return op.EstimateOutCard(in)
-}
-
-// registeredKind returns extensibility info for k, if any.
-func registeredKind(k Kind) (kindInfo, bool) {
-	ki, ok := kindRegistry[k]
-	return ki, ok
 }

@@ -172,7 +172,7 @@ func (p *Plan) Chain(ops ...*Operator) *Operator {
 func (p *Plan) Sources() []*Operator {
 	var out []*Operator
 	for _, o := range p.ops {
-		if p.inArity(o) == 0 {
+		if o.Kind.IsSource() {
 			out = append(out, o)
 		}
 	}
@@ -189,8 +189,6 @@ func (p *Plan) Sinks() []*Operator {
 	}
 	return out
 }
-
-func (p *Plan) inArity(o *Operator) int { return InArityOf(o) }
 
 // TopoOrder returns the operators in a topological order of the dataflow
 // (broadcast edges included as dependencies). It returns an error if the
@@ -231,8 +229,9 @@ func (p *Plan) TopoOrder() ([]*Operator, error) {
 }
 
 // Validate checks structural well-formedness: every input port connected,
-// at least one source and one sink, acyclicity, loop bodies recursively
-// valid with designated loop endpoints.
+// every UDF its kind requires present (Operator.CheckUDFs), at least one
+// source and one sink, acyclicity, loop bodies recursively valid with
+// designated loop endpoints.
 func (p *Plan) Validate() error {
 	if len(p.ops) == 0 {
 		return fmt.Errorf("core: plan %q is empty", p.Name)
@@ -242,7 +241,7 @@ func (p *Plan) Validate() error {
 	}
 	hasSink := false
 	for _, o := range p.ops {
-		in := p.inArity(o)
+		in := o.Kind.InArity()
 		if o.OuterRef != nil {
 			in = 0 // reads an operator of the enclosing plan, not a port
 		}
@@ -253,6 +252,9 @@ func (p *Plan) Validate() error {
 			if o.inputs[i] == nil {
 				return fmt.Errorf("core: %s input port %d is unconnected", o, i)
 			}
+		}
+		if err := o.CheckUDFs(); err != nil {
+			return err
 		}
 		if o.Kind.IsSink() {
 			hasSink = true

@@ -175,30 +175,61 @@ func TestPlanStringRendering(t *testing.T) {
 	}
 }
 
+// TestOperatorArities walks every built-in kind through the table's
+// classification.
 func TestOperatorArities(t *testing.T) {
 	cases := []struct {
-		k       Kind
-		in, out int
+		k            Kind
+		in, out      int
+		loop, narrow bool
 	}{
-		{KindTextFileSource, 0, 1},
-		{KindMap, 1, 1},
-		{KindJoin, 2, 1},
-		{KindCollectionSink, 1, 0},
-		{KindRepeat, 1, 1},
+		{KindTextFileSource, 0, 1, false, false},
+		{KindCollectionSource, 0, 1, false, false},
+		{KindTableSource, 0, 1, false, false},
+		{KindMap, 1, 1, false, true},
+		{KindFlatMap, 1, 1, false, true},
+		{KindFilter, 1, 1, false, true},
+		{KindProject, 1, 1, false, true},
+		{KindMapPart, 1, 1, false, false},
+		{KindSample, 1, 1, false, false},
+		{KindDistinct, 1, 1, false, false},
+		{KindSort, 1, 1, false, false},
+		{KindCount, 1, 1, false, false},
+		{KindReduce, 1, 1, false, false},
+		{KindReduceBy, 1, 1, false, false},
+		{KindGroupBy, 1, 1, false, false},
+		{KindZipWithID, 1, 1, false, false},
+		{KindCache, 1, 1, false, false},
+		{KindJoin, 2, 1, false, false},
+		{KindIEJoin, 2, 1, false, false},
+		{KindCartesian, 2, 1, false, false},
+		{KindUnion, 2, 1, false, false},
+		{KindIntersect, 2, 1, false, false},
+		{KindCoGroup, 2, 1, false, false},
+		{KindRepeat, 1, 1, true, false},
+		{KindDoWhile, 1, 1, true, false},
+		{KindPageRank, 1, 1, false, false},
+		{KindCollectionSink, 1, 0, false, false},
+		{KindTextFileSink, 1, 0, false, false},
 	}
 	for _, c := range cases {
-		if c.k.InArity() != c.in || c.k.OutArity() != c.out {
-			t.Errorf("%s arity = (%d,%d), want (%d,%d)", c.k, c.k.InArity(), c.k.OutArity(), c.in, c.out)
+		k := c.k
+		if !k.Known() {
+			t.Errorf("%s has no table entry", k)
+		}
+		if k.InArity() != c.in || k.OutArity() != c.out || k.IsLoop() != c.loop || k.IsNarrow() != c.narrow {
+			t.Errorf("%s = (in %d, out %d, loop %v, narrow %v), want (%d, %d, %v, %v)",
+				k, k.InArity(), k.OutArity(), k.IsLoop(), k.IsNarrow(), c.in, c.out, c.loop, c.narrow)
+		}
+		if k.IsSource() != (c.in == 0) || k.IsSink() != (c.out == 0) {
+			t.Errorf("%s: IsSource %v, IsSink %v", k, k.IsSource(), k.IsSink())
 		}
 	}
-	if !KindTextFileSource.IsSource() || KindMap.IsSource() {
-		t.Error("IsSource misclassifies")
+	if n := len(cases); n != 28 {
+		t.Fatalf("%d built-in kinds walked", n)
 	}
-	if !KindCollectionSink.IsSink() || KindMap.IsSink() {
-		t.Error("IsSink misclassifies")
-	}
-	if !KindRepeat.IsLoop() || !KindDoWhile.IsLoop() || KindMap.IsLoop() {
-		t.Error("IsLoop misclassifies")
+	if Kind("NoSuchKind").Known() {
+		t.Error("an undeclared kind reads as known")
 	}
 }
 
@@ -232,29 +263,29 @@ func TestEstimateOutCard(t *testing.T) {
 		{&Operator{Kind: KindSample, Params: Params{SampleFraction: 0.1}}, [2]int64{100, 100}, false},
 	}
 	for _, c := range cases {
-		got := c.op.EstimateOutCard(in)
+		got := EstimateCardOf(c.op, in)
 		if got.Low != c.loHi[0] || got.High != c.loHi[1] {
 			t.Errorf("%s estimate = %v, want %v", c.op.Kind, got, c.loHi)
 		}
 	}
 
 	// Join estimates widen and carry reduced confidence.
-	j := (&Operator{Kind: KindJoin}).EstimateOutCard(in)
+	j := EstimateCardOf(&Operator{Kind: KindJoin}, in)
 	if j.Confidence >= 1 || j.Low > j.High {
 		t.Errorf("join estimate not widened: %v", j)
 	}
 	// Selectivity hints override the join heuristic.
-	jh := (&Operator{Kind: KindJoin, Selectivity: 0.5}).EstimateOutCard(in)
+	jh := EstimateCardOf(&Operator{Kind: KindJoin, Selectivity: 0.5}, in)
 	if jh.Low != 5000 {
 		t.Errorf("hinted join = %v", jh)
 	}
 	// Collection sources know their cardinality exactly.
-	cs := (&Operator{Kind: KindCollectionSource, Params: Params{Collection: []any{1, 2, 3}}}).EstimateOutCard(nil)
+	cs := EstimateCardOf(&Operator{Kind: KindCollectionSource, Params: Params{Collection: []any{1, 2, 3}}}, nil)
 	if cs.Low != 3 || cs.High != 3 || cs.Confidence != 1 {
 		t.Errorf("collection source = %v", cs)
 	}
 	// File sources are unknown until sampled.
-	fs := (&Operator{Kind: KindTextFileSource}).EstimateOutCard(nil)
+	fs := EstimateCardOf(&Operator{Kind: KindTextFileSource}, nil)
 	if fs.Confidence > 0.1 || fs.High <= fs.Low {
 		t.Errorf("file source should be wide/uncertain: %v", fs)
 	}
@@ -262,12 +293,11 @@ func TestEstimateOutCard(t *testing.T) {
 
 func TestRegisterKind(t *testing.T) {
 	const custom = Kind("MyScope")
-	RegisterKind(custom, 1, 1, func(o *Operator, in []CardEstimate) CardEstimate {
+	RegisterKind(custom, KindSpec{In: 1, Out: 1, Estimate: func(o *Operator, in []CardEstimate) CardEstimate {
 		return in[0].Scale(0.25)
-	})
-	ki, ok := registeredKind(custom)
-	if !ok || ki.InArity != 1 {
-		t.Fatalf("registeredKind = %+v, %v", ki, ok)
+	}})
+	if !custom.Known() || custom.InArity() != 1 || custom.OutArity() != 1 {
+		t.Fatalf("registered kind reads in %d, out %d, known %v", custom.InArity(), custom.OutArity(), custom.Known())
 	}
 	p := NewPlan("custom")
 	src := p.NewOperator(KindCollectionSource, "")
@@ -277,5 +307,98 @@ func TestRegisterKind(t *testing.T) {
 	p.Chain(src, c, sink)
 	if err := p.Validate(); err != nil {
 		t.Fatalf("plan with custom kind: %v", err)
+	}
+	if got := EstimateCardOf(c, []CardEstimate{ExactCard(100)}); got.High != 25 {
+		t.Errorf("registered estimator not used: %v", got)
+	}
+}
+
+// TestRegisteredKindIsClassifiedByTheTable: a registered kind is classified
+// by its entry everywhere a kind is classified — a registered sink is a sink
+// to Plan.Sinks, Validate and RemoveUnreachable, and a registered 3-input
+// kind has three inputs to Kind.InArity.
+func TestRegisteredKindIsClassifiedByTheTable(t *testing.T) {
+	const sinkKind, tri = Kind("ToySink"), Kind("ToyMerge3")
+	RegisterKind(sinkKind, KindSpec{In: 1, Out: 0})
+	RegisterKind(tri, KindSpec{In: 3, Out: 1})
+
+	p := NewPlan("toy-sink")
+	src := p.NewOperator(KindCollectionSource, "src")
+	src.Params.Collection = []any{1}
+	sink := p.NewOperator(sinkKind, "out")
+	p.Connect(src, sink, 0)
+	if sinks := p.Sinks(); len(sinks) != 1 || sinks[0] != sink {
+		t.Fatalf("Sinks = %v, want the registered sink", sinks)
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	if removed := p.RemoveUnreachable(); len(removed) != 0 || len(p.Operators()) != 2 {
+		t.Fatalf("RemoveUnreachable pruned %v", removed)
+	}
+
+	if tri.InArity() != 3 || tri.IsSource() || tri.IsSink() {
+		t.Fatalf("3-input kind reads in %d", tri.InArity())
+	}
+	q := NewPlan("toy-merge")
+	m := q.NewOperator(tri, "merge")
+	for i := 0; i < 2; i++ {
+		s := q.NewOperator(KindCollectionSource, "")
+		s.Params.Collection = []any{i}
+		q.Connect(s, m, i)
+	}
+	q.Chain(m, q.NewOperator(KindCollectionSink, ""))
+	if err := q.Validate(); err == nil || !strings.Contains(err.Error(), "2 of 3 inputs") {
+		t.Fatalf("a 3-input kind with two inputs validated: %v", err)
+	}
+}
+
+// TestCheckUDFs: a missing role is the table's error naming the operator and
+// the role, a declarative stand-in satisfies its role, and checking a
+// well-formed operator allocates nothing.
+func TestCheckUDFs(t *testing.T) {
+	key := func(q any) any { return q }
+	cases := []struct {
+		op   *Operator
+		want string // "" = well-formed
+	}{
+		{&Operator{Kind: KindMap, Label: "m"}, "Map(m)#0 lacks a map UDF"},
+		{&Operator{Kind: KindFilter}, "lacks a pred UDF or a Where predicate"},
+		{&Operator{Kind: KindFilter, Params: Params{Where: &Predicate{Col: 0, Op: PredGt, Value: int64(1)}}}, ""},
+		{&Operator{Kind: KindReduceBy, UDF: UDFs{Key: key}}, "lacks a reduce UDF or a ReduceExpr"},
+		{&Operator{Kind: KindReduceBy, UDF: UDFs{ReduceExpr: &ReduceExpr{GroupCols: []int{0}}}}, ""},
+		{&Operator{Kind: KindIEJoin, UDF: UDFs{LeftNums: func(any) (float64, float64) { return 0, 0 }}}, "lacks a rightnums UDF"},
+		{&Operator{Kind: KindJoin, UDF: UDFs{KeyRight: key}}, "lacks a key UDF"},
+		{&Operator{Kind: KindSort}, ""},
+	}
+	for _, c := range cases {
+		err := c.op.CheckUDFs()
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%s: CheckUDFs = %v, want %q", c.op, err, c.want)
+		}
+	}
+	rb := &Operator{Kind: KindReduceBy, UDF: UDFs{Key: key, Reduce: func(a, _ any) any { return a }}}
+	if n := testing.AllocsPerRun(100, func() { _ = rb.CheckUDFs() }); n != 0 {
+		t.Errorf("checking a well-formed operator allocates %v times", n)
+	}
+}
+
+// TestValidateChecksUDFsInLoopBodies: a body operator lacking its UDF fails
+// the enclosing plan's validation with the table's error.
+func TestValidateChecksUDFsInLoopBodies(t *testing.T) {
+	p := NewPlan("looped")
+	src := p.NewOperator(KindCollectionSource, "init")
+	src.Params.Collection = []any{0.0}
+	loop := p.NewOperator(KindRepeat, "iter")
+	loop.Params.Iterations = 2
+	p.Chain(src, loop, p.NewOperator(KindCollectionSink, ""))
+	body := NewPlan("body")
+	in := body.NewOperator(KindCollectionSource, "loopvar")
+	step := body.NewOperator(KindMap, "step")
+	body.Connect(in, step, 0)
+	body.LoopInput, body.LoopOutput = in, step
+	loop.Body = body
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "Map(step)#2 lacks a map UDF") {
+		t.Fatalf("Validate = %v, want the body map's missing UDF", err)
 	}
 }

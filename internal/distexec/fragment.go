@@ -96,54 +96,13 @@ type predWire struct {
 	Value []byte `json:"value"` // RQB1 quantum
 }
 
-// udfRole pairs a role name with the operator's function for that role.
-type udfRole struct {
-	role string
-	fn   any
-}
-
-// udfRolesOf lists the non-nil UDFs an operator carries, in a fixed role
-// order (the same roles the plan fingerprinter identifies).
-func udfRolesOf(u core.UDFs) []udfRole {
-	all := []udfRole{
-		{"map", nilable(u.Map)},
-		{"flatmap", nilable(u.FlatMap)},
-		{"pred", nilable(u.Pred)},
-		{"mappart", nilable(u.MapPart)},
-		{"key", nilable(u.Key)},
-		{"keyright", nilable(u.KeyRight)},
-		{"reduce", nilable(u.Reduce)},
-		{"combine", nilable(u.Combine)},
-		{"less", nilable(u.Less)},
-		{"format", nilable(u.Format)},
-		{"leftnums", nilable(u.LeftNums)},
-		{"rightnums", nilable(u.RightNums)},
-		{"cond", nilable(u.Cond)},
-		{"open", nilable(u.Open)},
-	}
-	out := all[:0]
-	for _, r := range all {
-		if r.fn != nil {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// nilable normalizes a typed nil function into an untyped nil, so the
-// role listing can filter with a plain comparison.
-func nilable[T any](fn T) any {
-	v := any(fn)
-	if v == nil {
-		return nil
-	}
-	// A nil func stored in an interface is non-nil; FuncSymbol("" on nil
-	// funcs) would catch it later, but filtering here keeps the role list
-	// honest.
-	if core.FuncSymbol(v) == "" {
-		return nil
-	}
-	return v
+// shippable returns the symbol of a UDF and whether it resolves, in this
+// process's symbol table, to the very function the plan carries — the value
+// a peer running the same binary rebinds.
+func shippable(fn any) (string, bool) {
+	sym := core.FuncSymbol(fn)
+	got, ok := core.LookupUDFSymbol(sym)
+	return sym, ok && core.FuncEqual(got, fn)
 }
 
 // Fragmentable reports why a stage cannot be shipped to a peer ("" when it
@@ -183,12 +142,13 @@ func Fragmentable(s *core.Stage) string {
 			// Exploratory-mode sniffers are process-local callbacks.
 			return "sniffed"
 		}
-		for _, r := range udfRolesOf(op.UDF) {
-			got, ok := core.LookupUDFSymbol(core.FuncSymbol(r.fn))
-			if !ok || !core.FuncEqual(got, r.fn) {
-				// Unregistered (or capture-shadowed) function: the peer
-				// cannot resolve an identical value.
-				return "udf"
+		for _, r := range core.UDFRoles {
+			if fn := r.Get(&op.UDF); fn != nil {
+				if _, ok := shippable(fn); !ok {
+					// Unregistered (or capture-shadowed) function: the peer
+					// cannot resolve an identical value.
+					return "udf"
+				}
 			}
 		}
 	}
@@ -254,16 +214,19 @@ func encodeOp(op *core.Operator) (opWire, error) {
 		return w, err
 	}
 	w.Params = p
-	for _, r := range udfRolesOf(op.UDF) {
-		sym := core.FuncSymbol(r.fn)
-		got, ok := core.LookupUDFSymbol(sym)
-		if !ok || !core.FuncEqual(got, r.fn) {
-			return w, fmt.Errorf("UDF role %s (%s) is not registered for shipping", r.role, sym)
+	for _, r := range core.UDFRoles {
+		fn := r.Get(&op.UDF)
+		if fn == nil {
+			continue
+		}
+		sym, ok := shippable(fn)
+		if !ok {
+			return w, fmt.Errorf("UDF role %s (%s) is not registered for shipping", r.Name, sym)
 		}
 		if w.UDFs == nil {
 			w.UDFs = map[string]string{}
 		}
-		w.UDFs[r.role] = sym
+		w.UDFs[r.Name] = sym
 	}
 	return w, nil
 }
@@ -297,6 +260,9 @@ func encodeParams(p core.Params) (paramsWire, error) {
 // decodeFragment rebuilds the stage on the receiving peer: a fresh plan
 // with the fragment's operators and stubs, the stage over the real
 // operators, and a wire-id index for binding inputs and reporting outputs.
+// The fragment is checked against the operator table first: every op and
+// stub is of a kind the table declares, and every edge and input lands on a
+// port its consumer's kind has.
 func decodeFragment(frag *Fragment) (*core.Stage, map[int]*core.Operator, error) {
 	plan := core.NewPlan("fragment-" + frag.Frag)
 	byWire := map[int]*core.Operator{}
@@ -313,12 +279,18 @@ func decodeFragment(frag *Fragment) (*core.Stage, map[int]*core.Operator, error)
 		if byWire[w.ID] != nil {
 			return nil, nil, fmt.Errorf("distexec: duplicate wire op id %d", w.ID)
 		}
+		if !core.Kind(w.Kind).Known() {
+			return nil, nil, fmt.Errorf("distexec: stub %d: unknown operator kind %q", w.ID, w.Kind)
+		}
 		byWire[w.ID] = plan.NewOperator(core.Kind(w.Kind), w.Label)
 	}
 	for _, e := range frag.Edges {
 		from, to := byWire[e.From], byWire[e.To]
 		if from == nil || to == nil {
 			return nil, nil, fmt.Errorf("distexec: edge %d->%d references unknown op", e.From, e.To)
+		}
+		if err := checkPort(to, e.Port, e.Broadcast); err != nil {
+			return nil, nil, err
 		}
 		if e.Broadcast {
 			plan.Broadcast(from, to)
@@ -339,10 +311,31 @@ func decodeFragment(frag *Fragment) (*core.Stage, map[int]*core.Operator, error)
 		}
 		stage.TerminalOuts = append(stage.TerminalOuts, op)
 	}
+	for _, iw := range frag.Inputs {
+		consumer := byWire[iw.Consumer]
+		if byWire[iw.Producer] == nil || consumer == nil {
+			return nil, nil, fmt.Errorf("distexec: input references unknown ops %d->%d", iw.Producer, iw.Consumer)
+		}
+		if err := checkPort(consumer, iw.Port, iw.Broadcast); err != nil {
+			return nil, nil, err
+		}
+	}
 	return stage, byWire, nil
 }
 
+// checkPort rejects a dataflow edge into a port op's kind does not have (a
+// broadcast edge names no port).
+func checkPort(op *core.Operator, port int, broadcast bool) error {
+	if !broadcast && (port < 0 || port >= op.Kind.InArity()) {
+		return fmt.Errorf("distexec: %s has no input port %d", op, port)
+	}
+	return nil
+}
+
 func decodeOp(plan *core.Plan, w opWire) (*core.Operator, error) {
+	if !core.Kind(w.Kind).Known() {
+		return nil, fmt.Errorf("distexec: op %d: unknown operator kind %q", w.ID, w.Kind)
+	}
 	op := plan.NewOperator(core.Kind(w.Kind), w.Label)
 	op.Selectivity = w.Selectivity
 	op.TargetPlatform = w.TargetPlatform
@@ -351,14 +344,23 @@ func decodeOp(plan *core.Plan, w opWire) (*core.Operator, error) {
 		return nil, fmt.Errorf("distexec: op %d (%s): %w", w.ID, w.Kind, err)
 	}
 	op.Params = p
-	for role, sym := range w.UDFs {
+	bound := 0
+	for _, r := range core.UDFRoles {
+		sym, ok := w.UDFs[r.Name]
+		if !ok {
+			continue
+		}
 		fn, ok := core.LookupUDFSymbol(sym)
 		if !ok {
 			return nil, fmt.Errorf("distexec: op %d (%s): UDF symbol %q is not registered on this peer", w.ID, w.Kind, sym)
 		}
-		if err := bindUDF(&op.UDF, role, fn); err != nil {
-			return nil, fmt.Errorf("distexec: op %d (%s): %w", w.ID, w.Kind, err)
+		if !r.Set(&op.UDF, fn) {
+			return nil, fmt.Errorf("distexec: op %d (%s): UDF role %q resolved to incompatible type %T", w.ID, w.Kind, r.Name, fn)
 		}
+		bound++
+	}
+	if bound != len(w.UDFs) {
+		return nil, fmt.Errorf("distexec: op %d (%s): %d UDFs under unknown roles", w.ID, w.Kind, len(w.UDFs)-bound)
 	}
 	return op, nil
 }
@@ -391,46 +393,4 @@ func decodeParams(w paramsWire) (core.Params, error) {
 		p.Where = &core.Predicate{Col: w.Where.Col, Op: core.PredOp(w.Where.Op), Value: val}
 	}
 	return p, nil
-}
-
-// bindUDF assigns a resolved function to its role slot, type-checking the
-// signature the role demands.
-func bindUDF(u *core.UDFs, role string, fn any) error {
-	ok := false
-	switch role {
-	case "map":
-		u.Map, ok = fn.(func(any) any)
-	case "flatmap":
-		u.FlatMap, ok = fn.(func(any) []any)
-	case "pred":
-		u.Pred, ok = fn.(func(any) bool)
-	case "mappart":
-		u.MapPart, ok = fn.(func([]any) []any)
-	case "key":
-		u.Key, ok = fn.(func(any) any)
-	case "keyright":
-		u.KeyRight, ok = fn.(func(any) any)
-	case "reduce":
-		u.Reduce, ok = fn.(func(a, b any) any)
-	case "combine":
-		u.Combine, ok = fn.(func(l, r any) any)
-	case "less":
-		u.Less, ok = fn.(func(a, b any) bool)
-	case "format":
-		u.Format, ok = fn.(func(any) string)
-	case "leftnums":
-		u.LeftNums, ok = fn.(func(any) (float64, float64))
-	case "rightnums":
-		u.RightNums, ok = fn.(func(any) (float64, float64))
-	case "cond":
-		u.Cond, ok = fn.(func(int, []any) bool)
-	case "open":
-		u.Open, ok = fn.(func(core.BroadcastCtx))
-	default:
-		return fmt.Errorf("unknown UDF role %q", role)
-	}
-	if !ok {
-		return fmt.Errorf("UDF role %q resolved to incompatible type %T", role, fn)
-	}
-	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"rheem/internal/core"
@@ -342,5 +343,113 @@ func TestQuantaStreamSymmetry(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, data) {
 		t.Fatalf("round-trip %v != %v", got, data)
+	}
+}
+
+// TestDecodeFragmentChecksTheTable: a fragment is checked against the
+// operator table before a peer stages it. An edge or boundary input landing
+// on a port its consumer's kind does not have, and an op or stub of a kind
+// the table does not declare, are decode errors — never a panic in
+// Plan.Connect, and never a port so large that wiring it appends nil slots
+// until memory runs out.
+func TestDecodeFragmentChecksTheTable(t *testing.T) {
+	// Edges[0] is src -> dbl (a map), Ops[1] the map.
+	cases := map[string]func(f *Fragment){
+		"negative port":   func(f *Fragment) { f.Edges[0].Port = -1 },
+		"huge port":       func(f *Fragment) { f.Edges[0].Port = 1 << 40 },
+		"port 1 on a map": func(f *Fragment) { f.Edges[0].Port = 1 },
+		"unknown kind":    func(f *Fragment) { f.Ops[1].Kind = "NoSuchKind" },
+		"unknown stub":    func(f *Fragment) { f.Stubs = append(f.Stubs, opWire{ID: 99, Kind: "NoSuchKind"}) },
+		"negative input":  func(f *Fragment) { f.Inputs = []inputWire{{Consumer: f.Ops[1].ID, Producer: f.Ops[0].ID, Port: -1}} },
+		"huge input port": func(f *Fragment) {
+			f.Inputs = []inputWire{{Consumer: f.Ops[1].ID, Producer: f.Ops[0].ID, Port: 1 << 40}}
+		},
+		"unknown consumer": func(f *Fragment) { f.Inputs = []inputWire{{Consumer: 99, Producer: f.Ops[0].ID}} },
+	}
+	for name, corrupt := range cases {
+		t.Run(name, func(t *testing.T) {
+			frag, _, err := buildFragment(pipelineStage([]any{int64(1)}), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			corrupt(frag)
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("decoding panicked: %v", r)
+				}
+			}()
+			if _, _, err := decodeFragment(frag); err == nil {
+				t.Fatal("a fragment outside the operator table decoded")
+			}
+		})
+	}
+}
+
+// kindToyScale is an application kind declared by one table entry that
+// requires one UDF role; nothing else in the system names it.
+const kindToyScale = core.Kind("ToyScale")
+
+func init() {
+	core.RegisterKind(kindToyScale, core.KindSpec{In: 1, Out: 1, Needs: []core.UDFNeed{{Role: core.RoleMap}}})
+}
+
+// TestToyKindFromOneTableEntry: with one table entry, a new kind gets
+// validation (a missing role is the table's error), a fingerprint that
+// changes with its UDF, and a fragment round trip that rebinds its UDF.
+func TestToyKindFromOneTableEntry(t *testing.T) {
+	build := func(fn func(any) any) (*core.Plan, *core.Operator, *core.Operator) {
+		p := core.NewPlan("toy")
+		src := p.NewOperator(core.KindCollectionSource, "src")
+		src.Params.Collection = []any{int64(1), int64(2)}
+		toy := p.NewOperator(kindToyScale, "scale")
+		toy.UDF.Map = fn
+		sink := p.Chain(src, toy, p.NewOperator(core.KindCollectionSink, "out"))
+		return p, toy, sink
+	}
+
+	p, toy, _ := build(nil)
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), toy.String()+" lacks a map UDF") {
+		t.Fatalf("Validate = %v, want the table's missing-map error", err)
+	}
+
+	hash := func(fn func(any) any) string {
+		p, _, sink := build(fn)
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return core.FingerprintPlan(p, core.FingerprintOptions{})[sink].Hash
+	}
+	if a, b := hash(dblQuantum), hash(kvKey); a == "" || a == b || a != hash(dblQuantum) {
+		t.Fatalf("toy fingerprints: %q with dbl (stable: %v), %q with kvKey", a, a == hash(dblQuantum), b)
+	}
+
+	p, toy, sink := build(dblQuantum)
+	st := &core.Stage{
+		ID: 3, Platform: "streams", Ops: p.Operators(),
+		ExecPlan:     &core.ExecPlan{Plan: p, Assignments: map[*core.Operator]*core.Assignment{}},
+		TerminalOuts: []*core.Operator{sink},
+	}
+	if reason := Fragmentable(st); reason != "" {
+		t.Fatalf("toy stage unfragmentable: %s", reason)
+	}
+	frag, _, err := buildFragment(st, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(frag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire Fragment
+	if err := json.Unmarshal(raw, &wire); err != nil {
+		t.Fatal(err)
+	}
+	_, remote, err := decodeFragment(&wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := remote[toy.ID]
+	if clone == nil || clone.Kind != kindToyScale || !core.FuncEqual(clone.UDF.Map, dblQuantum) {
+		t.Fatalf("toy op rebuilt as %v with map %q", clone, core.FuncSymbol(clone.UDF.Map))
 	}
 }

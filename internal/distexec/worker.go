@@ -117,12 +117,7 @@ func (s *Scheduler) HandleExecStage(w http.ResponseWriter, r *http.Request) {
 	in.Round = frag.Round
 	var inQuanta int64
 	for _, iw := range frag.Inputs {
-		producer, consumer := byWire[iw.Producer], byWire[iw.Consumer]
-		if producer == nil || consumer == nil {
-			s.execFailure(root, w, http.StatusBadRequest,
-				"input references unknown ops %d->%d", iw.Producer, iw.Consumer)
-			return
-		}
+		producer, consumer := byWire[iw.Producer], byWire[iw.Consumer] // checked by decodeFragment
 		data, err := s.resolveData(r.Context(), iw.Inline, iw.Shuffle, iw.From)
 		if err != nil {
 			s.execFailure(root, w, http.StatusBadGateway, "resolving input of op %d: %v", iw.Consumer, err)

@@ -191,8 +191,8 @@ func TestLoopbackShuffleAndGC(t *testing.T) {
 }
 
 // TestWorkerRejectsBadFragments covers the failure ladder's worker rungs:
-// undecodable fragments and unknown platforms answer 4xx and count as exec
-// failures — the origin falls back to local execution on any non-200.
+// undecodable fragments (a port outside the operator table included) and
+// unknown platforms answer 4xx and count as exec failures — the origin falls back to local execution on any non-200.
 func TestWorkerRejectsBadFragments(t *testing.T) {
 	worker := newTestPeer(t, 1<<20)
 	addr := worker.s.opts.Advertise
@@ -212,8 +212,14 @@ func TestWorkerRejectsBadFragments(t *testing.T) {
 	if _, err := origin.s.dispatch(context.Background(), addr, frag, dispatchSpan()); err == nil {
 		t.Fatal("dispatch of unknown platform succeeded")
 	}
-	if v := worker.reg.Counter("rheem_distexec_exec_failures_total").Value(); v < 2 {
-		t.Errorf("exec_failures_total = %g, want >= 2", v)
+	// An edge onto a port the consumer's kind lacks is undecodable too.
+	frag, _, _ = stubbedFragment(t, origin, "run-port", []any{int64(1)})
+	frag.Edges[0].Port = -1
+	if _, err := origin.s.dispatch(context.Background(), addr, frag, dispatchSpan()); err == nil || !strings.Contains(err.Error(), "400") {
+		t.Fatalf("dispatch of a port -1 edge: %v, want a 400", err)
+	}
+	if v := worker.reg.Counter("rheem_distexec_exec_failures_total").Value(); v < 3 {
+		t.Errorf("exec_failures_total = %g, want >= 3", v)
 	}
 }
 

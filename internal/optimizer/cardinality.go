@@ -150,7 +150,7 @@ func EstimateCards(p *core.Plan, resolve SourceResolver, known map[*core.Operato
 			in = append(in, cards[producer])
 		}
 		var est core.CardEstimate
-		if core.InArityOf(op) == 0 && resolve != nil {
+		if op.Kind.IsSource() && resolve != nil {
 			if e, ok := resolve(op); ok {
 				est = e
 				cards[op] = est

@@ -52,7 +52,7 @@ func TestFusionDiscountLowersPlanCost(t *testing.T) {
 	var blind, discount float64
 	for op, a := range ep.Assignments {
 		blind += a.CostEst.Geomean()
-		if core.FusibleKind(op.Kind) && core.FusibleKind(op.Inputs()[0].Kind) {
+		if op.Kind.IsNarrow() && op.Inputs()[0].Kind.IsNarrow() {
 			discount += costs.FusedStepOverheadMs(a.Alt)
 		}
 	}

@@ -458,9 +458,7 @@ func dpEnumerate(p *core.Plan, opts Options, inflated map[*core.Operator][]entry
 			// Declarative reduce-by rides its producer's chain too: the
 			// engines absorb it as the chain's vectorized aggregation tail.
 			fuseDisc := 0.0
-			fusible := core.FusibleKind(op.Kind) ||
-				(op.Kind == core.KindReduceBy && op.UDF.ReduceExpr != nil)
-			if fusible && core.InArityOf(op) == 1 {
+			if op.Kind.IsNarrow() || op.Kind == core.KindReduceBy && op.UDF.ReduceExpr != nil {
 				fuseDisc = opts.Costs.FusedStepOverheadMs(ent.alt) * opts.weight(ent.alt.Platform)
 			}
 			picks := map[*core.Operator]int{}
@@ -505,7 +503,7 @@ func dpEnumerate(p *core.Plan, opts Options, inflated map[*core.Operator][]entry
 					disc := 0.0
 					if fuseDisc > 0 && !isBroadcast && mv == 0 &&
 						pe.alt.Platform == ent.alt.Platform &&
-						core.FusibleKind(producer.Kind) && len(producer.Outputs()) == 1 {
+						producer.Kind.IsNarrow() && len(producer.Outputs()) == 1 {
 						disc = fuseDisc
 					}
 					if c := pc[pi] + mv - disc; c < bestIn {

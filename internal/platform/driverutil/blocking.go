@@ -1,7 +1,6 @@
 package driverutil
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -205,13 +204,10 @@ func gather(parts [][]any) []any {
 // keyed is the co-partitioned shape: every input is exchanged on its key
 // into p = the largest input partition count partitions and kernel runs once
 // per partition over the co-located sides (right is nil for a unary
-// operator). It is where a missing key UDF is reported.
-func keyed(s Scheduler, op *core.Operator, in [][][]any, keys []func(any) any, kernel func(left, right []any) ([]any, error)) ([][]any, error) {
+// operator).
+func keyed(s Scheduler, in [][][]any, keys []func(any) any, kernel func(left, right []any) []any) [][]any {
 	p := 1
-	for i, key := range keys {
-		if key == nil {
-			return nil, fmt.Errorf("%s lacks a key UDF", op)
-		}
+	for i := range keys {
 		p = max(p, len(in[i]))
 	}
 	s.Barrier()
@@ -220,31 +216,28 @@ func keyed(s Scheduler, op *core.Operator, in [][][]any, keys []func(any) any, k
 		sides[i] = Exchange(s, in[i], p, HashRoute(key, p))
 	}
 	out := make([][]any, p)
-	err := s.Each(p, func(j int) (err error) {
-		out[j], err = kernel(sides[0][j], sides[1][j])
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	Do(s, p, func(j int) { out[j] = kernel(sides[0][j], sides[1][j]) })
+	return out
+}
+
+// eachPart runs kernel over every partition on the scheduler's workers.
+func eachPart(s Scheduler, parts [][]any, kernel func(part []any) []any) [][]any {
+	out := make([][]any, len(parts))
+	Do(s, len(parts), func(i int) { out[i] = kernel(parts[i]) })
+	return out
 }
 
 // folded is the fold shape: kernel over every partition, then once more over
 // the gathered partials; one output partition.
-func folded(s Scheduler, parts [][]any, kernel func(part []any) ([]any, error)) ([][]any, error) {
-	partials, err := MapParts(s, parts, kernel)
-	if err != nil {
-		return nil, err
-	}
-	out, err := kernel(gather(partials))
-	return [][]any{out}, err
+func folded(s Scheduler, parts [][]any, kernel func(part []any) []any) [][]any {
+	return [][]any{kernel(gather(eachPart(s, parts, kernel)))}
 }
 
 func identity(q any) any { return q }
 
 // ApplyBlocking evaluates a blocking operator over its inputs' row
-// partitions; ok is false when op is not one of the nine blocking kinds. The
+// partitions; ok is false when op is not one of the nine blocking kinds.
+// Nothing in it can fail: the stage harness has checked op's UDFs. The
 // kinds take three shapes. Keyed (distinct, intersect, group-by, join,
 // co-group, sort): co-partition the inputs, then one slice kernel per
 // partition — sort exchanges through the range route so the output
@@ -254,33 +247,27 @@ func identity(q any) any { return q }
 // left partition. Single-partition inputs yield a single output partition.
 // A reduce-by is not here: it is always a chain's terminator, run by
 // RunChainParts.
-func ApplyBlocking(s Scheduler, op *core.Operator, in [][][]any) (out [][]any, ok bool, err error) {
+func ApplyBlocking(s Scheduler, op *core.Operator, in [][][]any) (out [][]any, ok bool) {
 	switch op.Kind {
 	case core.KindDistinct:
-		out, err = keyed(s, op, in, []func(any) any{identity}, func(part, _ []any) ([]any, error) {
-			return Distinct(part), nil
-		})
+		out = keyed(s, in, []func(any) any{identity}, func(part, _ []any) []any { return Distinct(part) })
 	case core.KindIntersect:
-		out, err = keyed(s, op, in, []func(any) any{identity, identity}, func(left, right []any) ([]any, error) {
-			return Intersect(left, right), nil
-		})
+		out = keyed(s, in, []func(any) any{identity, identity}, Intersect)
 	case core.KindGroupBy:
-		out, err = keyed(s, op, in, []func(any) any{op.UDF.Key}, func(part, _ []any) ([]any, error) {
-			return GroupByKey(op, part)
-		})
+		out = keyed(s, in, []func(any) any{op.UDF.Key}, func(part, _ []any) []any { return GroupByKey(op, part) })
 	case core.KindJoin:
-		out, err = keyed(s, op, in, []func(any) any{op.UDF.Key, KeyRight(op)}, func(left, right []any) ([]any, error) {
+		out = keyed(s, in, []func(any) any{op.UDF.Key, KeyRight(op)}, func(left, right []any) []any {
 			return HashJoin(op, left, right)
 		})
 	case core.KindCoGroup:
-		out, err = keyed(s, op, in, []func(any) any{op.UDF.Key, KeyRight(op)}, func(left, right []any) ([]any, error) {
+		out = keyed(s, in, []func(any) any{op.UDF.Key, KeyRight(op)}, func(left, right []any) []any {
 			return CoGroup(op, left, right)
 		})
 	case core.KindSort:
 		p := max(len(in[0]), 1)
 		s.Barrier()
 		ranged := Exchange(s, in[0], p, RangeRoute(in[0], p, LessOf(op)))
-		out, err = MapParts(s, ranged, func(part []any) ([]any, error) { return Sort(op, part), nil })
+		out = eachPart(s, ranged, func(part []any) []any { return Sort(op, part) })
 	case core.KindCount:
 		var n int64
 		for _, part := range in[0] { // the per-partition kernel is len
@@ -288,15 +275,15 @@ func ApplyBlocking(s Scheduler, op *core.Operator, in [][][]any) (out [][]any, o
 		}
 		out = [][]any{{n}}
 	case core.KindReduce:
-		out, err = folded(s, in[0], func(part []any) ([]any, error) { return Reduce(op, part) })
+		out = folded(s, in[0], func(part []any) []any { return Reduce(op, part) })
 	case core.KindIEJoin:
 		right := gather(in[1])
 		s.Barrier()
-		out, err = MapParts(s, in[0], func(part []any) ([]any, error) { return IEJoinSlices(op, part, right) })
+		out = eachPart(s, in[0], func(part []any) []any { return IEJoinSlices(op, part, right) })
 	default:
-		return nil, false, nil
+		return nil, false
 	}
-	return out, true, err
+	return out, true
 }
 
 // RunChainParts runs a compiled chain over partitions at rest, one kernel

@@ -166,30 +166,30 @@ func TestApplyBlockingMatchesSliceKernels(t *testing.T) {
 	cases := []struct {
 		op              core.Operator
 		in              [][]any
-		want            func(op *core.Operator) ([]any, error)
+		want            func(op *core.Operator) []any
 		parts, barriers int
 	}{
 		{core.Operator{Kind: core.KindDistinct}, [][]any{dup},
-			func(*core.Operator) ([]any, error) { return Distinct(dup), nil }, 5, 1},
+			func(*core.Operator) []any { return Distinct(dup) }, 5, 1},
 		{core.Operator{Kind: core.KindIntersect}, [][]any{left, right},
-			func(*core.Operator) ([]any, error) { return Intersect(left, right), nil }, 5, 1},
+			func(*core.Operator) []any { return Intersect(left, right) }, 5, 1},
 		{core.Operator{Kind: core.KindGroupBy, UDF: core.UDFs{Key: kvKey}}, [][]any{left},
-			func(op *core.Operator) ([]any, error) { return GroupByKey(op, left) }, 5, 1},
+			func(op *core.Operator) []any { return GroupByKey(op, left) }, 5, 1},
 		{core.Operator{Kind: core.KindJoin, UDF: core.UDFs{Key: kvKey}}, [][]any{left, right},
-			func(op *core.Operator) ([]any, error) { return HashJoin(op, left, right) }, 5, 1},
+			func(op *core.Operator) []any { return HashJoin(op, left, right) }, 5, 1},
 		{core.Operator{Kind: core.KindCoGroup, UDF: core.UDFs{Key: kvKey}}, [][]any{left, right},
-			func(op *core.Operator) ([]any, error) { return CoGroup(op, left, right) }, 5, 1},
+			func(op *core.Operator) []any { return CoGroup(op, left, right) }, 5, 1},
 		{core.Operator{Kind: core.KindSort, UDF: core.UDFs{Less: func(a, b any) bool {
 			return a.(core.KV).Value.(int64) > b.(core.KV).Value.(int64)
 		}}}, [][]any{left},
-			func(op *core.Operator) ([]any, error) { return Sort(op, left), nil }, 5, 1},
+			func(op *core.Operator) []any { return Sort(op, left) }, 5, 1},
 		{core.Operator{Kind: core.KindCount}, [][]any{left},
-			func(*core.Operator) ([]any, error) { return []any{int64(len(left))}, nil }, 1, 0},
+			func(*core.Operator) []any { return []any{int64(len(left))} }, 1, 0},
 		{core.Operator{Kind: core.KindReduce, UDF: core.UDFs{Reduce: sum}}, [][]any{left},
-			func(op *core.Operator) ([]any, error) { return Reduce(op, left) }, 1, 0},
+			func(op *core.Operator) []any { return Reduce(op, left) }, 1, 0},
 		{core.Operator{Kind: core.KindIEJoin, UDF: core.UDFs{LeftNums: nums, RightNums: nums},
 			Params: core.Params{IEOp1: core.Greater, IEOp2: core.Less}}, [][]any{left, right},
-			func(op *core.Operator) ([]any, error) { return IEJoinSlices(op, left, right) }, 5, 1},
+			func(op *core.Operator) []any { return IEJoinSlices(op, left, right) }, 5, 1},
 	}
 	for _, c := range cases {
 		op := &c.op
@@ -198,14 +198,11 @@ func TestApplyBlockingMatchesSliceKernels(t *testing.T) {
 			in[i] = rowsOf(data, 5-2*i) // the right side has fewer partitions
 		}
 		s := &pooled{width: 3}
-		out, ok, err := ApplyBlocking(s, op, in)
-		if !ok || err != nil {
-			t.Fatalf("%s: ok=%v err=%v", op.Kind, ok, err)
+		out, ok := ApplyBlocking(s, op, in)
+		if !ok {
+			t.Fatalf("%s is not in the blocking table", op.Kind)
 		}
-		want, err := c.want(op)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := c.want(op)
 		got := gather(out)
 		if op.Kind == core.KindSort {
 			// In-order concatenation of the range partitions is the total order.
@@ -224,22 +221,15 @@ func TestApplyBlockingMatchesSliceKernels(t *testing.T) {
 		for i, data := range c.in {
 			in[i] = [][]any{data}
 		}
-		if out, _, err := ApplyBlocking(Serial{}, op, in); err != nil || len(out) != 1 || len(out[0]) != len(want) {
-			t.Fatalf("%s on one partition: %d partitions, err %v", op.Kind, len(out), err)
+		if out, _ := ApplyBlocking(Serial{}, op, in); len(out) != 1 || len(out[0]) != len(want) {
+			t.Fatalf("%s on one partition: %d partitions", op.Kind, len(out))
 		}
 	}
 	// Union is not blocking, and a reduce-by is its chain's terminator
 	// (RunChainParts), never an operator of the table.
 	for _, kind := range []core.Kind{core.KindUnion, core.KindReduceBy} {
-		if _, ok, _ := ApplyBlocking(Serial{}, &core.Operator{Kind: kind, UDF: core.UDFs{Key: kvKey, Reduce: sum}}, [][][]any{{left}}); ok {
+		if _, ok := ApplyBlocking(Serial{}, &core.Operator{Kind: kind, UDF: core.UDFs{Key: kvKey, Reduce: sum}}, [][][]any{{left}}); ok {
 			t.Fatalf("%s is not in the blocking table", kind)
-		}
-	}
-	for _, kind := range []core.Kind{core.KindGroupBy, core.KindJoin, core.KindCoGroup} {
-		op := &core.Operator{Kind: kind, UDF: core.UDFs{Reduce: sum}}
-		_, _, err := ApplyBlocking(&pooled{width: 2}, op, [][][]any{rowsOf(left, 2), rowsOf(right, 2)})
-		if err == nil || !strings.Contains(err.Error(), "lacks") {
-			t.Fatalf("%s without a key UDF: %v", kind, err)
 		}
 	}
 }

@@ -84,6 +84,13 @@ func RunStage[T any](e Engine[T], stage *core.Stage, in *core.Inputs) (outs map[
 
 func runStage[T any](e Engine[T], stage *core.Stage, in *core.Inputs) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
 	start := time.Now()
+	// Every UDF the operator table requires is present before any kernel
+	// compiles or runs: this is where a missing one is reported.
+	for _, op := range stage.Ops {
+		if err := op.CheckUDFs(); err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", stage, err)
+		}
+	}
 	results := make(map[*core.Operator]T, len(stage.Ops))
 	counters := make(map[*core.Operator]*int64, len(stage.Ops))
 	opTimes := make(map[*core.Operator]time.Duration, len(stage.Ops))
@@ -276,7 +283,7 @@ func attributeChainTime(chain *FusedChain, counters map[*core.Operator]*int64, e
 }
 
 func resolveInputs[T any](e Engine[T], stage *core.Stage, op *core.Operator, in *core.Inputs, results map[*core.Operator]T) ([]T, error) {
-	arity := core.InArityOf(op)
+	arity := op.Kind.InArity()
 	ins := make([]T, arity)
 	for port := 0; port < arity; port++ {
 		var producer *core.Operator

@@ -85,20 +85,15 @@ type ChainEngine[T any] interface {
 	ApplyChain(chain *FusedChain, kernel *VectorKernel, in T, counters []*int64) (T, error)
 }
 
-// fusible reports whether op is a step of a fused chain: a narrow stateless
-// kind with exactly one input. A missing UDF is CompileChain's error to
-// report. Sniffed operators (exploratory-mode checkpoints) stay fusible: the
-// kernel invokes the sniffer at the step's emission points (see SetSniff), so
-// every quantum is still observed.
-func fusible(op *core.Operator) bool {
-	return core.FusibleKind(op.Kind) && core.InArityOf(op) == 1
-}
+// fusible reports whether op is a step of a fused chain: a narrow kind in
+// the operator table. Sniffed operators (exploratory-mode checkpoints) stay
+// fusible: the kernel invokes the sniffer at the step's emission points (see
+// SetSniff), so every quantum is still observed.
+func fusible(op *core.Operator) bool { return op.Kind.IsNarrow() }
 
 // reduceBy reports whether op is a reduce-by a chain absorbs as its
-// terminator: every single-input one, declarative or UDF.
-func reduceBy(op *core.Operator) bool {
-	return op.Kind == core.KindReduceBy && core.InArityOf(op) == 1
-}
+// terminator: every one, declarative or UDF.
+func reduceBy(op *core.Operator) bool { return op.Kind == core.KindReduceBy }
 
 // isTerminal reports whether op's output must be materialized at stage end.
 func isTerminal(stage *core.Stage, op *core.Operator) bool {
@@ -193,45 +188,29 @@ type FusedKernel struct {
 }
 
 // Compile compiles the chain into the kernel engines run: the narrow steps
-// (CompileChain), their vectorized prefix and the absorbed reduce-by. It is
-// where a chain operator lacking its UDF (or predicate) is reported.
+// (CompileChain), their vectorized prefix and the absorbed reduce-by.
 func (c *FusedChain) Compile() (*VectorKernel, error) {
 	row, err := CompileChain(c.Ops)
 	if err != nil {
 		return nil, err
 	}
-	if c.Agg != nil && c.Agg.UDF.ReduceExpr == nil {
-		if err := checkFold(c.Agg); err != nil {
-			return nil, err
-		}
-	}
 	return CompileVector(c.Ops, c.Agg, row), nil
 }
 
 // CompileChain compiles the chain's narrow operators into a single-pass
-// kernel. It is where an operator lacking its UDF (or predicate) is
-// reported; the default arm guards against future kinds slipping through
-// PlanFusion without a compilation rule.
+// kernel. Their UDFs were checked against the operator table before any
+// kernel compiles (RunStage); the default arm guards against a narrow kind
+// that has no compilation rule.
 func CompileChain(ops []*core.Operator) (*FusedKernel, error) {
 	k := &FusedKernel{steps: make([]fusedStep, 0, len(ops))}
 	for _, op := range ops {
 		st := fusedStep{kind: op.Kind, op: op}
 		switch op.Kind {
 		case core.KindMap:
-			if op.UDF.Map == nil {
-				return nil, fmt.Errorf("fuse: map %s lacks a map UDF", op)
-			}
 			st.mapf = op.UDF.Map
 		case core.KindFilter:
-			pred, err := PredOf(op)
-			if err != nil {
-				return nil, fmt.Errorf("fuse: %w", err)
-			}
-			st.pred = pred
+			st.pred = PredOf(op)
 		case core.KindFlatMap:
-			if op.UDF.FlatMap == nil {
-				return nil, fmt.Errorf("fuse: flatmap %s lacks a flatmap UDF", op)
-			}
 			st.flat = op.UDF.FlatMap
 		case core.KindProject:
 			st.cols = op.Params.Columns // nil means identity, like Project

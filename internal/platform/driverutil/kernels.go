@@ -30,15 +30,12 @@ func KeyRight(op *core.Operator) func(any) any {
 }
 
 // PredOf returns op's filter predicate: the UDF when present, else the
-// compiled declarative Where predicate.
-func PredOf(op *core.Operator) (func(any) bool, error) {
+// compiled declarative Where predicate (the table requires one of them).
+func PredOf(op *core.Operator) func(any) bool {
 	if op.UDF.Pred != nil {
-		return op.UDF.Pred, nil
+		return op.UDF.Pred
 	}
-	if op.Params.Where != nil {
-		return op.Params.Where.Fn(), nil
-	}
-	return nil, fmt.Errorf("filter %s lacks a predicate", op)
+	return op.Params.Where.Fn()
 }
 
 // LessOf returns op's ordering, defaulting to CompareAny.
@@ -51,10 +48,7 @@ func LessOf(op *core.Operator) func(a, b any) bool {
 
 // HashJoin equi-joins two slices: build a hash table over the right side,
 // probe with the left.
-func HashJoin(op *core.Operator, left, right []any) ([]any, error) {
-	if op.UDF.Key == nil {
-		return nil, fmt.Errorf("join %s lacks a key UDF", op)
-	}
+func HashJoin(op *core.Operator, left, right []any) []any {
 	keyR := KeyRight(op)
 	combine := Combine(op)
 	table := make(map[any][]any, len(right))
@@ -68,7 +62,7 @@ func HashJoin(op *core.Operator, left, right []any) ([]any, error) {
 			out = append(out, combine(l, r))
 		}
 	}
-	return out, nil
+	return out
 }
 
 // keyFold is the UDF reduce-by's accumulator: one slot per key in
@@ -84,14 +78,6 @@ type keyFold struct {
 // newKeyFold returns an empty fold under op's Key and Reduce UDFs.
 func newKeyFold(op *core.Operator) *keyFold {
 	return &keyFold{key: op.UDF.Key, reduce: op.UDF.Reduce, pos: map[any]int{}}
-}
-
-// checkFold reports a UDF reduce-by that lacks a UDF its fold calls.
-func checkFold(op *core.Operator) error {
-	if op.UDF.Key == nil || op.UDF.Reduce == nil {
-		return fmt.Errorf("reduce-by %s lacks key or reduce UDF", op)
-	}
-	return nil
 }
 
 // add folds every quantum of data into its key's slot.
@@ -111,20 +97,14 @@ func (f *keyFold) add(data []any) {
 // slice: the fold a chain ending in a UDF reduce-by runs per partition
 // (RunChainParts). Output order follows first occurrence of each key,
 // keeping results deterministic.
-func ReduceByKey(op *core.Operator, data []any) ([]any, error) {
-	if err := checkFold(op); err != nil {
-		return nil, err
-	}
+func ReduceByKey(op *core.Operator, data []any) []any {
 	f := newKeyFold(op)
 	f.add(data)
-	return f.vals, nil
+	return f.vals
 }
 
 // GroupByKey materializes one Group per key, in first-occurrence order.
-func GroupByKey(op *core.Operator, data []any) ([]any, error) {
-	if op.UDF.Key == nil {
-		return nil, fmt.Errorf("group-by %s lacks a key UDF", op)
-	}
+func GroupByKey(op *core.Operator, data []any) []any {
 	groups := map[any]*core.Group{}
 	var order []any
 	for _, q := range data {
@@ -142,15 +122,12 @@ func GroupByKey(op *core.Operator, data []any) ([]any, error) {
 	for i, k := range order {
 		out[i] = *groups[k]
 	}
-	return out, nil
+	return out
 }
 
 // CoGroup pairs the groups of both sides per key into Records of
 // (key, leftValues, rightValues).
-func CoGroup(op *core.Operator, left, right []any) ([]any, error) {
-	if op.UDF.Key == nil {
-		return nil, fmt.Errorf("co-group %s lacks a key UDF", op)
-	}
+func CoGroup(op *core.Operator, left, right []any) []any {
 	keyR := KeyRight(op)
 	type grp struct {
 		orig any
@@ -181,7 +158,7 @@ func CoGroup(op *core.Operator, left, right []any) ([]any, error) {
 		g := groups[k]
 		out[i] = core.Record{g.orig, g.l, g.r}
 	}
-	return out, nil
+	return out
 }
 
 // Distinct removes duplicates (by GroupKey identity), keeping first
@@ -227,18 +204,15 @@ func Sort(op *core.Operator, data []any) []any {
 
 // Reduce folds all quanta into a single one; an empty input produces an
 // empty output.
-func Reduce(op *core.Operator, data []any) ([]any, error) {
-	if op.UDF.Reduce == nil {
-		return nil, fmt.Errorf("reduce %s lacks a reduce UDF", op)
-	}
+func Reduce(op *core.Operator, data []any) []any {
 	if len(data) == 0 {
-		return nil, nil
+		return nil
 	}
 	acc := data[0]
 	for _, q := range data[1:] {
 		acc = op.UDF.Reduce(acc, q)
 	}
-	return []any{acc}, nil
+	return []any{acc}
 }
 
 // Sample draws a sample per the operator's parameters. round distinguishes
@@ -281,15 +255,12 @@ func Sample(op *core.Operator, data []any, round int) ([]any, error) {
 }
 
 // IEJoinSlices runs the inequality join kernel for op.
-func IEJoinSlices(op *core.Operator, left, right []any) ([]any, error) {
-	if op.UDF.LeftNums == nil || op.UDF.RightNums == nil {
-		return nil, fmt.Errorf("iejoin %s lacks attribute extractors", op)
-	}
+func IEJoinSlices(op *core.Operator, left, right []any) []any {
 	combine := Combine(op)
 	var out []any
 	algo.IEJoin(left, right, op.UDF.LeftNums, op.UDF.RightNums, op.Params.IEOp1, op.Params.IEOp2,
 		func(l, r any) { out = append(out, combine(l, r)) })
-	return out, nil
+	return out
 }
 
 // FormatOf returns op's text formatter, defaulting to fmt.Sprint.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -29,10 +30,7 @@ func kvs(pairs ...[2]int64) []any {
 }
 
 func TestReduceByKeySums(t *testing.T) {
-	out, err := ReduceByKey(kvOp(core.KindReduceBy), kvs([2]int64{1, 10}, [2]int64{2, 5}, [2]int64{1, 7}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := ReduceByKey(kvOp(core.KindReduceBy), kvs([2]int64{1, 10}, [2]int64{2, 5}, [2]int64{1, 7}))
 	got := map[int64]int64{}
 	for _, q := range out {
 		kv := q.(core.KV)
@@ -53,10 +51,7 @@ func TestReduceByKeyPropertyTotalPreserved(t *testing.T) {
 			total += v
 			data = append(data, core.KV{Key: int64(rng.Intn(5)), Value: v})
 		}
-		out, err := ReduceByKey(kvOp(core.KindReduceBy), data)
-		if err != nil {
-			return false
-		}
+		out := ReduceByKey(kvOp(core.KindReduceBy), data)
 		var sum int64
 		keys := map[int64]bool{}
 		for _, q := range out {
@@ -78,10 +73,7 @@ func TestReduceByKeyPropertyTotalPreserved(t *testing.T) {
 func TestGroupByKeyPartition(t *testing.T) {
 	op := kvOp(core.KindGroupBy)
 	data := kvs([2]int64{1, 1}, [2]int64{2, 2}, [2]int64{1, 3})
-	out, err := GroupByKey(op, data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := GroupByKey(op, data)
 	total := 0
 	for _, q := range out {
 		g := q.(core.Group)
@@ -107,10 +99,7 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 			return out
 		}
 		left, right := mk(int(nl)%25), mk(int(nr)%25)
-		got, err := HashJoin(op, left, right)
-		if err != nil {
-			return false
-		}
+		got := HashJoin(op, left, right)
 		want := 0
 		for _, l := range left {
 			for _, r := range right {
@@ -254,15 +243,9 @@ func TestPredOfFallsBackToWhere(t *testing.T) {
 	op := &core.Operator{Kind: core.KindFilter, Params: core.Params{
 		Where: &core.Predicate{Col: 0, Op: core.PredGt, Value: 5.0},
 	}}
-	pred, err := PredOf(op)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pred := PredOf(op)
 	if !pred(core.Record{6.0}) || pred(core.Record{5.0}) {
 		t.Fatal("Where predicate misevaluated")
-	}
-	if _, err := PredOf(&core.Operator{Kind: core.KindFilter}); err == nil {
-		t.Fatal("missing predicate should error")
 	}
 }
 
@@ -270,10 +253,7 @@ func TestCoGroupCoversBothSides(t *testing.T) {
 	op := kvOp(core.KindCoGroup)
 	left := kvs([2]int64{1, 1}, [2]int64{1, 2})
 	right := kvs([2]int64{1, 3}, [2]int64{9, 4})
-	out, err := CoGroup(op, left, right)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := CoGroup(op, left, right)
 	sizes := map[int64][2]int{}
 	for _, q := range out {
 		rec := q.(core.Record)
@@ -292,6 +272,26 @@ func (panicEngine) Apply(op *core.Operator, in []any, round int, counter *int64,
 	panic(fmt.Sprintf("boom in %s", op))
 }
 func (panicEngine) ToChannel(op *core.Operator, d any) (*core.Channel, error) { return nil, nil }
+
+// TestRunStageChecksUDFsFirst: an operator lacking a UDF its kind requires
+// fails the stage with the operator table's error before the engine sees any
+// operator, whichever operator of the stage it is.
+func TestRunStageChecksUDFsFirst(t *testing.T) {
+	src := &core.Operator{Kind: core.KindCollectionSource, Params: core.Params{Collection: []any{1}}}
+	for _, bad := range []*core.Operator{
+		{Kind: core.KindMapPart, Label: "parts"},
+		{Kind: core.KindGroupBy, Label: "groups"},
+		{Kind: core.KindReduceBy, Label: "sums", UDF: core.UDFs{Key: func(q any) any { return q }}},
+	} {
+		stage := &core.Stage{ID: 1, Platform: "test", Ops: []*core.Operator{src, bad}, TerminalOuts: []*core.Operator{bad}}
+		// panicEngine panics on the first Apply: a UDF panic error would mean
+		// the engine ran before the check.
+		_, _, err := RunStage(panicEngine{}, stage, core.NewInputs())
+		if err == nil || !strings.Contains(err.Error(), bad.String()+" lacks a ") || strings.Contains(err.Error(), "panic") {
+			t.Fatalf("%s: stage error = %v, want the table's missing-UDF error", bad, err)
+		}
+	}
+}
 
 func TestRunStageRecoversUDFPanic(t *testing.T) {
 	op := &core.Operator{Kind: core.KindCollectionSource, Params: core.Params{Collection: []any{1}}}

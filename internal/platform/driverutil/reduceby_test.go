@@ -16,15 +16,12 @@ import (
 // partition, combined within each partition when there are several, then
 // exchanged on the key and reduced once more per partition (ApplyBlocking's
 // keyed shape, one barrier).
-func keyedReduceBy(s Scheduler, op *core.Operator, parts [][]any) ([][]any, error) {
-	combine := func(part []any) ([]any, error) { return ReduceByKey(op, part) }
+func keyedReduceBy(s Scheduler, op *core.Operator, parts [][]any) [][]any {
+	combine := func(part []any) []any { return ReduceByKey(op, part) }
 	if len(parts) > 1 {
-		var err error
-		if parts, err = MapParts(s, parts, combine); err != nil {
-			return nil, err
-		}
+		parts = eachPart(s, parts, combine)
 	}
-	return keyed(s, op, [][][]any{parts}, []func(any) any{op.UDF.Key}, func(part, _ []any) ([]any, error) {
+	return keyed(s, [][][]any{parts}, []func(any) any{op.UDF.Key}, func(part, _ []any) []any {
 		return combine(part)
 	})
 }
@@ -115,10 +112,7 @@ func TestUDFReduceByAbsorbedMatchesKeyedPath(t *testing.T) {
 					if len(ops) > 0 {
 						mid = RowSegments(RunChainParts(ref, narrow, parts, wantCounts))
 					}
-					want, err := keyedReduceBy(ref, rb, RowParts(mid))
-					if err != nil {
-						t.Fatal(err)
-					}
+					want := keyedReduceBy(ref, rb, RowParts(mid))
 					for _, part := range want {
 						*wantCounts[len(ops)] += int64(len(part))
 					}

@@ -331,9 +331,6 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 		return e.split(data), nil
 
 	case core.KindMapPart:
-		if op.UDF.MapPart == nil {
-			return nil, fmt.Errorf("map-partitions %s lacks a UDF", op)
-		}
 		f := op.UDF.MapPart
 		return e.narrow(in[0], -1, func(_ int, src <-chan any, out chan<- any) {
 			var part []any // drained into a slice of the stage's: the UDF may write to it
@@ -418,12 +415,9 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 				return nil, err
 			}
 		}
-		out, ok, err := driverutil.ApplyBlocking(e, op, ins)
+		out, ok := driverutil.ApplyBlocking(e, op, ins)
 		if !ok {
 			return nil, fmt.Errorf("flink: unsupported operator kind %s", op.Kind)
-		}
-		if err != nil {
-			return nil, err
 		}
 		return restFlow(driverutil.RowSegments(out)), nil
 	}

@@ -64,7 +64,7 @@ func TestLoneNarrowOperators(t *testing.T) {
 			core.Operator{Kind: core.KindFilter, UDF: core.UDFs{Pred: func(any) bool { panic("boom") }}}, "UDF panic: boom", ints},
 		{"FilterWhere",
 			core.Operator{Kind: core.KindFilter, Params: core.Params{Where: &core.Predicate{Col: 0, Op: core.PredGt, Value: int64(1)}}},
-			core.Operator{Kind: core.KindFilter}, "lacks a predicate", recs},
+			core.Operator{Kind: core.KindFilter}, "lacks a pred UDF or a Where predicate", recs},
 		{"FlatMap",
 			core.Operator{Kind: core.KindFlatMap, UDF: core.UDFs{FlatMap: func(q any) []any { return []any{q, q} }}},
 			core.Operator{Kind: core.KindFlatMap, UDF: core.UDFs{FlatMap: func(any) []any { panic("boom") }}}, "UDF panic: boom", ints},
@@ -130,17 +130,18 @@ func TestStandAloneDeclarativeReduceBy(t *testing.T) {
 	}
 }
 
-// TestReduceByLackingUDFFailsAtCompile: every reduce-by runs as its chain's
-// terminator, so one without its key or reduce UDF is reported when the
-// chain compiles, by name — on every engine, behind a narrow step or alone,
-// and never as a UDF panic of the fold that would call it.
+// TestReduceByLackingUDFFailsAtCompile: a reduce-by without its key or
+// reduce UDF is reported by the operator table's check before its chain
+// compiles, naming the operator and the missing role — on every engine,
+// behind a narrow step or alone, and never as a UDF panic of the fold that
+// would call it.
 func TestReduceByLackingUDFFailsAtCompile(t *testing.T) {
 	key := func(q any) any { return q.(core.Record)[0] }
 	first := func(a, _ any) any { return a }
 	for _, d := range engines() {
-		for name, udf := range map[string]core.UDFs{"no-key": {Reduce: first}, "no-reduce": {Key: key}} {
+		for role, udf := range map[string]core.UDFs{"key": {Reduce: first}, "reduce": {Key: key}} {
 			for _, behindFilter := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/%s/behind-filter=%v", d.Name(), name, behindFilter), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/no-%s/behind-filter=%v", d.Name(), role, behindFilter), func(t *testing.T) {
 					p := core.NewPlan("reduce-by-lacks")
 					head := p.NewOperator(core.KindCollectionSource, "src")
 					head.Params.Collection = []any{core.Record{int64(1), "a"}, core.Record{int64(1), "b"}}
@@ -151,7 +152,7 @@ func TestReduceByLackingUDFFailsAtCompile(t *testing.T) {
 					}
 					rb := p.Chain(head, p.Add(&core.Operator{Kind: core.KindReduceBy, Label: "rb", UDF: udf}))
 					_, _, err := platformtest.ExecPlan(d, p, nil)
-					if want := fmt.Sprintf("reduce-by %s lacks key or reduce UDF", rb); err == nil || !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "panic") {
+					if want := fmt.Sprintf("%s lacks a %s UDF or a ReduceExpr", rb, role); err == nil || !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "panic") {
 						t.Fatalf("stage error = %v, want one naming %q", err, want)
 					}
 				})

@@ -331,10 +331,7 @@ func (e *engine) apply(op *core.Operator, in []*rel) (*rel, error) {
 			}
 			ins[i] = [][]any{rows}
 		}
-		out, _, err := driverutil.ApplyBlocking(driverutil.Serial{}, op, ins)
-		if err != nil {
-			return nil, err
-		}
+		out, _ := driverutil.ApplyBlocking(driverutil.Serial{}, op, ins)
 		return &rel{rows: out[0]}, nil
 
 	case core.KindCollectionSink:

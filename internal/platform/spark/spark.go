@@ -241,9 +241,6 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 		return e.readTextFile(op.Params.Path)
 
 	case core.KindMapPart:
-		if op.UDF.MapPart == nil {
-			return nil, fmt.Errorf("map-partitions %s lacks a UDF", op)
-		}
 		return e.mapParts(in[0], func(part []any) ([]any, error) { return op.UDF.MapPart(part), nil })
 
 	case core.KindZipWithID:
@@ -307,12 +304,9 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 		for i, r := range in {
 			ins[i] = r.rows()
 		}
-		out, ok, err := driverutil.ApplyBlocking(e, op, ins)
+		out, ok := driverutil.ApplyBlocking(e, op, ins)
 		if !ok {
 			return nil, fmt.Errorf("spark: unsupported operator kind %s", op.Kind)
-		}
-		if err != nil {
-			return nil, err
 		}
 		return NewRDD(out), nil
 	}

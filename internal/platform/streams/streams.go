@@ -259,9 +259,6 @@ func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) 
 		return restPipe(core.Segment{Rows: lines}), nil
 
 	case core.KindMapPart:
-		if op.UDF.MapPart == nil {
-			return nil, fmt.Errorf("map-partitions %s lacks a UDF", op)
-		}
 		f := op.UDF.MapPart
 		src := in[0]
 		return &pipe{card: -1, open: func() core.Iterator {
@@ -345,12 +342,9 @@ func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) 
 		for i, p := range in {
 			ins[i] = [][]any{p.rows()}
 		}
-		out, ok, err := driverutil.ApplyBlocking(driverutil.Serial{}, op, ins)
+		out, ok := driverutil.ApplyBlocking(driverutil.Serial{}, op, ins)
 		if !ok {
 			return nil, fmt.Errorf("streams: unsupported operator kind %s", op.Kind)
-		}
-		if err != nil {
-			return nil, err
 		}
 		return restPipe(core.Segment{Rows: out[0]}), nil
 	}

@@ -63,7 +63,7 @@ func (c *Cache) fetchRemote(ctx context.Context, fp string, parent *trace.Span) 
 		c.mu.Unlock()
 		select {
 		case <-f.done:
-			return c.get(fp, parent)
+			return c.get(fp, parent, true)
 		case <-ctx.Done():
 			return Hit{}, false
 		}

@@ -222,10 +222,10 @@ type Hit struct {
 // against eviction) and returns a copy-free view of the stored quanta —
 // callers must not mutate the slice. A probe that misses RAM but finds the
 // fingerprint in the disk tier reloads it transparently.
-func (c *Cache) Get(fp string) (Hit, bool) { return c.get(fp, nil) }
+func (c *Cache) Get(fp string) (Hit, bool) { return c.get(fp, nil, true) }
 
 // get is Get with a parent span for spill/reload instrumentation.
-func (c *Cache) get(fp string, parent *trace.Span) (Hit, bool) {
+func (c *Cache) get(fp string, parent *trace.Span, countMiss bool) (Hit, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sweepLocked()
@@ -236,8 +236,10 @@ func (c *Cache) get(fp string, parent *trace.Span) (Hit, bool) {
 		reloaded = e != nil
 	}
 	if e == nil {
-		c.misses++
-		c.mMisses.Inc()
+		if countMiss {
+			c.misses++
+			c.mMisses.Inc()
+		}
 		return Hit{}, false
 	}
 	e.hits++

@@ -2,6 +2,7 @@ package rescache
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -211,7 +212,8 @@ func TestSingleFlightClaim(t *testing.T) {
 }
 
 // TestSingleFlightComputeOnce drives N concurrent "jobs" through the
-// claim/wait/re-probe protocol and asserts the result is computed once.
+// claim/wait/re-probe protocol — a won claim re-probed before computing, as
+// Session.flight does — and asserts the result is computed once.
 func TestSingleFlightComputeOnce(t *testing.T) {
 	c := testCache(t, Options{})
 	const n = 16
@@ -227,6 +229,12 @@ func TestSingleFlightComputeOnce(t *testing.T) {
 				}
 				leader, done := c.Claim("job-fp")
 				if leader {
+					// A leader may have stored and released between the
+					// miss above and this claim: look again before computing.
+					if _, ok := c.Get("job-fp"); ok {
+						c.Release("job-fp")
+						return
+					}
 					computed.Add(1)
 					c.Put("job-fp", []any{int64(42)}, 100, 8, nil)
 					c.Release("job-fp")
@@ -385,6 +393,49 @@ func TestSessionMissLeavesplanIntact(t *testing.T) {
 	// The sink's fingerprint is claimed (this session leads computation).
 	if len(sess.claimed) != 1 {
 		t.Errorf("claimed %d fingerprints, want 1 (the sink)", len(sess.claimed))
+	}
+}
+
+// publishOnFetch is a remote tier whose every fetch misses, but which first
+// stores the fingerprint in the local cache: it stands for a leader that
+// stores and releases between a session's miss and its claim.
+type publishOnFetch struct{ c *Cache }
+
+func (r publishOnFetch) Fetch(_ context.Context, fp string) (RemoteHit, bool) {
+	r.c.Put(fp, []any{"done"}, 100, 8, nil)
+	return RemoteHit{}, false
+}
+
+func (publishOnFetch) Store(context.Context, string, []any, float64, int64, []core.SourceRef) {}
+
+// TestSessionReprobesAWonClaim forces the interleaving behind the flaky
+// compute-once tests: the sink's result is published after the session's
+// miss and before its claim. The session must serve it, not lead a second
+// computation, and the re-probe must not count a second miss.
+func TestSessionReprobesAWonClaim(t *testing.T) {
+	c := testCache(t, Options{})
+	c.SetRemote(publishOnFetch{c})
+	p, _, sink := buildSessPlan()
+	sinkFP := core.FingerprintPlan(p, core.FingerprintOptions{SourceVersion: c.SourceVersion})[sink].Hash
+	sess := c.Begin(context.Background(), p)
+	defer sess.Close()
+	if sess.Hits() != 1 || len(sess.claimed) != 0 {
+		t.Fatalf("hits = %d, claims %v: the published result was computed again", sess.Hits(), sess.claimed)
+	}
+	if feed := sink.Inputs()[0]; !strings.HasPrefix(feed.Label, ScanLabelPrefix) {
+		t.Fatalf("sink fed by %s, want a cache-scan", feed)
+	}
+	if leader, _ := c.Claim(sinkFP); !leader {
+		t.Error("the session kept a claim it released")
+	}
+
+	// A plain miss leads, and its re-probe counts no miss of its own.
+	fresh := testCache(t, Options{})
+	p, _, _ = buildSessPlan()
+	sess = fresh.Begin(context.Background(), p)
+	defer sess.Close()
+	if st := fresh.Stats(false); len(sess.claimed) != 1 || st.Misses != int64(sess.probed) {
+		t.Fatalf("claims %v, %d misses for %d probes", sess.claimed, st.Misses, sess.probed)
 	}
 }
 

@@ -130,7 +130,7 @@ func (s *Session) substitute(probe *trace.Span) {
 			continue
 		}
 		s.probed++
-		hit, ok := s.cache.get(info.Hash, probe)
+		hit, ok := s.cache.get(info.Hash, probe, true)
 		if !ok {
 			// A local miss may still be a fleet hit: probe the ring owner.
 			hit, ok = s.cache.fetchRemote(s.ctx, info.Hash, probe)
@@ -226,9 +226,12 @@ func (s *Session) apply(op *core.Operator, info *core.FPInfo, hit Hit, probe *tr
 // flight applies sink-level single-flight. For every sink whose subtree
 // fingerprint missed the cache, the session either claims leadership (and
 // computes the result as part of its execution) or waits for the current
-// leader, then re-probes. Claims are acquired in fingerprint order and a
-// session only ever waits on fingerprints greater than those it holds, so
-// concurrent jobs with overlapping sink sets cannot deadlock.
+// leader, then re-probes. A won claim is re-probed too, without counting a
+// second miss: a leader may have stored and released between this
+// session's miss and its claim, and then the result is served, not computed
+// again. Claims are acquired in fingerprint order and a session only ever
+// waits on fingerprints greater than those it holds, so concurrent jobs with
+// overlapping sink sets cannot deadlock.
 func (s *Session) flight(ctx context.Context, probe *trace.Span) {
 	for {
 		type cand struct {
@@ -242,27 +245,34 @@ func (s *Session) flight(ctx context.Context, probe *trace.Span) {
 			}
 		}
 		sort.Slice(cands, func(i, j int) bool { return cands[i].fp < cands[j].fp })
-		waited := false
+		again := false
 		for _, cd := range cands {
 			leader, done := s.cache.Claim(cd.fp)
 			if leader {
-				s.claimed = append(s.claimed, cd.fp)
-				s.claimedSet[cd.fp] = true
-				continue
+				hit, ok := s.cache.get(cd.fp, probe, false)
+				if !ok {
+					s.claimed = append(s.claimed, cd.fp)
+					s.claimedSet[cd.fp] = true
+					continue
+				}
+				s.cache.Release(cd.fp)
+				s.apply(cd.sink, s.fps[cd.sink], hit, probe)
+				s.fps = s.fingerprint()
+			} else {
+				select {
+				case <-done:
+					// The leader finished (or failed): re-probe. A hit
+					// substitutes the sink's input; a miss keeps the sink as
+					// a candidate, and the next round claims leadership.
+					s.substitute(probe)
+				case <-ctx.Done():
+					return
+				}
 			}
-			select {
-			case <-done:
-				// The leader finished (or failed): re-probe. A hit
-				// substitutes the sink's input; a miss keeps the sink as a
-				// candidate, and the next round claims leadership.
-				s.substitute(probe)
-				waited = true
-			case <-ctx.Done():
-				return
-			}
+			again = true
 			break
 		}
-		if !waited {
+		if !again {
 			return
 		}
 	}

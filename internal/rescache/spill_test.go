@@ -265,7 +265,7 @@ func TestSpillSpans(t *testing.T) {
 
 	c.put("a", quantaN("a", 2), 10, 100, nil, root)
 	c.put("b", quantaN("b", 2), 900, 100, nil, root) // demotes a
-	if _, ok := c.get("a", root); !ok {              // reloads a
+	if _, ok := c.get("a", root, true); !ok {        // reloads a
 		t.Fatal("reload miss")
 	}
 	snap := tr.Snapshot()

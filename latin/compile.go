@@ -221,9 +221,9 @@ func (c *compiler) compileExpr(plan *core.Plan, env *scope, e *Expr) (*core.Oper
 		return op, nil
 	}
 	var op *core.Operator
-	connect := func(k core.Kind, label string, n int) error {
+	connect := func(k core.Kind, label string) error {
 		op = plan.NewOperator(k, label)
-		for i := 0; i < n; i++ {
+		for i := 0; i < k.InArity(); i++ {
 			in, err := input(i)
 			if err != nil {
 				return err
@@ -261,26 +261,26 @@ func (c *compiler) compileExpr(plan *core.Plan, env *scope, e *Expr) (*core.Oper
 		if !ok {
 			return nil, errf(e.Line, "unknown map UDF %q", e.UDF)
 		}
-		if err := connect(core.KindMap, e.UDF, 1); err != nil {
+		if err := connect(core.KindMap, e.UDF); err != nil {
 			return nil, err
 		}
 		op.UDF.Map = me.fn
 		op.UDF.Open = me.open
-		op.UDF.Names = udfNames("map", e.UDF)
+		op.UDF.Names = udfNames(core.RoleMap.Name, e.UDF)
 
 	case "flatmap":
 		fn, ok := c.reg.flatMaps[e.UDF]
 		if !ok {
 			return nil, errf(e.Line, "unknown flatmap UDF %q", e.UDF)
 		}
-		if err := connect(core.KindFlatMap, e.UDF, 1); err != nil {
+		if err := connect(core.KindFlatMap, e.UDF); err != nil {
 			return nil, err
 		}
 		op.UDF.FlatMap = fn
-		op.UDF.Names = udfNames("flatmap", e.UDF)
+		op.UDF.Names = udfNames(core.RoleFlatMap.Name, e.UDF)
 
 	case "filter":
-		if err := connect(core.KindFilter, e.UDF, 1); err != nil {
+		if err := connect(core.KindFilter, e.UDF); err != nil {
 			return nil, err
 		}
 		if e.Pred != nil {
@@ -291,7 +291,7 @@ func (c *compiler) compileExpr(plan *core.Plan, env *scope, e *Expr) (*core.Oper
 				return nil, errf(e.Line, "unknown predicate UDF %q", e.UDF)
 			}
 			op.UDF.Pred = fn
-			op.UDF.Names = udfNames("pred", e.UDF)
+			op.UDF.Names = udfNames(core.RolePred.Name, e.UDF)
 		}
 
 	case "reduce":
@@ -299,11 +299,11 @@ func (c *compiler) compileExpr(plan *core.Plan, env *scope, e *Expr) (*core.Oper
 		if !ok {
 			return nil, errf(e.Line, "unknown reduce UDF %q", e.UDF)
 		}
-		if err := connect(core.KindReduce, e.UDF, 1); err != nil {
+		if err := connect(core.KindReduce, e.UDF); err != nil {
 			return nil, err
 		}
 		op.UDF.Reduce = fn
-		op.UDF.Names = udfNames("reduce", e.UDF)
+		op.UDF.Names = udfNames(core.RoleReduce.Name, e.UDF)
 
 	case "reduceby":
 		key, ok := c.reg.keys[e.KeyUDF]
@@ -314,23 +314,23 @@ func (c *compiler) compileExpr(plan *core.Plan, env *scope, e *Expr) (*core.Oper
 		if !ok {
 			return nil, errf(e.Line, "unknown reduce UDF %q", e.UDF)
 		}
-		if err := connect(core.KindReduceBy, e.UDF, 1); err != nil {
+		if err := connect(core.KindReduceBy, e.UDF); err != nil {
 			return nil, err
 		}
 		op.UDF.Key = key
 		op.UDF.Reduce = fn
-		op.UDF.Names = udfNames("key", e.KeyUDF, "reduce", e.UDF)
+		op.UDF.Names = udfNames(core.RoleKey.Name, e.KeyUDF, core.RoleReduce.Name, e.UDF)
 
 	case "groupby":
 		key, ok := c.reg.keys[e.KeyUDF]
 		if !ok {
 			return nil, errf(e.Line, "unknown key UDF %q", e.KeyUDF)
 		}
-		if err := connect(core.KindGroupBy, e.KeyUDF, 1); err != nil {
+		if err := connect(core.KindGroupBy, e.KeyUDF); err != nil {
 			return nil, err
 		}
 		op.UDF.Key = key
-		op.UDF.Names = udfNames("key", e.KeyUDF)
+		op.UDF.Names = udfNames(core.RoleKey.Name, e.KeyUDF)
 
 	case "join":
 		key, ok := c.reg.keys[e.KeyUDF]
@@ -341,44 +341,44 @@ func (c *compiler) compileExpr(plan *core.Plan, env *scope, e *Expr) (*core.Oper
 		if !ok {
 			return nil, errf(e.Line, "unknown key UDF %q", e.KeyRightUDF)
 		}
-		if err := connect(core.KindJoin, "join", 2); err != nil {
+		if err := connect(core.KindJoin, "join"); err != nil {
 			return nil, err
 		}
 		op.UDF.Key = key
 		op.UDF.KeyRight = keyR
-		op.UDF.Names = udfNames("key", e.KeyUDF, "keyright", e.KeyRightUDF)
+		op.UDF.Names = udfNames(core.RoleKey.Name, e.KeyUDF, core.RoleKeyRight.Name, e.KeyRightUDF)
 
 	case "union":
-		if err := connect(core.KindUnion, "union", 2); err != nil {
+		if err := connect(core.KindUnion, "union"); err != nil {
 			return nil, err
 		}
 	case "intersect":
-		if err := connect(core.KindIntersect, "intersect", 2); err != nil {
+		if err := connect(core.KindIntersect, "intersect"); err != nil {
 			return nil, err
 		}
 	case "cartesian":
-		if err := connect(core.KindCartesian, "cartesian", 2); err != nil {
+		if err := connect(core.KindCartesian, "cartesian"); err != nil {
 			return nil, err
 		}
 	case "distinct":
-		if err := connect(core.KindDistinct, "distinct", 1); err != nil {
+		if err := connect(core.KindDistinct, "distinct"); err != nil {
 			return nil, err
 		}
 	case "sort":
-		if err := connect(core.KindSort, "sort", 1); err != nil {
+		if err := connect(core.KindSort, "sort"); err != nil {
 			return nil, err
 		}
 	case "count":
-		if err := connect(core.KindCount, "count", 1); err != nil {
+		if err := connect(core.KindCount, "count"); err != nil {
 			return nil, err
 		}
 	case "cache":
-		if err := connect(core.KindCache, "cache", 1); err != nil {
+		if err := connect(core.KindCache, "cache"); err != nil {
 			return nil, err
 		}
 
 	case "sample":
-		if err := connect(core.KindSample, "sample", 1); err != nil {
+		if err := connect(core.KindSample, "sample"); err != nil {
 			return nil, err
 		}
 		op.Params.SampleSize = int(e.Number)
@@ -386,7 +386,7 @@ func (c *compiler) compileExpr(plan *core.Plan, env *scope, e *Expr) (*core.Oper
 		op.Params.Seed = e.Seed
 
 	case "pagerank":
-		if err := connect(core.KindPageRank, "pagerank", 1); err != nil {
+		if err := connect(core.KindPageRank, "pagerank"); err != nil {
 			return nil, err
 		}
 		op.Params.Iterations = int(e.Number)
@@ -432,7 +432,7 @@ func (c *compiler) compileLoop(plan *core.Plan, env *scope, e *Expr) (*core.Oper
 		loop = plan.NewOperator(core.KindDoWhile, "dowhile")
 		loop.Params.MaxIterations = int(e.Number)
 		loop.UDF.Cond = cond
-		loop.UDF.Names = udfNames("cond", e.UDF)
+		loop.UDF.Names = udfNames(core.RoleCond.Name, e.UDF)
 	} else {
 		loop = plan.NewOperator(core.KindRepeat, "repeat")
 		loop.Params.Iterations = int(e.Number)

@@ -60,8 +60,8 @@ go test -run=NONE -bench=BenchmarkParseRecordLine -benchtime=1x ./internal/datag
 go test -run=NONE -bench='NarrowChain|ColumnarAggChain' -benchtime=1x ./internal/platform/spark ./internal/platform/flink
 go test -run=NONE -bench='BenchmarkShuffle|BenchmarkRangeShuffle|BenchmarkUDFReduceByChain' -benchtime=1x ./internal/platform/driverutil
 go test -run='TestCrossCheckFusedAgainstUnfused|TestFusedFig9' .
-if grep -rn 'RHEEM_NO_FUS[E]\|FusionDisable[d]\|RHEEM_NO_COLUMNA[R]\|ColumnarDisable[d]\|NewSegRD[D]\|shuffleB[y]\|rangeShuffl[e]\|parallelPart[s]\|fanOu[t](\|mergeRun[s]\|poolEr[r]\|driverutil\.Dat[a]\b\|one := func(k core\.Kin[d]\|bc core\.BroadcastCt[x], round\|fetchAn[y]\|mergePlan[s]\|acceptableChannel[s]\|KnownCard[s]\|outerPlanO[f]\|dictCol[s]\|[wW]orkerUsag[e]\|OutCard[s]\|monitor\.Ne[w](\|Monitor\.Recor[d](\|BuildProfil[e]' --include='*.go' --include='verify.sh' .; then
-	echo "a deleted fork (per-operator narrow path, row-carried partitions, a per-engine shuffle or dispatch, the untyped stage harness, a hand-written mapping closure, the executor's second planner, a second store of stage statistics) or its switch is back" >&2
+if grep -rn 'RHEEM_NO_FUS[E]\|FusionDisable[d]\|RHEEM_NO_COLUMNA[R]\|ColumnarDisable[d]\|NewSegRD[D]\|shuffleB[y]\|rangeShuffl[e]\|parallelPart[s]\|fanOu[t](\|mergeRun[s]\|poolEr[r]\|driverutil\.Dat[a]\b\|one := func(k core\.Kin[d]\|bc core\.BroadcastCt[x], round\|fetchAn[y]\|mergePlan[s]\|acceptableChannel[s]\|KnownCard[s]\|outerPlanO[f]\|dictCol[s]\|[wW]orkerUsag[e]\|OutCard[s]\|monitor\.Ne[w](\|Monitor\.Recor[d](\|BuildProfil[e]\|InArityO[f]\|OutArityO[f]\|kindRegistr[y]\|registeredKin[d]\|FusibleKin[d]\|udfRolesO[f]\|bindUD[F]' --include='*.go' --include='verify.sh' .; then
+	echo "a deleted fork (per-operator narrow path, row-carried partitions, a per-engine shuffle or dispatch, the untyped stage harness, a hand-written mapping closure, the executor's second planner, a second store of stage statistics, a second description of an operator kind) or its switch is back" >&2
 	exit 1
 fi
 if grep -n 'opTime[s]\|sync\.Mute[x]\|func (m \*Monito[r])' internal/monitor/monitor.go; then
@@ -74,6 +74,18 @@ writers=$(grep -rn 'Entries = append(' --include='*.go' . | grep -v '_test\.go:\
 writerFuncs=$(awk '/^func /{fn=$0} /Entries = append\(/{print fn}' internal/executor/executor.go | sort -u)
 if [ "$writers" != "./internal/executor/executor.go" ] || [ "$writerFuncs" != "$(grep '^func (ex \*Executor) run(' internal/executor/executor.go)" ]; then
 	echo "the run record has more than one writer: $writers" >&2
+	exit 1
+fi
+# One operator table: a kind's roles are spelled out in core/optable.go alone
+# (the role list), and a missing UDF is reported by its check alone — outside
+# the reference interpreter, no file of internal/platform reports one itself.
+roleFiles=$(grep -rln --include='*.go' '"keyrigh[t]"\|"leftnum[s]"' . | grep -v '_test\.go$')
+if [ "$roleFiles" != "./internal/core/optable.go" ]; then
+	echo "the UDF role names are spelled out outside the operator table: $roleFiles" >&2
+	exit 1
+fi
+if grep -rn --include='*.go' 'lacks [a]' internal/platform | grep -v '_test\.go:\|^internal/platform/platformtest/interpret\.go:'; then
+	echo "an engine or kernel reports a missing UDF itself: core.Operator.CheckUDFs, run once per stage, is the one check" >&2
 	exit 1
 fi
 if grep -n 'KindReduceB[y]' internal/platform/driverutil/blocking.go; then
@@ -130,6 +142,22 @@ go test -race -count=1 -run='TestBootConcurrentFirstJobs' ./internal/platform/dr
 # and a reduce-by lacking a UDF fails at compile on every engine.
 go test -race -count=1 -run='TestUDFReduceByAbsorbedMatchesKeyedPath|TestUDFReduceByChainAllocations' ./internal/platform/driverutil
 go test -race -count=1 -run='TestReduceByLackingUDFFailsAtCompile' ./internal/platform/platformtest
+# And one operator table: a registered kind is classified by its entry
+# everywhere, the fingerprint's role walk is pinned over all fourteen roles,
+# the table's UDF check allocates nothing and covers loop bodies, a stage
+# reports a missing UDF before any kernel runs, a fragment outside the table
+# (an unknown kind, a port its consumer lacks) is a decode error, never a
+# panic, and a toy kind gets validation, fingerprinting and shipping from one
+# entry.
+go test -race -count=1 -run='TestFingerprintGoldenAllRoles|TestRegisteredKindIsClassifiedByTheTable|TestRegisterKind|TestOperatorArities|TestCheckUDFs|TestValidateChecksUDFsInLoopBodies' ./internal/core
+go test -race -count=1 -run='TestRunStageChecksUDFsFirst' ./internal/platform/driverutil
+go test -race -count=1 -run='TestDecodeFragmentChecksTheTable|TestToyKindFromOneTableEntry|TestWorkerRejectsBadFragments' ./internal/distexec
+# And single-flight computes once: a won claim is re-probed before the job
+# computes (the forced interleaving by name, the two concurrent properties
+# twenty times each under the race detector).
+go test -race -count=1 -run='TestSessionReprobesAWonClaim' ./internal/rescache
+go test -race -count=20 -run='TestSingleFlightComputeOnce' ./internal/rescache
+go test -race -count=20 -run='TestConcurrentIdenticalJobsComputeOnce' ./restapi
 # And a DFS text source costs its bytes once per job: the store samples a file
 # once per version (samplers racing a rewriter never keep a stale sample),
 # estimating a plan over a sampled file costs the same at 2 k and 200 k lines,
