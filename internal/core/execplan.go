@@ -66,19 +66,6 @@ type Assignment struct {
 	Alt     Alternative
 	OutCard CardEstimate
 	CostEst CostInterval
-	// CoveredBy points at the chain head when this operator is implemented
-	// by a fused alternative attached to an earlier operator.
-	CoveredBy *Operator
-}
-
-// OwnCost is the cost estimate the operator carries itself. An operator the
-// plan never placed (nil) has none, and neither has one fused into an earlier
-// operator's alternative: the chain head's estimate prices the whole kernel.
-func (a *Assignment) OwnCost() (CostInterval, bool) {
-	if a == nil || a.CoveredBy != nil {
-		return CostInterval{}, false
-	}
-	return a.CostEst, true
 }
 
 // MovementPlan records how the output of a producer operator reaches its
@@ -119,28 +106,20 @@ type CacheOut struct {
 	Sources     []SourceRef
 }
 
-// PlatformOf returns the platform an operator was assigned to, resolving
-// fused coverage.
+// PlatformOf returns the platform an operator was assigned to, "" when the
+// plan does not place it.
 func (ep *ExecPlan) PlatformOf(op *Operator) string {
-	a := ep.Assignments[op]
-	if a == nil {
-		return ""
+	if a := ep.Assignments[op]; a != nil {
+		return a.Alt.Platform
 	}
-	if a.CoveredBy != nil {
-		return ep.PlatformOf(a.CoveredBy)
-	}
-	return a.Alt.Platform
+	return ""
 }
 
 // InChannels returns the channels op reads its inputs in, in preference
-// order: those of the alternative it was placed on (the chain's, when it is
-// fused into one), a driver collection when it declares none. Planner,
-// validator and executor all ask this.
+// order: those of the alternative it was placed on, a driver collection when
+// it declares none. Planner, validator and executor all ask this.
 func (ep *ExecPlan) InChannels(op *Operator) []string {
 	if a := ep.Assignments[op]; a != nil {
-		if a.CoveredBy != nil {
-			return ep.InChannels(a.CoveredBy)
-		}
 		if in := a.Alt.InChannels(); len(in) > 0 {
 			return in
 		}
@@ -150,7 +129,7 @@ func (ep *ExecPlan) InChannels(op *Operator) []string {
 
 // OutChannel returns the channel op's output is declared to be produced in:
 // its alternative's out-channel, a driver collection for a loop (the
-// executor evaluates it), "" for an operator fused into a chain.
+// executor evaluates it), "" for an operator the plan does not place.
 func (ep *ExecPlan) OutChannel(op *Operator) string {
 	if op.Kind.IsLoop() {
 		return "collection"
@@ -171,9 +150,6 @@ func (ep *ExecPlan) OutChannel(op *Operator) string {
 func (ep *ExecPlan) Reads(visit func(producer *Operator, accepts []string, reader string) error) error {
 	collection := []string{"collection"}
 	for _, e := range ep.Plan.Edges() {
-		if a := ep.Assignments[e.From]; a != nil && a.CoveredBy != nil {
-			continue // an edge inside a fused chain moves nothing
-		}
 		accepts := collection
 		if !e.Broadcast && !e.To.Kind.IsLoop() {
 			accepts = ep.InChannels(e.To)
@@ -270,12 +246,7 @@ func (ep *ExecPlan) String() string {
 		if a == nil {
 			continue
 		}
-		switch {
-		case a.CoveredBy != nil:
-			fmt.Fprintf(&b, "  %-34s -> fused into %s\n", op.String(), a.CoveredBy)
-		default:
-			fmt.Fprintf(&b, "  %-34s -> %-28s card=%s cost=%s\n", op.String(), a.Alt.String(), a.OutCard, a.CostEst)
-		}
+		fmt.Fprintf(&b, "  %-34s -> %-28s card=%s cost=%s\n", op.String(), a.Alt.String(), a.OutCard, a.CostEst)
 		if mv := ep.Movements[op]; mv != nil && len(mv.Tree.Edges) > 0 {
 			fmt.Fprintf(&b, "  %-34s    movement:", "")
 			for _, e := range mv.Tree.Edges {

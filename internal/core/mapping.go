@@ -9,35 +9,21 @@ import (
 // implementation of (part of) a logical operator. Templates are what
 // operator mappings produce and what the cost model prices.
 type ExecOpTemplate struct {
-	Name     string   // unique, e.g. "spark.reduce-by"
-	Platform string   // owning platform
-	Kind     Kind     // logical kind this step contributes to implementing
-	In       []string // acceptable input channel names, preference order, per port 0
-	Out      string   // produced output channel name
-	CostKey  string   // key into the cost parameter table; defaults to Name
-}
-
-// CostKeyOrName returns the cost table key for the template.
-func (t ExecOpTemplate) CostKeyOrName() string {
-	if t.CostKey != "" {
-		return t.CostKey
-	}
-	return t.Name
+	Name string   // unique, e.g. "spark.reduce-by"; also its cost table key
+	Kind Kind     // logical kind this step contributes to implementing
+	In   []string // acceptable input channel names, preference order, per port 0
+	Out  string   // produced output channel name
 }
 
 // Alternative is one way to implement a logical operator: a sequence of
 // execution operators on a single platform. A 1-to-1 mapping has one step;
 // a 1-to-n mapping (e.g. Reduce -> GroupBy + Map on a platform without a
-// native global reduce) has several. The mapping machinery supports m-to-n
-// mappings through fused alternatives that cover several consecutive
-// logical operators (Covers > 1).
+// native global reduce) has several. Every placed operator carries its own
+// alternative: consecutive operators fuse at execution time
+// (driverutil.PlanFusion), never through a mapping.
 type Alternative struct {
 	Platform string
 	Steps    []ExecOpTemplate
-	// Covers is the number of consecutive (chain) logical operators this
-	// alternative implements; 1 for plain mappings. Fused alternatives are
-	// attached to the first operator of the chain.
-	Covers int
 }
 
 // InChannels returns the acceptable input channels of the alternative (its
@@ -72,21 +58,11 @@ func (a Alternative) String() string {
 	return s + "]"
 }
 
-// ChainPattern matches a chain of consecutive logical operator kinds and
-// fuses them into a single alternative (an m-to-n mapping). Guard, when
-// non-nil, can veto a match after kind comparison.
-type ChainPattern struct {
-	Kinds []Kind
-	Guard func(ops []*Operator) bool
-	Build func(ops []*Operator) Alternative
-}
-
 // MappingRegistry holds all operator mappings known to the system. Platform
 // packages register their execution operators here during setup; the
 // optimizer's inflation phase consults it.
 type MappingRegistry struct {
 	direct map[Kind][]Alternative
-	chains []ChainPattern
 }
 
 // NewMappingRegistry creates an empty registry.
@@ -96,96 +72,12 @@ func NewMappingRegistry() *MappingRegistry {
 
 // Register adds an alternative implementation for a logical kind.
 func (r *MappingRegistry) Register(k Kind, alt Alternative) {
-	if alt.Covers == 0 {
-		alt.Covers = 1
-	}
 	r.direct[k] = append(r.direct[k], alt)
 }
 
-// RegisterChain adds an m-to-n chain mapping.
-func (r *MappingRegistry) RegisterChain(p ChainPattern) { r.chains = append(r.chains, p) }
-
 // Alternatives returns the registered alternatives for a logical operator,
-// honouring its TargetPlatform pin. Fused chain alternatives starting at op
-// are included when the plan chain matches.
+// honouring its TargetPlatform pin.
 func (r *MappingRegistry) Alternatives(op *Operator) []Alternative {
-	alts := make([]Alternative, 0, len(r.direct[op.Kind])+1)
-	for _, a := range r.direct[op.Kind] {
-		if op.TargetPlatform != "" && a.Platform != op.TargetPlatform {
-			continue
-		}
-		alts = append(alts, a)
-	}
-	for _, cp := range r.chains {
-		chain, ok := matchChain(op, cp.Kinds)
-		if !ok {
-			continue
-		}
-		if cp.Guard != nil && !cp.Guard(chain) {
-			continue
-		}
-		a := cp.Build(chain)
-		if a.Covers == 0 {
-			a.Covers = len(cp.Kinds)
-		}
-		if op.TargetPlatform != "" && a.Platform != op.TargetPlatform {
-			continue
-		}
-		// Respect pins of the covered operators too.
-		pinned := false
-		for _, c := range chain {
-			if c.TargetPlatform != "" && c.TargetPlatform != a.Platform {
-				pinned = true
-			}
-		}
-		if !pinned {
-			alts = append(alts, a)
-		}
-	}
-	return alts
-}
-
-// ChainAlt is a fused alternative together with the chain of logical
-// operators it covers (head first).
-type ChainAlt struct {
-	Alt   Alternative
-	Chain []*Operator
-}
-
-// ChainAlternatives returns the fused alternatives whose pattern starts at
-// op, with their covered chains. The optimizer registers each at the
-// chain's tail so enumeration can treat the fused chain as one unit.
-func (r *MappingRegistry) ChainAlternatives(op *Operator) []ChainAlt {
-	var out []ChainAlt
-	for _, cp := range r.chains {
-		chain, ok := matchChain(op, cp.Kinds)
-		if !ok {
-			continue
-		}
-		if cp.Guard != nil && !cp.Guard(chain) {
-			continue
-		}
-		a := cp.Build(chain)
-		if a.Covers == 0 {
-			a.Covers = len(cp.Kinds)
-		}
-		pinned := false
-		for _, c := range chain {
-			if c.TargetPlatform != "" && c.TargetPlatform != a.Platform {
-				pinned = true
-			}
-		}
-		if pinned {
-			continue
-		}
-		out = append(out, ChainAlt{Alt: a, Chain: chain})
-	}
-	return out
-}
-
-// DirectAlternatives returns only the plain (non-fused) alternatives for a
-// logical operator, honouring its platform pin.
-func (r *MappingRegistry) DirectAlternatives(op *Operator) []Alternative {
 	var alts []Alternative
 	for _, a := range r.direct[op.Kind] {
 		if op.TargetPlatform != "" && a.Platform != op.TargetPlatform {
@@ -211,32 +103,6 @@ func (r *MappingRegistry) Platforms() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// matchChain checks that op starts a linear chain of the given kinds where
-// every intermediate operator has exactly one consumer (so fusing is safe).
-func matchChain(op *Operator, kinds []Kind) ([]*Operator, bool) {
-	chain := make([]*Operator, 0, len(kinds))
-	cur := op
-	for i, k := range kinds {
-		if cur == nil || cur.Kind != k {
-			return nil, false
-		}
-		chain = append(chain, cur)
-		if i == len(kinds)-1 {
-			break
-		}
-		if len(cur.outputs) != 1 {
-			return nil, false
-		}
-		next := cur.outputs[0]
-		// The next operator must consume cur on its main (only) input.
-		if len(next.inputs) != 1 || next.inputs[0] != cur {
-			return nil, false
-		}
-		cur = next
-	}
-	return chain, true
 }
 
 // Validate reports kinds that have no registered implementation on any

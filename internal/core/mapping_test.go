@@ -5,11 +5,11 @@ import (
 )
 
 func streamsMapTemplate() ExecOpTemplate {
-	return ExecOpTemplate{Name: "streams.map", Platform: "streams", Kind: KindMap, In: []string{"collection"}, Out: "collection"}
+	return ExecOpTemplate{Name: "streams.map", Kind: KindMap, In: []string{"collection"}, Out: "collection"}
 }
 
 func sparkMapTemplate() ExecOpTemplate {
-	return ExecOpTemplate{Name: "spark.map", Platform: "spark", Kind: KindMap, In: []string{"rdd"}, Out: "rdd"}
+	return ExecOpTemplate{Name: "spark.map", Kind: KindMap, In: []string{"rdd"}, Out: "rdd"}
 }
 
 func newTestMappings() *MappingRegistry {
@@ -18,8 +18,8 @@ func newTestMappings() *MappingRegistry {
 	r.Register(KindMap, Alternative{Platform: "spark", Steps: []ExecOpTemplate{sparkMapTemplate()}})
 	// 1-to-n: global Reduce on streams = group-all + fold.
 	r.Register(KindReduce, Alternative{Platform: "streams", Steps: []ExecOpTemplate{
-		{Name: "streams.group-all", Platform: "streams", Kind: KindReduce, In: []string{"collection"}, Out: "collection"},
-		{Name: "streams.fold", Platform: "streams", Kind: KindReduce, In: []string{"collection"}, Out: "collection"},
+		{Name: "streams.group-all", Kind: KindReduce, In: []string{"collection"}, Out: "collection"},
+		{Name: "streams.fold", Kind: KindReduce, In: []string{"collection"}, Out: "collection"},
 	}})
 	return r
 }
@@ -54,123 +54,6 @@ func TestAlternativesHonourPlatformPin(t *testing.T) {
 	}
 }
 
-func TestChainPatternFusion(t *testing.T) {
-	r := newTestMappings()
-	// m-to-n: GroupBy + Map fuses into spark.reduce-by.
-	r.RegisterChain(ChainPattern{
-		Kinds: []Kind{KindGroupBy, KindMap},
-		Build: func(ops []*Operator) Alternative {
-			return Alternative{
-				Platform: "spark",
-				Steps:    []ExecOpTemplate{{Name: "spark.reduce-by", Platform: "spark", Kind: KindGroupBy, In: []string{"rdd"}, Out: "rdd"}},
-				Covers:   2,
-			}
-		},
-	})
-
-	p := NewPlan("chain")
-	src := p.NewOperator(KindCollectionSource, "")
-	src.Params.Collection = []any{1}
-	g := p.NewOperator(KindGroupBy, "")
-	g.UDF.Key = func(q any) any { return q }
-	m := p.NewOperator(KindMap, "agg")
-	m.UDF.Map = func(q any) any { return q }
-	sink := p.NewOperator(KindCollectionSink, "")
-	p.Chain(src, g, m, sink)
-
-	alts := r.Alternatives(g)
-	var fused *Alternative
-	for i := range alts {
-		if alts[i].Covers == 2 {
-			fused = &alts[i]
-		}
-	}
-	if fused == nil {
-		t.Fatalf("fused alternative not offered: %v", alts)
-	}
-	if fused.Steps[0].Name != "spark.reduce-by" {
-		t.Errorf("fused steps = %v", fused.Steps)
-	}
-	// The chain must NOT match from the Map operator (wrong head kind).
-	for _, a := range r.Alternatives(m) {
-		if a.Covers > 1 {
-			t.Errorf("chain matched at wrong operator: %v", a)
-		}
-	}
-}
-
-func TestChainPatternRejectsBranching(t *testing.T) {
-	r := NewMappingRegistry()
-	r.RegisterChain(ChainPattern{
-		Kinds: []Kind{KindGroupBy, KindMap},
-		Build: func(ops []*Operator) Alternative {
-			return Alternative{Platform: "spark", Steps: []ExecOpTemplate{{Name: "fused", Platform: "spark"}}, Covers: 2}
-		},
-	})
-	p := NewPlan("branchy")
-	src := p.NewOperator(KindCollectionSource, "")
-	src.Params.Collection = []any{1}
-	g := p.NewOperator(KindGroupBy, "")
-	m := p.NewOperator(KindMap, "")
-	extra := p.NewOperator(KindCount, "") // second consumer of g
-	sink1 := p.NewOperator(KindCollectionSink, "")
-	sink2 := p.NewOperator(KindCollectionSink, "")
-	p.Connect(src, g, 0)
-	p.Connect(g, m, 0)
-	p.Connect(g, extra, 0)
-	p.Connect(m, sink1, 0)
-	p.Connect(extra, sink2, 0)
-
-	for _, a := range r.Alternatives(g) {
-		if a.Covers > 1 {
-			t.Fatal("fused alternative offered despite branching intermediate")
-		}
-	}
-}
-
-func TestChainPatternGuard(t *testing.T) {
-	r := NewMappingRegistry()
-	guardCalled := false
-	r.RegisterChain(ChainPattern{
-		Kinds: []Kind{KindMap},
-		Guard: func(ops []*Operator) bool { guardCalled = true; return false },
-		Build: func(ops []*Operator) Alternative {
-			return Alternative{Platform: "spark", Steps: []ExecOpTemplate{{Name: "never"}}}
-		},
-	})
-	p := NewPlan("guarded")
-	m := p.NewOperator(KindMap, "")
-	if alts := r.Alternatives(m); len(alts) != 0 {
-		t.Fatalf("guard did not veto: %v", alts)
-	}
-	if !guardCalled {
-		t.Fatal("guard not invoked")
-	}
-}
-
-func TestChainPatternRespectsCoveredPins(t *testing.T) {
-	r := NewMappingRegistry()
-	r.RegisterChain(ChainPattern{
-		Kinds: []Kind{KindGroupBy, KindMap},
-		Build: func(ops []*Operator) Alternative {
-			return Alternative{Platform: "spark", Steps: []ExecOpTemplate{{Name: "fused", Platform: "spark"}}, Covers: 2}
-		},
-	})
-	p := NewPlan("pinned")
-	g := p.NewOperator(KindGroupBy, "")
-	m := p.NewOperator(KindMap, "")
-	m.TargetPlatform = "streams" // covered op pinned elsewhere
-	sink := p.NewOperator(KindCollectionSink, "")
-	p.Connect(g, m, 0)
-	p.Connect(m, sink, 0)
-
-	for _, a := range r.Alternatives(g) {
-		if a.Covers > 1 {
-			t.Fatal("fusion ignored covered operator's platform pin")
-		}
-	}
-}
-
 func TestMappingValidate(t *testing.T) {
 	r := newTestMappings()
 	p := NewPlan("v")
@@ -183,8 +66,8 @@ func TestMappingValidate(t *testing.T) {
 	if err := r.Validate(p); err == nil {
 		t.Fatal("expected validation error for unimplemented kinds")
 	}
-	r.Register(KindCollectionSource, Alternative{Platform: "streams", Steps: []ExecOpTemplate{{Name: "streams.src", Platform: "streams", Out: "collection"}}})
-	r.Register(KindCollectionSink, Alternative{Platform: "streams", Steps: []ExecOpTemplate{{Name: "streams.sink", Platform: "streams", In: []string{"collection"}}}})
+	r.Register(KindCollectionSource, Alternative{Platform: "streams", Steps: []ExecOpTemplate{{Name: "streams.src", Out: "collection"}}})
+	r.Register(KindCollectionSink, Alternative{Platform: "streams", Steps: []ExecOpTemplate{{Name: "streams.sink", In: []string{"collection"}}}})
 	if err := r.Validate(p); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -242,6 +125,6 @@ func (d *fakeDriver) Conversions() []*Conversion {
 	return []*Conversion{{Name: "to-fake", From: "collection", To: "fakechan", FixedCostMs: 1}}
 }
 func (d *fakeDriver) RegisterMappings(r *MappingRegistry) {
-	r.Register(KindMap, Alternative{Platform: d.name, Steps: []ExecOpTemplate{{Name: "fake.map", Platform: d.name, In: []string{"fakechan"}, Out: "fakechan"}}})
+	r.Register(KindMap, Alternative{Platform: d.name, Steps: []ExecOpTemplate{{Name: "fake.map", In: []string{"fakechan"}, Out: "fakechan"}}})
 }
 func (d *fakeDriver) StartupCostMs() float64 { return 12.5 }

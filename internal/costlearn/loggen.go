@@ -21,7 +21,7 @@ func LogsFromStats(record []*core.StageStats) []StageLog {
 			RuntimeMs: float64(st.Runtime) / float64(time.Millisecond),
 		}
 		st.Observations(func(o core.Observation) {
-			if _, priced := o.Assigned.OwnCost(); !priced || len(o.Assigned.Alt.Steps) == 0 {
+			if o.Assigned == nil || len(o.Assigned.Alt.Steps) == 0 {
 				return
 			}
 			var inCard int64
@@ -36,7 +36,7 @@ func LogsFromStats(record []*core.StageStats) []StageLog {
 				inCard = o.OutCard // a source reads what it emits
 			}
 			l.Ops = append(l.Ops, OpLog{
-				CostKey: o.Assigned.Alt.Steps[0].CostKeyOrName(),
+				CostKey: o.Assigned.Alt.Steps[0].Name,
 				InCard:  inCard,
 				OutCard: o.OutCard,
 			})

@@ -134,12 +134,12 @@ func (s *Scheduler) RunStage(ctx context.Context, runID string, st *core.Stage, 
 }
 
 // stageCostMs sums the optimizer's estimated cost over the stage's
-// operators (fused coverage counts once, at the chain head).
+// operators.
 func stageCostMs(st *core.Stage) float64 {
 	var total float64
 	for _, op := range st.Ops {
-		if cost, ok := st.ExecPlan.Assignments[op].OwnCost(); ok {
-			total += cost.Geomean()
+		if a := st.ExecPlan.Assignments[op]; a != nil {
+			total += a.CostEst.Geomean()
 		}
 	}
 	return total

@@ -499,9 +499,7 @@ func annotateStageSpan(stSp *trace.Span, st *core.StageStats) {
 		if o.Assigned != nil {
 			opSp.SetAttr("estimated_card", o.Assigned.OutCard.String())
 			opSp.SetFloat("mismatch_factor", o.Assigned.OutCard.MismatchFactor(o.OutCard))
-		}
-		if cost, ok := o.Assigned.OwnCost(); ok {
-			opSp.SetAttr("cost_est", cost.String())
+			opSp.SetAttr("cost_est", o.Assigned.CostEst.String())
 		}
 	})
 }

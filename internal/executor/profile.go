@@ -53,7 +53,7 @@ type StageProfile struct {
 	QuantaOut  int64   `json:"quanta_out"`
 
 	// EstCostMs is the optimizer's estimate for the stage (geomean of the
-	// summed cost intervals of the stage's non-covered operators), and
+	// summed cost intervals of the stage's placed operators), and
 	// MismatchFactor compares the observed wall time against it.
 	EstCostMs      float64     `json:"est_cost_ms"`
 	MismatchFactor float64     `json:"mismatch_factor"`
@@ -127,10 +127,8 @@ func (r *Record) Profile() *Profile {
 				if o.Observed {
 					opp.CardMismatch = o.Assigned.OutCard.MismatchFactor(o.OutCard)
 				}
-			}
-			if cost, ok := o.Assigned.OwnCost(); ok {
-				opp.EstCostMs = cost.Geomean()
-				est = est.Add(cost)
+				opp.EstCostMs = o.Assigned.CostEst.Geomean()
+				est = est.Add(o.Assigned.CostEst)
 				haveEst = true
 			}
 			sp.Operators = append(sp.Operators, opp)

@@ -44,7 +44,7 @@ func MarkCacheOuts(ep *core.ExecPlan, fps map[*core.Operator]*core.FPInfo, minCo
 func subtreeCostMs(ep *core.ExecPlan, info *core.FPInfo) float64 {
 	var cost float64
 	for _, op := range info.Ops {
-		if a := ep.Assignments[op]; a != nil && a.CoveredBy == nil {
+		if a := ep.Assignments[op]; a != nil {
 			cost += a.CostEst.Geomean()
 		}
 		if mv := ep.Movements[op]; mv != nil {

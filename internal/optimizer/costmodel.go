@@ -93,8 +93,8 @@ func (ct *CostTable) OpTimeMs(costKey, platform string, cin float64) float64 {
 func (ct *CostTable) AlternativeCost(alt core.Alternative, in, out core.CardEstimate) core.CostInterval {
 	lo, hi := 0.0, 0.0
 	for _, step := range alt.Steps {
-		lo += ct.OpTimeMs(step.CostKeyOrName(), alt.Platform, float64(in.Low)+float64(out.Low))
-		hi += ct.OpTimeMs(step.CostKeyOrName(), alt.Platform, float64(in.High)+float64(out.High))
+		lo += ct.OpTimeMs(step.Name, alt.Platform, float64(in.Low)+float64(out.Low))
+		hi += ct.OpTimeMs(step.Name, alt.Platform, float64(in.High)+float64(out.High))
 	}
 	conf := in.Confidence
 	if out.Confidence > 0 && out.Confidence < conf {
@@ -118,9 +118,9 @@ func (ct *CostTable) FusedStepOverheadMs(alt core.Alternative) float64 {
 	}
 	total := 0.0
 	for _, step := range alt.Steps {
-		p, ok := ct.Ops[step.CostKeyOrName()]
+		p, ok := ct.Ops[step.Name]
 		if !ok {
-			p = defaultParamsFor(step.CostKeyOrName())
+			p = defaultParamsFor(step.Name)
 		}
 		total += p.FixedOverhead * u.MsPerFixed
 	}

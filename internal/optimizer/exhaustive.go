@@ -11,24 +11,12 @@ import (
 // pruning). It exists as the ablation baseline for the lossless pruning:
 // both must select plans of equal cost, while this one explodes
 // combinatorially (k^n plans for n operators with k alternatives each).
-func enumerateExhaustive(p *core.Plan, opts Options, inflated map[*core.Operator][]entry, cards map[*core.Operator]core.CardEstimate) (map[*core.Operator]int, float64, error) {
+func enumerateExhaustive(p *core.Plan, opts Options, inflated map[*core.Operator][]core.Alternative, cards map[*core.Operator]core.CardEstimate) (map[*core.Operator]int, float64, error) {
 	var ops []*core.Operator
 	for _, op := range p.Operators() {
 		if op.Kind.IsLoop() {
 			continue
 		}
-		// Exhaustive mode ignores fused chains for clarity: it enumerates
-		// the direct alternatives only.
-		var direct []entry
-		for _, e := range inflated[op] {
-			if len(e.chain) == 0 {
-				direct = append(direct, e)
-			}
-		}
-		if len(direct) == 0 {
-			return nil, 0, fmt.Errorf("optimizer: exhaustive: no direct alternatives for %s", op)
-		}
-		inflated[op] = direct
 		ops = append(ops, op)
 	}
 	total := 1
@@ -70,14 +58,14 @@ func enumerateExhaustive(p *core.Plan, opts Options, inflated map[*core.Operator
 
 // planCost prices a complete assignment: operator costs, movement along
 // every edge, and start-up for every used platform.
-func planCost(p *core.Plan, opts Options, inflated map[*core.Operator][]entry, cards map[*core.Operator]core.CardEstimate, choice map[*core.Operator]int) (float64, bool) {
+func planCost(p *core.Plan, opts Options, inflated map[*core.Operator][]core.Alternative, cards map[*core.Operator]core.CardEstimate, choice map[*core.Operator]int) (float64, bool) {
 	const inf = math.MaxFloat64 / 4
 	total := 0.0
 	used := map[string]bool{}
 	for op, idx := range choice {
-		ent := inflated[op][idx]
-		total += opts.Costs.AlternativeCost(ent.alt, inputCard(op, ent, cards), cards[op]).Geomean() * opts.weight(ent.alt.Platform)
-		used[ent.alt.Platform] = true
+		alt := inflated[op][idx]
+		total += opts.Costs.AlternativeCost(alt, inputCard(op, cards), cards[op]).Geomean() * opts.weight(alt.Platform)
+		used[alt.Platform] = true
 	}
 	for _, e := range p.Edges() {
 		if e.From.Kind.IsLoop() || e.To.Kind.IsLoop() {
@@ -91,11 +79,11 @@ func planCost(p *core.Plan, opts Options, inflated map[*core.Operator][]entry, c
 		if !ok {
 			continue
 		}
-		accepts := inflated[e.To][ci].alt.InChannels()
+		accepts := inflated[e.To][ci].InChannels()
 		if e.Broadcast {
 			accepts = []string{"collection"}
 		}
-		_, mv := reach(opts, inflated[e.From][pi].alt.OutChannel(), accepts, cards[e.From])
+		_, mv := reach(opts, inflated[e.From][pi].OutChannel(), accepts, cards[e.From])
 		if mv >= inf {
 			return 0, false
 		}

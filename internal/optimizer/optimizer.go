@@ -50,15 +50,15 @@ type Progress struct {
 	Observed map[*core.Operator]int64
 }
 
-// allows reports whether a replan may consider entry ent for op: an executed
-// operator only the alternative it ran under, an operator still to run only
-// alternatives that fuse no executed operator into its chain.
-func (r *Progress) allows(op *core.Operator, ent entry) bool {
-	if r.Executed[op] {
-		a := r.Plan.Assignments[op]
-		return a != nil && a.CoveredBy == nil && a.Alt.Covers == ent.alt.Covers && a.Alt.String() == ent.alt.String()
+// allows reports whether a replan may consider alternative alt for op: an
+// executed operator only the alternative it ran under, an operator still to
+// run any.
+func (r *Progress) allows(op *core.Operator, alt core.Alternative) bool {
+	if !r.Executed[op] {
+		return true
 	}
-	return !slices.ContainsFunc(ent.chain, func(c *core.Operator) bool { return r.Executed[c] })
+	a := r.Plan.Assignments[op]
+	return a != nil && a.Alt.String() == alt.String()
 }
 
 // Objective is the optimization goal.
@@ -168,7 +168,7 @@ func optimize(p *core.Plan, opts Options, loopSeed *core.CardEstimate, outerCard
 		return nil, err
 	}
 
-	inflated, err := inflate(p, opts, cards)
+	inflated, err := inflate(p, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -197,31 +197,23 @@ func optimize(p *core.Plan, opts Options, loopSeed *core.CardEstimate, outerCard
 		Movements:   map[*core.Operator]*core.MovementPlan{},
 		LoopBodies:  map[*core.Operator]*core.ExecPlan{},
 	}
-	covered := map[*core.Operator]*core.Operator{} // covered op -> holder
-	for op, entries := range inflated {
+	for op, alts := range inflated {
 		idx, ok := choice[op]
 		if !ok || op.Kind.IsLoop() {
 			continue
 		}
-		ent := entries[idx]
-		for _, c := range ent.chain[:max(0, len(ent.chain)-1)] {
-			covered[c] = op
-		}
-		inCard := inputCard(op, ent, cards)
+		alt := alts[idx]
 		ep.Assignments[op] = &core.Assignment{
-			Alt:     ent.alt,
+			Alt:     alt,
 			OutCard: cards[op],
-			CostEst: opts.Costs.AlternativeCost(ent.alt, inCard, cards[op]),
+			CostEst: opts.Costs.AlternativeCost(alt, inputCard(op, cards), cards[op]),
 		}
 		if opts.Trace != nil {
 			// Per-alternative decision record: which implementation won and
 			// at what estimated cost, directly on the optimize span.
 			opts.Trace.SetAttr("alt."+op.String(),
-				fmt.Sprintf("%s cost=%s card=%s", ent.alt.String(), ep.Assignments[op].CostEst, cards[op]))
+				fmt.Sprintf("%s cost=%s card=%s", alt.String(), ep.Assignments[op].CostEst, cards[op]))
 		}
-	}
-	for c, holder := range covered {
-		ep.Assignments[c] = &core.Assignment{OutCard: cards[c], CoveredBy: holder}
 	}
 
 	// Loop operators: optimize bodies recursively and attach.
@@ -287,59 +279,28 @@ func optimize(p *core.Plan, opts Options, loopSeed *core.CardEstimate, outerCard
 	return ep, nil
 }
 
-// entry is one enumeration unit: a (possibly fused) alternative and the
-// logical chain it covers (tail = the op it is registered on; head first).
-type entry struct {
-	alt   core.Alternative
-	chain []*core.Operator // nil or [head..tail]; tail == registered op
-}
-
-// head returns the operator whose inputs feed this entry.
-func (e entry) head(op *core.Operator) *core.Operator {
-	if len(e.chain) > 0 {
-		return e.chain[0]
-	}
-	return op
-}
-
-// inflate computes the enumeration entries per operator: all direct
-// alternatives plus fused chain alternatives registered at the chain tail,
-// restricted in a replan to what the progress so far allows.
-func inflate(p *core.Plan, opts Options, cards map[*core.Operator]core.CardEstimate) (map[*core.Operator][]entry, error) {
-	out := map[*core.Operator][]entry{}
+// inflate computes the enumeration units per operator: its registered
+// alternatives, restricted in a replan to what the progress so far allows.
+func inflate(p *core.Plan, opts Options) (map[*core.Operator][]core.Alternative, error) {
+	out := map[*core.Operator][]core.Alternative{}
 	for _, op := range p.Operators() {
 		if op.Kind.IsLoop() {
 			continue
 		}
-		var entries []entry
-		for _, a := range opts.Registry.Mappings.DirectAlternatives(op) {
-			entries = append(entries, entry{alt: a})
-		}
-		out[op] = entries
-	}
-	// Chain alternatives attach at the tail operator.
-	for _, op := range p.Operators() {
-		for _, ca := range opts.Registry.Mappings.ChainAlternatives(op) {
-			tail := ca.Chain[len(ca.Chain)-1]
-			out[tail] = append(out[tail], entry{alt: ca.Alt, chain: ca.Chain})
-		}
-	}
-	for _, op := range p.Operators() {
-		if !op.Kind.IsLoop() && len(out[op]) == 0 {
+		alts := opts.Registry.Mappings.Alternatives(op)
+		if len(alts) == 0 {
 			return nil, fmt.Errorf("optimizer: no implementation for %s", op)
 		}
-	}
-	if r := opts.Resume; r != nil {
-		for op, entries := range out {
-			out[op] = slices.DeleteFunc(entries, func(ent entry) bool { return !r.allows(op, ent) })
+		if r := opts.Resume; r != nil {
+			alts = slices.DeleteFunc(alts, func(alt core.Alternative) bool { return !r.allows(op, alt) })
 		}
+		out[op] = alts
 	}
 	return out, nil
 }
 
-func inputCard(op *core.Operator, ent entry, cards map[*core.Operator]core.CardEstimate) core.CardEstimate {
-	h := ent.head(op)
-	ins := h.Inputs()
+func inputCard(op *core.Operator, cards map[*core.Operator]core.CardEstimate) core.CardEstimate {
+	ins := op.Inputs()
 	if len(ins) == 0 {
 		return cards[op] // sources: price by their output
 	}
@@ -356,7 +317,7 @@ func inputCard(op *core.Operator, ent entry, cards map[*core.Operator]core.CardE
 // pruned to the cheapest, which never discards part of an optimal plan).
 // Platform start-up costs are handled exactly by running the DP once per
 // subset of candidate platforms and charging each subset's start-up sum.
-func enumeratePruned(p *core.Plan, opts Options, inflated map[*core.Operator][]entry, cards map[*core.Operator]core.CardEstimate) (map[*core.Operator]int, float64, error) {
+func enumeratePruned(p *core.Plan, opts Options, inflated map[*core.Operator][]core.Alternative, cards map[*core.Operator]core.CardEstimate) (map[*core.Operator]int, float64, error) {
 	platforms := candidatePlatforms(inflated)
 	if len(platforms) > 16 {
 		return nil, 0, fmt.Errorf("optimizer: too many candidate platforms (%d)", len(platforms))
@@ -396,11 +357,11 @@ func enumeratePruned(p *core.Plan, opts Options, inflated map[*core.Operator][]e
 	return bestChoice, bestCost, nil
 }
 
-func candidatePlatforms(inflated map[*core.Operator][]entry) []string {
+func candidatePlatforms(inflated map[*core.Operator][]core.Alternative) []string {
 	set := map[string]bool{}
-	for _, entries := range inflated {
-		for _, e := range entries {
-			set[e.alt.Platform] = true
+	for _, alts := range inflated {
+		for _, alt := range alts {
+			set[alt.Platform] = true
 		}
 	}
 	out := make([]string, 0, len(set))
@@ -411,10 +372,10 @@ func candidatePlatforms(inflated map[*core.Operator][]entry) []string {
 	return out
 }
 
-func usedPlatforms(inflated map[*core.Operator][]entry, choice map[*core.Operator]int) map[string]bool {
+func usedPlatforms(inflated map[*core.Operator][]core.Alternative, choice map[*core.Operator]int) map[string]bool {
 	used := map[string]bool{}
 	for op, idx := range choice {
-		used[inflated[op][idx].alt.Platform] = true
+		used[inflated[op][idx].Platform] = true
 	}
 	return used
 }
@@ -422,33 +383,32 @@ func usedPlatforms(inflated map[*core.Operator][]entry, choice map[*core.Operato
 // dpEnumerate runs the pruning DP restricted to the allowed platforms.
 // Movement costs between producer and consumer alternatives use the
 // cheapest conversion path for the producer's estimated cardinality.
-func dpEnumerate(p *core.Plan, opts Options, inflated map[*core.Operator][]entry, cards map[*core.Operator]core.CardEstimate, allowed map[string]bool) (map[*core.Operator]int, float64, bool) {
+func dpEnumerate(p *core.Plan, opts Options, inflated map[*core.Operator][]core.Alternative, cards map[*core.Operator]core.CardEstimate, allowed map[string]bool) (map[*core.Operator]int, float64, bool) {
 	order, err := p.TopoOrder()
 	if err != nil {
 		return nil, 0, false
 	}
 	const inf = math.MaxFloat64 / 4
-	// cost[op][i]: cheapest cost of computing op's output via entry i,
+	// cost[op][i]: cheapest cost of computing op's output via alternative i,
 	// counting each producer's subtree once per consumer (exact on trees,
 	// a safe overestimate on shared subplans; the executor reuses shared
 	// channels at run time regardless).
 	cost := map[*core.Operator][]float64{}
-	pick := map[*core.Operator][]map[*core.Operator]int{} // per entry: chosen producer entries
-	coveredBy := map[*core.Operator]bool{}                // ops consumed inside some chain
+	pick := map[*core.Operator][]map[*core.Operator]int{} // per alternative: chosen producer alternatives
 
 	for _, op := range order {
 		if op.Kind.IsLoop() {
 			continue
 		}
-		entries := inflated[op]
-		cs := make([]float64, len(entries))
-		ps := make([]map[*core.Operator]int, len(entries))
-		for i, ent := range entries {
-			if !allowed[ent.alt.Platform] {
+		alts := inflated[op]
+		cs := make([]float64, len(alts))
+		ps := make([]map[*core.Operator]int, len(alts))
+		for i, alt := range alts {
+			if !allowed[alt.Platform] {
 				cs[i] = inf
 				continue
 			}
-			own := opts.Costs.AlternativeCost(ent.alt, inputCard(op, ent, cards), cards[op]).Geomean() * opts.weight(ent.alt.Platform)
+			own := opts.Costs.AlternativeCost(alt, inputCard(op, cards), cards[op]).Geomean() * opts.weight(alt.Platform)
 			// Pipeline fusion discount: a narrow op whose sole producer is a
 			// narrow op on the same platform (no conversion between them)
 			// rides the producer's fused chain, so its per-invocation fixed
@@ -459,12 +419,11 @@ func dpEnumerate(p *core.Plan, opts Options, inflated map[*core.Operator][]entry
 			// engines absorb it as the chain's vectorized aggregation tail.
 			fuseDisc := 0.0
 			if op.Kind.IsNarrow() || op.Kind == core.KindReduceBy && op.UDF.ReduceExpr != nil {
-				fuseDisc = opts.Costs.FusedStepOverheadMs(ent.alt) * opts.weight(ent.alt.Platform)
+				fuseDisc = opts.Costs.FusedStepOverheadMs(alt) * opts.weight(alt.Platform)
 			}
 			picks := map[*core.Operator]int{}
 			total := own
-			h := ent.head(op)
-			feeds := append([]*core.Operator{}, h.Inputs()...)
+			feeds := append([]*core.Operator{}, op.Inputs()...)
 			for _, bcProducer := range op.Broadcasts() {
 				feeds = append(feeds, bcProducer)
 			}
@@ -475,7 +434,7 @@ func dpEnumerate(p *core.Plan, opts Options, inflated map[*core.Operator][]entry
 				if producer.Kind.IsLoop() {
 					// Loop outputs surface as driver collections; their cost
 					// is accounted separately via the optimized body.
-					_, mv := reach(opts, "collection", ent.alt.InChannels(), cards[producer])
+					_, mv := reach(opts, "collection", alt.InChannels(), cards[producer])
 					if mv >= inf {
 						total = inf
 						break
@@ -483,26 +442,25 @@ func dpEnumerate(p *core.Plan, opts Options, inflated map[*core.Operator][]entry
 					total += mv
 					continue
 				}
-				isBroadcast := fi >= len(h.Inputs())
-				prodEntries := inflated[producer]
+				isBroadcast := fi >= len(op.Inputs())
 				bestIn := inf
 				bestIdx := -1
-				for pi, pe := range prodEntries {
+				for pi, pa := range inflated[producer] {
 					pc := cost[producer]
 					if pc == nil || pc[pi] >= inf {
 						continue
 					}
-					accepts := ent.alt.InChannels()
+					accepts := alt.InChannels()
 					if isBroadcast {
 						accepts = []string{"collection"}
 					}
-					_, mv := reach(opts, pe.alt.OutChannel(), accepts, cards[producer])
+					_, mv := reach(opts, pa.OutChannel(), accepts, cards[producer])
 					if mv >= inf {
 						continue
 					}
 					disc := 0.0
 					if fuseDisc > 0 && !isBroadcast && mv == 0 &&
-						pe.alt.Platform == ent.alt.Platform &&
+						pa.Platform == alt.Platform &&
 						producer.Kind.IsNarrow() && len(producer.Outputs()) == 1 {
 						disc = fuseDisc
 					}
@@ -540,12 +498,6 @@ func dpEnumerate(p *core.Plan, opts Options, inflated map[*core.Operator][]entry
 			return true
 		}
 		choice[op] = idx
-		ent := inflated[op][idx]
-		for _, c := range ent.chain {
-			if c != op {
-				coveredBy[c] = true
-			}
-		}
 		for producer, pi := range pick[op][idx] {
 			if !realize(producer, pi) {
 				return false
@@ -554,12 +506,12 @@ func dpEnumerate(p *core.Plan, opts Options, inflated map[*core.Operator][]entry
 		return true
 	}
 	for _, root := range roots {
-		entries := cost[root]
-		if entries == nil {
+		costs := cost[root]
+		if costs == nil {
 			return nil, 0, false
 		}
 		best, bestIdx := inf, -1
-		for i, c := range entries {
+		for i, c := range costs {
 			if c < best {
 				best, bestIdx = c, i
 			}
@@ -571,10 +523,6 @@ func dpEnumerate(p *core.Plan, opts Options, inflated map[*core.Operator][]entry
 		if !realize(root, bestIdx) {
 			return nil, 0, false
 		}
-	}
-	// Drop choices for operators covered by a selected fused chain.
-	for op := range coveredBy {
-		delete(choice, op)
 	}
 	return choice, total, true
 }
@@ -672,11 +620,4 @@ func treeCost(tree *core.ConversionTree, card float64) float64 {
 		total += e.CostMs(card)
 	}
 	return total
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

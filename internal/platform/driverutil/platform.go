@@ -69,7 +69,7 @@ func Without(ops []Op, kinds ...core.Kind) []Op {
 func RegisterOps(r *core.MappingRegistry, platform string, in []string, out string, ops []Op) {
 	for _, op := range ops {
 		r.Register(op.Kind, core.Alternative{Platform: platform, Steps: []core.ExecOpTemplate{{
-			Name: platform + "." + op.Suffix, Platform: platform, Kind: op.Kind, In: in, Out: cmp.Or(op.Out, out),
+			Name: platform + "." + op.Suffix, Kind: op.Kind, In: in, Out: cmp.Or(op.Out, out),
 		}}})
 	}
 }

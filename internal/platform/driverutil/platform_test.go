@@ -154,7 +154,7 @@ func TestRegisterOpsAndWithout(t *testing.T) {
 	r := core.NewMappingRegistry()
 	RegisterOps(r, "toy", []string{"b", "a"}, "a", ops)
 	for _, op := range GeneralOps {
-		alts := r.DirectAlternatives(&core.Operator{Kind: op.Kind})
+		alts := r.Alternatives(&core.Operator{Kind: op.Kind})
 		if op.Kind == core.KindReduce || op.Kind == core.KindPageRank {
 			if len(alts) != 0 {
 				t.Fatalf("%s registered despite Without: %v", op.Kind, alts)
@@ -166,8 +166,8 @@ func TestRegisterOpsAndWithout(t *testing.T) {
 		if wantOut := map[core.Kind]string{core.KindCollectionSink: "collection"}[op.Kind]; op.Out != wantOut {
 			t.Fatalf("%s declares out-channel %q, want %q", op.Kind, op.Out, wantOut)
 		}
-		want := core.Alternative{Platform: "toy", Covers: 1, Steps: []core.ExecOpTemplate{{
-			Name: "toy." + op.Suffix, Platform: "toy", Kind: op.Kind, In: []string{"b", "a"}, Out: cmp.Or(op.Out, "a"),
+		want := core.Alternative{Platform: "toy", Steps: []core.ExecOpTemplate{{
+			Name: "toy." + op.Suffix, Kind: op.Kind, In: []string{"b", "a"}, Out: cmp.Or(op.Out, "a"),
 		}}}
 		if len(alts) != 1 || !reflect.DeepEqual(alts[0], want) {
 			t.Fatalf("%s: registered %+v, want %+v", op.Kind, alts, want)

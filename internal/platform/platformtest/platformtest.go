@@ -55,7 +55,7 @@ func RunOpErr(d core.Driver, op *core.Operator, inputs ...*core.Channel) ([]any,
 	}
 	mappings := core.NewMappingRegistry()
 	d.RegisterMappings(mappings)
-	for _, alt := range mappings.DirectAlternatives(op) {
+	for _, alt := range mappings.Alternatives(op) {
 		if declared := alt.OutChannel(); ch.Desc.Name != declared {
 			return nil, stats, fmt.Errorf("%s on %s arrived in channel %q, registered out-channel is %q", op, d.Name(), ch.Desc.Name, declared)
 		}

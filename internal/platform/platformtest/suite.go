@@ -19,7 +19,7 @@ func Run(t *testing.T, d core.Driver) {
 	mappings := core.NewMappingRegistry()
 	d.RegisterMappings(mappings)
 	run := func(k core.Kind, name string, fn func(t *testing.T)) {
-		if len(mappings.DirectAlternatives(&core.Operator{Kind: k})) == 0 {
+		if len(mappings.Alternatives(&core.Operator{Kind: k})) == 0 {
 			return
 		}
 		t.Run(name, fn)

@@ -114,8 +114,8 @@ func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
 	in, out := []string{"collection"}, "collection"
 	driverutil.RegisterOps(r, Platform, in, out, driverutil.Without(driverutil.GeneralOps, core.KindReduce, core.KindPageRank))
 	r.Register(core.KindReduce, core.Alternative{Platform: Platform, Steps: []core.ExecOpTemplate{
-		{Name: "streams.group-all", Platform: Platform, Kind: core.KindReduce, In: in, Out: out},
-		{Name: "streams.fold", Platform: Platform, Kind: core.KindReduce, In: in, Out: out},
+		{Name: "streams.group-all", Kind: core.KindReduce, In: in, Out: out},
+		{Name: "streams.fold", Kind: core.KindReduce, In: in, Out: out},
 	}})
 }
 

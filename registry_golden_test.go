@@ -2,10 +2,10 @@ package rheem
 
 // The optimizer's choices hang on what the platforms declare: which channels
 // exist, which execution operator implements which logical kind over which
-// channels, and what each conversion costs. TestRegistryGolden pins all of it,
-// byte for byte, so a renamed mapping, a dropped in-channel or a changed cost
-// constant is a visible diff of testdata/registry.golden rather than a silent
-// change of plans.
+// channels, what each step costs by default and what each conversion costs.
+// TestRegistryGolden pins all of it, byte for byte, so a renamed mapping, a
+// dropped in-channel or a changed cost constant is a visible diff of
+// testdata/registry.golden rather than a silent change of plans.
 
 import (
 	"fmt"
@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"rheem/internal/core"
+	"rheem/internal/optimizer"
 )
 
 // allKinds lists every logical kind a bundled platform can map.
@@ -30,22 +31,30 @@ var allKinds = []core.Kind{
 }
 
 // renderRegistry prints one sorted line per channel descriptor, mapping step
-// and conversion of the registry.
+// and conversion of the registry. A mapping step carries the default cost
+// table's price for it (fixed and per-quantum milliseconds), which pins the
+// default parameters every registered execution operator falls back to.
 func renderRegistry(reg *core.Registry) string {
 	var lines []string
 	for _, cd := range reg.Graph.Channels() {
 		lines = append(lines, fmt.Sprintf("channel name=%s platform=%s reusable=%v at-rest=%v",
 			cd.Name, cd.Platform, cd.Reusable, cd.AtRest))
 	}
+	ms := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	// A step's price is a product of two table entries: six significant
+	// digits keep the floating-point noise of the product out of the file.
+	price := func(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
+	costs := optimizer.DefaultCostTable(reg.Mappings.Platforms())
 	for _, k := range allKinds {
-		for _, alt := range reg.Mappings.DirectAlternatives(&core.Operator{Kind: k}) {
+		for _, alt := range reg.Mappings.Alternatives(&core.Operator{Kind: k}) {
 			for i, st := range alt.Steps {
-				lines = append(lines, fmt.Sprintf("mapping kind=%s platform=%s step=%d/%d name=%s step-kind=%s in=%s out=%s covers=%d",
-					k, alt.Platform, i+1, len(alt.Steps), st.Name, st.Kind, strings.Join(st.In, ","), st.Out, alt.Covers))
+				fixed := costs.OpTimeMs(st.Name, alt.Platform, 0)
+				perQuantum := costs.OpTimeMs(st.Name, alt.Platform, 1) - fixed
+				lines = append(lines, fmt.Sprintf("mapping kind=%s platform=%s step=%d/%d name=%s step-kind=%s in=%s out=%s fixed-ms=%s per-quantum-ms=%s",
+					k, alt.Platform, i+1, len(alt.Steps), st.Name, st.Kind, strings.Join(st.In, ","), st.Out, price(fixed), price(perQuantum)))
 			}
 		}
 	}
-	ms := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	for _, d := range reg.Drivers() {
 		for _, cv := range d.Conversions() {
 			lines = append(lines, fmt.Sprintf("conversion name=%s from=%s to=%s fixed-ms=%s per-quantum-ms=%s",
