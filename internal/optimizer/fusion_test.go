@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"rheem/internal/core"
@@ -83,5 +84,63 @@ func TestFusedStepOverheadMs(t *testing.T) {
 	other := core.Alternative{Platform: "nope", Steps: []core.ExecOpTemplate{{Name: "nope.map"}}}
 	if got := ct.FusedStepOverheadMs(other); math.Abs(got-0.2) > 1e-9 {
 		t.Fatalf("fallback overhead = %v, want 0.2", got)
+	}
+}
+
+// pinnedNarrowPlan is narrowPlan(n) with m1 pinned to home and m2 to other.
+func pinnedNarrowPlan(n int, home, other string) (p *core.Plan, m1, m2 *core.Operator) {
+	p = narrowPlan(n)
+	for _, op := range p.Operators() {
+		switch op.Label {
+		case "m1":
+			m1 = op
+		case "m2":
+			m2 = op
+		}
+	}
+	m1.TargetPlatform, m2.TargetPlatform = home, other
+	return p, m1, m2
+}
+
+// Pins that put m1 and m2 on different platforms split the narrow chain
+// the fusion discount would otherwise keep whole: each pin holds, a movement
+// crosses the boundary, and the plan can only cost more than the unpinned
+// one.
+func TestPinnedOperatorsSplitTheChain(t *testing.T) {
+	env := newTestEnv(t)
+	unpinned, err := Optimize(narrowPlan(5000), env.opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	home, other := unpinned.Platforms()[0], "streams"
+	if home == other {
+		other = "spark"
+	}
+
+	p, m1, m2 := pinnedNarrowPlan(5000, home, other)
+	ep, err := Optimize(p, env.opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ep.PlatformOf(m1) != home || ep.PlatformOf(m2) != other {
+		t.Fatalf("m1 on %q, m2 on %q; pinned to %q and %q:\n%s", ep.PlatformOf(m1), ep.PlatformOf(m2), home, other, ep)
+	}
+	if got := ep.Platforms(); !reflect.DeepEqual(got, []string{"spark", "streams"}) {
+		t.Fatalf("platforms = %v:\n%s", got, ep)
+	}
+	crossings := 0
+	for producer, mv := range ep.Movements {
+		if len(mv.Tree.Edges) > 0 && producer.Kind.IsNarrow() {
+			crossings++
+		}
+	}
+	if crossings != 1 {
+		t.Fatalf("%d movements inside the chain, want 1:\n%s", crossings, ep)
+	}
+	if err := ep.Validate(env.reg); err != nil {
+		t.Fatalf("Validate: %v\n%s", err, ep)
+	}
+	if ep.Cost.LowMs < unpinned.Cost.LowMs {
+		t.Fatalf("pinned plan costs %v, less than the unpinned %v", ep.Cost, unpinned.Cost)
 	}
 }

@@ -235,6 +235,72 @@ func TestOptimizeLoopBody(t *testing.T) {
 	}
 }
 
+// Every operator of an optimized plan carries its own assignment: a loop its
+// optimized body, any other operator an alternative of its own kind with at
+// least one step, listed under its own name in the explain output.
+func TestEveryOperatorCarriesItsOwnAssignment(t *testing.T) {
+	env := newTestEnv(t)
+	looped := func() *core.Plan {
+		p := core.NewPlan("looped")
+		init := p.NewOperator(core.KindCollectionSource, "init")
+		init.Params.Collection = []any{0.0}
+		loop := p.NewOperator(core.KindRepeat, "iterate")
+		loop.Params.Iterations = 3
+		sink := p.NewOperator(core.KindCollectionSink, "out")
+		p.Chain(init, loop, sink)
+		body := core.NewPlan("body")
+		in := body.NewOperator(core.KindCollectionSource, "loopvar")
+		step := body.NewOperator(core.KindMap, "step")
+		step.UDF.Map = func(q any) any { return q.(float64) + 1 }
+		body.Connect(in, step, 0)
+		body.LoopInput, body.LoopOutput = in, step
+		loop.Body = body
+		return p
+	}
+	split, _, _ := pinnedNarrowPlan(5000, "streams", "spark")
+
+	var check func(ep *core.ExecPlan)
+	check = func(ep *core.ExecPlan) {
+		explain := ep.String()
+		for _, op := range ep.Plan.Operators() {
+			a := ep.Assignments[op]
+			if a == nil {
+				t.Errorf("%s: %s has no assignment", ep.Plan.Name, op)
+				continue
+			}
+			if op.Kind.IsLoop() {
+				if body := ep.LoopBodies[op]; body == nil {
+					t.Errorf("%s: loop %s has no body plan", ep.Plan.Name, op)
+				} else {
+					check(body)
+				}
+				continue
+			}
+			if len(a.Alt.Steps) == 0 || a.Alt.Platform == "" {
+				t.Errorf("%s: %s placed on %q with no steps", ep.Plan.Name, op, a.Alt.Platform)
+			}
+			for _, st := range a.Alt.Steps {
+				if st.Kind != op.Kind {
+					t.Errorf("%s: %s runs step %s of kind %s", ep.Plan.Name, op, st.Name, st.Kind)
+				}
+			}
+			if !strings.Contains(explain, op.String()) || !strings.Contains(explain, a.Alt.String()) {
+				t.Errorf("%s: explain output lacks %s -> %s:\n%s", ep.Plan.Name, op, a.Alt, explain)
+			}
+		}
+	}
+	for _, p := range []*core.Plan{smallPipeline(1000), narrowPlan(5000), split, looped()} {
+		ep, err := Optimize(p, env.opts())
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if err := ep.Validate(env.reg); err != nil {
+			t.Fatalf("%s: Validate: %v", p.Name, err)
+		}
+		check(ep)
+	}
+}
+
 // TestOptimizeResumePinsWhatRan: a replan is a whole plan in which every
 // executed operator keeps the alternative it ran under — whatever the new
 // cardinalities would make the optimizer prefer — observed cardinalities
