@@ -30,10 +30,12 @@ var allKinds = []core.Kind{
 	core.KindCollectionSink, core.KindTextFileSink,
 }
 
-// renderRegistry prints one sorted line per channel descriptor, mapping step
-// and conversion of the registry. A mapping step carries the default cost
-// table's price for it (fixed and per-quantum milliseconds), which pins the
-// default parameters every registered execution operator falls back to.
+// renderRegistry prints one sorted line per channel descriptor, mapping step,
+// platform and conversion of the registry. A mapping step carries the default
+// cost table's price for it (fixed and per-quantum milliseconds), which pins
+// the default parameters every registered execution operator falls back to. A
+// platform carries its unit costs and monetary rate; its start-up cost is left
+// out, since it differs between the two simulation modes.
 func renderRegistry(reg *core.Registry) string {
 	var lines []string
 	for _, cd := range reg.Graph.Channels() {
@@ -56,6 +58,9 @@ func renderRegistry(reg *core.Registry) string {
 		}
 	}
 	for _, d := range reg.Drivers() {
+		u := costs.Platforms[d.Name()]
+		lines = append(lines, fmt.Sprintf("platform name=%s ms-per-cpu=%s ms-per-io=%s ms-per-net=%s ms-per-fixed=%s usd-per-hour=%s",
+			d.Name(), ms(u.MsPerCPUUnit), ms(u.MsPerIOUnit), ms(u.MsPerNetUnit), ms(u.MsPerFixed), ms(u.UsdPerHour)))
 		for _, cv := range d.Conversions() {
 			lines = append(lines, fmt.Sprintf("conversion name=%s from=%s to=%s fixed-ms=%s per-quantum-ms=%s",
 				cv.Name, cv.From, cv.To, ms(cv.FixedCostMs), ms(cv.PerQuantumMs)))
