@@ -61,7 +61,7 @@ func main() {
 		return
 	}
 
-	base := optimizer.DefaultCostTable(ctx.Registry.Mappings.Platforms())
+	base := optimizer.DefaultCostTable(ctx.Registry)
 	fmt.Printf("fitting %d-gene model (population %d, %d generations)...\n", countKeys(logs)*2, *pop, *gens)
 	learned, loss, err := costlearn.Learn(logs, base, costlearn.Options{
 		Population: *pop, Generations: *gens, Seed: *seed,

@@ -175,7 +175,7 @@ func NewContext(cfg Config) (*Context, error) {
 			return nil, err
 		}
 	} else {
-		ctx.Costs = optimizer.DefaultCostTable(ctx.Registry.Mappings.Platforms())
+		ctx.Costs = optimizer.DefaultCostTable(ctx.Registry)
 	}
 	return ctx, nil
 }

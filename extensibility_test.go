@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"rheem/internal/core"
-	"rheem/internal/optimizer"
 	"rheem/internal/platform/driverutil"
 )
 
@@ -66,7 +65,8 @@ func (d toyDriver) Conversions() []*core.Conversion {
 
 func (toyDriver) RegisterMappings(r *core.MappingRegistry) {
 	driverutil.RegisterOps(r, "toydb", []string{"toyvec"}, "toyvec", []driverutil.Op{
-		{Kind: core.KindFilter, Suffix: "filter"}, {Kind: core.KindSort, Suffix: "sort"},
+		{Kind: core.KindFilter, Suffix: "filter", Cost: driverutil.FilterCost},
+		{Kind: core.KindSort, Suffix: "sort", Cost: driverutil.SortCost},
 	})
 }
 
@@ -213,6 +213,6 @@ func TestNewPlatformChosenOnMerit(t *testing.T) {
 }
 
 // costParamsNear builds an OpCostParams with the given per-quantum cost.
-func costParamsNear(perQ float64) optimizer.OpCostParams {
-	return optimizer.OpCostParams{CPUPerQuantum: perQ, FixedOverhead: 0.1}
+func costParamsNear(perQ float64) core.OpCostParams {
+	return core.OpCostParams{CPUPerQuantum: perQ, FixedOverhead: 0.1}
 }

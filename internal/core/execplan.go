@@ -448,3 +448,19 @@ type Driver interface {
 type StartupCoster interface {
 	StartupCostMs() float64
 }
+
+// UnitCoster is optionally implemented by drivers that declare their unit costs.
+type UnitCoster interface {
+	UnitCosts() PlatformUnitCosts
+}
+
+// PlatformUnitCosts convert resource units into milliseconds for one
+// platform deployment (the configuration file of the paper: hardware
+// characteristics such as number of nodes and CPU cores are folded in).
+type PlatformUnitCosts struct {
+	MsPerCPUUnit float64 `json:"ms_per_cpu_unit"`
+	MsPerIOUnit  float64 `json:"ms_per_io_unit"`
+	MsPerNetUnit float64 `json:"ms_per_net_unit"`
+	MsPerFixed   float64 `json:"ms_per_fixed"`
+	UsdPerHour   float64 `json:"usd_per_hour"` // monetary rate, for the monetary objective
+}

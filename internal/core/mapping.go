@@ -9,10 +9,22 @@ import (
 // implementation of (part of) a logical operator. Templates are what
 // operator mappings produce and what the cost model prices.
 type ExecOpTemplate struct {
-	Name string   // unique, e.g. "spark.reduce-by"; also its cost table key
-	Kind Kind     // logical kind this step contributes to implementing
-	In   []string // acceptable input channel names, preference order, per port 0
-	Out  string   // produced output channel name
+	Name string       // unique, e.g. "spark.reduce-by"; also its cost table key
+	Kind Kind         // logical kind this step contributes to implementing
+	In   []string     // acceptable input channel names, preference order, per port 0
+	Out  string       // produced output channel name
+	Cost OpCostParams // declared resource use, priced by its platform's unit costs
+}
+
+// OpCostParams are the learnable resource-usage parameters of one execution
+// operator: the paper's r^m_o functions, affine in the input cardinality.
+// Units are abstract resource units; the platform's unit costs convert them
+// to milliseconds.
+type OpCostParams struct {
+	CPUPerQuantum float64 `json:"cpu_per_quantum"` // the paper's alpha + beta: CPU units per input quantum, UDF included
+	IOPerQuantum  float64 `json:"io_per_quantum"`  // disk I/O units per input quantum
+	NetPerQuantum float64 `json:"net_per_quantum"` // network units per input quantum
+	FixedOverhead float64 `json:"fixed_overhead"`  // the paper's delta: start-up/scheduling units per invocation
 }
 
 // Alternative is one way to implement a logical operator: a sequence of

@@ -16,6 +16,7 @@ import (
 	"os"
 	"sort"
 
+	"rheem/internal/core"
 	"rheem/internal/optimizer"
 )
 
@@ -155,15 +156,8 @@ func Learn(logs []StageLog, base *optimizer.CostTable, opts Options) (*optimizer
 		weights[i] = 1 / w // inverse: rare-operator stages count more
 	}
 
-	unit := func(platform string) optimizer.PlatformUnitCosts {
-		if u, ok := base.Platforms[platform]; ok {
-			return u
-		}
-		return optimizer.PlatformUnitCosts{MsPerCPUUnit: 1, MsPerIOUnit: 1, MsPerNetUnit: 1, MsPerFixed: 1}
-	}
-
 	predict := func(genes []float64, l *StageLog) float64 {
-		u := unit(l.Platform)
+		u := base.Units(l.Platform)
 		total := 0.0
 		for _, op := range l.Ops {
 			gi := sort.SearchStrings(keys, op.CostKey) * 2
@@ -190,7 +184,7 @@ func Learn(logs []StageLog, base *optimizer.CostTable, opts Options) (*optimizer
 	for i, k := range keys {
 		p, ok := base.Ops[k]
 		if !ok {
-			p = optimizer.OpCostParams{CPUPerQuantum: 0.001, FixedOverhead: 1}
+			p = core.OpCostParams{CPUPerQuantum: 0.001, FixedOverhead: 1}
 		}
 		seedGenes[2*i] = math.Max(p.CPUPerQuantum, 1e-7)
 		seedGenes[2*i+1] = math.Max(p.FixedOverhead, 1e-4)

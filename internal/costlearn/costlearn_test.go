@@ -9,6 +9,10 @@ import (
 	"rheem/internal/core"
 	"rheem/internal/executor"
 	"rheem/internal/optimizer"
+	"rheem/internal/platform/flink"
+	"rheem/internal/platform/graphmem"
+	"rheem/internal/platform/pregel"
+	"rheem/internal/platform/relstore"
 	"rheem/internal/platform/spark"
 	"rheem/internal/platform/streams"
 	"rheem/internal/progressive"
@@ -49,8 +53,8 @@ func TestLearnRecoversSyntheticModel(t *testing.T) {
 			Ops:       []OpLog{{CostKey: "streams.map", InCard: n}},
 		})
 	}
-	base := optimizer.DefaultCostTable([]string{"streams"})
-	base.Ops["streams.map"] = optimizer.OpCostParams{CPUPerQuantum: 0.0001, FixedOverhead: 50} // far off
+	base := optimizer.DefaultCostTable(streamsRegistry(t))
+	base.Ops["streams.map"] = core.OpCostParams{CPUPerQuantum: 0.0001, FixedOverhead: 50} // far off
 
 	learned, finalLoss, err := Learn(logs, base, Options{Population: 50, Generations: 150, Seed: 7, Smoothing: 0.5})
 	if err != nil {
@@ -66,7 +70,7 @@ func TestLearnRecoversSyntheticModel(t *testing.T) {
 		t.Fatalf("learned perQ %v, truth %v", p.CPUPerQuantum, truthPerQ)
 	}
 	// Prediction accuracy at an unseen size.
-	pred := learned.OpTimeMs("streams.map", "streams", 10000)
+	pred := learned.OpTimeMs(core.ExecOpTemplate{Name: "streams.map"}, "streams", 10000)
 	truth := truthPerQ*10000 + truthFixed
 	if math.Abs(pred-truth)/truth > 0.3 {
 		t.Fatalf("prediction %f vs truth %f", pred, truth)
@@ -87,7 +91,7 @@ func TestLearnSeparatesTwoOperators(t *testing.T) {
 			}},
 		)
 	}
-	base := optimizer.DefaultCostTable([]string{"streams"})
+	base := optimizer.DefaultCostTable(streamsRegistry(t))
 	learned, _, err := Learn(logs, base, Options{Population: 60, Generations: 200, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -102,6 +106,35 @@ func TestLearnSeparatesTwoOperators(t *testing.T) {
 func TestLearnNoLogs(t *testing.T) {
 	if _, _, err := Learn(nil, optimizer.NewCostTable(), Options{}); err == nil {
 		t.Fatal("expected error for empty logs")
+	}
+}
+
+// streamsRegistry is a registry of the streams platform alone.
+func streamsRegistry(t *testing.T) *core.Registry {
+	t.Helper()
+	reg := core.NewRegistry()
+	if err := reg.Register(streams.New(nil)); err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
+func TestGeneralPurposePlatforms(t *testing.T) {
+	store, err := dfs.New(t.TempDir(), dfs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := core.NewRegistry()
+	for _, d := range []core.Driver{
+		streams.New(store), spark.New(store), flink.New(store),
+		relstore.New(relstore.Config{}), pregel.New(), graphmem.New(),
+	} {
+		if err := reg.Register(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := generalPurpose(reg), []string{"flink", "spark", "streams"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("general-purpose platforms %v, want %v", got, want)
 	}
 }
 
@@ -189,7 +222,7 @@ func TestEndToEndLearnedModelIsUsable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := optimizer.DefaultCostTable(reg.Mappings.Platforms())
+	base := optimizer.DefaultCostTable(reg)
 	learned, _, err := Learn(logs, base, Options{Population: 30, Generations: 40, Seed: 3})
 	if err != nil {
 		t.Fatal(err)

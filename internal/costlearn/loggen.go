@@ -2,6 +2,7 @@ package costlearn
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"rheem/internal/core"
@@ -76,22 +77,15 @@ func GenerateLogs(reg *core.Registry, opts GenOptions) ([]StageLog, error) {
 	opts = opts.withDefaults()
 	platforms := opts.Platforms
 	if len(platforms) == 0 {
-		for _, p := range reg.Mappings.Platforms() {
-			// Only general-purpose platforms can run every topology.
-			if p == "streams" || p == "spark" || p == "flink" {
-				platforms = append(platforms, p)
-			}
-		}
+		platforms = generalPurpose(reg)
 	}
 	var logs []StageLog
 	for _, size := range opts.Sizes {
 		for _, platform := range platforms {
-			for _, topo := range []string{"pipeline", "iterative", "merge"} {
+			for _, topo := range topologies {
 				for _, heavyUDF := range []bool{false, true} {
 					for rep := 0; rep < opts.Repetitions; rep++ {
-						plan := buildTopology(topo, size, heavyUDF)
-						pin(plan, platform)
-						run, err := runPlanForLogs(reg, plan)
+						run, err := runPlanForLogs(reg, pin(buildTopology(topo, size, heavyUDF), platform))
 						if err != nil {
 							return nil, fmt.Errorf("costlearn: generate %s/%s/n=%d: %w", topo, platform, size, err)
 						}
@@ -104,7 +98,24 @@ func GenerateLogs(reg *core.Registry, opts GenOptions) ([]StageLog, error) {
 	return logs, nil
 }
 
-func pin(p *core.Plan, platform string) {
+// topologies are the task topologies the log generator runs.
+var topologies = []string{"pipeline", "iterative", "merge"}
+
+// generalPurpose returns the registered platforms, sorted, that map every
+// operator of every topology.
+func generalPurpose(reg *core.Registry) (out []string) {
+	for _, platform := range reg.Mappings.Platforms() {
+		if !slices.ContainsFunc(topologies, func(topo string) bool {
+			return reg.Mappings.Validate(pin(buildTopology(topo, 1, false), platform)) != nil
+		}) {
+			out = append(out, platform)
+		}
+	}
+	return out
+}
+
+// pin pins every operator of p, loop bodies included, to platform.
+func pin(p *core.Plan, platform string) *core.Plan {
 	for _, op := range p.Operators() {
 		if op.Kind.IsLoop() {
 			pin(op.Body, platform)
@@ -112,6 +123,7 @@ func pin(p *core.Plan, platform string) {
 		}
 		op.TargetPlatform = platform
 	}
+	return p
 }
 
 func runPlanForLogs(reg *core.Registry, plan *core.Plan) ([]StageLog, error) {

@@ -101,7 +101,7 @@ func AblationLearnedCosts(opts Options) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := optimizer.DefaultCostTable(ctx.Registry.Mappings.Platforms())
+	base := optimizer.DefaultCostTable(ctx.Registry)
 	learned, loss, err := costlearn.Learn(logs, base, costlearn.Options{Population: 60, Generations: 150})
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rheem/internal/core"
+	"rheem/internal/platform/driverutil"
 )
 
 // narrowPlan builds source(n) -> map -> filter -> map -> map -> sink: a
@@ -49,7 +50,7 @@ func TestFusionDiscountLowersPlanCost(t *testing.T) {
 	// estimate, the movements, the start-up of the platforms used. The plan
 	// must cost less than that by exactly the fixed overhead of the three
 	// operators (f, m2, m3) that ride m1's chain.
-	costs := DefaultCostTable(env.reg.Mappings.Platforms())
+	costs := DefaultCostTable(env.reg)
 	var blind, discount float64
 	for op, a := range ep.Assignments {
 		blind += a.CostEst.Geomean()
@@ -72,16 +73,16 @@ func TestFusionDiscountLowersPlanCost(t *testing.T) {
 }
 
 func TestFusedStepOverheadMs(t *testing.T) {
-	ct := DefaultCostTable([]string{"spark"})
-	alt := core.Alternative{Platform: "spark", Steps: []core.ExecOpTemplate{{Name: "spark.map"}}}
+	ct := DefaultCostTable(newTestEnv(t).reg)
+	alt := core.Alternative{Platform: "spark", Steps: []core.ExecOpTemplate{sparkMap}}
 	got := ct.FusedStepOverheadMs(alt)
-	// spark.map defaults to FixedOverhead 0.2 at MsPerFixed 6.
+	// spark.map declares FixedOverhead 0.2; spark prices it at MsPerFixed 6.
 	if want := 0.2 * 6; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("FusedStepOverheadMs = %v, want %v", got, want)
 	}
 	// Unknown platforms fall back to unit costs rather than zeroing the
 	// discount silently.
-	other := core.Alternative{Platform: "nope", Steps: []core.ExecOpTemplate{{Name: "nope.map"}}}
+	other := core.Alternative{Platform: "nope", Steps: []core.ExecOpTemplate{{Name: "nope.map", Cost: driverutil.MapCost}}}
 	if got := ct.FusedStepOverheadMs(other); math.Abs(got-0.2) > 1e-9 {
 		t.Fatalf("fallback overhead = %v, want 0.2", got)
 	}

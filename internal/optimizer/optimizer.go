@@ -83,7 +83,7 @@ func (o Options) weight(platform string) float64 {
 
 func (o Options) withDefaults() Options {
 	if o.Costs == nil && o.Registry != nil {
-		o.Costs = DefaultCostTable(o.Registry.Mappings.Platforms())
+		o.Costs = DefaultCostTable(o.Registry)
 	}
 	if o.DefaultLoopIterations <= 0 {
 		o.DefaultLoopIterations = 10

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rheem/internal/core"
+	"rheem/internal/platform/driverutil"
 	"rheem/internal/platform/flink"
 	"rheem/internal/platform/graphmem"
 	"rheem/internal/platform/relstore"
@@ -421,9 +422,12 @@ func TestEstimateCardsPropagation(t *testing.T) {
 	}
 }
 
+// sparkMap is the spark map step as its mapping declares it.
+var sparkMap = core.ExecOpTemplate{Name: "spark.map", Cost: driverutil.MapCost}
+
 func TestCostTableRoundTrip(t *testing.T) {
-	ct := DefaultCostTable([]string{"streams", "spark"})
-	ct.Ops["spark.map"] = OpCostParams{CPUPerQuantum: 0.001, FixedOverhead: 2}
+	ct := DefaultCostTable(newTestEnv(t).reg)
+	ct.Ops["spark.map"] = core.OpCostParams{CPUPerQuantum: 0.001, FixedOverhead: 2}
 	path := t.TempDir() + "/costs.json"
 	if err := ct.Save(path); err != nil {
 		t.Fatal(err)
@@ -436,7 +440,7 @@ func TestCostTableRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost params: %+v", back.Ops["spark.map"])
 	}
 	clone := back.Clone()
-	clone.Ops["spark.map"] = OpCostParams{CPUPerQuantum: 9}
+	clone.Ops["spark.map"] = core.OpCostParams{CPUPerQuantum: 9}
 	if back.Ops["spark.map"].CPUPerQuantum == 9 {
 		t.Fatal("Clone aliases the original")
 	}
@@ -458,15 +462,16 @@ func TestCostTableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("table with startup_ms: %v", err)
 	}
-	if !reflect.DeepEqual(old, back) || old.OpTimeMs("spark.map", "spark", 1000) != back.OpTimeMs("spark.map", "spark", 1000) {
+	if !reflect.DeepEqual(old, back) || old.OpTimeMs(sparkMap, "spark", 1000) != back.OpTimeMs(sparkMap, "spark", 1000) {
 		t.Fatalf("table with startup_ms prices differently: %+v vs %+v", old.Platforms["spark"], back.Platforms["spark"])
 	}
 }
 
 func TestOpTimeMsMonotonicInCardinality(t *testing.T) {
-	ct := DefaultCostTable([]string{"streams"})
-	small := ct.OpTimeMs("streams.map", "streams", 100)
-	big := ct.OpTimeMs("streams.map", "streams", 1_000_000)
+	ct := DefaultCostTable(newTestEnv(t).reg)
+	streamsMap := core.ExecOpTemplate{Name: "streams.map", Cost: driverutil.MapCost}
+	small := ct.OpTimeMs(streamsMap, "streams", 100)
+	big := ct.OpTimeMs(streamsMap, "streams", 1_000_000)
 	if big <= small {
 		t.Fatalf("cost not monotone: %v vs %v", small, big)
 	}

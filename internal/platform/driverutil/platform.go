@@ -19,43 +19,63 @@ import (
 // helpers here directly; nothing below knows which engine is calling.
 
 // Op is one 1-to-1 operator mapping: a logical kind, the suffix of the
-// execution operator's name ("reduce-by" is "spark.reduce-by" on spark) and,
-// where the operator emits another channel than the engine's own, that channel.
+// execution operator's name ("reduce-by" is "spark.reduce-by" on spark), the
+// channel it emits where that is not the engine's own, and its cost.
 type Op struct {
 	Kind   core.Kind
 	Suffix string
 	Out    string
+	Cost   core.OpCostParams
 }
+
+// The resource parameters of the execution operators, by shape of work; the
+// platform's unit costs (core.UnitCoster) price them.
+var (
+	SourceCost    = core.OpCostParams{CPUPerQuantum: 0.0002, IOPerQuantum: 0.0006, FixedOverhead: 1}
+	SinkCost      = core.OpCostParams{CPUPerQuantum: 0.0002, IOPerQuantum: 0.0004, FixedOverhead: 0.5}
+	MapCost       = core.OpCostParams{CPUPerQuantum: 0.0006, FixedOverhead: 0.2} // every one-pass op without a set of its own
+	FlatMapCost   = core.OpCostParams{CPUPerQuantum: 0.0012, FixedOverhead: 0.2}
+	FilterCost    = core.OpCostParams{CPUPerQuantum: 0.0004, FixedOverhead: 0.2}
+	SampleCost    = core.OpCostParams{CPUPerQuantum: 0.0004, FixedOverhead: 0.5}
+	CountCost     = core.OpCostParams{CPUPerQuantum: 0.0001, FixedOverhead: 0.2}
+	CacheCost     = core.OpCostParams{CPUPerQuantum: 0.0003, FixedOverhead: 0.3}
+	SortCost      = core.OpCostParams{CPUPerQuantum: 0.002, FixedOverhead: 1}
+	GroupCost     = core.OpCostParams{CPUPerQuantum: 0.0014, NetPerQuantum: 0.0003, FixedOverhead: 1} // keyed aggregations
+	JoinCost      = core.OpCostParams{CPUPerQuantum: 0.0018, NetPerQuantum: 0.0004, FixedOverhead: 1}
+	IEJoinCost    = core.OpCostParams{CPUPerQuantum: 0.004, FixedOverhead: 1} // sort-based: n log n as a higher per-quantum factor
+	CartesianCost = core.OpCostParams{CPUPerQuantum: 0.01, FixedOverhead: 1}
+	PageRankCost  = core.OpCostParams{CPUPerQuantum: 0.004, NetPerQuantum: 0.001, FixedOverhead: 2}
+)
 
 // GeneralOps is what a general-purpose dataflow engine maps (spark, flink,
 // streams). An engine that differs takes the list Without the kinds it maps
 // otherwise and adds its own.
 var GeneralOps = []Op{
-	{Kind: core.KindCollectionSource, Suffix: "collection-source"},
-	{Kind: core.KindTextFileSource, Suffix: "textfile-source"},
-	{Kind: core.KindMap, Suffix: "map"},
-	{Kind: core.KindFlatMap, Suffix: "flatmap"},
-	{Kind: core.KindFilter, Suffix: "filter"},
-	{Kind: core.KindMapPart, Suffix: "map-partitions"},
-	{Kind: core.KindSample, Suffix: "sample"},
-	{Kind: core.KindDistinct, Suffix: "distinct"},
-	{Kind: core.KindSort, Suffix: "sort"},
-	{Kind: core.KindCount, Suffix: "count"},
-	{Kind: core.KindReduce, Suffix: "reduce"},
-	{Kind: core.KindReduceBy, Suffix: "reduce-by"},
-	{Kind: core.KindGroupBy, Suffix: "group-by"},
-	{Kind: core.KindZipWithID, Suffix: "zip-with-id"},
-	{Kind: core.KindCache, Suffix: "cache"},
-	{Kind: core.KindProject, Suffix: "project"},
-	{Kind: core.KindJoin, Suffix: "join"},
-	{Kind: core.KindIEJoin, Suffix: "iejoin"},
-	{Kind: core.KindCartesian, Suffix: "cartesian"},
-	{Kind: core.KindUnion, Suffix: "union"},
-	{Kind: core.KindIntersect, Suffix: "intersect"},
-	{Kind: core.KindCoGroup, Suffix: "co-group"},
-	{Kind: core.KindPageRank, Suffix: "pagerank"},
-	{Kind: core.KindCollectionSink, Suffix: "collection-sink", Out: "collection"},
-	{Kind: core.KindTextFileSink, Suffix: "textfile-sink"},
+	{Kind: core.KindCollectionSource, Suffix: "collection-source", Cost: SourceCost},
+	{Kind: core.KindTextFileSource, Suffix: "textfile-source", Cost: SourceCost},
+	{Kind: core.KindMap, Suffix: "map", Cost: MapCost},
+	{Kind: core.KindFlatMap, Suffix: "flatmap", Cost: FlatMapCost},
+	{Kind: core.KindFilter, Suffix: "filter", Cost: FilterCost},
+	{Kind: core.KindMapPart, Suffix: "map-partitions", Cost: MapCost},
+	{Kind: core.KindSample, Suffix: "sample", Cost: SampleCost},
+	{Kind: core.KindDistinct, Suffix: "distinct", Cost: GroupCost},
+	{Kind: core.KindSort, Suffix: "sort", Cost: SortCost},
+	{Kind: core.KindCount, Suffix: "count", Cost: CountCost},
+	{Kind: core.KindReduce, Suffix: "reduce", Cost: MapCost},
+	{Kind: core.KindReduceBy, Suffix: "reduce-by", Cost: GroupCost},
+	{Kind: core.KindGroupBy, Suffix: "group-by", Cost: GroupCost},
+	{Kind: core.KindZipWithID, Suffix: "zip-with-id", Cost: MapCost},
+	{Kind: core.KindCache, Suffix: "cache", Cost: CacheCost},
+	{Kind: core.KindProject, Suffix: "project", Cost: MapCost},
+	{Kind: core.KindJoin, Suffix: "join", Cost: JoinCost},
+	{Kind: core.KindIEJoin, Suffix: "iejoin", Cost: IEJoinCost},
+	{Kind: core.KindCartesian, Suffix: "cartesian", Cost: CartesianCost},
+	{Kind: core.KindUnion, Suffix: "union", Cost: MapCost},
+	{Kind: core.KindIntersect, Suffix: "intersect", Cost: MapCost},
+	{Kind: core.KindCoGroup, Suffix: "co-group", Cost: GroupCost},
+	{Kind: core.KindPageRank, Suffix: "pagerank", Cost: PageRankCost},
+	{Kind: core.KindCollectionSink, Suffix: "collection-sink", Out: "collection", Cost: SinkCost},
+	{Kind: core.KindTextFileSink, Suffix: "textfile-sink", Cost: SinkCost},
 }
 
 // Without returns ops minus the mappings of the given kinds, in order.
@@ -64,12 +84,12 @@ func Without(ops []Op, kinds ...core.Kind) []Op {
 }
 
 // RegisterOps registers one single-step alternative per op: the execution
-// operator platform.suffix, accepting the in channels in preference order and
-// producing out, or the channel the op declares.
+// operator platform.suffix, accepting the in channels in preference order,
+// producing out, or the channel the op declares, at the op's cost.
 func RegisterOps(r *core.MappingRegistry, platform string, in []string, out string, ops []Op) {
 	for _, op := range ops {
 		r.Register(op.Kind, core.Alternative{Platform: platform, Steps: []core.ExecOpTemplate{{
-			Name: platform + "." + op.Suffix, Kind: op.Kind, In: in, Out: cmp.Or(op.Out, out),
+			Name: platform + "." + op.Suffix, Kind: op.Kind, In: in, Out: cmp.Or(op.Out, out), Cost: op.Cost,
 		}}})
 	}
 }

@@ -167,7 +167,7 @@ func TestRegisterOpsAndWithout(t *testing.T) {
 			t.Fatalf("%s declares out-channel %q, want %q", op.Kind, op.Out, wantOut)
 		}
 		want := core.Alternative{Platform: "toy", Steps: []core.ExecOpTemplate{{
-			Name: "toy." + op.Suffix, Kind: op.Kind, In: []string{"b", "a"}, Out: cmp.Or(op.Out, "a"),
+			Name: "toy." + op.Suffix, Kind: op.Kind, In: []string{"b", "a"}, Out: cmp.Or(op.Out, "a"), Cost: op.Cost,
 		}}}
 		if len(alts) != 1 || !reflect.DeepEqual(alts[0], want) {
 			t.Fatalf("%s: registered %+v, want %+v", op.Kind, alts, want)

@@ -53,6 +53,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// UnitCosts implements core.UnitCoster: dearer quanta, cheaper scheduling than spark.
+func (d *Driver) UnitCosts() core.PlatformUnitCosts {
+	return core.PlatformUnitCosts{MsPerCPUUnit: 0.38, MsPerIOUnit: 0.35, MsPerNetUnit: 1.1, MsPerFixed: 3, UsdPerHour: 10}
+}
+
 // Driver is the flink platform driver. The embedded Boot is its start-up
 // charge and its core.StartupCoster.
 type Driver struct {

@@ -122,6 +122,11 @@ type Driver struct {
 // New creates the driver with the default single-node capacity model.
 func New() *Driver { return &Driver{SimSlowdown: 4} }
 
+// UnitCosts implements core.UnitCoster.
+func (d *Driver) UnitCosts() core.PlatformUnitCosts {
+	return core.PlatformUnitCosts{MsPerCPUUnit: 0.8, MsPerIOUnit: 1, MsPerNetUnit: 1, MsPerFixed: 1, UsdPerHour: 0.5}
+}
+
 // Name implements core.Driver.
 func (d *Driver) Name() string { return Platform }
 
@@ -133,7 +138,7 @@ func (d *Driver) Conversions() []*core.Conversion { return nil }
 
 // RegisterMappings implements core.Driver: graph algorithms only.
 func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
-	driverutil.RegisterOps(r, Platform, []string{"collection"}, "collection", []driverutil.Op{{Kind: core.KindPageRank, Suffix: "pagerank"}})
+	driverutil.RegisterOps(r, Platform, []string{"collection"}, "collection", []driverutil.Op{{Kind: core.KindPageRank, Suffix: "pagerank", Cost: driverutil.PageRankCost}})
 }
 
 // Execute implements core.Driver.

@@ -46,6 +46,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// UnitCosts implements core.UnitCoster.
+func (d *Driver) UnitCosts() core.PlatformUnitCosts {
+	return core.PlatformUnitCosts{MsPerCPUUnit: 0.3, MsPerIOUnit: 0.4, MsPerNetUnit: 1, MsPerFixed: 3, UsdPerHour: 8}
+}
+
 // VertexContext is handed to a vertex program at every superstep.
 type VertexContext struct {
 	ID        int64
@@ -303,7 +308,7 @@ func (d *Driver) Conversions() []*core.Conversion { return nil }
 
 // RegisterMappings implements core.Driver.
 func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
-	driverutil.RegisterOps(r, Platform, []string{"collection"}, "collection", []driverutil.Op{{Kind: core.KindPageRank, Suffix: "pagerank"}})
+	driverutil.RegisterOps(r, Platform, []string{"collection"}, "collection", []driverutil.Op{{Kind: core.KindPageRank, Suffix: "pagerank", Cost: driverutil.PageRankCost}})
 }
 
 // Execute implements core.Driver.

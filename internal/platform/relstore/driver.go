@@ -83,6 +83,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// UnitCosts implements core.UnitCoster: one node with limited workers.
+func (d *Driver) UnitCosts() core.PlatformUnitCosts {
+	return core.PlatformUnitCosts{MsPerCPUUnit: 0.5, MsPerIOUnit: 0.6, MsPerNetUnit: 1.5, MsPerFixed: 1, UsdPerHour: 2}
+}
+
 // Driver is the relational-store platform driver. It executes only
 // relational operator kinds; plans containing arbitrary UDF transformations
 // must (partially) run elsewhere.
@@ -169,16 +174,16 @@ func resultSet(rows []any) *core.Channel {
 // RegisterMappings implements core.Driver: only relational kinds.
 func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
 	driverutil.RegisterOps(r, Platform, []string{"relation"}, "relation", []driverutil.Op{
-		{Kind: core.KindTableSource, Suffix: "table-scan"},
-		{Kind: core.KindFilter, Suffix: "filter"},
-		{Kind: core.KindProject, Suffix: "project"},
-		{Kind: core.KindJoin, Suffix: "hash-join"},
-		{Kind: core.KindReduceBy, Suffix: "hash-agg"},
-		{Kind: core.KindGroupBy, Suffix: "group"},
-		{Kind: core.KindSort, Suffix: "sort"},
-		{Kind: core.KindDistinct, Suffix: "distinct"},
-		{Kind: core.KindCount, Suffix: "count"},
-		{Kind: core.KindCollectionSink, Suffix: "fetch", Out: "collection"},
+		{Kind: core.KindTableSource, Suffix: "table-scan", Cost: driverutil.SourceCost},
+		{Kind: core.KindFilter, Suffix: "filter", Cost: driverutil.FilterCost},
+		{Kind: core.KindProject, Suffix: "project", Cost: driverutil.MapCost},
+		{Kind: core.KindJoin, Suffix: "hash-join", Cost: driverutil.JoinCost},
+		{Kind: core.KindReduceBy, Suffix: "hash-agg", Cost: driverutil.GroupCost},
+		{Kind: core.KindGroupBy, Suffix: "group", Cost: driverutil.GroupCost},
+		{Kind: core.KindSort, Suffix: "sort", Cost: driverutil.SortCost},
+		{Kind: core.KindDistinct, Suffix: "distinct", Cost: driverutil.GroupCost},
+		{Kind: core.KindCount, Suffix: "count", Cost: driverutil.CountCost},
+		{Kind: core.KindCollectionSink, Suffix: "fetch", Out: "collection", Cost: driverutil.SinkCost},
 	})
 }
 

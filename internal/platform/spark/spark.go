@@ -45,6 +45,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// UnitCosts implements core.UnitCoster: parallel scans, dear scheduling.
+func (d *Driver) UnitCosts() core.PlatformUnitCosts {
+	return core.PlatformUnitCosts{MsPerCPUUnit: 0.22, MsPerIOUnit: 0.35, MsPerNetUnit: 1.2, MsPerFixed: 6, UsdPerHour: 12}
+}
+
 // Driver is the spark platform driver. The embedded Boot is its start-up
 // charge and its core.StartupCoster.
 type Driver struct {
@@ -141,7 +146,7 @@ func (d *Driver) parallelize(ch *core.Channel) (*RDD, error) {
 // RegisterMappings implements core.Driver: the general kinds, the cache
 // operator under the name that keeps it apart from the spark.cache conversion.
 func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
-	ops := append(driverutil.Without(driverutil.GeneralOps, core.KindCache), driverutil.Op{Kind: core.KindCache, Suffix: "cache-op", Out: "rdd-cached"})
+	ops := append(driverutil.Without(driverutil.GeneralOps, core.KindCache), driverutil.Op{Kind: core.KindCache, Suffix: "cache-op", Out: "rdd-cached", Cost: driverutil.CacheCost})
 	driverutil.RegisterOps(r, Platform, []string{"rdd", "rdd-cached"}, "rdd", ops)
 }
 

@@ -38,6 +38,11 @@ type Driver struct {
 // New creates a streams driver with the default single-node capacity model.
 func New(store *dfs.Store) *Driver { return &Driver{DFS: store, SimSlowdown: 4} }
 
+// UnitCosts implements core.UnitCoster: one thread on the already-paid driver machine.
+func (d *Driver) UnitCosts() core.PlatformUnitCosts {
+	return core.PlatformUnitCosts{MsPerCPUUnit: 1, MsPerIOUnit: 1, MsPerNetUnit: 1, MsPerFixed: 1, UsdPerHour: 0.5}
+}
+
 // Name implements core.Driver.
 func (d *Driver) Name() string { return Platform }
 
@@ -114,8 +119,8 @@ func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
 	in, out := []string{"collection"}, "collection"
 	driverutil.RegisterOps(r, Platform, in, out, driverutil.Without(driverutil.GeneralOps, core.KindReduce, core.KindPageRank))
 	r.Register(core.KindReduce, core.Alternative{Platform: Platform, Steps: []core.ExecOpTemplate{
-		{Name: "streams.group-all", Kind: core.KindReduce, In: in, Out: out},
-		{Name: "streams.fold", Kind: core.KindReduce, In: in, Out: out},
+		{Name: "streams.group-all", Kind: core.KindReduce, In: in, Out: out, Cost: driverutil.GroupCost},
+		{Name: "streams.fold", Kind: core.KindReduce, In: in, Out: out, Cost: driverutil.MapCost},
 	}})
 }
 

@@ -2,7 +2,8 @@ package rheem
 
 // The optimizer's choices hang on what the platforms declare: which channels
 // exist, which execution operator implements which logical kind over which
-// channels, what each step costs by default and what each conversion costs.
+// channels, what each step costs by default, what each platform's resource
+// units cost and what each conversion costs.
 // TestRegistryGolden pins all of it, byte for byte, so a renamed mapping, a
 // dropped in-channel or a changed cost constant is a visible diff of
 // testdata/registry.golden rather than a silent change of plans.
@@ -32,10 +33,10 @@ var allKinds = []core.Kind{
 
 // renderRegistry prints one sorted line per channel descriptor, mapping step,
 // platform and conversion of the registry. A mapping step carries the default
-// cost table's price for it (fixed and per-quantum milliseconds), which pins
-// the default parameters every registered execution operator falls back to. A
-// platform carries its unit costs and monetary rate; its start-up cost is left
-// out, since it differs between the two simulation modes.
+// cost table's price for it (fixed and per-quantum milliseconds): the cost
+// the step declares at its platform's unit costs. A platform carries those
+// unit costs and its monetary rate; its start-up cost is left out, since it
+// differs between the two simulation modes.
 func renderRegistry(reg *core.Registry) string {
 	var lines []string
 	for _, cd := range reg.Graph.Channels() {
@@ -46,19 +47,19 @@ func renderRegistry(reg *core.Registry) string {
 	// A step's price is a product of two table entries: six significant
 	// digits keep the floating-point noise of the product out of the file.
 	price := func(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
-	costs := optimizer.DefaultCostTable(reg.Mappings.Platforms())
+	costs := optimizer.DefaultCostTable(reg)
 	for _, k := range allKinds {
 		for _, alt := range reg.Mappings.Alternatives(&core.Operator{Kind: k}) {
 			for i, st := range alt.Steps {
-				fixed := costs.OpTimeMs(st.Name, alt.Platform, 0)
-				perQuantum := costs.OpTimeMs(st.Name, alt.Platform, 1) - fixed
+				fixed := costs.OpTimeMs(st, alt.Platform, 0)
+				perQuantum := costs.OpTimeMs(st, alt.Platform, 1) - fixed
 				lines = append(lines, fmt.Sprintf("mapping kind=%s platform=%s step=%d/%d name=%s step-kind=%s in=%s out=%s fixed-ms=%s per-quantum-ms=%s",
 					k, alt.Platform, i+1, len(alt.Steps), st.Name, st.Kind, strings.Join(st.In, ","), st.Out, price(fixed), price(perQuantum)))
 			}
 		}
 	}
 	for _, d := range reg.Drivers() {
-		u := costs.Platforms[d.Name()]
+		u := costs.Units(d.Name())
 		lines = append(lines, fmt.Sprintf("platform name=%s ms-per-cpu=%s ms-per-io=%s ms-per-net=%s ms-per-fixed=%s usd-per-hour=%s",
 			d.Name(), ms(u.MsPerCPUUnit), ms(u.MsPerIOUnit), ms(u.MsPerNetUnit), ms(u.MsPerFixed), ms(u.UsdPerHour)))
 		for _, cv := range d.Conversions() {
@@ -84,6 +85,24 @@ func TestRegistryGolden(t *testing.T) {
 		}
 		if got := renderRegistry(ctx.Registry); got != string(want) {
 			t.Errorf("FastSimulation=%v: registry differs from testdata/registry.golden; it now reads:\n%s", fast, got)
+		}
+	}
+}
+
+// TestEveryStepDeclaresItsPrice: a step is priced by what it declares, so a
+// mapping that declares nothing would be free to the optimizer.
+func TestEveryStepDeclaresItsPrice(t *testing.T) {
+	ctx := fastCtx(t)
+	for _, k := range allKinds {
+		for _, alt := range ctx.Registry.Mappings.Alternatives(&core.Operator{Kind: k}) {
+			for _, st := range alt.Steps {
+				if st.Cost == (core.OpCostParams{}) {
+					t.Errorf("%s declares no cost", st.Name)
+				}
+				if fixed := ctx.Costs.OpTimeMs(st, alt.Platform, 0); fixed <= 0 {
+					t.Errorf("%s has fixed price %v, want > 0", st.Name, fixed)
+				}
+			}
 		}
 	}
 }

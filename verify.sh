@@ -57,13 +57,21 @@ go test -run=NONE -bench=BenchmarkParseRecordLine -benchtime=1x ./internal/datag
 # the usage sampler and the profile builder that took a plan beside a result
 # are in the grep as well, and so is the optimizer's m-to-n chain mapping
 # (chain patterns, covered operators, a template's own cost key): operators
-# fuse at execution time only, in driverutil.PlanFusion. The gate covers
-# verify.sh too; the [x] brackets keep its own line from matching.
+# fuse at execution time only, in driverutil.PlanFusion. So is the optimizer's
+# price table keyed by substrings of a step's name: an execution operator
+# declares its cost on its mapping. The gate covers verify.sh too; the [x]
+# brackets keep its own line from matching.
 go test -run=NONE -bench='NarrowChain|ColumnarAggChain' -benchtime=1x ./internal/platform/spark ./internal/platform/flink
 go test -run=NONE -bench='BenchmarkShuffle|BenchmarkRangeShuffle|BenchmarkUDFReduceByChain' -benchtime=1x ./internal/platform/driverutil
 go test -run='TestCrossCheckFusedAgainstUnfused|TestFusedFig9' .
-if grep -rn 'RHEEM_NO_FUS[E]\|FusionDisable[d]\|RHEEM_NO_COLUMNA[R]\|ColumnarDisable[d]\|NewSegRD[D]\|shuffleB[y]\|rangeShuffl[e]\|parallelPart[s]\|fanOu[t](\|mergeRun[s]\|poolEr[r]\|driverutil\.Dat[a]\b\|one := func(k core\.Kin[d]\|bc core\.BroadcastCt[x], round\|fetchAn[y]\|mergePlan[s]\|acceptableChannel[s]\|KnownCard[s]\|outerPlanO[f]\|dictCol[s]\|[wW]orkerUsag[e]\|OutCard[s]\|monitor\.Ne[w](\|Monitor\.Recor[d](\|BuildProfil[e]\|InArityO[f]\|OutArityO[f]\|kindRegistr[y]\|registeredKin[d]\|FusibleKin[d]\|udfRolesO[f]\|bindUD[F]\|ChainPatter[n]\|RegisterChai[n]\|ChainAlternative[s]\|DirectAlternative[s]\|CoveredB[y]\|CostKeyOrNam[e]\|OwnCos[t]\|Cover[s]:\|\.Cover[s]\b' --include='*.go' --include='verify.sh' .; then
-	echo "a deleted fork (per-operator narrow path, row-carried partitions, a per-engine shuffle or dispatch, the untyped stage harness, a hand-written mapping closure, the executor's second planner, a second store of stage statistics, a second description of an operator kind, a second fusion or mapping mechanism) or its switch is back" >&2
+if grep -rn 'RHEEM_NO_FUS[E]\|FusionDisable[d]\|RHEEM_NO_COLUMNA[R]\|ColumnarDisable[d]\|NewSegRD[D]\|shuffleB[y]\|rangeShuffl[e]\|parallelPart[s]\|fanOu[t](\|mergeRun[s]\|poolEr[r]\|driverutil\.Dat[a]\b\|one := func(k core\.Kin[d]\|bc core\.BroadcastCt[x], round\|fetchAn[y]\|mergePlan[s]\|acceptableChannel[s]\|KnownCard[s]\|outerPlanO[f]\|dictCol[s]\|[wW]orkerUsag[e]\|OutCard[s]\|monitor\.Ne[w](\|Monitor\.Recor[d](\|BuildProfil[e]\|InArityO[f]\|OutArityO[f]\|kindRegistr[y]\|registeredKin[d]\|FusibleKin[d]\|udfRolesO[f]\|bindUD[F]\|ChainPatter[n]\|RegisterChai[n]\|ChainAlternative[s]\|DirectAlternative[s]\|CoveredB[y]\|CostKeyOrNam[e]\|OwnCos[t]\|Cover[s]:\|\.Cover[s]\b\|defaultParamsFo[r]' --include='*.go' --include='verify.sh' .; then
+	echo "a deleted fork (per-operator narrow path, row-carried partitions, a per-engine shuffle or dispatch, the untyped stage harness, a hand-written mapping closure, the executor's second planner, a second store of stage statistics, a second description of an operator kind, a second fusion or mapping mechanism, a name-keyed price table) or its switch is back" >&2
+	exit 1
+fi
+# Prices are declared where operators and platforms are: no non-test file of
+# the optimizer or the cost learner names a bundled platform.
+if grep -rn --include='*.go' '"\(streams\|spark\|flink\|relstore\|pregel\|graphmem\)"' internal/optimizer internal/costlearn | grep -v '_test\.go:'; then
+	echo "internal/optimizer or internal/costlearn names a bundled platform: a driver declares its unit costs and its mappings their parameters" >&2
 	exit 1
 fi
 if grep -n 'opTime[s]\|sync\.Mute[x]\|func (m \*Monito[r])' internal/monitor/monitor.go; then
