@@ -45,10 +45,13 @@ func ReservoirSample(data []any, k int, seed int64) []any {
 	return out
 }
 
-// ShuffleFirstSample is the IO-efficient sampler contributed for ML4all in
-// the paper: shuffle once (cheaply, via an index permutation) and then take
-// consecutive slices per call. Successive calls with increasing round values
-// return successive windows, avoiding a full pass per sample.
+// ShuffleFirstSample is the sampler contributed for ML4all in the paper: one
+// seeded index permutation, then consecutive windows of it. Successive Draw
+// calls with increasing round values return successive windows of the same
+// shuffle. Building it costs O(n) (the permutation) and a Draw O(k); a
+// sampler kept across rounds would pay the permutation once, but its one
+// caller, driverutil.Sample, builds a new one per call, so every loop round
+// pays the O(n) permutation again.
 type ShuffleFirstSample struct {
 	perm []int
 	data []any

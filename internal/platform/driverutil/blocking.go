@@ -1,6 +1,8 @@
 package driverutil
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -8,21 +10,22 @@ import (
 	"rheem/internal/core"
 )
 
-// Blocking operators. How a blocking operator decomposes into route →
-// per-partition kernel → wrap is decided here, once, for every engine:
-// ApplyBlocking is the table of the nine blocking kinds over row partitions
-// and RunChainParts the one runner of a compiled chain over partitions at
-// rest, a chain ending in a reduce-by included. An engine contributes only
-// what its archetype owns — where per-partition work runs and what an
-// exchange costs (Scheduler) — and its native wrapper around the row
-// partitions that come back.
+// Blocking operators. How an operator that needs more than one quantum at a
+// time decomposes into route → per-partition kernel → wrap is decided here,
+// once, for every engine: ApplyBlocking is the table of the thirteen such
+// kinds over row partitions — the nine blocking kinds, map-partitions,
+// zip-with-id, sample and PageRank — and RunChainParts the one runner of a
+// compiled chain over partitions at rest, a chain ending in a reduce-by
+// included. An engine contributes only what its archetype owns — where
+// per-partition work runs and what an exchange costs (Scheduler) — and its
+// native wrapper around the row partitions that come back.
 //
 // Ownership of partitions: engine and kernel code never writes to a
 // partition it is handed (every slice kernel allocates its output, Sort
 // copies), so inputs are read where they lie; user code that may write — a
-// MapPart UDF — is always handed a slice the stage allocated; and what a
-// stage hands back through a collection channel never aliases a slice the
-// caller handed in.
+// MapPart UDF — is handed a copy of its partition, made in ApplyBlocking's
+// map-partitions arm and nowhere else; and what a stage hands back through a
+// collection channel never aliases a slice the caller handed in.
 
 // Scheduler is what an engine's archetype contributes to a blocking
 // operator.
@@ -106,19 +109,6 @@ func Do(s Scheduler, n int, fn func(i int)) {
 		fn(i)
 		return nil
 	})
-}
-
-// MapParts runs kernel over every partition on the scheduler's workers.
-func MapParts(s Scheduler, parts [][]any, kernel func(part []any) ([]any, error)) ([][]any, error) {
-	out := make([][]any, len(parts))
-	err := s.Each(len(parts), func(i int) (err error) {
-		out[i], err = kernel(parts[i])
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Exchange moves every quantum to the partition route names: each input
@@ -235,19 +225,24 @@ func folded(s Scheduler, parts [][]any, kernel func(part []any) []any) [][]any {
 
 func identity(q any) any { return q }
 
-// ApplyBlocking evaluates a blocking operator over its inputs' row
-// partitions; ok is false when op is not one of the nine blocking kinds.
-// Nothing in it can fail: the stage harness has checked op's UDFs. The
-// kinds take three shapes. Keyed (distinct, intersect, group-by, join,
-// co-group, sort): co-partition the inputs, then one slice kernel per
-// partition — sort exchanges through the range route so the output
-// partitions are globally ordered. Fold (count, reduce): a kernel per
-// partition, then once more over the gathered partials, giving one
-// partition. Broadcast (iejoin): gather the right side, then a kernel per
-// left partition. Single-partition inputs yield a single output partition.
-// A reduce-by is not here: it is always a chain's terminator, run by
-// RunChainParts.
-func ApplyBlocking(s Scheduler, op *core.Operator, in [][][]any) (out [][]any, ok bool) {
+// ApplyBlocking evaluates one of the thirteen kinds above over its inputs'
+// row partitions; round is the loop round a sample draws for. The kinds take
+// five shapes. Keyed (distinct, intersect, group-by, join, co-group, sort):
+// co-partition the inputs, then one slice kernel per partition — sort
+// exchanges through the range route so the output partitions are globally
+// ordered. Fold (count, reduce): a kernel per partition, then once more over
+// the gathered partials, giving one partition. Broadcast (iejoin): gather the
+// right side, then a kernel per left partition. Per partition
+// (map-partitions, zip-with-id): a kernel per partition, zip-with-id's ids
+// offset by the counts of the partitions before it, so an id is the
+// quantum's input position. Whole input (sample, PageRank): sample draws once
+// over the gathered input and cuts the draw back into the input's partition
+// count; PageRank runs the partitioned algorithm of pageRank. Single-partition
+// inputs yield a single output partition. A reduce-by is not here: it is
+// always a chain's terminator, run by RunChainParts. The stage harness has
+// checked op's UDFs, so what can fail is a sample's unknown method, a
+// PageRank input quantum that is no Edge, and a kind outside the table.
+func ApplyBlocking(s Scheduler, op *core.Operator, round int, in [][][]any) (out [][]any, err error) {
 	switch op.Kind {
 	case core.KindDistinct:
 		out = keyed(s, in, []func(any) any{identity}, func(part, _ []any) []any { return Distinct(part) })
@@ -280,10 +275,144 @@ func ApplyBlocking(s Scheduler, op *core.Operator, in [][][]any) (out [][]any, o
 		right := gather(in[1])
 		s.Barrier()
 		out = eachPart(s, in[0], func(part []any) []any { return IEJoinSlices(op, part, right) })
+	case core.KindMapPart:
+		// The UDF may write to what it is handed: the one copy of the
+		// partition-ownership rule.
+		out = eachPart(s, in[0], func(part []any) []any { return op.UDF.MapPart(slices.Clone(part)) })
+	case core.KindZipWithID:
+		out = zipWithID(s, in[0])
+	case core.KindSample:
+		var drawn []any
+		if drawn, err = Sample(op, gather(in[0]), round); err != nil {
+			return nil, err
+		}
+		out = RowParts(SplitSegments([]core.Segment{{Rows: drawn}}, len(in[0])))
+	case core.KindPageRank:
+		return pageRank(s, op, in[0])
 	default:
-		return nil, false
+		return nil, fmt.Errorf("unsupported operator kind %s", op.Kind)
 	}
-	return out, true
+	return out, nil
+}
+
+// zipWithID pairs every quantum with its input position: partition i's ids
+// start at the count of the partitions before it.
+func zipWithID(s Scheduler, parts [][]any) [][]any {
+	offsets := make([]int64, len(parts)+1)
+	for i, part := range parts {
+		offsets[i+1] = offsets[i] + int64(len(part))
+	}
+	out := make([][]any, len(parts))
+	Do(s, len(parts), func(i int) {
+		res := make([]any, len(parts[i]))
+		for j, q := range parts[i] {
+			res[j] = core.KV{Key: offsets[i] + int64(j), Value: q}
+		}
+		out[i] = res
+	})
+	return out
+}
+
+// pageRank runs the classic iterative PageRank over Edge quanta: the
+// adjacency is exchanged by source vertex so a vertex's out-edges and its
+// rank share a partition; every iteration computes the rank contributions
+// per partition in parallel, bucketed by the destination's partition, and
+// then sums each partition's buckets, one barrier per iteration. Output
+// quanta are core.KV{vertex, rank}, one partition per input partition.
+func pageRank(s Scheduler, op *core.Operator, edges [][]any) ([][]any, error) {
+	iters, damping := PageRankParams(op)
+	p := max(len(edges), 1)
+
+	// A quantum that is no Edge routes anywhere; the build below reports it.
+	bySrc := Exchange(s, edges, p, HashRoute(func(q any) any {
+		edge, _ := q.(core.Edge)
+		return edge.Src
+	}, p))
+	adj := make([]map[int64][]int64, p) // per partition: source -> out-neighbours
+	err := s.Each(p, func(i int) error {
+		local := map[int64][]int64{}
+		for _, q := range bySrc[i] {
+			edge, ok := q.(core.Edge)
+			if !ok {
+				return fmt.Errorf("pagerank: quantum %T is not an Edge", q)
+			}
+			local[edge.Src] = append(local[edge.Src], edge.Dst)
+		}
+		adj[i] = local
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Every source and every destination holds a rank, on the partition the
+	// source exchange would route it to.
+	owner := func(v int64) int { return int(HashKey(v) % uint64(p)) }
+	ranks := make([]map[int64]float64, p)
+	for i := range ranks {
+		ranks[i] = map[int64]float64{}
+	}
+	for i := range adj {
+		for v, dsts := range adj[i] {
+			ranks[owner(v)][v] = 0
+			for _, d := range dsts {
+				ranks[owner(d)][d] = 0
+			}
+		}
+	}
+	var n int64
+	for i := range ranks {
+		n += int64(len(ranks[i]))
+	}
+	if n == 0 {
+		return make([][]any, p), nil
+	}
+	for i := range ranks {
+		for v := range ranks[i] {
+			ranks[i][v] = 1 / float64(n)
+		}
+	}
+
+	for it := 0; it < iters; it++ {
+		s.Barrier()
+		contribs := make([][]map[int64]float64, p) // [source partition][destination partition]
+		Do(s, p, func(i int) {
+			local := make([]map[int64]float64, p)
+			for j := range local {
+				local[j] = map[int64]float64{}
+			}
+			for v, dsts := range adj[i] {
+				share := ranks[owner(v)][v] / float64(len(dsts)) // the previous round's ranks: read-only here
+				for _, d := range dsts {
+					local[owner(d)][d] += share
+				}
+			}
+			contribs[i] = local
+		})
+		next := make([]map[int64]float64, p)
+		Do(s, p, func(j int) {
+			nr := make(map[int64]float64, len(ranks[j]))
+			for v := range ranks[j] {
+				nr[v] = (1 - damping) / float64(n)
+			}
+			for i := range contribs {
+				for v, c := range contribs[i][j] {
+					nr[v] += damping * c
+				}
+			}
+			next[j] = nr
+		})
+		ranks = next
+	}
+
+	out := make([][]any, p)
+	Do(s, p, func(j int) {
+		part := make([]any, 0, len(ranks[j]))
+		for v, r := range ranks[j] {
+			part = append(part, core.KV{Key: v, Value: r})
+		}
+		out[j] = part
+	})
+	return out, nil
 }
 
 // RunChainParts runs a compiled chain over partitions at rest, one kernel

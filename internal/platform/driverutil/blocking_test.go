@@ -151,9 +151,11 @@ func TestParallelExecutesAll(t *testing.T) {
 }
 
 // TestApplyBlockingMatchesSliceKernels holds the table to its own kernels:
-// every blocking kind over partitioned inputs on a parallel scheduler gives
-// the multiset the slice kernel gives over the whole input, in the
-// documented number of partitions and for the documented number of barriers.
+// every kind over partitioned inputs on a parallel scheduler gives the
+// multiset the slice kernel gives over the whole input (sort and sample: the
+// same sequence), in the documented number of partitions and for the
+// documented number of barriers. A map-partitions UDF that writes to its
+// partition leaves the input as it was.
 func TestApplyBlockingMatchesSliceKernels(t *testing.T) {
 	left, right := benchKVs(600, 23), benchKVs(300, 31)
 	sum := func(a, b any) any {
@@ -190,6 +192,18 @@ func TestApplyBlockingMatchesSliceKernels(t *testing.T) {
 		{core.Operator{Kind: core.KindIEJoin, UDF: core.UDFs{LeftNums: nums, RightNums: nums},
 			Params: core.Params{IEOp1: core.Greater, IEOp2: core.Less}}, [][]any{left, right},
 			func(op *core.Operator) []any { return IEJoinSlices(op, left, right) }, 5, 1},
+		{core.Operator{Kind: core.KindMapPart, UDF: core.UDFs{MapPart: doubleValues}}, [][]any{left},
+			func(*core.Operator) []any { return doubleValues(append([]any(nil), left...)) }, 5, 0},
+		{core.Operator{Kind: core.KindZipWithID}, [][]any{left},
+			func(*core.Operator) []any {
+				out := make([]any, len(left))
+				for i, q := range left {
+					out[i] = core.KV{Key: int64(i), Value: q}
+				}
+				return out
+			}, 5, 0},
+		{core.Operator{Kind: core.KindSample, Params: core.Params{SampleMethod: "reservoir", SampleSize: 50, Seed: 3}}, [][]any{left},
+			func(op *core.Operator) []any { drawn, _ := Sample(op, left, 0); return drawn }, 5, 0},
 	}
 	for _, c := range cases {
 		op := &c.op
@@ -198,17 +212,21 @@ func TestApplyBlockingMatchesSliceKernels(t *testing.T) {
 			in[i] = rowsOf(data, 5-2*i) // the right side has fewer partitions
 		}
 		s := &pooled{width: 3}
-		out, ok := ApplyBlocking(s, op, in)
-		if !ok {
-			t.Fatalf("%s is not in the blocking table", op.Kind)
+		out, err := ApplyBlocking(s, op, 0, in)
+		if err != nil {
+			t.Fatalf("%s: %v", op.Kind, err)
 		}
 		want := c.want(op)
 		got := gather(out)
-		if op.Kind == core.KindSort {
-			// In-order concatenation of the range partitions is the total order.
+		if op.Kind == core.KindSort || op.Kind == core.KindSample {
+			// In-order concatenation of the range partitions is the total
+			// order; of the sample's cuts, the draw.
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d quanta, want %d", op.Kind, len(got), len(want))
+			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("Sort: quantum %d is %v, want %v", i, got[i], want[i])
+					t.Fatalf("%s: quantum %d is %v, want %v", op.Kind, i, got[i], want[i])
 				}
 			}
 		} else if g, w := sortedStrings(got), sortedStrings(want); strings.Join(g, "|") != strings.Join(w, "|") {
@@ -221,17 +239,32 @@ func TestApplyBlockingMatchesSliceKernels(t *testing.T) {
 		for i, data := range c.in {
 			in[i] = [][]any{data}
 		}
-		if out, _ := ApplyBlocking(Serial{}, op, in); len(out) != 1 || len(out[0]) != len(want) {
+		if out, _ := ApplyBlocking(Serial{}, op, 0, in); len(out) != 1 || len(out[0]) != len(want) {
 			t.Fatalf("%s on one partition: %d partitions", op.Kind, len(out))
+		}
+	}
+	for i, q := range left {
+		if q != (core.KV{Key: int64(i) % 23, Value: int64(i)}) {
+			t.Fatalf("the map-partitions UDF wrote to the input at %d: %v", i, q)
 		}
 	}
 	// Union is not blocking, and a reduce-by is its chain's terminator
 	// (RunChainParts), never an operator of the table.
 	for _, kind := range []core.Kind{core.KindUnion, core.KindReduceBy} {
-		if _, ok := ApplyBlocking(Serial{}, &core.Operator{Kind: kind, UDF: core.UDFs{Key: kvKey, Reduce: sum}}, [][][]any{{left}}); ok {
-			t.Fatalf("%s is not in the blocking table", kind)
+		_, err := ApplyBlocking(Serial{}, &core.Operator{Kind: kind, UDF: core.UDFs{Key: kvKey, Reduce: sum}}, 0, [][][]any{{left}})
+		if err == nil || !strings.Contains(err.Error(), "unsupported operator kind "+string(kind)) {
+			t.Fatalf("%s: error %v, want it reported as outside the table", kind, err)
 		}
 	}
+}
+
+// doubleValues doubles every KV's value in place.
+func doubleValues(part []any) []any {
+	for i, q := range part {
+		kv := q.(core.KV)
+		part[i] = core.KV{Key: kv.Key, Value: kv.Value.(int64) * 2}
+	}
+	return part
 }
 
 // BenchmarkShuffle measures a full hash exchange (map-side bucketing +

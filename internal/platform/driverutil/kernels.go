@@ -246,7 +246,8 @@ func Sample(op *core.Operator, data []any, round int) ([]any, error) {
 			size = int(float64(len(data)) * op.Params.SampleFraction)
 		}
 		// The permutation is seeded by the operator's base seed so successive
-		// rounds walk successive windows of one shuffle.
+		// rounds walk successive windows of one shuffle. It is rebuilt on
+		// every call: each round pays the O(n) permutation.
 		s := algo.NewShuffleFirstSample(data, op.Params.Seed+1)
 		return s.Draw(size, round), nil
 	default:

@@ -312,8 +312,8 @@ func (e *engine) streamChain(chain *driverutil.FusedChain, kernel *driverutil.Ve
 	return out, nil
 }
 
-// apply evaluates the kinds flink's archetype owns — the lazy ones above all;
-// every blocking kind is the default arm, decomposed by
+// apply evaluates the kinds flink's archetype owns — sources, sinks, cache
+// and the lazy cartesian and union; every other kind is the default arm,
 // driverutil.ApplyBlocking over the inputs' materialized partitions.
 func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) {
 	switch op.Kind {
@@ -326,39 +326,6 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 	case core.KindTextFileSource:
 		data, err := driverutil.ReadTextLines(e.driver.DFS, op.Params.Path)
 		if err != nil {
-			return nil, err
-		}
-		return e.split(data), nil
-
-	case core.KindMapPart:
-		f := op.UDF.MapPart
-		return e.narrow(in[0], -1, func(_ int, src <-chan any, out chan<- any) {
-			var part []any // drained into a slice of the stage's: the UDF may write to it
-			for q := range src {
-				part = append(part, q)
-			}
-			for _, q := range f(part) {
-				out <- q
-			}
-		}), nil
-
-	case core.KindZipWithID:
-		// Instance i assigns ids i, i+w, i+2w, ... (dense and unique).
-		width := int64(in[0].width)
-		return e.narrow(in[0], in[0].card, func(inst int, src <-chan any, out chan<- any) {
-			id := int64(inst)
-			for q := range src {
-				out <- core.KV{Key: id, Value: q}
-				id += width
-			}
-		}), nil
-
-	case core.KindSample:
-		data, err := e.collect(in[0])
-		if err != nil {
-			return nil, err
-		}
-		if data, err = driverutil.Sample(op, data, round); err != nil {
 			return nil, err
 		}
 		return e.split(data), nil
@@ -386,17 +353,6 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 			return append(left.start(), right.start()...)
 		}}, nil
 
-	case core.KindPageRank:
-		edges, err := e.collect(in[0])
-		if err != nil {
-			return nil, err
-		}
-		out, err := e.pageRank(op, edges)
-		if err != nil {
-			return nil, err
-		}
-		return e.split(out), nil
-
 	case core.KindTextFileSink:
 		data, err := e.collect(in[0])
 		if err != nil {
@@ -415,80 +371,10 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 				return nil, err
 			}
 		}
-		out, ok := driverutil.ApplyBlocking(e, op, ins)
-		if !ok {
-			return nil, fmt.Errorf("flink: unsupported operator kind %s", op.Kind)
+		out, err := driverutil.ApplyBlocking(e, op, round, ins)
+		if err != nil {
+			return nil, err
 		}
 		return restFlow(driverutil.RowSegments(out)), nil
 	}
-}
-
-// pageRank: pipelined engines run PageRank as repeated dataflow rounds; we
-// keep adjacency thread-local per instance and exchange rank contributions
-// between rounds.
-func (e *engine) pageRank(op *core.Operator, edgeQuanta []any) ([]any, error) {
-	iters, damping := driverutil.PageRankParams(op)
-	adj := map[int64][]int64{}
-	vertices := map[int64]bool{}
-	for _, q := range edgeQuanta {
-		edge, ok := q.(core.Edge)
-		if !ok {
-			return nil, fmt.Errorf("flink.pagerank: quantum %T is not an Edge", q)
-		}
-		adj[edge.Src] = append(adj[edge.Src], edge.Dst)
-		vertices[edge.Src] = true
-		vertices[edge.Dst] = true
-	}
-	n := len(vertices)
-	if n == 0 {
-		return nil, nil
-	}
-	ranks := make(map[int64]float64, n)
-	for v := range vertices {
-		ranks[v] = 1.0 / float64(n)
-	}
-	// Parallel rounds: split the source vertices across instances.
-	srcs := make([]int64, 0, len(adj))
-	for v := range adj {
-		srcs = append(srcs, v)
-	}
-	w := e.driver.Conf.Parallelism
-	for it := 0; it < iters; it++ {
-		e.Barrier()
-		partials := make([]map[int64]float64, w)
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				local := map[int64]float64{}
-				for j := i; j < len(srcs); j += w {
-					v := srcs[j]
-					dsts := adj[v]
-					share := ranks[v] / float64(len(dsts))
-					for _, d := range dsts {
-						local[d] += share
-					}
-				}
-				partials[i] = local
-			}(i)
-		}
-		wg.Wait()
-		next := make(map[int64]float64, n)
-		base := (1 - damping) / float64(n)
-		for v := range vertices {
-			next[v] = base
-		}
-		for _, local := range partials {
-			for v, c := range local {
-				next[v] += damping * c
-			}
-		}
-		ranks = next
-	}
-	out := make([]any, 0, n)
-	for v, r := range ranks {
-		out = append(out, core.KV{Key: v, Value: r})
-	}
-	return out, nil
 }

@@ -193,7 +193,8 @@ func ints(n int) []any {
 // TestUDFPanicFailsStage: a UDF panic anywhere in a stage fails the job with
 // "UDF panic" — never a truncated result — whatever reads the panicking
 // operator's output, and whether that output is produced eagerly (straight
-// off a source) or by a lazy pipeline (behind map-partitions).
+// off a source) or by a lazy pipeline (behind a union, which flink and
+// streams chain lazily).
 func TestUDFPanicFailsStage(t *testing.T) {
 	mod := func(q any) any { return q.(int64) % 10 }
 	downstream := map[string]func(p *core.Plan, bad *core.Operator) *core.Operator{
@@ -230,16 +231,19 @@ func TestUDFPanicFailsStage(t *testing.T) {
 			}
 			for _, lazy := range []bool{false, true} {
 				if relational && lazy {
-					continue // map-partitions is not a relational kind
+					continue // union is not a relational kind
 				}
 				t.Run(fmt.Sprintf("%s/%s/lazy=%v", d.Name(), name, lazy), func(t *testing.T) {
 					p := core.NewPlan("panic")
 					head := p.NewOperator(core.KindCollectionSource, "src")
 					head.Params.Collection = ints(5000)
 					if lazy {
-						mp := p.NewOperator(core.KindMapPart, "pass")
-						mp.UDF.MapPart = func(part []any) []any { return part }
-						head = p.Chain(head, mp)
+						empty := p.NewOperator(core.KindCollectionSource, "empty")
+						empty.Params.Collection = []any{}
+						union := p.NewOperator(core.KindUnion, "pass")
+						p.Connect(head, union, 0)
+						p.Connect(empty, union, 1)
+						head = union
 					}
 					boom := func(q any) { // the store runs filters, not maps
 						if q.(int64) == 4242 {
@@ -314,8 +318,9 @@ func checkHeld(t *testing.T, n int, build func(p *core.Plan, src *core.Operator)
 // TestCallerOwnedInputSurvivesMutatingUDF pins the entry side of the
 // partition-ownership rule: a MapPart UDF may overwrite the partition it is
 // handed, so it must be handed a slice the stage allocated — straight off the
-// caller-held collection, and behind a blocking operator that read it in
-// place.
+// caller-held collection, behind a blocking operator that read it in place,
+// and beside another consumer of the same cache operator, whose output must
+// be the cache's and not the UDF's writes.
 func TestCallerOwnedInputSurvivesMutatingUDF(t *testing.T) {
 	double := func(p *core.Plan, in *core.Operator) *core.Operator {
 		mp := p.NewOperator(core.KindMapPart, "double")
@@ -333,6 +338,13 @@ func TestCallerOwnedInputSurvivesMutatingUDF(t *testing.T) {
 		checkHeld(t, 1000, func(p *core.Plan, src *core.Operator) *core.Operator {
 			return double(p, p.Chain(src, p.NewOperator(core.KindDistinct, "distinct")))
 		}, doubled, func([]any) {})
+	})
+	t.Run("beside-a-cache-consumer", func(t *testing.T) {
+		checkHeld(t, 1000, func(p *core.Plan, src *core.Operator) *core.Operator {
+			cache := p.Chain(src, p.NewOperator(core.KindCache, "cache"))
+			double(p, cache)
+			return cache // the sink is the cache's second consumer
+		}, func(i int) int64 { return int64(i) }, func([]any) {})
 	})
 }
 

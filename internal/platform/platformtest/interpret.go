@@ -2,6 +2,7 @@ package platformtest
 
 import (
 	"fmt"
+	"slices"
 
 	"rheem/internal/core"
 	"rheem/internal/platform/driverutil"
@@ -12,8 +13,10 @@ import (
 // time, over plain []any — no chain kernels, no column batches, no
 // partitions, no two-phase aggregation. The narrow kinds and the reduce-by,
 // which the engines run only through compiled kernels, are written out here
-// independently of them; the wide kinds call the shared driverutil slice
-// kernels the engines use too. tables supplies the rows of
+// independently of them, and so are map-partitions (one partition, handed to
+// the UDF as a copy) and zip-with-id (an id is an input position); the wide
+// kinds and sample call the shared driverutil slice kernels the engines use
+// too, sample over the whole input. tables supplies the rows of
 // the relational tables the plan scans (nil for a plan without table
 // sources). The result maps every operator to its output: a sink's entry is
 // the rows it collects, and the length of any entry is that operator's
@@ -128,6 +131,14 @@ func interpretOp(op *core.Operator, in [][]any, tables TableRows) (out []any, er
 		return driverutil.Reduce(op, in[0]), nil
 	case core.KindCount:
 		return []any{int64(len(in[0]))}, nil
+	case core.KindMapPart:
+		return op.UDF.MapPart(slices.Clone(in[0])), nil
+	case core.KindZipWithID:
+		for i, q := range in[0] {
+			out = append(out, core.KV{Key: int64(i), Value: q})
+		}
+	case core.KindSample:
+		return driverutil.Sample(op, in[0], 0) // a loop-free plan runs round 0
 	case core.KindUnion:
 		return append(append(out, in[0]...), in[1]...), nil
 	case core.KindCollectionSink:

@@ -93,6 +93,22 @@ func Run(t *testing.T, d core.Driver) {
 			}
 			seen[v] = true
 		}
+		// Every method draws once over the whole input, however the engine
+		// partitions it: the draw is driverutil.Sample's.
+		for _, params := range []core.Params{
+			op.Params,
+			{SampleSize: 10, SampleMethod: "shuffle-first", Seed: 3},
+			{SampleFraction: 0.2, SampleMethod: "bernoulli", Seed: 3},
+		} {
+			op := &core.Operator{Kind: core.KindSample, Params: params}
+			want, err := driverutil.Sample(op, data, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := SameMultiset(RunOp(t, d, op, CollectionChannel(data...)), want); err != nil {
+				t.Fatalf("%s sample: %v", params.SampleMethod, err)
+			}
+		}
 	})
 
 	run(core.KindDistinct, "Distinct", func(t *testing.T) {
@@ -176,7 +192,8 @@ func Run(t *testing.T, d core.Driver) {
 
 	run(core.KindZipWithID, "ZipWithID", func(t *testing.T) {
 		op := &core.Operator{Kind: core.KindZipWithID}
-		got := RunOp(t, d, op, CollectionChannel("x", "y", "z"))
+		data := []any{"x", "y", "z", "u", "v", "w", "a", "b", "c", "d"}
+		got := RunOp(t, d, op, CollectionChannel(data...))
 		ids := map[int64]bool{}
 		for _, q := range got {
 			kv := q.(core.KV)
@@ -185,8 +202,11 @@ func Run(t *testing.T, d core.Driver) {
 				t.Fatalf("duplicate id %d", id)
 			}
 			ids[id] = true
+			if id < 0 || id >= int64(len(data)) || kv.Value != data[id] {
+				t.Fatalf("id %d names %v, not the quantum at input position %d", id, kv.Value, id)
+			}
 		}
-		for i := int64(0); i < 3; i++ {
+		for i := int64(0); i < int64(len(data)); i++ {
 			if !ids[i] {
 				t.Fatalf("ids not dense: %v", ids)
 			}

@@ -336,7 +336,10 @@ func (e *engine) apply(op *core.Operator, in []*rel) (*rel, error) {
 			}
 			ins[i] = [][]any{rows}
 		}
-		out, _ := driverutil.ApplyBlocking(driverutil.Serial{}, op, ins)
+		out, err := driverutil.ApplyBlocking(driverutil.Serial{}, op, 0, ins) // round 0: none of these kinds samples
+		if err != nil {
+			return nil, err
+		}
 		return &rel{rows: out[0]}, nil
 
 	case core.KindCollectionSink:

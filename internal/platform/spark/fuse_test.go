@@ -66,30 +66,25 @@ func TestConfigNoOverheadSentinel(t *testing.T) {
 	}
 }
 
-func TestPartitionCopiesInput(t *testing.T) {
-	src := []any{int64(1), int64(2), int64(3), int64(4)}
-	r := Partition(src, 2)
-	// Mutating the caller's slice after partitioning must not leak into the
-	// RDD (partitions used to alias the input's backing array).
-	src[0] = int64(99)
-	parts := r.rows()
-	if got := parts[0][0]; got != int64(1) {
-		t.Fatalf("partition aliases caller slice: got %v", got)
-	}
-	// Appending to one partition must not clobber its neighbor: the
-	// partitions are sliced with capacity clamped to their own window.
-	p0 := append(parts[0], int64(42))
+// TestPartitionAppendDoesNotBleed: Partition cuts the caller's slice with
+// SplitSegments' three-index slices, so appending to one partition cannot
+// clobber its neighbor — each partition's capacity is clamped to its own
+// window.
+func TestPartitionAppendDoesNotBleed(t *testing.T) {
+	parts := Partition([]any{int64(1), int64(2), int64(3), int64(4)}, 2).rows()
+	_ = append(parts[0], int64(42))
 	if parts[1][0] != int64(3) {
 		t.Fatalf("append to part 0 bled into part 1: %v", parts[1])
 	}
-	_ = p0
 }
 
-// TestCallerOwnedCollectionSurvivesMutatingUDF pins the copy in
-// spark.parallelize: a MapPart UDF may overwrite the partition it is handed,
-// so a caller-held collection converted to an rdd channel must give the same
-// result when converted and executed a second time. (The entries every engine
-// shares are pinned in platformtest's TestCallerOwnedInputSurvivesMutatingUDF.)
+// TestCallerOwnedCollectionSurvivesMutatingUDF pins the copy the
+// map-partitions arm of driverutil.ApplyBlocking hands its UDF: a MapPart UDF
+// may overwrite the partition it is handed, and spark.parallelize splits a
+// caller-held collection where it lies, so the collection converted to an
+// rdd channel must give the same result when converted and executed a second
+// time. (The entries every engine shares are pinned in platformtest's
+// TestCallerOwnedInputSurvivesMutatingUDF.)
 func TestCallerOwnedCollectionSurvivesMutatingUDF(t *testing.T) {
 	d := NewWithConfig(nil, fastConf())
 	const n = 1000

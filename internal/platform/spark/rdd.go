@@ -9,7 +9,8 @@
 // parallel scans and shuffles and loses on small inputs to its startup
 // latency, exactly the trade-off the paper exploits. On the shared platform
 // frame (driverutil/platform.go) the package keeps what the archetype owns:
-// Config, the RDD, the pool scheduler, per-block readers and the apply arms.
+// Config, the RDD, the pool scheduler, per-block readers and the apply arms
+// of sources, sinks, cache, cartesian and union.
 package spark
 
 import (
@@ -58,16 +59,13 @@ func (r *RDD) rows() [][]any {
 	return r.flat
 }
 
-// Partition splits data into n balanced partitions. The partitions get
-// their own backing array: callers hand in slices they still own (cached
-// plan collections, result-cache payloads), and partitions flow into user
-// code that may write to them (a MapPart UDF) — aliasing the input would
-// corrupt it. SplitSegments cuts with three-index slices, so appending to
-// one partition can never bleed into the next one's data.
+// Partition splits data into n balanced partitions over data's own backing
+// array. Nothing writes to a partition — a MapPart UDF is handed a copy
+// (driverutil.ApplyBlocking) — and SplitSegments cuts with three-index
+// slices, so appending to one partition can never bleed into the next one's
+// data.
 func Partition(data []any, n int) *RDD {
-	owned := make([]any, len(data))
-	copy(owned, data)
-	return &RDD{Parts: driverutil.SplitSegments([]core.Segment{{Rows: owned}}, n)}
+	return &RDD{Parts: driverutil.SplitSegments([]core.Segment{{Rows: data}}, n)}
 }
 
 // Count returns the total number of quanta.

@@ -128,10 +128,11 @@ func (d *Driver) Conversions() []*core.Conversion {
 	return convs
 }
 
-// parallelize carries a collection-typed channel to partitions. A slice its
-// producer still owns (a plan's collection, a result-cache payload) is copied
-// by Partition; decoded quanta are the decoder's and are split as they lie,
-// column batches kept.
+// parallelize carries a collection-typed channel to partitions, split as the
+// quanta lie: a slice its producer still owns (a plan's collection, a
+// result-cache payload) is read in place, never written (see "ownership of
+// partitions" in driverutil/blocking.go), and decoded quanta keep their
+// column batches.
 func (d *Driver) parallelize(ch *core.Channel) (*RDD, error) {
 	if ds, ok := ch.Payload.(*core.SliceDataset); ok {
 		return Partition(ds.Data, d.Conf.Parallelism), nil
@@ -230,44 +231,19 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 	return NewRDD(driverutil.RunChainParts(e, kernel, in.parts(), counters)), nil
 }
 
-// apply evaluates the kinds spark's archetype owns; every blocking kind is
-// the default arm, decomposed by driverutil.ApplyBlocking over the inputs'
-// row partitions.
+// apply evaluates the kinds spark's archetype owns — sources, sinks, cache,
+// cartesian and union; every other kind is the default arm,
+// driverutil.ApplyBlocking over the inputs' row partitions.
 func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
-	w := e.width()
 	switch op.Kind {
 	case core.KindCollectionSource:
 		if len(in) > 0 { // loop-input placeholder
 			return in[0], nil
 		}
-		return Partition(op.Params.Collection, w), nil
+		return Partition(op.Params.Collection, e.width()), nil
 
 	case core.KindTextFileSource:
 		return e.readTextFile(op.Params.Path)
-
-	case core.KindMapPart:
-		return e.mapParts(in[0], func(part []any) ([]any, error) { return op.UDF.MapPart(part), nil })
-
-	case core.KindZipWithID:
-		// Deterministic global ids: offset by partition prefix counts.
-		parts := in[0].rows()
-		offsets := make([]int64, len(parts)+1)
-		for i, p := range parts {
-			offsets[i+1] = offsets[i] + int64(len(p))
-		}
-		out := make([][]any, len(parts))
-		driverutil.Do(e, len(parts), func(i int) {
-			part := parts[i]
-			res := make([]any, len(part))
-			for j, q := range part {
-				res[j] = core.KV{Key: offsets[i] + int64(j), Value: q}
-			}
-			out[i] = res
-		})
-		return NewRDD(out), nil
-
-	case core.KindSample:
-		return e.sample(op, in[0], round)
 
 	case core.KindCache:
 		return &RDD{Parts: in[0].parts()}, nil
@@ -292,9 +268,6 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 	case core.KindUnion:
 		return &RDD{Parts: append(slices.Clone(in[0].parts()), in[1].parts()...)}, nil
 
-	case core.KindPageRank:
-		return e.pageRank(op, in[0])
-
 	case core.KindCollectionSink:
 		return in[0], nil
 
@@ -309,45 +282,12 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 		for i, r := range in {
 			ins[i] = r.rows()
 		}
-		out, ok := driverutil.ApplyBlocking(e, op, ins)
-		if !ok {
-			return nil, fmt.Errorf("spark: unsupported operator kind %s", op.Kind)
+		out, err := driverutil.ApplyBlocking(e, op, round, ins)
+		if err != nil {
+			return nil, err
 		}
 		return NewRDD(out), nil
 	}
-}
-
-func (e *engine) mapParts(r *RDD, fn func(part []any) ([]any, error)) (*RDD, error) {
-	out, err := driverutil.MapParts(e, r.rows(), fn)
-	if err != nil {
-		return nil, err
-	}
-	return NewRDD(out), nil
-}
-
-func (e *engine) sample(op *core.Operator, r *RDD, round int) (*RDD, error) {
-	if op.Params.SampleSize == 0 && op.Params.SampleMethod != "shuffle-first" {
-		// Fraction-based bernoulli parallelizes perfectly.
-		return e.mapParts(r, func(part []any) ([]any, error) {
-			return driverutil.Sample(op, part, round)
-		})
-	}
-	// Exact-size (or shuffle-first) sampling: per-partition pre-sample of k,
-	// then a driver-side final draw over the <= k*P pre-sample.
-	k := op.Params.SampleSize
-	pre, err := e.mapParts(r, func(part []any) ([]any, error) {
-		sub := *op // copy with per-partition cap
-		sub.Params.SampleSize = k
-		return driverutil.Sample(&sub, part, round)
-	})
-	if err != nil {
-		return nil, err
-	}
-	final, err := driverutil.Sample(op, pre.Collect(), round)
-	if err != nil {
-		return nil, err
-	}
-	return Partition(final, e.width()), nil
 }
 
 // readTextFile reads a DFS file one split per block, in parallel on the

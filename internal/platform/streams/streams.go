@@ -1,11 +1,11 @@
 // Package streams implements the JavaStreams-analog platform: a
 // single-threaded, pull-based iterator engine with zero startup cost. Every
 // run of narrow operators (map, filter, flatMap, project) executes as one
-// pass of the compiled chain kernel; the streaming operators (zip-with-id,
-// union, cartesian) chain lazily as iterators; blocking operators (sort,
-// group, join, ...) read data at rest where it lies, drain a lazy pipeline,
-// and run as driverutil.ApplyBlocking over a single partition — no exchange,
-// no barrier. It is the "no overhead, no parallelism" corner of the platform
+// pass of the compiled chain kernel; the streaming operators (union,
+// cartesian) chain lazily as iterators; every other operator (sort, group,
+// join, map-partitions, zip-with-id, sample, ...) reads data at rest where it
+// lies, drains a lazy pipeline, and runs as driverutil.ApplyBlocking over a
+// single partition — no exchange, no barrier. It is the "no overhead, no parallelism" corner of the platform
 // space: unbeatable on small inputs, bound by one core on large ones. On the
 // shared platform frame (driverutil/platform.go) the package keeps the pipe,
 // its lazy apply arms and the four neutral collection/file/DFS conversions.
@@ -245,9 +245,10 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 	return restPipe(core.Segment{Rows: out[0]}), nil
 }
 
-// apply evaluates the kinds streams' archetype owns — the lazy iterator
-// pipelines above all; every blocking kind is the default arm,
-// driverutil.ApplyBlocking over each input's rows as one partition.
+// apply evaluates the kinds streams' archetype owns — sources, sinks, cache
+// and the lazy cartesian and union iterators; every other kind is the
+// default arm, driverutil.ApplyBlocking over each input's rows as one
+// partition.
 func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) {
 	switch op.Kind {
 	case core.KindCollectionSource:
@@ -262,36 +263,6 @@ func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) 
 			return nil, err
 		}
 		return restPipe(core.Segment{Rows: lines}), nil
-
-	case core.KindMapPart:
-		f := op.UDF.MapPart
-		src := in[0]
-		return &pipe{card: -1, open: func() core.Iterator {
-			// Drained into a slice of the stage's, never rows: the UDF may
-			// write to it.
-			return core.NewSliceDataset(f(core.Collect(src.open()))).Open()
-		}}, nil
-
-	case core.KindZipWithID:
-		return lazyUnary(in[0], func(it core.Iterator) core.Iterator {
-			var id int64
-			return core.FuncIterator(func() (any, bool) {
-				q, ok := it.Next()
-				if !ok {
-					return nil, false
-				}
-				kv := core.KV{Key: id, Value: q}
-				id++
-				return kv, true
-			})
-		}, in[0].card), nil
-
-	case core.KindSample:
-		data, err := driverutil.Sample(op, in[0].rows(), round)
-		if err != nil {
-			return nil, err
-		}
-		return restPipe(core.Segment{Rows: data}), nil
 
 	case core.KindCache, core.KindCollectionSink:
 		return in[0].rest(), nil
@@ -347,16 +318,12 @@ func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) 
 		for i, p := range in {
 			ins[i] = [][]any{p.rows()}
 		}
-		out, ok := driverutil.ApplyBlocking(driverutil.Serial{}, op, ins)
-		if !ok {
-			return nil, fmt.Errorf("streams: unsupported operator kind %s", op.Kind)
+		out, err := driverutil.ApplyBlocking(driverutil.Serial{}, op, round, ins)
+		if err != nil {
+			return nil, err
 		}
 		return restPipe(core.Segment{Rows: out[0]}), nil
 	}
-}
-
-func lazyUnary(src *pipe, wrap func(core.Iterator) core.Iterator, card int64) *pipe {
-	return &pipe{card: card, open: func() core.Iterator { return wrap(src.open()) }}
 }
 
 func tempFile(dir, pattern string) (string, error) {

@@ -3,6 +3,7 @@ package streams
 import (
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rheem/internal/core"
@@ -183,9 +184,9 @@ func TestReduceByOnStrings(t *testing.T) {
 
 func TestUnsupportedKindErrors(t *testing.T) {
 	d := testDriver(t)
-	op := &core.Operator{Kind: core.KindPageRank}
-	if _, _, err := platformtest.RunOpErr(d, op, platformtest.CollectionChannel()); err == nil {
-		t.Fatal("expected unsupported-kind error")
+	op := &core.Operator{Kind: core.KindTableSource}
+	if _, _, err := platformtest.RunOpErr(d, op, platformtest.CollectionChannel()); err == nil || !strings.Contains(err.Error(), "unsupported operator kind") {
+		t.Fatalf("error = %v, want an unsupported-kind error", err)
 	}
 }
 

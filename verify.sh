@@ -59,13 +59,21 @@ go test -run=NONE -bench=BenchmarkParseRecordLine -benchtime=1x ./internal/datag
 # (chain patterns, covered operators, a template's own cost key): operators
 # fuse at execution time only, in driverutil.PlanFusion. So is the optimizer's
 # price table keyed by substrings of a step's name: an execution operator
-# declares its cost on its mapping. The gate covers verify.sh too; the [x]
+# declares its cost on its mapping. So are spark's and flink's own PageRank and
+# spark's own map-partitions runner. The gate covers verify.sh too; the [x]
 # brackets keep its own line from matching.
 go test -run=NONE -bench='NarrowChain|ColumnarAggChain' -benchtime=1x ./internal/platform/spark ./internal/platform/flink
 go test -run=NONE -bench='BenchmarkShuffle|BenchmarkRangeShuffle|BenchmarkUDFReduceByChain' -benchtime=1x ./internal/platform/driverutil
 go test -run='TestCrossCheckFusedAgainstUnfused|TestFusedFig9' .
-if grep -rn 'RHEEM_NO_FUS[E]\|FusionDisable[d]\|RHEEM_NO_COLUMNA[R]\|ColumnarDisable[d]\|NewSegRD[D]\|shuffleB[y]\|rangeShuffl[e]\|parallelPart[s]\|fanOu[t](\|mergeRun[s]\|poolEr[r]\|driverutil\.Dat[a]\b\|one := func(k core\.Kin[d]\|bc core\.BroadcastCt[x], round\|fetchAn[y]\|mergePlan[s]\|acceptableChannel[s]\|KnownCard[s]\|outerPlanO[f]\|dictCol[s]\|[wW]orkerUsag[e]\|OutCard[s]\|monitor\.Ne[w](\|Monitor\.Recor[d](\|BuildProfil[e]\|InArityO[f]\|OutArityO[f]\|kindRegistr[y]\|registeredKin[d]\|FusibleKin[d]\|udfRolesO[f]\|bindUD[F]\|ChainPatter[n]\|RegisterChai[n]\|ChainAlternative[s]\|DirectAlternative[s]\|CoveredB[y]\|CostKeyOrNam[e]\|OwnCos[t]\|Cover[s]:\|\.Cover[s]\b\|defaultParamsFo[r]' --include='*.go' --include='verify.sh' .; then
-	echo "a deleted fork (per-operator narrow path, row-carried partitions, a per-engine shuffle or dispatch, the untyped stage harness, a hand-written mapping closure, the executor's second planner, a second store of stage statistics, a second description of an operator kind, a second fusion or mapping mechanism, a name-keyed price table) or its switch is back" >&2
+if grep -rn 'RHEEM_NO_FUS[E]\|FusionDisable[d]\|RHEEM_NO_COLUMNA[R]\|ColumnarDisable[d]\|NewSegRD[D]\|shuffleB[y]\|rangeShuffl[e]\|parallelPart[s]\|fanOu[t](\|mergeRun[s]\|poolEr[r]\|driverutil\.Dat[a]\b\|one := func(k core\.Kin[d]\|bc core\.BroadcastCt[x], round\|fetchAn[y]\|mergePlan[s]\|acceptableChannel[s]\|KnownCard[s]\|outerPlanO[f]\|dictCol[s]\|[wW]orkerUsag[e]\|OutCard[s]\|monitor\.Ne[w](\|Monitor\.Recor[d](\|BuildProfil[e]\|InArityO[f]\|OutArityO[f]\|kindRegistr[y]\|registeredKin[d]\|FusibleKin[d]\|udfRolesO[f]\|bindUD[F]\|ChainPatter[n]\|RegisterChai[n]\|ChainAlternative[s]\|DirectAlternative[s]\|CoveredB[y]\|CostKeyOrNam[e]\|OwnCos[t]\|Cover[s]:\|\.Cover[s]\b\|defaultParamsFo[r]\|func (e \*engine) pageRan[k]\|func (e \*engine) mapPart[s]' --include='*.go' --include='verify.sh' .; then
+	echo "a deleted fork (per-operator narrow path, row-carried partitions, a per-engine shuffle or dispatch, the untyped stage harness, a hand-written mapping closure, the executor's second planner, a second store of stage statistics, a second description of an operator kind, a second fusion or mapping mechanism, a name-keyed price table, a per-engine PageRank or map-partitions) or its switch is back" >&2
+	exit 1
+fi
+# One implementation per whole-input kind: map-partitions, zip-with-id, sample
+# and PageRank are arms of driverutil.ApplyBlocking, so the chosen engine never
+# changes what they return; no general engine has an arm of its own for them.
+if grep -rnE --include='*.go' 'case .*core\.Kind(MapPar[t]|ZipWithI[D]|Sampl[e]|PageRan[k])\b' internal/platform/spark internal/platform/flink internal/platform/streams | grep -v '_test\.go:'; then
+	echo "a general engine runs map-partitions, zip-with-id, sample or PageRank itself: each has one implementation, in driverutil.ApplyBlocking" >&2
 	exit 1
 fi
 # Prices are declared where operators and platforms are: no non-test file of
@@ -125,6 +133,11 @@ fi
 # The UDF-panic and partition-ownership properties hold under the race
 # detector by name, so -short keeps them.
 go test -race -count=1 -run='TestUDFPanicFailsStage|TestCallerOwnedInputSurvivesMutatingUDF|TestCollectionSinkOutputIsCallerOwned' ./internal/platform/platformtest
+# And the whole-input kinds answer alike on every engine: map-partitions,
+# zip-with-id and the three sample methods equal the reference interpreter
+# pinned to streams, spark and flink, a shuffle-first sample in a loop walks
+# the same windows, and spark's and flink's PageRank ranks agree.
+go test -race -count=1 -run='TestWholeInputKindsAgreeAcrossEngines' .
 # The platform frame likewise: the registry pinned byte for byte, the toy
 # platform built on the shared frame, and two first jobs paying one boot.
 go test -race -count=1 -run='TestRegistryGolden|TestPluggingANewPlatform|TestNewPlatformChosenOnMerit' .
