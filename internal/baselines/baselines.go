@@ -25,6 +25,7 @@ import (
 	"rheem"
 	"rheem/internal/core"
 	"rheem/internal/datagen"
+	"rheem/internal/simclock"
 )
 
 // NadeefDetect is the NADEEF baseline: single-threaded blocked nested-loop
@@ -193,7 +194,7 @@ func musketeerRun(ctx *rheem.Context, p *core.Plan, cfg MusketeerConfig, loopVar
 // musketeerStage runs one operator as its own job: codegen pause, platform
 // by rule, DFS materialization of the output.
 func musketeerStage(ctx *rheem.Context, op *core.Operator, ins [][]any, bcasts map[string][]any, cfg MusketeerConfig) ([]any, error) {
-	time.Sleep(time.Duration(cfg.CodegenMs * float64(time.Millisecond)))
+	simclock.Charge(time.Duration(cfg.CodegenMs * float64(time.Millisecond)))
 
 	b := ctx.NewPlan("musketeer-stage")
 	stage := cloneOperator(op)

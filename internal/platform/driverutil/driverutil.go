@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"rheem/internal/core"
+	"rheem/internal/simclock"
 )
 
 // Trap collects the first panic observed by an engine's worker goroutines
@@ -383,30 +384,21 @@ func OverheadMs(v, def float64) float64 {
 	return v
 }
 
-// SleepMs charges a simulated latency — an engine's start-up, a shuffle or
-// exchange barrier, a query round trip — by sleeping it.
-func SleepMs(ms float64) {
-	if ms > 0 {
-		time.Sleep(time.Duration(ms * float64(time.Millisecond)))
-	}
-}
-
 // ApplySlowdown simulates a platform with less compute capacity than the
-// host: the stage's real busy time is stretched by the factor (sleeping the
-// difference) and the reported statistics are scaled to match. Single-node
-// platform archetypes use it so that, on a laptop-scale substrate, the
-// parallel engines keep the cluster-vs-single-node capacity ratio of the
-// paper's testbed (the host machine plays the whole cluster; one node is a
-// fraction of it). The stage is charged the time the sleep took, not the time
-// asked for: a sleep of microseconds takes about a millisecond, and a stage
-// runtime without it leaves most of a loop of small stages in no stage at all.
+// host: the stage's real busy time is stretched by the factor (the difference
+// is charged through simclock.Charge) and the reported statistics are scaled
+// to match. Single-node platform archetypes use it so that, on a laptop-scale
+// substrate, the parallel engines keep the cluster-vs-single-node capacity
+// ratio of the paper's testbed (the host machine plays the whole cluster; one
+// node is a fraction of it). The stage is charged the time the sleep took
+// (Charge's return), not the time asked for: a sleep of microseconds takes
+// about a millisecond, and a stage runtime without it leaves most of a loop of
+// small stages in no stage at all.
 func ApplySlowdown(stats *core.StageStats, factor float64) {
 	if stats == nil || factor <= 1 {
 		return
 	}
-	asleep := time.Now()
-	time.Sleep(time.Duration(float64(stats.Runtime) * (factor - 1)))
-	stats.Runtime += time.Since(asleep)
+	stats.Runtime += simclock.Charge(time.Duration(float64(stats.Runtime) * (factor - 1)))
 	for op, os := range stats.Ops {
 		os.Runtime = time.Duration(float64(os.Runtime) * factor)
 		stats.Ops[op] = os

@@ -6,8 +6,10 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"time"
 
 	"rheem/internal/core"
+	"rheem/internal/simclock"
 	"rheem/internal/storage/dfs"
 )
 
@@ -135,17 +137,17 @@ func (b *Boot) StartupCostMs() float64 {
 	return b.ContextMs + b.JobMs
 }
 
-// Charge pays a job's start-up: the context boot if no job has yet, then the
-// per-job latency.
+// Charge pays a job's start-up through simclock.Charge: the context boot if no
+// job has yet, then the per-job latency.
 func (b *Boot) Charge() {
 	b.mu.Lock()
 	boot := !b.booted
 	b.booted = true
 	b.mu.Unlock()
 	if boot {
-		SleepMs(b.ContextMs)
+		simclock.Charge(time.Duration(b.ContextMs * float64(time.Millisecond)))
 	}
-	SleepMs(b.JobMs)
+	simclock.Charge(time.Duration(b.JobMs * float64(time.Millisecond)))
 }
 
 // Conv declares a conversion whose source channel carries a payload of type P.

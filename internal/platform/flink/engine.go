@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"rheem/internal/core"
 	"rheem/internal/platform/driverutil"
+	"rheem/internal/simclock"
 )
 
 // flow is the engine's native data: a lazily evaluated parallel stream.
@@ -92,7 +94,9 @@ type engine struct {
 func (e *engine) Each(n int, fn func(i int) error) error { return driverutil.Parallel(n, n, fn) }
 
 // Barrier implements driverutil.Scheduler.
-func (e *engine) Barrier() { driverutil.SleepMs(e.driver.Conf.ExchangeLatencyMs) }
+func (e *engine) Barrier() {
+	simclock.Charge(time.Duration(e.driver.Conf.ExchangeLatencyMs * float64(time.Millisecond)))
+}
 
 // split is the flow over data at rest, cut into one balanced row run per
 // parallel instance.

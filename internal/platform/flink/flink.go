@@ -26,7 +26,7 @@ const Platform = "flink"
 
 // Config tunes parallelism and simulated scheduling overheads. The overhead
 // fields treat 0 as "use the default"; pass any negative value (e.g.
-// NoOverheadMs) for a genuinely overhead-free configuration.
+// driverutil.NoOverheadMs) for a genuinely overhead-free configuration.
 type Config struct {
 	// Parallelism is the number of parallel operator instances.
 	Parallelism int
@@ -40,10 +40,6 @@ type Config struct {
 	// Default 2; negative means none.
 	ExchangeLatencyMs float64
 }
-
-// NoOverheadMs is the sentinel for "this overhead is really zero" in Config
-// fields whose zero value means "use the default".
-const NoOverheadMs = driverutil.NoOverheadMs
 
 func (c Config) withDefaults() Config {
 	c.Parallelism = driverutil.DefaultWorkers(c.Parallelism)

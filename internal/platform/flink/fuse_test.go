@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rheem/internal/core"
+	"rheem/internal/platform/driverutil"
 	"rheem/internal/platform/platformtest"
 )
 
@@ -52,7 +53,7 @@ func TestConfigNoOverheadSentinel(t *testing.T) {
 	if def.ContextStartupMs != 80 || def.JobStartupMs != 6 || def.ExchangeLatencyMs != 2 {
 		t.Fatalf("zero config got defaults %+v", def)
 	}
-	free := Config{ContextStartupMs: NoOverheadMs, JobStartupMs: NoOverheadMs, ExchangeLatencyMs: NoOverheadMs}.withDefaults()
+	free := Config{ContextStartupMs: driverutil.NoOverheadMs, JobStartupMs: driverutil.NoOverheadMs, ExchangeLatencyMs: driverutil.NoOverheadMs}.withDefaults()
 	if free.ContextStartupMs != 0 || free.JobStartupMs != 0 || free.ExchangeLatencyMs != 0 {
 		t.Fatalf("sentinel config not honored: %+v", free)
 	}
@@ -95,9 +96,9 @@ func TestFusedChainUDFPanicFailsJob(t *testing.T) {
 func BenchmarkFlinkNarrowChain(b *testing.B) {
 	d := NewWithConfig(nil, Config{
 		Parallelism:       8,
-		ContextStartupMs:  NoOverheadMs,
-		JobStartupMs:      NoOverheadMs,
-		ExchangeLatencyMs: NoOverheadMs,
+		ContextStartupMs:  driverutil.NoOverheadMs,
+		JobStartupMs:      driverutil.NoOverheadMs,
+		ExchangeLatencyMs: driverutil.NoOverheadMs,
 	})
 	_, ops := narrowChain(1_000_000)
 	b.ReportAllocs()

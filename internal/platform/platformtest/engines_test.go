@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"rheem/internal/core"
+	"rheem/internal/platform/driverutil"
 	"rheem/internal/platform/flink"
 	"rheem/internal/platform/platformtest"
 	"rheem/internal/platform/relstore"
@@ -23,8 +24,8 @@ import (
 func engines() []core.Driver {
 	return []core.Driver{
 		streams.New(nil),
-		spark.NewWithConfig(nil, spark.Config{Parallelism: 4, ContextStartupMs: spark.NoOverheadMs, JobStartupMs: spark.NoOverheadMs, ShuffleLatencyMs: spark.NoOverheadMs}),
-		flink.NewWithConfig(nil, flink.Config{Parallelism: 4, ContextStartupMs: flink.NoOverheadMs, JobStartupMs: flink.NoOverheadMs, ExchangeLatencyMs: flink.NoOverheadMs}),
+		spark.NewWithConfig(nil, spark.Config{Parallelism: 4, ContextStartupMs: driverutil.NoOverheadMs, JobStartupMs: driverutil.NoOverheadMs, ShuffleLatencyMs: driverutil.NoOverheadMs}),
+		flink.NewWithConfig(nil, flink.Config{Parallelism: 4, ContextStartupMs: driverutil.NoOverheadMs, JobStartupMs: driverutil.NoOverheadMs, ExchangeLatencyMs: driverutil.NoOverheadMs}),
 		relstore.New(relstore.Config{QueryLatencyMs: -1}, relstore.NewStore("pg")),
 	}
 }

@@ -1,6 +1,10 @@
 package pregel
 
-import "testing"
+import (
+	"testing"
+
+	"rheem/internal/platform/driverutil"
+)
 
 func TestConfigNoOverheadSentinel(t *testing.T) {
 	def := Config{}.withDefaults()
@@ -9,7 +13,7 @@ func TestConfigNoOverheadSentinel(t *testing.T) {
 	}
 	// The negative sentinel means a genuinely free operation and must not be
 	// silently overwritten with the default (the old `== 0` footgun).
-	free := Config{ContextStartupMs: NoOverheadMs, SuperstepMs: NoOverheadMs}.withDefaults()
+	free := Config{ContextStartupMs: driverutil.NoOverheadMs, SuperstepMs: driverutil.NoOverheadMs}.withDefaults()
 	if free.ContextStartupMs != 0 || free.SuperstepMs != 0 {
 		t.Fatalf("sentinel config not honored: %+v", free)
 	}

@@ -13,17 +13,19 @@ package pregel
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"rheem/internal/core"
 	"rheem/internal/platform/driverutil"
+	"rheem/internal/simclock"
 )
 
 // Platform is the platform name this driver registers under.
 const Platform = "pregel"
 
 // Config tunes the BSP runtime. The overhead fields treat 0 as "use the
-// default"; pass any negative value (e.g. NoOverheadMs) for a genuinely
-// overhead-free configuration.
+// default"; pass any negative value (e.g. driverutil.NoOverheadMs) for a
+// genuinely overhead-free configuration.
 type Config struct {
 	// Workers is the number of parallel vertex partitions. Defaults to CPUs.
 	Workers int
@@ -34,10 +36,6 @@ type Config struct {
 	// negative means none.
 	SuperstepMs float64
 }
-
-// NoOverheadMs is the sentinel for "this overhead is really zero" in Config
-// fields whose zero value means "use the default".
-const NoOverheadMs = driverutil.NoOverheadMs
 
 func (c Config) withDefaults() Config {
 	c.Workers = driverutil.DefaultWorkers(c.Workers)
@@ -135,9 +133,10 @@ func Run(prog Program, edges []core.Edge, workers int, superstepMs float64) (map
 		inbox[i] = map[int64][]float64{}
 	}
 
+	barrier := time.Duration(superstepMs * float64(time.Millisecond))
 	superstep := 0
 	for ; superstep < prog.MaxSupersteps(); superstep++ {
-		driverutil.SleepMs(superstepMs)
+		simclock.Charge(barrier)
 		// Check for termination: all halted and no pending messages.
 		pending := false
 		for i := 0; i < workers; i++ {

@@ -2,9 +2,11 @@ package relstore
 
 import (
 	"fmt"
+	"time"
 
 	"rheem/internal/core"
 	"rheem/internal/platform/driverutil"
+	"rheem/internal/simclock"
 )
 
 // Platform is the platform name this driver registers under.
@@ -49,6 +51,10 @@ func (ref TableRef) scan(cols []int, where *core.Predicate, workers int) ([]any,
 	return rows, nil
 }
 
+// LoadMsPerRow is the simulated cost of bulk-loading one row, the price of the
+// relstore.load conversion. Bulk loads are expensive (the polystore lesson).
+const LoadMsPerRow = 0.012
+
 // RelationChannel is the store's native channel: a base table or a result
 // set. Data is at rest and reusable.
 var RelationChannel = core.ChannelDescriptor{Name: "relation", Platform: Platform, Reusable: true, AtRest: true}
@@ -74,12 +80,7 @@ func (c Config) withDefaults() Config {
 		c.Workers = 4
 	}
 	c.QueryLatencyMs = driverutil.OverheadMs(c.QueryLatencyMs, 1.5)
-	switch {
-	case c.SimSlowdown == 0:
-		c.SimSlowdown = 2
-	case c.SimSlowdown < 0:
-		c.SimSlowdown = 1
-	}
+	c.SimSlowdown = driverutil.OverheadMs(c.SimSlowdown, 2)
 	return c
 }
 
@@ -149,7 +150,7 @@ func (d *Driver) Conversions() []*core.Conversion {
 		}),
 		{
 			Name: "relstore.load", From: "collection", To: "relation",
-			FixedCostMs: 5, PerQuantumMs: 0.012, // bulk loads are expensive (the polystore lesson)
+			FixedCostMs: 5, PerQuantumMs: LoadMsPerRow,
 			Convert: func(in *core.Channel) (*core.Channel, error) {
 				data, err := driverutil.ChannelSlice(in)
 				if err != nil {
@@ -189,7 +190,7 @@ func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
 
 // Execute implements core.Driver.
 func (d *Driver) Execute(stage *core.Stage, in *core.Inputs) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
-	driverutil.SleepMs(d.Conf.QueryLatencyMs)
+	simclock.Charge(time.Duration(d.Conf.QueryLatencyMs * float64(time.Millisecond)))
 	outs, stats, err := driverutil.RunStage(&engine{driver: d}, stage, in)
 	if err == nil {
 		driverutil.ApplySlowdown(stats, d.Conf.SimSlowdown)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rheem/internal/core"
+	"rheem/internal/platform/driverutil"
 	"rheem/internal/platform/platformtest"
 )
 
@@ -55,7 +56,7 @@ func TestConfigNoOverheadSentinel(t *testing.T) {
 	}
 	// ...while the negative sentinel means a genuinely free operation and
 	// must NOT be silently overwritten with the default.
-	free := Config{ContextStartupMs: NoOverheadMs, JobStartupMs: NoOverheadMs, ShuffleLatencyMs: NoOverheadMs}.withDefaults()
+	free := Config{ContextStartupMs: driverutil.NoOverheadMs, JobStartupMs: driverutil.NoOverheadMs, ShuffleLatencyMs: driverutil.NoOverheadMs}.withDefaults()
 	if free.ContextStartupMs != 0 || free.JobStartupMs != 0 || free.ShuffleLatencyMs != 0 {
 		t.Fatalf("sentinel config not honored: %+v", free)
 	}
@@ -247,9 +248,9 @@ func BenchmarkColumnarAggChain(b *testing.B) {
 func benchChain(b *testing.B, ops []*core.Operator) {
 	d := NewWithConfig(nil, Config{
 		Parallelism:      8,
-		ContextStartupMs: NoOverheadMs,
-		JobStartupMs:     NoOverheadMs,
-		ShuffleLatencyMs: NoOverheadMs,
+		ContextStartupMs: driverutil.NoOverheadMs,
+		JobStartupMs:     driverutil.NoOverheadMs,
+		ShuffleLatencyMs: driverutil.NoOverheadMs,
 	})
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -3,9 +3,11 @@ package spark
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"rheem/internal/core"
 	"rheem/internal/platform/driverutil"
+	"rheem/internal/simclock"
 	"rheem/internal/storage/dfs"
 )
 
@@ -16,8 +18,8 @@ const Platform = "spark"
 // scheduling overheads. The defaults are scaled down (roughly 20x) from
 // typical on-premise cluster latencies so laptop-scale experiments keep the
 // paper's cost shapes. The overhead fields treat 0 as "use the default";
-// pass any negative value (e.g. NoOverheadMs) for a genuinely overhead-free
-// configuration.
+// pass any negative value (e.g. driverutil.NoOverheadMs) for a genuinely
+// overhead-free configuration.
 type Config struct {
 	// Parallelism is the worker pool width and default partition count.
 	// Defaults to the number of CPUs.
@@ -32,10 +34,6 @@ type Config struct {
 	// Default 4; negative means none.
 	ShuffleLatencyMs float64
 }
-
-// NoOverheadMs is the sentinel for "this overhead is really zero" in Config
-// fields whose zero value means "use the default".
-const NoOverheadMs = driverutil.NoOverheadMs
 
 func (c Config) withDefaults() Config {
 	c.Parallelism = driverutil.DefaultWorkers(c.Parallelism)
@@ -172,7 +170,9 @@ func (e *engine) Each(n int, fn func(i int) error) error {
 }
 
 // Barrier implements driverutil.Scheduler.
-func (e *engine) Barrier() { driverutil.SleepMs(e.driver.Conf.ShuffleLatencyMs) }
+func (e *engine) Barrier() {
+	simclock.Charge(time.Duration(e.driver.Conf.ShuffleLatencyMs * float64(time.Millisecond)))
+}
 
 // FromChannel implements driverutil.Engine.
 func (e *engine) FromChannel(ch *core.Channel) (*RDD, error) {

@@ -24,7 +24,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Scheme is the path prefix that designates DFS-resident files.
@@ -41,9 +40,6 @@ type Options struct {
 	BlockSize   int64 // bytes per block; default 4 MiB
 	Replication int   // copies per block; default 2
 	Nodes       int   // simulated datanodes; default 4
-	// ThrottleMBps, when positive, sleeps during reads/writes to model
-	// storage bandwidth. Zero disables throttling.
-	ThrottleMBps float64
 }
 
 func (o Options) withDefaults() Options {
@@ -282,7 +278,6 @@ func (w *blockWriter) flushBlock(data []byte) error {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			return fmt.Errorf("dfs: block dir: %w", err)
 		}
-		w.store.throttle(len(data))
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			return fmt.Errorf("dfs: write block: %w", err)
 		}
@@ -343,7 +338,6 @@ func (r *fileReader) Read(p []byte) (int, error) {
 		}
 		n, err := r.cur.Read(p)
 		if n > 0 {
-			r.store.throttle(n)
 			return n, nil
 		}
 		if errors.Is(err, io.EOF) {
@@ -439,16 +433,6 @@ func (s *Store) appendLineEnd(name string, b BlockInfo, frag []byte) (_ []byte, 
 		frag = append(frag, chunk...)
 	}
 	return frag, false, nil
-}
-
-func (s *Store) throttle(n int) {
-	if s.opts.ThrottleMBps <= 0 || n == 0 {
-		return
-	}
-	d := time.Duration(float64(n) / (s.opts.ThrottleMBps * 1e6) * float64(time.Second))
-	if d > 0 {
-		time.Sleep(d)
-	}
 }
 
 // WriteLines writes text lines as a DFS file.

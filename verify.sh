@@ -60,13 +60,22 @@ go test -run=NONE -bench=BenchmarkParseRecordLine -benchtime=1x ./internal/datag
 # fuse at execution time only, in driverutil.PlanFusion. So is the optimizer's
 # price table keyed by substrings of a step's name: an execution operator
 # declares its cost on its mapping. So are spark's and flink's own PageRank and
-# spark's own map-partitions runner. The gate covers verify.sh too; the [x]
-# brackets keep its own line from matching.
+# spark's own map-partitions runner, and what the simulated-time seam
+# (simclock.Charge) replaced: driverutil's millisecond sleep, the DFS throttle
+# knob and the engines' second names for driverutil.NoOverheadMs. The gate
+# covers verify.sh too; the [x] brackets keep its own line from matching.
 go test -run=NONE -bench='NarrowChain|ColumnarAggChain' -benchtime=1x ./internal/platform/spark ./internal/platform/flink
 go test -run=NONE -bench='BenchmarkShuffle|BenchmarkRangeShuffle|BenchmarkUDFReduceByChain' -benchtime=1x ./internal/platform/driverutil
 go test -run='TestCrossCheckFusedAgainstUnfused|TestFusedFig9' .
-if grep -rn 'RHEEM_NO_FUS[E]\|FusionDisable[d]\|RHEEM_NO_COLUMNA[R]\|ColumnarDisable[d]\|NewSegRD[D]\|shuffleB[y]\|rangeShuffl[e]\|parallelPart[s]\|fanOu[t](\|mergeRun[s]\|poolEr[r]\|driverutil\.Dat[a]\b\|one := func(k core\.Kin[d]\|bc core\.BroadcastCt[x], round\|fetchAn[y]\|mergePlan[s]\|acceptableChannel[s]\|KnownCard[s]\|outerPlanO[f]\|dictCol[s]\|[wW]orkerUsag[e]\|OutCard[s]\|monitor\.Ne[w](\|Monitor\.Recor[d](\|BuildProfil[e]\|InArityO[f]\|OutArityO[f]\|kindRegistr[y]\|registeredKin[d]\|FusibleKin[d]\|udfRolesO[f]\|bindUD[F]\|ChainPatter[n]\|RegisterChai[n]\|ChainAlternative[s]\|DirectAlternative[s]\|CoveredB[y]\|CostKeyOrNam[e]\|OwnCos[t]\|Cover[s]:\|\.Cover[s]\b\|defaultParamsFo[r]\|func (e \*engine) pageRan[k]\|func (e \*engine) mapPart[s]' --include='*.go' --include='verify.sh' .; then
-	echo "a deleted fork (per-operator narrow path, row-carried partitions, a per-engine shuffle or dispatch, the untyped stage harness, a hand-written mapping closure, the executor's second planner, a second store of stage statistics, a second description of an operator kind, a second fusion or mapping mechanism, a name-keyed price table, a per-engine PageRank or map-partitions) or its switch is back" >&2
+if grep -rn 'RHEEM_NO_FUS[E]\|FusionDisable[d]\|RHEEM_NO_COLUMNA[R]\|ColumnarDisable[d]\|NewSegRD[D]\|shuffleB[y]\|rangeShuffl[e]\|parallelPart[s]\|fanOu[t](\|mergeRun[s]\|poolEr[r]\|driverutil\.Dat[a]\b\|one := func(k core\.Kin[d]\|bc core\.BroadcastCt[x], round\|fetchAn[y]\|mergePlan[s]\|acceptableChannel[s]\|KnownCard[s]\|outerPlanO[f]\|dictCol[s]\|[wW]orkerUsag[e]\|OutCard[s]\|monitor\.Ne[w](\|Monitor\.Recor[d](\|BuildProfil[e]\|InArityO[f]\|OutArityO[f]\|kindRegistr[y]\|registeredKin[d]\|FusibleKin[d]\|udfRolesO[f]\|bindUD[F]\|ChainPatter[n]\|RegisterChai[n]\|ChainAlternative[s]\|DirectAlternative[s]\|CoveredB[y]\|CostKeyOrNam[e]\|OwnCos[t]\|Cover[s]:\|\.Cover[s]\b\|defaultParamsFo[r]\|func (e \*engine) pageRan[k]\|func (e \*engine) mapPart[s]\|SleepM[s](\|ThrottleMBp[s]\|const NoOverheadMs = driverutil\.NoOverheadM[s]' --include='*.go' --include='verify.sh' .; then
+	echo "a deleted fork (per-operator narrow path, row-carried partitions, a per-engine shuffle or dispatch, the untyped stage harness, a hand-written mapping closure, the executor's second planner, a second store of stage statistics, a second description of an operator kind, a second fusion or mapping mechanism, a name-keyed price table, a per-engine PageRank or map-partitions, a sleep or sentinel beside the simulated-time seam) or its switch is back" >&2
+	exit 1
+fi
+# One seam for simulated time: outside internal/simclock and bench/, no
+# non-test Go file sleeps. Every simulated latency is charged through
+# simclock.Charge; real waits use timers.
+if grep -rn --include='*.go' 'time\.Slee[p]' . | grep -v '_test\.go:\|^\./internal/simclock/\|^\./bench/'; then
+	echo "a non-test file outside internal/simclock sleeps: charge simulated latency through simclock.Charge, wait for real events with a timer" >&2
 	exit 1
 fi
 # One implementation per whole-input kind: map-partitions, zip-with-id, sample
