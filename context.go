@@ -44,7 +44,7 @@ type Config struct {
 	// DFSDir is the directory backing the DFS store; a temporary directory
 	// is created when empty.
 	DFSDir string
-	// DFSOptions tune the DFS (block size, replication, throttling).
+	// DFSOptions tune the DFS (block size, replication, simulated datanodes).
 	DFSOptions dfs.Options
 	// Platforms enables a subset of platforms; nil enables all.
 	Platforms []string
@@ -67,7 +67,9 @@ type Config struct {
 	PregelConfig   pregel.Config
 
 	// FastSimulation removes the scaled-down cluster latencies (context
-	// startup, job dispatch, shuffle barriers). Unit-style workloads use it;
+	// startup, job dispatch, shuffle and exchange barriers, pregel
+	// supersteps, relstore's query latency) and the single-node slowdown
+	// of streams, graphmem and relstore. Unit-style workloads use it;
 	// experiments reproduce the paper's overheads with it off.
 	FastSimulation bool
 }

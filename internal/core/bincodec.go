@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -128,7 +129,9 @@ var ErrCorruptQuantum = errors.New("core: corrupt binary quantum")
 
 // DecodeQuantumBinary parses one binary-encoded quantum. The encoding must
 // occupy the whole input; trailing bytes are corruption, never silently
-// ignored.
+// ignored. A column batch is never a quantum: it decodes only as a whole
+// frame of a quanta stream (decodeFrame), and anywhere else it is
+// ErrCorruptQuantum.
 func DecodeQuantumBinary(data []byte) (any, error) {
 	q, rest, err := decodeQuantumBinary(data)
 	if err != nil {
@@ -232,7 +235,7 @@ func decodeQuantumBinary(data []byte) (any, []byte, error) {
 		}
 		return v, rest[n:], nil
 	case binBatch:
-		return decodeColumnBatch(data)
+		return nil, nil, fmt.Errorf("%w: column batch inside a quantum", ErrCorruptQuantum)
 	default:
 		return nil, nil, fmt.Errorf("%w: unknown tag 0x%02x", ErrCorruptQuantum, tag)
 	}
@@ -377,7 +380,12 @@ func AppendColumnBatchBinary(buf []byte, b *ColumnBatch) ([]byte, error) {
 	return buf, nil
 }
 
-func decodeColumnBatch(data []byte) (any, []byte, error) {
+// decodeColumnBatch decodes the body of a batch frame (after its tag). Before
+// each buffer is allocated, the bytes left must hold the minimum encoding of
+// what the header claims — two bytes per column header, one byte per varint,
+// string, escape value, dictionary entry or code, one bit per bool — so a
+// corrupt count fails without allocating what it claims.
+func decodeColumnBatch(data []byte) (*ColumnBatch, []byte, error) {
 	if len(data) < 1 {
 		return nil, nil, fmt.Errorf("%w: short batch header", ErrCorruptQuantum)
 	}
@@ -388,7 +396,7 @@ func decodeColumnBatch(data []byte) (any, []byte, error) {
 	}
 	data = data[w:]
 	nc, w := binary.Uvarint(data)
-	if w <= 0 || nc > maxBatchCols {
+	if w <= 0 || nc > maxBatchCols || nc > uint64(len(data)-w)/2 {
 		return nil, nil, fmt.Errorf("%w: batch column count", ErrCorruptQuantum)
 	}
 	data = data[w:]
@@ -419,13 +427,16 @@ func decodeColumnBatch(data []byte) (any, []byte, error) {
 		} else if hasValid != 0 {
 			return nil, nil, fmt.Errorf("%w: bad validity flag", ErrCorruptQuantum)
 		}
+		if n > len(data) && (col.Type == ColInt64 || col.Type == ColString || col.Type == ColAny) {
+			return nil, nil, fmt.Errorf("%w: short column", ErrCorruptQuantum)
+		}
 		var err error
 		if byte(col.Type) == binDict {
 			// Dictionary string column: distinct values, then one code per
 			// row, each checked against the dictionary bound.
 			col.Type = ColString
 			ds, w := binary.Uvarint(data)
-			if w <= 0 || ds > maxBatchRows {
+			if w <= 0 || ds > maxBatchRows || ds > uint64(len(data)-w) {
 				return nil, nil, fmt.Errorf("%w: batch dictionary size", ErrCorruptQuantum)
 			}
 			data = data[w:]
@@ -437,6 +448,9 @@ func decodeColumnBatch(data []byte) (any, []byte, error) {
 				}
 				col.Dict[i] = string(rest[:sn])
 				data = rest[sn:]
+			}
+			if n > len(data) {
+				return nil, nil, fmt.Errorf("%w: short dictionary codes", ErrCorruptQuantum)
 			}
 			col.Codes = make([]uint32, n)
 			for i := range col.Codes {
@@ -637,13 +651,59 @@ func WriteQuantaStream(w io.Writer, quanta []any) error {
 }
 
 // ReadQuantaStream decodes a framed binary quanta stream to row-major
-// quanta (ReadQuantaStreamSegments, flattened); zero quanta come back nil.
+// quanta, batch frames expanded to their rows; zero quanta come back nil.
 func ReadQuantaStream(r io.Reader) ([]any, error) {
 	segs, err := ReadQuantaStreamSegments(r)
 	if err != nil {
 		return nil, err
 	}
 	return SegmentRows(segs), nil
+}
+
+// decodeFrame decodes one frame of a quanta stream: a *ColumnBatch when the
+// whole frame is a batch, else the one quantum DecodeQuantumBinary gives.
+func decodeFrame(frame []byte) (any, error) {
+	if len(frame) == 0 || frame[0] != binBatch {
+		return DecodeQuantumBinary(frame)
+	}
+	b, rest, err := decodeColumnBatch(frame[1:])
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptQuantum, len(rest))
+	}
+	return b, nil
+}
+
+// AppendFrameRows decodes one frame of a quanta stream and appends its
+// quanta to dst: a batch frame's rows, or the frame's one quantum.
+func AppendFrameRows(dst []any, frame []byte) ([]any, error) {
+	q, err := decodeFrame(frame)
+	if err != nil {
+		return nil, err
+	}
+	if b, ok := q.(*ColumnBatch); ok {
+		return b.AppendRows(dst), nil
+	}
+	return append(dst, q), nil
+}
+
+// readFrame reads an n-byte frame into buf's storage, growing it only as
+// bytes arrive, so a corrupt length prefix allocates no more than the stream
+// holds.
+func readFrame(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		step := min(n-len(buf), max(cap(buf)-len(buf), 1<<16))
+		buf = slices.Grow(buf, step)
+		got, err := io.ReadFull(r, buf[len(buf):len(buf)+step])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // readBinarySegments decodes the stream's frames, keeping batch frames
@@ -670,15 +730,11 @@ func readBinarySegments(br *bufio.Reader) ([]Segment, error) {
 		if n > 1<<31 {
 			return nil, fmt.Errorf("%w: frame length %d", ErrCorruptQuantum, n)
 		}
-		if uint64(cap(frame)) < n {
-			frame = make([]byte, n)
-		}
-		frame = frame[:n]
-		if _, err := io.ReadFull(br, frame); err != nil {
+		if frame, err = readFrame(br, frame, int(n)); err != nil {
 			return nil, fmt.Errorf("%w: truncated frame: %v", ErrCorruptQuantum, err)
 		}
 		addCodecBytes(int(n))
-		q, err := DecodeQuantumBinary(frame)
+		q, err := decodeFrame(frame)
 		if err != nil {
 			return nil, err
 		}
@@ -692,10 +748,10 @@ func readBinarySegments(br *bufio.Reader) ([]Segment, error) {
 }
 
 // ReadQuantaStreamSegments decodes a framed binary quanta stream, the one
-// format quanta streams, files and DFS files are written in, keeping
-// column-batch frames as native segments so batch-aware consumers move
-// columns end to end. A zero-length stream is zero quanta; any other input
-// that does not begin with BinaryQuantaMagic is ErrCorruptQuantum.
+// format quanta streams, files and DFS files are written in, to the codec's
+// decoded form: batch frames as column-batch segments. A zero-length stream
+// is zero quanta; any other input that does not begin with BinaryQuantaMagic
+// is ErrCorruptQuantum.
 func ReadQuantaStreamSegments(r io.Reader) ([]Segment, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	head, err := br.Peek(len(BinaryQuantaMagic))

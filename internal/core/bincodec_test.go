@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -134,11 +136,18 @@ func TestBinaryCodecIntWidening(t *testing.T) {
 	}
 }
 
-func TestDecodeQuantumBinaryCorrupt(t *testing.T) {
+// goodQuantum is the encoding TestDecodeQuantumBinaryCorrupt truncates and
+// pads.
+func goodQuantum(tb testing.TB) []byte {
 	good, err := AppendQuantumBinary(nil, Record{"abc", int64(5), []any{1.5, "x"}})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return good
+}
+
+func TestDecodeQuantumBinaryCorrupt(t *testing.T) {
+	good := goodQuantum(t)
 	// Every truncation must error, never panic.
 	for n := 0; n < len(good); n++ {
 		if _, err := DecodeQuantumBinary(good[:n]); err == nil {
@@ -157,20 +166,110 @@ func TestDecodeQuantumBinaryCorrupt(t *testing.T) {
 	if _, err := DecodeQuantumBinary([]byte{binString, 0xff, 0xff, 0xff, 0xff, 0x7f}); err == nil {
 		t.Error("oversized length accepted")
 	}
+	// A column batch decodes only as a whole frame of a stream: nested in a
+	// quantum, or handed to DecodeQuantumBinary on its own, it is corrupt,
+	// and a stream carrying such a quantum fails.
+	for name, input := range nestedBatchInputs(t) {
+		if q, err := DecodeQuantumBinary(input); !errors.Is(err, ErrCorruptQuantum) {
+			t.Errorf("%s: decoded to %#v (err %v), want ErrCorruptQuantum", name, q, err)
+		}
+		if name == "top-level" {
+			continue // a whole batch frame is what a stream may carry
+		}
+		if _, err := ReadQuantaStream(bytes.NewReader(framed(input))); !errors.Is(err, ErrCorruptQuantum) {
+			t.Errorf("%s: stream read returned %v, want ErrCorruptQuantum", name, err)
+		}
+	}
 }
 
-func TestReadQuantaStreamTruncatedFrame(t *testing.T) {
+// nestedBatchInputs returns a column batch's encoding on its own and nested
+// wherever a quantum may hold a value: a record, a slice, a KV's key and
+// value, a group's key and values, and an escape column of another batch.
+func nestedBatchInputs(t testing.TB) map[string][]byte {
+	b, ok := BatchFromRows(corruptionGuardRows)
+	if !ok {
+		t.Fatal("BatchFromRows refused uniform records")
+	}
+	batch, err := AppendColumnBatchBinary(nil, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	return map[string][]byte{
+		"top-level":   batch,
+		"record":      cat([]byte{binRecord, 1}, batch),
+		"slice":       cat([]byte{binSlice, 1}, batch),
+		"kv-key":      cat([]byte{binKV}, batch, []byte{binNil}),
+		"kv-value":    cat([]byte{binKV, binNil}, batch),
+		"group-key":   cat([]byte{binGroup}, batch, []byte{0}),
+		"group-value": cat([]byte{binGroup, binNil, 1}, batch),
+		"escape":      cat([]byte{binBatch, 0, 1, 1, byte(ColAny), 0}, batch),
+	}
+}
+
+// framed wraps one frame as a quanta stream.
+func framed(frame []byte) []byte {
+	return append(binary.AppendUvarint([]byte(BinaryQuantaMagic), uint64(len(frame))), frame...)
+}
+
+// hostileLengthInputs are streams whose length prefixes claim far more than
+// they hold: a frame of 1 GiB, and batch frames claiming 2^20 rows of each
+// column kind whose rows need at least a byte each (or, for the dictionary,
+// 2^20 entries).
+func hostileLengthInputs() map[string][]byte {
+	rows := binary.AppendUvarint(nil, 1<<20)
+	batch := func(col ...byte) []byte {
+		f := append([]byte{binBatch, 0}, rows...)
+		return append(append(f, 1), col...)
+	}
+	return map[string][]byte{
+		"frame":      append(binary.AppendUvarint([]byte(BinaryQuantaMagic), 1<<30), "abc"...),
+		"any-rows":   framed(batch(byte(ColAny), 0, binNil)),
+		"int-rows":   framed(batch(byte(ColInt64), 0, 0)),
+		"str-rows":   framed(batch(byte(ColString), 0, 0)),
+		"dict-size":  framed(batch(binDict, 0, 0x80, 0x80, 0x40, 0)),
+		"dict-codes": framed(batch(binDict, 0, 1, 0, 0)),
+		"columns":    framed([]byte{binBatch, 0, 0, 0x80, 0x80, 0x04, 0, 0}),
+	}
+}
+
+// TestReadQuantaStreamHostileLengths: a length prefix or a batch header that
+// claims more than the input holds is corrupt, and rejecting it allocates
+// well under what it claims — the frame buffer grows only as bytes arrive,
+// and a batch column is allocated only once the bytes left can hold its
+// minimum encoding.
+func TestReadQuantaStreamHostileLengths(t *testing.T) {
+	for name, input := range hostileLengthInputs() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadQuantaStream(bytes.NewReader(input))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorruptQuantum) {
+			t.Errorf("%s: %v, want ErrCorruptQuantum", name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s: rejecting a %d-byte stream allocated %d bytes", name, len(input), n)
+		}
+	}
+}
+
+// threeFrames is a stream of three row frames.
+func threeFrames(tb testing.TB) []byte {
 	var buf bytes.Buffer
 	enc := NewQuantaEncoder(&buf)
 	for _, q := range []any{"one", "two", "three"} {
 		if err := enc.Encode(q); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	full := buf.Bytes()
+	return buf.Bytes()
+}
+
+func TestReadQuantaStreamTruncatedFrame(t *testing.T) {
+	full := threeFrames(t)
 	// Cut inside the last frame: the stream must error, not return short.
 	if _, err := ReadQuantaStream(bytes.NewReader(full[:len(full)-2])); err == nil {
 		t.Error("truncated stream read without error")
@@ -180,28 +279,33 @@ func TestReadQuantaStreamTruncatedFrame(t *testing.T) {
 	}
 }
 
+// legacyInputs are non-empty inputs that do not begin with the magic: tagged
+// JSON lines, a short read, another magic, a blank line, the magic mid-input.
+func legacyInputs(tb testing.TB) map[string][]byte {
+	var lines []string
+	for _, q := range []any{"a", Record{int64(1), "b"}, KV{Key: "k", Value: int64(2)}, nil, 1.5} {
+		line, err := EncodeQuantum(q)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		lines = append(lines, string(line))
+	}
+	return map[string][]byte{
+		"json-lines":   []byte(strings.Join(lines, "\n") + "\n"),
+		"short":        []byte("RQ"),
+		"wrong-magic":  []byte("RQB2\x01\x00"),
+		"blank-line":   []byte("\n"),
+		"magic-in-mid": append([]byte("x"), BinaryQuantaMagic...),
+	}
+}
+
 // TestReadQuantaFileLegacyJSON: RQB1 is the only at-rest format. Tagged
 // JSON lines (what quanta files held before the binary codec), or any other
 // non-empty input that does not begin with the magic, is rejected as corrupt
 // by the stream and file readers — never guessed at as JSON. A zero-length
 // stream stays zero quanta.
 func TestReadQuantaFileLegacyJSON(t *testing.T) {
-	var lines []string
-	for _, q := range []any{"a", Record{int64(1), "b"}, KV{Key: "k", Value: int64(2)}, nil, 1.5} {
-		line, err := EncodeQuantum(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines = append(lines, string(line))
-	}
-	legacy := []byte(strings.Join(lines, "\n") + "\n")
-	for name, input := range map[string][]byte{
-		"json-lines":   legacy,
-		"short":        []byte("RQ"),
-		"wrong-magic":  []byte("RQB2\x01\x00"),
-		"blank-line":   []byte("\n"),
-		"magic-in-mid": append([]byte("x"), BinaryQuantaMagic...),
-	} {
+	for name, input := range legacyInputs(t) {
 		path := filepath.Join(t.TempDir(), name)
 		if err := os.WriteFile(path, input, 0o644); err != nil {
 			t.Fatal(err)
@@ -209,10 +313,9 @@ func TestReadQuantaFileLegacyJSON(t *testing.T) {
 		_, errStream := ReadQuantaStream(bytes.NewReader(input))
 		_, errSegs := ReadQuantaStreamSegments(bytes.NewReader(input))
 		_, errFile := ReadQuantaFile(path)
-		_, errFileSegs := ReadQuantaFileSegments(path)
 		for reader, err := range map[string]error{
 			"ReadQuantaStream": errStream, "ReadQuantaStreamSegments": errSegs,
-			"ReadQuantaFile": errFile, "ReadQuantaFileSegments": errFileSegs,
+			"ReadQuantaFile": errFile,
 		} {
 			if !errors.Is(err, ErrCorruptQuantum) {
 				t.Errorf("%s: %s returned %v, want ErrCorruptQuantum", name, reader, err)

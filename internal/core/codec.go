@@ -220,24 +220,14 @@ func WriteQuantaFile(path string, quanta []any) error {
 }
 
 // ReadQuantaFile decodes a file written by WriteQuantaFile to row-major
-// quanta (ReadQuantaFileSegments, flattened).
+// quanta (see ReadQuantaStream).
 func ReadQuantaFile(path string) ([]any, error) {
-	segs, err := ReadQuantaFileSegments(path)
-	if err != nil {
-		return nil, err
-	}
-	return SegmentRows(segs), nil
-}
-
-// ReadQuantaFileSegments decodes a file written by WriteQuantaFile, keeping
-// column-batch frames as native segments (see ReadQuantaStreamSegments).
-func ReadQuantaFileSegments(path string) ([]Segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: read quanta file: %w", err)
 	}
 	defer f.Close()
-	return ReadQuantaStreamSegments(f)
+	return ReadQuantaStream(f)
 }
 
 // ReadTextFile reads a plain text file into one string quantum per line.

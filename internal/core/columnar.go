@@ -489,32 +489,6 @@ func anyColumn(rows []any, c int) *Column {
 // AppendRows appends every row of the batch to dst in row-major form.
 func (b *ColumnBatch) AppendRows(dst []any) []any { return b.EmitRows(dst, nil, nil) }
 
-// CloneForWrite returns a batch that shares everything with b except the
-// listed columns, whose numeric buffers are deep-copied so in-place rewrites
-// (ApplyNumExpr) don't leak into other consumers of a shared batch — cached
-// partitions, re-read spill files. Only numeric columns ever get rewritten
-// (VecMapOK gates that), so string/bool/escape buffers stay shared. The
-// Cols and dirty slices themselves are always copied.
-func (b *ColumnBatch) CloneForWrite(cols []int) *ColumnBatch {
-	nb := &ColumnBatch{n: b.n, scalar: b.scalar, rows: b.rows}
-	nb.Cols = append([]*Column(nil), b.Cols...)
-	nb.dirty = append([]bool(nil), b.dirty...)
-	for _, c := range cols {
-		if c < 0 || c >= len(nb.Cols) || nb.Cols[c] == nil {
-			continue
-		}
-		col := *nb.Cols[c]
-		if col.Ints != nil {
-			col.Ints = append([]int64(nil), col.Ints...)
-		}
-		if col.Floats != nil {
-			col.Floats = append([]float64(nil), col.Floats...)
-		}
-		nb.Cols[c] = &col
-	}
-	return nb
-}
-
 // EmitRows appends the selected rows (sel nil = all, in order) to dst,
 // projected to the proj columns (nil = every column in order). Columns the
 // kernel never rewrote re-emit the original boxed values; a clean batch with

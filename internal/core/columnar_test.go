@@ -185,7 +185,7 @@ func TestColumnBatchCodecRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: encode: %v", trial, err)
 		}
-		q, err := DecodeQuantumBinary(enc)
+		q, err := decodeFrame(enc)
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
@@ -211,7 +211,7 @@ func TestColumnBatchCodecBoolPackingRemainder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := DecodeQuantumBinary(enc)
+	q, err := decodeFrame(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,16 +220,19 @@ func TestColumnBatchCodecBoolPackingRemainder(t *testing.T) {
 	}
 }
 
+// corruptionGuardRows are the rows of TestColumnBatchCodecCorruptionGuards'
+// batch: an int column with a hole, a string column and a bool column.
+var corruptionGuardRows = []any{Record{int64(1), "a", true}, Record{nil, "b", false}}
+
 func TestColumnBatchCodecCorruptionGuards(t *testing.T) {
-	rows := []any{Record{int64(1), "a", true}, Record{nil, "b", false}}
-	b, _ := BatchFromRows(rows)
+	b, _ := BatchFromRows(corruptionGuardRows)
 	enc, err := AppendColumnBatchBinary(nil, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Every strict prefix must error, never panic or mis-decode.
 	for cut := 1; cut < len(enc); cut++ {
-		if _, err := DecodeQuantumBinary(enc[:cut]); err == nil {
+		if _, err := decodeFrame(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded without error", cut)
 		}
 	}

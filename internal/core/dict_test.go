@@ -74,7 +74,7 @@ func TestDictColumnCodecRoundTripAndCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := DecodeQuantumBinary(enc)
+	q, err := decodeFrame(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestDictColumnCodecRoundTripAndCorruption(t *testing.T) {
 	}
 	// Every strict prefix must error, never panic or mis-decode.
 	for cut := 1; cut < len(enc); cut++ {
-		if _, err := DecodeQuantumBinary(enc[:cut]); err == nil {
+		if _, err := decodeFrame(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded without error", cut)
 		}
 	}

@@ -286,7 +286,7 @@ func ApplyBlocking(s Scheduler, op *core.Operator, round int, in [][][]any) (out
 		if drawn, err = Sample(op, gather(in[0]), round); err != nil {
 			return nil, err
 		}
-		out = RowParts(SplitSegments([]core.Segment{{Rows: drawn}}, len(in[0])))
+		out = SplitRows(drawn, len(in[0]))
 	case core.KindPageRank:
 		return pageRank(s, op, in[0])
 	default:
@@ -427,18 +427,18 @@ func pageRank(s Scheduler, op *core.Operator, edges [][]any) ([][]any, error) {
 // folds its Reduce UDF over keyed slots, and pays one barrier even on a
 // single partition, which has nothing to exchange and comes back as one
 // partition even when there are none.
-func RunChainParts(s Scheduler, kernel *VectorKernel, parts [][]core.Segment, counters []*int64) [][]any {
+func RunChainParts(s Scheduler, kernel *VectorKernel, parts [][]any, counters []*int64) [][]any {
 	// run passes partition i through the narrow steps — into st or f when the
 	// chain reduces — and flushes the partition's step counts.
 	run := func(i int, st *core.AggState, f *keyFold) (out []any) {
 		counts := make([]int64, kernel.Len())
 		switch {
 		case st != nil:
-			kernel.RunSegmentsAgg(parts[i], counts, st)
+			kernel.RunAgg(parts[i], counts, st)
 		case f != nil:
 			kernel.runFold(parts[i], counts, f)
 		default:
-			out = kernel.RunSegments(parts[i], counts, nil)
+			out = kernel.Run(parts[i], counts, nil)
 		}
 		for step, n := range counts {
 			atomic.AddInt64(counters[step], n)

@@ -28,11 +28,6 @@ func benchKVs(n int, mod int64) []any {
 	return out
 }
 
-// rowsOf splits data into n row partitions.
-func rowsOf(data []any, n int) [][]any {
-	return RowParts(SplitSegments([]core.Segment{{Rows: data}}, n))
-}
-
 func kvKey(q any) any { return q.(core.KV).Key }
 
 func sortedStrings(data []any) []string {
@@ -46,7 +41,7 @@ func sortedStrings(data []any) []string {
 
 func TestExchangeHashRouteKeepsKeysTogether(t *testing.T) {
 	for _, s := range []Scheduler{Serial{}, &pooled{width: 4}} {
-		parts := Exchange(s, rowsOf(benchKVs(1000, 17), 8), 4, HashRoute(kvKey, 4))
+		parts := Exchange(s, SplitRows(benchKVs(1000, 17), 8), 4, HashRoute(kvKey, 4))
 		if len(parts) != 4 {
 			t.Fatalf("%d output partitions, want 4", len(parts))
 		}
@@ -79,7 +74,7 @@ func TestExchangeRangeRouteOrdersPartitions(t *testing.T) {
 	for i := range data {
 		data[i] = int64((i * 7919) % 500)
 	}
-	parts := rowsOf(data, 4)
+	parts := SplitRows(data, 4)
 	less := func(a, b any) bool { return a.(int64) < b.(int64) }
 	ranged := Exchange(&pooled{width: 4}, parts, 4, RangeRoute(parts, 4, less))
 	// Partition boundaries must be ordered: max(part i) <= min(part i+1).
@@ -209,7 +204,7 @@ func TestApplyBlockingMatchesSliceKernels(t *testing.T) {
 		op := &c.op
 		in := make([][][]any, len(c.in))
 		for i, data := range c.in {
-			in[i] = rowsOf(data, 5-2*i) // the right side has fewer partitions
+			in[i] = SplitRows(data, 5-2*i) // the right side has fewer partitions
 		}
 		s := &pooled{width: 3}
 		out, err := ApplyBlocking(s, op, 0, in)
@@ -270,7 +265,7 @@ func doubleValues(part []any) []any {
 // BenchmarkShuffle measures a full hash exchange (map-side bucketing +
 // gather) over 100k quanta.
 func BenchmarkShuffle(b *testing.B) {
-	parts := rowsOf(benchKVs(100000, 997), 8)
+	parts := SplitRows(benchKVs(100000, 997), 8)
 	s := &pooled{width: 4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -285,7 +280,7 @@ func BenchmarkRangeShuffle(b *testing.B) {
 	for i := range data {
 		data[i] = int64((i * 7919) % 100000)
 	}
-	parts := rowsOf(data, 8)
+	parts := SplitRows(data, 8)
 	s := &pooled{width: 4}
 	less := func(a, c any) bool { return a.(int64) < c.(int64) }
 	b.ResetTimer()

@@ -74,9 +74,9 @@ func ReadDFSQuanta(store *dfs.Store, path string) ([]any, error) {
 	return core.SegmentRows(segs), nil
 }
 
-// ReadDFSQuantaSegments decodes a whole DFS quanta file keeping column-batch
-// frames as native segments, so batch-aware engines skip the row round-trip.
-// A driver without a store reports so here.
+// ReadDFSQuantaSegments decodes a whole DFS quanta file to the codec's
+// decoded form, batch frames as column-batch segments (see
+// core.ReadQuantaStreamSegments). A driver without a store reports so here.
 func ReadDFSQuantaSegments(store *dfs.Store, path string) ([]core.Segment, error) {
 	if store == nil {
 		return nil, fmt.Errorf("driverutil: no DFS configured for %s", path)
@@ -89,11 +89,11 @@ func ReadDFSQuantaSegments(store *dfs.Store, path string) ([]core.Segment, error
 	return core.ReadQuantaStreamSegments(r)
 }
 
-// ReadDFSQuantaBlockSegments decodes the quanta one block split owns, keeping
-// column-batch frames native. The blocks' segments, in order, are exactly the
-// file's quanta, each once. A file written without frame metadata is not a
-// quanta file: core.ErrCorruptQuantum.
-func ReadDFSQuantaBlockSegments(store *dfs.Store, name string, index int) ([]core.Segment, error) {
+// ReadDFSQuantaBlock decodes the quanta one block split owns to rows, batch
+// frames expanded. The blocks' rows, in order, are exactly the file's quanta,
+// each once. A file written without frame metadata is not a quanta file:
+// core.ErrCorruptQuantum.
+func ReadDFSQuantaBlock(store *dfs.Store, name string, index int) ([]any, error) {
 	frames, err := store.ReadBlockFrames(dfs.TrimScheme(name), index)
 	if errors.Is(err, dfs.ErrNotFramed) {
 		return nil, fmt.Errorf("%w: %v", core.ErrCorruptQuantum, err)
@@ -101,25 +101,11 @@ func ReadDFSQuantaBlockSegments(store *dfs.Store, name string, index int) ([]cor
 	if err != nil {
 		return nil, err
 	}
-	var segs []core.Segment
-	var run []any
+	var rows []any
 	for _, f := range frames {
-		q, err := core.DecodeQuantumBinary(f)
-		if err != nil {
+		if rows, err = core.AppendFrameRows(rows, f); err != nil {
 			return nil, err
 		}
-		if cb, ok := q.(*core.ColumnBatch); ok {
-			if len(run) > 0 {
-				segs = append(segs, core.Segment{Rows: run})
-				run = nil
-			}
-			segs = append(segs, core.Segment{Batch: cb})
-			continue
-		}
-		run = append(run, q)
 	}
-	if len(run) > 0 {
-		segs = append(segs, core.Segment{Rows: run})
-	}
-	return segs, nil
+	return rows, nil
 }

@@ -70,11 +70,11 @@ func TestDFSQuantaBlockReadsCoverFile(t *testing.T) {
 	}
 	var got []any
 	for i := range blocks {
-		segs, err := ReadDFSQuantaBlockSegments(s, "parts", i)
+		rows, err := ReadDFSQuantaBlock(s, "parts", i)
 		if err != nil {
 			t.Fatalf("block %d: %v", i, err)
 		}
-		got = append(got, core.SegmentRows(segs)...)
+		got = append(got, rows...)
 	}
 	if !reflect.DeepEqual(got, in) {
 		t.Fatalf("block reads: got %d quanta, want %d", len(got), len(in))
@@ -109,8 +109,52 @@ func TestDFSQuantaLegacyJSONLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range blocks {
-		if _, err := ReadDFSQuantaBlockSegments(s, "legacy", i); !errors.Is(err, core.ErrCorruptQuantum) {
+		if _, err := ReadDFSQuantaBlock(s, "legacy", i); !errors.Is(err, core.ErrCorruptQuantum) {
 			t.Errorf("block %d: %v, want ErrCorruptQuantum", i, err)
+		}
+	}
+}
+
+// TestDFSQuantaBlockRejectsNestedBatch: the block reader expands a frame that
+// is a whole column batch to its rows, but a batch nested inside a quantum is
+// corrupt, never handed on as a *core.ColumnBatch value.
+func TestDFSQuantaBlockRejectsNestedBatch(t *testing.T) {
+	s := quantaStore(t)
+	b, ok := core.BatchFromRows([]any{core.Record{int64(1)}, core.Record{int64(2)}})
+	if !ok {
+		t.Fatal("BatchFromRows refused uniform records")
+	}
+	batch, err := core.AppendColumnBatchBinary(nil, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, frame := range map[string][]byte{
+		"whole":  batch,
+		"nested": append([]byte{0x07, 1}, batch...), // a one-element record
+	} {
+		fw, err := s.CreateFrames(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.WriteRaw([]byte(core.BinaryQuantaMagic)); err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.WriteFrame(frame); err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rows, err := ReadDFSQuantaBlock(s, name, 0)
+		switch name {
+		case "whole":
+			if err != nil || !reflect.DeepEqual(rows, []any{core.Record{int64(1)}, core.Record{int64(2)}}) {
+				t.Errorf("whole batch frame: %v (err %v), want its two rows", rows, err)
+			}
+		case "nested":
+			if !errors.Is(err, core.ErrCorruptQuantum) {
+				t.Errorf("nested batch: %v (err %v), want ErrCorruptQuantum", rows, err)
+			}
 		}
 	}
 }

@@ -76,9 +76,8 @@ func (c *FusedChain) String() string {
 // chain.AllOps() — one extra trailing counter for the absorbed reduce-by
 // when chain.Agg is set. The returned data stands for chain.Out()'s output.
 // The kernel is a VectorKernel: for pure narrow chains engines just call
-// Run (or RunSegments for batch-native partitions), which takes the
-// columnar path when the chain's leading steps vectorized and the partition
-// allows it, and the row path otherwise. A kernel that Reduces runs over its
+// Run, which takes the columnar path when the chain's leading steps
+// vectorized and the partition allows it, and the row path otherwise. A kernel that Reduces runs over its
 // partitions at rest through RunChainParts, which owns the per-partition
 // fold, the exchange of partials and the counting of the output.
 type ChainEngine[T any] interface {

@@ -173,26 +173,18 @@ func CollectionOf(data []any) *core.Channel {
 	return core.NewChannel(core.CollectionChannel, core.NewSliceDataset(data), int64(len(data)))
 }
 
-// SegmentsOf wraps a decoded segment run as a driver collection channel,
-// column batches kept: it iterates as the same rows and batch-aware consumers
-// skip the rebuild.
-func SegmentsOf(segs []core.Segment) *core.Channel {
-	ds := core.NewSegmentedDataset(segs)
-	return core.NewChannel(core.CollectionChannel, ds, ds.Card())
-}
-
-// NeutralSegments reads a platform-neutral input channel — a driver collection,
-// a quanta file or a DFS quanta file — as a segment run, column batches kept.
-func NeutralSegments(store *dfs.Store, ch *core.Channel) ([]core.Segment, error) {
+// NeutralSlice reads a platform-neutral input channel — a driver collection,
+// a quanta file or a DFS quanta file — as rows.
+func NeutralSlice(store *dfs.Store, ch *core.Channel) ([]any, error) {
 	switch ch.Desc.Name {
 	case "collection", "file":
-		return ChannelSegments(ch)
+		return ChannelSlice(ch)
 	case "dfs":
 		path, ok := ch.Payload.(string)
 		if !ok {
 			return nil, fmt.Errorf("channel dfs payload %T", ch.Payload)
 		}
-		return ReadDFSQuantaSegments(store, path)
+		return ReadDFSQuanta(store, path)
 	}
 	return nil, fmt.Errorf("unsupported input channel %q", ch.Desc.Name)
 }
@@ -205,31 +197,6 @@ func SaveDFS(store *dfs.Store, prefix string, in *core.Channel, data []any) (*co
 		return nil, err
 	}
 	return core.NewChannel(DFSChannel, dfs.Scheme+name, int64(len(data))), nil
-}
-
-// Parts is partitions at rest: one segment run per partition.
-type Parts [][]core.Segment
-
-// Count returns the total number of quanta.
-func (p Parts) Count() int64 {
-	var n int64
-	for _, part := range p {
-		for _, s := range part {
-			n += int64(s.Len())
-		}
-	}
-	return n
-}
-
-// Collect concatenates all partitions in order into a slice of its own.
-func (p Parts) Collect() []any {
-	out := make([]any, 0, p.Count())
-	for _, part := range p {
-		for _, s := range part {
-			out = s.AppendRows(out)
-		}
-	}
-	return out
 }
 
 // Observe is the epilogue of an operator evaluated eagerly: its output is

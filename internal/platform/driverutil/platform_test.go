@@ -97,24 +97,17 @@ func TestPartsCountAndCollect(t *testing.T) {
 		}
 		return out
 	}
-	batch := func(lo, hi int) core.Segment {
-		b, ok := core.BatchFromRows(rows(lo, hi))
-		if !ok {
-			t.Fatal("rows did not batch")
-		}
-		return core.Segment{Batch: b}
-	}
 	cases := map[string]Parts{
 		"none":        nil,
 		"empty parts": {nil, {}},
-		"rows":        {{{Rows: rows(0, 5)}}, {{Rows: rows(5, 9)}}},
-		"mixed":       {{{Rows: rows(0, 3)}, batch(3, 40)}, nil, {batch(40, 80), {Rows: rows(80, 81)}}},
+		"rows":        {rows(0, 5), rows(5, 9)},
+		"uneven":      {rows(0, 40), nil, rows(40, 81)},
 	}
 	for name, parts := range cases {
 		t.Run(name, func(t *testing.T) {
 			var want []any
 			for _, part := range parts {
-				want = append(want, core.SegmentRows(part)...)
+				want = append(want, part...)
 			}
 			got := parts.Collect()
 			if parts.Count() != int64(len(want)) || len(got) != len(want) {
@@ -125,12 +118,12 @@ func TestPartsCountAndCollect(t *testing.T) {
 					t.Fatalf("quantum %d is %v, flattened rows have %v", i, got[i], want[i])
 				}
 			}
-			// The result is the caller's: overwriting it leaves the segments alone.
+			// The result is the caller's: overwriting it leaves the partitions alone.
 			for i := range got {
 				got[i] = nil
 			}
 			if again := parts.Collect(); len(again) > 0 && again[0] == nil {
-				t.Fatal("Collect aliases a segment")
+				t.Fatal("Collect aliases a partition")
 			}
 		})
 	}

@@ -35,23 +35,13 @@ func newCounters(n int) []*int64 {
 	return out
 }
 
-// rbParts cuts rows into n partitions of segments. Every third partition is
-// empty, and every partition after the first carries its second half as a
-// column batch, so both of a partition's carriers reach the fold.
-func rbParts(rows []any, n int) [][]core.Segment {
-	parts := make([][]core.Segment, n)
+// rbParts cuts rows into n partitions. Every third partition is empty.
+func rbParts(rows []any, n int) [][]any {
+	parts := make([][]any, n)
 	for i := range parts {
-		if i%3 == 2 {
-			continue
+		if i%3 != 2 {
+			parts[i] = rows[i*len(rows)/n : (i+1)*len(rows)/n]
 		}
-		part := rows[i*len(rows)/n : (i+1)*len(rows)/n]
-		half := len(part) / 2
-		b, ok := core.BatchFromRowsNeeding(part[half:], nil)
-		if i == 0 || !ok {
-			parts[i] = []core.Segment{{Rows: part}}
-			continue
-		}
-		parts[i] = []core.Segment{{Rows: part[:half]}, {Batch: b}}
 	}
 	return parts
 }
@@ -110,9 +100,9 @@ func TestUDFReduceByAbsorbedMatchesKeyedPath(t *testing.T) {
 					wantCounts := newCounters(len(ops) + 1)
 					mid := parts
 					if len(ops) > 0 {
-						mid = RowSegments(RunChainParts(ref, narrow, parts, wantCounts))
+						mid = RunChainParts(ref, narrow, parts, wantCounts)
 					}
-					want := keyedReduceBy(ref, rb, RowParts(mid))
+					want := keyedReduceBy(ref, rb, mid)
 					for _, part := range want {
 						*wantCounts[len(ops)] += int64(len(part))
 					}
@@ -172,7 +162,7 @@ func TestUDFReduceByAbsorbedMatchesKeyedPath(t *testing.T) {
 // word, compiled as one chain over four partitions. The reduce keeps a
 // word's first KV, so the UDFs allocate the words' KV boxes and one slice per
 // line and nothing else: what a run allocates beyond those is the engine's.
-func wordChain(tb testing.TB) (kernel *VectorKernel, parts [][]core.Segment, words int) {
+func wordChain(tb testing.TB) (kernel *VectorKernel, parts [][]any, words int) {
 	const lines, perLine, vocabulary = 20000, 9, 1000
 	vocab := make([]any, vocabulary)
 	for i := range vocab {
@@ -200,7 +190,7 @@ func wordChain(tb testing.TB) (kernel *VectorKernel, parts [][]core.Segment, wor
 	for i := range rows {
 		rows[i] = int64(i)
 	}
-	return kernel, SplitSegments([]core.Segment{{Rows: rows}}, 4), lines * perLine
+	return kernel, SplitRows(rows, 4), lines * perLine
 }
 
 // BenchmarkUDFReduceByChain runs the word-count chain on a 4-worker Parallel.

@@ -21,9 +21,8 @@ import (
 // satisfy a step's type/validity requirements fall back to the row kernel
 // wholesale, so vectorized execution is always observationally identical to
 // row execution — same outputs, same per-operator cardinalities, same
-// panics. Batch-native inputs (column batches decoded off the wire) enter
-// through RunSegments/RunSegmentsAgg, which execute them without a row
-// round-trip under the same ladder.
+// panics. A kernel only ever runs batches it built itself, so it may rewrite
+// and recycle them.
 
 // vecStep is one vectorizable chain operator.
 type vecStep struct {
@@ -193,7 +192,7 @@ func (k *VectorKernel) Len() int { return k.row.Len() }
 
 // Agg returns the absorbed declarative reduce-by's expression (nil for pure
 // narrow chains and for a UDF reduce-by). Code that sees a non-nil Agg runs
-// the kernel through RunAgg/RunSegmentsAgg and emits the merged state through
+// the kernel through RunAgg and emits the merged state through
 // Finalize.
 func (k *VectorKernel) Agg() *core.ReduceExpr {
 	if k.rb == nil {
@@ -307,9 +306,6 @@ func getRowBuf(n int) *[]any {
 }
 
 func putRowBuf(rb *[]any) {
-	if rb == nil {
-		return
-	}
 	s := (*rb)[:cap(*rb)]
 	for i := range s {
 		s[i] = nil // don't pin quanta from the pool
@@ -417,17 +413,6 @@ func (k *VectorKernel) plan(b *core.ColumnBatch) (phys []int, final []int, ok bo
 	return phys, cur, true
 }
 
-// mapTargets returns the physical columns the map steps rewrite in place.
-func (k *VectorKernel) mapTargets(phys []int) []int {
-	var mt []int
-	for i := range k.vec {
-		if k.vec[i].kind == core.KindMap {
-			mt = append(mt, phys[i])
-		}
-	}
-	return mt
-}
-
 // runSteps executes the planned vectorized steps over b, ticking counts.
 // The returned selection (nil = all rows, in order) is backed by the
 // returned pooled buffer; the caller recycles it with putSel once the
@@ -466,111 +451,47 @@ func (k *VectorKernel) columnPath() bool {
 // engages only when it can reproduce row execution exactly; every other
 // partition degrades to the row kernel.
 func (k *VectorKernel) Run(part []any, counts []int64, buf []any) []any {
+	b, phys, final, ok := k.admit(part, nil)
+	if !ok {
+		return k.row.Run(part, counts, buf)
+	}
+	sel, sb, live := k.runSteps(b, phys, counts)
+	if buf == nil {
+		buf = make([]any, 0, live)
+	}
+	buf = k.finish(b, sel, final, live, counts, buf)
+	putSel(sb)
+	b.Recycle()
+	return buf
+}
+
+// admit builds one row partition's column batch for the column loops,
+// building only the columns the plan reads. st, when non-nil, is the
+// aggregation state a fully vectorized chain absorbs into: it is preflighted
+// (AggState.PlanBatch) so a batch the accumulators would refuse is turned
+// away before any count ticks. ok=false sends the partition to the row
+// kernel wholesale: no column path, or — counted as a fallback — rows that
+// do not batch or a plan the batch fails.
+func (k *VectorKernel) admit(part []any, st *core.AggState) (b *core.ColumnBatch, phys, final []int, ok bool) {
 	if len(part) == 0 || !k.columnPath() {
-		return k.row.Run(part, counts, buf)
+		return nil, nil, nil, false
 	}
-	b, ok := core.BatchFromRowsNeeding(part, k.need)
-	if !ok {
-		atomic.AddInt64(&k.stats.fallbacks, 1)
-		return k.row.Run(part, counts, buf)
-	}
-	return k.runBatch(b, part, counts, buf)
-}
-
-// RunSegments executes the kernel over one partition carried as segments,
-// appending survivors to buf (allocated when nil). Row segments take the
-// Run path; column-batch segments execute natively, with the same fallback
-// ladder per batch.
-func (k *VectorKernel) RunSegments(segs []core.Segment, counts []int64, buf []any) []any {
-	if len(segs) == 1 && segs[0].Batch == nil {
-		return k.Run(segs[0].Rows, counts, buf) // a row partition: Run sizes the output itself
-	}
-	out := buf
-	if out == nil {
-		n := 0
-		for _, s := range segs {
-			n += s.Len()
+	if b, ok = core.BatchFromRowsNeeding(part, k.need); ok {
+		phys, final, ok = k.plan(b)
+		if ok && st != nil && len(k.vec) == k.row.Len() {
+			ok = st.PlanBatch(b, final)
 		}
-		out = make([]any, 0, n)
-	}
-	for i := range segs {
-		switch b := segs[i].Batch; {
-		case b == nil:
-			out = k.Run(segs[i].Rows, counts, out)
-		case b.Len() > 0:
-			out = k.runBatch(b, nil, counts, out)
+		if !ok {
+			b.Recycle()
 		}
-	}
-	return out
-}
-
-// turnedAway returns the rows the row kernel runs for a batch admit refused,
-// and the pooled buffer (nil when there is none) the caller releases with
-// putRowBuf afterwards: the boxed originals of a batch the kernel built,
-// which is recycled here, else the batch's quanta boxed into a pooled buffer.
-func turnedAway(b *core.ColumnBatch, rows []any) ([]any, *[]any) {
-	if rows != nil {
-		b.Recycle()
-		return rows, nil
-	}
-	rb := getRowBuf(b.Len())
-	*rb = b.AppendRows((*rb)[:0])
-	return *rb, rb
-}
-
-// admit readies one non-empty column batch for the column loops. owned says
-// the kernel built b from a row partition, so it may rewrite and recycle it;
-// any other batch was decoded off the wire and may be shared with other
-// consumers (cached partitions, re-read spill files), so its map steps get a
-// copy-on-write clone and nothing mutates or recycles it. st, when non-nil,
-// is the aggregation state a fully vectorized chain absorbs into: it is
-// preflighted (AggState.PlanBatch) so a batch the accumulators would refuse
-// is turned away before any count ticks. ok=false sends the batch to the row
-// kernel wholesale — no column path, or a plan the batch fails.
-func (k *VectorKernel) admit(b *core.ColumnBatch, owned bool, st *core.AggState) (_ *core.ColumnBatch, phys, final []int, ok bool) {
-	if !k.columnPath() {
-		return b, nil, nil, false
-	}
-	phys, final, ok = k.plan(b)
-	if ok && st != nil && len(k.vec) == k.row.Len() {
-		ok = st.PlanBatch(b, final)
 	}
 	if !ok {
 		atomic.AddInt64(&k.stats.fallbacks, 1)
-		return b, nil, nil, false
-	}
-	if !owned {
-		if mt := k.mapTargets(phys); len(mt) > 0 {
-			b = b.CloneForWrite(mt)
-		}
+		return nil, nil, nil, false
 	}
 	atomic.AddInt64(&k.stats.batches, 1)
 	atomic.AddInt64(&k.stats.rows, int64(b.Len()))
 	return b, phys, final, true
-}
-
-// runBatch executes the kernel over one non-empty column batch, appending
-// survivors to out. rows, when non-nil, are the boxed originals the kernel
-// built b from (see admit).
-func (k *VectorKernel) runBatch(b *core.ColumnBatch, rows []any, counts []int64, out []any) []any {
-	owned := rows != nil
-	b, phys, final, ok := k.admit(b, owned, nil)
-	if !ok {
-		rows, rb := turnedAway(b, rows)
-		out = k.row.Run(rows, counts, out)
-		putRowBuf(rb)
-		return out
-	}
-	sel, sb, live := k.runSteps(b, phys, counts)
-	if out == nil {
-		out = make([]any, 0, live)
-	}
-	out = k.finish(b, sel, final, live, counts, out)
-	putSel(sb)
-	if owned {
-		b.Recycle()
-	}
-	return out
 }
 
 // finish emits the vector steps' survivors and pushes them through whatever
@@ -590,60 +511,14 @@ func (k *VectorKernel) finish(b *core.ColumnBatch, sel, final []int, live int, c
 }
 
 // RunAgg executes the kernel over one row partition and feeds every survivor
-// into the grouped accumulator state instead of materializing them. counts
-// covers the narrow steps only; the caller accounts the aggregation's own
-// output cardinality after Finalize. The caller must only use RunAgg when
-// Agg() is non-nil.
+// into the grouped accumulator state instead of materializing them, as
+// columns when the whole chain vectorized. counts covers the narrow steps
+// only; the caller accounts the aggregation's own output cardinality after
+// Finalize. The caller must only use RunAgg when Agg() is non-nil.
 func (k *VectorKernel) RunAgg(part []any, counts []int64, st *core.AggState) {
-	if len(part) == 0 || !k.columnPath() {
-		k.rowAgg(part, counts, st)
-		return
-	}
-	b, ok := core.BatchFromRowsNeeding(part, k.need)
+	b, phys, final, ok := k.admit(part, st)
 	if !ok {
-		atomic.AddInt64(&k.stats.fallbacks, 1)
 		k.rowAgg(part, counts, st)
-		return
-	}
-	k.aggBatch(b, part, counts, st)
-}
-
-// RunSegmentsAgg is RunAgg over a segment-carried partition: column-batch
-// segments absorb natively, row segments take the RunAgg path.
-func (k *VectorKernel) RunSegmentsAgg(segs []core.Segment, counts []int64, st *core.AggState) {
-	for i := range segs {
-		switch b := segs[i].Batch; {
-		case b == nil:
-			k.RunAgg(segs[i].Rows, counts, st)
-		case b.Len() > 0:
-			k.aggBatch(b, nil, counts, st)
-		}
-	}
-}
-
-// rowAgg is the exact row path: the full narrow chain, then row-at-a-time
-// absorption.
-func (k *VectorKernel) rowAgg(part []any, counts []int64, st *core.AggState) {
-	if k.row.Len() == 0 {
-		st.AbsorbRows(part) // a stand-alone reduce-by: nothing to run first
-		return
-	}
-	rb := getRowBuf(len(part))
-	*rb = k.row.Run(part, counts, (*rb)[:0])
-	st.AbsorbRows(*rb)
-	putRowBuf(rb)
-}
-
-// aggBatch is runBatch for a chain ending in an aggregation: the survivors
-// of one non-empty column batch are absorbed into st, as columns when the
-// whole chain vectorized.
-func (k *VectorKernel) aggBatch(b *core.ColumnBatch, rows []any, counts []int64, st *core.AggState) {
-	owned := rows != nil
-	b, phys, final, ok := k.admit(b, owned, st)
-	if !ok {
-		rows, rb := turnedAway(b, rows)
-		k.rowAgg(rows, counts, st)
-		putRowBuf(rb)
 		return
 	}
 	sel, sb, live := k.runSteps(b, phys, counts)
@@ -659,9 +534,20 @@ func (k *VectorKernel) aggBatch(b *core.ColumnBatch, rows []any, counts []int64,
 		putRowBuf(ob)
 	}
 	putSel(sb)
-	if owned {
-		b.Recycle() // accumulators copy values out; nothing aliases the buffers
+	b.Recycle() // accumulators copy values out; nothing aliases the buffers
+}
+
+// rowAgg is the exact row path: the full narrow chain, then row-at-a-time
+// absorption.
+func (k *VectorKernel) rowAgg(part []any, counts []int64, st *core.AggState) {
+	if k.row.Len() == 0 {
+		st.AbsorbRows(part) // a stand-alone reduce-by: nothing to run first
+		return
 	}
+	rb := getRowBuf(len(part))
+	*rb = k.row.Run(part, counts, (*rb)[:0])
+	st.AbsorbRows(*rb)
+	putRowBuf(rb)
 }
 
 // foldChunk is how many input rows the kernel runs at a time ahead of a
@@ -676,33 +562,21 @@ const (
 
 // runFold feeds the survivors of one partition into f, chunk after chunk
 // through one pooled buffer, so no slice of the chain's whole output is
-// built. Row runs go through Run a chunk at a time, column batches through
-// runBatch whole; either takes the column path when it can.
-func (k *VectorKernel) runFold(segs []core.Segment, counts []int64, f *keyFold) {
+// built. Each chunk goes through Run, which takes the column path when it
+// can.
+func (k *VectorKernel) runFold(part []any, counts []int64, f *keyFold) {
+	if k.row.Len() == 0 {
+		f.add(part) // a stand-alone reduce-by: nothing to run first
+		return
+	}
 	chunk := foldChunk
 	if len(k.vec) > 0 {
 		chunk = foldVecChunk
 	}
-	var rb *[]any // taken when a segment first runs through the kernel
-	for i := range segs {
-		rows, b := segs[i].Rows, segs[i].Batch
-		if b == nil && k.row.Len() == 0 {
-			f.add(rows) // a stand-alone reduce-by: nothing to run first
-			continue
-		}
-		if rb == nil {
-			rb = getRowBuf(chunk)
-		}
-		switch {
-		case b == nil:
-			for lo := 0; lo < len(rows); lo += chunk {
-				*rb = k.Run(rows[lo:min(lo+chunk, len(rows))], counts, (*rb)[:0])
-				f.add(*rb)
-			}
-		case b.Len() > 0:
-			*rb = k.runBatch(b, nil, counts, (*rb)[:0])
-			f.add(*rb)
-		}
+	rb := getRowBuf(chunk)
+	for lo := 0; lo < len(part); lo += chunk {
+		*rb = k.Run(part[lo:min(lo+chunk, len(part))], counts, (*rb)[:0])
+		f.add(*rb)
 	}
 	putRowBuf(rb)
 }

@@ -296,7 +296,7 @@ func TestVectorKernelAggSniffAndZeroStepChain(t *testing.T) {
 		k.SetSniff(k.Len(), func(q any) { sniffed = append(sniffed, q) })
 		k = k.Tail(len(ops)) // relstore's view after pushing the filter down
 		st := core.NewAggState(k.Agg())
-		k.RunSegmentsAgg([]core.Segment{{Rows: rows}}, make([]int64, k.Len()), st)
+		k.RunAgg(rows, make([]int64, k.Len()), st)
 		if got := k.Finalize(st); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(sniffed, want) {
 			t.Fatalf("%d-step chain: finalized %v, sniffed %v, want %v", len(ops), got, sniffed, want)
 		}

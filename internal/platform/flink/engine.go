@@ -23,11 +23,10 @@ type flow struct {
 	width int
 	card  int64 // -1 unknown
 
-	// segs, set on flows over data at rest, holds the per-instance partitions
-	// as segment runs (row runs interleaved with column batches). start
-	// streams them row by row; blocking operators, ApplyChain and ToChannel
-	// read them where they lie, skipping the channel hop.
-	segs [][]core.Segment
+	// parts, set on flows over data at rest, holds the per-instance
+	// partitions. start streams them; blocking operators, ApplyChain and
+	// ToChannel read them where they lie, skipping the channel hop.
+	parts driverutil.Parts
 }
 
 // errBox collects the first panic observed by any flow goroutine of a stage.
@@ -52,29 +51,23 @@ func (b *errBox) get() error {
 
 const chanBuf = 256
 
-// restFlow is the flow over data at rest: one segment run per instance.
-func restFlow(segs [][]core.Segment) *flow {
+// restFlow is the flow over data at rest: one partition per instance.
+func restFlow(parts driverutil.Parts) *flow {
 	return &flow{
-		width: len(segs),
-		card:  driverutil.Parts(segs).Count(),
-		segs:  segs,
+		width: len(parts),
+		card:  parts.Count(),
+		parts: parts,
 		start: func() []chan any {
-			chans := make([]chan any, len(segs))
-			for i := range segs {
+			chans := make([]chan any, len(parts))
+			for i := range parts {
 				ch := make(chan any, chanBuf)
 				chans[i] = ch
-				go func(part []core.Segment, out chan any) {
-					for _, s := range part {
-						rows := s.Rows
-						if s.Batch != nil {
-							rows = s.Batch.AppendRows(nil)
-						}
-						for _, q := range rows {
-							out <- q
-						}
+				go func(part []any, out chan any) {
+					for _, q := range part {
+						out <- q
 					}
 					close(out)
-				}(segs[i], ch)
+				}(parts[i], ch)
 			}
 			return chans
 		},
@@ -101,15 +94,15 @@ func (e *engine) Barrier() {
 // split is the flow over data at rest, cut into one balanced row run per
 // parallel instance.
 func (e *engine) split(data []any) *flow {
-	return restFlow(e.driver.dataset([]core.Segment{{Rows: data}}).Parts)
+	return restFlow(e.driver.dataset(data).Parts)
 }
 
 // materialize is the single read of a flow: per-instance row partitions, and
 // the stage's first UDF panic if any flow goroutine recorded one by the time
 // the drain ended. Data at rest is read where it lies.
 func (e *engine) materialize(f *flow) ([][]any, error) {
-	if f.segs != nil {
-		return driverutil.RowParts(f.segs), nil
+	if f.parts != nil {
+		return f.parts, nil
 	}
 	chans := f.start()
 	parts := make([][]any, len(chans))
@@ -132,14 +125,14 @@ func (e *engine) materialize(f *flow) ([][]any, error) {
 // rest returns the flow at rest: as it is when it already is, drained
 // otherwise.
 func (e *engine) rest(f *flow) (*flow, error) {
-	if f.segs != nil {
+	if f.parts != nil {
 		return f, nil
 	}
 	parts, err := e.materialize(f)
 	if err != nil {
 		return nil, err
 	}
-	return restFlow(driverutil.RowSegments(parts)), nil
+	return restFlow(parts), nil
 }
 
 // collect gathers the flow's quanta into one slice of its own.
@@ -148,7 +141,7 @@ func (e *engine) collect(f *flow) ([]any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return driverutil.Parts(r.segs).Collect(), nil
+	return r.parts.Collect(), nil
 }
 
 // narrow chains a per-instance transform onto the flow: each instance gets
@@ -190,11 +183,11 @@ func (e *engine) FromChannel(ch *core.Channel) (*flow, error) {
 		}
 		return restFlow(ds.Parts), nil
 	}
-	segs, err := driverutil.NeutralSegments(e.driver.DFS, ch)
+	data, err := driverutil.NeutralSlice(e.driver.DFS, ch)
 	if err != nil {
 		return nil, fmt.Errorf("flink: %w", err)
 	}
-	return restFlow(e.driver.dataset(segs).Parts), nil
+	return restFlow(e.driver.dataset(data).Parts), nil
 }
 
 // ToChannel implements driverutil.Engine.
@@ -203,7 +196,7 @@ func (e *engine) ToChannel(op *core.Operator, f *flow) (*core.Channel, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds := &DataSet{r.segs}
+	ds := &DataSet{r.parts}
 	if op.Kind == core.KindCollectionSink {
 		return driverutil.CollectionOf(ds.Collect()), nil
 	}
@@ -218,11 +211,11 @@ func (e *engine) Apply(op *core.Operator, in []*flow, round int, counter *int64,
 	}
 	// Data at rest is observed where it lies: its cardinality is known and a
 	// sniffer can walk it now.
-	if out.segs != nil {
+	if out.parts != nil {
 		if sniff == nil {
 			*counter = out.card
 		} else {
-			driverutil.Observe(driverutil.RowParts(out.segs), counter, sniff)
+			driverutil.Observe(out.parts, counter, sniff)
 		}
 		return out, nil
 	}
@@ -263,16 +256,16 @@ const (
 // runs pipelined (streamChain). Data at rest — a flow built by restFlow, or
 // the drained input of a chain ending in a reduce-by — goes to the kernel
 // whole, one goroutine per instance (driverutil.RunChainParts), skipping the
-// channel hop and, for column batches, the row→column rebuild.
+// channel hop.
 func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, f *flow, counters []*int64) (*flow, error) {
-	if !kernel.Reduces() && f.segs == nil {
+	if !kernel.Reduces() && f.parts == nil {
 		return e.streamChain(chain, kernel, f, counters)
 	}
 	r, err := e.rest(f)
 	if err != nil {
 		return nil, err
 	}
-	return restFlow(driverutil.RowSegments(driverutil.RunChainParts(e, kernel, r.segs, counters))), nil
+	return restFlow(driverutil.RunChainParts(e, kernel, r.parts, counters)), nil
 }
 
 // streamChain runs a narrow chain as a single goroutine pipeline segment per
@@ -379,6 +372,6 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 		if err != nil {
 			return nil, err
 		}
-		return restFlow(driverutil.RowSegments(out)), nil
+		return restFlow(out), nil
 	}
 }

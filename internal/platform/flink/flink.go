@@ -87,13 +87,13 @@ func (d *Driver) ChannelDescriptors() []core.ChannelDescriptor {
 	return out
 }
 
-// DataSet is the materialized form of a flow: one segment run per parallel
+// DataSet is the materialized form of a flow: one partition per parallel
 // instance.
 type DataSet struct{ driverutil.Parts }
 
-// dataset cuts a segment run into one balanced run per parallel instance.
-func (d *Driver) dataset(segs []core.Segment) *DataSet {
-	return &DataSet{driverutil.SplitSegments(segs, d.Conf.Parallelism)}
+// dataset cuts data into one balanced partition per parallel instance.
+func (d *Driver) dataset(data []any) *DataSet {
+	return &DataSet{driverutil.SplitRows(data, d.Conf.Parallelism)}
 }
 
 // channel wraps a dataset in flink's native channel.
@@ -106,11 +106,11 @@ func (d *Driver) Conversions() []*core.Conversion {
 			Name: "flink.from-collection", From: "collection", To: "dataset",
 			FixedCostMs: 2, PerQuantumMs: 0.0008,
 			Convert: func(in *core.Channel) (*core.Channel, error) {
-				segs, err := driverutil.ChannelSegments(in)
+				data, err := driverutil.ChannelSlice(in)
 				if err != nil {
 					return nil, err
 				}
-				return d.dataset(segs).channel(), nil
+				return d.dataset(data).channel(), nil
 			},
 		},
 		driverutil.Conv("flink.collect", "dataset", "collection", 2, 0.0008, func(ds *DataSet, _ *core.Channel) (*core.Channel, error) {
@@ -119,11 +119,11 @@ func (d *Driver) Conversions() []*core.Conversion {
 	}
 	if d.DFS != nil {
 		convs = append(convs, driverutil.Conv("flink.dfs-load", "dfs", "dataset", 7, 0.002, func(path string, _ *core.Channel) (*core.Channel, error) {
-			segs, err := driverutil.ReadDFSQuantaSegments(d.DFS, path)
+			data, err := driverutil.ReadDFSQuanta(d.DFS, path)
 			if err != nil {
 				return nil, err
 			}
-			return d.dataset(segs).channel(), nil
+			return d.dataset(data).channel(), nil
 		}))
 	}
 	return convs

@@ -8,6 +8,7 @@ package platformtest_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -408,6 +409,61 @@ func TestForeignPayloadIsAnError(t *testing.T) {
 			_, _, err := platformtest.RunOpErr(d, op, core.NewChannel(core.ChannelDescriptor{Name: name, Reusable: true}, foreign{}, 1))
 			if err == nil || strings.Contains(err.Error(), "panic") {
 				t.Errorf("%s reading a foreign %s channel: error %v, want a checked error", d.Name(), name, err)
+			}
+		}
+	}
+}
+
+// TestBatchFramedDFSFileReadsAsRows: a DFS quanta file written with column
+// batch frames and row frames, over many blocks, reads back as the file's
+// rows in order through spark's per-block loader, flink.dfs-load and
+// streams.dfs-get: batch frames are expanded at the channel boundary.
+func TestBatchFramedDFSFileReadsAsRows(t *testing.T) {
+	store, err := dfs.New(t.TempDir(), dfs.Options{BlockSize: 8 << 10, Replication: 1, Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]any, 3*core.CodecBatchRows+100)
+	for i := range data {
+		data[i] = core.Record{int64(i), fmt.Sprintf("g%d", i%5), float64(i) / 2}
+	}
+	data = append(data, core.KV{Key: "tail", Value: int64(1)}, "last") // row frames after the batches
+	if err := driverutil.WriteDFSQuanta(store, "batched.rqb", data); err != nil {
+		t.Fatal(err)
+	}
+	if _, blocks, err := store.Stat("batched.rqb"); err != nil || len(blocks) < 4 {
+		t.Fatalf("%d blocks (err %v): the per-block path needs several", len(blocks), err)
+	}
+	conf := spark.Config{Parallelism: 3, ContextStartupMs: driverutil.NoOverheadMs, JobStartupMs: driverutil.NoOverheadMs, ShuffleLatencyMs: driverutil.NoOverheadMs}
+	loads := map[string]core.Driver{
+		"spark.dfs-load":  spark.NewWithConfig(store, conf),
+		"flink.dfs-load":  flink.New(store),
+		"streams.dfs-get": streams.New(store),
+	}
+	for name, d := range loads {
+		var load *core.Conversion
+		for _, cv := range d.Conversions() {
+			if cv.Name == name {
+				load = cv
+			}
+		}
+		if load == nil {
+			t.Fatalf("%s declares no %s", d.Name(), name)
+		}
+		ch, err := load.Convert(core.NewChannel(driverutil.DFSChannel, "dfs://batched.rqb", int64(len(data))))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := driverutil.ChannelQuanta(ch)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != len(data) {
+			t.Fatalf("%s: %d quanta, the file holds %d", name, len(got), len(data))
+		}
+		for i := range data {
+			if !reflect.DeepEqual(got[i], data[i]) {
+				t.Fatalf("%s: quantum %d is %#v, the file's is %#v", name, i, got[i], data[i])
 			}
 		}
 	}

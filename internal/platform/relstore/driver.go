@@ -295,7 +295,7 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 	}
 	// Single worker set, one partition: an absorbed reduce-by aggregates in
 	// place, in first-occurrence order.
-	out := driverutil.RunChainParts(driverutil.Serial{}, kernel, driverutil.RowSegments([][]any{rows}), counters)
+	out := driverutil.RunChainParts(driverutil.Serial{}, kernel, [][]any{rows}, counters)
 	return &rel{rows: out[0]}, nil
 }
 

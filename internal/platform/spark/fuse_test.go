@@ -68,11 +68,11 @@ func TestConfigNoOverheadSentinel(t *testing.T) {
 }
 
 // TestPartitionAppendDoesNotBleed: Partition cuts the caller's slice with
-// SplitSegments' three-index slices, so appending to one partition cannot
+// SplitRows' three-index slices, so appending to one partition cannot
 // clobber its neighbor — each partition's capacity is clamped to its own
 // window.
 func TestPartitionAppendDoesNotBleed(t *testing.T) {
-	parts := Partition([]any{int64(1), int64(2), int64(3), int64(4)}, 2).rows()
+	parts := Partition([]any{int64(1), int64(2), int64(3), int64(4)}, 2).Parts
 	_ = append(parts[0], int64(42))
 	if parts[1][0] != int64(3) {
 		t.Fatalf("append to part 0 bled into part 1: %v", parts[1])

@@ -129,17 +129,13 @@ func (d *Driver) Conversions() []*core.Conversion {
 // parallelize carries a collection-typed channel to partitions, split as the
 // quanta lie: a slice its producer still owns (a plan's collection, a
 // result-cache payload) is read in place, never written (see "ownership of
-// partitions" in driverutil/blocking.go), and decoded quanta keep their
-// column batches.
+// partitions" in driverutil/blocking.go).
 func (d *Driver) parallelize(ch *core.Channel) (*RDD, error) {
-	if ds, ok := ch.Payload.(*core.SliceDataset); ok {
-		return Partition(ds.Data, d.Conf.Parallelism), nil
-	}
-	segs, err := driverutil.ChannelSegments(ch)
+	data, err := driverutil.ChannelSlice(ch)
 	if err != nil {
 		return nil, err
 	}
-	return &RDD{Parts: driverutil.SplitSegments(segs, d.Conf.Parallelism)}, nil
+	return Partition(data, d.Conf.Parallelism), nil
 }
 
 // RegisterMappings implements core.Driver: the general kinds, the cache
@@ -217,7 +213,7 @@ func (e *engine) Apply(op *core.Operator, in []*RDD, round int, counter *int64, 
 	if sniff == nil {
 		*counter = out.Count()
 	} else {
-		driverutil.Observe(out.rows(), counter, sniff)
+		driverutil.Observe(out.Parts, counter, sniff)
 	}
 	return out, nil
 }
@@ -228,7 +224,7 @@ func (e *engine) Apply(op *core.Operator, in []*RDD, round int, counter *int64, 
 // chain ending in a reduce-by is the spark map-side combine (see
 // driverutil.RunChainParts).
 func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, in *RDD, counters []*int64) (*RDD, error) {
-	return NewRDD(driverutil.RunChainParts(e, kernel, in.parts(), counters)), nil
+	return NewRDD(driverutil.RunChainParts(e, kernel, in.Parts, counters)), nil
 }
 
 // apply evaluates the kinds spark's archetype owns — sources, sinks, cache,
@@ -246,11 +242,11 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 		return e.readTextFile(op.Params.Path)
 
 	case core.KindCache:
-		return &RDD{Parts: in[0].parts()}, nil
+		return &RDD{Parts: in[0].Parts}, nil
 
 	case core.KindCartesian:
 		combine := driverutil.Combine(op)
-		lp, rp := in[0].rows(), in[1].rows()
+		lp, rp := in[0].Parts, in[1].Parts
 		n := len(lp) * len(rp)
 		out := make([][]any, n)
 		driverutil.Do(e, n, func(i int) {
@@ -266,7 +262,7 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 		return NewRDD(out), nil
 
 	case core.KindUnion:
-		return &RDD{Parts: append(slices.Clone(in[0].parts()), in[1].parts()...)}, nil
+		return &RDD{Parts: append(slices.Clone(in[0].Parts), in[1].Parts...)}, nil
 
 	case core.KindCollectionSink:
 		return in[0], nil
@@ -280,7 +276,7 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 	default:
 		ins := make([][][]any, len(in))
 		for i, r := range in {
-			ins[i] = r.rows()
+			ins[i] = r.Parts
 		}
 		out, err := driverutil.ApplyBlocking(e, op, round, ins)
 		if err != nil {
@@ -330,15 +326,15 @@ func (d *Driver) loadDFSQuanta(path string) (*RDD, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Each block split is decoded by its own worker, column-batch frames
-	// kept batch-native; the partitions are the block splits.
-	segs := make([][]core.Segment, len(blocks))
+	// Each block split is decoded by its own worker; the partitions are the
+	// block splits.
+	parts := make([][]any, len(blocks))
 	err = driverutil.Parallel(len(blocks), d.Conf.Parallelism, func(i int) (err error) {
-		segs[i], err = driverutil.ReadDFSQuantaBlockSegments(d.DFS, name, i)
+		parts[i], err = driverutil.ReadDFSQuantaBlock(d.DFS, name, i)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &RDD{Parts: segs}, nil
+	return NewRDD(parts), nil
 }

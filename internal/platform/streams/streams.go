@@ -57,8 +57,7 @@ func (d *Driver) ChannelDescriptors() []core.ChannelDescriptor {
 }
 
 // Conversions implements core.Driver: streams contributes the neutral
-// collection <-> file conversions (it is the driver-side engine). The reads
-// keep decoded batch frames column-major (driverutil.SegmentsOf).
+// collection <-> file conversions (it is the driver-side engine).
 func (d *Driver) Conversions() []*core.Conversion {
 	convs := []*core.Conversion{
 		{
@@ -80,11 +79,11 @@ func (d *Driver) Conversions() []*core.Conversion {
 			},
 		},
 		driverutil.Conv("streams.fetch", "file", "collection", 1, 0.003, func(path string, _ *core.Channel) (*core.Channel, error) {
-			segs, err := core.ReadQuantaFileSegments(path)
+			data, err := core.ReadQuantaFile(path)
 			if err != nil {
 				return nil, err
 			}
-			return driverutil.SegmentsOf(segs), nil
+			return driverutil.CollectionOf(data), nil
 		}),
 	}
 	if d.DFS != nil {
@@ -101,11 +100,11 @@ func (d *Driver) Conversions() []*core.Conversion {
 				},
 			},
 			driverutil.Conv("streams.dfs-get", "dfs", "collection", 4, 0.005, func(path string, _ *core.Channel) (*core.Channel, error) {
-				segs, err := driverutil.ReadDFSQuantaSegments(d.DFS, path)
+				data, err := driverutil.ReadDFSQuanta(d.DFS, path)
 				if err != nil {
 					return nil, err
 				}
-				return driverutil.SegmentsOf(segs), nil
+				return driverutil.CollectionOf(data), nil
 			}),
 		)
 	}
@@ -139,26 +138,23 @@ type pipe struct {
 	open func() core.Iterator
 	card int64 // -1 unknown
 
-	// segs, set on pipes over data at rest, carries the quanta the way the
-	// chain kernel takes them: row runs interleaved with column batches. open
-	// yields the identical stream; ApplyChain reads segs directly, copying
-	// nothing.
-	segs []core.Segment
+	// data, on pipes over data at rest (held set), is the quanta as they
+	// lie: open iterates them, and blocking operators and ApplyChain read
+	// them directly, copying nothing.
+	data []any
+	held bool
 }
 
-// restPipe is the pipe over data at rest: a segment run, most often the one
-// row run restPipe(core.Segment{Rows: data}).
-func restPipe(segs ...core.Segment) *pipe {
-	ds := core.NewSegmentedDataset(segs)
-	return &pipe{open: ds.Open, card: ds.Card(), segs: segs}
+// restPipe is the pipe over data at rest.
+func restPipe(data []any) *pipe {
+	return &pipe{open: core.NewSliceDataset(data).Open, card: int64(len(data)), data: data, held: true}
 }
 
-// rows is the pipe's row view: data at rest is read where it lies (one row
-// run aliased, anything else flattened), a lazy pipeline is drained. Callers
-// never write to what they get.
+// rows is the pipe's row view: data at rest is read where it lies, a lazy
+// pipeline is drained. Callers never write to what they get.
 func (p *pipe) rows() []any {
-	if p.segs != nil {
-		return driverutil.RowParts([][]core.Segment{p.segs})[0]
+	if p.held {
+		return p.data
 	}
 	return core.Collect(p.open())
 }
@@ -166,10 +162,10 @@ func (p *pipe) rows() []any {
 // rest returns the pipe at rest: as it is when it already is, drained
 // otherwise.
 func (p *pipe) rest() *pipe {
-	if p.segs != nil {
+	if p.held {
 		return p
 	}
-	return restPipe(core.Segment{Rows: p.rows()})
+	return restPipe(p.rows())
 }
 
 type engine struct {
@@ -179,11 +175,11 @@ type engine struct {
 
 // FromChannel implements driverutil.Engine.
 func (e *engine) FromChannel(ch *core.Channel) (*pipe, error) {
-	segs, err := driverutil.NeutralSegments(e.driver.DFS, ch)
+	data, err := driverutil.NeutralSlice(e.driver.DFS, ch)
 	if err != nil {
 		return nil, fmt.Errorf("streams: %w", err)
 	}
-	return restPipe(segs...), nil
+	return restPipe(data), nil
 }
 
 // ToChannel implements driverutil.Engine. Always a copy through the iterator,
@@ -199,9 +195,9 @@ func (e *engine) Apply(op *core.Operator, in []*pipe, round int, counter *int64,
 		return nil, err
 	}
 	// Data at rest is observed where it lies: its cardinality is known and a
-	// sniffer can walk it now, so it reaches a downstream chain kernel as
-	// segments, uncopied.
-	if out.segs != nil {
+	// sniffer can walk it now, so it reaches a downstream chain kernel
+	// uncopied.
+	if out.held {
 		if sniff == nil {
 			*counter = out.card
 		} else {
@@ -227,7 +223,7 @@ func (e *engine) Apply(op *core.Operator, in []*pipe, round int, counter *int64,
 	// A lazily observed pipeline re-runs (and re-counts) per consumer; when
 	// the operator feeds several stage-local consumers, materialize once.
 	if driverutil.StageConsumers(e.stage, op) > 1 {
-		return restPipe(core.Segment{Rows: observed.rows()}), nil
+		return restPipe(observed.rows()), nil
 	}
 	return observed, nil
 }
@@ -237,12 +233,8 @@ func (e *engine) Apply(op *core.Operator, in []*pipe, round int, counter *int64,
 // partition (driverutil.RunChainParts), so an absorbed reduce-by aggregates
 // in place — no partial exchange, groups in first-occurrence order.
 func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, p *pipe, counters []*int64) (*pipe, error) {
-	segs := p.segs
-	if segs == nil { // a lazy pipeline: drain it into one row run
-		segs = []core.Segment{{Rows: p.rows()}}
-	}
-	out := driverutil.RunChainParts(driverutil.Serial{}, kernel, [][]core.Segment{segs}, counters)
-	return restPipe(core.Segment{Rows: out[0]}), nil
+	out := driverutil.RunChainParts(driverutil.Serial{}, kernel, [][]any{p.rows()}, counters)
+	return restPipe(out[0]), nil
 }
 
 // apply evaluates the kinds streams' archetype owns — sources, sinks, cache
@@ -255,14 +247,14 @@ func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) 
 		if len(in) > 0 { // loop-input placeholder: carried value substituted
 			return in[0], nil
 		}
-		return restPipe(core.Segment{Rows: op.Params.Collection}), nil
+		return restPipe(op.Params.Collection), nil
 
 	case core.KindTextFileSource:
 		lines, err := driverutil.ReadTextLines(e.driver.DFS, op.Params.Path)
 		if err != nil {
 			return nil, err
 		}
-		return restPipe(core.Segment{Rows: lines}), nil
+		return restPipe(lines), nil
 
 	case core.KindCache, core.KindCollectionSink:
 		return in[0].rest(), nil
@@ -322,7 +314,7 @@ func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) 
 		if err != nil {
 			return nil, err
 		}
-		return restPipe(core.Segment{Rows: out[0]}), nil
+		return restPipe(out[0]), nil
 	}
 }
 

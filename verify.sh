@@ -27,6 +27,10 @@ go test -race $short ./...
 # Benchmark smoke: one iteration of the codec benchmarks, so they compile
 # and run even when nobody records numbers.
 go test -run=NONE -bench=BenchmarkEncodeQuantum -benchtime=1x ./internal/core
+# Codec fuzz smoke: ten seconds of FuzzReadQuantaStream beyond its seeds (which
+# run in the suite): the stream reader never panics, never hands on a column
+# batch inside a quantum, and what it accepts re-encodes to as many quanta.
+go test -run=NONE -fuzz=FuzzReadQuantaStream -fuzztime=10s ./internal/core
 # Serving-path smoke: one iteration of what every job on a caching server pays
 # before its stages — a fingerprinting pass over a plan compiled from 20 k
 # registered records (the content was hashed at registration; tens of
@@ -42,13 +46,16 @@ go test -run=NONE -bench=BenchmarkParseRecordLine -benchtime=1x ./internal/datag
 # columnar agg-chain benchmark (the vectorized grouped-aggregation kernel),
 # plus the differential crosscheck of every engine's chain kernels against
 # the reference interpreter (platformtest.Interpret). The compiled kernel is
-# the only narrow path, a segment run the only partition carrier,
-# driverutil/blocking.go the only exchange, worker dispatch and
+# the only narrow path, rows (one []any per partition) the one partition form
+# in the engines, channels and kernels — quanta files expand their batch frames
+# to rows at the channel boundary, and a kernel runs only the column batches it
+# builds itself — driverutil/blocking.go the only exchange, worker dispatch and
 # blocking-operator table and driverutil/platform.go the only platform frame
 # (typed Engine[T], RegisterOps, one DFS channel descriptor), so the grep keeps
-# the per-operator fork, the row twin, the per-engine shuffles, the untyped
-# harness, the hand-written mapping closures and their switches from coming
-# back. The optimizer is the only planner: the executor's own path search, its
+# the per-operator fork, a second partition carrier (the segment runs, their
+# channel and block readers and the kernels' entry points for decoded batches),
+# the per-engine shuffles, the untyped harness, the hand-written mapping
+# closures and their switches from coming back. The optimizer is the only planner: the executor's own path search, its
 # any-form fallback, its plan merge and the optimizer option they leaned on are
 # in the same grep, and no non-test file of internal/executor may search the
 # conversion graph. The executor's run record is the only store of what a
@@ -67,8 +74,8 @@ go test -run=NONE -bench=BenchmarkParseRecordLine -benchtime=1x ./internal/datag
 go test -run=NONE -bench='NarrowChain|ColumnarAggChain' -benchtime=1x ./internal/platform/spark ./internal/platform/flink
 go test -run=NONE -bench='BenchmarkShuffle|BenchmarkRangeShuffle|BenchmarkUDFReduceByChain' -benchtime=1x ./internal/platform/driverutil
 go test -run='TestCrossCheckFusedAgainstUnfused|TestFusedFig9' .
-if grep -rn 'RHEEM_NO_FUS[E]\|FusionDisable[d]\|RHEEM_NO_COLUMNA[R]\|ColumnarDisable[d]\|NewSegRD[D]\|shuffleB[y]\|rangeShuffl[e]\|parallelPart[s]\|fanOu[t](\|mergeRun[s]\|poolEr[r]\|driverutil\.Dat[a]\b\|one := func(k core\.Kin[d]\|bc core\.BroadcastCt[x], round\|fetchAn[y]\|mergePlan[s]\|acceptableChannel[s]\|KnownCard[s]\|outerPlanO[f]\|dictCol[s]\|[wW]orkerUsag[e]\|OutCard[s]\|monitor\.Ne[w](\|Monitor\.Recor[d](\|BuildProfil[e]\|InArityO[f]\|OutArityO[f]\|kindRegistr[y]\|registeredKin[d]\|FusibleKin[d]\|udfRolesO[f]\|bindUD[F]\|ChainPatter[n]\|RegisterChai[n]\|ChainAlternative[s]\|DirectAlternative[s]\|CoveredB[y]\|CostKeyOrNam[e]\|OwnCos[t]\|Cover[s]:\|\.Cover[s]\b\|defaultParamsFo[r]\|func (e \*engine) pageRan[k]\|func (e \*engine) mapPart[s]\|SleepM[s](\|ThrottleMBp[s]\|const NoOverheadMs = driverutil\.NoOverheadM[s]' --include='*.go' --include='verify.sh' .; then
-	echo "a deleted fork (per-operator narrow path, row-carried partitions, a per-engine shuffle or dispatch, the untyped stage harness, a hand-written mapping closure, the executor's second planner, a second store of stage statistics, a second description of an operator kind, a second fusion or mapping mechanism, a name-keyed price table, a per-engine PageRank or map-partitions, a sleep or sentinel beside the simulated-time seam) or its switch is back" >&2
+if grep -rn 'RHEEM_NO_FUS[E]\|FusionDisable[d]\|RHEEM_NO_COLUMNA[R]\|ColumnarDisable[d]\|NewSegRD[D]\|shuffleB[y]\|rangeShuffl[e]\|parallelPart[s]\|fanOu[t](\|mergeRun[s]\|poolEr[r]\|driverutil\.Dat[a]\b\|one := func(k core\.Kin[d]\|bc core\.BroadcastCt[x], round\|fetchAn[y]\|mergePlan[s]\|acceptableChannel[s]\|KnownCard[s]\|outerPlanO[f]\|dictCol[s]\|[wW]orkerUsag[e]\|OutCard[s]\|monitor\.Ne[w](\|Monitor\.Recor[d](\|BuildProfil[e]\|InArityO[f]\|OutArityO[f]\|kindRegistr[y]\|registeredKin[d]\|FusibleKin[d]\|udfRolesO[f]\|bindUD[F]\|ChainPatter[n]\|RegisterChai[n]\|ChainAlternative[s]\|DirectAlternative[s]\|CoveredB[y]\|CostKeyOrNam[e]\|OwnCos[t]\|Cover[s]:\|\.Cover[s]\b\|defaultParamsFo[r]\|func (e \*engine) pageRan[k]\|func (e \*engine) mapPart[s]\|SleepM[s](\|ThrottleMBp[s]\|const NoOverheadMs = driverutil\.NoOverheadM[s]\|SegmentedDatase[t]\|ChannelSegment[s]\|SplitSegment[s]\|RowSegment[s]\|RowPart[s]\|RunSegment[s]\|CloneForWrit[e]\|SegmentsO[f]\|NeutralSegment[s]\|ReadQuantaFileSegment[s]\|ReadDFSQuantaBlockSegment[s]' --include='*.go' --include='verify.sh' .; then
+	echo "a deleted fork (per-operator narrow path, a partition carrier beside rows, a per-engine shuffle or dispatch, the untyped stage harness, a hand-written mapping closure, the executor's second planner, a second store of stage statistics, a second description of an operator kind, a second fusion or mapping mechanism, a name-keyed price table, a per-engine PageRank or map-partitions, a sleep or sentinel beside the simulated-time seam) or its switch is back" >&2
 	exit 1
 fi
 # One seam for simulated time: outside internal/simclock and bench/, no
