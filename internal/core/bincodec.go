@@ -399,6 +399,11 @@ func decodeColumnBatch(data []byte) (*ColumnBatch, []byte, error) {
 	if w <= 0 || nc > maxBatchCols || nc > uint64(len(data)-w)/2 {
 		return nil, nil, fmt.Errorf("%w: batch column count", ErrCorruptQuantum)
 	}
+	// With no column the bytes left bound nothing: a zero-column frame holds
+	// at most the CodecBatchRows rows the encoder writes.
+	if nc == 0 && nr > CodecBatchRows {
+		return nil, nil, fmt.Errorf("%w: %d rows in a zero-column batch", ErrCorruptQuantum, nr)
+	}
 	data = data[w:]
 	scalar := flags&1 != 0
 	if scalar && nc != 1 {

@@ -215,7 +215,7 @@ func framed(frame []byte) []byte {
 // hostileLengthInputs are streams whose length prefixes claim far more than
 // they hold: a frame of 1 GiB, and batch frames claiming 2^20 rows of each
 // column kind whose rows need at least a byte each (or, for the dictionary,
-// 2^20 entries).
+// 2^20 entries), and a batch frame claiming 2^20 rows of no column at all.
 func hostileLengthInputs() map[string][]byte {
 	rows := binary.AppendUvarint(nil, 1<<20)
 	batch := func(col ...byte) []byte {
@@ -230,6 +230,7 @@ func hostileLengthInputs() map[string][]byte {
 		"dict-size":  framed(batch(binDict, 0, 0x80, 0x80, 0x40, 0)),
 		"dict-codes": framed(batch(binDict, 0, 1, 0, 0)),
 		"columns":    framed([]byte{binBatch, 0, 0, 0x80, 0x80, 0x04, 0, 0}),
+		"no-columns": framed(append(append([]byte{binBatch, 0}, rows...), 0)),
 	}
 }
 

@@ -366,11 +366,8 @@ func (m *Manager) Cancel(id string) error {
 		// Transition under the job lock so a worker dequeueing concurrently
 		// sees the terminal state and skips the job.
 		j.cancelReq = true
-		latency, ok := m.finishLocked(j, StateCancelled, nil, context.Canceled)
+		m.finishLocked(j, StateCancelled, nil, context.Canceled)
 		j.mu.Unlock()
-		if ok {
-			m.recordOutcome(StateCancelled, latency)
-		}
 		return nil
 	case StateRunning:
 		j.cancelReq = true
@@ -500,22 +497,22 @@ func (j *job) attemptCount() int {
 // finish transitions a job to a terminal state exactly once.
 func (m *Manager) finish(j *job, state State, result any, err error) {
 	j.mu.Lock()
-	latency, ok := m.finishLocked(j, state, result, err)
+	m.finishLocked(j, state, result, err)
 	j.mu.Unlock()
-	if ok {
-		m.recordOutcome(state, latency)
-	}
 }
 
-// finishLocked applies the terminal transition; the caller holds j.mu.
-func (m *Manager) finishLocked(j *job, state State, result any, err error) (time.Duration, bool) {
+// finishLocked applies the terminal transition; the caller holds j.mu. The
+// outcome is counted before done closes, so a waiter that sees the job
+// terminal also sees it in rheem_jobs_total.
+func (m *Manager) finishLocked(j *job, state State, result any, err error) {
 	if j.state.Terminal() {
-		return 0, false
+		return
 	}
 	j.state = state
 	j.result = result
 	j.err = err
 	j.finishedAt = time.Now()
+	m.recordOutcome(state, j.finishedAt.Sub(j.submittedAt))
 	close(j.done)
 	j.queueSpan.End() // idempotent; covers jobs cancelled while queued
 	if j.tracer != nil {
@@ -531,7 +528,6 @@ func (m *Manager) finishLocked(j *job, state State, result any, err error) (time
 	} else {
 		m.opts.Log.Warn("job finished", "job", j.id, "state", state, "attempts", j.attempts, "error", err)
 	}
-	return j.finishedAt.Sub(j.submittedAt), true
 }
 
 func (m *Manager) recordOutcome(state State, latency time.Duration) {

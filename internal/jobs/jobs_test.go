@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"rheem/internal/telemetry"
+	"rheem/internal/xlog"
 )
 
 func closeAll(t *testing.T, m *Manager) {
@@ -392,4 +393,55 @@ func TestConcurrentSubmissions(t *testing.T) {
 		t.Fatalf("succeeded counter = %v, want %d", got, len(ids))
 	}
 	closeAll(t, m)
+}
+
+// slowLog delays every log line, widening any window between a job's
+// terminal transition and what follows it in finishLocked.
+type slowLog struct{}
+
+func (slowLog) Write(p []byte) (int, error) {
+	time.Sleep(2 * time.Millisecond)
+	return len(p), nil
+}
+
+// TestWaitSeesOutcomeCounted: once Wait returns a terminal job, that job is
+// already in rheem_jobs_total under its state — the outcome is recorded
+// before the job's done channel closes, so even a slow "job finished" log
+// line cannot be seen ahead of the count.
+func TestWaitSeesOutcomeCounted(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	m := New(Options{Workers: 2, QueueDepth: 64, Metrics: reg, Log: xlog.New(slowLog{}, xlog.LevelInfo)})
+	defer closeAll(t, m)
+	gate := make(chan struct{})
+	var ids []string
+	for i := 0; i < 40; i++ {
+		fail := i%3 == 1
+		id, err := m.Submit(func(ctx context.Context) (any, error) {
+			<-gate
+			if fail {
+				return nil, errors.New("boom")
+			}
+			return i, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	// The last job is still queued behind the two gated workers.
+	if err := m.Cancel(ids[len(ids)-1]); err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	seen := map[State]float64{}
+	for _, id := range ids {
+		st := waitTerminal(t, m, id)
+		seen[st.State]++
+		if got := reg.Counter("rheem_jobs_total", telemetry.L("state", string(st.State))).Value(); got < seen[st.State] {
+			t.Fatalf("after Wait(%s) returned %s, rheem_jobs_total{state=%q} = %v, want >= %v", id, st.State, st.State, got, seen[st.State])
+		}
+	}
+	if seen[StateSucceeded] == 0 || seen[StateFailed] == 0 || seen[StateCancelled] == 0 {
+		t.Fatalf("outcomes %v: want every terminal state", seen)
+	}
 }

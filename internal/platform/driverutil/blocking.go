@@ -111,35 +111,49 @@ func Do(s Scheduler, n int, fn func(i int)) {
 	})
 }
 
-// Exchange moves every quantum to the partition route names: each input
-// partition scatters into p buckets, then output partition j gathers bucket
-// j of every input partition, in input order. One partition to one
-// partition is no move: the input comes back as it is.
+// Exchange moves every quantum to the partition route names, placing each
+// quantum once: every input partition routes its quanta into a scratch of
+// bucket numbers and counts them per bucket, each output partition is
+// allocated at its exact size, and every input partition then writes its
+// disjoint ranges of the outputs in parallel. Output partition j holds bucket
+// j of every input partition, in input order. One partition to one partition
+// is no move: the input comes back as it is.
 func Exchange(s Scheduler, parts [][]any, p int, route func(q any) int) [][]any {
 	p = max(p, 1)
 	if p == 1 && len(parts) == 1 {
 		return parts
 	}
-	buckets := make([][][]any, len(parts))
+	dest := make([][]int32, len(parts))
+	// offs[i*p+j] counts input i's quanta routed to j, then becomes where
+	// they start in output partition j.
+	offs := make([]int, len(parts)*p)
 	Do(s, len(parts), func(i int) {
-		local := make([][]any, p)
-		for _, q := range parts[i] {
+		d := make([]int32, len(parts[i]))
+		count := offs[i*p : (i+1)*p]
+		for k, q := range parts[i] {
 			j := route(q)
-			local[j] = append(local[j], q)
+			d[k] = int32(j)
+			count[j]++
 		}
-		buckets[i] = local
+		dest[i] = d
 	})
 	out := make([][]any, p)
-	Do(s, p, func(j int) {
+	for j := range out {
 		n := 0
-		for i := range buckets {
-			n += len(buckets[i][j])
+		for i := range parts {
+			c := offs[i*p+j]
+			offs[i*p+j] = n
+			n += c
 		}
-		part := make([]any, 0, n)
-		for i := range buckets {
-			part = append(part, buckets[i][j]...)
+		out[j] = make([]any, n)
+	}
+	Do(s, len(parts), func(i int) {
+		off := offs[i*p : (i+1)*p]
+		for k, q := range parts[i] {
+			j := dest[i][k]
+			out[j][off[j]] = q
+			off[j]++
 		}
-		out[j] = part
 	})
 	return out
 }

@@ -3,6 +3,7 @@ package driverutil
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -66,6 +67,68 @@ func TestExchangeHashRouteKeepsKeysTogether(t *testing.T) {
 	one := [][]any{benchKVs(10, 3)}
 	if got := Exchange(Serial{}, one, 1, HashRoute(kvKey, 1)); &got[0][0] != &one[0][0] {
 		t.Fatal("a one-to-one exchange moved the partition")
+	}
+}
+
+// exchangeByAppend is the reference exchange: every input partition appends
+// its quanta to p buckets, and output partition j concatenates bucket j of
+// every input partition in input order.
+func exchangeByAppend(parts [][]any, p int, route func(q any) int) [][]any {
+	out := make([][]any, p)
+	for _, part := range parts {
+		for _, q := range part {
+			j := route(q)
+			out[j] = append(out[j], q)
+		}
+	}
+	return out
+}
+
+// TestExchangeMatchesBucketAppend: Exchange places every quantum where the
+// naive bucket-append exchange does, in the same order, over random layouts —
+// empty input partitions, no input at all, one output from many inputs and
+// more outputs than inputs — on a serial and a parallel scheduler.
+func TestExchangeMatchesBucketAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	layouts := [][]int{{}, {0}, {0, 0, 0}, {5, 0, 3, 0}, {1}, {40, 1, 0, 17, 9, 0, 2}}
+	for trial := 0; trial < 60; trial++ {
+		sizes := make([]int, rng.Intn(9))
+		for i := range sizes {
+			if rng.Intn(3) > 0 {
+				sizes[i] = rng.Intn(200)
+			}
+		}
+		layouts = append(layouts, sizes)
+	}
+	next := int64(0)
+	for li, sizes := range layouts {
+		parts := make([][]any, len(sizes))
+		for i, n := range sizes {
+			for k := 0; k < n; k++ {
+				parts[i] = append(parts[i], core.KV{Key: rng.Int63n(23), Value: next})
+				next++
+			}
+		}
+		for _, p := range []int{1, 2, 3, len(sizes) + 5, 64} {
+			route := HashRoute(kvKey, p)
+			want := exchangeByAppend(parts, p, route)
+			for _, s := range []Scheduler{Serial{}, &pooled{width: 3}} {
+				got := Exchange(s, parts, p, route)
+				if len(got) != p {
+					t.Fatalf("layout %d (%v), p=%d: %d output partitions", li, sizes, p, len(got))
+				}
+				for j := range want {
+					if len(got[j]) != len(want[j]) {
+						t.Fatalf("layout %d (%v), p=%d: partition %d holds %d quanta, want %d", li, sizes, p, j, len(got[j]), len(want[j]))
+					}
+					for k := range want[j] {
+						if got[j][k] != want[j][k] {
+							t.Fatalf("layout %d (%v), p=%d: partition %d position %d is %v, want %v", li, sizes, p, j, k, got[j][k], want[j][k])
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

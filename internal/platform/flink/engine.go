@@ -321,11 +321,11 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 		return e.split(op.Params.Collection), nil
 
 	case core.KindTextFileSource:
-		data, err := driverutil.ReadTextLines(e.driver.DFS, op.Params.Path)
+		parts, err := driverutil.ReadTextParts(e, e.driver.DFS, op.Params.Path, e.driver.Conf.Parallelism)
 		if err != nil {
 			return nil, err
 		}
-		return e.split(data), nil
+		return restFlow(parts), nil
 
 	case core.KindCache, core.KindCollectionSink:
 		return e.rest(in[0])

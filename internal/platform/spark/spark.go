@@ -239,7 +239,14 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 		return Partition(op.Params.Collection, e.width()), nil
 
 	case core.KindTextFileSource:
-		return e.readTextFile(op.Params.Path)
+		// textFile's input splits: at least one per worker once the file
+		// holds width² bytes, however few blocks it has, read and cut on
+		// the pool (see driverutil.ReadTextParts).
+		parts, err := driverutil.ReadTextParts(e, e.driver.DFS, op.Params.Path, e.width())
+		if err != nil {
+			return nil, err
+		}
+		return NewRDD(parts), nil
 
 	case core.KindCache:
 		return &RDD{Parts: in[0].Parts}, nil
@@ -284,37 +291,6 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 		}
 		return NewRDD(out), nil
 	}
-}
-
-// readTextFile reads a DFS file one split per block, in parallel on the
-// worker pool; local files (and the no-DFS error) go through the shared
-// reader.
-func (e *engine) readTextFile(path string) (*RDD, error) {
-	if !dfs.IsPath(path) || e.driver.DFS == nil {
-		lines, err := driverutil.ReadTextLines(e.driver.DFS, path)
-		if err != nil {
-			return nil, err
-		}
-		return Partition(lines, e.width()), nil
-	}
-	name := dfs.TrimScheme(path)
-	_, blocks, err := e.driver.DFS.Stat(name)
-	if err != nil {
-		return nil, err
-	}
-	parts := make([][]any, len(blocks))
-	err = e.Each(len(blocks), func(i int) error {
-		lines, err := e.driver.DFS.ReadBlockLines(name, i)
-		parts[i] = make([]any, len(lines))
-		for j, l := range lines {
-			parts[i][j] = l
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return NewRDD(parts), nil
 }
 
 func (d *Driver) loadDFSQuanta(path string) (*RDD, error) {

@@ -1,6 +1,7 @@
 package spark
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -257,5 +258,41 @@ func TestConversions(t *testing.T) {
 	got = platformtest.SortedInts(t, loaded.Payload.(*RDD).Collect())
 	if !reflect.DeepEqual(got, []int64{1, 2, 3}) {
 		t.Fatalf("dfs round trip = %v", got)
+	}
+}
+
+// TestTextSourceSplitsOneBlock: a DFS file of one block is read as at least
+// one input split per worker, not as one partition per block, its lines in
+// order.
+func TestTextSourceSplitsOneBlock(t *testing.T) {
+	store, err := dfs.New(t.TempDir(), dfs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewWithConfig(store, fastConf())
+	var lines []string
+	want := make([]any, 200)
+	for i := range want {
+		lines = append(lines, fmt.Sprintf("line %d", i))
+		want[i] = lines[i]
+	}
+	if err := store.WriteLines("one.txt", lines); err != nil {
+		t.Fatal(err)
+	}
+	if _, blocks, _ := store.Stat("one.txt"); len(blocks) != 1 {
+		t.Fatalf("%d blocks, want 1", len(blocks))
+	}
+	op := &core.Operator{Kind: core.KindTextFileSource, Params: core.Params{Path: "dfs://one.txt"}}
+	stage := &core.Stage{ID: 1, Platform: d.Name(), Ops: []*core.Operator{op}, TerminalOuts: []*core.Operator{op}}
+	outs, _, err := d.Execute(stage, core.NewInputs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := outs[op].Payload.(*RDD).Parts
+	if len(parts) < fastConf().Parallelism {
+		t.Fatalf("%d partitions of a one-block file, want at least %d", len(parts), fastConf().Parallelism)
+	}
+	if got := parts.Collect(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("read %v, want %v", got, want)
 	}
 }

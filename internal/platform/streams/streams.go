@@ -250,11 +250,11 @@ func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) 
 		return restPipe(op.Params.Collection), nil
 
 	case core.KindTextFileSource:
-		lines, err := driverutil.ReadTextLines(e.driver.DFS, op.Params.Path)
+		parts, err := driverutil.ReadTextParts(driverutil.Serial{}, e.driver.DFS, op.Params.Path, 1)
 		if err != nil {
 			return nil, err
 		}
-		return restPipe(lines), nil
+		return restPipe(driverutil.Parts(parts).Collect()), nil
 
 	case core.KindCache, core.KindCollectionSink:
 		return in[0].rest(), nil

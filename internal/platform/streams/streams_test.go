@@ -202,3 +202,33 @@ func TestMissingUDFErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestTextFileSourceDFSBlocks: a DFS file of many blocks, a line longer than
+// a block and CRLF line ends among them, reads as dfs.ReadLines reads it.
+func TestTextFileSourceDFSBlocks(t *testing.T) {
+	d := testDriver(t)
+	lines := []string{"a b\r", strings.Repeat("x", 700), "", "c"}
+	for i := 0; i < 100; i++ {
+		lines = append(lines, strings.Repeat("w", i%9))
+	}
+	if err := d.DFS.WriteLines("blocks.txt", lines); err != nil {
+		t.Fatal(err)
+	}
+	want, err := d.DFS.ReadLines("blocks.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, blocks, _ := d.DFS.Stat("blocks.txt"); len(blocks) < 4 {
+		t.Fatalf("%d blocks, want several", len(blocks))
+	}
+	op := &core.Operator{Kind: core.KindTextFileSource, Params: core.Params{Path: "dfs://blocks.txt"}}
+	got := platformtest.RunOp(t, d, op)
+	if len(got) != len(want) {
+		t.Fatalf("read %d lines, want %d", len(got), len(want))
+	}
+	for i, q := range got {
+		if q != want[i] {
+			t.Fatalf("line %d = %q, want %q", i, q, want[i])
+		}
+	}
+}

@@ -492,53 +492,84 @@ func (s *Store) ReadBlockLines(name string, index int) ([]string, error) {
 	return out, nil
 }
 
-// eachLine calls visit with every line the split of block index owns, in
-// order, under ReadBlockLines' convention; blocks is the file's layout. The
-// slice passed to visit is only valid during the call.
-func (s *Store) eachLine(name string, blocks []BlockInfo, index int, visit func(line []byte)) error {
+// OwnedLines are the bytes of the lines the split of one block owns under
+// ReadBlockLines' convention.
+type OwnedLines struct {
+	// Start is the block offset of the first owned line: 0, or just past
+	// the end of a line an earlier split owns (the block's size when the
+	// whole block is the middle of such a line).
+	Start int64
+	// Whole holds the owned lines that end inside the block, each with its
+	// newline, from Start on; it is a slice of the block's buffer.
+	Whole []byte
+	// Last is the owned line that does not end inside the block, without a
+	// newline: the line straddling into later blocks, joined from them, or
+	// the file's newline-less last line. It starts at block offset
+	// Start+len(Whole); nil when there is none.
+	Last []byte
+}
+
+// BlockLines reads the lines the split of block index owns; blocks is the
+// file's layout, as Stat returns it. The block is read into one buffer that
+// Whole (and Last, unless it straddles) slices; a straddling line is the one
+// copy, read from the following blocks only up to its newline.
+func (s *Store) BlockLines(name string, blocks []BlockInfo, index int) (OwnedLines, error) {
 	if index < 0 || index >= len(blocks) {
-		return fmt.Errorf("dfs: %q has no block %d", name, index)
+		return OwnedLines{}, fmt.Errorf("dfs: %q has no block %d", name, index)
 	}
 	data, err := s.readBlock(name, blocks[index])
 	if err != nil {
-		return err
+		return OwnedLines{}, err
 	}
-	pos := 0
+	start := 0
 	if index > 0 && !blocks[index-1].EndsNL {
 		// The first (partial) line of this block is owned by the previous
-		// split; skip past it.
+		// split; skip past it. Without a newline the whole block is the
+		// middle of one line owned earlier.
 		nl := bytes.IndexByte(data, '\n')
 		if nl < 0 {
-			// The whole block is the middle of one line owned earlier.
-			return nil
+			return OwnedLines{Start: int64(len(data))}, nil
 		}
-		pos = nl + 1
+		start = nl + 1
 	}
-	for {
-		nl := bytes.IndexByte(data[pos:], '\n')
-		if nl < 0 {
-			break
-		}
-		visit(data[pos : pos+nl])
-		pos += nl + 1
-	}
-	if pos == len(data) {
-		return nil
+	end := bytes.LastIndexByte(data[start:], '\n') + start + 1
+	owned := OwnedLines{Start: int64(start), Whole: data[start:end]}
+	if end == len(data) {
+		return owned, nil
 	}
 	// A trailing fragment continues into subsequent blocks (or is the file's
 	// last, newline-less line). Its capacity ends at the block's, so the
 	// appends below copy it out instead of writing into data.
-	frag := data[pos:len(data):len(data)]
+	frag := data[end:len(data):len(data)]
 	for next := index + 1; next < len(blocks); next++ {
 		var found bool
 		if frag, found, err = s.appendLineEnd(name, blocks[next], frag); err != nil {
-			return err
+			return OwnedLines{}, err
 		}
 		if found {
 			break
 		}
 	}
-	visit(frag)
+	owned.Last = frag
+	return owned, nil
+}
+
+// eachLine calls visit with every line the split of block index owns, in
+// order (see BlockLines). The slice passed to visit is only valid during the
+// call.
+func (s *Store) eachLine(name string, blocks []BlockInfo, index int, visit func(line []byte)) error {
+	owned, err := s.BlockLines(name, blocks, index)
+	if err != nil {
+		return err
+	}
+	for rest := owned.Whole; len(rest) > 0; {
+		nl := bytes.IndexByte(rest, '\n')
+		visit(rest[:nl])
+		rest = rest[nl+1:]
+	}
+	if owned.Last != nil {
+		visit(owned.Last)
+	}
 	return nil
 }
 

@@ -52,3 +52,39 @@ func TestFastSimulationSGD(t *testing.T) {
 		}
 	}
 }
+
+// TestSGDModelBitIdentical: the iterative_sgd benchmark's job — 2 000
+// ten-dimensional points on dfs://points.txt, 40 rounds of batch 50, paper
+// latencies, every operator on streams — trains the pinned model bit for bit:
+// reading the text source in input splits must not drop, reorder or alter a
+// line.
+func TestSGDModelBitIdentical(t *testing.T) {
+	const seed = 20180701
+	const want = "[-5022268089812161p-53 -8578765056522764p-53 7797652089219086p-53 5725917816368187p-52 5680201608774708p-55 -7115747137989566p-56 -4795870955385524p-55 6819659964529704p-54 5568751459330973p-53 -5754458483681118p-52]"
+	ctx, err := rheem.NewContext(rheem.Config{DFSDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctx.DFS.WriteLines("points.txt", datagen.PointLines(datagen.Points(2000, 10, seed))); err != nil {
+		t.Fatal(err)
+	}
+	b, final, err := tasks.SGD(ctx, "dfs://points.txt", tasks.SGDOptions{Iterations: 40, BatchSize: 50, Dim: 10, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := final.CollectSink()
+	res, err := ctx.Execute(b.Plan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := res.CollectFrom(sink)
+	if err != nil || len(out) != 1 {
+		t.Fatalf("model %v, %v", out, err)
+	}
+	if got := fmt.Sprintf("%b", out[0].([]float64)); got != want {
+		t.Fatalf("weights %s, want %s", got, want)
+	}
+	if ep := res.Plan(); ep.PlatformOf(sink) != "streams" {
+		t.Fatalf("the model was trained on %s, want streams:\n%s", ep.PlatformOf(sink), ep)
+	}
+}

@@ -69,13 +69,16 @@ go test -run=NONE -bench=BenchmarkParseRecordLine -benchtime=1x ./internal/datag
 # declares its cost on its mapping. So are spark's and flink's own PageRank and
 # spark's own map-partitions runner, and what the simulated-time seam
 # (simclock.Charge) replaced: driverutil's millisecond sleep, the DFS throttle
-# knob and the engines' second names for driverutil.NoOverheadMs. The gate
-# covers verify.sh too; the [x] brackets keep its own line from matching.
+# knob and the engines' second names for driverutil.NoOverheadMs. So are the
+# text readers driverutil.ReadTextParts replaced: the whole-file line reader
+# beside it and spark's own one-partition-per-block loop over the store's
+# block lines. The gate covers verify.sh too; the [x] brackets keep its own
+# line from matching.
 go test -run=NONE -bench='NarrowChain|ColumnarAggChain' -benchtime=1x ./internal/platform/spark ./internal/platform/flink
 go test -run=NONE -bench='BenchmarkShuffle|BenchmarkRangeShuffle|BenchmarkUDFReduceByChain' -benchtime=1x ./internal/platform/driverutil
 go test -run='TestCrossCheckFusedAgainstUnfused|TestFusedFig9' .
-if grep -rn 'RHEEM_NO_FUS[E]\|FusionDisable[d]\|RHEEM_NO_COLUMNA[R]\|ColumnarDisable[d]\|NewSegRD[D]\|shuffleB[y]\|rangeShuffl[e]\|parallelPart[s]\|fanOu[t](\|mergeRun[s]\|poolEr[r]\|driverutil\.Dat[a]\b\|one := func(k core\.Kin[d]\|bc core\.BroadcastCt[x], round\|fetchAn[y]\|mergePlan[s]\|acceptableChannel[s]\|KnownCard[s]\|outerPlanO[f]\|dictCol[s]\|[wW]orkerUsag[e]\|OutCard[s]\|monitor\.Ne[w](\|Monitor\.Recor[d](\|BuildProfil[e]\|InArityO[f]\|OutArityO[f]\|kindRegistr[y]\|registeredKin[d]\|FusibleKin[d]\|udfRolesO[f]\|bindUD[F]\|ChainPatter[n]\|RegisterChai[n]\|ChainAlternative[s]\|DirectAlternative[s]\|CoveredB[y]\|CostKeyOrNam[e]\|OwnCos[t]\|Cover[s]:\|\.Cover[s]\b\|defaultParamsFo[r]\|func (e \*engine) pageRan[k]\|func (e \*engine) mapPart[s]\|SleepM[s](\|ThrottleMBp[s]\|const NoOverheadMs = driverutil\.NoOverheadM[s]\|SegmentedDatase[t]\|ChannelSegment[s]\|SplitSegment[s]\|RowSegment[s]\|RowPart[s]\|RunSegment[s]\|CloneForWrit[e]\|SegmentsO[f]\|NeutralSegment[s]\|ReadQuantaFileSegment[s]\|ReadDFSQuantaBlockSegment[s]' --include='*.go' --include='verify.sh' .; then
-	echo "a deleted fork (per-operator narrow path, a partition carrier beside rows, a per-engine shuffle or dispatch, the untyped stage harness, a hand-written mapping closure, the executor's second planner, a second store of stage statistics, a second description of an operator kind, a second fusion or mapping mechanism, a name-keyed price table, a per-engine PageRank or map-partitions, a sleep or sentinel beside the simulated-time seam) or its switch is back" >&2
+if grep -rn 'RHEEM_NO_FUS[E]\|FusionDisable[d]\|RHEEM_NO_COLUMNA[R]\|ColumnarDisable[d]\|NewSegRD[D]\|shuffleB[y]\|rangeShuffl[e]\|parallelPart[s]\|fanOu[t](\|mergeRun[s]\|poolEr[r]\|driverutil\.Dat[a]\b\|one := func(k core\.Kin[d]\|bc core\.BroadcastCt[x], round\|fetchAn[y]\|mergePlan[s]\|acceptableChannel[s]\|KnownCard[s]\|outerPlanO[f]\|dictCol[s]\|[wW]orkerUsag[e]\|OutCard[s]\|monitor\.Ne[w](\|Monitor\.Recor[d](\|BuildProfil[e]\|InArityO[f]\|OutArityO[f]\|kindRegistr[y]\|registeredKin[d]\|FusibleKin[d]\|udfRolesO[f]\|bindUD[F]\|ChainPatter[n]\|RegisterChai[n]\|ChainAlternative[s]\|DirectAlternative[s]\|CoveredB[y]\|CostKeyOrNam[e]\|OwnCos[t]\|Cover[s]:\|\.Cover[s]\b\|defaultParamsFo[r]\|func (e \*engine) pageRan[k]\|func (e \*engine) mapPart[s]\|SleepM[s](\|ThrottleMBp[s]\|const NoOverheadMs = driverutil\.NoOverheadM[s]\|SegmentedDatase[t]\|ChannelSegment[s]\|SplitSegment[s]\|RowSegment[s]\|RowPart[s]\|RunSegment[s]\|CloneForWrit[e]\|SegmentsO[f]\|NeutralSegment[s]\|ReadQuantaFileSegment[s]\|ReadDFSQuantaBlockSegment[s]\|ReadTextLine[s]\|readTextFil[e]\|DFS\.ReadBlockLine[s]' --include='*.go' --include='verify.sh' .; then
+	echo "a deleted fork (per-operator narrow path, a partition carrier beside rows, a per-engine shuffle or dispatch, the untyped stage harness, a hand-written mapping closure, the executor's second planner, a second store of stage statistics, a second description of an operator kind, a second fusion or mapping mechanism, a name-keyed price table, a per-engine PageRank or map-partitions, a sleep or sentinel beside the simulated-time seam, a text reader beside driverutil.ReadTextParts) or its switch is back" >&2
 	exit 1
 fi
 # One seam for simulated time: outside internal/simclock and bench/, no
@@ -174,6 +177,17 @@ go test -race -count=1 -run='TestIterativeTopologyLogsItsBody' ./internal/costle
 go test -race -count=1 -run='TestFactoryClosuresDoNotShareFingerprint' .
 go test -race -count=1 -run='TestRegisteredCollectionHashedOnce' ./internal/rescache
 go test -race -count=1 -run='TestBootConcurrentFirstJobs' ./internal/platform/driverutil
+# And a text source is read in line-aligned input splits: for 1, 2, 4 and 7
+# splits wanted, over files of one, two and five blocks and the edge cases
+# (empty, no final newline, empty lines, a line longer than a block, a line
+# over three blocks, CRLF), the splits concatenate to dfs.ReadLines; a
+# one-block file still gives spark and flink a split per worker; the SGD model
+# trained from DFS on streams matches its pinned weights bit for bit. The
+# exchange places every quantum where the naive bucket-append exchange does,
+# in order.
+go test -race -count=1 -run='TestTextSplitsCoverFile|TestExchangeMatchesBucketAppend' ./internal/platform/driverutil
+go test -race -count=1 -run='TestTextSourceSplitsOneBlock' ./internal/platform/spark ./internal/platform/flink
+go test -race -count=1 -run='TestSGDModelBitIdentical' .
 # And every reduce-by is its chain's terminator: a UDF reduce-by folded inside
 # its chain gives the partitions, counts and barriers of the materialize →
 # combine → exchange path it replaced, a run of the word-count chain allocates
