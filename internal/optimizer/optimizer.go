@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -93,10 +94,10 @@ func (o Options) withDefaults() Options {
 
 // Optimize compiles a RheemPlan into an execution plan: it inflates the
 // plan through the operator mappings, estimates cardinalities and costs,
-// plans data movement over the channel conversion graph, and enumerates
-// alternatives with lossless pruning, minimizing the estimated cost
-// including platform start-up and movement costs. Every plan it returns has
-// passed core.ExecPlan.Validate: it runs as written.
+// and enumerates alternatives with lossless pruning, minimizing planCost:
+// operator costs, one conversion tree per producer, loop bodies and
+// platform start-up. The plan's Cost is that minimum. Every plan it returns
+// has passed core.ExecPlan.Validate: it runs as written.
 func Optimize(p *core.Plan, opts Options) (*core.ExecPlan, error) {
 	opts = opts.withDefaults()
 	if opts.Registry == nil {
@@ -106,7 +107,7 @@ func Optimize(p *core.Plan, opts Options) (*core.ExecPlan, error) {
 	// requires every rheem_* family to carry one).
 	opts.Metrics.Help("rheem_optimizer_optimizations_total", "Plans successfully optimized.")
 	opts.Metrics.Help("rheem_optimizer_enumeration_seconds", "End-to-end optimization latency in seconds.")
-	opts.Metrics.Help("rheem_optimizer_plans_considered_total", "Candidate platform assignments enumerated.")
+	opts.Metrics.Help("rheem_optimizer_plans_considered_total", "Plans the enumeration priced: each extension of a kept partial plan by one alternative (each complete plan when exhaustive).")
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -127,8 +128,7 @@ func Optimize(p *core.Plan, opts Options) (*core.ExecPlan, error) {
 		}
 		opts.Metrics.Counter("rheem_optimizer_optimizations_total").Inc()
 		opts.Metrics.Histogram("rheem_optimizer_enumeration_seconds", nil).Observe(time.Since(start).Seconds())
-		sp.SetFloat("cost_low_ms", ep.Cost.LowMs)
-		sp.SetFloat("cost_high_ms", ep.Cost.HighMs)
+		sp.SetFloat("cost_ms", ep.Cost.Geomean())
 		sp.SetFloat("confidence", ep.Cost.Confidence)
 	} else {
 		sp.SetAttr("error", err.Error())
@@ -168,66 +168,38 @@ func optimize(p *core.Plan, opts Options, loopSeed *core.CardEstimate, outerCard
 		return nil, err
 	}
 
-	inflated, err := inflate(p, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	enumSp := opts.Trace.Start("enumerate", "enumerate")
-	var choice map[*core.Operator]int
-	var baseCost float64
-	if opts.Exhaustive {
-		enumSp.SetAttr("strategy", "exhaustive")
-		choice, baseCost, err = enumerateExhaustive(p, opts, inflated, cards)
-	} else {
-		enumSp.SetAttr("strategy", "pruned")
-		choice, baseCost, err = enumeratePruned(p, opts, inflated, cards)
-	}
-	if err == nil {
-		enumSp.SetFloat("base_cost_ms", baseCost)
-	}
-	enumSp.End()
-	if err != nil {
-		return nil, err
-	}
-
 	ep := &core.ExecPlan{
 		Plan:        p,
 		Assignments: map[*core.Operator]*core.Assignment{},
 		Movements:   map[*core.Operator]*core.MovementPlan{},
 		LoopBodies:  map[*core.Operator]*core.ExecPlan{},
 	}
-	for op, alts := range inflated {
-		idx, ok := choice[op]
-		if !ok || op.Kind.IsLoop() {
-			continue
-		}
-		alt := alts[idx]
-		ep.Assignments[op] = &core.Assignment{
-			Alt:     alt,
-			OutCard: cards[op],
-			CostEst: opts.Costs.AlternativeCost(alt, inputCard(op, cards), cards[op]),
-		}
-		if opts.Trace != nil {
-			// Per-alternative decision record: which implementation won and
-			// at what estimated cost, directly on the optimize span.
-			opts.Trace.SetAttr("alt."+op.String(),
-				fmt.Sprintf("%s cost=%s card=%s", alt.String(), ep.Assignments[op].CostEst, cards[op]))
-		}
-	}
-
-	// Loop operators: optimize bodies recursively and attach.
-	total := core.CostInterval{LowMs: baseCost, HighMs: baseCost * 1.3, Confidence: 0.8}
+	// Each operator's candidates: its registered alternatives, restricted in
+	// a replan to what the progress so far allows; a loop's one, priced by
+	// its optimized body, whose outer references are then read in the
+	// channels the body chose.
+	cands := map[*core.Operator][]*core.Assignment{}
 	for _, op := range p.Operators() {
 		if !op.Kind.IsLoop() {
+			alts := opts.Registry.Mappings.Alternatives(op)
+			if len(alts) == 0 {
+				return nil, fmt.Errorf("optimizer: no implementation for %s", op)
+			}
+			if r := opts.Resume; r != nil {
+				alts = slices.DeleteFunc(alts, func(alt core.Alternative) bool { return !r.allows(op, alt) })
+			}
+			as := make([]core.Assignment, len(alts))
+			for i, alt := range alts {
+				as[i] = core.Assignment{Alt: alt, OutCard: cards[op], CostEst: opts.Costs.AlternativeCost(alt, inputCard(op, cards), cards[op])}
+				cands[op] = append(cands[op], &as[i])
+			}
 			continue
 		}
 		if r := opts.Resume; r != nil && r.Executed[op] {
 			// An executed loop keeps the body plan it ran.
 			a := *r.Plan.Assignments[op]
 			a.OutCard = cards[op]
-			ep.LoopBodies[op], ep.Assignments[op] = r.Plan.LoopBodies[op], &a
-			total = total.Add(a.CostEst)
+			ep.LoopBodies[op], cands[op] = r.Plan.LoopBodies[op], []*core.Assignment{&a}
 			continue
 		}
 		seed := core.ExactCard(0)
@@ -253,50 +225,37 @@ func optimize(p *core.Plan, opts Options, loopSeed *core.CardEstimate, outerCard
 		if iters <= 0 {
 			iters = opts.DefaultLoopIterations
 		}
-		bodyCost := body.Cost.Scale(float64(iters))
 		ep.LoopBodies[op] = body
-		ep.Assignments[op] = &core.Assignment{
-			Alt:     core.Alternative{Platform: "", Steps: nil},
-			OutCard: cards[op],
-			CostEst: bodyCost,
-		}
-		total = total.Add(bodyCost)
+		cands[op] = []*core.Assignment{{OutCard: cards[op], CostEst: body.Cost.Scale(float64(iters))}}
 	}
 
-	// Movement planning: one conversion tree per producer whose readers need
-	// channels other than the produced one.
-	mvSp := opts.Trace.Start("plan-movement", "plan-movement")
-	if err := planMovement(p, opts, ep, cards); err != nil {
-		mvSp.End()
+	pr := newPricer(opts, cards)
+	enumerate, strategy := pr.enumerate, "pruned"
+	if opts.Exhaustive {
+		enumerate, strategy = pr.enumerateExhaustive, "exhaustive"
+	}
+	enumSp := opts.Trace.Start("enumerate", "enumerate")
+	enumSp.SetAttr("strategy", strategy)
+	cost, err := enumerate(ep, cands)
+	enumSp.SetFloat("cost_ms", cost)
+	enumSp.End()
+	if err != nil {
 		return nil, err
 	}
+	if opts.Trace != nil {
+		// Per-alternative decision record: which implementation won and at
+		// what estimated cost, directly on the optimize span.
+		for op, a := range ep.Assignments {
+			if !op.Kind.IsLoop() {
+				opts.Trace.SetAttr("alt."+op.String(), fmt.Sprintf("%s cost=%s card=%s", a.Alt.String(), a.CostEst, a.OutCard))
+			}
+		}
+	}
+	mvSp := opts.Trace.Start("plan-movement", "plan-movement")
+	ep.Cost, err = pr.planCost(ep)
 	mvSp.SetInt("movements", int64(len(ep.Movements)))
 	mvSp.End()
-	for _, mv := range ep.Movements {
-		total = total.Add(mv.CostEst)
-	}
-	ep.Cost = total
-	return ep, nil
-}
-
-// inflate computes the enumeration units per operator: its registered
-// alternatives, restricted in a replan to what the progress so far allows.
-func inflate(p *core.Plan, opts Options) (map[*core.Operator][]core.Alternative, error) {
-	out := map[*core.Operator][]core.Alternative{}
-	for _, op := range p.Operators() {
-		if op.Kind.IsLoop() {
-			continue
-		}
-		alts := opts.Registry.Mappings.Alternatives(op)
-		if len(alts) == 0 {
-			return nil, fmt.Errorf("optimizer: no implementation for %s", op)
-		}
-		if r := opts.Resume; r != nil {
-			alts = slices.DeleteFunc(alts, func(alt core.Alternative) bool { return !r.allows(op, alt) })
-		}
-		out[op] = alts
-	}
-	return out, nil
+	return ep, err
 }
 
 func inputCard(op *core.Operator, cards map[*core.Operator]core.CardEstimate) core.CardEstimate {
@@ -311,313 +270,403 @@ func inputCard(op *core.Operator, cards map[*core.Operator]core.CardEstimate) co
 	return agg
 }
 
-// enumeratePruned is the lossless-pruning enumeration: dynamic programming
-// over the plan DAG keeping, per operator, the cheapest partial cost per
-// alternative (subplans sharing the same "ending execution operator" are
-// pruned to the cheapest, which never discards part of an optimal plan).
-// Platform start-up costs are handled exactly by running the DP once per
-// subset of candidate platforms and charging each subset's start-up sum.
-func enumeratePruned(p *core.Plan, opts Options, inflated map[*core.Operator][]core.Alternative, cards map[*core.Operator]core.CardEstimate) (map[*core.Operator]int, float64, error) {
-	platforms := candidatePlatforms(inflated)
-	if len(platforms) > 16 {
-		return nil, 0, fmt.Errorf("optimizer: too many candidate platforms (%d)", len(platforms))
-	}
-	bestCost := math.Inf(1)
-	var bestChoice map[*core.Operator]int
-	for mask := 1; mask < 1<<len(platforms); mask++ {
-		allowed := map[string]bool{}
-		startup := 0.0
-		for i, pf := range platforms {
-			if mask&(1<<i) != 0 {
-				allowed[pf] = true
-				startup += opts.Registry.StartupCostMs(pf) * opts.weight(pf)
-			}
-		}
-		// Each platform-subset DP pass evaluates one candidate plan shape.
-		opts.Metrics.Counter("rheem_optimizer_plans_considered_total").Inc()
-		choice, cost, ok := dpEnumerate(p, opts, inflated, cards, allowed)
-		if !ok {
-			continue
-		}
-		// Only charge start-up for platforms the chosen plan actually uses;
-		// skip masks that include unused platforms (the exact-used subset is
-		// also enumerated and cheaper or equal).
-		used := usedPlatforms(inflated, choice)
-		if len(used) != len(allowed) {
-			continue
-		}
-		if total := cost + startup; total < bestCost {
-			bestCost = total
-			bestChoice = choice
-		}
-	}
-	if bestChoice == nil {
-		return nil, 0, fmt.Errorf("optimizer: no feasible platform assignment for plan %q", p.Name)
-	}
-	return bestChoice, bestCost, nil
+// pricer prices the parts of one plan's cost (see planCost) and memoizes the
+// conversion-graph searches that the enumeration repeats. Target channels
+// and platforms are numbered as they are first met, so that a set of them
+// is a bit mask.
+type pricer struct {
+	opts                Options
+	cards               map[*core.Operator]core.CardEstimate
+	channels, platforms []string
+	paths               map[memoKey]float64 // the cheapest path to one target
+	trees               map[memoKey]core.MovementPlan
+	err                 error // more than 64 channels or platforms to number
 }
 
-func candidatePlatforms(inflated map[*core.Operator][]core.Alternative) []string {
-	set := map[string]bool{}
-	for _, alts := range inflated {
-		for _, alt := range alts {
-			set[alt.Platform] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for pf := range set {
-		out = append(out, pf)
-	}
-	sort.Strings(out)
-	return out
+// memoKey is a search of the conversion graph from a producer's channel to
+// a set of target channels, for the producer's cardinality.
+type memoKey struct {
+	from    string
+	targets uint64
+	card    core.CardEstimate
 }
 
-func usedPlatforms(inflated map[*core.Operator][]core.Alternative, choice map[*core.Operator]int) map[string]bool {
-	used := map[string]bool{}
-	for op, idx := range choice {
-		used[inflated[op][idx].Platform] = true
-	}
-	return used
+func newPricer(opts Options, cards map[*core.Operator]core.CardEstimate) *pricer {
+	return &pricer{opts: opts, cards: cards, paths: map[memoKey]float64{}, trees: map[memoKey]core.MovementPlan{}}
 }
 
-// dpEnumerate runs the pruning DP restricted to the allowed platforms.
-// Movement costs between producer and consumer alternatives use the
-// cheapest conversion path for the producer's estimated cardinality.
-func dpEnumerate(p *core.Plan, opts Options, inflated map[*core.Operator][]core.Alternative, cards map[*core.Operator]core.CardEstimate, allowed map[string]bool) (map[*core.Operator]int, float64, bool) {
-	order, err := p.TopoOrder()
-	if err != nil {
-		return nil, 0, false
+// planCost prices a complete plan. It is the objective the enumeration
+// minimises and the cost the plan reports. Its parts:
+//   - each operator's alternative, the geometric mean of its interval times
+//     its platform's objective weight, less what fusion saves;
+//   - each loop's body cost times its iterations (the loop's assignment);
+//   - one conversion tree per producer, serving every reader that
+//     core.ExecPlan.Reads lists at the channel target picks, at the cost
+//     the tree search minimised: that of the geometric-mean cardinality;
+//   - the start-up of each platform an operator of the plan is placed on.
+//
+// It plans ep.Movements on the way. The returned interval is the point
+// total, at the least confidence of its parts.
+func (pr *pricer) planCost(ep *core.ExecPlan) (core.CostInterval, error) {
+	if err := pr.planMovement(ep); err != nil {
+		return core.CostInterval{}, err
 	}
-	const inf = math.MaxFloat64 / 4
-	// cost[op][i]: cheapest cost of computing op's output via alternative i,
-	// counting each producer's subtree once per consumer (exact on trees,
-	// a safe overestimate on shared subplans; the executor reuses shared
-	// channels at run time regardless).
-	cost := map[*core.Operator][]float64{}
-	pick := map[*core.Operator][]map[*core.Operator]int{} // per alternative: chosen producer alternatives
-
-	for _, op := range order {
-		if op.Kind.IsLoop() {
-			continue
-		}
-		alts := inflated[op]
-		cs := make([]float64, len(alts))
-		ps := make([]map[*core.Operator]int, len(alts))
-		for i, alt := range alts {
-			if !allowed[alt.Platform] {
-				cs[i] = inf
-				continue
-			}
-			own := opts.Costs.AlternativeCost(alt, inputCard(op, cards), cards[op]).Geomean() * opts.weight(alt.Platform)
-			// Pipeline fusion discount: a narrow op whose sole producer is a
-			// narrow op on the same platform (no conversion between them)
-			// rides the producer's fused chain, so its per-invocation fixed
-			// overhead — per-op dispatch and intermediate materialization —
-			// is not paid; only its per-tuple UDF cost remains. The discount
-			// never exceeds own's fixed part, so totals stay non-negative.
-			// Declarative reduce-by rides its producer's chain too: the
-			// engines absorb it as the chain's vectorized aggregation tail.
-			fuseDisc := 0.0
-			if op.Kind.IsNarrow() || op.Kind == core.KindReduceBy && op.UDF.ReduceExpr != nil {
-				fuseDisc = opts.Costs.FusedStepOverheadMs(alt) * opts.weight(alt.Platform)
-			}
-			picks := map[*core.Operator]int{}
-			total := own
-			feeds := append([]*core.Operator{}, op.Inputs()...)
-			for _, bcProducer := range op.Broadcasts() {
-				feeds = append(feeds, bcProducer)
-			}
-			for fi, producer := range feeds {
-				if producer == nil {
-					continue
-				}
-				if producer.Kind.IsLoop() {
-					// Loop outputs surface as driver collections; their cost
-					// is accounted separately via the optimized body.
-					_, mv := reach(opts, "collection", alt.InChannels(), cards[producer])
-					if mv >= inf {
-						total = inf
-						break
-					}
-					total += mv
-					continue
-				}
-				isBroadcast := fi >= len(op.Inputs())
-				bestIn := inf
-				bestIdx := -1
-				for pi, pa := range inflated[producer] {
-					pc := cost[producer]
-					if pc == nil || pc[pi] >= inf {
-						continue
-					}
-					accepts := alt.InChannels()
-					if isBroadcast {
-						accepts = []string{"collection"}
-					}
-					_, mv := reach(opts, pa.OutChannel(), accepts, cards[producer])
-					if mv >= inf {
-						continue
-					}
-					disc := 0.0
-					if fuseDisc > 0 && !isBroadcast && mv == 0 &&
-						pa.Platform == alt.Platform &&
-						producer.Kind.IsNarrow() && len(producer.Outputs()) == 1 {
-						disc = fuseDisc
-					}
-					if c := pc[pi] + mv - disc; c < bestIn {
-						bestIn = c
-						bestIdx = pi
-					}
-				}
-				if bestIdx < 0 {
-					total = inf
-					break
-				}
-				total += bestIn
-				picks[producer] = bestIdx
-			}
-			cs[i] = total
-			ps[i] = picks
-		}
-		cost[op] = cs
-		pick[op] = ps
+	var total core.CostInterval
+	add := func(ms, confidence float64) {
+		total = total.Add(core.CostInterval{LowMs: ms, HighMs: ms, Confidence: confidence})
 	}
-
-	// Roots to realize: sinks plus the loop output (for bodies) plus inputs
-	// of loop operators and the loop ops' consumers chain... loops are
-	// excluded from DP; their input producers must be realized too.
-	roots := rootsToRealize(p)
-	choice := map[*core.Operator]int{}
-	total := 0.0
-	var realize func(op *core.Operator, idx int) bool
-	realize = func(op *core.Operator, idx int) bool {
-		if _, ok := choice[op]; ok {
-			// A shared producer keeps its first decision; the DP priced its
-			// subtree once per consumer, which can only overestimate, so the
-			// pruning stays lossless with respect to plan selection.
-			return true
+	var used []string
+	for _, op := range ep.Plan.Operators() {
+		a := ep.Assignments[op]
+		add(a.CostEst.Geomean()*pr.opts.weight(a.Alt.Platform)-pr.fusion(ep, op), a.CostEst.Confidence)
+		if mv := ep.Movements[op]; mv != nil {
+			add(mv.Tree.CostMs, mv.CostEst.Confidence)
 		}
-		choice[op] = idx
-		for producer, pi := range pick[op][idx] {
-			if !realize(producer, pi) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, root := range roots {
-		costs := cost[root]
-		if costs == nil {
-			return nil, 0, false
-		}
-		best, bestIdx := inf, -1
-		for i, c := range costs {
-			if c < best {
-				best, bestIdx = c, i
-			}
-		}
-		if bestIdx < 0 || best >= inf {
-			return nil, 0, false
-		}
-		total += best
-		if !realize(root, bestIdx) {
-			return nil, 0, false
+		if pf := a.Alt.Platform; pf != "" && !slices.Contains(used, pf) {
+			used = append(used, pf)
+			add(pr.startup(pf), 1)
 		}
 	}
-	return choice, total, true
+	return total, nil
 }
 
-// rootsToRealize returns the operators whose outputs must exist: sinks, the
-// loop output of body plans, and the dataflow/broadcast inputs of loop
-// operators.
-func rootsToRealize(p *core.Plan) []*core.Operator {
-	var roots []*core.Operator
-	for _, op := range p.Operators() {
-		if op.Kind.IsSink() && !op.Kind.IsLoop() {
-			roots = append(roots, op)
-		}
-		if op.Kind.IsLoop() {
-			roots = append(roots, op.Inputs()...)
-			roots = append(roots, op.Broadcasts()...)
-			// Outer operators the loop body references must be realized
-			// before the loop starts.
-			for _, ref := range op.OuterRefs() {
-				roots = append(roots, ref.OuterRef)
-			}
-		}
+// fusion returns what op saves by riding its producer's fused chain: a
+// narrow operator (or a declarative reduce-by, which the engines absorb as
+// the chain's aggregation tail) whose sole producer is a narrow operator
+// placed on the same platform and read without conversion pays no per-op
+// dispatch or intermediate materialization, only its per-tuple cost. The
+// discount never exceeds op's fixed part, so totals stay non-negative.
+func (pr *pricer) fusion(ep *core.ExecPlan, op *core.Operator) float64 {
+	if !op.Kind.IsNarrow() && (op.Kind != core.KindReduceBy || op.UDF.ReduceExpr == nil) {
+		return 0
 	}
-	// A body that ends in a loop is realized through that loop's roots: a
-	// loop has no enumeration entry of its own.
-	if p.LoopOutput != nil && !p.LoopOutput.Kind.IsLoop() {
-		roots = append(roots, p.LoopOutput)
+	producer, alt := op.Inputs()[0], ep.Assignments[op].Alt
+	if !producer.Kind.IsNarrow() || len(producer.Outputs()) != 1 || ep.PlatformOf(producer) != alt.Platform ||
+		!slices.Contains(ep.InChannels(op), ep.OutChannel(producer)) {
+		return 0
 	}
-	// Broadcast producers of any operator must be realized as well (they
-	// may be chosen as producers in pick already; this covers sink-less
-	// broadcast-only branches).
-	return roots
+	return pr.opts.Costs.FusedStepOverheadMs(alt) * pr.opts.weight(alt.Platform)
 }
 
-// reach returns the acceptable channel that is cheapest to reach from a
-// produced one and the cost of the conversion path to it: the channel itself
-// at no cost when it is acceptable, "" at an infeasible cost when nothing
-// acceptable is reachable.
-func reach(opts Options, from string, acceptable []string, card core.CardEstimate) (string, float64) {
-	best, bestCost := "", math.MaxFloat64/4
+func (pr *pricer) startup(platform string) float64 {
+	return pr.opts.Registry.StartupCostMs(platform) * pr.opts.weight(platform)
+}
+
+// blocked is the target set of a reader that cannot be served.
+const blocked = ^uint64(0)
+
+// target returns the target set that a reader accepting the acceptable
+// channels adds to the tree of a producer making from: none when it reads
+// from as it is, else the acceptable channel cheapest to reach, blocked when
+// none is reachable.
+func (pr *pricer) target(from string, acceptable []string, card core.CardEstimate) uint64 {
+	best, bestCost := blocked, math.Inf(1)
 	for _, to := range acceptable {
 		if to == from {
-			return to, 0
+			return 0
 		}
-		if path, err := opts.Registry.Graph.FindPath(from, to, card.Geomean()); err == nil && path.CostMs < bestCost {
-			best, bestCost = to, path.CostMs
+		k := memoKey{from, pr.bit(&pr.channels, to), card}
+		c, ok := pr.paths[k]
+		if !ok {
+			c = math.Inf(1)
+			if path, err := pr.opts.Registry.Graph.FindPath(from, to, card.Geomean()); err == nil {
+				c = path.CostMs
+			}
+			pr.paths[k] = c
+		}
+		if c < bestCost {
+			best, bestCost = k.targets, c
 		}
 	}
-	return best, bestCost
+	return best
 }
 
-// planMovement computes, per producer, the minimal conversion tree that turns
-// its declared out-channel into the form each of its readers takes (see
-// core.ExecPlan.Reads), all readers served by the one tree. A reader nothing
-// can reach fails the optimization.
-func planMovement(p *core.Plan, opts Options, ep *core.ExecPlan, cards map[*core.Operator]core.CardEstimate) error {
-	targets := map[*core.Operator][]string{}
+// bit returns the bit that stands for name in a set over names, numbering
+// it if it is new.
+func (pr *pricer) bit(names *[]string, name string) uint64 {
+	i := slices.Index(*names, name)
+	if i < 0 {
+		if i = len(*names); i == 64 {
+			pr.err = fmt.Errorf("optimizer: more than 64 channels or platforms in one plan")
+			return 0
+		}
+		*names = append(*names, name)
+	}
+	return 1 << i
+}
+
+// tree returns the movement over the minimal conversion tree from a
+// producer's channel to a non-empty set of target channels, priced for the
+// producer's cardinality.
+func (pr *pricer) tree(from string, targets uint64, card core.CardEstimate) (core.MovementPlan, error) {
+	k := memoKey{from, targets, card}
+	if mv, ok := pr.trees[k]; ok {
+		return mv, nil
+	}
+	var ts []string
+	for i, ch := range pr.channels {
+		if targets&(1<<i) != 0 {
+			ts = append(ts, ch)
+		}
+	}
+	sort.Strings(ts)
+	t, err := pr.opts.Registry.Graph.FindTree(from, ts, card.Geomean())
+	if err != nil {
+		return core.MovementPlan{}, err
+	}
+	var lo, hi float64
+	for _, e := range t.Edges {
+		lo, hi = lo+e.CostMs(float64(card.Low)), hi+e.CostMs(float64(card.High))
+	}
+	pr.trees[k] = core.MovementPlan{Tree: t, CostEst: core.CostInterval{LowMs: lo, HighMs: hi, Confidence: card.Confidence}}
+	return pr.trees[k], nil
+}
+
+// treeCost returns what the minimal tree from a producer's channel to a set
+// of target channels costs: for one target the cheapest path, which target
+// has found already.
+func (pr *pricer) treeCost(from string, targets uint64, card core.CardEstimate) (float64, bool) {
+	if targets&(targets-1) == 0 {
+		return pr.paths[memoKey{from, targets, card}], true
+	}
+	if mv, err := pr.tree(from, targets, card); err == nil {
+		return mv.Tree.CostMs, true
+	}
+	return 0, false
+}
+
+// planMovement plans, per producer, the one conversion tree that turns its
+// declared out-channel into the form each of its readers takes (see
+// core.ExecPlan.Reads). A reader nothing can reach fails the optimization.
+func (pr *pricer) planMovement(ep *core.ExecPlan) error {
+	targets := map[*core.Operator]uint64{}
 	err := ep.Reads(func(producer *core.Operator, accepts []string, reader string) error {
 		from := ep.OutChannel(producer)
-		to, _ := reach(opts, from, accepts, cards[producer])
-		if to == "" {
+		t := pr.target(from, accepts, pr.cards[producer])
+		if t == blocked {
 			return fmt.Errorf("optimizer: %s cannot read %s: no conversion from %q to any of %v", reader, producer, from, accepts)
 		}
-		if to != from {
-			targets[producer] = append(targets[producer], to)
-		}
-		return nil
+		targets[producer] |= t
+		return pr.err
 	})
 	if err != nil {
 		return err
 	}
-	for _, producer := range p.Operators() {
-		ts := targets[producer]
-		if len(ts) == 0 {
+	clear(ep.Movements)
+	for _, producer := range ep.Plan.Operators() {
+		if targets[producer] == 0 {
 			continue
 		}
-		sort.Strings(ts)
-		from, card := ep.OutChannel(producer), cards[producer]
-		tree, err := opts.Registry.Graph.FindTree(from, ts, card.Geomean())
+		from := ep.OutChannel(producer)
+		mv, err := pr.tree(from, targets[producer], pr.cards[producer])
 		if err != nil {
 			return fmt.Errorf("optimizer: movement from %s (%s): %w", producer, from, err)
 		}
-		ep.Movements[producer] = &core.MovementPlan{
-			Producer: producer,
-			Tree:     tree,
-			CostEst:  core.CostInterval{LowMs: treeCost(tree, float64(card.Low)), HighMs: treeCost(tree, float64(card.High)), Confidence: card.Confidence},
-		}
+		mv.Producer = producer
+		ep.Movements[producer] = &mv
 	}
 	return nil
 }
 
-func treeCost(tree *core.ConversionTree, card float64) float64 {
-	var total float64
-	for _, e := range tree.Edges {
-		total += e.CostMs(card)
+// maxPartialPlans bounds the partial plans the enumeration keeps at one step.
+const maxPartialPlans = 1 << 16
+
+// enumerate finds the assignment of least planCost in one dynamic-programming
+// pass and leaves it in ep.Assignments; it returns the cost it minimised. ep
+// must carry its loops' bodies.
+//
+// Operators are placed in post-order from the sinks, so that each branch
+// closes early. The state (RHEEMix's footprint) of a partial plan is the
+// candidate of every open producer, one with a reader still to place, with
+// the target channels its placed readers asked for, and the set of platforms
+// used. Of the partial plans in one state only the cheapest is kept: what the
+// rest of the plan adds depends on nothing else, so the pruning is lossless.
+// A producer's tree is priced once, when its last reader closes it, and a
+// platform's start-up when the platform enters the state.
+func (pr *pricer) enumerate(ep *core.ExecPlan, cands map[*core.Operator][]*core.Assignment) (float64, error) {
+	// A reader whose channels no choice decides (a broadcast, a loop's
+	// input, an outer reference, the loop output: see core.ExecPlan.Reads)
+	// is priced with its producer; every other one reads an input port.
+	collection := []string{"collection"}
+	fixedReaders := map[*core.Operator][][]string{ep.Plan.LoopOutput: {collection}}
+	pending := map[*core.Operator]int{}
+	for _, e := range ep.Plan.Edges() {
+		if e.Broadcast || e.To.Kind.IsLoop() {
+			fixedReaders[e.From] = append(fixedReaders[e.From], collection)
+		} else {
+			pending[e.From]++
+		}
 	}
-	return total
+	for _, op := range ep.Plan.Operators() {
+		for _, ref := range op.OuterRefs() {
+			fixedReaders[ref.OuterRef] = append(fixedReaders[ref.OuterRef], ep.LoopBodies[op].InChannels(ref))
+		}
+	}
+
+	type slot struct{ cand, targets uint64 }
+	type partial struct {
+		cost       float64
+		used       uint64
+		back, cand int
+	}
+	type candidate struct {
+		own, startup    float64
+		platform, fixed uint64    // the platform's bit; the fixed readers' targets
+		target          []uint64  // per input port, per producer candidate
+		disc            []float64 // fusion discount, per producer candidate on port 0
+	}
+	order := placementOrder(ep.Plan)
+	var open []*core.Operator // in slot order
+	states, slots := []partial{{}}, []slot(nil)
+	trail := make([][]partial, len(order))
+	index := map[string]int{}
+	var key []byte
+	considered := 0
+	for i, op := range order {
+		ins := op.Inputs()
+		if op.Kind.IsLoop() {
+			ins = nil // a loop reads its input as a collection
+		}
+		cs := make([]candidate, len(cands[op]))
+		for c, a := range cands[op] {
+			ep.Assignments[op] = a
+			cs[c].own = a.CostEst.Geomean() * pr.opts.weight(a.Alt.Platform)
+			if pf := a.Alt.Platform; pf != "" {
+				cs[c].platform, cs[c].startup = pr.bit(&pr.platforms, pf), pr.startup(pf)
+			}
+			for _, acc := range fixedReaders[op] {
+				cs[c].fixed |= pr.target(ep.OutChannel(op), acc, pr.cards[op])
+			}
+			for port, producer := range ins {
+				for _, pa := range cands[producer] {
+					ep.Assignments[producer] = pa
+					cs[c].target = append(cs[c].target, pr.target(ep.OutChannel(producer), ep.InChannels(op), pr.cards[producer]))
+					if port == 0 {
+						cs[c].disc = append(cs[c].disc, pr.fusion(ep, op))
+					}
+				}
+			}
+		}
+		for _, producer := range ins {
+			pending[producer]--
+		}
+		ext := append(slices.Clip(open), op)
+		var closing, keep []int
+		var stillOpen []*core.Operator
+		for j, o := range ext {
+			if pending[o] == 0 {
+				closing = append(closing, j)
+			} else {
+				keep, stillOpen = append(keep, j), append(stillOpen, o)
+			}
+		}
+
+		var next []partial
+		var nextSlots []slot
+		clear(index)
+		buf := make([]slot, len(ext))
+		for si, s := range states {
+			for c, cand := range cs {
+				if cand.fixed == blocked {
+					continue
+				}
+				considered++
+				cost, used := s.cost+cand.own, s.used|cand.platform
+				if used != s.used {
+					cost += cand.startup
+				}
+				copy(buf, slots[si*len(open):])
+				buf[len(open)] = slot{uint64(c), cand.fixed}
+				feasible := true
+				at := 0
+				for port, producer := range ins {
+					j := slices.Index(open, producer)
+					pc := int(buf[j].cand)
+					buf[j].targets |= cand.target[at+pc]
+					feasible = feasible && cand.target[at+pc] != blocked
+					at += len(cands[producer])
+					if port == 0 {
+						cost -= cand.disc[pc]
+					}
+				}
+				for _, j := range closing {
+					if t := buf[j].targets; feasible && t != 0 {
+						ep.Assignments[ext[j]] = cands[ext[j]][buf[j].cand]
+						c, ok := pr.treeCost(ep.OutChannel(ext[j]), t, pr.cards[ext[j]])
+						cost, feasible = cost+c, ok
+					}
+				}
+				if !feasible {
+					continue
+				}
+				key = binary.LittleEndian.AppendUint64(key[:0], used)
+				for _, j := range keep {
+					key = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(key, buf[j].cand), buf[j].targets)
+				}
+				if k, ok := index[string(key)]; ok {
+					if cost < next[k].cost {
+						next[k] = partial{cost, used, si, c}
+					}
+					continue
+				}
+				if len(next) == maxPartialPlans {
+					return 0, fmt.Errorf("optimizer: plan %q needs more than %d partial plans at %s", ep.Plan.Name, maxPartialPlans, op)
+				}
+				index[string(key)] = len(next)
+				next = append(next, partial{cost, used, si, c})
+				for _, j := range keep {
+					nextSlots = append(nextSlots, buf[j])
+				}
+			}
+		}
+		if pr.err != nil {
+			return 0, pr.err
+		}
+		if len(next) == 0 {
+			return 0, fmt.Errorf("optimizer: no feasible platform assignment for plan %q", ep.Plan.Name)
+		}
+		open, states, slots, trail[i] = stillOpen, next, nextSlots, next
+	}
+	pr.opts.Metrics.Counter("rheem_optimizer_plans_considered_total").Add(float64(considered))
+
+	best := 0
+	for k, s := range states {
+		if s.cost < states[best].cost {
+			best = k
+		}
+	}
+	cost := states[best].cost
+	for i := len(order) - 1; i >= 0; i-- {
+		s := trail[i][best]
+		ep.Assignments[order[i]] = cands[order[i]][s.cand]
+		best = s.back
+	}
+	return cost, nil
+}
+
+// placementOrder lists a plan's operators in post-order from its sinks and a
+// body's loop output: each one after its inputs, its broadcasts and, for a
+// loop, the outer operators its body reads, so that a branch is placed whole
+// before the next one begins.
+func placementOrder(p *core.Plan) []*core.Operator {
+	order := make([]*core.Operator, 0, len(p.Operators()))
+	seen := make(map[*core.Operator]bool, len(p.Operators()))
+	var visit func(op *core.Operator)
+	visit = func(op *core.Operator) {
+		if op == nil || seen[op] {
+			return
+		}
+		seen[op] = true
+		for _, in := range slices.Concat(op.Inputs(), op.Broadcasts()) {
+			visit(in)
+		}
+		for _, ref := range op.OuterRefs() {
+			visit(ref.OuterRef)
+		}
+		order = append(order, op)
+	}
+	for _, op := range slices.Concat(p.Sinks(), []*core.Operator{p.LoopOutput}, p.Operators()) {
+		visit(op)
+	}
+	return order
 }

@@ -1,7 +1,6 @@
 package optimizer
 
 import (
-	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -176,25 +175,29 @@ func TestOptimizeMovementForMandatoryCrossPlatform(t *testing.T) {
 
 func TestPrunedMatchesExhaustive(t *testing.T) {
 	// The lossless pruning must find a plan with the same cost as the
-	// exhaustive enumeration (the ablation check).
+	// exhaustive enumeration (the ablation check), on a chain and on the
+	// shapes that share a producer.
 	env := newTestEnv(t)
-	for _, n := range []int{10, 1000, 100000} {
-		p := smallPipeline(n)
-		opts := env.opts()
-		pruned, err := Optimize(p, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p2 := smallPipeline(n)
-		opts.Exhaustive = true
-		exhaustive, err := Optimize(p2, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pg, eg := pruned.Cost.Geomean(), exhaustive.Cost.Geomean()
-		if math.Abs(pg-eg) > 0.02*math.Max(pg, eg)+0.5 {
-			t.Errorf("n=%d: pruned cost %.3f != exhaustive %.3f\npruned:\n%s\nexhaustive:\n%s",
-				n, pg, eg, pruned, exhaustive)
+	builds := map[string]func(n int) *core.Plan{"pipeline": smallPipeline}
+	for shape, build := range sharedShapes {
+		builds[shape] = build
+	}
+	for shape, build := range builds {
+		for _, n := range []int{10, 1000, 100000} {
+			opts := env.opts()
+			pruned, err := Optimize(build(n), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Exhaustive = true
+			exhaustive, err := Optimize(build(n), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pg, eg := pruned.Cost.Geomean(), exhaustive.Cost.Geomean(); !sameCost(pg, eg) {
+				t.Errorf("%s n=%d: pruned cost %.9g != exhaustive %.9g\npruned:\n%s\nexhaustive:\n%s",
+					shape, n, pg, eg, pruned, exhaustive)
+			}
 		}
 	}
 }

@@ -3,7 +3,9 @@ package rheem
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -296,5 +298,59 @@ func TestExecuteCtxCancellation(t *testing.T) {
 	}
 	if !strings.Contains(ctx.Metrics.Expose(), "rheem_executor_stages_total") {
 		t.Fatalf("executor stage metrics missing:\n%s", ctx.Metrics.Expose())
+	}
+}
+
+// TestMonetaryObjectiveReportsItsOptimum: WithMonetaryObjective reaches the
+// optimizer. The plan it returns for a self-join keeps off the cluster
+// engines the runtime objective picks, reports the monetary optimum (that of
+// the exhaustive enumeration under the same objective), and runs.
+func TestMonetaryObjectiveReportsItsOptimum(t *testing.T) {
+	ctx := fastCtx(t)
+	const n = 100_000
+	build := func() (*core.Plan, *core.Operator) {
+		data := make([]any, n)
+		for i := range data {
+			data[i] = int64(i)
+		}
+		b := ctx.NewPlan("money")
+		scoped := b.LoadCollection("src", data).Filter("scope", func(any) bool { return true })
+		key := func(q any) any { return q }
+		return b.Plan(), scoped.Join(scoped, key, key, func(l, _ any) any { return l }).Count().CollectSink()
+	}
+	cluster := func(ep *core.ExecPlan) bool {
+		return slices.ContainsFunc(ep.Platforms(), func(pf string) bool { return pf == "spark" || pf == "flink" })
+	}
+
+	p, sink := build()
+	runtime, err := ctx.Optimize(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	money, err := ctx.Optimize(p, WithMonetaryObjective())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cluster(runtime) || cluster(money) {
+		t.Fatalf("runtime objective on %v, monetary on %v: want a cluster engine only for runtime", runtime.Platforms(), money.Platforms())
+	}
+	exhaustive, err := ctx.Optimize(p, WithMonetaryObjective(), WithExhaustiveEnumeration())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := money.Cost.Geomean(), exhaustive.Cost.Geomean(); math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("monetary plan reports %.9g, the exhaustive monetary optimum is %.9g\n%s", got, want, money)
+	}
+
+	res, err := ctx.Execute(p, WithMonetaryObjective())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := res.CollectFrom(sink)
+	if err != nil || len(out) != 1 || out[0] != int64(n) {
+		t.Fatalf("self-join count = %v (%v), want %d", out, err, n)
+	}
+	if cluster(res.Plan()) {
+		t.Fatalf("the monetary plan ran on %v", res.Platforms())
 	}
 }

@@ -24,6 +24,10 @@ fi
 go vet ./...
 go build ./...
 go test -race $short ./...
+# The architecture rules stated over the parsed source (only internal/simclock
+# sleeps, the optimizer and the cost learner name no bundled platform, the
+# executor never searches the conversion graph) are tests of internal/archtest,
+# run by the line above.
 # Benchmark smoke: one iteration of the codec benchmarks, so they compile
 # and run even when nobody records numbers.
 go test -run=NONE -bench=BenchmarkEncodeQuantum -benchtime=1x ./internal/core
@@ -81,24 +85,11 @@ if grep -rn 'RHEEM_NO_FUS[E]\|FusionDisable[d]\|RHEEM_NO_COLUMNA[R]\|ColumnarDis
 	echo "a deleted fork (per-operator narrow path, a partition carrier beside rows, a per-engine shuffle or dispatch, the untyped stage harness, a hand-written mapping closure, the executor's second planner, a second store of stage statistics, a second description of an operator kind, a second fusion or mapping mechanism, a name-keyed price table, a per-engine PageRank or map-partitions, a sleep or sentinel beside the simulated-time seam, a text reader beside driverutil.ReadTextParts) or its switch is back" >&2
 	exit 1
 fi
-# One seam for simulated time: outside internal/simclock and bench/, no
-# non-test Go file sleeps. Every simulated latency is charged through
-# simclock.Charge; real waits use timers.
-if grep -rn --include='*.go' 'time\.Slee[p]' . | grep -v '_test\.go:\|^\./internal/simclock/\|^\./bench/'; then
-	echo "a non-test file outside internal/simclock sleeps: charge simulated latency through simclock.Charge, wait for real events with a timer" >&2
-	exit 1
-fi
 # One implementation per whole-input kind: map-partitions, zip-with-id, sample
 # and PageRank are arms of driverutil.ApplyBlocking, so the chosen engine never
 # changes what they return; no general engine has an arm of its own for them.
 if grep -rnE --include='*.go' 'case .*core\.Kind(MapPar[t]|ZipWithI[D]|Sampl[e]|PageRan[k])\b' internal/platform/spark internal/platform/flink internal/platform/streams | grep -v '_test\.go:'; then
 	echo "a general engine runs map-partitions, zip-with-id, sample or PageRank itself: each has one implementation, in driverutil.ApplyBlocking" >&2
-	exit 1
-fi
-# Prices are declared where operators and platforms are: no non-test file of
-# the optimizer or the cost learner names a bundled platform.
-if grep -rn --include='*.go' '"\(streams\|spark\|flink\|relstore\|pregel\|graphmem\)"' internal/optimizer internal/costlearn | grep -v '_test\.go:'; then
-	echo "internal/optimizer or internal/costlearn names a bundled platform: a driver declares its unit costs and its mappings their parameters" >&2
 	exit 1
 fi
 if grep -n 'opTime[s]\|sync\.Mute[x]\|func (m \*Monito[r])' internal/monitor/monitor.go; then
@@ -131,10 +122,6 @@ if grep -n 'KindReduceB[y]' internal/platform/driverutil/blocking.go; then
 fi
 if grep -n 'MismatchFactor(' internal/progressive/progressive.go; then
 	echo "internal/progressive compares cardinalities itself: the health check is monitor.HealthCheck" >&2
-	exit 1
-fi
-if grep -rn 'FindPat[h]\|FindTre[e]' --include='*.go' internal/executor | grep -v '_test\.go:'; then
-	echo "internal/executor searches the conversion graph: movement is planned by the optimizer and only run here" >&2
 	exit 1
 fi
 if grep -rn 'io\.ReadAl[l]' --include='*.go' internal/storage/dfs | grep -v '_test\.go:'; then
