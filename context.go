@@ -18,6 +18,7 @@
 package rheem
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
@@ -60,17 +61,23 @@ type Config struct {
 	// and publish cache-worthy stage outputs into it. Nil disables caching.
 	ResultCache *rescache.Cache
 
-	// Engine overrides; zero values use each engine's defaults.
+	// Engine overrides; zero values use each engine's defaults. A Latency
+	// that is set replaces the engine's paper value (spark.Paper, …) whole:
+	// a field it leaves zero is charged as zero, so start from the paper
+	// value to change one (fig 2(b) triples spark.Paper's StageMs). It may
+	// set only the fields the paper value sets; NewContext rejects others.
+	// Only FastSimulation runs an engine without latency, and it runs all.
 	SparkConfig    spark.Config
 	FlinkConfig    flink.Config
 	RelstoreConfig relstore.Config
 	PregelConfig   pregel.Config
 
-	// FastSimulation removes the scaled-down cluster latencies (context
-	// startup, job dispatch, shuffle and exchange barriers, pregel
-	// supersteps, relstore's query latency) and the single-node slowdown
-	// of streams, graphmem and relstore. Unit-style workloads use it;
-	// experiments reproduce the paper's overheads with it off.
+	// FastSimulation runs every platform with no simulated latency (the
+	// zero driverutil.Latency): no context boot, stage dispatch or barrier
+	// (shuffle, exchange, superstep) is charged and no single-node platform
+	// is slowed down. Unit-style workloads use it; with it off, each
+	// platform runs at its package's paper values, the scaled-down
+	// latencies of the paper's testbed that the experiments reproduce.
 	FastSimulation bool
 }
 
@@ -106,6 +113,28 @@ func AllPlatforms() []string {
 
 // NewContext builds a context with the configured platforms registered.
 func NewContext(cfg Config) (*Context, error) {
+	// Each platform runs at its paper latency, at its engine config's own
+	// when that is set, or at none under FastSimulation.
+	var streamsLatency, graphmemLatency driverutil.Latency
+	for _, e := range []struct {
+		name  string
+		own   *driverutil.Latency
+		paper driverutil.Latency
+	}{
+		{spark.Platform, &cfg.SparkConfig.Latency, spark.Paper},
+		{flink.Platform, &cfg.FlinkConfig.Latency, flink.Paper},
+		{pregel.Platform, &cfg.PregelConfig.Latency, pregel.Paper},
+		{relstore.Platform, &cfg.RelstoreConfig.Latency, relstore.Paper},
+		{streams.Platform, &streamsLatency, streams.Paper},
+		{graphmem.Platform, &graphmemLatency, graphmem.Paper},
+	} {
+		if err := e.own.Within(e.paper); err != nil {
+			return nil, fmt.Errorf("rheem: %s: %w", e.name, err)
+		}
+		if *e.own = cmp.Or(*e.own, e.paper); cfg.FastSimulation {
+			*e.own = driverutil.Latency{}
+		}
+	}
 	var store *dfs.Store
 	var err error
 	if cfg.DFSDir != "" {
@@ -116,19 +145,6 @@ func NewContext(cfg Config) (*Context, error) {
 	if err != nil {
 		return nil, err
 	}
-	singleNodeSlowdown := 4.0
-	if cfg.FastSimulation {
-		// The negative sentinel means "really zero" to each engine's
-		// withDefaults (a literal 0 would be replaced by the default).
-		const none float64 = driverutil.NoOverheadMs
-		cfg.SparkConfig.ContextStartupMs, cfg.SparkConfig.JobStartupMs, cfg.SparkConfig.ShuffleLatencyMs = none, none, none
-		cfg.FlinkConfig.ContextStartupMs, cfg.FlinkConfig.JobStartupMs, cfg.FlinkConfig.ExchangeLatencyMs = none, none, none
-		cfg.PregelConfig.ContextStartupMs, cfg.PregelConfig.SuperstepMs = none, none
-		cfg.RelstoreConfig.QueryLatencyMs = none
-		cfg.RelstoreConfig.SimSlowdown = 1
-		singleNodeSlowdown = 1
-	}
-
 	metrics := cfg.Metrics
 	if metrics == nil {
 		metrics = telemetry.NewRegistry()
@@ -151,17 +167,13 @@ func NewContext(cfg Config) (*Context, error) {
 		}
 	}
 	ctx.relDriver = relstore.New(cfg.RelstoreConfig)
-	streamsDriver := streams.New(store)
-	streamsDriver.SimSlowdown = singleNodeSlowdown
-	graphmemDriver := graphmem.New()
-	graphmemDriver.SimSlowdown = singleNodeSlowdown
 	drivers := map[string]core.Driver{
-		"streams":  streamsDriver,
+		"streams":  &streams.Driver{DFS: store, Boot: driverutil.Boot{Latency: streamsLatency}},
 		"spark":    spark.NewWithConfig(store, cfg.SparkConfig),
 		"flink":    flink.NewWithConfig(store, cfg.FlinkConfig),
 		"relstore": ctx.relDriver,
 		"pregel":   pregel.NewWithConfig(cfg.PregelConfig),
-		"graphmem": graphmemDriver,
+		"graphmem": &graphmem.Driver{Boot: driverutil.Boot{Latency: graphmemLatency}},
 	}
 	for _, name := range AllPlatforms() {
 		if !enabled[name] {

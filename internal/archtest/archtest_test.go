@@ -159,3 +159,22 @@ func TestExecutorSearchesNoConversionGraph(t *testing.T) {
 		})
 	}
 }
+
+// One declaration of a platform's simulated latency: inside internal/platform
+// no non-test file but driverutil's refers to simclock.Charge. An engine
+// charges through the methods of driverutil.Latency and driverutil.Boot, so
+// what it is charged and what it is quoted come from one value.
+func TestOnlyDriverutilChargesPlatformLatency(t *testing.T) {
+	for _, s := range sources(t, "internal/platform") {
+		if strings.HasPrefix(s.path, "internal/platform/driverutil/") {
+			continue
+		}
+		local := importName(s.file, "rheem/internal/simclock")
+		ast.Inspect(s.file, func(n ast.Node) bool {
+			if refersTo(n, local, "Charge") {
+				t.Errorf("%s: refers to simclock.Charge: charge a platform's latency through driverutil.Latency and driverutil.Boot", s.at(n))
+			}
+			return true
+		})
+	}
+}

@@ -443,10 +443,12 @@ type Driver interface {
 }
 
 // StartupCoster is optionally implemented by drivers whose platform incurs
-// a fixed per-job startup cost the optimizer must account for. It is the only
-// start-up quote there is: the cost table carries none.
+// a fixed start-up cost the optimizer must account for. It is the only
+// start-up quote there is: the cost table carries none. bootMs is what the
+// platform's next stage pays once (the context boot, zero once paid), stageMs
+// what every stage pays.
 type StartupCoster interface {
-	StartupCostMs() float64
+	StartupCostMs() (bootMs, stageMs float64)
 }
 
 // UnitCoster is optionally implemented by drivers that declare their unit costs.

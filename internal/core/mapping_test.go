@@ -97,11 +97,11 @@ func TestRegistryRegisterAndLookup(t *testing.T) {
 	if err != nil || got != d {
 		t.Fatalf("Driver = %v, %v", got, err)
 	}
-	if reg.StartupCostMs("fake") != 12.5 {
-		t.Errorf("StartupCostMs = %v", reg.StartupCostMs("fake"))
+	if boot, stage := reg.StartupCostMs("fake"); boot != 12.5 || stage != 2 {
+		t.Errorf("StartupCostMs = %v, %v; want 12.5, 2", boot, stage)
 	}
-	if reg.StartupCostMs("unknown") != 0 {
-		t.Errorf("unknown platform startup cost should be 0")
+	if boot, stage := reg.StartupCostMs("unknown"); boot != 0 || stage != 0 {
+		t.Errorf("unknown platform startup cost %v, %v; want 0, 0", boot, stage)
 	}
 	// The fake channel and conversion joined the graph.
 	if _, ok := reg.Graph.Channel("fakechan"); !ok {
@@ -127,4 +127,4 @@ func (d *fakeDriver) Conversions() []*Conversion {
 func (d *fakeDriver) RegisterMappings(r *MappingRegistry) {
 	r.Register(KindMap, Alternative{Platform: d.name, Steps: []ExecOpTemplate{{Name: "fake.map", In: []string{"fakechan"}, Out: "fakechan"}}})
 }
-func (d *fakeDriver) StartupCostMs() float64 { return 12.5 }
+func (d *fakeDriver) StartupCostMs() (float64, float64) { return 12.5, 2 }

@@ -82,13 +82,11 @@ func (r *Registry) Drivers() []Driver {
 	return out
 }
 
-// StartupCostMs returns the fixed per-job startup cost of a platform, zero
-// when the driver declares none.
-func (r *Registry) StartupCostMs(platform string) float64 {
-	if d, ok := r.drivers[platform]; ok {
-		if sc, ok := d.(StartupCoster); ok {
-			return sc.StartupCostMs()
-		}
+// StartupCostMs returns a platform's start-up quote (see StartupCoster),
+// zero when the driver declares none.
+func (r *Registry) StartupCostMs(platform string) (bootMs, stageMs float64) {
+	if sc, ok := r.drivers[platform].(StartupCoster); ok {
+		return sc.StartupCostMs()
 	}
-	return 0
+	return 0, 0
 }

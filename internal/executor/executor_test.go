@@ -11,6 +11,7 @@ import (
 	"rheem/internal/core"
 	"rheem/internal/monitor"
 	"rheem/internal/optimizer"
+	"rheem/internal/platform/driverutil"
 	"rheem/internal/platform/flink"
 	"rheem/internal/platform/graphmem"
 	"rheem/internal/platform/pregel"
@@ -37,10 +38,10 @@ func newEnv(t *testing.T) *env {
 	reg := core.NewRegistry()
 	drivers := []core.Driver{
 		streams.New(store),
-		spark.NewWithConfig(store, spark.Config{Parallelism: 4, ContextStartupMs: 0.01, JobStartupMs: 0.01, ShuffleLatencyMs: 0.01}),
-		flink.NewWithConfig(store, flink.Config{Parallelism: 4, ContextStartupMs: 0.01, JobStartupMs: 0.01, ExchangeLatencyMs: 0.01}),
-		relstore.New(relstore.Config{QueryLatencyMs: 0.01}, rs),
-		pregel.NewWithConfig(pregel.Config{Workers: 4, ContextStartupMs: 0.01, SuperstepMs: 0.01}),
+		spark.NewWithConfig(store, spark.Config{Parallelism: 4, Latency: driverutil.Latency{ContextMs: 0.01, StageMs: 0.01, BarrierMs: 0.01}}),
+		flink.NewWithConfig(store, flink.Config{Parallelism: 4, Latency: driverutil.Latency{ContextMs: 0.01, StageMs: 0.01, BarrierMs: 0.01}}),
+		relstore.New(relstore.Config{Latency: driverutil.Latency{StageMs: 0.01, Slowdown: 2}}, rs),
+		pregel.NewWithConfig(pregel.Config{Workers: 4, Latency: driverutil.Latency{ContextMs: 0.01, BarrierMs: 0.01}}),
 		graphmem.New(),
 	}
 	for _, d := range drivers {

@@ -10,6 +10,7 @@ import (
 	"rheem/internal/core"
 	"rheem/internal/datagen"
 	"rheem/internal/platform/relstore"
+	"rheem/internal/platform/spark"
 	"rheem/internal/tasks"
 )
 
@@ -102,7 +103,8 @@ func Fig2b(opts Options) ([]Row, error) {
 		run := func(system string, pin string, heavy bool) error {
 			cfg := rheem.Config{}
 			if heavy {
-				cfg.SparkConfig.JobStartupMs = 36 // SystemML recompiles per job (3x)
+				cfg.SparkConfig.Latency = spark.Paper
+				cfg.SparkConfig.Latency.StageMs *= 3 // SystemML recompiles per job
 			}
 			ctx, err := rheem.NewContext(cfg)
 			if err != nil {

@@ -20,8 +20,8 @@ func benchRegistry(b *testing.B) *core.Registry {
 	reg := core.NewRegistry()
 	for _, d := range []core.Driver{
 		streams.New(store),
-		spark.NewWithConfig(store, spark.Config{Parallelism: 4}),
-		flink.NewWithConfig(store, flink.Config{Parallelism: 4}),
+		spark.NewWithConfig(store, spark.Config{Parallelism: 4, Latency: spark.Paper}),
+		flink.NewWithConfig(store, flink.Config{Parallelism: 4, Latency: flink.Paper}),
 		graphmem.New(),
 	} {
 		if err := reg.Register(d); err != nil {

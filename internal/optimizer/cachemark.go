@@ -7,7 +7,7 @@ import (
 // MarkCacheOuts marks cache-worthy operator outputs on an optimized plan:
 // the materialized-result counterpart of the enumeration. For every
 // fingerprinted operator whose subtree's estimated compute cost (chosen
-// alternatives plus data movement, geomean of the interval bounds) reaches
+// alternatives plus data movement, priced as planCost prices them) reaches
 // minCostMs, the execution plan records the fingerprint, the saved cost,
 // and the source datasets the subtree reads. The executor publishes the
 // marked outputs it happens to materialize anyway (stage terminals) to the
@@ -39,8 +39,9 @@ func MarkCacheOuts(ep *core.ExecPlan, fps map[*core.Operator]*core.FPInfo, minCo
 }
 
 // subtreeCostMs sums the optimizer's estimates over a fingerprinted
-// subtree: per-operator execution cost plus the data movement rooted at
-// each operator's output.
+// subtree: per-operator execution cost (the geomean of its interval) plus the
+// data movement rooted at each operator's output, at the cost of its tree,
+// the one price planCost gives a movement.
 func subtreeCostMs(ep *core.ExecPlan, info *core.FPInfo) float64 {
 	var cost float64
 	for _, op := range info.Ops {
@@ -48,7 +49,7 @@ func subtreeCostMs(ep *core.ExecPlan, info *core.FPInfo) float64 {
 			cost += a.CostEst.Geomean()
 		}
 		if mv := ep.Movements[op]; mv != nil {
-			cost += mv.CostEst.Geomean()
+			cost += mv.Tree.CostMs
 		}
 	}
 	return cost

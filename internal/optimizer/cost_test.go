@@ -179,7 +179,7 @@ func TestReportedCostIsTheMinimisedCost(t *testing.T) {
 			}
 			again := *ep
 			again.Movements = map[*core.Operator]*core.MovementPlan{}
-			priced, err := newPricer(opts.withDefaults(), cards).planCost(&again)
+			priced, err := newPricer(opts.withDefaults(), cards, map[string]quote{}, 1).planCost(&again)
 			if err != nil {
 				t.Fatalf("objective %d, %s: planCost: %v", objective, pl.name, err)
 			}

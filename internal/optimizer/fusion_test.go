@@ -62,7 +62,8 @@ func TestFusionDiscountLowersPlanCost(t *testing.T) {
 		blind += mv.CostEst.Geomean()
 	}
 	for _, pf := range ep.Platforms() {
-		blind += env.reg.StartupCostMs(pf)
+		boot, stage := env.reg.StartupCostMs(pf)
+		blind += boot + stage
 	}
 	if discount <= 0 {
 		t.Fatal("no fixed overhead to discount")

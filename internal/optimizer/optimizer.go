@@ -1,9 +1,11 @@
 package optimizer
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"time"
@@ -117,7 +119,7 @@ func Optimize(p *core.Plan, opts Options) (*core.ExecPlan, error) {
 	start := time.Now()
 	sp := opts.Trace.Start(trace.KindOptimize, "optimize:"+p.Name)
 	opts.Trace = sp // loop bodies and phase spans nest under this run
-	ep, err := optimize(p, opts, nil, nil)
+	ep, err := optimize(p, opts, map[string]quote{}, 1, nil, nil)
 	if err == nil {
 		err = ep.Validate(opts.Registry)
 	}
@@ -137,10 +139,10 @@ func Optimize(p *core.Plan, opts Options) (*core.ExecPlan, error) {
 	return ep, err
 }
 
-// optimize is the recursive worker; loopSeed pins the loop-input estimate
-// when optimizing a loop body, and outerCards supplies estimates for
-// OuterRef placeholders.
-func optimize(p *core.Plan, opts Options, loopSeed *core.CardEstimate, outerCards map[*core.Operator]core.CardEstimate) (*core.ExecPlan, error) {
+// optimize is the recursive worker; quotes and rounds are the pricer's (see
+// pricer), loopSeed pins the loop-input estimate when optimizing a loop body,
+// and outerCards supplies estimates for OuterRef placeholders.
+func optimize(p *core.Plan, opts Options, quotes map[string]quote, rounds int, loopSeed *core.CardEstimate, outerCards map[*core.Operator]core.CardEstimate) (*core.ExecPlan, error) {
 	inner := opts.Resolve
 	resolve := func(op *core.Operator) (core.CardEstimate, bool) {
 		if loopSeed != nil && op == p.LoopInput {
@@ -174,6 +176,7 @@ func optimize(p *core.Plan, opts Options, loopSeed *core.CardEstimate, outerCard
 		Movements:   map[*core.Operator]*core.MovementPlan{},
 		LoopBodies:  map[*core.Operator]*core.ExecPlan{},
 	}
+	pr := newPricer(opts, cards, quotes, rounds)
 	// Each operator's candidates: its registered alternatives, restricted in
 	// a replan to what the progress so far allows; a loop's one, priced by
 	// its optimized body, whose outer references are then read in the
@@ -206,6 +209,7 @@ func optimize(p *core.Plan, opts Options, loopSeed *core.CardEstimate, outerCard
 		if len(op.Inputs()) > 0 {
 			seed = cards[op.Inputs()[0]]
 		}
+		iters := cmp.Or(max(op.Params.Iterations, 0), max(op.Params.MaxIterations, 0), opts.DefaultLoopIterations)
 		bodyOpts := opts
 		bodyOpts.Resume = nil // progress is the top-level plan's
 		var bodySp *trace.Span
@@ -213,23 +217,20 @@ func optimize(p *core.Plan, opts Options, loopSeed *core.CardEstimate, outerCard
 			bodySp = opts.Trace.Start(trace.KindOptimize, "optimize-body:"+op.String())
 			bodyOpts.Trace = bodySp
 		}
-		body, err := optimize(op.Body, bodyOpts, &seed, cards)
+		body, err := optimize(op.Body, bodyOpts, quotes, rounds*iters, &seed, cards)
 		bodySp.End()
 		if err != nil {
 			return nil, fmt.Errorf("optimizer: loop %s body: %w", op, err)
 		}
-		iters := op.Params.Iterations
-		if iters <= 0 {
-			iters = op.Params.MaxIterations
-		}
-		if iters <= 0 {
-			iters = opts.DefaultLoopIterations
-		}
 		ep.LoopBodies[op] = body
-		cands[op] = []*core.Assignment{{OutCard: cards[op], CostEst: body.Cost.Scale(float64(iters))}}
+		// Its rounds less the boots the body carries: planCost prices each once.
+		cost := body.Cost.Geomean() * float64(iters)
+		for _, pf := range body.Platforms() {
+			cost -= pr.boot(pf)
+		}
+		cands[op] = []*core.Assignment{{OutCard: cards[op], CostEst: core.CostInterval{LowMs: cost, HighMs: cost, Confidence: body.Cost.Confidence}}}
 	}
 
-	pr := newPricer(opts, cards)
 	enumerate, strategy := pr.enumerate, "pruned"
 	if opts.Exhaustive {
 		enumerate, strategy = pr.enumerateExhaustive, "exhaustive"
@@ -277,6 +278,8 @@ func inputCard(op *core.Operator, cards map[*core.Operator]core.CardEstimate) co
 type pricer struct {
 	opts                Options
 	cards               map[*core.Operator]core.CardEstimate
+	quotes              map[string]quote // read so far; shared by the plan and its loop bodies
+	rounds              int              // runs of the plan per run of the whole plan: 1, × iterations in a body
 	channels, platforms []string
 	paths               map[memoKey]float64 // the cheapest path to one target
 	trees               map[memoKey]core.MovementPlan
@@ -291,19 +294,45 @@ type memoKey struct {
 	card    core.CardEstimate
 }
 
-func newPricer(opts Options, cards map[*core.Operator]core.CardEstimate) *pricer {
-	return &pricer{opts: opts, cards: cards, paths: map[memoKey]float64{}, trees: map[memoKey]core.MovementPlan{}}
+func newPricer(opts Options, cards map[*core.Operator]core.CardEstimate, quotes map[string]quote, rounds int) *pricer {
+	return &pricer{opts: opts, cards: cards, quotes: quotes, rounds: rounds, paths: map[memoKey]float64{}, trees: map[memoKey]core.MovementPlan{}}
+}
+
+// quote is a platform's start-up quote (core.StartupCoster) at its objective
+// weight: the context boot and the per-stage latency. The pricer reads it once
+// per optimization, so that the boot a loop body carries and the boot its
+// loop takes out are one number.
+type quote struct{ boot, stage float64 }
+
+func (pr *pricer) quote(platform string) quote {
+	q, ok := pr.quotes[platform]
+	if !ok {
+		boot, stage := pr.opts.Registry.StartupCostMs(platform)
+		q = quote{boot * pr.opts.weight(platform), stage * pr.opts.weight(platform)}
+		pr.quotes[platform] = q
+	}
+	return q
+}
+
+// boot is a platform's boot quote as this plan carries it (see planCost).
+func (pr *pricer) boot(platform string) float64 {
+	return pr.quote(platform).boot / float64(pr.rounds)
 }
 
 // planCost prices a complete plan. It is the objective the enumeration
 // minimises and the cost the plan reports. Its parts:
 //   - each operator's alternative, the geometric mean of its interval times
 //     its platform's objective weight, less what fusion saves;
-//   - each loop's body cost times its iterations (the loop's assignment);
+//   - each loop's body cost times its iterations, less the context boots
+//     the body carries (the loop's assignment);
 //   - one conversion tree per producer, serving every reader that
 //     core.ExecPlan.Reads lists at the channel target picks, at the cost
 //     the tree search minimised: that of the geometric-mean cardinality;
-//   - the start-up of each platform an operator of the plan is placed on.
+//   - the per-stage start-up of each platform an operator of the plan is
+//     placed on (core.StartupCoster), times the rounds of a loop body;
+//   - the context boot of each platform the plan or its loop bodies use,
+//     once (a body carries it divided by its rounds, so that its own
+//     enumeration weighs it as the whole plan does).
 //
 // It plans ep.Movements on the way. The returned interval is the point
 // total, at the least confidence of its parts.
@@ -324,8 +353,11 @@ func (pr *pricer) planCost(ep *core.ExecPlan) (core.CostInterval, error) {
 		}
 		if pf := a.Alt.Platform; pf != "" && !slices.Contains(used, pf) {
 			used = append(used, pf)
-			add(pr.startup(pf), 1)
+			add(pr.quote(pf).stage, 1)
 		}
+	}
+	for _, pf := range ep.Platforms() {
+		add(pr.boot(pf), 1)
 	}
 	return total, nil
 }
@@ -346,10 +378,6 @@ func (pr *pricer) fusion(ep *core.ExecPlan, op *core.Operator) float64 {
 		return 0
 	}
 	return pr.opts.Costs.FusedStepOverheadMs(alt) * pr.opts.weight(alt.Platform)
-}
-
-func (pr *pricer) startup(platform string) float64 {
-	return pr.opts.Registry.StartupCostMs(platform) * pr.opts.weight(platform)
 }
 
 // blocked is the target set of a reader that cannot be served.
@@ -478,11 +506,13 @@ const maxPartialPlans = 1 << 16
 // Operators are placed in post-order from the sinks, so that each branch
 // closes early. The state (RHEEMix's footprint) of a partial plan is the
 // candidate of every open producer, one with a reader still to place, with
-// the target channels its placed readers asked for, and the set of platforms
-// used. Of the partial plans in one state only the cheapest is kept: what the
-// rest of the plan adds depends on nothing else, so the pruning is lossless.
-// A producer's tree is priced once, when its last reader closes it, and a
-// platform's start-up when the platform enters the state.
+// the target channels its placed readers asked for, the set of platforms
+// operators are placed on and the set booted. Of the partial plans in one
+// state only the cheapest is kept: what the rest of the plan adds depends on
+// nothing else, so the pruning is lossless. A producer's tree is priced once,
+// when its last reader closes it, a platform's per-stage start-up when an
+// operator first places on it, and its boot when an operator or a loop body
+// first uses it.
 func (pr *pricer) enumerate(ep *core.ExecPlan, cands map[*core.Operator][]*core.Assignment) (float64, error) {
 	// A reader whose channels no choice decides (a broadcast, a loop's
 	// input, an outer reference, the loop output: see core.ExecPlan.Reads)
@@ -505,15 +535,15 @@ func (pr *pricer) enumerate(ep *core.ExecPlan, cands map[*core.Operator][]*core.
 
 	type slot struct{ cand, targets uint64 }
 	type partial struct {
-		cost       float64
-		used       uint64
-		back, cand int
+		cost         float64
+		used, booted uint64
+		back, cand   int
 	}
 	type candidate struct {
-		own, startup    float64
-		platform, fixed uint64    // the platform's bit; the fixed readers' targets
-		target          []uint64  // per input port, per producer candidate
-		disc            []float64 // fusion discount, per producer candidate on port 0
+		own, stage             float64
+		platform, boots, fixed uint64    // the platform's bit; the platforms it boots; the fixed readers' targets
+		target                 []uint64  // per input port, per producer candidate
+		disc                   []float64 // fusion discount, per producer candidate on port 0
 	}
 	order := placementOrder(ep.Plan)
 	var open []*core.Operator // in slot order
@@ -532,7 +562,13 @@ func (pr *pricer) enumerate(ep *core.ExecPlan, cands map[*core.Operator][]*core.
 			ep.Assignments[op] = a
 			cs[c].own = a.CostEst.Geomean() * pr.opts.weight(a.Alt.Platform)
 			if pf := a.Alt.Platform; pf != "" {
-				cs[c].platform, cs[c].startup = pr.bit(&pr.platforms, pf), pr.startup(pf)
+				cs[c].platform, cs[c].stage = pr.bit(&pr.platforms, pf), pr.quote(pf).stage
+			}
+			cs[c].boots = cs[c].platform
+			if body := ep.LoopBodies[op]; body != nil {
+				for _, pf := range body.Platforms() {
+					cs[c].boots |= pr.bit(&pr.platforms, pf)
+				}
 			}
 			for _, acc := range fixedReaders[op] {
 				cs[c].fixed |= pr.target(ep.OutChannel(op), acc, pr.cards[op])
@@ -571,9 +607,12 @@ func (pr *pricer) enumerate(ep *core.ExecPlan, cands map[*core.Operator][]*core.
 					continue
 				}
 				considered++
-				cost, used := s.cost+cand.own, s.used|cand.platform
+				cost, used, booted := s.cost+cand.own, s.used|cand.platform, s.booted|cand.boots
 				if used != s.used {
-					cost += cand.startup
+					cost += cand.stage
+				}
+				for b := booted &^ s.booted; b != 0; b &= b - 1 {
+					cost += pr.boot(pr.platforms[bits.TrailingZeros64(b)])
 				}
 				copy(buf, slots[si*len(open):])
 				buf[len(open)] = slot{uint64(c), cand.fixed}
@@ -599,13 +638,13 @@ func (pr *pricer) enumerate(ep *core.ExecPlan, cands map[*core.Operator][]*core.
 				if !feasible {
 					continue
 				}
-				key = binary.LittleEndian.AppendUint64(key[:0], used)
+				key = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(key[:0], used), booted)
 				for _, j := range keep {
 					key = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(key, buf[j].cand), buf[j].targets)
 				}
 				if k, ok := index[string(key)]; ok {
 					if cost < next[k].cost {
-						next[k] = partial{cost, used, si, c}
+						next[k] = partial{cost, used, booted, si, c}
 					}
 					continue
 				}
@@ -613,7 +652,7 @@ func (pr *pricer) enumerate(ep *core.ExecPlan, cands map[*core.Operator][]*core.
 					return 0, fmt.Errorf("optimizer: plan %q needs more than %d partial plans at %s", ep.Plan.Name, maxPartialPlans, op)
 				}
 				index[string(key)] = len(next)
-				next = append(next, partial{cost, used, si, c})
+				next = append(next, partial{cost, used, booted, si, c})
 				for _, j := range keep {
 					nextSlots = append(nextSlots, buf[j])
 				}

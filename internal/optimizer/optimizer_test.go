@@ -1,8 +1,10 @@
 package optimizer
 
 import (
+	"math"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,12 +33,12 @@ func newTestEnv(t *testing.T) *testEnv {
 		t.Fatal(err)
 	}
 	rs := relstore.NewStore("pg")
-	rsd := relstore.New(relstore.Config{QueryLatencyMs: 0.001}, rs)
+	rsd := relstore.New(relstore.Config{Latency: driverutil.Latency{StageMs: 0.001, Slowdown: 2}}, rs)
 	reg := core.NewRegistry()
 	for _, d := range []core.Driver{
 		streams.New(store),
-		spark.NewWithConfig(store, spark.Config{Parallelism: 4}),
-		flink.NewWithConfig(store, flink.Config{Parallelism: 4}),
+		spark.NewWithConfig(store, spark.Config{Parallelism: 4, Latency: spark.Paper}),
+		flink.NewWithConfig(store, flink.Config{Parallelism: 4, Latency: flink.Paper}),
 		rsd,
 		graphmem.New(),
 	} {
@@ -236,6 +238,115 @@ func TestOptimizeLoopBody(t *testing.T) {
 	la := ep.Assignments[loop]
 	if la == nil || la.CostEst.Geomean() < bodyPlan.Cost.Geomean()*4 {
 		t.Fatalf("loop cost %v not scaled from body cost %v", la.CostEst, bodyPlan.Cost)
+	}
+}
+
+// pinnedLoop builds a source of 10 quanta into a Repeat of the given rounds
+// whose body maps its loop variable on spark, into a sink.
+func pinnedLoop(rounds int) (*core.Plan, *core.Operator) {
+	p := core.NewPlan("pinned-loop")
+	init := p.NewOperator(core.KindCollectionSource, "init")
+	init.Params.Collection = make([]any, 10)
+	loop := p.NewOperator(core.KindRepeat, "iterate")
+	loop.Params.Iterations = rounds
+	p.Chain(init, loop, p.NewOperator(core.KindCollectionSink, "out"))
+	body := core.NewPlan("body")
+	in := body.NewOperator(core.KindCollectionSource, "loopvar")
+	step := body.NewOperator(core.KindMap, "step")
+	step.UDF.Map = func(q any) any { return q }
+	step.TargetPlatform = "spark"
+	body.Connect(in, step, 0)
+	body.LoopInput, body.LoopOutput = in, step
+	loop.Body = body
+	return p, loop
+}
+
+// parts sums a plan's operators, but not its loops, and its movements.
+func parts(ep *core.ExecPlan) float64 {
+	var ms float64
+	for op, a := range ep.Assignments {
+		if !op.Kind.IsLoop() {
+			ms += a.CostEst.Geomean()
+		}
+	}
+	for _, mv := range ep.Movements {
+		ms += mv.Tree.CostMs
+	}
+	return ms
+}
+
+// TestLoopPaysTheContextBootOnce: a loop multiplies only its body's
+// per-stage start-up by its rounds; a platform's context boots once per plan.
+// The body carries its share of the boot, so that its own enumeration weighs
+// the boot as the whole plan does. A 40-round loop whose body is pinned to an
+// unbooted spark is priced 150 ms of boot once, 40 bodies of 19.2 ms (12 of
+// them spark's stage latency) and 1.5 ms outside the loop: 920.9 ms, where
+// pricing the boot in every round gave 6 770.9.
+func TestLoopPaysTheContextBootOnce(t *testing.T) {
+	env := newTestEnv(t)
+	if boot, stage := env.reg.StartupCostMs("spark"); boot != 150 || stage != 12 {
+		t.Fatalf("spark quoted %v + %v, want an unbooted 150 + 12", boot, stage)
+	}
+	for _, rounds := range []int{1, 40} {
+		p, loop := pinnedLoop(rounds)
+		ep, err := Optimize(p, env.opts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ep.Platforms(); !slices.Equal(got, []string{"spark", "streams"}) {
+			t.Fatalf("%d rounds placed on %v, want the body on spark and the rest on streams", rounds, got)
+		}
+		body := ep.LoopBodies[loop]
+		if quote, want := body.Cost.Geomean()-parts(body), 12+150/float64(rounds); math.Abs(quote-want) > 1e-9 {
+			t.Errorf("%d rounds: the body is quoted %v ms of start-up, want spark's stage latency and 1/%d of its boot, %v", rounds, quote, rounds, want)
+		}
+		round := parts(body) + 12
+		if boot := ep.Cost.Geomean() - parts(ep) - float64(rounds)*round; math.Abs(boot-150) > 1e-9 {
+			t.Errorf("%d rounds of %v ms are quoted %v ms of boot, want spark's 150 once", rounds, round, boot)
+		}
+		if rounds == 40 && math.Abs(ep.Cost.Geomean()-920.9136) > 1e-3 {
+			t.Errorf("40 rounds priced %v ms, want 920.9136", ep.Cost.Geomean())
+		}
+	}
+}
+
+// bootsOnRead is a spark whose context boots, as if another job's first stage
+// ran, right after its quote is first read.
+type bootsOnRead struct {
+	*spark.Driver
+	reads *int
+}
+
+func (d bootsOnRead) StartupCostMs() (bootMs, stageMs float64) {
+	if *d.reads++; *d.reads == 1 {
+		return 150, 12
+	}
+	return 0, 12
+}
+
+// TestLoopReadsEachQuoteOnce: one optimization reads a platform's start-up
+// quote once, so the boot a loop body carries, the boot its loop takes out
+// and the boot the plan prices are one number, even when the platform boots
+// while the plan is optimized.
+func TestLoopReadsEachQuoteOnce(t *testing.T) {
+	reads := 0
+	reg := core.NewRegistry()
+	for _, d := range []core.Driver{streams.New(nil), bootsOnRead{spark.NewWithConfig(nil, spark.Config{Parallelism: 4}), &reads}} {
+		if err := reg.Register(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, loop := pinnedLoop(40)
+	ep, err := Optimize(p, Options{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reads != 1 {
+		t.Errorf("spark's quote was read %d times, want once", reads)
+	}
+	round := parts(ep.LoopBodies[loop]) + 12
+	if boot := ep.Cost.Geomean() - parts(ep) - 40*round; math.Abs(boot-150) > 1e-9 {
+		t.Errorf("40 rounds of %v ms are quoted %v ms of boot, want the 150 first read, once", round, boot)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"rheem/internal/core"
-	"rheem/internal/simclock"
 )
 
 // Trap collects the first panic observed by an engine's worker goroutines
@@ -366,43 +365,6 @@ func broadcastCtx(op *core.Operator, in *core.Inputs) (core.BroadcastCtx, error)
 		bc[producer.Label] = data
 	}
 	return bc, nil
-}
-
-// NoOverheadMs is the sentinel for "this overhead is really zero" in engine
-// Config fields whose zero value means "use the default".
-const NoOverheadMs = -1
-
-// OverheadMs resolves a simulated-overhead Config field: 0 selects the
-// default, a negative sentinel selects a true zero.
-func OverheadMs(v, def float64) float64 {
-	switch {
-	case v == 0:
-		return def
-	case v < 0:
-		return 0
-	}
-	return v
-}
-
-// ApplySlowdown simulates a platform with less compute capacity than the
-// host: the stage's real busy time is stretched by the factor (the difference
-// is charged through simclock.Charge) and the reported statistics are scaled
-// to match. Single-node platform archetypes use it so that, on a laptop-scale
-// substrate, the parallel engines keep the cluster-vs-single-node capacity
-// ratio of the paper's testbed (the host machine plays the whole cluster; one
-// node is a fraction of it). The stage is charged the time the sleep took
-// (Charge's return), not the time asked for: a sleep of microseconds takes
-// about a millisecond, and a stage runtime without it leaves most of a loop of
-// small stages in no stage at all.
-func ApplySlowdown(stats *core.StageStats, factor float64) {
-	if stats == nil || factor <= 1 {
-		return
-	}
-	stats.Runtime += simclock.Charge(time.Duration(float64(stats.Runtime) * (factor - 1)))
-	for op, os := range stats.Ops {
-		os.Runtime = time.Duration(float64(os.Runtime) * factor)
-		stats.Ops[op] = os
-	}
 }
 
 func reattributeLazyTime(stats *core.StageStats) {

@@ -3,9 +3,10 @@ package driverutil
 import (
 	"cmp"
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"rheem/internal/core"
@@ -111,43 +112,95 @@ func DefaultWorkers(n int) int {
 	return max(runtime.NumCPU(), 4)
 }
 
-// Boot is a platform's simulated start-up: ContextMs once, on the first job
-// (cluster context boot), JobMs on every job. Engines embed it; it is safe for
-// concurrent jobs.
+// Latency is a platform's simulated latency: what the paper's cluster costs
+// that the host does not. Each engine package declares its paper values once
+// as a Latency (spark.Paper, …), a driver's config holds one, and the zero
+// value is none. A platform charges the fields its paper value sets, and
+// NewContext rejects any other (Within). Every charge is made through a
+// method of Latency or Boot, which call simclock.Charge.
+type Latency struct {
+	ContextMs float64 // paid by a platform's first stage: the context boot
+	StageMs   float64 // paid by every stage: job dispatch, a query's round trip
+	BarrierMs float64 // paid by every barrier: a shuffle, an exchange, a superstep
+	Slowdown  float64 // the factor Stretch stretches a stage's busy time by; 1 or less is none
+}
+
+// Within reports an error naming a field l sets that paper, the values a
+// platform declares, leaves zero: a latency the platform never charges.
+func (l Latency) Within(paper Latency) error {
+	set, uses := reflect.ValueOf(l), reflect.ValueOf(paper)
+	for i := range set.NumField() {
+		if set.Field(i).Float() != 0 && uses.Field(i).Float() == 0 {
+			return fmt.Errorf("latency sets %s, which the platform never charges", set.Type().Field(i).Name)
+		}
+	}
+	return nil
+}
+
+func charge(ms float64) { simclock.Charge(time.Duration(ms * float64(time.Millisecond))) }
+
+// Barrier charges one barrier: a Latency is the Barrier half of an engine's
+// Scheduler, and a BSP engine's superstep.
+func (l Latency) Barrier() { charge(l.BarrierMs) }
+
+// Stretch simulates a platform with less compute capacity than the host, so
+// that the parallel engines keep the paper's cluster-vs-single-node capacity
+// ratio (the host plays the whole cluster; one node is a fraction of it): the
+// stage's busy time is stretched by Slowdown, the difference charged, and its
+// statistics scaled to match. The stage is charged the time the sleep took
+// (Charge's return), not the time asked for: a sleep of microseconds takes
+// about a millisecond, and a stage runtime without it leaves most of a loop of
+// small stages in no stage at all.
+func (l Latency) Stretch(stats *core.StageStats) {
+	if stats == nil || l.Slowdown <= 1 {
+		return
+	}
+	stats.Runtime += simclock.Charge(time.Duration(float64(stats.Runtime) * (l.Slowdown - 1)))
+	for op, os := range stats.Ops {
+		os.Runtime = time.Duration(float64(os.Runtime) * l.Slowdown)
+		stats.Ops[op] = os
+	}
+}
+
+// Boot is a driver's running Latency: it remembers whether the context has
+// booted, so that the first stage pays ContextMs and the quote follows. Every
+// bundled driver embeds one; it is the only core.StartupCoster, and it is safe
+// for concurrent stages.
 type Boot struct {
-	ContextMs, JobMs float64
-
-	mu     sync.Mutex
-	booted bool
+	Latency
+	booted atomic.Bool
 }
 
-// Booted reports whether a job has paid the context boot.
-func (b *Boot) Booted() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.booted
-}
+// Booted reports whether a stage has paid the context boot.
+func (b *Boot) Booted() bool { return b.booted.Load() }
 
-// StartupCostMs implements core.StartupCoster: the optimizer is quoted the
-// context boot before first use and the per-job latency afterwards.
-func (b *Boot) StartupCostMs() float64 {
+// StartupCostMs implements core.StartupCoster: the context boot until a stage
+// has paid it, then none, and the per-stage latency.
+func (b *Boot) StartupCostMs() (bootMs, stageMs float64) {
 	if b.Booted() {
-		return b.JobMs
+		return 0, b.StageMs
 	}
-	return b.ContextMs + b.JobMs
+	return b.ContextMs, b.StageMs
 }
 
-// Charge pays a job's start-up through simclock.Charge: the context boot if no
-// job has yet, then the per-job latency.
+// Charge pays a stage's start-up: the context boot if no stage has yet, then
+// the per-stage latency.
 func (b *Boot) Charge() {
-	b.mu.Lock()
-	boot := !b.booted
-	b.booted = true
-	b.mu.Unlock()
-	if boot {
-		simclock.Charge(time.Duration(b.ContextMs * float64(time.Millisecond)))
+	if !b.booted.Swap(true) {
+		charge(b.ContextMs)
 	}
-	simclock.Charge(time.Duration(b.JobMs * float64(time.Millisecond)))
+	charge(b.StageMs)
+}
+
+// Execute runs a stage of a driver whose running latency is b: the stage's
+// start-up, the stage over the engine, then the stretch of its busy time.
+func Execute[T any](b *Boot, e Engine[T], stage *core.Stage, in *core.Inputs) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
+	b.Charge()
+	outs, stats, err := RunStage(e, stage, in)
+	if err == nil {
+		b.Stretch(stats)
+	}
+	return outs, stats, err
 }
 
 // Conv declares a conversion whose source channel carries a payload of type P.

@@ -13,37 +13,42 @@ import (
 
 func TestBootQuotesAndCharges(t *testing.T) {
 	cases := []struct {
-		name               string
-		contextMs, jobMs   float64
-		wantFirst, wantJob float64
+		name string
+		lat  Latency
 	}{
-		{"context and job", 3, 1, 4, 1},
-		{"context only", 2, 0, 2, 0},
-		{"free", 0, 0, 0, 0},
+		{"context and stage", Latency{ContextMs: 3, StageMs: 1}},
+		{"context only", Latency{ContextMs: 2}},
+		{"stage only", Latency{StageMs: 1.5}},
+		{"free", Latency{}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			b := &Boot{ContextMs: c.contextMs, JobMs: c.jobMs}
-			if got := b.StartupCostMs(); got != c.wantFirst || b.Booted() {
-				t.Fatalf("before the first job: quote %v (want %v), booted %v", got, c.wantFirst, b.Booted())
+			b := &Boot{Latency: c.lat}
+			if boot, stage := b.StartupCostMs(); boot != c.lat.ContextMs || stage != c.lat.StageMs || b.Booted() {
+				t.Fatalf("before the first stage: quote %v + %v (want %v + %v), booted %v", boot, stage, c.lat.ContextMs, c.lat.StageMs, b.Booted())
 			}
 			start := time.Now()
 			b.Charge()
-			if paid := time.Since(start); paid < time.Duration(c.wantFirst*float64(time.Millisecond)) {
-				t.Fatalf("first job paid %v, want at least %v ms", paid, c.wantFirst)
+			if paid, want := time.Since(start), c.lat.ContextMs+c.lat.StageMs; paid < time.Duration(want*float64(time.Millisecond)) {
+				t.Fatalf("first stage paid %v, want at least %v ms", paid, want)
 			}
-			if got := b.StartupCostMs(); got != c.wantJob || !b.Booted() {
-				t.Fatalf("after the first job: quote %v (want %v), booted %v", got, c.wantJob, b.Booted())
+			if boot, stage := b.StartupCostMs(); boot != 0 || stage != c.lat.StageMs || !b.Booted() {
+				t.Fatalf("after the first stage: quote %v + %v (want 0 + %v), booted %v", boot, stage, c.lat.StageMs, b.Booted())
+			}
+			start = time.Now()
+			b.Charge()
+			if paid := time.Since(start); paid < time.Duration(c.lat.StageMs*float64(time.Millisecond)) {
+				t.Fatalf("second stage paid %v, want at least %v ms", paid, c.lat.StageMs)
 			}
 		})
 	}
 }
 
-// TestBootConcurrentFirstJobs: two jobs racing to be a platform's first pay
+// TestBootConcurrentFirstJobs: two stages racing to be a platform's first pay
 // the context boot once between them. Run under -race.
 func TestBootConcurrentFirstJobs(t *testing.T) {
 	const contextMs = 80
-	b := &Boot{ContextMs: contextMs}
+	b := &Boot{Latency: Latency{ContextMs: contextMs}}
 	var wg sync.WaitGroup
 	paid := make([]time.Duration, 2)
 	for i := range paid {
@@ -63,7 +68,25 @@ func TestBootConcurrentFirstJobs(t *testing.T) {
 		}
 	}
 	if booters != 1 || !b.Booted() {
-		t.Fatalf("jobs paid %v: %d of them paid the %d ms context boot, want exactly one", paid, booters, contextMs)
+		t.Fatalf("stages paid %v: %d of them paid the %d ms context boot, want exactly one", paid, booters, contextMs)
+	}
+}
+
+// TestLatencyStretch: a slowdown above 1 stretches the stage's runtime and
+// each operator's by its factor (the stage by at least that: it is charged
+// what the sleep took); 1 or less, the zero value included, leaves them be.
+func TestLatencyStretch(t *testing.T) {
+	op := &core.Operator{Kind: core.KindMap}
+	for _, slowdown := range []float64{0, 1, 2} {
+		stats := &core.StageStats{Runtime: 2 * time.Millisecond, Ops: map[*core.Operator]core.OpStats{op: {Runtime: time.Millisecond}}}
+		Latency{Slowdown: slowdown}.Stretch(stats)
+		factor := max(slowdown, 1)
+		if stats.Runtime < time.Duration(factor*float64(2*time.Millisecond)) || stats.Ops[op].Runtime != time.Duration(factor*float64(time.Millisecond)) {
+			t.Fatalf("slowdown %v: stage %v, op %v; want %v× 2 ms and 1 ms", slowdown, stats.Runtime, stats.Ops[op].Runtime, factor)
+		}
+		if slowdown <= 1 && stats.Runtime != 2*time.Millisecond {
+			t.Fatalf("slowdown %v stretched the stage to %v", slowdown, stats.Runtime)
+		}
 	}
 }
 

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"rheem/internal/core"
 	"rheem/internal/platform/driverutil"
-	"rheem/internal/simclock"
 )
 
 // flow is the engine's native data: a lazily evaluated parallel stream.
@@ -76,20 +74,16 @@ func restFlow(parts driverutil.Parts) *flow {
 
 // engine interprets one stage (it is built per Execute). It is also the
 // driverutil.Scheduler of flink's blocking operators: one goroutine per
-// parallel instance, and every exchange pays the network latency.
+// parallel instance, and every exchange is a Latency barrier.
 type engine struct {
 	driver *Driver
 	stage  *core.Stage
 	errs   errBox // the first UDF panic of any of the stage's flow goroutines
+	driverutil.Latency
 }
 
 // Each implements driverutil.Scheduler.
 func (e *engine) Each(n int, fn func(i int) error) error { return driverutil.Parallel(n, n, fn) }
-
-// Barrier implements driverutil.Scheduler.
-func (e *engine) Barrier() {
-	simclock.Charge(time.Duration(e.driver.Conf.ExchangeLatencyMs * float64(time.Millisecond)))
-}
 
 // split is the flow over data at rest, cut into one balanced row run per
 // parallel instance.

@@ -24,51 +24,39 @@ import (
 // Platform is the platform name this driver registers under.
 const Platform = "flink"
 
-// Config tunes parallelism and simulated scheduling overheads. The overhead
-// fields treat 0 as "use the default"; pass any negative value (e.g.
-// driverutil.NoOverheadMs) for a genuinely overhead-free configuration.
+// Config tunes parallelism and the simulated cluster latency.
 type Config struct {
 	// Parallelism is the number of parallel operator instances.
 	Parallelism int
-	// ContextStartupMs is paid on the first job (session cluster boot).
-	// Default 80; negative means none.
-	ContextStartupMs float64
-	// JobStartupMs is paid per dispatched job. Default 6; negative means
-	// none.
-	JobStartupMs float64
-	// ExchangeLatencyMs is paid per network exchange (wide dependency).
-	// Default 2; negative means none.
-	ExchangeLatencyMs float64
+	// Latency is the simulated cluster latency; the zero value is none and
+	// Paper is the paper's testbed.
+	Latency driverutil.Latency
 }
 
-func (c Config) withDefaults() Config {
-	c.Parallelism = driverutil.DefaultWorkers(c.Parallelism)
-	c.ContextStartupMs = driverutil.OverheadMs(c.ContextStartupMs, 80)
-	c.JobStartupMs = driverutil.OverheadMs(c.JobStartupMs, 6)
-	c.ExchangeLatencyMs = driverutil.OverheadMs(c.ExchangeLatencyMs, 2)
-	return c
-}
+// Paper is flink's latency on the paper's testbed: a session cluster that
+// boots once, then cheaper job dispatch and exchanges than spark's.
+var Paper = driverutil.Latency{ContextMs: 80, StageMs: 6, BarrierMs: 2}
 
 // UnitCosts implements core.UnitCoster: dearer quanta, cheaper scheduling than spark.
 func (d *Driver) UnitCosts() core.PlatformUnitCosts {
 	return core.PlatformUnitCosts{MsPerCPUUnit: 0.38, MsPerIOUnit: 0.35, MsPerNetUnit: 1.1, MsPerFixed: 3, UsdPerHour: 10}
 }
 
-// Driver is the flink platform driver. The embedded Boot is its start-up
-// charge and its core.StartupCoster.
+// Driver is the flink platform driver. The embedded Boot is its running
+// latency and its core.StartupCoster.
 type Driver struct {
 	Conf Config
 	DFS  *dfs.Store
 	driverutil.Boot
 }
 
-// New creates a flink driver with defaults.
+// New creates a flink driver with no simulated latency.
 func New(store *dfs.Store) *Driver { return NewWithConfig(store, Config{}) }
 
 // NewWithConfig creates a flink driver with an explicit configuration.
 func NewWithConfig(store *dfs.Store, conf Config) *Driver {
-	conf = conf.withDefaults()
-	return &Driver{Conf: conf, DFS: store, Boot: driverutil.Boot{ContextMs: conf.ContextStartupMs, JobMs: conf.JobStartupMs}}
+	conf.Parallelism = driverutil.DefaultWorkers(conf.Parallelism)
+	return &Driver{Conf: conf, DFS: store, Boot: driverutil.Boot{Latency: conf.Latency}}
 }
 
 // Name implements core.Driver.
@@ -136,6 +124,5 @@ func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
 
 // Execute implements core.Driver.
 func (d *Driver) Execute(stage *core.Stage, in *core.Inputs) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
-	d.Charge()
-	return driverutil.RunStage(&engine{driver: d, stage: stage}, stage, in)
+	return driverutil.Execute(&d.Boot, &engine{driver: d, stage: stage, Latency: d.Latency}, stage, in)
 }

@@ -8,12 +8,13 @@ import (
 	"time"
 
 	"rheem/internal/core"
+	"rheem/internal/platform/driverutil"
 	"rheem/internal/platform/platformtest"
 	"rheem/internal/storage/dfs"
 )
 
 func fastConf() Config {
-	return Config{Parallelism: 4, ContextStartupMs: 0.001, JobStartupMs: 0.001, ExchangeLatencyMs: 0.001}
+	return Config{Parallelism: 4}
 }
 
 func testDriver(t *testing.T) *Driver {
@@ -91,9 +92,9 @@ func TestZipWithIDUniqueDense(t *testing.T) {
 
 func TestStartupCosts(t *testing.T) {
 	store, _ := dfs.New(t.TempDir(), dfs.Options{})
-	d := NewWithConfig(store, Config{Parallelism: 2, ContextStartupMs: 30, JobStartupMs: 1, ExchangeLatencyMs: 0.001})
-	if c := d.StartupCostMs(); c != 31 {
-		t.Fatalf("pre-boot cost = %v", c)
+	d := NewWithConfig(store, Config{Parallelism: 2, Latency: driverutil.Latency{ContextMs: 30, StageMs: 1, BarrierMs: 0.001}})
+	if boot, stage := d.StartupCostMs(); boot != 30 || stage != 1 {
+		t.Fatalf("pre-boot cost = %v + %v, want 30 + 1", boot, stage)
 	}
 	op := &core.Operator{Kind: core.KindMap, UDF: core.UDFs{Map: func(q any) any { return q }}}
 	start := time.Now()
@@ -101,8 +102,8 @@ func TestStartupCosts(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
 		t.Fatalf("context startup not paid: %v", elapsed)
 	}
-	if c := d.StartupCostMs(); c != 1 {
-		t.Fatalf("post-boot cost = %v", c)
+	if boot, stage := d.StartupCostMs(); boot != 0 || stage != 1 {
+		t.Fatalf("post-boot cost = %v + %v, want 0 + 1", boot, stage)
 	}
 }
 

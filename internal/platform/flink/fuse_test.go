@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"rheem/internal/core"
-	"rheem/internal/platform/driverutil"
 	"rheem/internal/platform/platformtest"
 )
 
@@ -48,17 +47,6 @@ func chainStage(d *Driver, ops []*core.Operator) (*core.Stage, *core.Inputs) {
 	return &core.Stage{ID: 1, Platform: d.Name(), Ops: ops, TerminalOuts: []*core.Operator{last}}, core.NewInputs()
 }
 
-func TestConfigNoOverheadSentinel(t *testing.T) {
-	def := Config{}.withDefaults()
-	if def.ContextStartupMs != 80 || def.JobStartupMs != 6 || def.ExchangeLatencyMs != 2 {
-		t.Fatalf("zero config got defaults %+v", def)
-	}
-	free := Config{ContextStartupMs: driverutil.NoOverheadMs, JobStartupMs: driverutil.NoOverheadMs, ExchangeLatencyMs: driverutil.NoOverheadMs}.withDefaults()
-	if free.ContextStartupMs != 0 || free.JobStartupMs != 0 || free.ExchangeLatencyMs != 0 {
-		t.Fatalf("sentinel config not honored: %+v", free)
-	}
-}
-
 func TestFusedChainMatchesUnfused(t *testing.T) {
 	// The 8-op chain runs as one kernel; its output and every operator's
 	// observed cardinality must be the reference interpreter's.
@@ -94,12 +82,7 @@ func TestFusedChainUDFPanicFailsJob(t *testing.T) {
 // BenchmarkFlinkNarrowChain measures an 8-op narrow chain over 1M quanta:
 // vectors of fuseBatch quanta through one kernel per instance.
 func BenchmarkFlinkNarrowChain(b *testing.B) {
-	d := NewWithConfig(nil, Config{
-		Parallelism:       8,
-		ContextStartupMs:  driverutil.NoOverheadMs,
-		JobStartupMs:      driverutil.NoOverheadMs,
-		ExchangeLatencyMs: driverutil.NoOverheadMs,
-	})
+	d := NewWithConfig(nil, Config{Parallelism: 8})
 	_, ops := narrowChain(1_000_000)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -112,15 +112,18 @@ func (g *Graph) PageRank(iterations int, damping float64) []float64 {
 	return ranks
 }
 
-// Driver is the graphmem platform driver.
+// Driver is the graphmem platform driver. The embedded Boot is its running
+// latency (set it before the first stage) and its core.StartupCoster.
 type Driver struct {
-	// SimSlowdown models single-node capacity (see the streams driver).
-	// Default 4; 1 disables.
-	SimSlowdown float64
+	driverutil.Boot
 }
 
-// New creates the driver with the default single-node capacity model.
-func New() *Driver { return &Driver{SimSlowdown: 4} }
+// Paper is graphmem's latency on the paper's testbed: one node (see
+// streams.Paper).
+var Paper = driverutil.Latency{Slowdown: 4}
+
+// New creates the driver with no simulated latency.
+func New() *Driver { return &Driver{} }
 
 // UnitCosts implements core.UnitCoster.
 func (d *Driver) UnitCosts() core.PlatformUnitCosts {
@@ -143,11 +146,7 @@ func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
 
 // Execute implements core.Driver.
 func (d *Driver) Execute(stage *core.Stage, in *core.Inputs) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
-	outs, stats, err := driverutil.RunStage(engine{}, stage, in)
-	if err == nil {
-		driverutil.ApplySlowdown(stats, d.SimSlowdown)
-	}
-	return outs, stats, err
+	return driverutil.Execute(&d.Boot, engine{}, stage, in)
 }
 
 // engine speaks collections in and out (driverutil.Slices).

@@ -25,9 +25,9 @@ import (
 func engines() []core.Driver {
 	return []core.Driver{
 		streams.New(nil),
-		spark.NewWithConfig(nil, spark.Config{Parallelism: 4, ContextStartupMs: driverutil.NoOverheadMs, JobStartupMs: driverutil.NoOverheadMs, ShuffleLatencyMs: driverutil.NoOverheadMs}),
-		flink.NewWithConfig(nil, flink.Config{Parallelism: 4, ContextStartupMs: driverutil.NoOverheadMs, JobStartupMs: driverutil.NoOverheadMs, ExchangeLatencyMs: driverutil.NoOverheadMs}),
-		relstore.New(relstore.Config{QueryLatencyMs: -1}, relstore.NewStore("pg")),
+		spark.NewWithConfig(nil, spark.Config{Parallelism: 4}),
+		flink.NewWithConfig(nil, flink.Config{Parallelism: 4}),
+		relstore.New(relstore.Config{}, relstore.NewStore("pg")),
 	}
 }
 
@@ -434,7 +434,7 @@ func TestBatchFramedDFSFileReadsAsRows(t *testing.T) {
 	if _, blocks, err := store.Stat("batched.rqb"); err != nil || len(blocks) < 4 {
 		t.Fatalf("%d blocks (err %v): the per-block path needs several", len(blocks), err)
 	}
-	conf := spark.Config{Parallelism: 3, ContextStartupMs: driverutil.NoOverheadMs, JobStartupMs: driverutil.NoOverheadMs, ShuffleLatencyMs: driverutil.NoOverheadMs}
+	conf := spark.Config{Parallelism: 3}
 	loads := map[string]core.Driver{
 		"spark.dfs-load":  spark.NewWithConfig(store, conf),
 		"flink.dfs-load":  flink.New(store),

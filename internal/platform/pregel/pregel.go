@@ -13,36 +13,27 @@ package pregel
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"rheem/internal/core"
 	"rheem/internal/platform/driverutil"
-	"rheem/internal/simclock"
 )
 
 // Platform is the platform name this driver registers under.
 const Platform = "pregel"
 
-// Config tunes the BSP runtime. The overhead fields treat 0 as "use the
-// default"; pass any negative value (e.g. driverutil.NoOverheadMs) for a
-// genuinely overhead-free configuration.
+// Config tunes the BSP runtime.
 type Config struct {
 	// Workers is the number of parallel vertex partitions. Defaults to CPUs.
 	Workers int
-	// ContextStartupMs is paid on the first job. Default 60; negative means
-	// none.
-	ContextStartupMs float64
-	// SuperstepMs is the per-superstep synchronization overhead. Default 1.5;
-	// negative means none.
-	SuperstepMs float64
+	// Latency is the simulated cluster latency; the zero value is none and
+	// Paper is the paper's testbed.
+	Latency driverutil.Latency
 }
 
-func (c Config) withDefaults() Config {
-	c.Workers = driverutil.DefaultWorkers(c.Workers)
-	c.ContextStartupMs = driverutil.OverheadMs(c.ContextStartupMs, 60)
-	c.SuperstepMs = driverutil.OverheadMs(c.SuperstepMs, 1.5)
-	return c
-}
+// Paper is pregel's latency on the paper's testbed: the context boots once
+// and every superstep is a barrier that synchronizes the workers. A stage
+// dispatches no job of its own.
+var Paper = driverutil.Latency{ContextMs: 60, BarrierMs: 1.5}
 
 // UnitCosts implements core.UnitCoster.
 func (d *Driver) UnitCosts() core.PlatformUnitCosts {
@@ -95,8 +86,8 @@ type Program interface {
 
 // Run executes a vertex program over edge quanta and returns the final
 // vertex values. The graph is partitioned by vertex hash across workers; every
-// superstep is charged superstepMs of simulated synchronization latency.
-func Run(prog Program, edges []core.Edge, workers int, superstepMs float64) (map[int64]float64, int, error) {
+// superstep is charged as one of lat's barriers.
+func Run(prog Program, edges []core.Edge, workers int, lat driverutil.Latency) (map[int64]float64, int, error) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -133,10 +124,9 @@ func Run(prog Program, edges []core.Edge, workers int, superstepMs float64) (map
 		inbox[i] = map[int64][]float64{}
 	}
 
-	barrier := time.Duration(superstepMs * float64(time.Millisecond))
 	superstep := 0
 	for ; superstep < prog.MaxSupersteps(); superstep++ {
-		simclock.Charge(barrier)
+		lat.Barrier()
 		// Check for termination: all halted and no pending messages.
 		pending := false
 		for i := 0; i < workers; i++ {
@@ -271,33 +261,24 @@ func (p PageRankProgram) Combinable() bool { return true }
 // MaxSupersteps implements Program.
 func (p PageRankProgram) MaxSupersteps() int { return p.Iterations + 1 }
 
-// Driver is the pregel platform driver. The embedded Boot is its start-up
-// charge: the context boot once, nothing per job.
+// Driver is the pregel platform driver. The embedded Boot is its running
+// latency and its core.StartupCoster.
 type Driver struct {
 	Conf Config
 	driverutil.Boot
 }
 
-// New creates a pregel driver with defaults.
+// New creates a pregel driver with no simulated latency.
 func New() *Driver { return NewWithConfig(Config{}) }
 
 // NewWithConfig creates a pregel driver with an explicit configuration.
 func NewWithConfig(conf Config) *Driver {
-	conf = conf.withDefaults()
-	return &Driver{Conf: conf, Boot: driverutil.Boot{ContextMs: conf.ContextStartupMs}}
+	conf.Workers = driverutil.DefaultWorkers(conf.Workers)
+	return &Driver{Conf: conf, Boot: driverutil.Boot{Latency: conf.Latency}}
 }
 
 // Name implements core.Driver.
 func (d *Driver) Name() string { return Platform }
-
-// StartupCostMs implements core.StartupCoster: the context boot before first
-// use, one superstep's synchronization afterwards.
-func (d *Driver) StartupCostMs() float64 {
-	if d.Booted() {
-		return d.Conf.SuperstepMs
-	}
-	return d.ContextMs
-}
 
 // ChannelDescriptors implements core.Driver.
 func (d *Driver) ChannelDescriptors() []core.ChannelDescriptor { return nil }
@@ -312,8 +293,7 @@ func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
 
 // Execute implements core.Driver.
 func (d *Driver) Execute(stage *core.Stage, in *core.Inputs) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
-	d.Charge()
-	return driverutil.RunStage(&engine{driver: d}, stage, in)
+	return driverutil.Execute(&d.Boot, &engine{driver: d}, stage, in)
 }
 
 // engine speaks collections in and out (driverutil.Slices).
@@ -336,7 +316,7 @@ func (e *engine) Apply(op *core.Operator, in [][]any, round int, counter *int64,
 		edges = append(edges, edge)
 	}
 	iters, damping := driverutil.PageRankParams(op)
-	ranks, _, err := Run(PageRankProgram{Iterations: iters, Damping: damping}, edges, e.driver.Conf.Workers, e.driver.Conf.SuperstepMs)
+	ranks, _, err := Run(PageRankProgram{Iterations: iters, Damping: damping}, edges, e.driver.Conf.Workers, e.driver.Latency)
 	if err != nil {
 		return nil, err
 	}

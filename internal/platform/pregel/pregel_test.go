@@ -3,14 +3,16 @@ package pregel
 import (
 	"math"
 	"testing"
+	"time"
 
 	"rheem/internal/core"
+	"rheem/internal/platform/driverutil"
 	"rheem/internal/platform/graphmem"
 	"rheem/internal/platform/platformtest"
 )
 
 func fastDriver() *Driver {
-	return NewWithConfig(Config{Workers: 4, ContextStartupMs: 0.001, SuperstepMs: 0})
+	return NewWithConfig(Config{Workers: 4})
 }
 
 func ringEdges(n int64) []core.Edge {
@@ -22,7 +24,7 @@ func ringEdges(n int64) []core.Edge {
 }
 
 func TestRunPageRankRing(t *testing.T) {
-	ranks, steps, err := Run(PageRankProgram{Iterations: 20, Damping: 0.85}, ringEdges(8), 4, 0)
+	ranks, steps, err := Run(PageRankProgram{Iterations: 20, Damping: 0.85}, ringEdges(8), 4, driverutil.Latency{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func TestRunTerminatesOnAllHalted(t *testing.T) {
 	// With MaxSupersteps large, the run must still stop shortly after every
 	// vertex votes to halt (iterations+2 supersteps for PageRank).
 	prog := PageRankProgram{Iterations: 3, Damping: 0.85}
-	_, steps, err := Run(prog, ringEdges(4), 2, 0)
+	_, steps, err := Run(prog, ringEdges(4), 2, driverutil.Latency{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func TestRunTerminatesOnAllHalted(t *testing.T) {
 }
 
 func TestRunEmptyGraph(t *testing.T) {
-	ranks, steps, err := Run(PageRankProgram{Iterations: 5}, nil, 4, 0)
+	ranks, steps, err := Run(PageRankProgram{Iterations: 5}, nil, 4, driverutil.Latency{})
 	if err != nil || len(ranks) != 0 || steps != 0 {
 		t.Fatalf("empty run: %v %d %v", ranks, steps, err)
 	}
@@ -63,8 +65,8 @@ func TestMessageCombinerEquivalence(t *testing.T) {
 	// Results must be identical with 1 worker and many workers (combiner
 	// and routing must not change semantics).
 	edges := []core.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}, {Src: 3, Dst: 0}, {Src: 0, Dst: 3}}
-	one, _, _ := Run(PageRankProgram{Iterations: 15, Damping: 0.85}, edges, 1, 0)
-	many, _, _ := Run(PageRankProgram{Iterations: 15, Damping: 0.85}, edges, 8, 0)
+	one, _, _ := Run(PageRankProgram{Iterations: 15, Damping: 0.85}, edges, 1, driverutil.Latency{})
+	many, _, _ := Run(PageRankProgram{Iterations: 15, Damping: 0.85}, edges, 8, driverutil.Latency{})
 	if len(one) != len(many) {
 		t.Fatalf("vertex counts differ: %d vs %d", len(one), len(many))
 	}
@@ -81,7 +83,7 @@ func TestAgreementWithGraphmem(t *testing.T) {
 		{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0},
 		{Src: 3, Dst: 0}, {Src: 0, Dst: 3}, {Src: 2, Dst: 3},
 	}
-	pregelRanks, _, err := Run(PageRankProgram{Iterations: 30, Damping: 0.85}, edges, 4, 0)
+	pregelRanks, _, err := Run(PageRankProgram{Iterations: 30, Damping: 0.85}, edges, 4, driverutil.Latency{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,15 +133,22 @@ func TestDriverRejectsOtherKinds(t *testing.T) {
 	}
 }
 
+// TestStartupCostTransitions: pregel is quoted its context boot until a
+// stage has paid it, then nothing; its supersteps are charged, one each, but
+// priced through its unit costs, never quoted as start-up.
 func TestStartupCostTransitions(t *testing.T) {
-	d := NewWithConfig(Config{Workers: 2, ContextStartupMs: 25, SuperstepMs: 0.5})
-	if c := d.StartupCostMs(); c != 25 {
-		t.Fatalf("pre-boot = %v", c)
+	d := NewWithConfig(Config{Workers: 2, Latency: driverutil.Latency{ContextMs: 25, BarrierMs: 5}})
+	if boot, stage := d.StartupCostMs(); boot != 25 || stage != 0 {
+		t.Fatalf("pre-boot = %v + %v, want 25 + 0", boot, stage)
 	}
 	op := &core.Operator{Kind: core.KindPageRank, Params: core.Params{Iterations: 1}}
+	start := time.Now()
 	platformtest.RunOp(t, d, op, platformtest.CollectionChannel(core.Edge{Src: 1, Dst: 2}))
-	if c := d.StartupCostMs(); c != 0.5 {
-		t.Fatalf("post-boot = %v", c)
+	if paid := time.Since(start); paid < (25+2*5)*time.Millisecond {
+		t.Fatalf("first stage of two supersteps paid %v, want at least 35 ms", paid)
+	}
+	if boot, stage := d.StartupCostMs(); boot != 0 || stage != 0 {
+		t.Fatalf("post-boot = %v + %v, want 0 + 0", boot, stage)
 	}
 }
 
@@ -152,7 +161,7 @@ func TestConnectedComponents(t *testing.T) {
 	add(0, 1)
 	add(1, 2)
 	add(10, 11)
-	labels, steps, err := Run(ConnectedComponentsProgram{}, edges, 4, 0)
+	labels, steps, err := Run(ConnectedComponentsProgram{}, edges, 4, driverutil.Latency{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +182,8 @@ func TestConnectedComponentsSingleVsManyWorkers(t *testing.T) {
 	for v := int64(0); v < 40; v++ {
 		edges = append(edges, core.Edge{Src: v, Dst: (v + 1) % 40}, core.Edge{Src: (v + 1) % 40, Dst: v})
 	}
-	one, _, _ := Run(ConnectedComponentsProgram{}, edges, 1, 0)
-	many, _, _ := Run(ConnectedComponentsProgram{}, edges, 8, 0)
+	one, _, _ := Run(ConnectedComponentsProgram{}, edges, 1, driverutil.Latency{})
+	many, _, _ := Run(ConnectedComponentsProgram{}, edges, 8, driverutil.Latency{})
 	for v, l := range one {
 		if many[v] != l {
 			t.Fatalf("vertex %d: %v vs %v", v, l, many[v])

@@ -2,11 +2,9 @@ package relstore
 
 import (
 	"fmt"
-	"time"
 
 	"rheem/internal/core"
 	"rheem/internal/platform/driverutil"
-	"rheem/internal/simclock"
 )
 
 // Platform is the platform name this driver registers under.
@@ -59,30 +57,20 @@ const LoadMsPerRow = 0.012
 // set. Data is at rest and reusable.
 var RelationChannel = core.ChannelDescriptor{Name: "relation", Platform: Platform, Reusable: true, AtRest: true}
 
-// Config tunes the engine. The latency/slowdown fields treat 0 as "use the
-// default"; pass any negative value for a genuinely overhead-free
-// configuration.
+// Config tunes the engine.
 type Config struct {
 	// Workers bounds intra-query parallelism (the experiment sets the
 	// Postgres "parallel query" knob to 4). Default 4.
 	Workers int
-	// QueryLatencyMs is the per-query planning/roundtrip latency.
-	// Default 1.5; negative means none.
-	QueryLatencyMs float64
-	// SimSlowdown models the store's single-node capacity relative to the
-	// substrate host (see the streams driver). Default 2; negative (or 1)
-	// disables.
-	SimSlowdown float64
+	// Latency is the simulated latency; the zero value is none and Paper is
+	// the paper's testbed.
+	Latency driverutil.Latency
 }
 
-func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
-	c.QueryLatencyMs = driverutil.OverheadMs(c.QueryLatencyMs, 1.5)
-	c.SimSlowdown = driverutil.OverheadMs(c.SimSlowdown, 2)
-	return c
-}
+// Paper is the store's latency on the paper's testbed: every query pays its
+// planning and round trip, and one node with four workers runs at half the
+// capacity of the cluster the host plays (see streams.Paper).
+var Paper = driverutil.Latency{StageMs: 1.5, Slowdown: 2}
 
 // UnitCosts implements core.UnitCoster: one node with limited workers.
 func (d *Driver) UnitCosts() core.PlatformUnitCosts {
@@ -91,16 +79,21 @@ func (d *Driver) UnitCosts() core.PlatformUnitCosts {
 
 // Driver is the relational-store platform driver. It executes only
 // relational operator kinds; plans containing arbitrary UDF transformations
-// must (partially) run elsewhere.
+// must (partially) run elsewhere. The embedded Boot is its running latency
+// and its core.StartupCoster.
 type Driver struct {
 	Conf   Config
 	stores map[string]*Store
+	driverutil.Boot
 }
 
 // New creates a driver hosting the given stores (nil is allowed; stores can
 // be attached later with Attach).
 func New(conf Config, stores ...*Store) *Driver {
-	d := &Driver{Conf: conf.withDefaults(), stores: map[string]*Store{}}
+	if conf.Workers <= 0 {
+		conf.Workers = 4
+	}
+	d := &Driver{Conf: conf, stores: map[string]*Store{}, Boot: driverutil.Boot{Latency: conf.Latency}}
 	for _, s := range stores {
 		d.stores[s.Name] = s
 	}
@@ -190,12 +183,7 @@ func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
 
 // Execute implements core.Driver.
 func (d *Driver) Execute(stage *core.Stage, in *core.Inputs) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
-	simclock.Charge(time.Duration(d.Conf.QueryLatencyMs * float64(time.Millisecond)))
-	outs, stats, err := driverutil.RunStage(&engine{driver: d}, stage, in)
-	if err == nil {
-		driverutil.ApplySlowdown(stats, d.Conf.SimSlowdown)
-	}
-	return outs, stats, err
+	return driverutil.Execute(&d.Boot, &engine{driver: d}, stage, in)
 }
 
 // rel is the engine's native data: a table reference still in the store

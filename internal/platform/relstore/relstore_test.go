@@ -4,10 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"rheem/internal/core"
-	"rheem/internal/platform/driverutil"
 	"rheem/internal/platform/platformtest"
 )
 
@@ -36,32 +34,7 @@ func newTestStore(t *testing.T) *Store {
 
 func testDriver(t *testing.T) *Driver {
 	t.Helper()
-	return New(Config{Workers: 2, QueryLatencyMs: 0.001}, newTestStore(t))
-}
-
-// TestSimSlowdownConfig resolves SimSlowdown the way every overhead field is
-// resolved and applies it the way Execute does: 0 selects the default 2x
-// stretch; a negative sentinel and an explicit 1 both leave a stage's runtime
-// unstretched.
-func TestSimSlowdownConfig(t *testing.T) {
-	for _, tc := range []struct {
-		slowdown  float64
-		stretched bool
-	}{{0, true}, {-1, false}, {1, false}} {
-		d := New(Config{SimSlowdown: tc.slowdown})
-		op := &core.Operator{Kind: core.KindFilter}
-		stats := &core.StageStats{Runtime: time.Millisecond, Ops: map[*core.Operator]core.OpStats{op: {Runtime: time.Millisecond}}}
-		driverutil.ApplySlowdown(stats, d.Conf.SimSlowdown)
-		if tc.stretched {
-			if stats.Runtime < 2*time.Millisecond || stats.Ops[op].Runtime != 2*time.Millisecond {
-				t.Fatalf("SimSlowdown %v: runtime %v, op %v; want the default 2x stretch", tc.slowdown, stats.Runtime, stats.Ops[op].Runtime)
-			}
-			continue
-		}
-		if stats.Runtime != time.Millisecond || stats.Ops[op].Runtime != time.Millisecond {
-			t.Fatalf("SimSlowdown %v: runtime %v, op %v; want unstretched", tc.slowdown, stats.Runtime, stats.Ops[op].Runtime)
-		}
-	}
+	return New(Config{Workers: 2}, newTestStore(t))
 }
 
 func TestConformanceRelationalSubset(t *testing.T) {

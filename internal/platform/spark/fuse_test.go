@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"rheem/internal/core"
-	"rheem/internal/platform/driverutil"
 	"rheem/internal/platform/platformtest"
 )
 
@@ -46,25 +45,6 @@ func narrowChain(n int) (*core.Plan, []*core.Operator) {
 func chainStage(d *Driver, ops []*core.Operator) (*core.Stage, *core.Inputs) {
 	last := ops[len(ops)-1]
 	return &core.Stage{ID: 1, Platform: d.Name(), Ops: ops, TerminalOuts: []*core.Operator{last}}, core.NewInputs()
-}
-
-func TestConfigNoOverheadSentinel(t *testing.T) {
-	// Zero keeps the scaled-down cluster defaults (backward compatible)...
-	def := Config{}.withDefaults()
-	if def.ContextStartupMs != 150 || def.JobStartupMs != 12 || def.ShuffleLatencyMs != 4 {
-		t.Fatalf("zero config got defaults %+v", def)
-	}
-	// ...while the negative sentinel means a genuinely free operation and
-	// must NOT be silently overwritten with the default.
-	free := Config{ContextStartupMs: driverutil.NoOverheadMs, JobStartupMs: driverutil.NoOverheadMs, ShuffleLatencyMs: driverutil.NoOverheadMs}.withDefaults()
-	if free.ContextStartupMs != 0 || free.JobStartupMs != 0 || free.ShuffleLatencyMs != 0 {
-		t.Fatalf("sentinel config not honored: %+v", free)
-	}
-	// Explicit positive values pass through untouched.
-	set := Config{ContextStartupMs: 7, JobStartupMs: 3, ShuffleLatencyMs: 1}.withDefaults()
-	if set.ContextStartupMs != 7 || set.JobStartupMs != 3 || set.ShuffleLatencyMs != 1 {
-		t.Fatalf("explicit config rewritten: %+v", set)
-	}
 }
 
 // TestPartitionAppendDoesNotBleed: Partition cuts the caller's slice with
@@ -246,12 +226,7 @@ func BenchmarkColumnarAggChain(b *testing.B) {
 // benchChain executes ops as one spark stage per iteration, simulated
 // overheads off.
 func benchChain(b *testing.B, ops []*core.Operator) {
-	d := NewWithConfig(nil, Config{
-		Parallelism:      8,
-		ContextStartupMs: driverutil.NoOverheadMs,
-		JobStartupMs:     driverutil.NoOverheadMs,
-		ShuffleLatencyMs: driverutil.NoOverheadMs,
-	})
+	d := NewWithConfig(nil, Config{Parallelism: 8})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

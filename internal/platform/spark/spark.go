@@ -3,66 +3,52 @@ package spark
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"rheem/internal/core"
 	"rheem/internal/platform/driverutil"
-	"rheem/internal/simclock"
 	"rheem/internal/storage/dfs"
 )
 
 // Platform is the platform name this driver registers under.
 const Platform = "spark"
 
-// Config tunes the engine's parallelism and its simulated cluster
-// scheduling overheads. The defaults are scaled down (roughly 20x) from
-// typical on-premise cluster latencies so laptop-scale experiments keep the
-// paper's cost shapes. The overhead fields treat 0 as "use the default";
-// pass any negative value (e.g. driverutil.NoOverheadMs) for a genuinely
-// overhead-free configuration.
+// Config tunes the engine's parallelism and its simulated cluster latency.
 type Config struct {
 	// Parallelism is the worker pool width and default partition count.
 	// Defaults to the number of CPUs.
 	Parallelism int
-	// ContextStartupMs is paid once, on the driver's first job (cluster
-	// context boot). Default 150; negative means none.
-	ContextStartupMs float64
-	// JobStartupMs is paid per dispatched job (stage execution). Default 12;
-	// negative means none.
-	JobStartupMs float64
-	// ShuffleLatencyMs is paid per wide dependency (shuffle barrier).
-	// Default 4; negative means none.
-	ShuffleLatencyMs float64
+	// Latency is the simulated cluster latency; the zero value is none and
+	// Paper is the paper's testbed.
+	Latency driverutil.Latency
 }
 
-func (c Config) withDefaults() Config {
-	c.Parallelism = driverutil.DefaultWorkers(c.Parallelism)
-	c.ContextStartupMs = driverutil.OverheadMs(c.ContextStartupMs, 150)
-	c.JobStartupMs = driverutil.OverheadMs(c.JobStartupMs, 12)
-	c.ShuffleLatencyMs = driverutil.OverheadMs(c.ShuffleLatencyMs, 4)
-	return c
-}
+// Paper is spark's latency on the paper's testbed, scaled down (roughly 20x)
+// from typical on-premise cluster latencies so laptop-scale experiments keep
+// the paper's cost shapes: the cluster context boots once, every stage
+// dispatches a job, every shuffle is a barrier.
+var Paper = driverutil.Latency{ContextMs: 150, StageMs: 12, BarrierMs: 4}
 
 // UnitCosts implements core.UnitCoster: parallel scans, dear scheduling.
 func (d *Driver) UnitCosts() core.PlatformUnitCosts {
 	return core.PlatformUnitCosts{MsPerCPUUnit: 0.22, MsPerIOUnit: 0.35, MsPerNetUnit: 1.2, MsPerFixed: 6, UsdPerHour: 12}
 }
 
-// Driver is the spark platform driver. The embedded Boot is its start-up
-// charge and its core.StartupCoster.
+// Driver is the spark platform driver. The embedded Boot is its running
+// latency and its core.StartupCoster.
 type Driver struct {
 	Conf Config
 	DFS  *dfs.Store
 	driverutil.Boot
 }
 
-// New creates a spark driver with the given DFS (optional) and defaults.
+// New creates a spark driver with the given DFS (optional) and no simulated
+// latency.
 func New(store *dfs.Store) *Driver { return NewWithConfig(store, Config{}) }
 
 // NewWithConfig creates a spark driver with an explicit configuration.
 func NewWithConfig(store *dfs.Store, conf Config) *Driver {
-	conf = conf.withDefaults()
-	return &Driver{Conf: conf, DFS: store, Boot: driverutil.Boot{ContextMs: conf.ContextStartupMs, JobMs: conf.JobStartupMs}}
+	conf.Parallelism = driverutil.DefaultWorkers(conf.Parallelism)
+	return &Driver{Conf: conf, DFS: store, Boot: driverutil.Boot{Latency: conf.Latency}}
 }
 
 // Name implements core.Driver.
@@ -145,17 +131,16 @@ func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
 	driverutil.RegisterOps(r, Platform, []string{"rdd", "rdd-cached"}, "rdd", ops)
 }
 
-// Execute implements core.Driver. It charges the simulated scheduling
-// overheads and interprets the stage over the RDD engine.
+// Execute implements core.Driver: the stage over the RDD engine.
 func (d *Driver) Execute(stage *core.Stage, in *core.Inputs) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
-	d.Charge()
-	return driverutil.RunStage(&engine{driver: d}, stage, in)
+	return driverutil.Execute(&d.Boot, &engine{driver: d, Latency: d.Latency}, stage, in)
 }
 
 // engine is also the driverutil.Scheduler of spark's blocking operators: work
-// items run on the worker pool and every shuffle pays the scheduling latency.
+// items run on the worker pool and every shuffle is a Latency barrier.
 type engine struct {
 	driver *Driver
+	driverutil.Latency
 }
 
 func (e *engine) width() int { return e.driver.Conf.Parallelism }
@@ -163,11 +148,6 @@ func (e *engine) width() int { return e.driver.Conf.Parallelism }
 // Each implements driverutil.Scheduler.
 func (e *engine) Each(n int, fn func(i int) error) error {
 	return driverutil.Parallel(n, e.width(), fn)
-}
-
-// Barrier implements driverutil.Scheduler.
-func (e *engine) Barrier() {
-	simclock.Charge(time.Duration(e.driver.Conf.ShuffleLatencyMs * float64(time.Millisecond)))
 }
 
 // FromChannel implements driverutil.Engine.

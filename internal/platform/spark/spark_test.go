@@ -7,14 +7,15 @@ import (
 	"time"
 
 	"rheem/internal/core"
+	"rheem/internal/platform/driverutil"
 	"rheem/internal/platform/platformtest"
 	"rheem/internal/storage/dfs"
 )
 
-// fastConf removes the simulated scheduling latencies so unit tests run
-// instantly; overhead behaviour has its own dedicated tests.
+// fastConf has no simulated latency, so unit tests run instantly; latency
+// behaviour has its own dedicated tests.
 func fastConf() Config {
-	return Config{Parallelism: 4, ContextStartupMs: 0.001, JobStartupMs: 0.001, ShuffleLatencyMs: 0.001}
+	return Config{Parallelism: 4}
 }
 
 func testDriver(t *testing.T) *Driver {
@@ -112,7 +113,7 @@ func TestParallelismIsReal(t *testing.T) {
 
 func TestContextStartupPaidOnce(t *testing.T) {
 	store, _ := dfs.New(t.TempDir(), dfs.Options{})
-	d := NewWithConfig(store, Config{Parallelism: 2, ContextStartupMs: 40, JobStartupMs: 1, ShuffleLatencyMs: 0.001})
+	d := NewWithConfig(store, Config{Parallelism: 2, Latency: driverutil.Latency{ContextMs: 40, StageMs: 1, BarrierMs: 0.001}})
 	op := &core.Operator{Kind: core.KindMap, UDF: core.UDFs{Map: func(q any) any { return q }}}
 
 	start := time.Now()
@@ -130,8 +131,8 @@ func TestContextStartupPaidOnce(t *testing.T) {
 		t.Fatalf("second job re-paid context startup: %v", second)
 	}
 	// StartupCostMs reflects the boot state for the optimizer.
-	if c := d.StartupCostMs(); c != 1 {
-		t.Fatalf("post-boot startup cost = %v", c)
+	if boot, stage := d.StartupCostMs(); boot != 0 || stage != 1 {
+		t.Fatalf("post-boot startup cost = %v + %v, want 0 + 1", boot, stage)
 	}
 }
 

@@ -23,20 +23,23 @@ import (
 // Platform is the platform name this driver registers under.
 const Platform = "streams"
 
-// Driver is the streams platform driver.
+// Driver is the streams platform driver. The embedded Boot is its running
+// latency (set it before the first stage) and its core.StartupCoster.
 type Driver struct {
 	// DFS gives access to dfs:// paths; optional.
 	DFS *dfs.Store
 	// TempDir hosts spilled file channels; defaults to the OS temp dir.
 	TempDir string
-	// SimSlowdown stretches stage runtimes to model a single cluster node's
-	// capacity relative to the host substrate (which plays the whole
-	// cluster for the parallel engines). Default 4; 1 disables.
-	SimSlowdown float64
+	driverutil.Boot
 }
 
-// New creates a streams driver with the default single-node capacity model.
-func New(store *dfs.Store) *Driver { return &Driver{DFS: store, SimSlowdown: 4} }
+// Paper is streams' latency on the paper's testbed: no start-up, but one
+// node, a quarter of the throughput of the cluster the host plays for the
+// parallel engines.
+var Paper = driverutil.Latency{Slowdown: 4}
+
+// New creates a streams driver with no simulated latency.
+func New(store *dfs.Store) *Driver { return &Driver{DFS: store} }
 
 // UnitCosts implements core.UnitCoster: one thread on the already-paid driver machine.
 func (d *Driver) UnitCosts() core.PlatformUnitCosts {
@@ -125,11 +128,7 @@ func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
 
 // Execute implements core.Driver.
 func (d *Driver) Execute(stage *core.Stage, in *core.Inputs) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
-	outs, stats, err := driverutil.RunStage(&engine{driver: d, stage: stage}, stage, in)
-	if err == nil {
-		driverutil.ApplySlowdown(stats, d.SimSlowdown)
-	}
-	return outs, stats, err
+	return driverutil.Execute(&d.Boot, &engine{driver: d, stage: stage}, stage, in)
 }
 
 // pipe is the engine's native data: a re-openable iterator pipeline with an

@@ -10,6 +10,7 @@ import (
 	"rheem/internal/executor"
 	"rheem/internal/monitor"
 	"rheem/internal/optimizer"
+	"rheem/internal/platform/driverutil"
 	"rheem/internal/platform/spark"
 	"rheem/internal/platform/streams"
 	"rheem/internal/storage/dfs"
@@ -26,7 +27,7 @@ func newReg(t *testing.T) *core.Registry {
 	if err := reg.Register(streams.New(store)); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Register(spark.NewWithConfig(store, spark.Config{Parallelism: 4, ContextStartupMs: 0.01, JobStartupMs: 0.01, ShuffleLatencyMs: 0.01})); err != nil {
+	if err := reg.Register(spark.NewWithConfig(store, spark.Config{Parallelism: 4, Latency: driverutil.Latency{ContextMs: 0.01, StageMs: 0.01, BarrierMs: 0.01}})); err != nil {
 		t.Fatal(err)
 	}
 	return reg

@@ -8,6 +8,7 @@ import (
 	"rheem/internal/core"
 	"rheem/internal/executor"
 	"rheem/internal/optimizer"
+	"rheem/internal/platform/driverutil"
 	"rheem/internal/platform/spark"
 	"rheem/internal/platform/streams"
 	"rheem/internal/storage/dfs"
@@ -99,7 +100,7 @@ func newExecEnv(t *testing.T) (*core.Registry, *dfs.Store) {
 	if err := reg.Register(streams.New(store)); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Register(spark.NewWithConfig(store, spark.Config{Parallelism: 4, ContextStartupMs: 0.01, JobStartupMs: 0.01, ShuffleLatencyMs: 0.01})); err != nil {
+	if err := reg.Register(spark.NewWithConfig(store, spark.Config{Parallelism: 4, Latency: driverutil.Latency{ContextMs: 0.01, StageMs: 0.01, BarrierMs: 0.01}})); err != nil {
 		t.Fatal(err)
 	}
 	return reg, store

@@ -164,6 +164,14 @@ go test -race -count=1 -run='TestIterativeTopologyLogsItsBody' ./internal/costle
 go test -race -count=1 -run='TestFactoryClosuresDoNotShareFingerprint' .
 go test -race -count=1 -run='TestRegisteredCollectionHashedOnce' ./internal/rescache
 go test -race -count=1 -run='TestBootConcurrentFirstJobs' ./internal/platform/driverutil
+# And one latency declaration per platform: each of the six bundled platforms
+# runs at its package's paper values (none under FastSimulation), is quoted
+# its context boot plus its stage latency before its first stage and its stage
+# latency after it; a loop prices a context boot once per plan, read once per
+# optimization; the cache marker prices a subtree from planCost's parts; and
+# an engine config's latency may set only what the engine charges.
+go test -race -count=1 -run='TestPaperLatencies|TestQuoteBeforeAndAfterFirstStage|TestEngineLatencyAcceptsOnlyWhatItCharges' .
+go test -race -count=1 -run='TestLoopPaysTheContextBootOnce|TestLoopReadsEachQuoteOnce|TestMarkedSubtreeCostIsItsPlanCostParts' ./internal/optimizer
 # And a text source is read in line-aligned input splits: for 1, 2, 4 and 7
 # splits wanted, over files of one, two and five blocks and the edge cases
 # (empty, no final newline, empty lines, a line longer than a block, a line
