@@ -131,8 +131,6 @@ func BuildPlan(ctx *rheem.Context, name string, raw *rheem.DataQuanta, algo Algo
 	if method == "" {
 		method = "shuffle-first"
 	}
-	b := raw.Op() // ensure same plan
-	_ = b
 
 	// Preparation phase: Transform + Stage.
 	points := raw.Map("transform", func(q any) any { return algo.Transform(q) }).Cache()

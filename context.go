@@ -367,8 +367,7 @@ func (c *Context) Execute(p *core.Plan, options ...ExecOption) (*Result, error) 
 // ExecuteCtx optimizes and runs a plan under a context: cancellation or an
 // expired deadline aborts the execution at the next stage boundary (stage
 // outputs are materialized at-rest channels, so nothing needs unwinding).
-// This is the path the async job service uses for per-job cancellation and
-// deadlines.
+// This is the path the async job service uses for per-job cancellation.
 func (c *Context) ExecuteCtx(ctx context.Context, p *core.Plan, options ...ExecOption) (*Result, error) {
 	ec := newExecConfig(options)
 	opts := c.optimizerOptions(ec)

@@ -178,3 +178,23 @@ func TestOnlyDriverutilChargesPlatformLatency(t *testing.T) {
 		})
 	}
 }
+
+// Behaviour is chosen by options and flags, never by the environment: outside
+// cmd/ and bench/, no non-test file refers to os.Getenv, os.LookupEnv or
+// os.Environ. A command reads its flags and passes options down.
+func TestOnlyCommandsReadTheEnvironment(t *testing.T) {
+	for _, s := range sources(t) {
+		if strings.HasPrefix(s.path, "cmd/") || strings.HasPrefix(s.path, "bench/") {
+			continue
+		}
+		local := importName(s.file, "os")
+		ast.Inspect(s.file, func(n ast.Node) bool {
+			for _, name := range []string{"Getenv", "LookupEnv", "Environ"} {
+				if refersTo(n, local, name) {
+					t.Errorf("%s: refers to os.%s: make the setting an option that a command sets from a flag", s.at(n), name)
+				}
+			}
+			return true
+		})
+	}
+}

@@ -65,8 +65,6 @@ type Options struct {
 	Metrics *telemetry.Registry
 	// Log receives membership transitions and transport failures.
 	Log *xlog.Logger
-	// Client overrides the HTTP client used for peer traffic.
-	Client *http.Client
 
 	now func() time.Time
 }
@@ -142,13 +140,10 @@ func New(opts Options) (*Node, error) {
 	}
 	n := &Node{
 		opts:   opts,
-		client: opts.Client,
+		client: &http.Client{Timeout: opts.FetchTimeout},
 		log:    opts.Log,
 		peers:  map[string]*peer{},
 		stop:   make(chan struct{}),
-	}
-	if n.client == nil {
-		n.client = &http.Client{Timeout: opts.FetchTimeout}
 	}
 	now := opts.now()
 	for _, addr := range opts.Peers {

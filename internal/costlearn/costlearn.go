@@ -79,12 +79,14 @@ func LoadLogs(path string) ([]StageLog, error) {
 	return out, sc.Err()
 }
 
+// mutation is the genetic algorithm's per-gene mutation probability.
+const mutation = 0.25
+
 // Options tune the genetic algorithm.
 type Options struct {
-	Population  int     // default 60
-	Generations int     // default 120
-	Seed        int64   // default 1
-	Mutation    float64 // per-gene mutation probability, default 0.25
+	Population  int   // default 60
+	Generations int   // default 120
+	Seed        int64 // default 1
 	// Smoothing is the paper's additive-smoothing regularizer s in the
 	// relative loss. Default 5ms.
 	Smoothing float64
@@ -99,9 +101,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Mutation <= 0 {
-		o.Mutation = 0.25
 	}
 	if o.Smoothing <= 0 {
 		o.Smoothing = 5
@@ -245,7 +244,7 @@ func Learn(logs []StageLog, base *optimizer.CostTable, opts Options) (*optimizer
 				default:
 					child[j] = math.Sqrt(a[j] * b[j])
 				}
-				if rng.Float64() < opts.Mutation {
+				if rng.Float64() < mutation {
 					child[j] *= math.Exp(rng.NormFloat64() * sigma)
 				}
 			}

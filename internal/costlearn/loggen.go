@@ -55,16 +55,11 @@ type GenOptions struct {
 	Sizes []int
 	// Platforms to force; default: every platform that can run the task.
 	Platforms []string
-	// Repetitions per configuration. Default 1.
-	Repetitions int
 }
 
 func (o GenOptions) withDefaults() GenOptions {
 	if len(o.Sizes) == 0 {
 		o.Sizes = []int{1000, 10000, 100000}
-	}
-	if o.Repetitions <= 0 {
-		o.Repetitions = 1
 	}
 	return o
 }
@@ -84,13 +79,11 @@ func GenerateLogs(reg *core.Registry, opts GenOptions) ([]StageLog, error) {
 		for _, platform := range platforms {
 			for _, topo := range topologies {
 				for _, heavyUDF := range []bool{false, true} {
-					for rep := 0; rep < opts.Repetitions; rep++ {
-						run, err := runPlanForLogs(reg, pin(buildTopology(topo, size, heavyUDF), platform))
-						if err != nil {
-							return nil, fmt.Errorf("costlearn: generate %s/%s/n=%d: %w", topo, platform, size, err)
-						}
-						logs = append(logs, run...)
+					run, err := runPlanForLogs(reg, pin(buildTopology(topo, size, heavyUDF), platform))
+					if err != nil {
+						return nil, fmt.Errorf("costlearn: generate %s/%s/n=%d: %w", topo, platform, size, err)
 					}
+					logs = append(logs, run...)
 				}
 			}
 		}

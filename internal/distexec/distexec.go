@@ -11,10 +11,10 @@
 // stream from the writing peer when the stores are not actually shared.
 //
 // The failure ladder is strictly monotone: any refusal or failure —
-// kill switch, unfragmentable stage (loops, sniffed operators, unnameable
-// UDFs, process-local sources/sinks), cost floor, no alive peers, dead
-// peer, fragment decode error, remote execution error, timeout — degrades
-// to local execution of that stage. Remote execution is an optimization,
+// unfragmentable stage (loops, sniffed operators, unnameable UDFs,
+// process-local sources/sinks), cost floor, no alive peers, dead peer,
+// fragment decode error, remote execution error, timeout — degrades to
+// local execution of that stage. Remote execution is an optimization,
 // never a correctness dependency.
 //
 // Remote stages carry trace propagation: the origin's dispatch span
@@ -28,7 +28,6 @@ package distexec
 
 import (
 	"net/http"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,22 +40,16 @@ import (
 	"rheem/internal/xlog"
 )
 
-// distexecOff is the global kill switch: 1 keeps every stage local
-// (dispatch refuses and workers answer 503). Seeded from RHEEM_NO_DISTEXEC=1
-// at startup.
-var distexecOff atomic.Bool
+const (
+	// dispatchTimeout bounds one remote stage round-trip or shuffle fetch.
+	dispatchTimeout = 60 * time.Second
+	// maxFragmentBytes bounds the request body a worker accepts: fragments
+	// carry data, so the server-wide body cap is too small.
+	maxFragmentBytes = 256 << 20
+)
 
-func init() {
-	distexecOff.Store(os.Getenv("RHEEM_NO_DISTEXEC") == "1")
-}
-
-// Disabled reports whether distributed stage execution is globally disabled
-// (RHEEM_NO_DISTEXEC, or SetDisabled).
-func Disabled() bool { return distexecOff.Load() }
-
-// SetDisabled flips the global kill switch; it exists for crosscheck tests
-// and benchmarks. Returns the previous value.
-func SetDisabled(off bool) bool { return distexecOff.Swap(off) }
+// peerClient carries dispatch, shuffle and GC calls to fleet peers.
+var peerClient = &http.Client{}
 
 // Options configure a Scheduler.
 type Options struct {
@@ -82,15 +75,6 @@ type Options struct {
 	// InlineLimit is the encoded-bytes threshold above which channel data
 	// moves through DFS shuffle files instead of inline. Default 1 MiB.
 	InlineLimit int
-	// DispatchTimeout bounds one remote stage round-trip. Default 60s.
-	DispatchTimeout time.Duration
-	// MaxFragmentBytes bounds the request body a worker accepts. Default
-	// 256 MiB — fragments carry data, so the server-wide body cap is too
-	// small.
-	MaxFragmentBytes int64
-	// Client is the HTTP client for dispatch/shuffle/GC calls (tests inject
-	// one); nil uses a default client.
-	Client *http.Client
 }
 
 // Scheduler is both sides of distributed stage execution: the origin-side
@@ -98,12 +82,11 @@ type Options struct {
 // the worker-side fragment executor (HandleExecStage and friends, mounted
 // by restapi on the internal cluster surface).
 type Scheduler struct {
-	opts   Options
-	client *http.Client
+	opts Options
 
 	// rr is the round-robin placement cursor over the sorted alive ring.
 	rr atomic.Uint64
-	// frags de-dupes fragment ids across a run's stages and retries.
+	// frags de-dupes fragment ids across a run's stages.
 	frags atomic.Uint64
 
 	mu   sync.Mutex
@@ -118,16 +101,6 @@ func New(opts Options) *Scheduler {
 	if opts.InlineLimit <= 0 {
 		opts.InlineLimit = 1 << 20
 	}
-	if opts.DispatchTimeout <= 0 {
-		opts.DispatchTimeout = 60 * time.Second
-	}
-	if opts.MaxFragmentBytes <= 0 {
-		opts.MaxFragmentBytes = 256 << 20
-	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{}
-	}
 	opts.Metrics.Help("rheem_distexec_dispatched_total",
 		"Stages dispatched to fleet peers for remote execution.")
 	opts.Metrics.Help("rheem_distexec_executed_total",
@@ -138,7 +111,7 @@ func New(opts Options) *Scheduler {
 		"Stages the scheduler kept local, by reason.")
 	opts.Metrics.Help("rheem_distexec_exec_failures_total",
 		"Received stage fragments whose execution on this peer failed.")
-	return &Scheduler{opts: opts, client: client, runs: map[string]map[string]bool{}}
+	return &Scheduler{opts: opts, runs: map[string]map[string]bool{}}
 }
 
 // pinLocal counts one stage the scheduler declined to ship.

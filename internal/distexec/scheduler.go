@@ -26,10 +26,6 @@ import (
 // execution reports ok=false with a nil error — remote execution degrades,
 // it never fails the job.
 func (s *Scheduler) RunStage(ctx context.Context, runID string, st *core.Stage, fetch executor.RemoteFetchFn, round int, sp *trace.Span) (map[*core.Operator]*core.Channel, *core.StageStats, bool, error) {
-	if Disabled() {
-		s.pinLocal("killswitch")
-		return nil, nil, false, nil
-	}
 	if reason := Fragmentable(st); reason != "" {
 		s.pinLocal(reason)
 		return nil, nil, false, nil
@@ -205,7 +201,7 @@ func (s *Scheduler) dispatch(ctx context.Context, peer string, frag *Fragment, s
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithTimeout(ctx, s.opts.DispatchTimeout)
+	ctx, cancel := context.WithTimeout(ctx, dispatchTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		"http://"+peer+"/v1/internal/exec/stage", bytes.NewReader(body))
@@ -214,7 +210,7 @@ func (s *Scheduler) dispatch(ctx context.Context, peer string, frag *Fragment, s
 	}
 	req.Header.Set("Content-Type", "application/json")
 	trace.Inject(req.Header, sp)
-	resp, err := s.client.Do(req)
+	resp, err := peerClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -262,14 +258,14 @@ func (s *Scheduler) resolveData(ctx context.Context, inline []byte, shuffle, fro
 	if from == "" {
 		return nil, fmt.Errorf("distexec: shuffle file %s is not local and names no source peer", name)
 	}
-	ctx, cancel := context.WithTimeout(ctx, s.opts.DispatchTimeout)
+	ctx, cancel := context.WithTimeout(ctx, dispatchTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		"http://"+from+"/v1/internal/exec/shuffle?path="+url.QueryEscape(name), nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := s.client.Do(req)
+	resp, err := peerClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -351,7 +347,7 @@ func (s *Scheduler) EndRun(runID string) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
 			"http://"+peer+"/v1/internal/exec/job/"+url.PathEscape(runID), nil)
 		if err == nil {
-			if resp, err := s.client.Do(req); err == nil {
+			if resp, err := peerClient.Do(req); err == nil {
 				resp.Body.Close()
 			}
 		}

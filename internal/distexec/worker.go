@@ -75,12 +75,7 @@ type opStatsWire struct {
 // HandleExecStage executes one shipped plan fragment and answers with its
 // terminal outputs and resource report.
 func (s *Scheduler) HandleExecStage(w http.ResponseWriter, r *http.Request) {
-	if Disabled() {
-		http.Error(w, "distributed execution is disabled on this peer", http.StatusServiceUnavailable)
-		return
-	}
-	// Fragments carry data; the server-wide request cap is far too small.
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxFragmentBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxFragmentBytes)
 	var frag Fragment
 	if err := json.NewDecoder(r.Body).Decode(&frag); err != nil {
 		s.execFailure(nil, w, http.StatusBadRequest, "bad fragment: %v", err)

@@ -223,20 +223,8 @@ func TestWorkerRejectsBadFragments(t *testing.T) {
 	}
 }
 
-// TestWorkerKillSwitch: a disabled peer answers 503 so origins fall back.
-func TestWorkerKillSwitch(t *testing.T) {
-	worker := newTestPeer(t, 1<<20)
-	origin := newTestPeer(t, 1<<20)
-	frag, _, _ := stubbedFragment(t, origin, "run-off", []any{int64(1)})
-	prev := SetDisabled(true)
-	defer SetDisabled(prev)
-	if _, err := origin.s.dispatch(context.Background(), worker.s.opts.Advertise, frag, dispatchSpan()); err == nil {
-		t.Fatal("disabled worker accepted a fragment")
-	}
-}
-
-// TestRunStagePins covers the dispatch-side refusals: kill switch, no
-// peers, and the cost floor all pin local with ok=false and a nil error.
+// TestRunStagePins covers the dispatch-side refusals: no peers and the
+// cost floor both pin local with ok=false and a nil error.
 func TestRunStagePins(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := New(Options{Metrics: reg, Advertise: "origin:1"})
@@ -252,15 +240,6 @@ func TestRunStagePins(t *testing.T) {
 			t.Fatalf("RunStage returned an error: %v", err)
 		}
 		return ok
-	}
-
-	prev := SetDisabled(true)
-	if run() {
-		t.Fatal("kill switch did not pin local")
-	}
-	SetDisabled(prev)
-	if pinned("killswitch") != 1 {
-		t.Errorf("killswitch pin count = %g", pinned("killswitch"))
 	}
 
 	// No cluster node: nothing to place on.

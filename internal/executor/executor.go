@@ -35,10 +35,6 @@ type Executor struct {
 	Checkpoint CheckpointFn
 	// Sniffers attach exploratory-mode observers to operator outputs.
 	Sniffers map[*core.Operator]func(any)
-	// StageRetries re-runs a failed stage up to this many extra times
-	// (basic cross-platform fault tolerance; stage inputs are materialized
-	// at-rest channels, so a retry restarts from the last checkpoint).
-	StageRetries int
 	// Metrics records stage counts and per-platform stage time; nil skips
 	// instrumentation.
 	Metrics *telemetry.Registry
@@ -281,7 +277,7 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, bo
 				// remote scheduler first. Loop-body stages stay local —
 				// their placeholders bind process-local channels. Any
 				// decline or remote failure falls through to the local
-				// retry loop below.
+				// run below.
 				ran := false
 				if ex.Remote != nil && body.loop == nil {
 					if ex.Sniffers != nil {
@@ -304,22 +300,9 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, bo
 						outs, stats, ran = rOuts, rStats, true
 					}
 				}
-				for attempt := 0; !ran && attempt <= ex.StageRetries; attempt++ {
-					if ctxErr := ctx.Err(); ctxErr != nil {
-						err = ctxErr
-						break
-					}
-					var retrySp *trace.Span
-					if stSp != nil && attempt > 0 {
-						retrySp = stSp.Start(trace.KindRetry, "retry-"+strconv.Itoa(attempt))
-					}
-					outs, stats, err = ex.runDriverStage(ep, s, chans, body, stSp)
-					if err != nil {
-						retrySp.SetAttr("error", err.Error())
-					}
-					retrySp.End()
-					if err == nil {
-						break
+				if !ran {
+					if err = ctx.Err(); err == nil {
+						outs, stats, err = ex.runDriverStage(ep, s, chans, body, stSp)
 					}
 				}
 				if stats != nil {

@@ -1,10 +1,9 @@
 // Package jobs is the asynchronous job service behind restapi's /v1/jobs
 // API: a bounded submission queue with admission control, a worker pool
 // that drains it, per-job lifecycle tracking (queued -> running ->
-// succeeded/failed/cancelled) with timestamps, per-job cancellation and
-// deadlines threaded through context.Context, bounded retries with
-// exponential backoff for retryable failures, and a TTL-evicting in-memory
-// result store.
+// succeeded/failed/cancelled) with timestamps, per-job cancellation
+// threaded through context.Context, and a TTL-evicting in-memory result
+// store. A job runs once: a Runner's error fails it.
 //
 // The manager is payload-agnostic: a Runner produces an arbitrary result
 // value, and the caller (restapi) decides how to render it.
@@ -16,7 +15,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -61,27 +59,6 @@ func (s State) Terminal() bool {
 // returned value becomes the job's stored result.
 type Runner func(ctx context.Context) (any, error)
 
-// retryableError marks an error as worth retrying.
-type retryableError struct{ err error }
-
-func (r *retryableError) Error() string { return r.err.Error() }
-func (r *retryableError) Unwrap() error { return r.err }
-
-// Retryable wraps err so the manager retries the job (up to MaxRetries)
-// with exponential backoff.
-func Retryable(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &retryableError{err: err}
-}
-
-// IsRetryable reports whether err was wrapped by Retryable.
-func IsRetryable(err error) bool {
-	var r *retryableError
-	return errors.As(err, &r)
-}
-
 // Options configure a Manager.
 type Options struct {
 	// QueueDepth bounds the submission queue (jobs admitted but not yet
@@ -90,23 +67,13 @@ type Options struct {
 	// Workers is the pool size draining the queue. Default 4.
 	Workers int
 	// ResultTTL evicts terminal jobs (and their results) this long after
-	// they finish. Default 10 minutes.
+	// they finish. Default 10 minutes; the janitor sweeps every quarter of
+	// it, at least once a second.
 	ResultTTL time.Duration
-	// SweepInterval is the eviction cadence. Default ResultTTL/4, at least
-	// one second.
-	SweepInterval time.Duration
-	// MaxRetries re-runs a job whose Runner returned a Retryable error up
-	// to this many extra times. Default 0 (no retries).
-	MaxRetries int
-	// RetryBackoff is the first retry delay; it doubles per attempt.
-	// Default 50ms.
-	RetryBackoff time.Duration
-	// Timeout is the default per-job deadline; 0 means none.
-	Timeout time.Duration
 	// Metrics receives queue/outcome/latency instrumentation; nil disables.
 	Metrics *telemetry.Registry
-	// Log receives job lifecycle events (admitted, started, retried,
-	// terminal); nil disables logging.
+	// Log receives job lifecycle events (admitted, started, terminal); nil
+	// disables logging.
 	Log *xlog.Logger
 }
 
@@ -120,15 +87,6 @@ func (o Options) withDefaults() Options {
 	if o.ResultTTL <= 0 {
 		o.ResultTTL = 10 * time.Minute
 	}
-	if o.SweepInterval <= 0 {
-		o.SweepInterval = o.ResultTTL / 4
-		if o.SweepInterval < time.Second {
-			o.SweepInterval = time.Second
-		}
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 50 * time.Millisecond
-	}
 	return o
 }
 
@@ -139,26 +97,22 @@ type Status struct {
 	SubmittedAt time.Time
 	StartedAt   time.Time // zero until running
 	FinishedAt  time.Time // zero until terminal
-	Attempts    int
-	Err         string // non-empty for failed jobs
+	Err         string    // non-empty for failed jobs
 }
 
 // job is the manager's internal record.
 type job struct {
-	id      string
-	runner  Runner
-	timeout time.Duration
+	id     string
+	runner Runner
 
 	mu          sync.Mutex
 	state       State
 	submittedAt time.Time
 	startedAt   time.Time
 	finishedAt  time.Time
-	attempts    int
 	err         error
 	result      any
 	cancel      context.CancelFunc // set while running
-	cancelReq   bool               // user asked for cancellation
 	done        chan struct{}      // closed on terminal transition
 
 	tracer    *trace.Tracer // optional per-job span tree
@@ -184,7 +138,6 @@ type Manager struct {
 	mInFlight   *telemetry.Gauge
 	mOutcomes   map[State]*telemetry.Counter
 	mRejected   *telemetry.Counter
-	mRetries    *telemetry.Counter
 	mLatency    *telemetry.Histogram
 }
 
@@ -205,7 +158,6 @@ func New(opts Options) *Manager {
 	reg.Help("rheem_jobs_in_flight", "Jobs currently executing.")
 	reg.Help("rheem_jobs_total", "Terminal job outcomes by state.")
 	reg.Help("rheem_jobs_rejected_total", "Submissions rejected by admission control.")
-	reg.Help("rheem_jobs_retries_total", "Job attempts retried after a retryable failure.")
 	reg.Help("rheem_job_duration_seconds", "End-to-end job latency (submission to terminal state).")
 	m.mQueueDepth = reg.Gauge("rheem_jobs_queue_depth")
 	m.mInFlight = reg.Gauge("rheem_jobs_in_flight")
@@ -215,7 +167,6 @@ func New(opts Options) *Manager {
 		StateCancelled: reg.Counter("rheem_jobs_total", telemetry.L("state", string(StateCancelled))),
 	}
 	m.mRejected = reg.Counter("rheem_jobs_rejected_total")
-	m.mRetries = reg.Counter("rheem_jobs_retries_total")
 	m.mLatency = reg.Histogram("rheem_job_duration_seconds", nil)
 
 	for i := 0; i < opts.Workers; i++ {
@@ -229,13 +180,8 @@ func New(opts Options) *Manager {
 // SubmitOption tunes one submission.
 type SubmitOption func(*job)
 
-// WithTimeout overrides the manager's default per-job deadline.
-func WithTimeout(d time.Duration) SubmitOption {
-	return func(j *job) { j.timeout = d }
-}
-
 // WithTracer attaches a per-job tracer: the manager records a queue-wait
-// span, one span per attempt (propagated into the Runner's context), and
+// span, a run span around the Runner (propagated into its context), and
 // closes the root span with the terminal state when the job finishes.
 func WithTracer(tr *trace.Tracer) SubmitOption {
 	return func(j *job) { j.tracer = tr }
@@ -246,7 +192,6 @@ func WithTracer(tr *trace.Tracer) SubmitOption {
 func (m *Manager) Submit(runner Runner, opts ...SubmitOption) (string, error) {
 	j := &job{
 		runner:      runner,
-		timeout:     m.opts.Timeout,
 		state:       StateQueued,
 		submittedAt: time.Now(),
 		done:        make(chan struct{}),
@@ -318,7 +263,6 @@ func (j *job) status() Status {
 		SubmittedAt: j.submittedAt,
 		StartedAt:   j.startedAt,
 		FinishedAt:  j.finishedAt,
-		Attempts:    j.attempts,
 	}
 	if j.err != nil {
 		st.Err = j.err.Error()
@@ -365,12 +309,10 @@ func (m *Manager) Cancel(id string) error {
 	case StateQueued:
 		// Transition under the job lock so a worker dequeueing concurrently
 		// sees the terminal state and skips the job.
-		j.cancelReq = true
 		m.finishLocked(j, StateCancelled, nil, context.Canceled)
 		j.mu.Unlock()
 		return nil
 	case StateRunning:
-		j.cancelReq = true
 		cancel := j.cancel
 		j.mu.Unlock()
 		if cancel != nil {
@@ -409,15 +351,9 @@ func (m *Manager) worker() {
 	}
 }
 
-// runJob drives one job through its attempts to a terminal state.
+// runJob runs one job once and moves it to a terminal state.
 func (m *Manager) runJob(j *job) {
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if j.timeout > 0 {
-		ctx, cancel = context.WithTimeout(m.baseCtx, j.timeout)
-	} else {
-		ctx, cancel = context.WithCancel(m.baseCtx)
-	}
+	ctx, cancel := context.WithCancel(m.baseCtx)
 	defer cancel()
 
 	j.mu.Lock()
@@ -434,64 +370,25 @@ func (m *Manager) runJob(j *job) {
 	m.mInFlight.Inc()
 	defer m.mInFlight.Dec()
 
-	backoff := m.opts.RetryBackoff
-	for {
-		j.mu.Lock()
-		j.attempts++
-		attempt := j.attempts
-		j.mu.Unlock()
-		runCtx := ctx
-		var attSp *trace.Span
-		if j.tracer != nil {
-			attSp = j.tracer.Root().Start(trace.KindAttempt, "attempt-"+strconv.Itoa(attempt))
-			runCtx = trace.NewContext(ctx, attSp)
-		}
-		result, err := j.runner(runCtx)
-		if err != nil {
-			attSp.SetAttr("error", err.Error())
-		}
-		attSp.End()
-		if err == nil {
-			m.finish(j, StateSucceeded, result, nil)
-			return
-		}
-		if ctx.Err() != nil || errors.Is(err, context.Canceled) {
-			m.finishInterrupted(j, err)
-			return
-		}
-		if !IsRetryable(err) || j.attemptCount() > m.opts.MaxRetries {
-			m.finish(j, StateFailed, nil, err)
-			return
-		}
-		m.mRetries.Inc()
-		m.opts.Log.Warn("job attempt failed, retrying", "job", j.id, "attempt", attempt, "error", err, "backoff", backoff)
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-			m.finishInterrupted(j, ctx.Err())
-			return
-		}
-		backoff *= 2
+	runCtx := ctx
+	var runSp *trace.Span
+	if j.tracer != nil {
+		runSp = j.tracer.Root().Start(trace.KindRun, "run")
+		runCtx = trace.NewContext(ctx, runSp)
 	}
-}
-
-// finishInterrupted classifies a context-interrupted job: cancelled when a
-// user (or shutdown) cancellation caused it, failed when the deadline did.
-func (m *Manager) finishInterrupted(j *job, err error) {
-	j.mu.Lock()
-	userCancel := j.cancelReq
-	j.mu.Unlock()
-	if userCancel || errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+	result, err := j.runner(runCtx)
+	if err != nil {
+		runSp.SetAttr("error", err.Error())
+	}
+	runSp.End()
+	switch {
+	case err == nil:
+		m.finish(j, StateSucceeded, result, nil)
+	case ctx.Err() != nil || errors.Is(err, context.Canceled):
 		m.finish(j, StateCancelled, nil, context.Canceled)
-		return
+	default:
+		m.finish(j, StateFailed, nil, err)
 	}
-	m.finish(j, StateFailed, nil, fmt.Errorf("deadline exceeded after %d attempt(s): %w", j.attemptCount(), err))
-}
-
-func (j *job) attemptCount() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.attempts
 }
 
 // finish transitions a job to a terminal state exactly once.
@@ -524,9 +421,9 @@ func (m *Manager) finishLocked(j *job, state State, result any, err error) {
 		root.End()
 	}
 	if state == StateSucceeded {
-		m.opts.Log.Info("job finished", "job", j.id, "state", state, "attempts", j.attempts)
+		m.opts.Log.Info("job finished", "job", j.id, "state", state)
 	} else {
-		m.opts.Log.Warn("job finished", "job", j.id, "state", state, "attempts", j.attempts, "error", err)
+		m.opts.Log.Warn("job finished", "job", j.id, "state", state, "error", err)
 	}
 }
 
@@ -539,7 +436,7 @@ func (m *Manager) recordOutcome(state State, latency time.Duration) {
 
 // runJanitor periodically evicts expired terminal jobs.
 func (m *Manager) runJanitor() {
-	ticker := time.NewTicker(m.opts.SweepInterval)
+	ticker := time.NewTicker(max(m.opts.ResultTTL/4, time.Second))
 	defer ticker.Stop()
 	for {
 		select {
@@ -610,14 +507,10 @@ func (m *Manager) Close(ctx context.Context) error {
 	m.mu.Lock()
 	for _, j := range m.jobs {
 		j.mu.Lock()
-		queued := j.state == StateQueued
-		if queued {
-			j.cancelReq = true
+		if j.state == StateQueued {
+			m.finishLocked(j, StateCancelled, nil, context.Canceled)
 		}
 		j.mu.Unlock()
-		if queued {
-			m.finish(j, StateCancelled, nil, context.Canceled)
-		}
 	}
 	m.mu.Unlock()
 	select {

@@ -31,8 +31,6 @@ type Options struct {
 	// (default) or ObjectiveMonetary, which weights each platform's time by
 	// its monetary rate.
 	Objective Objective
-	// DefaultLoopIterations is assumed for DoWhile loops without a bound.
-	DefaultLoopIterations int
 	// Metrics records enumeration time and plans considered; nil skips
 	// instrumentation.
 	Metrics *telemetry.Registry
@@ -84,12 +82,12 @@ func (o Options) weight(platform string) float64 {
 	return 1
 }
 
+// defaultLoopIterations is assumed for DoWhile loops without a bound.
+const defaultLoopIterations = 10
+
 func (o Options) withDefaults() Options {
 	if o.Costs == nil && o.Registry != nil {
 		o.Costs = DefaultCostTable(o.Registry)
-	}
-	if o.DefaultLoopIterations <= 0 {
-		o.DefaultLoopIterations = 10
 	}
 	return o
 }
@@ -209,7 +207,7 @@ func optimize(p *core.Plan, opts Options, quotes map[string]quote, rounds int, l
 		if len(op.Inputs()) > 0 {
 			seed = cards[op.Inputs()[0]]
 		}
-		iters := cmp.Or(max(op.Params.Iterations, 0), max(op.Params.MaxIterations, 0), opts.DefaultLoopIterations)
+		iters := cmp.Or(max(op.Params.Iterations, 0), max(op.Params.MaxIterations, 0), defaultLoopIterations)
 		bodyOpts := opts
 		bodyOpts.Resume = nil // progress is the top-level plan's
 		var bodySp *trace.Span

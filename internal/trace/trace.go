@@ -1,7 +1,7 @@
 // Package trace is a dependency-free execution-tracing subsystem: a Tracer
 // owns one tree of spans describing a single job's causal timeline —
-// job -> optimize -> replan-N -> wave-N -> stage -> operator /
-// channel-conversion / retry — with start/end timestamps and per-span
+// job -> run -> optimize -> replan-N -> wave-N -> stage -> operator /
+// channel-conversion — with start/end timestamps and per-span
 // key=value attributes (platform, estimated vs. observed cardinality,
 // chosen-plan cost, mismatch factor). The current span is propagated via
 // context.Context so the jobs manager, the optimizer, the executor, and
@@ -31,14 +31,13 @@ import (
 const (
 	KindJob         = "job"
 	KindQueueWait   = "queue-wait"
-	KindAttempt     = "attempt"
+	KindRun         = "run"
 	KindOptimize    = "optimize"
 	KindReplan      = "replan"
 	KindWave        = "wave"
 	KindStage       = "stage"
 	KindOperator    = "operator"
 	KindConversion  = "channel-conversion"
-	KindRetry       = "retry"
 	KindLoop        = "loop"
 	KindCacheProbe  = "cache-probe"
 	KindCacheHit    = "cache-hit"

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"rheem/internal/distexec"
 	"rheem/internal/jobs"
 	"rheem/internal/telemetry"
 	"rheem/internal/trace"
@@ -251,25 +250,25 @@ func TestClusterDistexecPeerDeathFallback(t *testing.T) {
 	assertNoShuffleLeftovers(t, peers[:1])
 }
 
-// TestClusterDistexecKillSwitch: with the global kill switch on, a fleet
-// with -cluster-exec never dispatches and every stage pins local.
-func TestClusterDistexecKillSwitch(t *testing.T) {
-	peers := startFleetCfg(t, 2, fleetConfig{exec: true})
+// TestClusterDistexecOffWithoutFlag: a fleet started without -cluster-exec
+// runs every stage where the job was submitted and mounts no worker
+// endpoint, so no peer can be handed a fragment.
+func TestClusterDistexecOffWithoutFlag(t *testing.T) {
+	peers := startFleetCfg(t, 2, fleetConfig{})
 	a, b := peers[0], peers[1]
 
-	prev := distexec.SetDisabled(true)
-	t.Cleanup(func() { distexec.SetDisabled(prev) })
-
-	if got := wireRunCounts(t, a.addr); got["a"] != 3 {
-		t.Fatalf("counts under kill switch = %v", got)
+	if got := wireRunCounts(t, a.addr); got["a"] != 3 || got["b"] != 1 || got["c"] != 1 {
+		t.Fatalf("counts without -cluster-exec = %v, want a=3 b=1 c=1", got)
 	}
-	if v := counterOf(a, "rheem_distexec_dispatched_total"); v != 0 {
-		t.Errorf("kill switch dispatched %g stages", v)
+	if a.srv.Distexec != nil || b.srv.Distexec != nil {
+		t.Fatal("a server without ClusterExec built a stage scheduler")
 	}
-	if v := a.metrics.Counter("rheem_distexec_pinned_local_total", telemetry.L("reason", "killswitch")).Value(); v < 1 {
-		t.Errorf("no killswitch pins recorded")
+	for _, p := range peers {
+		if v := counterOf(p, "rheem_distexec_dispatched_total"); v != 0 {
+			t.Errorf("%s dispatched %g stages", p.addr, v)
+		}
 	}
-	if v := b.metrics.Counter("rheem_distexec_executed_total", telemetry.L("peer", b.addr)).Value(); v != 0 {
-		t.Errorf("peer executed %g fragments under kill switch", v)
+	if resp, raw := wireReq(t, http.MethodPost, "http://"+b.addr+"/v1/internal/exec/stage", []byte("{}")); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("exec endpoint without -cluster-exec answered %d %s, want 404", resp.StatusCode, raw)
 	}
 }

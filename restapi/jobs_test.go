@@ -114,7 +114,7 @@ func TestJobLifecycleOverREST(t *testing.T) {
 	}
 
 	st := waitState(t, s, sub.ID, jobs.StateSucceeded)
-	if st.StartedAt == nil || st.FinishedAt == nil || st.Attempts != 1 {
+	if st.StartedAt == nil || st.FinishedAt == nil {
 		t.Fatalf("finished status = %+v", st)
 	}
 	// The monitor snapshot (per-job stage timings) rides on the status.

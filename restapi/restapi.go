@@ -70,7 +70,7 @@ import (
 // Options configure a Server beyond its defaults.
 type Options struct {
 	// Jobs configure the async job manager (queue depth, workers, result
-	// TTL, retries...). Jobs.Metrics defaults to the context's registry.
+	// TTL). Jobs.Metrics defaults to the context's registry.
 	Jobs jobs.Options
 	// MaxBodyBytes caps request bodies (default 1 MiB); larger scripts get
 	// a 413 instead of being decoded unbounded.
@@ -303,7 +303,6 @@ type JobStatusResponse struct {
 	SubmittedAt time.Time         `json:"submitted_at"`
 	StartedAt   *time.Time        `json:"started_at,omitempty"`
 	FinishedAt  *time.Time        `json:"finished_at,omitempty"`
-	Attempts    int               `json:"attempts"`
 	Error       string            `json:"error,omitempty"`
 	Monitor     *monitor.Snapshot `json:"monitor,omitempty"`
 }
@@ -518,7 +517,6 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 		ID:          st.ID,
 		State:       string(st.State),
 		SubmittedAt: st.SubmittedAt,
-		Attempts:    st.Attempts,
 		Error:       st.Err,
 	}
 	if !st.StartedAt.IsZero() {

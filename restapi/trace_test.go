@@ -50,7 +50,7 @@ func TestJobTraceNativeFormat(t *testing.T) {
 		t.Fatalf("root state attr = %q", state)
 	}
 	for _, kind := range []string{
-		trace.KindQueueWait, trace.KindAttempt, trace.KindOptimize,
+		trace.KindQueueWait, trace.KindRun, trace.KindOptimize,
 		trace.KindWave, trace.KindStage, trace.KindOperator,
 	} {
 		if sj.Find(kind) == nil {

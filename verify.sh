@@ -26,8 +26,8 @@ go build ./...
 go test -race $short ./...
 # The architecture rules stated over the parsed source (only internal/simclock
 # sleeps, the optimizer and the cost learner name no bundled platform, the
-# executor never searches the conversion graph) are tests of internal/archtest,
-# run by the line above.
+# executor never searches the conversion graph, only cmd/ and bench/ read the
+# environment) are tests of internal/archtest, run by the line above.
 # Benchmark smoke: one iteration of the codec benchmarks, so they compile
 # and run even when nobody records numbers.
 go test -run=NONE -bench=BenchmarkEncodeQuantum -benchtime=1x ./internal/core
@@ -240,6 +240,6 @@ go test -race -count=1 -run='TestClusterRemoteCacheHit|TestClusterMetricsAggrega
 # stages executing remotely (results equal to single-node, trace stitched,
 # profile peer-attributed, shuffle files GC'd), survives the remote peer
 # dying mid-run, and a 3-peer fleet proves via /v1/cluster/metrics that
-# remote executions landed on at least two peers.
+# remote executions landed on at least two peers; a fleet without
+# -cluster-exec dispatches nothing and mounts no worker endpoint.
 go test -race -count=1 -run='TestClusterDistexec' ./restapi
-RHEEM_NO_DISTEXEC=1 go test -race -count=1 -run='TestClusterDistexecKillSwitch' ./restapi
