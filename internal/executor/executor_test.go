@@ -2,10 +2,12 @@ package executor
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"rheem/internal/core"
@@ -129,6 +131,30 @@ func TestRunSimplePipeline(t *testing.T) {
 	}
 	if cards := monitor.ObservedCards(res.Entries); cards[f] != 5 {
 		t.Fatalf("monitor cards = %v", cards)
+	}
+}
+
+// TestCancelledContextRunsNoStage: the executor checks its context before each
+// wave of stages and before each local stage, so a run whose context is
+// already cancelled runs no UDF and returns the context's error.
+func TestCancelledContextRunsNoStage(t *testing.T) {
+	e := newEnv(t)
+	p := core.NewPlan("cancelled")
+	src := p.NewOperator(core.KindCollectionSource, "src")
+	src.Params.Collection = ints(10)
+	var calls atomic.Int32
+	m := p.NewOperator(core.KindMap, "count")
+	m.UDF.Map = func(q any) any { calls.Add(1); return q }
+	p.Chain(src, m, p.NewOperator(core.KindCollectionSink, "out"))
+	ep := e.optimize(t, p)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := e.ex.RunCtx(ctx, ep); !errors.Is(err, context.Canceled) {
+		t.Fatalf("run err = %v, want context.Canceled", err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("map UDF called %d times under a cancelled context", n)
 	}
 }
 

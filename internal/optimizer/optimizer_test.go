@@ -275,6 +275,30 @@ func parts(ep *core.ExecPlan) float64 {
 	return ms
 }
 
+// TestUnboundedLoopIsPricedAtTenRounds: a do-while loop without a bound is
+// priced as if bounded at 10 rounds, and one with a bound at its bound.
+func TestUnboundedLoopIsPricedAtTenRounds(t *testing.T) {
+	env := newTestEnv(t)
+	price := func(bound int) float64 {
+		t.Helper()
+		p, loop := pinnedLoop(0)
+		loop.Kind = core.KindDoWhile
+		loop.Params.MaxIterations = bound
+		loop.UDF.Cond = func(int, []any) bool { return false }
+		ep, err := Optimize(p, env.opts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ep.Cost.Geomean()
+	}
+	if got, want := price(0), price(10); math.Abs(got-want) > 1e-9 {
+		t.Errorf("unbounded loop priced %v ms, want %v (bounded at 10)", got, want)
+	}
+	if price(3) >= price(10) {
+		t.Errorf("loop bounded at 3 priced %v ms, not below 10 rounds' %v", price(3), price(10))
+	}
+}
+
 // TestLoopPaysTheContextBootOnce: a loop multiplies only its body's
 // per-stage start-up by its rounds; a platform's context boots once per plan.
 // The body carries its share of the boot, so that its own enumeration weighs
