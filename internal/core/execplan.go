@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"rheem/internal/simclock"
 )
 
 // CostInterval is an interval-based cost estimate in milliseconds with a
@@ -393,6 +395,10 @@ type Inputs struct {
 	// Round is the surrounding loop's current iteration (0 outside loops);
 	// per-iteration operators such as Sample vary their behaviour with it.
 	Round int
+	// Clock charges the stage's simulated latencies. The executor hands every
+	// stage of one run, loop rounds included, the same clock; nil charges on a
+	// fresh one.
+	Clock *simclock.Clock
 }
 
 // NewInputs creates an empty input set.

@@ -14,6 +14,7 @@ import (
 
 	"rheem/internal/core"
 	"rheem/internal/platform/driverutil"
+	"rheem/internal/simclock"
 	"rheem/internal/telemetry"
 	"rheem/internal/trace"
 )
@@ -127,7 +128,8 @@ func (ex *Executor) Run(ep *core.ExecPlan) (*Result, error) {
 // dispatched wave of stages completes, a cancelled or expired context
 // aborts the remainder of the plan. Stage terminals are materialized
 // at-rest channels, so aborting between waves leaves no platform state to
-// unwind.
+// unwind. The run's stages, loop rounds included, charge their simulated
+// latencies on one clock of the run's own.
 func (ex *Executor) RunCtx(ctx context.Context, ep *core.ExecPlan) (*Result, error) {
 	ex.registerMetricsHelp()
 	runID := newRunID()
@@ -136,7 +138,7 @@ func (ex *Executor) RunCtx(ctx context.Context, ep *core.ExecPlan) (*Result, err
 		// cancellation all release the run's distributed shuffle files.
 		defer ex.Remote.EndRun(runID)
 	}
-	return ex.run(ctx, ep, runID, bodyRun{})
+	return ex.run(ctx, ep, runID, bodyRun{clock: new(simclock.Clock)})
 }
 
 // runSeq de-dupes run ids when crypto/rand is unavailable.
@@ -169,8 +171,10 @@ func (ex *Executor) registerMetricsHelp() {
 }
 
 // bodyRun is what one round of a loop body runs with, besides the body's
-// plan; the zero value is a top-level run.
+// plan; with only clock set, it is a top-level run.
 type bodyRun struct {
+	// clock is the top-level run's, handed to every stage it runs.
+	clock   *simclock.Clock
 	loop    *core.Operator
 	round   int
 	loopVar []any
@@ -266,7 +270,7 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, bo
 					}
 				}()
 				if s.Platform == "" {
-					outs, rounds, err := ex.runLoopStage(trace.NewContext(ctx, stSp), ep, s, chans, runID)
+					outs, rounds, err := ex.runLoopStage(trace.NewContext(ctx, stSp), ep, s, chans, runID, body.clock)
 					outcomes[i] = outcome{stage: s, outs: outs, rounds: rounds, err: err}
 					return
 				}
@@ -525,7 +529,7 @@ func (ex *Executor) runDriverStage(ep *core.ExecPlan, s *core.Stage, chans *chan
 		return nil, nil, err
 	}
 	in := core.NewInputs()
-	in.Round = body.round
+	in.Round, in.Clock = body.round, body.clock
 	// inQuanta totals the quanta read from the stage's input channels (for
 	// resource profiles); channels of unknown cardinality contribute 0.
 	var inQuanta int64
@@ -587,7 +591,7 @@ func (ex *Executor) runDriverStage(ep *core.ExecPlan, s *core.Stage, chans *chan
 // runLoopStage evaluates a loop operator: materialize the loop input,
 // iterate the optimized body plan, and publish the final value together with
 // the record entries of every round's body stages.
-func (ex *Executor) runLoopStage(ctx context.Context, ep *core.ExecPlan, s *core.Stage, chans *channelStore, runID string) (map[*core.Operator]*core.Channel, []*core.StageStats, error) {
+func (ex *Executor) runLoopStage(ctx context.Context, ep *core.ExecPlan, s *core.Stage, chans *channelStore, runID string, clock *simclock.Clock) (map[*core.Operator]*core.Channel, []*core.StageStats, error) {
 	loop := s.Ops[0]
 	body := ep.LoopBodies[loop]
 	if body == nil {
@@ -647,7 +651,7 @@ func (ex *Executor) runLoopStage(ctx context.Context, ep *core.ExecPlan, s *core
 			roundSp.SetInt("loop_var_card", int64(len(loopVar)))
 			roundCtx = trace.NewContext(ctx, roundSp)
 		}
-		sub, err := ex.run(roundCtx, body, runID, bodyRun{loop: loop, round: roundNo, loopVar: loopVar, refs: refs, earlier: rounds})
+		sub, err := ex.run(roundCtx, body, runID, bodyRun{clock: clock, loop: loop, round: roundNo, loopVar: loopVar, refs: refs, earlier: rounds})
 		if err != nil {
 			roundSp.SetAttr("error", err.Error())
 			roundSp.End()

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -20,6 +21,7 @@ import (
 	"rheem/internal/platform/relstore"
 	"rheem/internal/platform/spark"
 	"rheem/internal/platform/streams"
+	"rheem/internal/simclock"
 	"rheem/internal/storage/dfs"
 )
 
@@ -711,6 +713,92 @@ func TestMissingMovementIsAnErrorNotASearch(t *testing.T) {
 	for _, want := range []string{src.String(), "[rdd]", "[dataset]"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+}
+
+// clockSpy is the streams driver at its paper latency, noting the clock each
+// stage it executes is handed.
+type clockSpy struct {
+	*streams.Driver
+	mu     sync.Mutex
+	clocks map[*simclock.Clock]int
+}
+
+func (d *clockSpy) Execute(s *core.Stage, in *core.Inputs) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
+	d.mu.Lock()
+	d.clocks[in.Clock]++
+	d.mu.Unlock()
+	return d.Driver.Execute(s, in)
+}
+
+// TestOneClockPerRun: every stage of a run, the rounds of a 40-round loop
+// included, charges on the run's one clock, and two runs at once hold two
+// clocks.
+func TestOneClockPerRun(t *testing.T) {
+	spy := &clockSpy{Driver: &streams.Driver{Boot: driverutil.Boot{Latency: streams.Paper}}, clocks: map[*simclock.Clock]int{}}
+	reg := core.NewRegistry()
+	if err := reg.Register(spy); err != nil {
+		t.Fatal(err)
+	}
+	ex := &Executor{Registry: reg}
+	plan := func() *core.ExecPlan {
+		p := core.NewPlan("count-up")
+		init := p.NewOperator(core.KindCollectionSource, "init")
+		init.Params.Collection = []any{0.0}
+		loop := p.NewOperator(core.KindRepeat, "rounds")
+		loop.Params.Iterations = 40
+		p.Chain(init, loop, p.NewOperator(core.KindCollectionSink, "out"))
+		body := core.NewPlan("body")
+		in := body.NewOperator(core.KindCollectionSource, "v")
+		inc := body.NewOperator(core.KindMap, "inc")
+		inc.UDF.Map = func(q any) any { return q.(float64) + 1 }
+		body.Connect(in, inc, 0)
+		body.LoopInput, body.LoopOutput = in, inc
+		loop.Body = body
+		ep, err := optimizer.Optimize(p, optimizer.Options{Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ep
+	}
+
+	res, err := ex.Run(plan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err := res.FirstSinkData(); err != nil || len(data) != 1 || data[0] != 40.0 {
+		t.Fatalf("got %v (%v), want [40]", data, err)
+	}
+	stages := len(res.Entries)
+	if stages < 40 || len(spy.clocks) != 1 || spy.clocks[nil] != 0 {
+		t.Fatalf("%d stages ran on clocks %v, want every one on one clock", stages, spy.clocks)
+	}
+	for _, n := range spy.clocks {
+		if n != stages {
+			t.Fatalf("the run's clock charged %d of its %d stages", n, stages)
+		}
+	}
+
+	clear(spy.clocks)
+	plans := []*core.ExecPlan{plan(), plan()}
+	var wg sync.WaitGroup
+	for _, ep := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := ex.Run(ep); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if len(spy.clocks) != 2 || spy.clocks[nil] != 0 {
+		t.Fatalf("two runs at once charged on clocks %v, want two", spy.clocks)
+	}
+	for _, n := range spy.clocks {
+		if n != stages {
+			t.Fatalf("two runs at once charged %v stages per clock, want %d each", spy.clocks, stages)
 		}
 	}
 }

@@ -117,7 +117,7 @@ func DefaultWorkers(n int) int {
 // as a Latency (spark.Paper, …), a driver's config holds one, and the zero
 // value is none. A platform charges the fields its paper value sets, and
 // NewContext rejects any other (Within). Every charge is made through a
-// method of Latency or Boot, which call simclock.Charge.
+// method of Latency or Boot, on the stage's simclock.Clock (core.Inputs.Clock).
 type Latency struct {
 	ContextMs float64 // paid by a platform's first stage: the context boot
 	StageMs   float64 // paid by every stage: job dispatch, a query's round trip
@@ -137,25 +137,24 @@ func (l Latency) Within(paper Latency) error {
 	return nil
 }
 
-func charge(ms float64) { simclock.Charge(time.Duration(ms * float64(time.Millisecond))) }
+func charge(c *simclock.Clock, ms float64) { c.Charge(time.Duration(ms * float64(time.Millisecond))) }
 
-// Barrier charges one barrier: a Latency is the Barrier half of an engine's
-// Scheduler, and a BSP engine's superstep.
-func (l Latency) Barrier() { charge(l.BarrierMs) }
+// Barrier charges one barrier on c: an engine's Scheduler and a BSP engine's
+// superstep call it with their stage's clock.
+func (l Latency) Barrier(c *simclock.Clock) { charge(c, l.BarrierMs) }
 
 // Stretch simulates a platform with less compute capacity than the host, so
 // that the parallel engines keep the paper's cluster-vs-single-node capacity
 // ratio (the host plays the whole cluster; one node is a fraction of it): the
-// stage's busy time is stretched by Slowdown, the difference charged, and its
-// statistics scaled to match. The stage is charged the time the sleep took
-// (Charge's return), not the time asked for: a sleep of microseconds takes
-// about a millisecond, and a stage runtime without it leaves most of a loop of
-// small stages in no stage at all.
-func (l Latency) Stretch(stats *core.StageStats) {
+// stage's busy time is stretched by Slowdown, the difference charged on c,
+// and its statistics scaled to match. The stage's runtime gains the time
+// charged, the model, as its operators' runtimes do; what the host's timer
+// over-sleeps is the clock's credit, paid back by the run's later charges.
+func (l Latency) Stretch(c *simclock.Clock, stats *core.StageStats) {
 	if stats == nil || l.Slowdown <= 1 {
 		return
 	}
-	stats.Runtime += simclock.Charge(time.Duration(float64(stats.Runtime) * (l.Slowdown - 1)))
+	stats.Runtime += c.Charge(time.Duration(float64(stats.Runtime) * (l.Slowdown - 1)))
 	for op, os := range stats.Ops {
 		os.Runtime = time.Duration(float64(os.Runtime) * l.Slowdown)
 		stats.Ops[op] = os
@@ -183,22 +182,23 @@ func (b *Boot) StartupCostMs() (bootMs, stageMs float64) {
 	return b.ContextMs, b.StageMs
 }
 
-// Charge pays a stage's start-up: the context boot if no stage has yet, then
-// the per-stage latency.
-func (b *Boot) Charge() {
+// Charge pays a stage's start-up on c: the context boot if no stage has yet,
+// then the per-stage latency.
+func (b *Boot) Charge(c *simclock.Clock) {
 	if !b.booted.Swap(true) {
-		charge(b.ContextMs)
+		charge(c, b.ContextMs)
 	}
-	charge(b.StageMs)
+	charge(c, b.StageMs)
 }
 
 // Execute runs a stage of a driver whose running latency is b: the stage's
-// start-up, the stage over the engine, then the stretch of its busy time.
+// start-up, the stage over the engine, then the stretch of its busy time, all
+// charged on the stage's clock.
 func Execute[T any](b *Boot, e Engine[T], stage *core.Stage, in *core.Inputs) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
-	b.Charge()
+	b.Charge(in.Clock)
 	outs, stats, err := RunStage(e, stage, in)
 	if err == nil {
-		b.Stretch(stats)
+		b.Stretch(in.Clock, stats)
 	}
 	return outs, stats, err
 }

@@ -9,8 +9,12 @@ import (
 	"time"
 
 	"rheem/internal/core"
+	"rheem/internal/simclock"
 )
 
+// TestBootQuotesAndCharges: the quote follows the boot, the first stage of a
+// run, on its fresh clock, pays at least its context boot and stage latency,
+// and the run's two stages on that clock together pay at least both quotes.
 func TestBootQuotesAndCharges(t *testing.T) {
 	cases := []struct {
 		name string
@@ -21,31 +25,33 @@ func TestBootQuotesAndCharges(t *testing.T) {
 		{"stage only", Latency{StageMs: 1.5}},
 		{"free", Latency{}},
 	}
+	ms := func(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			b := &Boot{Latency: c.lat}
 			if boot, stage := b.StartupCostMs(); boot != c.lat.ContextMs || stage != c.lat.StageMs || b.Booted() {
 				t.Fatalf("before the first stage: quote %v + %v (want %v + %v), booted %v", boot, stage, c.lat.ContextMs, c.lat.StageMs, b.Booted())
 			}
+			clock := new(simclock.Clock)
 			start := time.Now()
-			b.Charge()
-			if paid, want := time.Since(start), c.lat.ContextMs+c.lat.StageMs; paid < time.Duration(want*float64(time.Millisecond)) {
-				t.Fatalf("first stage paid %v, want at least %v ms", paid, want)
+			b.Charge(clock)
+			if paid, want := time.Since(start), c.lat.ContextMs+c.lat.StageMs; paid < ms(want) {
+				t.Fatalf("first stage paid %v on a fresh clock, want at least %v ms", paid, want)
 			}
 			if boot, stage := b.StartupCostMs(); boot != 0 || stage != c.lat.StageMs || !b.Booted() {
 				t.Fatalf("after the first stage: quote %v + %v (want 0 + %v), booted %v", boot, stage, c.lat.StageMs, b.Booted())
 			}
-			start = time.Now()
-			b.Charge()
-			if paid := time.Since(start); paid < time.Duration(c.lat.StageMs*float64(time.Millisecond)) {
-				t.Fatalf("second stage paid %v, want at least %v ms", paid, c.lat.StageMs)
+			b.Charge(clock)
+			if paid, want := time.Since(start), c.lat.ContextMs+2*c.lat.StageMs; paid < ms(want) {
+				t.Fatalf("two stages paid %v on one clock, want at least %v ms", paid, want)
 			}
 		})
 	}
 }
 
-// TestBootConcurrentFirstJobs: two stages racing to be a platform's first pay
-// the context boot once between them. Run under -race.
+// TestBootConcurrentFirstJobs: two stages of two runs racing to be a
+// platform's first pay the context boot once between them, each on its run's
+// fresh clock. Run under -race.
 func TestBootConcurrentFirstJobs(t *testing.T) {
 	const contextMs = 80
 	b := &Boot{Latency: Latency{ContextMs: contextMs}}
@@ -56,7 +62,7 @@ func TestBootConcurrentFirstJobs(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			start := time.Now()
-			b.Charge()
+			b.Charge(new(simclock.Clock))
 			paid[i] = time.Since(start)
 		}(i)
 	}
@@ -73,20 +79,32 @@ func TestBootConcurrentFirstJobs(t *testing.T) {
 }
 
 // TestLatencyStretch: a slowdown above 1 stretches the stage's runtime and
-// each operator's by its factor (the stage by at least that: it is charged
-// what the sleep took); 1 or less, the zero value included, leaves them be.
+// each operator's by its factor; 1 or less, the zero value included, leaves
+// them be.
 func TestLatencyStretch(t *testing.T) {
 	op := &core.Operator{Kind: core.KindMap}
 	for _, slowdown := range []float64{0, 1, 2} {
 		stats := &core.StageStats{Runtime: 2 * time.Millisecond, Ops: map[*core.Operator]core.OpStats{op: {Runtime: time.Millisecond}}}
-		Latency{Slowdown: slowdown}.Stretch(stats)
+		Latency{Slowdown: slowdown}.Stretch(nil, stats)
 		factor := max(slowdown, 1)
-		if stats.Runtime < time.Duration(factor*float64(2*time.Millisecond)) || stats.Ops[op].Runtime != time.Duration(factor*float64(time.Millisecond)) {
+		if stats.Runtime != time.Duration(factor*float64(2*time.Millisecond)) || stats.Ops[op].Runtime != time.Duration(factor*float64(time.Millisecond)) {
 			t.Fatalf("slowdown %v: stage %v, op %v; want %v× 2 ms and 1 ms", slowdown, stats.Runtime, stats.Ops[op].Runtime, factor)
 		}
-		if slowdown <= 1 && stats.Runtime != 2*time.Millisecond {
-			t.Fatalf("slowdown %v stretched the stage to %v", slowdown, stats.Runtime)
-		}
+	}
+}
+
+// TestStretchRecordsTheRequest: a stretched stage records the modelled time,
+// not what the host's timer slept for it (about a millisecond for any shorter
+// request), while the wall still pays at least the model.
+func TestStretchRecordsTheRequest(t *testing.T) {
+	stats := &core.StageStats{Runtime: 100 * time.Microsecond}
+	start := time.Now()
+	Latency{Slowdown: 4}.Stretch(new(simclock.Clock), stats)
+	if el := time.Since(start); el < 300*time.Microsecond {
+		t.Fatalf("stretch slept %v, want at least the 300µs charged", el)
+	}
+	if stats.Runtime != 400*time.Microsecond {
+		t.Fatalf("a stage of 100µs at slowdown 4 recorded %v, want exactly 400µs", stats.Runtime)
 	}
 }
 

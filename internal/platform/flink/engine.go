@@ -7,6 +7,7 @@ import (
 
 	"rheem/internal/core"
 	"rheem/internal/platform/driverutil"
+	"rheem/internal/simclock"
 )
 
 // flow is the engine's native data: a lazily evaluated parallel stream.
@@ -74,16 +75,20 @@ func restFlow(parts driverutil.Parts) *flow {
 
 // engine interprets one stage (it is built per Execute). It is also the
 // driverutil.Scheduler of flink's blocking operators: one goroutine per
-// parallel instance, and every exchange is a Latency barrier.
+// parallel instance, and every exchange is a Latency barrier, charged on the
+// stage's clock.
 type engine struct {
 	driver *Driver
 	stage  *core.Stage
+	clock  *simclock.Clock
 	errs   errBox // the first UDF panic of any of the stage's flow goroutines
-	driverutil.Latency
 }
 
 // Each implements driverutil.Scheduler.
 func (e *engine) Each(n int, fn func(i int) error) error { return driverutil.Parallel(n, n, fn) }
+
+// Barrier implements driverutil.Scheduler.
+func (e *engine) Barrier() { e.driver.Barrier(e.clock) }
 
 // split is the flow over data at rest, cut into one balanced row run per
 // parallel instance.

@@ -124,5 +124,5 @@ func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
 
 // Execute implements core.Driver.
 func (d *Driver) Execute(stage *core.Stage, in *core.Inputs) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
-	return driverutil.Execute(&d.Boot, &engine{driver: d, stage: stage, Latency: d.Latency}, stage, in)
+	return driverutil.Execute(&d.Boot, &engine{driver: d, stage: stage, clock: in.Clock}, stage, in)
 }

@@ -96,6 +96,8 @@ func TestStartupCosts(t *testing.T) {
 	if boot, stage := d.StartupCostMs(); boot != 30 || stage != 1 {
 		t.Fatalf("pre-boot cost = %v + %v, want 30 + 1", boot, stage)
 	}
+	// RunOp hands the stage no clock, so it charges on a fresh one: its first
+	// stage pays at least the boot.
 	op := &core.Operator{Kind: core.KindMap, UDF: core.UDFs{Map: func(q any) any { return q }}}
 	start := time.Now()
 	platformtest.RunOp(t, d, op, platformtest.CollectionChannel(int64(1)))

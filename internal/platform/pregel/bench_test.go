@@ -13,7 +13,7 @@ func BenchmarkPageRankBSP(b *testing.B) {
 	edges := datagen.Graph(2000, 4, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Run(PageRankProgram{Iterations: 10, Damping: 0.85}, edges, 4, driverutil.Latency{}); err != nil {
+		if _, _, err := Run(PageRankProgram{Iterations: 10, Damping: 0.85}, edges, 4, driverutil.Latency{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -28,7 +28,7 @@ func BenchmarkConnectedComponents(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Run(ConnectedComponentsProgram{}, edges, 4, driverutil.Latency{}); err != nil {
+		if _, _, err := Run(ConnectedComponentsProgram{}, edges, 4, driverutil.Latency{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

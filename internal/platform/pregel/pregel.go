@@ -16,6 +16,7 @@ import (
 
 	"rheem/internal/core"
 	"rheem/internal/platform/driverutil"
+	"rheem/internal/simclock"
 )
 
 // Platform is the platform name this driver registers under.
@@ -86,8 +87,8 @@ type Program interface {
 
 // Run executes a vertex program over edge quanta and returns the final
 // vertex values. The graph is partitioned by vertex hash across workers; every
-// superstep is charged as one of lat's barriers.
-func Run(prog Program, edges []core.Edge, workers int, lat driverutil.Latency) (map[int64]float64, int, error) {
+// superstep is charged as one of lat's barriers on clock.
+func Run(prog Program, edges []core.Edge, workers int, lat driverutil.Latency, clock *simclock.Clock) (map[int64]float64, int, error) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -126,7 +127,7 @@ func Run(prog Program, edges []core.Edge, workers int, lat driverutil.Latency) (
 
 	superstep := 0
 	for ; superstep < prog.MaxSupersteps(); superstep++ {
-		lat.Barrier()
+		lat.Barrier(clock)
 		// Check for termination: all halted and no pending messages.
 		pending := false
 		for i := 0; i < workers; i++ {
@@ -293,13 +294,14 @@ func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
 
 // Execute implements core.Driver.
 func (d *Driver) Execute(stage *core.Stage, in *core.Inputs) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
-	return driverutil.Execute(&d.Boot, &engine{driver: d}, stage, in)
+	return driverutil.Execute(&d.Boot, &engine{driver: d, clock: in.Clock}, stage, in)
 }
 
 // engine speaks collections in and out (driverutil.Slices).
 type engine struct {
 	driverutil.Slices
 	driver *Driver
+	clock  *simclock.Clock // the stage's, for the supersteps' barriers
 }
 
 // Apply implements driverutil.Engine.
@@ -316,7 +318,7 @@ func (e *engine) Apply(op *core.Operator, in [][]any, round int, counter *int64,
 		edges = append(edges, edge)
 	}
 	iters, damping := driverutil.PageRankParams(op)
-	ranks, _, err := Run(PageRankProgram{Iterations: iters, Damping: damping}, edges, e.driver.Conf.Workers, e.driver.Latency)
+	ranks, _, err := Run(PageRankProgram{Iterations: iters, Damping: damping}, edges, e.driver.Conf.Workers, e.driver.Latency, e.clock)
 	if err != nil {
 		return nil, err
 	}

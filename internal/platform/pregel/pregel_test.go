@@ -9,6 +9,7 @@ import (
 	"rheem/internal/platform/driverutil"
 	"rheem/internal/platform/graphmem"
 	"rheem/internal/platform/platformtest"
+	"rheem/internal/simclock"
 )
 
 func fastDriver() *Driver {
@@ -24,7 +25,7 @@ func ringEdges(n int64) []core.Edge {
 }
 
 func TestRunPageRankRing(t *testing.T) {
-	ranks, steps, err := Run(PageRankProgram{Iterations: 20, Damping: 0.85}, ringEdges(8), 4, driverutil.Latency{})
+	ranks, steps, err := Run(PageRankProgram{Iterations: 20, Damping: 0.85}, ringEdges(8), 4, driverutil.Latency{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestRunTerminatesOnAllHalted(t *testing.T) {
 	// With MaxSupersteps large, the run must still stop shortly after every
 	// vertex votes to halt (iterations+2 supersteps for PageRank).
 	prog := PageRankProgram{Iterations: 3, Damping: 0.85}
-	_, steps, err := Run(prog, ringEdges(4), 2, driverutil.Latency{})
+	_, steps, err := Run(prog, ringEdges(4), 2, driverutil.Latency{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestRunTerminatesOnAllHalted(t *testing.T) {
 }
 
 func TestRunEmptyGraph(t *testing.T) {
-	ranks, steps, err := Run(PageRankProgram{Iterations: 5}, nil, 4, driverutil.Latency{})
+	ranks, steps, err := Run(PageRankProgram{Iterations: 5}, nil, 4, driverutil.Latency{}, nil)
 	if err != nil || len(ranks) != 0 || steps != 0 {
 		t.Fatalf("empty run: %v %d %v", ranks, steps, err)
 	}
@@ -65,8 +66,8 @@ func TestMessageCombinerEquivalence(t *testing.T) {
 	// Results must be identical with 1 worker and many workers (combiner
 	// and routing must not change semantics).
 	edges := []core.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}, {Src: 3, Dst: 0}, {Src: 0, Dst: 3}}
-	one, _, _ := Run(PageRankProgram{Iterations: 15, Damping: 0.85}, edges, 1, driverutil.Latency{})
-	many, _, _ := Run(PageRankProgram{Iterations: 15, Damping: 0.85}, edges, 8, driverutil.Latency{})
+	one, _, _ := Run(PageRankProgram{Iterations: 15, Damping: 0.85}, edges, 1, driverutil.Latency{}, nil)
+	many, _, _ := Run(PageRankProgram{Iterations: 15, Damping: 0.85}, edges, 8, driverutil.Latency{}, nil)
 	if len(one) != len(many) {
 		t.Fatalf("vertex counts differ: %d vs %d", len(one), len(many))
 	}
@@ -83,7 +84,7 @@ func TestAgreementWithGraphmem(t *testing.T) {
 		{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0},
 		{Src: 3, Dst: 0}, {Src: 0, Dst: 3}, {Src: 2, Dst: 3},
 	}
-	pregelRanks, _, err := Run(PageRankProgram{Iterations: 30, Damping: 0.85}, edges, 4, driverutil.Latency{})
+	pregelRanks, _, err := Run(PageRankProgram{Iterations: 30, Damping: 0.85}, edges, 4, driverutil.Latency{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +142,19 @@ func TestStartupCostTransitions(t *testing.T) {
 	if boot, stage := d.StartupCostMs(); boot != 25 || stage != 0 {
 		t.Fatalf("pre-boot = %v + %v, want 25 + 0", boot, stage)
 	}
+	// The stage's boot and both supersteps' barriers are charged on the
+	// stage's one clock, which pays at least their sum.
 	op := &core.Operator{Kind: core.KindPageRank, Params: core.Params{Iterations: 1}}
+	stage := &core.Stage{ID: 1, Platform: d.Name(), Ops: []*core.Operator{op}, TerminalOuts: []*core.Operator{op}}
+	in := core.NewInputs()
+	in.Clock = new(simclock.Clock)
+	in.SetMain(op, 0, platformtest.CollectionChannel(core.Edge{Src: 1, Dst: 2}))
 	start := time.Now()
-	platformtest.RunOp(t, d, op, platformtest.CollectionChannel(core.Edge{Src: 1, Dst: 2}))
+	if _, _, err := d.Execute(stage, in); err != nil {
+		t.Fatal(err)
+	}
 	if paid := time.Since(start); paid < (25+2*5)*time.Millisecond {
-		t.Fatalf("first stage of two supersteps paid %v, want at least 35 ms", paid)
+		t.Fatalf("first stage of two supersteps paid %v on one clock, want at least 35 ms", paid)
 	}
 	if boot, stage := d.StartupCostMs(); boot != 0 || stage != 0 {
 		t.Fatalf("post-boot = %v + %v, want 0 + 0", boot, stage)
@@ -161,7 +170,7 @@ func TestConnectedComponents(t *testing.T) {
 	add(0, 1)
 	add(1, 2)
 	add(10, 11)
-	labels, steps, err := Run(ConnectedComponentsProgram{}, edges, 4, driverutil.Latency{})
+	labels, steps, err := Run(ConnectedComponentsProgram{}, edges, 4, driverutil.Latency{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +191,8 @@ func TestConnectedComponentsSingleVsManyWorkers(t *testing.T) {
 	for v := int64(0); v < 40; v++ {
 		edges = append(edges, core.Edge{Src: v, Dst: (v + 1) % 40}, core.Edge{Src: (v + 1) % 40, Dst: v})
 	}
-	one, _, _ := Run(ConnectedComponentsProgram{}, edges, 1, driverutil.Latency{})
-	many, _, _ := Run(ConnectedComponentsProgram{}, edges, 8, driverutil.Latency{})
+	one, _, _ := Run(ConnectedComponentsProgram{}, edges, 1, driverutil.Latency{}, nil)
+	many, _, _ := Run(ConnectedComponentsProgram{}, edges, 8, driverutil.Latency{}, nil)
 	for v, l := range one {
 		if many[v] != l {
 			t.Fatalf("vertex %d: %v vs %v", v, l, many[v])

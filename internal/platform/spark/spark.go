@@ -6,6 +6,7 @@ import (
 
 	"rheem/internal/core"
 	"rheem/internal/platform/driverutil"
+	"rheem/internal/simclock"
 	"rheem/internal/storage/dfs"
 )
 
@@ -133,14 +134,15 @@ func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
 
 // Execute implements core.Driver: the stage over the RDD engine.
 func (d *Driver) Execute(stage *core.Stage, in *core.Inputs) (map[*core.Operator]*core.Channel, *core.StageStats, error) {
-	return driverutil.Execute(&d.Boot, &engine{driver: d, Latency: d.Latency}, stage, in)
+	return driverutil.Execute(&d.Boot, &engine{driver: d, clock: in.Clock}, stage, in)
 }
 
 // engine is also the driverutil.Scheduler of spark's blocking operators: work
-// items run on the worker pool and every shuffle is a Latency barrier.
+// items run on the worker pool and every shuffle is a Latency barrier, charged
+// on the stage's clock.
 type engine struct {
 	driver *Driver
-	driverutil.Latency
+	clock  *simclock.Clock
 }
 
 func (e *engine) width() int { return e.driver.Conf.Parallelism }
@@ -149,6 +151,9 @@ func (e *engine) width() int { return e.driver.Conf.Parallelism }
 func (e *engine) Each(n int, fn func(i int) error) error {
 	return driverutil.Parallel(n, e.width(), fn)
 }
+
+// Barrier implements driverutil.Scheduler.
+func (e *engine) Barrier() { e.driver.Barrier(e.clock) }
 
 // FromChannel implements driverutil.Engine.
 func (e *engine) FromChannel(ch *core.Channel) (*RDD, error) {

@@ -116,6 +116,8 @@ func TestContextStartupPaidOnce(t *testing.T) {
 	d := NewWithConfig(store, Config{Parallelism: 2, Latency: driverutil.Latency{ContextMs: 40, StageMs: 1, BarrierMs: 0.001}})
 	op := &core.Operator{Kind: core.KindMap, UDF: core.UDFs{Map: func(q any) any { return q }}}
 
+	// RunOp hands each job's stage no clock, so each charges on a fresh one:
+	// the first pays at least the boot.
 	start := time.Now()
 	platformtest.RunOp(t, d, op, platformtest.CollectionChannel(int64(1)))
 	first := time.Since(start)

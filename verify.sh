@@ -25,9 +25,11 @@ go vet ./...
 go build ./...
 go test -race $short ./...
 # The architecture rules stated over the parsed source (only internal/simclock
-# sleeps, the optimizer and the cost learner name no bundled platform, the
-# executor never searches the conversion graph, only cmd/ and bench/ read the
-# environment) are tests of internal/archtest, run by the line above.
+# sleeps, only driverutil charges a platform's latency — an engine holds its
+# stage's clock but never charges it —, the optimizer and the cost learner name
+# no bundled platform, the executor never searches the conversion graph, only
+# cmd/ and bench/ read the environment) are tests of internal/archtest, run by
+# the line above.
 # Benchmark smoke: one iteration of the codec benchmarks, so they compile
 # and run even when nobody records numbers.
 go test -run=NONE -bench=BenchmarkEncodeQuantum -benchtime=1x ./internal/core
@@ -72,7 +74,7 @@ go test -run=NONE -bench=BenchmarkParseRecordLine -benchtime=1x ./internal/datag
 # price table keyed by substrings of a step's name: an execution operator
 # declares its cost on its mapping. So are spark's and flink's own PageRank and
 # spark's own map-partitions runner, and what the simulated-time seam
-# (simclock.Charge) replaced: driverutil's millisecond sleep, the DFS throttle
+# (simclock.Clock) replaced: driverutil's millisecond sleep, the DFS throttle
 # knob and the engines' second names for driverutil.NoOverheadMs. So are the
 # text readers driverutil.ReadTextParts replaced: the whole-file line reader
 # beside it and spark's own one-partition-per-block loop over the store's
@@ -164,6 +166,15 @@ go test -race -count=1 -run='TestIterativeTopologyLogsItsBody' ./internal/costle
 go test -race -count=1 -run='TestFactoryClosuresDoNotShareFingerprint' .
 go test -race -count=1 -run='TestRegisteredCollectionHashedOnce' ./internal/rescache
 go test -race -count=1 -run='TestBootConcurrentFirstJobs' ./internal/platform/driverutil
+# And the wall pays simulated latency as requested: over one clock the time
+# slept is at least the total asked for and exceeds it by at most one
+# overshoot, a fresh clock inherits no credit, goroutines sharing a clock
+# never spend its credit twice, a stretched stage records the time it asked
+# for, and every stage of a run, loop rounds included, charges on the run's
+# one clock while two runs at once hold two.
+go test -race -count=1 -run='TestClockPaysTheTotalRequested|TestFreshClockInheritsNoCredit|TestConcurrentChargesPayTheTotal|TestChargeReturnsAtLeastTheRequest' ./internal/simclock
+go test -race -count=1 -run='TestStretchRecordsTheRequest|TestBootQuotesAndCharges' ./internal/platform/driverutil
+go test -race -count=1 -run='TestOneClockPerRun' ./internal/executor
 # And one latency declaration per platform: each of the six bundled platforms
 # runs at its package's paper values (none under FastSimulation), is quoted
 # its context boot plus its stage latency before its first stage and its stage
