@@ -203,3 +203,62 @@ func TestOnlyCommandsReadTheEnvironment(t *testing.T) {
 		})
 	}
 }
+
+// Import boundaries: which packages may know which. A source file's import
+// list is the whole of what it may depend on, so each rule reads only that.
+//   - internal/core, the model every layer shares, imports no platform,
+//     executor or optimizer package;
+//   - no engine under internal/platform imports another engine: engines
+//     share code through driverutil, and platformtest is their test kit;
+//   - the root package, the library API, imports neither internal/distexec
+//     nor internal/cluster: the fleet is a server concern, reached through
+//     executor.RemoteStageRunner;
+//   - internal/distexec does not import internal/storage/dfs: a stage's data
+//     travels inline in the dispatch round trip, its one transport.
+func TestImportBoundaries(t *testing.T) {
+	const internal = "rheem/internal/"
+	for _, s := range sources(t) {
+		pkgDir := s.path[:max(strings.LastIndex(s.path, "/"), 0)]
+		engine, inPlatform := strings.CutPrefix(pkgDir, "internal/platform/")
+		engine, _, _ = strings.Cut(engine, "/")
+		for _, imp := range s.file.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			var broken string
+			switch {
+			case under(pkgDir, "internal/core") && under(path,
+				internal+"platform", internal+"executor", internal+"optimizer"):
+				broken = "internal/core imports no platform, executor or optimizer package"
+			case inPlatform && isEngine(engine):
+				other, ok := strings.CutPrefix(path, internal+"platform/")
+				other, _, _ = strings.Cut(other, "/")
+				if ok && isEngine(other) && other != engine {
+					broken = "no engine imports another engine: share code through driverutil"
+				}
+			case pkgDir == "" && under(path, internal+"distexec", internal+"cluster"):
+				broken = "the root package imports neither internal/distexec nor internal/cluster"
+			case under(pkgDir, "internal/distexec") && under(path, internal+"storage/dfs"):
+				broken = "internal/distexec does not import internal/storage/dfs: a stage's data travels inline"
+			}
+			if broken != "" {
+				t.Errorf("%s: imports %s: %s", s.at(imp), path, broken)
+			}
+		}
+	}
+}
+
+// under reports whether the package path (or directory) is one of roots or
+// below one.
+func under(path string, roots ...string) bool {
+	for _, p := range roots {
+		if path == p || strings.HasPrefix(path, p+"/") {
+			return true
+		}
+	}
+	return false
+}
+
+// isEngine reports whether a directory directly under internal/platform holds
+// an engine rather than the code the engines share.
+func isEngine(dir string) bool {
+	return dir != "" && dir != "driverutil" && dir != "platformtest"
+}

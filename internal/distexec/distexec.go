@@ -4,18 +4,16 @@
 // scheduler before running it locally; the scheduler serializes the stage
 // as a self-contained *plan fragment* — operator subgraph, UDF symbol
 // references, scalar parameters, and materialized input channels — and
-// ships it to an alive ring peer over POST /v1/internal/exec/stage. Small
-// inputs and outputs travel inline in the fragment (RQB1-encoded); large
-// ones are written to the shared DFS substrate as frame-aware shuffle
-// files under distexec/<run>/ and fetched by path, falling back to an HTTP
-// stream from the writing peer when the stores are not actually shared.
+// ships it to an alive ring peer over POST /v1/internal/exec/stage. Every
+// boundary input travels inline in the fragment and every terminal output
+// inline in the response, RQB1-encoded; there is no second transport.
 //
 // The failure ladder is strictly monotone: any refusal or failure —
 // unfragmentable stage (loops, sniffed operators, unnameable UDFs,
 // process-local sources/sinks), cost floor, no alive peers, dead peer,
-// fragment decode error, remote execution error, timeout — degrades to
-// local execution of that stage. Remote execution is an optimization,
-// never a correctness dependency.
+// fragment decode error or a fragment over the worker's body cap, remote
+// execution error, timeout — degrades to local execution of that stage.
+// Remote execution is an optimization, never a correctness dependency.
 //
 // Remote stages carry trace propagation: the origin's dispatch span
 // (trace.KindRemoteStage) records the peer and the fragment id, the worker
@@ -28,27 +26,26 @@ package distexec
 
 import (
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"rheem/internal/cluster"
 	"rheem/internal/core"
-	"rheem/internal/storage/dfs"
 	"rheem/internal/telemetry"
 	"rheem/internal/trace"
 	"rheem/internal/xlog"
 )
 
 const (
-	// dispatchTimeout bounds one remote stage round-trip or shuffle fetch.
+	// dispatchTimeout bounds one remote stage round-trip.
 	dispatchTimeout = 60 * time.Second
 	// maxFragmentBytes bounds the request body a worker accepts: fragments
-	// carry data, so the server-wide body cap is too small.
+	// carry their input data, so the server-wide body cap is too small. A
+	// larger fragment is refused and its stage runs on the origin.
 	maxFragmentBytes = 256 << 20
 )
 
-// peerClient carries dispatch, shuffle and GC calls to fleet peers.
+// peerClient carries fragment dispatches to fleet peers.
 var peerClient = &http.Client{}
 
 // Options configure a Scheduler.
@@ -58,8 +55,6 @@ type Options struct {
 	// Advertise overrides the self address (defaults to Node.Self()); unit
 	// tests without a cluster node set it directly.
 	Advertise string
-	// DFS is the shuffle substrate for over-limit inputs and outputs.
-	DFS *dfs.Store
 	// Registry resolves platform drivers on the worker side.
 	Registry *core.Registry
 	// Metrics receives the rheem_distexec_* family; nil skips instrumentation.
@@ -72,34 +67,26 @@ type Options struct {
 	// MinCostMs is the placement floor: stages whose estimated cost sums
 	// below it never pay a network round-trip (-cluster-exec-min-cost-ms).
 	MinCostMs float64
-	// InlineLimit is the encoded-bytes threshold above which channel data
-	// moves through DFS shuffle files instead of inline. Default 1 MiB.
-	InlineLimit int
 }
 
 // Scheduler is both sides of distributed stage execution: the origin-side
-// dispatcher (RunStage/EndRun, the executor's RemoteStageRunner seam) and
-// the worker-side fragment executor (HandleExecStage and friends, mounted
-// by restapi on the internal cluster surface).
+// dispatcher (RunStage, the executor's RemoteStageRunner seam) and the
+// worker-side fragment executor (HandleExecStage, mounted by restapi on the
+// internal cluster surface).
 type Scheduler struct {
 	opts Options
 
 	// rr is the round-robin placement cursor over the sorted alive ring.
 	rr atomic.Uint64
-	// frags de-dupes fragment ids across a run's stages.
+	// frags numbers this origin's fragments; with the advertise address it
+	// makes fragment ids unique fleet-wide.
 	frags atomic.Uint64
-
-	mu   sync.Mutex
-	runs map[string]map[string]bool // run id -> dispatched peer addrs
 }
 
 // New creates a Scheduler and documents its metric families.
 func New(opts Options) *Scheduler {
 	if opts.Advertise == "" && opts.Node != nil {
 		opts.Advertise = opts.Node.Self()
-	}
-	if opts.InlineLimit <= 0 {
-		opts.InlineLimit = 1 << 20
 	}
 	opts.Metrics.Help("rheem_distexec_dispatched_total",
 		"Stages dispatched to fleet peers for remote execution.")
@@ -111,25 +98,11 @@ func New(opts Options) *Scheduler {
 		"Stages the scheduler kept local, by reason.")
 	opts.Metrics.Help("rheem_distexec_exec_failures_total",
 		"Received stage fragments whose execution on this peer failed.")
-	return &Scheduler{opts: opts, runs: map[string]map[string]bool{}}
+	return &Scheduler{opts: opts}
 }
 
 // pinLocal counts one stage the scheduler declined to ship.
 func (s *Scheduler) pinLocal(reason string) {
 	s.opts.Metrics.Counter("rheem_distexec_pinned_local_total",
 		telemetry.L("reason", reason)).Inc()
-}
-
-// noteRun records that runID dispatched to peer, for EndRun cleanup.
-func (s *Scheduler) noteRun(runID, peer string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	peers := s.runs[runID]
-	if peers == nil {
-		peers = map[string]bool{}
-		s.runs[runID] = peers
-	}
-	if peer != "" {
-		peers[peer] = true
-	}
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"rheem/internal/core"
-	"rheem/internal/storage/dfs"
+	"rheem/internal/platform/driverutil"
 )
 
 // The fragment wire format: a self-contained, JSON-enveloped description of
@@ -22,8 +22,7 @@ import (
 
 // Fragment is one shipped stage.
 type Fragment struct {
-	Run      string `json:"run"`      // the owning execution run (GC namespace)
-	Frag     string `json:"frag"`     // unique fragment id (trace store key)
+	Frag     string `json:"frag"`     // fleet-unique fragment id (trace store key)
 	Origin   string `json:"origin"`   // dispatching peer's advertise address
 	StageID  int    `json:"stage_id"` // origin stage id (diagnostics)
 	Platform string `json:"platform"`
@@ -57,17 +56,14 @@ type edgeWire struct {
 	Broadcast bool `json:"broadcast,omitempty"`
 }
 
-// inputWire carries one boundary input channel: inline RQB1 bytes for
-// small data, a DFS shuffle path plus the writing peer's address otherwise.
+// inputWire carries one boundary input channel as inline RQB1 bytes.
 type inputWire struct {
 	Consumer  int    `json:"consumer"`
 	Port      int    `json:"port"`
 	Producer  int    `json:"producer"`
 	Broadcast bool   `json:"broadcast,omitempty"`
 	Card      int64  `json:"card"`
-	Inline    []byte `json:"inline,omitempty"`
-	Shuffle   string `json:"shuffle,omitempty"`
-	From      string `json:"from,omitempty"`
+	Inline    []byte `json:"inline"`
 }
 
 // paramsWire mirrors core.Params with codec-encoded bulk fields.
@@ -134,7 +130,7 @@ func Fragmentable(s *core.Stage) string {
 			// The sink file must appear where the client expects it: on the
 			// origin.
 			return "file-sink"
-		case op.Kind == core.KindTextFileSource && !dfs.IsPath(op.Params.Path):
+		case op.Kind == core.KindTextFileSource && driverutil.LocalTextPath(op.Params.Path):
 			// A local (non-DFS) file the remote peer cannot see.
 			return "local-file"
 		}

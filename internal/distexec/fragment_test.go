@@ -329,8 +329,9 @@ func TestFragmentStubsExternalProducers(t *testing.T) {
 	}
 }
 
-// TestQuantaStreamSymmetry pins the assumption the shuffle path relies on:
-// a DFS quanta file's raw bytes are exactly one core quanta stream.
+// TestQuantaStreamSymmetry pins the assumption the inline path relies on:
+// the bytes core.WriteQuantaStream writes, which a fragment's inputs and a
+// response's outputs carry, read back as exactly the quanta written.
 func TestQuantaStreamSymmetry(t *testing.T) {
 	data := []any{int64(1), "two", 3.0}
 	var buf bytes.Buffer

@@ -7,15 +7,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"sort"
 	"strings"
 	"time"
 
 	"rheem/internal/core"
 	"rheem/internal/executor"
-	"rheem/internal/platform/driverutil"
-	"rheem/internal/storage/dfs"
 	"rheem/internal/trace"
 )
 
@@ -25,7 +22,7 @@ import (
 // locally. Every path out of here that is not a successful remote
 // execution reports ok=false with a nil error — remote execution degrades,
 // it never fails the job.
-func (s *Scheduler) RunStage(ctx context.Context, runID string, st *core.Stage, fetch executor.RemoteFetchFn, round int, sp *trace.Span) (map[*core.Operator]*core.Channel, *core.StageStats, bool, error) {
+func (s *Scheduler) RunStage(ctx context.Context, st *core.Stage, fetch executor.RemoteFetchFn, round int, sp *trace.Span) (map[*core.Operator]*core.Channel, *core.StageStats, bool, error) {
 	if reason := Fragmentable(st); reason != "" {
 		s.pinLocal(reason)
 		return nil, nil, false, nil
@@ -48,20 +45,18 @@ func (s *Scheduler) RunStage(ctx context.Context, runID string, st *core.Stage, 
 		s.pinLocal("encode")
 		return nil, nil, false, nil
 	}
-	frag.Run = runID
-	frag.Frag = fmt.Sprintf("%s-s%d-%d", runID, st.ID, s.frags.Add(1))
+	frag.Frag = fmt.Sprintf("%s-s%d-%x", s.opts.Advertise, st.ID, s.frags.Add(1))
 	frag.Origin = s.opts.Advertise
 
 	// Materialize and attach the stage's boundary inputs. A fetch failure
 	// means this process could not produce the input in collection form;
 	// the local path gets to try (and report) instead.
-	s.noteRun(runID, "") // the run may now own local shuffle files
 	for _, op := range st.Ops {
 		for port, producer := range op.Inputs() {
 			if producer == nil || st.Contains(producer) {
 				continue
 			}
-			iw, err := s.encodeInput(runID, frag, producer, op, port, false, fetch)
+			iw, err := encodeInput(producer, op, port, false, fetch)
 			if err != nil {
 				s.opts.Log.Debug("input materialization failed", "stage", st.ID, "error", err)
 				s.pinLocal("input")
@@ -73,7 +68,7 @@ func (s *Scheduler) RunStage(ctx context.Context, runID string, st *core.Stage, 
 			if st.Contains(producer) {
 				continue
 			}
-			iw, err := s.encodeInput(runID, frag, producer, op, 0, true, fetch)
+			iw, err := encodeInput(producer, op, 0, true, fetch)
 			if err != nil {
 				s.opts.Log.Debug("broadcast materialization failed", "stage", st.ID, "error", err)
 				s.pinLocal("input")
@@ -83,7 +78,6 @@ func (s *Scheduler) RunStage(ctx context.Context, runID string, st *core.Stage, 
 		}
 	}
 
-	s.noteRun(runID, peer)
 	dspSp := sp.Start(trace.KindRemoteStage, fmt.Sprintf("dispatch:stage-%d", st.ID))
 	dspSp.SetAttr("peer", peer)
 	dspSp.SetAttr("platform", st.Platform)
@@ -103,9 +97,9 @@ func (s *Scheduler) RunStage(ctx context.Context, runID string, st *core.Stage, 
 			s.remoteFailure(dspSp, peer, st, fmt.Errorf("response names unknown op %d", ow.Op))
 			return nil, nil, false, nil
 		}
-		data, err := s.resolveData(ctx, ow.Inline, ow.Shuffle, ow.From)
+		data, err := decodeInline(ow.Inline)
 		if err != nil {
-			s.remoteFailure(dspSp, peer, st, fmt.Errorf("fetching output of %s: %w", op, err))
+			s.remoteFailure(dspSp, peer, st, fmt.Errorf("decoding output of %s: %w", op, err))
 			return nil, nil, false, nil
 		}
 		card := ow.Card
@@ -162,10 +156,9 @@ func (s *Scheduler) place() (peer, pinned string) {
 	return slots[idx], ""
 }
 
-// encodeInput materializes one boundary input and attaches it to the
-// fragment: inline when the encoded stream is small, as a DFS shuffle file
-// under the run's namespace otherwise.
-func (s *Scheduler) encodeInput(runID string, frag *Fragment, producer, consumer *core.Operator, port int, broadcast bool, fetch executor.RemoteFetchFn) (inputWire, error) {
+// encodeInput materializes one boundary input into the inline RQB1 bytes
+// the fragment carries.
+func encodeInput(producer, consumer *core.Operator, port int, broadcast bool, fetch executor.RemoteFetchFn) (inputWire, error) {
 	iw := inputWire{Consumer: consumer.ID, Port: port, Producer: producer.ID, Broadcast: broadcast}
 	data, card, err := fetch(producer)
 	if err != nil {
@@ -175,24 +168,8 @@ func (s *Scheduler) encodeInput(runID string, frag *Fragment, producer, consumer
 		card = int64(len(data))
 	}
 	iw.Card = card
-	var buf bytes.Buffer
-	if err := core.WriteQuantaStream(&buf, data); err != nil {
-		return iw, err
-	}
-	if buf.Len() <= s.opts.InlineLimit {
-		iw.Inline = buf.Bytes()
-		return iw, nil
-	}
-	if s.opts.DFS == nil {
-		return iw, fmt.Errorf("input exceeds inline limit and no DFS store is configured")
-	}
-	name := fmt.Sprintf("distexec/%s/%s-in-%d", runID, frag.Frag, len(frag.Inputs))
-	if err := driverutil.WriteDFSQuanta(s.opts.DFS, name, data); err != nil {
-		return iw, err
-	}
-	iw.Shuffle = name
-	iw.From = s.opts.Advertise
-	return iw, nil
+	iw.Inline, err = encodeInline(data)
+	return iw, err
 }
 
 // dispatch POSTs the fragment to the peer and decodes the response.
@@ -234,46 +211,22 @@ func (s *Scheduler) remoteFailure(sp *trace.Span, peer string, st *core.Stage, e
 		"stage", st.ID, "peer", peer, "error", err)
 }
 
-// resolveData materializes channel data shipped by a peer: inline bytes,
-// a shuffle file in the local store (peers sharing one DFS directory), or
-// an HTTP stream from the writing peer.
-func (s *Scheduler) resolveData(ctx context.Context, inline []byte, shuffle, from string) ([]any, error) {
-	if len(inline) > 0 {
-		data, err := core.ReadQuantaStream(bytes.NewReader(inline))
-		if err != nil {
-			return nil, err
-		}
-		if data == nil {
-			data = []any{}
-		}
-		return data, nil
+// encodeInline encodes channel data as the RQB1 stream a fragment input or
+// a response output carries inline.
+func encodeInline(data []any) ([]byte, error) {
+	var buf bytes.Buffer
+	err := core.WriteQuantaStream(&buf, data)
+	return buf.Bytes(), err
+}
+
+// decodeInline decodes channel data a peer shipped inline. A stream of no
+// quanta is an empty channel, never a nil one; no bytes at all (not even
+// the stream's magic) is a malformed message.
+func decodeInline(inline []byte) ([]any, error) {
+	if len(inline) == 0 {
+		return nil, fmt.Errorf("distexec: channel carries no inline data")
 	}
-	if shuffle == "" {
-		return nil, fmt.Errorf("distexec: channel carries neither inline data nor a shuffle path")
-	}
-	name := dfs.TrimScheme(shuffle)
-	if s.opts.DFS != nil && s.opts.DFS.Exists(name) {
-		return driverutil.ReadDFSQuanta(s.opts.DFS, name)
-	}
-	if from == "" {
-		return nil, fmt.Errorf("distexec: shuffle file %s is not local and names no source peer", name)
-	}
-	ctx, cancel := context.WithTimeout(ctx, dispatchTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		"http://"+from+"/v1/internal/exec/shuffle?path="+url.QueryEscape(name), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := peerClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("shuffle fetch of %s from %s: status %d", name, from, resp.StatusCode)
-	}
-	data, err := core.ReadQuantaStream(resp.Body)
+	data, err := core.ReadQuantaStream(bytes.NewReader(inline))
 	if err != nil {
 		return nil, err
 	}
@@ -326,47 +279,4 @@ func decodeStats(st *core.Stage, byWire map[int]*core.Operator, w statsWire, pee
 		}
 	}
 	return stats
-}
-
-// EndRun garbage-collects a run's shuffle files: the local
-// distexec/<run>/ namespace, plus a best-effort DELETE to every peer the
-// run dispatched to. Unknown runs (nothing ever dispatched) are a no-op,
-// so the executor can call it unconditionally — including for cancelled
-// jobs, which is exactly when orphaned frame files would otherwise leak.
-func (s *Scheduler) EndRun(runID string) {
-	s.mu.Lock()
-	peers, known := s.runs[runID]
-	delete(s.runs, runID)
-	s.mu.Unlock()
-	if !known {
-		return
-	}
-	s.deleteRunFiles(runID)
-	for peer := range peers {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
-			"http://"+peer+"/v1/internal/exec/job/"+url.PathEscape(runID), nil)
-		if err == nil {
-			if resp, err := peerClient.Do(req); err == nil {
-				resp.Body.Close()
-			}
-		}
-		cancel()
-	}
-}
-
-// deleteRunFiles removes every local shuffle file under the run's
-// namespace.
-func (s *Scheduler) deleteRunFiles(runID string) {
-	if s.opts.DFS == nil {
-		return
-	}
-	prefix := "distexec/" + runID + "/"
-	for _, name := range s.opts.DFS.List() {
-		if strings.HasPrefix(name, prefix) {
-			if err := s.opts.DFS.Delete(name); err != nil {
-				s.opts.Log.Warn("shuffle GC failed", "file", name, "error", err)
-			}
-		}
-	}
 }

@@ -1,29 +1,21 @@
 package distexec
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"rheem/internal/core"
 	"rheem/internal/executor"
 	"rheem/internal/platform/driverutil"
-	"rheem/internal/storage/dfs"
 	"rheem/internal/telemetry"
 	"rheem/internal/trace"
 )
 
-// The worker side: HTTP handlers mounted on the internal cluster surface.
+// The worker side: one HTTP handler mounted on the internal cluster surface.
 //
 //	POST   /v1/internal/exec/stage       execute a plan fragment
-//	GET    /v1/internal/exec/shuffle     stream one shuffle file's bytes
-//	DELETE /v1/internal/exec/job/{id}    drop a run's shuffle files
-
-const quantaContentType = "application/x-rheem-quanta"
 
 // execResponse is the worker's answer to one executed fragment.
 type execResponse struct {
@@ -32,13 +24,11 @@ type execResponse struct {
 	Stats statsWire `json:"stats"`
 }
 
-// outWire carries one terminal output channel, inline or as a shuffle ref.
+// outWire carries one terminal output channel as inline RQB1 bytes.
 type outWire struct {
-	Op      int    `json:"op"`
-	Card    int64  `json:"card"`
-	Inline  []byte `json:"inline,omitempty"`
-	Shuffle string `json:"shuffle,omitempty"`
-	From    string `json:"from,omitempty"`
+	Op     int    `json:"op"`
+	Card   int64  `json:"card"`
+	Inline []byte `json:"inline"`
 }
 
 // statsWire is the worker's resource and cardinality report, keyed by wire
@@ -92,7 +82,6 @@ func (s *Scheduler) HandleExecStage(w http.ResponseWriter, r *http.Request) {
 	root := tr.Root()
 	root.SetAttr("origin", frag.Origin)
 	root.SetAttr("platform", frag.Platform)
-	root.SetAttr("run", frag.Run)
 	s.opts.Traces.Put(frag.Frag, tr)
 	defer root.End()
 
@@ -113,9 +102,9 @@ func (s *Scheduler) HandleExecStage(w http.ResponseWriter, r *http.Request) {
 	var inQuanta int64
 	for _, iw := range frag.Inputs {
 		producer, consumer := byWire[iw.Producer], byWire[iw.Consumer] // checked by decodeFragment
-		data, err := s.resolveData(r.Context(), iw.Inline, iw.Shuffle, iw.From)
+		data, err := decodeInline(iw.Inline)
 		if err != nil {
-			s.execFailure(root, w, http.StatusBadGateway, "resolving input of op %d: %v", iw.Consumer, err)
+			s.execFailure(root, w, http.StatusBadRequest, "decoding input of op %d: %v", iw.Consumer, err)
 			return
 		}
 		card := iw.Card
@@ -153,7 +142,7 @@ func (s *Scheduler) HandleExecStage(w http.ResponseWriter, r *http.Request) {
 			s.execFailure(root, w, http.StatusInternalServerError, "driver produced no output for op %d", wireIDOf(byWire, op))
 			return
 		}
-		ow, err := s.encodeOut(frag.Run, frag.Frag, wireIDOf(byWire, op), ch)
+		ow, err := encodeOut(wireIDOf(byWire, op), ch)
 		if err != nil {
 			s.execFailure(root, w, http.StatusInternalServerError, "materializing output: %v", err)
 			return
@@ -199,9 +188,9 @@ func wireIDOf(byWire map[int]*core.Operator, op *core.Operator) int {
 	return -1
 }
 
-// encodeOut ships one terminal output back: inline when small, as a local
-// shuffle file under the run's namespace otherwise.
-func (s *Scheduler) encodeOut(runID, fragID string, wireID int, ch *core.Channel) (outWire, error) {
+// encodeOut encodes one terminal output into the inline RQB1 bytes the
+// response carries.
+func encodeOut(wireID int, ch *core.Channel) (outWire, error) {
 	ow := outWire{Op: wireID, Card: ch.Card}
 	data, err := driverutil.ChannelQuanta(ch)
 	if err != nil {
@@ -210,21 +199,8 @@ func (s *Scheduler) encodeOut(runID, fragID string, wireID int, ch *core.Channel
 	if ow.Card < 0 {
 		ow.Card = int64(len(data))
 	}
-	var buf bytes.Buffer
-	if err := core.WriteQuantaStream(&buf, data); err != nil {
-		return ow, err
-	}
-	if buf.Len() <= s.opts.InlineLimit || s.opts.DFS == nil {
-		ow.Inline = buf.Bytes()
-		return ow, nil
-	}
-	name := fmt.Sprintf("distexec/%s/%s-out-%d", runID, fragID, wireID)
-	if err := driverutil.WriteDFSQuanta(s.opts.DFS, name, data); err != nil {
-		return ow, err
-	}
-	ow.Shuffle = name
-	ow.From = s.opts.Advertise
-	return ow, nil
+	ow.Inline, err = encodeInline(data)
+	return ow, err
 }
 
 // buildStatsWire folds the driver's stage stats and the worker's usage
@@ -275,41 +251,4 @@ func buildStatsWire(stats *core.StageStats, byWire map[int]*core.Operator, befor
 		}
 	}
 	return w
-}
-
-// HandleExecShuffle streams one shuffle file's raw bytes. On-disk DFS
-// quanta files are framed binary streams, so the bytes are directly a
-// valid core.ReadQuantaStream input on the receiving side.
-func (s *Scheduler) HandleExecShuffle(w http.ResponseWriter, r *http.Request) {
-	name := dfs.TrimScheme(r.URL.Query().Get("path"))
-	if !strings.HasPrefix(name, "distexec/") || strings.Contains(name, "..") {
-		http.Error(w, "shuffle paths must live under distexec/", http.StatusBadRequest)
-		return
-	}
-	if s.opts.DFS == nil || !s.opts.DFS.Exists(name) {
-		http.Error(w, "no shuffle file "+name, http.StatusNotFound)
-		return
-	}
-	rc, err := s.opts.DFS.Open(name)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	defer rc.Close()
-	w.Header().Set("Content-Type", quantaContentType)
-	if _, err := io.Copy(w, rc); err != nil {
-		s.opts.Log.Warn("shuffle stream failed", "file", name, "error", err)
-	}
-}
-
-// HandleExecDelete drops every local shuffle file of one run — the
-// origin's end-of-run GC broadcast.
-func (s *Scheduler) HandleExecDelete(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if id == "" || strings.ContainsAny(id, "/\\") || strings.Contains(id, "..") {
-		http.Error(w, "bad run id", http.StatusBadRequest)
-		return
-	}
-	s.deleteRunFiles(id)
-	w.WriteHeader(http.StatusNoContent)
 }

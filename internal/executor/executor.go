@@ -2,14 +2,11 @@ package executor
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rheem/internal/core"
@@ -57,12 +54,11 @@ type RemoteFetchFn func(producer *core.Operator) ([]any, int64, error)
 // RemoteStageRunner is the distributed-execution seam (implemented by
 // distexec.Scheduler). RunStage either executes the stage on a fleet peer
 // and returns its terminal outputs (ok=true) or declines (ok=false), in
-// which case the executor runs the stage locally. EndRun garbage-collects
-// any shuffle state the run left behind; the executor calls it exactly
-// once per top-level run, including cancelled ones.
+// which case the executor runs the stage locally. The stage's inputs and
+// outputs travel in the dispatch round trip itself, so a run leaves no
+// state on any peer to clean up.
 type RemoteStageRunner interface {
-	RunStage(ctx context.Context, runID string, s *core.Stage, fetch RemoteFetchFn, round int, sp *trace.Span) (map[*core.Operator]*core.Channel, *core.StageStats, bool, error)
-	EndRun(runID string)
+	RunStage(ctx context.Context, s *core.Stage, fetch RemoteFetchFn, round int, sp *trace.Span) (map[*core.Operator]*core.Channel, *core.StageStats, bool, error)
 }
 
 // ResultCache is the cross-job result cache's population interface
@@ -132,27 +128,7 @@ func (ex *Executor) Run(ep *core.ExecPlan) (*Result, error) {
 // latencies on one clock of the run's own.
 func (ex *Executor) RunCtx(ctx context.Context, ep *core.ExecPlan) (*Result, error) {
 	ex.registerMetricsHelp()
-	runID := newRunID()
-	if ex.Remote != nil {
-		// End-of-run GC runs unconditionally — completion, failure, and
-		// cancellation all release the run's distributed shuffle files.
-		defer ex.Remote.EndRun(runID)
-	}
-	return ex.run(ctx, ep, runID, bodyRun{clock: new(simclock.Clock)})
-}
-
-// runSeq de-dupes run ids when crypto/rand is unavailable.
-var runSeq atomic.Uint64
-
-// newRunID mints the distributed-execution namespace for one top-level
-// run: shuffle files live under distexec/<runID>/ on every participating
-// peer.
-func newRunID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "run-" + strconv.FormatUint(runSeq.Add(1), 16)
-	}
-	return hex.EncodeToString(b[:])
+	return ex.run(ctx, ep, bodyRun{clock: new(simclock.Clock)})
 }
 
 // registerMetricsHelp documents the executor's metric families; the
@@ -186,9 +162,8 @@ type bodyRun struct {
 }
 
 // run executes ep and writes the run record: every entry is appended here and
-// nowhere else. runID names the surrounding top-level run (the distributed
-// shuffle namespace); loop-body executions inherit it.
-func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, body bodyRun) (*Result, error) {
+// nowhere else.
+func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, body bodyRun) (*Result, error) {
 	executedOps := map[*core.Operator]bool{}
 	stages, err := BuildStages(ep, executedOps)
 	if err != nil {
@@ -270,7 +245,7 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, bo
 					}
 				}()
 				if s.Platform == "" {
-					outs, rounds, err := ex.runLoopStage(trace.NewContext(ctx, stSp), ep, s, chans, runID, body.clock)
+					outs, rounds, err := ex.runLoopStage(trace.NewContext(ctx, stSp), ep, s, chans, body.clock)
 					outcomes[i] = outcome{stage: s, outs: outs, rounds: rounds, err: err}
 					return
 				}
@@ -300,7 +275,7 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, runID string, bo
 						}
 						return data, ch.Card, nil
 					}
-					if rOuts, rStats, ok, rErr := ex.Remote.RunStage(ctx, runID, s, fetch, body.round, stSp); ok && rErr == nil {
+					if rOuts, rStats, ok, rErr := ex.Remote.RunStage(ctx, s, fetch, body.round, stSp); ok && rErr == nil {
 						outs, stats, ran = rOuts, rStats, true
 					}
 				}
@@ -591,7 +566,7 @@ func (ex *Executor) runDriverStage(ep *core.ExecPlan, s *core.Stage, chans *chan
 // runLoopStage evaluates a loop operator: materialize the loop input,
 // iterate the optimized body plan, and publish the final value together with
 // the record entries of every round's body stages.
-func (ex *Executor) runLoopStage(ctx context.Context, ep *core.ExecPlan, s *core.Stage, chans *channelStore, runID string, clock *simclock.Clock) (map[*core.Operator]*core.Channel, []*core.StageStats, error) {
+func (ex *Executor) runLoopStage(ctx context.Context, ep *core.ExecPlan, s *core.Stage, chans *channelStore, clock *simclock.Clock) (map[*core.Operator]*core.Channel, []*core.StageStats, error) {
 	loop := s.Ops[0]
 	body := ep.LoopBodies[loop]
 	if body == nil {
@@ -651,7 +626,7 @@ func (ex *Executor) runLoopStage(ctx context.Context, ep *core.ExecPlan, s *core
 			roundSp.SetInt("loop_var_card", int64(len(loopVar)))
 			roundCtx = trace.NewContext(ctx, roundSp)
 		}
-		sub, err := ex.run(roundCtx, body, runID, bodyRun{clock: clock, loop: loop, round: roundNo, loopVar: loopVar, refs: refs, earlier: rounds})
+		sub, err := ex.run(roundCtx, body, bodyRun{clock: clock, loop: loop, round: roundNo, loopVar: loopVar, refs: refs, earlier: rounds})
 		if err != nil {
 			roundSp.SetAttr("error", err.Error())
 			roundSp.End()

@@ -8,6 +8,11 @@ import (
 	"rheem/internal/storage/dfs"
 )
 
+// LocalTextPath reports whether a text source or sink path names a file of
+// the local file system rather than a DFS file: one that only the process on
+// this host can read or write.
+func LocalTextPath(path string) bool { return !dfs.IsPath(path) }
+
 // ReadTextParts reads a text source as line-aligned input splits, one
 // string quantum per line, reading and cutting the splits on s. A dfs:// path
 // is cut under Hadoop's and Spark's textFile rule: the split size is
@@ -20,7 +25,7 @@ import (
 // and cut into n row runs.
 func ReadTextParts(s Scheduler, store *dfs.Store, path string, n int) ([][]any, error) {
 	n = max(n, 1)
-	if !dfs.IsPath(path) {
+	if LocalTextPath(path) {
 		lines, err := core.ReadTextFile(path)
 		if err != nil {
 			return nil, err
@@ -104,7 +109,7 @@ func textLine(line []byte) string {
 func WriteTextLines(store *dfs.Store, op *core.Operator, data []any) error {
 	format := FormatOf(op)
 	path := op.Params.Path
-	if !dfs.IsPath(path) {
+	if LocalTextPath(path) {
 		return core.WriteTextFile(path, data, format)
 	}
 	if store == nil {

@@ -146,10 +146,8 @@ func (s *Server) mountCluster(node *cluster.Node) {
 	s.mux.HandleFunc("GET /v1/cluster/metrics", s.handleClusterMetrics)
 	s.mux.HandleFunc("GET /v1/cluster/overview", s.handleClusterOverview)
 	if s.Distexec != nil {
-		// Distributed stage execution: peers ship plan fragments here, fetch
-		// over-limit shuffle files by path, and GC a run's files when it ends.
+		// Distributed stage execution: peers ship plan fragments here, their
+		// inputs inline, and read the outputs from the response.
 		s.mux.HandleFunc("POST /v1/internal/exec/stage", s.Distexec.HandleExecStage)
-		s.mux.HandleFunc("GET /v1/internal/exec/shuffle", s.Distexec.HandleExecShuffle)
-		s.mux.HandleFunc("DELETE /v1/internal/exec/job/{id}", s.Distexec.HandleExecDelete)
 	}
 }

@@ -2,7 +2,9 @@ package restapi
 
 import (
 	"encoding/json"
+	"io/fs"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -64,29 +66,36 @@ func remoteSpans(sj *trace.SpanJSON) []*trace.SpanJSON {
 	return out
 }
 
-// assertNoShuffleLeftovers waits for end-of-run GC to clear every peer's
-// distexec/ namespace (the DELETE broadcast to peers is asynchronous only
-// in the sense that the job's response races the last few round-trips).
-func assertNoShuffleLeftovers(t *testing.T, peers []*fleetPeer) {
+// assertNoDistexecFiles checks that no peer's DFS ever held a distexec/
+// file: a stage's data travels inline, so none is listed, and none was
+// written and deleted either — Delete leaves a file's block directories
+// behind, and no name on disk starts with the sanitized prefix.
+func assertNoDistexecFiles(t *testing.T, peers []*fleetPeer) {
 	t.Helper()
-	waitFleetCond(t, "shuffle files garbage-collected", func() bool {
-		for _, p := range peers {
-			for _, f := range p.srv.Ctx.DFS.List() {
-				if strings.HasPrefix(f, "distexec/") {
-					return false
-				}
+	for _, p := range peers {
+		for _, f := range p.srv.Ctx.DFS.List() {
+			if strings.HasPrefix(f, "distexec/") {
+				t.Errorf("%s: DFS holds %s", p.addr, f)
 			}
 		}
-		return true
-	})
+		err := filepath.WalkDir(p.srv.Ctx.DFS.Root(), func(path string, d fs.DirEntry, err error) error {
+			if err == nil && strings.HasPrefix(d.Name(), "distexec") {
+				t.Errorf("%s: DFS directory holds %s", p.addr, path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestClusterDistexecCrosscheck is the tentpole acceptance scenario: a
 // 2-peer fleet with -cluster-exec runs a multi-stage job submitted to one
 // peer, stages execute remotely on the other, the results match the
 // single-node answer, the stitched trace attributes the remote work, the
-// profile carries the peer's own resource figures, and no shuffle files
-// survive the run.
+// profile carries the peer's own resource figures, and no peer's DFS ever
+// held a distexec file.
 func TestClusterDistexecCrosscheck(t *testing.T) {
 	peers := startFleetCfg(t, 2, fleetConfig{exec: true})
 	a, b := peers[0], peers[1]
@@ -179,7 +188,7 @@ func TestClusterDistexecCrosscheck(t *testing.T) {
 		t.Fatalf("profile attributes no stage to %s: %s", b.addr, raw)
 	}
 
-	assertNoShuffleLeftovers(t, peers)
+	assertNoDistexecFiles(t, peers)
 }
 
 // TestClusterDistexecMetricsSpread is the verify.sh fleet smoke: a 3-peer
@@ -226,7 +235,7 @@ func TestClusterDistexecMetricsSpread(t *testing.T) {
 	if executingPeers < 2 {
 		t.Fatalf("remote executions on %d peers, want >= 2: %s", executingPeers, raw)
 	}
-	assertNoShuffleLeftovers(t, peers)
+	assertNoDistexecFiles(t, peers)
 }
 
 // TestClusterDistexecPeerDeathFallback kills the only remote peer and
@@ -247,7 +256,7 @@ func TestClusterDistexecPeerDeathFallback(t *testing.T) {
 	if fails < 1 && pins < 1 {
 		t.Errorf("neither a failed dispatch (%g) nor a no-peers pin (%g) recorded", fails, pins)
 	}
-	assertNoShuffleLeftovers(t, peers[:1])
+	assertNoDistexecFiles(t, peers)
 }
 
 // TestClusterDistexecOffWithoutFlag: a fleet started without -cluster-exec

@@ -33,11 +33,9 @@
 //	PUT    /v1/internal/cache/{fp}                -> accept a peer's write-through
 //
 // With distributed stage execution on top (Options.ClusterExec), the
-// fragment-execution endpoints are mounted as well:
+// fragment-execution endpoint is mounted as well:
 //
-//	POST   /v1/internal/exec/stage                -> execute a shipped plan fragment (internal/distexec)
-//	GET    /v1/internal/exec/shuffle [?path=...]  -> stream a shuffle file to the fetching peer
-//	DELETE /v1/internal/exec/job/{id}             -> drop a finished run's shuffle files
+//	POST   /v1/internal/exec/stage                -> execute a shipped plan fragment, inputs and outputs inline (internal/distexec)
 //
 // Every response carries an X-Rheem-Request-Id, echoed in the debug-level
 // access log; routed submissions additionally carry X-Rheem-Served-By.
@@ -186,7 +184,6 @@ func NewWithOptions(ctx *rheem.Context, udfs *latin.Registry, opts Options) *Ser
 		if opts.ClusterExec {
 			s.Distexec = distexec.New(distexec.Options{
 				Node:      opts.Cluster,
-				DFS:       ctx.DFS,
 				Registry:  ctx.Registry,
 				Metrics:   ctx.Metrics,
 				Log:       opts.Log.With("component", "distexec"),

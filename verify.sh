@@ -28,8 +28,10 @@ go test -race $short ./...
 # sleeps, only driverutil charges a platform's latency — an engine holds its
 # stage's clock but never charges it —, the optimizer and the cost learner name
 # no bundled platform, the executor never searches the conversion graph, only
-# cmd/ and bench/ read the environment) are tests of internal/archtest, run by
-# the line above.
+# cmd/ and bench/ read the environment, and the import boundaries: core imports
+# no platform, executor or optimizer, no engine imports another, the root
+# package imports neither distexec nor cluster, distexec does not import the
+# DFS) are tests of internal/archtest, run by the line above.
 # Benchmark smoke: one iteration of the codec benchmarks, so they compile
 # and run even when nobody records numbers.
 go test -run=NONE -bench=BenchmarkEncodeQuantum -benchtime=1x ./internal/core
@@ -207,10 +209,12 @@ go test -race -count=1 -run='TestReduceByLackingUDFFailsAtCompile' ./internal/pl
 # reports a missing UDF before any kernel runs, a fragment outside the table
 # (an unknown kind, a port its consumer lacks) is a decode error, never a
 # panic, and a toy kind gets validation, fingerprinting and shipping from one
-# entry.
+# entry. A fragment's data travels inline both ways over a real round trip,
+# inline input bytes that do not decode are a 400, and a stage the scheduler
+# declines pins local with its reason.
 go test -race -count=1 -run='TestFingerprintGoldenAllRoles|TestRegisteredKindIsClassifiedByTheTable|TestRegisterKind|TestOperatorArities|TestCheckUDFs|TestValidateChecksUDFsInLoopBodies' ./internal/core
 go test -race -count=1 -run='TestRunStageChecksUDFsFirst' ./internal/platform/driverutil
-go test -race -count=1 -run='TestDecodeFragmentChecksTheTable|TestToyKindFromOneTableEntry|TestWorkerRejectsBadFragments' ./internal/distexec
+go test -race -count=1 -run='TestDecodeFragmentChecksTheTable|TestToyKindFromOneTableEntry|TestWorkerRejectsBadFragments|TestLoopbackInlineExecution|TestRunStagePins' ./internal/distexec
 # And single-flight computes once: a won claim is re-probed before the job
 # computes (the forced interleaving by name, the two concurrent properties
 # twenty times each under the race detector).
@@ -249,8 +253,9 @@ go test -count=1 -run='TestMetricsLint' ./restapi
 go test -race -count=1 -run='TestClusterRemoteCacheHit|TestClusterMetricsAggregation|TestClusterRoutedTraceStitch' ./restapi
 # Distributed execution smoke: a 2-peer -cluster-exec fleet runs a job with
 # stages executing remotely (results equal to single-node, trace stitched,
-# profile peer-attributed, shuffle files GC'd), survives the remote peer
-# dying mid-run, and a 3-peer fleet proves via /v1/cluster/metrics that
-# remote executions landed on at least two peers; a fleet without
-# -cluster-exec dispatches nothing and mounts no worker endpoint.
+# profile peer-attributed, no peer's DFS ever holding a distexec file),
+# survives the remote peer dying mid-run, and a 3-peer fleet proves via
+# /v1/cluster/metrics that remote executions landed on at least two peers;
+# a fleet without -cluster-exec dispatches nothing and mounts no worker
+# endpoint.
 go test -race -count=1 -run='TestClusterDistexec' ./restapi
