@@ -82,7 +82,7 @@ func (toyDriver) FromChannel(ch *core.Channel) (*toyVec, error) {
 	return v, nil
 }
 
-func (toyDriver) Apply(op *core.Operator, in []*toyVec, round int, counter *int64, sniff func(any)) (*toyVec, error) {
+func (toyDriver) Apply(op *core.Operator, in []*toyVec, round core.Round, counter *int64, sniff func(any)) (*toyVec, error) {
 	out := in[0] // Sort: already sorted, toydb's superpower
 	switch op.Kind {
 	case core.KindSort:

@@ -285,9 +285,9 @@ func TestShuffleFirstSample(t *testing.T) {
 	for i := range data {
 		data[i] = i
 	}
-	s := NewShuffleFirstSample(data, 3)
-	d0 := s.Draw(10, 0)
-	d1 := s.Draw(10, 1)
+	s := NewShuffleFirstSample(len(data), 3)
+	d0 := s.Draw(data, 10, 0)
+	d1 := s.Draw(data, 10, 1)
 	if len(d0) != 10 || len(d1) != 10 {
 		t.Fatalf("draw sizes %d, %d", len(d0), len(d1))
 	}
@@ -297,7 +297,7 @@ func TestShuffleFirstSample(t *testing.T) {
 	// Ten rounds of 10 over 100 elements must cover every element exactly once.
 	seen := map[int]int{}
 	for round := 0; round < 10; round++ {
-		for _, v := range s.Draw(10, round) {
+		for _, v := range s.Draw(data, 10, round) {
 			seen[v.(int)]++
 		}
 	}
@@ -305,11 +305,11 @@ func TestShuffleFirstSample(t *testing.T) {
 		t.Fatalf("10 rounds covered %d distinct elements, want 100", len(seen))
 	}
 	// Oversized draws clamp; empty data yields nothing.
-	if got := s.Draw(500, 0); len(got) != 100 {
+	if got := s.Draw(data, 500, 0); len(got) != 100 {
 		t.Fatalf("oversized draw = %d", len(got))
 	}
-	empty := NewShuffleFirstSample(nil, 1)
-	if got := empty.Draw(5, 0); got != nil {
+	empty := NewShuffleFirstSample(0, 1)
+	if got := empty.Draw(nil, 5, 0); got != nil {
 		t.Fatal("draw from empty data must be empty")
 	}
 }

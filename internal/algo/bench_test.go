@@ -78,10 +78,10 @@ func BenchmarkReservoirSample(b *testing.B) {
 // BenchmarkShuffleFirstDraw measures the ML4all sampler's per-round draw.
 func BenchmarkShuffleFirstDraw(b *testing.B) {
 	data := benchRows(100000, 3)
-	s := NewShuffleFirstSample(data, 1)
+	s := NewShuffleFirstSample(len(data), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Draw(1000, i)
+		s.Draw(data, 1000, i)
 	}
 }
 

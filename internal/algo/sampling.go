@@ -48,26 +48,27 @@ func ReservoirSample(data []any, k int, seed int64) []any {
 // ShuffleFirstSample is the sampler contributed for ML4all in the paper: one
 // seeded index permutation, then consecutive windows of it. Successive Draw
 // calls with increasing round values return successive windows of the same
-// shuffle. Building it costs O(n) (the permutation) and a Draw O(k); a
-// sampler kept across rounds would pay the permutation once, but its one
-// caller, driverutil.Sample, builds a new one per call, so every loop round
-// pays the O(n) permutation again.
+// shuffle. The permutation depends on the input length and the seed alone, so
+// one sampler serves every input of its length: building it costs O(n) and a
+// Draw O(k). driverutil.Sample keeps one per loop run (core.LoopRun), so a
+// loop pays the permutation once, not once per round.
 type ShuffleFirstSample struct {
 	perm []int
-	data []any
 }
 
-// NewShuffleFirstSample prepares the one-time permutation.
-func NewShuffleFirstSample(data []any, seed int64) *ShuffleFirstSample {
+// NewShuffleFirstSample prepares the one-time permutation of n positions.
+func NewShuffleFirstSample(n int, seed int64) *ShuffleFirstSample {
 	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(len(data))
-	return &ShuffleFirstSample{perm: perm, data: data}
+	return &ShuffleFirstSample{perm: rng.Perm(n)}
 }
 
-// Draw returns the k-quantum window for the given round, wrapping around the
-// permutation as needed.
-func (s *ShuffleFirstSample) Draw(k, round int) []any {
-	n := len(s.data)
+// Len is the input length the permutation was built for.
+func (s *ShuffleFirstSample) Len() int { return len(s.perm) }
+
+// Draw returns data's k-quantum window for the given round, wrapping around
+// the permutation as needed; data must hold Len() quanta.
+func (s *ShuffleFirstSample) Draw(data []any, k, round int) []any {
+	n := len(s.perm)
 	if n == 0 || k <= 0 {
 		return nil
 	}
@@ -77,7 +78,7 @@ func (s *ShuffleFirstSample) Draw(k, round int) []any {
 	out := make([]any, k)
 	start := (round * k) % n
 	for i := 0; i < k; i++ {
-		out[i] = s.data[s.perm[(start+i)%n]]
+		out[i] = data[s.perm[(start+i)%n]]
 	}
 	return out
 }

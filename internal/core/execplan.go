@@ -392,9 +392,9 @@ type StageStats struct {
 type Inputs struct {
 	Main      map[*Operator][]*Channel // per consumer, per port
 	Broadcast map[*Operator]map[*Operator]*Channel
-	// Round is the surrounding loop's current iteration (0 outside loops);
-	// per-iteration operators such as Sample vary their behaviour with it.
-	Round int
+	// Round is the surrounding loop's current iteration and loop-run state
+	// (the zero Round outside loops).
+	Round Round
 	// Clock charges the stage's simulated latencies. The executor hands every
 	// stage of one run, loop rounds included, the same clock; nil charges on a
 	// fresh one.

@@ -26,7 +26,6 @@ type Fragment struct {
 	Origin   string `json:"origin"`   // dispatching peer's advertise address
 	StageID  int    `json:"stage_id"` // origin stage id (diagnostics)
 	Platform string `json:"platform"`
-	Round    int    `json:"round"` // surrounding loop round (0 outside loops)
 
 	Ops []opWire `json:"ops"` // the stage's operators, topological order
 	// Stubs are external producers feeding the stage: they are rebuilt as
@@ -154,8 +153,8 @@ func Fragmentable(s *core.Stage) string {
 // buildFragment serializes the stage's operator subgraph. Inputs, ids and
 // addresses are filled in by the dispatcher. The returned map resolves
 // wire ids back to origin operators (for outputs and stats).
-func buildFragment(s *core.Stage, round int) (*Fragment, map[int]*core.Operator, error) {
-	frag := &Fragment{StageID: s.ID, Platform: s.Platform, Round: round}
+func buildFragment(s *core.Stage) (*Fragment, map[int]*core.Operator, error) {
+	frag := &Fragment{StageID: s.ID, Platform: s.Platform}
 	byWire := map[int]*core.Operator{}
 	stubbed := map[*core.Operator]bool{}
 	for _, op := range s.Ops {

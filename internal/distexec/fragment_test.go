@@ -94,7 +94,7 @@ func TestFragmentRoundTrip(t *testing.T) {
 	if reason := Fragmentable(st); reason != "" {
 		t.Fatalf("stage unfragmentable: %s", reason)
 	}
-	frag, byWire, err := buildFragment(st, 0)
+	frag, byWire, err := buildFragment(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,6 +109,11 @@ func TestFragmentRoundTrip(t *testing.T) {
 	raw, err := json.Marshal(frag)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Only top-level stages are offered to the fleet, so a fragment runs
+	// outside any loop and names no round.
+	if strings.Contains(string(raw), `"round"`) {
+		t.Fatalf("fragment envelope carries a loop round: %s", raw)
 	}
 	var wire Fragment
 	if err := json.Unmarshal(raw, &wire); err != nil {
@@ -281,7 +286,7 @@ func TestFragmentRefusesUnregisteredUDFEncode(t *testing.T) {
 		Ops:      []*core.Operator{op},
 		ExecPlan: &core.ExecPlan{Plan: plan, Assignments: map[*core.Operator]*core.Assignment{}},
 	}
-	if _, _, err := buildFragment(st, 0); err == nil {
+	if _, _, err := buildFragment(st); err == nil {
 		t.Fatal("buildFragment accepted an unregistered UDF")
 	}
 }
@@ -304,7 +309,7 @@ func TestFragmentStubsExternalProducers(t *testing.T) {
 		ExecPlan:     &core.ExecPlan{Plan: plan, Assignments: map[*core.Operator]*core.Assignment{}},
 		TerminalOuts: []*core.Operator{sink},
 	}
-	frag, _, err := buildFragment(st, 0)
+	frag, _, err := buildFragment(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +374,7 @@ func TestDecodeFragmentChecksTheTable(t *testing.T) {
 	}
 	for name, corrupt := range cases {
 		t.Run(name, func(t *testing.T) {
-			frag, _, err := buildFragment(pipelineStage([]any{int64(1)}), 0)
+			frag, _, err := buildFragment(pipelineStage([]any{int64(1)}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -433,7 +438,7 @@ func TestToyKindFromOneTableEntry(t *testing.T) {
 	if reason := Fragmentable(st); reason != "" {
 		t.Fatalf("toy stage unfragmentable: %s", reason)
 	}
-	frag, _, err := buildFragment(st, 0)
+	frag, _, err := buildFragment(st)
 	if err != nil {
 		t.Fatal(err)
 	}

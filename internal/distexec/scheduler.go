@@ -22,7 +22,7 @@ import (
 // locally. Every path out of here that is not a successful remote
 // execution reports ok=false with a nil error — remote execution degrades,
 // it never fails the job.
-func (s *Scheduler) RunStage(ctx context.Context, st *core.Stage, fetch executor.RemoteFetchFn, round int, sp *trace.Span) (map[*core.Operator]*core.Channel, *core.StageStats, bool, error) {
+func (s *Scheduler) RunStage(ctx context.Context, st *core.Stage, fetch executor.RemoteFetchFn, sp *trace.Span) (map[*core.Operator]*core.Channel, *core.StageStats, bool, error) {
 	if reason := Fragmentable(st); reason != "" {
 		s.pinLocal(reason)
 		return nil, nil, false, nil
@@ -37,7 +37,7 @@ func (s *Scheduler) RunStage(ctx context.Context, st *core.Stage, fetch executor
 		return nil, nil, false, nil
 	}
 
-	frag, byWire, err := buildFragment(st, round)
+	frag, byWire, err := buildFragment(st)
 	if err != nil {
 		// Encode refusals (unregistered UDF raced in, un-encodable value):
 		// the stage pins local, like any other unfragmentable stage.

@@ -98,7 +98,6 @@ func (s *Scheduler) HandleExecStage(w http.ResponseWriter, r *http.Request) {
 
 	before := executor.SampleUsage()
 	in := core.NewInputs()
-	in.Round = frag.Round
 	var inQuanta int64
 	for _, iw := range frag.Inputs {
 		producer, consumer := byWire[iw.Producer], byWire[iw.Consumer] // checked by decodeFragment

@@ -75,7 +75,7 @@ func stubbedFragment(t *testing.T, origin *testPeer, fragID string, data []any) 
 		ExecPlan:     &core.ExecPlan{Plan: plan, Assignments: map[*core.Operator]*core.Assignment{}},
 		TerminalOuts: []*core.Operator{sink},
 	}
-	frag, byWire, err := buildFragment(st, 0)
+	frag, byWire, err := buildFragment(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestRunStagePins(t *testing.T) {
 		return reg.Counter("rheem_distexec_pinned_local_total", telemetry.L("reason", reason)).Value()
 	}
 	run := func() bool {
-		_, _, ok, err := s.RunStage(context.Background(), st, fetch, 0, nil)
+		_, _, ok, err := s.RunStage(context.Background(), st, fetch, nil)
 		if err != nil {
 			t.Fatalf("RunStage returned an error: %v", err)
 		}

@@ -58,7 +58,7 @@ type RemoteFetchFn func(producer *core.Operator) ([]any, int64, error)
 // outputs travel in the dispatch round trip itself, so a run leaves no
 // state on any peer to clean up.
 type RemoteStageRunner interface {
-	RunStage(ctx context.Context, s *core.Stage, fetch RemoteFetchFn, round int, sp *trace.Span) (map[*core.Operator]*core.Channel, *core.StageStats, bool, error)
+	RunStage(ctx context.Context, s *core.Stage, fetch RemoteFetchFn, sp *trace.Span) (map[*core.Operator]*core.Channel, *core.StageStats, bool, error)
 }
 
 // ResultCache is the cross-job result cache's population interface
@@ -152,7 +152,7 @@ type bodyRun struct {
 	// clock is the top-level run's, handed to every stage it runs.
 	clock   *simclock.Clock
 	loop    *core.Operator
-	round   int
+	round   core.Round
 	loopVar []any
 	// refs holds the channel each outer-reference placeholder of the body reads.
 	refs map[*core.Operator]*core.Channel
@@ -275,7 +275,7 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, body bodyRun) (*
 						}
 						return data, ch.Card, nil
 					}
-					if rOuts, rStats, ok, rErr := ex.Remote.RunStage(ctx, s, fetch, body.round, stSp); ok && rErr == nil {
+					if rOuts, rStats, ok, rErr := ex.Remote.RunStage(ctx, s, fetch, stSp); ok && rErr == nil {
 						outs, stats, ran = rOuts, rStats, true
 					}
 				}
@@ -285,7 +285,7 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, body bodyRun) (*
 					}
 				}
 				if stats != nil {
-					stats.Loop, stats.Round = body.loop, body.round
+					stats.Loop, stats.Round = body.loop, body.round.N
 					if stSp != nil {
 						annotateStageSpan(stSp, stats)
 					}
@@ -605,6 +605,9 @@ func (ex *Executor) runLoopStage(ctx context.Context, ep *core.ExecPlan, s *core
 			maxIters = 1 << 20
 		}
 	}
+	// The loop run's state lives as long as this call: every round's stages
+	// share it, and it is dropped when the loop returns.
+	run := new(core.LoopRun)
 	var rounds []*core.StageStats
 	for roundNo := 0; ; roundNo++ {
 		if err := ctx.Err(); err != nil {
@@ -626,7 +629,7 @@ func (ex *Executor) runLoopStage(ctx context.Context, ep *core.ExecPlan, s *core
 			roundSp.SetInt("loop_var_card", int64(len(loopVar)))
 			roundCtx = trace.NewContext(ctx, roundSp)
 		}
-		sub, err := ex.run(roundCtx, body, bodyRun{clock: clock, loop: loop, round: roundNo, loopVar: loopVar, refs: refs, earlier: rounds})
+		sub, err := ex.run(roundCtx, body, bodyRun{clock: clock, loop: loop, round: core.Round{N: roundNo, Run: run}, loopVar: loopVar, refs: refs, earlier: rounds})
 		if err != nil {
 			roundSp.SetAttr("error", err.Error())
 			roundSp.End()

@@ -256,7 +256,7 @@ func identity(q any) any { return q }
 // always a chain's terminator, run by RunChainParts. The stage harness has
 // checked op's UDFs, so what can fail is a sample's unknown method, a
 // PageRank input quantum that is no Edge, and a kind outside the table.
-func ApplyBlocking(s Scheduler, op *core.Operator, round int, in [][][]any) (out [][]any, err error) {
+func ApplyBlocking(s Scheduler, op *core.Operator, round core.Round, in [][][]any) (out [][]any, err error) {
 	switch op.Kind {
 	case core.KindDistinct:
 		out = keyed(s, in, []func(any) any{identity}, func(part, _ []any) []any { return Distinct(part) })

@@ -261,7 +261,7 @@ func TestApplyBlockingMatchesSliceKernels(t *testing.T) {
 				return out
 			}, 5, 0},
 		{core.Operator{Kind: core.KindSample, Params: core.Params{SampleMethod: "reservoir", SampleSize: 50, Seed: 3}}, [][]any{left},
-			func(op *core.Operator) []any { drawn, _ := Sample(op, left, 0); return drawn }, 5, 0},
+			func(op *core.Operator) []any { drawn, _ := Sample(op, left, core.Round{}); return drawn }, 5, 0},
 	}
 	for _, c := range cases {
 		op := &c.op
@@ -270,7 +270,7 @@ func TestApplyBlockingMatchesSliceKernels(t *testing.T) {
 			in[i] = SplitRows(data, 5-2*i) // the right side has fewer partitions
 		}
 		s := &pooled{width: 3}
-		out, err := ApplyBlocking(s, op, 0, in)
+		out, err := ApplyBlocking(s, op, core.Round{}, in)
 		if err != nil {
 			t.Fatalf("%s: %v", op.Kind, err)
 		}
@@ -297,7 +297,7 @@ func TestApplyBlockingMatchesSliceKernels(t *testing.T) {
 		for i, data := range c.in {
 			in[i] = [][]any{data}
 		}
-		if out, _ := ApplyBlocking(Serial{}, op, 0, in); len(out) != 1 || len(out[0]) != len(want) {
+		if out, _ := ApplyBlocking(Serial{}, op, core.Round{}, in); len(out) != 1 || len(out[0]) != len(want) {
 			t.Fatalf("%s on one partition: %d partitions", op.Kind, len(out))
 		}
 	}
@@ -309,7 +309,7 @@ func TestApplyBlockingMatchesSliceKernels(t *testing.T) {
 	// Union is not blocking, and a reduce-by is its chain's terminator
 	// (RunChainParts), never an operator of the table.
 	for _, kind := range []core.Kind{core.KindUnion, core.KindReduceBy} {
-		_, err := ApplyBlocking(Serial{}, &core.Operator{Kind: kind, UDF: core.UDFs{Key: kvKey, Reduce: sum}}, 0, [][][]any{{left}})
+		_, err := ApplyBlocking(Serial{}, &core.Operator{Kind: kind, UDF: core.UDFs{Key: kvKey, Reduce: sum}}, core.Round{}, [][][]any{{left}})
 		if err == nil || !strings.Contains(err.Error(), "unsupported operator kind "+string(kind)) {
 			t.Fatalf("%s: error %v, want it reported as outside the table", kind, err)
 		}

@@ -60,11 +60,11 @@ type Engine[T any] interface {
 	FromChannel(ch *core.Channel) (T, error)
 	// Apply evaluates one operator over its native inputs; UDFs that take a
 	// broadcast context were opened with it beforehand. round is the
-	// surrounding loop iteration (0 outside loops). counter, when
+	// surrounding loop round (zero outside loops). counter, when
 	// incremented per output quantum, yields the operator's true output
 	// cardinality (lazy engines increment it as quanta stream by). sniff,
 	// when non-nil, must observe every output quantum (exploratory mode).
-	Apply(op *core.Operator, in []T, round int, counter *int64, sniff func(any)) (T, error)
+	Apply(op *core.Operator, in []T, round core.Round, counter *int64, sniff func(any)) (T, error)
 	// ToChannel materializes native data into the channel the stage's
 	// consumer expects. It is called for terminal operators only.
 	ToChannel(op *core.Operator, d T) (*core.Channel, error)

@@ -215,14 +215,15 @@ func Reduce(op *core.Operator, data []any) []any {
 	return []any{acc}
 }
 
-// Sample draws a sample per the operator's parameters. round distinguishes
-// successive draws of loop-resident Sample operators.
-func Sample(op *core.Operator, data []any, round int) ([]any, error) {
+// Sample draws a sample per the operator's parameters. round.N distinguishes
+// successive draws of loop-resident Sample operators; round.Run is where a
+// shuffle-first sample keeps its permutation across a loop's rounds.
+func Sample(op *core.Operator, data []any, round core.Round) ([]any, error) {
 	seed := op.Params.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	seed += int64(round) * 7919
+	seed += int64(round.N) * 7919
 	size := op.Params.SampleSize
 	switch op.Params.SampleMethod {
 	case "", "bernoulli":
@@ -246,10 +247,16 @@ func Sample(op *core.Operator, data []any, round int) ([]any, error) {
 			size = int(float64(len(data)) * op.Params.SampleFraction)
 		}
 		// The permutation is seeded by the operator's base seed so successive
-		// rounds walk successive windows of one shuffle. It is rebuilt on
-		// every call: each round pays the O(n) permutation.
-		s := algo.NewShuffleFirstSample(data, op.Params.Seed+1)
-		return s.Draw(size, round), nil
+		// rounds walk successive windows of one shuffle. It depends on the
+		// input's length alone, so a loop run keeps it and each round draws
+		// its window from that round's data; an input of a new length
+		// rebuilds it. Outside a loop (no Run) it is built per call.
+		s, _ := round.Run.Kept(op).(*algo.ShuffleFirstSample)
+		if s == nil || s.Len() != len(data) {
+			s = algo.NewShuffleFirstSample(len(data), op.Params.Seed+1)
+			round.Run.Keep(op, s)
+		}
+		return s.Draw(data, size, round.N), nil
 	default:
 		return nil, fmt.Errorf("sample %s: unknown method %q", op, op.Params.SampleMethod)
 	}

@@ -192,7 +192,7 @@ func TestSampleMethods(t *testing.T) {
 		op := &core.Operator{Kind: core.KindSample, Params: core.Params{
 			SampleMethod: method, SampleSize: 20, Seed: 3,
 		}}
-		out, err := Sample(op, data, 0)
+		out, err := Sample(op, data, core.Round{})
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
@@ -202,13 +202,13 @@ func TestSampleMethods(t *testing.T) {
 	}
 	// Unknown method errors.
 	bad := &core.Operator{Kind: core.KindSample, Params: core.Params{SampleMethod: "nope"}}
-	if _, err := Sample(bad, data, 0); err == nil {
+	if _, err := Sample(bad, data, core.Round{}); err == nil {
 		t.Fatal("unknown method should error")
 	}
 	// Successive rounds of a loop-resident sampler differ.
 	op := &core.Operator{Kind: core.KindSample, Params: core.Params{SampleMethod: "shuffle-first", SampleSize: 20, Seed: 3}}
-	r0, _ := Sample(op, data, 0)
-	r1, _ := Sample(op, data, 1)
+	r0, _ := Sample(op, data, core.Round{})
+	r1, _ := Sample(op, data, core.Round{N: 1})
 	if reflect.DeepEqual(r0, r1) {
 		t.Fatal("rounds returned identical samples")
 	}
@@ -268,7 +268,7 @@ func TestCoGroupCoversBothSides(t *testing.T) {
 type panicEngine struct{}
 
 func (panicEngine) FromChannel(ch *core.Channel) (any, error) { return nil, nil }
-func (panicEngine) Apply(op *core.Operator, in []any, round int, counter *int64, sniff func(any)) (any, error) {
+func (panicEngine) Apply(op *core.Operator, in []any, round core.Round, counter *int64, sniff func(any)) (any, error) {
 	panic(fmt.Sprintf("boom in %s", op))
 }
 func (panicEngine) ToChannel(op *core.Operator, d any) (*core.Channel, error) { return nil, nil }

@@ -203,7 +203,7 @@ func (e *engine) ToChannel(op *core.Operator, f *flow) (*core.Channel, error) {
 }
 
 // Apply implements driverutil.Engine.
-func (e *engine) Apply(op *core.Operator, in []*flow, round int, counter *int64, sniff func(any)) (*flow, error) {
+func (e *engine) Apply(op *core.Operator, in []*flow, round core.Round, counter *int64, sniff func(any)) (*flow, error) {
 	out, err := e.apply(op, in, round)
 	if err != nil {
 		return nil, err
@@ -311,7 +311,7 @@ func (e *engine) streamChain(chain *driverutil.FusedChain, kernel *driverutil.Ve
 // apply evaluates the kinds flink's archetype owns — sources, sinks, cache
 // and the lazy cartesian and union; every other kind is the default arm,
 // driverutil.ApplyBlocking over the inputs' materialized partitions.
-func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) {
+func (e *engine) apply(op *core.Operator, in []*flow, round core.Round) (*flow, error) {
 	switch op.Kind {
 	case core.KindCollectionSource:
 		if len(in) > 0 {

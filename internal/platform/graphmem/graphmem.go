@@ -153,7 +153,7 @@ func (d *Driver) Execute(stage *core.Stage, in *core.Inputs) (map[*core.Operator
 type engine struct{ driverutil.Slices }
 
 // Apply implements driverutil.Engine.
-func (engine) Apply(op *core.Operator, in [][]any, round int, counter *int64, sniff func(any)) ([]any, error) {
+func (engine) Apply(op *core.Operator, in [][]any, round core.Round, counter *int64, sniff func(any)) ([]any, error) {
 	if op.Kind != core.KindPageRank {
 		return nil, fmt.Errorf("graphmem: unsupported operator kind %s (graph platform)", op.Kind)
 	}

@@ -138,7 +138,7 @@ func interpretOp(op *core.Operator, in [][]any, tables TableRows) (out []any, er
 			out = append(out, core.KV{Key: int64(i), Value: q})
 		}
 	case core.KindSample:
-		return driverutil.Sample(op, in[0], 0) // a loop-free plan runs round 0
+		return driverutil.Sample(op, in[0], core.Round{}) // a loop-free plan runs outside any loop
 	case core.KindUnion:
 		return append(append(out, in[0]...), in[1]...), nil
 	case core.KindCollectionSink:

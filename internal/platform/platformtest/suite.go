@@ -101,7 +101,7 @@ func Run(t *testing.T, d core.Driver) {
 			{SampleFraction: 0.2, SampleMethod: "bernoulli", Seed: 3},
 		} {
 			op := &core.Operator{Kind: core.KindSample, Params: params}
-			want, err := driverutil.Sample(op, data, 0)
+			want, err := driverutil.Sample(op, data, core.Round{})
 			if err != nil {
 				t.Fatal(err)
 			}

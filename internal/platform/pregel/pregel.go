@@ -305,7 +305,7 @@ type engine struct {
 }
 
 // Apply implements driverutil.Engine.
-func (e *engine) Apply(op *core.Operator, in [][]any, round int, counter *int64, sniff func(any)) ([]any, error) {
+func (e *engine) Apply(op *core.Operator, in [][]any, round core.Round, counter *int64, sniff func(any)) ([]any, error) {
 	if op.Kind != core.KindPageRank {
 		return nil, fmt.Errorf("pregel: unsupported operator kind %s (graph platform)", op.Kind)
 	}

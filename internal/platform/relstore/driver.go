@@ -241,7 +241,7 @@ func (e *engine) rowsOf(r *rel) ([]any, error) {
 
 // Apply implements driverutil.Engine. The store is an eager engine: every
 // operator's output is a row set, counted and sniffed where it lies.
-func (e *engine) Apply(op *core.Operator, in []*rel, round int, counter *int64, sniff func(any)) (*rel, error) {
+func (e *engine) Apply(op *core.Operator, in []*rel, round core.Round, counter *int64, sniff func(any)) (*rel, error) {
 	out, err := e.apply(op, in)
 	if err != nil {
 		return nil, err
@@ -325,7 +325,7 @@ func (e *engine) apply(op *core.Operator, in []*rel) (*rel, error) {
 			}
 			ins[i] = [][]any{rows}
 		}
-		out, err := driverutil.ApplyBlocking(driverutil.Serial{}, op, 0, ins) // round 0: none of these kinds samples
+		out, err := driverutil.ApplyBlocking(driverutil.Serial{}, op, core.Round{}, ins) // none of these kinds samples
 		if err != nil {
 			return nil, err
 		}

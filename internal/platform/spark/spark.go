@@ -190,7 +190,7 @@ func (e *engine) ToChannel(op *core.Operator, r *RDD) (*core.Channel, error) {
 
 // Apply implements driverutil.Engine. Without a sniffer the output is counted
 // as it lies; nothing is flattened just to be counted.
-func (e *engine) Apply(op *core.Operator, in []*RDD, round int, counter *int64, sniff func(any)) (*RDD, error) {
+func (e *engine) Apply(op *core.Operator, in []*RDD, round core.Round, counter *int64, sniff func(any)) (*RDD, error) {
 	out, err := e.apply(op, in, round)
 	if err != nil {
 		return nil, err
@@ -215,7 +215,7 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 // apply evaluates the kinds spark's archetype owns — sources, sinks, cache,
 // cartesian and union; every other kind is the default arm,
 // driverutil.ApplyBlocking over the inputs' row partitions.
-func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
+func (e *engine) apply(op *core.Operator, in []*RDD, round core.Round) (*RDD, error) {
 	switch op.Kind {
 	case core.KindCollectionSource:
 		if len(in) > 0 { // loop-input placeholder

@@ -188,7 +188,7 @@ func (e *engine) ToChannel(op *core.Operator, p *pipe) (*core.Channel, error) {
 }
 
 // Apply implements driverutil.Engine.
-func (e *engine) Apply(op *core.Operator, in []*pipe, round int, counter *int64, sniff func(any)) (*pipe, error) {
+func (e *engine) Apply(op *core.Operator, in []*pipe, round core.Round, counter *int64, sniff func(any)) (*pipe, error) {
 	out, err := e.apply(op, in, round)
 	if err != nil {
 		return nil, err
@@ -240,7 +240,7 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 // and the lazy cartesian and union iterators; every other kind is the
 // default arm, driverutil.ApplyBlocking over each input's rows as one
 // partition.
-func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) {
+func (e *engine) apply(op *core.Operator, in []*pipe, round core.Round) (*pipe, error) {
 	switch op.Kind {
 	case core.KindCollectionSource:
 		if len(in) > 0 { // loop-input placeholder: carried value substituted

@@ -148,6 +148,14 @@ go test -race -count=1 -run='TestUDFPanicFailsStage|TestCallerOwnedInputSurvives
 # pinned to streams, spark and flink, a shuffle-first sample in a loop walks
 # the same windows, and spark's and flink's PageRank ranks agree.
 go test -race -count=1 -run='TestWholeInputKindsAgreeAcrossEngines' .
+# And a shuffle-first sample keeps its permutation for the run of its loop
+# yet draws what a sampler built per round draws: 40 rounds of a Repeat in
+# order, a DoWhile whose sampled input changes length every round, two runs
+# of one plan on one context and two samples in one wave, pinned to streams,
+# spark and flink; after round 0 a round allocates its window, not the
+# permutation.
+go test -race -count=1 -run='TestShuffleFirstLoopRunIsExact|TestShuffleFirstLoopRunRebuildsOnNewLength|TestShuffleFirstLoopRunTwoSamplesOneWave' .
+go test -race -count=1 -run='TestSampleLoopRunMatchesFresh|TestSampleLoopRunAllocations' ./internal/platform/driverutil
 # The platform frame likewise: the registry pinned byte for byte, the toy
 # platform built on the shared frame, and two first jobs paying one boot.
 go test -race -count=1 -run='TestRegistryGolden|TestPluggingANewPlatform|TestNewPlatformChosenOnMerit' .
