@@ -20,7 +20,6 @@ import (
 	"rheem/internal/core"
 	"rheem/internal/experiments"
 	"rheem/internal/rescache"
-	"rheem/internal/storage/dfs"
 )
 
 func benchScale() float64 {
@@ -204,48 +203,6 @@ func BenchmarkWordCountCacheHit(b *testing.B) {
 	b.StopTimer()
 	if st := cache.Stats(false); st.Hits < int64(b.N) {
 		b.Fatalf("cache hits = %d over %d runs: warm runs re-executed the pipeline", st.Hits, b.N)
-	}
-}
-
-// BenchmarkWordCountSpillHit prices the disk tier: the cache is kept so
-// small that a high-benefit filler entry demotes the job's results to the
-// spill store after every run, so each timed Execute must reload them from
-// disk. Compare against BenchmarkWordCountCacheHit (RAM hit) and
-// BenchmarkWordCountCacheMiss (full re-execution) — a spill hit should land
-// between the two.
-func BenchmarkWordCountSpillHit(b *testing.B) {
-	spill, err := dfs.New(b.TempDir(), dfs.Options{Replication: 1, Nodes: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const maxBytes = 32 << 10
-	cache := rescache.New(rescache.Options{
-		MaxBytes:      maxBytes,
-		SpillStore:    spill,
-		SpillMaxBytes: 64 << 20,
-	})
-	ctx := benchCacheCtx(b, cache)
-	if _, err := ctx.Execute(benchWordCountPlan(ctx)); err != nil {
-		b.Fatal(err)
-	}
-	// The filler's enormous benefit keeps it resident, so every reload of a
-	// job entry pushes the cache over budget and demotes that entry again.
-	if !cache.Put("bench-spill-filler", []any{int64(1)}, 1e9, maxBytes, nil) {
-		b.Fatal("filler entry rejected")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ctx.Execute(benchWordCountPlan(ctx)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	st := cache.Stats(false)
-	if st.SpillReloads < int64(b.N) {
-		b.Fatalf("spill reloads = %d over %d runs: warm runs did not hit the disk tier", st.SpillReloads, b.N)
-	}
-	if st.Spills == 0 {
-		b.Fatal("nothing was ever demoted to the spill store")
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"os"
 
 	"rheem/internal/core"
 	"rheem/internal/costlearn"
@@ -95,6 +96,9 @@ type Context struct {
 	relStores map[string]*relstore.Store
 	relDriver *relstore.Driver
 	planSeq   int
+	// tempRoot is the DFS root NewContext created for an empty DFSDir,
+	// removed by Close.
+	tempRoot string
 
 	// remoteRunner, when set, offers every top-level stage to a distributed
 	// scheduler before local execution (see internal/distexec).
@@ -156,6 +160,9 @@ func NewContext(cfg Config) (*Context, error) {
 		Cache:     cfg.ResultCache,
 		relStores: map[string]*relstore.Store{},
 	}
+	if cfg.DFSDir == "" {
+		ctx.tempRoot = store.Root()
+	}
 	enabled := map[string]bool{}
 	if len(cfg.Platforms) == 0 {
 		for _, p := range AllPlatforms() {
@@ -180,18 +187,32 @@ func NewContext(cfg Config) (*Context, error) {
 			continue
 		}
 		if err := ctx.Registry.Register(drivers[name]); err != nil {
+			ctx.Close()
 			return nil, err
 		}
 	}
 	if cfg.CostTablePath != "" {
 		ctx.Costs, err = optimizer.LoadCostTable(cfg.CostTablePath)
 		if err != nil {
+			ctx.Close()
 			return nil, err
 		}
 	} else {
 		ctx.Costs = optimizer.DefaultCostTable(ctx.Registry)
 	}
 	return ctx, nil
+}
+
+// Close removes the temporary DFS root NewContext created when
+// Config.DFSDir was empty; a caller's DFSDir is left in place. Close is
+// idempotent, and the context runs no job after it.
+func (c *Context) Close() error {
+	root := c.tempRoot
+	c.tempRoot = ""
+	if root == "" {
+		return nil
+	}
+	return os.RemoveAll(root)
 }
 
 // RelStore returns (creating on first use) a named relational store

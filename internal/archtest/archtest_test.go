@@ -214,7 +214,9 @@ func TestOnlyCommandsReadTheEnvironment(t *testing.T) {
 //     nor internal/cluster: the fleet is a server concern, reached through
 //     executor.RemoteStageRunner;
 //   - internal/distexec does not import internal/storage/dfs: a stage's data
-//     travels inline in the dispatch round trip, its one transport.
+//     travels inline in the dispatch round trip, its one transport;
+//   - internal/rescache does not import internal/storage/dfs: cached results
+//     live in memory, on this peer or on the fleet's remote tier.
 func TestImportBoundaries(t *testing.T) {
 	const internal = "rheem/internal/"
 	for _, s := range sources(t) {
@@ -238,6 +240,8 @@ func TestImportBoundaries(t *testing.T) {
 				broken = "the root package imports neither internal/distexec nor internal/cluster"
 			case under(pkgDir, "internal/distexec") && under(path, internal+"storage/dfs"):
 				broken = "internal/distexec does not import internal/storage/dfs: a stage's data travels inline"
+			case under(pkgDir, "internal/rescache") && under(path, internal+"storage/dfs"):
+				broken = "internal/rescache imports no internal/storage/dfs: cached results live in memory"
 			}
 			if broken != "" {
 				t.Errorf("%s: imports %s: %s", s.at(imp), path, broken)

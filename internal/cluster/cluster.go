@@ -30,6 +30,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -37,7 +40,6 @@ import (
 
 	"rheem/internal/rescache"
 	"rheem/internal/telemetry"
-	"rheem/internal/xlog"
 )
 
 // Options configure a Node.
@@ -55,19 +57,25 @@ type Options struct {
 	SuspectAfter time.Duration
 	// DeadAfter marks a silent peer dead (default 10× the interval).
 	DeadAfter time.Duration
-	// FetchTimeout bounds one remote cache fetch, write-through, or
-	// heartbeat round-trip (default 2s).
-	FetchTimeout time.Duration
 	// Cache is the local result cache the remote tier serves from and
 	// gossip invalidates into. Nil runs membership and routing only.
 	Cache *rescache.Cache
 	// Metrics receives rheem_cluster_* counters and gauges (nil-safe).
 	Metrics *telemetry.Registry
-	// Log receives membership transitions and transport failures.
-	Log *xlog.Logger
+	// Log receives membership transitions and transport failures; nil
+	// disables logging.
+	Log *slog.Logger
 
 	now func() time.Time
 }
+
+// fetchTimeout bounds one remote cache fetch, write-through, or heartbeat
+// round-trip; a node keeps the value it was created with.
+var fetchTimeout = 2 * time.Second
+
+// offLog stands in for a nil Options.Log: its handler is enabled at no
+// level, so a disabled call returns before it formats anything.
+var offLog = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 
 // Peer states.
 const (
@@ -98,9 +106,10 @@ type peer struct {
 // handlers into the HTTP mux (restapi does this), attach it to the cache
 // via rescache.(*Cache).SetRemote, then Start the heartbeat loop.
 type Node struct {
-	opts   Options
-	client *http.Client
-	log    *xlog.Logger
+	opts         Options
+	client       *http.Client
+	log          *slog.Logger
+	fetchTimeout time.Duration
 
 	mu    sync.Mutex
 	peers map[string]*peer
@@ -132,18 +141,19 @@ func New(opts Options) (*Node, error) {
 	if opts.DeadAfter <= 0 {
 		opts.DeadAfter = 10 * opts.HeartbeatInterval
 	}
-	if opts.FetchTimeout <= 0 {
-		opts.FetchTimeout = 2 * time.Second
+	if opts.Log == nil {
+		opts.Log = offLog
 	}
 	if opts.now == nil {
 		opts.now = time.Now
 	}
 	n := &Node{
-		opts:   opts,
-		client: &http.Client{Timeout: opts.FetchTimeout},
-		log:    opts.Log,
-		peers:  map[string]*peer{},
-		stop:   make(chan struct{}),
+		opts:         opts,
+		client:       &http.Client{Timeout: fetchTimeout},
+		log:          opts.Log,
+		fetchTimeout: fetchTimeout,
+		peers:        map[string]*peer{},
+		stop:         make(chan struct{}),
 	}
 	now := opts.now()
 	for _, addr := range opts.Peers {
@@ -392,10 +402,10 @@ func (n *Node) AliveRemotes() []string {
 	return out
 }
 
-// FetchTimeout reports the per-peer timeout configured for internal
-// fetches; aggregation scrapes reuse it so one slow peer cannot stall a
-// fleet-wide answer.
-func (n *Node) FetchTimeout() time.Duration { return n.opts.FetchTimeout }
+// FetchTimeout reports the per-peer timeout of internal fetches;
+// aggregation scrapes reuse it so one slow peer cannot stall a fleet-wide
+// answer.
+func (n *Node) FetchTimeout() time.Duration { return n.fetchTimeout }
 
 // aliveAddrs is the ring membership: self plus every alive peer.
 func (n *Node) aliveAddrs() []string {

@@ -43,7 +43,7 @@ func (n *Node) Fetch(ctx context.Context, fp string) (rescache.RemoteHit, bool) 
 		return rescache.RemoteHit{}, false
 	}
 	n.mRemoteProbes.Inc()
-	ctx, cancel := context.WithTimeout(ctx, n.opts.FetchTimeout)
+	ctx, cancel := context.WithTimeout(ctx, n.fetchTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		"http://"+owner+"/v1/internal/cache/"+fp, nil)
@@ -97,7 +97,7 @@ func (n *Node) Store(ctx context.Context, fp string, quanta []any, costMs float6
 	if owner == "" || owner == n.opts.Advertise {
 		return
 	}
-	ctx, cancel := context.WithTimeout(ctx, n.opts.FetchTimeout)
+	ctx, cancel := context.WithTimeout(ctx, n.fetchTimeout)
 	defer cancel()
 	body, encErr := newStreamBody(quanta)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut,

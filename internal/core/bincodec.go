@@ -13,7 +13,7 @@ import (
 )
 
 // Binary quantum codec, the default wire format on every data-movement hot
-// path (file channels, DFS shuffle partitions, cache spill files). Values
+// path (file channels, DFS shuffle partitions, fleet cache transfers). Values
 // carry a one-byte type tag followed by a compact payload: varints for
 // integers and lengths, raw 8-byte IEEE 754 for floats, recursively encoded
 // elements for composites. Unlike the tagged-JSON codec it needs no
@@ -542,7 +542,7 @@ func TryAppendBatch(buf []byte, chunk []any) (out []byte, ok bool, err error) {
 // --- pooled encode buffers ------------------------------------------------
 
 // Pooled scratch buffers for the binary-encode hot paths (DFS frame writes,
-// cache spills, shuffles): callers borrow one buffer for the duration of an
+// cache size estimates, shuffles): callers borrow one buffer for the duration of an
 // encode loop instead of growing a fresh slice per call site.
 var encBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 1<<12); return &b }}
 

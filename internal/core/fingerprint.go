@@ -18,8 +18,8 @@ import (
 //
 // Canonicalization rules (also documented in DESIGN.md):
 //   - Every operator hash begins with the scheme tag fingerprintScheme, so a
-//     hash computed under other rules (an older spill file, a peer running
-//     an older binary) can only miss, never collide.
+//     hash computed under other rules (a peer running an older binary) can
+//     only miss, never collide.
 //   - The hash of an operator covers its kind, label, every kind-relevant
 //     scalar parameter, the identity of each attached UDF, and the
 //     fingerprints of its dataflow inputs in port order plus its broadcast

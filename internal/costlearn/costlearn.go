@@ -82,14 +82,15 @@ func LoadLogs(path string) ([]StageLog, error) {
 // mutation is the genetic algorithm's per-gene mutation probability.
 const mutation = 0.25
 
+// smoothing is the paper's additive-smoothing regularizer s in the relative
+// loss, in milliseconds.
+var smoothing = 5.0
+
 // Options tune the genetic algorithm.
 type Options struct {
 	Population  int   // default 60
 	Generations int   // default 120
 	Seed        int64 // default 1
-	// Smoothing is the paper's additive-smoothing regularizer s in the
-	// relative loss. Default 5ms.
-	Smoothing float64
 }
 
 func (o Options) withDefaults() Options {
@@ -101,9 +102,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Smoothing <= 0 {
-		o.Smoothing = 5
 	}
 	return o
 }
@@ -165,7 +163,7 @@ func Learn(logs []StageLog, base *optimizer.CostTable, opts Options) (*optimizer
 		}
 		return total
 	}
-	s := opts.Smoothing
+	s := smoothing
 	loss := func(genes []float64) float64 {
 		num, den := 0.0, 0.0
 		for i := range logs {

@@ -57,7 +57,9 @@ func TestLearnRecoversSyntheticModel(t *testing.T) {
 	base := optimizer.DefaultCostTable(streamsRegistry(t))
 	base.Ops["streams.map"] = core.OpCostParams{CPUPerQuantum: 0.0001, FixedOverhead: 50} // far off
 
-	learned, finalLoss, err := Learn(logs, base, Options{Population: 50, Generations: 150, Seed: 7, Smoothing: 0.5})
+	defer func(s float64) { smoothing = s }(smoothing)
+	smoothing = 0.5
+	learned, finalLoss, err := Learn(logs, base, Options{Population: 50, Generations: 150, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,9 @@
 package distexec
 
 import (
+	"io"
+	"log/slog"
+	"math"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -33,7 +36,6 @@ import (
 	"rheem/internal/core"
 	"rheem/internal/telemetry"
 	"rheem/internal/trace"
-	"rheem/internal/xlog"
 )
 
 const (
@@ -59,8 +61,8 @@ type Options struct {
 	Registry *core.Registry
 	// Metrics receives the rheem_distexec_* family; nil skips instrumentation.
 	Metrics *telemetry.Registry
-	// Log, when set, records dispatch decisions and failures.
-	Log *xlog.Logger
+	// Log records dispatch decisions and failures; nil disables logging.
+	Log *slog.Logger
 	// Traces stores worker-side fragment tracers so the origin can stitch
 	// them into the job's distributed trace (served by /v1/internal/trace).
 	Traces *trace.Store
@@ -68,6 +70,10 @@ type Options struct {
 	// below it never pay a network round-trip (-cluster-exec-min-cost-ms).
 	MinCostMs float64
 }
+
+// offLog stands in for a nil Options.Log: its handler is enabled at no
+// level, so a disabled call returns before it formats anything.
+var offLog = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 
 // Scheduler is both sides of distributed stage execution: the origin-side
 // dispatcher (RunStage, the executor's RemoteStageRunner seam) and the
@@ -87,6 +93,9 @@ type Scheduler struct {
 func New(opts Options) *Scheduler {
 	if opts.Advertise == "" && opts.Node != nil {
 		opts.Advertise = opts.Node.Self()
+	}
+	if opts.Log == nil {
+		opts.Log = offLog
 	}
 	opts.Metrics.Help("rheem_distexec_dispatched_total",
 		"Stages dispatched to fleet peers for remote execution.")

@@ -3,6 +3,7 @@ package distexec
 import (
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net"
 	"net/http"
 	"reflect"
@@ -28,7 +29,7 @@ type testPeer struct {
 
 func newTestPeer(t *testing.T) *testPeer {
 	t.Helper()
-	store, err := dfs.NewTemp(dfs.Options{})
+	store, err := dfs.New(t.TempDir(), dfs.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,5 +295,25 @@ func TestStatsWireRoundTrip(t *testing.T) {
 	local.InQuanta, local.Remote = 5, "peer:1"
 	if !reflect.DeepEqual(got, local) {
 		t.Fatalf("entry after the wire:\n got %+v\nwant %+v\nwire %s", got, local, raw)
+	}
+}
+
+// TestNilLogIsDisabled: a scheduler built without a logger gets one enabled
+// at no level, and a fragment still runs on a peer and comes back.
+func TestNilLogIsDisabled(t *testing.T) {
+	origin := newTestPeer(t)
+	worker := newTestPeer(t)
+	for _, level := range []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError} {
+		if origin.s.opts.Log.Enabled(context.Background(), level) {
+			t.Errorf("nil Log builds a logger enabled at %v", level)
+		}
+	}
+	frag, _, _ := stubbedFragment(t, origin, "frag-nil-log", []any{int64(3), int64(4)})
+	resp, err := origin.s.dispatch(context.Background(), worker.s.opts.Advertise, frag, dispatchSpan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Outs) != 1 {
+		t.Fatalf("response has %d outputs, want 1", len(resp.Outs))
 	}
 }

@@ -63,8 +63,8 @@ type RemoteStageRunner interface {
 
 // ResultCache is the cross-job result cache's population interface
 // (implemented by rescache.Cache). StoreResult reports the entry's
-// estimated bytes and whether it was admitted; ctx carries the trace span
-// under which cache-internal activity (e.g. spill demotions) is recorded.
+// estimated bytes and whether it was admitted; ctx bounds a fleet
+// write-through.
 type ResultCache interface {
 	StoreResult(ctx context.Context, co *core.CacheOut, quanta []any) (int64, bool)
 }
@@ -467,16 +467,14 @@ func annotateStageSpan(stSp *trace.Span, st *core.StageStats) {
 }
 
 // storeCacheOut publishes one marked, already-materialized stage output to
-// the cross-job result cache, recording a cache-store span under sp. The
-// span is opened before the store so cache-internal spans (spill demotions
-// making room for the new entry) nest under it.
+// the cross-job result cache, recording a cache-store span under sp.
 func (ex *Executor) storeCacheOut(ctx context.Context, sp *trace.Span, op *core.Operator, co *core.CacheOut, ch *core.Channel) {
 	quanta, err := driverutil.ChannelQuanta(ch)
 	if err != nil {
 		return // platform-native payloads that cannot be materialized are not cacheable
 	}
 	stSp := sp.Start(trace.KindCacheStore, "cache-store:"+shortFingerprint(co.Fingerprint))
-	bytes, ok := ex.Cache.StoreResult(trace.NewContext(ctx, stSp), co, quanta)
+	bytes, ok := ex.Cache.StoreResult(ctx, co, quanta)
 	stSp.SetAttr("fingerprint", co.Fingerprint)
 	stSp.SetAttr("operator", op.String())
 	stSp.SetInt("quanta", int64(len(quanta)))

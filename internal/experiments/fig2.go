@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"os"
 
 	"rheem"
 	"rheem/apps/bigdansing"
@@ -250,14 +251,19 @@ func Fig2d(opts Options) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		lay, err := datacivilizer.LoadPolystore(ctx, db, tempDir())
+		dir, err := os.MkdirTemp("", "rheem-exp-*")
 		if err != nil {
 			return nil, err
 		}
-		ms, err := timed(func() error {
-			_, err := datacivilizer.RunQ5(ctx, lay, "ASIA", 100, rheem.WithProgressive(false))
-			return err
-		})
+		lay, err := datacivilizer.LoadPolystore(ctx, db, dir)
+		var ms float64
+		if err == nil {
+			ms, err = timed(func() error {
+				_, err := datacivilizer.RunQ5(ctx, lay, "ASIA", 100, rheem.WithProgressive(false))
+				return err
+			})
+		}
+		os.RemoveAll(dir)
 		if err != nil {
 			return nil, fmt.Errorf("fig2d rheem %s: %w", cfg, err)
 		}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"os"
 	"time"
 
 	"rheem"
@@ -11,14 +10,6 @@ import (
 	"rheem/internal/simclock"
 	"rheem/internal/tasks"
 )
-
-func tempDir() string {
-	dir, err := os.MkdirTemp("", "rheem-exp-*")
-	if err != nil {
-		return os.TempDir()
-	}
-	return dir
-}
 
 // q5AllPostgres is the "load everything into the DBMS first" practice: bulk
 // load the DFS- and file-resident tables into the store (the dominant cost

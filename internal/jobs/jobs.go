@@ -15,12 +15,14 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
+	"math"
 	"sync"
 	"time"
 
 	"rheem/internal/telemetry"
 	"rheem/internal/trace"
-	"rheem/internal/xlog"
 )
 
 // Sentinel errors returned by Manager methods.
@@ -74,8 +76,12 @@ type Options struct {
 	Metrics *telemetry.Registry
 	// Log receives job lifecycle events (admitted, started, terminal); nil
 	// disables logging.
-	Log *xlog.Logger
+	Log *slog.Logger
 }
+
+// offLog stands in for a nil Options.Log: its handler is enabled at no
+// level, so a disabled call returns before it formats anything.
+var offLog = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 
 func (o Options) withDefaults() Options {
 	if o.QueueDepth <= 0 {
@@ -86,6 +92,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ResultTTL <= 0 {
 		o.ResultTTL = 10 * time.Minute
+	}
+	if o.Log == nil {
+		o.Log = offLog
 	}
 	return o
 }

@@ -7,10 +7,9 @@ import (
 	"rheem/internal/trace"
 )
 
-// The remote tier: a third cache level behind RAM and the disk spill tier,
-// served by the peer fleet. The cluster layer (internal/cluster) assigns
-// every fingerprint an owner peer on a rendezvous ring and implements
-// RemoteTier over HTTP; the cache only knows that a local miss may be
+// The remote tier: a second cache level behind RAM, served by the peer
+// fleet. The cluster layer (internal/cluster) assigns every fingerprint an
+// owner peer on a rendezvous ring and implements RemoteTier over HTTP; the cache only knows that a local miss may be
 // resolvable by one remote fetch, and that freshly computed results should
 // be written through to their owner so any peer's later probe finds them.
 
@@ -63,7 +62,7 @@ func (c *Cache) fetchRemote(ctx context.Context, fp string, parent *trace.Span) 
 		c.mu.Unlock()
 		select {
 		case <-f.done:
-			return c.get(fp, parent, true)
+			return c.get(fp, true)
 		case <-ctx.Done():
 			return Hit{}, false
 		}
@@ -92,6 +91,6 @@ func (c *Cache) fetchRemote(ctx context.Context, fp string, parent *trace.Span) 
 	hs.End()
 	sp.End()
 	// Adopt the fetched entry locally so repeats on this peer stay local.
-	c.put(fp, rh.Quanta, rh.CostMs, rh.Bytes, rh.Sources, parent)
+	c.Put(fp, rh.Quanta, rh.CostMs, rh.Bytes, rh.Sources)
 	return Hit{Quanta: rh.Quanta, CostMs: rh.CostMs, Bytes: rh.Bytes, Remote: true}, true
 }

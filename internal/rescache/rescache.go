@@ -8,11 +8,6 @@
 // entry's size), supports TTL expiry and explicit invalidation by source
 // dataset, and is safe for concurrent jobs: single-flight claims ensure N
 // identical concurrent jobs compute a missing result exactly once.
-//
-// With a spill store configured (Options.SpillStore + SpillMaxBytes), the
-// cache is two-tiered: capacity eviction demotes entries to a DFS-backed
-// disk tier instead of dropping them, and probes that miss RAM transparently
-// reload from disk (see spill.go).
 package rescache
 
 import (
@@ -21,9 +16,7 @@ import (
 	"time"
 
 	"rheem/internal/core"
-	"rheem/internal/storage/dfs"
 	"rheem/internal/telemetry"
-	"rheem/internal/trace"
 )
 
 // Options configure a Cache.
@@ -36,13 +29,6 @@ type Options struct {
 	// MinCostMs is the minimum estimated compute cost (milliseconds) a
 	// subtree must have to be worth caching; cheaper results are recomputed.
 	MinCostMs float64
-	// SpillStore, when set together with a positive SpillMaxBytes, enables
-	// the disk tier: capacity-evicted entries are demoted to this DFS store
-	// (under SpillPrefix) instead of dropped. An existing store is
-	// re-indexed at startup.
-	SpillStore *dfs.Store
-	// SpillMaxBytes bounds the disk tier. Zero disables spilling.
-	SpillMaxBytes int64
 	// Metrics receives rheem_cache_* counters and gauges (nil-safe).
 	Metrics *telemetry.Registry
 	// now overrides time.Now in tests.
@@ -86,8 +72,6 @@ type EntryStats struct {
 	Sources     []core.SourceRef `json:"sources,omitempty"`
 	StoredAt    time.Time        `json:"stored_at"`
 	LastUsedAt  time.Time        `json:"last_used_at"`
-	// Tier is "disk" for spilled entries and empty for RAM-resident ones.
-	Tier string `json:"tier,omitempty"`
 }
 
 // Stats is the cache-wide summary for the stats endpoint.
@@ -100,14 +84,6 @@ type Stats struct {
 	Misses    int64 `json:"misses"`
 	Stores    int64 `json:"stores"`
 	Evictions int64 `json:"evictions"`
-	// Disk (spill) tier. SpillMaxBytes is zero when spilling is disabled.
-	SpillEntries  int   `json:"spill_entries"`
-	SpillBytes    int64 `json:"spill_bytes"`
-	SpillMaxBytes int64 `json:"spill_max_bytes"`
-	Spills        int64 `json:"spills"`
-	SpillReloads  int64 `json:"spill_reloads"`
-	SpillDrops    int64 `json:"spill_drops"`
-	SpillErrors   int64 `json:"spill_errors"`
 
 	// SourceVersions is the per-source invalidation version table (details
 	// only) — comparing it across peers shows gossip convergence.
@@ -123,21 +99,15 @@ type Cache struct {
 	mu       sync.Mutex
 	entries  map[string]*entry
 	bytes    int64
-	spilled  map[string]*spillEntry // disk tier index (fingerprint -> file)
-	versions map[string]uint64      // source dataset name -> current version
+	versions map[string]uint64 // source dataset name -> current version
 	flights  map[string]*flight
 	fetches  map[string]*flight // in-flight remote fetches (see remote.go)
 	remote   RemoteTier         // fleet tier; nil on single-node servers
 
 	hits, misses, stores, evictions int64
 
-	spillBytes                                    int64
-	spills, spillReloads, spillDrops, spillErrors int64
-
-	mHits, mMisses, mStores, mEvictions          *telemetry.Counter
-	mSpills, mSpillReloads, mSpillDrops          *telemetry.Counter
-	mSpillErrors                                 *telemetry.Counter
-	gBytes, gEntries, gSpillBytes, gSpillEntries *telemetry.Gauge
+	mHits, mMisses, mStores, mEvictions *telemetry.Counter
+	gBytes, gEntries                    *telemetry.Gauge
 }
 
 // flight is a single-flight claim on a fingerprint: the first job to miss
@@ -157,7 +127,6 @@ func New(opts Options) *Cache {
 	c := &Cache{
 		opts:     opts,
 		entries:  map[string]*entry{},
-		spilled:  map[string]*spillEntry{},
 		versions: map[string]uint64{},
 		flights:  map[string]*flight{},
 		fetches:  map[string]*flight{},
@@ -169,27 +138,12 @@ func New(opts Options) *Cache {
 	m.Help("rheem_cache_evictions_total", "Cache entries evicted (capacity or TTL).")
 	m.Help("rheem_cache_bytes", "Estimated bytes of cached payloads.")
 	m.Help("rheem_cache_entries", "Live cache entries.")
-	m.Help("rheem_cache_spills_total", "Cache entries demoted to the disk tier.")
-	m.Help("rheem_cache_spill_reloads_total", "Cache probes served from the disk tier.")
-	m.Help("rheem_cache_spill_drops_total", "Disk-tier entries dropped (spill bound or TTL).")
-	m.Help("rheem_cache_spill_errors_total", "Spill write/read failures.")
-	m.Help("rheem_cache_spill_bytes", "Bytes of payloads resident in the disk tier.")
-	m.Help("rheem_cache_spill_entries", "Live disk-tier entries.")
 	c.mHits = m.Counter("rheem_cache_hits_total")
 	c.mMisses = m.Counter("rheem_cache_misses_total")
 	c.mStores = m.Counter("rheem_cache_stores_total")
 	c.mEvictions = m.Counter("rheem_cache_evictions_total")
-	c.mSpills = m.Counter("rheem_cache_spills_total")
-	c.mSpillReloads = m.Counter("rheem_cache_spill_reloads_total")
-	c.mSpillDrops = m.Counter("rheem_cache_spill_drops_total")
-	c.mSpillErrors = m.Counter("rheem_cache_spill_errors_total")
 	c.gBytes = m.Gauge("rheem_cache_bytes")
 	c.gEntries = m.Gauge("rheem_cache_entries")
-	c.gSpillBytes = m.Gauge("rheem_cache_spill_bytes")
-	c.gSpillEntries = m.Gauge("rheem_cache_spill_entries")
-	if c.spillOn() {
-		c.loadSpillIndex()
-	}
 	return c
 }
 
@@ -206,35 +160,28 @@ func (c *Cache) SourceVersion(name string) uint64 {
 }
 
 // Hit is a successful probe: the cached quanta plus the observed (exact)
-// cardinality and estimated saved cost. Reloaded marks a hit served from
-// the disk (spill) tier rather than RAM; Remote marks one fetched from a
+// cardinality and estimated saved cost. Remote marks one fetched from a
 // peer on the cluster tier.
 type Hit struct {
-	Quanta   []any
-	CostMs   float64
-	Bytes    int64
-	Sources  []core.SourceRef // read-only view; needed when re-serving the entry to a peer
-	Reloaded bool
-	Remote   bool
+	Quanta  []any
+	CostMs  float64
+	Bytes   int64
+	Sources []core.SourceRef // read-only view; needed when re-serving the entry to a peer
+	Remote  bool
 }
 
 // Get probes the cache. A hit bumps the entry's use count (strengthening it
 // against eviction) and returns a copy-free view of the stored quanta —
-// callers must not mutate the slice. A probe that misses RAM but finds the
-// fingerprint in the disk tier reloads it transparently.
-func (c *Cache) Get(fp string) (Hit, bool) { return c.get(fp, nil, true) }
+// callers must not mutate the slice.
+func (c *Cache) Get(fp string) (Hit, bool) { return c.get(fp, true) }
 
-// get is Get with a parent span for spill/reload instrumentation.
-func (c *Cache) get(fp string, parent *trace.Span, countMiss bool) (Hit, bool) {
+// get is Get that counts a miss only when countMiss is set (a re-probe of a
+// miss already counted does not).
+func (c *Cache) get(fp string, countMiss bool) (Hit, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sweepLocked()
 	e := c.entries[fp]
-	reloaded := false
-	if e == nil && c.spillOn() {
-		e = c.reloadLocked(fp, parent)
-		reloaded = e != nil
-	}
 	if e == nil {
 		if countMiss {
 			c.misses++
@@ -247,7 +194,7 @@ func (c *Cache) get(fp string, parent *trace.Span, countMiss bool) (Hit, bool) {
 	c.hits++
 	c.mHits.Inc()
 	c.publishGaugesLocked()
-	return Hit{Quanta: e.quanta, CostMs: e.costMs, Bytes: e.bytes, Sources: e.sources, Reloaded: reloaded}, true
+	return Hit{Quanta: e.quanta, CostMs: e.costMs, Bytes: e.bytes, Sources: e.sources}, true
 }
 
 // Put stores a materialized result. Entries whose estimated size alone
@@ -256,11 +203,6 @@ func (c *Cache) get(fp string, parent *trace.Span, countMiss bool) (Hit, bool) {
 // already-present fingerprint refreshes the payload and TTL but keeps the
 // accumulated hit count.
 func (c *Cache) Put(fp string, quanta []any, costMs float64, bytes int64, sources []core.SourceRef) bool {
-	return c.put(fp, quanta, costMs, bytes, sources, nil)
-}
-
-// put is Put with a parent span for spill instrumentation.
-func (c *Cache) put(fp string, quanta []any, costMs float64, bytes int64, sources []core.SourceRef, parent *trace.Span) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sweepLocked()
@@ -273,12 +215,6 @@ func (c *Cache) put(fp string, quanta []any, costMs float64, bytes int64, source
 		hits = old.hits
 		c.removeLocked(old)
 	}
-	if c.spillOn() {
-		// A fresher RAM store supersedes any stale disk copy.
-		if se := c.spilled[fp]; se != nil {
-			c.dropSpillLocked(se, true)
-		}
-	}
 	e := &entry{
 		fp: fp, quanta: quanta, bytes: bytes, costMs: costMs, hits: hits,
 		sources: sources, stored: now, lastUse: now,
@@ -287,16 +223,14 @@ func (c *Cache) put(fp string, quanta []any, costMs float64, bytes int64, source
 	c.bytes += bytes
 	c.stores++
 	c.mStores.Inc()
-	c.evictLocked(parent)
+	c.evictLocked()
 	c.publishGaugesLocked()
 	return c.entries[fp] == e
 }
 
 // evictLocked drops lowest-benefit entries until the byte bound holds. A
 // just-inserted entry competes on equal terms and may itself be the victim.
-// With the spill tier enabled, each victim is demoted to disk before its
-// RAM copy is released.
-func (c *Cache) evictLocked(parent *trace.Span) {
+func (c *Cache) evictLocked() {
 	if c.opts.MaxBytes <= 0 {
 		return
 	}
@@ -308,17 +242,14 @@ func (c *Cache) evictLocked(parent *trace.Span) {
 				victim = e
 			}
 		}
-		if c.spillOn() {
-			c.spillLocked(victim, parent)
-		}
 		c.removeLocked(victim)
 		c.evictions++
 		c.mEvictions.Inc()
 	}
 }
 
-// sweepLocked lazily expires TTL-exceeded entries in both tiers. Expiry is
-// a real drop — stale RAM entries are not demoted.
+// sweepLocked lazily expires TTL-exceeded entries, counting each as an
+// eviction. The TTL runs from an entry's last store: a hit does not extend it.
 func (c *Cache) sweepLocked() {
 	if c.opts.TTL <= 0 {
 		return
@@ -329,13 +260,6 @@ func (c *Cache) sweepLocked() {
 			c.removeLocked(e)
 			c.evictions++
 			c.mEvictions.Inc()
-		}
-	}
-	for _, se := range c.spilled {
-		if se.stored.Before(cutoff) {
-			c.dropSpillLocked(se, true)
-			c.spillDrops++
-			c.mSpillDrops.Inc()
 		}
 	}
 	c.publishGaugesLocked()
@@ -349,47 +273,34 @@ func (c *Cache) removeLocked(e *entry) {
 func (c *Cache) publishGaugesLocked() {
 	c.gBytes.Set(float64(c.bytes))
 	c.gEntries.Set(float64(len(c.entries)))
-	c.gSpillBytes.Set(float64(c.spillBytes))
-	c.gSpillEntries.Set(float64(len(c.spilled)))
 }
 
-// Delete drops one entry by fingerprint — from either tier — reporting
-// whether it existed.
+// Delete drops one entry by fingerprint, reporting whether it existed.
 func (c *Cache) Delete(fp string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	found := false
-	if e := c.entries[fp]; e != nil {
-		c.removeLocked(e)
-		found = true
+	e := c.entries[fp]
+	if e == nil {
+		return false
 	}
-	if se := c.spilled[fp]; se != nil {
-		c.dropSpillLocked(se, true)
-		found = true
-	}
-	if found {
-		c.publishGaugesLocked()
-	}
-	return found
+	c.removeLocked(e)
+	c.publishGaugesLocked()
+	return true
 }
 
-// Clear drops every entry in both tiers (versions and counters are
-// retained). Spill files are deleted from the store.
+// Clear drops every entry (versions and counters are retained).
 func (c *Cache) Clear() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := len(c.entries) + len(c.spilled)
+	n := len(c.entries)
 	c.entries = map[string]*entry{}
 	c.bytes = 0
-	for _, se := range c.spilled {
-		c.dropSpillLocked(se, true)
-	}
 	c.publishGaugesLocked()
 	return n
 }
 
 // InvalidateSource bumps the version of a named source dataset and drops
-// every entry — in either tier — whose subtree read it. Future fingerprints
+// every entry whose subtree read it. Future fingerprints
 // of plans reading the dataset change, so stale entries cannot be hit even
 // if a concurrent store races the invalidation.
 func (c *Cache) InvalidateSource(name string) int {
@@ -436,22 +347,12 @@ func (c *Cache) advanceSourceLocked(name string, version uint64) int {
 			}
 		}
 	}
-	for _, se := range c.spilled {
-		for _, s := range se.sources {
-			if s.Name == name {
-				c.dropSpillLocked(se, true)
-				n++
-				break
-			}
-		}
-	}
 	c.publishGaugesLocked()
 	return n
 }
 
 // Stats snapshots the cache state. Per-entry details are sorted by
-// descending benefit (the eviction survivorship order); disk-tier entries
-// carry Tier "disk".
+// descending benefit (the eviction survivorship order).
 func (c *Cache) Stats(details bool) Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -460,10 +361,6 @@ func (c *Cache) Stats(details bool) Stats {
 		Entries: len(c.entries), Bytes: c.bytes,
 		MaxBytes: c.opts.MaxBytes, TTLMs: c.opts.TTL.Milliseconds(),
 		Hits: c.hits, Misses: c.misses, Stores: c.stores, Evictions: c.evictions,
-		SpillEntries: len(c.spilled), SpillBytes: c.spillBytes,
-		SpillMaxBytes: c.opts.SpillMaxBytes,
-		Spills:        c.spills, SpillReloads: c.spillReloads,
-		SpillDrops: c.spillDrops, SpillErrors: c.spillErrors,
 	}
 	if details {
 		if len(c.versions) > 0 {
@@ -477,13 +374,6 @@ func (c *Cache) Stats(details bool) Stats {
 				Fingerprint: e.fp, Quanta: len(e.quanta), Bytes: e.bytes,
 				CostMs: e.costMs, Hits: e.hits, Sources: e.sources,
 				StoredAt: e.stored, LastUsedAt: e.lastUse,
-			})
-		}
-		for _, se := range c.spilled {
-			st.Details = append(st.Details, EntryStats{
-				Fingerprint: se.fp, Quanta: se.quanta, Bytes: se.bytes,
-				CostMs: se.costMs, Hits: se.hits, Sources: se.sources,
-				StoredAt: se.stored, LastUsedAt: se.lastUse, Tier: "disk",
 			})
 		}
 		sort.Slice(st.Details, func(i, j int) bool {

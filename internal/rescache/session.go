@@ -130,7 +130,7 @@ func (s *Session) substitute(probe *trace.Span) {
 			continue
 		}
 		s.probed++
-		hit, ok := s.cache.get(info.Hash, probe, true)
+		hit, ok := s.cache.get(info.Hash, true)
 		if !ok {
 			// A local miss may still be a fleet hit: probe the ring owner.
 			hit, ok = s.cache.fetchRemote(s.ctx, info.Hash, probe)
@@ -213,9 +213,6 @@ func (s *Session) apply(op *core.Operator, info *core.FPInfo, hit Hit, probe *tr
 	sp.SetInt("quanta", int64(len(quanta)))
 	sp.SetFloat("saved_cost_ms", hit.CostMs)
 	sp.SetInt("pruned_ops", int64(len(removed)))
-	if hit.Reloaded {
-		sp.SetAttr("tier", "disk")
-	}
 	if hit.Remote {
 		sp.SetAttr("tier", "remote")
 	}
@@ -249,7 +246,7 @@ func (s *Session) flight(ctx context.Context, probe *trace.Span) {
 		for _, cd := range cands {
 			leader, done := s.cache.Claim(cd.fp)
 			if leader {
-				hit, ok := s.cache.get(cd.fp, probe, false)
+				hit, ok := s.cache.get(cd.fp, false)
 				if !ok {
 					s.claimed = append(s.claimed, cd.fp)
 					s.claimedSet[cd.fp] = true
@@ -288,9 +285,7 @@ func shortFP(fp string) string {
 // StoreResult materializes one marked stage output into the cache,
 // estimating its footprint through the binary quantum codec. It returns the
 // estimated bytes and whether the entry was admitted; results with
-// un-encodable quanta are not cached. Spill activity triggered by the store
-// (demotions making room) is traced under the span carried by ctx. With a
-// fleet tier attached, the result is also written through to the
+// un-encodable quanta are not cached. With a fleet tier attached, the result is also written through to the
 // fingerprint's ring owner so any peer's later probe finds it.
 func (c *Cache) StoreResult(ctx context.Context, co *core.CacheOut, quanta []any) (int64, bool) {
 	if c == nil || co == nil {
@@ -300,7 +295,7 @@ func (c *Cache) StoreResult(ctx context.Context, co *core.CacheOut, quanta []any
 	if !ok {
 		return 0, false
 	}
-	admitted := c.put(co.Fingerprint, quanta, co.CostMs, bytes, co.Sources, trace.FromContext(ctx))
+	admitted := c.Put(co.Fingerprint, quanta, co.CostMs, bytes, co.Sources)
 	// Write-through happens even when the local tier rejected the entry
 	// (capacity budgets differ per peer); the owner decides for itself.
 	if remote := c.remoteTier(); remote != nil {

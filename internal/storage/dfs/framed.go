@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 )
 
@@ -114,49 +113,6 @@ func (fw *FrameWriter) Abort() {
 	}
 }
 
-// ReadFrames returns every frame payload of a framed file, in order.
-func (s *Store) ReadFrames(name string) ([][]byte, error) {
-	s.mu.Lock()
-	m, ok := s.metas[name]
-	framed := ok && m.Framed
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("dfs: no such file %q", name)
-	}
-	if !framed {
-		return nil, fmt.Errorf("%w: %q", ErrNotFramed, name)
-	}
-	r, err := s.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	br := newFrameReader(r)
-	// Skip the raw header: the first frame of the file starts at block 0's
-	// recorded offset (-1 means the file has frames only in later blocks,
-	// which cannot happen for files written by FrameWriter, but guard).
-	skip := int64(0)
-	s.mu.Lock()
-	if len(m.Blocks) > 0 && m.Blocks[0].FrameOff > 0 {
-		skip = m.Blocks[0].FrameOff
-	}
-	s.mu.Unlock()
-	if err := br.discard(skip); err != nil {
-		return nil, err
-	}
-	var out [][]byte
-	for {
-		frame, err := br.next()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, frame)
-	}
-}
-
 // ReadBlockFrames returns the payloads of every frame starting in one block
 // split, reading into subsequent blocks to finish a straddling frame.
 // Concatenating the results over all blocks yields exactly the file's
@@ -233,37 +189,4 @@ func (s *Store) ReadBlockFrames(name string, index int) ([][]byte, error) {
 		pos += int64(n)
 	}
 	return out, nil
-}
-
-// frameReader decodes uvarint-length-prefixed frames from a stream.
-type frameReader struct {
-	r   io.Reader
-	buf [1]byte
-}
-
-func newFrameReader(r io.Reader) *frameReader { return &frameReader{r: r} }
-
-func (fr *frameReader) ReadByte() (byte, error) {
-	_, err := io.ReadFull(fr.r, fr.buf[:])
-	return fr.buf[0], err
-}
-
-func (fr *frameReader) discard(n int64) error {
-	if n <= 0 {
-		return nil
-	}
-	_, err := io.CopyN(io.Discard, fr.r, n)
-	return err
-}
-
-func (fr *frameReader) next() ([]byte, error) {
-	n, err := binary.ReadUvarint(fr)
-	if err != nil {
-		return nil, err
-	}
-	frame := make([]byte, n)
-	if _, err := io.ReadFull(fr.r, frame); err != nil {
-		return nil, fmt.Errorf("dfs: truncated frame: %w", err)
-	}
-	return frame, nil
 }

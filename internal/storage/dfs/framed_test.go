@@ -38,6 +38,24 @@ func writeTestFrames(t *testing.T, s *Store, name string, header []byte, frames 
 	}
 }
 
+// readAllFrames concatenates the frames every block of a file owns, in
+// block order: the whole file's frames, each once.
+func readAllFrames(s *Store, name string) ([][]byte, error) {
+	_, blocks, err := s.Stat(name)
+	if err != nil {
+		return nil, err
+	}
+	var out [][]byte
+	for i := range blocks {
+		part, err := s.ReadBlockFrames(name, i)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, part...)
+	}
+	return out, nil
+}
+
 func TestFramedRoundTripSingleBlock(t *testing.T) {
 	s := framedStore(t, 4<<20)
 	frames := [][]byte{[]byte("alpha"), []byte(""), []byte("gamma")}
@@ -45,7 +63,7 @@ func TestFramedRoundTripSingleBlock(t *testing.T) {
 	if !s.IsFramed("f1") {
 		t.Fatal("IsFramed = false after framed write")
 	}
-	got, err := s.ReadFrames("f1")
+	got, err := readAllFrames(s, "f1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +100,9 @@ func TestFramedBlockReadsCoverFileExactly(t *testing.T) {
 	if len(blocks) < 4 {
 		t.Fatalf("file has only %d blocks; block splitting not exercised", len(blocks))
 	}
-	var got [][]byte
-	for i := range blocks {
-		part, err := s.ReadBlockFrames("big", i)
-		if err != nil {
-			t.Fatalf("block %d: %v", i, err)
-		}
-		got = append(got, part...)
+	got, err := readAllFrames(s, "big")
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(got) != len(frames) {
 		t.Fatalf("block reads yielded %d frames, want %d", len(got), len(frames))
@@ -97,14 +111,6 @@ func TestFramedBlockReadsCoverFileExactly(t *testing.T) {
 		if !bytes.Equal(got[i], frames[i]) {
 			t.Fatalf("frame %d mismatch: %d vs %d bytes", i, len(got[i]), len(frames[i]))
 		}
-	}
-	// And the whole-file read agrees.
-	whole, err := s.ReadFrames("big")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(whole) != len(frames) {
-		t.Fatalf("whole read = %d frames, want %d", len(whole), len(frames))
 	}
 }
 
@@ -140,8 +146,8 @@ func TestFramedInteriorBlockOwnsNothing(t *testing.T) {
 
 func TestFramedErrors(t *testing.T) {
 	s := framedStore(t, 1024)
-	if _, err := s.ReadFrames("absent"); err == nil {
-		t.Error("ReadFrames on a missing file succeeded")
+	if _, err := s.ReadBlockFrames("absent", 0); err == nil {
+		t.Error("ReadBlockFrames on a missing file succeeded")
 	}
 	// Line files are not framed.
 	if err := s.WriteLines("lines", []string{"a", "b"}); err != nil {
@@ -149,9 +155,6 @@ func TestFramedErrors(t *testing.T) {
 	}
 	if s.IsFramed("lines") {
 		t.Error("line file reports framed")
-	}
-	if _, err := s.ReadFrames("lines"); !errors.Is(err, ErrNotFramed) {
-		t.Errorf("ReadFrames on line file: %v, want ErrNotFramed", err)
 	}
 	if _, err := s.ReadBlockFrames("lines", 0); !errors.Is(err, ErrNotFramed) {
 		t.Errorf("ReadBlockFrames on line file: %v, want ErrNotFramed", err)
@@ -177,7 +180,7 @@ func TestFramedAbortLeavesNoFile(t *testing.T) {
 	if s.Exists("doomed") {
 		t.Error("aborted file exists in the namespace")
 	}
-	if _, err := s.ReadFrames("doomed"); err == nil {
+	if _, err := s.Open("doomed"); err == nil {
 		t.Error("aborted file is readable")
 	}
 }
@@ -186,7 +189,7 @@ func TestFramedOverwrite(t *testing.T) {
 	s := framedStore(t, 64)
 	writeTestFrames(t, s, "f", nil, [][]byte{bytes.Repeat([]byte("a"), 300)})
 	writeTestFrames(t, s, "f", nil, [][]byte{[]byte("small")})
-	got, err := s.ReadFrames("f")
+	got, err := readAllFrames(s, "f")
 	if err != nil {
 		t.Fatal(err)
 	}

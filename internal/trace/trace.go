@@ -29,21 +29,19 @@ import (
 // Span kinds emitted by the system. Instrumentation is free to invent new
 // kinds; these constants just keep the emitters consistent.
 const (
-	KindJob         = "job"
-	KindQueueWait   = "queue-wait"
-	KindRun         = "run"
-	KindOptimize    = "optimize"
-	KindReplan      = "replan"
-	KindWave        = "wave"
-	KindStage       = "stage"
-	KindOperator    = "operator"
-	KindConversion  = "channel-conversion"
-	KindLoop        = "loop"
-	KindCacheProbe  = "cache-probe"
-	KindCacheHit    = "cache-hit"
-	KindCacheStore  = "cache-store"
-	KindCacheSpill  = "cache-spill"
-	KindCacheReload = "cache-reload"
+	KindJob        = "job"
+	KindQueueWait  = "queue-wait"
+	KindRun        = "run"
+	KindOptimize   = "optimize"
+	KindReplan     = "replan"
+	KindWave       = "wave"
+	KindStage      = "stage"
+	KindOperator   = "operator"
+	KindConversion = "channel-conversion"
+	KindLoop       = "loop"
+	KindCacheProbe = "cache-probe"
+	KindCacheHit   = "cache-hit"
+	KindCacheStore = "cache-store"
 	// KindCacheRemoteProbe / KindCacheRemoteHit cover the cluster tier: a
 	// local cache miss probing the fingerprint's ring owner over HTTP, and
 	// the successful fetch that adopted the remote entry locally.

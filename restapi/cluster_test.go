@@ -92,7 +92,6 @@ func startFleetCfg(t *testing.T, n int, cfg fleetConfig) []*fleetPeer {
 			HeartbeatInterval: 20 * time.Millisecond,
 			SuspectAfter:      300 * time.Millisecond,
 			DeadAfter:         1200 * time.Millisecond,
-			FetchTimeout:      2 * time.Second,
 			Cache:             p.cache,
 			Metrics:           p.metrics,
 		})
@@ -112,6 +111,9 @@ func startFleetCfg(t *testing.T, n int, cfg fleetConfig) []*fleetPeer {
 		t.Cleanup(func() {
 			p.kill()
 			drainServer(t, p.srv)
+			if err := ctx.Close(); err != nil {
+				t.Errorf("close peer context: %v", err)
+			}
 		})
 	}
 	waitFleetCond(t, "fleet membership converged", func() bool {

@@ -166,14 +166,12 @@ type PeerOverview struct {
 	Role          string  `json:"role,omitempty"`
 	UptimeSeconds float64 `json:"uptime_seconds,omitempty"`
 
-	QueueDepth      float64 `json:"queue_depth"`
-	JobsInFlight    float64 `json:"jobs_in_flight"`
-	CacheBytes      float64 `json:"cache_bytes"`
-	CacheEntries    float64 `json:"cache_entries"`
-	CacheSpillBytes float64 `json:"cache_spill_bytes"`
-	CacheSpillItems float64 `json:"cache_spill_entries"`
-	Goroutines      float64 `json:"goroutines"`
-	HeapAllocBytes  float64 `json:"heap_alloc_bytes"`
+	QueueDepth     float64 `json:"queue_depth"`
+	JobsInFlight   float64 `json:"jobs_in_flight"`
+	CacheBytes     float64 `json:"cache_bytes"`
+	CacheEntries   float64 `json:"cache_entries"`
+	Goroutines     float64 `json:"goroutines"`
+	HeapAllocBytes float64 `json:"heap_alloc_bytes"`
 }
 
 func (po *PeerOverview) fill(snap *telemetry.RegistrySnapshot) {
@@ -181,8 +179,6 @@ func (po *PeerOverview) fill(snap *telemetry.RegistrySnapshot) {
 	po.JobsInFlight, _ = snap.GaugeValue("rheem_jobs_in_flight")
 	po.CacheBytes, _ = snap.GaugeValue("rheem_cache_bytes")
 	po.CacheEntries, _ = snap.GaugeValue("rheem_cache_entries")
-	po.CacheSpillBytes, _ = snap.GaugeValue("rheem_cache_spill_bytes")
-	po.CacheSpillItems, _ = snap.GaugeValue("rheem_cache_spill_entries")
 	po.Goroutines, _ = snap.GaugeValue("rheem_go_goroutines")
 	po.HeapAllocBytes, _ = snap.GaugeValue("rheem_go_heap_alloc_bytes")
 }
@@ -194,7 +190,7 @@ type ClusterOverviewResponse struct {
 }
 
 // handleClusterOverview returns one JSON snapshot of per-peer health:
-// membership state plus each alive peer's queue depth, cache tiers, and Go
+// membership state plus each alive peer's queue depth, cache, and Go
 // runtime gauges (scraped concurrently; suspect/dead peers keep their
 // membership row with zeroed gauges).
 func (s *Server) handleClusterOverview(w http.ResponseWriter, r *http.Request) {

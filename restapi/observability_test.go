@@ -2,7 +2,9 @@ package restapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,7 +16,6 @@ import (
 	"rheem/internal/jobs"
 	"rheem/internal/rescache"
 	"rheem/internal/telemetry"
-	"rheem/internal/xlog"
 )
 
 func TestMetricsJSONFormat(t *testing.T) {
@@ -71,7 +72,7 @@ func TestAccessLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	s := NewWithOptions(ctx, testUDFs(), Options{Log: xlog.New(&buf, xlog.LevelDebug)})
+	s := NewWithOptions(ctx, testUDFs(), Options{Log: slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))})
 	rec := get(s, "/v1/health")
 	reqID := rec.Header().Get(RequestIDHeader)
 	if reqID == "" || reqID == "-" {
@@ -89,7 +90,7 @@ func TestAccessLog(t *testing.T) {
 
 	// Above debug level the log stays silent but the id header remains.
 	var quiet bytes.Buffer
-	s2 := NewWithOptions(ctx, testUDFs(), Options{Log: xlog.New(&quiet, xlog.LevelInfo)})
+	s2 := NewWithOptions(ctx, testUDFs(), Options{Log: slog.New(slog.NewTextHandler(&quiet, nil))})
 	rec = get(s2, "/v1/health")
 	if rec.Header().Get(RequestIDHeader) == "" {
 		t.Fatal("no request id at info level")
@@ -250,5 +251,20 @@ func TestMetricsLint(t *testing.T) {
 
 	if missing := metrics.MissingHelp("rheem_"); len(missing) > 0 {
 		t.Fatalf("metrics without HELP text: %v", missing)
+	}
+}
+
+// TestNilLogIsDisabled: a server built without a logger gets one enabled at
+// no level, and a job runs end to end through it.
+func TestNilLogIsDisabled(t *testing.T) {
+	s := newTestServer(t)
+	defer drainServer(t, s)
+	for _, level := range []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError} {
+		if s.Log.Enabled(context.Background(), level) {
+			t.Errorf("nil Log builds a logger enabled at %v", level)
+		}
+	}
+	if counts := jobCounts(t, s, submitAndWait(t, s, wordCountScript)); counts["a"] != 3 {
+		t.Fatalf("word counts = %v, want a=3", counts)
 	}
 }

@@ -49,6 +49,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
+	"math"
 	"net/http"
 	"strings"
 	"time"
@@ -61,7 +63,6 @@ import (
 	"rheem/internal/monitor"
 	"rheem/internal/telemetry"
 	"rheem/internal/trace"
-	"rheem/internal/xlog"
 	"rheem/latin"
 )
 
@@ -79,7 +80,7 @@ type Options struct {
 	TraceCapacity int
 	// Log receives server and job lifecycle events; nil disables logging.
 	// Jobs.Log defaults to it.
-	Log *xlog.Logger
+	Log *slog.Logger
 	// Cluster joins this server to a peer fleet: the heartbeat, internal
 	// cache-transfer, and cluster-status endpoints are mounted when set.
 	Cluster *cluster.Node
@@ -99,6 +100,10 @@ type Options struct {
 	ScrapeTimeout time.Duration
 }
 
+// offLog stands in for a nil Options.Log: its handler is enabled at no
+// level, so a disabled call returns before it formats anything.
+var offLog = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
+
 // Server wires a Context, a UDF registry, and a job manager into an
 // http.Handler.
 type Server struct {
@@ -107,8 +112,8 @@ type Server struct {
 	Jobs *jobs.Manager
 	// Traces retains each submitted job's span tree (bounded LRU).
 	Traces *trace.Store
-	// Log receives request/lifecycle events; nil disables logging.
-	Log *xlog.Logger
+	// Log receives request/lifecycle events; never nil once constructed.
+	Log *slog.Logger
 	// MaxResultQuanta truncates sink payloads in responses (default 10000).
 	MaxResultQuanta int
 	// MaxBodyBytes caps request bodies; <= 0 falls back to 1 MiB.
@@ -137,6 +142,9 @@ func New(ctx *rheem.Context, udfs *latin.Registry) *Server {
 func NewWithOptions(ctx *rheem.Context, udfs *latin.Registry, opts Options) *Server {
 	if opts.Jobs.Metrics == nil {
 		opts.Jobs.Metrics = ctx.Metrics
+	}
+	if opts.Log == nil {
+		opts.Log = offLog
 	}
 	if opts.Jobs.Log == nil {
 		opts.Jobs.Log = opts.Log.With("component", "jobs")
@@ -212,7 +220,7 @@ const RequestIDHeader = "X-Rheem-Request-Id"
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	reqID := newRequestID()
 	w.Header().Set(RequestIDHeader, reqID)
-	if !s.Log.Enabled(xlog.LevelDebug) {
+	if !s.Log.Enabled(r.Context(), slog.LevelDebug) {
 		s.mux.ServeHTTP(w, r)
 		return
 	}

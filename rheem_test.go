@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"os"
 	"reflect"
 	"slices"
 	"sort"
@@ -20,7 +21,48 @@ func fastCtx(t *testing.T) *Context {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { ctx.Close() })
 	return ctx
+}
+
+// TestCloseRemovesOnlyItsTempRoot: Close removes the DFS root a context made
+// for itself, never a caller's DFSDir, and a second Close is a no-op.
+func TestCloseRemovesOnlyItsTempRoot(t *testing.T) {
+	callerDir := t.TempDir()
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	own, err := NewContext(Config{FastSimulation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	caller, err := NewContext(Config{FastSimulation: true, DFSDir: callerDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ctx := range []*Context{own, caller} {
+		if err := ctx.DFS.WriteLines("words.txt", []string{"a b"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if entries, _ := os.ReadDir(tmp); len(entries) != 1 {
+		t.Fatalf("TMPDIR holds %d entries before Close, want the context's DFS root", len(entries))
+	}
+	for _, ctx := range []*Context{own, caller} {
+		if err := ctx.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if entries, err := os.ReadDir(tmp); err != nil || len(entries) != 0 {
+		t.Errorf("TMPDIR after Close: %d entries, err %v; want empty", len(entries), err)
+	}
+	if entries, err := os.ReadDir(callerDir); err != nil || len(entries) == 0 {
+		t.Errorf("caller's DFSDir after Close: %d entries, err %v; want it kept", len(entries), err)
+	}
+	for _, ctx := range []*Context{own, caller} {
+		if err := ctx.Close(); err != nil {
+			t.Errorf("second Close: %v", err)
+		}
+	}
 }
 
 func TestQuickstartWordCount(t *testing.T) {

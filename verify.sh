@@ -30,8 +30,8 @@ go test -race $short ./...
 # no bundled platform, the executor never searches the conversion graph, only
 # cmd/ and bench/ read the environment, and the import boundaries: core imports
 # no platform, executor or optimizer, no engine imports another, the root
-# package imports neither distexec nor cluster, distexec does not import the
-# DFS) are tests of internal/archtest, run by the line above.
+# package imports neither distexec nor cluster, neither distexec nor the result
+# cache imports the DFS) are tests of internal/archtest, run by the line above.
 # Benchmark smoke: one iteration of the codec benchmarks, so they compile
 # and run even when nobody records numbers.
 go test -run=NONE -bench=BenchmarkEncodeQuantum -benchtime=1x ./internal/core
