@@ -10,6 +10,7 @@ package ml4all
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -153,17 +154,10 @@ func BuildPlan(ctx *rheem.Context, name string, raw *rheem.DataQuanta, algo Algo
 		}).WithBroadcast(mvar)
 		agg := grads.Map("with-count", func(q any) any {
 			return gradCount{grad: q.([]float64), n: 1}
-		}).Reduce("sum", func(a, b any) any {
-			ga, gb := a.(gradCount), b.(gradCount)
-			sum := make([]float64, len(ga.grad))
-			for i := range sum {
-				sum[i] = ga.grad[i] + gb.grad[i]
-			}
-			return gradCount{grad: sum, n: ga.n + gb.n}
-		})
+		}).Reduce("sum", sumGrads)
 		next := agg.MapWithCtx("update", readModel, func(q any) any {
-			gc := q.(gradCount)
-			return algo.Update(model, gc.grad, float64(gc.n), 0)
+			grad, n := gradOf(q)
+			return algo.Update(model, grad, float64(n), 0)
 		}).WithBroadcast(mvar)
 		l.Yield(next)
 	}
@@ -177,9 +171,47 @@ func BuildPlan(ctx *rheem.Context, name string, raw *rheem.DataQuanta, algo Algo
 	return final, nil
 }
 
+// gradCount is one point's gradient as it enters the "sum" reduce, n = 1.
 type gradCount struct {
 	grad []float64
 	n    int
+}
+
+// gradSum is the "sum" reduce's own accumulator: a gradient slice the reduce
+// allocated, which later folds add into in place, and the number of points
+// summed into it.
+type gradSum struct {
+	grad []float64
+	n    int
+}
+
+// gradOf returns a "sum" input's or output's gradient and point count.
+func gradOf(q any) ([]float64, int) {
+	if g, ok := q.(*gradSum); ok {
+		return g.grad, g.n
+	}
+	g := q.(gradCount)
+	return g.grad, g.n
+}
+
+// sumGrads is the "sum" reduce. Its first fold copies the left gradient into
+// a gradSum of its own, and every fold adds the right gradient into that
+// one, so a reduce allocates one gradient, not one per fold, and never
+// writes into an input quantum's slice. The additions are the ones a fresh
+// slice per fold made, in the same order, so the sums are bit for bit the
+// same.
+func sumGrads(a, b any) any {
+	acc, ok := a.(*gradSum)
+	if !ok {
+		grad, n := gradOf(a)
+		acc = &gradSum{grad: slices.Clone(grad), n: n}
+	}
+	grad, n := gradOf(b)
+	for i := range acc.grad {
+		acc.grad[i] += grad[i]
+	}
+	acc.n += n
+	return acc
 }
 
 // convergeBound adapts Algorithm.Converge to the DoWhile condition when the

@@ -1,6 +1,7 @@
 package ml4all
 
 import (
+	"slices"
 	"testing"
 
 	"rheem"
@@ -13,6 +14,7 @@ func fastCtx(t *testing.T) *rheem.Context {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { ctx.Close() })
 	return ctx
 }
 
@@ -136,5 +138,50 @@ func TestAccuracyEdgeCases(t *testing.T) {
 	pts := []LabeledPoint{{Label: 1, Features: []float64{1}}, {Label: -1, Features: []float64{-1}}}
 	if acc := Accuracy(pts, []float64{2}); acc != 1 {
 		t.Fatalf("perfect model accuracy = %v", acc)
+	}
+}
+
+// TestSumReduceLeavesInputsUnchanged: the "sum" reduce folds into a gradient
+// of its own. After a run on each engine, the sum is right and every input
+// quantum's gradient still holds what it held before the run.
+func TestSumReduceLeavesInputsUnchanged(t *testing.T) {
+	for _, platform := range []string{"streams", "spark", "flink"} {
+		ctx := fastCtx(t)
+		in := make([]any, 40)
+		before := make([][]float64, len(in))
+		want := make([]float64, 3)
+		for i := range in {
+			g := []float64{float64(i), 1, -float64(i) / 2}
+			in[i] = gradCount{grad: g, n: 1}
+			before[i] = slices.Clone(g)
+			for j := range want {
+				want[j] += g[j]
+			}
+		}
+		b := ctx.NewPlan("sum-" + platform)
+		sink := b.LoadCollection("grads", in).Reduce("sum", sumGrads).CollectSink()
+		plan := b.Plan()
+		for _, op := range plan.Operators() {
+			op.TargetPlatform = platform
+		}
+		res, err := ctx.Execute(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := res.CollectFrom(sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 1 {
+			t.Fatalf("%s: %d sums, want 1", platform, len(out))
+		}
+		if grad, n := gradOf(out[0]); !slices.Equal(grad, want) || n != len(in) {
+			t.Fatalf("%s: sum %v over %d points, want %v over %d", platform, grad, n, want, len(in))
+		}
+		for i, q := range in {
+			if g := q.(gradCount).grad; !slices.Equal(g, before[i]) {
+				t.Fatalf("%s: input %d's gradient is %v after the run, was %v", platform, i, g, before[i])
+			}
+		}
 	}
 }

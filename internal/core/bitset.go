@@ -15,6 +15,13 @@ func NewBitset(n int) *Bitset {
 	return &Bitset{words: make([]uint64, (n+63)/64), n: n}
 }
 
+// reset resizes the set to n bits, all off, reusing its words when they
+// suffice.
+func (b *Bitset) reset(n int) {
+	b.words = reuse(b.words, (n+63)/64)
+	b.n = n
+}
+
 // BitsetFromWords reconstructs a bit set from its backing words, as produced
 // by Words. The codec uses it to decode validity bitmaps.
 func BitsetFromWords(words []uint64, n int) *Bitset {

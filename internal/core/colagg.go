@@ -161,7 +161,13 @@ type AggState struct {
 	boolKeys  map[bool]int
 	anyKeys   map[any]int // multi-column and foreign-typed keys, via GroupKey
 
-	groupScratch []int // per-batch row→group ordinals, reused across batches
+	// Per-batch scratch, reused across the batches (the morsels of a
+	// partition) one state absorbs: row→group ordinals, the resolved key
+	// and aggregate columns, and a dictionary key column's code→group map.
+	groupScratch []int
+	keyCols      []*Column
+	aggCols      []*Column
+	codeGroups   []int
 }
 
 // NewAggState creates an empty accumulator for e.
@@ -381,7 +387,8 @@ func (st *AggState) AbsorbBatch(b *ColumnBatch, sel []int, proj []int) bool {
 		}
 		return b.Cols[c]
 	}
-	keyCols := make([]*Column, len(e.GroupCols))
+	st.keyCols = reuse(st.keyCols, len(e.GroupCols))
+	keyCols := st.keyCols
 	for i, c := range e.GroupCols {
 		col := phys(c)
 		if col == nil || col.Type == ColAny {
@@ -389,7 +396,8 @@ func (st *AggState) AbsorbBatch(b *ColumnBatch, sel []int, proj []int) bool {
 		}
 		keyCols[i] = col
 	}
-	aggCols := make([]*Column, len(e.Aggs))
+	st.aggCols = reuse(st.aggCols, len(e.Aggs))
+	aggCols := st.aggCols
 	for i, a := range e.Aggs {
 		if a.Op == AggCount {
 			continue
@@ -440,7 +448,9 @@ func (st *AggState) AbsorbBatch(b *ColumnBatch, sel []int, proj []int) bool {
 		nsel = len(sel)
 	}
 	if cap(st.groupScratch) < nsel {
-		st.groupScratch = make([]int, nsel)
+		// Sized to the batch, not the selection, which differs from one
+		// morsel to the next: one allocation serves every morsel.
+		st.groupScratch = make([]int, b.n)
 	}
 	groups := st.groupScratch[:nsel]
 	if len(keyCols) == 1 {
@@ -524,7 +534,8 @@ func (st *AggState) groupPass(col *Column, sel []int, n int, groups []int) {
 		if col.Dict != nil {
 			// Dictionary keys: resolve each distinct code to its group once,
 			// then the per-row pass is an int slab lookup.
-			codeGroup := make([]int, len(col.Dict))
+			st.codeGroups = reuse(st.codeGroups, len(col.Dict))
+			codeGroup := st.codeGroups
 			for i := range codeGroup {
 				codeGroup[i] = -1
 			}

@@ -1,7 +1,5 @@
 package core
 
-import "sync"
-
 // Columnar data plane. A ColumnBatch holds a batch of data quanta
 // column-major: one typed buffer per record field (or one buffer total for
 // bare-scalar quanta), with validity bitmaps for typed columns that contain
@@ -86,6 +84,9 @@ type ColumnBatch struct {
 	// kernel never rewrote, so filter-only chains re-box nothing.
 	rows  []any
 	dirty []bool
+	// slots back the columns of a batch built from rows, one per column
+	// index, and are kept across Refill calls with their buffers.
+	slots []colStore
 }
 
 // Len returns the number of rows in the batch.
@@ -114,41 +115,64 @@ func BatchFromRows(rows []any) (*ColumnBatch, bool) { return BatchFromRowsNeedin
 // stays nil. Unbuilt columns are never dirty, so emission re-boxes nothing —
 // a filter chain that drops a wide string column no longer pays to build it.
 func BatchFromRowsNeeding(rows []any, need []int) (*ColumnBatch, bool) {
-	if len(rows) == 0 {
+	b := new(ColumnBatch)
+	if !b.Refill(rows, need) {
 		return nil, false
 	}
+	return b, true
+}
+
+// Refill rebuilds the batch in place from rows, as BatchFromRowsNeeding
+// builds a new one, reusing the column storage of earlier fills: the vector
+// kernels refill one batch for every morsel of a partition, so a partition
+// allocates its column buffers once. It reports false, leaving the batch
+// empty, when the rows have no columnar representation. A refill overwrites
+// the columns of the previous fill, so only a batch's sole owner may refill
+// it, after the last read of its columns.
+func (b *ColumnBatch) Refill(rows []any, need []int) bool {
+	b.n, b.rows, b.scalar, b.Cols = 0, nil, false, b.Cols[:0]
+	if len(rows) == 0 {
+		return false
+	}
+	w := 1
 	if r, ok := rows[0].(Record); ok {
-		w := len(r)
+		w = len(r)
 		for _, q := range rows[1:] {
-			rr, ok := q.(Record)
-			if !ok || len(rr) != w {
-				return nil, false
+			if rr, ok := q.(Record); !ok || len(rr) != w {
+				return false
 			}
 		}
-		b := &ColumnBatch{n: len(rows), rows: rows, dirty: make([]bool, w), Cols: make([]*Column, w)}
-		if need == nil {
-			for c := range b.Cols {
-				b.Cols[c] = buildColumn(rows, c)
+	} else {
+		for _, q := range rows {
+			switch q.(type) {
+			case int64, float64, string, bool, nil:
+			default:
+				return false
 			}
-			return b, true
 		}
+		b.scalar = true
+	}
+	b.n, b.rows = len(rows), rows
+	b.dirty = reuse(b.dirty, w)
+	b.Cols = reuse(b.Cols, w)
+	if len(b.slots) < w {
+		b.slots = append(b.slots, make([]colStore, w-len(b.slots))...)
+	}
+	switch {
+	case b.scalar:
+		b.Cols[0] = b.slots[0].build(rows, -1)
+	case need == nil:
+		for c := range b.Cols {
+			b.Cols[c] = b.slots[c].build(rows, c)
+		}
+	default:
 		for _, c := range need {
 			if c >= 0 && c < w && b.Cols[c] == nil {
-				b.Cols[c] = buildColumn(rows, c)
+				b.Cols[c] = b.slots[c].build(rows, c)
 			}
 		}
-		return b, true
 	}
-	for _, q := range rows {
-		switch q.(type) {
-		case int64, float64, string, bool, nil:
-		default:
-			return nil, false
-		}
-	}
-	b := &ColumnBatch{n: len(rows), rows: rows, scalar: true, dirty: make([]bool, 1)}
-	b.Cols = []*Column{buildColumn(rows, -1)}
-	return b, true
+	return true
 }
 
 // colValue extracts column c of one quantum; c < 0 addresses the bare
@@ -160,187 +184,100 @@ func colValue(q any, c int) any {
 	return q.(Record)[c]
 }
 
-// Column-buffer pools. Kernel-private batches — built by the vectorized
-// kernels from one partition's rows and dropped right after emission or
-// aggregation absorb — dominate allocation on the hot path, so their typed
-// buffers recycle through these pools via (*ColumnBatch).Recycle. A pooled
-// buffer is cleared on reuse, restoring the zero-value-in-holes invariant
-// that make() used to provide.
-var (
-	intBufPool   sync.Pool
-	floatBufPool sync.Pool
-	strBufPool   sync.Pool
-	boolBufPool  sync.Pool
-	codeBufPool  sync.Pool
-	anyBufPool   sync.Pool
-)
-
-func getIntBuf(n int) []int64 {
-	if p, ok := intBufPool.Get().(*[]int64); ok && cap(*p) >= n {
-		s := (*p)[:n]
-		clear(s)
-		return s
+// reuse returns s resized to n zero elements, allocating only when its
+// capacity falls short.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return make([]int64, n)
+	s = s[:n]
+	clear(s)
+	return s
 }
 
-func getFloatBuf(n int) []float64 {
-	if p, ok := floatBufPool.Get().(*[]float64); ok && cap(*p) >= n {
-		s := (*p)[:n]
-		clear(s)
-		return s
-	}
-	return make([]float64, n)
+// colStore is one column index of a batch built from rows: the Column it
+// hands out and the buffers behind it, kept across refills. It keeps a
+// buffer of every type, so a column whose type differs from one morsel to
+// the next reuses its own buffer of each.
+type colStore struct {
+	col    Column
+	ints   []int64
+	floats []float64
+	strs   []string
+	bools  []bool
+	codes  []uint32
+	anys   []any
+	dict   []string
+	idx    map[string]uint32 // dictionary string → code
+	valid  Bitset
 }
 
-func getStrBuf(n int) []string {
-	if p, ok := strBufPool.Get().(*[]string); ok && cap(*p) >= n {
-		s := (*p)[:n]
-		clear(s)
-		return s
-	}
-	return make([]string, n)
-}
-
-func getBoolBuf(n int) []bool {
-	if p, ok := boolBufPool.Get().(*[]bool); ok && cap(*p) >= n {
-		s := (*p)[:n]
-		clear(s)
-		return s
-	}
-	return make([]bool, n)
-}
-
-func getCodeBuf(n int) []uint32 {
-	if p, ok := codeBufPool.Get().(*[]uint32); ok && cap(*p) >= n {
-		s := (*p)[:n]
-		clear(s)
-		return s
-	}
-	return make([]uint32, n)
-}
-
-func getAnyBuf(n int) []any {
-	if p, ok := anyBufPool.Get().(*[]any); ok && cap(*p) >= n {
-		s := (*p)[:n]
-		clear(s)
-		return s
-	}
-	return make([]any, n)
-}
-
-func putIntBuf(s []int64) {
-	if cap(s) > 0 {
-		s = s[:0]
-		intBufPool.Put(&s)
-	}
-}
-
-func putFloatBuf(s []float64) {
-	if cap(s) > 0 {
-		s = s[:0]
-		floatBufPool.Put(&s)
-	}
-}
-
-func putStrBuf(s []string) {
-	if cap(s) > 0 {
-		s = s[:cap(s)]
-		clear(s) // release the string data promptly
-		strBufPool.Put(&s)
-	}
-}
-
-func putBoolBuf(s []bool) {
-	if cap(s) > 0 {
-		s = s[:0]
-		boolBufPool.Put(&s)
-	}
-}
-
-func putCodeBuf(s []uint32) {
-	if cap(s) > 0 {
-		s = s[:0]
-		codeBufPool.Put(&s)
-	}
-}
-
-func putAnyBuf(s []any) {
-	if cap(s) > 0 {
-		s = s[:cap(s)]
-		clear(s) // release the boxed values promptly
-		anyBufPool.Put(&s)
-	}
-}
-
-// Recycle returns the batch's typed column buffers to the build pools and
-// empties the batch. Only the sole owner of a batch built privately from
-// rows may call it, and only after the last read of any column: recycled
-// buffers are handed out to later BatchFromRows calls. Decoded, cached, or
-// otherwise shared batches must never be recycled. Emitted rows stay valid —
-// emission boxes values out of the buffers (or reuses the original boxed
-// quanta), never aliasing the typed backing arrays.
+// Recycle drops what the batch holds of its last fill — the rows, and the
+// strings and boxed values its buffers name — so that an idle batch pins no
+// data; the buffers themselves stay for the next Refill. Only the sole owner
+// of a batch built from rows may call it, after the last read of any column.
+// Emitted rows stay valid: emission boxes values out of the buffers (or
+// reuses the original boxed quanta), never aliasing the typed backing arrays.
 func (b *ColumnBatch) Recycle() {
-	for _, col := range b.Cols {
-		if col == nil {
-			continue
-		}
-		putIntBuf(col.Ints)
-		putFloatBuf(col.Floats)
-		putStrBuf(col.Strs)
-		putBoolBuf(col.Bools)
-		putCodeBuf(col.Codes)
-		putAnyBuf(col.Anys)
-		col.Ints, col.Floats, col.Strs, col.Bools, col.Codes, col.Anys = nil, nil, nil, nil, nil, nil
-		col.Dict, col.Valid = nil, nil
+	for i := range b.slots {
+		s := &b.slots[i]
+		clear(s.strs[:cap(s.strs)])
+		clear(s.anys[:cap(s.anys)])
+		clear(s.dict[:cap(s.dict)])
+		clear(s.idx)
+		s.col = Column{}
 	}
-	b.Cols, b.rows, b.dirty, b.n = nil, nil, nil, 0
+	clear(b.Cols[:cap(b.Cols)])
+	b.Cols, b.rows, b.n = b.Cols[:0], nil, 0
 }
 
 // ensureValid materializes the validity bitmap on the first nil seen after
 // typed filling began, back-filling the bits of the rows already written
 // (all present, or the bitmap would already exist).
-func ensureValid(col *Column, n, i int) {
-	if col.Valid == nil {
-		col.Valid = NewBitset(n)
+func (s *colStore) ensureValid(n, i int) {
+	if s.col.Valid == nil {
+		s.valid.reset(n)
 		for j := 0; j < i; j++ {
-			col.Valid.Set(j)
+			s.valid.Set(j)
 		}
+		s.col.Valid = &s.valid
 	}
 }
 
-func buildColumn(rows []any, c int) *Column {
+// build fills the slot's column with column c of rows.
+func (s *colStore) build(rows []any, c int) *Column {
 	// Single pass: the column type is chosen from the first present value
 	// and the typed buffer fills as the scan goes. A later present value of
-	// any other kind abandons the buffer back to its pool and falls to the
-	// ColAny escape (mixed numerics, Go ints, foreign types), as does an
-	// all-nil column, so emission reproduces the boxed values bit-for-bit.
+	// any other kind abandons the buffer and falls to the ColAny escape
+	// (mixed numerics, Go ints, foreign types), as does an all-nil column,
+	// so emission reproduces the boxed values bit-for-bit.
 	n := len(rows)
 	first := 0
 	for first < n && colValue(rows[first], c) == nil {
 		first++
 	}
 	if first == n {
-		return anyColumn(rows, c)
+		return s.anyColumn(rows, c)
 	}
-	col := &Column{}
+	s.col = Column{}
+	col := &s.col
 	if first > 0 {
-		col.Valid = NewBitset(n)
+		s.ensureValid(n, 0)
 	}
 	switch colValue(rows[first], c).(type) {
 	case int64:
 		col.Type = ColInt64
-		buf := getIntBuf(n)
+		s.ints = reuse(s.ints, n)
+		buf := s.ints
 		for i := first; i < n; i++ {
 			v := colValue(rows[i], c)
 			if v == nil {
-				ensureValid(col, n, i)
+				s.ensureValid(n, i)
 				continue
 			}
 			x, ok := v.(int64)
 			if !ok {
-				putIntBuf(buf)
-				return anyColumn(rows, c)
+				return s.anyColumn(rows, c)
 			}
 			buf[i] = x
 			if col.Valid != nil {
@@ -350,17 +287,17 @@ func buildColumn(rows []any, c int) *Column {
 		col.Ints = buf
 	case float64:
 		col.Type = ColFloat64
-		buf := getFloatBuf(n)
+		s.floats = reuse(s.floats, n)
+		buf := s.floats
 		for i := first; i < n; i++ {
 			v := colValue(rows[i], c)
 			if v == nil {
-				ensureValid(col, n, i)
+				s.ensureValid(n, i)
 				continue
 			}
 			x, ok := v.(float64)
 			if !ok {
-				putFloatBuf(buf)
-				return anyColumn(rows, c)
+				return s.anyColumn(rows, c)
 			}
 			buf[i] = x
 			if col.Valid != nil {
@@ -369,22 +306,22 @@ func buildColumn(rows []any, c int) *Column {
 		}
 		col.Floats = buf
 	case string:
-		if !buildStringColumn(col, rows, c, first) {
-			return anyColumn(rows, c)
+		if !s.buildString(rows, c, first) {
+			return s.anyColumn(rows, c)
 		}
 	case bool:
 		col.Type = ColBool
-		buf := getBoolBuf(n)
+		s.bools = reuse(s.bools, n)
+		buf := s.bools
 		for i := first; i < n; i++ {
 			v := colValue(rows[i], c)
 			if v == nil {
-				ensureValid(col, n, i)
+				s.ensureValid(n, i)
 				continue
 			}
 			x, ok := v.(bool)
 			if !ok {
-				putBoolBuf(buf)
-				return anyColumn(rows, c)
+				return s.anyColumn(rows, c)
 			}
 			buf[i] = x
 			if col.Valid != nil {
@@ -393,7 +330,7 @@ func buildColumn(rows []any, c int) *Column {
 		}
 		col.Bools = buf
 	default:
-		return anyColumn(rows, c)
+		return s.anyColumn(rows, c)
 	}
 	return col
 }
@@ -407,57 +344,59 @@ const (
 	dictMinRowsPer = 2
 )
 
-// buildStringColumn fills a ColString column in the same single pass,
+// buildString fills a ColString column in the same single pass,
 // dictionary-encoding while the distinct count stays within the bounds and
 // degrading to a plain string buffer when it grows past them. A non-string
 // present value reports false and the caller escapes to ColAny.
-func buildStringColumn(col *Column, rows []any, c, first int) bool {
+func (s *colStore) buildString(rows []any, c, first int) bool {
 	n := len(rows)
+	col := &s.col
 	col.Type = ColString
-	codes := getCodeBuf(n)
-	dict := make([]string, 0, 16)
-	idx := make(map[string]uint32, 16)
+	s.codes = reuse(s.codes, n)
+	codes := s.codes
+	if s.idx == nil {
+		s.idx = make(map[string]uint32, 16)
+	}
+	clear(s.idx)
+	dict, idx := s.dict[:0], s.idx
 	var strs []string // non-nil once the dictionary is abandoned
 	for i := first; i < n; i++ {
 		v := colValue(rows[i], c)
 		if v == nil {
-			ensureValid(col, n, i)
+			s.ensureValid(n, i)
 			continue
 		}
-		s, ok := v.(string)
+		str, ok := v.(string)
 		if !ok {
-			putCodeBuf(codes)
-			putStrBuf(strs)
 			return false
 		}
 		if col.Valid != nil {
 			col.Valid.Set(i)
 		}
 		if strs != nil {
-			strs[i] = s
+			strs[i] = str
 			continue
 		}
-		code, seen := idx[s]
+		code, seen := idx[str]
 		if !seen {
 			if len(dict) >= maxDictSize {
-				strs = decodePlain(col, codes, dict, first, i, n)
-				putCodeBuf(codes)
-				strs[i] = s
+				strs = s.decodePlain(dict, first, i, n)
+				strs[i] = str
 				continue
 			}
 			code = uint32(len(dict))
-			dict = append(dict, s)
-			idx[s] = code
+			dict = append(dict, str)
+			idx[str] = code
 		}
 		codes[i] = code
 	}
+	s.dict = dict // keep what the dictionary grew to
 	if strs != nil {
 		col.Strs = strs
 		return true
 	}
 	if len(dict)*dictMinRowsPer > n {
-		col.Strs = decodePlain(col, codes, dict, first, n, n)
-		putCodeBuf(codes)
+		col.Strs = s.decodePlain(dict, first, n, n)
 		return true
 	}
 	col.Dict, col.Codes = dict, codes
@@ -466,24 +405,25 @@ func buildStringColumn(col *Column, rows []any, c, first int) bool {
 }
 
 // decodePlain materializes rows [first, upto) of a partially
-// dictionary-encoded column into a plain length-n string buffer (holes stay
-// the empty string, masked by the validity bitmap).
-func decodePlain(col *Column, codes []uint32, dict []string, first, upto, n int) []string {
-	strs := getStrBuf(n)
+// dictionary-encoded column into the slot's plain length-n string buffer
+// (holes stay the empty string, masked by the validity bitmap).
+func (s *colStore) decodePlain(dict []string, first, upto, n int) []string {
+	s.strs = reuse(s.strs, n)
 	for j := first; j < upto; j++ {
-		if col.Valid == nil || col.Valid.Test(j) {
-			strs[j] = dict[codes[j]]
+		if s.col.Valid == nil || s.col.Valid.Test(j) {
+			s.strs[j] = dict[s.codes[j]]
 		}
 	}
-	return strs
+	return s.strs
 }
 
-func anyColumn(rows []any, c int) *Column {
-	col := &Column{Type: ColAny, Anys: getAnyBuf(len(rows))}
+func (s *colStore) anyColumn(rows []any, c int) *Column {
+	s.anys = reuse(s.anys, len(rows))
 	for i, q := range rows {
-		col.Anys[i] = colValue(q, c)
+		s.anys[i] = colValue(q, c)
 	}
-	return col
+	s.col = Column{Type: ColAny, Anys: s.anys}
+	return &s.col
 }
 
 // AppendRows appends every row of the batch to dst in row-major form.
@@ -792,8 +732,15 @@ func (b *ColumnBatch) ApplyNumExpr(c int, e *MapExpr, sel []int) {
 		}
 		// Integral column, fractional operand: the result domain is float64,
 		// so migrate the whole column (dead rows included; they are never
-		// emitted).
-		fs := make([]float64, len(col.Ints))
+		// emitted). A column built from rows migrates into its slot's
+		// float buffer.
+		var fs []float64
+		if c < len(b.slots) && col == &b.slots[c].col {
+			b.slots[c].floats = reuse(b.slots[c].floats, len(col.Ints))
+			fs = b.slots[c].floats
+		} else {
+			fs = make([]float64, len(col.Ints))
+		}
 		for i, v := range col.Ints {
 			fs[i] = float64(v)
 		}

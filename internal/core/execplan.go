@@ -338,15 +338,15 @@ func (st *StageStats) Observations(fn func(Observation)) {
 
 // VectorChainStats describes the columnar execution of one fused chain: how
 // many of its leading steps compiled to column-wise loops, and how many
-// partition batches / rows ran vectorized vs. fell back to the row kernel
+// morsels / rows ran vectorized vs. fell back to the row kernel
 // (unbatchable input, type or null mismatches, sniffed steps).
 type VectorChainStats struct {
 	Ops        []*Operator // the chain, head first (absorbed aggregation last)
 	VecSteps   int         // leading steps compiled to column loops
-	Batches    int64       // partitions executed column-wise
+	Batches    int64       // morsels executed column-wise
 	Rows       int64       // rows that took the vectorized path
-	Fallbacks  int64       // partitions that fell back to the row kernel
-	AggBatches int64       // batches absorbed by the grouped-aggregation kernel
+	Fallbacks  int64       // morsels that fell back to the row kernel
+	AggBatches int64       // morsels absorbed by the grouped-aggregation kernel
 	AggRows    int64       // surviving rows the aggregation kernel absorbed
 }
 

@@ -52,7 +52,7 @@ func pipelineStage(data []any) *core.Stage {
 
 func execStage(t *testing.T, st *core.Stage) []any {
 	t.Helper()
-	store, err := dfs.NewTemp(dfs.Options{})
+	store, err := dfs.New(t.TempDir(), dfs.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,10 +138,10 @@ func (ex *Executor) registerMetricsHelp() {
 	ex.Metrics.Help("rheem_executor_stage_seconds_total", "Cumulative stage wall time in seconds, by platform.")
 	ex.Metrics.Help("rheem_fused_chains_total", "Narrow-operator chains executed as fused single-pass kernels, by platform.")
 	ex.Metrics.Help("rheem_columnar_chains_total", "Fused chains whose leading steps compiled to vectorized column loops, by platform.")
-	ex.Metrics.Help("rheem_columnar_batches_total", "Partition batches executed column-wise by vectorized kernels, by platform.")
+	ex.Metrics.Help("rheem_columnar_batches_total", "Morsels (batches of at most 4096 rows of a partition) executed column-wise by vectorized kernels, by platform.")
 	ex.Metrics.Help("rheem_columnar_rows_total", "Rows processed through the vectorized column path, by platform.")
-	ex.Metrics.Help("rheem_columnar_fallbacks_total", "Partition batches that fell back from the column path to the row kernel, by platform.")
-	ex.Metrics.Help("rheem_columnar_agg_batches_total", "Batches absorbed whole by the vectorized grouped-aggregation kernel, by platform.")
+	ex.Metrics.Help("rheem_columnar_fallbacks_total", "Morsels that fell back from the column path to the row kernel, by platform.")
+	ex.Metrics.Help("rheem_columnar_agg_batches_total", "Morsels absorbed whole by the vectorized grouped-aggregation kernel, by platform.")
 	ex.Metrics.Help("rheem_columnar_agg_rows_total", "Surviving rows the vectorized grouped-aggregation kernel absorbed column-wise, by platform.")
 	ex.Metrics.Help("rheem_columnar_dict_columns_total", "Dictionary-encoded string columns built by the columnar plane (process-wide).")
 }

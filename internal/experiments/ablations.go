@@ -95,6 +95,7 @@ func AblationLearnedCosts(opts Options) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer ctx.Close()
 	logs, err := costlearn.GenerateLogs(ctx.Registry, costlearn.GenOptions{
 		Sizes: []int{opts.n(500), opts.n(20000)}, Platforms: []string{"streams", "spark"},
 	})

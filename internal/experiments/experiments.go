@@ -70,6 +70,17 @@ func newCtx() (*rheem.Context, error) {
 	return rheem.NewContext(rheem.Config{})
 }
 
+// withCtx runs f on a fresh context (newCtx) and closes the context when f
+// returns, so a run's DFS directory is gone before the next run starts.
+func withCtx(f func(ctx *rheem.Context) error) error {
+	ctx, err := newCtx()
+	if err != nil {
+		return err
+	}
+	defer ctx.Close()
+	return f(ctx)
+}
+
 // timed measures one run.
 func timed(f func() error) (float64, error) {
 	start := time.Now()

@@ -20,33 +20,34 @@ func Fig10a(opts Options) ([]Row, error) {
 		cfg := fmt.Sprintf("sf=%.2f", sf)
 		db := datagen.GenTPCH(sf, opts.Seed)
 		for _, system := range []string{"Rheem", "Postgres"} {
-			ctx, err := newCtx()
-			if err != nil {
-				return nil, err
-			}
-			if err := loadSuppCust(ctx, db); err != nil {
-				return nil, err
-			}
-			b, sink := joinTask(ctx)
-			note := ""
-			if system == "Postgres" {
-				pinPlan(b, "relstore")
-			}
-			ms, err := timed(func() error {
-				res, err := ctx.Execute(b.Plan(), rheem.WithProgressive(false))
-				if err != nil {
+			if err := withCtx(func(ctx *rheem.Context) error {
+				if err := loadSuppCust(ctx, db); err != nil {
 					return err
 				}
-				if system == "Rheem" {
-					note = fmt.Sprint(res.Platforms())
+				b, sink := joinTask(ctx)
+				note := ""
+				if system == "Postgres" {
+					pinPlan(b, "relstore")
 				}
-				_, err = res.CollectFrom(sink)
-				return err
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig10a %s %s: %w", cfg, system, err)
+				ms, err := timed(func() error {
+					res, err := ctx.Execute(b.Plan(), rheem.WithProgressive(false))
+					if err != nil {
+						return err
+					}
+					if system == "Rheem" {
+						note = fmt.Sprint(res.Platforms())
+					}
+					_, err = res.CollectFrom(sink)
+					return err
+				})
+				if err != nil {
+					return fmt.Errorf("fig10a %s %s: %w", cfg, system, err)
+				}
+				rows = append(rows, Row{Figure: "fig10a", Config: cfg, System: system, Ms: ms, Note: note})
+				return nil
+			}); err != nil {
+				return nil, err
 			}
-			rows = append(rows, Row{Figure: "fig10a", Config: cfg, System: system, Ms: ms, Note: note})
 		}
 	}
 	return rows, nil
@@ -116,26 +117,27 @@ func Fig10b(opts Options) ([]Row, error) {
 		if !po {
 			system = "PO off"
 		}
-		ctx, err := newCtx()
-		if err != nil {
+		if err := withCtx(func(ctx *rheem.Context) error {
+			b, sink := misleadingFilterTask(ctx, n)
+			note := ""
+			ms, err := timed(func() error {
+				res, err := ctx.Execute(b.Plan(),
+					rheem.WithProgressive(po), rheem.WithMismatchFactor(4))
+				if err != nil {
+					return err
+				}
+				note = fmt.Sprintf("replans=%d", res.Replans())
+				_, err = res.CollectFrom(sink)
+				return err
+			})
+			if err != nil {
+				return fmt.Errorf("fig10b %s: %w", system, err)
+			}
+			rows = append(rows, Row{Figure: "fig10b", Config: fmt.Sprintf("rows=%d", n), System: system, Ms: ms, Note: note})
+			return nil
+		}); err != nil {
 			return nil, err
 		}
-		b, sink := misleadingFilterTask(ctx, n)
-		note := ""
-		ms, err := timed(func() error {
-			res, err := ctx.Execute(b.Plan(),
-				rheem.WithProgressive(po), rheem.WithMismatchFactor(4))
-			if err != nil {
-				return err
-			}
-			note = fmt.Sprintf("replans=%d", res.Replans())
-			_, err = res.CollectFrom(sink)
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fig10b %s: %w", system, err)
-		}
-		rows = append(rows, Row{Figure: "fig10b", Config: fmt.Sprintf("rows=%d", n), System: system, Ms: ms, Note: note})
 	}
 	return rows, nil
 }
@@ -185,57 +187,58 @@ func Fig10c(opts Options) ([]Row, error) {
 		if explore {
 			system = "DE on"
 		}
-		ctx, err := newCtx()
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.DFS.WriteLines("dewords.txt", lines); err != nil {
-			return nil, err
-		}
-		b := ctx.NewPlan("wc-explore")
-		counted := b.ReadTextFile("dfs://dewords.txt").
-			FlatMap("split", splitWords).
-			Map("len-class", func(q any) any {
-				kv := q.(core.KV)
-				cls := "short"
-				if len(kv.Key.(string)) >= 6 {
-					cls = "long"
-				}
-				return core.KV{Key: cls, Value: int64(1)}
-			})
-		sink := counted.ReduceBy("count", wordKey, sumKV).CollectSink()
-
-		var execOpts []rheem.ExecOption
-		if explore {
-			// The paper's exploratory mode multiplexes quanta to a socket
-			// sink with preview throttling (results surface within ~2s, not
-			// exhaustively); the cost is the serialization of the sampled
-			// stream — every 4th quantum here.
-			var sniffed, sniffedBytes int64
-			execOpts = append(execOpts, rheem.WithSniffer(counted.Op(), func(q any) {
-				sniffed++
-				if sniffed%4 != 0 {
-					return
-				}
-				raw, err := core.EncodeQuantum(q)
-				if err == nil {
-					sniffedBytes += int64(len(raw))
-				}
-			}))
-		}
-		execOpts = append(execOpts, rheem.WithProgressive(false))
-		ms, err := timed(func() error {
-			res, err := ctx.Execute(b.Plan(), execOpts...)
-			if err != nil {
+		if err := withCtx(func(ctx *rheem.Context) error {
+			if err := ctx.DFS.WriteLines("dewords.txt", lines); err != nil {
 				return err
 			}
-			_, err = res.CollectFrom(sink)
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fig10c %s: %w", system, err)
+			b := ctx.NewPlan("wc-explore")
+			counted := b.ReadTextFile("dfs://dewords.txt").
+				FlatMap("split", splitWords).
+				Map("len-class", func(q any) any {
+					kv := q.(core.KV)
+					cls := "short"
+					if len(kv.Key.(string)) >= 6 {
+						cls = "long"
+					}
+					return core.KV{Key: cls, Value: int64(1)}
+				})
+			sink := counted.ReduceBy("count", wordKey, sumKV).CollectSink()
+
+			var execOpts []rheem.ExecOption
+			if explore {
+				// The paper's exploratory mode multiplexes quanta to a socket
+				// sink with preview throttling (results surface within ~2s, not
+				// exhaustively); the cost is the serialization of the sampled
+				// stream — every 4th quantum here.
+				var sniffed, sniffedBytes int64
+				execOpts = append(execOpts, rheem.WithSniffer(counted.Op(), func(q any) {
+					sniffed++
+					if sniffed%4 != 0 {
+						return
+					}
+					raw, err := core.EncodeQuantum(q)
+					if err == nil {
+						sniffedBytes += int64(len(raw))
+					}
+				}))
+			}
+			execOpts = append(execOpts, rheem.WithProgressive(false))
+			ms, err := timed(func() error {
+				res, err := ctx.Execute(b.Plan(), execOpts...)
+				if err != nil {
+					return err
+				}
+				_, err = res.CollectFrom(sink)
+				return err
+			})
+			if err != nil {
+				return fmt.Errorf("fig10c %s: %w", system, err)
+			}
+			rows = append(rows, Row{Figure: "fig10c", Config: "wordcount", System: system, Ms: ms})
+			return nil
+		}); err != nil {
+			return nil, err
 		}
-		rows = append(rows, Row{Figure: "fig10c", Config: "wordcount", System: system, Ms: ms})
 	}
 	return rows, nil
 }

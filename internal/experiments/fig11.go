@@ -25,6 +25,7 @@ func Fig11(opts Options) ([]Row, error) {
 		if err != nil {
 			return err
 		}
+		defer ctx.Close()
 		ctx.DFS.WriteLines("ca.tsv", datagen.EdgeLines(fullA[:na]))
 		ctx.DFS.WriteLines("cb.tsv", datagen.EdgeLines(fullB[:nb]))
 		b, ranks := tasks.CrocoPR(ctx, "dfs://ca.tsv", "dfs://cb.tsv", iters)
@@ -50,6 +51,7 @@ func Fig11(opts Options) ([]Row, error) {
 		if err != nil {
 			return err
 		}
+		defer ctx2.Close()
 		ctx2.DFS.WriteLines("ca.tsv", datagen.EdgeLines(fullA[:na]))
 		ctx2.DFS.WriteLines("cb.tsv", datagen.EdgeLines(fullB[:nb]))
 		b2, ranks2 := tasks.CrocoPR(ctx2, "dfs://ca.tsv", "dfs://cb.tsv", 1)

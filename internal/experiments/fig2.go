@@ -33,22 +33,23 @@ func Fig2a(opts Options) ([]Row, error) {
 		records := datagen.TaxRecords(n, 0.02, opts.Seed)
 		quanta := datagen.AnySlice(records)
 
-		ctx, err := newCtx()
-		if err != nil {
+		if err := withCtx(func(ctx *rheem.Context) error {
+			var chosen string
+			ms, err := timed(func() error {
+				violations, err := bigdansing.Detect(ctx, quanta, rule)
+				_ = violations
+				return err
+			})
+			if err != nil {
+				return fmt.Errorf("fig2a DC@Rheem %s: %w", cfg, err)
+			}
+			rows = append(rows, Row{Figure: "fig2a", Config: cfg, System: "DC@Rheem", Ms: ms, Note: chosen})
+			return nil
+		}); err != nil {
 			return nil, err
 		}
-		var chosen string
-		ms, err := timed(func() error {
-			violations, err := bigdansing.Detect(ctx, quanta, rule)
-			_ = violations
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fig2a DC@Rheem %s: %w", cfg, err)
-		}
-		rows = append(rows, Row{Figure: "fig2a", Config: cfg, System: "DC@Rheem", Ms: ms, Note: chosen})
 
-		ms, err = timed(func() error {
+		ms, err := timed(func() error {
 			bigdansing.GenFixes(rule, nil) // parity with the Rheem pipeline shape
 			_ = baselinesNadeef(records, rule)
 			return nil
@@ -61,18 +62,19 @@ func Fig2a(opts Options) ([]Row, error) {
 		// SparkSQL's cartesian plan is quadratic; beyond ~2k rows it is the
 		// paper's red cross (they stopped runs after 40 hours).
 		if n <= opts.n(2000) {
-			ctx2, err := newCtx()
-			if err != nil {
+			if err := withCtx(func(ctx *rheem.Context) error {
+				ms, err := timed(func() error {
+					_, err := baselinesSparkSQL(ctx, quanta, rule)
+					return err
+				})
+				if err != nil {
+					return fmt.Errorf("fig2a SparkSQL %s: %w", cfg, err)
+				}
+				rows = append(rows, Row{Figure: "fig2a", Config: cfg, System: "SparkSQL", Ms: ms})
+				return nil
+			}); err != nil {
 				return nil, err
 			}
-			ms, err = timed(func() error {
-				_, err := baselinesSparkSQL(ctx2, quanta, rule)
-				return err
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig2a SparkSQL %s: %w", cfg, err)
-			}
-			rows = append(rows, Row{Figure: "fig2a", Config: cfg, System: "SparkSQL", Ms: ms})
 		} else {
 			rows = append(rows, Row{Figure: "fig2a", Config: cfg, System: "SparkSQL", Ms: -1, Note: "quadratic; skipped"})
 		}
@@ -171,65 +173,67 @@ func Fig2c(opts Options) ([]Row, error) {
 		a, b := datagen.CommunityGraphs(s.core, s.core/2, 3, opts.Seed)
 
 		// xDB@Rheem: edges live in the store as (src, dst) tables.
-		ctx, err := newCtx()
-		if err != nil {
-			return nil, err
-		}
-		store := ctx.RelStore("pg")
-		loadEdges := func(table string, edges []core.Edge) error {
-			t, err := store.CreateTable(table, []relstore.Column{
-				{Name: "src", Type: relstore.TInt}, {Name: "dst", Type: relstore.TInt},
-			})
-			if err != nil {
+		if err := withCtx(func(ctx *rheem.Context) error {
+			store := ctx.RelStore("pg")
+			loadEdges := func(table string, edges []core.Edge) error {
+				t, err := store.CreateTable(table, []relstore.Column{
+					{Name: "src", Type: relstore.TInt}, {Name: "dst", Type: relstore.TInt},
+				})
+				if err != nil {
+					return err
+				}
+				recs := make([]core.Record, len(edges))
+				for i, e := range edges {
+					recs[i] = core.Record{e.Src, e.Dst}
+				}
+				return t.Insert(recs...)
+			}
+			if err := loadEdges("comm_a", a); err != nil {
 				return err
 			}
-			recs := make([]core.Record, len(edges))
-			for i, e := range edges {
-				recs[i] = core.Record{e.Src, e.Dst}
+			if err := loadEdges("comm_b", b); err != nil {
+				return err
 			}
-			return t.Insert(recs...)
-		}
-		if err := loadEdges("comm_a", a); err != nil {
+			ms, err := timed(func() error {
+				pb := ctx.NewPlan("xdb-crocopr")
+				toEdge := func(q any) any {
+					r := q.(core.Record)
+					return core.Edge{Src: r.Int(0), Dst: r.Int(1)}
+				}
+				ea := pb.ReadTable("pg", "comm_a", nil, nil).Map("to-edge-a", toEdge).Distinct()
+				eb := pb.ReadTable("pg", "comm_b", nil, nil).Map("to-edge-b", toEdge).Distinct()
+				ranks := ea.Intersect(eb).PageRank(iters, 0.85)
+				_, err := ranks.Collect(rheem.WithProgressive(false))
+				return err
+			})
+			if err != nil {
+				return fmt.Errorf("fig2c xDB@Rheem %s: %w", s.name, err)
+			}
+			rows = append(rows, Row{Figure: "fig2c", Config: s.name, System: "xDB@Rheem", Ms: ms})
+			return nil
+		}); err != nil {
 			return nil, err
 		}
-		if err := loadEdges("comm_b", b); err != nil {
-			return nil, err
-		}
-		ms, err := timed(func() error {
-			pb := ctx.NewPlan("xdb-crocopr")
-			toEdge := func(q any) any {
-				r := q.(core.Record)
-				return core.Edge{Src: r.Int(0), Dst: r.Int(1)}
-			}
-			ea := pb.ReadTable("pg", "comm_a", nil, nil).Map("to-edge-a", toEdge).Distinct()
-			eb := pb.ReadTable("pg", "comm_b", nil, nil).Map("to-edge-b", toEdge).Distinct()
-			ranks := ea.Intersect(eb).PageRank(iters, 0.85)
-			_, err := ranks.Collect(rheem.WithProgressive(false))
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fig2c xDB@Rheem %s: %w", s.name, err)
-		}
-		rows = append(rows, Row{Figure: "fig2c", Config: s.name, System: "xDB@Rheem", Ms: ms})
 
 		// Ideal: edge files already on the DFS.
-		ctx2, err := newCtx()
-		if err != nil {
+		if err := withCtx(func(ctx *rheem.Context) error {
+			ctx.DFS.WriteLines("ca.tsv", datagen.EdgeLines(a))
+			ctx.DFS.WriteLines("cb.tsv", datagen.EdgeLines(b))
+			ms, err := timed(func() error {
+				pb := ctx.NewPlan("ideal-crocopr")
+				ranks := xdb.BuildCrossCommunityPageRank(ctx,
+					pb.ReadTextFile("dfs://ca.tsv"), pb.ReadTextFile("dfs://cb.tsv"), iters)
+				_, err := ranks.Collect(rheem.WithProgressive(false))
+				return err
+			})
+			if err != nil {
+				return fmt.Errorf("fig2c ideal %s: %w", s.name, err)
+			}
+			rows = append(rows, Row{Figure: "fig2c", Config: s.name, System: "Ideal case", Ms: ms})
+			return nil
+		}); err != nil {
 			return nil, err
 		}
-		ctx2.DFS.WriteLines("ca.tsv", datagen.EdgeLines(a))
-		ctx2.DFS.WriteLines("cb.tsv", datagen.EdgeLines(b))
-		ms, err = timed(func() error {
-			pb := ctx2.NewPlan("ideal-crocopr")
-			ranks := xdb.BuildCrossCommunityPageRank(ctx2,
-				pb.ReadTextFile("dfs://ca.tsv"), pb.ReadTextFile("dfs://cb.tsv"), iters)
-			_, err := ranks.Collect(rheem.WithProgressive(false))
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fig2c ideal %s: %w", s.name, err)
-		}
-		rows = append(rows, Row{Figure: "fig2c", Config: s.name, System: "Ideal case", Ms: ms})
 	}
 	return rows, nil
 }
@@ -247,49 +251,52 @@ func Fig2d(opts Options) ([]Row, error) {
 		db := datagen.GenTPCH(sf, opts.Seed)
 
 		// DataCiv@Rheem: query the polystore in place.
-		ctx, err := newCtx()
-		if err != nil {
-			return nil, err
-		}
-		dir, err := os.MkdirTemp("", "rheem-exp-*")
-		if err != nil {
-			return nil, err
-		}
-		lay, err := datacivilizer.LoadPolystore(ctx, db, dir)
-		var ms float64
-		if err == nil {
-			ms, err = timed(func() error {
-				_, err := datacivilizer.RunQ5(ctx, lay, "ASIA", 100, rheem.WithProgressive(false))
+		if err := withCtx(func(ctx *rheem.Context) error {
+			dir, err := os.MkdirTemp("", "rheem-exp-*")
+			if err != nil {
 				return err
-			})
+			}
+			lay, err := datacivilizer.LoadPolystore(ctx, db, dir)
+			var ms float64
+			if err == nil {
+				ms, err = timed(func() error {
+					_, err := datacivilizer.RunQ5(ctx, lay, "ASIA", 100, rheem.WithProgressive(false))
+					return err
+				})
+			}
+			os.RemoveAll(dir)
+			if err != nil {
+				return fmt.Errorf("fig2d rheem %s: %w", cfg, err)
+			}
+			rows = append(rows, Row{Figure: "fig2d", Config: cfg, System: "DataCiv@Rheem", Ms: ms})
+			return nil
+		}); err != nil {
+			return nil, err
 		}
-		os.RemoveAll(dir)
-		if err != nil {
-			return nil, fmt.Errorf("fig2d rheem %s: %w", cfg, err)
-		}
-		rows = append(rows, Row{Figure: "fig2d", Config: cfg, System: "DataCiv@Rheem", Ms: ms})
 
 		// Baseline 1: load everything into the store, query there.
-		ctx2, err := newCtx()
-		if err != nil {
+		if err := withCtx(func(ctx *rheem.Context) error {
+			ms, err := timed(func() error { return q5AllPostgres(ctx, db) })
+			if err != nil {
+				return fmt.Errorf("fig2d postgres %s: %w", cfg, err)
+			}
+			rows = append(rows, Row{Figure: "fig2d", Config: cfg, System: "Postgres(load)", Ms: ms})
+			return nil
+		}); err != nil {
 			return nil, err
 		}
-		ms, err = timed(func() error { return q5AllPostgres(ctx2, db) })
-		if err != nil {
-			return nil, fmt.Errorf("fig2d postgres %s: %w", cfg, err)
-		}
-		rows = append(rows, Row{Figure: "fig2d", Config: cfg, System: "Postgres(load)", Ms: ms})
 
 		// Baseline 2: move everything to the DFS, run all-spark.
-		ctx3, err := newCtx()
-		if err != nil {
+		if err := withCtx(func(ctx *rheem.Context) error {
+			ms, err := timed(func() error { return q5AllSpark(ctx, db) })
+			if err != nil {
+				return fmt.Errorf("fig2d spark %s: %w", cfg, err)
+			}
+			rows = append(rows, Row{Figure: "fig2d", Config: cfg, System: "Spark(move)", Ms: ms})
+			return nil
+		}); err != nil {
 			return nil, err
 		}
-		ms, err = timed(func() error { return q5AllSpark(ctx3, db) })
-		if err != nil {
-			return nil, fmt.Errorf("fig2d spark %s: %w", cfg, err)
-		}
-		rows = append(rows, Row{Figure: "fig2d", Config: cfg, System: "Spark(move)", Ms: ms})
 	}
 	return rows, nil
 }

@@ -39,34 +39,35 @@ func Fig9a(opts Options) ([]Row, error) {
 	for _, pct := range []int{1, 10, 50, 100} {
 		cfg := fmt.Sprintf("size=%d%%", pct)
 		for _, system := range append(fig9Platforms, "Rheem") {
-			ctx, err := newCtx()
-			if err != nil {
-				return nil, err
-			}
-			path, err := wordCountData(ctx, base, float64(pct)/100)
-			if err != nil {
-				return nil, err
-			}
-			b, sink := tasks.WordCount(ctx, path)
-			note := ""
-			if system != "Rheem" {
-				tasks.PinAll(b.Plan(), system)
-			}
-			ms, err := timed(func() error {
-				res, err := ctx.Execute(b.Plan(), rheem.WithProgressive(false))
+			if err := withCtx(func(ctx *rheem.Context) error {
+				path, err := wordCountData(ctx, base, float64(pct)/100)
 				if err != nil {
 					return err
 				}
-				if system == "Rheem" {
-					note = fmt.Sprint(res.Platforms())
+				b, sink := tasks.WordCount(ctx, path)
+				note := ""
+				if system != "Rheem" {
+					tasks.PinAll(b.Plan(), system)
 				}
-				_, err = res.CollectFrom(sink)
-				return err
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig9a %s %s: %w", cfg, system, err)
+				ms, err := timed(func() error {
+					res, err := ctx.Execute(b.Plan(), rheem.WithProgressive(false))
+					if err != nil {
+						return err
+					}
+					if system == "Rheem" {
+						note = fmt.Sprint(res.Platforms())
+					}
+					_, err = res.CollectFrom(sink)
+					return err
+				})
+				if err != nil {
+					return fmt.Errorf("fig9a %s %s: %w", cfg, system, err)
+				}
+				rows = append(rows, Row{Figure: "fig9a", Config: cfg, System: system, Ms: ms, Note: note})
+				return nil
+			}); err != nil {
+				return nil, err
 			}
-			rows = append(rows, Row{Figure: "fig9a", Config: cfg, System: system, Ms: ms, Note: note})
 		}
 	}
 	return rows, nil
@@ -85,39 +86,40 @@ func Fig9b(opts Options) ([]Row, error) {
 			n = 10
 		}
 		for _, system := range append(fig9Platforms, "Rheem") {
-			ctx, err := newCtx()
-			if err != nil {
-				return nil, err
-			}
-			if err := ctx.DFS.WriteLines("sgd.csv", base[:n]); err != nil {
-				return nil, err
-			}
-			b, final, err := tasks.SGD(ctx, "dfs://sgd.csv", tasks.SGDOptions{
-				Iterations: 20, BatchSize: 50, Dim: dim, Seed: opts.Seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			sink := final.CollectSink()
-			note := ""
-			if system != "Rheem" {
-				tasks.PinAll(b.Plan(), system)
-			}
-			ms, err := timed(func() error {
-				res, err := ctx.Execute(b.Plan(), rheem.WithProgressive(false))
+			if err := withCtx(func(ctx *rheem.Context) error {
+				if err := ctx.DFS.WriteLines("sgd.csv", base[:n]); err != nil {
+					return err
+				}
+				b, final, err := tasks.SGD(ctx, "dfs://sgd.csv", tasks.SGDOptions{
+					Iterations: 20, BatchSize: 50, Dim: dim, Seed: opts.Seed,
+				})
 				if err != nil {
 					return err
 				}
-				if system == "Rheem" {
-					note = fmt.Sprint(res.Platforms())
+				sink := final.CollectSink()
+				note := ""
+				if system != "Rheem" {
+					tasks.PinAll(b.Plan(), system)
 				}
-				_, err = res.CollectFrom(sink)
-				return err
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig9b %s %s: %w", cfg, system, err)
+				ms, err := timed(func() error {
+					res, err := ctx.Execute(b.Plan(), rheem.WithProgressive(false))
+					if err != nil {
+						return err
+					}
+					if system == "Rheem" {
+						note = fmt.Sprint(res.Platforms())
+					}
+					_, err = res.CollectFrom(sink)
+					return err
+				})
+				if err != nil {
+					return fmt.Errorf("fig9b %s %s: %w", cfg, system, err)
+				}
+				rows = append(rows, Row{Figure: "fig9b", Config: cfg, System: system, Ms: ms, Note: note})
+				return nil
+			}); err != nil {
+				return nil, err
 			}
-			rows = append(rows, Row{Figure: "fig9b", Config: cfg, System: system, Ms: ms, Note: note})
 		}
 	}
 	return rows, nil
@@ -155,33 +157,34 @@ func Fig9c(opts Options) ([]Row, error) {
 			na, nb = 10, 10
 		}
 		for _, system := range systems {
-			ctx, err := newCtx()
-			if err != nil {
+			if err := withCtx(func(ctx *rheem.Context) error {
+				ctx.DFS.WriteLines("ca.tsv", datagen.EdgeLines(fullA[:na]))
+				ctx.DFS.WriteLines("cb.tsv", datagen.EdgeLines(fullB[:nb]))
+				b, ranks := tasks.CrocoPR(ctx, "dfs://ca.tsv", "dfs://cb.tsv", 10)
+				sink := ranks.CollectSink()
+				note := ""
+				if system != "Rheem" {
+					crocoVariant(b.Plan(), system)
+				}
+				ms, err := timed(func() error {
+					res, err := ctx.Execute(b.Plan(), rheem.WithProgressive(false))
+					if err != nil {
+						return err
+					}
+					if system == "Rheem" {
+						note = fmt.Sprint(res.Platforms())
+					}
+					_, err = res.CollectFrom(sink)
+					return err
+				})
+				if err != nil {
+					return fmt.Errorf("fig9c %s %s: %w", cfg, system, err)
+				}
+				rows = append(rows, Row{Figure: "fig9c", Config: cfg, System: system, Ms: ms, Note: note})
+				return nil
+			}); err != nil {
 				return nil, err
 			}
-			ctx.DFS.WriteLines("ca.tsv", datagen.EdgeLines(fullA[:na]))
-			ctx.DFS.WriteLines("cb.tsv", datagen.EdgeLines(fullB[:nb]))
-			b, ranks := tasks.CrocoPR(ctx, "dfs://ca.tsv", "dfs://cb.tsv", 10)
-			sink := ranks.CollectSink()
-			note := ""
-			if system != "Rheem" {
-				crocoVariant(b.Plan(), system)
-			}
-			ms, err := timed(func() error {
-				res, err := ctx.Execute(b.Plan(), rheem.WithProgressive(false))
-				if err != nil {
-					return err
-				}
-				if system == "Rheem" {
-					note = fmt.Sprint(res.Platforms())
-				}
-				_, err = res.CollectFrom(sink)
-				return err
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig9c %s %s: %w", cfg, system, err)
-			}
-			rows = append(rows, Row{Figure: "fig9c", Config: cfg, System: system, Ms: ms, Note: note})
 		}
 	}
 	return rows, nil
@@ -197,33 +200,34 @@ func Fig9d(opts Options) ([]Row, error) {
 	for _, pct := range []int{1, 10, 50, 100} {
 		cfg := fmt.Sprintf("sample=%d%%", pct)
 		for _, system := range append(fig9Platforms, "Rheem") {
-			ctx, err := newCtx()
-			if err != nil {
-				return nil, err
-			}
-			path, err := wordCountData(ctx, base, 1)
-			if err != nil {
-				return nil, err
-			}
-			b, _ := wordCountSampled(ctx, path, float64(pct)/100)
-			if system != "Rheem" {
-				tasks.PinAll(b.Plan(), system)
-			}
-			note := ""
-			ms, err := timed(func() error {
-				res, err := ctx.Execute(b.Plan(), rheem.WithProgressive(false))
+			if err := withCtx(func(ctx *rheem.Context) error {
+				path, err := wordCountData(ctx, base, 1)
 				if err != nil {
 					return err
 				}
-				if system == "Rheem" {
-					note = fmt.Sprint(res.Platforms())
+				b, _ := wordCountSampled(ctx, path, float64(pct)/100)
+				if system != "Rheem" {
+					tasks.PinAll(b.Plan(), system)
 				}
+				note := ""
+				ms, err := timed(func() error {
+					res, err := ctx.Execute(b.Plan(), rheem.WithProgressive(false))
+					if err != nil {
+						return err
+					}
+					if system == "Rheem" {
+						note = fmt.Sprint(res.Platforms())
+					}
+					return nil
+				})
+				if err != nil {
+					return fmt.Errorf("fig9d %s %s: %w", cfg, system, err)
+				}
+				rows = append(rows, Row{Figure: "fig9d", Config: cfg, System: system, Ms: ms, Note: note})
 				return nil
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig9d %s %s: %w", cfg, system, err)
+			}); err != nil {
+				return nil, err
 			}
-			rows = append(rows, Row{Figure: "fig9d", Config: cfg, System: system, Ms: ms, Note: note})
 		}
 	}
 	return rows, nil
@@ -271,39 +275,40 @@ func Fig9e(opts Options) ([]Row, error) {
 	for _, batch := range []int{1, 10, 100, 1000} {
 		cfg := fmt.Sprintf("batch=%d", batch)
 		for _, system := range append(fig9Platforms, "Rheem") {
-			ctx, err := newCtx()
-			if err != nil {
-				return nil, err
-			}
-			if err := ctx.DFS.WriteLines("sgd.csv", lines); err != nil {
-				return nil, err
-			}
-			b, final, err := tasks.SGD(ctx, "dfs://sgd.csv", tasks.SGDOptions{
-				Iterations: 20, BatchSize: batch, Dim: dim, Seed: opts.Seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			sink := final.CollectSink()
-			note := ""
-			if system != "Rheem" {
-				tasks.PinAll(b.Plan(), system)
-			}
-			ms, err := timed(func() error {
-				res, err := ctx.Execute(b.Plan(), rheem.WithProgressive(false))
+			if err := withCtx(func(ctx *rheem.Context) error {
+				if err := ctx.DFS.WriteLines("sgd.csv", lines); err != nil {
+					return err
+				}
+				b, final, err := tasks.SGD(ctx, "dfs://sgd.csv", tasks.SGDOptions{
+					Iterations: 20, BatchSize: batch, Dim: dim, Seed: opts.Seed,
+				})
 				if err != nil {
 					return err
 				}
-				if system == "Rheem" {
-					note = fmt.Sprint(res.Platforms())
+				sink := final.CollectSink()
+				note := ""
+				if system != "Rheem" {
+					tasks.PinAll(b.Plan(), system)
 				}
-				_, err = res.CollectFrom(sink)
-				return err
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig9e %s %s: %w", cfg, system, err)
+				ms, err := timed(func() error {
+					res, err := ctx.Execute(b.Plan(), rheem.WithProgressive(false))
+					if err != nil {
+						return err
+					}
+					if system == "Rheem" {
+						note = fmt.Sprint(res.Platforms())
+					}
+					_, err = res.CollectFrom(sink)
+					return err
+				})
+				if err != nil {
+					return fmt.Errorf("fig9e %s %s: %w", cfg, system, err)
+				}
+				rows = append(rows, Row{Figure: "fig9e", Config: cfg, System: system, Ms: ms, Note: note})
+				return nil
+			}); err != nil {
+				return nil, err
 			}
-			rows = append(rows, Row{Figure: "fig9e", Config: cfg, System: system, Ms: ms, Note: note})
 		}
 	}
 	return rows, nil
@@ -319,33 +324,34 @@ func Fig9f(opts Options) ([]Row, error) {
 	for _, iters := range []int{1, 10, 100} {
 		cfg := fmt.Sprintf("iters=%d", iters)
 		for _, system := range systems {
-			ctx, err := newCtx()
-			if err != nil {
+			if err := withCtx(func(ctx *rheem.Context) error {
+				ctx.DFS.WriteLines("ca.tsv", datagen.EdgeLines(fullA[:na]))
+				ctx.DFS.WriteLines("cb.tsv", datagen.EdgeLines(fullB[:nb]))
+				b, ranks := tasks.CrocoPR(ctx, "dfs://ca.tsv", "dfs://cb.tsv", iters)
+				sink := ranks.CollectSink()
+				note := ""
+				if system != "Rheem" {
+					crocoVariant(b.Plan(), system)
+				}
+				ms, err := timed(func() error {
+					res, err := ctx.Execute(b.Plan(), rheem.WithProgressive(false))
+					if err != nil {
+						return err
+					}
+					if system == "Rheem" {
+						note = fmt.Sprint(res.Platforms())
+					}
+					_, err = res.CollectFrom(sink)
+					return err
+				})
+				if err != nil {
+					return fmt.Errorf("fig9f %s %s: %w", cfg, system, err)
+				}
+				rows = append(rows, Row{Figure: "fig9f", Config: cfg, System: system, Ms: ms, Note: note})
+				return nil
+			}); err != nil {
 				return nil, err
 			}
-			ctx.DFS.WriteLines("ca.tsv", datagen.EdgeLines(fullA[:na]))
-			ctx.DFS.WriteLines("cb.tsv", datagen.EdgeLines(fullB[:nb]))
-			b, ranks := tasks.CrocoPR(ctx, "dfs://ca.tsv", "dfs://cb.tsv", iters)
-			sink := ranks.CollectSink()
-			note := ""
-			if system != "Rheem" {
-				crocoVariant(b.Plan(), system)
-			}
-			ms, err := timed(func() error {
-				res, err := ctx.Execute(b.Plan(), rheem.WithProgressive(false))
-				if err != nil {
-					return err
-				}
-				if system == "Rheem" {
-					note = fmt.Sprint(res.Platforms())
-				}
-				_, err = res.CollectFrom(sink)
-				return err
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig9f %s %s: %w", cfg, system, err)
-			}
-			rows = append(rows, Row{Figure: "fig9f", Config: cfg, System: system, Ms: ms, Note: note})
 		}
 	}
 	return rows, nil

@@ -10,7 +10,7 @@ import (
 // engine and in every kernel; a channel payload reaches the engines' partitions
 // through ChannelSlice, quanta files decoded to rows at the channel boundary
 // (batch frames expanded). The vector kernels build the column batches they
-// run over from rows themselves (core.BatchFromRowsNeeding).
+// run over from rows themselves, a morsel at a time (core.ColumnBatch.Refill).
 
 // Parts is partitions at rest: one row run per partition.
 type Parts [][]any

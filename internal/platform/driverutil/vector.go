@@ -15,14 +15,15 @@ import (
 // kernel's tail. A chain terminated by an absorbed reduce-by (FusedChain.Agg)
 // additionally feeds its survivors straight into grouped accumulators
 // (core.AggState) or, for a UDF reduce-by, a keyed fold, without
-// materializing them. At run time each partition is converted to a
-// core.ColumnBatch — building only the columns the compiled plan reads — and
-// partitions that cannot batch (mixed quantum shapes) or whose columns don't
-// satisfy a step's type/validity requirements fall back to the row kernel
-// wholesale, so vectorized execution is always observationally identical to
-// row execution — same outputs, same per-operator cardinalities, same
-// panics. A kernel only ever runs batches it built itself, so it may rewrite
-// and recycle them.
+// materializing them. At run time a partition is walked in morsels of
+// morselRows rows, each refilled into one core.ColumnBatch per partition —
+// building only the columns the compiled plan reads — and a morsel that
+// cannot batch (mixed quantum shapes) or whose columns don't satisfy a
+// step's type/validity requirements runs on the row kernel whole, in its
+// place in the partition's row order, so vectorized execution is always
+// observationally identical to row execution — same outputs, same
+// per-operator cardinalities, same panics. A kernel only ever runs batches
+// it built itself, so it may rewrite and refill them.
 
 // vecStep is one vectorizable chain operator.
 type vecStep struct {
@@ -46,7 +47,7 @@ type vecStats struct {
 
 // VectorKernel wraps a row FusedKernel with a vectorized prefix. It is the
 // unit engines execute: Run prefers the column path and degrades to the row
-// kernel whenever anything about the partition makes columns unsafe.
+// kernel whenever anything about a morsel makes columns unsafe.
 type VectorKernel struct {
 	row   *FusedKernel
 	vec   []vecStep
@@ -258,7 +259,9 @@ func (k *VectorKernel) Tail(from int) *VectorKernel {
 	return t
 }
 
-// Stats returns the kernel's accumulated vectorized-execution counters.
+// Stats returns the kernel's accumulated vectorized-execution counters:
+// morsels run column-wise, their rows, morsels that fell back to the row
+// kernel, and morsels and rows absorbed column-wise by the aggregation.
 func (k *VectorKernel) Stats() (batches, rows, fallbacks, aggBatches, aggRows int64) {
 	return atomic.LoadInt64(&k.stats.batches),
 		atomic.LoadInt64(&k.stats.rows),
@@ -277,25 +280,9 @@ func (k *VectorKernel) prefixSniffed() bool {
 	return false
 }
 
-// Selection vectors and intermediate row buffers are pooled: chains run once
-// per partition batch, and the buffers die at batch end, which is exactly
-// the churn sync.Pool amortizes.
-var selPool = sync.Pool{New: func() any { return new([]int) }}
+// Intermediate row buffers are pooled: chains run once per morsel, and the
+// buffers die at morsel end, which is exactly the churn sync.Pool amortizes.
 var rowBufPool = sync.Pool{New: func() any { return new([]any) }}
-
-func getSel(n int) *[]int {
-	sb := selPool.Get().(*[]int)
-	if *sb == nil || cap(*sb) < n { // never nil: a nil selection means "all rows"
-		*sb = make([]int, 0, n)
-	}
-	return sb
-}
-
-func putSel(sb *[]int) {
-	if sb != nil {
-		selPool.Put(sb)
-	}
-}
 
 func getRowBuf(n int) *[]any {
 	rb := rowBufPool.Get().(*[]any)
@@ -314,14 +301,37 @@ func putRowBuf(rb *[]any) {
 	rowBufPool.Put(rb)
 }
 
+// morselRows is how many rows of a partition the column path runs at a
+// time: one batch of a morsel's columns stays cache-sized, and the batch,
+// its buffers and the aggregation's per-batch scratch are sized to a morsel,
+// not to the partition.
+const morselRows = 4096
+
+// morselScratch is what the column path reuses across the morsels of a
+// partition: the batch refilled per morsel, the physical column of each step
+// and the two projections a chain of projections alternates between (plan),
+// and the two selection vectors a chain of filters alternates between
+// (runSteps). It is pooled whole, so a partition allocates none of it once
+// the pool is warm.
+type morselScratch struct {
+	b                core.ColumnBatch
+	phys, proj, next []int
+	sels             [2][]int
+}
+
+var morselPool = sync.Pool{New: func() any { return new(morselScratch) }}
+
 // plan resolves each vectorized step against a concrete batch: the physical
 // column every filter/map reads (projections remap indices), the final
 // output projection, and whether every step's type/validity requirements
-// hold. ok=false sends the whole partition down the row kernel, which
-// reproduces the row path's exact behaviour — including its panics — for
-// data the column loops can't honestly execute.
-func (k *VectorKernel) plan(b *core.ColumnBatch) (phys []int, final []int, ok bool) {
-	phys = make([]int, len(k.vec))
+// hold. ok=false sends the morsel down the row kernel, which reproduces the
+// row path's exact behaviour — including its panics — for data the column
+// loops can't honestly execute. phys and final alias ms until the next call.
+func (k *VectorKernel) plan(b *core.ColumnBatch, ms *morselScratch) (phys []int, final []int, ok bool) {
+	if cap(ms.phys) < len(k.vec) {
+		ms.phys = make([]int, len(k.vec))
+	}
+	phys = ms.phys[:len(k.vec)]
 	cur := []int(nil) // nil = identity over the batch's columns
 	width := b.Width()
 	mapped := func(c int) (int, bool) {
@@ -398,14 +408,16 @@ func (k *VectorKernel) plan(b *core.ColumnBatch) (phys []int, final []int, ok bo
 			if b.Scalar() {
 				return nil, nil, false
 			}
-			next := make([]int, len(st.cols))
-			for j, c := range st.cols {
+			next := ms.next[:0]
+			for _, c := range st.cols {
 				p, ok := mapped(c)
 				if !ok {
 					return nil, nil, false
 				}
-				next[j] = p
+				next = append(next, p)
 			}
+			// cur lives in ms.proj (or is nil); the two buffers swap.
+			ms.proj, ms.next = next, ms.proj
 			cur = next
 			width = len(cur)
 		}
@@ -413,22 +425,24 @@ func (k *VectorKernel) plan(b *core.ColumnBatch) (phys []int, final []int, ok bo
 	return phys, cur, true
 }
 
-// runSteps executes the planned vectorized steps over b, ticking counts.
-// The returned selection (nil = all rows, in order) is backed by the
-// returned pooled buffer; the caller recycles it with putSel once the
-// selection is dead.
-func (k *VectorKernel) runSteps(b *core.ColumnBatch, phys []int, counts []int64) (sel []int, sb *[]int, live int) {
+// runSteps executes the planned vectorized steps over ms.b, ticking counts.
+// The returned selection (nil = all rows, in order) aliases one of ms.sels
+// until the next call.
+func (k *VectorKernel) runSteps(ms *morselScratch, phys []int, counts []int64) (sel []int, live int) {
+	b := &ms.b
 	live = b.Len()
+	out := 0 // the selection vector the next filter writes
 	for i := range k.vec {
 		st := &k.vec[i]
 		switch st.kind {
 		case core.KindFilter:
-			nb := getSel(live)
-			ns := b.FilterSel(phys[i], st.pred, sel, (*nb)[:0])
-			*nb = ns
-			putSel(sb)
-			sel, sb = ns, nb
-			live = len(ns)
+			buf := ms.sels[out]
+			if buf == nil || cap(buf) < live { // never nil: a nil selection means "all rows"
+				buf = make([]int, 0, live)
+			}
+			sel = b.FilterSel(phys[i], st.pred, sel, buf[:0])
+			ms.sels[out], out = sel, 1-out
+			live = len(sel)
 		case core.KindMap:
 			b.ApplyNumExpr(phys[i], st.expr, sel)
 		}
@@ -436,7 +450,7 @@ func (k *VectorKernel) runSteps(b *core.ColumnBatch, phys []int, counts []int64)
 			counts[i] += int64(live)
 		}
 	}
-	return sel, sb, live
+	return sel, live
 }
 
 // columnPath reports whether the column loops may run at all: there is a
@@ -445,53 +459,75 @@ func (k *VectorKernel) columnPath() bool {
 	return len(k.vec) > 0 && !k.prefixSniffed()
 }
 
-// Run executes the kernel over one row partition. The contract is identical
-// to FusedKernel.Run: counts[i] accumulates the i-th step's emitted quanta
-// and buf, when non-nil, is the reused output buffer. The column path
-// engages only when it can reproduce row execution exactly; every other
-// partition degrades to the row kernel.
-func (k *VectorKernel) Run(part []any, counts []int64, buf []any) []any {
-	b, phys, final, ok := k.admit(part, nil)
-	if !ok {
-		return k.row.Run(part, counts, buf)
+// morsels is the one loop every entry runs a partition through. With a
+// column path it walks part in morsels of morselRows rows through one pooled
+// morselScratch, its batch refilled per morsel; each morsel the batch admits runs the column
+// steps and hands their survivors to col, and each other morsel goes to row
+// whole, so a morsel runs either entirely columnar or entirely by rows, and
+// morsels reach col and row in partition order. Without a column path, part
+// goes to row in chunks of rowChunk rows. st, when non-nil, is the
+// aggregation state a fully vectorized chain absorbs into (see admit).
+func (k *VectorKernel) morsels(part []any, rowChunk int, counts []int64, st *core.AggState,
+	col func(b *core.ColumnBatch, sel, final []int, live int), row func(m []any)) {
+	if !k.columnPath() {
+		for lo := 0; lo < len(part); lo += rowChunk {
+			row(part[lo:min(lo+rowChunk, len(part))])
+		}
+		return
 	}
-	sel, sb, live := k.runSteps(b, phys, counts)
-	if buf == nil {
-		buf = make([]any, 0, live)
+	ms := morselPool.Get().(*morselScratch)
+	for lo := 0; lo < len(part); lo += morselRows {
+		m := part[lo:min(lo+morselRows, len(part))]
+		phys, final, ok := k.admit(ms, m, st)
+		if !ok {
+			row(m)
+			continue
+		}
+		sel, live := k.runSteps(ms, phys, counts)
+		col(&ms.b, sel, final, live)
 	}
-	buf = k.finish(b, sel, final, live, counts, buf)
-	putSel(sb)
-	b.Recycle()
-	return buf
+	ms.b.Recycle() // accumulators copy values out; nothing aliases the buffers
+	morselPool.Put(ms)
 }
 
-// admit builds one row partition's column batch for the column loops,
-// building only the columns the plan reads. st, when non-nil, is the
-// aggregation state a fully vectorized chain absorbs into: it is preflighted
-// (AggState.PlanBatch) so a batch the accumulators would refuse is turned
-// away before any count ticks. ok=false sends the partition to the row
-// kernel wholesale: no column path, or — counted as a fallback — rows that
-// do not batch or a plan the batch fails.
-func (k *VectorKernel) admit(part []any, st *core.AggState) (b *core.ColumnBatch, phys, final []int, ok bool) {
-	if len(part) == 0 || !k.columnPath() {
-		return nil, nil, nil, false
-	}
-	if b, ok = core.BatchFromRowsNeeding(part, k.need); ok {
-		phys, final, ok = k.plan(b)
+// admit refills ms.b with one morsel's rows for the column loops, building only
+// the columns the plan reads. st, when non-nil, is the aggregation state a
+// fully vectorized chain absorbs into: it is preflighted (AggState.PlanBatch)
+// so a batch the accumulators would refuse is turned away before any count
+// ticks. ok=false — rows that do not batch or a plan the batch fails — sends
+// the morsel to the row kernel and counts a fallback.
+func (k *VectorKernel) admit(ms *morselScratch, m []any, st *core.AggState) (phys, final []int, ok bool) {
+	b := &ms.b
+	if ok = b.Refill(m, k.need); ok {
+		phys, final, ok = k.plan(b, ms)
 		if ok && st != nil && len(k.vec) == k.row.Len() {
 			ok = st.PlanBatch(b, final)
-		}
-		if !ok {
-			b.Recycle()
 		}
 	}
 	if !ok {
 		atomic.AddInt64(&k.stats.fallbacks, 1)
-		return nil, nil, nil, false
+		return nil, nil, false
 	}
 	atomic.AddInt64(&k.stats.batches, 1)
 	atomic.AddInt64(&k.stats.rows, int64(b.Len()))
-	return b, phys, final, true
+	return phys, final, true
+}
+
+// Run executes the kernel over one row partition. The contract is identical
+// to FusedKernel.Run: counts[i] accumulates the i-th step's emitted quanta
+// and buf, when non-nil, is the reused output buffer. The column path
+// engages only when it can reproduce row execution exactly; every other
+// morsel degrades to the row kernel.
+func (k *VectorKernel) Run(part []any, counts []int64, buf []any) []any {
+	k.morsels(part, len(part), counts, nil,
+		func(b *core.ColumnBatch, sel, final []int, live int) {
+			if buf == nil { // sized for the partition at this morsel's selectivity
+				buf = make([]any, 0, live*len(part)/b.Len())
+			}
+			buf = k.finish(b, sel, final, live, counts, buf)
+		},
+		func(m []any) { buf = k.row.Run(m, counts, buf) })
+	return buf
 }
 
 // finish emits the vector steps' survivors and pushes them through whatever
@@ -516,25 +552,22 @@ func (k *VectorKernel) finish(b *core.ColumnBatch, sel, final []int, live int, c
 // only; the caller accounts the aggregation's own output cardinality after
 // Finalize. The caller must only use RunAgg when Agg() is non-nil.
 func (k *VectorKernel) RunAgg(part []any, counts []int64, st *core.AggState) {
-	b, phys, final, ok := k.admit(part, st)
-	if !ok {
-		k.rowAgg(part, counts, st)
-		return
-	}
-	sel, sb, live := k.runSteps(b, phys, counts)
-	if len(k.vec) == k.row.Len() && st.AbsorbBatch(b, sel, final) {
-		atomic.AddInt64(&k.stats.aggBatches, 1)
-		atomic.AddInt64(&k.stats.aggRows, int64(live))
-	} else {
-		// Partial vectorized prefix — or, unreachably given the preflight, an
-		// absorb refusal: emit the survivors and finish row-wise.
-		ob := getRowBuf(live)
-		*ob = k.finish(b, sel, final, live, counts, (*ob)[:0])
-		st.AbsorbRows(*ob)
-		putRowBuf(ob)
-	}
-	putSel(sb)
-	b.Recycle() // accumulators copy values out; nothing aliases the buffers
+	k.morsels(part, len(part), counts, st,
+		func(b *core.ColumnBatch, sel, final []int, live int) {
+			if len(k.vec) == k.row.Len() && st.AbsorbBatch(b, sel, final) {
+				atomic.AddInt64(&k.stats.aggBatches, 1)
+				atomic.AddInt64(&k.stats.aggRows, int64(live))
+				return
+			}
+			// Partial vectorized prefix — or, unreachably given the
+			// preflight, an absorb refusal: emit the survivors and finish
+			// row-wise.
+			ob := getRowBuf(live)
+			*ob = k.finish(b, sel, final, live, counts, (*ob)[:0])
+			st.AbsorbRows(*ob)
+			putRowBuf(ob)
+		},
+		func(m []any) { k.rowAgg(m, counts, st) })
 }
 
 // rowAgg is the exact row path: the full narrow chain, then row-at-a-time
@@ -550,33 +583,29 @@ func (k *VectorKernel) rowAgg(part []any, counts []int64, st *core.AggState) {
 	putRowBuf(rb)
 }
 
-// foldChunk is how many input rows the kernel runs at a time ahead of a
-// keyed fold: the survivors of one chunk, at most a chunk times a flatmap's
-// fan-out, are all a chain ending in a UDF reduce-by ever holds. A chain
-// with a vectorized prefix runs foldVecChunk rows at a time, so the
-// row→column conversion amortizes.
-const (
-	foldChunk    = 256
-	foldVecChunk = 4096
-)
+// foldChunk is how many input rows a chain with no column path runs at a
+// time ahead of a keyed fold: the survivors of one chunk, at most a chunk
+// times a flatmap's fan-out, are all a chain ending in a UDF reduce-by ever
+// holds. A chain with a column path runs one morsel at a time.
+const foldChunk = 256
 
 // runFold feeds the survivors of one partition into f, chunk after chunk
 // through one pooled buffer, so no slice of the chain's whole output is
-// built. Each chunk goes through Run, which takes the column path when it
-// can.
+// built.
 func (k *VectorKernel) runFold(part []any, counts []int64, f *keyFold) {
 	if k.row.Len() == 0 {
 		f.add(part) // a stand-alone reduce-by: nothing to run first
 		return
 	}
-	chunk := foldChunk
-	if len(k.vec) > 0 {
-		chunk = foldVecChunk
-	}
-	rb := getRowBuf(chunk)
-	for lo := 0; lo < len(part); lo += chunk {
-		*rb = k.Run(part[lo:min(lo+chunk, len(part))], counts, (*rb)[:0])
-		f.add(*rb)
-	}
+	rb := getRowBuf(foldChunk)
+	k.morsels(part, foldChunk, counts, nil,
+		func(b *core.ColumnBatch, sel, final []int, live int) {
+			*rb = k.finish(b, sel, final, live, counts, (*rb)[:0])
+			f.add(*rb)
+		},
+		func(m []any) {
+			*rb = k.row.Run(m, counts, (*rb)[:0])
+			f.add(*rb)
+		})
 	putRowBuf(rb)
 }

@@ -32,6 +32,7 @@ func newCachedServer(t *testing.T, jobOpts jobs.Options) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { ctx.Close() })
 	if err := ctx.DFS.WriteLines("words.txt", []string{"a b a", "c a"}); err != nil {
 		t.Fatal(err)
 	}

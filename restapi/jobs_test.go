@@ -26,6 +26,7 @@ func gatedServer(t *testing.T, opts Options) (*Server, chan struct{}) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { ctx.Close() })
 	if err := ctx.DFS.WriteLines("words.txt", []string{"a b a", "c a"}); err != nil {
 		t.Fatal(err)
 	}

@@ -71,6 +71,7 @@ func TestAccessLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { ctx.Close() })
 	var buf bytes.Buffer
 	s := NewWithOptions(ctx, testUDFs(), Options{Log: slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))})
 	rec := get(s, "/v1/health")
@@ -202,6 +203,7 @@ func TestMetricsLint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { ctx.Close() })
 	if err := ctx.DFS.WriteLines("words.txt", []string{"a b a", "c a"}); err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ func newTestServer(t *testing.T) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { ctx.Close() })
 	if err := ctx.DFS.WriteLines("words.txt", []string{"a b a", "c a"}); err != nil {
 		t.Fatal(err)
 	}

@@ -249,6 +249,17 @@ go test -race -count=1 -run='TestQ5LeavesStoreAsLoaded' ./apps/datacivilizer
 # batch column-wise. The ColumnarNarrowChain benchmark is covered by the
 # NarrowChain smoke above.
 go test -count=1 -run='TestCrossCheckColumnar' .
+# And the vector tier walks a partition in morsels of 4096 rows: partitions
+# of 4095, 4096, 4097 and 3×4096+1 rows, a column int64 in the first morsel
+# and float64 after it, nil holes straddling a boundary, a string column
+# passing the dictionary bound in a later morsel and groups first seen in
+# later morsels all equal the reference interpreter in order, pinned to
+# spark, flink and streams, with one column batch or fallback per morsel;
+# RunAgg over a 400 k-row partition allocates what it does over a 40 k-row
+# one, within a stated slack. The ml4all "sum" reduce writes into no input.
+go test -race -count=1 -run='TestMorselBoundaries|TestMorselColumnTypeChanges|TestMorselNilHolesStraddleBoundary|TestMorselDictionaryOverflowsLater|TestMorselGroupOrderAcrossMorsels' .
+go test -race -count=1 -run='TestRunAggAllocationsFlatInPartitionSize' ./internal/platform/driverutil
+go test -race -count=1 -run='TestSumReduceLeavesInputsUnchanged' ./apps/ml4all
 # Metrics lint: a fully-wired server (cache, cluster node, runtime sampler)
 # runs real jobs, then every registered rheem_* metric must carry HELP text
 # — an undocumented metric fails the gate.
