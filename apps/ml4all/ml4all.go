@@ -172,22 +172,17 @@ func BuildPlan(ctx *rheem.Context, name string, raw *rheem.DataQuanta, algo Algo
 }
 
 // gradCount is one point's gradient as it enters the "sum" reduce, n = 1.
-type gradCount struct {
-	grad []float64
-	n    int
-}
-
-// gradSum is the "sum" reduce's own accumulator: a gradient slice the reduce
+// The reduce's own accumulator is a *gradCount: a gradient slice the reduce
 // allocated, which later folds add into in place, and the number of points
 // summed into it.
-type gradSum struct {
+type gradCount struct {
 	grad []float64
 	n    int
 }
 
 // gradOf returns a "sum" input's or output's gradient and point count.
 func gradOf(q any) ([]float64, int) {
-	if g, ok := q.(*gradSum); ok {
+	if g, ok := q.(*gradCount); ok {
 		return g.grad, g.n
 	}
 	g := q.(gradCount)
@@ -195,16 +190,16 @@ func gradOf(q any) ([]float64, int) {
 }
 
 // sumGrads is the "sum" reduce. Its first fold copies the left gradient into
-// a gradSum of its own, and every fold adds the right gradient into that
+// a *gradCount of its own, and every fold adds the right gradient into that
 // one, so a reduce allocates one gradient, not one per fold, and never
 // writes into an input quantum's slice. The additions are the ones a fresh
 // slice per fold made, in the same order, so the sums are bit for bit the
 // same.
 func sumGrads(a, b any) any {
-	acc, ok := a.(*gradSum)
+	acc, ok := a.(*gradCount)
 	if !ok {
 		grad, n := gradOf(a)
-		acc = &gradSum{grad: slices.Clone(grad), n: n}
+		acc = &gradCount{grad: slices.Clone(grad), n: n}
 	}
 	grad, n := gradOf(b)
 	for i := range acc.grad {

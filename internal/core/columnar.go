@@ -732,15 +732,8 @@ func (b *ColumnBatch) ApplyNumExpr(c int, e *MapExpr, sel []int) {
 		}
 		// Integral column, fractional operand: the result domain is float64,
 		// so migrate the whole column (dead rows included; they are never
-		// emitted). A column built from rows migrates into its slot's
-		// float buffer.
-		var fs []float64
-		if c < len(b.slots) && col == &b.slots[c].col {
-			b.slots[c].floats = reuse(b.slots[c].floats, len(col.Ints))
-			fs = b.slots[c].floats
-		} else {
-			fs = make([]float64, len(col.Ints))
-		}
+		// emitted).
+		fs := make([]float64, len(col.Ints))
 		for i, v := range col.Ints {
 			fs[i] = float64(v)
 		}

@@ -521,8 +521,8 @@ func (k *VectorKernel) admit(ms *morselScratch, m []any, st *core.AggState) (phy
 func (k *VectorKernel) Run(part []any, counts []int64, buf []any) []any {
 	k.morsels(part, len(part), counts, nil,
 		func(b *core.ColumnBatch, sel, final []int, live int) {
-			if buf == nil { // sized for the partition at this morsel's selectivity
-				buf = make([]any, 0, live*len(part)/b.Len())
+			if buf == nil {
+				buf = make([]any, 0, len(part))
 			}
 			buf = k.finish(b, sel, final, live, counts, buf)
 		},
