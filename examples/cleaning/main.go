@@ -15,10 +15,19 @@ import (
 )
 
 func main() {
-	ctx, err := rheem.NewContext(rheem.Config{})
-	if err != nil {
+	if err := run(); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// run is the example; main exits only after it returns, so the context
+// (and its temporary DFS directory) is closed on every path.
+func run() error {
+	ctx, err := rheem.NewContext(rheem.Config{})
+	if err != nil {
+		return err
+	}
+	defer ctx.Close()
 
 	records := datagen.TaxRecords(5000, 0.01, 3)
 	rule := bigdansing.DenialConstraint{
@@ -30,7 +39,7 @@ func main() {
 
 	violations, err := bigdansing.Detect(ctx, datagen.AnySlice(records), rule)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("scanned %d tax records, found %d violating pairs\n", len(records), len(violations))
 	for i, v := range violations {
@@ -47,7 +56,8 @@ func main() {
 	repaired := bigdansing.ApplyFixes(records, datagen.TaxColID, fixes)
 	after, err := bigdansing.Detect(ctx, datagen.AnySlice(repaired), rule)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("after one repair pass: %d violating pairs remain\n", len(after))
+	return nil
 }

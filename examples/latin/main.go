@@ -29,10 +29,19 @@ collect weights;
 `
 
 func main() {
-	ctx, err := rheem.NewContext(rheem.Config{})
-	if err != nil {
+	if err := run(); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// run is the example; main exits only after it returns, so the context
+// (and its temporary DFS directory) is closed on every path.
+func run() error {
+	ctx, err := rheem.NewContext(rheem.Config{})
+	if err != nil {
+		return err
+	}
+	defer ctx.Close()
 
 	udfs := latin.NewRegistry()
 	points := make([]any, 1000)
@@ -50,16 +59,17 @@ func main() {
 
 	compiled, err := latin.Compile(script, udfs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res, err := ctx.Execute(compiled.Plan)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	out, err := res.CollectFrom(compiled.Sinks["weights"])
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("platforms: %v\n", res.Platforms())
 	fmt.Printf("final weight after 40 rounds: %.4f (true mean 0)\n", out[0].(float64))
+	return nil
 }

@@ -17,20 +17,29 @@ import (
 )
 
 func main() {
-	ctx, err := rheem.NewContext(rheem.Config{})
-	if err != nil {
+	if err := run(); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// run is the example; main exits only after it returns, so the context
+// (and its temporary DFS directory) is closed on every path.
+func run() error {
+	ctx, err := rheem.NewContext(rheem.Config{})
+	if err != nil {
+		return err
+	}
+	defer ctx.Close()
 	dir, err := os.MkdirTemp("", "polystore-*")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 
 	db := datagen.GenTPCH(0.5, 11)
 	lay, err := datacivilizer.LoadPolystore(ctx, db, dir)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sz := db.Sizes()
 	fmt.Printf("polystore: lineitem(%d)+orders(%d) on DFS, customer(%d)/region/supplier in the store, nation on local FS\n",
@@ -40,16 +49,17 @@ func main() {
 	b, _ := datacivilizer.BuildQ5(ctx, lay, "ASIA", 100)
 	ep, err := ctx.Optimize(b.Plan())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("Q5 planned across platforms: %v\n\n", ep.Platforms())
 
 	rows, err := datacivilizer.RunQ5(ctx, lay, "ASIA", 100)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println("Q5 (revenue per ASIA nation, one order year):")
 	for _, r := range rows {
 		fmt.Printf("  %-12s %14.2f\n", r.Nation, r.Revenue)
 	}
+	return nil
 }

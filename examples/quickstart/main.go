@@ -15,10 +15,19 @@ import (
 )
 
 func main() {
-	ctx, err := rheem.NewContext(rheem.Config{})
-	if err != nil {
+	if err := run(); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// run is the example; main exits only after it returns, so the context
+// (and its temporary DFS directory) is closed on every path.
+func run() error {
+	ctx, err := rheem.NewContext(rheem.Config{})
+	if err != nil {
+		return err
+	}
+	defer ctx.Close()
 
 	// Put a small corpus on the DFS.
 	corpus := []string{
@@ -28,7 +37,7 @@ func main() {
 		"may the big data be with you",
 	}
 	if err := ctx.DFS.WriteLines("quickstart.txt", corpus); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	counts, err := ctx.NewPlan("wordcount").
@@ -49,7 +58,7 @@ func main() {
 			}).
 		Collect()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	type wc struct {
@@ -74,4 +83,5 @@ func main() {
 		}
 		fmt.Printf("  %-12s %d\n", w.word, w.n)
 	}
+	return nil
 }

@@ -15,15 +15,24 @@ import (
 )
 
 func main() {
-	ctx, err := rheem.NewContext(rheem.Config{})
-	if err != nil {
+	if err := run(); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// run is the example; main exits only after it returns, so the context
+// (and its temporary DFS directory) is closed on every path.
+func run() error {
+	ctx, err := rheem.NewContext(rheem.Config{})
+	if err != nil {
+		return err
+	}
+	defer ctx.Close()
 
 	const dim = 8
 	points := datagen.Points(5000, dim, 42)
 	if err := ctx.DFS.WriteLines("train.csv", datagen.PointLines(points)); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	raw := ctx.NewPlan("sgd-example").ReadTextFile("dfs://train.csv")
@@ -34,7 +43,7 @@ func main() {
 		Seed:       7,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	labelled := make([]ml4all.LabeledPoint, len(points))
@@ -44,4 +53,5 @@ func main() {
 	fmt.Printf("trained %d-dimensional model, training accuracy %.1f%%\n",
 		dim, 100*ml4all.Accuracy(labelled, model))
 	fmt.Printf("weights: %.3f\n", model)
+	return nil
 }

@@ -179,6 +179,15 @@ func NewAggState(e *ReduceExpr) *AggState {
 	return st
 }
 
+// SwapGroupScratch makes buf the row→group scratch AbsorbBatch uses (and
+// grows) and returns the one st held, so a caller that runs many states —
+// one per partition — can lend each the same buffer and take it back.
+func (st *AggState) SwapGroupScratch(buf []int) []int {
+	old := st.groupScratch
+	st.groupScratch = buf
+	return old
+}
+
 // Groups returns the number of distinct groups absorbed so far.
 func (st *AggState) Groups() int { return len(st.keys) }
 

@@ -241,12 +241,14 @@ func identity(q any) any { return q }
 
 // ApplyBlocking evaluates one of the thirteen kinds above over its inputs'
 // row partitions; round is the loop round a sample draws for. The kinds take
-// five shapes. Keyed (distinct, intersect, group-by, join, co-group, sort):
-// co-partition the inputs, then one slice kernel per partition — sort
-// exchanges through the range route so the output partitions are globally
-// ordered. Fold (count, reduce): a kernel per partition, then once more over
-// the gathered partials, giving one partition. Broadcast (iejoin): gather the
-// right side, then a kernel per left partition. Per partition
+// five shapes. Keyed (distinct, intersect, group-by, co-group, sort, and a
+// join whose right side is not small beside its left): co-partition the
+// inputs, then one slice kernel per partition — sort exchanges through the
+// range route so the output partitions are globally ordered. Fold (count,
+// reduce): a kernel per partition, then once more over the gathered
+// partials, giving one partition. Broadcast (iejoin, and a join whose right
+// side is small beside its left; see join for the rule): gather the right
+// side, then a kernel per left partition where it lies. Per partition
 // (map-partitions, zip-with-id): a kernel per partition, zip-with-id's ids
 // offset by the counts of the partitions before it, so an id is the
 // quantum's input position. Whole input (sample, PageRank): sample draws once
@@ -265,9 +267,7 @@ func ApplyBlocking(s Scheduler, op *core.Operator, round core.Round, in [][][]an
 	case core.KindGroupBy:
 		out = keyed(s, in, []func(any) any{op.UDF.Key}, func(part, _ []any) []any { return GroupByKey(op, part) })
 	case core.KindJoin:
-		out = keyed(s, in, []func(any) any{op.UDF.Key, KeyRight(op)}, func(left, right []any) []any {
-			return HashJoin(op, left, right)
-		})
+		out = join(s, op, in[0], in[1])
 	case core.KindCoGroup:
 		out = keyed(s, in, []func(any) any{op.UDF.Key, KeyRight(op)}, func(left, right []any) []any {
 			return CoGroup(op, left, right)
@@ -307,6 +307,24 @@ func ApplyBlocking(s Scheduler, op *core.Operator, round core.Round, in [][][]an
 		return nil, fmt.Errorf("unsupported operator kind %s", op.Kind)
 	}
 	return out, nil
+}
+
+// join equi-joins in one of two shapes, by the inputs' sizes alone. When the
+// right side's quanta times the left side's partition count are at most the
+// left side's quanta, the right side is gathered and hashed once and every
+// left partition probes that table where it lies (broadcast): the big side
+// never moves, and output partition i is left partition i's matches. Otherwise
+// both sides are exchanged on the key and each co-located pair is joined
+// (keyed). Either shape charges one barrier.
+func join(s Scheduler, op *core.Operator, left, right [][]any) [][]any {
+	if Parts(right).Count()*int64(len(left)) > Parts(left).Count() {
+		return keyed(s, [][][]any{left, right}, []func(any) any{op.UDF.Key, KeyRight(op)}, func(l, r []any) []any {
+			return HashJoin(op, l, r)
+		})
+	}
+	table := BuildJoin(op, gather(right))
+	s.Barrier()
+	return eachPart(s, left, func(part []any) []any { return table.Probe(op, part) })
 }
 
 // zipWithID pairs every quantum with its input position: partition i's ids

@@ -49,17 +49,43 @@ func LessOf(op *core.Operator) func(a, b any) bool {
 // HashJoin equi-joins two slices: build a hash table over the right side,
 // probe with the left.
 func HashJoin(op *core.Operator, left, right []any) []any {
+	return BuildJoin(op, right).Probe(op, left)
+}
+
+// JoinTable is a join's right side hashed on its key (core.GroupKey of
+// op's right key): the build half of HashJoin, probed read-only, so one
+// table serves every left partition at once.
+type JoinTable struct {
+	rows  []any
+	first map[any]int32 // key -> the first row holding it
+	next  []int32       // row -> the next row holding its key, -1 after the last
+}
+
+// BuildJoin hashes right on op's right key.
+func BuildJoin(op *core.Operator, right []any) *JoinTable {
 	keyR := KeyRight(op)
-	combine := Combine(op)
-	table := make(map[any][]any, len(right))
-	for _, r := range right {
-		k := core.GroupKey(keyR(r))
-		table[k] = append(table[k], r)
+	t := &JoinTable{rows: right, first: make(map[any]int32, len(right)), next: make([]int32, len(right))}
+	for i := len(right) - 1; i >= 0; i-- { // backwards, so each chain runs in right order
+		k := core.GroupKey(keyR(right[i]))
+		j, ok := t.first[k]
+		if !ok {
+			j = -1
+		}
+		t.next[i] = j
+		t.first[k] = int32(i)
 	}
+	return t
+}
+
+// Probe joins every quantum of left with the rows of t sharing its key under
+// op's left key: left order, and each quantum's matches in right order.
+func (t *JoinTable) Probe(op *core.Operator, left []any) []any {
+	combine := Combine(op)
 	var out []any
 	for _, l := range left {
-		for _, r := range table[core.GroupKey(op.UDF.Key(l))] {
-			out = append(out, combine(l, r))
+		j, ok := t.first[core.GroupKey(op.UDF.Key(l))]
+		for ; ok && j >= 0; j = t.next[j] {
+			out = append(out, combine(l, t.rows[j]))
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package driverutil
 
 import (
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -91,5 +92,38 @@ func TestRunAggAllocationsFlatInPartitionSize(t *testing.T) {
 	}
 	if batches, _, fallbacks, aggBatches, _ := k.Stats(); fallbacks != 0 || aggBatches != batches {
 		t.Fatalf("%d morsels, %d fallbacks, %d absorbed column-wise: every morsel should absorb as columns", batches, fallbacks, aggBatches)
+	}
+}
+
+// TestRunAggBytesPerPartition: once the pools are warm, RunAgg into a fresh
+// aggregation state — what RunChainParts does for every partition — allocates
+// the state's groups and lanes and the counts, not a row→group scratch of its
+// own: the 4096-entry scratch (32 KiB) is lent by the pooled morsel scratch.
+// The median of several runs is taken, as under the race detector sync.Pool
+// drops a quarter of what is put.
+func TestRunAggBytesPerPartition(t *testing.T) {
+	k := aggChainKernel(t)
+	part := aggRecords(40_000)
+	run := func() {
+		st := core.NewAggState(k.Agg())
+		k.RunAgg(part, make([]int64, k.Len()), st)
+		if st.Groups() != 7 {
+			t.Fatalf("%d groups, want 7", st.Groups())
+		}
+	}
+	run() // warms the pools
+	per := make([]uint64, 15)
+	for i := range per {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		per[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	slices.Sort(per)
+	const bound = 8 << 10 // a quarter of the scratch a state would make itself
+	t.Logf("bytes per RunAgg into a fresh state: median %d, min %d, max %d", per[len(per)/2], per[0], per[len(per)-1])
+	if med := per[len(per)/2]; med > bound {
+		t.Fatalf("RunAgg into a fresh state allocates %d bytes (median of %d runs), past %d", med, len(per), bound)
 	}
 }

@@ -1,7 +1,6 @@
 package driverutil
 
 import (
-	"bytes"
 	"fmt"
 
 	"rheem/internal/core"
@@ -14,15 +13,19 @@ import (
 func LocalTextPath(path string) bool { return !dfs.IsPath(path) }
 
 // ReadTextParts reads a text source as line-aligned input splits, one
-// string quantum per line, reading and cutting the splits on s. A dfs:// path
-// is cut under Hadoop's and Spark's textFile rule: the split size is
+// string quantum per line, reading the splits on s. A dfs:// path is cut
+// under Hadoop's and Spark's textFile rule: the split size is
 // min(block size, ceil(file size / n)), a split never crosses a block, and a
 // split owns every line that starts inside its byte range, finishing a line
 // that straddles its end — so a file of at least n² bytes gives at least n
 // splits even when it is one block, and the splits concatenated are the
-// file's lines, each once and in order. A line loses a trailing carriage
-// return, as in dfs.ReadLines. Any other path is a local file, read whole
-// and cut into n row runs.
+// file's lines, each once and in order. A split is read from its own offset
+// through one buffer of at most dfs.SplitBufferMax bytes, and each line is
+// boxed as it is read; at most n splits are read at once, and a buffer is
+// reused for split after split (and, at full size, job after job), so the
+// file is never resident but as its line strings. A line loses a
+// trailing carriage return, as in dfs.ReadLines. Any other path is a local
+// file, read whole and cut into n row runs.
 func ReadTextParts(s Scheduler, store *dfs.Store, path string, n int) ([][]any, error) {
 	n = max(n, 1)
 	if LocalTextPath(path) {
@@ -40,13 +43,6 @@ func ReadTextParts(s Scheduler, store *dfs.Store, path string, n int) ([][]any, 
 	if err != nil {
 		return nil, err
 	}
-	owned := make([]dfs.OwnedLines, len(blocks))
-	if err := s.Each(len(blocks), func(b int) (err error) {
-		owned[b], err = store.BlockLines(name, blocks, b)
-		return err
-	}); err != nil {
-		return nil, err
-	}
 	splitSize := max(min(store.BlockSize(), (size+int64(n)-1)/int64(n)), 1)
 	type split struct {
 		block  int
@@ -58,41 +54,58 @@ func ReadTextParts(s Scheduler, store *dfs.Store, path string, n int) ([][]any, 
 			splits = append(splits, split{b, lo, min(lo+splitSize, blk.Size)})
 		}
 	}
+	// At most n splits are read at once, each holding one of n buffers,
+	// made when first taken (a nil token), whatever the scheduler's width.
+	bufs := make(chan []byte, n)
+	for range n {
+		bufs <- nil
+	}
 	parts := make([][]any, len(splits))
-	Do(s, len(splits), func(i int) {
+	err = s.Each(len(splits), func(i int) error {
+		buf := <-bufs
+		if buf == nil {
+			buf = dfs.SplitBuffer(splitSize)
+		}
+		defer func() { bufs <- buf }()
 		sp := splits[i]
-		o := owned[sp.block]
-		lines := o.Whole[lineStart(o.Whole, sp.lo-o.Start):lineStart(o.Whole, sp.hi-o.Start)]
-		lastAt := o.Start + int64(len(o.Whole))
-		last := o.Last != nil && sp.lo <= lastAt && lastAt < sp.hi
-		count := bytes.Count(lines, []byte{'\n'})
-		if last {
-			count++
-		}
-		part := make([]any, 0, count)
-		for len(lines) > 0 {
-			nl := bytes.IndexByte(lines, '\n')
-			part = append(part, textLine(lines[:nl]))
-			lines = lines[nl+1:]
-		}
-		if last {
-			part = append(part, textLine(o.Last))
-		}
+		var part []any
+		var read int64 // the bytes of the lines in part, newlines included
+		err := store.SplitLines(name, blocks, sp.block, sp.lo, sp.hi, buf, func(line []byte) {
+			if len(part) == cap(part) {
+				part = growPart(part, read, sp.hi-sp.lo)
+			}
+			part = append(part, textLine(line))
+			read += int64(len(line)) + 1
+		})
 		parts[i] = part
+		return err
 	})
+	for range n {
+		dfs.FreeSplitBuffer(<-bufs) // a nil token was never made
+	}
+	if err != nil {
+		return nil, err
+	}
 	return parts, nil
 }
 
-// lineStart is the offset in whole — complete lines, each ending in a
-// newline — of the first line starting at or after offset x.
-func lineStart(whole []byte, x int64) int {
-	if x <= 0 {
-		return 0
+// partSample is how many lines a split's partition holds before it is sized
+// for the rest by the bytes those lines took.
+const partSample = 64
+
+// growPart gives a full partition of a split of length bytes room for the
+// lines still to come, judged by the read bytes the lines in it took, plus
+// a sixteenth: one estimate from the first partSample lines sizes a split
+// of lines of like length, and a low one is revised from all lines so far.
+func growPart(part []any, read, length int64) []any {
+	n := len(part)
+	if n == 0 {
+		return make([]any, 0, partSample)
 	}
-	if x > int64(len(whole)) {
-		return len(whole)
-	}
-	return int(x) + bytes.IndexByte(whole[x-1:], '\n')
+	want := int(int64(n) * length / read)
+	grown := make([]any, n, max(want, n)+want/16+8)
+	copy(grown, part)
+	return grown
 }
 
 // textLine is a line as its own string, so a kept line never pins the block

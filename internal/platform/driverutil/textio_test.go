@@ -2,6 +2,8 @@ package driverutil
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -110,6 +112,111 @@ func TestReadTextPartsErrors(t *testing.T) {
 	}{{store, "dfs://absent.txt"}, {nil, "dfs://x.txt"}, {store, t.TempDir() + "/absent.txt"}} {
 		if _, err := ReadTextParts(Serial{}, c.store, c.path, 4); err == nil {
 			t.Errorf("%s: read without error", c.path)
+		}
+	}
+}
+
+// TestTextSplitReaderEdges: the splits of files that test the bounded split
+// reader concatenate to dfs.ReadLines for 1, 2, 3, 4 and 7 splits wanted, on
+// a serial and a parallel scheduler — a line longer than the split buffer,
+// CRLF lines cut at a split, a split boundary exactly on a newline and just
+// after one, a line straddling three blocks, an empty file and a last line
+// without a newline — and with a short replica in the middle of a split's
+// read the split reads the whole one; with no whole replica the read fails
+// naming the block.
+func TestTextSplitReaderEdges(t *testing.T) {
+	store, err := dfs.New(t.TempDir(), dfs.Options{BlockSize: textBlock, Replication: 2, Nodes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := len(dfs.SplitBuffer(textBlock))*3 + 7
+	// One block of 64 bytes cut into two splits of 32: the newline that ends
+	// the first line is the last byte of split 0 in "newline-ends-split" and
+	// the first byte of split 1 in "newline-starts-split".
+	files := map[string]struct {
+		content string
+		blocks  int
+	}{
+		"longer-than-buffer":   {"a\n" + strings.Repeat("L", long) + "\nb\n", (long + 4 + textBlock - 1) / textBlock},
+		"crlf-cut":             {strings.Repeat("ab\r\n", 40) + "end\r\n", 3},
+		"newline-ends-split":   {strings.Repeat("x", 31) + "\n" + strings.Repeat("y", 31) + "\n", 1},
+		"newline-starts-split": {strings.Repeat("x", 32) + "\n" + strings.Repeat("y", 30) + "\n", 1},
+		"straddle-three":       {"h\n" + strings.Repeat("S", 2*textBlock+10) + "\nt\n", 3},
+		"empty":                {"", 1},
+		"no-final-newline":     {"first\n" + strings.Repeat("z", 100), 2},
+	}
+	for name, f := range files {
+		w, err := store.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write([]byte(f.content)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, blocks, _ := store.Stat(name); len(blocks) != f.blocks {
+			t.Fatalf("%s: %d blocks, want %d", name, len(blocks), f.blocks)
+		}
+		checkSplitsCover(t, store, name)
+	}
+
+	// A short replica in the middle of a split's read: the straddling line of
+	// block 0 continues through block 1 into block 2, whose first replica is
+	// cut short.
+	content := "h\n" + strings.Repeat("S", 2*textBlock) + "\n" + strings.Repeat("t\n", 40)
+	w, err := store.Create("short")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write([]byte(content)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, blocks, _ := store.Stat("short")
+	truncate := func(node int) {
+		t.Helper()
+		path := filepath.Join(store.Root(), fmt.Sprintf("node%d", node), "short", fmt.Sprintf("blk_%06d", 2))
+		if err := os.Truncate(path, blocks[2].Size/2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	truncate(blocks[2].Nodes[0])
+	checkSplitsCover(t, store, "short")
+	truncate(blocks[2].Nodes[1])
+	for _, n := range []int{1, 4} {
+		if _, err := ReadTextParts(Serial{}, store, dfs.Scheme+"short", n); err == nil || !strings.Contains(err.Error(), `"short" block 2`) {
+			t.Fatalf("n=%d, no whole replica of block 2: error %v, want one naming the block", n, err)
+		}
+	}
+}
+
+// checkSplitsCover holds ReadTextParts over name, for several split counts
+// on a serial and a parallel scheduler, to dfs.ReadLines.
+func checkSplitsCover(t *testing.T, store *dfs.Store, name string) {
+	t.Helper()
+	want, err := store.ReadLines(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 2, 3, 4, 7} {
+		for _, s := range []Scheduler{Serial{}, &pooled{width: 3}} {
+			parts, err := ReadTextParts(s, store, dfs.Scheme+name, n)
+			if err != nil {
+				t.Fatalf("%s, n=%d: %v", name, n, err)
+			}
+			var got []string
+			for _, part := range parts {
+				for _, q := range part {
+					got = append(got, q.(string))
+				}
+			}
+			if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, n=%d: splits read %q, want %q", name, n, got, want)
+			}
 		}
 	}
 }

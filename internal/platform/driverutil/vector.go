@@ -311,12 +311,14 @@ const morselRows = 4096
 // partition: the batch refilled per morsel, the physical column of each step
 // and the two projections a chain of projections alternates between (plan),
 // and the two selection vectors a chain of filters alternates between
-// (runSteps). It is pooled whole, so a partition allocates none of it once
-// the pool is warm.
+// (runSteps), and the row→group scratch it lends the partition's
+// aggregation state (core.AggState.SwapGroupScratch). It is pooled whole, so
+// a partition allocates none of it once the pool is warm.
 type morselScratch struct {
 	b                core.ColumnBatch
 	phys, proj, next []int
 	sels             [2][]int
+	groups           []int
 }
 
 var morselPool = sync.Pool{New: func() any { return new(morselScratch) }}
@@ -476,6 +478,9 @@ func (k *VectorKernel) morsels(part []any, rowChunk int, counts []int64, st *cor
 		return
 	}
 	ms := morselPool.Get().(*morselScratch)
+	if st != nil {
+		st.SwapGroupScratch(ms.groups)
+	}
 	for lo := 0; lo < len(part); lo += morselRows {
 		m := part[lo:min(lo+morselRows, len(part))]
 		phys, final, ok := k.admit(ms, m, st)
@@ -487,6 +492,9 @@ func (k *VectorKernel) morsels(part []any, rowChunk int, counts []int64, st *cor
 		col(&ms.b, sel, final, live)
 	}
 	ms.b.Recycle() // accumulators copy values out; nothing aliases the buffers
+	if st != nil {
+		ms.groups = st.SwapGroupScratch(nil)
+	}
 	morselPool.Put(ms)
 }
 

@@ -14,9 +14,10 @@ import (
 // partitions, no two-phase aggregation. The narrow kinds and the reduce-by,
 // which the engines run only through compiled kernels, are written out here
 // independently of them, and so are map-partitions (one partition, handed to
-// the UDF as a copy) and zip-with-id (an id is an input position); the wide
-// kinds and sample call the shared driverutil slice kernels the engines use
-// too, sample over the whole input. tables supplies the rows of
+// the UDF as a copy), zip-with-id (an id is an input position) and the join
+// (a nested loop, no hash table); the other wide kinds and sample call the
+// shared driverutil slice kernels the engines use too, sample over the whole
+// input. tables supplies the rows of
 // the relational tables the plan scans (nil for a plan without table
 // sources). The result maps every operator to its output: a sink's entry is
 // the rows it collects, and the length of any entry is that operator's
@@ -118,7 +119,7 @@ func interpretOp(op *core.Operator, in [][]any, tables TableRows) (out []any, er
 	case core.KindSort:
 		return driverutil.Sort(op, in[0]), nil
 	case core.KindJoin:
-		return driverutil.HashJoin(op, in[0], in[1]), nil
+		return nestedLoopJoin(op, in[0], in[1]), nil
 	case core.KindIEJoin:
 		return driverutil.IEJoinSlices(op, in[0], in[1]), nil
 	case core.KindGroupBy:
@@ -244,6 +245,22 @@ func interpretReduceExpr(e *core.ReduceExpr, rows []any) []any {
 			}
 		}
 		out[g] = rec
+	}
+	return out
+}
+
+// nestedLoopJoin pairs every left quantum with every right one whose key is
+// equal under core.GroupKey, in left order and then right order.
+func nestedLoopJoin(op *core.Operator, left, right []any) []any {
+	keyR, combine := driverutil.KeyRight(op), driverutil.Combine(op)
+	var out []any
+	for _, l := range left {
+		k := core.GroupKey(op.UDF.Key(l))
+		for _, r := range right {
+			if core.GroupKey(keyR(r)) == k {
+				out = append(out, combine(l, r))
+			}
+		}
 	}
 	return out
 }

@@ -132,10 +132,10 @@ func (s *Store) blockPath(name string, node, index int) string {
 	return filepath.Join(s.root, fmt.Sprintf("node%d", node), sanitize(name), fmt.Sprintf("blk_%06d", index))
 }
 
-func sanitize(name string) string {
-	r := strings.NewReplacer("/", "_", "\\", "_", ":", "_")
-	return r.Replace(name)
-}
+// nameReplacer maps a file name to one path element.
+var nameReplacer = strings.NewReplacer("/", "_", "\\", "_", ":", "_")
+
+func sanitize(name string) string { return nameReplacer.Replace(name) }
 
 func (s *Store) loadMetas() error {
 	dir := filepath.Join(s.root, "meta")
@@ -394,47 +394,6 @@ func (s *Store) openReplica(name string, b BlockInfo) (*os.File, error) {
 	return nil, fmt.Errorf("dfs: no whole replica of %q block %d: %w", name, b.Index, lastErr)
 }
 
-// readBlock reads block b whole into one buffer of its recorded size.
-func (s *Store) readBlock(name string, b BlockInfo) ([]byte, error) {
-	f, err := s.openReplica(name, b)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	data := make([]byte, b.Size)
-	if _, err := io.ReadFull(f, data); err != nil {
-		return nil, fmt.Errorf("dfs: read %q block %d: %w", name, b.Index, err)
-	}
-	return data, nil
-}
-
-// lineChunk is the read size used to finish a line that straddles into a
-// block: the reader needs the block only up to its first newline.
-const lineChunk = 512
-
-// appendLineEnd appends to frag the bytes of block b before its first
-// newline, reading b in lineChunk pieces and stopping at the newline. found
-// reports whether b holds a newline; if not, frag has all of b appended.
-func (s *Store) appendLineEnd(name string, b BlockInfo, frag []byte) (_ []byte, found bool, _ error) {
-	f, err := s.openReplica(name, b)
-	if err != nil {
-		return nil, false, err
-	}
-	defer f.Close()
-	buf := make([]byte, min(b.Size, lineChunk))
-	for off := int64(0); off < b.Size; off += int64(len(buf)) {
-		chunk := buf[:min(int64(len(buf)), b.Size-off)]
-		if _, err := io.ReadFull(f, chunk); err != nil {
-			return nil, false, fmt.Errorf("dfs: read %q block %d: %w", name, b.Index, err)
-		}
-		if nl := bytes.IndexByte(chunk, '\n'); nl >= 0 {
-			return append(frag, chunk[:nl]...), true, nil
-		}
-		frag = append(frag, chunk...)
-	}
-	return frag, false, nil
-}
-
 // WriteLines writes text lines as a DFS file.
 func (s *Store) WriteLines(name string, lines []string) error {
 	w, err := s.Create(name)
@@ -469,6 +428,38 @@ func (s *Store) ReadLines(name string) ([]string, error) {
 	return out, sc.Err()
 }
 
+// SplitBufferMax bounds the buffer a split's lines are read through, so
+// reading a text file holds at most this much of it per reader, whatever its
+// block size.
+const SplitBufferMax = 64 << 10
+
+// lineChunk is the smallest split buffer: a split shorter than it still reads
+// in lineChunk pieces, so a line that straddles out of a short split is not
+// finished a split's length at a time.
+const lineChunk = 512
+
+// SplitBuffer returns a buffer for reading splits of up to length bytes
+// (SplitLines): the split's length, kept within [lineChunk, SplitBufferMax].
+// Hand it back with FreeSplitBuffer once it is no longer read through.
+func SplitBuffer(length int64) []byte {
+	if length >= SplitBufferMax {
+		return splitBuffers.Get().(*[SplitBufferMax]byte)[:]
+	}
+	return make([]byte, max(length, lineChunk))
+}
+
+// FreeSplitBuffer hands back a buffer SplitBuffer returned. Every line read
+// through it was copied out, so nothing still points into it.
+func FreeSplitBuffer(buf []byte) {
+	if len(buf) == SplitBufferMax {
+		splitBuffers.Put((*[SplitBufferMax]byte)(buf))
+	}
+}
+
+// splitBuffers keeps the full-size split buffers between reads, so a text
+// source read job after job reuses the same few.
+var splitBuffers = sync.Pool{New: func() any { return new([SplitBufferMax]byte) }}
+
 // ReadBlockLines reads the text lines belonging to one block split, using
 // the record-reader convention so that concatenating the results of all
 // blocks yields exactly the file's lines, each once: a split owns every
@@ -485,92 +476,184 @@ func (s *Store) ReadBlockLines(name string, index int) ([]string, error) {
 	}
 	var out []string
 	// Each line is its own string, so a line kept downstream does not pin
-	// the block it came from.
+	// the buffer it was read through.
 	if err := s.eachLine(name, blocks, index, func(line []byte) { out = append(out, string(line)) }); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// OwnedLines are the bytes of the lines the split of one block owns under
-// ReadBlockLines' convention.
-type OwnedLines struct {
-	// Start is the block offset of the first owned line: 0, or just past
-	// the end of a line an earlier split owns (the block's size when the
-	// whole block is the middle of such a line).
-	Start int64
-	// Whole holds the owned lines that end inside the block, each with its
-	// newline, from Start on; it is a slice of the block's buffer.
-	Whole []byte
-	// Last is the owned line that does not end inside the block, without a
-	// newline: the line straddling into later blocks, joined from them, or
-	// the file's newline-less last line. It starts at block offset
-	// Start+len(Whole); nil when there is none.
-	Last []byte
+// eachLine calls visit with every line the split of block index owns, in
+// order (SplitLines over the whole block).
+func (s *Store) eachLine(name string, blocks []BlockInfo, index int, visit func(line []byte)) error {
+	if index < 0 || index >= len(blocks) {
+		return fmt.Errorf("dfs: %q has no block %d", name, index)
+	}
+	size := blocks[index].Size
+	buf := SplitBuffer(size)
+	defer FreeSplitBuffer(buf)
+	return s.SplitLines(name, blocks, index, 0, size, buf, visit)
 }
 
-// BlockLines reads the lines the split of block index owns; blocks is the
-// file's layout, as Stat returns it. The block is read into one buffer that
-// Whole (and Last, unless it straddles) slices; a straddling line is the one
-// copy, read from the following blocks only up to its newline.
-func (s *Store) BlockLines(name string, blocks []BlockInfo, index int) (OwnedLines, error) {
+// SplitLines calls visit with every line that starts in bytes [lo, hi) of
+// block index, in order, reading the file from there through buf alone (see
+// SplitBuffer); blocks is the file's layout, as Stat returns it. A line
+// starts at the file's first byte and after every newline. A line that runs
+// past hi, or past the block, is finished from the bytes after it, in later
+// blocks if need be, so splits cut at any offsets concatenate to the file's
+// lines, each once. A line is passed without its newline and is valid only
+// during the call: it is a slice of buf, or of a buffer of its own when it
+// is longer than buf.
+//
+// A replica shorter than its block's recorded size is skipped for the next
+// one; with no whole replica the read fails naming the file and block.
+func (s *Store) SplitLines(name string, blocks []BlockInfo, index int, lo, hi int64, buf []byte, visit func(line []byte)) error {
 	if index < 0 || index >= len(blocks) {
-		return OwnedLines{}, fmt.Errorf("dfs: %q has no block %d", name, index)
+		return fmt.Errorf("dfs: %q has no block %d", name, index)
 	}
-	data, err := s.readBlock(name, blocks[index])
-	if err != nil {
-		return OwnedLines{}, err
+	hi = min(hi, blocks[index].Size)
+	if lo >= hi {
+		return nil
 	}
-	start := 0
-	if index > 0 && !blocks[index-1].EndsNL {
-		// The first (partial) line of this block is owned by the previous
-		// split; skip past it. Without a newline the whole block is the
-		// middle of one line owned earlier.
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			return OwnedLines{Start: int64(len(data))}, nil
+	// A line starts at lo if the byte before it is a newline: at a block's
+	// start the previous block's EndsNL says so; inside a block the reader
+	// starts one byte early, and skipping through the first newline from
+	// there lands on lo exactly when that byte is one.
+	at := lo // the block offset of the next byte the reader hands out
+	starts := index == 0 || blocks[index-1].EndsNL
+	if lo > 0 {
+		at, starts = lo-1, false
+	}
+	lr := lineReader{s: s, name: name, blocks: blocks, next: index, off: at, buf: buf}
+	defer lr.close()
+	if !starts {
+		n, found, err := lr.skip(hi - at)
+		if err != nil || !found {
+			return err // the split is the middle of a line an earlier one owns
 		}
-		start = nl + 1
+		at += n
 	}
-	end := bytes.LastIndexByte(data[start:], '\n') + start + 1
-	owned := OwnedLines{Start: int64(start), Whole: data[start:end]}
-	if end == len(data) {
-		return owned, nil
-	}
-	// A trailing fragment continues into subsequent blocks (or is the file's
-	// last, newline-less line). Its capacity ends at the block's, so the
-	// appends below copy it out instead of writing into data.
-	frag := data[end:len(data):len(data)]
-	for next := index + 1; next < len(blocks); next++ {
-		var found bool
-		if frag, found, err = s.appendLineEnd(name, blocks[next], frag); err != nil {
-			return OwnedLines{}, err
+	for at < hi {
+		line, ok, err := lr.line()
+		if err != nil || !ok {
+			return err
 		}
-		if found {
+		visit(line)
+		at += int64(len(line)) + 1
+	}
+	return nil
+}
+
+// lineReader reads a file from one block offset on, block after block,
+// through one buffer.
+type lineReader struct {
+	s      *Store
+	name   string
+	blocks []BlockInfo
+	next   int   // the block f reads, or the next one to open
+	off    int64 // where the next read starts in that block
+	f      *os.File
+	buf    []byte
+	r, w   int    // buf[r:w] is read and not yet handed out
+	long   []byte // a line longer than buf, joined
+}
+
+// fill reads the next bytes of the file into buf[w:], which must have room,
+// opening the next block when one is exhausted; false means the file ended.
+func (lr *lineReader) fill() (bool, error) {
+	for ; lr.next < len(lr.blocks); lr.next, lr.off = lr.next+1, 0 {
+		b := lr.blocks[lr.next]
+		if lr.off >= b.Size {
+			lr.close()
+			continue
+		}
+		if lr.f == nil {
+			f, err := lr.s.openReplica(lr.name, b)
+			if err != nil {
+				return false, err
+			}
+			lr.f = f
+		}
+		n := int(min(int64(len(lr.buf)-lr.w), b.Size-lr.off))
+		if _, err := lr.f.ReadAt(lr.buf[lr.w:lr.w+n], lr.off); err != nil {
+			return false, fmt.Errorf("dfs: read %q block %d: %w", lr.name, b.Index, err)
+		}
+		lr.w += n
+		lr.off += int64(n)
+		return true, nil
+	}
+	return false, nil
+}
+
+// skip hands out the bytes through the first newline among the next limit
+// and reports how many that was; found is false when there is none.
+func (lr *lineReader) skip(limit int64) (n int64, found bool, err error) {
+	for n < limit {
+		if lr.r == lr.w {
+			lr.r, lr.w = 0, 0
+			if more, err := lr.fill(); err != nil || !more {
+				return n, false, err
+			}
+		}
+		chunk := lr.buf[lr.r:lr.w]
+		if rest := limit - n; int64(len(chunk)) > rest {
+			chunk = chunk[:rest]
+		}
+		if i := bytes.IndexByte(chunk, '\n'); i >= 0 {
+			lr.r += i + 1
+			return n + int64(i) + 1, true, nil
+		}
+		lr.r += len(chunk)
+		n += int64(len(chunk))
+	}
+	return n, false, nil
+}
+
+// line hands out the next line without its newline; ok is false at the end
+// of the file. The line is a slice of buf, or of long when it does not fit.
+func (lr *lineReader) line() (line []byte, ok bool, err error) {
+	joined := false
+	for {
+		if i := bytes.IndexByte(lr.buf[lr.r:lr.w], '\n'); i >= 0 {
+			line, lr.r = lr.buf[lr.r:lr.r+i], lr.r+i+1
+			break
+		}
+		// No newline among the unread bytes: move them to the front of buf,
+		// or, when they fill it, to long, and read on.
+		if lr.r == 0 && lr.w == len(lr.buf) {
+			if !joined {
+				lr.long, joined = lr.long[:0], true
+			}
+			lr.long = append(lr.long, lr.buf...)
+			lr.w = 0
+		}
+		lr.w = copy(lr.buf, lr.buf[lr.r:lr.w])
+		lr.r = 0
+		more, err := lr.fill()
+		if err != nil {
+			return nil, false, err
+		}
+		if !more { // the file's last line has no newline
+			line, lr.r = lr.buf[:lr.w], lr.w
+			if !joined && len(line) == 0 {
+				return nil, false, nil
+			}
 			break
 		}
 	}
-	owned.Last = frag
-	return owned, nil
+	if joined {
+		lr.long = append(lr.long, line...)
+		line = lr.long
+	}
+	return line, true, nil
 }
 
-// eachLine calls visit with every line the split of block index owns, in
-// order (see BlockLines). The slice passed to visit is only valid during the
-// call.
-func (s *Store) eachLine(name string, blocks []BlockInfo, index int, visit func(line []byte)) error {
-	owned, err := s.BlockLines(name, blocks, index)
-	if err != nil {
-		return err
+// close closes the block being read, if any.
+func (lr *lineReader) close() {
+	if lr.f != nil {
+		lr.f.Close()
+		lr.f = nil
 	}
-	for rest := owned.Whole; len(rest) > 0; {
-		nl := bytes.IndexByte(rest, '\n')
-		visit(rest[:nl])
-		rest = rest[nl+1:]
-	}
-	if owned.Last != nil {
-		visit(owned.Last)
-	}
-	return nil
 }
 
 // Sample is what block 0 of a line file says about the whole file — the

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -140,7 +141,7 @@ func (s *Store) ReadBlockFrames(name string, index int) ([][]byte, error) {
 	if start < 0 {
 		return nil, nil // block is the interior of one frame owned earlier
 	}
-	data, err := s.readBlock(name, blocks[index])
+	data, err := s.readFrameBlock(name, blocks[index])
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +153,7 @@ func (s *Store) ReadBlockFrames(name string, index int) ([][]byte, error) {
 	// boundary.
 	ensure := func(n int64) error {
 		for int64(len(data))-pos < n && next < len(blocks) {
-			nd, err := s.readBlock(name, blocks[next])
+			nd, err := s.readFrameBlock(name, blocks[next])
 			if err != nil {
 				return err
 			}
@@ -189,4 +190,20 @@ func (s *Store) ReadBlockFrames(name string, index int) ([][]byte, error) {
 		pos += int64(n)
 	}
 	return out, nil
+}
+
+// readFrameBlock reads block b whole into one buffer of its recorded size.
+// A frame is handed out as one slice, so the frame reader holds whole blocks
+// where a text split reads through a bounded buffer (SplitLines).
+func (s *Store) readFrameBlock(name string, b BlockInfo) ([]byte, error) {
+	f, err := s.openReplica(name, b)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	data := make([]byte, b.Size)
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, fmt.Errorf("dfs: read %q block %d: %w", name, b.Index, err)
+	}
+	return data, nil
 }

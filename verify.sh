@@ -80,13 +80,15 @@ go test -run=NONE -bench=BenchmarkParseRecordLine -benchtime=1x ./internal/datag
 # knob and the engines' second names for driverutil.NoOverheadMs. So are the
 # text readers driverutil.ReadTextParts replaced: the whole-file line reader
 # beside it and spark's own one-partition-per-block loop over the store's
-# block lines. The gate covers verify.sh too; the [x] brackets keep its own
+# block lines, and the whole-block line read SplitLines replaced (the owned
+# lines of a block read whole, its block reader and its straddle reader).
+# The gate covers verify.sh too; the [x] brackets keep its own
 # line from matching.
 go test -run=NONE -bench='NarrowChain|ColumnarAggChain' -benchtime=1x ./internal/platform/spark ./internal/platform/flink
 go test -run=NONE -bench='BenchmarkShuffle|BenchmarkRangeShuffle|BenchmarkUDFReduceByChain' -benchtime=1x ./internal/platform/driverutil
 go test -run='TestCrossCheckFusedAgainstUnfused|TestFusedFig9' .
-if grep -rn 'RHEEM_NO_FUS[E]\|FusionDisable[d]\|RHEEM_NO_COLUMNA[R]\|ColumnarDisable[d]\|NewSegRD[D]\|shuffleB[y]\|rangeShuffl[e]\|parallelPart[s]\|fanOu[t](\|mergeRun[s]\|poolEr[r]\|driverutil\.Dat[a]\b\|one := func(k core\.Kin[d]\|bc core\.BroadcastCt[x], round\|fetchAn[y]\|mergePlan[s]\|acceptableChannel[s]\|KnownCard[s]\|outerPlanO[f]\|dictCol[s]\|[wW]orkerUsag[e]\|OutCard[s]\|monitor\.Ne[w](\|Monitor\.Recor[d](\|BuildProfil[e]\|InArityO[f]\|OutArityO[f]\|kindRegistr[y]\|registeredKin[d]\|FusibleKin[d]\|udfRolesO[f]\|bindUD[F]\|ChainPatter[n]\|RegisterChai[n]\|ChainAlternative[s]\|DirectAlternative[s]\|CoveredB[y]\|CostKeyOrNam[e]\|OwnCos[t]\|Cover[s]:\|\.Cover[s]\b\|defaultParamsFo[r]\|func (e \*engine) pageRan[k]\|func (e \*engine) mapPart[s]\|SleepM[s](\|ThrottleMBp[s]\|const NoOverheadMs = driverutil\.NoOverheadM[s]\|SegmentedDatase[t]\|ChannelSegment[s]\|SplitSegment[s]\|RowSegment[s]\|RowPart[s]\|RunSegment[s]\|CloneForWrit[e]\|SegmentsO[f]\|NeutralSegment[s]\|ReadQuantaFileSegment[s]\|ReadDFSQuantaBlockSegment[s]\|ReadTextLine[s]\|readTextFil[e]\|DFS\.ReadBlockLine[s]' --include='*.go' --include='verify.sh' .; then
-	echo "a deleted fork (per-operator narrow path, a partition carrier beside rows, a per-engine shuffle or dispatch, the untyped stage harness, a hand-written mapping closure, the executor's second planner, a second store of stage statistics, a second description of an operator kind, a second fusion or mapping mechanism, a name-keyed price table, a per-engine PageRank or map-partitions, a sleep or sentinel beside the simulated-time seam, a text reader beside driverutil.ReadTextParts) or its switch is back" >&2
+if grep -rn 'RHEEM_NO_FUS[E]\|FusionDisable[d]\|RHEEM_NO_COLUMNA[R]\|ColumnarDisable[d]\|NewSegRD[D]\|shuffleB[y]\|rangeShuffl[e]\|parallelPart[s]\|fanOu[t](\|mergeRun[s]\|poolEr[r]\|driverutil\.Dat[a]\b\|one := func(k core\.Kin[d]\|bc core\.BroadcastCt[x], round\|fetchAn[y]\|mergePlan[s]\|acceptableChannel[s]\|KnownCard[s]\|outerPlanO[f]\|dictCol[s]\|[wW]orkerUsag[e]\|OutCard[s]\|monitor\.Ne[w](\|Monitor\.Recor[d](\|BuildProfil[e]\|InArityO[f]\|OutArityO[f]\|kindRegistr[y]\|registeredKin[d]\|FusibleKin[d]\|udfRolesO[f]\|bindUD[F]\|ChainPatter[n]\|RegisterChai[n]\|ChainAlternative[s]\|DirectAlternative[s]\|CoveredB[y]\|CostKeyOrNam[e]\|OwnCos[t]\|Cover[s]:\|\.Cover[s]\b\|defaultParamsFo[r]\|func (e \*engine) pageRan[k]\|func (e \*engine) mapPart[s]\|SleepM[s](\|ThrottleMBp[s]\|const NoOverheadMs = driverutil\.NoOverheadM[s]\|SegmentedDatase[t]\|ChannelSegment[s]\|SplitSegment[s]\|RowSegment[s]\|RowPart[s]\|RunSegment[s]\|CloneForWrit[e]\|SegmentsO[f]\|NeutralSegment[s]\|ReadQuantaFileSegment[s]\|ReadDFSQuantaBlockSegment[s]\|ReadTextLine[s]\|readTextFil[e]\|DFS\.ReadBlockLine[s]\|OwnedLine[s]\|\.BlockLine[s](\|readBloc[k](\|appendLineEn[d]' --include='*.go' --include='verify.sh' .; then
+	echo "a deleted fork (per-operator narrow path, a partition carrier beside rows, a per-engine shuffle or dispatch, the untyped stage harness, a hand-written mapping closure, the executor's second planner, a second store of stage statistics, a second description of an operator kind, a second fusion or mapping mechanism, a name-keyed price table, a per-engine PageRank or map-partitions, a sleep or sentinel beside the simulated-time seam, a text reader beside driverutil.ReadTextParts or a whole-block line read beside dfs.Store.SplitLines) or its switch is back" >&2
 	exit 1
 fi
 # One implementation per whole-input kind: map-partitions, zip-with-id, sample
@@ -129,7 +131,7 @@ if grep -n 'MismatchFactor(' internal/progressive/progressive.go; then
 	exit 1
 fi
 if grep -rn 'io\.ReadAl[l]' --include='*.go' internal/storage/dfs | grep -v '_test\.go:'; then
-	echo "internal/storage/dfs grows a block by io.ReadAll: read a block with readBlock, into one buffer of its recorded size" >&2
+	echo "internal/storage/dfs grows a block by io.ReadAll: read lines through SplitLines' bounded buffer, and a framed block with readFrameBlock, into one buffer of its recorded size" >&2
 	exit 1
 fi
 if grep -n 'ReadBlockLine[s]\|OpenBloc[k]\|ReadLine[s](' internal/optimizer/cardinality.go; then
@@ -196,12 +198,20 @@ go test -race -count=1 -run='TestLoopPaysTheContextBootOnce|TestLoopReadsEachQuo
 # And a text source is read in line-aligned input splits: for 1, 2, 4 and 7
 # splits wanted, over files of one, two and five blocks and the edge cases
 # (empty, no final newline, empty lines, a line longer than a block, a line
-# over three blocks, CRLF), the splits concatenate to dfs.ReadLines; a
-# one-block file still gives spark and flink a split per worker; the SGD model
-# trained from DFS on streams matches its pinned weights bit for bit. The
-# exchange places every quantum where the naive bucket-append exchange does,
-# in order.
-go test -race -count=1 -run='TestTextSplitsCoverFile|TestExchangeMatchesBucketAppend' ./internal/platform/driverutil
+# over three blocks, CRLF), the splits concatenate to dfs.ReadLines, and so
+# do those of the bounded split reader's edges (a line longer than the split
+# buffer, a split boundary on a newline, CRLF cut at a split, a short replica
+# in the middle of a split's read); a one-block file still gives spark and
+# flink a split per worker; counting a 64-block file on spark, flink and
+# streams allocates its line strings, boxes and partition slices and one
+# buffer per worker, never a block; the SGD model trained from DFS on streams
+# matches its pinned weights bit for bit. The exchange places every quantum
+# where the naive bucket-append exchange does, in order. A join equals the
+# nested loop's multiset of pairs, as a kernel and pinned to spark, flink and
+# streams in both of its shapes (broadcast, in the nested loop's order, and
+# keyed), with duplicate, nil and record keys and an empty side.
+go test -race -count=1 -run='TestTextSplitsCoverFile|TestExchangeMatchesBucketAppend|TestTextSplitReaderEdges|TestHashJoinMatchesNestedLoop' ./internal/platform/driverutil
+go test -race -count=1 -run='TestTextSourceAllocationBound|TestJoinArmsMatchNestedLoop' .
 go test -race -count=1 -run='TestTextSourceSplitsOneBlock' ./internal/platform/spark ./internal/platform/flink
 go test -race -count=1 -run='TestSGDModelBitIdentical' .
 # And every reduce-by is its chain's terminator: a UDF reduce-by folded inside
@@ -256,9 +266,11 @@ go test -count=1 -run='TestCrossCheckColumnar' .
 # later morsels all equal the reference interpreter in order, pinned to
 # spark, flink and streams, with one column batch or fallback per morsel;
 # RunAgg over a 400 k-row partition allocates what it does over a 40 k-row
-# one, within a stated slack. The ml4all "sum" reduce writes into no input.
+# one, within a stated slack, and into a fresh state per partition borrows
+# the pooled row→group scratch instead of making its own. The ml4all "sum"
+# reduce writes into no input.
 go test -race -count=1 -run='TestMorselBoundaries|TestMorselColumnTypeChanges|TestMorselNilHolesStraddleBoundary|TestMorselDictionaryOverflowsLater|TestMorselGroupOrderAcrossMorsels' .
-go test -race -count=1 -run='TestRunAggAllocationsFlatInPartitionSize' ./internal/platform/driverutil
+go test -race -count=1 -run='TestRunAggAllocationsFlatInPartitionSize|TestRunAggBytesPerPartition' ./internal/platform/driverutil
 go test -race -count=1 -run='TestSumReduceLeavesInputsUnchanged' ./apps/ml4all
 # Metrics lint: a fully-wired server (cache, cluster node, runtime sampler)
 # runs real jobs, then every registered rheem_* metric must carry HELP text
