@@ -42,8 +42,19 @@ func textFiles() map[string]struct {
 		"long-line":      {"a\n" + strings.Repeat("L", 150) + "\nb\nc\n" + lines(6), 4},
 		"straddle-three": {"head\n" + strings.Repeat("S", 130) + "\ntail", 3},
 		"crlf":           {"a\r\nbb\r\n\r\n" + strings.Repeat("c", 60) + "\r\nd", 2},
+		// The split reader's edges: a line longer than the split buffer,
+		// CRLF lines cut at many splits, and one block of 64 bytes that two
+		// splits cut at 32 with the first line's newline the last byte of
+		// split 0, or the first byte of split 1.
+		"longer-than-buffer":   {"a\n" + strings.Repeat("L", longLine) + "\nb\n", (longLine + 4 + textBlock - 1) / textBlock},
+		"crlf-cut":             {strings.Repeat("ab\r\n", 40) + "end\r\n", 3},
+		"newline-ends-split":   {strings.Repeat("x", 31) + "\n" + strings.Repeat("y", 31) + "\n", 1},
+		"newline-starts-split": {strings.Repeat("x", 32) + "\n" + strings.Repeat("y", 30) + "\n", 1},
 	}
 }
+
+// longLine is longer than three split buffers of a textBlock-byte split.
+var longLine = len(dfs.SplitBuffer(textBlock))*3 + 7
 
 // TestTextSplitsCoverFile: for n of 1, 2, 4 and 7, the splits ReadTextParts
 // cuts a DFS line file into concatenate to dfs.ReadLines — every line exactly
@@ -116,64 +127,21 @@ func TestReadTextPartsErrors(t *testing.T) {
 	}
 }
 
-// TestTextSplitReaderEdges: the splits of files that test the bounded split
-// reader concatenate to dfs.ReadLines for 1, 2, 3, 4 and 7 splits wanted, on
-// a serial and a parallel scheduler — a line longer than the split buffer,
-// CRLF lines cut at a split, a split boundary exactly on a newline and just
-// after one, a line straddling three blocks, an empty file and a last line
-// without a newline — and with a short replica in the middle of a split's
-// read the split reads the whole one; with no whole replica the read fails
-// naming the block.
-func TestTextSplitReaderEdges(t *testing.T) {
+// TestTextSplitShortReplica: when the line a split finishes runs into a
+// block whose first replica is short, the split reads the whole one, and the
+// splits still concatenate to dfs.ReadLines; with no whole replica of that
+// block the read fails naming it.
+func TestTextSplitShortReplica(t *testing.T) {
 	store, err := dfs.New(t.TempDir(), dfs.Options{BlockSize: textBlock, Replication: 2, Nodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	long := len(dfs.SplitBuffer(textBlock))*3 + 7
-	// One block of 64 bytes cut into two splits of 32: the newline that ends
-	// the first line is the last byte of split 0 in "newline-ends-split" and
-	// the first byte of split 1 in "newline-starts-split".
-	files := map[string]struct {
-		content string
-		blocks  int
-	}{
-		"longer-than-buffer":   {"a\n" + strings.Repeat("L", long) + "\nb\n", (long + 4 + textBlock - 1) / textBlock},
-		"crlf-cut":             {strings.Repeat("ab\r\n", 40) + "end\r\n", 3},
-		"newline-ends-split":   {strings.Repeat("x", 31) + "\n" + strings.Repeat("y", 31) + "\n", 1},
-		"newline-starts-split": {strings.Repeat("x", 32) + "\n" + strings.Repeat("y", 30) + "\n", 1},
-		"straddle-three":       {"h\n" + strings.Repeat("S", 2*textBlock+10) + "\nt\n", 3},
-		"empty":                {"", 1},
-		"no-final-newline":     {"first\n" + strings.Repeat("z", 100), 2},
+	// Block 0's last line runs through block 1 into block 2.
+	if err := store.WriteLines("short", append([]string{"h", strings.Repeat("S", 2*textBlock)}, strings.Split(strings.Repeat("t ", 40), " ")...)); err != nil {
+		t.Fatal(err)
 	}
-	for name, f := range files {
-		w, err := store.Create(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Write([]byte(f.content)); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if _, blocks, _ := store.Stat(name); len(blocks) != f.blocks {
-			t.Fatalf("%s: %d blocks, want %d", name, len(blocks), f.blocks)
-		}
-		checkSplitsCover(t, store, name)
-	}
-
-	// A short replica in the middle of a split's read: the straddling line of
-	// block 0 continues through block 1 into block 2, whose first replica is
-	// cut short.
-	content := "h\n" + strings.Repeat("S", 2*textBlock) + "\n" + strings.Repeat("t\n", 40)
-	w, err := store.Create("short")
+	want, err := store.ReadLines("short")
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Write([]byte(content)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	_, blocks, _ := store.Stat("short")
@@ -185,38 +153,25 @@ func TestTextSplitReaderEdges(t *testing.T) {
 		}
 	}
 	truncate(blocks[2].Nodes[0])
-	checkSplitsCover(t, store, "short")
+	for _, n := range []int{1, 2, 4, 7} {
+		parts, err := ReadTextParts(&pooled{width: 3}, store, dfs.Scheme+"short", n)
+		if err != nil {
+			t.Fatalf("n=%d, one short replica of block 2: %v", n, err)
+		}
+		var got []string
+		for _, part := range parts {
+			for _, q := range part {
+				got = append(got, q.(string))
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d, one short replica of block 2: read %q, want %q", n, got, want)
+		}
+	}
 	truncate(blocks[2].Nodes[1])
 	for _, n := range []int{1, 4} {
 		if _, err := ReadTextParts(Serial{}, store, dfs.Scheme+"short", n); err == nil || !strings.Contains(err.Error(), `"short" block 2`) {
 			t.Fatalf("n=%d, no whole replica of block 2: error %v, want one naming the block", n, err)
-		}
-	}
-}
-
-// checkSplitsCover holds ReadTextParts over name, for several split counts
-// on a serial and a parallel scheduler, to dfs.ReadLines.
-func checkSplitsCover(t *testing.T, store *dfs.Store, name string) {
-	t.Helper()
-	want, err := store.ReadLines(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{1, 2, 3, 4, 7} {
-		for _, s := range []Scheduler{Serial{}, &pooled{width: 3}} {
-			parts, err := ReadTextParts(s, store, dfs.Scheme+name, n)
-			if err != nil {
-				t.Fatalf("%s, n=%d: %v", name, n, err)
-			}
-			var got []string
-			for _, part := range parts {
-				for _, q := range part {
-					got = append(got, q.(string))
-				}
-			}
-			if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s, n=%d: splits read %q, want %q", name, n, got, want)
-			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package rheem
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -15,7 +16,8 @@ import (
 
 // TestTextSourceAllocationBound: counting a 64-block DFS line file on spark,
 // flink and streams allocates its line strings and their boxes, the
-// partition slices the lines are boxed into, one split buffer per worker and
+// partition slices the lines are boxed into (a sixteenth over, as a split's
+// partition is sized from its first lines), one split buffer per worker and
 // a constant per split and per stage — never a block's bytes: a whole-block
 // read would add the file's size.
 func TestTextSourceAllocationBound(t *testing.T) {
@@ -73,11 +75,16 @@ func TestTextSourceAllocationBound(t *testing.T) {
 				}
 			}
 			run() // boots the engine
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			run()
-			runtime.ReadMemStats(&after)
-			got := after.TotalAlloc - before.TotalAlloc
+			// The least of three runs: what else the process allocates
+			// meanwhile only adds to a run.
+			got := uint64(math.MaxUint64)
+			for range 3 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				run()
+				runtime.ReadMemStats(&after)
+				got = min(got, after.TotalAlloc-before.TotalAlloc)
+			}
 			splits := len(blocks) // the block size is below size / width
 			slices := c.copies*16*n + 16*n/16 + 16*8*splits
 			buffers := c.workers * len(dfs.SplitBuffer(block))

@@ -198,10 +198,10 @@ go test -race -count=1 -run='TestLoopPaysTheContextBootOnce|TestLoopReadsEachQuo
 # And a text source is read in line-aligned input splits: for 1, 2, 4 and 7
 # splits wanted, over files of one, two and five blocks and the edge cases
 # (empty, no final newline, empty lines, a line longer than a block, a line
-# over three blocks, CRLF), the splits concatenate to dfs.ReadLines, and so
-# do those of the bounded split reader's edges (a line longer than the split
-# buffer, a split boundary on a newline, CRLF cut at a split, a short replica
-# in the middle of a split's read); a one-block file still gives spark and
+# over three blocks, CRLF, a line longer than the split buffer, CRLF cut at
+# many splits, a split boundary on a newline), the splits concatenate to
+# dfs.ReadLines, also with a short replica in the middle of a split's read; a
+# one-block file still gives spark and
 # flink a split per worker; counting a 64-block file on spark, flink and
 # streams allocates its line strings, boxes and partition slices and one
 # buffer per worker, never a block; the SGD model trained from DFS on streams
@@ -210,7 +210,7 @@ go test -race -count=1 -run='TestLoopPaysTheContextBootOnce|TestLoopReadsEachQuo
 # nested loop's multiset of pairs, as a kernel and pinned to spark, flink and
 # streams in both of its shapes (broadcast, in the nested loop's order, and
 # keyed), with duplicate, nil and record keys and an empty side.
-go test -race -count=1 -run='TestTextSplitsCoverFile|TestExchangeMatchesBucketAppend|TestTextSplitReaderEdges|TestHashJoinMatchesNestedLoop' ./internal/platform/driverutil
+go test -race -count=1 -run='TestTextSplitsCoverFile|TestExchangeMatchesBucketAppend|TestTextSplitShortReplica|TestHashJoinMatchesNestedLoop' ./internal/platform/driverutil
 go test -race -count=1 -run='TestTextSourceAllocationBound|TestJoinArmsMatchNestedLoop' .
 go test -race -count=1 -run='TestTextSourceSplitsOneBlock' ./internal/platform/spark ./internal/platform/flink
 go test -race -count=1 -run='TestSGDModelBitIdentical' .
