@@ -322,9 +322,9 @@ func join(s Scheduler, op *core.Operator, left, right [][]any) [][]any {
 			return HashJoin(op, l, r)
 		})
 	}
-	table := BuildJoin(op, gather(right))
+	table := buildJoin(op, gather(right))
 	s.Barrier()
-	return eachPart(s, left, func(part []any) []any { return table.Probe(op, part) })
+	return eachPart(s, left, func(part []any) []any { return table.probe(op, part) })
 }
 
 // zipWithID pairs every quantum with its input position: partition i's ids

@@ -49,22 +49,22 @@ func LessOf(op *core.Operator) func(a, b any) bool {
 // HashJoin equi-joins two slices: build a hash table over the right side,
 // probe with the left.
 func HashJoin(op *core.Operator, left, right []any) []any {
-	return BuildJoin(op, right).Probe(op, left)
+	return buildJoin(op, right).probe(op, left)
 }
 
-// JoinTable is a join's right side hashed on its key (core.GroupKey of
+// joinTable is a join's right side hashed on its key (core.GroupKey of
 // op's right key): the build half of HashJoin, probed read-only, so one
 // table serves every left partition at once.
-type JoinTable struct {
+type joinTable struct {
 	rows  []any
 	first map[any]int32 // key -> the first row holding it
 	next  []int32       // row -> the next row holding its key, -1 after the last
 }
 
-// BuildJoin hashes right on op's right key.
-func BuildJoin(op *core.Operator, right []any) *JoinTable {
+// buildJoin hashes right on op's right key.
+func buildJoin(op *core.Operator, right []any) *joinTable {
 	keyR := KeyRight(op)
-	t := &JoinTable{rows: right, first: make(map[any]int32, len(right)), next: make([]int32, len(right))}
+	t := &joinTable{rows: right, first: make(map[any]int32, len(right)), next: make([]int32, len(right))}
 	for i := len(right) - 1; i >= 0; i-- { // backwards, so each chain runs in right order
 		k := core.GroupKey(keyR(right[i]))
 		j, ok := t.first[k]
@@ -77,9 +77,9 @@ func BuildJoin(op *core.Operator, right []any) *JoinTable {
 	return t
 }
 
-// Probe joins every quantum of left with the rows of t sharing its key under
+// probe joins every quantum of left with the rows of t sharing its key under
 // op's left key: left order, and each quantum's matches in right order.
-func (t *JoinTable) Probe(op *core.Operator, left []any) []any {
+func (t *joinTable) probe(op *core.Operator, left []any) []any {
 	combine := Combine(op)
 	var out []any
 	for _, l := range left {
