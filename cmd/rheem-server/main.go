@@ -58,9 +58,6 @@ func run() int {
 	peers := flag.String("peers", "", "comma-separated advertise addresses of the other fleet peers (requires -advertise)")
 	advertise := flag.String("advertise", "", "host:port other peers reach this server at; empty runs single-node")
 	clusterRoute := flag.Bool("cluster-route", false, "proxy job submissions to their plan fingerprint's ring owner")
-	clusterExec := flag.Bool("cluster-exec", false, "distribute independent stages of each wave across alive fleet peers")
-	clusterExecMinCost := flag.Float64("cluster-exec-min-cost-ms", 0,
-		"keep stages whose estimated cost is below this floor local instead of dispatching them")
 	heartbeat := flag.Duration("heartbeat", time.Second, "cluster heartbeat (gossip) interval")
 	scrapeTimeout := flag.Duration("cluster-scrape-timeout", 2*time.Second,
 		"per-peer timeout for fleet aggregation scrapes and trace stitching (/v1/cluster/metrics, /v1/cluster/overview)")
@@ -68,10 +65,6 @@ func run() int {
 
 	if *peers != "" && *advertise == "" {
 		fmt.Fprintln(os.Stderr, "rheem-server: -peers requires -advertise")
-		return 2
-	}
-	if *clusterExec && *advertise == "" {
-		fmt.Fprintln(os.Stderr, "rheem-server: -cluster-exec requires -advertise")
 		return 2
 	}
 
@@ -137,14 +130,12 @@ func run() int {
 			Workers:    *workers,
 			ResultTTL:  *resultTTL,
 		},
-		MaxBodyBytes:         *maxBody,
-		TraceCapacity:        *traceCap,
-		Log:                  baseLog,
-		Cluster:              node,
-		ClusterRoute:         *clusterRoute,
-		ClusterExec:          *clusterExec,
-		ClusterExecMinCostMs: *clusterExecMinCost,
-		ScrapeTimeout:        *scrapeTimeout,
+		MaxBodyBytes:  *maxBody,
+		TraceCapacity: *traceCap,
+		Log:           baseLog,
+		Cluster:       node,
+		ClusterRoute:  *clusterRoute,
+		ScrapeTimeout: *scrapeTimeout,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}
 
@@ -182,7 +173,7 @@ func run() int {
 		"cache_bytes", *cacheBytes, "cache_ttl", *cacheTTL)
 	if node != nil {
 		logger.Info("cluster joined", "advertise", *advertise,
-			"peers", *peers, "route", *clusterRoute, "exec", *clusterExec, "heartbeat", *heartbeat)
+			"peers", *peers, "route", *clusterRoute, "heartbeat", *heartbeat)
 	}
 
 	select {

@@ -99,16 +99,7 @@ type Context struct {
 	// tempRoot is the DFS root NewContext created for an empty DFSDir,
 	// removed by Close.
 	tempRoot string
-
-	// remoteRunner, when set, offers every top-level stage to a distributed
-	// scheduler before local execution (see internal/distexec).
-	remoteRunner executor.RemoteStageRunner
 }
-
-// SetRemoteRunner installs a distributed stage runner (the distexec
-// scheduler): every subsequent execution offers its top-level stages to the
-// runner before executing them locally. Nil disables remote dispatch.
-func (c *Context) SetRemoteRunner(r executor.RemoteStageRunner) { c.remoteRunner = r }
 
 // AllPlatforms lists the bundled platform names.
 func AllPlatforms() []string {
@@ -423,7 +414,7 @@ func (c *Context) ExecutePlanned(p *core.Plan, ep *core.ExecPlan, options ...Exe
 }
 
 func (c *Context) execute(ctx context.Context, p *core.Plan, ep *core.ExecPlan, opts optimizer.Options, ec *execConfig) (*Result, error) {
-	ex := &executor.Executor{Registry: c.Registry, Sniffers: ec.sniffers, Metrics: c.Metrics, Remote: c.remoteRunner}
+	ex := &executor.Executor{Registry: c.Registry, Sniffers: ec.sniffers, Metrics: c.Metrics}
 	if ec.resultCache && c.Cache != nil {
 		ex.Cache = c.Cache
 	}

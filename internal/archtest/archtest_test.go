@@ -204,17 +204,107 @@ func TestOnlyCommandsReadTheEnvironment(t *testing.T) {
 	}
 }
 
+// One writer of the run record: outside tests and bench/, only
+// (*executor.Executor).run writes a Record's Entries. Nothing else assigns
+// to a field named Entries (the record's is the only one non-test code
+// assigns), takes its address, or builds an executor.Record literal that
+// sets it. Every other reader of what a stage did, the monitor, the profile,
+// the cost learner and the progressive optimizer, reads that one list.
+func TestOnlyExecutorRunWritesTheRunRecord(t *testing.T) {
+	for _, s := range sources(t) {
+		if strings.HasPrefix(s.path, "bench/") {
+			continue
+		}
+		inExecutor := strings.HasPrefix(s.path, "internal/executor/")
+		local := importName(s.file, "rheem/internal/executor")
+		isRecord := func(typ ast.Expr) bool {
+			id, ok := typ.(*ast.Ident)
+			return ok && inExecutor && id.Name == "Record" || refersTo(typ, local, "Record")
+		}
+		for _, decl := range s.file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && inExecutor && fn.Name.Name == "run" && receiverIs(fn, "Executor") {
+				continue
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				var writes []ast.Expr
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					writes = n.Lhs
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						writes = []ast.Expr{n.X}
+					}
+				case *ast.CompositeLit:
+					if isRecord(n.Type) && setsEntries(n) {
+						t.Errorf("%s: builds an executor.Record with entries: only (*executor.Executor).run writes the run record", s.at(n))
+					}
+				}
+				for _, w := range writes {
+					if isEntries(w) {
+						t.Errorf("%s: writes a run record's Entries: only (*executor.Executor).run writes the run record", s.at(w))
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// isEntries reports whether x is a field named Entries, or an element or a
+// slice of one.
+func isEntries(x ast.Expr) bool {
+	for {
+		switch e := x.(type) {
+		case *ast.ParenExpr:
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.SliceExpr:
+			x = e.X
+		case *ast.SelectorExpr:
+			return e.Sel.Name == "Entries"
+		default:
+			return false
+		}
+	}
+}
+
+// setsEntries reports whether a struct literal sets a field named Entries:
+// by key, or by position.
+func setsEntries(lit *ast.CompositeLit) bool {
+	for _, el := range lit.Elts {
+		kv, ok := el.(*ast.KeyValueExpr)
+		if !ok {
+			return true
+		}
+		if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Entries" {
+			return true
+		}
+	}
+	return false
+}
+
+// receiverIs reports whether fn is a method of typ or *typ.
+func receiverIs(fn *ast.FuncDecl, typ string) bool {
+	if fn.Recv == nil || len(fn.Recv.List) != 1 {
+		return false
+	}
+	t := fn.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	id, ok := t.(*ast.Ident)
+	return ok && id.Name == typ
+}
+
 // Import boundaries: which packages may know which. A source file's import
 // list is the whole of what it may depend on, so each rule reads only that.
 //   - internal/core, the model every layer shares, imports no platform,
 //     executor or optimizer package;
 //   - no engine under internal/platform imports another engine: engines
 //     share code through driverutil, and platformtest is their test kit;
-//   - the root package, the library API, imports neither internal/distexec
-//     nor internal/cluster: the fleet is a server concern, reached through
-//     executor.RemoteStageRunner;
-//   - internal/distexec does not import internal/storage/dfs: a stage's data
-//     travels inline in the dispatch round trip, its one transport;
+//   - the root package, the library API, imports no internal/cluster: the
+//     fleet is a server concern;
 //   - internal/rescache does not import internal/storage/dfs: cached results
 //     live in memory, on this peer or on the fleet's remote tier.
 func TestImportBoundaries(t *testing.T) {
@@ -236,10 +326,8 @@ func TestImportBoundaries(t *testing.T) {
 				if ok && isEngine(other) && other != engine {
 					broken = "no engine imports another engine: share code through driverutil"
 				}
-			case pkgDir == "" && under(path, internal+"distexec", internal+"cluster"):
-				broken = "the root package imports neither internal/distexec nor internal/cluster"
-			case under(pkgDir, "internal/distexec") && under(path, internal+"storage/dfs"):
-				broken = "internal/distexec does not import internal/storage/dfs: a stage's data travels inline"
+			case pkgDir == "" && under(path, internal+"cluster"):
+				broken = "the root package imports no internal/cluster"
 			case under(pkgDir, "internal/rescache") && under(path, internal+"storage/dfs"):
 				broken = "internal/rescache imports no internal/storage/dfs: cached results live in memory"
 			}

@@ -121,9 +121,6 @@ func appendZigzag(buf []byte, v int64) []byte {
 	return binary.AppendUvarint(buf, uint64(v<<1)^uint64(v>>63))
 }
 
-// EncodeQuantumBinary serializes one quantum into a fresh buffer.
-func EncodeQuantumBinary(q any) ([]byte, error) { return AppendQuantumBinary(nil, q) }
-
 // ErrCorruptQuantum reports a malformed or truncated binary quantum.
 var ErrCorruptQuantum = errors.New("core: corrupt binary quantum")
 

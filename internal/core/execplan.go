@@ -378,12 +378,6 @@ type StageStats struct {
 	AllocBytes int64
 	BytesMoved int64
 	InQuanta   int64
-
-	// Remote, when non-empty, is the advertise address of the fleet peer
-	// that executed this stage (distributed execution). The resource fields
-	// above then hold the peer's own measurements and the executor excludes
-	// this stage from local wave attribution.
-	Remote string
 }
 
 // Inputs is the set of channels a stage execution reads: main dataflow

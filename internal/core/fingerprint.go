@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"reflect"
+	"runtime"
 	"sort"
 )
 
@@ -296,6 +298,24 @@ func CollectionDigest(data []any) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
+// funcSymbol returns the fully-qualified symbol name of a function value
+// ("rheem/latin.glob..func1", "main.wordOf", ...), or "" when fn is not a
+// non-nil func.
+func funcSymbol(fn any) string {
+	if fn == nil {
+		return ""
+	}
+	v := reflect.ValueOf(fn)
+	if v.Kind() != reflect.Func || v.IsNil() {
+		return ""
+	}
+	f := runtime.FuncForPC(v.Pointer())
+	if f == nil {
+		return ""
+	}
+	return f.Name()
+}
+
 // udfIdentity derives a stable identity string for the operator's UDFs: the
 // names they were registered under (when a frontend recorded them), then the
 // symbol name of each non-nil function, tagged by role in UDFRoles order.
@@ -309,7 +329,7 @@ func udfIdentity(u *UDFs) string {
 		if fn == nil {
 			continue
 		}
-		name := FuncSymbol(fn)
+		name := funcSymbol(fn)
 		if name == "" {
 			name = "?"
 		}

@@ -8,11 +8,10 @@ import "fmt"
 // declared here once, one entry per kind. Everything that needs to know a
 // kind reads its entry: Kind's classification methods, EstimateCardOf,
 // Operator.CheckUDFs (called by Plan.Validate and by the stage harness before
-// any kernel compiles), and, through UDFRoles, the plan fingerprint and the
-// distexec fragment codec. An application kind is one more entry
-// (RegisterKind). What stays per-kind policy elsewhere is what a component
-// does with a kind, not what the kind is: how an engine evaluates it, which
-// stages may ship to a peer, how the reference interpreter runs it.
+// any kernel compiles), and, through UDFRoles, the plan fingerprint. An
+// application kind is one more entry (RegisterKind). What stays per-kind
+// policy elsewhere is what a component does with a kind, not what the kind
+// is: how an engine evaluates it, how the reference interpreter runs it.
 
 // KindSpec is one entry of the operator table.
 type KindSpec struct {
@@ -44,13 +43,11 @@ type UDFNeed struct {
 	OrName string
 }
 
-// UDFRole is one function slot of UDFs: the name it is hashed and shipped
-// under, a getter (nil when the slot is empty) and a setter that reports
-// whether fn has the slot's Go type.
+// UDFRole is one function slot of UDFs: the name it is hashed under and a
+// getter (nil when the slot is empty).
 type UDFRole struct {
 	Name string
 	Get  func(u *UDFs) any
-	Set  func(u *UDFs, fn any) bool
 }
 
 // udfFunc is the set of Go types of the UDF slots.
@@ -68,13 +65,6 @@ func udfRole[F udfFunc](name string, slot func(u *UDFs) *F) *UDFRole {
 				return f
 			}
 			return nil
-		},
-		Set: func(u *UDFs, fn any) bool {
-			f, ok := fn.(F)
-			if ok {
-				*slot(u) = f
-			}
-			return ok
 		},
 	}
 }
@@ -98,7 +88,7 @@ var (
 )
 
 // UDFRoles lists every function role in the one order plan fingerprints hash
-// them and fragments ship them.
+// them.
 var UDFRoles = []*UDFRole{
 	RoleMap, RoleFlatMap, RolePred, RoleMapPart, RoleKey, RoleKeyRight, RoleReduce,
 	RoleCombine, RoleLess, RoleFormat, RoleLeftNums, RoleRightNums, RoleCond, RoleOpen,

@@ -291,6 +291,9 @@ func TestEstimateOutCard(t *testing.T) {
 	}
 }
 
+// TestRegisterKind: one table entry gives a new kind its arity and its
+// estimator; one that needs a role gives it the table's missing-UDF error from
+// Validate and a fingerprint that changes with its UDF and is stable.
 func TestRegisterKind(t *testing.T) {
 	const custom = Kind("MyScope")
 	RegisterKind(custom, KindSpec{In: 1, Out: 1, Estimate: func(o *Operator, in []CardEstimate) CardEstimate {
@@ -310,6 +313,32 @@ func TestRegisterKind(t *testing.T) {
 	}
 	if got := EstimateCardOf(c, []CardEstimate{ExactCard(100)}); got.High != 25 {
 		t.Errorf("registered estimator not used: %v", got)
+	}
+
+	const scale = Kind("ToyScale")
+	RegisterKind(scale, KindSpec{In: 1, Out: 1, Needs: []UDFNeed{{Role: RoleMap}}})
+	build := func(fn func(any) any) (*Plan, *Operator, *Operator) {
+		p := NewPlan("toy")
+		src := p.NewOperator(KindCollectionSource, "src")
+		src.Params.Collection = []any{int64(1), int64(2)}
+		toy := p.NewOperator(scale, "scale")
+		toy.UDF.Map = fn
+		return p, toy, p.Chain(src, toy, p.NewOperator(KindCollectionSink, "out"))
+	}
+	if p, toy, _ := build(nil); p.Validate() == nil || !strings.Contains(p.Validate().Error(), toy.String()+" lacks a map UDF") {
+		t.Fatalf("Validate = %v, want the table's missing-map error", p.Validate())
+	}
+	double := func(q any) any { return q.(int64) * 2 }
+	same := func(q any) any { return q }
+	hash := func(fn func(any) any) string {
+		p, _, sink := build(fn)
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return FingerprintPlan(p, FingerprintOptions{})[sink].Hash
+	}
+	if a, b := hash(double), hash(same); a == "" || a == b || a != hash(double) {
+		t.Fatalf("toy fingerprints: %q with double (stable: %v), %q with same", a, a == hash(double), b)
 	}
 }
 

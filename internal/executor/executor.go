@@ -39,26 +39,6 @@ type Executor struct {
 	// Cache, when set, receives the materialized outputs the execution
 	// plan's CacheOuts marks as worth keeping for future jobs.
 	Cache ResultCache
-	// Remote, when set, is offered every top-level driver stage before it
-	// runs locally (distributed stage execution). A declined or failed
-	// offer falls back to the local path below — remote execution is an
-	// optimization, never a correctness dependency.
-	Remote RemoteStageRunner
-}
-
-// RemoteFetchFn materializes the output of an operator produced outside
-// the offered stage, in collection form, for shipping: the quanta plus the
-// channel's cardinality (-1 when unknown).
-type RemoteFetchFn func(producer *core.Operator) ([]any, int64, error)
-
-// RemoteStageRunner is the distributed-execution seam (implemented by
-// distexec.Scheduler). RunStage either executes the stage on a fleet peer
-// and returns its terminal outputs (ok=true) or declines (ok=false), in
-// which case the executor runs the stage locally. The stage's inputs and
-// outputs travel in the dispatch round trip itself, so a run leaves no
-// state on any peer to clean up.
-type RemoteStageRunner interface {
-	RunStage(ctx context.Context, s *core.Stage, fetch RemoteFetchFn, sp *trace.Span) (map[*core.Operator]*core.Channel, *core.StageStats, bool, error)
 }
 
 // ResultCache is the cross-job result cache's population interface
@@ -77,8 +57,8 @@ type Record struct {
 	// Plan is the execution plan as finally run (after any replan).
 	Plan *core.ExecPlan
 	// Entries holds one entry per stage execution, in completion order:
-	// top-level, loop-body (once per round, Loop and Round set) and remote
-	// alike. A loop operator's own pseudo-stage runs no driver and has none.
+	// top-level and loop-body (once per round, Loop and Round set) alike. A
+	// loop operator's own pseudo-stage runs no driver and has none.
 	Entries []*core.StageStats
 	// Replans counts progressive re-optimizations that occurred.
 	Replans int
@@ -223,7 +203,7 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, body bodyRun) (*
 			err    error
 		}
 		outcomes := make([]outcome, len(wave))
-		usageBefore := SampleUsage()
+		usageBefore := sampleUsage()
 		var wg sync.WaitGroup
 		for i, s := range wave {
 			wg.Add(1)
@@ -251,38 +231,9 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, body bodyRun) (*
 				}
 				var outs map[*core.Operator]*core.Channel
 				var stats *core.StageStats
-				var err error
-				// Distributed execution: offer top-level stages to the
-				// remote scheduler first. Loop-body stages stay local —
-				// their placeholders bind process-local channels. Any
-				// decline or remote failure falls through to the local
-				// run below.
-				ran := false
-				if ex.Remote != nil && body.loop == nil {
-					if ex.Sniffers != nil {
-						s.Sniffers = ex.Sniffers // let the scheduler see (and refuse) sniffed ops
-					}
-					// A remote stage is shipped quanta, not a priced conversion:
-					// whatever channel the producer left is read out as it is.
-					fetch := func(producer *core.Operator) ([]any, int64, error) {
-						ch, err := chans.fetch(ep, producer, []string{ep.OutChannel(producer)}, stSp)
-						if err != nil {
-							return nil, 0, err
-						}
-						data, err := driverutil.ChannelQuanta(ch)
-						if err != nil {
-							return nil, 0, err
-						}
-						return data, ch.Card, nil
-					}
-					if rOuts, rStats, ok, rErr := ex.Remote.RunStage(ctx, s, fetch, stSp); ok && rErr == nil {
-						outs, stats, ran = rOuts, rStats, true
-					}
-				}
-				if !ran {
-					if err = ctx.Err(); err == nil {
-						outs, stats, err = ex.runDriverStage(ep, s, chans, body, stSp)
-					}
+				err := ctx.Err()
+				if err == nil {
+					outs, stats, err = ex.runDriverStage(ep, s, chans, body, stSp)
 				}
 				if stats != nil {
 					stats.Loop, stats.Round = body.loop, body.round.N
@@ -301,16 +252,13 @@ func (ex *Executor) run(ctx context.Context, ep *core.ExecPlan, body bodyRun) (*
 
 		// Attribute the wave's process-level CPU/alloc/codec deltas to its
 		// stages (proportional to stage wall time; see resources.go).
-		// Remotely-executed stages are excluded: they carry the executing
-		// peer's own measurements, which local attribution must not
-		// overwrite.
 		var waveStats []*core.StageStats
 		for _, oc := range outcomes {
-			if oc.stats != nil && oc.stats.Remote == "" {
+			if oc.stats != nil {
 				waveStats = append(waveStats, oc.stats)
 			}
 		}
-		attributeUsage(usageBefore, SampleUsage(), waveStats)
+		attributeUsage(usageBefore, sampleUsage(), waveStats)
 
 		for _, oc := range outcomes {
 			if oc.err != nil {

@@ -40,10 +40,6 @@ type StageProfile struct {
 	Platform string `json:"platform"`
 	Loop     string `json:"loop,omitempty"`
 	Round    int    `json:"round,omitempty"`
-	// Peer is the advertise address of the fleet peer that executed the
-	// stage remotely (distributed execution); empty for local stages. The
-	// resource figures below are then the peer's own measurements.
-	Peer string `json:"peer,omitempty"`
 
 	WallMs     float64 `json:"wall_ms"`
 	CPUMs      float64 `json:"cpu_ms"`
@@ -98,7 +94,6 @@ func (r *Record) Profile() *Profile {
 			Stage:      st.Stage.String(),
 			Platform:   st.Stage.Platform,
 			Round:      st.Round,
-			Peer:       st.Remote,
 			WallMs:     float64(st.Runtime) / float64(time.Millisecond),
 			CPUMs:      float64(st.CPUTime) / float64(time.Millisecond),
 			AllocBytes: st.AllocBytes,

@@ -21,8 +21,8 @@ const (
 	allocMetric = "/gc/heap/allocs:bytes"
 )
 
-// Usage is one reading of the process-level resource counters.
-type Usage struct {
+// usage is one reading of the process-level resource counters.
+type usage struct {
 	cpuSeconds float64
 	cpuOK      bool
 	allocBytes uint64
@@ -30,14 +30,13 @@ type Usage struct {
 	codecBytes int64
 }
 
-// SampleUsage reads the process-level resource counters. The sample slice
+// sampleUsage reads the process-level resource counters. The sample slice
 // is allocated per call: concurrent jobs (and nested loop-body executions)
-// sample independently. A fleet worker brackets the one stage it runs with
-// the same two readings.
-func SampleUsage() Usage {
+// sample independently.
+func sampleUsage() usage {
 	samples := []metrics.Sample{{Name: cpuMetric}, {Name: allocMetric}}
 	metrics.Read(samples)
-	out := Usage{codecBytes: core.CodecBytesMoved()}
+	out := usage{codecBytes: core.CodecBytesMoved()}
 	if samples[0].Value.Kind() == metrics.KindFloat64 {
 		out.cpuSeconds, out.cpuOK = samples[0].Value.Float64(), true
 	}
@@ -47,9 +46,9 @@ func SampleUsage() Usage {
 	return out
 }
 
-// Since returns how far the counters moved between before and after: CPU
+// since returns how far the counters moved between before and after: CPU
 // time, allocated bytes and codec bytes (0 where a counter is unavailable).
-func (after Usage) Since(before Usage) (cpu time.Duration, alloc, codec int64) {
+func (after usage) since(before usage) (cpu time.Duration, alloc, codec int64) {
 	if before.cpuOK && after.cpuOK && after.cpuSeconds > before.cpuSeconds {
 		cpu = time.Duration((after.cpuSeconds - before.cpuSeconds) * float64(time.Second))
 	}
@@ -64,11 +63,11 @@ func (after Usage) Since(before Usage) (cpu time.Duration, alloc, codec int64) {
 
 // attributeUsage distributes the counter deltas between before and after
 // across the wave's stage stats, proportional to each stage's wall time.
-func attributeUsage(before, after Usage, stats []*core.StageStats) {
+func attributeUsage(before, after usage, stats []*core.StageStats) {
 	if len(stats) == 0 {
 		return
 	}
-	cpu, alloc, codec := after.Since(before)
+	cpu, alloc, codec := after.since(before)
 	var wall time.Duration
 	for _, st := range stats {
 		wall += st.Runtime

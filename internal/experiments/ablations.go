@@ -21,6 +21,7 @@ func AblationPruning(opts Options) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer ctx.Close()
 	if err := ctx.DFS.WriteLines("ab.txt", datagen.Words(opts.n(5000), 9, 5000, opts.Seed)); err != nil {
 		return nil, err
 	}
@@ -60,6 +61,7 @@ func AblationMovement(opts Options) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer ctx.Close()
 	g := ctx.Registry.Graph
 	card := float64(opts.n(100000))
 	tree, err := g.FindTree("relation", []string{"rdd", "dataset"}, card)

@@ -113,6 +113,7 @@ func Fig2b(opts Options) ([]Row, error) {
 			if err != nil {
 				return err
 			}
+			defer ctx.Close()
 			if err := ctx.DFS.WriteLines("points.csv", lines); err != nil {
 				return err
 			}

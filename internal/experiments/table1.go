@@ -17,6 +17,7 @@ func Table1(opts Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	defer ctx.Close()
 	if err := ctx.DFS.WriteLines("t1-wc.txt", datagen.Words(100, 9, 1000, opts.Seed)); err != nil {
 		return "", err
 	}

@@ -253,6 +253,9 @@ func (e *engine) apply(op *core.Operator, in []*pipe, round core.Round) (*pipe, 
 		if err != nil {
 			return nil, err
 		}
+		if len(parts) == 1 { // a one-block file: its one split is the stream
+			return restPipe(parts[0]), nil
+		}
 		return restPipe(driverutil.Parts(parts).Collect()), nil
 
 	case core.KindCache, core.KindCollectionSink:

@@ -84,7 +84,7 @@ func TestBlockLinesPartitionExactly(t *testing.T) {
 
 func TestBlockLinesPartitionProperty(t *testing.T) {
 	f := func(seed uint8, bs uint8) bool {
-		s, err := NewTemp(Options{BlockSize: int64(bs%60) + 20, Replication: 1, Nodes: 2})
+		s, err := New(t.TempDir(), Options{BlockSize: int64(bs%60) + 20, Replication: 1, Nodes: 2})
 		if err != nil {
 			return false
 		}

@@ -55,11 +55,6 @@ const (
 	// and the remote job id, and the serving peer's tree is grafted under
 	// it when the origin renders the stitched trace.
 	KindProxy = "proxy"
-	// KindRemoteStage marks a stage the distributed scheduler dispatched to
-	// a fleet peer (-cluster-exec). Its attrs name the peer and the remote
-	// fragment id; the worker's span tree is grafted under it when the
-	// origin renders the stitched trace — the same mechanism as KindProxy.
-	KindRemoteStage = "remote-stage"
 )
 
 // Attr is one key=value annotation on a span.

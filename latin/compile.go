@@ -45,45 +45,33 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Register* methods also record each function in core's process-global UDF
-// symbol table, so stages referencing these UDFs can be shipped to fleet
-// peers by symbol (internal/distexec) — peers run the same binary and
-// register the same library at startup.
-
 // RegisterMap registers a map UDF.
 func (r *Registry) RegisterMap(name string, fn func(any) any) {
-	core.RegisterUDFSymbol(fn)
 	r.maps[name] = mapEntry{fn: fn}
 }
 
 // RegisterMapCtx registers a map UDF with a broadcast-consuming open hook.
 func (r *Registry) RegisterMapCtx(name string, open func(core.BroadcastCtx), fn func(any) any) {
-	core.RegisterUDFSymbol(open)
-	core.RegisterUDFSymbol(fn)
 	r.maps[name] = mapEntry{open: open, fn: fn}
 }
 
 // RegisterFlatMap registers a flatmap UDF.
 func (r *Registry) RegisterFlatMap(name string, fn func(any) []any) {
-	core.RegisterUDFSymbol(fn)
 	r.flatMaps[name] = fn
 }
 
 // RegisterPred registers a filter predicate.
 func (r *Registry) RegisterPred(name string, fn func(any) bool) {
-	core.RegisterUDFSymbol(fn)
 	r.preds[name] = fn
 }
 
 // RegisterReduce registers a binary reducer.
 func (r *Registry) RegisterReduce(name string, fn func(a, b any) any) {
-	core.RegisterUDFSymbol(fn)
 	r.reduces[name] = fn
 }
 
 // RegisterKey registers a key extractor.
 func (r *Registry) RegisterKey(name string, fn func(any) any) {
-	core.RegisterUDFSymbol(fn)
 	r.keys[name] = fn
 }
 
@@ -107,7 +95,6 @@ func (r *Registry) RegisterCollection(name string, data []any) {
 // each round with the round number and the current loop value; returning
 // false stops the loop.
 func (r *Registry) RegisterCond(name string, fn func(round int, current []any) bool) {
-	core.RegisterUDFSymbol(fn)
 	r.conds[name] = fn
 }
 

@@ -145,9 +145,4 @@ func (s *Server) mountCluster(node *cluster.Node) {
 	s.mux.HandleFunc("GET /v1/cluster", node.HandleStatus)
 	s.mux.HandleFunc("GET /v1/cluster/metrics", s.handleClusterMetrics)
 	s.mux.HandleFunc("GET /v1/cluster/overview", s.handleClusterOverview)
-	if s.Distexec != nil {
-		// Distributed stage execution: peers ship plan fragments here, their
-		// inputs inline, and read the outputs from the response.
-		s.mux.HandleFunc("POST /v1/internal/exec/stage", s.Distexec.HandleExecStage)
-	}
 }

@@ -44,22 +44,12 @@ func (p *fleetPeer) kill() {
 	}
 }
 
-// fleetConfig selects which cluster tiers a test fleet enables.
-type fleetConfig struct {
-	route bool // -cluster-route: proxy submissions to the ring owner
-	exec  bool // -cluster-exec: ship plan fragments to peers
-}
-
 // startFleet brings up n peers that all know each other, each holding an
 // identical words.txt in its own DFS (named sources fingerprint by name and
 // version, so plans fingerprint identically fleet-wide), and waits for
-// membership to converge.
+// membership to converge. route turns on -cluster-route: submissions are
+// proxied to their ring owner.
 func startFleet(t *testing.T, n int, route bool) []*fleetPeer {
-	t.Helper()
-	return startFleetCfg(t, n, fleetConfig{route: route})
-}
-
-func startFleetCfg(t *testing.T, n int, cfg fleetConfig) []*fleetPeer {
 	t.Helper()
 	peers := make([]*fleetPeer, n)
 	addrs := make([]string, n)
@@ -102,8 +92,7 @@ func startFleetCfg(t *testing.T, n int, cfg fleetConfig) []*fleetPeer {
 		p.srv = NewWithOptions(ctx, testUDFs(), Options{
 			Jobs:         jobs.Options{Workers: 2, QueueDepth: 8},
 			Cluster:      p.node,
-			ClusterRoute: cfg.route,
-			ClusterExec:  cfg.exec,
+			ClusterRoute: route,
 		})
 		p.httpSrv = &http.Server{Handler: p.srv}
 		go p.httpSrv.Serve(p.ln)
@@ -291,6 +280,10 @@ func TestClusterRemoteCacheHit(t *testing.T) {
 	}
 	if _, raw := wireReq(t, http.MethodGet, "http://"+second.addr+"/v1/metrics", nil); !strings.Contains(string(raw), "rheem_cluster_remote_hits_total") {
 		t.Error("metrics exposition lacks rheem_cluster_remote_hits_total")
+	}
+	// A peer runs every stage itself: it takes no stage from another.
+	if resp, raw := wireReq(t, http.MethodPost, "http://"+second.addr+"/v1/internal/exec/stage", []byte("{}")); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/internal/exec/stage answered %d %s, want 404", resp.StatusCode, raw)
 	}
 }
 

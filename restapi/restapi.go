@@ -32,11 +32,6 @@
 //	GET    /v1/internal/cache/{fp}                -> stream one cache entry to a peer (binary framed)
 //	PUT    /v1/internal/cache/{fp}                -> accept a peer's write-through
 //
-// With distributed stage execution on top (Options.ClusterExec), the
-// fragment-execution endpoint is mounted as well:
-//
-//	POST   /v1/internal/exec/stage                -> execute a shipped plan fragment, inputs and outputs inline (internal/distexec)
-//
 // Every response carries an X-Rheem-Request-Id, echoed in the debug-level
 // access log; routed submissions additionally carry X-Rheem-Served-By.
 package restapi
@@ -58,7 +53,6 @@ import (
 	"rheem"
 	"rheem/internal/cluster"
 	"rheem/internal/core"
-	"rheem/internal/distexec"
 	"rheem/internal/jobs"
 	"rheem/internal/monitor"
 	"rheem/internal/telemetry"
@@ -87,13 +81,6 @@ type Options struct {
 	// ClusterRoute proxies job submissions to their plan fingerprint's ring
 	// owner for cache affinity (ignored without Cluster).
 	ClusterRoute bool
-	// ClusterExec enables distributed stage execution: independent stages of
-	// each wave are shipped to alive ring peers as plan fragments, and this
-	// server accepts fragments from peers (ignored without Cluster).
-	ClusterExec bool
-	// ClusterExecMinCostMs keeps stages whose estimated cost sums below this
-	// floor local — cheap stages never pay a network round-trip.
-	ClusterExecMinCostMs float64
 	// ScrapeTimeout bounds each per-peer fetch made by the fleet aggregation
 	// endpoints (/v1/cluster/metrics, /v1/cluster/overview) and by trace
 	// stitching. Defaults to the cluster's fetch timeout, else 2s.
@@ -122,8 +109,6 @@ type Server struct {
 	Cluster *cluster.Node
 	// ClusterRoute enables owner-affinity job routing (see cluster.go).
 	ClusterRoute bool
-	// Distexec is the distributed stage scheduler (nil unless ClusterExec).
-	Distexec *distexec.Scheduler
 	// ScrapeTimeout bounds per-peer fetches of the fleet endpoints.
 	ScrapeTimeout time.Duration
 
@@ -189,17 +174,6 @@ func NewWithOptions(ctx *rheem.Context, udfs *latin.Registry, opts Options) *Ser
 		ctx.Metrics.Help("rheem_cluster_routed_requests_total",
 			"Job submissions proxied to their fingerprint's ring owner.")
 		s.mRouted = ctx.Metrics.Counter("rheem_cluster_routed_requests_total")
-		if opts.ClusterExec {
-			s.Distexec = distexec.New(distexec.Options{
-				Node:      opts.Cluster,
-				Registry:  ctx.Registry,
-				Metrics:   ctx.Metrics,
-				Log:       opts.Log.With("component", "distexec"),
-				Traces:    s.Traces,
-				MinCostMs: opts.ClusterExecMinCostMs,
-			})
-			ctx.SetRemoteRunner(s.Distexec)
-		}
 		s.mountCluster(opts.Cluster)
 	}
 	return s

@@ -28,10 +28,11 @@ go test -race $short ./...
 # sleeps, only driverutil charges a platform's latency — an engine holds its
 # stage's clock but never charges it —, the optimizer and the cost learner name
 # no bundled platform, the executor never searches the conversion graph, only
-# cmd/ and bench/ read the environment, and the import boundaries: core imports
-# no platform, executor or optimizer, no engine imports another, the root
-# package imports neither distexec nor cluster, neither distexec nor the result
-# cache imports the DFS) are tests of internal/archtest, run by the line above.
+# cmd/ and bench/ read the environment, outside tests and bench/ only the
+# executor's run appends to the run record, and the import boundaries: core
+# imports no platform, executor or optimizer, no engine imports another, the
+# root package imports no cluster, the result cache imports no DFS) are tests
+# of internal/archtest, run by the line above.
 # Benchmark smoke: one iteration of the codec benchmarks, so they compile
 # and run even when nobody records numbers.
 go test -run=NONE -bench=BenchmarkEncodeQuantum -benchtime=1x ./internal/core
@@ -39,6 +40,10 @@ go test -run=NONE -bench=BenchmarkEncodeQuantum -benchtime=1x ./internal/core
 # run in the suite): the stream reader never panics, never hands on a column
 # batch inside a quantum, and what it accepts re-encodes to as many quanta.
 go test -run=NONE -fuzz=FuzzReadQuantaStream -fuzztime=10s ./internal/core
+# Split-reader fuzz smoke: ten seconds of FuzzTextSplits beyond its seeds: for
+# any file content, block size and split count, ReadTextParts' parts
+# concatenate to dfs.ReadLines, each line once and in order.
+go test -run=NONE -fuzz=FuzzTextSplits -fuzztime=10s ./internal/platform/driverutil
 # Serving-path smoke: one iteration of what every job on a caching server pays
 # before its stages — a fingerprinting pass over a plan compiled from 20 k
 # registered records (the content was hashed at registration; tens of
@@ -100,14 +105,6 @@ if grep -rnE --include='*.go' 'case .*core\.Kind(MapPar[t]|ZipWithI[D]|Sampl[e]|
 fi
 if grep -n 'opTime[s]\|sync\.Mute[x]\|func (m \*Monito[r])' internal/monitor/monitor.go; then
 	echo "internal/monitor accumulates again: it reads the executor's run record and keeps nothing of its own" >&2
-	exit 1
-fi
-# One store, one writer: outside tests and bench/, record entries are appended
-# in one function, Executor.run, and the health check is the monitor's.
-writers=$(grep -rn 'Entries = append(' --include='*.go' . | grep -v '_test\.go:\|^\./bench/' | cut -d: -f1 | sort -u)
-writerFuncs=$(awk '/^func /{fn=$0} /Entries = append\(/{print fn}' internal/executor/executor.go | sort -u)
-if [ "$writers" != "./internal/executor/executor.go" ] || [ "$writerFuncs" != "$(grep '^func (ex \*Executor) run(' internal/executor/executor.go)" ]; then
-	echo "the run record has more than one writer: $writers" >&2
 	exit 1
 fi
 # One operator table: a kind's roles are spelled out in core/optable.go alone
@@ -222,17 +219,12 @@ go test -race -count=1 -run='TestSGDModelBitIdentical' .
 go test -race -count=1 -run='TestUDFReduceByAbsorbedMatchesKeyedPath|TestUDFReduceByChainAllocations' ./internal/platform/driverutil
 go test -race -count=1 -run='TestReduceByLackingUDFFailsAtCompile' ./internal/platform/platformtest
 # And one operator table: a registered kind is classified by its entry
-# everywhere, the fingerprint's role walk is pinned over all fourteen roles,
-# the table's UDF check allocates nothing and covers loop bodies, a stage
-# reports a missing UDF before any kernel runs, a fragment outside the table
-# (an unknown kind, a port its consumer lacks) is a decode error, never a
-# panic, and a toy kind gets validation, fingerprinting and shipping from one
-# entry. A fragment's data travels inline both ways over a real round trip,
-# inline input bytes that do not decode are a 400, and a stage the scheduler
-# declines pins local with its reason.
+# everywhere and gets validation and fingerprinting from it, the fingerprint's
+# role walk is pinned over all fourteen roles, the table's UDF check allocates
+# nothing and covers loop bodies, and a stage reports a missing UDF before any
+# kernel runs.
 go test -race -count=1 -run='TestFingerprintGoldenAllRoles|TestRegisteredKindIsClassifiedByTheTable|TestRegisterKind|TestOperatorArities|TestCheckUDFs|TestValidateChecksUDFsInLoopBodies' ./internal/core
 go test -race -count=1 -run='TestRunStageChecksUDFsFirst' ./internal/platform/driverutil
-go test -race -count=1 -run='TestDecodeFragmentChecksTheTable|TestToyKindFromOneTableEntry|TestWorkerRejectsBadFragments|TestLoopbackInlineExecution|TestRunStagePins' ./internal/distexec
 # And single-flight computes once: a won claim is re-probed before the job
 # computes (the forced interleaving by name, the two concurrent properties
 # twenty times each under the race detector).
@@ -282,11 +274,3 @@ go test -count=1 -run='TestMetricsLint' ./restapi
 # across all three peers; and a routed job's stitched trace contains the
 # serving peer's subtree, every grafted span peer-attributed.
 go test -race -count=1 -run='TestClusterRemoteCacheHit|TestClusterMetricsAggregation|TestClusterRoutedTraceStitch' ./restapi
-# Distributed execution smoke: a 2-peer -cluster-exec fleet runs a job with
-# stages executing remotely (results equal to single-node, trace stitched,
-# profile peer-attributed, no peer's DFS ever holding a distexec file),
-# survives the remote peer dying mid-run, and a 3-peer fleet proves via
-# /v1/cluster/metrics that remote executions landed on at least two peers;
-# a fleet without -cluster-exec dispatches nothing and mounts no worker
-# endpoint.
-go test -race -count=1 -run='TestClusterDistexec' ./restapi
